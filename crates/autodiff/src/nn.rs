@@ -396,35 +396,16 @@ impl QuantizedMlp {
     }
 
     /// Eager forward for `x: [M, in]` — mirrors [`Mlp::forward_nograd`] with
-    /// the bf16 weight panels in place of the f32 `matmul_nt`. This is the
-    /// bf16-*store* tier: activations and accumulation stay exact f32.
+    /// the bf16 weight panels in place of the f32 `matmul_nt`. Activations
+    /// and accumulation stay exact f32.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_impl(x, false)
-    }
-
-    /// Eager forward through the bf16-*compute* tier: each layer's
-    /// activations are quantized to bf16 during GEMM packing and the tiles
-    /// run `vdpbf16ps` arithmetic (`PackedBf16Gemm::matmul_bf16`). Biases
-    /// and the activation function still apply in f32 between layers.
-    /// Looser error contract than [`Self::forward`] — both operands
-    /// rounded — in exchange for double FMA throughput on `avx512bf16`
-    /// hosts.
-    pub fn forward_compute(&self, x: &Tensor) -> Tensor {
-        self.forward_impl(x, true)
-    }
-
-    fn forward_impl(&self, x: &Tensor, bf16_compute: bool) -> Tensor {
         let m = x.dims()[0];
         let last = self.layers.len() - 1;
         let mut h: Option<Tensor> = None;
         for (i, (weight, bias)) in self.layers.iter().enumerate() {
             let inp = h.as_ref().unwrap_or(x);
             let mut y = Tensor::zeros(&[m, weight.cols()]);
-            if bf16_compute {
-                weight.matmul_bf16(m, inp.data(), y.data_mut());
-            } else {
-                weight.matmul(m, inp.data(), y.data_mut());
-            }
+            weight.matmul(m, inp.data(), y.data_mut());
             rowops::add_bias_rows(&mut y, bias);
             if i != last {
                 y = self.activation.apply_value(&y);

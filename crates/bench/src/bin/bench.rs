@@ -4,11 +4,10 @@
 //! usage: bench [--quick] [--oracle] [--gate BASELINE.json] [--out PATH]
 //! ```
 //!
-//! Measures the blocked GEMM (all three transpose layouts, plus a
-//! std::thread row-block fan-out) against the pre-optimization naive
-//! `ikj` kernel kept here as a frozen reference, the three conv3d
-//! lowerings (direct, im2col, fused implicit-GEMM — forward and both
-//! gradients), the bf16 vs f32 decode paths, and one full training step
+//! Measures the blocked GEMM (all three transpose layouts) against the
+//! pre-optimization naive `ikj` kernel kept here as a frozen reference,
+//! the two conv3d lowerings (direct and fused implicit-GEMM — forward and
+//! both gradients), the bf16 vs f32 decode paths, and one full training step
 //! with the workspace pool on vs off. Results land in
 //! `BENCH_kernels.json` (default; `--out` overrides): median wall time,
 //! GFLOP/s, heap bytes allocated per call (counted by the `count-alloc`
@@ -17,8 +16,8 @@
 //!
 //! The binary doubles as a regression gate: before timing anything it
 //! re-checks the blocked GEMM against the naive reference on
-//! tile-unaligned shapes and every conv3d lowering against the direct
-//! kernel, and exits non-zero on any mismatch. `--oracle` additionally
+//! tile-unaligned shapes and the implicit-GEMM conv3d kernels against the
+//! direct ones, and exits non-zero on any mismatch. `--oracle` additionally
 //! runs the full mfn-reftest differential suite first. `--quick`
 //! shrinks the problem sizes for CI; the full run additionally asserts
 //! the ≥2× speedup the optimization is required to hold on the 256³
@@ -33,9 +32,9 @@ use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec, QuerySt
 use mfn_sample::{OctreeConfig, OctreeSampler};
 use mfn_solver::{simulate, RbcConfig};
 use mfn_tensor::{
-    conv3d, conv3d_grad_input_direct, conv3d_grad_weight_direct, conv3d_im2col,
-    conv3d_implicit_gemm, conv3d_implicit_grad_input, conv3d_implicit_grad_weight, gemm, workspace,
-    Conv3dDims, MatLayout, Tensor,
+    conv3d, conv3d_grad_input_direct, conv3d_grad_weight_direct, conv3d_implicit_gemm,
+    conv3d_implicit_grad_input, conv3d_implicit_grad_weight, gemm, workspace, Conv3dDims,
+    MatLayout, Tensor,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -101,7 +100,7 @@ fn alloc_calls() -> u64 {
     }
 }
 
-/// The pre-optimization GEMM, frozen verbatim (minus rayon) from the seed
+/// The pre-optimization GEMM, frozen verbatim from the seed
 /// tree's `linalg::matmul`: row-major `ikj` with the zero-skip branch.
 /// This is the baseline every speedup in the JSON is measured against.
 fn naive_ikj(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -198,7 +197,6 @@ struct GemmRow {
     m: usize,
     k: usize,
     n: usize,
-    threads: usize,
     median_ns: f64,
     best_ns: f64,
     gflops: f64,
@@ -223,46 +221,6 @@ fn bench_gemm(name: &str, s: usize, a_l: MatLayout, b_l: MatLayout, iters: usize
         m: s,
         k: s,
         n: s,
-        threads: 1,
-        median_ns,
-        best_ns,
-        gflops: gemm_gflops(s, s, s, best_ns),
-        alloc_bytes_per_call: bytes,
-    }
-}
-
-/// Benches the blocked GEMM with `C`'s row blocks fanned across OS threads
-/// (one `gemm` call per block — the same macro-kernel, independent output
-/// slices, no synchronization inside the timed region). The vendored rayon
-/// is a sequential shim, so this is the bench's own `std::thread::scope`
-/// fan-out; `threads` in the row is the actual spawn count, which on a
-/// single-core CI box is honestly 1.
-fn bench_gemm_mt(s: usize, iters: usize) -> GemmRow {
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-    let rows_per = s.div_ceil(threads);
-    let mut a = vec![0.0f32; s * s];
-    let mut b = vec![0.0f32; s * s];
-    let mut c = vec![0.0f32; s * s];
-    lcg_fill(&mut a, 3);
-    lcg_fill(&mut b, 4);
-    let (median_ns, best_ns, bytes) = time_samples(iters, || {
-        let (a, b) = (a.as_slice(), b.as_slice());
-        std::thread::scope(|scope| {
-            for (ti, c_block) in c.chunks_mut(rows_per * s).enumerate() {
-                let mb = c_block.len() / s;
-                let a_block = &a[ti * rows_per * s..ti * rows_per * s + mb * s];
-                scope.spawn(move || {
-                    gemm(mb, s, s, a_block, MatLayout::Normal, b, MatLayout::Normal, c_block)
-                });
-            }
-        });
-    });
-    GemmRow {
-        name: format!("gemm_nn_mt_{s}"),
-        m: s,
-        k: s,
-        n: s,
-        threads,
         median_ns,
         best_ns,
         gflops: gemm_gflops(s, s, s, best_ns),
@@ -315,9 +273,9 @@ fn check_gemm_vs_naive() -> Result<(), String> {
     Ok(())
 }
 
-/// Correctness gate: the im2col and fused implicit-GEMM lowerings vs the
-/// direct conv3d kernel — forward, and the implicit gradient kernels vs
-/// their direct twins.
+/// Correctness gate: the fused implicit-GEMM lowering vs the direct conv3d
+/// kernel — forward, and the implicit gradient kernels vs their direct
+/// twins.
 fn check_lowerings_vs_direct() -> Result<(), String> {
     let mut rng = ChaCha8Rng::seed_from_u64(99);
     let close = |tag: &str, got: &Tensor, want: &Tensor| -> Result<(), String> {
@@ -335,7 +293,6 @@ fn check_lowerings_vs_direct() -> Result<(), String> {
         let input = Tensor::randn(&[2, cin, 3, 4, 5], 1.0, &mut rng);
         let weight = Tensor::randn(&[cout, cin, kd, kh, kw], 1.0, &mut rng);
         let direct = conv3d(&input, &weight);
-        close(&format!("im2col vs direct ({tag})"), &conv3d_im2col(&input, &weight), &direct)?;
         close(
             &format!("implicit_gemm vs direct ({tag})"),
             &conv3d_implicit_gemm(&input, &weight),
@@ -368,25 +325,21 @@ struct DecodeRow {
 }
 
 /// Everything the serving-split benchmark measures: the encode cost, the
-/// f32 decode rows, their bf16-quantized twins (store tier and compute
-/// tier), and the resident bf16 weight bytes.
+/// f32 decode rows, their bf16-store twins, and the resident bf16 weight
+/// bytes.
 struct DecodeBench {
     encode_ns: f64,
     rows: Vec<DecodeRow>,
     bf16_rows: Vec<DecodeRow>,
-    bf16_compute_rows: Vec<DecodeRow>,
     bf16_weight_bytes: usize,
 }
 
 /// Times the serving split on a tiny frozen model: one U-Net encode (the
 /// expensive encode-once half) and `decode_values` at several query-batch
-/// sizes (the cheap decode-many half), first at full precision, then
-/// through the bf16-*store* decoder on the same weights, then through the
-/// bf16-*compute* decoder (a twin model of identical shape, since one
-/// decoder holds one tier). The encode/decode ratio in the JSON is the
-/// asymmetry the latent-context cache in `mfn-serve` exploits; the bf16
-/// rows are the µs/query the `--bf16-decode` / `--bf16-compute` serve
-/// flags buy.
+/// sizes (the cheap decode-many half), at full precision and through the
+/// bf16-store decoder on the same weights. The encode/decode ratio in the
+/// JSON is the asymmetry the latent-context cache in `mfn-serve` exploits;
+/// the bf16 rows are the µs/query the `--bf16-decode` serve flag buys.
 fn bench_decode(iters: usize) -> DecodeBench {
     let mut cfg = MfnConfig::small();
     cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 32 };
@@ -399,19 +352,13 @@ fn bench_decode(iters: usize) -> DecodeBench {
     cfg.mlp_hidden = vec![128, 128];
     cfg.levels = 2;
     let in_channels = cfg.in_channels;
-    let mut frozen = FrozenModel::from_model(MeshfreeFlowNet::new(cfg.clone()));
-    // A decoder holds exactly one quantization tier, so the compute tier
-    // gets a shape-identical twin model; decode cost depends on the layer
-    // shapes, not the weight values, so the comparison stays apples-to-
-    // apples as long as all three calls interleave in one loop.
-    let mut frozen_c = FrozenModel::from_model(MeshfreeFlowNet::new(cfg));
+    let mut frozen = FrozenModel::from_model(MeshfreeFlowNet::new(cfg));
     let mut rng = ChaCha8Rng::seed_from_u64(21);
     let input = Tensor::randn(&[1, in_channels, 4, 4, 4], 1.0, &mut rng);
     let (encode_ns, _, _) = time_samples(iters, || {
         std::hint::black_box(frozen.encode(&input));
     });
     let latent = frozen.encode(&input);
-    let latent_c = frozen_c.encode(&input);
     // Quantize up front: `decode_values` then takes the bf16 path while
     // `decode_values_exact` stays f32, so both variants run on the SAME
     // model object and can be timed in one interleaved loop. Alternating
@@ -419,10 +366,8 @@ fn bench_decode(iters: usize) -> DecodeBench {
     // equally — comparing the two minima cancels machine-speed drift that
     // timing the paths in separate windows would bake into the ratio.
     frozen.quantize_decoder();
-    frozen_c.quantize_decoder_compute();
     let mut rows = Vec::new();
     let mut bf16_rows = Vec::new();
-    let mut bf16_compute_rows = Vec::new();
     for &q in &[1usize, 8, 64, 512] {
         let mut state = q as u64 * 7919 + 1;
         let queries: Vec<(usize, [f32; 3])> = (0..q)
@@ -441,24 +386,16 @@ fn bench_decode(iters: usize) -> DecodeBench {
         let bf16_call = || {
             std::hint::black_box(frozen.decode_values(&latent, queries.iter().copied()));
         };
-        let bf16c_call = || {
-            std::hint::black_box(frozen_c.decode_values(&latent_c, queries.iter().copied()));
-        };
-        f32_call(); // warm up all paths (workspace pool, icache)
+        f32_call(); // warm up both paths (workspace pool, icache)
         bf16_call();
-        bf16c_call();
         let b0 = alloc_bytes();
         f32_call();
         let f32_bytes = alloc_bytes() - b0;
         let b0 = alloc_bytes();
         bf16_call();
         let bf16_bytes = alloc_bytes() - b0;
-        let b0 = alloc_bytes();
-        bf16c_call();
-        let bf16c_bytes = alloc_bytes() - b0;
         let mut f32_samples = Vec::with_capacity(iters);
         let mut bf16_samples = Vec::with_capacity(iters);
-        let mut bf16c_samples = Vec::with_capacity(iters);
         for _ in 0..iters {
             let t = Instant::now();
             f32_call();
@@ -466,9 +403,6 @@ fn bench_decode(iters: usize) -> DecodeBench {
             let t = Instant::now();
             bf16_call();
             bf16_samples.push(t.elapsed().as_nanos() as f64);
-            let t = Instant::now();
-            bf16c_call();
-            bf16c_samples.push(t.elapsed().as_nanos() as f64);
         }
         let row = |mut samples: Vec<f64>, bytes: u64| {
             samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
@@ -483,15 +417,8 @@ fn bench_decode(iters: usize) -> DecodeBench {
         };
         rows.push(row(f32_samples, f32_bytes));
         bf16_rows.push(row(bf16_samples, bf16_bytes));
-        bf16_compute_rows.push(row(bf16c_samples, bf16c_bytes));
     }
-    DecodeBench {
-        encode_ns,
-        rows,
-        bf16_rows,
-        bf16_compute_rows,
-        bf16_weight_bytes: frozen.quantized_weight_bytes(),
-    }
+    DecodeBench { encode_ns, rows, bf16_rows, bf16_weight_bytes: frozen.quantized_weight_bytes() }
 }
 
 /// Measured sampling rows: uniform vs residual-guided adaptive query
@@ -668,23 +595,6 @@ struct GateSampling {
     adaptive_overhead: f64,
 }
 
-/// Optional bf16-compute section of a committed baseline. Parsed separately
-/// (the [`GateSamplingDoc`] pattern) so reports written before the compute
-/// tier landed still gate everything else — this leg is just skipped.
-#[derive(serde::Deserialize)]
-struct GateBf16Doc {
-    decode_values: GateBf16Decode,
-}
-
-/// Baseline bf16-compute row: the 512-query speedup ratio and whether the
-/// baseline machine ran the native `vdpbf16ps` route. Ratios from a native
-/// run and an emulated run are not comparable, so the flag gates the gate.
-#[derive(serde::Deserialize)]
-struct GateBf16Decode {
-    bf16_compute_native: bool,
-    bf16_compute_speedup_512q: f64,
-}
-
 /// `--gate` floor: each speedup ratio must hold at least this fraction of
 /// the committed baseline's.
 const GATE_FRACTION: f64 = 0.85;
@@ -849,7 +759,6 @@ fn main() {
             m: size,
             k: size,
             n: size,
-            threads: 1,
             median_ns,
             best_ns,
             gflops: gemm_gflops(size, size, size, best_ns),
@@ -861,7 +770,6 @@ fn main() {
         nn_row,
         bench_gemm("gemm_tn", size, MatLayout::Transposed, MatLayout::Normal, iters),
         bench_gemm("gemm_nt", size, MatLayout::Normal, MatLayout::Transposed, iters),
-        bench_gemm_mt(size, iters),
         naive_row,
     ];
     let blocked = rows[0].gflops;
@@ -875,8 +783,8 @@ fn main() {
         std::process::exit(1);
     }
 
-    // conv3d lowerings on a training-shaped layer: forward through all
-    // three paths, gradients through the fused implicit-GEMM kernels.
+    // conv3d lowerings on a training-shaped layer: forward through both
+    // paths, gradients through the fused implicit-GEMM kernels.
     eprintln!("[bench] timing conv3d lowerings ...");
     let (cn, cin, cout, cs) =
         if quick { (2, 8, 8, [4usize, 8, 8]) } else { (4, 16, 16, [4, 16, 16]) };
@@ -886,14 +794,11 @@ fn main() {
     let conv_flops = 2.0 * (cn * cout * cin * 27 * cs[0] * cs[1] * cs[2]) as f64;
     let cdims = Conv3dDims::infer(&cinput, &cweight);
     let cgout = Tensor::randn(&[cn, cout, cs[0], cs[1], cs[2]], 1.0, &mut rng);
-    // All five variants interleave in one loop: direct/implicit is the
-    // gated ratio and implicit/im2col the headline speedup, so their
-    // minima must come from the same steal-phase distribution.
+    // All four variants interleave in one loop: implicit/direct is the
+    // gated ratio, so their minima must come from the same steal-phase
+    // distribution.
     let direct_bytes = bytes_per_call(|| {
         std::hint::black_box(conv3d(&cinput, &cweight));
-    });
-    let lowered_bytes = bytes_per_call(|| {
-        std::hint::black_box(conv3d_im2col(&cinput, &cweight));
     });
     let implicit_bytes = bytes_per_call(|| {
         std::hint::black_box(conv3d_implicit_gemm(&cinput, &cweight));
@@ -911,9 +816,6 @@ fn main() {
                 std::hint::black_box(conv3d(&cinput, &cweight));
             },
             &mut || {
-                std::hint::black_box(conv3d_im2col(&cinput, &cweight));
-            },
-            &mut || {
                 std::hint::black_box(conv3d_implicit_gemm(&cinput, &cweight));
             },
             &mut || {
@@ -925,16 +827,14 @@ fn main() {
         ],
     );
     let (direct_med, direct_ns) = conv_timings[0];
-    let (lowered_med, lowered_ns) = conv_timings[1];
-    let (implicit_med, implicit_ns) = conv_timings[2];
-    let (gi_med, gi_ns) = conv_timings[3];
-    let (gw_med, gw_ns) = conv_timings[4];
-    let conv_speedup = lowered_ns / implicit_ns;
+    let (implicit_med, implicit_ns) = conv_timings[1];
+    let (gi_med, gi_ns) = conv_timings[2];
+    let (gw_med, gw_ns) = conv_timings[3];
+    let conv_speedup = direct_ns / implicit_ns;
     eprintln!(
-        "[bench] conv3d fwd: direct {:.2} / im2col {:.2} / implicit {:.2} GFLOP/s \
-         ({conv_speedup:.2}x vs im2col); grads implicit {:.2} / {:.2}",
+        "[bench] conv3d fwd: direct {:.2} / implicit {:.2} GFLOP/s \
+         ({conv_speedup:.2}x vs direct); grads implicit {:.2} / {:.2}",
         conv_flops / direct_ns,
-        conv_flops / lowered_ns,
         conv_flops / implicit_ns,
         conv_flops / gi_ns,
         conv_flops / gw_ns,
@@ -954,33 +854,17 @@ fn main() {
         / decode.bf16_rows.first().expect("bf16 decode rows").best_ns;
     let bf16_speedup = decode_rows.last().expect("decode rows").best_ns
         / decode.bf16_rows.last().expect("bf16 decode rows").best_ns;
-    // The compute tier's headline lives where its win is architectural: at
-    // large query batches the MLP GEMM dominates and `vdpbf16ps` retires a
-    // 2-deep dot product per lane-instruction, so on avx512bf16 hardware the
-    // 64- and 512-query ratios are the ones the issue's 1.5x floor is about.
-    // On hardware without the extension these ratios measure the emulation
-    // (typically < 1x) — the native flag in the JSON says which one it was.
-    let row_speedup = |i: usize| {
-        decode_rows.get(i).expect("decode rows").best_ns
-            / decode.bf16_compute_rows.get(i).expect("bf16 compute rows").best_ns
-    };
-    let bf16_compute_speedup_64q = row_speedup(2);
-    let bf16_compute_speedup_512q = row_speedup(3);
-    let bf16_compute_native = mfn_tensor::bf16_compute_is_native();
     {
         let d1 = decode_rows.first().expect("decode rows");
         eprintln!(
             "[bench] encode {:.0} ns vs 1-query decode {:.0} ns ({:.0}x); \
              1-query bf16 {bf16_speedup_1q:.2}x; \
-             512-query decode {:.2} Mpts/s f32, {:.2} Mpts/s bf16 ({bf16_speedup:.2}x), \
-             {:.2} Mpts/s bf16-compute ({bf16_compute_speedup_512q:.2}x, native: \
-             {bf16_compute_native})",
+             512-query decode {:.2} Mpts/s f32, {:.2} Mpts/s bf16 ({bf16_speedup:.2}x)",
             encode_ns,
             d1.median_ns,
             encode_ns / d1.median_ns,
             decode_rows.last().expect("decode rows").points_per_s / 1e6,
             decode.bf16_rows.last().expect("bf16 decode rows").points_per_s / 1e6,
-            decode.bf16_compute_rows.last().expect("bf16 compute rows").points_per_s / 1e6,
         );
     }
 
@@ -1023,8 +907,8 @@ fn main() {
             gemm_json.push_str(",\n");
         }
         gemm_json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"threads\": {}, \"median_ns\": {:.0}, \"best_ns\": {:.0}, \"gflops\": {:.2}, \"alloc_bytes_per_call\": {}}}",
-            r.name, r.m, r.k, r.n, r.threads, r.median_ns, r.best_ns, r.gflops, r.alloc_bytes_per_call
+            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"median_ns\": {:.0}, \"best_ns\": {:.0}, \"gflops\": {:.2}, \"alloc_bytes_per_call\": {}}}",
+            r.name, r.m, r.k, r.n, r.median_ns, r.best_ns, r.gflops, r.alloc_bytes_per_call
         ));
     }
     let decode_rows_json = |rows: &[DecodeRow]| {
@@ -1042,7 +926,6 @@ fn main() {
     };
     let decode_json = decode_rows_json(decode_rows);
     let bf16_json = decode_rows_json(&decode.bf16_rows);
-    let bf16_compute_json = decode_rows_json(&decode.bf16_compute_rows);
     let conv_row = |median: f64, best: f64, bytes: u64| {
         format!(
             "{{\"median_ns\": {median:.0}, \"best_ns\": {best:.0}, \"gflops\": {gf:.2}, \"alloc_bytes_per_call\": {bytes}}}",
@@ -1051,34 +934,28 @@ fn main() {
     };
     let json = format!(
         "{{\n\
-         \"schema\": \"mfn-bench/kernels/v2\",\n\
+         \"schema\": \"mfn-bench/kernels/v3\",\n\
          \"mode\": \"{mode}\",\n\
          \"count_alloc\": {count_alloc},\n\
-         \"threads\": {threads},\n\
          \"checks\": {{\"gemm_vs_naive\": \"ok\", \"lowerings_vs_direct\": \"ok\"}},\n\
          \"gemm\": [\n{gemm_json}\n  ],\n\
          \"gemm_speedup_vs_naive\": {speedup:.3},\n\
          \"conv3d\": {{\n\
          \"shape\": {{\"n\": {cn}, \"cin\": {cin}, \"cout\": {cout}, \"spatial\": [{s0}, {s1}, {s2}], \"kernel\": [3, 3, 3]}},\n\
          \"direct\": {direct_row},\n\
-         \"im2col\": {im2col_row},\n\
          \"implicit_gemm\": {implicit_row},\n\
          \"implicit_grad_input\": {gi_row},\n\
          \"implicit_grad_weight\": {gw_row},\n\
-         \"implicit_speedup_vs_im2col\": {conv_speedup:.3}\n\
+         \"implicit_speedup_vs_direct\": {conv_speedup:.3}\n\
          }},\n\
          \"decode_values\": {{\n\
          \"encode_median_ns\": {encode_ns:.0},\n\
          \"encode_to_1query_decode_ratio\": {enc_dec_ratio:.1},\n\
          \"rows\": [\n{decode_json}\n  ],\n\
          \"bf16_rows\": [\n{bf16_json}\n  ],\n\
-         \"bf16_compute_rows\": [\n{bf16_compute_json}\n  ],\n\
          \"bf16_weight_bytes\": {bf16_bytes},\n\
          \"bf16_speedup_1q\": {bf16_speedup_1q:.3},\n\
-         \"bf16_speedup_512q\": {bf16_speedup:.3},\n\
-         \"bf16_compute_native\": {bf16_compute_native},\n\
-         \"bf16_compute_speedup_64q\": {bf16_compute_speedup_64q:.3},\n\
-         \"bf16_compute_speedup_512q\": {bf16_compute_speedup_512q:.3}\n\
+         \"bf16_speedup_512q\": {bf16_speedup:.3}\n\
          }},\n\
          \"sampling\": {{\n\
          \"queries_per_draw\": {sq},\n\
@@ -1095,7 +972,6 @@ fn main() {
          }}\n",
         mode = if quick { "quick" } else { "full" },
         count_alloc = cfg!(feature = "count-alloc"),
-        threads = mfn_tensor::effective_threads(),
         speedup = speedup,
         cn = cn,
         cin = cin,
@@ -1104,7 +980,6 @@ fn main() {
         s1 = cs[1],
         s2 = cs[2],
         direct_row = conv_row(direct_med, direct_ns, direct_bytes),
-        im2col_row = conv_row(lowered_med, lowered_ns, lowered_bytes),
         implicit_row = conv_row(implicit_med, implicit_ns, implicit_bytes),
         gi_row = conv_row(gi_med, gi_ns, gi_bytes),
         gw_row = conv_row(gw_med, gw_ns, gw_bytes),
@@ -1182,7 +1057,7 @@ fn main() {
             (t[1].1 / t[0].1, tc[0].1 / tc[1].1)
         };
         let baseline = gate_baseline.as_deref().expect("baseline read at startup");
-        if let Err(e) = run_gate(&path, baseline, (speedup, direct_ns / implicit_ns), remeasure) {
+        if let Err(e) = run_gate(&path, baseline, (speedup, conv_speedup), remeasure) {
             eprintln!("[bench] FAIL: {e}");
             std::process::exit(1);
         }
@@ -1220,54 +1095,6 @@ fn main() {
             }
             Err(_) => {
                 eprintln!("[gate] baseline has no sampling section; skipping sampling leg");
-            }
-        }
-        // bf16-compute leg: the compute tier's 512-query speedup over f32
-        // must hold its fraction of the committed baseline — but only when
-        // this run and the baseline took the same route (native vs
-        // emulated); mixing the two compares a kernel against a simulator.
-        match serde_json::from_str::<GateBf16Doc>(baseline) {
-            Ok(doc) if doc.decode_values.bf16_compute_native != bf16_compute_native => {
-                eprintln!(
-                    "[gate] bf16-compute route differs from baseline (baseline native: {}, \
-                     now native: {bf16_compute_native}); skipping bf16-compute leg",
-                    doc.decode_values.bf16_compute_native
-                );
-            }
-            Ok(doc) => {
-                let base = doc.decode_values.bf16_compute_speedup_512q;
-                let floor = GATE_FRACTION * base;
-                let mut now = bf16_compute_speedup_512q;
-                let mut passed = false;
-                for attempt in 0..3 {
-                    eprintln!(
-                        "[gate] bf16-compute 512q decode speedup: now {now:.2}x vs \
-                         baseline {base:.2}x (floor {floor:.2}x)"
-                    );
-                    if now >= floor {
-                        passed = true;
-                        break;
-                    }
-                    if attempt < 2 {
-                        eprintln!("[gate] below floor; re-measuring in a fresh window ...");
-                        std::thread::sleep(std::time::Duration::from_millis(500));
-                        let d = bench_decode(decode_iters);
-                        now = now.max(
-                            d.rows.last().expect("decode rows").best_ns
-                                / d.bf16_compute_rows.last().expect("bf16 compute rows").best_ns,
-                        );
-                    }
-                }
-                if !passed {
-                    eprintln!(
-                        "[bench] FAIL: bf16-compute 512q speedup {now:.2}x stayed below \
-                         {GATE_FRACTION}x baseline ({floor:.2}x) across 3 windows"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            Err(_) => {
-                eprintln!("[gate] baseline has no bf16-compute section; skipping bf16 leg");
             }
         }
         eprintln!("[bench] gate vs {path}: ok");

@@ -206,36 +206,21 @@ impl ContinuousDecoder {
 /// A bf16-quantized snapshot of a [`ContinuousDecoder`] for reduced-precision
 /// serving: the MLP's weights live as prepacked bf16 GEMM panels
 /// ([`QuantizedMlp`]), while the gather/concat input build, biases,
-/// activations, and trilinear blending all stay f32. Two tiers share the
-/// snapshot (same packed weights): the *store* tier
-/// ([`QuantizedDecoder::quantize`]) keeps activations and accumulation in
-/// exact f32, while the *compute* tier
-/// ([`QuantizedDecoder::quantize_compute`]) also rounds each layer's
-/// activations to bf16 and runs `vdpbf16ps` tile arithmetic — a looser
-/// contract bought for ~2x GEMM throughput on `avx512bf16` hosts. Opt-in —
+/// activations, accumulation and trilinear blending all stay f32. Opt-in —
 /// built once, then decoded against like the full-precision path.
 #[derive(Debug, Clone)]
 pub struct QuantizedDecoder {
     mlp: QuantizedMlp,
     out_channels: usize,
-    bf16_compute: bool,
 }
 
 impl QuantizedDecoder {
-    /// Quantizes a decoder's MLP weights out of `store` (source untouched);
-    /// decodes run the bf16-store tier.
+    /// Quantizes a decoder's MLP weights out of `store` (source untouched).
     pub fn quantize(dec: &ContinuousDecoder, store: &ParamStore) -> Self {
         QuantizedDecoder {
             mlp: QuantizedMlp::quantize(&dec.mlp, store),
             out_channels: dec.out_channels,
-            bf16_compute: false,
         }
-    }
-
-    /// Like [`QuantizedDecoder::quantize`], but decodes run the
-    /// bf16-compute tier (activations quantized too, `vdpbf16ps` tiles).
-    pub fn quantize_compute(dec: &ContinuousDecoder, store: &ParamStore) -> Self {
-        QuantizedDecoder { bf16_compute: true, ..Self::quantize(dec, store) }
     }
 
     /// Resident bytes of the quantized weight panels.
@@ -248,19 +233,12 @@ impl QuantizedDecoder {
         self.out_channels
     }
 
-    /// True when decodes run the bf16-compute tier.
-    pub fn bf16_compute(&self) -> bool {
-        self.bf16_compute
-    }
-
     /// Reduced-precision twin of [`ContinuousDecoder::decode_nograd`]: same
-    /// input build and blending, bf16 weight panels inside the MLP (and
-    /// bf16 activations on the compute tier).
+    /// input build and blending, bf16 weight panels inside the MLP.
     pub fn decode(&self, latent: &Tensor, plan: &QueryPlan) -> Tensor {
         assert!(!plan.is_empty(), "empty query plan");
         let inp = gather_concat_rows(latent, &plan.index, &plan.rel);
-        let out =
-            if self.bf16_compute { self.mlp.forward_compute(&inp) } else { self.mlp.forward(&inp) };
+        let out = self.mlp.forward(&inp);
         blend_rows(&out, &plan.weights, VERTICES)
     }
 }

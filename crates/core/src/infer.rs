@@ -25,8 +25,9 @@ use std::path::Path;
 
 /// Which precision tier answers value decodes — the serving-visible label
 /// for the numerical contract of [`FrozenModel::decode_values`]. Wire
-/// encoding ([`DecodeTier::as_u8`]) is append-only: `0`/`1`/`2` are fixed
-/// forever, new tiers take new values.
+/// encoding ([`DecodeTier::as_u8`]) is append-only: `0`/`1` are fixed
+/// forever, `2` belonged to the retired bf16-compute tier and is never
+/// reused, new tiers take new values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeTier {
     /// Full-precision f32 weights and activations.
@@ -34,9 +35,6 @@ pub enum DecodeTier {
     /// bf16-rounded weights, exact f32 activations and accumulation
     /// ([`FrozenModel::quantize_decoder`]).
     Bf16Store,
-    /// bf16 weights *and* activations, `vdpbf16ps` tile arithmetic
-    /// ([`FrozenModel::quantize_decoder_compute`]).
-    Bf16Compute,
 }
 
 impl DecodeTier {
@@ -45,7 +43,6 @@ impl DecodeTier {
         match self {
             DecodeTier::F32 => "f32",
             DecodeTier::Bf16Store => "bf16-store",
-            DecodeTier::Bf16Compute => "bf16-compute",
         }
     }
 
@@ -54,17 +51,15 @@ impl DecodeTier {
         match self {
             DecodeTier::F32 => 0,
             DecodeTier::Bf16Store => 1,
-            DecodeTier::Bf16Compute => 2,
         }
     }
 
-    /// Inverse of [`DecodeTier::as_u8`]; `None` for bytes from a future
-    /// tier this build does not know.
+    /// Inverse of [`DecodeTier::as_u8`]; `None` for the retired byte `2`
+    /// and for bytes from a future tier this build does not know.
     pub fn from_u8(v: u8) -> Option<Self> {
         match v {
             0 => Some(DecodeTier::F32),
             1 => Some(DecodeTier::Bf16Store),
-            2 => Some(DecodeTier::Bf16Compute),
             _ => None,
         }
     }
@@ -102,18 +97,7 @@ impl FrozenModel {
         self.quantized = Some(QuantizedDecoder::quantize(&self.decoder, &self.store));
     }
 
-    /// Like [`FrozenModel::quantize_decoder`], but decodes run the
-    /// bf16-*compute* tier: activations are quantized to bf16 per layer and
-    /// the GEMM tiles use `vdpbf16ps` arithmetic (native on `avx512bf16`
-    /// hosts, bit-identical software emulation elsewhere). Looser error
-    /// contract than the store tier, ~2x decode GEMM throughput on capable
-    /// hardware.
-    pub fn quantize_decoder_compute(&mut self) {
-        self.quantized = Some(QuantizedDecoder::quantize_compute(&self.decoder, &self.store));
-    }
-
-    /// Whether [`FrozenModel::quantize_decoder`] (or the compute variant)
-    /// has been applied.
+    /// Whether [`FrozenModel::quantize_decoder`] has been applied.
     pub fn decoder_is_quantized(&self) -> bool {
         self.quantized.is_some()
     }
@@ -122,7 +106,6 @@ impl FrozenModel {
     pub fn decode_tier(&self) -> DecodeTier {
         match &self.quantized {
             None => DecodeTier::F32,
-            Some(q) if q.bf16_compute() => DecodeTier::Bf16Compute,
             Some(_) => DecodeTier::Bf16Store,
         }
     }
@@ -275,9 +258,11 @@ mod tests {
         let queries: Vec<(usize, [f32; 3])> =
             (0..20).map(|q| (0usize, [q as f32 / 19.0, 0.3, 0.7])).collect();
         assert!(!frozen.decoder_is_quantized());
+        assert_eq!(frozen.decode_tier(), DecodeTier::F32);
         let exact = frozen.decode_values(&latent, queries.iter().copied());
         frozen.quantize_decoder();
         assert!(frozen.decoder_is_quantized());
+        assert_eq!(frozen.decode_tier(), DecodeTier::Bf16Store);
         assert!(frozen.quantized_weight_bytes() > 0);
         let quant = frozen.decode_values(&latent, queries.iter().copied());
         // The exact path is still reachable and unchanged.
@@ -289,36 +274,15 @@ mod tests {
     }
 
     #[test]
-    fn decode_tier_reporting_and_compute_tier_accuracy() {
-        let mut frozen = FrozenModel::from_model(MeshfreeFlowNet::new(tiny_cfg()));
-        let x = Tensor::ones(&[1, 4, 4, 4, 4]);
-        let latent = frozen.encode(&x);
-        let queries: Vec<(usize, [f32; 3])> =
-            (0..20).map(|q| (0usize, [q as f32 / 19.0, 0.4, 0.6])).collect();
-        assert_eq!(frozen.decode_tier(), DecodeTier::F32);
-        let exact = frozen.decode_values(&latent, queries.iter().copied());
-        frozen.quantize_decoder();
-        assert_eq!(frozen.decode_tier(), DecodeTier::Bf16Store);
-        frozen.quantize_decoder_compute();
-        assert_eq!(frozen.decode_tier(), DecodeTier::Bf16Compute);
-        assert!(frozen.quantized_weight_bytes() > 0);
-        let compute = frozen.decode_values(&latent, queries.iter().copied());
-        // Looser than the store tier (both operands rounded) but still a
-        // small relative error on a tiny well-conditioned model.
-        for (a, b) in exact.data().iter().zip(compute.data()) {
-            assert!((a - b).abs() < 6e-2 * (1.0 + a.abs()), "bf16 compute drifted: {a} vs {b}");
-        }
-    }
-
-    #[test]
     fn decode_tier_wire_bytes_round_trip() {
-        for tier in [DecodeTier::F32, DecodeTier::Bf16Store, DecodeTier::Bf16Compute] {
+        for tier in [DecodeTier::F32, DecodeTier::Bf16Store] {
             assert_eq!(DecodeTier::from_u8(tier.as_u8()), Some(tier));
         }
+        // Byte 2 was the bf16-compute tier: retired, never reused.
+        assert_eq!(DecodeTier::from_u8(2), None);
         assert_eq!(DecodeTier::from_u8(3), None);
         assert_eq!(DecodeTier::F32.name(), "f32");
         assert_eq!(DecodeTier::Bf16Store.name(), "bf16-store");
-        assert_eq!(DecodeTier::Bf16Compute.name(), "bf16-compute");
     }
 
     #[test]

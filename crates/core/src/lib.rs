@@ -48,7 +48,5 @@ pub use losses::{
 pub use model::{covering_origins, extract_patch, CoveringOrigins, MeshfreeFlowNet, StepLosses};
 pub use refine::{refine_latent, RefineBudget, RefineReport, RefineSettings};
 pub use rng::{RngState, SampleRng};
-pub use trainer::{
-    log_kernel_config, log_pool_stats, octree_config, BaselineTrainer, Corpus, EpochRecord, Trainer,
-};
+pub use trainer::{log_pool_stats, octree_config, BaselineTrainer, Corpus, EpochRecord, Trainer};
 pub use unet::{ResBlock3d, UNet3d};

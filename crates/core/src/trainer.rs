@@ -6,7 +6,7 @@ use crate::checkpoint::{
     decode_train_state, encode_train_state, load_train_state_with_fallback, save_train_state,
     CheckpointError, TrainStateMeta,
 };
-use crate::config::{MfnConfig, TrainConfig};
+use crate::config::TrainConfig;
 use crate::losses::{ChannelStats, RbcParamsF32};
 use crate::model::{MeshfreeFlowNet, StepLosses};
 use crate::rng::SampleRng;
@@ -14,7 +14,7 @@ use mfn_autodiff::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Graph};
 use mfn_data::{make_batch, make_batch_with, Dataset, PatchSampler};
 use mfn_sample::{OctreeConfig, OctreeSampler};
 use mfn_telemetry::{sampler_gauges, Recorder, StepMetrics, Stopwatch};
-use mfn_tensor::{conv3d_path, workspace, Conv3dDims, Conv3dPath};
+use mfn_tensor::workspace;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::path::{Path, PathBuf};
@@ -74,43 +74,6 @@ impl Corpus {
         let meta = &self.pairs[i].0.meta;
         RbcParamsF32::from_ra_pr(meta.ra, meta.pr)
     }
-}
-
-/// Emits the one-time kernel-configuration gauges every trainer logs at
-/// startup, so a run's telemetry records *which* compute paths it took:
-///
-/// * `kernel/threads` — effective rayon worker count seen by the GEMM.
-/// * `kernel/par_flop_threshold` — the `m*k*n` FLOP count above which the
-///   blocked GEMM goes parallel.
-/// * `kernel/gemm_parallel` — 1 if the first U-Net layer's im2col GEMM
-///   crosses that threshold on this host (parallel), 0 if it runs serial.
-/// * `kernel/conv3d_im2col` — 1 if [`conv3d_path`] picks the im2col
-///   lowering for the first U-Net layer, 0 for the direct loop nest.
-///
-/// Gauges are plain `f64`s, so the two path choices are encoded as 0/1
-/// flags rather than strings.
-pub fn log_kernel_config(recorder: &Recorder, cfg: &MfnConfig, batch_size: usize) {
-    let threads = mfn_tensor::effective_threads();
-    recorder.gauge("kernel/threads", threads as f64);
-    recorder.gauge("kernel/par_flop_threshold", mfn_tensor::PAR_FLOP_THRESHOLD as f64);
-    // The first (and widest-input) U-Net convolution is the representative
-    // layer: [B, Cin, nt, nz, nx] ⊛ [base, Cin, 3, 3, 3].
-    let dims = Conv3dDims {
-        n: batch_size.max(1),
-        cin: cfg.in_channels,
-        cout: cfg.base_channels,
-        spatial: [cfg.patch.nt, cfg.patch.nz, cfg.patch.nx],
-        kernel: [3, 3, 3],
-    };
-    let path = conv3d_path(&dims);
-    recorder
-        .gauge("kernel/conv3d_im2col", if matches!(path, Conv3dPath::Im2col) { 1.0 } else { 0.0 });
-    // The im2col lowering of that layer is also the largest GEMM a step
-    // issues; whether *it* crosses the threshold tells parallel vs serial.
-    let vol = dims.spatial[0] * dims.spatial[1] * dims.spatial[2];
-    let flops = (dims.n * vol) * (dims.cin * 27) * dims.cout;
-    let parallel = flops >= mfn_tensor::PAR_FLOP_THRESHOLD && threads > 1;
-    recorder.gauge("kernel/gemm_parallel", if parallel { 1.0 } else { 0.0 });
 }
 
 /// Emits the workspace-pool hit/miss counters as gauges (cumulative since
@@ -381,7 +344,6 @@ impl Trainer {
             .iter()
             .map(|(hr, lr)| PatchSampler::new(hr, lr, self.model.cfg.patch))
             .collect();
-        log_kernel_config(&self.recorder, &self.model.cfg, self.cfg.batch_size);
         let start_epoch = self.epoch;
         let mut records = Vec::with_capacity(self.cfg.epochs.saturating_sub(start_epoch));
         for epoch in start_epoch..self.cfg.epochs {
@@ -465,7 +427,6 @@ impl BaselineTrainer {
         let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
         let spec = self.model.cfg.patch;
         let factors = self.model.factors;
-        log_kernel_config(&self.recorder, &self.model.cfg, 1);
         let mut records = Vec::with_capacity(self.cfg.epochs);
         for epoch in 0..self.cfg.epochs {
             let start = Instant::now();
@@ -724,10 +685,9 @@ mod tests {
         );
     }
 
-    /// Trainer startup publishes the kernel-path gauges and each epoch
-    /// publishes cumulative pool counters.
+    /// Each epoch publishes cumulative pool counters.
     #[test]
-    fn trainer_emits_kernel_and_pool_gauges() {
+    fn trainer_emits_pool_gauges() {
         let corpus = tiny_corpus();
         let (recorder, sink) = Recorder::memory(4096);
         let mut trainer = Trainer::new(
@@ -736,13 +696,6 @@ mod tests {
         )
         .with_recorder(recorder);
         trainer.train(&corpus);
-        let threads = sink.gauge("kernel/threads").expect("threads gauge");
-        assert!(threads >= 1.0);
-        assert!(sink.gauge("kernel/par_flop_threshold").expect("threshold gauge") > 0.0);
-        for flag in ["kernel/conv3d_im2col", "kernel/gemm_parallel"] {
-            let v = sink.gauge(flag).expect(flag);
-            assert!(v == 0.0 || v == 1.0, "{flag} must be a 0/1 flag, got {v}");
-        }
         // Pool counters were emitted at epoch end and the epoch did real work.
         let hits = sink.gauge("pool/hits").expect("pool hits gauge");
         let misses = sink.gauge("pool/misses").expect("pool misses gauge");

@@ -10,7 +10,7 @@
 use crate::ring::{ring, RingHandle};
 use mfn_autodiff::flatten_grads;
 use mfn_autodiff::{clip_grad_norm, unflatten_grads, Adam, AdamConfig, Graph};
-use mfn_core::{log_kernel_config, Corpus, MeshfreeFlowNet, MfnConfig, TrainConfig};
+use mfn_core::{Corpus, MeshfreeFlowNet, MfnConfig, TrainConfig};
 use mfn_data::{make_batch, PatchSampler};
 use mfn_telemetry::{Recorder, StepMetrics, Stopwatch};
 use rand::{Rng, SeedableRng};
@@ -102,9 +102,6 @@ pub fn train_data_parallel_recorded(
     recorder: Recorder,
 ) -> DistRunResult {
     assert!(workers >= 1);
-    // One set of kernel-path gauges for the whole run: every rank shares
-    // the process, so thread count and conv lowering are rank-invariant.
-    log_kernel_config(&recorder, model_cfg, train_cfg.batch_size);
     let handles = ring(workers);
     let start = Instant::now();
     let epochs = train_cfg.epochs;

@@ -33,16 +33,6 @@ fn gemm_bf16_matches_reference() {
 }
 
 #[test]
-fn gemm_bf16_compute_matches_reference() {
-    assert_ok(checks::check_gemm_bf16_compute());
-}
-
-#[test]
-fn bf16_compute_codegen_legs_agree_bitwise() {
-    assert_ok(checks::check_bf16_compute_routes());
-}
-
-#[test]
 fn conv3d_matches_reference() {
     assert_ok(checks::check_conv3d());
 }

@@ -5,7 +5,7 @@
 //! usage: serve --ckpt PATH.state [--config PATH.cfg.json] [--addr HOST:PORT]
 //!              [--cache-cap N] [--batch-max N] [--batch-wait-us N]
 //!              [--workers N] [--timeout-ms N] [--telemetry PATH]
-//!              [--duration-s N] [--bf16-decode] [--bf16-compute] [--refine]
+//!              [--duration-s N] [--bf16-decode] [--refine]
 //! ```
 //!
 //! `--ckpt` names an `MFNSTAT1` train-state file (as written by `train
@@ -36,7 +36,6 @@ struct Args {
     telemetry: Option<PathBuf>,
     duration_s: u64,
     bf16_decode: bool,
-    bf16_compute: bool,
     refine: bool,
 }
 
@@ -46,7 +45,7 @@ fn parse() -> Args {
                  [--addr HOST:PORT] [--cache-cap N] [--batch-max N] \
                  [--batch-wait-us N] [--workers N] [--timeout-ms N] \
                  [--telemetry PATH] [--duration-s N] [--bf16-decode] \
-                 [--bf16-compute] [--refine]";
+                 [--refine]";
     let mut ckpt = None;
     let mut config = None;
     let mut addr = "127.0.0.1:7077".to_string();
@@ -58,7 +57,6 @@ fn parse() -> Args {
     let mut telemetry = None;
     let mut duration_s = 0u64;
     let mut bf16_decode = false;
-    let mut bf16_compute = false;
     let mut refine = false;
     let mut i = 0;
     let next = |argv: &[String], i: &mut usize, what: &str| -> String {
@@ -93,7 +91,6 @@ fn parse() -> Args {
                 duration_s = next(&argv, &mut i, "--duration-s").parse().expect("integer")
             }
             "--bf16-decode" => bf16_decode = true,
-            "--bf16-compute" => bf16_compute = true,
             "--refine" => refine = true,
             "--help" | "-h" => {
                 println!("{usage}");
@@ -122,7 +119,6 @@ fn parse() -> Args {
         telemetry,
         duration_s,
         bf16_decode,
-        bf16_compute,
         refine,
     }
 }
@@ -160,19 +156,17 @@ fn main() {
             max_batch: args.batch_max,
             max_wait: Duration::from_micros(args.batch_wait_us),
             bf16_decode: args.bf16_decode,
-            bf16_compute: args.bf16_compute,
             refine,
         },
     ));
     if args.refine {
         eprintln!("test-time physics refinement enabled");
     }
-    if args.bf16_decode || args.bf16_compute {
+    if args.bf16_decode {
         eprintln!(
-            "decode tier {} ({} quantized weight bytes, native bf16 compute: {})",
+            "decode tier {} ({} quantized weight bytes)",
             engine.model().decode_tier().name(),
             engine.model().quantized_weight_bytes(),
-            mfn_tensor::bf16_compute_is_native(),
         );
     }
     let recorder = match &args.telemetry {

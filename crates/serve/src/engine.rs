@@ -41,13 +41,6 @@ pub struct EngineConfig {
     /// Serve decode queries through bf16-quantized decoder weights
     /// (f32 accumulation; bounded precision cost, half the weight traffic).
     pub bf16_decode: bool,
-    /// Serve decode queries through the bf16-*compute* tier: weights *and*
-    /// activations quantized, `vdpbf16ps` tile arithmetic (native on
-    /// `avx512bf16` hosts, bit-identical emulation elsewhere). A looser
-    /// error contract than `bf16_decode` for ~2x decode GEMM throughput;
-    /// composes with it (compute wins when both are set — it subsumes the
-    /// store tier's weight rounding).
-    pub bf16_compute: bool,
     /// Test-time physics refinement settings; `None` (the default) answers
     /// every `Refine` request with `RefineDisabled` and keeps the engine a
     /// pure grad-free fast path.
@@ -61,7 +54,6 @@ impl Default for EngineConfig {
             max_batch: 256,
             max_wait: Duration::from_micros(200),
             bf16_decode: false,
-            bf16_compute: false,
             refine: None,
         }
     }
@@ -100,14 +92,9 @@ pub struct Engine {
 impl Engine {
     /// Wraps a frozen model with a cache and batcher. With
     /// `cfg.bf16_decode` the decoder weights are quantized here, once, and
-    /// every decode the engine issues runs reduced-precision; with
-    /// `cfg.bf16_compute` the quantized decoder additionally rounds
-    /// activations and runs `vdpbf16ps` tiles (compute subsumes store when
-    /// both flags are set).
+    /// every decode the engine issues runs reduced-precision.
     pub fn new(mut model: FrozenModel, cfg: EngineConfig) -> Self {
-        if cfg.bf16_compute {
-            model.quantize_decoder_compute();
-        } else if cfg.bf16_decode {
+        if cfg.bf16_decode {
             model.quantize_decoder();
         }
         Engine {
@@ -394,10 +381,11 @@ mod tests {
             .collect()
     }
 
-    /// An engine built with `bf16_decode` quantizes once at construction and
-    /// serves answers within bf16 noise of the full-precision engine.
+    /// An engine built with `bf16_decode` quantizes once at construction,
+    /// serves answers within bf16 noise of the full-precision engine, and
+    /// `Info`/`Stats` advertise which tier answered.
     #[test]
-    fn bf16_decode_engine_tracks_exact_engine() {
+    fn bf16_decode_engine_tracks_exact_engine_and_reports_tier() {
         let mut cfg = MfnConfig::small();
         cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
         cfg.base_channels = 4;
@@ -414,6 +402,9 @@ mod tests {
         );
         assert!(!exact.model().decoder_is_quantized());
         assert!(quant.model().decoder_is_quantized());
+        assert_eq!(exact.info().decode_tier, mfn_core::DecodeTier::F32.as_u8());
+        assert_eq!(quant.info().decode_tier, mfn_core::DecodeTier::Bf16Store.as_u8());
+        assert_eq!(quant.shard_stat("x").decode_tier, mfn_core::DecodeTier::Bf16Store.as_u8());
         let p = patch(&exact, 9);
         let (de, _) = exact.encode_patch(1, p.clone()).unwrap();
         let (dq, _) = quant.encode_patch(1, p).unwrap();
@@ -423,40 +414,6 @@ mod tests {
         let (vq, _) = quant.query(dq, queries).unwrap();
         for (a, b) in ve.iter().zip(&vq) {
             assert!((a - b).abs() < 3e-2 * (1.0 + a.abs()), "bf16 serve drifted: {a} vs {b}");
-        }
-    }
-
-    /// The compute tier serves answers within its (looser) budget of the
-    /// exact engine, and `Info`/`Stats` advertise which tier answered —
-    /// compute wins when both flags are set.
-    #[test]
-    fn bf16_compute_engine_tracks_exact_engine_and_reports_tier() {
-        let mut cfg = MfnConfig::small();
-        cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
-        cfg.base_channels = 4;
-        cfg.latent_channels = 8;
-        cfg.mlp_hidden = vec![16, 16];
-        cfg.levels = 2;
-        let exact = Engine::new(
-            FrozenModel::from_model(MeshfreeFlowNet::new(cfg.clone())),
-            EngineConfig::default(),
-        );
-        let compute = Engine::new(
-            FrozenModel::from_model(MeshfreeFlowNet::new(cfg)),
-            EngineConfig { bf16_decode: true, bf16_compute: true, ..EngineConfig::default() },
-        );
-        assert_eq!(exact.info().decode_tier, mfn_core::DecodeTier::F32.as_u8());
-        assert_eq!(compute.info().decode_tier, mfn_core::DecodeTier::Bf16Compute.as_u8());
-        assert_eq!(compute.shard_stat("x").decode_tier, mfn_core::DecodeTier::Bf16Compute.as_u8());
-        let p = patch(&exact, 21);
-        let (de, _) = exact.encode_patch(1, p.clone()).unwrap();
-        let (dq, _) = compute.encode_patch(1, p).unwrap();
-        assert_eq!(de, dq, "encode is full-precision on both engines");
-        let queries = vec![(0usize, [0.3, 0.6, 0.2]), (0, [0.9, 0.1, 0.8])];
-        let (ve, _) = exact.query(de, queries.clone()).unwrap();
-        let (vq, _) = compute.query(dq, queries).unwrap();
-        for (a, b) in ve.iter().zip(&vq) {
-            assert!((a - b).abs() < 6e-2 * (1.0 + a.abs()), "bf16 compute drifted: {a} vs {b}");
         }
     }
 
@@ -590,42 +547,35 @@ mod tests {
     }
 
     /// DESIGN.md §14 cache-isolation contract, extended to the quantized
-    /// tiers: a zero-step `Refine` decodes through whatever tier the engine
+    /// tier: a zero-step `Refine` decodes through whatever tier the engine
     /// was built with, so its values are bit-identical to a plain `Query`
-    /// on the same engine — on bf16-store and bf16-compute alike.
+    /// on the same engine.
     #[test]
-    fn zero_step_refine_is_bit_identical_on_quantized_tiers() {
-        for (decode, compute) in [(true, false), (true, true)] {
-            let mut cfg = MfnConfig::small();
-            cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
-            cfg.base_channels = 4;
-            cfg.latent_channels = 8;
-            cfg.mlp_hidden = vec![16, 16];
-            cfg.levels = 2;
-            let refine = Some(mfn_core::RefineSettings::from_config(&cfg));
-            let e = Engine::new(
-                FrozenModel::from_model(MeshfreeFlowNet::new(cfg)),
-                EngineConfig {
-                    cache_capacity: 4,
-                    refine,
-                    bf16_decode: decode,
-                    bf16_compute: compute,
-                    ..EngineConfig::default()
-                },
-            );
-            let (d, _) = e.encode_patch(1, patch(&e, 17)).unwrap();
-            let q: Vec<Query> = (0..6)
-                .map(|i| (0usize, [0.15 + 0.1 * i as f32, 0.4 + 0.06 * i as f32, 0.55]))
-                .collect();
-            let (plain, _) = e.query(d, q.clone()).unwrap();
-            let zero = e.refine(d, q, RefineBudget::steps(0)).unwrap();
-            assert_eq!(
-                zero.values,
-                plain,
-                "k=0 refine must match plain query on tier {}",
-                e.model.decode_tier().name()
-            );
-        }
+    fn zero_step_refine_is_bit_identical_on_the_quantized_tier() {
+        let mut cfg = MfnConfig::small();
+        cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
+        cfg.base_channels = 4;
+        cfg.latent_channels = 8;
+        cfg.mlp_hidden = vec![16, 16];
+        cfg.levels = 2;
+        let refine = Some(mfn_core::RefineSettings::from_config(&cfg));
+        let e = Engine::new(
+            FrozenModel::from_model(MeshfreeFlowNet::new(cfg)),
+            EngineConfig {
+                cache_capacity: 4,
+                refine,
+                bf16_decode: true,
+                ..EngineConfig::default()
+            },
+        );
+        assert_eq!(e.model.decode_tier(), mfn_core::DecodeTier::Bf16Store);
+        let (d, _) = e.encode_patch(1, patch(&e, 17)).unwrap();
+        let q: Vec<Query> = (0..6)
+            .map(|i| (0usize, [0.15 + 0.1 * i as f32, 0.4 + 0.06 * i as f32, 0.55]))
+            .collect();
+        let (plain, _) = e.query(d, q.clone()).unwrap();
+        let zero = e.refine(d, q, RefineBudget::steps(0)).unwrap();
+        assert_eq!(zero.values, plain, "k=0 refine must match plain query on bf16-store");
     }
 
     #[test]

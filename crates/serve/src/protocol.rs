@@ -282,8 +282,8 @@ pub struct ModelInfo {
     /// Gradient steps the served checkpoint had taken.
     pub trained_steps: u64,
     /// Precision tier answering value decodes
-    /// ([`mfn_core::DecodeTier::as_u8`]): 0 = f32, 1 = bf16-store,
-    /// 2 = bf16-compute. Carried as the raw byte so a client can still
+    /// ([`mfn_core::DecodeTier::as_u8`]): 0 = f32, 1 = bf16-store
+    /// (2 is retired). Carried as the raw byte so a client can still
     /// print stats from a newer shard.
     pub decode_tier: u8,
 }

@@ -553,23 +553,25 @@ mod tests {
         let w = TierWatch::new(3);
         assert!(!w.is_known(0));
         // A uniform fleet never warns, however often tiers are re-noted.
-        assert!(w.note(0, DecodeTier::Bf16Compute.as_u8()).is_none());
+        assert!(w.note(0, DecodeTier::Bf16Store.as_u8()).is_none());
         assert!(w.is_known(0));
-        assert!(w.note(1, DecodeTier::Bf16Compute.as_u8()).is_none());
-        assert!(w.note(0, DecodeTier::Bf16Compute.as_u8()).is_none());
+        assert!(w.note(1, DecodeTier::Bf16Store.as_u8()).is_none());
+        assert!(w.note(0, DecodeTier::Bf16Store.as_u8()).is_none());
         // First disagreement names both shards and both tiers, once.
         let warning = w.note(2, DecodeTier::F32.as_u8()).expect("mismatch must warn");
         assert!(warning.contains("shard 2"), "{warning}");
         assert!(warning.contains("f32"), "{warning}");
-        assert!(warning.contains("bf16-compute"), "{warning}");
-        assert!(w.note(2, DecodeTier::Bf16Store.as_u8()).is_none(), "warning is one-shot");
+        assert!(warning.contains("bf16-store"), "{warning}");
+        assert!(w.note(2, 2).is_none(), "warning is one-shot");
     }
 
     #[test]
     fn tier_names_cover_the_wire_range() {
         assert_eq!(tier_name(0), "f32");
         assert_eq!(tier_name(1), "bf16-store");
-        assert_eq!(tier_name(2), "bf16-compute");
+        // Byte 2 is the retired bf16-compute tier: an old shard still
+        // advertising it is a tier this build does not know.
+        assert_eq!(tier_name(2), "unknown");
         assert_eq!(tier_name(TIER_UNKNOWN), "unknown");
     }
 }

@@ -5,8 +5,7 @@
 //! (Sec. 3.2). The solver is pseudo-spectral in the periodic `x` direction,
 //! second-order finite-difference in the wall-normal `z` direction, with
 //! Crank–Nicolson diffusion, AB2 advection, and a projection method whose
-//! per-wavenumber Poisson/Helmholtz systems are tridiagonal solves
-//! parallelized with rayon.
+//! per-wavenumber Poisson/Helmholtz systems are tridiagonal solves.
 //!
 //! Entry point: [`simulate`] produces the `(T, p, u, w)` snapshot sequence
 //! that `mfn-data` turns into training datasets.

@@ -9,7 +9,6 @@
 //! consistent.
 
 use mfn_fft::{Complex, RealFftPlan};
-use rayon::prelude::*;
 
 /// Geometry of the Rayleigh–Bénard computational domain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,7 +76,7 @@ pub fn ddx(domain: &Domain, f: &[f64]) -> Vec<f64> {
     let plan = RealFftPlan::new(domain.nx);
     let nx = domain.nx;
     let mut out = vec![0.0f64; f.len()];
-    out.par_chunks_mut(nx).zip(f.par_chunks(nx)).for_each(|(orow, frow)| {
+    out.chunks_mut(nx).zip(f.chunks(nx)).for_each(|(orow, frow)| {
         let mut spec = plan.forward(frow);
         for (k, c) in spec.iter_mut().enumerate() {
             if k == nx / 2 {
@@ -97,7 +96,7 @@ pub fn d2dx2(domain: &Domain, f: &[f64]) -> Vec<f64> {
     let plan = RealFftPlan::new(domain.nx);
     let nx = domain.nx;
     let mut out = vec![0.0f64; f.len()];
-    out.par_chunks_mut(nx).zip(f.par_chunks(nx)).for_each(|(orow, frow)| {
+    out.chunks_mut(nx).zip(f.chunks(nx)).for_each(|(orow, frow)| {
         let mut spec = plan.forward(frow);
         for (k, c) in spec.iter_mut().enumerate() {
             let kk = domain.wavenumber(k);
@@ -165,14 +164,14 @@ pub fn laplacian(domain: &Domain, f: &[f64]) -> Vec<f64> {
 /// Forward real FFT of every z-row: returns `nz` rows of `nx/2+1` modes.
 pub fn rows_to_spectral(domain: &Domain, f: &[f64]) -> Vec<Vec<Complex>> {
     let plan = RealFftPlan::new(domain.nx);
-    f.par_chunks(domain.nx).map(|row| plan.forward(row)).collect()
+    f.chunks(domain.nx).map(|row| plan.forward(row)).collect()
 }
 
 /// Inverse of [`rows_to_spectral`].
 pub fn rows_from_spectral(domain: &Domain, spec: &[Vec<Complex>]) -> Vec<f64> {
     let plan = RealFftPlan::new(domain.nx);
     let mut out = vec![0.0f64; domain.n()];
-    out.par_chunks_mut(domain.nx).zip(spec.par_iter()).for_each(|(orow, srow)| {
+    out.chunks_mut(domain.nx).zip(spec.iter()).for_each(|(orow, srow)| {
         orow.copy_from_slice(&plan.inverse(srow));
     });
     out
@@ -183,7 +182,7 @@ pub fn rows_from_spectral(domain: &Domain, spec: &[Vec<Complex>]) -> Vec<f64> {
 pub fn dealias_x(domain: &Domain, f: &mut [f64]) {
     let plan = RealFftPlan::new(domain.nx);
     let cutoff = domain.nx / 3;
-    f.par_chunks_mut(domain.nx).for_each(|row| {
+    f.chunks_mut(domain.nx).for_each(|row| {
         let mut spec = plan.forward(row);
         for (k, c) in spec.iter_mut().enumerate() {
             if k > cutoff {

@@ -14,8 +14,7 @@
 //! advection + buoyancy, Crank–Nicolson diffusion solved as per-x-mode
 //! tridiagonal Helmholtz systems, and a pressure-projection step with
 //! per-mode tridiagonal Poisson solves. Time step is CFL-adaptive, mirroring
-//! the paper's "adaptive time stepping" remark. All mode solves run in
-//! parallel with rayon.
+//! the paper's "adaptive time stepping" remark.
 
 use crate::ops::{self, ddx, ddz, laplacian, Domain};
 use crate::tridiag::{solve_complex, Tridiag};
@@ -23,7 +22,6 @@ use mfn_fft::Complex;
 use mfn_telemetry::{Recorder, SolverStepMetrics};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Physical and numerical configuration of a Rayleigh–Bénard run.
@@ -300,7 +298,6 @@ impl RbcSolver {
         let nmodes = d.nx / 2 + 1;
         // Transpose to per-mode z-profiles, solve, transpose back.
         let solved: Vec<Vec<Complex>> = (0..nmodes)
-            .into_par_iter()
             .map(|k| {
                 let k2 = {
                     let kk = d.wavenumber(k);
@@ -367,7 +364,6 @@ impl RbcSolver {
         let spec = ops::rows_to_spectral(d, &div);
         let nmodes = d.nx / 2 + 1;
         let solved: Vec<Vec<Complex>> = (0..nmodes)
-            .into_par_iter()
             .map(|k| {
                 let k2 = {
                     let kk = d.wavenumber(k);

@@ -1,37 +1,27 @@
-//! bf16 (bfloat16) storage and compute, for frozen-weight GEMMs.
+//! bf16 (bfloat16) weight storage for frozen-weight GEMMs.
 //!
 //! bf16 is the top 16 bits of an f32: 1 sign + 8 exponent + 7 mantissa
 //! bits. Widening back to f32 is *exact* (a 16-bit left shift); only
 //! quantization rounds, by round-to-nearest-even on the truncated 16
 //! mantissa bits (saturating at the largest finite bf16 — see
-//! [`quantize_bf16`]). Two tiers build on that, with distinct numerical
-//! contracts:
+//! [`quantize_bf16`]).
 //!
-//! * **bf16-store** ([`PackedBf16Gemm::matmul`]): only the *weights* are
-//!   rounded. The GEMM is the ordinary f32 GEMM evaluated on
-//!   `widen(quantize(W))` — every accumulation happens in f32,
-//!   bit-identically to [`crate::gemm::gemm`] on the widened weights, and
-//!   the only error vs full precision is the one-time ≤2⁻⁸ relative weight
-//!   rounding.
-//! * **bf16-compute** ([`PackedBf16Gemm::matmul_bf16`]): *activations* are
-//!   rounded too, and tiles execute `vdpbf16ps` semantics (two bf16×bf16
-//!   products fused per f32 accumulation step, with DAZ/FTZ — see
-//!   [`crate::simd::bf16_kernel_for`]). Explicitly looser: per-element
-//!   relative error grows with both operands rounded, in exchange for
-//!   double FMA throughput and half the panel bandwidth on `avx512bf16`
-//!   hosts. Native and emulated routes are bit-identical on finite inputs.
+//! The **bf16-store** tier ([`PackedBf16Gemm::matmul`]) rounds only the
+//! *weights*. The GEMM is the ordinary f32 GEMM evaluated on
+//! `widen(quantize(W))` — every accumulation happens in f32,
+//! bit-identically to [`crate::gemm::gemm`] on the widened weights, and the
+//! only error vs full precision is the one-time ≤2⁻⁸ relative weight
+//! rounding. Activations are never rounded.
 //!
 //! [`PackedBf16Gemm`] holds a *frozen* right-hand side prepacked into the
-//! active micro-kernel's `nr`-column panel layout at quantization time,
-//! stored as depth-pair `u32`s (`(hi << 16) | lo`) so one buffer serves
-//! both tiers. Serving decoders multiply against the same weights millions
-//! of times, so packing once buys back the per-call `pack_b` walk; the
-//! per-call cost that remains is a contiguous widen of one `KC`-deep slab
-//! (store tier) or a quantizing `pack_a` of the activations (compute tier).
+//! active micro-kernel's `nr`-column panel layout at quantization time, as
+//! plain `u16`s in exactly the order the f32 kernel reads its B panels.
+//! Serving decoders multiply against the same weights millions of times, so
+//! packing once buys back the per-call `pack_b` walk; the per-call cost that
+//! remains is one contiguous widen of a `KC`-deep slab.
 
-use crate::gemm::{self, PAR_FLOP_THRESHOLD};
-use crate::simd::{self, Bf16Kernel, Kernel};
-use rayon::prelude::*;
+use crate::gemm;
+use crate::simd::{self, Kernel};
 
 /// Quantizes an f32 to bf16 by round-to-nearest-even, with explicit
 /// special-value semantics:
@@ -76,35 +66,23 @@ pub fn widen_slice(src: &[u16]) -> Vec<f32> {
     src.iter().map(|&q| widen_bf16(q)).collect()
 }
 
-/// Reinterprets pooled f32 scratch as u32 storage (same size, same
-/// alignment, every bit pattern valid for both); the caller fully
-/// overwrites it before reading.
-fn as_u32_mut(s: &mut [f32]) -> &mut [u32] {
-    // SAFETY: f32 and u32 are both 4-byte POD with 4-byte alignment; the
-    // slice covers the same memory exactly.
-    unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u32>(), s.len()) }
-}
-
 /// A `[k, n]` right-hand side quantized to bf16 and prepacked into the
 /// active micro-kernel's panel layout: for each `KC`-deep depth block,
-/// `nr`-column panels stored row-major over *depth pairs*
-/// (`panel[p2*nr + j]` is the `u32` pair `(hi << 16) | lo` holding depths
-/// `2·p2` and `2·p2 + 1`; an odd block depth pads the last `hi` with a
-/// zero bf16, edge columns are fully zero).
+/// `nr`-column panels stored row-major over depth (`panel[p*nr + j]` is
+/// depth `p`, column `j`; edge columns are zero) — [`crate::gemm`](mod@crate::gemm)'s packed
+/// B layout, two bytes per element.
 ///
 /// The packing kernel (tile shape) is captured at construction through the
-/// same cached dispatch the f32 GEMMs use, and both the widen (store-tier)
-/// and `vdpbf16ps` (compute-tier) routes derive from it for the packed
-/// matrix's whole lifetime — so a later
-/// [`crate::simd::set_backend_override`] (or `MFN_PORTABLE_KERNELS` /
-/// `MFN_EMULATED_BF16` in a fresh process) never desynchronizes layout and
-/// micro-kernel.
+/// same cached dispatch the f32 GEMMs use and kept for the packed matrix's
+/// whole lifetime — so a later [`crate::simd::set_backend_override`] (or
+/// `MFN_PORTABLE_KERNELS` in a fresh process) never desynchronizes layout
+/// and micro-kernel.
 #[derive(Clone)]
 pub struct PackedBf16Gemm {
     k: usize,
     n: usize,
     kernel: &'static Kernel,
-    panels: Vec<u32>,
+    panels: Vec<u16>,
 }
 
 // Hand-written: the kernel field is a fn table, not worth printing.
@@ -128,25 +106,15 @@ impl PackedBf16Gemm {
         let kernel = simd::active_kernel_for(1 << 20, n);
         let nr = kernel.nr;
         let n_panels = n.div_ceil(nr);
-        let mut panels = Vec::new();
+        let mut panels = Vec::with_capacity(n_panels * nr * k);
         for pc in (0..k).step_by(gemm::KC) {
             let kb = gemm::KC.min(k - pc);
-            let kb2 = kb.div_ceil(2);
             for pj in 0..n_panels {
                 let j0 = pj * nr;
                 let cols = nr.min(n - j0);
-                let base = panels.len();
-                panels.resize(base + nr * kb2, 0u32);
-                for (p2, row) in panels[base..].chunks_exact_mut(nr).enumerate() {
-                    for (jj, d) in row.iter_mut().take(cols).enumerate() {
-                        let lo = u32::from(quantize_bf16(src(pc + 2 * p2, j0 + jj)));
-                        let hi = if 2 * p2 + 1 < kb {
-                            u32::from(quantize_bf16(src(pc + 2 * p2 + 1, j0 + jj)))
-                        } else {
-                            0
-                        };
-                        *d = (hi << 16) | lo;
-                    }
+                for p in pc..pc + kb {
+                    panels.extend((0..cols).map(|jj| quantize_bf16(src(p, j0 + jj))));
+                    panels.resize(panels.len() + nr - cols, 0);
                 }
             }
         }
@@ -172,14 +140,13 @@ impl PackedBf16Gemm {
 
     /// Bytes held by the quantized panels (the resident weight cost).
     pub fn weight_bytes(&self) -> usize {
-        self.panels.len() * 4
+        self.panels.len() * 2
     }
 
     /// `C = A · widen(B)` with `A: [m, k]` row-major, `C: [m, n]` fully
     /// overwritten. Accumulation is f32, bit-identical to
     /// [`crate::gemm::gemm`] over the widened weights (same `KC` splits,
-    /// same micro-kernel) — pinned by tests. This is the **bf16-store**
-    /// tier: activations stay exact f32.
+    /// same micro-kernel) — pinned by tests. Activations stay exact f32.
     ///
     /// # Panics
     /// Panics if slice lengths disagree with `m` and the packed shape.
@@ -195,321 +162,30 @@ impl PackedBf16Gemm {
             return;
         }
         let kernel = self.kernel;
-        let (mr, nr) = (kernel.mr, kernel.nr);
-        let n_panels = n.div_ceil(nr);
-        let parallel = m * k * n >= PAR_FLOP_THRESHOLD && gemm::effective_threads() > 1;
+        let mr = kernel.mr;
+        let panel_cols = n.div_ceil(kernel.nr) * kernel.nr;
         let mut off = 0;
         for pc in (0..k).step_by(gemm::KC) {
             let kb = gemm::KC.min(k - pc);
-            let kb2 = kb.div_ceil(2);
             let first = pc == 0;
-            let slab = &self.panels[off..off + n_panels * nr * kb2];
-            off += n_panels * nr * kb2;
-            // Contiguous pair → f32 widen of one depth slab, de-interleaved
-            // back to the f32 kernels' per-depth row order: the entire
-            // per-call "packing" cost of the store tier.
-            let b_len = n_panels * nr * kb;
+            // One contiguous u16 → f32 widen of the depth slab: the entire
+            // per-call "packing" cost on the B side.
+            let b_len = panel_cols * kb;
+            let slab = &self.panels[off..off + b_len];
+            off += b_len;
             let (mut b_buf, b_off) = gemm::take_scratch_aligned(b_len);
-            let b_pack = &mut b_buf[b_off..b_off + b_len];
-            for (pair_panel, f32_panel) in
-                slab.chunks_exact(nr * kb2).zip(b_pack.chunks_exact_mut(nr * kb))
-            {
-                for (p2, prow) in pair_panel.chunks_exact(nr).enumerate() {
-                    for (j, &pair) in prow.iter().enumerate() {
-                        f32_panel[2 * p2 * nr + j] = widen_bf16(pair as u16);
-                    }
-                    if 2 * p2 + 1 < kb {
-                        for (j, &pair) in prow.iter().enumerate() {
-                            f32_panel[(2 * p2 + 1) * nr + j] = widen_bf16((pair >> 16) as u16);
-                        }
-                    }
-                }
+            for (d, &q) in b_buf[b_off..b_off + b_len].iter_mut().zip(slab) {
+                *d = widen_bf16(q);
             }
             let b_pack = &b_buf[b_off..b_off + b_len];
-            let run_block = |i0: usize, c_block: &mut [f32]| {
+            for (bi, c_block) in c.chunks_mut(gemm::MC * n).enumerate() {
+                let i0 = bi * gemm::MC;
                 let mb = gemm::MC.min(m - i0);
                 let a_len = mb.div_ceil(mr) * mr * kb;
                 let (mut a_buf, a_off) = gemm::take_scratch_aligned(a_len);
                 let a_pack = &mut a_buf[a_off..a_off + a_len];
                 gemm::pack_a(mr, a_pack, a, k, 1, i0, mb, pc, kb);
                 gemm::macro_block(kernel, a_pack, b_pack, c_block, mb, kb, n, n, 0, first);
-            };
-            if parallel {
-                c.par_chunks_mut(gemm::MC * n)
-                    .enumerate()
-                    .for_each(|(bi, c_block)| run_block(bi * gemm::MC, c_block));
-            } else {
-                for (bi, c_block) in c.chunks_mut(gemm::MC * n).enumerate() {
-                    run_block(bi * gemm::MC, c_block);
-                }
-            }
-        }
-    }
-
-    /// `C = quantize(A) · B` in `vdpbf16ps` arithmetic — the **bf16-compute**
-    /// tier. `A: [m, k]` row-major is quantized to bf16 during packing
-    /// (reusing the pooled workspace; the packed weights are consumed
-    /// directly, no widen); `C: [m, n]` is fully overwritten, accumulated in
-    /// f32. The same `KC` depth splits as every other tier apply, and the
-    /// native/emulated routes are bit-identical on finite inputs, so results
-    /// are reproducible across hosts — but *both* operands are rounded and
-    /// each accumulation step fuses a depth pair with DAZ/FTZ, so this tier
-    /// carries its own, looser error budget (see the reftest rows).
-    ///
-    /// # Panics
-    /// Panics if slice lengths disagree with `m` and the packed shape.
-    pub fn matmul_bf16(&self, m: usize, a: &[f32], c: &mut [f32]) {
-        let (k, n) = (self.k, self.n);
-        assert_eq!(a.len(), m * k, "bf16 gemm lhs length mismatch");
-        assert_eq!(c.len(), m * n, "bf16 gemm output length mismatch");
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            c.fill(0.0);
-            return;
-        }
-        let bf16_kernel = simd::bf16_kernel_for(self.kernel);
-        let (mr, nr) = (bf16_kernel.mr, bf16_kernel.nr);
-        debug_assert_eq!((mr, nr), (self.kernel.mr, self.kernel.nr));
-        // The native route has two bit-identical realizations; calibration
-        // picks per process. The widen-FMA one bypasses pair tiles: operands
-        // widen to f32 (hi-then-lo pair order) and the ordinary f32 tile
-        // runs under MXCSR FTZ/DAZ.
-        let fma_route = bf16_kernel.native && simd::bf16_native_variant_is_fma();
-        let n_panels = n.div_ceil(nr);
-        let parallel = m * k * n >= PAR_FLOP_THRESHOLD && gemm::effective_threads() > 1;
-        let mut off = 0;
-        for pc in (0..k).step_by(gemm::KC) {
-            let kb = gemm::KC.min(k - pc);
-            let kb2 = kb.div_ceil(2);
-            let first = pc == 0;
-            let slab = &self.panels[off..off + n_panels * nr * kb2];
-            off += n_panels * nr * kb2;
-            if fma_route {
-                // Widen the weight slab once per call (amortized over every
-                // m-block), keeping the chain's hi-then-lo step order; the
-                // pad half of an odd depth widens to 0.0 like its zero bf16.
-                let kw = 2 * kb2;
-                let b_len = n_panels * nr * kw;
-                let (mut b_buf, b_off) = gemm::take_scratch_aligned(b_len);
-                let b_w = &mut b_buf[b_off..b_off + b_len];
-                for (pair_panel, f32_panel) in
-                    slab.chunks_exact(nr * kb2).zip(b_w.chunks_exact_mut(nr * kw))
-                {
-                    for (p2, prow) in pair_panel.chunks_exact(nr).enumerate() {
-                        for (j, &pair) in prow.iter().enumerate() {
-                            f32_panel[2 * p2 * nr + j] = f32::from_bits(pair & 0xFFFF_0000);
-                            f32_panel[(2 * p2 + 1) * nr + j] = f32::from_bits(pair << 16);
-                        }
-                    }
-                }
-                let b_w = &b_buf[b_off..b_off + b_len];
-                for_each_block(parallel, n, c, |i0, c_block| {
-                    let mb = gemm::MC.min(m - i0);
-                    let a_len = mb.div_ceil(mr) * mr * kw;
-                    let (mut a_buf, a_off) = gemm::take_scratch_aligned(a_len);
-                    let a_pack = &mut a_buf[a_off..a_off + a_len];
-                    pack_a_bf16_widened(mr, a_pack, a, k, i0, mb, pc, kb);
-                    macro_block_bf16_fma(self.kernel, a_pack, b_w, c_block, mb, kw, n, n, first);
-                });
-            } else {
-                // The packed weights are already in the pair layout the
-                // kernel consumes: zero per-call work on the B side.
-                for_each_block(parallel, n, c, |i0, c_block| {
-                    let mb = gemm::MC.min(m - i0);
-                    let a_len = mb.div_ceil(mr) * mr * kb2;
-                    let (mut a_buf, a_off) = gemm::take_scratch_aligned(a_len);
-                    let a_pack = as_u32_mut(&mut a_buf[a_off..a_off + a_len]);
-                    pack_a_bf16(mr, a_pack, a, k, i0, mb, pc, kb);
-                    macro_block_bf16(bf16_kernel, a_pack, slab, c_block, mb, kb2, n, n, first);
-                });
-            }
-        }
-    }
-}
-
-/// Runs `run(i0, c_block)` over `MC`-row output blocks, in parallel when
-/// the caller's flop heuristic asked for it.
-fn for_each_block(parallel: bool, n: usize, c: &mut [f32], run: impl Fn(usize, &mut [f32]) + Sync) {
-    if parallel {
-        c.par_chunks_mut(gemm::MC * n)
-            .enumerate()
-            .for_each(|(bi, c_block)| run(bi * gemm::MC, c_block));
-    } else {
-        for (bi, c_block) in c.chunks_mut(gemm::MC * n).enumerate() {
-            run(bi * gemm::MC, c_block);
-        }
-    }
-}
-
-/// Packs an `mb × kb` block of row-major `A` (rows `i0..`, depth `p0..`,
-/// row stride `k`) into mr-row pair panels, quantizing each element to bf16
-/// on the way: panel `pi` holds rows `i0 + pi*mr ..` at
-/// `dst[pi*mr*kb2 + p2*mr + i]`, pairs packed `(hi << 16) | lo` exactly as
-/// the weight panels. Rows past `mb` (and an odd depth's trailing `hi`)
-/// are zero.
-#[allow(clippy::too_many_arguments)]
-fn pack_a_bf16(
-    mr: usize,
-    dst: &mut [u32],
-    src: &[f32],
-    k: usize,
-    i0: usize,
-    mb: usize,
-    p0: usize,
-    kb: usize,
-) {
-    let kb2 = kb.div_ceil(2);
-    let mut qrow = [0.0f32; gemm::KC];
-    for (pi, panel) in dst.chunks_exact_mut(mr * kb2).enumerate() {
-        let i = pi * mr;
-        let rows = mr.min(mb - i);
-        if rows < mr {
-            panel.fill(0);
-        }
-        for ii in 0..rows {
-            let srow = &src[(i0 + i + ii) * k + p0..][..kb];
-            // Vectorized quantize of the contiguous row, then a cheap
-            // bit-move scatter into the pair layout (widen is exact, so
-            // the top 16 bits of the widened value *are* the bf16).
-            let qr = &mut qrow[..kb];
-            simd::quantize_widen_into(qr, srow);
-            for p2 in 0..kb2 {
-                let lo = qr[2 * p2].to_bits() >> 16;
-                let hi = if 2 * p2 + 1 < kb { qr[2 * p2 + 1].to_bits() >> 16 } else { 0 };
-                panel[p2 * mr + ii] = (hi << 16) | lo;
-            }
-        }
-    }
-}
-
-/// The widen-FMA twin of [`pack_a_bf16`]: quantizes each element to bf16,
-/// widens it straight back to f32, and stores panels in the chain's
-/// hi-then-lo step order (depth `2·p2 + 1` at step row `2·p2`, depth
-/// `2·p2` right after), matching the widened weight slab. Rows past `mb`
-/// and an odd depth's pad step are zero.
-#[allow(clippy::too_many_arguments)]
-fn pack_a_bf16_widened(
-    mr: usize,
-    dst: &mut [f32],
-    src: &[f32],
-    k: usize,
-    i0: usize,
-    mb: usize,
-    p0: usize,
-    kb: usize,
-) {
-    let kw = kb.div_ceil(2) * 2;
-    let mut qrow = [0.0f32; gemm::KC];
-    for (pi, panel) in dst.chunks_exact_mut(mr * kw).enumerate() {
-        let i = pi * mr;
-        let rows = mr.min(mb - i);
-        if rows < mr {
-            panel.fill(0.0);
-        }
-        for ii in 0..rows {
-            let srow = &src[(i0 + i + ii) * k + p0..][..kb];
-            let qr = &mut qrow[..kb];
-            simd::quantize_widen_into(qr, srow);
-            for p2 in 0..kb / 2 {
-                panel[2 * p2 * mr + ii] = qr[2 * p2 + 1];
-                panel[(2 * p2 + 1) * mr + ii] = qr[2 * p2];
-            }
-            if kb % 2 == 1 {
-                panel[(kw - 2) * mr + ii] = 0.0;
-                panel[(kw - 1) * mr + ii] = qr[kb - 1];
-            }
-        }
-    }
-}
-
-/// Runs every micro-tile of one widened `mb × kw` A block against the
-/// widened `kw × nb` B slab through the f32 micro-kernel under MXCSR
-/// FTZ/DAZ ([`simd::run_f32_micro_ftz_daz`]) — the widen-FMA realization
-/// of [`macro_block_bf16`]. Write-back happens with MXCSR restored, so
-/// cross-slab accumulation keeps default (unflushed) f32 behavior exactly
-/// like every other route.
-#[allow(clippy::too_many_arguments)]
-fn macro_block_bf16_fma(
-    kernel: &Kernel,
-    a_pack: &[f32],
-    b_pack: &[f32],
-    c_block: &mut [f32],
-    mb: usize,
-    kw: usize,
-    nb: usize,
-    row_stride: usize,
-    first: bool,
-) {
-    let (mr, nr) = (kernel.mr, kernel.nr);
-    #[repr(align(64))]
-    struct AccTile([f32; simd::MAX_MR * simd::MAX_NR]);
-    let mut acc = AccTile([0.0; simd::MAX_MR * simd::MAX_NR]);
-    let acc = &mut acc.0[..mr * nr];
-    for (pj, b_panel) in b_pack.chunks_exact(nr * kw).enumerate() {
-        let j = pj * nr;
-        let cols = nr.min(nb - j);
-        for (pi, a_panel) in a_pack.chunks_exact(mr * kw).enumerate() {
-            let i = pi * mr;
-            let rows = mr.min(mb - i);
-            simd::run_f32_micro_ftz_daz(kernel, kw, a_panel, b_panel, acc);
-            for ii in 0..rows {
-                let row = &acc[ii * nr..][..cols];
-                let dst = &mut c_block[(i + ii) * row_stride + j..][..cols];
-                if first {
-                    dst.copy_from_slice(row);
-                } else {
-                    for (d, &v) in dst.iter_mut().zip(row) {
-                        *d += v;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Runs every micro-tile of one pair-packed `mb × kb` A block against the
-/// pair-packed `kb × nb` B slab — the bf16 twin of
-/// [`crate::gemm::macro_block`], with identical edge masking and
-/// first/accumulate write-back.
-#[allow(clippy::too_many_arguments)]
-fn macro_block_bf16(
-    kernel: &Bf16Kernel,
-    a_pack: &[u32],
-    b_pack: &[u32],
-    c_block: &mut [f32],
-    mb: usize,
-    kb2: usize,
-    nb: usize,
-    row_stride: usize,
-    first: bool,
-) {
-    let (mr, nr) = (kernel.mr, kernel.nr);
-    // Cache-line aligned accumulator tile so the micro-kernel's stores never
-    // straddle lines.
-    #[repr(align(64))]
-    struct AccTile([f32; simd::MAX_MR * simd::MAX_NR]);
-    let mut acc = AccTile([0.0; simd::MAX_MR * simd::MAX_NR]);
-    let acc = &mut acc.0[..mr * nr];
-    for (pj, b_panel) in b_pack.chunks_exact(nr * kb2).enumerate() {
-        let j = pj * nr;
-        let cols = nr.min(nb - j);
-        for (pi, a_panel) in a_pack.chunks_exact(mr * kb2).enumerate() {
-            let i = pi * mr;
-            let rows = mr.min(mb - i);
-            (kernel.micro)(kb2, a_panel, b_panel, acc);
-            // Write-back masks the zero-padded lanes of edge tiles.
-            for ii in 0..rows {
-                let row = &acc[ii * nr..][..cols];
-                let dst = &mut c_block[(i + ii) * row_stride + j..][..cols];
-                if first {
-                    dst.copy_from_slice(row);
-                } else {
-                    for (d, &v) in dst.iter_mut().zip(row) {
-                        *d += v;
-                    }
-                }
             }
         }
     }
@@ -590,10 +266,18 @@ mod tests {
         }
     }
 
-    /// Shapes straddling tile, pair (odd `k`) and KC boundaries, shared by
-    /// the store- and compute-tier tests.
-    const SHAPES: [(usize, usize, usize); 6] =
-        [(1, 1, 1), (7, 11, 32), (13, 300, 49), (70, 64, 17), (5, 257, 33), (3, 513, 40)];
+    /// Shapes straddling tile (`n` off every `nr` of 16/32/48, `m` off `mr`
+    /// and `MC`), odd-`k` and `KC` boundaries (one, two and three depth
+    /// blocks).
+    const SHAPES: [(usize, usize, usize); 7] = [
+        (1, 1, 1),
+        (7, 11, 32),
+        (13, 300, 49),
+        (70, 64, 17),
+        (5, 257, 33),
+        (3, 513, 40),
+        (9, 515, 95),
+    ];
 
     fn fill(len: usize, seed: u32) -> Vec<f32> {
         let mut s = seed;
@@ -613,6 +297,9 @@ mod tests {
             let packed = PackedBf16Gemm::from_nt_weight(&w, n, k);
             assert_eq!(packed.cols(), n);
             assert_eq!(packed.depth(), k);
+            // Two bytes per element of the zero-padded panels, nothing else.
+            let nr = packed.kernel.nr;
+            assert_eq!(packed.weight_bytes(), 2 * k * n.div_ceil(nr) * nr);
             let mut got = vec![f32::NAN; m * n];
             packed.matmul(m, &a, &mut got);
             // Widen the quantized weights and run the ordinary f32 GEMM.
@@ -625,136 +312,11 @@ mod tests {
         }
     }
 
-    /// The compute tier against a scalar transcription of its contract:
-    /// per output element, KC-split depth loop over quantized pairs with
-    /// the pinned `vdpbf16ps` chain (hi-then-lo fused steps). Runs on every
-    /// host via the emulated route; on `avx512bf16` hosts the next test
-    /// pins native ≡ emulated, closing the loop to hardware.
-    #[test]
-    fn matmul_bf16_matches_scalar_pair_chain() {
-        for &(m, k, n) in &SHAPES {
-            let a = fill(m * k, (m * 7 + k * 3 + n) as u32);
-            let w = fill(n * k, (k * 31 + n) as u32); // [n, k]
-            let packed = PackedBf16Gemm::from_nt_weight(&w, n, k);
-            let mut got = vec![f32::NAN; m * n];
-            packed.matmul_bf16(m, &a, &mut got);
-            let qa = quantize_slice(&a);
-            let qw = quantize_slice(&w);
-            let daz = |q: u16| {
-                if q & 0x7F80 == 0 {
-                    f32::from_bits(u32::from(q & 0x8000) << 16)
-                } else {
-                    widen_bf16(q)
-                }
-            };
-            let ftz = |x: f32| {
-                if x.to_bits() & 0x7F80_0000 == 0 {
-                    f32::from_bits(x.to_bits() & 0x8000_0000)
-                } else {
-                    x
-                }
-            };
-            for i in 0..m {
-                for j in 0..n {
-                    let mut total = 0.0f32;
-                    for pc in (0..k).step_by(gemm::KC) {
-                        let kb = gemm::KC.min(k - pc);
-                        let mut acc = 0.0f32;
-                        for p2 in 0..kb.div_ceil(2) {
-                            let p = pc + 2 * p2;
-                            let (a_lo, w_lo) = (daz(qa[i * k + p]), daz(qw[j * k + p]));
-                            let (a_hi, w_hi) = if 2 * p2 + 1 < kb {
-                                (daz(qa[i * k + p + 1]), daz(qw[j * k + p + 1]))
-                            } else {
-                                (0.0, 0.0)
-                            };
-                            acc = ftz(acc);
-                            acc = ftz(a_hi.mul_add(w_hi, acc));
-                            acc = ftz(a_lo.mul_add(w_lo, acc));
-                        }
-                        total += acc;
-                    }
-                    let g = got[i * n + j];
-                    assert_eq!(
-                        g.to_bits(),
-                        total.to_bits(),
-                        "{m}x{k}x{n} ({i},{j}): {g:e} vs {total:e}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Native `vdpbf16ps` and the emulated route agree bit-for-bit through
-    /// the full blocked driver (skipped, trivially green, without the
-    /// hardware).
-    #[test]
-    fn matmul_bf16_native_and_emulated_routes_agree_bitwise() {
-        if !simd::bf16_compute_is_native() {
-            return;
-        }
-        for &(m, k, n) in &SHAPES {
-            let a = fill(m * k, (m * 13 + k + n * 5) as u32);
-            let w = fill(n * k, (k * 17 + n) as u32);
-            let packed = PackedBf16Gemm::from_nt_weight(&w, n, k);
-            let mut native = vec![f32::NAN; m * n];
-            simd::set_bf16_emulated_override(Some(false));
-            packed.matmul_bf16(m, &a, &mut native);
-            let mut emulated = vec![f32::NAN; m * n];
-            simd::set_bf16_emulated_override(Some(true));
-            packed.matmul_bf16(m, &a, &mut emulated);
-            simd::set_bf16_emulated_override(None);
-            for (i, (&g, &e)) in native.iter().zip(&emulated).enumerate() {
-                assert_eq!(g.to_bits(), e.to_bits(), "{m}x{k}x{n} elem {i}: {g:e} vs {e:e}");
-            }
-        }
-    }
-
-    /// Both native realizations — `vdpbf16ps` pair tiles and the widen-FMA
-    /// transcription — produce the same bits as the emulated route through
-    /// the full blocked driver, whatever calibration would have picked
-    /// (skipped, trivially green, without the native route).
-    #[test]
-    fn matmul_bf16_native_variants_agree_bitwise() {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if !simd::bf16_compute_is_native() {
-                return;
-            }
-            for variant in [simd::VARIANT_DP, simd::VARIANT_FMA] {
-                simd::set_bf16_native_variant(Some(variant));
-                for &(m, k, n) in &SHAPES {
-                    let a = fill(m * k, (m * 11 + k * 5 + n) as u32);
-                    let w = fill(n * k, (k * 23 + n) as u32);
-                    let packed = PackedBf16Gemm::from_nt_weight(&w, n, k);
-                    let mut native = vec![f32::NAN; m * n];
-                    simd::set_bf16_emulated_override(Some(false));
-                    packed.matmul_bf16(m, &a, &mut native);
-                    let mut emulated = vec![f32::NAN; m * n];
-                    simd::set_bf16_emulated_override(Some(true));
-                    packed.matmul_bf16(m, &a, &mut emulated);
-                    simd::set_bf16_emulated_override(None);
-                    for (i, (&g, &e)) in native.iter().zip(&emulated).enumerate() {
-                        assert_eq!(
-                            g.to_bits(),
-                            e.to_bits(),
-                            "variant {variant} {m}x{k}x{n} elem {i}: {g:e} vs {e:e}"
-                        );
-                    }
-                }
-            }
-            simd::set_bf16_native_variant(None);
-        }
-    }
-
     #[test]
     fn k_zero_zeroes_output() {
         let packed = PackedBf16Gemm::pack(0, 3, |_, _| unreachable!());
         let mut c = vec![5.0f32; 6];
         packed.matmul(2, &[], &mut c);
-        assert!(c.iter().all(|&v| v == 0.0));
-        let mut c = vec![5.0f32; 6];
-        packed.matmul_bf16(2, &[], &mut c);
         assert!(c.iter().all(|&v| v == 0.0));
     }
 }

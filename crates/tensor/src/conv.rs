@@ -8,24 +8,21 @@
 //! Two forward lowerings are provided, and [`conv3d_auto`] picks between
 //! them per layer by shape ([`conv3d_path`]):
 //!
-//! - [`conv3d`]: direct kernel, rayon-parallel over the batch × channel
-//!   grid; no intermediate materialization, best for 1×1×1 kernels (already
-//!   a GEMM-shaped axpy sweep) and for shapes whose lowered patch matrix
-//!   would be huge;
-//! - [`conv3d_im2col`]: lowers the input to a `[N·D·H·W, Cin·kd·kh·kw]`
-//!   patch matrix and runs one blocked GEMM from [`crate::gemm`](mod@crate::gemm) — the
-//!   register-tiled micro-kernel amortizes the lowering copy for 3×3×3
-//!   stacks with more than a few channels.
+//! - [`conv3d`]: direct kernel, one sweep per (batch, output channel)
+//!   slab; no intermediate materialization, used for 1×1×1 kernels (already
+//!   a GEMM-shaped axpy sweep);
+//! - [`conv3d_implicit_gemm`]: packs patch columns on the fly inside the
+//!   blocked GEMM of [`crate::gemm`](mod@crate::gemm), so the register-tiled micro-kernel
+//!   runs every other kernel size without materializing a patch matrix.
 //!
 //! All inner loops are branch-free: there is deliberately no zero-skip
 //! shortcut on weights, because `0·∞` must produce NaN, not silence (the
 //! gradcheck and NaN-propagation tests pin this down). Output buffers and
-//! im2col scratch come from the [`crate::workspace`] pool, so steady-state
+//! packing scratch come from the [`crate::workspace`] pool, so steady-state
 //! training steps do not touch the system allocator.
 
 use crate::tensor::Tensor;
 use crate::workspace;
-use rayon::prelude::*;
 
 /// Shape metadata for one conv3d application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +81,7 @@ pub fn conv3d(input: &Tensor, weight: &Tensor) -> Tensor {
     let wgt = weight.data();
     let mut out = workspace::take_vec_zeroed(dims.n * dims.cout * vol);
 
-    out.par_chunks_mut(vol).enumerate().for_each(|(chunk, o)| {
+    out.chunks_mut(vol).enumerate().for_each(|(chunk, o)| {
         let n = chunk / dims.cout;
         let co = chunk % dims.cout;
         for ci in 0..dims.cin {
@@ -159,7 +156,7 @@ pub fn conv3d_grad_input_direct(grad_out: &Tensor, weight: &Tensor, dims: Conv3d
     let wgt = weight.data();
     let mut out = workspace::take_vec_zeroed(dims.n * dims.cin * vol);
 
-    out.par_chunks_mut(vol).enumerate().for_each(|(chunk, o)| {
+    out.chunks_mut(vol).enumerate().for_each(|(chunk, o)| {
         let n = chunk / dims.cin;
         let ci = chunk % dims.cin;
         for co in 0..dims.cout {
@@ -221,7 +218,7 @@ pub fn conv3d_grad_weight_direct(input: &Tensor, grad_out: &Tensor, dims: Conv3d
     let ksize = kd * kh * kw;
     let mut out = workspace::take_vec_zeroed(dims.cout * dims.cin * ksize);
 
-    out.par_chunks_mut(dims.cin * ksize).enumerate().for_each(|(co, wslab)| {
+    out.chunks_mut(dims.cin * ksize).enumerate().for_each(|(co, wslab)| {
         for n in 0..dims.n {
             let gout = &g[(n * dims.cout + co) * vol..(n * dims.cout + co + 1) * vol];
             for ci in 0..dims.cin {
@@ -263,10 +260,6 @@ pub fn conv3d_grad_weight_direct(input: &Tensor, grad_out: &Tensor, dims: Conv3d
 pub enum Conv3dPath {
     /// Direct sliding-window kernel ([`conv3d`]).
     Direct,
-    /// im2col patch matrix + blocked GEMM ([`conv3d_im2col`]). Kept as a
-    /// reference lowering (bench/reftest baseline); the auto path no longer
-    /// selects it.
-    Im2col,
     /// Fused implicit-GEMM ([`conv3d_implicit_gemm`]): patch columns are
     /// packed on the fly inside the GEMM's KC loop — the patch matrix is
     /// never materialized.
@@ -278,7 +271,6 @@ impl Conv3dPath {
     pub fn name(self) -> &'static str {
         match self {
             Conv3dPath::Direct => "direct",
-            Conv3dPath::Im2col => "im2col",
             Conv3dPath::ImplicitGemm => "implicit_gemm",
         }
     }
@@ -291,8 +283,7 @@ impl Conv3dPath {
 /// the input. Everything else goes through the fused implicit GEMM — the
 /// register-tiled micro-kernel wins as soon as the reduction depth
 /// `Cin·kd·kh·kw` is non-trivial, and since patch columns are packed
-/// on the fly there is no materialized patch matrix to cap (the old
-/// im2col byte-cap fallback is gone with the im2col auto path).
+/// on the fly there is no materialized patch matrix to cap.
 pub fn conv3d_path(dims: &Conv3dDims) -> Conv3dPath {
     let kvol: usize = dims.kernel.iter().product();
     if kvol == 1 {
@@ -308,7 +299,6 @@ pub fn conv3d_auto(input: &Tensor, weight: &Tensor) -> Tensor {
     let dims = Conv3dDims::infer(input, weight);
     match conv3d_path(&dims) {
         Conv3dPath::Direct => conv3d(input, weight),
-        Conv3dPath::Im2col => conv3d_im2col(input, weight),
         Conv3dPath::ImplicitGemm => conv3d_implicit_gemm(input, weight),
     }
 }
@@ -386,9 +376,10 @@ fn fill_patch_span(
 /// transpose-back), and all scratch is pooled: steady-state calls do not
 /// allocate.
 ///
-/// Numerics: each output element is the same `k`-ordered FMA chain (with
-/// the same `KC` depth splits) as [`conv3d_im2col`], so the two lowerings
-/// are bit-identical — pinned by tests here and in the reftest oracle.
+/// Numerics: each output element is one `k`-ordered FMA chain over
+/// `(ci, zd, zh, zw)`, restarted every `KC` depths and summed across
+/// blocks — pinned bit-for-bit against a scalar transcription by the tests
+/// here.
 pub fn conv3d_implicit_gemm(input: &Tensor, weight: &Tensor) -> Tensor {
     let dims = Conv3dDims::infer(input, weight);
     let [sd, sh, sw] = dims.spatial;
@@ -425,10 +416,8 @@ fn implicit_forward_into(x: &[f32], w: &[f32], dims: Conv3dDims) -> Vec<f32> {
             off += len;
         }
     }
-    let a_buf = &a_buf;
-    let a_blocks = &a_blocks;
 
-    let run_item = |n: usize, oslab: &mut [f32]| {
+    for (n, oslab) in out.chunks_mut(dims.cout * vol).enumerate() {
         for jc in (0..vol).step_by(NC) {
             let nb = NC.min(vol - jc);
             let n_panels = nb.div_ceil(nr);
@@ -464,16 +453,6 @@ fn implicit_forward_into(x: &[f32], w: &[f32], dims: Conv3dDims) -> Vec<f32> {
                     first,
                 );
             }
-        }
-    };
-    let parallel = dims.n > 1
-        && dims.n * dims.cout * vol * ksize >= crate::gemm::PAR_FLOP_THRESHOLD
-        && crate::gemm::effective_threads() > 1;
-    if parallel {
-        out.par_chunks_mut(dims.cout * vol).enumerate().for_each(|(n, o)| run_item(n, o));
-    } else {
-        for (n, o) in out.chunks_mut(dims.cout * vol).enumerate() {
-            run_item(n, o);
         }
     }
     out
@@ -580,86 +559,6 @@ pub fn conv3d_implicit_grad_weight(input: &Tensor, grad_out: &Tensor, dims: Conv
     Tensor::from_vec(out, &[dims.cout, dims.cin, kd, kh, kw])
 }
 
-/// Forward 3D convolution via im2col + GEMM: lowers the input into a
-/// `[N·D·H·W, Cin·kd·kh·kw]` patch matrix and multiplies by the flattened
-/// kernel. Trades memory (the lowered matrix, pooled scratch) for a single
-/// blocked GEMM — typically faster than [`conv3d`] for wide channel
-/// counts, slower for 1×1×1 kernels. Produces bit-comparable results (same
-/// f32 sums in a different association order; see the equivalence test).
-pub fn conv3d_im2col(input: &Tensor, weight: &Tensor) -> Tensor {
-    let dims = Conv3dDims::infer(input, weight);
-    let [sd, sh, sw] = dims.spatial;
-    let [kd, kh, kw] = dims.kernel;
-    let (pd, ph, pw) = (kd / 2, kh / 2, kw / 2);
-    let vol = dims.vol();
-    let ksize = dims.cin * kd * kh * kw;
-    let x = input.data();
-
-    // Lower: row per output position, column per (ci, zd, zh, zw). Scratch
-    // checkout: every element is written below.
-    let mut cols = workspace::take_scratch(dims.n * vol * ksize);
-    cols.par_chunks_mut(vol * ksize).enumerate().for_each(|(n, slab)| {
-        for d in 0..sd {
-            for h in 0..sh {
-                for w in 0..sw {
-                    let row = &mut slab
-                        [((d * sh + h) * sw + w) * ksize..((d * sh + h) * sw + w + 1) * ksize];
-                    let mut col = 0;
-                    for ci in 0..dims.cin {
-                        let xin = &x[(n * dims.cin + ci) * vol..(n * dims.cin + ci + 1) * vol];
-                        for zd in 0..kd {
-                            let id = d as isize + zd as isize - pd as isize;
-                            for zh in 0..kh {
-                                let ih = h as isize + zh as isize - ph as isize;
-                                for zw in 0..kw {
-                                    let iw = w as isize + zw as isize - pw as isize;
-                                    row[col] = if id >= 0
-                                        && ih >= 0
-                                        && iw >= 0
-                                        && (id as usize) < sd
-                                        && (ih as usize) < sh
-                                        && (iw as usize) < sw
-                                    {
-                                        xin[((id as usize) * sh + ih as usize) * sw + iw as usize]
-                                    } else {
-                                        0.0
-                                    };
-                                    col += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-    // GEMM: [N·vol, ksize] @ [ksize, Cout] — the kernel stays in its native
-    // [Cout, ksize] layout (Transposed operand), no weight copy.
-    let mut out_nv_co = workspace::take_scratch(dims.n * vol * dims.cout);
-    crate::gemm::gemm(
-        dims.n * vol,
-        ksize,
-        dims.cout,
-        &cols,
-        crate::gemm::MatLayout::Normal,
-        weight.data(),
-        crate::gemm::MatLayout::Transposed,
-        &mut out_nv_co,
-    );
-    drop(cols);
-    // Transpose back to NCDHW.
-    let o = &out_nv_co;
-    let mut out = workspace::take_vec_scratch(dims.n * dims.cout * vol);
-    out.par_chunks_mut(vol).enumerate().for_each(|(chunk, dst)| {
-        let n = chunk / dims.cout;
-        let co = chunk % dims.cout;
-        for (p, d) in dst.iter_mut().enumerate() {
-            *d = o[(n * vol + p) * dims.cout + co];
-        }
-    });
-    Tensor::from_vec(out, &[dims.n, dims.cout, sd, sh, sw])
-}
-
 /// Non-overlapping 3D max pooling by integer factors `[fd, fh, fw]`.
 ///
 /// Returns the pooled tensor and the flat argmax index (into the input
@@ -681,41 +580,39 @@ pub fn maxpool3d(input: &Tensor, factors: [usize; 3]) -> (Tensor, Vec<u32>) {
     let ovol = od * oh * ow;
     let mut out = workspace::take_vec_scratch(n * c * ovol);
     let mut idx = vec![0u32; n * c * ovol];
-    out.par_chunks_mut(ovol).zip(idx.par_chunks_mut(ovol)).enumerate().for_each(
-        |(chunk, (o, ix))| {
-            let base = chunk * d * h * w; // start of this (n,c) slab in input
-            for zd in 0..od {
-                for zh in 0..oh {
-                    for zw in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_i = 0usize;
-                        for dd in 0..fd {
-                            for hh in 0..fh {
-                                for ww in 0..fw {
-                                    let i = base
-                                        + ((zd * fd + dd) * h + (zh * fh + hh)) * w
-                                        + (zw * fw + ww);
-                                    // `>` alone would drop NaN (NaN > x is
-                                    // false), silently turning a poisoned
-                                    // window into the max of its healthy
-                                    // elements. A NaN must win and stick:
-                                    // once `best` is NaN, `x[i] > best` stays
-                                    // false forever.
-                                    if x[i] > best || x[i].is_nan() {
-                                        best = x[i];
-                                        best_i = i;
-                                    }
+    out.chunks_mut(ovol).zip(idx.chunks_mut(ovol)).enumerate().for_each(|(chunk, (o, ix))| {
+        let base = chunk * d * h * w; // start of this (n,c) slab in input
+        for zd in 0..od {
+            for zh in 0..oh {
+                for zw in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_i = 0usize;
+                    for dd in 0..fd {
+                        for hh in 0..fh {
+                            for ww in 0..fw {
+                                let i = base
+                                    + ((zd * fd + dd) * h + (zh * fh + hh)) * w
+                                    + (zw * fw + ww);
+                                // `>` alone would drop NaN (NaN > x is
+                                // false), silently turning a poisoned
+                                // window into the max of its healthy
+                                // elements. A NaN must win and stick:
+                                // once `best` is NaN, `x[i] > best` stays
+                                // false forever.
+                                if x[i] > best || x[i].is_nan() {
+                                    best = x[i];
+                                    best_i = i;
                                 }
                             }
                         }
-                        let oi = (zd * oh + zh) * ow + zw;
-                        o[oi] = best;
-                        ix[oi] = best_i as u32;
                     }
+                    let oi = (zd * oh + zh) * ow + zw;
+                    o[oi] = best;
+                    ix[oi] = best_i as u32;
                 }
             }
-        },
-    );
+        }
+    });
     (Tensor::from_vec(out, &[n, c, od, oh, ow]), idx)
 }
 
@@ -742,7 +639,7 @@ pub fn upsample_nearest3d(input: &Tensor, factors: [usize; 3]) -> Tensor {
     let ovol = od * oh * ow;
     let ivol = d * h * w;
     let mut out = workspace::take_vec_scratch(n * c * ovol);
-    out.par_chunks_mut(ovol).enumerate().for_each(|(chunk, o)| {
+    out.chunks_mut(ovol).enumerate().for_each(|(chunk, o)| {
         let xin = &x[chunk * ivol..(chunk + 1) * ivol];
         for zd in 0..od {
             for zh in 0..oh {
@@ -769,7 +666,7 @@ pub fn upsample_nearest3d_backward(grad_out: &Tensor, factors: [usize; 3]) -> Te
     let ivol = d * h * w;
     let ovol = od * oh * ow;
     let mut out = workspace::take_vec_zeroed(n * c * ivol);
-    out.par_chunks_mut(ivol).enumerate().for_each(|(chunk, o)| {
+    out.chunks_mut(ivol).enumerate().for_each(|(chunk, o)| {
         let gout = &g[chunk * ovol..(chunk + 1) * ovol];
         for zd in 0..od {
             for zh in 0..oh {
@@ -906,23 +803,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn im2col_matches_direct_conv() {
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        for &(k, cin, cout) in
-            &[([1usize, 1, 1], 3usize, 5usize), ([3, 3, 3], 2, 4), ([1, 3, 3], 4, 2)]
-        {
-            let input = Tensor::randn(&[2, cin, 3, 4, 5], 1.0, &mut rng);
-            let weight = Tensor::randn(&[cout, cin, k[0], k[1], k[2]], 1.0, &mut rng);
-            let direct = conv3d(&input, &weight);
-            let lowered = conv3d_im2col(&input, &weight);
-            assert_eq!(direct.dims(), lowered.dims());
-            for (a, b) in direct.data().iter().zip(lowered.data()) {
-                assert!((a - b).abs() < 1e-4 * (1.0 + b.abs()), "{a} vs {b} (k={k:?})");
-            }
-        }
-    }
-
     /// `conv3d_auto` must be a pure dispatcher: whichever lowering the
     /// heuristic picks, the numbers match the direct reference.
     #[test]
@@ -957,14 +837,57 @@ mod tests {
         let huge =
             Conv3dDims { n: 64, cin: 256, cout: 256, spatial: [64, 256, 256], kernel: [3, 3, 3] };
         assert!(matches!(conv3d_path(&huge), Conv3dPath::ImplicitGemm));
-        assert_eq!(Conv3dPath::Im2col.name(), "im2col");
     }
 
-    /// The fused implicit GEMM must be *bit-identical* to the materialized
-    /// im2col lowering: both walk the same k-ordered FMA chain with the same
-    /// KC depth splits, only the packing differs.
+    /// Scalar transcription of the implicit GEMM's numerical contract: per
+    /// output element one `k`-ordered FMA chain over `(ci, zd, zh, zw)` —
+    /// padding voxels included as `0.0` terms, never skipped — restarted
+    /// every `KC` depths and summed across blocks.
+    fn conv3d_fma_chain(input: &Tensor, weight: &Tensor) -> Tensor {
+        let dims = Conv3dDims::infer(input, weight);
+        let [sd, sh, sw] = dims.spatial;
+        let [kd, kh, kw] = dims.kernel;
+        let [pd, ph, pw] = dims.pad();
+        let kvol = kd * kh * kw;
+        let ksize = dims.cin * kvol;
+        let mut out = Tensor::zeros(&[dims.n, dims.cout, sd, sh, sw]);
+        for n in 0..dims.n {
+            for co in 0..dims.cout {
+                for (p, o) in out.data_mut()[(n * dims.cout + co) * dims.vol()..][..dims.vol()]
+                    .iter_mut()
+                    .enumerate()
+                {
+                    let (d, h, w) = (p / (sh * sw), (p / sw) % sh, p % sw);
+                    for pc in (0..ksize).step_by(crate::gemm::KC) {
+                        let mut acc = 0.0f32;
+                        for kidx in pc..(pc + crate::gemm::KC).min(ksize) {
+                            let (ci, z) = (kidx / kvol, kidx % kvol);
+                            let (id, ih, iw) = (d + z / (kh * kw), h + (z / kw) % kh, w + z % kw);
+                            let inside = id >= pd
+                                && id < sd + pd
+                                && ih >= ph
+                                && ih < sh + ph
+                                && iw >= pw
+                                && iw < sw + pw;
+                            let x = if inside {
+                                input.at(&[n, ci, id - pd, ih - ph, iw - pw])
+                            } else {
+                                0.0
+                            };
+                            acc = weight.data()[co * ksize + kidx].mul_add(x, acc);
+                        }
+                        *o = if pc == 0 { acc } else { *o + acc };
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The fused implicit GEMM is *bit-identical* to its scalar contract on
+    /// every blocking edge: only packing and tiling differ.
     #[test]
-    fn implicit_gemm_is_bit_identical_to_im2col() {
+    fn implicit_gemm_is_bit_identical_to_scalar_fma_chain() {
         let mut rng = ChaCha8Rng::seed_from_u64(79);
         for &(k, cin, cout, sp) in &[
             ([3usize, 3, 3], 2usize, 4usize, [3usize, 4, 5]),
@@ -977,10 +900,10 @@ mod tests {
         ] {
             let input = Tensor::randn(&[2, cin, sp[0], sp[1], sp[2]], 1.0, &mut rng);
             let weight = Tensor::randn(&[cout, cin, k[0], k[1], k[2]], 1.0, &mut rng);
-            let lowered = conv3d_im2col(&input, &weight);
+            let chain = conv3d_fma_chain(&input, &weight);
             let fused = conv3d_implicit_gemm(&input, &weight);
-            assert_eq!(lowered.dims(), fused.dims());
-            for (i, (a, b)) in lowered.data().iter().zip(fused.data()).enumerate() {
+            assert_eq!(chain.dims(), fused.dims());
+            for (i, (a, b)) in chain.data().iter().zip(fused.data()).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "elem {i}: {a} vs {b} (k={k:?})");
             }
         }
@@ -1024,12 +947,12 @@ mod tests {
         input.data_mut()[31] = f32::INFINITY;
         let weight = Tensor::randn(&[3, 2, 3, 3, 3], 1.0, &mut rng);
         let fused = conv3d_implicit_gemm(&input, &weight);
-        let lowered = conv3d_im2col(&input, &weight);
-        for (i, (a, b)) in fused.data().iter().zip(lowered.data()).enumerate() {
+        let chain = conv3d_fma_chain(&input, &weight);
+        for (i, (a, b)) in fused.data().iter().zip(chain.data()).enumerate() {
             assert_eq!(
                 a.is_nan(),
                 b.is_nan(),
-                "elem {i}: NaN split between lowerings ({a} vs {b})"
+                "elem {i}: NaN split from the contract ({a} vs {b})"
             );
             if !a.is_nan() {
                 assert_eq!(a.to_bits(), b.to_bits(), "elem {i}: {a} vs {b}");

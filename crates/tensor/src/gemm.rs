@@ -8,7 +8,7 @@
 //! for jc in 0..n step NC            // L3: column slab of B/C
 //!   for pc in 0..k step KC          // L2: pack B[pc..,jc..] into b_pack
 //!     pack_b  (KC × NC, nr-panel major, zero-padded edges)
-//!     for ic in 0..m step MC        // rayon-parallel over C row blocks
+//!     for ic in 0..m step MC        // C row blocks
 //!       pack_a (MC × KC, mr-panel major, zero-padded edges)
 //!       for jr in 0..NC step nr     // micro-tiles
 //!         for ir in 0..MC step mr
@@ -40,7 +40,6 @@
 
 use crate::simd::{self, Kernel};
 use crate::workspace;
-use rayon::prelude::*;
 
 pub use crate::simd::{kernel_backend, set_backend_override, KernelBackend};
 
@@ -52,10 +51,6 @@ pub const MC: usize = 64;
 pub const KC: usize = 256;
 /// Column-slab size: a KC×NC packed B slab should sit in L2/L3.
 pub const NC: usize = 512;
-
-/// Threshold (in multiply-adds) below which we stay single-threaded: tiny
-/// GEMMs are faster without the fork-join overhead.
-pub const PAR_FLOP_THRESHOLD: usize = 64 * 1024;
 
 /// Takes a pooled scratch buffer whose payload starts on a 64-byte (cache
 /// line) boundary, returning the guard plus the element offset of the
@@ -76,11 +71,6 @@ pub enum MatLayout {
     /// Operand is stored transposed; packing walks it with swapped strides
     /// (the micro-kernel never sees the difference).
     Transposed,
-}
-
-/// Number of threads rayon will fan GEMM row-blocks across (1 == serial).
-pub fn effective_threads() -> usize {
-    rayon::current_num_threads()
 }
 
 /// `C = op(A) · op(B)` with `op(A): [m, k]`, `op(B): [k, n]`, `C: [m, n]`
@@ -123,7 +113,6 @@ pub fn gemm(
         MatLayout::Normal => (n, 1),
         MatLayout::Transposed => (1, k),
     };
-    let parallel = m * k * n >= PAR_FLOP_THRESHOLD && effective_threads() > 1;
 
     for jc in (0..n).step_by(NC) {
         let nb = NC.min(n - jc);
@@ -136,22 +125,14 @@ pub fn gemm(
             let b_pack = &mut b_buf[b_off..b_off + b_len];
             pack_b(kernel.nr, b_pack, b, b_rs, b_cs, pc, kb, jc, nb);
             let b_pack = &b_buf[b_off..b_off + b_len];
-            let run_block = |i0: usize, c_block: &mut [f32]| {
+            for (bi, c_block) in c.chunks_mut(MC * n).enumerate() {
+                let i0 = bi * MC;
                 let mb = MC.min(m - i0);
                 let a_len = mb.div_ceil(kernel.mr) * kernel.mr * kb;
                 let (mut a_buf, a_off) = take_scratch_aligned(a_len);
                 let a_pack = &mut a_buf[a_off..a_off + a_len];
                 pack_a(kernel.mr, a_pack, a, a_rs, a_cs, i0, mb, pc, kb);
                 macro_block(kernel, a_pack, b_pack, c_block, mb, kb, nb, n, jc, first);
-            };
-            if parallel {
-                c.par_chunks_mut(MC * n)
-                    .enumerate()
-                    .for_each(|(bi, c_block)| run_block(bi * MC, c_block));
-            } else {
-                for (bi, c_block) in c.chunks_mut(MC * n).enumerate() {
-                    run_block(bi * MC, c_block);
-                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! # mfn-tensor
 //!
-//! Dense `f32` tensors and the rayon-parallel compute kernels that back the
+//! Dense `f32` tensors and the single-threaded compute kernels that back the
 //! MeshfreeFlowNet neural-network stack:
 //!
 //! - [`Tensor`]: contiguous row-major storage with element-wise ops,
@@ -8,9 +8,10 @@
 //! - [`linalg`]: GEMM entry points (`A@B`, `Aᵀ@B`, `A@Bᵀ`) for the
 //!   continuous decoding MLP, all lowering onto the blocked micro-kernel in
 //!   [`gemm`](mod@gemm);
-//! - [`conv`]: 3D convolution (forward + both backwards, direct and
-//!   im2col+GEMM lowerings with a shape-based auto heuristic), max pooling
-//!   and nearest-neighbor upsampling for the 3D U-Net encoder;
+//! - [`conv`]: 3D convolution (forward + both backwards; fused
+//!   implicit-GEMM lowerings, with the direct kernel for 1×1×1 filters and
+//!   as the oracle baseline), max pooling and nearest-neighbor upsampling
+//!   for the 3D U-Net encoder;
 //! - [`rowops`]: the gather/blend/bias/affine row kernels shared verbatim by
 //!   the autodiff tape and the no-grad inference engine (bit-identical paths);
 //! - [`workspace`]: the buffer pool that lets kernels and tensor temporaries
@@ -31,18 +32,15 @@ pub mod workspace;
 
 pub use conv::{
     conv3d, conv3d_auto, conv3d_grad_input, conv3d_grad_input_direct, conv3d_grad_weight,
-    conv3d_grad_weight_direct, conv3d_im2col, conv3d_implicit_gemm, conv3d_implicit_grad_input,
+    conv3d_grad_weight_direct, conv3d_implicit_gemm, conv3d_implicit_grad_input,
     conv3d_implicit_grad_weight, conv3d_path, maxpool3d, maxpool3d_backward, upsample_nearest3d,
     upsample_nearest3d_backward, Conv3dDims, Conv3dPath,
 };
-pub use gemm::{effective_threads, gemm, MatLayout, PAR_FLOP_THRESHOLD};
+pub use gemm::{gemm, MatLayout};
 pub use linalg::{matmul, matmul_nt, matmul_tn, matvec};
 pub use rowops::{
     add_bias_channels, add_bias_rows, blend_rows, channel_affine, gather_concat_rows, gather_rows,
 };
 pub use shape::Shape;
-pub use simd::{
-    bf16_compute_is_native, kernel_backend, set_backend_override, set_bf16_emulated_override,
-    KernelBackend,
-};
+pub use simd::{kernel_backend, set_backend_override, KernelBackend};
 pub use tensor::Tensor;

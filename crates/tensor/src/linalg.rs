@@ -15,8 +15,6 @@ use crate::gemm::{gemm, MatLayout};
 use crate::tensor::Tensor;
 use crate::workspace;
 
-pub use crate::gemm::{effective_threads, PAR_FLOP_THRESHOLD};
-
 /// `C = A @ B` for `A: [m, k]`, `B: [k, n]`.
 ///
 /// # Panics
@@ -118,8 +116,8 @@ mod tests {
     }
 
     #[test]
-    fn matmul_parallel_path_matches_naive() {
-        // Large enough to cross PAR_FLOP_THRESHOLD.
+    fn matmul_multi_row_block_matches_naive() {
+        // More than one MC row block.
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let a = Tensor::randn(&[128, 64], 1.0, &mut rng);
         let b = Tensor::randn(&[64, 96], 1.0, &mut rng);

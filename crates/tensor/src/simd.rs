@@ -18,18 +18,6 @@
 //! [`set_backend_override`]) forces a lower tier so CI's generic-codegen
 //! leg and the bit-identity property tests can pin either arm.
 //!
-//! A fourth family of kernels computes bf16×bf16 tiles with f32
-//! accumulation ([`Bf16Kernel`], dispatched by [`bf16_kernel_for`]): native
-//! on `avx512bf16` hosts, or a bit-exact scalar emulation everywhere else
-//! (and under `MFN_EMULATED_BF16=1`). The native route itself has two
-//! bit-identical realizations — the `vdpbf16ps` instruction, and a
-//! widen-to-f32 + FMA transcription under MXCSR FTZ/DAZ — because on
-//! several server parts `vdpbf16ps` is microcoded at a fraction of FMA
-//! throughput; a one-time calibration picks the faster one per process
-//! (pinnable via `MFN_BF16_NATIVE=dp|fma`).
-//! The bf16 route hangs off the same cached backend decision as the f32
-//! tiers, so a single override pins every kernel in the process.
-//!
 //! ## Bit-identity contract
 //!
 //! All three kernels produce **bit-identical** results: each output element
@@ -137,166 +125,6 @@ pub fn set_backend_override(backend: Option<KernelBackend>) {
         }
     };
     BACKEND.store(v, Ordering::Relaxed);
-}
-
-// ---- bf16 compute route --------------------------------------------------
-
-const BF16_EMULATED: u8 = 1;
-const BF16_NATIVE: u8 = 2;
-
-/// Cached bf16 route decision; `UNRESOLVED` until first use or after an
-/// override reset. This is *subordinate* to [`BACKEND`]: the native route
-/// only ever engages when the f32 decision is `Avx512`, so
-/// `MFN_PORTABLE_KERNELS=1` (or a `Portable` override) pins the bf16 tiles
-/// to the emulated arm along with everything else.
-static BF16_ROUTE: AtomicU8 = AtomicU8::new(UNRESOLVED);
-
-/// Pure hardware capability check for the native `vdpbf16ps` kernels.
-fn bf16_hw() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        is_x86_feature_detected!("avx512bf16") && is_x86_feature_detected!("avx512f")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-fn resolve_bf16() -> u8 {
-    let r = BF16_ROUTE.load(Ordering::Relaxed);
-    if r != UNRESOLVED {
-        return r;
-    }
-    let d = if std::env::var_os("MFN_EMULATED_BF16").is_some_and(|v| v != "0") || !bf16_hw() {
-        BF16_EMULATED
-    } else {
-        BF16_NATIVE
-    };
-    BF16_ROUTE.store(d, Ordering::Relaxed);
-    d
-}
-
-/// Whether bf16×bf16 tile math executes via the native vector route (as
-/// opposed to the bit-exact scalar emulation). False whenever the f32
-/// dispatch is below `Avx512` — one cached decision governs every kernel —
-/// and under `MFN_EMULATED_BF16=1` or [`set_bf16_emulated_override`].
-pub fn bf16_compute_is_native() -> bool {
-    kernel_backend() == KernelBackend::Avx512 && resolve_bf16() == BF16_NATIVE
-}
-
-/// The native route's `vdpbf16ps` realization.
-#[cfg(target_arch = "x86_64")]
-pub(crate) const VARIANT_DP: u8 = 1;
-/// The native route's widen-FMA realization (MXCSR FTZ/DAZ).
-#[cfg(target_arch = "x86_64")]
-pub(crate) const VARIANT_FMA: u8 = 2;
-
-/// Cached choice between the two bit-identical native realizations.
-#[cfg(target_arch = "x86_64")]
-static BF16_NATIVE_VARIANT: AtomicU8 = AtomicU8::new(UNRESOLVED);
-
-/// Picks the faster native realization for this host, once per process.
-///
-/// `vdpbf16ps` retires two depth steps per instruction, so where it issues
-/// at FMA rate it doubles GEMM throughput — but several server parts
-/// microcode it at a small fraction of FMA rate, where the widen-FMA
-/// transcription (same bit-exact chain, ordinary FMA ports) wins instead.
-/// That is a *speed* property only measurable at runtime, so this races the
-/// `vdpbf16ps` 8×48 tile against its f32-FMA transcription over a synthetic
-/// panel and keeps the faster; both produce identical bits, so a noisy
-/// verdict can never change results.
-/// `MFN_BF16_NATIVE=dp|fma` pins the choice for benchmarks and CI legs.
-#[cfg(target_arch = "x86_64")]
-fn resolve_native_variant() -> u8 {
-    let v = BF16_NATIVE_VARIANT.load(Ordering::Relaxed);
-    if v != UNRESOLVED {
-        return v;
-    }
-    let d = match std::env::var("MFN_BF16_NATIVE").as_deref() {
-        Ok("dp") => VARIANT_DP,
-        Ok("fma") => VARIANT_FMA,
-        _ => calibrate_native_variant(),
-    };
-    BF16_NATIVE_VARIANT.store(d, Ordering::Relaxed);
-    d
-}
-
-/// Times the `vdpbf16ps` 8×48 tile against the f32 FMA tile it would be
-/// transcribed to (same flop count: one dp instruction retires two FMA
-/// steps) on a KC-deep synthetic panel, and returns the faster variant.
-/// Costs a few microseconds, once per process.
-#[cfg(target_arch = "x86_64")]
-fn calibrate_native_variant() -> u8 {
-    let kb2 = 128;
-    let a = vec![0x3F80_3F80u32; 8 * kb2];
-    let b = vec![0x3F80_3F80u32; 48 * kb2];
-    let aw = vec![1.0f32; 8 * 2 * kb2];
-    let bw = vec![1.0f32; 48 * 2 * kb2];
-    let mut acc = [0.0f32; 8 * 48];
-    let mut dp_call = || micro_bf16_avx512_8x48(kb2, &a, &b, &mut acc);
-    let mut best = [f64::MAX; 2];
-    dp_call(); // warm icache + page in panels
-    for _ in 0..16 {
-        let t = std::time::Instant::now();
-        dp_call();
-        best[0] = best[0].min(t.elapsed().as_nanos() as f64);
-    }
-    let mut fma_call = || run_f32_micro_ftz_daz(&AVX512_KERNEL, 2 * kb2, &aw, &bw, &mut acc);
-    fma_call();
-    for _ in 0..16 {
-        let t = std::time::Instant::now();
-        fma_call();
-        best[1] = best[1].min(t.elapsed().as_nanos() as f64);
-    }
-    std::hint::black_box(&mut acc);
-    if best[0] <= best[1] {
-        VARIANT_DP
-    } else {
-        VARIANT_FMA
-    }
-}
-
-/// True when the native bf16-compute route should run as the widen-FMA
-/// transcription (pre-widened hi-then-lo panels through the f32 tile under
-/// MXCSR FTZ/DAZ) rather than `vdpbf16ps` pair tiles. Callers gate on the
-/// native route being active first; both realizations are bit-identical on
-/// finite inputs.
-pub(crate) fn bf16_native_variant_is_fma() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        resolve_native_variant() == VARIANT_FMA
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
-/// Pins the native realization (`VARIANT_DP` / `VARIANT_FMA`), or
-/// re-calibrates on `None`. Test hook — like the emulated override, it can
-/// change which instructions run, never finite results.
-#[cfg(all(target_arch = "x86_64", test))]
-pub(crate) fn set_bf16_native_variant(variant: Option<u8>) {
-    BF16_NATIVE_VARIANT.store(variant.unwrap_or(UNRESOLVED), Ordering::Relaxed);
-}
-
-/// Forces the emulated `vdpbf16ps` route (`Some(true)`), requests the
-/// native route where the CPU has it (`Some(false)`), or re-detects
-/// (`None`). Test/bench hook; both routes are bit-identical on finite
-/// inputs, so flipping it concurrently with running GEMMs changes which
-/// instructions execute, never finite results.
-pub fn set_bf16_emulated_override(emulated: Option<bool>) {
-    let v = match emulated {
-        None => UNRESOLVED,
-        Some(true) => BF16_EMULATED,
-        Some(false) => {
-            if bf16_hw() {
-                BF16_NATIVE
-            } else {
-                BF16_EMULATED
-            }
-        }
-    };
-    BF16_ROUTE.store(v, Ordering::Relaxed);
 }
 
 /// Largest `mr` any tier uses (packing buffers are sized per-kernel, but
@@ -675,448 +503,6 @@ unsafe fn micro_avx512_12x32_impl(
     }
 }
 
-// ---- bf16 compute tier ---------------------------------------------------
-//
-// bf16×bf16 tiles with f32 accumulation. Panels hold *depth pairs*: each
-// `u32` packs two consecutive-depth bf16 elements as `(hi << 16) | lo` with
-// `lo` at depth `2·p2` and `hi` at depth `2·p2 + 1` (odd depths pad `hi`
-// with a zero bf16). That is exactly the lane layout `vdpbf16ps` consumes:
-// broadcasting one pair `u32` across a zmm gives every f32 lane the same
-// (lo, hi) bf16 pair, and 16 consecutive pair `u32`s are 16 B columns.
-//
-// ## `vdpbf16ps` semantics (pinned empirically, enforced by tests)
-//
-// Per f32 lane, one instruction computes — in this order —
-//
-// ```text
-// acc = ftz(acc)
-// acc = ftz(fma(daz(a_hi), daz(b_hi), acc))   // depth 2·p2 + 1 first
-// acc = ftz(fma(daz(a_lo), daz(b_lo), acc))   // then depth 2·p2
-// ```
-//
-// where `daz` flushes subnormal bf16 *inputs* to signed zero, each step is
-// a true fused multiply-add (single rounding), and `ftz` flushes a
-// subnormal f32 *result* to signed zero. The emulated kernels implement
-// exactly this chain, so native and emulated tiles are bit-identical on
-// finite inputs; NaN/inf handling is the one place hardware is not IEEE
-// (payload-propagating quieted NaNs, conflicting infinities collapse to
-// +inf), so the bit-identity contract — like the f32 dispatch-seam tests —
-// is scoped to finite inputs and the reftest oracle compares NaN/inf
-// payload-insensitively.
-//
-// Because the chain is *exactly* "FMA with DAZ inputs and FTZ outputs", it
-// has a second full-width realization: widen the quantized panels to f32 in
-// hi-then-lo pair order (bf16→f32 widening is a pure bit move, and a
-// widened subnormal bf16 is an f32 subnormal, so hardware DAZ reproduces
-// the input flush) and run the ordinary f32 micro-kernel with MXCSR FTZ+DAZ
-// set for the tile's duration (`run_f32_micro_ftz_daz`). On parts where
-// `vdpbf16ps` is microcoded well below FMA throughput this transcription is
-// the faster native route; the calibration in `resolve_native_variant`
-// decides per process.
-
-/// Signature of a bf16 micro-kernel: accumulate `kb2` *pair*-depth steps of
-/// an `mr×nr` tile from pair-packed panels into `acc` (fully overwritten).
-/// `a_panel` is `mr`-row column-major over pair rows (`a[p2*mr + i]`),
-/// `b_panel` is `nr`-column row-major (`b[p2*nr + j]`).
-pub type Bf16MicroFn = fn(kb2: usize, a_panel: &[u32], b_panel: &[u32], acc: &mut [f32]);
-
-/// One dispatchable bf16 micro-kernel. `(mr, nr)` always mirrors the f32
-/// [`Kernel`] it was selected for, so pair panels and f32 panels share
-/// geometry and the widen/compute routes can never desynchronize.
-#[derive(Clone, Copy)]
-pub struct Bf16Kernel {
-    /// True when the tile executes a full-width native realization of the
-    /// `vdpbf16ps` chain (the instruction itself or its FMA transcription),
-    /// false for the scalar emulation.
-    pub native: bool,
-    /// Tile rows.
-    pub mr: usize,
-    /// Tile columns.
-    pub nr: usize,
-    /// The tile function.
-    pub micro: Bf16MicroFn,
-}
-
-static EMULATED_BF16_6X16: Bf16Kernel =
-    Bf16Kernel { native: false, mr: 6, nr: 16, micro: micro_bf16_emulated::<6, 16> };
-
-static EMULATED_BF16_8X48: Bf16Kernel =
-    Bf16Kernel { native: false, mr: 8, nr: 48, micro: micro_bf16_emulated::<8, 48> };
-
-static EMULATED_BF16_12X32: Bf16Kernel =
-    Bf16Kernel { native: false, mr: 12, nr: 32, micro: micro_bf16_emulated::<12, 32> };
-
-#[cfg(target_arch = "x86_64")]
-static NATIVE_BF16_8X48: Bf16Kernel =
-    Bf16Kernel { native: true, mr: 8, nr: 48, micro: micro_bf16_avx512_8x48 };
-
-#[cfg(target_arch = "x86_64")]
-static NATIVE_BF16_12X32: Bf16Kernel =
-    Bf16Kernel { native: true, mr: 12, nr: 32, micro: micro_bf16_avx512_12x32 };
-
-/// The bf16 micro-kernel matching an f32 kernel's tile shape: the
-/// `vdpbf16ps` tile when the cached dispatch allows it
-/// ([`bf16_compute_is_native`] — which requires the f32 decision to be
-/// `Avx512`, so every env override pins both families at once), the
-/// bit-exact scalar emulation otherwise. When calibration picked the
-/// widen-FMA native realization instead, the blocked driver bypasses pair
-/// tiles entirely (see `bf16_native_variant_is_fma`) and this choice is
-/// moot. The returned kernel's `(mr, nr)` always equals the argument's.
-pub fn bf16_kernel_for(kernel: &Kernel) -> &'static Bf16Kernel {
-    #[cfg(target_arch = "x86_64")]
-    if kernel.backend == KernelBackend::Avx512 && bf16_compute_is_native() {
-        match (kernel.mr, kernel.nr) {
-            (8, 48) => return &NATIVE_BF16_8X48,
-            (12, 32) => return &NATIVE_BF16_12X32,
-            _ => {}
-        }
-    }
-    match (kernel.mr, kernel.nr) {
-        (8, 48) => &EMULATED_BF16_8X48,
-        (12, 32) => &EMULATED_BF16_12X32,
-        _ => &EMULATED_BF16_6X16,
-    }
-}
-
-/// Widens one bf16 with `vdpbf16ps`'s denormals-are-zero input treatment:
-/// a subnormal bf16 reads as its signed zero, everything else widens
-/// exactly.
-#[inline(always)]
-fn bf16_daz(q: u16) -> f32 {
-    if q & 0x7F80 == 0 {
-        f32::from_bits(u32::from(q & 0x8000) << 16)
-    } else {
-        f32::from_bits(u32::from(q) << 16)
-    }
-}
-
-/// `vdpbf16ps`'s flush-to-zero on f32 values: subnormal magnitudes collapse
-/// to their signed zero.
-#[inline(always)]
-fn ftz(x: f32) -> f32 {
-    let bits = x.to_bits();
-    if bits & 0x7F80_0000 == 0 {
-        f32::from_bits(bits & 0x8000_0000)
-    } else {
-        x
-    }
-}
-
-/// Software `vdpbf16ps` tile, bit-exact to the hardware instruction on
-/// finite inputs (see the module-section comment for the pinned per-pair
-/// chain). Monomorphized per tile shape so the panel walks match every f32
-/// kernel geometry; throughput is irrelevant here — this arm exists so CI
-/// runners without `avx512bf16` (and the `MFN_PORTABLE_KERNELS`/
-/// `MFN_EMULATED_BF16` legs) execute the same numerics as production
-/// hardware.
-fn micro_bf16_emulated<const MR: usize, const NR: usize>(
-    kb2: usize,
-    a_panel: &[u32],
-    b_panel: &[u32],
-    acc: &mut [f32],
-) {
-    debug_assert_eq!(a_panel.len(), MR * kb2);
-    debug_assert_eq!(b_panel.len(), NR * kb2);
-    debug_assert_eq!(acc.len(), MR * NR);
-    acc.fill(0.0);
-    for (av, bv) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
-        for (i, &apair) in av.iter().enumerate() {
-            let a_lo = bf16_daz(apair as u16);
-            let a_hi = bf16_daz((apair >> 16) as u16);
-            for (cell, &bpair) in acc[i * NR..(i + 1) * NR].iter_mut().zip(bv) {
-                let b_lo = bf16_daz(bpair as u16);
-                let b_hi = bf16_daz((bpair >> 16) as u16);
-                let mut v = ftz(*cell);
-                v = ftz(a_hi.mul_add(b_hi, v));
-                v = ftz(a_lo.mul_add(b_lo, v));
-                *cell = v;
-            }
-        }
-    }
-}
-
-/// Safe shim; dispatch ([`bf16_kernel_for`]) only returns the native
-/// kernels after `is_x86_feature_detected!` confirmed `avx512bf16` +
-/// `avx512f`, so calling the `target_feature` fn is sound.
-#[cfg(target_arch = "x86_64")]
-fn micro_bf16_avx512_8x48(kb2: usize, a_panel: &[u32], b_panel: &[u32], acc: &mut [f32]) {
-    debug_assert_eq!(a_panel.len(), 8 * kb2);
-    debug_assert_eq!(b_panel.len(), 48 * kb2);
-    debug_assert_eq!(acc.len(), 8 * 48);
-    // SAFETY: dispatch guarantees avx512bf16+avx512f (see doc above);
-    // panel/acc lengths are asserted to match the tile's pointer walks.
-    unsafe {
-        micro_bf16_avx512_8x48_impl(kb2, a_panel.as_ptr(), b_panel.as_ptr(), acc.as_mut_ptr())
-    }
-}
-
-/// The 8×48 `vdpbf16ps` tile: same register budget as the f32 8×48 tile
-/// (24 zmm accumulators + 3 B vectors + 1 broadcast) but each instruction
-/// retires *two* depth steps — 1536 FLOPs per 11 load-port µops. Loads use
-/// `loadu_ps` purely as a 512-bit bit-copy (no arithmetic), then reinterpret
-/// as `__m512bh`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512bf16", enable = "avx512f")]
-unsafe fn micro_bf16_avx512_8x48_impl(
-    kb2: usize,
-    mut ap: *const u32,
-    mut bp: *const u32,
-    out: *mut f32,
-) {
-    use std::arch::x86_64::*;
-    use std::mem::transmute;
-    let mut c00 = _mm512_setzero_ps();
-    let mut c01 = _mm512_setzero_ps();
-    let mut c02 = _mm512_setzero_ps();
-    let mut c10 = _mm512_setzero_ps();
-    let mut c11 = _mm512_setzero_ps();
-    let mut c12 = _mm512_setzero_ps();
-    let mut c20 = _mm512_setzero_ps();
-    let mut c21 = _mm512_setzero_ps();
-    let mut c22 = _mm512_setzero_ps();
-    let mut c30 = _mm512_setzero_ps();
-    let mut c31 = _mm512_setzero_ps();
-    let mut c32 = _mm512_setzero_ps();
-    let mut c40 = _mm512_setzero_ps();
-    let mut c41 = _mm512_setzero_ps();
-    let mut c42 = _mm512_setzero_ps();
-    let mut c50 = _mm512_setzero_ps();
-    let mut c51 = _mm512_setzero_ps();
-    let mut c52 = _mm512_setzero_ps();
-    let mut c60 = _mm512_setzero_ps();
-    let mut c61 = _mm512_setzero_ps();
-    let mut c62 = _mm512_setzero_ps();
-    let mut c70 = _mm512_setzero_ps();
-    let mut c71 = _mm512_setzero_ps();
-    let mut c72 = _mm512_setzero_ps();
-    for _ in 0..kb2 {
-        let b0: __m512bh = transmute(_mm512_loadu_ps(bp as *const f32));
-        let b1: __m512bh = transmute(_mm512_loadu_ps(bp.add(16) as *const f32));
-        let b2: __m512bh = transmute(_mm512_loadu_ps(bp.add(32) as *const f32));
-        let a: __m512bh = transmute(_mm512_set1_epi32(*ap as i32));
-        c00 = _mm512_dpbf16_ps(c00, a, b0);
-        c01 = _mm512_dpbf16_ps(c01, a, b1);
-        c02 = _mm512_dpbf16_ps(c02, a, b2);
-        let a: __m512bh = transmute(_mm512_set1_epi32(*ap.add(1) as i32));
-        c10 = _mm512_dpbf16_ps(c10, a, b0);
-        c11 = _mm512_dpbf16_ps(c11, a, b1);
-        c12 = _mm512_dpbf16_ps(c12, a, b2);
-        let a: __m512bh = transmute(_mm512_set1_epi32(*ap.add(2) as i32));
-        c20 = _mm512_dpbf16_ps(c20, a, b0);
-        c21 = _mm512_dpbf16_ps(c21, a, b1);
-        c22 = _mm512_dpbf16_ps(c22, a, b2);
-        let a: __m512bh = transmute(_mm512_set1_epi32(*ap.add(3) as i32));
-        c30 = _mm512_dpbf16_ps(c30, a, b0);
-        c31 = _mm512_dpbf16_ps(c31, a, b1);
-        c32 = _mm512_dpbf16_ps(c32, a, b2);
-        let a: __m512bh = transmute(_mm512_set1_epi32(*ap.add(4) as i32));
-        c40 = _mm512_dpbf16_ps(c40, a, b0);
-        c41 = _mm512_dpbf16_ps(c41, a, b1);
-        c42 = _mm512_dpbf16_ps(c42, a, b2);
-        let a: __m512bh = transmute(_mm512_set1_epi32(*ap.add(5) as i32));
-        c50 = _mm512_dpbf16_ps(c50, a, b0);
-        c51 = _mm512_dpbf16_ps(c51, a, b1);
-        c52 = _mm512_dpbf16_ps(c52, a, b2);
-        let a: __m512bh = transmute(_mm512_set1_epi32(*ap.add(6) as i32));
-        c60 = _mm512_dpbf16_ps(c60, a, b0);
-        c61 = _mm512_dpbf16_ps(c61, a, b1);
-        c62 = _mm512_dpbf16_ps(c62, a, b2);
-        let a: __m512bh = transmute(_mm512_set1_epi32(*ap.add(7) as i32));
-        c70 = _mm512_dpbf16_ps(c70, a, b0);
-        c71 = _mm512_dpbf16_ps(c71, a, b1);
-        c72 = _mm512_dpbf16_ps(c72, a, b2);
-        ap = ap.add(8);
-        bp = bp.add(48);
-    }
-    _mm512_storeu_ps(out, c00);
-    _mm512_storeu_ps(out.add(16), c01);
-    _mm512_storeu_ps(out.add(32), c02);
-    _mm512_storeu_ps(out.add(48), c10);
-    _mm512_storeu_ps(out.add(64), c11);
-    _mm512_storeu_ps(out.add(80), c12);
-    _mm512_storeu_ps(out.add(96), c20);
-    _mm512_storeu_ps(out.add(112), c21);
-    _mm512_storeu_ps(out.add(128), c22);
-    _mm512_storeu_ps(out.add(144), c30);
-    _mm512_storeu_ps(out.add(160), c31);
-    _mm512_storeu_ps(out.add(176), c32);
-    _mm512_storeu_ps(out.add(192), c40);
-    _mm512_storeu_ps(out.add(208), c41);
-    _mm512_storeu_ps(out.add(224), c42);
-    _mm512_storeu_ps(out.add(240), c50);
-    _mm512_storeu_ps(out.add(256), c51);
-    _mm512_storeu_ps(out.add(272), c52);
-    _mm512_storeu_ps(out.add(288), c60);
-    _mm512_storeu_ps(out.add(304), c61);
-    _mm512_storeu_ps(out.add(320), c62);
-    _mm512_storeu_ps(out.add(336), c70);
-    _mm512_storeu_ps(out.add(352), c71);
-    _mm512_storeu_ps(out.add(368), c72);
-}
-
-/// Safe shim; see [`micro_bf16_avx512_8x48`] for the soundness argument.
-#[cfg(target_arch = "x86_64")]
-fn micro_bf16_avx512_12x32(kb2: usize, a_panel: &[u32], b_panel: &[u32], acc: &mut [f32]) {
-    debug_assert_eq!(a_panel.len(), 12 * kb2);
-    debug_assert_eq!(b_panel.len(), 32 * kb2);
-    debug_assert_eq!(acc.len(), 12 * 32);
-    // SAFETY: dispatch guarantees avx512bf16+avx512f; lengths asserted.
-    unsafe {
-        micro_bf16_avx512_12x32_impl(kb2, a_panel.as_ptr(), b_panel.as_ptr(), acc.as_mut_ptr())
-    }
-}
-
-/// The 12×32 `vdpbf16ps` tile mirroring the f32 12×32 geometry: 2 B loads +
-/// 12 broadcasts feeding 24 `vdpbf16ps` per pair-depth step.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512bf16", enable = "avx512f")]
-unsafe fn micro_bf16_avx512_12x32_impl(
-    kb2: usize,
-    mut ap: *const u32,
-    mut bp: *const u32,
-    out: *mut f32,
-) {
-    use std::arch::x86_64::*;
-    use std::mem::transmute;
-    let mut c = [[_mm512_setzero_ps(); 2]; 12];
-    for _ in 0..kb2 {
-        let b0: __m512bh = transmute(_mm512_loadu_ps(bp as *const f32));
-        let b1: __m512bh = transmute(_mm512_loadu_ps(bp.add(16) as *const f32));
-        for (i, row) in c.iter_mut().enumerate() {
-            let a: __m512bh = transmute(_mm512_set1_epi32(*ap.add(i) as i32));
-            row[0] = _mm512_dpbf16_ps(row[0], a, b0);
-            row[1] = _mm512_dpbf16_ps(row[1], a, b1);
-        }
-        ap = ap.add(12);
-        bp = bp.add(32);
-    }
-    for (i, row) in c.iter().enumerate() {
-        _mm512_storeu_ps(out.add(i * 32), row[0]);
-        _mm512_storeu_ps(out.add(i * 32 + 16), row[1]);
-    }
-}
-
-/// MXCSR bits 15 (flush-to-zero) and 6 (denormals-are-zero).
-#[cfg(target_arch = "x86_64")]
-const MXCSR_FTZ_DAZ: u32 = 0x8040;
-
-/// Reads MXCSR. Inline asm instead of the deprecated `_mm_getcsr`; the
-/// instruction has unmodeled side effects to the compiler, which is exactly
-/// what keeps surrounding loads/stores from migrating across it.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn read_mxcsr() -> u32 {
-    let mut v: u32 = 0;
-    // SAFETY: `stmxcsr` writes 4 bytes to the pointed-to stack slot.
-    unsafe { std::arch::asm!("stmxcsr [{}]", in(reg) &mut v, options(nostack)) };
-    v
-}
-
-/// Writes MXCSR (see [`read_mxcsr`] on why asm).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn write_mxcsr(v: u32) {
-    // SAFETY: `ldmxcsr` reads 4 bytes; all MXCSR states are valid for the
-    // FP ops this module issues.
-    unsafe { std::arch::asm!("ldmxcsr [{}]", in(reg) &v, options(nostack)) };
-}
-
-/// Quantizes each f32 to bf16 and widens it straight back
-/// (`widen_bf16(quantize_bf16(x))` elementwise, bit-equal to the scalar
-/// composition including NaN-quieting and finite-overflow saturation),
-/// vectorized on AVX-512 hosts. The packing routines of both bf16 tiers
-/// run this once per element per GEMM call, so at serving depths it is
-/// the compute tier's dominant per-call cost.
-pub(crate) fn quantize_widen_into(dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len());
-    #[cfg(target_arch = "x86_64")]
-    if kernel_backend() == KernelBackend::Avx512 {
-        // SAFETY: dispatch says the host has avx512f; lengths match.
-        unsafe { quantize_widen_avx512(dst.as_mut_ptr(), src.as_ptr(), src.len()) };
-        return;
-    }
-    for (d, &x) in dst.iter_mut().zip(src) {
-        *d = crate::bf16::widen_bf16(crate::bf16::quantize_bf16(x));
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn quantize_widen_avx512(dst: *mut f32, src: *const f32, len: usize) {
-    use std::arch::x86_64::*;
-    let mut i = 0;
-    while i + 16 <= len {
-        let bits = _mm512_castps_si512(_mm512_loadu_ps(src.add(i)));
-        let out = quantize_widen_lanes(bits);
-        _mm512_storeu_ps(dst.add(i), _mm512_castsi512_ps(out));
-        i += 16;
-    }
-    if i < len {
-        let m: __mmask16 = (1u16 << (len - i)) - 1;
-        let bits = _mm512_castps_si512(_mm512_maskz_loadu_ps(m, src.add(i)));
-        let out = quantize_widen_lanes(bits);
-        _mm512_mask_storeu_ps(dst.add(i), m, _mm512_castsi512_ps(out));
-    }
-}
-
-/// 16 lanes of [`crate::bf16::quantize_bf16`] + widen, on raw f32 bits.
-/// Mirrors the scalar decision tree with masks: RNE via the carry-adder
-/// trick, finite overflow clawed back to ±`0x7F7F`, NaN keeps sign + top
-/// payload bits with the quiet bit forced.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn quantize_widen_lanes(bits: std::arch::x86_64::__m512i) -> std::arch::x86_64::__m512i {
-    use std::arch::x86_64::*;
-    let exp_all = _mm512_set1_epi32(0x7F80_0000u32 as i32);
-    let abs_mask = _mm512_set1_epi32(0x7FFF_FFFF);
-    let hi_mask = _mm512_set1_epi32(0xFFFF_0000u32 as i32);
-    let abs = _mm512_and_si512(bits, abs_mask);
-    let nan = _mm512_cmpgt_epu32_mask(abs, exp_all);
-    let finite = _mm512_cmplt_epu32_mask(abs, exp_all);
-    // round = ((bits >> 16) & 1) + 0x7FFF; q = (bits + round) & hi.
-    let lsb = _mm512_and_si512(_mm512_srli_epi32::<16>(bits), _mm512_set1_epi32(1));
-    let round = _mm512_add_epi32(lsb, _mm512_set1_epi32(0x7FFF));
-    let q = _mm512_and_si512(_mm512_add_epi32(bits, round), hi_mask);
-    // Finite input whose rounding landed on the inf pattern: saturate.
-    let ovf = _mm512_cmpeq_epi32_mask(_mm512_and_si512(q, abs_mask), exp_all) & finite;
-    let sat = _mm512_or_si512(
-        _mm512_and_si512(q, _mm512_set1_epi32(0x8000_0000u32 as i32)),
-        _mm512_set1_epi32(0x7F7F_0000),
-    );
-    let q = _mm512_mask_mov_epi32(q, ovf, sat);
-    let qnan = _mm512_or_si512(_mm512_and_si512(bits, hi_mask), _mm512_set1_epi32(0x0040_0000));
-    _mm512_mask_mov_epi32(q, nan, qnan)
-}
-
-/// Runs an f32 micro-kernel under MXCSR FTZ+DAZ — the widen-FMA native
-/// realization of the `vdpbf16ps` chain. Fed panels that hold the
-/// quantized operands widened to f32 in hi-then-lo pair order, the f32
-/// tile computes exactly the pinned chain: each FMA is one fused step with
-/// DAZ on inputs (a widened subnormal bf16 *is* an f32 subnormal) and FTZ
-/// on the result, and the hardware restores the accumulation order the
-/// instruction pins. MXCSR is restored before returning, so the caller's
-/// cross-slab write-back keeps default FP behavior.
-pub(crate) fn run_f32_micro_ftz_daz(
-    kernel: &Kernel,
-    kb: usize,
-    a_panel: &[f32],
-    b_panel: &[f32],
-    acc: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let saved = read_mxcsr();
-        write_mxcsr(saved | MXCSR_FTZ_DAZ);
-        (kernel.micro)(kb, a_panel, b_panel, acc);
-        write_mxcsr(saved);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (kernel, kb, a_panel, b_panel, acc);
-        unreachable!("the widen-FMA bf16 route only dispatches on x86_64");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1161,216 +547,6 @@ mod tests {
         ] {
             assert!(k.mr <= MAX_MR && k.nr <= MAX_NR);
             assert_eq!(k.nr % 8, 0, "write-back assumes whole vectors");
-        }
-    }
-
-    /// Every f32 kernel shape has a bf16 twin with identical geometry on
-    /// both routes, so pair panels can never desynchronize from f32 panels.
-    #[test]
-    fn bf16_kernels_mirror_f32_tile_shapes() {
-        for k in [
-            &PORTABLE_KERNEL,
-            #[cfg(target_arch = "x86_64")]
-            &AVX2_KERNEL,
-            #[cfg(target_arch = "x86_64")]
-            &AVX512_KERNEL,
-            #[cfg(target_arch = "x86_64")]
-            &AVX512_KERNEL_12X32,
-        ] {
-            let bk = bf16_kernel_for(k);
-            assert_eq!((bk.mr, bk.nr), (k.mr, k.nr), "{}", k.backend.name());
-        }
-        // Forcing the emulated route must stick for every shape.
-        set_bf16_emulated_override(Some(true));
-        for k in [
-            &PORTABLE_KERNEL,
-            #[cfg(target_arch = "x86_64")]
-            &AVX512_KERNEL,
-            #[cfg(target_arch = "x86_64")]
-            &AVX512_KERNEL_12X32,
-        ] {
-            assert!(!bf16_kernel_for(k).native);
-        }
-        set_bf16_emulated_override(None);
-    }
-
-    /// Deterministic finite bf16 pair panels: normals across a wide
-    /// exponent range, signed zeros and subnormals (exercising DAZ), no
-    /// NaN/inf (the bit-identity contract is finite-scoped).
-    fn bf16_pair_fill(len: usize, seed: u32) -> Vec<u32> {
-        let mut s = seed.wrapping_mul(747796405).wrapping_add(1);
-        let mut half = move || -> u32 {
-            s = s.wrapping_mul(1664525).wrapping_add(1013904223);
-            let q = (s >> 13) as u16;
-            u32::from(match q & 0x7F80 {
-                0x7F80 => (q & 0x807F) | 0x3F80, // would be inf/nan: remap
-                0 if s & 1 == 0 => q,            // keep some subnormals/zeros
-                _ => (q & 0xBFFF) | 0x2000,      // pull exponent into range
-            })
-        };
-        (0..len).map(|_| (half() << 16) | half()).collect()
-    }
-
-    /// The emulated `vdpbf16ps` tile must match the hardware instruction
-    /// bit-for-bit on finite inputs — this is the contract that makes the
-    /// emulated CI leg representative of `avx512bf16` production hosts.
-    /// Skipped (trivially green) on hosts without the instruction.
-    #[test]
-    fn emulated_bf16_tile_matches_native_bitwise() {
-        if !bf16_hw() {
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        for (native, emulated) in
-            [(&NATIVE_BF16_8X48, &EMULATED_BF16_8X48), (&NATIVE_BF16_12X32, &EMULATED_BF16_12X32)]
-        {
-            let (mr, nr) = (native.mr, native.nr);
-            for kb2 in [1usize, 2, 7, 128] {
-                let a = bf16_pair_fill(mr * kb2, 3 + kb2 as u32);
-                let b = bf16_pair_fill(nr * kb2, 17 + kb2 as u32);
-                let mut got = vec![f32::NAN; mr * nr];
-                let mut want = vec![f32::NAN; mr * nr];
-                (native.micro)(kb2, &a, &b, &mut got);
-                (emulated.micro)(kb2, &a, &b, &mut want);
-                for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "{mr}x{nr} kb2={kb2} elem {i}: native {g:e} vs emulated {w:e}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The vectorized quantize-widen must be bit-equal to the scalar
-    /// composition on every class of input — normals, subnormals, signed
-    /// zeros, saturating finite overflow, ±inf, and NaNs in both payload
-    /// halves — including the masked tail (length not a multiple of 16).
-    #[test]
-    fn quantize_widen_matches_scalar_composition_bitwise() {
-        let mut vals: Vec<f32> = [
-            0.0f32,
-            -0.0,
-            1.0,
-            -1.0,
-            f32::MAX,
-            f32::MIN,
-            f32::MIN_POSITIVE,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-        ]
-        .into();
-        for bits in
-            [0x7F80_0001u32, 0xFF80_FFFF, 0x7F7F_8000, 0xFF7F_8000, 0x3F80_8000, 1, 0x8000_0001]
-        {
-            vals.push(f32::from_bits(bits));
-        }
-        // Raw random bit patterns cover every float class, NaN payloads
-        // included.
-        let mut s = 0xB5297A4Du32;
-        for _ in 0..4096 {
-            s = s.wrapping_mul(1664525).wrapping_add(1013904223);
-            vals.push(f32::from_bits(s));
-        }
-        assert_ne!(vals.len() % 16, 0, "keep a masked tail in play");
-        let mut got = vec![0.0f32; vals.len()];
-        quantize_widen_into(&mut got, &vals);
-        for (i, (&g, &x)) in got.iter().zip(&vals).enumerate() {
-            let want = crate::bf16::widen_bf16(crate::bf16::quantize_bf16(x));
-            assert_eq!(g.to_bits(), want.to_bits(), "elem {i}: input {:#010x}", x.to_bits());
-        }
-    }
-
-    /// Widens pair panels to f32 in the hi-then-lo order the widen-FMA
-    /// realization consumes (same transform for A, stride `mr`, and B,
-    /// stride `nr`).
-    #[cfg(target_arch = "x86_64")]
-    fn widen_pairs_hi_lo(pairs: &[u32], stride: usize, kb2: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; 2 * kb2 * stride];
-        for p2 in 0..kb2 {
-            for t in 0..stride {
-                let pair = pairs[p2 * stride + t];
-                out[2 * p2 * stride + t] = f32::from_bits(pair & 0xFFFF_0000);
-                out[(2 * p2 + 1) * stride + t] = f32::from_bits(pair << 16);
-            }
-        }
-        out
-    }
-
-    /// The widen-FMA realization (f32 tile over hi-then-lo widened panels
-    /// under MXCSR FTZ/DAZ) must be bit-identical to the emulation (and
-    /// hence, by the test above, to hardware `vdpbf16ps`) on finite inputs,
-    /// and must leave MXCSR's control bits exactly as it found them. Needs
-    /// only `avx512f`, so this runs on far more hosts than the instruction
-    /// comparison.
-    #[test]
-    fn widen_fma_bf16_route_matches_emulated_bitwise_and_restores_mxcsr() {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if kernel_backend() != KernelBackend::Avx512 {
-                return;
-            }
-            // Sticky exception flags (bits 0-5) are set by any FP math —
-            // including the emulated comparison leg below — so only the
-            // control bits are held to the no-leak contract.
-            let mxcsr_ctl_before = read_mxcsr() & !0x3F;
-            for (f32_kernel, emulated) in [
-                (&AVX512_KERNEL, &EMULATED_BF16_8X48),
-                (&AVX512_KERNEL_12X32, &EMULATED_BF16_12X32),
-            ] {
-                let (mr, nr) = (emulated.mr, emulated.nr);
-                assert_eq!((mr, nr), (f32_kernel.mr, f32_kernel.nr));
-                for kb2 in [1usize, 2, 7, 128] {
-                    let a = bf16_pair_fill(mr * kb2, 5 + kb2 as u32);
-                    let b = bf16_pair_fill(nr * kb2, 23 + kb2 as u32);
-                    let aw = widen_pairs_hi_lo(&a, mr, kb2);
-                    let bw = widen_pairs_hi_lo(&b, nr, kb2);
-                    let mut got = vec![f32::NAN; mr * nr];
-                    let mut want = vec![f32::NAN; mr * nr];
-                    run_f32_micro_ftz_daz(f32_kernel, 2 * kb2, &aw, &bw, &mut got);
-                    (emulated.micro)(kb2, &a, &b, &mut want);
-                    for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            g.to_bits(),
-                            w.to_bits(),
-                            "{mr}x{nr} kb2={kb2} elem {i}: widen-fma {g:e} vs emulated {w:e}"
-                        );
-                    }
-                }
-            }
-            assert_eq!(read_mxcsr() & !0x3F, mxcsr_ctl_before, "micro-kernel leaked MXCSR state");
-        }
-    }
-
-    /// The emulated tile agrees with an index-free scalar transcription of
-    /// the pinned per-pair chain — catches panel-walk bugs independently of
-    /// the hardware comparison above (and runs on every host).
-    #[test]
-    fn emulated_bf16_tile_matches_scalar_chain() {
-        let kernel = &EMULATED_BF16_6X16;
-        let (mr, nr) = (kernel.mr, kernel.nr);
-        for kb2 in [1usize, 3, 9] {
-            let a = bf16_pair_fill(mr * kb2, 29 + kb2 as u32);
-            let b = bf16_pair_fill(nr * kb2, 71 + kb2 as u32);
-            let mut got = vec![f32::NAN; mr * nr];
-            (kernel.micro)(kb2, &a, &b, &mut got);
-            for i in 0..mr {
-                for j in 0..nr {
-                    let mut acc = 0.0f32;
-                    for p2 in 0..kb2 {
-                        let ap = a[p2 * mr + i];
-                        let bp = b[p2 * nr + j];
-                        acc = ftz(acc);
-                        acc =
-                            ftz(bf16_daz((ap >> 16) as u16)
-                                .mul_add(bf16_daz((bp >> 16) as u16), acc));
-                        acc = ftz(bf16_daz(ap as u16).mul_add(bf16_daz(bp as u16), acc));
-                    }
-                    assert_eq!(got[i * nr + j].to_bits(), acc.to_bits(), "({i},{j}) kb2={kb2}");
-                }
-            }
         }
     }
 
