@@ -354,7 +354,7 @@ impl Graph {
         let xv = &self.nodes[x.0].value;
         let bv = &self.nodes[b.0].value;
         let mut out = xv.clone();
-        rowops::add_bias_rows(&mut out, bv.data());
+        rowops::add_bias_rows(out.data_mut(), bv.data());
         let rg = self.rg(x) || self.rg(b);
         self.push(out, Op::BiasRow(x, b), rg)
     }
@@ -382,7 +382,8 @@ impl Graph {
     /// continuous decoder so second spatial derivatives exist for the PDE
     /// constraints.
     pub fn softplus(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(softplus_scalar);
+        let mut v = self.nodes[a.0].value.clone();
+        rowops::softplus_slice(v.data_mut());
         let rg = self.rg(a);
         self.push(v, Op::Softplus(a), rg)
     }
@@ -845,90 +846,6 @@ impl Graph {
             }
         }
         grads
-    }
-}
-
-/// `e^x` by base-2 range reduction and a degree-5 polynomial (Cephes `expf`
-/// coefficients, ≤ 2 ULP on the reduced interval). The caller must keep `x`
-/// inside roughly `[-87, 88]` so the `2^n` exponent-bit reconstruction stays
-/// in normal-float territory. Branch-free on purpose: this is the shape the
-/// loop vectorizer folds into SIMD across a `Tensor::map`.
-// Coefficients keep Cephes' published digits; clippy would have us round them.
-#[allow(clippy::excessive_precision)]
-#[inline(always)]
-fn exp_poly(x: f32) -> f32 {
-    // n = round(x / ln 2) via the shift-magic trick (valid since |n| < 2^22);
-    // the integer lands in the low mantissa bits of z.
-    const SHIFT: f32 = 12_582_912.0; // 1.5 * 2^23
-    let z = x.mul_add(std::f32::consts::LOG2_E, SHIFT);
-    let ni = (z.to_bits() as i32).wrapping_sub(SHIFT.to_bits() as i32);
-    let n = z - SHIFT;
-    // r = x - n*ln2 in two pieces (high then low part) so the reduction is exact.
-    let r = n.mul_add(-0.693_359_375, x);
-    let r = n.mul_add(2.121_944_4e-4, r);
-    // e^r = 1 + r + r^2 * P(r) on |r| <= ln2 / 2.
-    let mut p = 1.987_569_15e-4f32;
-    p = p.mul_add(r, 1.398_199_95e-3);
-    p = p.mul_add(r, 8.333_451_9e-3);
-    p = p.mul_add(r, 4.166_579_6e-2);
-    p = p.mul_add(r, 1.666_666_55e-1);
-    p = p.mul_add(r, 5.000_000_1e-1);
-    let y = (p * r).mul_add(r, r) + 1.0;
-    // Scale by 2^n through the exponent field.
-    y * f32::from_bits(((ni + 127) << 23) as u32)
-}
-
-/// `ln x` for finite positive `x` (Cephes `logf`): split off the exponent,
-/// normalize the mantissa into `[√½, √2)`, degree-8 polynomial in `m − 1`.
-/// Branch-free for the same vectorization reason as [`exp_poly`].
-#[allow(clippy::excessive_precision)]
-#[inline(always)]
-fn ln_poly(x: f32) -> f32 {
-    let bits = x.to_bits() as i32;
-    let mut e = ((bits >> 23) - 126) as f32;
-    // Mantissa into [0.5, 1), then fold m < √½ up a binade so f = m - 1 stays small.
-    let mut m = f32::from_bits(((bits & 0x007F_FFFF) | 0x3F00_0000) as u32);
-    let small = (m < std::f32::consts::FRAC_1_SQRT_2) as u32 as f32;
-    e -= small;
-    m += small * m;
-    let f = m - 1.0;
-    let z = f * f;
-    let mut p = 7.037_683_6e-2f32;
-    p = p.mul_add(f, -1.151_461_03e-1);
-    p = p.mul_add(f, 1.167_699_87e-1);
-    p = p.mul_add(f, -1.242_014_08e-1);
-    p = p.mul_add(f, 1.424_932_28e-1);
-    p = p.mul_add(f, -1.666_805_77e-1);
-    p = p.mul_add(f, 2.000_071_48e-1);
-    p = p.mul_add(f, -2.499_999_4e-1);
-    p = p.mul_add(f, 3.333_333_1e-1);
-    let mut y = f * z * p;
-    y = e.mul_add(-2.121_944_4e-4, y);
-    y -= 0.5 * z;
-    e.mul_add(0.693_359_375, f + y)
-}
-
-/// Numerically-stable softplus.
-///
-/// Same regime structure as the textbook `ln(1 + eˣ)` with saturation at
-/// `|x| = 20`, but built on the inlined `exp_poly`/`ln_poly` kernels
-/// instead of libm calls: the whole body is straight-line selects, so a
-/// `Tensor::map` over it auto-vectorizes (~5x on the decode hot path, where
-/// the MLP's hidden activations dominate serving cost). Stays within the
-/// reftest oracle's ULP budget; both the tape and no-grad forwards share
-/// this exact function, which is what keeps them bit-identical.
-#[inline]
-pub fn softplus_scalar(x: f32) -> f32 {
-    // One clamped exp serves both low regimes; e^-87 is still a normal float.
-    let t = x.clamp(-87.0, 20.0);
-    let z = exp_poly(t);
-    let mid = ln_poly(1.0 + z);
-    let mut y = if x < -20.0 { z } else { mid };
-    y = if x > 20.0 { x } else { y }; // also catches +inf
-    if x.is_nan() {
-        x
-    } else {
-        y
     }
 }
 

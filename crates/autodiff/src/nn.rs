@@ -8,7 +8,8 @@
 
 use crate::graph::{Graph, Var};
 use crate::params::{ParamId, ParamStore};
-use mfn_tensor::{conv3d_auto, matmul_nt, rowops, Tensor};
+use mfn_tensor::bf16::PackedBf16Gemm;
+use mfn_tensor::{conv3d_auto, gemm, rowops, MatLayout, Tensor};
 use rand::Rng;
 
 /// Element-wise activation selector.
@@ -36,15 +37,21 @@ impl Activation {
         }
     }
 
-    /// Eager tensor evaluation for the no-grad inference path. Elementwise
-    /// identical to the tape ops recorded by [`Activation::apply`]: both
-    /// dispatch to the same scalar kernels, so outputs are bit-equal.
-    pub fn apply_value(self, x: &Tensor) -> Tensor {
+    /// Eager evaluation for the no-grad inference path: the row bias add of
+    /// a Linear layer and this activation in one in-place pass over the
+    /// GEMM output `y: [M, bias.len()]`. Elementwise identical to the tape's
+    /// `bias_row` followed by [`Activation::apply`] — the softplus is the
+    /// one `rowops` kernel both sides call — so outputs are bit-equal.
+    pub fn bias_apply_rows(self, y: &mut [f32], bias: &[f32]) {
         match self {
-            Activation::Relu => x.map(|v| v.max(0.0)),
-            Activation::Softplus => x.map(crate::graph::softplus_scalar),
-            Activation::Tanh => x.map(f32::tanh),
-            Activation::Linear => x.clone(),
+            Activation::Softplus => rowops::bias_softplus_rows(y, bias),
+            Activation::Linear => rowops::add_bias_rows(y, bias),
+            Activation::Relu | Activation::Tanh => {
+                rowops::add_bias_rows(y, bias);
+                for v in y {
+                    *v = self.eval(*v);
+                }
+            }
         }
     }
 
@@ -52,7 +59,7 @@ impl Activation {
     pub fn eval(self, x: f32) -> f32 {
         match self {
             Activation::Relu => x.max(0.0),
-            Activation::Softplus => crate::graph::softplus_scalar(x),
+            Activation::Softplus => rowops::softplus_scalar(x),
             Activation::Tanh => x.tanh(),
             Activation::Linear => x,
         }
@@ -132,14 +139,6 @@ impl Linear {
         let b = g.param(store, self.bias);
         let y = g.matmul_nt(x, w); // x @ W^T with W stored [out, in]
         g.bias_row(y, b)
-    }
-
-    /// Eager no-grad forward: the same `matmul_nt` + row-bias kernels as the
-    /// tape path, with no node recorded — bit-identical to [`Linear::forward`].
-    pub fn forward_nograd(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut y = matmul_nt(x, store.get(self.weight));
-        rowops::add_bias_rows(&mut y, store.get(self.bias).data());
-        y
     }
 }
 
@@ -328,21 +327,34 @@ impl Mlp {
         h
     }
 
-    /// Eager no-grad forward — bit-identical to [`Mlp::forward`] (same layer
-    /// and activation kernels, applied in the same order, no tape).
-    pub fn forward_nograd(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let last = self.layers.len() - 1;
-        let mut h: Option<Tensor> = None;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let inp = h.as_ref().unwrap_or(x);
-            let mut y = layer.forward_nograd(store, inp);
-            if i != last {
-                y = self.activation.apply_value(&y);
-            }
-            h = Some(y);
-        }
-        h.expect("non-empty MLP")
+    /// Layer widths `[in, hidden…, out]`.
+    pub fn widths(&self) -> Vec<usize> {
+        std::iter::once(self.in_features())
+            .chain(self.layers.iter().map(|l| l.out_features))
+            .collect()
     }
+
+    /// Eager no-grad layer `i` on a row block: `y = act(x Wᵀ + b)` for
+    /// `x: [m, in_i]`, `y: [m, out_i]` fully overwritten (the last layer is
+    /// linear). Bit-identical to what [`Mlp::forward`] records for that
+    /// layer — the same GEMM, bias and activation kernels, no tape — and,
+    /// because a GEMM row does not depend on `m`, for any split of the rows
+    /// into blocks.
+    pub fn layer_nograd(&self, store: &ParamStore, i: usize, m: usize, x: &[f32], y: &mut [f32]) {
+        let layer = &self.layers[i];
+        let w = store.get(layer.weight).data();
+        let (k, n) = (layer.in_features, layer.out_features);
+        gemm(m, k, n, x, MatLayout::Normal, w, MatLayout::Transposed, y);
+        let head = i + 1 == self.layers.len();
+        finish_layer(self.activation, head, y, store.get(layer.bias).data());
+    }
+}
+
+/// The tail of an eager MLP layer, in place on the GEMM output: bias add,
+/// then the hidden activation unless the layer is the MLP's linear head.
+fn finish_layer(hidden: Activation, head: bool, y: &mut [f32], bias: &[f32]) {
+    let act = if head { Activation::Linear } else { hidden };
+    act.bias_apply_rows(y, bias);
 }
 
 /// A frozen, inference-only snapshot of an [`Mlp`] with weights quantized to
@@ -355,7 +367,7 @@ impl Mlp {
 /// the weight-stream memory traffic of the decode hot loop.
 #[derive(Debug, Clone)]
 pub struct QuantizedMlp {
-    layers: Vec<(mfn_tensor::bf16::PackedBf16Gemm, Vec<f32>)>,
+    layers: Vec<(PackedBf16Gemm, Vec<f32>)>,
     activation: Activation,
     in_features: usize,
 }
@@ -369,25 +381,17 @@ impl QuantizedMlp {
             .iter()
             .map(|layer| {
                 let w = store.get(layer.weight);
-                let packed = mfn_tensor::bf16::PackedBf16Gemm::from_nt_weight(
-                    w.data(),
-                    layer.out_features,
-                    layer.in_features,
-                );
+                let packed =
+                    PackedBf16Gemm::from_nt_weight(w.data(), layer.out_features, layer.in_features);
                 (packed, store.get(layer.bias).data().to_vec())
             })
             .collect();
         QuantizedMlp { layers, activation: mlp.activation, in_features: mlp.in_features() }
     }
 
-    /// Input width.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output width.
-    pub fn out_features(&self) -> usize {
-        self.layers.last().expect("non-empty").1.len()
+    /// Layer widths `[in, hidden…, out]`.
+    pub fn widths(&self) -> Vec<usize> {
+        std::iter::once(self.in_features).chain(self.layers.iter().map(|(_, b)| b.len())).collect()
     }
 
     /// Resident bytes of the quantized weight panels (biases excluded).
@@ -395,24 +399,13 @@ impl QuantizedMlp {
         self.layers.iter().map(|(w, _)| w.weight_bytes()).sum()
     }
 
-    /// Eager forward for `x: [M, in]` — mirrors [`Mlp::forward_nograd`] with
-    /// the bf16 weight panels in place of the f32 `matmul_nt`. Activations
-    /// and accumulation stay exact f32.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let m = x.dims()[0];
-        let last = self.layers.len() - 1;
-        let mut h: Option<Tensor> = None;
-        for (i, (weight, bias)) in self.layers.iter().enumerate() {
-            let inp = h.as_ref().unwrap_or(x);
-            let mut y = Tensor::zeros(&[m, weight.cols()]);
-            weight.matmul(m, inp.data(), y.data_mut());
-            rowops::add_bias_rows(&mut y, bias);
-            if i != last {
-                y = self.activation.apply_value(&y);
-            }
-            h = Some(y);
-        }
-        h.expect("non-empty MLP")
+    /// Eager layer `i` on a row block — [`Mlp::layer_nograd`] with the bf16
+    /// weight panels in place of the f32 GEMM. Activations and accumulation
+    /// stay exact f32.
+    pub fn layer(&self, i: usize, m: usize, x: &[f32], y: &mut [f32]) {
+        let (weight, bias) = &self.layers[i];
+        weight.matmul(m, x, y);
+        finish_layer(self.activation, i + 1 == self.layers.len(), y, bias);
     }
 }
 

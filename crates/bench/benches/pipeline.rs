@@ -92,7 +92,7 @@ fn bench_super_resolve(c: &mut Criterion) {
     let mut group = c.benchmark_group("super_resolve");
     group.sample_size(10);
     group.bench_function("full_domain", |bench| {
-        let mut model = MeshfreeFlowNet::new(model_cfg(0.0));
+        let model = MeshfreeFlowNet::new(model_cfg(0.0));
         bench.iter(|| black_box(model.super_resolve(&lr, &hr.meta, stats)))
     });
     group.finish();

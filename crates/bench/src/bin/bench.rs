@@ -33,7 +33,7 @@ use mfn_sample::{OctreeConfig, OctreeSampler};
 use mfn_solver::{simulate, RbcConfig};
 use mfn_tensor::{
     conv3d, conv3d_grad_input_direct, conv3d_grad_weight_direct, conv3d_implicit_gemm,
-    conv3d_implicit_grad_input, conv3d_implicit_grad_weight, gemm, workspace, Conv3dDims,
+    conv3d_implicit_grad_input, conv3d_implicit_grad_weight, gemm, rowops, workspace, Conv3dDims,
     MatLayout, Tensor,
 };
 use rand::SeedableRng;
@@ -368,7 +368,9 @@ fn bench_decode(iters: usize) -> DecodeBench {
     frozen.quantize_decoder();
     let mut rows = Vec::new();
     let mut bf16_rows = Vec::new();
-    for &q in &[1usize, 8, 64, 512] {
+    // 4096 queries is the many-block row of the blocked decode (64 queries a
+    // block): its points/s against the 64-query row is what blocking holds.
+    for &q in &[1usize, 8, 64, 512, 4096] {
         let mut state = q as u64 * 7919 + 1;
         let queries: Vec<(usize, [f32; 3])> = (0..q)
             .map(|_| {
@@ -419,6 +421,20 @@ fn bench_decode(iters: usize) -> DecodeBench {
         bf16_rows.push(row(bf16_samples, bf16_bytes));
     }
     DecodeBench { encode_ns, rows, bf16_rows, bf16_weight_bytes: frozen.quantized_weight_bytes() }
+}
+
+/// The activation kernel on its own: `rowops::softplus_slice` in place over
+/// 64K elements (one decode block's hidden activations twice over).
+/// Branch-free, so re-applying it to its own output times the same work.
+/// Returns `(elements, median_ns, best_ns)`.
+fn bench_softplus(iters: usize) -> (usize, f64, f64) {
+    let n = 64 * 1024;
+    let mut x = vec![0.0f32; n];
+    lcg_fill(&mut x, 31);
+    let (median_ns, best_ns, _) = time_samples(iters, || {
+        rowops::softplus_slice(std::hint::black_box(&mut x));
+    });
+    (n, median_ns, best_ns)
 }
 
 /// Measured sampling rows: uniform vs residual-guided adaptive query
@@ -850,23 +866,28 @@ fn main() {
     // at 512 queries the MLP GEMM (8 stencil rows per query) dominates and
     // both paths run the same f32-accumulation micro-kernels, so bf16 can
     // only match f32 there while halving resident weight bytes.
-    let bf16_speedup_1q = decode_rows.first().expect("decode rows").best_ns
-        / decode.bf16_rows.first().expect("bf16 decode rows").best_ns;
-    let bf16_speedup = decode_rows.last().expect("decode rows").best_ns
-        / decode.bf16_rows.last().expect("bf16 decode rows").best_ns;
+    let at = |rows: &[DecodeRow], q: usize| {
+        rows.iter().find(|r| r.queries == q).expect("decode row").best_ns
+    };
+    let bf16_speedup_1q = at(decode_rows, 1) / at(&decode.bf16_rows, 1);
+    let bf16_speedup = at(decode_rows, 512) / at(&decode.bf16_rows, 512);
     {
         let d1 = decode_rows.first().expect("decode rows");
         eprintln!(
             "[bench] encode {:.0} ns vs 1-query decode {:.0} ns ({:.0}x); \
              1-query bf16 {bf16_speedup_1q:.2}x; \
-             512-query decode {:.2} Mpts/s f32, {:.2} Mpts/s bf16 ({bf16_speedup:.2}x)",
+             512-query decode {:.2} Mpts/s f32, {:.2} Mpts/s bf16 ({bf16_speedup:.2}x); \
+             4096-query decode {:.2} Mpts/s f32",
             encode_ns,
             d1.median_ns,
             encode_ns / d1.median_ns,
-            decode_rows.last().expect("decode rows").points_per_s / 1e6,
-            decode.bf16_rows.last().expect("bf16 decode rows").points_per_s / 1e6,
+            512.0 * 1e3 / at(decode_rows, 512),
+            512.0 * 1e3 / at(&decode.bf16_rows, 512),
+            4096.0 * 1e3 / at(decode_rows, 4096),
         );
     }
+    let (sp_n, sp_med, sp_best) = bench_softplus(iters);
+    eprintln!("[bench] softplus: {:.3} ns/element over {sp_n} elements", sp_best / sp_n as f64);
 
     // ---- One-train-step A/B: workspace pool on vs off ------------------
     let step_iters = if quick { 5 } else { 15 };
@@ -934,7 +955,7 @@ fn main() {
     };
     let json = format!(
         "{{\n\
-         \"schema\": \"mfn-bench/kernels/v3\",\n\
+         \"schema\": \"mfn-bench/kernels/v4\",\n\
          \"mode\": \"{mode}\",\n\
          \"count_alloc\": {count_alloc},\n\
          \"checks\": {{\"gemm_vs_naive\": \"ok\", \"lowerings_vs_direct\": \"ok\"}},\n\
@@ -957,6 +978,7 @@ fn main() {
          \"bf16_speedup_1q\": {bf16_speedup_1q:.3},\n\
          \"bf16_speedup_512q\": {bf16_speedup:.3}\n\
          }},\n\
+         \"softplus\": {{\"elements\": {sp_n}, \"median_ns\": {sp_med:.0}, \"best_ns\": {sp_best:.0}, \"ns_per_element\": {sp_per:.3}}},\n\
          \"sampling\": {{\n\
          \"queries_per_draw\": {sq},\n\
          \"uniform\": {{\"median_ns\": {su_med:.0}, \"best_ns\": {su_best:.0}, \"points_per_s\": {su_pps:.0}}},\n\
@@ -986,6 +1008,7 @@ fn main() {
         encode_ns = encode_ns,
         enc_dec_ratio = encode_ns / decode_rows.first().expect("decode rows").median_ns,
         bf16_bytes = decode.bf16_weight_bytes,
+        sp_per = sp_best / sp_n as f64,
         sq = sampling.queries,
         su_med = sampling.uniform_median_ns,
         su_best = sampling.uniform_best_ns,

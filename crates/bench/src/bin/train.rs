@@ -265,7 +265,6 @@ fn main() {
         trainer.model
     };
     recorder.flush();
-    let mut model = model;
     model.save(&args.ckpt).expect("save checkpoint");
     eprintln!("checkpoint written to {}", args.ckpt.display());
     // Architecture sidecar: MFNSTAT1/MFNCKPT1 frames carry tensors, not the

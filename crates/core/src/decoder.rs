@@ -6,20 +6,78 @@
 //! *relative to that vertex* and the vertex's latent vector — and blends the
 //! 8 results with trilinear weights (Eqn. 6).
 //!
-//! Two evaluation paths exist:
+//! Three evaluation paths exist:
 //!
 //! - **tape**: [`ContinuousDecoder::decode`] records the computation on the
-//!   reverse-mode graph (training, and plain inference);
+//!   reverse-mode graph (training and test-time refinement — whatever needs
+//!   a gradient);
+//! - **no-grad**: [`ContinuousDecoder::decode_nograd`] and its bf16-weight
+//!   twin [`QuantizedDecoder::decode`] evaluate the same values, bit for
+//!   bit, with no tape, a block of queries at a time (all inference:
+//!   `MeshfreeFlowNet::super_resolve`, the frozen engine, serving);
 //! - **jets**: [`ContinuousDecoder::decode_jet`] propagates exact first and
 //!   second space-time derivatives through the MLP *and* the trilinear
 //!   blending (inference-time PDE residuals, and the oracle the training
 //!   stencil is validated against).
 
 use mfn_autodiff::{mlp_jet, Graph, Jet3, JetVec, Mlp, ParamStore, QuantizedMlp, Var};
-use mfn_tensor::{blend_rows, gather_concat_rows, Tensor};
+use mfn_tensor::{blend_rows_into, gather_concat_rows, workspace, Tensor};
 
 /// Number of bounding vertices of a 3D cell.
 pub const VERTICES: usize = 8;
+
+/// Queries the no-grad decode evaluates at a time. At 64 queries the two
+/// ping-pong activation buffers of a 64-wide MLP are 128 KiB each — the
+/// whole layer stack of a block runs out of L2 — while each GEMM still gets
+/// 512 rows, enough to amortize its per-call weight packing.
+const BLOCK_QUERIES: usize = 64;
+
+/// The no-grad decode pipeline, one block of [`BLOCK_QUERIES`] queries at a
+/// time: gather + coordinate concat → every MLP layer (`layer(i, rows, x,
+/// y)` computes layer `i` of `widths` from `x` into `y`, bias and
+/// activation included) → trilinear blend straight into the `[Q, out]`
+/// result. Intermediates live in two block-sized buffers taken once per
+/// call, so memory does not grow with the query count.
+///
+/// Blocking is invisible in the output: every stage is row-wise, and a GEMM
+/// output row does not depend on how many rows the call has (`mfn_tensor::
+/// gemm` module doc), so any block size gives the bits of a single pass.
+fn decode_blocked(
+    latent: &Tensor,
+    plan: &QueryPlan,
+    widths: &[usize],
+    block_queries: usize,
+    layer: impl Fn(usize, usize, &[f32], &mut [f32]),
+) -> Tensor {
+    assert!(!plan.is_empty(), "empty query plan");
+    let out_channels = *widths.last().expect("an MLP has widths");
+    let block_rows = block_queries.min(plan.len()) * VERTICES;
+    let widest = *widths.iter().max().expect("an MLP has widths");
+    let mut cur = workspace::take_scratch(block_rows * widest);
+    let mut next = workspace::take_scratch(block_rows * widest);
+    let mut out = workspace::take_vec_scratch(plan.len() * out_channels);
+    for (b, out_block) in out.chunks_mut(block_queries * out_channels).enumerate() {
+        let rows = out_block.len() / out_channels * VERTICES;
+        let at = b * block_queries * VERTICES;
+        gather_concat_rows(
+            latent,
+            &plan.index[at..at + rows],
+            &plan.rel[at * 3..(at + rows) * 3],
+            &mut cur[..rows * widths[0]],
+        );
+        for (i, w) in widths.windows(2).enumerate() {
+            layer(i, rows, &cur[..rows * w[0]], &mut next[..rows * w[1]]);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        blend_rows_into(
+            &cur[..rows * out_channels],
+            &plan.weights[at..at + rows],
+            VERTICES,
+            out_block,
+        );
+    }
+    Tensor::from_vec(out, &[plan.len(), out_channels])
+}
 
 /// Precomputed lookup data for a set of queries against one latent grid.
 #[derive(Debug, Clone, Default)]
@@ -119,17 +177,14 @@ impl ContinuousDecoder {
     }
 
     /// Eager no-grad path: the same math as [`ContinuousDecoder::decode`]
-    /// with no tape recorded, so the result is bit-identical — the only
-    /// difference is that the gather and coordinate concat are fused into a
-    /// single input-build pass (pure copies, same bits, one less full-width
-    /// intermediate on the serving hot path). Takes `&self` and only reads
-    /// `store`, which is what the serving engine's concurrent decode batches
-    /// rely on.
+    /// with no tape recorded and a block of queries in flight at a time
+    /// (`decode_blocked`), bit-identical to it. Takes `&self` and only
+    /// reads `store`, which is what the serving engine's concurrent decode
+    /// batches rely on.
     pub fn decode_nograd(&self, store: &ParamStore, latent: &Tensor, plan: &QueryPlan) -> Tensor {
-        assert!(!plan.is_empty(), "empty query plan");
-        let inp = gather_concat_rows(latent, &plan.index, &plan.rel);
-        let out = self.mlp.forward_nograd(store, &inp);
-        blend_rows(&out, &plan.weights, VERTICES)
+        decode_blocked(latent, plan, &self.mlp.widths(), BLOCK_QUERIES, |i, m, x, y| {
+            self.mlp.layer_nograd(store, i, m, x, y)
+        })
     }
 
     /// Jet path: exact value + first + diagonal-second space-time derivatives
@@ -233,13 +288,12 @@ impl QuantizedDecoder {
         self.out_channels
     }
 
-    /// Reduced-precision twin of [`ContinuousDecoder::decode_nograd`]: same
-    /// input build and blending, bf16 weight panels inside the MLP.
+    /// Reduced-precision twin of [`ContinuousDecoder::decode_nograd`]: the
+    /// same blocked pipeline, bf16 weight panels inside the layer GEMMs.
     pub fn decode(&self, latent: &Tensor, plan: &QueryPlan) -> Tensor {
-        assert!(!plan.is_empty(), "empty query plan");
-        let inp = gather_concat_rows(latent, &plan.index, &plan.rel);
-        let out = self.mlp.forward(&inp);
-        blend_rows(&out, &plan.weights, VERTICES)
+        decode_blocked(latent, plan, &self.mlp.widths(), BLOCK_QUERIES, |i, m, x, y| {
+            self.mlp.layer(i, m, x, y)
+        })
     }
 }
 
@@ -415,6 +469,45 @@ mod tests {
                 (a - b).abs() < 3e-2 * (1.0 + a.abs()),
                 "row {i}: f32 {a} vs bf16 {b} diverged beyond quantization noise"
             );
+        }
+    }
+
+    /// Blocking is invisible: any query count gives, in both precision
+    /// tiers, the bits of one pass over all rows — and the f32 tier those
+    /// of the tape.
+    #[test]
+    fn blocked_decode_is_bit_identical_to_a_single_block() {
+        const B: usize = BLOCK_QUERIES;
+        let (store, dec) = setup();
+        let qdec = QuantizedDecoder::quantize(&dec, &store);
+        let latent = random_latent(7, &[2, 6, 3, 4, 4]);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for q in [1, B - 1, B, B + 1, 3 * B + 7] {
+            let plan = plan_queries(
+                [3, 4, 4],
+                (0..q).map(|i| {
+                    let f = i as f32 / q as f32;
+                    (i % 2, [f, (f * 7.3).fract(), (f * 13.1).fract()])
+                }),
+            );
+            let widths = dec.mlp.widths();
+            let f32_layer =
+                |i, m, x: &[f32], y: &mut [f32]| dec.mlp.layer_nograd(&store, i, m, x, y);
+            let whole = decode_blocked(&latent, &plan, &widths, q, f32_layer);
+            assert_eq!(whole.dims(), &[q, 4]);
+            assert_eq!(
+                bits(&dec.decode_nograd(&store, &latent, &plan)),
+                bits(&whole),
+                "f32, Q={q}"
+            );
+            let mut g = Graph::new();
+            let l = g.constant(latent.clone());
+            let tape = dec.decode(&mut g, &store, l, &plan);
+            assert_eq!(bits(g.value(tape)), bits(&whole), "tape, Q={q}");
+
+            let bf16_layer = |i, m, x: &[f32], y: &mut [f32]| qdec.mlp.layer(i, m, x, y);
+            let whole = decode_blocked(&latent, &plan, &widths, q, bf16_layer);
+            assert_eq!(bits(&qdec.decode(&latent, &plan)), bits(&whole), "bf16-store, Q={q}");
         }
     }
 

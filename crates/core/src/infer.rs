@@ -9,10 +9,12 @@
 //! shares one `FrozenModel` behind an `Arc` across all worker threads and
 //! decodes concurrent query batches without any locking around the weights.
 //!
-//! The no-grad forwards are bit-identical to the training graph in eval mode
-//! (pinned by the `inference_equivalence` property tests in `mfn-serve`): the
-//! elementwise kernels are literally shared (`mfn_tensor::rowops`), not
-//! reimplemented.
+//! The no-grad forwards are the ones `MeshfreeFlowNet::{encode,
+//! decode_values}` run — the engine has no decode of its own, only the
+//! choice of precision tier — and are bit-identical to the training graph in
+//! eval mode (pinned by the `inference_equivalence` property tests in
+//! `mfn-serve`): the elementwise kernels are literally shared
+//! (`mfn_tensor::rowops`), not reimplemented.
 
 use crate::checkpoint::{decode_inference_state, load_train_state_with_fallback, CheckpointError};
 use crate::config::MfnConfig;

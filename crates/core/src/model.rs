@@ -318,28 +318,26 @@ impl MeshfreeFlowNet {
         }
     }
 
-    /// Encodes a stacked input `[N, 4, nt, nz, nx]` into a latent grid
-    /// *value* (inference mode, no tape retained).
-    pub fn encode(&mut self, input: &Tensor) -> Tensor {
-        let mut g = Graph::new();
-        let x = g.constant(input.clone());
-        let latent = self.unet.forward(&mut g, &self.store, x, false);
-        g.value(latent).clone()
+    /// Encodes a stacked input `[N, 4, nt, nz, nx]` into a latent grid value
+    /// — the eager eval-mode forward (`UNet3d::forward_nograd`): no tape is
+    /// built and batch-norm statistics are read, never updated. Bit-identical
+    /// to `unet.forward(.., training = false)` on a `Graph`.
+    pub fn encode(&self, input: &Tensor) -> Tensor {
+        self.unet.forward_nograd(&self.store, input)
     }
 
-    /// Decodes query points against an encoded latent grid value
-    /// (inference mode). `queries` are `(batch, local)` pairs; returns
-    /// normalized predictions `[Q, 4]`.
+    /// Decodes query points against an encoded latent grid value with the
+    /// blocked no-grad pipeline (`ContinuousDecoder::decode_nograd`, no
+    /// tape) — bit-identical to the `decoder.decode` the training graph
+    /// records. `queries` are `(batch, local)` pairs; returns normalized
+    /// predictions `[Q, 4]`.
     pub fn decode_values(
         &self,
         latent: &Tensor,
         queries: impl IntoIterator<Item = (usize, [f32; 3])>,
     ) -> Tensor {
         let plan = plan_queries(self.grid_dims(), queries);
-        let mut g = Graph::new();
-        let l = g.constant(latent.clone());
-        let y = self.decoder.decode(&mut g, &self.store, l, &plan);
-        g.value(y).clone()
+        self.decoder.decode_nograd(&self.store, latent, &plan)
     }
 
     /// Super-resolves a full LR dataset onto the grid described by
@@ -353,7 +351,7 @@ impl MeshfreeFlowNet {
     /// scale, Taylor microscale). `stats` must be the training-time channel
     /// statistics.
     pub fn super_resolve(
-        &mut self,
+        &self,
         lr: &Dataset,
         hr_meta: &DatasetMeta,
         stats: ChannelStats,
@@ -387,6 +385,8 @@ impl MeshfreeFlowNet {
         // written.
         let hat =
             |s: f32| -> f64 { 0.02 + (s.clamp(0.0, 1.0).min(1.0 - s.clamp(0.0, 1.0))) as f64 };
+        let mut queries: Vec<[f32; 3]> = Vec::new();
+        let mut targets: Vec<(usize, usize, usize)> = Vec::new();
 
         for (ti, &t0) in origins.t.iter().enumerate() {
             let o_t = t0 as f64 * lr.dt();
@@ -400,8 +400,8 @@ impl MeshfreeFlowNet {
                     let o_x = x0 as f64 * lr.dx();
                     let (i_lo, i_hi) =
                         covered(hr_meta.nx, hr_dx, o_x, extent[2], xi + 1 == origins.x.len());
-                    let mut queries: Vec<[f32; 3]> = Vec::new();
-                    let mut targets: Vec<(usize, usize, usize)> = Vec::new();
+                    queries.clear();
+                    targets.clear();
                     for f in f_lo..=f_hi {
                         for j in j_lo..=j_hi {
                             for i in i_lo..=i_hi {
@@ -420,13 +420,14 @@ impl MeshfreeFlowNet {
                     let patch = extract_patch(lr, [t0, z0, x0], spec, stats);
                     let latent = self.encode(&patch);
                     let pred = self.decode_values(&latent, queries.iter().map(|&q| (0usize, q)));
-                    for (row, &(f, j, i)) in targets.iter().enumerate() {
-                        let q = &queries[row];
+                    for ((q, &(f, j, i)), values) in
+                        queries.iter().zip(&targets).zip(pred.data().chunks_exact(CHANNELS))
+                    {
                         let w = hat(q[0]) * hat(q[1]) * hat(q[2]);
                         wsum[(f * hr_meta.nz + j) * hr_meta.nx + i] += w;
-                        for c in 0..CHANNELS {
-                            let raw = pred.data()[row * CHANNELS + c] as f64;
-                            acc[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i] += w * raw;
+                        for (c, &raw) in values.iter().enumerate() {
+                            acc[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i] +=
+                                w * raw as f64;
                         }
                     }
                 }
@@ -580,7 +581,7 @@ mod tests {
 
     #[test]
     fn super_resolve_covers_whole_grid() {
-        let mut m = tiny_model();
+        let m = tiny_model();
         let (hr, lr) = tiny_data();
         let stats = ChannelStats::from_meta(&hr.meta);
         let sr = m.super_resolve(&lr, &hr.meta, stats);

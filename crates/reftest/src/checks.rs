@@ -12,7 +12,8 @@ use crate::compare::{Checker, Report, Tolerance};
 use crate::reference as refk;
 use mfn_autodiff::{Activation, Graph, Mlp, ParamStore};
 use mfn_core::{
-    equation_loss_at_points, ChannelStats, ConstraintSet, ContinuousDecoder, RbcParamsF32,
+    equation_loss_at_points, plan_queries, ChannelStats, ConstraintSet, ContinuousDecoder,
+    RbcParamsF32,
 };
 use mfn_data::{Dataset, DatasetMeta, CHANNELS};
 use mfn_fft::{energy_spectrum_x, Complex, FftPlan, RealFftPlan};
@@ -330,11 +331,11 @@ pub fn check_bias() -> Report {
     let (m, n) = (17, 33);
     let x = adversarial(m * n, 700);
     let b = adversarial(n, 701);
-    let mut t = Tensor::from_vec(x.clone(), &[m, n]);
+    let mut t = x.clone();
     rowops::add_bias_rows(&mut t, &b);
     let want = refk::bias_rows_ref(m, n, &x, &b);
     c.case("rows 17x33 seed 700");
-    for (i, &got) in t.data().iter().enumerate() {
+    for (i, &got) in t.iter().enumerate() {
         c.check_f32(i, got, want.value[i], want.scale[i]);
     }
     let (n2, ch, inner) = (3, 5, 14);
@@ -424,18 +425,19 @@ pub fn check_gather_concat_rows() -> Report {
     let mut g = Lcg::new(912);
     let index: Vec<u32> = (0..picks).map(|_| g.index(n * vol) as u32).collect();
     let t = Tensor::from_vec(x.clone(), &[n, ch, vol_dims[0], vol_dims[1], vol_dims[2]]);
-    let got = rowops::gather_concat_rows(&t, &index, &prefix);
-    c.case("[2,3,2,2,3] pick 40 prefix 3 seed 910");
     let w = k + ch;
+    let mut got = vec![f32::NAN; picks * w];
+    rowops::gather_concat_rows(&t, &index, &prefix, &mut got);
+    c.case("[2,3,2,2,3] pick 40 prefix 3 seed 910");
     for (r, &flat) in index.iter().enumerate() {
         let (ni, sp) = (flat as usize / vol, flat as usize % vol);
         for j in 0..k {
-            c.check_f32(r * w + j, got.data()[r * w + j], f64::from(prefix[r * k + j]), 0.0);
+            c.check_f32(r * w + j, got[r * w + j], f64::from(prefix[r * k + j]), 0.0);
         }
         for j in 0..ch {
             c.check_f32(
                 r * w + k + j,
-                got.data()[r * w + k + j],
+                got[r * w + k + j],
                 f64::from(x[(ni * ch + j) * vol + sp]),
                 0.0,
             );
@@ -732,20 +734,7 @@ pub fn check_refine_grad() -> Report {
     let got_grad = graph.grad(leaf).clone();
 
     // Reference side: widen everything once, then pure scalar f64.
-    let layers: Vec<refk::MlpLayerRef> = dec
-        .mlp
-        .layers
-        .iter()
-        .map(|l| {
-            let w = store.get(l.weight);
-            refk::MlpLayerRef {
-                weight: w.data().iter().map(|&v| f64::from(v)).collect(),
-                bias: store.get(l.bias).data().iter().map(|&v| f64::from(v)).collect(),
-                in_features: w.dims()[1],
-                out_features: w.dims()[0],
-            }
-        })
-        .collect();
+    let layers = widen_mlp(&dec, &store);
     let lat64: Vec<f64> = latent.data().iter().map(|&v| f64::from(v)).collect();
     let pts64: Vec<[f64; 3]> =
         points.iter().map(|&(_, q)| [f64::from(q[0]), f64::from(q[1]), f64::from(q[2])]).collect();
@@ -792,6 +781,58 @@ pub fn check_refine_grad() -> Report {
     chk.finish()
 }
 
+/// A decoder's MLP widened to f64, as the reference twins read it.
+fn widen_mlp(dec: &ContinuousDecoder, store: &ParamStore) -> Vec<refk::MlpLayerRef> {
+    let widen = |t: &Tensor| t.data().iter().map(|&v| f64::from(v)).collect();
+    dec.mlp
+        .layers
+        .iter()
+        .map(|l| refk::MlpLayerRef {
+            weight: widen(store.get(l.weight)),
+            bias: widen(store.get(l.bias)),
+            in_features: l.in_features,
+            out_features: l.out_features,
+        })
+        .collect()
+}
+
+/// The blocked no-grad decode (gather, three GEMM + bias + softplus layers,
+/// trilinear blend; `ContinuousDecoder::decode_nograd`) end to end against
+/// the f64 point decoder, at a query count that spans several blocks with
+/// a ragged last one. The budget is a few f32 roundings per stage relative
+/// to the magnitude of the last layer's terms.
+pub fn check_decode_blocked() -> Report {
+    use rand::SeedableRng;
+    let mut chk = Checker::new("decode_blocked", Tolerance::new(16, 4.0e-6, 0.0));
+    let mut store = ParamStore::new();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1800);
+    let c = 5usize;
+    let mlp = Mlp::new(&mut store, "dec", &[3 + c, 24, 16, 4], Activation::Softplus, &mut rng);
+    let dec = ContinuousDecoder::new(mlp, c);
+    let grid = [3usize, 4, 5];
+    let latent = Tensor::randn(&[1, c, grid[0], grid[1], grid[2]], 0.5, &mut rng);
+    let mut g = Lcg::new(1801);
+    let points: Vec<[f32; 3]> = (0..203)
+        .map(|_| {
+            let mut coord = || 0.5 * (g.uniform() + 1.0);
+            [coord(), coord(), coord()]
+        })
+        .collect();
+    let plan = plan_queries(grid, points.iter().map(|&q| (0usize, q)));
+    let got = dec.decode_nograd(&store, &latent, &plan);
+
+    let layers = widen_mlp(&dec, &store);
+    let lat64: Vec<f64> = latent.data().iter().map(|&v| f64::from(v)).collect();
+    chk.case("203 queries, grid 3x4x5, MLP 8-24-16-4, seed 1800");
+    for (q, point) in points.iter().enumerate() {
+        let (want, scale) = refk::decode_point_ref(&layers, &lat64, c, grid, point.map(f64::from));
+        for (o, (w, s)) in want.iter().zip(&scale).enumerate() {
+            chk.check_f32(q * 4 + o, got.data()[q * 4 + o], *w, *s);
+        }
+    }
+    chk.finish()
+}
+
 /// Runs every kernel check, in dependency order (primitives first).
 pub fn run_all() -> Vec<Report> {
     let mut reports = vec![
@@ -818,6 +859,7 @@ pub fn run_all() -> Vec<Report> {
     reports.push(check_trilinear());
     reports.push(check_downsample());
     reports.push(check_refine_grad());
+    reports.push(check_decode_blocked());
     reports
 }
 

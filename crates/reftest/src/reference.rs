@@ -823,13 +823,16 @@ pub struct MlpLayerRef {
 /// hidden — the activation the PDE-constrained decoder uses) on the
 /// concatenation of per-vertex relative coordinates and latent vector, and
 /// blend the 8 vertex outputs with trilinear weights.
-fn decode_point_ref(
+///
+/// Returns `(values, scales)`; a channel's `scale` bounds the terms of its
+/// last-layer dot products and of the blend along the same path.
+pub fn decode_point_ref(
     layers: &[MlpLayerRef],
     latent: &[f64],
     c: usize,
     grid: [usize; 3],
     local: [f64; 3],
-) -> Vec<f64> {
+) -> (Vec<f64>, Vec<f64>) {
     let [nt, nz, nx] = grid;
     let vol = nt * nz * nx;
     let locate = |q: f64, n: usize| -> (usize, f64) {
@@ -842,6 +845,7 @@ fn decode_point_ref(
     let (ix, fx) = locate(local[2], nx);
     let out_w = layers.last().expect("non-empty MLP").out_features;
     let mut out = vec![0.0f64; out_w];
+    let mut scale = vec![0.0f64; out_w];
     for v in 0..8usize {
         let (dt, dz, dx) = ((v >> 2) & 1, (v >> 1) & 1, v & 1);
         let sp = ((it + dt) * nz + (iz + dz)) * nx + (ix + dx);
@@ -853,12 +857,17 @@ fn decode_point_ref(
             h.push(latent[ci * vol + sp]);
         }
         let last = layers.len() - 1;
+        let mut mag = Vec::new();
         for (li, layer) in layers.iter().enumerate() {
             let mut y = vec![0.0f64; layer.out_features];
+            mag = vec![0.0f64; layer.out_features];
             for (o, yo) in y.iter_mut().enumerate() {
                 let mut acc = layer.bias[o];
+                mag[o] = acc.abs();
                 for (i2, &hi) in h.iter().enumerate() {
-                    acc += layer.weight[o * layer.in_features + i2] * hi;
+                    let term = layer.weight[o * layer.in_features + i2] * hi;
+                    acc += term;
+                    mag[o] += term.abs();
                 }
                 *yo = if li == last { acc } else { softplus_ref(acc) };
             }
@@ -870,9 +879,10 @@ fn decode_point_ref(
         let w = wt * wz * wx;
         for (o, a) in out.iter_mut().enumerate() {
             *a += w * h[o];
+            scale[o] += w.abs() * mag[o];
         }
     }
-    out
+    (out, scale)
 }
 
 /// f64 twin of the test-time refinement objective
@@ -923,7 +933,7 @@ pub fn refine_objective_ref(
                     ctr[1] + off[1] * h_local,
                     ctr[2] + off[2] * h_local,
                 ];
-                decode_point_ref(layers, latent, c, grid, p)
+                decode_point_ref(layers, latent, c, grid, p).0
             })
             .collect();
         let (v0, tp, tm, zp, zm, xp, xm) = (&ev[0], &ev[1], &ev[2], &ev[3], &ev[4], &ev[5], &ev[6]);

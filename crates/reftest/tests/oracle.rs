@@ -118,3 +118,8 @@ fn downsample_is_exact() {
 fn refine_objective_gradient_matches_reference() {
     assert_ok(checks::check_refine_grad());
 }
+
+#[test]
+fn blocked_decode_matches_reference() {
+    assert_ok(checks::check_decode_blocked());
+}

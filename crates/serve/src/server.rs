@@ -13,9 +13,11 @@
 //!
 //! Everything is std — no async runtime and no epoll binding. The loop
 //! polls with an adaptive backoff: while any socket or completion makes
-//! progress it spins hot; once idle it yields, then sleeps in escalating
-//! steps capped at [`ServerConfig::idle_poll`] (which therefore still
-//! bounds shutdown latency, exactly as in the blocking design).
+//! progress it spins hot; once idle it yields, then waits on the compute
+//! pool's completion channel in escalating steps capped at
+//! [`ServerConfig::idle_poll`] (which therefore still bounds shutdown
+//! latency, exactly as in the blocking design). A finished job ends the wait
+//! at once; socket readiness is seen at the next step.
 //!
 //! Ordering: responses on a connection must come back in request order even
 //! though the compute pool finishes jobs out of order. Each decoded frame
@@ -516,17 +518,10 @@ fn io_loop(
             drain_deadline = Instant::now() + cfg.request_timeout;
         }
 
-        // 1. Compute completions: park each response in its connection's
-        //    reorder map and flush whatever became in-order.
+        // 1. Compute completions.
         while let Ok(done) = done_rx.try_recv() {
             progress = true;
-            if let Some(Some(c)) = conns.get_mut(done.conn) {
-                if c.gen == done.gen {
-                    c.inflight -= 1;
-                    c.queue(done.seq, (done.result, done.t0));
-                    c.flush_ready(&engine);
-                }
-            }
+            complete(&mut conns, &engine, done);
         }
 
         // 2. Accept until the listener runs dry.
@@ -575,7 +570,10 @@ fn io_loop(
         }
 
         // 4. Adaptive idle backoff: spin while hot, yield briefly, then
-        //    sleep in escalating steps capped at `idle_poll`.
+        //    wait in escalating steps capped at `idle_poll` — on the
+        //    completion channel, not on the clock, so a finished job wakes
+        //    the loop at once while sockets are still polled at the backoff
+        //    cadence.
         if progress {
             idle_spins = 0;
         } else {
@@ -584,12 +582,36 @@ fn io_loop(
                 std::thread::yield_now();
             } else {
                 let us = 50u64 << (idle_spins - 3).min(10);
-                std::thread::sleep(Duration::from_micros(us).min(cfg.idle_poll));
+                let backoff = Duration::from_micros(us).min(cfg.idle_poll);
+                match done_rx.recv_timeout(backoff) {
+                    Ok(done) => {
+                        idle_spins = 0;
+                        complete(&mut conns, &engine, done);
+                    }
+                    Err(RecvTimeoutError::Timeout) => {}
+                    // Every worker is gone (they only exit early by
+                    // panicking); nothing will ever complete, so just pace
+                    // the socket sweeps.
+                    Err(RecvTimeoutError::Disconnected) => std::thread::sleep(backoff),
+                }
             }
         }
     }
     // Dropping `job_tx` lets idle workers observe Disconnected once the
     // queue drains; remaining connections close when `conns` drops.
+}
+
+/// Parks a finished job's response in its connection's reorder map and
+/// flushes whatever became in-order. A completion for a slot that has since
+/// been closed or reused (generation mismatch) is dropped.
+fn complete(conns: &mut [Option<Conn>], engine: &Engine, done: Done) {
+    if let Some(Some(c)) = conns.get_mut(done.conn) {
+        if c.gen == done.gen {
+            c.inflight -= 1;
+            c.queue(done.seq, (done.result, done.t0));
+            c.flush_ready(engine);
+        }
+    }
 }
 
 /// Best-effort typed refusal of a connection we will not serve. The socket

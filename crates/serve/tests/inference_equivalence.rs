@@ -1,15 +1,18 @@
-//! Pins the grad-free serving path to the training graph, bit for bit.
+//! Pins the grad-free inference paths to the training graph, bit for bit.
 //!
-//! The no-grad forwards in `mfn-core`/`mfn-autodiff` exist so serving can
-//! skip the autodiff tape; they are only trustworthy if they produce the
-//! *same bits* as the tape in eval mode. These tests are the contract: they
-//! sweep seeded random weights, BN statistics drifted by training-mode
+//! The no-grad forwards in `mfn-core`/`mfn-autodiff` exist so inference —
+//! `MeshfreeFlowNet::{encode, decode_values, super_resolve}` and the frozen
+//! serving engine alike — can skip the autodiff tape; they are only
+//! trustworthy if they produce the *same bits* as the tape in eval mode,
+//! and since inference no longer shares a call path with training nothing
+//! else would notice the two drifting apart. These tests are the contract:
+//! they sweep seeded random weights, BN statistics drifted by training-mode
 //! forwards, and seeded random inputs/queries, comparing `f32::to_bits`
 //! exactly — no tolerance, because the kernels are literally shared
 //! (`mfn_tensor::rowops`), not approximately reimplemented.
 
 use mfn_autodiff::Graph;
-use mfn_core::{FrozenModel, MeshfreeFlowNet, MfnConfig};
+use mfn_core::{plan_queries, FrozenModel, MeshfreeFlowNet, MfnConfig};
 use mfn_data::PatchSpec;
 use mfn_serve::{Engine, EngineConfig};
 use mfn_tensor::Tensor;
@@ -74,6 +77,23 @@ fn twin_models(seed: u64) -> (MeshfreeFlowNet, FrozenModel) {
     (reference, FrozenModel::from_model(twin))
 }
 
+/// The latent grid as the training graph computes it in eval mode.
+fn tape_encode(model: &mut MeshfreeFlowNet, input: &Tensor) -> Tensor {
+    let mut g = Graph::new();
+    let x = g.constant(input.clone());
+    let latent = model.unet.forward(&mut g, &model.store, x, false);
+    g.value(latent).clone()
+}
+
+/// Decoded values as the training graph computes them.
+fn tape_decode(model: &MeshfreeFlowNet, latent: &Tensor, qs: &[(usize, [f32; 3])]) -> Tensor {
+    let plan = plan_queries(model.grid_dims(), qs.iter().copied());
+    let mut g = Graph::new();
+    let l = g.constant(latent.clone());
+    let y = model.decoder.decode(&mut g, &model.store, l, &plan);
+    g.value(y).clone()
+}
+
 #[test]
 fn nograd_encode_is_bit_identical_to_tape_eval() {
     for seed in 0..3u64 {
@@ -81,9 +101,9 @@ fn nograd_encode_is_bit_identical_to_tape_eval() {
         let cfg = reference.cfg.clone();
         for j in 0..3 {
             let input = rand_patch(&cfg, 2, seed * 7 + j);
-            let tape = reference.encode(&input);
-            let eager = frozen.encode(&input);
-            assert_bits_eq(&tape, &eager, "encode");
+            let tape = tape_encode(&mut reference, &input);
+            assert_bits_eq(&tape, &reference.encode(&input), "MeshfreeFlowNet::encode");
+            assert_bits_eq(&tape, &frozen.encode(&input), "FrozenModel::encode");
         }
     }
 }
@@ -91,17 +111,25 @@ fn nograd_encode_is_bit_identical_to_tape_eval() {
 #[test]
 fn nograd_decode_is_bit_identical_to_tape() {
     for seed in 0..3u64 {
-        let (mut reference, frozen) = twin_models(seed);
+        let (mut reference, mut frozen) = twin_models(seed);
         let cfg = reference.cfg.clone();
         let input = rand_patch(&cfg, 2, seed + 41);
-        let latent_tape = reference.encode(&input);
-        let latent_eager = frozen.encode(&input);
-        assert_bits_eq(&latent_tape, &latent_eager, "latent");
+        let latent = tape_encode(&mut reference, &input);
         let mut qstate = seed + 9;
-        let qs = rand_queries(&mut qstate, 2, 32);
-        let tape = reference.decode_values(&latent_tape, qs.iter().copied());
-        let eager = frozen.decode_values(&latent_eager, qs.iter().copied());
-        assert_bits_eq(&tape, &eager, "decode");
+        // One block of the blocked decode, and several with a ragged last one.
+        for n in [32, 250] {
+            let qs = rand_queries(&mut qstate, 2, n);
+            let tape = tape_decode(&reference, &latent, &qs);
+            let model = reference.decode_values(&latent, qs.iter().copied());
+            assert_bits_eq(&tape, &model, "MeshfreeFlowNet::decode_values");
+            let eager = frozen.decode_values(&latent, qs.iter().copied());
+            assert_bits_eq(&tape, &eager, "FrozenModel::decode_values");
+        }
+        // The bf16-store tier runs the same pipeline; its exact twin stays exact.
+        frozen.quantize_decoder();
+        let qs = rand_queries(&mut qstate, 2, 250);
+        let exact = frozen.decode_values_exact(&latent, qs.iter().copied());
+        assert_bits_eq(&tape_decode(&reference, &latent, &qs), &exact, "decode_values_exact");
     }
 }
 

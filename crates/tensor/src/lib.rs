@@ -12,7 +12,7 @@
 //!   implicit-GEMM lowerings, with the direct kernel for 1×1×1 filters and
 //!   as the oracle baseline), max pooling and nearest-neighbor upsampling
 //!   for the 3D U-Net encoder;
-//! - [`rowops`]: the gather/blend/bias/affine row kernels shared verbatim by
+//! - [`rowops`]: the gather/blend/bias/affine/softplus row kernels shared verbatim by
 //!   the autodiff tape and the no-grad inference engine (bit-identical paths);
 //! - [`workspace`]: the buffer pool that lets kernels and tensor temporaries
 //!   reuse memory across training steps.
@@ -39,7 +39,8 @@ pub use conv::{
 pub use gemm::{gemm, MatLayout};
 pub use linalg::{matmul, matmul_nt, matmul_tn, matvec};
 pub use rowops::{
-    add_bias_channels, add_bias_rows, blend_rows, channel_affine, gather_concat_rows, gather_rows,
+    add_bias_channels, add_bias_rows, blend_rows, blend_rows_into, channel_affine,
+    gather_concat_rows, gather_rows,
 };
 pub use shape::Shape;
 pub use simd::{kernel_backend, set_backend_override, KernelBackend};

@@ -1,6 +1,6 @@
-//! Row-oriented gather / blend / bias / affine kernels shared by the
-//! reverse-mode tape (`mfn-autodiff`) and the no-grad inference path
-//! (`mfn-core`'s frozen engine).
+//! Row-oriented gather / blend / bias / affine / softplus kernels shared by
+//! the reverse-mode tape (`mfn-autodiff`) and the no-grad inference path
+//! (`mfn-core`'s blocked decode and frozen engine).
 //!
 //! Both execution paths must produce *bit-identical* outputs — the serving
 //! engine's correctness contract is "same bytes as the training graph in
@@ -8,6 +8,7 @@
 //! callers delegate. Any change to summation order or zero-handling in these
 //! functions changes the bits of every checkpointed model's predictions.
 
+pub use crate::simd::{bias_softplus_rows, softplus_scalar, softplus_slice};
 use crate::tensor::Tensor;
 use crate::workspace;
 
@@ -35,16 +36,16 @@ pub fn gather_rows(grid: &Tensor, index: &[u32]) -> Tensor {
 }
 
 /// Fused gather + coordinate prefix for the decoder's no-grad hot path:
-/// builds the MLP input `[M, K + C]` where each row is the `K` per-vertex
-/// values from `prefix` followed by the gathered latent row. Bit-identical
-/// to `Tensor::concat(&[prefix, gather_rows(grid, index)], 1)` — the values
-/// are plain copies — but skips the intermediate `[M, C]` tensor and the
-/// second full-width copy.
+/// fills `out: [M, K + C]` so that each row is the `K` per-vertex values
+/// from `prefix` followed by the gathered latent row. Bit-identical to
+/// `Tensor::concat(&[prefix, gather_rows(grid, index)], 1)` — the values
+/// are plain copies — but skips the intermediate `[M, C]` tensor and writes
+/// into the caller's block buffer.
 ///
 /// # Panics
-/// Panics if `grid` is not rank 5 or `prefix.len()` is not a multiple of
-/// `index.len()`.
-pub fn gather_concat_rows(grid: &Tensor, index: &[u32], prefix: &[f32]) -> Tensor {
+/// Panics if `grid` is not rank 5, `prefix.len()` is not a multiple of
+/// `index.len()`, or `out` is not `index.len()` rows of `K + C`.
+pub fn gather_concat_rows(grid: &Tensor, index: &[u32], prefix: &[f32], out: &mut [f32]) {
     assert_eq!(grid.shape().rank(), 5, "gather_concat_rows grid must be [N,C,D,H,W]");
     let (n, c) = (grid.dims()[0], grid.dims()[1]);
     let vol: usize = grid.dims()[2..].iter().product();
@@ -56,19 +57,17 @@ pub fn gather_concat_rows(grid: &Tensor, index: &[u32], prefix: &[f32]) -> Tenso
     );
     let k = prefix.len() / m;
     let w = k + c;
-    let mut out = workspace::take_vec_scratch(m * w);
-    for (row, &flat) in index.iter().enumerate() {
+    assert_eq!(out.len(), m * w, "gather_concat_rows output length mismatch");
+    for (row, (dst, &flat)) in out.chunks_exact_mut(w).zip(index).enumerate() {
         let flat = flat as usize;
         let ni = flat / vol;
         let sp = flat % vol;
         debug_assert!(ni < n, "gather index out of batch range");
-        let dst = &mut out[row * w..(row + 1) * w];
         dst[..k].copy_from_slice(&prefix[row * k..(row + 1) * k]);
         for (ci, d) in dst[k..].iter_mut().enumerate() {
             *d = g[(ni * c + ci) * vol + sp];
         }
     }
-    Tensor::from_vec(out, &[m, w])
 }
 
 /// Blends groups of `group` consecutive rows of `x: [Q*group, C]` with fixed
@@ -78,32 +77,39 @@ pub fn blend_rows(x: &Tensor, weights: &[f32], group: usize) -> Tensor {
     assert_eq!(x.shape().rank(), 2);
     let (rows, c) = (x.dims()[0], x.dims()[1]);
     assert_eq!(rows % group, 0, "blend_rows rows not divisible by group");
-    assert_eq!(weights.len(), rows, "blend_rows weight count mismatch");
-    let q = rows / group;
-    let xd = x.data();
-    let mut out = workspace::take_vec_zeroed(q * c);
-    for qi in 0..q {
-        for v in 0..group {
-            let w = weights[qi * group + v];
+    let mut out = workspace::take_vec_scratch(rows / group * c);
+    blend_rows_into(x.data(), weights, group, &mut out);
+    Tensor::from_vec(out, &[rows / group, c])
+}
+
+/// [`blend_rows`] on slices: `x` holds `weights.len()` rows, `out` (fully
+/// overwritten) one row per `group` of them.
+pub fn blend_rows_into(x: &[f32], weights: &[f32], group: usize, out: &mut [f32]) {
+    let q = weights.len() / group;
+    assert!(q > 0 && weights.len() == q * group, "blend_rows weight count mismatch");
+    assert_eq!(out.len() % q, 0, "blend_rows output is not one row per group");
+    let c = out.len() / q;
+    assert_eq!(x.len(), weights.len() * c, "blend_rows input length mismatch");
+    out.fill(0.0);
+    for ((dst, ws), rows) in
+        out.chunks_exact_mut(c).zip(weights.chunks_exact(group)).zip(x.chunks_exact(group * c))
+    {
+        for (&w, src) in ws.iter().zip(rows.chunks_exact(c)) {
             if w == 0.0 {
                 continue;
             }
-            let src = &xd[(qi * group + v) * c..(qi * group + v + 1) * c];
-            let dst = &mut out[qi * c..(qi + 1) * c];
             for (o, &s) in dst.iter_mut().zip(src) {
                 *o += w * s;
             }
         }
     }
-    Tensor::from_vec(out, &[q, c])
 }
 
 /// Adds bias vector `bias: [N]` to every row of `x: [M, N]`, in place.
-pub fn add_bias_rows(x: &mut Tensor, bias: &[f32]) {
-    assert_eq!(x.shape().rank(), 2, "add_bias_rows input must be rank 2");
-    let n = x.dims()[1];
-    assert_eq!(bias.len(), n, "bias length mismatch");
-    for row in x.data_mut().chunks_mut(n) {
+pub fn add_bias_rows(x: &mut [f32], bias: &[f32]) {
+    let n = bias.len();
+    assert!(n > 0 && x.len().is_multiple_of(n), "add_bias_rows: rows do not match the bias");
+    for row in x.chunks_exact_mut(n) {
         for (o, &bb) in row.iter_mut().zip(bias) {
             *o += bb;
         }
@@ -177,9 +183,9 @@ mod tests {
 
     #[test]
     fn bias_and_affine_in_place() {
-        let mut x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
+        let mut x = [1.0, 2.0, 3.0, 4.0];
         add_bias_rows(&mut x, &[10.0, 20.0]);
-        assert_eq!(x.data(), &[11.0, 22.0, 13.0, 24.0]);
+        assert_eq!(x, [11.0, 22.0, 13.0, 24.0]);
 
         let mut y = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]);
         add_bias_channels(&mut y, &[1.0, -1.0]);

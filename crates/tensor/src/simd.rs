@@ -28,6 +28,11 @@
 //! accumulation order of any single element, and the depth blocking (`KC`)
 //! is shared by every tier. `gemm::tests` pins this property on
 //! tile-unaligned shapes with adversarial inputs.
+//!
+//! The same dispatch carries the one element-wise kernel that is worth
+//! explicit vectors, the decoder's softplus ([`softplus_slice`],
+//! [`bias_softplus_rows`]): every tier evaluates the operations of
+//! [`softplus_scalar`] in the same order, so the contract holds there too.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -503,6 +508,397 @@ unsafe fn micro_avx512_12x32_impl(
     }
 }
 
+// ---- softplus ------------------------------------------------------------
+
+/// 1.5 · 2²³: adding it leaves `round(x)` in the low mantissa bits.
+const EXP_SHIFT: f32 = 12_582_912.0;
+/// `ln 2` split so that `n · LN2_HI` is exact for `|n| < 2¹³` (355/512:
+/// every digit below is significant, whatever clippy counts).
+#[allow(clippy::excessive_precision)]
+const LN2_HI: f32 = 0.693_359_375;
+const LN2_LO: f32 = -2.121_944_4e-4;
+// Coefficients keep Cephes' published digits; clippy would have us round them.
+#[allow(clippy::excessive_precision)]
+const EXP_P: [f32; 6] = [
+    1.987_569_15e-4,
+    1.398_199_95e-3,
+    8.333_451_9e-3,
+    4.166_579_6e-2,
+    1.666_666_55e-1,
+    5.000_000_1e-1,
+];
+#[allow(clippy::excessive_precision)]
+const LN_P: [f32; 9] = [
+    7.037_683_6e-2,
+    -1.151_461_03e-1,
+    1.167_699_87e-1,
+    -1.242_014_08e-1,
+    1.424_932_28e-1,
+    -1.666_805_77e-1,
+    2.000_071_48e-1,
+    -2.499_999_4e-1,
+    3.333_333_1e-1,
+];
+const MANTISSA: i32 = 0x007F_FFFF;
+const HALF_BITS: i32 = 0x3F00_0000;
+/// Regime cuts: below `-SATURATE` softplus is `eˣ`, above `SATURATE` it is
+/// `x`; the one clamped exponential never sees less than `EXP_FLOOR`
+/// (`e⁻⁸⁷` is still a normal float).
+const SATURATE: f32 = 20.0;
+const EXP_FLOOR: f32 = -87.0;
+
+/// `e^x` by base-2 range reduction and a degree-5 polynomial (Cephes `expf`
+/// coefficients, ≤ 2 ULP on the reduced interval). The caller must keep `x`
+/// inside roughly `[-87, 88]` so the `2^n` exponent-bit reconstruction stays
+/// in normal-float territory. Branch-free: straight-line selects only.
+#[inline(always)]
+fn exp_poly(x: f32) -> f32 {
+    // n = round(x / ln 2) via the shift-magic trick (valid since |n| < 2^22);
+    // the integer lands in the low mantissa bits of z.
+    let z = x.mul_add(std::f32::consts::LOG2_E, EXP_SHIFT);
+    let ni = (z.to_bits() as i32).wrapping_sub(EXP_SHIFT.to_bits() as i32);
+    let n = z - EXP_SHIFT;
+    // r = x - n*ln2 in two pieces (high then low part) so the reduction is exact.
+    let r = n.mul_add(-LN2_HI, x);
+    let r = n.mul_add(-LN2_LO, r);
+    // e^r = 1 + r + r^2 * P(r) on |r| <= ln2 / 2.
+    let mut p = EXP_P[0];
+    for c in &EXP_P[1..] {
+        p = p.mul_add(r, *c);
+    }
+    let y = (p * r).mul_add(r, r) + 1.0;
+    // Scale by 2^n through the exponent field.
+    y * f32::from_bits(((ni + 127) << 23) as u32)
+}
+
+/// `ln x` for finite positive `x` (Cephes `logf`): split off the exponent,
+/// normalize the mantissa into `[√½, √2)`, degree-8 polynomial in `m − 1`.
+/// Branch-free, like [`exp_poly`].
+#[inline(always)]
+fn ln_poly(x: f32) -> f32 {
+    let bits = x.to_bits() as i32;
+    let mut e = ((bits >> 23) - 126) as f32;
+    // Mantissa into [0.5, 1), then fold m < √½ up a binade so f = m - 1 stays small.
+    let mut m = f32::from_bits(((bits & MANTISSA) | HALF_BITS) as u32);
+    let small = (m < std::f32::consts::FRAC_1_SQRT_2) as u32 as f32;
+    e -= small;
+    m += small * m;
+    let f = m - 1.0;
+    let z = f * f;
+    let mut p = LN_P[0];
+    for c in &LN_P[1..] {
+        p = p.mul_add(f, *c);
+    }
+    let mut y = f * z * p;
+    y = e.mul_add(LN2_LO, y);
+    y -= 0.5 * z;
+    e.mul_add(LN2_HI, f + y)
+}
+
+/// Numerically-stable softplus `ln(1 + eˣ)`: the textbook regime structure
+/// with saturation at `|x| = 20`, built on the inlined polynomial
+/// `exp`/`ln` above instead of libm calls. This scalar form is the
+/// definition; [`softplus_slice`] and [`bias_softplus_rows`] evaluate exactly
+/// these operations in this order on every backend, so which one ran never
+/// shows in a single output bit. Stays within the reftest oracle's ULP
+/// budget.
+#[inline]
+pub fn softplus_scalar(x: f32) -> f32 {
+    // One clamped exp serves both low regimes.
+    let t = x.clamp(EXP_FLOOR, SATURATE);
+    let z = exp_poly(t);
+    let mid = ln_poly(1.0 + z);
+    let mut y = if x < -SATURATE { z } else { mid };
+    y = if x > SATURATE { x } else { y }; // also catches +inf
+    if x.is_nan() {
+        x
+    } else {
+        y
+    }
+}
+
+/// `x[i] = softplus(x[i])`, in place.
+pub fn softplus_slice(x: &mut [f32]) {
+    // SAFETY: `resolve` only returns tiers this CPU was detected to have.
+    unsafe { softplus_rows::<false>(resolve(), x, &[]) }
+}
+
+/// `x[r][j] = softplus(x[r][j] + bias[j])` over the rows of `x: [M, N]`
+/// (`N = bias.len()`), in place — a Linear layer's bias add and hidden
+/// activation in one pass over the GEMM output.
+///
+/// # Panics
+/// Panics if `x.len()` is not a multiple of `bias.len()`.
+pub fn bias_softplus_rows(x: &mut [f32], bias: &[f32]) {
+    assert!(
+        !bias.is_empty() && x.len().is_multiple_of(bias.len()),
+        "bias_softplus_rows: {} values are not rows of {}",
+        x.len(),
+        bias.len()
+    );
+    // SAFETY: as in `softplus_slice`.
+    unsafe { softplus_rows::<true>(resolve(), x, bias) }
+}
+
+/// The two entry points above on a given tier; without `BIAS` the whole
+/// slice is one row.
+///
+/// # Safety
+/// The CPU must have the features of `backend` (any tier `>=` the detected
+/// one qualifies).
+unsafe fn softplus_rows<const BIAS: bool>(backend: u8, x: &mut [f32], bias: &[f32]) {
+    let n = if BIAS { bias.len() } else { x.len().max(1) };
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        B_AVX512 => softplus_avx512::rows::<BIAS>(x, n, bias),
+        #[cfg(target_arch = "x86_64")]
+        B_AVX2 => softplus_avx2::rows::<BIAS>(x, n, bias),
+        _ => {
+            for row in x.chunks_mut(n) {
+                softplus_tail::<BIAS>(row, bias);
+            }
+        }
+    }
+}
+
+/// The scalar form over (the end of) one row; `bias` is aligned with `row`.
+#[inline]
+fn softplus_tail<const BIAS: bool>(row: &mut [f32], bias: &[f32]) {
+    if BIAS {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v = softplus_scalar(*v + b);
+        }
+    } else {
+        for v in row {
+            *v = softplus_scalar(*v);
+        }
+    }
+}
+
+/// One-line `#[target_feature]` wrappers giving both vector widths the same
+/// vocabulary, so the kernel below is written once.
+#[cfg(target_arch = "x86_64")]
+macro_rules! vector_ops {
+    ($feat:literal; $($name:ident($($a:ident: $t:ty),*) -> $r:ty = $e:expr;)*) => {
+        $(
+            #[inline]
+            #[target_feature(enable = $feat)]
+            fn $name($($a: $t),*) -> $r {
+                $e
+            }
+        )*
+    };
+}
+
+/// The vector softplus: [`softplus_scalar`] transcribed operation by
+/// operation onto `N` independent vectors, each step issued for all `N`
+/// before the next. One vector's two Horner chains are ~20 dependent FMAs
+/// with nothing else to issue in their shadow; with several vectors in
+/// flight the chains overlap and the loop is bound by FMA throughput
+/// instead of FMA latency. Expands inside a module that defines `V`, `VI`,
+/// `LANES` and the `vector_ops!` vocabulary.
+#[cfg(target_arch = "x86_64")]
+macro_rules! softplus_kernel {
+    ($feat:literal) => {
+        /// Applies `$e` (an expression in lane index `$i`) to all `N` vectors.
+        macro_rules! each {
+            (|$i:ident| $e:expr) => {{
+                let mut out = [zero(); N];
+                for $i in 0..N {
+                    out[$i] = $e;
+                }
+                out
+            }};
+        }
+
+        #[inline]
+        #[target_feature(enable = $feat)]
+        fn softplus<const N: usize>(x: [V; N]) -> [V; N] {
+            // exp_poly(clamp(x))
+            let t = each!(|i| max(min(x[i], splat(SATURATE)), splat(EXP_FLOOR)));
+            let z = each!(|i| fma(t[i], splat(std::f32::consts::LOG2_E), splat(EXP_SHIFT)));
+            let ni = |z: V| isub(bits(z), isplat(EXP_SHIFT.to_bits() as i32));
+            let scale = each!(|i| from_bits(shl23(iadd(ni(z[i]), isplat(127)))));
+            let n = each!(|i| sub(z[i], splat(EXP_SHIFT)));
+            let r = each!(|i| fma(n[i], splat(-LN2_HI), t[i]));
+            let r = each!(|i| fma(n[i], splat(-LN2_LO), r[i]));
+            let mut p = [splat(EXP_P[0]); N];
+            for c in &EXP_P[1..] {
+                p = each!(|i| fma(p[i], r[i], splat(*c)));
+            }
+            let y = each!(|i| add(fma(mul(p[i], r[i]), r[i], r[i]), splat(1.0)));
+            let z = each!(|i| mul(y[i], scale[i]));
+            // ln_poly(1 + z)
+            let u = each!(|i| add(splat(1.0), z[i]));
+            let e = each!(|i| to_f32(isub(sar23(bits(u[i])), isplat(126))));
+            let m = each!(|i| from_bits(ior(iand(bits(u[i]), isplat(MANTISSA)), isplat(HALF_BITS))));
+            let small = each!(|i| one_where_lt(m[i], splat(std::f32::consts::FRAC_1_SQRT_2)));
+            let e = each!(|i| sub(e[i], small[i]));
+            let m = each!(|i| add(m[i], mul(small[i], m[i])));
+            let f = each!(|i| sub(m[i], splat(1.0)));
+            let zz = each!(|i| mul(f[i], f[i]));
+            let mut p = [splat(LN_P[0]); N];
+            for c in &LN_P[1..] {
+                p = each!(|i| fma(p[i], f[i], splat(*c)));
+            }
+            let y = each!(|i| mul(mul(f[i], zz[i]), p[i]));
+            let y = each!(|i| fma(e[i], splat(LN2_LO), y[i]));
+            let y = each!(|i| sub(y[i], mul(splat(0.5), zz[i])));
+            let mid = each!(|i| fma(e[i], splat(LN2_HI), add(f[i], y[i])));
+            // regime selects
+            let y = each!(|i| select_lt(x[i], splat(-SATURATE), z[i], mid[i]));
+            let y = each!(|i| select_lt(splat(SATURATE), x[i], x[i], y[i]));
+            each!(|i| nan_or(x[i], y[i]))
+        }
+
+        /// `N` vectors at column `c` of one row.
+        ///
+        /// # Safety
+        /// `row` and (with `BIAS`) `bias` must be valid for `N * LANES`
+        /// floats from offset `c`.
+        #[inline]
+        #[target_feature(enable = $feat)]
+        unsafe fn step<const BIAS: bool, const N: usize>(row: *mut f32, bias: *const f32, c: usize) {
+            let mut x = [zero(); N];
+            for i in 0..N {
+                x[i] = load(row.add(c + i * LANES));
+                if BIAS {
+                    x[i] = add(x[i], load(bias.add(c + i * LANES)));
+                }
+            }
+            let y = softplus(x);
+            for i in 0..N {
+                store(row.add(c + i * LANES), y[i]);
+            }
+        }
+
+        /// Rows of `n` floats: four vectors at a time, then two, then one,
+        /// then the scalar form for what is left of the row.
+        ///
+        /// # Safety
+        /// The CPU must have the features this module is compiled for.
+        #[target_feature(enable = $feat)]
+        pub(super) unsafe fn rows<const BIAS: bool>(x: &mut [f32], n: usize, bias: &[f32]) {
+            debug_assert!(!BIAS || bias.len() == n);
+            for row in x.chunks_mut(n) {
+                let (len, ptr, b) = (row.len(), row.as_mut_ptr(), bias.as_ptr());
+                let mut c = 0;
+                // SAFETY: every step is entered with `c + N * LANES <= len`,
+                // and `bias` is as long as a full row when it is read.
+                while c + 4 * LANES <= len {
+                    step::<BIAS, 4>(ptr, b, c);
+                    c += 4 * LANES;
+                }
+                if c + 2 * LANES <= len {
+                    step::<BIAS, 2>(ptr, b, c);
+                    c += 2 * LANES;
+                }
+                if c + LANES <= len {
+                    step::<BIAS, 1>(ptr, b, c);
+                    c += LANES;
+                }
+                softplus_tail::<BIAS>(&mut row[c..], if BIAS { &bias[c..] } else { bias });
+            }
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+mod softplus_avx2 {
+    use super::*;
+    use std::arch::x86_64::*;
+
+    type V = __m256;
+    type VI = __m256i;
+    const LANES: usize = 8;
+
+    vector_ops! { "avx2,fma";
+        zero() -> V = _mm256_setzero_ps();
+        splat(x: f32) -> V = _mm256_set1_ps(x);
+        isplat(x: i32) -> VI = _mm256_set1_epi32(x);
+        add(a: V, b: V) -> V = _mm256_add_ps(a, b);
+        sub(a: V, b: V) -> V = _mm256_sub_ps(a, b);
+        mul(a: V, b: V) -> V = _mm256_mul_ps(a, b);
+        fma(a: V, b: V, c: V) -> V = _mm256_fmadd_ps(a, b, c);
+        min(a: V, b: V) -> V = _mm256_min_ps(a, b);
+        max(a: V, b: V) -> V = _mm256_max_ps(a, b);
+        bits(a: V) -> VI = _mm256_castps_si256(a);
+        from_bits(a: VI) -> V = _mm256_castsi256_ps(a);
+        to_f32(a: VI) -> V = _mm256_cvtepi32_ps(a);
+        iadd(a: VI, b: VI) -> VI = _mm256_add_epi32(a, b);
+        isub(a: VI, b: VI) -> VI = _mm256_sub_epi32(a, b);
+        iand(a: VI, b: VI) -> VI = _mm256_and_si256(a, b);
+        ior(a: VI, b: VI) -> VI = _mm256_or_si256(a, b);
+        shl23(a: VI) -> VI = _mm256_slli_epi32::<23>(a);
+        sar23(a: VI) -> VI = _mm256_srai_epi32::<23>(a);
+        one_where_lt(a: V, b: V) -> V = _mm256_and_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(a, b), splat(1.0));
+        select_lt(a: V, b: V, yes: V, no: V) -> V = _mm256_blendv_ps(no, yes, _mm256_cmp_ps::<_CMP_LT_OQ>(a, b));
+        nan_or(a: V, no: V) -> V = _mm256_blendv_ps(no, a, _mm256_cmp_ps::<_CMP_UNORD_Q>(a, a));
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load(p: *const f32) -> V {
+        _mm256_loadu_ps(p)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn store(p: *mut f32, v: V) {
+        _mm256_storeu_ps(p, v)
+    }
+
+    softplus_kernel!("avx2,fma");
+}
+
+#[cfg(target_arch = "x86_64")]
+mod softplus_avx512 {
+    use super::*;
+    use std::arch::x86_64::*;
+
+    type V = __m512;
+    type VI = __m512i;
+    const LANES: usize = 16;
+
+    vector_ops! { "avx512f";
+        zero() -> V = _mm512_setzero_ps();
+        splat(x: f32) -> V = _mm512_set1_ps(x);
+        isplat(x: i32) -> VI = _mm512_set1_epi32(x);
+        add(a: V, b: V) -> V = _mm512_add_ps(a, b);
+        sub(a: V, b: V) -> V = _mm512_sub_ps(a, b);
+        mul(a: V, b: V) -> V = _mm512_mul_ps(a, b);
+        fma(a: V, b: V, c: V) -> V = _mm512_fmadd_ps(a, b, c);
+        min(a: V, b: V) -> V = _mm512_min_ps(a, b);
+        max(a: V, b: V) -> V = _mm512_max_ps(a, b);
+        bits(a: V) -> VI = _mm512_castps_si512(a);
+        from_bits(a: VI) -> V = _mm512_castsi512_ps(a);
+        to_f32(a: VI) -> V = _mm512_cvtepi32_ps(a);
+        iadd(a: VI, b: VI) -> VI = _mm512_add_epi32(a, b);
+        isub(a: VI, b: VI) -> VI = _mm512_sub_epi32(a, b);
+        iand(a: VI, b: VI) -> VI = _mm512_and_si512(a, b);
+        ior(a: VI, b: VI) -> VI = _mm512_or_si512(a, b);
+        shl23(a: VI) -> VI = _mm512_slli_epi32::<23>(a);
+        sar23(a: VI) -> VI = _mm512_srai_epi32::<23>(a);
+        one_where_lt(a: V, b: V) -> V = _mm512_maskz_mov_ps(_mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, b), splat(1.0));
+        select_lt(a: V, b: V, yes: V, no: V) -> V = _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, b), no, yes);
+        nan_or(a: V, no: V) -> V = _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_UNORD_Q>(a, a), no, a);
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load(p: *const f32) -> V {
+        _mm512_loadu_ps(p)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store(p: *mut f32, v: V) {
+        _mm512_storeu_ps(p, v)
+    }
+
+    softplus_kernel!("avx512f");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,5 +992,106 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Inputs around every regime cut and special value of the softplus.
+    fn softplus_probes() -> Vec<f32> {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1.0e-45,
+            -1.0e-45,
+            1.0e-40,
+            -1.0e-40,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for cut in [SATURATE, -SATURATE, EXP_FLOOR, 88.0, -88.0, 0.5, -0.5] {
+            xs.extend([cut.next_down().next_down(), cut.next_down(), cut, cut.next_up()]);
+        }
+        // A seeded sweep: most of it over the live range, the rest anywhere.
+        let mut s = 0x2545_F491u32;
+        for i in 0..1_000_000 {
+            s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+            let unit = (s >> 8) as f32 / (1 << 24) as f32;
+            xs.push(if i % 8 == 0 { f32::from_bits(s) } else { (unit - 0.5) * 60.0 });
+        }
+        xs
+    }
+
+    /// Every tier this process may execute (one under `MFN_PORTABLE_KERNELS=1`).
+    fn runnable_tiers() -> Vec<(u8, &'static str)> {
+        [(B_AVX512, "avx512"), (B_AVX2, "avx2+fma"), (B_PORTABLE, "portable")]
+            .into_iter()
+            .filter(|&(tier, _)| tier >= detect())
+            .collect()
+    }
+
+    #[test]
+    fn softplus_slice_matches_scalar_bitwise_on_every_backend() {
+        let xs = softplus_probes();
+        let want: Vec<u32> = xs.iter().map(|&x| softplus_scalar(x).to_bits()).collect();
+        for (tier, name) in runnable_tiers() {
+            // SAFETY: `runnable_tiers` lists only tiers at or below detection.
+            let run = |x: &mut [f32]| unsafe { softplus_rows::<false>(tier, x, &[]) };
+            let mut got = xs.clone();
+            run(&mut got);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), *w, "{name} at x = {:e} (#{i})", xs[i]);
+            }
+            // Every remainder-lane count, over the special values.
+            for len in 0..=67 {
+                for start in [0usize, 13, 41] {
+                    let mut got = xs[start..start + len].to_vec();
+                    run(&mut got);
+                    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want[start..start + len], "{name} len {len}");
+                }
+            }
+        }
+        // The public entry point is the same code on the detected tier.
+        let mut got = xs[..200].to_vec();
+        softplus_slice(&mut got);
+        assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == *w));
+    }
+
+    #[test]
+    fn bias_softplus_rows_matches_add_then_scalar_bitwise() {
+        let xs = softplus_probes();
+        for (tier, name) in runnable_tiers() {
+            for n in (1..=67).chain([96, 128]) {
+                let rows = 3;
+                let bias: Vec<f32> = xs[40..40 + n].iter().map(|b| b.clamp(-30.0, 30.0)).collect();
+                let mut got = xs[100..100 + rows * n].to_vec();
+                let want: Vec<u32> = got
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| softplus_scalar(x + bias[i % n]).to_bits())
+                    .collect();
+                // SAFETY: `runnable_tiers` lists only tiers at or below detection.
+                unsafe { softplus_rows::<true>(tier, &mut got, &bias) };
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{name} width {n}");
+            }
+        }
+        let mut x = vec![0.25f32; 6];
+        bias_softplus_rows(&mut x, &[1.0, -1.0, 0.5]);
+        assert_eq!(x[4].to_bits(), softplus_scalar(-0.75).to_bits());
+    }
+
+    #[test]
+    fn softplus_regimes_and_special_values() {
+        assert_eq!(softplus_scalar(f32::INFINITY), f32::INFINITY);
+        assert_eq!(softplus_scalar(f32::NEG_INFINITY), (-87.0f32).exp());
+        assert!(softplus_scalar(f32::NAN).is_nan());
+        assert_eq!(softplus_scalar(25.0), 25.0);
+        assert!((softplus_scalar(0.0) - std::f32::consts::LN_2).abs() < 1e-6);
+        assert!((softplus_scalar(-30.0) - (-30.0f32).exp()).abs() < 1e-18);
     }
 }

@@ -147,8 +147,8 @@ fn dataset_roundtrip_preserves_training_inputs() {
 fn super_resolution_is_deterministic() {
     let (hr, lr) = tiny_data(7);
     let stats = ChannelStats::from_meta(&hr.meta);
-    let mut m1 = MeshfreeFlowNet::new(tiny_cfg());
-    let mut m2 = MeshfreeFlowNet::new(tiny_cfg());
+    let m1 = MeshfreeFlowNet::new(tiny_cfg());
+    let m2 = MeshfreeFlowNet::new(tiny_cfg());
     let a = m1.super_resolve(&lr, &hr.meta, stats);
     let b = m2.super_resolve(&lr, &hr.meta, stats);
     assert_eq!(a.data, b.data, "same seed + same input must give identical output");
@@ -160,7 +160,7 @@ fn mesh_free_decoding_at_arbitrary_resolution() {
     // than HR and with non-integer refinement of the LR spacing.
     let (hr, lr) = tiny_data(8);
     let stats = ChannelStats::from_meta(&hr.meta);
-    let mut model = MeshfreeFlowNet::new(tiny_cfg());
+    let model = MeshfreeFlowNet::new(tiny_cfg());
     let mut fine_meta = hr.meta.clone();
     fine_meta.nt = hr.meta.nt; // keep time frames
     fine_meta.nz = 3 * (hr.meta.nz - 1) + 1;
