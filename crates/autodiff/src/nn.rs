@@ -8,8 +8,7 @@
 
 use crate::graph::{Graph, Var};
 use crate::params::{ParamId, ParamStore};
-use mfn_tensor::bf16::PackedBf16Gemm;
-use mfn_tensor::{conv3d_auto, gemm, rowops, MatLayout, Tensor};
+use mfn_tensor::{conv3d_auto, rowops, MatLayout, PackedGemm, Tensor};
 use rand::Rng;
 
 /// Element-wise activation selector.
@@ -327,85 +326,72 @@ impl Mlp {
         h
     }
 
-    /// Layer widths `[in, hidden…, out]`.
-    pub fn widths(&self) -> Vec<usize> {
-        std::iter::once(self.in_features())
-            .chain(self.layers.iter().map(|l| l.out_features))
-            .collect()
-    }
-
-    /// Eager no-grad layer `i` on a row block: `y = act(x Wᵀ + b)` for
-    /// `x: [m, in_i]`, `y: [m, out_i]` fully overwritten (the last layer is
-    /// linear). Bit-identical to what [`Mlp::forward`] records for that
-    /// layer — the same GEMM, bias and activation kernels, no tape — and,
-    /// because a GEMM row does not depend on `m`, for any split of the rows
-    /// into blocks.
-    pub fn layer_nograd(&self, store: &ParamStore, i: usize, m: usize, x: &[f32], y: &mut [f32]) {
-        let layer = &self.layers[i];
-        let w = store.get(layer.weight).data();
-        let (k, n) = (layer.in_features, layer.out_features);
-        gemm(m, k, n, x, MatLayout::Normal, w, MatLayout::Transposed, y);
-        let head = i + 1 == self.layers.len();
-        finish_layer(self.activation, head, y, store.get(layer.bias).data());
-    }
-}
-
-/// The tail of an eager MLP layer, in place on the GEMM output: bias add,
-/// then the hidden activation unless the layer is the MLP's linear head.
-fn finish_layer(hidden: Activation, head: bool, y: &mut [f32], bias: &[f32]) {
-    let act = if head { Activation::Linear } else { hidden };
-    act.bias_apply_rows(y, bias);
-}
-
-/// A frozen, inference-only snapshot of an [`Mlp`] with weights quantized to
-/// bf16 and prepacked into the GEMM micro-kernel's panel layout.
-///
-/// Numerics contract: weights are rounded once (RNE) at quantize time;
-/// activations, biases, and every accumulation stay f32 — each output is the
-/// same k-ordered f32 FMA chain as the full-precision path, over weights that
-/// carry 8 mantissa bits instead of 24. Halves the resident weight bytes and
-/// the weight-stream memory traffic of the decode hot loop.
-#[derive(Debug, Clone)]
-pub struct QuantizedMlp {
-    layers: Vec<(PackedBf16Gemm, Vec<f32>)>,
-    activation: Activation,
-    in_features: usize,
-}
-
-impl QuantizedMlp {
-    /// Quantizes an MLP's current weights out of `store`. The source model
-    /// is untouched; the snapshot does not track later weight updates.
-    pub fn quantize(mlp: &Mlp, store: &ParamStore) -> Self {
-        let layers = mlp
+    /// Snapshots the current weights out of `store` as a [`PackedMlp`] for
+    /// tape-free evaluation. The snapshot does not track later updates.
+    pub fn pack(&self, store: &ParamStore) -> PackedMlp {
+        let layers = self
             .layers
             .iter()
             .map(|layer| {
-                let w = store.get(layer.weight);
-                let packed =
-                    PackedBf16Gemm::from_nt_weight(w.data(), layer.out_features, layer.in_features);
-                (packed, store.get(layer.bias).data().to_vec())
+                let w = store.get(layer.weight).data();
+                let (k, n) = (layer.in_features, layer.out_features);
+                (
+                    PackedGemm::pack(k, n, w, MatLayout::Transposed),
+                    store.get(layer.bias).data().to_vec(),
+                )
             })
             .collect();
-        QuantizedMlp { layers, activation: mlp.activation, in_features: mlp.in_features() }
+        PackedMlp { layers, activation: self.activation }
+    }
+}
+
+/// An inference-only snapshot of an [`Mlp`]: every layer's weight prepacked
+/// into GEMM panels ([`PackedGemm`]) next to a copy of its bias, so repeated
+/// evaluation never touches the parameter store or re-packs a weight.
+///
+/// [`PackedMlp::forward`] is bit-identical to what [`Mlp::forward`] records
+/// on the tape — the same GEMM, bias and activation kernels — and, because a
+/// GEMM row does not depend on how many rows the call has, for any split of
+/// the rows into blocks.
+#[derive(Debug)]
+pub struct PackedMlp {
+    layers: Vec<(PackedGemm, Vec<f32>)>,
+    activation: Activation,
+}
+
+impl PackedMlp {
+    /// Input width.
+    pub fn in_features(&self) -> usize {
+        self.layers.first().expect("non-empty").0.depth()
     }
 
-    /// Layer widths `[in, hidden…, out]`.
-    pub fn widths(&self) -> Vec<usize> {
-        std::iter::once(self.in_features).chain(self.layers.iter().map(|(_, b)| b.len())).collect()
+    /// Output width.
+    pub fn out_features(&self) -> usize {
+        self.layers.last().expect("non-empty").0.cols()
     }
 
-    /// Resident bytes of the quantized weight panels (biases excluded).
-    pub fn weight_bytes(&self) -> usize {
-        self.layers.iter().map(|(w, _)| w.weight_bytes()).sum()
+    /// The widest row any layer reads or writes — what each of
+    /// [`PackedMlp::forward`]'s two buffers must hold per row.
+    pub fn max_width(&self) -> usize {
+        self.layers.iter().map(|(w, _)| w.cols()).fold(self.in_features(), usize::max)
     }
 
-    /// Eager layer `i` on a row block — [`Mlp::layer_nograd`] with the bf16
-    /// weight panels in place of the f32 GEMM. Activations and accumulation
-    /// stay exact f32.
-    pub fn layer(&self, i: usize, m: usize, x: &[f32], y: &mut [f32]) {
-        let (weight, bias) = &self.layers[i];
-        weight.matmul(m, x, y);
-        finish_layer(self.activation, i + 1 == self.layers.len(), y, bias);
+    /// Evaluates the MLP on the `m` rows at the front of `x` (`[m, in]`),
+    /// ping-ponging layer outputs between `x` and `y`, and returns the
+    /// `[m, out]` result (a prefix of whichever buffer the last layer wrote).
+    /// Both buffers must hold at least `m * max_width()` elements.
+    pub fn forward<'a>(&self, m: usize, x: &'a mut [f32], y: &'a mut [f32]) -> &'a [f32] {
+        let (mut cur, mut next) = (x, y);
+        let last = self.layers.len() - 1;
+        for (i, (weight, bias)) in self.layers.iter().enumerate() {
+            let out = &mut next[..m * weight.cols()];
+            weight.matmul(m, &cur[..m * weight.depth()], out);
+            // Hidden activation on every layer but the linear head.
+            let act = if i == last { Activation::Linear } else { self.activation };
+            act.bias_apply_rows(out, bias);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        &cur[..m * self.out_features()]
     }
 }
 

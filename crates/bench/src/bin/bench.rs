@@ -7,7 +7,7 @@
 //! Measures the blocked GEMM (all three transpose layouts) against the
 //! pre-optimization naive `ikj` kernel kept here as a frozen reference,
 //! the two conv3d lowerings (direct and fused implicit-GEMM — forward and
-//! both gradients), the bf16 vs f32 decode paths, and one full training step
+//! both gradients), the frozen encode/decode split, and one full training step
 //! with the workspace pool on vs off. Results land in
 //! `BENCH_kernels.json` (default; `--out` overrides): median wall time,
 //! GFLOP/s, heap bytes allocated per call (counted by the `count-alloc`
@@ -157,11 +157,10 @@ fn time_samples<F: FnMut()>(iters: usize, mut f: F) -> (f64, f64, u64) {
 /// Interleaved timing of several variants: each iteration times one call
 /// of every variant back to back, so all variants sample the same
 /// hypervisor steal phases and the ratio of any two minima is
-/// machine-speed robust (the same pairing the bf16 decode rows use).
-/// Timing them in separate loops instead lets one variant's minimum land
-/// in a quiet window the other never saw, which on this VM moves
-/// speedup ratios by ±20% run to run. Returns `(median_ns, best_ns)` per
-/// variant, in input order.
+/// machine-speed robust. Timing them in separate loops instead lets one
+/// variant's minimum land in a quiet window the other never saw, which on
+/// this VM moves speedup ratios by ±20% run to run. Returns `(median_ns,
+/// best_ns)` per variant, in input order.
 fn time_interleaved(iters: usize, fs: &mut [&mut dyn FnMut()]) -> Vec<(f64, f64)> {
     for f in fs.iter_mut() {
         f(); // warm up: workspace pool, icache
@@ -324,103 +323,58 @@ struct DecodeRow {
     alloc_bytes_per_call: u64,
 }
 
-/// Everything the serving-split benchmark measures: the encode cost, the
-/// f32 decode rows, their bf16-store twins, and the resident bf16 weight
-/// bytes.
-struct DecodeBench {
-    encode_ns: f64,
-    rows: Vec<DecodeRow>,
-    bf16_rows: Vec<DecodeRow>,
-    bf16_weight_bytes: usize,
-}
-
 /// Times the serving split on a tiny frozen model: one U-Net encode (the
-/// expensive encode-once half) and `decode_values` at several query-batch
-/// sizes (the cheap decode-many half), at full precision and through the
-/// bf16-store decoder on the same weights. The encode/decode ratio in the
-/// JSON is the asymmetry the latent-context cache in `mfn-serve` exploits;
-/// the bf16 rows are the µs/query the `--bf16-decode` serve flag buys.
-fn bench_decode(iters: usize) -> DecodeBench {
+/// expensive encode-once half) and `FrozenModel::decode_values` at several
+/// query-batch sizes (the cheap decode-many half). The encode/decode ratio
+/// in the JSON is the asymmetry the latent-context cache in `mfn-serve`
+/// exploits. Returns the encode median and the decode rows.
+fn bench_decode(iters: usize) -> (f64, Vec<DecodeRow>) {
     let mut cfg = MfnConfig::small();
     cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 32 };
     cfg.base_channels = 4;
-    // Serving-sized decoder: with latent 32 and two 128-wide hidden layers
-    // the f32 weight store (~85 KB) spills a 32-48 KB L1d while the bf16
-    // copy (~43 KB) fits, so the reduced-precision rows measure the cache
-    // regime the quantized path is built for rather than L1-resident noise.
+    // Serving-sized decoder (35→128→128→4): its ~85 KB of weight panels
+    // spill a 32-48 KB L1d, the regime a served decoder runs in.
     cfg.latent_channels = 32;
     cfg.mlp_hidden = vec![128, 128];
     cfg.levels = 2;
     let in_channels = cfg.in_channels;
-    let mut frozen = FrozenModel::from_model(MeshfreeFlowNet::new(cfg));
+    let frozen = FrozenModel::from_model(MeshfreeFlowNet::new(cfg));
     let mut rng = ChaCha8Rng::seed_from_u64(21);
     let input = Tensor::randn(&[1, in_channels, 4, 4, 4], 1.0, &mut rng);
     let (encode_ns, _, _) = time_samples(iters, || {
         std::hint::black_box(frozen.encode(&input));
     });
     let latent = frozen.encode(&input);
-    // Quantize up front: `decode_values` then takes the bf16 path while
-    // `decode_values_exact` stays f32, so both variants run on the SAME
-    // model object and can be timed in one interleaved loop. Alternating
-    // the calls per iteration means hypervisor steal phases hit both paths
-    // equally — comparing the two minima cancels machine-speed drift that
-    // timing the paths in separate windows would bake into the ratio.
-    frozen.quantize_decoder();
-    let mut rows = Vec::new();
-    let mut bf16_rows = Vec::new();
     // 4096 queries is the many-block row of the blocked decode (64 queries a
     // block): its points/s against the 64-query row is what blocking holds.
-    for &q in &[1usize, 8, 64, 512, 4096] {
-        let mut state = q as u64 * 7919 + 1;
-        let queries: Vec<(usize, [f32; 3])> = (0..q)
-            .map(|_| {
-                let mut coord = || {
-                    state =
-                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    ((state >> 40) as f32 / (1u64 << 24) as f32).clamp(0.0, 1.0)
-                };
-                (0usize, [coord(), coord(), coord()])
-            })
-            .collect();
-        let f32_call = || {
-            std::hint::black_box(frozen.decode_values_exact(&latent, queries.iter().copied()));
-        };
-        let bf16_call = || {
-            std::hint::black_box(frozen.decode_values(&latent, queries.iter().copied()));
-        };
-        f32_call(); // warm up both paths (workspace pool, icache)
-        bf16_call();
-        let b0 = alloc_bytes();
-        f32_call();
-        let f32_bytes = alloc_bytes() - b0;
-        let b0 = alloc_bytes();
-        bf16_call();
-        let bf16_bytes = alloc_bytes() - b0;
-        let mut f32_samples = Vec::with_capacity(iters);
-        let mut bf16_samples = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let t = Instant::now();
-            f32_call();
-            f32_samples.push(t.elapsed().as_nanos() as f64);
-            let t = Instant::now();
-            bf16_call();
-            bf16_samples.push(t.elapsed().as_nanos() as f64);
-        }
-        let row = |mut samples: Vec<f64>, bytes: u64| {
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-            let (median_ns, best_ns) = (samples[samples.len() / 2], samples[0]);
+    let rows = [1usize, 8, 64, 512, 4096]
+        .into_iter()
+        .map(|q| {
+            let mut state = q as u64 * 7919 + 1;
+            let queries: Vec<(usize, [f32; 3])> = (0..q)
+                .map(|_| {
+                    let mut coord = || {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        ((state >> 40) as f32 / (1u64 << 24) as f32).clamp(0.0, 1.0)
+                    };
+                    (0usize, [coord(), coord(), coord()])
+                })
+                .collect();
+            let (median_ns, best_ns, alloc_bytes_per_call) = time_samples(iters, || {
+                std::hint::black_box(frozen.decode_values(&latent, queries.iter().copied()));
+            });
             DecodeRow {
                 queries: q,
                 median_ns,
                 best_ns,
                 points_per_s: q as f64 * 1e9 / best_ns,
-                alloc_bytes_per_call: bytes,
+                alloc_bytes_per_call,
             }
-        };
-        rows.push(row(f32_samples, f32_bytes));
-        bf16_rows.push(row(bf16_samples, bf16_bytes));
-    }
-    DecodeBench { encode_ns, rows, bf16_rows, bf16_weight_bytes: frozen.quantized_weight_bytes() }
+        })
+        .collect();
+    (encode_ns, rows)
 }
 
 /// The activation kernel on its own: `rowops::softplus_slice` in place over
@@ -856,34 +810,22 @@ fn main() {
         conv_flops / gw_ns,
     );
 
-    // ---- Serving split: encode-once vs decode-many, f32 vs bf16 --------
+    // ---- Serving split: encode-once vs decode-many --------------------
     eprintln!("[bench] timing frozen encode + decode_values ({decode_iters} iters/size) ...");
-    let decode = bench_decode(decode_iters);
-    let (encode_ns, decode_rows) = (decode.encode_ns, &decode.rows);
-    // Two bf16 headlines for the two serving regimes. At 1 query the f32
-    // path re-packs the whole decoder weight store per call while the bf16
-    // store is pre-packed at quantize time, so the win there is structural;
-    // at 512 queries the MLP GEMM (8 stencil rows per query) dominates and
-    // both paths run the same f32-accumulation micro-kernels, so bf16 can
-    // only match f32 there while halving resident weight bytes.
-    let at = |rows: &[DecodeRow], q: usize| {
-        rows.iter().find(|r| r.queries == q).expect("decode row").best_ns
-    };
-    let bf16_speedup_1q = at(decode_rows, 1) / at(&decode.bf16_rows, 1);
-    let bf16_speedup = at(decode_rows, 512) / at(&decode.bf16_rows, 512);
+    let (encode_ns, decode_rows) = bench_decode(decode_iters);
     {
+        let at = |q: usize| {
+            decode_rows.iter().find(|r| r.queries == q).expect("decode row").points_per_s
+        };
         let d1 = decode_rows.first().expect("decode rows");
         eprintln!(
             "[bench] encode {:.0} ns vs 1-query decode {:.0} ns ({:.0}x); \
-             1-query bf16 {bf16_speedup_1q:.2}x; \
-             512-query decode {:.2} Mpts/s f32, {:.2} Mpts/s bf16 ({bf16_speedup:.2}x); \
-             4096-query decode {:.2} Mpts/s f32",
+             decode {:.3} Mpts/s at 512 queries, {:.3} Mpts/s at 4096",
             encode_ns,
             d1.median_ns,
             encode_ns / d1.median_ns,
-            512.0 * 1e3 / at(decode_rows, 512),
-            512.0 * 1e3 / at(&decode.bf16_rows, 512),
-            4096.0 * 1e3 / at(decode_rows, 4096),
+            at(512) / 1e6,
+            at(4096) / 1e6,
         );
     }
     let (sp_n, sp_med, sp_best) = bench_softplus(iters);
@@ -932,21 +874,16 @@ fn main() {
             r.name, r.m, r.k, r.n, r.median_ns, r.best_ns, r.gflops, r.alloc_bytes_per_call
         ));
     }
-    let decode_rows_json = |rows: &[DecodeRow]| {
-        let mut s = String::new();
-        for (idx, r) in rows.iter().enumerate() {
-            if idx > 0 {
-                s.push_str(",\n");
-            }
-            s.push_str(&format!(
-                "    {{\"queries\": {}, \"median_ns\": {:.0}, \"best_ns\": {:.0}, \"points_per_s\": {:.0}, \"alloc_bytes_per_call\": {}}}",
-                r.queries, r.median_ns, r.best_ns, r.points_per_s, r.alloc_bytes_per_call
-            ));
+    let mut decode_json = String::new();
+    for (idx, r) in decode_rows.iter().enumerate() {
+        if idx > 0 {
+            decode_json.push_str(",\n");
         }
-        s
-    };
-    let decode_json = decode_rows_json(decode_rows);
-    let bf16_json = decode_rows_json(&decode.bf16_rows);
+        decode_json.push_str(&format!(
+            "    {{\"queries\": {}, \"median_ns\": {:.0}, \"best_ns\": {:.0}, \"points_per_s\": {:.0}, \"alloc_bytes_per_call\": {}}}",
+            r.queries, r.median_ns, r.best_ns, r.points_per_s, r.alloc_bytes_per_call
+        ));
+    }
     let conv_row = |median: f64, best: f64, bytes: u64| {
         format!(
             "{{\"median_ns\": {median:.0}, \"best_ns\": {best:.0}, \"gflops\": {gf:.2}, \"alloc_bytes_per_call\": {bytes}}}",
@@ -955,7 +892,7 @@ fn main() {
     };
     let json = format!(
         "{{\n\
-         \"schema\": \"mfn-bench/kernels/v4\",\n\
+         \"schema\": \"mfn-bench/kernels/v5\",\n\
          \"mode\": \"{mode}\",\n\
          \"count_alloc\": {count_alloc},\n\
          \"checks\": {{\"gemm_vs_naive\": \"ok\", \"lowerings_vs_direct\": \"ok\"}},\n\
@@ -972,11 +909,7 @@ fn main() {
          \"decode_values\": {{\n\
          \"encode_median_ns\": {encode_ns:.0},\n\
          \"encode_to_1query_decode_ratio\": {enc_dec_ratio:.1},\n\
-         \"rows\": [\n{decode_json}\n  ],\n\
-         \"bf16_rows\": [\n{bf16_json}\n  ],\n\
-         \"bf16_weight_bytes\": {bf16_bytes},\n\
-         \"bf16_speedup_1q\": {bf16_speedup_1q:.3},\n\
-         \"bf16_speedup_512q\": {bf16_speedup:.3}\n\
+         \"rows\": [\n{decode_json}\n  ]\n\
          }},\n\
          \"softplus\": {{\"elements\": {sp_n}, \"median_ns\": {sp_med:.0}, \"best_ns\": {sp_best:.0}, \"ns_per_element\": {sp_per:.3}}},\n\
          \"sampling\": {{\n\
@@ -1007,7 +940,6 @@ fn main() {
         gw_row = conv_row(gw_med, gw_ns, gw_bytes),
         encode_ns = encode_ns,
         enc_dec_ratio = encode_ns / decode_rows.first().expect("decode rows").median_ns,
-        bf16_bytes = decode.bf16_weight_bytes,
         sp_per = sp_best / sp_n as f64,
         sq = sampling.queries,
         su_med = sampling.uniform_median_ns,

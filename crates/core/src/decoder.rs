@@ -11,50 +11,58 @@
 //! - **tape**: [`ContinuousDecoder::decode`] records the computation on the
 //!   reverse-mode graph (training and test-time refinement — whatever needs
 //!   a gradient);
-//! - **no-grad**: [`ContinuousDecoder::decode_nograd`] and its bf16-weight
-//!   twin [`QuantizedDecoder::decode`] evaluate the same values, bit for
-//!   bit, with no tape, a block of queries at a time (all inference:
-//!   `MeshfreeFlowNet::super_resolve`, the frozen engine, serving);
+//! - **no-grad**: `decode_packed` evaluates the same values, bit for bit,
+//!   with no tape, a block of queries at a time, against MLP weights packed
+//!   into GEMM panels once ([`PackedMlp`]) — by the frozen engine when it is
+//!   built, by [`ContinuousDecoder::decode_nograd`] once per call (all
+//!   inference: `MeshfreeFlowNet::super_resolve`, the frozen engine,
+//!   serving);
 //! - **jets**: [`ContinuousDecoder::decode_jet`] propagates exact first and
 //!   second space-time derivatives through the MLP *and* the trilinear
 //!   blending (inference-time PDE residuals, and the oracle the training
 //!   stencil is validated against).
 
-use mfn_autodiff::{mlp_jet, Graph, Jet3, JetVec, Mlp, ParamStore, QuantizedMlp, Var};
+use mfn_autodiff::{mlp_jet, Graph, Jet3, JetVec, Mlp, PackedMlp, ParamStore, Var};
 use mfn_tensor::{blend_rows_into, gather_concat_rows, workspace, Tensor};
 
 /// Number of bounding vertices of a 3D cell.
 pub const VERTICES: usize = 8;
 
-/// Queries the no-grad decode evaluates at a time. At 64 queries the two
-/// ping-pong activation buffers of a 64-wide MLP are 128 KiB each — the
-/// whole layer stack of a block runs out of L2 — while each GEMM still gets
-/// 512 rows, enough to amortize its per-call weight packing.
+/// Queries the no-grad decode evaluates at a time: what bounds its scratch
+/// (two ping-pong buffers of 512 rows × the widest layer, 256 KiB each for
+/// a 128-wide MLP, L2-resident) however many queries a call brings. With
+/// the weights prepacked a block has no fixed cost left to amortize, and
+/// the size no longer shows in the timings: 32 / 64 / 128 queries a block
+/// ran the `super_resolve` benchmark workload at 523–534k / 522–537k /
+/// 527–536k points/s (three runs each) and the 4096-query `bench` decode
+/// row at 139k / 142–147k / 139–140k.
 const BLOCK_QUERIES: usize = 64;
 
-/// The no-grad decode pipeline, one block of [`BLOCK_QUERIES`] queries at a
-/// time: gather + coordinate concat → every MLP layer (`layer(i, rows, x,
-/// y)` computes layer `i` of `widths` from `x` into `y`, bias and
-/// activation included) → trilinear blend straight into the `[Q, out]`
-/// result. Intermediates live in two block-sized buffers taken once per
-/// call, so memory does not grow with the query count.
+/// The no-grad decode: `decode_blocked` at the production block size.
+pub(crate) fn decode_packed(mlp: &PackedMlp, latent: &Tensor, plan: &QueryPlan) -> Tensor {
+    decode_blocked(mlp, latent, plan, BLOCK_QUERIES)
+}
+
+/// The no-grad decode pipeline, one block of `block_queries` queries at a
+/// time: gather + coordinate concat → every MLP layer (bias and activation
+/// included) → trilinear blend straight into the `[Q, out]` result.
+/// Intermediates live in two block-sized buffers taken once per call, so
+/// memory does not grow with the query count.
 ///
 /// Blocking is invisible in the output: every stage is row-wise, and a GEMM
 /// output row does not depend on how many rows the call has (`mfn_tensor::
 /// gemm` module doc), so any block size gives the bits of a single pass.
 fn decode_blocked(
+    mlp: &PackedMlp,
     latent: &Tensor,
     plan: &QueryPlan,
-    widths: &[usize],
     block_queries: usize,
-    layer: impl Fn(usize, usize, &[f32], &mut [f32]),
 ) -> Tensor {
     assert!(!plan.is_empty(), "empty query plan");
-    let out_channels = *widths.last().expect("an MLP has widths");
+    let (in_width, out_channels) = (mlp.in_features(), mlp.out_features());
     let block_rows = block_queries.min(plan.len()) * VERTICES;
-    let widest = *widths.iter().max().expect("an MLP has widths");
-    let mut cur = workspace::take_scratch(block_rows * widest);
-    let mut next = workspace::take_scratch(block_rows * widest);
+    let mut cur = workspace::take_scratch(block_rows * mlp.max_width());
+    let mut next = workspace::take_scratch(block_rows * mlp.max_width());
     let mut out = workspace::take_vec_scratch(plan.len() * out_channels);
     for (b, out_block) in out.chunks_mut(block_queries * out_channels).enumerate() {
         let rows = out_block.len() / out_channels * VERTICES;
@@ -63,18 +71,10 @@ fn decode_blocked(
             latent,
             &plan.index[at..at + rows],
             &plan.rel[at * 3..(at + rows) * 3],
-            &mut cur[..rows * widths[0]],
+            &mut cur[..rows * in_width],
         );
-        for (i, w) in widths.windows(2).enumerate() {
-            layer(i, rows, &cur[..rows * w[0]], &mut next[..rows * w[1]]);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        blend_rows_into(
-            &cur[..rows * out_channels],
-            &plan.weights[at..at + rows],
-            VERTICES,
-            out_block,
-        );
+        let values = mlp.forward(rows, &mut cur, &mut next);
+        blend_rows_into(values, &plan.weights[at..at + rows], VERTICES, out_block);
     }
     Tensor::from_vec(out, &[plan.len(), out_channels])
 }
@@ -177,14 +177,12 @@ impl ContinuousDecoder {
     }
 
     /// Eager no-grad path: the same math as [`ContinuousDecoder::decode`]
-    /// with no tape recorded and a block of queries in flight at a time
-    /// (`decode_blocked`), bit-identical to it. Takes `&self` and only
-    /// reads `store`, which is what the serving engine's concurrent decode
-    /// batches rely on.
+    /// with no tape recorded (`decode_packed`), bit-identical to it. The
+    /// weights are packed out of `store` on every call and never kept — the
+    /// store of a live model moves under every optimizer step — so a caller
+    /// whose weights cannot change packs once itself (`FrozenModel`).
     pub fn decode_nograd(&self, store: &ParamStore, latent: &Tensor, plan: &QueryPlan) -> Tensor {
-        decode_blocked(latent, plan, &self.mlp.widths(), BLOCK_QUERIES, |i, m, x, y| {
-            self.mlp.layer_nograd(store, i, m, x, y)
-        })
+        decode_packed(&self.mlp.pack(store), latent, plan)
     }
 
     /// Jet path: exact value + first + diagonal-second space-time derivatives
@@ -255,45 +253,6 @@ impl ContinuousDecoder {
             }
         }
         acc
-    }
-}
-
-/// A bf16-quantized snapshot of a [`ContinuousDecoder`] for reduced-precision
-/// serving: the MLP's weights live as prepacked bf16 GEMM panels
-/// ([`QuantizedMlp`]), while the gather/concat input build, biases,
-/// activations, accumulation and trilinear blending all stay f32. Opt-in —
-/// built once, then decoded against like the full-precision path.
-#[derive(Debug, Clone)]
-pub struct QuantizedDecoder {
-    mlp: QuantizedMlp,
-    out_channels: usize,
-}
-
-impl QuantizedDecoder {
-    /// Quantizes a decoder's MLP weights out of `store` (source untouched).
-    pub fn quantize(dec: &ContinuousDecoder, store: &ParamStore) -> Self {
-        QuantizedDecoder {
-            mlp: QuantizedMlp::quantize(&dec.mlp, store),
-            out_channels: dec.out_channels,
-        }
-    }
-
-    /// Resident bytes of the quantized weight panels.
-    pub fn weight_bytes(&self) -> usize {
-        self.mlp.weight_bytes()
-    }
-
-    /// Physical output channels.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-
-    /// Reduced-precision twin of [`ContinuousDecoder::decode_nograd`]: the
-    /// same blocked pipeline, bf16 weight panels inside the layer GEMMs.
-    pub fn decode(&self, latent: &Tensor, plan: &QueryPlan) -> Tensor {
-        decode_blocked(latent, plan, &self.mlp.widths(), BLOCK_QUERIES, |i, m, x, y| {
-            self.mlp.layer(i, m, x, y)
-        })
     }
 }
 
@@ -445,41 +404,13 @@ mod tests {
         assert!(g.grad(l).max_abs() > 0.0, "no gradient reached the latent grid");
     }
 
-    /// The quantized decoder tracks the f32 path to bf16 weight precision:
-    /// ~2^-8 relative per product, amplified through two hidden layers.
-    #[test]
-    fn quantized_decoder_tracks_f32_path() {
-        let (store, dec) = setup();
-        let qdec = QuantizedDecoder::quantize(&dec, &store);
-        assert!(qdec.weight_bytes() > 0);
-        assert_eq!(qdec.out_channels(), dec.out_channels);
-        let latent = random_latent(6, &[2, 6, 3, 4, 4]);
-        let plan = plan_queries(
-            [3, 4, 4],
-            (0..40).map(|q| {
-                let f = q as f32 / 39.0;
-                (q % 2, [f, (f * 0.7).fract(), (f * 1.3).fract()])
-            }),
-        );
-        let exact = dec.decode_nograd(&store, &latent, &plan);
-        let quant = qdec.decode(&latent, &plan);
-        assert_eq!(exact.dims(), quant.dims());
-        for (i, (a, b)) in exact.data().iter().zip(quant.data()).enumerate() {
-            assert!(
-                (a - b).abs() < 3e-2 * (1.0 + a.abs()),
-                "row {i}: f32 {a} vs bf16 {b} diverged beyond quantization noise"
-            );
-        }
-    }
-
-    /// Blocking is invisible: any query count gives, in both precision
-    /// tiers, the bits of one pass over all rows — and the f32 tier those
-    /// of the tape.
+    /// Blocking is invisible: any query count gives the bits of one pass
+    /// over all rows, and those of the tape.
     #[test]
     fn blocked_decode_is_bit_identical_to_a_single_block() {
         const B: usize = BLOCK_QUERIES;
         let (store, dec) = setup();
-        let qdec = QuantizedDecoder::quantize(&dec, &store);
+        let packed = dec.mlp.pack(&store);
         let latent = random_latent(7, &[2, 6, 3, 4, 4]);
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for q in [1, B - 1, B, B + 1, 3 * B + 7] {
@@ -490,24 +421,17 @@ mod tests {
                     (i % 2, [f, (f * 7.3).fract(), (f * 13.1).fract()])
                 }),
             );
-            let widths = dec.mlp.widths();
-            let f32_layer =
-                |i, m, x: &[f32], y: &mut [f32]| dec.mlp.layer_nograd(&store, i, m, x, y);
-            let whole = decode_blocked(&latent, &plan, &widths, q, f32_layer);
+            let whole = decode_blocked(&packed, &latent, &plan, q);
             assert_eq!(whole.dims(), &[q, 4]);
             assert_eq!(
                 bits(&dec.decode_nograd(&store, &latent, &plan)),
                 bits(&whole),
-                "f32, Q={q}"
+                "no-grad, Q={q}"
             );
             let mut g = Graph::new();
             let l = g.constant(latent.clone());
             let tape = dec.decode(&mut g, &store, l, &plan);
             assert_eq!(bits(g.value(tape)), bits(&whole), "tape, Q={q}");
-
-            let bf16_layer = |i, m, x: &[f32], y: &mut [f32]| qdec.mlp.layer(i, m, x, y);
-            let whole = decode_blocked(&latent, &plan, &widths, q, bf16_layer);
-            assert_eq!(bits(&qdec.decode(&latent, &plan)), bits(&whole), "bf16-store, Q={q}");
         }
     }
 

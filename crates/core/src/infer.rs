@@ -10,62 +10,21 @@
 //! decodes concurrent query batches without any locking around the weights.
 //!
 //! The no-grad forwards are the ones `MeshfreeFlowNet::{encode,
-//! decode_values}` run — the engine has no decode of its own, only the
-//! choice of precision tier — and are bit-identical to the training graph in
-//! eval mode (pinned by the `inference_equivalence` property tests in
-//! `mfn-serve`): the elementwise kernels are literally shared
-//! (`mfn_tensor::rowops`), not reimplemented.
+//! decode_values}` run — the engine has no decode of its own; because its
+//! weights cannot change, it packs the decoder MLP into GEMM panels once at
+//! construction where the live model packs per call — and are bit-identical
+//! to the training graph in eval mode (pinned by the `inference_equivalence`
+//! property tests in `mfn-serve`): the elementwise kernels are literally
+//! shared (`mfn_tensor::rowops`), not reimplemented.
 
 use crate::checkpoint::{decode_inference_state, load_train_state_with_fallback, CheckpointError};
 use crate::config::MfnConfig;
-use crate::decoder::{plan_queries, ContinuousDecoder, QuantizedDecoder};
+use crate::decoder::{decode_packed, plan_queries, ContinuousDecoder};
 use crate::model::MeshfreeFlowNet;
 use crate::unet::UNet3d;
-use mfn_autodiff::{FrozenParams, ParamStore};
+use mfn_autodiff::{FrozenParams, PackedMlp, ParamStore};
 use mfn_tensor::Tensor;
 use std::path::Path;
-
-/// Which precision tier answers value decodes — the serving-visible label
-/// for the numerical contract of [`FrozenModel::decode_values`]. Wire
-/// encoding ([`DecodeTier::as_u8`]) is append-only: `0`/`1` are fixed
-/// forever, `2` belonged to the retired bf16-compute tier and is never
-/// reused, new tiers take new values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeTier {
-    /// Full-precision f32 weights and activations.
-    F32,
-    /// bf16-rounded weights, exact f32 activations and accumulation
-    /// ([`FrozenModel::quantize_decoder`]).
-    Bf16Store,
-}
-
-impl DecodeTier {
-    /// Stable name for telemetry, logs and bench reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DecodeTier::F32 => "f32",
-            DecodeTier::Bf16Store => "bf16-store",
-        }
-    }
-
-    /// Stable wire byte.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            DecodeTier::F32 => 0,
-            DecodeTier::Bf16Store => 1,
-        }
-    }
-
-    /// Inverse of [`DecodeTier::as_u8`]; `None` for the retired byte `2`
-    /// and for bytes from a future tier this build does not know.
-    pub fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            0 => Some(DecodeTier::F32),
-            1 => Some(DecodeTier::Bf16Store),
-            _ => None,
-        }
-    }
-}
 
 /// An immutable inference engine over trained weights.
 pub struct FrozenModel {
@@ -73,8 +32,9 @@ pub struct FrozenModel {
     store: ParamStore,
     unet: UNet3d,
     decoder: ContinuousDecoder,
-    /// Opt-in bf16 decode path; populated by [`FrozenModel::quantize_decoder`].
-    quantized: Option<QuantizedDecoder>,
+    /// The decoder MLP's weights as GEMM panels, packed once here: `store`
+    /// is private and never written, so they cannot go stale.
+    packed: PackedMlp,
     trained_steps: u64,
 }
 
@@ -86,35 +46,8 @@ impl FrozenModel {
 
     fn with_steps(model: MeshfreeFlowNet, trained_steps: u64) -> Self {
         let MeshfreeFlowNet { cfg, store, unet, decoder } = model;
-        FrozenModel { cfg, store, unet, decoder, quantized: None, trained_steps }
-    }
-
-    /// Quantizes the decoder MLP's weights to prepacked bf16 panels; every
-    /// later [`FrozenModel::decode_values`] call routes through them
-    /// (activations, biases, and accumulation stay f32). Halves the decode
-    /// weight bytes at a bounded precision cost — opt-in, and the
-    /// full-precision weights stay resident (the encode path and the exact
-    /// [`FrozenModel::decode_values_exact`] still use them).
-    pub fn quantize_decoder(&mut self) {
-        self.quantized = Some(QuantizedDecoder::quantize(&self.decoder, &self.store));
-    }
-
-    /// Whether [`FrozenModel::quantize_decoder`] has been applied.
-    pub fn decoder_is_quantized(&self) -> bool {
-        self.quantized.is_some()
-    }
-
-    /// The precision tier [`FrozenModel::decode_values`] answers with.
-    pub fn decode_tier(&self) -> DecodeTier {
-        match &self.quantized {
-            None => DecodeTier::F32,
-            Some(_) => DecodeTier::Bf16Store,
-        }
-    }
-
-    /// Resident bytes of the bf16 decoder weight panels (0 if not quantized).
-    pub fn quantized_weight_bytes(&self) -> usize {
-        self.quantized.as_ref().map_or(0, |q| q.weight_bytes())
+        let packed = decoder.mlp.pack(&store);
+        FrozenModel { cfg, store, unet, decoder, packed, trained_steps }
     }
 
     /// Loads a `MFNSTAT1` train-state checkpoint (as written by the trainer's
@@ -184,29 +117,13 @@ impl FrozenModel {
         queries: impl IntoIterator<Item = (usize, [f32; 3])>,
     ) -> Tensor {
         let plan = plan_queries(self.grid_dims(), queries);
-        match &self.quantized {
-            Some(q) => q.decode(latent, &plan),
-            None => self.decoder.decode_nograd(&self.store, latent, &plan),
-        }
-    }
-
-    /// Always-full-precision twin of [`FrozenModel::decode_values`],
-    /// bypassing any quantized decoder (accuracy eval, A/B benches).
-    pub fn decode_values_exact(
-        &self,
-        latent: &Tensor,
-        queries: impl IntoIterator<Item = (usize, [f32; 3])>,
-    ) -> Tensor {
-        let plan = plan_queries(self.grid_dims(), queries);
-        self.decoder.decode_nograd(&self.store, latent, &plan)
+        decode_packed(&self.packed, latent, &plan)
     }
 
     /// Test-time physics refinement (see [`crate::refine`]): budgeted gradient
     /// descent on a *copy* of `latent` minimizing the PDE equation residual at
-    /// `points`, weights frozen. The gradient tape always runs the exact f32
-    /// decoder — a quantized serving decoder never participates. Returns the
-    /// refined latent and a step/residual report; the input tensor is never
-    /// mutated.
+    /// `points`, weights frozen. Returns the refined latent and a
+    /// step/residual report; the input tensor is never mutated.
     pub fn refine_latent(
         &self,
         latent: &Tensor,
@@ -250,41 +167,6 @@ mod tests {
         let out = frozen.decode_values(&latent, [(0usize, [0.5, 0.5, 0.5])]);
         assert_eq!(out.dims(), &[1, 4]);
         assert!(out.data().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn quantized_decode_dispatch_and_accuracy() {
-        let mut frozen = FrozenModel::from_model(MeshfreeFlowNet::new(tiny_cfg()));
-        let x = Tensor::ones(&[1, 4, 4, 4, 4]);
-        let latent = frozen.encode(&x);
-        let queries: Vec<(usize, [f32; 3])> =
-            (0..20).map(|q| (0usize, [q as f32 / 19.0, 0.3, 0.7])).collect();
-        assert!(!frozen.decoder_is_quantized());
-        assert_eq!(frozen.decode_tier(), DecodeTier::F32);
-        let exact = frozen.decode_values(&latent, queries.iter().copied());
-        frozen.quantize_decoder();
-        assert!(frozen.decoder_is_quantized());
-        assert_eq!(frozen.decode_tier(), DecodeTier::Bf16Store);
-        assert!(frozen.quantized_weight_bytes() > 0);
-        let quant = frozen.decode_values(&latent, queries.iter().copied());
-        // The exact path is still reachable and unchanged.
-        let exact2 = frozen.decode_values_exact(&latent, queries.iter().copied());
-        assert_eq!(exact.data(), exact2.data());
-        for (a, b) in exact.data().iter().zip(quant.data()) {
-            assert!((a - b).abs() < 3e-2 * (1.0 + a.abs()), "bf16 decode drifted: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn decode_tier_wire_bytes_round_trip() {
-        for tier in [DecodeTier::F32, DecodeTier::Bf16Store] {
-            assert_eq!(DecodeTier::from_u8(tier.as_u8()), Some(tier));
-        }
-        // Byte 2 was the bf16-compute tier: retired, never reused.
-        assert_eq!(DecodeTier::from_u8(2), None);
-        assert_eq!(DecodeTier::from_u8(3), None);
-        assert_eq!(DecodeTier::F32.name(), "f32");
-        assert_eq!(DecodeTier::Bf16Store.name(), "bf16-store");
     }
 
     #[test]

@@ -37,9 +37,9 @@ pub use checkpoint::{
     load_train_state_with_fallback, prev_path, save_train_state, CheckpointError, TrainStateMeta,
 };
 pub use config::{MfnConfig, TrainConfig};
-pub use decoder::{plan_queries, ContinuousDecoder, QuantizedDecoder, QueryPlan, VERTICES};
+pub use decoder::{plan_queries, ContinuousDecoder, QueryPlan, VERTICES};
 pub use eval::{evaluate_pair, metric_series, table_header, EvalRow};
-pub use infer::{DecodeTier, FrozenModel};
+pub use infer::FrozenModel;
 pub use losses::{
     equation_loss, equation_loss_at_points, equation_residuals_at_points, prediction_loss,
     weighted_equation_loss_at_points, weighted_l1, weighted_prediction_loss, ChannelStats,

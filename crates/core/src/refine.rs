@@ -25,11 +25,6 @@
 //!   the tape is rebuilt identically every step and no randomness enters.
 //!   (A binding wall-clock cap truncates the step count — that is the one
 //!   intentionally nondeterministic budget axis.)
-//!
-//! Gradients always run on the exact f32 tape decoder — a bf16-quantized
-//! serving decoder never participates in refinement (its rounding would
-//! poison the descent direction); only the final value decode may be
-//! quantized, which is the caller's choice.
 
 use crate::config::MfnConfig;
 use crate::decoder::ContinuousDecoder;

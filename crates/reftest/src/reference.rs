@@ -65,35 +65,6 @@ pub fn gemm_ref(
     RefOut { value, scale }
 }
 
-/// bf16 quantization by explicit round-to-nearest-even: compare the
-/// discarded low 16 bits against the halfway point, ties to the even kept
-/// mantissa. Deliberately a different construction from the production
-/// adder trick (`bits + 0x7FFF + lsb`) in `mfn_tensor::bf16`, so the two
-/// can only agree by both being RNE. NaN keeps its sign and top payload
-/// bits with the quiet bit forced; finite inputs whose rounding would carry
-/// into the inf pattern saturate to the largest finite bf16 instead — only
-/// a true ±inf input produces ±inf, matching the kernel's pinned contract.
-pub fn bf16_rne_ref(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let hi = (bits >> 16) as u16;
-    if x.is_nan() {
-        return hi | 0x0040;
-    }
-    if x.is_infinite() {
-        return hi;
-    }
-    let q = match (bits & 0xFFFF).cmp(&0x8000) {
-        std::cmp::Ordering::Less => hi,
-        std::cmp::Ordering::Greater => hi.wrapping_add(1),
-        std::cmp::Ordering::Equal => hi + (hi & 1), // tie: round to even
-    };
-    if q & 0x7F80 == 0x7F80 {
-        (q & 0x8000) | 0x7F7F // finite overflow saturates below inf
-    } else {
-        q
-    }
-}
-
 // ---- convolution family ----
 
 /// Forward conv3d by the definition: stride 1, same zero padding,
@@ -1043,26 +1014,6 @@ mod tests {
         let r = gemm_ref(2, 2, 2, &a, MatLayout::Normal, &b, MatLayout::Normal);
         assert_eq!(r.value, vec![3.0, -4.0, 5.0, 0.25]);
         assert_eq!(r.scale, vec![3.0, 4.0, 5.0, 0.25]);
-    }
-
-    #[test]
-    fn bf16_rne_ref_rounds_ties_to_even_and_saturates_finite_overflow() {
-        // Halfway above an even kept mantissa stays; above an odd one bumps.
-        assert_eq!(bf16_rne_ref(f32::from_bits(0x3F80_8000)), 0x3F80);
-        assert_eq!(bf16_rne_ref(f32::from_bits(0x3F81_8000)), 0x3F82);
-        assert_eq!(bf16_rne_ref(f32::from_bits(0x3F80_8001)), 0x3F81);
-        // Past the largest finite bf16, finite values saturate to ±0x7F7F;
-        // only a true infinity quantizes to the inf pattern.
-        assert_eq!(bf16_rne_ref(f32::MAX), 0x7F7F);
-        assert_eq!(bf16_rne_ref(f32::MIN), 0xFF7F);
-        assert_eq!(bf16_rne_ref(f32::from_bits(0x7F7F_8000)), 0x7F7F);
-        assert_eq!(bf16_rne_ref(f32::INFINITY), 0x7F80);
-        assert_eq!(bf16_rne_ref(f32::NEG_INFINITY), 0xFF80);
-        // NaN stays NaN: exponent all ones, quiet bit forced in the payload.
-        let q = bf16_rne_ref(f32::NAN);
-        assert_eq!(q & 0x7F80, 0x7F80);
-        assert_ne!(q & 0x007F, 0, "NaN must not collapse to inf");
-        assert_ne!(q & 0x0040, 0, "quiet bit must be forced");
     }
 
     #[test]

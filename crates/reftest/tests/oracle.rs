@@ -18,18 +18,8 @@ fn gemm_matches_reference() {
 }
 
 #[test]
-fn bf16_quantize_matches_reference() {
-    assert_ok(checks::check_bf16_quantize());
-}
-
-#[test]
-fn bf16_precision_contract_holds() {
-    assert_ok(checks::check_bf16_precision());
-}
-
-#[test]
-fn gemm_bf16_matches_reference() {
-    assert_ok(checks::check_gemm_bf16());
+fn gemm_packed_matches_reference() {
+    assert_ok(checks::check_gemm_packed());
 }
 
 #[test]

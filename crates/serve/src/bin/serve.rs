@@ -5,7 +5,7 @@
 //! usage: serve --ckpt PATH.state [--config PATH.cfg.json] [--addr HOST:PORT]
 //!              [--cache-cap N] [--batch-max N] [--batch-wait-us N]
 //!              [--workers N] [--timeout-ms N] [--telemetry PATH]
-//!              [--duration-s N] [--bf16-decode] [--refine]
+//!              [--duration-s N] [--refine]
 //! ```
 //!
 //! `--ckpt` names an `MFNSTAT1` train-state file (as written by `train
@@ -35,7 +35,6 @@ struct Args {
     timeout_ms: u64,
     telemetry: Option<PathBuf>,
     duration_s: u64,
-    bf16_decode: bool,
     refine: bool,
 }
 
@@ -44,8 +43,7 @@ fn parse() -> Args {
     let usage = "usage: serve --ckpt PATH.state [--config PATH.cfg.json] \
                  [--addr HOST:PORT] [--cache-cap N] [--batch-max N] \
                  [--batch-wait-us N] [--workers N] [--timeout-ms N] \
-                 [--telemetry PATH] [--duration-s N] [--bf16-decode] \
-                 [--refine]";
+                 [--telemetry PATH] [--duration-s N] [--refine]";
     let mut ckpt = None;
     let mut config = None;
     let mut addr = "127.0.0.1:7077".to_string();
@@ -56,7 +54,6 @@ fn parse() -> Args {
     let mut timeout_ms = 2000u64;
     let mut telemetry = None;
     let mut duration_s = 0u64;
-    let mut bf16_decode = false;
     let mut refine = false;
     let mut i = 0;
     let next = |argv: &[String], i: &mut usize, what: &str| -> String {
@@ -90,7 +87,6 @@ fn parse() -> Args {
             "--duration-s" => {
                 duration_s = next(&argv, &mut i, "--duration-s").parse().expect("integer")
             }
-            "--bf16-decode" => bf16_decode = true,
             "--refine" => refine = true,
             "--help" | "-h" => {
                 println!("{usage}");
@@ -118,7 +114,6 @@ fn parse() -> Args {
         timeout_ms,
         telemetry,
         duration_s,
-        bf16_decode,
         refine,
     }
 }
@@ -155,19 +150,11 @@ fn main() {
             cache_capacity: args.cache_cap,
             max_batch: args.batch_max,
             max_wait: Duration::from_micros(args.batch_wait_us),
-            bf16_decode: args.bf16_decode,
             refine,
         },
     ));
     if args.refine {
         eprintln!("test-time physics refinement enabled");
-    }
-    if args.bf16_decode {
-        eprintln!(
-            "decode tier {} ({} quantized weight bytes)",
-            engine.model().decode_tier().name(),
-            engine.model().quantized_weight_bytes(),
-        );
     }
     let recorder = match &args.telemetry {
         Some(path) => {

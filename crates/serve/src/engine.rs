@@ -38,9 +38,6 @@ pub struct EngineConfig {
     pub max_batch: usize,
     /// Longest a batch leader waits for followers.
     pub max_wait: Duration,
-    /// Serve decode queries through bf16-quantized decoder weights
-    /// (f32 accumulation; bounded precision cost, half the weight traffic).
-    pub bf16_decode: bool,
     /// Test-time physics refinement settings; `None` (the default) answers
     /// every `Refine` request with `RefineDisabled` and keeps the engine a
     /// pure grad-free fast path.
@@ -53,7 +50,6 @@ impl Default for EngineConfig {
             cache_capacity: 64,
             max_batch: 256,
             max_wait: Duration::from_micros(200),
-            bf16_decode: false,
             refine: None,
         }
     }
@@ -90,13 +86,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Wraps a frozen model with a cache and batcher. With
-    /// `cfg.bf16_decode` the decoder weights are quantized here, once, and
-    /// every decode the engine issues runs reduced-precision.
-    pub fn new(mut model: FrozenModel, cfg: EngineConfig) -> Self {
-        if cfg.bf16_decode {
-            model.quantize_decoder();
-        }
+    /// Wraps a frozen model with a cache and batcher.
+    pub fn new(model: FrozenModel, cfg: EngineConfig) -> Self {
         Engine {
             model,
             cache: LatentCache::new(cfg.cache_capacity),
@@ -146,7 +137,6 @@ impl Engine {
             latent_channels: cfg.latent_channels as u32,
             param_count: self.model.param_count() as u64,
             trained_steps: self.model.trained_steps(),
-            decode_tier: self.model.decode_tier().as_u8(),
         }
     }
 
@@ -165,7 +155,6 @@ impl Engine {
             cache_len: self.cache.len() as u64,
             decode_calls: self.batcher.decode_calls(),
             batched_queries: self.batcher.batched_queries(),
-            decode_tier: self.model.decode_tier().as_u8(),
         }
     }
 
@@ -306,10 +295,10 @@ impl Engine {
         // only ever read.
         let (refined, report) = self.model.refine_latent(&latent, &queries, &settings, &budget);
         self.stats.note_refine(report.steps_run as u64);
-        // Decode through the engine's standard value path (quantized when
-        // the engine is bf16) so a zero-step refinement is bit-identical to
-        // a plain `query` of the same digest. Nonce keys + solo: refined
-        // latents never coalesce with anything.
+        // Decode through the engine's standard value path so a zero-step
+        // refinement is bit-identical to a plain `query` of the same
+        // digest. Nonce keys + solo: refined latents never coalesce with
+        // anything.
         let nonce = u64::MAX ^ self.refine_nonce.fetch_add(1, Ordering::Relaxed);
         let values = self.refine_batcher.submit(nonce, queries, true, |batch| {
             self.model.decode_values(&refined, batch.iter().copied())
@@ -379,42 +368,6 @@ mod tests {
                 ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
             })
             .collect()
-    }
-
-    /// An engine built with `bf16_decode` quantizes once at construction,
-    /// serves answers within bf16 noise of the full-precision engine, and
-    /// `Info`/`Stats` advertise which tier answered.
-    #[test]
-    fn bf16_decode_engine_tracks_exact_engine_and_reports_tier() {
-        let mut cfg = MfnConfig::small();
-        cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
-        cfg.base_channels = 4;
-        cfg.latent_channels = 8;
-        cfg.mlp_hidden = vec![16, 16];
-        cfg.levels = 2;
-        let exact = Engine::new(
-            FrozenModel::from_model(MeshfreeFlowNet::new(cfg.clone())),
-            EngineConfig::default(),
-        );
-        let quant = Engine::new(
-            FrozenModel::from_model(MeshfreeFlowNet::new(cfg)),
-            EngineConfig { bf16_decode: true, ..EngineConfig::default() },
-        );
-        assert!(!exact.model().decoder_is_quantized());
-        assert!(quant.model().decoder_is_quantized());
-        assert_eq!(exact.info().decode_tier, mfn_core::DecodeTier::F32.as_u8());
-        assert_eq!(quant.info().decode_tier, mfn_core::DecodeTier::Bf16Store.as_u8());
-        assert_eq!(quant.shard_stat("x").decode_tier, mfn_core::DecodeTier::Bf16Store.as_u8());
-        let p = patch(&exact, 9);
-        let (de, _) = exact.encode_patch(1, p.clone()).unwrap();
-        let (dq, _) = quant.encode_patch(1, p).unwrap();
-        assert_eq!(de, dq, "encode is full-precision on both engines");
-        let queries = vec![(0usize, [0.3, 0.6, 0.2]), (0, [0.9, 0.1, 0.8])];
-        let (ve, _) = exact.query(de, queries.clone()).unwrap();
-        let (vq, _) = quant.query(dq, queries).unwrap();
-        for (a, b) in ve.iter().zip(&vq) {
-            assert!((a - b).abs() < 3e-2 * (1.0 + a.abs()), "bf16 serve drifted: {a} vs {b}");
-        }
     }
 
     #[test]
@@ -544,38 +497,6 @@ mod tests {
         let zero = e.refine(d, q, RefineBudget::steps(0)).unwrap();
         assert_eq!(zero.values, plain);
         assert_eq!(e.stats().refines(), 2);
-    }
-
-    /// DESIGN.md §14 cache-isolation contract, extended to the quantized
-    /// tier: a zero-step `Refine` decodes through whatever tier the engine
-    /// was built with, so its values are bit-identical to a plain `Query`
-    /// on the same engine.
-    #[test]
-    fn zero_step_refine_is_bit_identical_on_the_quantized_tier() {
-        let mut cfg = MfnConfig::small();
-        cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
-        cfg.base_channels = 4;
-        cfg.latent_channels = 8;
-        cfg.mlp_hidden = vec![16, 16];
-        cfg.levels = 2;
-        let refine = Some(mfn_core::RefineSettings::from_config(&cfg));
-        let e = Engine::new(
-            FrozenModel::from_model(MeshfreeFlowNet::new(cfg)),
-            EngineConfig {
-                cache_capacity: 4,
-                refine,
-                bf16_decode: true,
-                ..EngineConfig::default()
-            },
-        );
-        assert_eq!(e.model.decode_tier(), mfn_core::DecodeTier::Bf16Store);
-        let (d, _) = e.encode_patch(1, patch(&e, 17)).unwrap();
-        let q: Vec<Query> = (0..6)
-            .map(|i| (0usize, [0.15 + 0.1 * i as f32, 0.4 + 0.06 * i as f32, 0.55]))
-            .collect();
-        let (plain, _) = e.query(d, q.clone()).unwrap();
-        let zero = e.refine(d, q, RefineBudget::steps(0)).unwrap();
-        assert_eq!(zero.values, plain, "k=0 refine must match plain query on bf16-store");
     }
 
     #[test]

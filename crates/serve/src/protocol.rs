@@ -266,7 +266,16 @@ pub fn decode_error(payload: &[u8]) -> ServeError {
     ServeError::Remote { code, message }
 }
 
-/// Model metadata returned by [`Kind::Info`].
+/// The byte that closes every [`ModelInfo`] and [`ShardStat`] on the wire.
+/// It used to name a decode precision tier (values 1 and 2 belonged to
+/// reduced-precision tiers, both deleted); there is one decode now, so it is
+/// written as `0`, required to be present and otherwise ignored on read.
+/// Frames stay byte-compatible with older peers; the values are never
+/// reused.
+const RESERVED_TIER: u8 = 0;
+
+/// Model metadata returned by [`Kind::Info`]. On the wire it ends in the
+/// `RESERVED_TIER` byte, which is not a field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelInfo {
     /// Input physical channels.
@@ -281,11 +290,6 @@ pub struct ModelInfo {
     pub param_count: u64,
     /// Gradient steps the served checkpoint had taken.
     pub trained_steps: u64,
-    /// Precision tier answering value decodes
-    /// ([`mfn_core::DecodeTier::as_u8`]): 0 = f32, 1 = bf16-store
-    /// (2 is retired). Carried as the raw byte so a client can still
-    /// print stats from a newer shard.
-    pub decode_tier: u8,
 }
 
 impl ModelInfo {
@@ -304,7 +308,7 @@ impl ModelInfo {
         }
         p.extend_from_slice(&self.param_count.to_le_bytes());
         p.extend_from_slice(&self.trained_steps.to_le_bytes());
-        p.push(self.decode_tier);
+        p.push(RESERVED_TIER);
         p
     }
 
@@ -318,14 +322,15 @@ impl ModelInfo {
             latent_channels: c.u32()?,
             param_count: c.u64()?,
             trained_steps: c.u64()?,
-            decode_tier: c.u8()?,
         };
+        c.u8()?; // RESERVED_TIER: must be present, any value
         c.finish()?;
         Ok(info)
     }
 }
 
-/// Per-shard serving statistics returned by [`Kind::Stats`].
+/// Per-shard serving statistics returned by [`Kind::Stats`]. On the wire
+/// each stat ends in the `RESERVED_TIER` byte, which is not a field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStat {
     /// The shard's listen address (as configured, not as resolved).
@@ -348,10 +353,6 @@ pub struct ShardStat {
     pub decode_calls: u64,
     /// Query points decoded across all batches.
     pub batched_queries: u64,
-    /// Precision tier answering this shard's value decodes (same encoding
-    /// as [`ModelInfo::decode_tier`]) — lets fleet tooling catch a mixed
-    /// f32/bf16 fleet instead of silently comparing across contracts.
-    pub decode_tier: u8,
 }
 
 impl ShardStat {
@@ -372,7 +373,7 @@ impl ShardStat {
         ] {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        out.push(self.decode_tier);
+        out.push(RESERVED_TIER);
     }
 
     /// Reads one stat from a cursor.
@@ -380,7 +381,7 @@ impl ShardStat {
         let n = c.u32()? as usize;
         let addr = String::from_utf8(c.bytes(n)?.to_vec())
             .map_err(|_| ServeError::BadPayload("shard address is not UTF-8".into()))?;
-        Ok(ShardStat {
+        let stat = ShardStat {
             addr,
             requests: c.u64()?,
             errors: c.u64()?,
@@ -391,8 +392,9 @@ impl ShardStat {
             cache_len: c.u64()?,
             decode_calls: c.u64()?,
             batched_queries: c.u64()?,
-            decode_tier: c.u8()?,
-        })
+        };
+        c.u8()?; // RESERVED_TIER: must be present, any value
+        Ok(stat)
     }
 }
 
@@ -563,16 +565,19 @@ mod tests {
             latent_channels: 32,
             param_count: 123_456,
             trained_steps: 789,
-            decode_tier: 2,
         };
-        assert_eq!(ModelInfo::decode(&info.encode()).unwrap(), info);
-        // The tier byte is mandatory: a payload without it is rejected, and
-        // trailing bytes beyond it still trip the strict finish.
         let enc = info.encode();
+        assert_eq!(ModelInfo::decode(&enc).unwrap(), info);
+        // The reserved byte is mandatory: a payload without it is rejected,
+        // and trailing bytes beyond it still trip the strict finish.
         assert!(ModelInfo::decode(&enc[..enc.len() - 1]).is_err());
         let mut long = enc.clone();
         long.push(0);
         assert!(ModelInfo::decode(&long).is_err());
+        // Its value is ignored: an older shard advertising a tier decodes.
+        let mut old_peer = enc;
+        *old_peer.last_mut().unwrap() = 1;
+        assert_eq!(ModelInfo::decode(&old_peer).unwrap(), info);
     }
 
     #[test]
@@ -647,7 +652,6 @@ mod tests {
                 cache_len: 3,
                 decode_calls: 5,
                 batched_queries: 320,
-                decode_tier: 1,
             },
             ShardStat {
                 addr: "127.0.0.1:7078".into(),
@@ -660,11 +664,16 @@ mod tests {
                 cache_len: 0,
                 decode_calls: 0,
                 batched_queries: 0,
-                decode_tier: 0,
             },
         ];
-        assert_eq!(decode_stats(&encode_stats(&stats)).unwrap(), stats);
+        let enc = encode_stats(&stats);
+        assert_eq!(decode_stats(&enc).unwrap(), stats);
         assert!(decode_stats(&[1, 0]).is_err(), "truncated stats payload must not panic");
+        // Each stat's reserved byte is mandatory and its value ignored.
+        assert!(decode_stats(&enc[..enc.len() - 1]).is_err());
+        let mut old_peer = enc;
+        *old_peer.last_mut().unwrap() = 1;
+        assert_eq!(decode_stats(&old_peer).unwrap(), stats);
     }
 
     #[test]

@@ -35,9 +35,8 @@ use crate::protocol::{
 };
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::Client;
-use mfn_core::DecodeTier;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -109,62 +108,10 @@ impl Health {
     }
 }
 
-/// Sentinel for a shard whose decode tier the prober has not learned yet.
-const TIER_UNKNOWN: u8 = u8::MAX;
-
-/// Fleet decode-tier bookkeeping. Every shard is meant to serve the same
-/// checkpoint at the same precision tier; a mixed fleet silently hands
-/// clients different error contracts depending on which shard their digest
-/// lands on. The prober learns each shard's advertised tier from `Info` and
-/// the fleet's first disagreement is reported exactly once.
-struct TierWatch {
-    tiers: Vec<AtomicU8>,
-    warned: AtomicBool,
-}
-
-fn tier_name(t: u8) -> &'static str {
-    DecodeTier::from_u8(t).map_or("unknown", |d| d.name())
-}
-
-impl TierWatch {
-    fn new(n: usize) -> Self {
-        TierWatch {
-            tiers: (0..n).map(|_| AtomicU8::new(TIER_UNKNOWN)).collect(),
-            warned: AtomicBool::new(false),
-        }
-    }
-
-    fn is_known(&self, i: usize) -> bool {
-        self.tiers[i].load(Ordering::Relaxed) != TIER_UNKNOWN
-    }
-
-    /// Records shard `i`'s advertised tier. Returns the mismatch warning
-    /// the first time two known shards disagree, `None` otherwise; the
-    /// caller decides where it goes (the prober logs it to stderr).
-    fn note(&self, i: usize, tier: u8) -> Option<String> {
-        self.tiers[i].store(tier, Ordering::Relaxed);
-        let clash = self.tiers.iter().enumerate().find_map(|(j, t)| {
-            let t = t.load(Ordering::Relaxed);
-            (t != TIER_UNKNOWN && t != tier).then_some((j, t))
-        })?;
-        if self.warned.swap(true, Ordering::Relaxed) {
-            return None;
-        }
-        Some(format!(
-            "decode-tier mismatch in fleet: shard {i} serves {} but shard {} serves {} — \
-             clients get different precision contracts depending on digest placement",
-            tier_name(tier),
-            clash.0,
-            tier_name(clash.1),
-        ))
-    }
-}
-
 struct Ctx {
     cfg: RouterConfig,
     ring: HashRing,
     health: Health,
-    tiers: TierWatch,
     /// Model metadata, fetched once from the first responsive shard. All
     /// shards serve the same checkpoint, so any shard's answer is *the*
     /// answer; the patch dims inside it are what digest extraction needs.
@@ -185,9 +132,6 @@ impl Ctx {
             match probe_client(addr, self.cfg.request_timeout).and_then(|mut c| c.info()) {
                 Ok(info) => {
                     self.health.note_ok(i);
-                    if let Some(warning) = self.tiers.note(i, info.decode_tier) {
-                        eprintln!("router: {warning}");
-                    }
                     *slot = Some(info);
                     return Ok(info);
                 }
@@ -221,8 +165,7 @@ impl Router {
         let shutdown = Arc::new(AtomicBool::new(false));
         let ring = HashRing::with_vnodes(&cfg.shards, cfg.vnodes);
         let health = Health::new(cfg.shards.len(), cfg.fail_threshold);
-        let tiers = TierWatch::new(cfg.shards.len());
-        let ctx = Arc::new(Ctx { cfg, ring, health, tiers, info: Mutex::new(None) });
+        let ctx = Arc::new(Ctx { cfg, ring, health, info: Mutex::new(None) });
         let mut threads = Vec::new();
 
         {
@@ -287,19 +230,7 @@ fn health_loop(ctx: Arc<Ctx>, shutdown: Arc<AtomicBool>) {
         for (i, addr) in ctx.cfg.shards.iter().enumerate() {
             match probe_client(addr, probe_timeout) {
                 Ok(mut c) => match c.ping() {
-                    Ok(()) => {
-                        ctx.health.note_ok(i);
-                        // Learn the shard's decode tier on its first good
-                        // probe (and re-learn after it was marked unknown),
-                        // so a mixed fleet is flagged even with no traffic.
-                        if !ctx.tiers.is_known(i) {
-                            if let Ok(info) = c.info() {
-                                if let Some(warning) = ctx.tiers.note(i, info.decode_tier) {
-                                    eprintln!("router: {warning}");
-                                }
-                            }
-                        }
-                    }
+                    Ok(()) => ctx.health.note_ok(i),
                     Err(_) => ctx.health.note_fail(i),
                 },
                 Err(_) => ctx.health.note_fail(i),
@@ -542,36 +473,4 @@ fn gather_stats(ctx: &Ctx) -> Result<(Kind, Vec<u8>), ServeError> {
         return Err(ServeError::NoHealthyShard);
     }
     Ok((Kind::StatsResp, encode_stats(&all)))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tier_watch_warns_once_on_fleet_mismatch() {
-        let w = TierWatch::new(3);
-        assert!(!w.is_known(0));
-        // A uniform fleet never warns, however often tiers are re-noted.
-        assert!(w.note(0, DecodeTier::Bf16Store.as_u8()).is_none());
-        assert!(w.is_known(0));
-        assert!(w.note(1, DecodeTier::Bf16Store.as_u8()).is_none());
-        assert!(w.note(0, DecodeTier::Bf16Store.as_u8()).is_none());
-        // First disagreement names both shards and both tiers, once.
-        let warning = w.note(2, DecodeTier::F32.as_u8()).expect("mismatch must warn");
-        assert!(warning.contains("shard 2"), "{warning}");
-        assert!(warning.contains("f32"), "{warning}");
-        assert!(warning.contains("bf16-store"), "{warning}");
-        assert!(w.note(2, 2).is_none(), "warning is one-shot");
-    }
-
-    #[test]
-    fn tier_names_cover_the_wire_range() {
-        assert_eq!(tier_name(0), "f32");
-        assert_eq!(tier_name(1), "bf16-store");
-        // Byte 2 is the retired bf16-compute tier: an old shard still
-        // advertising it is a tier this build does not know.
-        assert_eq!(tier_name(2), "unknown");
-        assert_eq!(tier_name(TIER_UNKNOWN), "unknown");
-    }
 }

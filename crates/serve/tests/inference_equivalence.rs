@@ -11,7 +11,7 @@
 //! exactly — no tolerance, because the kernels are literally shared
 //! (`mfn_tensor::rowops`), not approximately reimplemented.
 
-use mfn_autodiff::Graph;
+use mfn_autodiff::{Graph, Sgd};
 use mfn_core::{plan_queries, FrozenModel, MeshfreeFlowNet, MfnConfig};
 use mfn_data::PatchSpec;
 use mfn_serve::{Engine, EngineConfig};
@@ -111,7 +111,7 @@ fn nograd_encode_is_bit_identical_to_tape_eval() {
 #[test]
 fn nograd_decode_is_bit_identical_to_tape() {
     for seed in 0..3u64 {
-        let (mut reference, mut frozen) = twin_models(seed);
+        let (mut reference, frozen) = twin_models(seed);
         let cfg = reference.cfg.clone();
         let input = rand_patch(&cfg, 2, seed + 41);
         let latent = tape_encode(&mut reference, &input);
@@ -125,12 +125,26 @@ fn nograd_decode_is_bit_identical_to_tape() {
             let eager = frozen.decode_values(&latent, qs.iter().copied());
             assert_bits_eq(&tape, &eager, "FrozenModel::decode_values");
         }
-        // The bf16-store tier runs the same pipeline; its exact twin stays exact.
-        frozen.quantize_decoder();
-        let qs = rand_queries(&mut qstate, 2, 250);
-        let exact = frozen.decode_values_exact(&latent, qs.iter().copied());
-        assert_bits_eq(&tape_decode(&reference, &latent, &qs), &exact, "decode_values_exact");
     }
+}
+
+/// The live model packs its decoder weights for each call and keeps
+/// nothing: after an optimizer step `decode_values` moves with the weights
+/// and still equals the tape. Fails if panels are ever cached in
+/// `MeshfreeFlowNet`, whose store changes under every training step.
+#[test]
+fn live_decode_follows_an_optimizer_step() {
+    let (mut reference, _) = twin_models(3);
+    let cfg = reference.cfg.clone();
+    let latent = tape_encode(&mut reference, &rand_patch(&cfg, 2, 5));
+    let qs = rand_queries(&mut 17, 2, 70);
+    let before = reference.decode_values(&latent, qs.iter().copied());
+    let grads: Vec<Tensor> =
+        reference.store.iter().map(|(_, _, p)| Tensor::ones(p.dims())).collect();
+    Sgd::new(&reference.store, 0.05, 0.0).step(&mut reference.store, &grads);
+    let after = reference.decode_values(&latent, qs.iter().copied());
+    assert_ne!(before.data(), after.data(), "decode ignored the weight update");
+    assert_bits_eq(&tape_decode(&reference, &latent, &qs), &after, "decode after the step");
 }
 
 #[test]

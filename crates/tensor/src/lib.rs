@@ -20,7 +20,6 @@
 //! The `mfn-autodiff` crate wraps these kernels with a reverse-mode tape;
 //! this crate itself is AD-agnostic.
 
-pub mod bf16;
 pub mod conv;
 pub mod gemm;
 pub mod linalg;
@@ -36,7 +35,7 @@ pub use conv::{
     conv3d_implicit_grad_weight, conv3d_path, maxpool3d, maxpool3d_backward, upsample_nearest3d,
     upsample_nearest3d_backward, Conv3dDims, Conv3dPath,
 };
-pub use gemm::{gemm, MatLayout};
+pub use gemm::{gemm, MatLayout, PackedGemm};
 pub use linalg::{matmul, matmul_nt, matmul_tn, matvec};
 pub use rowops::{
     add_bias_channels, add_bias_rows, blend_rows, blend_rows_into, channel_affine,

@@ -2,9 +2,9 @@
 //! buffers shared by every compute kernel in the training hot path.
 //!
 //! A training step allocates the same family of buffers over and over —
-//! GEMM packing panels, im2col scratch, conv outputs, tape activations and
-//! gradients. Instead of hitting the system allocator thousands of times per
-//! step, buffers are checked out of a global pool and returned when dropped:
+//! GEMM packing panels, conv outputs, tape activations and gradients.
+//! Instead of hitting the system allocator thousands of times per step,
+//! buffers are checked out of a global pool and returned when dropped:
 //!
 //! - [`take_scratch`]/[`take_zeroed`] hand out an RAII [`WorkspaceGuard`]
 //!   (auto-returns on drop) — use these for kernel-local scratch;
