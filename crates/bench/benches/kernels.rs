@@ -145,7 +145,7 @@ fn bench_ring_allreduce(c: &mut Criterion) {
                                 .map(|h| {
                                     scope.spawn(move || {
                                         let mut buf = vec![1.0f32; len];
-                                        h.all_reduce_mean(&mut buf);
+                                        h.all_reduce_mean(&mut buf, None).expect("healthy ring");
                                         buf[0]
                                     })
                                 })

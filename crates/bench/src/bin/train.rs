@@ -8,7 +8,10 @@
 //!              [--adaptive-sampling] [--sampler-epsilon E]
 //! ```
 //!
-//! With `--workers > 1`, trains data-parallel with the ring all-reduce.
+//! With `--workers > 1`, trains data-parallel with the ring all-reduce:
+//! every worker runs the same step and epoch loop as `--workers 1` (same LR
+//! decay, same `--adaptive-sampling` behaviour, one octree per worker) on
+//! its own batch stream, and worker 0's replica is what gets saved.
 //! With `--adaptive-sampling`, query points are drawn from the
 //! residual-guided octree in `mfn-sample` instead of uniformly
 //! (`--sampler-epsilon` sets the uniform blend floor ε, default 0.2); the
@@ -129,6 +132,16 @@ fn parse() -> Args {
     }
 }
 
+/// Rebuilds rank 0's trained replica from a multi-worker run's result. The
+/// batch-norm running statistics live in the layers, not the parameter
+/// store, so they travel separately.
+fn trained_replica(mcfg: MfnConfig, params: &[f32], mut bn_stats: &[u8]) -> MeshfreeFlowNet {
+    let mut m = MeshfreeFlowNet::new(mcfg);
+    m.store.unflatten_into(params);
+    m.read_bn_stats(&mut bn_stats).expect("run result carries this architecture's BN statistics");
+    m
+}
+
 fn main() {
     let args = parse();
     let hr_full = load_dataset(&args.hr).expect("load HR dataset");
@@ -202,9 +215,7 @@ fn main() {
                 r.ring_reforms,
                 if r.completed { "" } else { " (run stopped early)" }
             );
-            let mut m = MeshfreeFlowNet::new(mcfg);
-            m.store.unflatten_into(&r.final_params);
-            m
+            trained_replica(mcfg, &r.final_params, &r.final_bn_stats)
         } else {
             eprintln!("data-parallel training on {} workers ...", args.workers);
             let r = train_data_parallel_recorded(
@@ -221,9 +232,7 @@ fn main() {
             );
             let total_wait: f64 = r.allreduce_wait.iter().sum();
             eprintln!("all-reduce wait: {:.3}s total across {} ranks", total_wait, r.workers);
-            let mut m = MeshfreeFlowNet::new(mcfg);
-            m.store.unflatten_into(&r.final_params);
-            m
+            trained_replica(mcfg, &r.final_params, &r.final_bn_stats)
         }
     } else {
         let mut trainer = match &args.resume {

@@ -41,12 +41,16 @@ pub use decoder::{plan_queries, ContinuousDecoder, QueryPlan, VERTICES};
 pub use eval::{evaluate_pair, metric_series, table_header, EvalRow};
 pub use infer::FrozenModel;
 pub use losses::{
-    equation_loss, equation_loss_at_points, equation_residuals_at_points, prediction_loss,
-    weighted_equation_loss_at_points, weighted_l1, weighted_prediction_loss, ChannelStats,
-    ConstraintSet, RbcParamsF32,
+    equation_loss, equation_loss_at_points, prediction_loss, ChannelStats, ConstraintSet,
+    RbcParamsF32,
 };
-pub use model::{covering_origins, extract_patch, CoveringOrigins, MeshfreeFlowNet, StepLosses};
+pub use model::{
+    covering_origins, extract_patch, CoveringOrigins, LossNodes, MeshfreeFlowNet, StepLosses,
+};
 pub use refine::{refine_latent, RefineBudget, RefineReport, RefineSettings};
 pub use rng::{RngState, SampleRng};
-pub use trainer::{log_pool_stats, octree_config, BaselineTrainer, Corpus, EpochRecord, Trainer};
+pub use trainer::{
+    log_pool_stats, octree_config, BaselineTrainer, Corpus, EpochRecord, GradReduce, NoReduce,
+    Trainer,
+};
 pub use unet::{ResBlock3d, UNet3d};

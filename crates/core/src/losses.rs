@@ -137,48 +137,6 @@ pub fn prediction_loss(
     (g.l1_loss(pred, target), pred)
 }
 
-/// Weighted mean of per-row absolute values: `Σ_j w_j · mean_c |x[j, c]|`.
-///
-/// With `w_j = 1/rows` this equals the plain `mean(|x|)` the unweighted
-/// losses take, so self-normalized importance weights (summing to 1) keep
-/// the loss an unbiased estimate of the same uniform-sampling objective.
-pub fn weighted_l1(g: &mut Graph, x: Var, row_weights: &[f32]) -> Var {
-    let dims = g.value(x).dims().to_vec();
-    assert_eq!(dims.len(), 2, "weighted_l1 expects a [rows, cols] tape value");
-    let (rows, cols) = (dims[0], dims[1]);
-    assert_eq!(row_weights.len(), rows, "one weight per row");
-    let mut w = Vec::with_capacity(rows * cols);
-    for &wj in row_weights {
-        for _ in 0..cols {
-            w.push(wj / cols as f32);
-        }
-    }
-    let a = g.abs(x);
-    let wt = g.constant(Tensor::from_vec(w, &[rows, cols]));
-    let m = g.mul(a, wt);
-    g.sum(m)
-}
-
-/// Weighted prediction loss: like [`prediction_loss`] but each query point
-/// contributes with its importance weight instead of `1/Q`. `row_weights`
-/// runs over the flattened query points of all samples and must sum to 1.
-/// Returns `(loss, predictions)`.
-pub fn weighted_prediction_loss(
-    g: &mut Graph,
-    store: &ParamStore,
-    decoder: &ContinuousDecoder,
-    latent: Var,
-    samples: &[Sample],
-    grid_dims: [usize; 3],
-    row_weights: &[f32],
-) -> (Var, Var) {
-    let plan = prediction_plan(grid_dims, samples);
-    let pred = decoder.decode(g, store, latent, &plan);
-    let target = g.constant(stack_targets(samples));
-    let diff = g.sub(pred, target);
-    (weighted_l1(g, diff, row_weights), pred)
-}
-
 /// The seven stencil components, in plan order.
 const STENCIL: [[f32; 3]; 7] = [
     [0.0, 0.0, 0.0],  // center
@@ -190,7 +148,9 @@ const STENCIL: [[f32; 3]; 7] = [
     [0.0, 0.0, -1.0], // x-
 ];
 
-/// Records the equation loss (Eqn. 9).
+/// Records the equation loss (Eqn. 9). Returns `(loss, residuals)` — the
+/// second is the raw `[points, active constraints]` node the loss reduces,
+/// for callers that read per-point residuals back.
 ///
 /// All samples in the batch must share the same physical patch extent (true
 /// for any batch from one [`mfn_data::PatchSampler`]). `h_local` is the
@@ -208,7 +168,7 @@ pub fn equation_loss(
     stats: ChannelStats,
     h_local: f32,
     constraints: ConstraintSet,
-) -> Var {
+) -> (Var, Var) {
     let extent = samples.first().expect("non-empty batch").extent_phys;
     for s in samples {
         let same = s.extent_phys.iter().zip(&extent).all(|(a, b)| (a - b).abs() < 1e-9);
@@ -235,14 +195,15 @@ pub fn equation_loss(
 }
 
 /// Records the PDE equation residual loss at explicit `(batch, [t, z, x])`
-/// points — the sample-free core of [`equation_loss`], shared with the
-/// serving-side test-time refinement path ([`crate::refine`]), which owns
-/// its query points directly rather than through [`Sample`]s.
+/// points — [`equation_loss`] without the [`Sample`]s, for the serving-side
+/// test-time refinement path ([`crate::refine`]), which owns its query
+/// points directly.
 ///
 /// Points are clamped into `[h, 1-h]` per axis so the stencil stays inside
 /// the patch; `extent_phys` converts the local stencil step to physical
-/// units. Returns the mean absolute residual over points × active
-/// constraints.
+/// units. Returns `(loss, residuals)`: the mean absolute residual over
+/// points × active constraints, and the raw `[points, active constraints]`
+/// residual node it reduces.
 #[allow(clippy::too_many_arguments)]
 pub fn equation_loss_at_points(
     g: &mut Graph,
@@ -256,76 +217,7 @@ pub fn equation_loss_at_points(
     stats: ChannelStats,
     h_local: f32,
     constraints: ConstraintSet,
-) -> Var {
-    let all = equation_residuals_at_points(
-        g,
-        store,
-        decoder,
-        latent,
-        points,
-        grid_dims,
-        extent_phys,
-        params,
-        stats,
-        h_local,
-        constraints,
-    );
-    let a = g.abs(all);
-    g.mean(a)
-}
-
-/// Weighted equation loss: each point's mean absolute residual contributes
-/// with its importance weight (`row_weights` must sum to 1). Returns the
-/// loss together with the raw `[points, constraints]` residual tape node so
-/// the caller can read per-point residual magnitudes back for sampler
-/// feedback without a second decode.
-#[allow(clippy::too_many_arguments)]
-pub fn weighted_equation_loss_at_points(
-    g: &mut Graph,
-    store: &ParamStore,
-    decoder: &ContinuousDecoder,
-    latent: Var,
-    points: &[(usize, [f32; 3])],
-    grid_dims: [usize; 3],
-    extent_phys: [f64; 3],
-    params: RbcParamsF32,
-    stats: ChannelStats,
-    h_local: f32,
-    constraints: ConstraintSet,
-    row_weights: &[f32],
 ) -> (Var, Var) {
-    let all = equation_residuals_at_points(
-        g,
-        store,
-        decoder,
-        latent,
-        points,
-        grid_dims,
-        extent_phys,
-        params,
-        stats,
-        h_local,
-        constraints,
-    );
-    (weighted_l1(g, all, row_weights), all)
-}
-
-/// Records the raw `[points, active constraints]` PDE residual matrix on the
-/// tape (before the absolute value and reduction the loss wrappers apply).
-#[allow(clippy::too_many_arguments)]
-pub fn equation_residuals_at_points(
-    g: &mut Graph,
-    store: &ParamStore,
-    decoder: &ContinuousDecoder,
-    latent: Var,
-    points: &[(usize, [f32; 3])],
-    grid_dims: [usize; 3],
-    extent_phys: [f64; 3],
-    params: RbcParamsF32,
-    stats: ChannelStats,
-    h_local: f32,
-    constraints: ConstraintSet,
-) -> Var {
     assert!(h_local > 0.0 && h_local < 0.5, "stencil step out of range");
     assert!(constraints.count() > 0, "equation loss needs at least one constraint");
     assert!(!points.is_empty(), "equation loss needs at least one point");
@@ -449,11 +341,10 @@ pub fn equation_residuals_at_points(
         let diff = g.scale(lap, params.r_star);
         residual_cols.push(g.sub(s3, diff));
     }
-    if residual_cols.len() == 1 {
-        residual_cols[0]
-    } else {
-        g.concat(&residual_cols, 1)
-    }
+    let residuals =
+        if residual_cols.len() == 1 { residual_cols[0] } else { g.concat(&residual_cols, 1) };
+    let a = g.abs(residuals);
+    (g.mean(a), residuals)
 }
 
 #[cfg(test)]
@@ -551,7 +442,7 @@ mod tests {
         let params = RbcParamsF32::from_ra_pr(1e5, 1.0);
         let mut g = Graph::new();
         let l = g.leaf_with_grad(latent);
-        let loss = equation_loss(
+        let (loss, _) = equation_loss(
             &mut g,
             &store,
             &dec,
@@ -587,7 +478,7 @@ mod tests {
         let stats = default_stats();
         let mut g = Graph::new();
         let l = g.constant(latent.clone());
-        let loss = equation_loss(
+        let (loss, _) = equation_loss(
             &mut g,
             &store,
             &dec,
@@ -658,7 +549,7 @@ mod tests {
         let eval = |lat: &Tensor| -> f64 {
             let mut g = Graph::new();
             let l = g.constant(lat.clone());
-            let loss = equation_loss_at_points(
+            let (loss, _) = equation_loss_at_points(
                 &mut g,
                 &store,
                 &dec,
@@ -675,7 +566,7 @@ mod tests {
         };
         let mut g = Graph::new();
         let l = g.leaf_with_grad(latent.clone());
-        let loss = equation_loss_at_points(
+        let (loss, _) = equation_loss_at_points(
             &mut g,
             &store,
             &dec,
@@ -705,98 +596,6 @@ mod tests {
                 "latent[{k}]: analytic {an} vs fd {fd} at wall-adjacent points"
             );
         }
-    }
-
-    #[test]
-    fn uniform_weights_match_unweighted_losses() {
-        let (store, dec) = setup();
-        let mut rng = ChaCha8Rng::seed_from_u64(50);
-        let latent = Tensor::randn(&[1, 5, 3, 4, 4], 0.5, &mut rng);
-        let s = fake_sample(8, 51);
-        let params = RbcParamsF32::from_ra_pr(1e5, 1.0);
-        let w = vec![1.0f32 / 8.0; 8];
-        let points: Vec<(usize, [f32; 3])> = s.query_local.iter().map(|&q| (0usize, q)).collect();
-
-        let mut g = Graph::new();
-        let l = g.constant(latent.clone());
-        let (plain, _) =
-            prediction_loss(&mut g, &store, &dec, l, std::slice::from_ref(&s), [3, 4, 4]);
-        let (weighted, _) = weighted_prediction_loss(
-            &mut g,
-            &store,
-            &dec,
-            l,
-            std::slice::from_ref(&s),
-            [3, 4, 4],
-            &w,
-        );
-        let (pv, wv) = (g.value(plain).item(), g.value(weighted).item());
-        assert!((pv - wv).abs() < 1e-6 * (1.0 + pv.abs()), "prediction {pv} vs {wv}");
-
-        let plain_eq = equation_loss_at_points(
-            &mut g,
-            &store,
-            &dec,
-            l,
-            &points,
-            [3, 4, 4],
-            s.extent_phys,
-            params,
-            default_stats(),
-            0.05,
-            ConstraintSet::ALL,
-        );
-        let (weighted_eq, resid) = weighted_equation_loss_at_points(
-            &mut g,
-            &store,
-            &dec,
-            l,
-            &points,
-            [3, 4, 4],
-            s.extent_phys,
-            params,
-            default_stats(),
-            0.05,
-            ConstraintSet::ALL,
-            &w,
-        );
-        let (pe, we) = (g.value(plain_eq).item(), g.value(weighted_eq).item());
-        assert!((pe - we).abs() < 1e-6 * (1.0 + pe.abs()), "equation {pe} vs {we}");
-        assert_eq!(g.value(resid).dims(), &[8, 4]);
-    }
-
-    #[test]
-    fn skewed_weights_emphasize_their_rows() {
-        // Putting all the weight on one query point must reproduce that
-        // point's own residual magnitude, not the batch mean.
-        let (store, dec) = setup();
-        let mut rng = ChaCha8Rng::seed_from_u64(60);
-        let latent = Tensor::randn(&[1, 5, 3, 4, 4], 0.5, &mut rng);
-        let s = fake_sample(4, 61);
-        let params = RbcParamsF32::from_ra_pr(1e5, 1.0);
-        let points: Vec<(usize, [f32; 3])> = s.query_local.iter().map(|&q| (0usize, q)).collect();
-        let mut w = vec![0.0f32; 4];
-        w[2] = 1.0;
-        let mut g = Graph::new();
-        let l = g.constant(latent);
-        let (loss, resid) = weighted_equation_loss_at_points(
-            &mut g,
-            &store,
-            &dec,
-            l,
-            &points,
-            [3, 4, 4],
-            s.extent_phys,
-            params,
-            default_stats(),
-            0.05,
-            ConstraintSet::ALL,
-            &w,
-        );
-        let rv = g.value(resid).clone();
-        let row2: f32 = (0..4).map(|c| rv.data()[2 * 4 + c].abs()).sum::<f32>() / 4.0;
-        let lv = g.value(loss).item();
-        assert!((lv - row2).abs() < 1e-6 * (1.0 + row2.abs()), "loss {lv} vs row {row2}");
     }
 
     #[test]
@@ -834,7 +633,7 @@ mod tests {
         let eval = |set: ConstraintSet| {
             let mut g = Graph::new();
             let l = g.constant(latent.clone());
-            let loss = equation_loss(
+            let (loss, _) = equation_loss(
                 &mut g,
                 &store,
                 &dec,

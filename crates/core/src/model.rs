@@ -21,6 +21,16 @@ pub struct StepLosses {
     pub equation: f32,
 }
 
+/// Tape nodes of a recorded [`MeshfreeFlowNet::loss_on_batch`] whose
+/// per-point values the adaptive sampler's feedback is computed from.
+#[derive(Debug, Clone, Copy)]
+pub struct LossNodes {
+    /// Decoded predictions `[Q, 4]` at the batch's query points.
+    pub predictions: Var,
+    /// Raw PDE residuals `[Q, active constraints]`; `None` when γ = 0.
+    pub residuals: Option<Var>,
+}
+
 /// The end-to-end model: Context Generation Network + Continuous Decoding
 /// Network over a shared parameter store.
 pub struct MeshfreeFlowNet {
@@ -130,8 +140,10 @@ impl MeshfreeFlowNet {
         [self.cfg.patch.nt, self.cfg.patch.nz, self.cfg.patch.nx]
     }
 
-    /// Records the combined loss (Eqn. 10) for a batch and returns
-    /// `(loss_var, components)`.
+    /// Records the combined loss (Eqn. 10) for a batch — the only place a
+    /// training tape is assembled. Returns `(loss_var, components, nodes)`;
+    /// `nodes` are the handles [`MeshfreeFlowNet::importance_readback`]
+    /// reads per-point values from.
     pub fn loss_on_batch(
         &mut self,
         g: &mut Graph,
@@ -139,10 +151,10 @@ impl MeshfreeFlowNet {
         params: RbcParamsF32,
         stats: ChannelStats,
         training: bool,
-    ) -> (Var, StepLosses) {
+    ) -> (Var, StepLosses, LossNodes) {
         let x = g.constant(batch.input.clone());
         let latent = self.unet.forward(g, &self.store, x, training);
-        let (pred_loss, _) = losses::prediction_loss(
+        let (pred_loss, predictions) = losses::prediction_loss(
             g,
             &self.store,
             &self.decoder,
@@ -151,7 +163,7 @@ impl MeshfreeFlowNet {
             self.grid_dims(),
         );
         if self.cfg.gamma > 0.0 {
-            let eq_loss = losses::equation_loss(
+            let (eq_loss, residuals) = losses::equation_loss(
                 g,
                 &self.store,
                 &self.decoder,
@@ -170,48 +182,47 @@ impl MeshfreeFlowNet {
                 prediction: g.value(pred_loss).item(),
                 equation: g.value(eq_loss).item(),
             };
-            (total, comps)
+            (total, comps, LossNodes { predictions, residuals: Some(residuals) })
         } else {
             let comps = StepLosses {
                 total: g.value(pred_loss).item(),
                 prediction: g.value(pred_loss).item(),
                 equation: 0.0,
             };
-            (pred_loss, comps)
+            (pred_loss, comps, LossNodes { predictions, residuals: None })
         }
     }
 
-    /// Like [`loss_on_batch`], but for batches drawn by an adaptive query
-    /// sampler. Additionally returns one residual score per flattened query
-    /// point for feeding back into the sampler: the point's mean absolute
-    /// PDE residual, normalized by the batch mean so the score is
-    /// scale-free across training (`mean_c |r_c| / E[mean_c |r_c|]`). With
-    /// `γ = 0` there is no equation term and the batch-normalized
-    /// prediction error stands in.
+    /// What an adaptive query sampler needs from a recorded
+    /// [`loss_on_batch`] tape, read back from its nodes without adding any:
+    /// importance-weighted loss components and one residual score per
+    /// flattened query point.
+    ///
+    /// The score is the point's mean absolute PDE residual, normalized by
+    /// the batch mean so it is scale-free across training
+    /// (`mean_c |r_c| / E[mean_c |r_c|]`). With `γ = 0` there is no equation
+    /// term and the batch-normalized prediction error stands in.
     ///
     /// Two different reductions are in play (DESIGN.md §15):
     ///
-    /// - the returned **loss variable** (what `backward` sees) is the plain
-    ///   mean over the drawn points — training deliberately concentrates on
-    ///   high-residual regions, in the spirit of residual-based adaptive
-    ///   refinement and prioritized replay;
-    /// - the returned **[`StepLosses`] components** apply the batch's
+    /// - the **loss variable** `loss_on_batch` returned (what `backward`
+    ///   sees) is the plain mean over the drawn points — training
+    ///   deliberately concentrates on high-residual regions, in the spirit
+    ///   of residual-based adaptive refinement and prioritized replay;
+    /// - the **[`StepLosses`] components** returned here apply the batch's
     ///   self-normalized importance weights, making the telemetry an
     ///   unbiased estimate of the *uniform*-sampling objective, directly
     ///   comparable against a uniform run's step metrics.
     ///
-    /// With empty `query_weights` the batch is treated as uniform and both
-    /// reductions coincide with [`loss_on_batch`].
+    /// With empty `query_weights` the batch is treated as uniform.
     ///
     /// [`loss_on_batch`]: MeshfreeFlowNet::loss_on_batch
-    pub fn loss_on_batch_scored(
-        &mut self,
-        g: &mut Graph,
+    pub fn importance_readback(
+        &self,
+        g: &Graph,
+        nodes: LossNodes,
         batch: &Batch,
-        params: RbcParamsF32,
-        stats: ChannelStats,
-        training: bool,
-    ) -> (Var, StepLosses, Vec<f32>) {
+    ) -> (StepLosses, Vec<f32>) {
         let n_points: usize = batch.samples.iter().map(|s| s.query_local.len()).sum();
         let n_samples = batch.samples.len();
         // Flatten per-sample normalized weights into per-row weights summing
@@ -226,96 +237,46 @@ impl MeshfreeFlowNet {
                 .collect()
         };
         assert_eq!(row_weights.len(), n_points, "one weight per query point");
-
-        let x = g.constant(batch.input.clone());
-        let latent = self.unet.forward(g, &self.store, x, training);
-        let (pred_loss, pred) = losses::prediction_loss(
-            g,
-            &self.store,
-            &self.decoder,
-            latent,
-            &batch.samples,
-            self.grid_dims(),
-        );
-        let target = losses::stack_targets(&batch.samples);
-        let pv = g.value(pred).clone();
-        // Per-point mean absolute prediction error: the base of the sampler
-        // score and, weighted, of the unbiased reported estimate.
-        let pred_rows: Vec<f32> = (0..n_points)
-            .map(|j| {
-                (0..CHANNELS)
-                    .map(|c| (pv.data()[j * CHANNELS + c] - target.data()[j * CHANNELS + c]).abs())
-                    .sum::<f32>()
-                    / CHANNELS as f32
-            })
-            .collect();
         let weighted =
             |rows: &[f32]| -> f32 { rows.iter().zip(&row_weights).map(|(r, w)| r * w).sum() };
-        let pred_est = weighted(&pred_rows);
-        // γ = 0 fallback score: batch-mean-normalized prediction error (a
-        // zero-error batch contributes a flat 1.0, i.e. no preference).
-        let mean_pred = pred_rows.iter().sum::<f32>() / n_points as f32;
-        let mut scores: Vec<f32> =
-            pred_rows.iter().map(|&r| if mean_pred > 0.0 { r / mean_pred } else { 1.0 }).collect();
+        // Per-point mean absolute value of a `[points, cols]` matrix.
+        let row_means = |data: &[f32], cols: usize| -> Vec<f32> {
+            data.chunks_exact(cols)
+                .map(|row| row.iter().map(|v| v.abs()).sum::<f32>() / cols as f32)
+                .collect()
+        };
+        // Batch-mean normalization; a zero-mean batch scores a flat 1.0
+        // (no preference).
+        let normalized = |rows: &[f32]| -> Option<Vec<f32>> {
+            let mean = rows.iter().sum::<f32>() / n_points as f32;
+            (mean > 0.0).then(|| rows.iter().map(|r| r / mean).collect())
+        };
 
-        if self.cfg.gamma > 0.0 {
-            let extent = batch.samples.first().expect("non-empty batch").extent_phys;
-            for s in &batch.samples {
-                let same = s.extent_phys.iter().zip(&extent).all(|(a, b)| (a - b).abs() < 1e-9);
-                assert!(same, "equation loss requires a uniform patch extent per batch");
-            }
-            let points: Vec<(usize, [f32; 3])> = batch
-                .samples
-                .iter()
-                .enumerate()
-                .flat_map(|(b, s)| s.query_local.iter().map(move |&q| (b, q)))
-                .collect();
-            let resid = losses::equation_residuals_at_points(
-                g,
-                &self.store,
-                &self.decoder,
-                latent,
-                &points,
-                self.grid_dims(),
-                extent,
-                params,
-                stats,
-                self.cfg.fd_step,
-                self.cfg.constraints,
-            );
-            let abs = g.abs(resid);
-            let eq_loss = g.mean(abs);
-            let rv = g.value(resid).clone();
-            let n_cols = rv.dims()[1];
-            let eq_rows: Vec<f32> = (0..n_points)
-                .map(|j| {
-                    (0..n_cols).map(|c| rv.data()[j * n_cols + c].abs()).sum::<f32>()
-                        / n_cols as f32
-                })
-                .collect();
-            let eq_est = weighted(&eq_rows);
-            // The sampler chases the *PDE* residual: prediction error is
-            // spread by the data term everywhere, but the equation residual
-            // concentrates at walls and plume fronts — the structure worth
-            // refining into. Batch-mean normalization keeps it scale-free.
-            let mean_eq = eq_rows.iter().sum::<f32>() / n_points as f32;
-            if mean_eq > 0.0 {
-                for (s, r) in scores.iter_mut().zip(&eq_rows) {
-                    *s = r / mean_eq;
-                }
-            }
-            let scaled = g.scale(eq_loss, self.cfg.gamma);
-            let total = g.add(pred_loss, scaled);
-            let comps = StepLosses {
-                total: pred_est + self.cfg.gamma * eq_est,
-                prediction: pred_est,
-                equation: eq_est,
-            };
-            (total, comps, scores)
-        } else {
-            let comps = StepLosses { total: pred_est, prediction: pred_est, equation: 0.0 };
-            (pred_loss, comps, scores)
-        }
+        let target = losses::stack_targets(&batch.samples);
+        let errors: Vec<f32> = g
+            .value(nodes.predictions)
+            .data()
+            .iter()
+            .zip(target.data())
+            .map(|(p, t)| p - t)
+            .collect();
+        let pred_rows = row_means(&errors, CHANNELS);
+        let prediction = weighted(&pred_rows);
+        let Some(residuals) = nodes.residuals else {
+            let scores = normalized(&pred_rows).unwrap_or_else(|| vec![1.0; n_points]);
+            return (StepLosses { total: prediction, prediction, equation: 0.0 }, scores);
+        };
+        let rv = g.value(residuals);
+        let eq_rows = row_means(rv.data(), rv.dims()[1]);
+        let equation = weighted(&eq_rows);
+        // The sampler chases the *PDE* residual: prediction error is spread
+        // by the data term everywhere, but the equation residual
+        // concentrates at walls and plume fronts — the structure worth
+        // refining into.
+        let scores = normalized(&eq_rows)
+            .or_else(|| normalized(&pred_rows))
+            .unwrap_or_else(|| vec![1.0; n_points]);
+        (StepLosses { total: prediction + self.cfg.gamma * equation, prediction, equation }, scores)
     }
 
     /// Encodes a stacked input `[N, 4, nt, nz, nx]` into a latent grid value
@@ -553,7 +514,7 @@ mod tests {
         let stats = ChannelStats::from_meta(&hr.meta);
         let params = RbcParamsF32::from_ra_pr(hr.meta.ra, hr.meta.pr);
         let mut g = Graph::new();
-        let (loss, comps) = m.loss_on_batch(&mut g, &batch, params, stats, true);
+        let (loss, comps, _) = m.loss_on_batch(&mut g, &batch, params, stats, true);
         assert!(comps.total.is_finite() && comps.total > 0.0);
         assert!(comps.equation > 0.0, "gamma > 0 must evaluate the equation loss");
         assert!((comps.total - comps.prediction - m.cfg.gamma * comps.equation).abs() < 1e-4);
@@ -574,9 +535,36 @@ mod tests {
         let stats = ChannelStats::from_meta(&hr.meta);
         let params = RbcParamsF32::from_ra_pr(hr.meta.ra, hr.meta.pr);
         let mut g = Graph::new();
-        let (_, comps) = m.loss_on_batch(&mut g, &batch, params, stats, true);
+        let (_, comps, _) = m.loss_on_batch(&mut g, &batch, params, stats, true);
         assert_eq!(comps.equation, 0.0);
         assert_eq!(comps.total, comps.prediction);
+    }
+
+    /// The read-back adds no tape nodes, and for a batch without importance
+    /// weights its components are the tape's own (up to summation order);
+    /// scores are batch-mean-normalized.
+    #[test]
+    fn importance_readback_of_a_uniform_batch_matches_the_tape() {
+        let (hr, lr) = tiny_data();
+        let stats = ChannelStats::from_meta(&hr.meta);
+        let params = RbcParamsF32::from_ra_pr(hr.meta.ra, hr.meta.pr);
+        for gamma in [0.0, 0.05] {
+            let mut m = tiny_model();
+            m.cfg.gamma = gamma;
+            let sampler = PatchSampler::new(&hr, &lr, m.cfg.patch);
+            let batch = make_batch(&sampler, 2, &mut ChaCha8Rng::seed_from_u64(2));
+            let mut g = Graph::new();
+            let (_, comps, nodes) = m.loss_on_batch(&mut g, &batch, params, stats, true);
+            assert_eq!(nodes.residuals.is_some(), gamma > 0.0);
+            let (weighted, scores) = m.importance_readback(&g, nodes, &batch);
+            let close = |a: f32, b: f32| (a - b).abs() <= 1e-5 * (1.0 + b.abs());
+            assert!(close(weighted.total, comps.total), "{weighted:?} vs {comps:?}");
+            assert!(close(weighted.prediction, comps.prediction), "{weighted:?} vs {comps:?}");
+            assert!(close(weighted.equation, comps.equation), "{weighted:?} vs {comps:?}");
+            assert_eq!(scores.len(), 2 * m.cfg.patch.queries);
+            let mean = scores.iter().sum::<f32>() / scores.len() as f32;
+            assert!(close(mean, 1.0) && scores.iter().all(|s| *s >= 0.0), "mean score {mean}");
+        }
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub fn refine_latent(
     let residual_of = |lat: &Tensor| -> f32 {
         let mut g = Graph::new();
         let l = g.constant(lat.clone());
-        let loss = equation_loss_at_points(
+        let (loss, _) = equation_loss_at_points(
             &mut g,
             store,
             decoder,
@@ -169,7 +169,7 @@ pub fn refine_latent(
     let grad_of = |lat: &Tensor| -> (f32, Tensor) {
         let mut g = Graph::new();
         let l = g.leaf_with_grad(lat.clone());
-        let loss = equation_loss_at_points(
+        let (loss, _) = equation_loss_at_points(
             &mut g,
             store,
             decoder,

@@ -1,5 +1,8 @@
-//! Single-process training loops (the multi-worker data-parallel trainer
-//! lives in `mfn-dist` and reuses the gradient step defined here).
+//! The training step and epoch loop, defined once: [`Trainer`] is a rank.
+//! A single process trains with [`NoReduce`]; the data-parallel and elastic
+//! drivers in `mfn-dist` run one `Trainer` per worker thread and differ only
+//! in the [`GradReduce`] they pass (a ring all-reduce) and in what they do
+//! between epochs.
 
 use crate::baseline::{hr_target_patch, BaselineII};
 use crate::checkpoint::{
@@ -9,12 +12,12 @@ use crate::checkpoint::{
 use crate::config::TrainConfig;
 use crate::losses::{ChannelStats, RbcParamsF32};
 use crate::model::{MeshfreeFlowNet, StepLosses};
-use crate::rng::SampleRng;
-use mfn_autodiff::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Graph};
+use crate::rng::{RngState, SampleRng};
+use mfn_autodiff::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Graph, ParamStore, Var};
 use mfn_data::{make_batch, make_batch_with, Dataset, PatchSampler};
 use mfn_sample::{OctreeConfig, OctreeSampler};
 use mfn_telemetry::{sampler_gauges, Recorder, StepMetrics, Stopwatch};
-use mfn_tensor::workspace;
+use mfn_tensor::{workspace, Tensor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::path::{Path, PathBuf};
@@ -99,7 +102,106 @@ pub fn octree_config(cfg: &TrainConfig) -> OctreeConfig {
     OctreeConfig { epsilon: cfg.sampler_epsilon, min_count: base.min_count / 2, ..base }
 }
 
-/// Adam-based trainer for MeshfreeFlowNet.
+/// The gradient exchange that makes a [`Trainer`] one rank of a
+/// data-parallel run. `mfn-dist` implements it over the ring all-reduce; a
+/// lone process uses [`NoReduce`].
+pub trait GradReduce {
+    /// Why the exchange (or the rank) gave up.
+    type Error;
+
+    /// Called by [`Trainer::run_epoch`] before global step `step` (1-based)
+    /// draws its batch; an error abandons the epoch there. Fault injection
+    /// kills a rank here.
+    fn before_step(&mut self, _step: u64) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// Replaces this rank's parameter gradients (aligned with `store`) by
+    /// their reduction across ranks. Called between `param_grads` and
+    /// clipping; the time spent here is the step's `allreduce_wait_s`.
+    fn reduce(&mut self, store: &ParamStore, grads: &mut Vec<Tensor>) -> Result<(), Self::Error>;
+}
+
+/// The single-process exchange: gradients stay as they are.
+pub struct NoReduce;
+
+impl GradReduce for NoReduce {
+    type Error = std::convert::Infallible;
+
+    fn reduce(&mut self, _: &ParamStore, _: &mut Vec<Tensor>) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// Where a step sits in its run, for the [`StepMetrics`] it emits.
+struct StepTag {
+    step: u64,
+    epoch: usize,
+    rank: usize,
+    samples: usize,
+    data_s: f64,
+}
+
+/// The loss-independent part of every gradient step, shared by [`Trainer`]
+/// and [`BaselineTrainer`]: backward → gradient exchange → clip → Adam →
+/// one [`StepMetrics`] event. `sw` was started before the forward pass.
+/// Returns the seconds spent in `reduce`.
+#[allow(clippy::too_many_arguments)]
+fn backward_and_update<R: GradReduce>(
+    g: &mut Graph,
+    loss: Var,
+    comps: StepLosses,
+    store: &mut ParamStore,
+    opt: &mut Adam,
+    grad_clip: f32,
+    reduce: &mut R,
+    recorder: &Recorder,
+    mut sw: Stopwatch,
+    tag: StepTag,
+) -> Result<f64, R::Error> {
+    let forward_s = sw.lap();
+    g.backward(loss);
+    let mut grads = g.param_grads(store);
+    let backward_s = sw.lap();
+    reduce.reduce(store, &mut grads)?;
+    let allreduce_wait_s = sw.lap();
+    let grad_norm_pre = if grad_clip > 0.0 {
+        clip_grad_norm(&mut grads, grad_clip)
+    } else if recorder.is_enabled() {
+        grad_l2_norm(&grads)
+    } else {
+        0.0
+    };
+    opt.step(store, &grads);
+    let optimizer_s = sw.lap();
+    if recorder.is_enabled() {
+        recorder.train_step(StepMetrics {
+            step: tag.step,
+            epoch: tag.epoch,
+            rank: tag.rank,
+            loss_total: comps.total,
+            loss_prediction: comps.prediction,
+            loss_equation: comps.equation,
+            grad_norm_pre,
+            grad_norm_post: if grad_clip > 0.0 {
+                grad_norm_pre.min(grad_clip)
+            } else {
+                grad_norm_pre
+            },
+            lr: opt.config().lr,
+            samples: tag.samples,
+            data_s: tag.data_s,
+            forward_s,
+            backward_s,
+            allreduce_wait_s,
+            optimizer_s,
+        });
+    }
+    Ok(allreduce_wait_s)
+}
+
+/// Adam-based trainer for MeshfreeFlowNet: one rank of a training run (the
+/// only rank, unless `mfn-dist` runs several with a ring [`GradReduce`]).
 pub struct Trainer {
     /// The model being trained.
     pub model: MeshfreeFlowNet,
@@ -109,9 +211,12 @@ pub struct Trainer {
     pub cfg: TrainConfig,
     /// Telemetry destination (disabled by default).
     recorder: Recorder,
+    /// Rank tag attached to emitted step metrics, and this trainer's index
+    /// into a multi-rank checkpoint's sampler streams.
+    rank: usize,
     /// Monotonic gradient-step counter across the trainer's lifetime.
     global_step: u64,
-    /// Epoch tag attached to emitted step metrics (set by [`Trainer::train`]).
+    /// Epoch [`Trainer::run_epoch`] executes next (or is inside of).
     epoch: usize,
     /// Next batch index within `epoch` — nonzero only when resumed from a
     /// mid-epoch checkpoint.
@@ -127,10 +232,13 @@ pub struct Trainer {
     checkpoint_path: Option<PathBuf>,
     /// Batch-assembly seconds to attribute to the next `step` call.
     pending_data_s: f64,
+    /// Seconds spent in the gradient exchange over the trainer's lifetime.
+    reduce_wait_s: f64,
 }
 
 impl Trainer {
-    /// Wraps a model with an Adam optimizer configured from `cfg`.
+    /// Wraps a model with an Adam optimizer configured from `cfg`; batches
+    /// are drawn from the stream seeded with `cfg.seed`.
     pub fn new(model: MeshfreeFlowNet, cfg: TrainConfig) -> Self {
         let opt = Adam::new(&model.store, AdamConfig { lr: cfg.lr, ..Default::default() });
         let rng = SampleRng::seed_from_u64(cfg.seed);
@@ -140,6 +248,7 @@ impl Trainer {
             opt,
             cfg,
             recorder: Recorder::null(),
+            rank: 0,
             global_step: 0,
             epoch: 0,
             batch_cursor: 0,
@@ -147,6 +256,7 @@ impl Trainer {
             sampler,
             checkpoint_path: None,
             pending_data_s: 0.0,
+            reduce_wait_s: 0.0,
         }
     }
 
@@ -161,6 +271,12 @@ impl Trainer {
         self.recorder = recorder;
     }
 
+    /// Tags emitted step metrics with `rank` (builder form; default 0).
+    pub fn with_rank(mut self, rank: usize) -> Self {
+        self.rank = rank;
+        self
+    }
+
     /// Writes periodic train-state checkpoints to `path` every
     /// `cfg.checkpoint_every` gradient steps (builder form).
     pub fn with_checkpointing(mut self, path: impl Into<PathBuf>) -> Self {
@@ -171,6 +287,12 @@ impl Trainer {
     /// Gradient steps taken so far.
     pub fn steps_taken(&self) -> u64 {
         self.global_step
+    }
+
+    /// Seconds spent in the gradient exchange so far — the sum of every
+    /// emitted step's `allreduce_wait_s`.
+    pub fn reduce_wait_s(&self) -> f64 {
+        self.reduce_wait_s
     }
 
     /// Reconstructs a trainer from a train-state checkpoint written by
@@ -186,16 +308,31 @@ impl Trainer {
         cfg: TrainConfig,
         path: &Path,
     ) -> Result<Trainer, CheckpointError> {
-        let mut t = Trainer::new(model, cfg);
         let payload = load_train_state_with_fallback(path)?;
-        let mut r = payload.as_slice();
+        Trainer::from_state(model, cfg, &payload, 0, 1)
+    }
+
+    /// Rank `rank` of the `world`-rank run whose train state `payload`
+    /// holds (the bytes [`encode_train_state`] produced): the shared model
+    /// and Adam state, and that rank's own sampler stream and octree.
+    /// [`Trainer::resume`] is rank 0 of 1; the elastic supervisor in
+    /// `mfn-dist` builds every rank of a round from its snapshot this way.
+    pub fn from_state(
+        model: MeshfreeFlowNet,
+        cfg: TrainConfig,
+        payload: &[u8],
+        rank: usize,
+        world: usize,
+    ) -> Result<Trainer, CheckpointError> {
+        let mut t = Trainer::new(model, cfg).with_rank(rank);
+        let mut r = payload;
         let (opt, meta) = decode_train_state(&mut t.model, &mut r)?;
         if !r.is_empty() {
             return Err(CheckpointError::Corrupt(format!("{} trailing payload bytes", r.len())));
         }
-        if meta.rngs.len() != 1 {
+        if meta.rngs.len() != world || rank >= world {
             return Err(CheckpointError::Incompatible(format!(
-                "single-process checkpoint must hold 1 RNG state, found {}",
+                "checkpoint holds {} sampler streams, rank {rank} of {world} expected",
                 meta.rngs.len()
             )));
         }
@@ -203,8 +340,8 @@ impl Trainer {
         t.global_step = meta.global_step;
         t.epoch = meta.epoch;
         t.batch_cursor = meta.batch_cursor;
-        t.rng = SampleRng::restore(meta.rngs[0]);
-        if let Some(bytes) = meta.samplers.first() {
+        t.rng = SampleRng::restore(meta.rngs[rank]);
+        if let Some(bytes) = meta.samplers.get(rank) {
             if !cfg.adaptive_sampling {
                 return Err(CheckpointError::Incompatible(
                     "checkpoint carries adaptive-sampler state but adaptive_sampling is off".into(),
@@ -218,6 +355,12 @@ impl Trainer {
         Ok(t)
     }
 
+    /// This rank's sampler stream position and, with adaptive sampling on,
+    /// its serialized octree — the per-rank half of a train state.
+    pub fn sampler_state(&self) -> (RngState, Option<Vec<u8>>) {
+        (self.rng.state(), self.sampler.as_ref().map(OctreeSampler::to_bytes))
+    }
+
     /// Current loop position in checkpoint form, normalized so a cursor at
     /// the end of an epoch points at the start of the next one.
     fn state_meta(&self) -> TrainStateMeta {
@@ -226,12 +369,13 @@ impl Trainer {
             epoch += 1;
             cursor = 0;
         }
+        let (rng, sampler) = self.sampler_state();
         TrainStateMeta {
             global_step: self.global_step,
             epoch,
             batch_cursor: cursor,
-            rngs: vec![self.rng.state()],
-            samplers: self.sampler.as_ref().map(|s| vec![s.to_bytes()]).unwrap_or_default(),
+            rngs: vec![rng],
+            samplers: sampler.into_iter().collect(),
         }
     }
 
@@ -274,30 +418,51 @@ impl Trainer {
         params: RbcParamsF32,
         stats: ChannelStats,
     ) -> StepLosses {
-        let mut sw = Stopwatch::start();
+        let Ok(comps) = self.step_reduced(batch, params, stats, &mut NoReduce);
+        comps
+    }
+
+    /// [`Trainer::step`] with the gradients passed through `reduce` before
+    /// clipping. This body is the one place a training step is defined:
+    /// tape, backward, exchange, clip, Adam, sampler feedback, metrics.
+    pub fn step_reduced<R: GradReduce>(
+        &mut self,
+        batch: &mfn_data::Batch,
+        params: RbcParamsF32,
+        stats: ChannelStats,
+        reduce: &mut R,
+    ) -> Result<StepLosses, R::Error> {
+        let sw = Stopwatch::start();
         let mut g = Graph::new();
-        // The adaptive path adds importance weighting and per-point scores;
-        // the uniform path keeps today's exact tape (bit-identical runs).
-        let (loss, comps, scores) = if self.sampler.is_some() {
-            let (l, c, s) = self.model.loss_on_batch_scored(&mut g, batch, params, stats, true);
-            (l, c, Some(s))
+        let (loss, mut comps, nodes) = self.model.loss_on_batch(&mut g, batch, params, stats, true);
+        // The adaptive path reports importance-weighted components and
+        // scores every point for the octree; the tape is the same.
+        let scores = if self.sampler.is_some() {
+            let (weighted, scores) = self.model.importance_readback(&g, nodes, batch);
+            comps = weighted;
+            Some(scores)
         } else {
-            let (l, c) = self.model.loss_on_batch(&mut g, batch, params, stats, true);
-            (l, c, None)
+            None
         };
-        let forward_s = sw.lap();
-        g.backward(loss);
-        let mut grads = g.param_grads(&self.model.store);
-        let backward_s = sw.lap();
-        let grad_norm_pre = if self.cfg.grad_clip > 0.0 {
-            clip_grad_norm(&mut grads, self.cfg.grad_clip)
-        } else if self.recorder.is_enabled() {
-            grad_l2_norm(&grads)
-        } else {
-            0.0
+        let tag = StepTag {
+            step: self.global_step + 1,
+            epoch: self.epoch,
+            rank: self.rank,
+            samples: batch.samples.len(),
+            data_s: std::mem::take(&mut self.pending_data_s),
         };
-        self.opt.step(&mut self.model.store, &grads);
-        let optimizer_s = sw.lap();
+        self.reduce_wait_s += backward_and_update(
+            &mut g,
+            loss,
+            comps,
+            &mut self.model.store,
+            &mut self.opt,
+            self.cfg.grad_clip,
+            reduce,
+            &self.recorder,
+            sw,
+            tag,
+        )?;
         self.global_step += 1;
         if let (Some(tree), Some(scores)) = (self.sampler.as_mut(), scores) {
             let points: Vec<[f32; 3]> =
@@ -310,27 +475,63 @@ impl Trainer {
                 self.recorder.gauge(sampler_gauges::TOP_DECILE_MASS, tree.top_decile_mass());
             }
         }
-        if self.recorder.is_enabled() {
-            let clip = self.cfg.grad_clip;
-            self.recorder.train_step(StepMetrics {
-                step: self.global_step,
-                epoch: self.epoch,
-                rank: 0,
-                loss_total: comps.total,
-                loss_prediction: comps.prediction,
-                loss_equation: comps.equation,
-                grad_norm_pre,
-                grad_norm_post: if clip > 0.0 { grad_norm_pre.min(clip) } else { grad_norm_pre },
-                lr: self.opt.config().lr,
-                samples: batch.samples.len(),
-                data_s: std::mem::take(&mut self.pending_data_s),
-                forward_s,
-                backward_s,
-                allreduce_wait_s: 0.0,
-                optimizer_s,
-            });
+        Ok(comps)
+    }
+
+    /// Runs the epoch at the current loop position — for every remaining
+    /// batch: draw a dataset pair, assemble the batch, step, advance the
+    /// cursor, checkpoint if due — and moves the position to the start of
+    /// the next one. The learning rate is annealed by `cfg.lr_decay` on
+    /// entering any epoch but the first. An error from `reduce` abandons
+    /// the epoch mid-way; the trainer is then only good for discarding.
+    pub fn run_epoch<R: GradReduce>(
+        &mut self,
+        corpus: &Corpus,
+        reduce: &mut R,
+    ) -> Result<EpochRecord, R::Error> {
+        let samplers: Vec<PatchSampler<'_>> = corpus
+            .pairs
+            .iter()
+            .map(|(hr, lr)| PatchSampler::new(hr, lr, self.model.cfg.patch))
+            .collect();
+        let epoch = self.epoch;
+        // Anneal only when *entering* an epoch — a mid-epoch resume already
+        // carries the annealed lr inside the Adam state.
+        if self.cfg.lr_decay != 1.0 && epoch > 0 && self.batch_cursor == 0 {
+            let lr = self.opt.config().lr * self.cfg.lr_decay;
+            self.opt.set_lr(lr);
         }
-        comps
+        self.recorder.gauge("lr", self.opt.config().lr as f64);
+        let start = Instant::now();
+        let (mut tl, mut pl, mut el) = (0.0f32, 0.0f32, 0.0f32);
+        let first_batch = self.batch_cursor;
+        for b in first_batch..self.cfg.batches_per_epoch {
+            reduce.before_step(self.global_step + 1)?;
+            let mut sw = Stopwatch::start();
+            let di = self.rng.gen_range(0..samplers.len());
+            let batch = if let Some(tree) = self.sampler.as_mut() {
+                make_batch_with(&samplers[di], self.cfg.batch_size, tree, &mut self.rng)
+            } else {
+                make_batch(&samplers[di], self.cfg.batch_size, &mut self.rng)
+            };
+            self.pending_data_s = sw.lap();
+            let comps = self.step_reduced(&batch, corpus.params(di), corpus.stats, reduce)?;
+            tl += comps.total;
+            pl += comps.prediction;
+            el += comps.equation;
+            self.batch_cursor = b + 1;
+            self.checkpoint_if_due();
+        }
+        let nb = (self.cfg.batches_per_epoch - first_batch).max(1) as f32;
+        let seconds = start.elapsed().as_secs_f64();
+        self.recorder.span_seconds("epoch", seconds);
+        log_pool_stats(&self.recorder);
+        // The next epoch starts at batch 0; leaving the cursor normalized
+        // also makes a checkpoint taken now resume *after* the completed
+        // work instead of redoing this epoch.
+        self.epoch = epoch + 1;
+        self.batch_cursor = 0;
+        Ok(EpochRecord { epoch, loss: tl / nb, prediction: pl / nb, equation: el / nb, seconds })
     }
 
     /// Trains from the current loop position up to `cfg.epochs`, drawing
@@ -339,59 +540,12 @@ impl Trainer {
     /// epoch/batch cursor (the first returned record then averages only the
     /// remaining batches of the partial epoch).
     pub fn train(&mut self, corpus: &Corpus) -> Vec<EpochRecord> {
-        let samplers: Vec<PatchSampler<'_>> = corpus
-            .pairs
-            .iter()
-            .map(|(hr, lr)| PatchSampler::new(hr, lr, self.model.cfg.patch))
-            .collect();
-        let start_epoch = self.epoch;
-        let mut records = Vec::with_capacity(self.cfg.epochs.saturating_sub(start_epoch));
-        for epoch in start_epoch..self.cfg.epochs {
-            self.epoch = epoch;
-            // Anneal only when *entering* an epoch — a mid-epoch resume
-            // already carries the annealed lr inside the Adam state.
-            if self.cfg.lr_decay != 1.0 && epoch > 0 && self.batch_cursor == 0 {
-                let lr = self.opt.config().lr * self.cfg.lr_decay;
-                self.opt.set_lr(lr);
-            }
-            self.recorder.gauge("lr", self.opt.config().lr as f64);
-            let start = Instant::now();
-            let (mut tl, mut pl, mut el) = (0.0f32, 0.0f32, 0.0f32);
-            let first_batch = self.batch_cursor;
-            for b in first_batch..self.cfg.batches_per_epoch {
-                let mut sw = Stopwatch::start();
-                let di = self.rng.gen_range(0..samplers.len());
-                let batch = if let Some(tree) = self.sampler.as_mut() {
-                    make_batch_with(&samplers[di], self.cfg.batch_size, tree, &mut self.rng)
-                } else {
-                    make_batch(&samplers[di], self.cfg.batch_size, &mut self.rng)
-                };
-                self.pending_data_s = sw.lap();
-                let comps = self.step(&batch, corpus.params(di), corpus.stats);
-                tl += comps.total;
-                pl += comps.prediction;
-                el += comps.equation;
-                self.batch_cursor = b + 1;
-                self.checkpoint_if_due();
-            }
-            let nb = (self.cfg.batches_per_epoch - first_batch).max(1) as f32;
-            let seconds = start.elapsed().as_secs_f64();
-            self.recorder.span_seconds("epoch", seconds);
-            log_pool_stats(&self.recorder);
-            records.push(EpochRecord {
-                epoch,
-                loss: tl / nb,
-                prediction: pl / nb,
-                equation: el / nb,
-                seconds,
-            });
-            // The next epoch (if any) starts at batch 0; leaving the cursor
-            // normalized also makes a post-`train` checkpoint resume *after*
-            // the completed work instead of redoing the final epoch.
-            self.epoch = epoch + 1;
-            self.batch_cursor = 0;
-        }
-        records
+        (self.epoch..self.cfg.epochs)
+            .map(|_| {
+                let Ok(record) = self.run_epoch(corpus, &mut NoReduce);
+                record
+            })
+            .collect()
     }
 }
 
@@ -447,44 +601,22 @@ impl BaselineTrainer {
                 let loss = self.model.loss(&mut g, &input, &target, true);
                 let step_loss = g.value(loss).item();
                 tl += step_loss;
-                let forward_s = sw.lap();
-                g.backward(loss);
-                let mut grads = g.param_grads(&self.model.store);
-                let backward_s = sw.lap();
-                let grad_norm_pre = if self.cfg.grad_clip > 0.0 {
-                    clip_grad_norm(&mut grads, self.cfg.grad_clip)
-                } else if self.recorder.is_enabled() {
-                    grad_l2_norm(&grads)
-                } else {
-                    0.0
-                };
-                self.opt.step(&mut self.model.store, &grads);
-                let optimizer_s = sw.lap();
                 self.global_step += 1;
-                if self.recorder.is_enabled() {
-                    let clip = self.cfg.grad_clip;
-                    self.recorder.train_step(StepMetrics {
-                        step: self.global_step,
-                        epoch,
-                        rank: 0,
-                        loss_total: step_loss,
-                        loss_prediction: step_loss,
-                        loss_equation: 0.0,
-                        grad_norm_pre,
-                        grad_norm_post: if clip > 0.0 {
-                            grad_norm_pre.min(clip)
-                        } else {
-                            grad_norm_pre
-                        },
-                        lr: self.opt.config().lr,
-                        samples: 1,
-                        data_s,
-                        forward_s,
-                        backward_s,
-                        allreduce_wait_s: 0.0,
-                        optimizer_s,
-                    });
-                }
+                // The baseline has no equation term.
+                let comps = StepLosses { total: step_loss, prediction: step_loss, equation: 0.0 };
+                let tag = StepTag { step: self.global_step, epoch, rank: 0, samples: 1, data_s };
+                let Ok(_) = backward_and_update(
+                    &mut g,
+                    loss,
+                    comps,
+                    &mut self.model.store,
+                    &mut self.opt,
+                    self.cfg.grad_clip,
+                    &mut NoReduce,
+                    &self.recorder,
+                    sw,
+                    tag,
+                );
             }
             let nb = self.cfg.batches_per_epoch as f32;
             records.push(EpochRecord {

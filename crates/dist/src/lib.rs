@@ -3,9 +3,15 @@
 //! The HPC layer of the MeshfreeFlowNet reproduction (paper Secs. 3.4 and
 //! 5.4): synchronous data-parallel training with a bandwidth-optimal
 //! [`ring`](mod@crate::ring) all-reduce (reduce-scatter + all-gather, the NCCL
-//! schedule), a replica-consistent multi-worker [`trainer`], and the
-//! calibrated [`scaling`] model that extends measured throughput curves to
-//! the paper's 128-GPU regime for the Fig. 7 reproduction.
+//! schedule), and the calibrated [`scaling`] model that extends measured
+//! throughput curves to the paper's 128-GPU regime for the Fig. 7
+//! reproduction.
+//!
+//! The gradient step and the epoch loop are not here: every worker is an
+//! `mfn_core::Trainer`, handed the ring as its gradient exchange. This crate
+//! holds the two ways of orchestrating such ranks — [`trainer`] runs them to
+//! completion, [`supervisor`] one epoch at a time with snapshot, [`fault`]
+//! injection and rollback.
 
 pub mod fault;
 pub mod ring;

@@ -4,15 +4,21 @@
 //! averaged across all devices with an all-reduce operation" (Sec. 3.4,
 //! NCCL). This module implements the same communication schedule NCCL uses —
 //! reduce-scatter followed by all-gather around a ring — with worker threads
-//! standing in for GPUs and crossbeam channels for NVLink. Each of the
-//! `2(n−1)` steps moves `B/n` elements, so total bytes on the wire are
+//! standing in for GPUs and `std::sync::mpsc` channels for NVLink. Each of
+//! the `2(n−1)` steps moves `B/n` elements, so total bytes on the wire are
 //! `2B(n−1)/n` per worker: bandwidth-optimal and independent of `n` for
 //! large `n`.
+//!
+//! The schedule is written once ([`RingHandle::all_reduce`]) and takes an
+//! optional time budget: without one every receive blocks (a dead peer still
+//! surfaces, as a disconnect); with one the whole collective must finish
+//! inside it, which is how the elastic supervisor turns a stalled peer into
+//! an error instead of a hang.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-/// Why a bounded all-reduce gave up instead of completing.
+/// Why an all-reduce gave up instead of completing.
 ///
 /// A collective over threads (or machines) has exactly two failure shapes:
 /// the peer is *gone* (its channel endpoints dropped) or the peer is *late*
@@ -70,7 +76,7 @@ pub fn ring(n: usize) -> Vec<RingHandle> {
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     for _ in 0..n {
-        let (s, r) = unbounded::<Vec<f32>>();
+        let (s, r) = channel::<Vec<f32>>();
         senders.push(s);
         receivers.push(r);
     }
@@ -101,150 +107,60 @@ impl RingHandle {
         self.rank
     }
 
-    /// Ring size.
-    pub fn world(&self) -> usize {
-        self.n
-    }
-
     /// In-place all-reduce (sum). Every worker must call this with a buffer
-    /// of identical length; on return all buffers hold the element-wise sum.
-    ///
-    /// # Panics
-    /// Panics if a peer disconnects mid-reduce.
-    pub fn all_reduce_sum(&self, buf: &mut [f32]) {
+    /// of identical length; on success all buffers hold the element-wise
+    /// sum. With a `timeout` the entire `2(n-1)`-step collective must finish
+    /// within it; without one receives block until data or a disconnect. On
+    /// error the buffer holds partially-reduced data and must be discarded.
+    pub fn all_reduce(&self, buf: &mut [f32], timeout: Option<Duration>) -> Result<(), RingError> {
         let n = self.n;
-        if n == 1 {
-            return;
-        }
         let len = buf.len();
-        // Reduce-scatter: after step s, worker i holds the partial sum of
-        // chunk (i - s) accumulated over s+1 workers; after n-1 steps worker
-        // i holds the complete sum of chunk (i + 1) mod n.
-        for s in 0..n - 1 {
-            let send_c = (self.rank + n - s) % n;
-            let recv_c = (self.rank + n - s - 1) % n;
+        let deadline = timeout.map(|t| (Instant::now() + t, t));
+        let gone = |step| RingError::PeerDisconnected { rank: self.rank, step };
+        // Steps 0..n-1 reduce-scatter: after step s, worker i holds the
+        // partial sum of chunk (i - s) accumulated over s+1 workers, and
+        // after n-1 steps the complete sum of chunk (i + 1) mod n. Steps
+        // n-1..2(n-1) all-gather: the completed chunks circulate.
+        for step in 0..2 * (n - 1) {
+            let gather = step >= n - 1;
+            let s = step % (n - 1);
+            let send_c = (self.rank + usize::from(gather) + n - s) % n;
+            let recv_c = (send_c + n - 1) % n;
             let out = buf[chunk_range(len, n, send_c)].to_vec();
-            self.to_next.send(out).expect("ring peer hung up");
-            let inc = self.from_prev.recv().expect("ring peer hung up");
-            let r = chunk_range(len, n, recv_c);
-            debug_assert_eq!(inc.len(), r.len());
-            for (dst, src) in buf[r].iter_mut().zip(&inc) {
-                *dst += src;
-            }
-        }
-        // All-gather: circulate the completed chunks.
-        for s in 0..n - 1 {
-            let send_c = (self.rank + 1 + n - s) % n;
-            let recv_c = (self.rank + n - s) % n;
-            let out = buf[chunk_range(len, n, send_c)].to_vec();
-            self.to_next.send(out).expect("ring peer hung up");
-            let inc = self.from_prev.recv().expect("ring peer hung up");
-            let r = chunk_range(len, n, recv_c);
-            debug_assert_eq!(inc.len(), r.len());
-            buf[r].copy_from_slice(&inc);
-        }
-    }
-
-    /// All-reduce followed by division by the world size (gradient
-    /// averaging — what `DistributedDataParallel` does).
-    pub fn all_reduce_mean(&self, buf: &mut [f32]) {
-        self.all_reduce_sum(buf);
-        let inv = 1.0 / self.n as f32;
-        for v in buf.iter_mut() {
-            *v *= inv;
-        }
-    }
-
-    /// Receives from the previous rank, giving up at `deadline`. Polls with
-    /// `try_recv` (brief spin, then short sleeps) because the channel layer
-    /// guarantees no timed-receive primitive; a dropped peer endpoint is
-    /// reported as [`RingError::PeerDisconnected`] immediately, not after
-    /// the full timeout.
-    fn recv_deadline(
-        &self,
-        deadline: Instant,
-        timeout: Duration,
-        step: usize,
-    ) -> Result<Vec<f32>, RingError> {
-        let mut polls = 0u32;
-        loop {
-            match self.from_prev.try_recv() {
-                Ok(v) => return Ok(v),
-                // The channel error type differs between backends but both
-                // spell their fatal variant "Disconnected"; "Empty" means
-                // keep waiting.
-                Err(e) => {
-                    if format!("{e:?}").contains("Disconnected") {
-                        return Err(RingError::PeerDisconnected { rank: self.rank, step });
-                    }
+            self.to_next.send(out).map_err(|_| gone(step))?;
+            let inc = match deadline {
+                None => self.from_prev.recv().map_err(|_| gone(step))?,
+                Some((at, timeout)) => self
+                    .from_prev
+                    .recv_timeout(at.saturating_duration_since(Instant::now()))
+                    .map_err(|e| match e {
+                        RecvTimeoutError::Disconnected => gone(step),
+                        RecvTimeoutError::Timeout => {
+                            RingError::Timeout { rank: self.rank, step, timeout }
+                        }
+                    })?,
+            };
+            let dst = &mut buf[chunk_range(len, n, recv_c)];
+            debug_assert_eq!(inc.len(), dst.len());
+            if gather {
+                dst.copy_from_slice(&inc);
+            } else {
+                for (d, v) in dst.iter_mut().zip(&inc) {
+                    *d += v;
                 }
             }
-            if Instant::now() >= deadline {
-                return Err(RingError::Timeout { rank: self.rank, step, timeout });
-            }
-            polls += 1;
-            if polls < 256 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        }
-    }
-
-    /// In-place all-reduce (sum) that *fails* instead of deadlocking when a
-    /// peer dies or stalls: the entire `2(n-1)`-step collective must finish
-    /// within `timeout`. On error the buffer holds partially-reduced data
-    /// and must be discarded — the supervisor rolls back to the last
-    /// checkpoint anyway.
-    pub fn all_reduce_sum_bounded(
-        &self,
-        buf: &mut [f32],
-        timeout: Duration,
-    ) -> Result<(), RingError> {
-        let n = self.n;
-        if n == 1 {
-            return Ok(());
-        }
-        let deadline = Instant::now() + timeout;
-        let len = buf.len();
-        for s in 0..n - 1 {
-            let send_c = (self.rank + n - s) % n;
-            let recv_c = (self.rank + n - s - 1) % n;
-            let out = buf[chunk_range(len, n, send_c)].to_vec();
-            self.to_next
-                .send(out)
-                .map_err(|_| RingError::PeerDisconnected { rank: self.rank, step: s })?;
-            let inc = self.recv_deadline(deadline, timeout, s)?;
-            let r = chunk_range(len, n, recv_c);
-            debug_assert_eq!(inc.len(), r.len());
-            for (dst, src) in buf[r].iter_mut().zip(&inc) {
-                *dst += src;
-            }
-        }
-        for s in 0..n - 1 {
-            let step = n - 1 + s;
-            let send_c = (self.rank + 1 + n - s) % n;
-            let recv_c = (self.rank + n - s) % n;
-            let out = buf[chunk_range(len, n, send_c)].to_vec();
-            self.to_next
-                .send(out)
-                .map_err(|_| RingError::PeerDisconnected { rank: self.rank, step })?;
-            let inc = self.recv_deadline(deadline, timeout, step)?;
-            let r = chunk_range(len, n, recv_c);
-            debug_assert_eq!(inc.len(), r.len());
-            buf[r].copy_from_slice(&inc);
         }
         Ok(())
     }
 
-    /// Bounded-wait gradient averaging: [`RingHandle::all_reduce_sum_bounded`]
-    /// followed by division by the world size.
-    pub fn all_reduce_mean_bounded(
+    /// [`RingHandle::all_reduce`] followed by division by the world size
+    /// (gradient averaging — what `DistributedDataParallel` does).
+    pub fn all_reduce_mean(
         &self,
         buf: &mut [f32],
-        timeout: Duration,
+        timeout: Option<Duration>,
     ) -> Result<(), RingError> {
-        self.all_reduce_sum_bounded(buf, timeout)?;
+        self.all_reduce(buf, timeout)?;
         let inv = 1.0 / self.n as f32;
         for v in buf.iter_mut() {
             *v *= inv;
@@ -259,8 +175,17 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    fn run_all_reduce(n: usize, len: usize, seed: u64) {
-        let handles = ring(n);
+    /// Runs `f` on every handle of an `n`-ring, one thread each; results in
+    /// rank order.
+    fn on_ring<T: Send>(n: usize, f: impl Fn(RingHandle) -> T + Sync) -> Vec<T> {
+        let f = &f;
+        std::thread::scope(|scope| {
+            let joins: Vec<_> = ring(n).into_iter().map(|h| scope.spawn(move || f(h))).collect();
+            joins.into_iter().map(|j| j.join().expect("worker panicked")).collect()
+        })
+    }
+
+    fn run_all_reduce(n: usize, len: usize, seed: u64, timeout: Option<Duration>) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let inputs: Vec<Vec<f32>> =
             (0..n).map(|_| (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
@@ -270,18 +195,10 @@ mod tests {
                 *e += v;
             }
         }
-        let results: Vec<Vec<f32>> = std::thread::scope(|scope| {
-            let joins: Vec<_> = handles
-                .into_iter()
-                .zip(inputs.clone())
-                .map(|(h, mut buf)| {
-                    scope.spawn(move || {
-                        h.all_reduce_sum(&mut buf);
-                        buf
-                    })
-                })
-                .collect();
-            joins.into_iter().map(|j| j.join().expect("worker panicked")).collect()
+        let results = on_ring(n, |h| {
+            let mut buf = inputs[h.rank()].clone();
+            h.all_reduce(&mut buf, timeout).expect("healthy ring must reduce");
+            buf
         });
         for (w, r) in results.iter().enumerate() {
             for (i, (a, b)) in r.iter().zip(&expect).enumerate() {
@@ -293,11 +210,15 @@ mod tests {
         }
     }
 
+    /// The one schedule sums correctly with and without a deadline,
+    /// including lengths the world size does not divide.
     #[test]
     fn all_reduce_matches_serial_sum() {
-        for n in 1..=5 {
-            for len in [1usize, 2, 3, 7, 64, 1000] {
-                run_all_reduce(n, len, (n * 1000 + len) as u64);
+        for timeout in [None, Some(Duration::from_secs(5))] {
+            for n in 1..=5 {
+                for len in [1usize, 2, 3, 7, 64, 1000] {
+                    run_all_reduce(n, len, (n * 1000 + len) as u64, timeout);
+                }
             }
         }
     }
@@ -305,27 +226,17 @@ mod tests {
     #[test]
     fn buffer_shorter_than_world() {
         // len < n leaves some chunks empty — must still work.
-        run_all_reduce(5, 2, 99);
-        run_all_reduce(4, 3, 100);
+        run_all_reduce(5, 2, 99, None);
+        run_all_reduce(4, 3, 100, Some(Duration::from_secs(5)));
     }
 
     #[test]
     fn mean_divides_by_world() {
-        let handles = ring(4);
-        let results: Vec<Vec<f32>> = std::thread::scope(|scope| {
-            let joins: Vec<_> = handles
-                .into_iter()
-                .map(|h| {
-                    scope.spawn(move || {
-                        let mut buf = vec![2.0f32; 10];
-                        h.all_reduce_mean(&mut buf);
-                        buf
-                    })
-                })
-                .collect();
-            joins.into_iter().map(|j| j.join().expect("worker")).collect()
-        });
-        for r in results {
+        for r in on_ring(4, |h| {
+            let mut buf = vec![2.0f32; 10];
+            h.all_reduce_mean(&mut buf, None).expect("healthy ring");
+            buf
+        }) {
             for v in r {
                 assert!((v - 2.0).abs() < 1e-6);
             }
@@ -335,23 +246,13 @@ mod tests {
     #[test]
     fn repeated_reduces_stay_consistent() {
         // Back-to-back all-reduces must not cross-contaminate.
-        let handles = ring(3);
-        let results: Vec<(f32, f32)> = std::thread::scope(|scope| {
-            let joins: Vec<_> = handles
-                .into_iter()
-                .map(|h| {
-                    scope.spawn(move || {
-                        let mut a = vec![h.rank() as f32; 8];
-                        h.all_reduce_sum(&mut a);
-                        let mut b = vec![1.0f32; 5];
-                        h.all_reduce_sum(&mut b);
-                        (a[0], b[0])
-                    })
-                })
-                .collect();
-            joins.into_iter().map(|j| j.join().expect("worker")).collect()
-        });
-        for (a, b) in results {
+        for (a, b) in on_ring(3, |h| {
+            let mut a = vec![h.rank() as f32; 8];
+            h.all_reduce(&mut a, None).expect("healthy ring");
+            let mut b = vec![1.0f32; 5];
+            h.all_reduce(&mut b, None).expect("healthy ring");
+            (a[0], b[0])
+        }) {
             assert!((a - 3.0).abs() < 1e-6); // 0+1+2
             assert!((b - 3.0).abs() < 1e-6); // 1*3
         }
@@ -376,61 +277,61 @@ mod tests {
     fn single_worker_is_identity() {
         let handles = ring(1);
         let mut buf = vec![1.0, 2.0, 3.0];
-        handles[0].all_reduce_sum(&mut buf);
+        handles[0].all_reduce(&mut buf, None).expect("world of one");
         assert_eq!(buf, vec![1.0, 2.0, 3.0]);
     }
 
+    /// A deadline changes when a receive gives up, not what is summed: the
+    /// result is bit-identical to the blocking run.
     #[test]
     fn bounded_all_reduce_matches_unbounded_when_healthy() {
-        let n = 4;
-        let handles = ring(n);
-        let results: Vec<Vec<f32>> = std::thread::scope(|scope| {
-            let joins: Vec<_> = handles
-                .into_iter()
-                .map(|h| {
-                    scope.spawn(move || {
-                        let mut buf: Vec<f32> =
-                            (0..10).map(|i| (h.rank() * 10 + i) as f32).collect();
-                        h.all_reduce_mean_bounded(&mut buf, Duration::from_secs(5))
-                            .expect("healthy ring must reduce");
-                        buf
-                    })
-                })
-                .collect();
-            joins.into_iter().map(|j| j.join().expect("worker")).collect()
-        });
-        for r in &results {
-            assert_eq!(r, &results[0]);
+        let run = |timeout| {
+            on_ring(4, move |h| {
+                let mut buf: Vec<f32> = (0..10).map(|i| (h.rank() * 10 + i) as f32 * 0.1).collect();
+                h.all_reduce_mean(&mut buf, timeout).expect("healthy ring must reduce");
+                buf
+            })
+        };
+        let (blocking, bounded) = (run(None), run(Some(Duration::from_secs(5))));
+        assert_eq!(blocking, bounded);
+        for r in &blocking {
+            assert_eq!(r, &blocking[0]);
         }
-        // mean over ranks of (rank*10 + i) = 15 + i
-        for (i, v) in results[0].iter().enumerate() {
-            assert!((v - (15.0 + i as f32)).abs() < 1e-5);
+        // mean over ranks of 0.1 * (rank*10 + i) = 1.5 + 0.1 i
+        for (i, v) in blocking[0].iter().enumerate() {
+            assert!((v - (1.5 + 0.1 * i as f32)).abs() < 1e-5);
         }
     }
 
     #[test]
     fn dead_peer_errors_within_timeout_instead_of_hanging() {
-        let mut handles = ring(3);
-        // Rank 2 "dies": its endpoints are dropped before the collective.
-        drop(handles.pop());
-        let timeout = Duration::from_secs(2);
-        let start = Instant::now();
-        let errs: Vec<RingError> = std::thread::scope(|scope| {
-            let joins: Vec<_> = handles
-                .into_iter()
-                .map(|h| {
-                    scope.spawn(move || {
-                        let mut buf = vec![1.0f32; 64];
-                        h.all_reduce_sum_bounded(&mut buf, timeout)
-                            .expect_err("reduce with a dead peer must fail")
+        // With or without a deadline: the blocking receive sees the dropped
+        // sender too.
+        for timeout in [None, Some(Duration::from_secs(2))] {
+            let mut handles = ring(3);
+            // Rank 2 "dies": its endpoints are dropped before the collective.
+            drop(handles.pop());
+            let start = Instant::now();
+            let errs: Vec<RingError> = std::thread::scope(|scope| {
+                let joins: Vec<_> = handles
+                    .into_iter()
+                    .map(|h| {
+                        scope.spawn(move || {
+                            let mut buf = vec![1.0f32; 64];
+                            h.all_reduce(&mut buf, timeout)
+                                .expect_err("reduce with a dead peer must fail")
+                        })
                     })
-                })
-                .collect();
-            joins.into_iter().map(|j| j.join().expect("worker")).collect()
-        });
-        // Survivors detect the drop well before the budget expires.
-        assert!(start.elapsed() < timeout, "detection took the whole timeout");
-        assert!(errs.iter().any(|e| matches!(e, RingError::PeerDisconnected { .. })));
+                    .collect();
+                joins.into_iter().map(|j| j.join().expect("worker")).collect()
+            });
+            // Survivors detect the drop well before any budget expires.
+            assert!(start.elapsed() < Duration::from_secs(2), "detection took the whole timeout");
+            assert!(
+                errs.iter().all(|e| matches!(e, RingError::PeerDisconnected { .. })),
+                "{errs:?}"
+            );
+        }
     }
 
     #[test]
@@ -445,8 +346,8 @@ mod tests {
         let timeout = Duration::from_millis(200);
         let start = Instant::now();
         let mut buf = vec![1.0f32; 8];
-        let err = h0.all_reduce_sum_bounded(&mut buf, timeout).expect_err("must time out");
-        assert!(matches!(err, RingError::Timeout { rank: 0, .. }), "{err:?}");
+        let err = h0.all_reduce(&mut buf, Some(timeout)).expect_err("must time out");
+        assert_eq!(err, RingError::Timeout { rank: 0, step: 0, timeout });
         let waited = start.elapsed();
         assert!(waited >= timeout, "returned before the deadline: {waited:?}");
         assert!(waited < timeout * 10, "overshot the deadline: {waited:?}");

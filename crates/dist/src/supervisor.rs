@@ -1,19 +1,24 @@
 //! Elastic supervisor: fault-tolerant data-parallel training.
 //!
-//! The plain trainer in [`crate::trainer`] assumes every worker survives the
-//! whole run — one dead thread deadlocks the ring. The supervisor here runs
-//! training as a sequence of *epoch rounds*, each executed by a pool of
-//! worker threads against a shared train-state snapshot:
+//! The plain driver in [`crate::trainer`] assumes every worker survives the
+//! whole run — one dead thread takes the ring down with it. The supervisor
+//! here runs the same ranks (an [`mfn_core::Trainer`] with a
+//! `RingReduce` exchange) as a sequence of *epoch rounds*,
+//! each a snapshot → epoch → commit cycle:
 //!
 //! 1. Before a round, the supervisor encodes the master state (params, BN
 //!    stats, Adam, per-logical-rank sampler positions) and — when configured
 //!    — persists it through the atomic CRC-framed checkpoint writer.
-//! 2. Workers train one epoch with *bounded* all-reduces. A scripted (or
-//!    real) failure surfaces as an error on every rank instead of a hang.
-//! 3. On failure the supervisor rolls back to the snapshot (no partial
-//!    epoch is ever committed), re-forms the ring — either over the
-//!    surviving world or, with [`SupervisorConfig::restart_failed`], at full
-//!    strength — re-shards the corpus across the new world, and retries.
+//! 2. Every active rank rebuilds its `Trainer` from that snapshot
+//!    (`Trainer::from_state`, the decode `Trainer::resume` uses) and runs
+//!    `Trainer::run_epoch` with *bounded* all-reduces. A scripted (or real)
+//!    failure surfaces as an error on every rank instead of a hang.
+//! 3. If every rank finished, ring position 0's model and Adam state and
+//!    every rank's sampler state become the new master state. On failure
+//!    nothing is adopted (no partial epoch is ever committed); the
+//!    supervisor re-forms the ring — either over the surviving world or,
+//!    with [`SupervisorConfig::restart_failed`], at full strength —
+//!    re-shards the corpus across the new world, and retries.
 //!
 //! Because a round either commits whole or not at all, a run that suffered
 //! a kill-and-restart is bit-identical to one that never faulted (the
@@ -26,19 +31,16 @@
 //! each logical rank additionally owns a residual-guided octree whose bytes
 //! ride the same snapshot/commit/rollback lifecycle as the RNG positions.
 
-use crate::fault::{FaultKind, FaultPlan};
-use crate::ring::{ring, RingError, RingHandle};
-use crate::trainer::param_digest;
-use mfn_autodiff::{clip_grad_norm, flatten_grads, unflatten_grads, Adam, Graph};
+use crate::fault::FaultPlan;
+use crate::trainer::{bn_stats_bytes, on_ring, param_digest, rank_seed, RankFailure};
+use mfn_autodiff::{Adam, AdamConfig};
 use mfn_core::{
     decode_train_state, encode_train_state, load_train_state_with_fallback, octree_config,
-    save_train_state, CheckpointError, Corpus, MeshfreeFlowNet, MfnConfig, RngState, SampleRng,
-    TrainConfig, TrainStateMeta,
+    save_train_state, CheckpointError, Corpus, EpochRecord, MeshfreeFlowNet, MfnConfig, RngState,
+    TrainConfig, TrainStateMeta, Trainer,
 };
-use mfn_data::{make_batch, make_batch_with, PatchSampler};
 use mfn_sample::OctreeSampler;
-use mfn_telemetry::{Recorder, StepMetrics, Stopwatch};
-use rand::Rng;
+use mfn_telemetry::Recorder;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -87,6 +89,10 @@ pub struct ElasticRunResult {
     pub epoch_worlds: Vec<usize>,
     /// Final master parameters.
     pub final_params: Vec<f32>,
+    /// Final master batch-norm running statistics, as
+    /// `MeshfreeFlowNet::write_bn_stats` streams them (they live in the
+    /// layers, not in [`ElasticRunResult::final_params`]).
+    pub final_bn_stats: Vec<u8>,
     /// FNV-1a digest of [`ElasticRunResult::final_params`].
     pub final_digest: u64,
     /// Worker failures observed (kills and stall-timeouts).
@@ -98,31 +104,6 @@ pub struct ElasticRunResult {
     /// True when the run committed every configured epoch (false when the
     /// retry budget or `min_world` stopped it early).
     pub completed: bool,
-}
-
-/// Everything a surviving round worker hands back to the supervisor.
-struct RoundOk {
-    /// The trained replica — returned only by ring position 0 (replicas are
-    /// bit-identical, shipping one is enough).
-    model: Option<Box<(MeshfreeFlowNet, Adam)>>,
-    /// Logical rank this result belongs to.
-    logical_rank: usize,
-    /// Sampler position after the epoch.
-    rng: RngState,
-    /// Serialized adaptive-sampler octree after the epoch (None when the
-    /// round ran the uniform query path).
-    sampler: Option<Vec<u8>>,
-    loss_sum: f32,
-    batches: usize,
-}
-
-/// Why a round worker did not finish its epoch.
-#[derive(Debug)]
-enum RoundFailure {
-    /// The fault plan killed this worker (it dropped its ring endpoints).
-    Killed { rank: usize, step: u64 },
-    /// A collective failed — typically collateral from a peer's death.
-    Ring { rank: usize, err: RingError },
 }
 
 /// Runs fault-tolerant data-parallel training of MeshfreeFlowNet under
@@ -143,51 +124,57 @@ pub fn train_elastic(
     assert!(sup.workers >= 1, "supervisor needs at least one worker");
     assert!(sup.min_world >= 1, "min_world must be at least 1");
 
-    // Master state: authoritative between rounds.
+    // Master state, authoritative between rounds: the replica, its Adam
+    // state, and the position plus every logical rank's sampler state.
     let mut master = MeshfreeFlowNet::new(model_cfg.clone());
-    let mut opt = Adam::new(
-        &master.store,
-        mfn_autodiff::AdamConfig { lr: train_cfg.lr, ..Default::default() },
-    );
-    // Logical-rank sampler streams, seeded exactly like the plain
-    // data-parallel trainer so the two agree on shard contents.
-    let mut rngs: Vec<RngState> = (0..sup.workers)
-        .map(|r| RngState { seed: train_cfg.seed.wrapping_add(r as u64 * 7919), words: 0 })
-        .collect();
-    // One octree per logical rank when adaptive sampling is on; empty for
-    // the uniform path so snapshots stay byte-identical to the legacy format.
-    let mut sampler_states: Vec<Vec<u8>> = if train_cfg.adaptive_sampling {
-        (0..sup.workers).map(|_| OctreeSampler::new(octree_config(train_cfg)).to_bytes()).collect()
-    } else {
-        Vec::new()
+    let mut opt = Adam::new(&master.store, AdamConfig { lr: train_cfg.lr, ..Default::default() });
+    let mut meta = TrainStateMeta {
+        global_step: 0,
+        epoch: 0,
+        batch_cursor: 0,
+        // Seeded exactly like the plain data-parallel driver so the two
+        // agree on shard contents.
+        rngs: (0..sup.workers)
+            .map(|r| RngState { seed: rank_seed(train_cfg.seed, r), words: 0 })
+            .collect(),
+        // One octree per logical rank when adaptive sampling is on; empty
+        // for the uniform path so snapshots stay byte-identical to the
+        // legacy format.
+        samplers: if train_cfg.adaptive_sampling {
+            (0..sup.workers)
+                .map(|_| OctreeSampler::new(octree_config(train_cfg)).to_bytes())
+                .collect()
+        } else {
+            Vec::new()
+        },
     };
-    let mut start_epoch = 0usize;
+    let steps_per_epoch = train_cfg.batches_per_epoch as u64;
 
     // Resume from an existing checkpoint (surviving a torn newest write via
-    // the rotated previous copy).
+    // the rotated previous copy), at the start of the epoch it was in.
     if let Some(path) = &sup.checkpoint_path {
         match load_train_state_with_fallback(path) {
             Ok(payload) => {
-                let mut r = payload.as_slice();
-                let (restored, meta) =
-                    decode_train_state(&mut master, &mut r).expect("resumable checkpoint");
+                let (restored, found) = decode_train_state(&mut master, &mut payload.as_slice())
+                    .expect("resumable checkpoint");
                 assert_eq!(
-                    meta.rngs.len(),
+                    found.rngs.len(),
                     sup.workers,
                     "checkpoint world size {} != configured {}",
-                    meta.rngs.len(),
+                    found.rngs.len(),
                     sup.workers
                 );
-                if !meta.samplers.is_empty() {
+                if !found.samplers.is_empty() {
                     assert!(
                         train_cfg.adaptive_sampling,
                         "checkpoint carries adaptive-sampler state but adaptive_sampling is off"
                     );
-                    sampler_states = meta.samplers;
+                    meta.samplers = found.samplers;
                 }
                 opt = restored;
-                rngs = meta.rngs;
-                start_epoch = meta.epoch;
+                meta.rngs = found.rngs;
+                meta.epoch = found.epoch;
+                meta.global_step = found.epoch as u64 * steps_per_epoch;
             }
             Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
                 // Fresh run: nothing to resume.
@@ -204,106 +191,70 @@ pub fn train_elastic(
     let mut retries_left = sup.max_retries;
     let mut completed = true;
 
-    let mut epoch = start_epoch;
-    while epoch < train_cfg.epochs {
-        // Snapshot the master state. Checkpoint meta carries *all* logical
-        // rank streams so a resumed supervisor can rebuild every shard.
-        let meta = TrainStateMeta {
-            global_step: (epoch * train_cfg.batches_per_epoch) as u64,
-            epoch,
-            batch_cursor: 0,
-            rngs: rngs.clone(),
-            samplers: sampler_states.clone(),
-        };
+    while meta.epoch < train_cfg.epochs {
+        // The snapshot carries *all* logical rank streams, so every rank of
+        // the round — and a resumed supervisor — can be rebuilt from it.
         let snapshot = encode_train_state(&master, &opt, &meta);
-        if let Some(path) = &sup.checkpoint_path {
-            let start = Instant::now();
-            let bytes = save_train_state(path, &snapshot)
-                .unwrap_or_else(|e| panic!("checkpoint write to {} failed: {e}", path.display()));
-            recorder.incr("ckpt.bytes", bytes);
-            recorder.incr("ckpt.writes", 1);
-            recorder.gauge("ckpt.write_s", start.elapsed().as_secs_f64());
-        }
+        persist(sup, &recorder, &snapshot);
         recorder.gauge("dist.world", active.len() as f64);
 
-        // One epoch round over the active world.
-        let handles = ring(active.len());
-        let results: Vec<Result<RoundOk, RoundFailure>> = std::thread::scope(|scope| {
-            let joins: Vec<_> = handles
-                .into_iter()
-                .zip(active.iter())
-                .map(|(h, &logical_rank)| {
-                    let model_cfg = model_cfg.clone();
-                    let train_cfg = *train_cfg;
-                    let recorder = recorder.clone();
-                    let snapshot = snapshot.as_slice();
-                    let rng_state = rngs[logical_rank];
-                    let sampler_state = sampler_states.get(logical_rank).cloned();
-                    let timeout = sup.allreduce_timeout;
-                    scope.spawn(move || {
-                        epoch_round(
-                            corpus,
-                            model_cfg,
-                            train_cfg,
-                            h,
-                            logical_rank,
-                            epoch,
-                            snapshot,
-                            rng_state,
-                            sampler_state,
-                            plan,
-                            timeout,
-                            recorder,
-                        )
-                    })
-                })
-                .collect();
-            joins.into_iter().map(|j| j.join().expect("round worker panicked")).collect()
-        });
+        // One epoch round over the active world: every rank is rebuilt
+        // from the snapshot and runs the epoch through a bounded ring.
+        let results: Vec<Result<(Trainer, EpochRecord), RankFailure>> =
+            on_ring(&active, Some(sup.allreduce_timeout), plan, |mut reduce| {
+                let model = MeshfreeFlowNet::new(model_cfg.clone());
+                let mut trainer =
+                    Trainer::from_state(model, *train_cfg, &snapshot, reduce.rank, sup.workers)
+                        .expect("supervisor snapshot must decode")
+                        .with_recorder(recorder.clone());
+                let record = trainer.run_epoch(corpus, &mut reduce)?;
+                Ok((trainer, record))
+            });
 
         let killed: Vec<usize> = results
             .iter()
             .filter_map(|r| match r {
-                Err(RoundFailure::Killed { rank, .. }) => Some(*rank),
+                Err(RankFailure::Killed { rank, .. }) => Some(*rank),
                 _ => None,
             })
             .collect();
-        let any_failed = results.iter().any(|r| r.is_err());
 
-        if !any_failed {
-            // Commit: adopt ring-position-0's replica and every sampler
-            // position; the round becomes the new master state.
-            let (mut loss, mut batches) = (0.0f32, 0usize);
-            for r in results {
-                let ok = r.unwrap_or_else(|_| unreachable!("checked above"));
-                rngs[ok.logical_rank] = ok.rng;
-                if let Some(bytes) = ok.sampler {
-                    sampler_states[ok.logical_rank] = bytes;
+        if results.iter().all(Result::is_ok) {
+            // Commit: adopt ring-position-0's replica (replicas are
+            // bit-identical) and every rank's sampler state; the round
+            // becomes the new master state.
+            let mut loss = 0.0f32;
+            for (&rank, r) in active.iter().zip(results) {
+                let (trainer, record) = r.unwrap_or_else(|_| unreachable!("checked above"));
+                let (rng, sampler) = trainer.sampler_state();
+                meta.rngs[rank] = rng;
+                if let Some(bytes) = sampler {
+                    meta.samplers[rank] = bytes;
                 }
-                loss += ok.loss_sum;
-                batches += ok.batches;
-                if let Some(boxed) = ok.model {
-                    let (m, o) = *boxed;
-                    master = m;
-                    opt = o;
+                loss += record.loss;
+                if rank == active[0] {
+                    master = trainer.model;
+                    opt = trainer.opt;
                 }
             }
-            epoch_losses.push(loss / batches.max(1) as f32);
+            epoch_losses.push(loss / active.len() as f32);
             epoch_worlds.push(active.len());
-            epoch += 1;
+            meta.epoch += 1;
+            meta.global_step += steps_per_epoch;
             continue;
         }
 
         // Failure path: nothing from this round is committed (rollback to
-        // the snapshot is implicit — master/opt/rngs were never touched).
+        // the snapshot is implicit — master/opt/meta were never touched).
+        let epoch = meta.epoch;
         for r in &results {
             match r {
-                Err(RoundFailure::Killed { rank, step }) => {
+                Err(RankFailure::Killed { rank, step }) => {
                     eprintln!(
                         "supervisor: rank {rank} died at step {step}; rolling back epoch {epoch}"
                     );
                 }
-                Err(RoundFailure::Ring { rank, err }) => {
+                Err(RankFailure::Ring { rank, err }) => {
                     eprintln!("supervisor: rank {rank} collective failed ({err}); rolling back epoch {epoch}");
                 }
                 Ok(_) => {}
@@ -328,21 +279,7 @@ pub fn train_elastic(
     }
 
     // Persist the final committed state so a follow-on run resumes cleanly.
-    if let Some(path) = &sup.checkpoint_path {
-        let meta = TrainStateMeta {
-            global_step: (epoch * train_cfg.batches_per_epoch) as u64,
-            epoch,
-            batch_cursor: 0,
-            rngs: rngs.clone(),
-            samplers: sampler_states.clone(),
-        };
-        let start = Instant::now();
-        let bytes = save_train_state(path, &encode_train_state(&master, &opt, &meta))
-            .unwrap_or_else(|e| panic!("checkpoint write to {} failed: {e}", path.display()));
-        recorder.incr("ckpt.bytes", bytes);
-        recorder.incr("ckpt.writes", 1);
-        recorder.gauge("ckpt.write_s", start.elapsed().as_secs_f64());
-    }
+    persist(sup, &recorder, &encode_train_state(&master, &opt, &meta));
 
     let final_params = master.store.flatten();
     let final_digest = param_digest(&final_params);
@@ -350,6 +287,7 @@ pub fn train_elastic(
         epoch_losses,
         epoch_worlds,
         final_params,
+        final_bn_stats: bn_stats_bytes(&master),
         final_digest,
         failures,
         ring_reforms,
@@ -358,115 +296,15 @@ pub fn train_elastic(
     }
 }
 
-/// One worker's epoch inside a supervised round: decode the snapshot, train
-/// `batches_per_epoch` batches with bounded all-reduces, honoring the fault
-/// plan.
-#[allow(clippy::too_many_arguments)]
-fn epoch_round(
-    corpus: &Corpus,
-    model_cfg: MfnConfig,
-    train_cfg: TrainConfig,
-    handle: RingHandle,
-    logical_rank: usize,
-    epoch: usize,
-    snapshot: &[u8],
-    rng_state: RngState,
-    sampler_state: Option<Vec<u8>>,
-    plan: &FaultPlan,
-    timeout: Duration,
-    recorder: Recorder,
-) -> Result<RoundOk, RoundFailure> {
-    let mut model = MeshfreeFlowNet::new(model_cfg);
-    let mut r = snapshot;
-    let (mut opt, _meta) =
-        decode_train_state(&mut model, &mut r).expect("supervisor snapshot must decode");
-    let mut rng = SampleRng::restore(rng_state);
-    let mut tree = sampler_state.map(|bytes| {
-        OctreeSampler::from_bytes(&bytes, octree_config(&train_cfg))
-            .expect("supervisor snapshot sampler must decode")
-    });
-    let samplers: Vec<PatchSampler<'_>> =
-        corpus.pairs.iter().map(|(hr, lr)| PatchSampler::new(hr, lr, model.cfg.patch)).collect();
-    let (mut loss_sum, mut batches) = (0.0f32, 0usize);
-    for b in 0..train_cfg.batches_per_epoch {
-        let gstep = (epoch * train_cfg.batches_per_epoch + b + 1) as u64;
-        let fault = plan.fire(logical_rank, gstep);
-        if matches!(fault, Some(FaultKind::Kill)) {
-            // Early return drops the ring endpoints — peers see a
-            // disconnect, exactly like a crashed process's sockets.
-            return Err(RoundFailure::Killed { rank: logical_rank, step: gstep });
-        }
-        let mut sw = Stopwatch::start();
-        let di = rng.gen_range(0..samplers.len());
-        let batch = if let Some(tree) = tree.as_mut() {
-            make_batch_with(&samplers[di], train_cfg.batch_size, tree, &mut rng)
-        } else {
-            make_batch(&samplers[di], train_cfg.batch_size, &mut rng)
-        };
-        let data_s = sw.lap();
-        let mut g = Graph::new();
-        let (loss, comps, scores) = if tree.is_some() {
-            let (loss, comps, scores) =
-                model.loss_on_batch_scored(&mut g, &batch, corpus.params(di), corpus.stats, true);
-            (loss, comps, Some(scores))
-        } else {
-            let (loss, comps) =
-                model.loss_on_batch(&mut g, &batch, corpus.params(di), corpus.stats, true);
-            (loss, comps, None)
-        };
-        let forward_s = sw.lap();
-        g.backward(loss);
-        let grads = g.param_grads(&model.store);
-        let mut flat = flatten_grads(&grads);
-        let backward_s = sw.lap();
-        if let Some(FaultKind::Delay(d)) = fault {
-            std::thread::sleep(d);
-        }
-        handle
-            .all_reduce_mean_bounded(&mut flat, timeout)
-            .map_err(|err| RoundFailure::Ring { rank: logical_rank, err })?;
-        let allreduce_wait_s = sw.lap();
-        let mut grads = unflatten_grads(&model.store, &flat);
-        let grad_norm_pre = if train_cfg.grad_clip > 0.0 {
-            clip_grad_norm(&mut grads, train_cfg.grad_clip)
-        } else if recorder.is_enabled() {
-            mfn_autodiff::grad_l2_norm(&grads)
-        } else {
-            0.0
-        };
-        opt.step(&mut model.store, &grads);
-        let optimizer_s = sw.lap();
-        if let (Some(tree), Some(scores)) = (tree.as_mut(), scores) {
-            let points: Vec<[f32; 3]> =
-                batch.samples.iter().flat_map(|s| s.query_local.iter().copied()).collect();
-            tree.update(&points, &scores);
-        }
-        loss_sum += comps.total;
-        batches += 1;
-        if recorder.is_enabled() {
-            let clip = train_cfg.grad_clip;
-            recorder.train_step(StepMetrics {
-                step: gstep,
-                epoch,
-                rank: logical_rank,
-                loss_total: comps.total,
-                loss_prediction: comps.prediction,
-                loss_equation: comps.equation,
-                grad_norm_pre,
-                grad_norm_post: if clip > 0.0 { grad_norm_pre.min(clip) } else { grad_norm_pre },
-                lr: opt.config().lr,
-                samples: train_cfg.batch_size,
-                data_s,
-                forward_s,
-                backward_s,
-                allreduce_wait_s,
-                optimizer_s,
-            });
-        }
-    }
-    let model = (handle.rank() == 0).then(|| Box::new((model, opt)));
-    let sampler = tree.map(|t| t.to_bytes());
-    Ok(RoundOk { model, logical_rank, rng: rng.state(), sampler, loss_sum, batches })
+/// Writes `payload` to the configured checkpoint path, if there is one.
+fn persist(sup: &SupervisorConfig, recorder: &Recorder, payload: &[u8]) {
+    let Some(path) = &sup.checkpoint_path else { return };
+    let start = Instant::now();
+    let bytes = save_train_state(path, payload)
+        .unwrap_or_else(|e| panic!("checkpoint write to {} failed: {e}", path.display()));
+    recorder.incr("ckpt.bytes", bytes);
+    recorder.incr("ckpt.writes", 1);
+    recorder.gauge("ckpt.write_s", start.elapsed().as_secs_f64());
 }
 
 #[cfg(test)]
@@ -517,6 +355,29 @@ mod tests {
             plain.final_params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
             "elastic supervisor without faults must reproduce the plain trainer"
         );
+        assert_eq!(elastic.final_bn_stats, plain.final_bn_stats);
+    }
+
+    /// `lr_decay` is applied once per committed epoch — also across a
+    /// rollback, whose retry starts from the snapshot's undecayed rate.
+    #[test]
+    fn lr_decay_anneals_every_rank_once_per_epoch() {
+        let (corpus, cfg, tc) = tiny_setup();
+        let tc = TrainConfig { lr_decay: 0.5, ..tc };
+        let sup = SupervisorConfig { workers: 2, restart_failed: true, ..Default::default() };
+        let (recorder, sink) = Recorder::memory(4096);
+        let plan = FaultPlan::none().kill(1, 6);
+        let r = train_elastic(&corpus, &cfg, &tc, &sup, &plan, recorder);
+        assert!(r.completed);
+        assert_eq!(r.failures, 1);
+        let steps = sink.train_steps();
+        for rank in 0..2 {
+            let last = steps.iter().rfind(|m| m.rank == rank).expect("rank stepped");
+            assert_eq!(last.epoch, 2);
+            assert_eq!(last.lr, tc.lr * 0.25, "rank {rank}");
+        }
+        let plain = crate::trainer::train_data_parallel(&corpus, &cfg, &tc, 2);
+        assert_eq!(r.final_digest, param_digest(&plain.final_params));
     }
 
     /// Killing a worker mid-epoch with restart: the run commits every epoch

@@ -6,16 +6,20 @@
 //! gradients are averaged with a ring all-reduce, and every replica applies
 //! the identical Adam update, keeping parameters bit-identical across
 //! workers without ever broadcasting them.
+//!
+//! A worker is an [`mfn_core::Trainer`] — the same gradient step and epoch
+//! loop a single process runs — given `RingReduce` as its gradient
+//! exchange. This module only builds the ranks, runs them to completion and
+//! collects what they report; [`crate::supervisor`] runs the same ranks one
+//! epoch at a time with rollback.
 
-use crate::ring::{ring, RingHandle};
-use mfn_autodiff::flatten_grads;
-use mfn_autodiff::{clip_grad_norm, unflatten_grads, Adam, AdamConfig, Graph};
-use mfn_core::{Corpus, MeshfreeFlowNet, MfnConfig, TrainConfig};
-use mfn_data::{make_batch, PatchSampler};
-use mfn_telemetry::{Recorder, StepMetrics, Stopwatch};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
+use crate::fault::{FaultKind, FaultPlan};
+use crate::ring::{ring, RingError, RingHandle};
+use mfn_autodiff::{flatten_grads, unflatten_grads, ParamStore};
+use mfn_core::{Corpus, GradReduce, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer};
+use mfn_telemetry::Recorder;
+use mfn_tensor::Tensor;
+use std::time::{Duration, Instant};
 
 /// Result of one data-parallel training run.
 #[derive(Debug, Clone)]
@@ -31,6 +35,11 @@ pub struct DistRunResult {
     pub throughput: f64,
     /// Trained parameters of worker 0 (all workers are identical).
     pub final_params: Vec<f32>,
+    /// Worker 0's batch-norm running statistics, as
+    /// `MeshfreeFlowNet::write_bn_stats` streams them: they live in the
+    /// layers, not the parameter store, so a model rebuilt from
+    /// [`DistRunResult::final_params`] needs `read_bn_stats` on these too.
+    pub final_bn_stats: Vec<u8>,
     /// Gradient buffer size in elements (for the scaling model).
     pub grad_elems: usize,
     /// Seconds each rank spent blocked in the ring all-reduce, summed over
@@ -43,22 +52,6 @@ pub struct DistRunResult {
     /// Every rank's final flattened parameters (index = rank). Rank 0 is
     /// duplicated in [`DistRunResult::final_params`].
     pub final_params_by_rank: Vec<Vec<f32>>,
-}
-
-/// One epoch's per-worker partial record.
-struct WorkerEpoch {
-    loss_sum: f32,
-    batches: usize,
-}
-
-/// Everything one worker thread reports back.
-struct WorkerResult {
-    epochs: Vec<WorkerEpoch>,
-    walls: Vec<f64>,
-    final_params: Vec<f32>,
-    grad_elems: usize,
-    allreduce_wait: f64,
-    epoch_digests: Vec<u64>,
 }
 
 /// FNV-1a over the bit patterns of a parameter vector: a cheap, order-
@@ -75,9 +68,94 @@ pub fn param_digest(params: &[f32]) -> u64 {
     h
 }
 
+/// Seed of logical rank `rank`'s batch stream: distinct per rank so the
+/// ranks see distinct data shards, stable across ring re-forms.
+pub(crate) fn rank_seed(seed: u64, rank: usize) -> u64 {
+    seed.wrapping_add(rank as u64 * 7919)
+}
+
+/// The model's batch-norm running statistics as a byte stream.
+pub(crate) fn bn_stats_bytes(model: &MeshfreeFlowNet) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    model.write_bn_stats(&mut bytes).expect("writes into a Vec cannot fail");
+    bytes
+}
+
+/// Why a rank did not finish its epoch.
+#[derive(Debug)]
+pub(crate) enum RankFailure {
+    /// The fault plan killed this worker (it dropped its ring endpoints).
+    Killed { rank: usize, step: u64 },
+    /// A collective failed — typically collateral from a peer's death.
+    Ring { rank: usize, err: RingError },
+}
+
+/// A rank's gradient exchange: flatten → ring all-reduce (mean) →
+/// unflatten, under an optional per-collective time budget and a
+/// [`FaultPlan`] addressed to the rank's logical identity.
+pub(crate) struct RingReduce<'a> {
+    handle: RingHandle,
+    timeout: Option<Duration>,
+    plan: &'a FaultPlan,
+    /// Logical rank: stable across ring re-forms, unlike `handle.rank()`.
+    pub rank: usize,
+    /// A fired [`FaultKind::Delay`], slept right before the step's
+    /// all-reduce.
+    stall: Option<Duration>,
+}
+
+impl GradReduce for RingReduce<'_> {
+    type Error = RankFailure;
+
+    fn before_step(&mut self, step: u64) -> Result<(), RankFailure> {
+        match self.plan.fire(self.rank, step) {
+            // The error unwinds the rank and drops `handle` — peers see a
+            // disconnect, exactly like a crashed process's sockets.
+            Some(FaultKind::Kill) => return Err(RankFailure::Killed { rank: self.rank, step }),
+            Some(FaultKind::Delay(d)) => self.stall = Some(d),
+            None => {}
+        }
+        Ok(())
+    }
+
+    fn reduce(&mut self, store: &ParamStore, grads: &mut Vec<Tensor>) -> Result<(), RankFailure> {
+        let mut flat = flatten_grads(grads);
+        if let Some(d) = self.stall.take() {
+            std::thread::sleep(d);
+        }
+        self.handle
+            .all_reduce_mean(&mut flat, self.timeout)
+            .map_err(|err| RankFailure::Ring { rank: self.rank, err })?;
+        *grads = unflatten_grads(store, &flat);
+        Ok(())
+    }
+}
+
+/// Runs `rank_body` once per logical rank in `ranks`, each on its own thread
+/// with its endpoint of one ring over them; results in `ranks` order.
+pub(crate) fn on_ring<T: Send>(
+    ranks: &[usize],
+    timeout: Option<Duration>,
+    plan: &FaultPlan,
+    rank_body: impl Fn(RingReduce<'_>) -> T + Sync,
+) -> Vec<T> {
+    let rank_body = &rank_body;
+    std::thread::scope(|scope| {
+        let joins: Vec<_> = ring(ranks.len())
+            .into_iter()
+            .zip(ranks)
+            .map(|(handle, &rank)| {
+                let reduce = RingReduce { handle, timeout, plan, rank, stall: None };
+                scope.spawn(move || rank_body(reduce))
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().expect("rank thread panicked")).collect()
+    })
+}
+
 /// Runs synchronous data-parallel training of MeshfreeFlowNet.
 ///
-/// `per_worker_batches` mini-batches are processed by *each* worker per
+/// `batches_per_epoch` mini-batches are processed by *each* worker per
 /// epoch (weak scaling, like the paper: the global batch grows with the
 /// worker count).
 pub fn train_data_parallel(
@@ -89,11 +167,19 @@ pub fn train_data_parallel(
     train_data_parallel_recorded(corpus, model_cfg, train_cfg, workers, Recorder::null())
 }
 
-/// [`train_data_parallel`] with telemetry: every rank emits one
-/// [`StepMetrics`] per gradient step (tagged with its rank, including the
-/// seconds it spent blocked in the ring all-reduce) through a clone of
-/// `recorder`, and the run-level aggregates land in the returned
-/// [`DistRunResult`].
+/// What one rank reports back: its trainer after the last epoch and, per
+/// epoch, `(mean loss, seconds since the run started, parameter digest)`.
+type RankRun = (Trainer, Vec<(f32, f64, u64)>);
+
+/// [`train_data_parallel`] with telemetry: every rank emits what a
+/// single-process [`Trainer`] emits — one `StepMetrics` per gradient step
+/// (tagged with its rank, including the seconds it spent in the ring
+/// all-reduce) and the per-epoch gauges — through a clone of `recorder`,
+/// and the run-level aggregates land in the returned [`DistRunResult`].
+///
+/// # Panics
+/// Panics if a worker dies: a run-to-completion ring has no one to re-form
+/// it (that is [`crate::train_elastic`]).
 pub fn train_data_parallel_recorded(
     corpus: &Corpus,
     model_cfg: &MfnConfig,
@@ -101,146 +187,69 @@ pub fn train_data_parallel_recorded(
     workers: usize,
     recorder: Recorder,
 ) -> DistRunResult {
-    assert!(workers >= 1);
-    let handles = ring(workers);
     let start = Instant::now();
-    let epochs = train_cfg.epochs;
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let joins: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                let model_cfg = model_cfg.clone();
-                let train_cfg = *train_cfg;
-                let recorder = recorder.clone();
-                scope.spawn(move || worker_loop(corpus, model_cfg, train_cfg, h, start, recorder))
-            })
-            .collect();
-        joins.into_iter().map(|j| j.join().expect("worker panicked")).collect()
-    });
+    let runs = run_ranks(corpus, model_cfg, train_cfg, workers, &recorder);
     let elapsed = start.elapsed().as_secs_f64();
-    let mut epoch_losses = vec![0.0f32; epochs];
-    let mut epoch_wall = vec![0.0f64; epochs];
-    for r in &results {
-        for (e, we) in r.epochs.iter().enumerate() {
-            epoch_losses[e] += we.loss_sum / we.batches.max(1) as f32;
-        }
-        for (e, &w) in r.walls.iter().enumerate() {
-            epoch_wall[e] = epoch_wall[e].max(w);
-        }
-    }
-    for l in epoch_losses.iter_mut() {
-        *l /= workers as f32;
-    }
+    let epochs = train_cfg.epochs;
     let total_samples =
         (workers * train_cfg.batches_per_epoch * train_cfg.batch_size * epochs) as f64;
     let throughput = total_samples / elapsed;
     recorder.gauge("throughput_samples_per_sec", throughput);
+    let final_params_by_rank: Vec<Vec<f32>> =
+        runs.iter().map(|(t, _)| t.model.store.flatten()).collect();
+    let rank0 = &runs[0].0.model;
     DistRunResult {
         workers,
-        epoch_losses,
-        epoch_wall,
+        epoch_losses: (0..epochs)
+            .map(|e| runs.iter().map(|(_, ep)| ep[e].0).sum::<f32>() / workers as f32)
+            .collect(),
+        epoch_wall: (0..epochs)
+            .map(|e| runs.iter().map(|(_, ep)| ep[e].1).fold(0.0, f64::max))
+            .collect(),
         throughput,
-        final_params: results[0].final_params.clone(),
-        grad_elems: results[0].grad_elems,
-        allreduce_wait: results.iter().map(|r| r.allreduce_wait).collect(),
-        epoch_param_digests: results.iter().map(|r| r.epoch_digests.clone()).collect(),
-        final_params_by_rank: results.into_iter().map(|r| r.final_params).collect(),
+        final_params: final_params_by_rank[0].clone(),
+        final_bn_stats: bn_stats_bytes(rank0),
+        grad_elems: rank0.store.total_numel(),
+        allreduce_wait: runs.iter().map(|(t, _)| t.reduce_wait_s()).collect(),
+        epoch_param_digests: runs
+            .iter()
+            .map(|(_, ep)| ep.iter().map(|&(_, _, digest)| digest).collect())
+            .collect(),
+        final_params_by_rank,
     }
 }
 
-fn worker_loop(
+/// Runs `workers` fresh ranks to completion — every epoch through a ring
+/// without deadlines — and returns them in rank order.
+fn run_ranks(
     corpus: &Corpus,
-    model_cfg: MfnConfig,
-    train_cfg: TrainConfig,
-    handle: RingHandle,
-    start: Instant,
-    recorder: Recorder,
-) -> WorkerResult {
-    let rank = handle.rank();
-    // Identical seed across replicas → identical initialization; no
-    // parameter broadcast needed (verified by `replicas_stay_identical`).
-    let mut model = MeshfreeFlowNet::new(model_cfg);
-    let mut opt = Adam::new(&model.store, AdamConfig { lr: train_cfg.lr, ..Default::default() });
-    // Distinct data shards: seed differs per worker.
-    let mut rng = ChaCha8Rng::seed_from_u64(train_cfg.seed.wrapping_add(rank as u64 * 7919));
-    let samplers: Vec<PatchSampler<'_>> =
-        corpus.pairs.iter().map(|(hr, lr)| PatchSampler::new(hr, lr, model.cfg.patch)).collect();
-    let mut epochs_out = Vec::with_capacity(train_cfg.epochs);
-    let mut walls = Vec::with_capacity(train_cfg.epochs);
-    let mut epoch_digests = Vec::with_capacity(train_cfg.epochs);
-    let mut grad_elems = 0usize;
-    let mut allreduce_wait = 0.0f64;
-    let mut step_no = 0u64;
-    for epoch in 0..train_cfg.epochs {
-        let mut we = WorkerEpoch { loss_sum: 0.0, batches: 0 };
-        for _ in 0..train_cfg.batches_per_epoch {
-            let mut sw = Stopwatch::start();
-            let di = rng.gen_range(0..samplers.len());
-            let batch = make_batch(&samplers[di], train_cfg.batch_size, &mut rng);
-            let data_s = sw.lap();
-            let mut g = Graph::new();
-            let (loss, comps) =
-                model.loss_on_batch(&mut g, &batch, corpus.params(di), corpus.stats, true);
-            let forward_s = sw.lap();
-            g.backward(loss);
-            let grads = g.param_grads(&model.store);
-            let mut flat = flatten_grads(&grads);
-            grad_elems = flat.len();
-            let backward_s = sw.lap();
-            // Average gradients across the ring (the synchronization point).
-            handle.all_reduce_mean(&mut flat);
-            let allreduce_wait_s = sw.lap();
-            allreduce_wait += allreduce_wait_s;
-            let mut grads = unflatten_grads(&model.store, &flat);
-            let grad_norm_pre = if train_cfg.grad_clip > 0.0 {
-                clip_grad_norm(&mut grads, train_cfg.grad_clip)
-            } else if recorder.is_enabled() {
-                mfn_autodiff::grad_l2_norm(&grads)
-            } else {
-                0.0
-            };
-            opt.step(&mut model.store, &grads);
-            let optimizer_s = sw.lap();
-            we.loss_sum += comps.total;
-            we.batches += 1;
-            step_no += 1;
-            if recorder.is_enabled() {
-                let clip = train_cfg.grad_clip;
-                recorder.train_step(StepMetrics {
-                    step: step_no,
-                    epoch,
-                    rank,
-                    loss_total: comps.total,
-                    loss_prediction: comps.prediction,
-                    loss_equation: comps.equation,
-                    grad_norm_pre,
-                    grad_norm_post: if clip > 0.0 {
-                        grad_norm_pre.min(clip)
-                    } else {
-                        grad_norm_pre
-                    },
-                    lr: opt.config().lr,
-                    samples: train_cfg.batch_size,
-                    data_s,
-                    forward_s,
-                    backward_s,
-                    allreduce_wait_s,
-                    optimizer_s,
-                });
-            }
-        }
-        epoch_digests.push(param_digest(&model.store.flatten()));
-        epochs_out.push(we);
-        walls.push(start.elapsed().as_secs_f64());
-    }
-    WorkerResult {
-        epochs: epochs_out,
-        walls,
-        final_params: model.store.flatten(),
-        grad_elems,
-        allreduce_wait,
-        epoch_digests,
-    }
+    model_cfg: &MfnConfig,
+    train_cfg: &TrainConfig,
+    workers: usize,
+    recorder: &Recorder,
+) -> Vec<RankRun> {
+    assert!(workers >= 1);
+    let start = Instant::now();
+    let ranks: Vec<usize> = (0..workers).collect();
+    on_ring(&ranks, None, &FaultPlan::none(), |mut reduce| {
+        // Identical model seed across replicas → identical initialization;
+        // no parameter broadcast needed (verified by
+        // `replicas_stay_identical`). Only the batch stream differs.
+        let cfg = TrainConfig { seed: rank_seed(train_cfg.seed, reduce.rank), ..*train_cfg };
+        let mut trainer = Trainer::new(MeshfreeFlowNet::new(model_cfg.clone()), cfg)
+            .with_rank(reduce.rank)
+            .with_recorder(recorder.clone());
+        let epochs = (0..cfg.epochs)
+            .map(|_| {
+                let rec = trainer
+                    .run_epoch(corpus, &mut reduce)
+                    .unwrap_or_else(|e| panic!("ring peer hung up: {e:?}"));
+                let digest = param_digest(&trainer.model.store.flatten());
+                (rec.loss, start.elapsed().as_secs_f64(), digest)
+            })
+            .collect();
+        (trainer, epochs)
+    })
 }
 
 #[cfg(test)]
@@ -340,6 +349,65 @@ mod tests {
         // The run-level throughput gauge was emitted and matches the result.
         let gauge = sink.gauge("throughput_samples_per_sec").expect("throughput gauge");
         assert!((gauge - r.throughput).abs() < 1e-9);
+    }
+
+    /// BN running statistics live in the layers, not the parameter store:
+    /// a model rebuilt from the result needs `final_bn_stats` to be rank
+    /// 0's replica (at the parent it silently kept the fresh defaults).
+    #[test]
+    fn result_rebuilds_rank0_replica_including_bn_statistics() {
+        let (corpus, cfg, tc) = tiny_setup();
+        let r = train_data_parallel(&corpus, &cfg, &tc, 2);
+        // The replica itself, from an identical (deterministic) second run.
+        let ranks = run_ranks(&corpus, &cfg, &tc, 2, &Recorder::null());
+        let replica = &ranks[0].0.model;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&replica.store.flatten()), bits(&r.final_params));
+
+        let mut fresh_bn = MeshfreeFlowNet::new(cfg.clone());
+        fresh_bn.store.unflatten_into(&r.final_params);
+        let mut rebuilt = MeshfreeFlowNet::new(cfg.clone());
+        rebuilt.store.unflatten_into(&r.final_params);
+        rebuilt.read_bn_stats(&mut r.final_bn_stats.as_slice()).expect("same architecture");
+
+        let input = mfn_core::extract_patch(&corpus.pairs[0].1, [0, 0, 0], cfg.patch, corpus.stats);
+        let want = bits(replica.encode(&input).data());
+        assert_eq!(bits(rebuilt.encode(&input).data()), want, "rebuilt model is not the replica");
+        assert_ne!(bits(fresh_bn.encode(&input).data()), want, "BN statistics had no effect");
+    }
+
+    /// `adaptive_sampling` reaches the plain data-parallel driver: every
+    /// rank draws from its own octree (parent: silently uniform).
+    #[test]
+    fn adaptive_sampling_is_honoured_and_stays_replica_consistent() {
+        let (corpus, cfg, tc) = tiny_setup();
+        let uniform = train_data_parallel(&corpus, &cfg, &tc, 2);
+        let (recorder, sink) = Recorder::memory(4096);
+        let adaptive_tc = TrainConfig { adaptive_sampling: true, ..tc };
+        let adaptive = train_data_parallel_recorded(&corpus, &cfg, &adaptive_tc, 2, recorder);
+        assert_ne!(
+            param_digest(&adaptive.final_params),
+            param_digest(&uniform.final_params),
+            "adaptive sampling should change which query points are drawn"
+        );
+        assert_eq!(adaptive.epoch_param_digests[1], adaptive.epoch_param_digests[0]);
+        assert!(sink.gauge(mfn_telemetry::sampler_gauges::LEAVES).is_some_and(|n| n >= 1.0));
+        assert!(sink.gauge(mfn_telemetry::sampler_gauges::ENTROPY).is_some());
+    }
+
+    /// `lr_decay` reaches every rank (parent: both drivers ignored it).
+    #[test]
+    fn lr_decay_anneals_every_rank() {
+        let (corpus, cfg, tc) = tiny_setup();
+        let tc = TrainConfig { lr_decay: 0.5, ..tc };
+        let (recorder, sink) = Recorder::memory(4096);
+        train_data_parallel_recorded(&corpus, &cfg, &tc, 2, recorder);
+        let steps = sink.train_steps();
+        for rank in 0..2 {
+            let last = steps.iter().rfind(|m| m.rank == rank).expect("rank stepped");
+            assert_eq!(last.epoch, 2);
+            assert_eq!(last.lr, tc.lr * 0.25, "rank {rank}");
+        }
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Rayleigh–Bénard PDE residuals (the paper's Eqns. 3a–3c).
 //!
-//! The residual definitions live here, in one place, and are consumed by
-//! three different callers:
+//! The scalar (f64) residual definitions live here and have two callers:
 //!
-//! 1. the training-time *equation loss* in `mfn-core` (same formulas recorded
-//!    on the autodiff tape),
-//! 2. the inference-time residual evaluation through forward-mode jets,
-//! 3. the grid-based residual diagnostic that cross-checks the CFD solver
+//! 1. the inference-time residual evaluation through forward-mode jets,
+//! 2. the grid-based residual diagnostic that cross-checks the CFD solver
 //!    itself (see [`grid_residuals`]).
+//!
+//! The training-time *equation loss* does not call them: `mfn-core::losses`
+//! holds a twin of the same four formulas written as f32 autodiff-tape ops
+//! (`equation_loss_at_points`), pinned against this module by
+//! `equation_loss_matches_jet_residuals` and `tests/physics_consistency.rs`.
+//! The two stay separate until ROADMAP item 1 (jet on the tape) merges them.
 
 use mfn_solver::{d2dx2, d2dz2, ddx, ddz, Simulation};
 

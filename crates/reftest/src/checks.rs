@@ -651,7 +651,7 @@ pub fn check_refine_grad() -> Report {
     // exactly what `mfn_core::refine_latent` evaluates per step.
     let mut graph = Graph::new();
     let leaf = graph.leaf_with_grad(latent.clone());
-    let loss = equation_loss_at_points(
+    let (loss, _) = equation_loss_at_points(
         &mut graph,
         &store,
         &dec,

@@ -1,11 +1,11 @@
 //! Structured event types and their JSONL encoding.
 
-/// Per-gradient-step metrics emitted by the trainers (`mfn-core::Trainer`,
-/// `mfn-core::BaselineTrainer`, and each `mfn-dist` worker).
+/// Per-gradient-step metrics emitted by the trainers (`mfn-core::Trainer` —
+/// which every `mfn-dist` worker is — and `mfn-core::BaselineTrainer`).
 ///
 /// All timings are wall-clock seconds for that step only. `rank` is 0 for
 /// single-process training.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepMetrics {
     /// Global step index (monotonic per trainer / per worker).
     pub step: u64,
@@ -34,32 +34,11 @@ pub struct StepMetrics {
     pub forward_s: f64,
     /// Seconds in the backward pass (backprop + gradient gather).
     pub backward_s: f64,
-    /// Seconds blocked in the ring all-reduce (0 for single-process).
+    /// Seconds in the gradient exchange: the ring all-reduce for a
+    /// data-parallel rank, a no-op's nanoseconds for single-process.
     pub allreduce_wait_s: f64,
     /// Seconds in the optimizer update (clip + Adam).
     pub optimizer_s: f64,
-}
-
-impl Default for StepMetrics {
-    fn default() -> Self {
-        StepMetrics {
-            step: 0,
-            epoch: 0,
-            rank: 0,
-            loss_total: 0.0,
-            loss_prediction: 0.0,
-            loss_equation: 0.0,
-            grad_norm_pre: 0.0,
-            grad_norm_post: 0.0,
-            lr: 0.0,
-            samples: 0,
-            data_s: 0.0,
-            forward_s: 0.0,
-            backward_s: 0.0,
-            allreduce_wait_s: 0.0,
-            optimizer_s: 0.0,
-        }
-    }
 }
 
 impl StepMetrics {

@@ -100,7 +100,7 @@ fn run_arm(
             .iter()
             .map(|b| {
                 let mut g = Graph::new();
-                let (_, comps) =
+                let (_, comps, _) =
                     trainer.model.loss_on_batch(&mut g, b, corpus.params(0), corpus.stats, false);
                 comps.equation
             })

@@ -50,7 +50,7 @@ fn all_reduced_gradient_equals_serial_average() {
         for b in &batches {
             let mut model = MeshfreeFlowNet::new(cfg.clone());
             let mut g = Graph::new();
-            let (loss, _) = model.loss_on_batch(&mut g, b, corpus.params(0), corpus.stats, true);
+            let (loss, _, _) = model.loss_on_batch(&mut g, b, corpus.params(0), corpus.stats, true);
             g.backward(loss);
             let flat = flatten_grads(&g.param_grads(&model.store));
             if sum.is_empty() {
@@ -76,11 +76,11 @@ fn all_reduced_gradient_equals_serial_average() {
                 scope.spawn(move || {
                     let mut model = MeshfreeFlowNet::new(cfg);
                     let mut g = Graph::new();
-                    let (loss, _) =
+                    let (loss, _, _) =
                         model.loss_on_batch(&mut g, b, corpus.params(0), corpus.stats, true);
                     g.backward(loss);
                     let mut flat = flatten_grads(&g.param_grads(&model.store));
-                    h.all_reduce_mean(&mut flat);
+                    h.all_reduce_mean(&mut flat, None).expect("healthy ring");
                     flat
                 })
             })
@@ -126,4 +126,28 @@ fn one_worker_distributed_matches_serial_scale() {
     let d = *r.epoch_losses.last().expect("dist");
     let s = records.last().expect("serial").loss;
     assert!((d - s).abs() < 0.5 * (d + s), "loss scales diverged: dist {d} vs serial {s}");
+}
+
+/// One worker of the data-parallel driver *is* the serial trainer: the same
+/// rank body with an all-reduce over a world of one. Parameters and
+/// batch-norm statistics agree bit for bit, with and without LR decay (at
+/// the parent the driver ignored `lr_decay`).
+#[test]
+fn one_worker_distributed_is_the_serial_trainer_bit_for_bit() {
+    let (corpus, cfg, tc) = setup();
+    for lr_decay in [1.0, 0.9] {
+        let tc = TrainConfig { lr_decay, ..tc };
+        let r = train_data_parallel(&corpus, &cfg, &tc, 1);
+        let mut serial = Trainer::new(MeshfreeFlowNet::new(cfg.clone()), tc);
+        serial.train(&corpus);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&r.final_params),
+            bits(&serial.model.store.flatten()),
+            "lr_decay {lr_decay}"
+        );
+        let mut bn = Vec::new();
+        serial.model.write_bn_stats(&mut bn).expect("vec write");
+        assert_eq!(r.final_bn_stats, bn, "lr_decay {lr_decay}");
+    }
 }

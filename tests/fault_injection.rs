@@ -218,7 +218,7 @@ fn allreduce_with_dead_peer_errors_within_timeout() {
             .map(|h| {
                 scope.spawn(move || {
                     let mut buf = vec![1.0f32; 64];
-                    h.all_reduce_sum_bounded(&mut buf, timeout)
+                    h.all_reduce(&mut buf, Some(timeout))
                 })
             })
             .collect();

@@ -58,7 +58,7 @@ fn tape_equation_loss_consistent_with_physics_residuals() {
 
     let mut g = Graph::new();
     let l = g.constant(latent.clone());
-    let loss = equation_loss(
+    let (loss, _) = equation_loss(
         &mut g,
         &store,
         &dec,
