@@ -6,7 +6,23 @@
 //! classic "Wengert list": no interior mutability, no `Rc` cycles — a graph is
 //! a plain `Vec` owned by the caller, which makes it trivially `Send` and lets
 //! the data-parallel trainer give every worker thread its own tape.
+//!
+//! A tape is **single-use**: one forward pass, one [`Graph::backward`]. The
+//! sweep *takes* each interior node's adjoint and op out of the node — the
+//! adjoint is scaled in place, moved on to an input or dropped back into the
+//! workspace pool the moment it has been propagated, and whatever the op
+//! saved for backward goes with it — so afterwards only leaves hold a
+//! gradient ([`Graph::grad`], [`Graph::try_grad`], [`Graph::param_grads`]);
+//! every node keeps its value. An operand's adjoint is computed only if that
+//! operand requires a gradient.
+//!
+//! A fully-connected layer is one node, [`Graph::linear`]: GEMM, then
+//! [`Activation::bias_apply_rows`] in place on the GEMM output — the kernel
+//! the no-grad `PackedMlp::forward` calls, so the two forwards are one code
+//! path. It saves what backward needs once: its own output (which the next
+//! layer reads anyway) and, for softplus only, a copy of the GEMM output.
 
+use crate::nn::Activation;
 use crate::params::{ParamId, ParamStore};
 use mfn_tensor::{
     conv3d_auto, conv3d_grad_input, conv3d_grad_weight, matmul, matmul_nt, matmul_tn, maxpool3d,
@@ -18,8 +34,9 @@ use mfn_tensor::{rowops, workspace};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
 
-/// The operation that produced a node's value.
-#[derive(Debug, Clone)]
+/// The operation that produced a node's value. Not `Clone`: backward moves
+/// an op (index and weight vectors, saved tensors) out of its node.
+#[derive(Debug)]
 enum Op {
     /// An input: parameter, constant, or mini-batch data.
     Leaf,
@@ -32,11 +49,16 @@ enum Op {
     AddScalar(Var),
     /// `A @ B` for rank-2 operands.
     Matmul(Var, Var),
-    /// `A @ B^T` for rank-2 operands (`B` stored `[n, k]`); the natural shape
-    /// for linear layers with `[out, in]` weights.
-    MatmulNT(Var, Var),
-    /// `x + b` broadcasting `b: [N]` over the rows of `x: [M, N]`.
-    BiasRow(Var, Var),
+    /// A fully-connected layer `act(x @ w^T + b)` for `x: [M, in]`,
+    /// `w: [out, in]`, `b: [out]`. `pre` is the GEMM output `x @ w^T`, kept
+    /// only where backward cannot work from the node's own value (softplus).
+    Linear {
+        x: Var,
+        w: Var,
+        b: Var,
+        act: Activation,
+        pre: Option<Tensor>,
+    },
     /// `x + b` broadcasting `b: [C]` over channel dim 1 of `x: [N, C, ...]`.
     BiasChannel(Var, Var),
     Relu(Var),
@@ -118,8 +140,7 @@ impl Op {
             Op::Scale(..) => "scale",
             Op::AddScalar(..) => "add_scalar",
             Op::Matmul(..) => "matmul",
-            Op::MatmulNT(..) => "matmul_nt",
-            Op::BiasRow(..) => "bias_row",
+            Op::Linear { .. } => "linear",
             Op::BiasChannel(..) => "bias_channel",
             Op::Relu(..) => "relu",
             Op::Softplus(..) => "softplus",
@@ -149,9 +170,8 @@ impl Op {
             | Op::Sub(a, b)
             | Op::Mul(a, b)
             | Op::Matmul(a, b)
-            | Op::MatmulNT(a, b)
-            | Op::BiasRow(a, b)
             | Op::BiasChannel(a, b) => vec![*a, *b],
+            Op::Linear { x, w, b, .. } => vec![*x, *w, *b],
             Op::Neg(a)
             | Op::Scale(a, _)
             | Op::AddScalar(a)
@@ -192,6 +212,11 @@ pub struct Graph {
     nodes: Vec<Node>,
     /// Parameter leaves registered via [`Graph::param`], for gradient export.
     param_vars: Vec<(ParamId, Var)>,
+    /// Whether [`Graph::param`] records constants
+    /// ([`Graph::with_frozen_params`]).
+    frozen_params: bool,
+    /// Set by [`Graph::backward`], which may run once.
+    swept: bool,
 }
 
 impl Default for Graph {
@@ -203,7 +228,21 @@ impl Default for Graph {
 impl Graph {
     /// Creates an empty tape.
     pub fn new() -> Self {
-        Graph { nodes: Vec::with_capacity(256), param_vars: Vec::new() }
+        Graph {
+            nodes: Vec::with_capacity(256),
+            param_vars: Vec::new(),
+            frozen_params: false,
+            swept: false,
+        }
+    }
+
+    /// An empty tape on which [`Graph::param`] records constants: the layers
+    /// run forward on the store's weights, but nothing is differentiated
+    /// with respect to them and backward spends no work on their adjoints.
+    /// For descending something other than the weights through a trained
+    /// network (test-time refinement descends the latent grid).
+    pub fn with_frozen_params() -> Self {
+        Graph { frozen_params: true, ..Graph::new() }
     }
 
     fn push(&mut self, value: Tensor, op: Op, requires_grad: bool) -> Var {
@@ -241,8 +280,13 @@ impl Graph {
         self.nodes[v.0].requires_grad
     }
 
-    /// Records a trainable-parameter leaf (value copied from the store).
+    /// Records a trainable-parameter leaf (value copied from the store) —
+    /// or, on a tape [`Graph::with_frozen_params`], the same value as a
+    /// constant.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        if self.frozen_params {
+            return self.constant(store.get(id).clone());
+        }
         let v = self.push(store.get(id).clone(), Op::Leaf, true);
         self.param_vars.push((id, v));
         v
@@ -264,10 +308,11 @@ impl Graph {
         &self.nodes[v.0].value
     }
 
-    /// The accumulated gradient of a node (after [`Graph::backward`]).
+    /// The accumulated gradient of a leaf (after [`Graph::backward`], which
+    /// leaves none on interior nodes).
     ///
     /// # Panics
-    /// Panics if no gradient was accumulated for the node.
+    /// Panics if the node holds no gradient.
     pub fn grad(&self, v: Var) -> &Tensor {
         self.nodes[v.0]
             .grad
@@ -275,7 +320,8 @@ impl Graph {
             .unwrap_or_else(|| panic!("no gradient for node {}; did you call backward()?", v.0))
     }
 
-    /// The gradient of a node, or `None` if it never received one.
+    /// The gradient of a node, or `None` if it holds none: it never received
+    /// one, or it is an interior node and backward has passed it on.
     pub fn try_grad(&self, v: Var) -> Option<&Tensor> {
         self.nodes[v.0].grad.as_ref()
     }
@@ -341,22 +387,18 @@ impl Graph {
         self.push(v, Op::Matmul(a, b), rg)
     }
 
-    /// `a @ b^T` for rank-2 nodes, with gradients delivered to `b` in its
-    /// native `[n, k]` layout (the linear-layer weight shape).
-    pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
-        let v = matmul_nt(&self.nodes[a.0].value, &self.nodes[b.0].value);
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::MatmulNT(a, b), rg)
-    }
-
-    /// Adds bias vector `b: [N]` to every row of `x: [M, N]`.
-    pub fn bias_row(&mut self, x: Var, b: Var) -> Var {
-        let xv = &self.nodes[x.0].value;
-        let bv = &self.nodes[b.0].value;
-        let mut out = xv.clone();
-        rowops::add_bias_rows(out.data_mut(), bv.data());
-        let rg = self.rg(x) || self.rg(b);
-        self.push(out, Op::BiasRow(x, b), rg)
+    /// A fully-connected layer `act(x @ w^T + b)` as one node: `x: [M, in]`,
+    /// `w: [out, in]` (gradients arrive in that layout), `b: [out]`. The
+    /// value is the GEMM followed by [`Activation::bias_apply_rows`] in place
+    /// on its output, exactly what the no-grad `PackedMlp::forward` computes.
+    pub fn linear(&mut self, x: Var, w: Var, b: Var, act: Activation) -> Var {
+        let mut y = matmul_nt(&self.nodes[x.0].value, &self.nodes[w.0].value);
+        let rg = self.rg(x) || self.rg(w) || self.rg(b);
+        // Softplus' is a function of the pre-activation, which the in-place
+        // activation overwrites; the other derivatives read the output.
+        let pre = (rg && act == Activation::Softplus).then(|| y.clone());
+        act.bias_apply_rows(y.data_mut(), self.nodes[b.0].value.data());
+        self.push(y, Op::Linear { x, w, b, act, pre }, rg)
     }
 
     /// Adds bias `b: [C]` over channel dim 1 of `x: [N, C, ...]`.
@@ -588,24 +630,32 @@ impl Graph {
 
     // ---- backward ----
 
-    /// Reverse-mode sweep seeding `d loss / d loss = 1`.
+    /// Reverse-mode sweep seeding `d loss / d loss = 1`. Consumes the tape's
+    /// interior (module docs): afterwards leaves hold their gradients and
+    /// every node its value, nothing else.
     ///
     /// # Panics
-    /// Panics if `loss` is not a single-element node.
+    /// Panics if `loss` is not a single-element node, or on a second call.
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(self.nodes[loss.0].value.numel(), 1, "backward seed must be scalar");
-        let n = self.nodes.len();
+        assert!(!self.swept, "a tape is single-use: backward already ran on it");
+        self.swept = true;
         self.nodes[loss.0].grad = Some(Tensor::ones(self.nodes[loss.0].value.dims()));
-        for i in (0..n).rev() {
-            if !self.nodes[i].requires_grad || self.nodes[i].grad.is_none() {
+        for i in (0..self.nodes.len()).rev() {
+            let node = &mut self.nodes[i];
+            // A leaf has nothing to propagate to and keeps its adjoint.
+            if matches!(node.op, Op::Leaf) {
                 continue;
             }
-            let grad = self.nodes[i].grad.clone().expect("checked above");
-            let op = self.nodes[i].op.clone();
-            self.backprop_node(i, &grad, &op);
+            let Some(grad) = node.grad.take() else { continue };
+            let op = std::mem::replace(&mut node.op, Op::Leaf);
+            self.backprop_node(i, grad, op);
         }
     }
 
+    /// Adds `g` to the adjoint of `v`, taking the buffer over if it is the
+    /// first contribution. No-op (the buffer goes back to the pool) if `v`
+    /// needs no gradient.
     fn accumulate(&mut self, v: Var, g: Tensor) {
         if !self.nodes[v.0].requires_grad {
             return;
@@ -616,136 +666,191 @@ impl Graph {
         }
     }
 
-    fn backprop_node(&mut self, node_idx: usize, grad: &Tensor, op: &Op) {
+    /// [`Graph::accumulate`] for a contribution the caller still needs:
+    /// copies only when it is the first one.
+    fn accumulate_ref(&mut self, v: Var, g: &Tensor) {
+        if !self.nodes[v.0].requires_grad {
+            return;
+        }
+        match &mut self.nodes[v.0].grad {
+            Some(existing) => existing.add_assign(g),
+            slot @ None => *slot = Some(g.clone()),
+        }
+    }
+
+    /// Propagates the adjoint `grad` of node `node_idx` to the inputs of its
+    /// `op`. Owns both: `grad` is rewritten in place where the input's
+    /// adjoint has its shape, and moved into the last input that takes it.
+    fn backprop_node(&mut self, node_idx: usize, mut grad: Tensor, op: Op) {
         match op {
             Op::Leaf => {}
             Op::Add(a, b) => {
-                self.accumulate(*a, grad.clone());
-                self.accumulate(*b, grad.clone());
+                self.accumulate_ref(a, &grad);
+                self.accumulate(b, grad);
             }
             Op::Sub(a, b) => {
-                self.accumulate(*a, grad.clone());
-                self.accumulate(*b, grad.scale(-1.0));
+                self.accumulate_ref(a, &grad);
+                if self.rg(b) {
+                    scale_in_place(&mut grad, -1.0);
+                    self.accumulate(b, grad);
+                }
             }
             Op::Mul(a, b) => {
-                let ga = grad.mul(&self.nodes[b.0].value);
-                let gb = grad.mul(&self.nodes[a.0].value);
-                self.accumulate(*a, ga);
-                self.accumulate(*b, gb);
-            }
-            Op::Neg(a) => self.accumulate(*a, grad.scale(-1.0)),
-            Op::Scale(a, s) => self.accumulate(*a, grad.scale(*s)),
-            Op::AddScalar(a) => self.accumulate(*a, grad.clone()),
-            Op::Matmul(a, b) => {
-                let ga = matmul_nt(grad, &self.nodes[b.0].value);
-                let gb = matmul_tn(&self.nodes[a.0].value, grad);
-                self.accumulate(*a, ga);
-                self.accumulate(*b, gb);
-            }
-            Op::MatmulNT(a, b) => {
-                // y = a @ b^T  =>  da = grad @ b,  db = grad^T @ a.
-                let ga = matmul(grad, &self.nodes[b.0].value);
-                let gb = matmul_tn(grad, &self.nodes[a.0].value);
-                self.accumulate(*a, ga);
-                self.accumulate(*b, gb);
-            }
-            Op::BiasRow(x, b) => {
-                self.accumulate(*x, grad.clone());
-                let n = self.nodes[b.0].value.numel();
-                let mut gb = workspace::take_vec_zeroed(n);
-                for row in grad.data().chunks(n) {
-                    for (g, &r) in gb.iter_mut().zip(row) {
-                        *g += r;
-                    }
+                if self.rg(a) {
+                    let ga = grad.mul(&self.nodes[b.0].value);
+                    self.accumulate(a, ga);
                 }
-                self.accumulate(*b, Tensor::from_vec(gb, self.nodes[b.0].value.dims()));
+                if self.rg(b) {
+                    let gb = grad.mul(&self.nodes[a.0].value);
+                    self.accumulate(b, gb);
+                }
+            }
+            Op::Neg(a) => {
+                scale_in_place(&mut grad, -1.0);
+                self.accumulate(a, grad);
+            }
+            Op::Scale(a, s) => {
+                scale_in_place(&mut grad, s);
+                self.accumulate(a, grad);
+            }
+            Op::AddScalar(a) => self.accumulate(a, grad),
+            Op::Matmul(a, b) => {
+                if self.rg(a) {
+                    let ga = matmul_nt(&grad, &self.nodes[b.0].value);
+                    self.accumulate(a, ga);
+                }
+                if self.rg(b) {
+                    let gb = matmul_tn(&self.nodes[a.0].value, &grad);
+                    self.accumulate(b, gb);
+                }
+            }
+            Op::Linear { x, w, b, act, pre } => {
+                // dz, the adjoint of the pre-activation z = x @ w^T + b, in
+                // place on the adjoint of the output y = act(z).
+                match act {
+                    Activation::Softplus => {
+                        let pre =
+                            pre.expect("a softplus layer that needs a gradient saved its GEMM");
+                        let bias = self.nodes[b.0].value.data();
+                        rowops::bias_softplus_grad_rows(grad.data_mut(), pre.data(), bias);
+                    }
+                    // y = max(z, 0) is positive exactly where z is.
+                    Activation::Relu => relu_grad(&mut grad, &self.nodes[node_idx].value),
+                    Activation::Tanh => tanh_grad(&mut grad, &self.nodes[node_idx].value),
+                    Activation::Linear => {}
+                }
+                let dz = grad;
+                if self.rg(b) {
+                    // Column sums, rows added in order.
+                    let mut db = workspace::take_vec_zeroed(dz.dims()[1]);
+                    for row in dz.data().chunks(db.len()) {
+                        for (acc, &r) in db.iter_mut().zip(row) {
+                            *acc += r;
+                        }
+                    }
+                    let dims = self.nodes[b.0].value.dims().to_vec();
+                    self.accumulate(b, Tensor::from_vec(db, &dims));
+                }
+                if self.rg(w) {
+                    // y = x @ w^T  =>  dw = dz^T @ x, in w's [out, in] layout.
+                    let dw = matmul_tn(&dz, &self.nodes[x.0].value);
+                    self.accumulate(w, dw);
+                }
+                if self.rg(x) {
+                    let dx = matmul(&dz, &self.nodes[w.0].value);
+                    self.accumulate(x, dx);
+                }
             }
             Op::BiasChannel(x, b) => {
-                self.accumulate(*x, grad.clone());
-                let c = self.nodes[b.0].value.numel();
-                let inner: usize = grad.dims()[2..].iter().product();
-                let mut gb = workspace::take_vec_zeroed(c);
-                for slab in grad.data().chunks(c * inner) {
-                    for (ch, sub) in slab.chunks(inner).enumerate() {
-                        gb[ch] += sub.iter().sum::<f32>();
+                if self.rg(b) {
+                    let c = self.nodes[b.0].value.numel();
+                    let inner: usize = grad.dims()[2..].iter().product();
+                    let mut gb = workspace::take_vec_zeroed(c);
+                    for slab in grad.data().chunks(c * inner) {
+                        for (ch, sub) in slab.chunks(inner).enumerate() {
+                            gb[ch] += sub.iter().sum::<f32>();
+                        }
                     }
+                    let dims = self.nodes[b.0].value.dims().to_vec();
+                    self.accumulate(b, Tensor::from_vec(gb, &dims));
                 }
-                self.accumulate(*b, Tensor::from_vec(gb, self.nodes[b.0].value.dims()));
+                self.accumulate(x, grad);
             }
             Op::Relu(a) => {
-                let g = grad.zip(&self.nodes[a.0].value, |g, x| if x > 0.0 { g } else { 0.0 });
-                self.accumulate(*a, g);
+                relu_grad(&mut grad, &self.nodes[a.0].value);
+                self.accumulate(a, grad);
             }
             Op::Softplus(a) => {
                 // d/dx softplus = sigmoid(x)
-                let g = grad.zip(&self.nodes[a.0].value, |g, x| g * sigmoid_scalar(x));
-                self.accumulate(*a, g);
+                rowops::softplus_grad_slice(grad.data_mut(), self.nodes[a.0].value.data());
+                self.accumulate(a, grad);
             }
             Op::Tanh(a) => {
-                // d/dx tanh = 1 - tanh^2; the node's own value is tanh(x).
-                let y = &self.nodes[node_idx].value;
-                let g = grad.zip(y, |g, t| g * (1.0 - t * t));
-                self.accumulate(*a, g);
+                tanh_grad(&mut grad, &self.nodes[node_idx].value);
+                self.accumulate(a, grad);
             }
             Op::Abs(a) => {
-                let g = grad.zip(&self.nodes[a.0].value, |g, x| {
-                    if x > 0.0 {
-                        g
+                for (g, &x) in grad.data_mut().iter_mut().zip(self.nodes[a.0].value.data()) {
+                    *g = if x > 0.0 {
+                        *g
                     } else if x < 0.0 {
-                        -g
+                        -*g
                     } else {
                         0.0
-                    }
-                });
-                self.accumulate(*a, g);
+                    };
+                }
+                self.accumulate(a, grad);
             }
             Op::Sum(a) => {
                 let s = grad.item();
                 let dims = self.nodes[a.0].value.dims().to_vec();
-                self.accumulate(*a, Tensor::full(&dims, s));
+                self.accumulate(a, Tensor::full(&dims, s));
             }
             Op::Mean(a) => {
                 let n = self.nodes[a.0].value.numel().max(1);
                 let s = grad.item() / n as f32;
                 let dims = self.nodes[a.0].value.dims().to_vec();
-                self.accumulate(*a, Tensor::full(&dims, s));
+                self.accumulate(a, Tensor::full(&dims, s));
             }
             Op::Concat { inputs, axis, sizes } => {
-                let parts = grad.split(*axis, sizes);
-                for (v, g) in inputs.iter().zip(parts) {
-                    self.accumulate(*v, g);
+                let mut start = 0;
+                for (v, size) in inputs.into_iter().zip(sizes) {
+                    if self.rg(v) {
+                        self.accumulate(v, grad.narrow(axis, start, size));
+                    }
+                    start += size;
                 }
             }
             Op::SliceCols { input, lo, cols } => {
                 let xv = &self.nodes[input.0].value;
                 let (m, n) = (xv.dims()[0], xv.dims()[1]);
                 let mut gi = workspace::take_vec_zeroed(m * n);
-                for (row, grow) in grad.data().chunks(*cols).enumerate() {
+                for (row, grow) in grad.data().chunks(cols).enumerate() {
                     gi[row * n + lo..row * n + lo + cols].copy_from_slice(grow);
                 }
-                self.accumulate(*input, Tensor::from_vec(gi, &[m, n]));
+                self.accumulate(input, Tensor::from_vec(gi, &[m, n]));
             }
             Op::Reshape(a) => {
                 let dims = self.nodes[a.0].value.dims().to_vec();
-                self.accumulate(*a, grad.clone().reshape(&dims));
+                self.accumulate(a, grad.reshape(&dims));
             }
             Op::Conv3d { input, weight, dims } => {
-                if self.rg(*input) {
-                    let gi = conv3d_grad_input(grad, &self.nodes[weight.0].value, *dims);
-                    self.accumulate(*input, gi);
+                if self.rg(input) {
+                    let gi = conv3d_grad_input(&grad, &self.nodes[weight.0].value, dims);
+                    self.accumulate(input, gi);
                 }
-                if self.rg(*weight) {
-                    let gw = conv3d_grad_weight(&self.nodes[input.0].value, grad, *dims);
-                    self.accumulate(*weight, gw);
+                if self.rg(weight) {
+                    let gw = conv3d_grad_weight(&self.nodes[input.0].value, &grad, dims);
+                    self.accumulate(weight, gw);
                 }
             }
             Op::MaxPool3d { input, indices, in_dims } => {
-                let gi = maxpool3d_backward(grad, indices, in_dims);
-                self.accumulate(*input, gi);
+                let gi = maxpool3d_backward(&grad, &indices, &in_dims);
+                self.accumulate(input, gi);
             }
             Op::Upsample3d { input, factors } => {
-                let gi = upsample_nearest3d_backward(grad, *factors);
-                self.accumulate(*input, gi);
+                let gi = upsample_nearest3d_backward(&grad, factors);
+                self.accumulate(input, gi);
             }
             Op::BatchNorm { input, gamma, beta, mean, invstd } => {
                 let xv = &self.nodes[input.0].value;
@@ -780,26 +885,26 @@ impl Graph {
                         }
                     }
                 }
-                self.accumulate(*input, Tensor::from_vec(dx, xv.dims()));
+                let dx = Tensor::from_vec(dx, xv.dims());
+                self.accumulate(input, dx);
                 let dgamma: Vec<f32> = sum_dyx.iter().map(|&v| v as f32).collect();
                 let dbeta: Vec<f32> = sum_dy.iter().map(|&v| v as f32).collect();
                 let gdims = self.nodes[gamma.0].value.dims().to_vec();
                 let bdims = self.nodes[beta.0].value.dims().to_vec();
-                self.accumulate(*gamma, Tensor::from_vec(dgamma, &gdims));
-                self.accumulate(*beta, Tensor::from_vec(dbeta, &bdims));
+                self.accumulate(gamma, Tensor::from_vec(dgamma, &gdims));
+                self.accumulate(beta, Tensor::from_vec(dbeta, &bdims));
             }
-            Op::ChannelAffine { input, scale, .. } => {
+            Op::ChannelAffine { input, scale } => {
                 let c = scale.len();
                 let inner: usize = grad.dims()[2..].iter().product();
-                let mut gi = grad.clone();
-                for slab in gi.data_mut().chunks_mut(c * inner) {
+                for slab in grad.data_mut().chunks_mut(c * inner) {
                     for (ch, sub) in slab.chunks_mut(inner).enumerate() {
                         for o in sub {
                             *o *= scale[ch];
                         }
                     }
                 }
-                self.accumulate(*input, gi);
+                self.accumulate(input, grad);
             }
             Op::GatherVertices { grid, index } => {
                 let gv = &self.nodes[grid.0].value;
@@ -814,7 +919,8 @@ impl Graph {
                         gg[(ni * c + ci) * vol + sp] += grad.data()[row * c + ci];
                     }
                 }
-                self.accumulate(*grid, Tensor::from_vec(gg, gv.dims()));
+                let gg = Tensor::from_vec(gg, gv.dims());
+                self.accumulate(grid, gg);
             }
             Op::VertexBlend { input, weights, group } => {
                 let xv = &self.nodes[input.0].value;
@@ -822,7 +928,7 @@ impl Graph {
                 let mut gi = workspace::take_vec_scratch(rows * c);
                 for qi in 0..rows / group {
                     let grow = &grad.data()[qi * c..(qi + 1) * c];
-                    for v in 0..*group {
+                    for v in 0..group {
                         let w = weights[qi * group + v];
                         let dst = &mut gi[(qi * group + v) * c..(qi * group + v + 1) * c];
                         for (o, &g) in dst.iter_mut().zip(grow) {
@@ -830,7 +936,7 @@ impl Graph {
                         }
                     }
                 }
-                self.accumulate(*input, Tensor::from_vec(gi, &[rows, c]));
+                self.accumulate(input, Tensor::from_vec(gi, &[rows, c]));
             }
         }
     }
@@ -849,13 +955,24 @@ impl Graph {
     }
 }
 
-/// Numerically-stable logistic sigmoid.
-#[inline]
-pub fn sigmoid_scalar(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
+/// relu′ in place: zeroes `g` wherever `v` is not positive. `v` may be the
+/// relu's input or its output, which are positive in the same places.
+fn relu_grad(g: &mut Tensor, v: &Tensor) {
+    for (g, &v) in g.data_mut().iter_mut().zip(v.data()) {
+        *g = if v > 0.0 { *g } else { 0.0 };
+    }
+}
+
+/// tanh′ in place, from the tanh's output: `g *= 1 - t²`.
+fn tanh_grad(g: &mut Tensor, t: &Tensor) {
+    for (g, &t) in g.data_mut().iter_mut().zip(t.data()) {
+        *g *= 1.0 - t * t;
+    }
+}
+
+/// `t *= s`, elementwise.
+fn scale_in_place(t: &mut Tensor, s: f32) {
+    for v in t.data_mut() {
+        *v *= s;
     }
 }

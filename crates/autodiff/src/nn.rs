@@ -26,21 +26,11 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Records this activation on the tape.
-    pub fn apply(self, g: &mut Graph, x: Var) -> Var {
-        match self {
-            Activation::Relu => g.relu(x),
-            Activation::Softplus => g.softplus(x),
-            Activation::Tanh => g.tanh(x),
-            Activation::Linear => x,
-        }
-    }
-
-    /// Eager evaluation for the no-grad inference path: the row bias add of
-    /// a Linear layer and this activation in one in-place pass over the
-    /// GEMM output `y: [M, bias.len()]`. Elementwise identical to the tape's
-    /// `bias_row` followed by [`Activation::apply`] — the softplus is the
-    /// one `rowops` kernel both sides call — so outputs are bit-equal.
+    /// The row bias add of a Linear layer and this activation in one
+    /// in-place pass over the GEMM output `y: [M, bias.len()]`. Both forwards
+    /// of a layer end in this call — the tape's [`Graph::linear`] node and
+    /// the no-grad [`PackedMlp::forward`] — so their outputs are bit-equal
+    /// by construction.
     pub fn bias_apply_rows(self, y: &mut [f32], bias: &[f32]) {
         match self {
             Activation::Softplus => rowops::bias_softplus_rows(y, bias),
@@ -74,7 +64,7 @@ impl Activation {
                     0.0
                 }
             }
-            Activation::Softplus => crate::graph::sigmoid_scalar(x),
+            Activation::Softplus => rowops::sigmoid_scalar(x),
             Activation::Tanh => {
                 let t = x.tanh();
                 1.0 - t * t
@@ -88,7 +78,7 @@ impl Activation {
         match self {
             Activation::Relu | Activation::Linear => 0.0,
             Activation::Softplus => {
-                let s = crate::graph::sigmoid_scalar(x);
+                let s = rowops::sigmoid_scalar(x);
                 s * (1.0 - s)
             }
             Activation::Tanh => {
@@ -132,12 +122,12 @@ impl Linear {
         }
     }
 
-    /// Applies the layer to `x: [M, in]`, producing `[M, out]`.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
+    /// Applies the layer and `act` to `x: [M, in]`, producing `[M, out]`, as
+    /// one [`Graph::linear`] node.
+    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, act: Activation) -> Var {
         let w = g.param(store, self.weight);
         let b = g.param(store, self.bias);
-        let y = g.matmul_nt(x, w); // x @ W^T with W stored [out, in]
-        g.bias_row(y, b)
+        g.linear(x, w, b, act)
     }
 }
 
@@ -313,15 +303,14 @@ impl Mlp {
         self.layers.last().expect("non-empty").out_features
     }
 
-    /// Records the forward pass for `x: [M, in]`.
+    /// Records the forward pass for `x: [M, in]`, one node per layer.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(g, store, h);
-            if i != last {
-                h = self.activation.apply(g, h);
-            }
+            // Hidden activation on every layer but the linear head.
+            let act = if i == last { Activation::Linear } else { self.activation };
+            h = layer.forward(g, store, h, act);
         }
         h
     }
@@ -408,7 +397,7 @@ mod tests {
         let lin = Linear::new(&mut store, "l", 3, 2, &mut rng);
         let mut g = Graph::new();
         let x = g.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]));
-        let y = lin.forward(&mut g, &store, x);
+        let y = lin.forward(&mut g, &store, x, Activation::Linear);
         let w = store.get(lin.weight);
         let b = store.get(lin.bias);
         for o in 0..2 {

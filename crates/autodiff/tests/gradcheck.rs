@@ -94,32 +94,43 @@ fn matmul_both_sides() {
 }
 
 #[test]
-fn matmul_nt_both_sides() {
-    let w = randn(&[5, 4], 21);
-    gradcheck(&randn(&[3, 4], 20), 1e-2, |g, x| {
-        let wv = g.constant(w.clone());
-        let y = g.matmul_nt(x, wv);
-        let sq = g.mul(y, y);
-        g.sum(sq)
-    });
-    let a = randn(&[3, 4], 22);
-    gradcheck(&randn(&[5, 4], 23), 1e-2, |g, x| {
-        let av = g.constant(a.clone());
-        let y = g.matmul_nt(av, x);
+fn linear_all_three_operands() {
+    // The fused layer node act(x @ w^T + b), differentiated with respect to
+    // each operand in turn with the other two constant.
+    let (x0, w0, b0) = (randn(&[3, 4], 20), randn(&[5, 4], 21), randn(&[5], 22));
+    for act in [Activation::Softplus, Activation::Tanh, Activation::Linear] {
+        gradcheck(&x0, 1e-2, |g, x| {
+            let (w, b) = (g.constant(w0.clone()), g.constant(b0.clone()));
+            let y = g.linear(x, w, b, act);
+            let sq = g.mul(y, y);
+            g.sum(sq)
+        });
+        gradcheck(&w0, 1e-2, |g, w| {
+            let (x, b) = (g.constant(x0.clone()), g.constant(b0.clone()));
+            let y = g.linear(x, w, b, act);
+            let sq = g.mul(y, y);
+            g.sum(sq)
+        });
+        gradcheck(&b0, 1e-2, |g, b| {
+            let (x, w) = (g.constant(x0.clone()), g.constant(w0.clone()));
+            let y = g.linear(x, w, b, act);
+            let sq = g.mul(y, y);
+            g.sum(sq)
+        });
+    }
+    // ReLU: a bias that keeps every pre-activation a finite-difference span
+    // away from the kink.
+    let b_relu = Tensor::from_vec(vec![4.0, -4.0, 4.0, -4.0, 4.0], &[5]);
+    gradcheck(&x0, 1e-2, |g, x| {
+        let (w, b) = (g.constant(w0.clone()), g.constant(b_relu.clone()));
+        let y = g.linear(x, w, b, Activation::Relu);
         let sq = g.mul(y, y);
         g.sum(sq)
     });
 }
 
 #[test]
-fn bias_row_and_channel() {
-    let x0 = randn(&[6, 3], 30);
-    gradcheck(&randn(&[3], 31), 1e-2, |g, b| {
-        let xv = g.constant(x0.clone());
-        let y = g.bias_row(xv, b);
-        let sq = g.mul(y, y);
-        g.sum(sq)
-    });
+fn bias_channel_grad() {
     let x5 = randn(&[2, 3, 2, 2, 2], 32);
     gradcheck(&randn(&[3], 33), 1e-2, |g, b| {
         let xv = g.constant(x5.clone());
@@ -127,6 +138,109 @@ fn bias_row_and_channel() {
         let sq = g.mul(y, y);
         g.sum(sq)
     });
+}
+
+/// Deterministic values in roughly [-2, 2], a few of them large enough to
+/// reach the softplus saturation regimes once multiplied up by the layer.
+fn spread(n: usize, seed: u32) -> Vec<f32> {
+    let mut s = seed;
+    (0..n)
+        .map(|i| {
+            s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+            let unit = (s >> 8) as f32 / (1 << 24) as f32 - 0.5;
+            if i % 37 == 0 {
+                unit * 40.0
+            } else {
+                unit * 4.0
+            }
+        })
+        .collect()
+}
+
+/// One layer on a fresh tape, fused (`Graph::linear`) or composed from the
+/// primitive ops (`matmul` against the transposed weight, `bias_channel` —
+/// on a rank-2 node the channel axis is the column — and the activation's
+/// own node), reduced to a scalar through fixed per-element weights so every
+/// output element gets a different adjoint. Returns the layer value and the
+/// gradients of `x`, `w` (in `[out, in]` layout) and `b`, `None` where
+/// `needs[k]` is false.
+fn layer_on_tape(
+    fused: bool,
+    act: Activation,
+    (x0, w0, b0, mix): (&Tensor, &Tensor, &Tensor, &Tensor),
+    needs: [bool; 3],
+) -> (Tensor, [Option<Tensor>; 3]) {
+    let mut g = Graph::new();
+    let leaf = |g: &mut Graph, t: Tensor, needs_grad: bool| {
+        if needs_grad {
+            g.leaf_with_grad(t)
+        } else {
+            g.constant(t)
+        }
+    };
+    let x = leaf(&mut g, x0.clone(), needs[0]);
+    let b = leaf(&mut g, b0.clone(), needs[2]);
+    let (w, y) = if fused {
+        let w = leaf(&mut g, w0.clone(), needs[1]);
+        (w, g.linear(x, w, b, act))
+    } else {
+        let wt = leaf(&mut g, w0.transpose2(), needs[1]);
+        let u = g.matmul(x, wt);
+        let z = g.bias_channel(u, b);
+        let y = match act {
+            Activation::Relu => g.relu(z),
+            Activation::Softplus => g.softplus(z),
+            Activation::Tanh => g.tanh(z),
+            Activation::Linear => z,
+        };
+        (wt, y)
+    };
+    let m = g.constant(mix.clone());
+    let weighted = g.mul(y, m);
+    let loss = g.sum(weighted);
+    g.backward(loss);
+    let grad = |v, needed| -> Option<Tensor> {
+        assert_eq!(g.try_grad(v).is_some(), needed, "an operand has a gradient iff it asked");
+        g.try_grad(v).cloned()
+    };
+    let dw = grad(w, needs[1]).map(|t| if fused { t } else { t.transpose2() });
+    (g.value(y).clone(), [grad(x, needs[0]), dw, grad(b, needs[2])])
+}
+
+#[test]
+fn fused_linear_is_the_primitive_composition_bit_for_bit() {
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    // Row counts around the GEMM row tile and block; widths that are not
+    // multiples of any vector width.
+    for (m, k, n) in [(1usize, 5usize, 3usize), (7, 35, 13), (64, 19, 37), (513, 11, 21)] {
+        let x0 = Tensor::from_vec(spread(m * k, 1), &[m, k]);
+        let w0 = Tensor::from_vec(spread(n * k, 2), &[n, k]);
+        let b0 = Tensor::from_vec(spread(n, 3), &[n]);
+        let mix = Tensor::from_vec(spread(m * n, 4), &[m, n]);
+        let inputs = (&x0, &w0, &b0, &mix);
+        for act in [Activation::Softplus, Activation::Relu, Activation::Tanh, Activation::Linear] {
+            let all = [true; 3];
+            let (want_y, want) = layer_on_tape(false, act, inputs, all);
+            let (got_y, got) = layer_on_tape(true, act, inputs, all);
+            let label = format!("{act:?} [{m}x{k}] -> {n}");
+            assert_eq!(bits(&got_y), bits(&want_y), "{label}: value");
+            for (name, (g, w)) in ["dx", "dw", "db"].iter().zip(got.iter().zip(&want)) {
+                let (g, w) = (g.as_ref().expect("asked"), w.as_ref().expect("asked"));
+                assert_eq!(g.dims(), w.dims(), "{label}: {name} shape");
+                assert_eq!(bits(g), bits(w), "{label}: {name}");
+            }
+            // One operand at a time: the same bits as with all three, and
+            // nothing on the operands that did not ask.
+            for only in 0..3 {
+                let mut needs = [false; 3];
+                needs[only] = true;
+                let (y, grads) = layer_on_tape(true, act, inputs, needs);
+                assert_eq!(bits(&y), bits(&want_y), "{label}: value, operand {only} only");
+                let (g, w) = (grads[only].as_ref().expect("asked"), want[only].as_ref().unwrap());
+                assert_eq!(bits(g), bits(w), "{label}: operand {only} alone");
+            }
+        }
+    }
 }
 
 #[test]
@@ -355,6 +469,71 @@ fn no_grad_for_constants() {
     let loss = g.sum(y);
     g.backward(loss);
     assert!(g.try_grad(x).is_none());
+}
+
+#[test]
+fn backward_leaves_gradients_on_leaves_only() {
+    // The sweep moves each interior adjoint on as it goes: afterwards the
+    // leaves that asked hold theirs, interior nodes and constants none, and
+    // every value is still readable.
+    let mut g = Graph::new();
+    let x = g.leaf_with_grad(randn(&[4, 3], 180));
+    let w = g.leaf_with_grad(randn(&[2, 3], 181));
+    let b = g.constant(randn(&[2], 182));
+    let h = g.linear(x, w, b, Activation::Softplus);
+    let t = g.tanh(h);
+    let sq = g.mul(t, t);
+    let loss = g.sum(sq);
+    g.backward(loss);
+    for interior in [h, t, sq, loss] {
+        assert!(g.try_grad(interior).is_none(), "interior node kept its adjoint");
+    }
+    assert!(g.try_grad(b).is_none());
+    assert_eq!(g.grad(x).dims(), &[4, 3]);
+    assert_eq!(g.grad(w).dims(), &[2, 3]);
+    assert_eq!(g.value(h).dims(), &[4, 2]);
+    assert!(g.value(loss).item() > 0.0);
+}
+
+#[test]
+#[should_panic(expected = "single-use")]
+fn a_second_backward_on_the_same_tape_is_refused() {
+    let mut g = Graph::new();
+    let x = g.leaf_with_grad(Tensor::ones(&[2]));
+    let loss = g.sum(x);
+    g.backward(loss);
+    g.backward(loss);
+}
+
+#[test]
+fn frozen_param_tape_records_weights_as_constants() {
+    // Same layer, same input gradient bits; no weight gradients, and none
+    // exported.
+    let mut store = ParamStore::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(190);
+    let mlp = Mlp::new(&mut store, "m", &[3, 6, 2], Activation::Softplus, &mut rng);
+    let x0 = Tensor::randn(&[5, 3], 1.0, &mut rng);
+    let run = |mut g: Graph| {
+        let x = g.leaf_with_grad(x0.clone());
+        let w = g.param(&store, mlp.layers[0].weight);
+        let b = g.param(&store, mlp.layers[0].bias);
+        let h = g.linear(x, w, b, Activation::Softplus);
+        let y = mlp.forward(&mut g, &store, x);
+        let sq = g.mul(y, y);
+        let s1 = g.sum(sq);
+        let s2 = g.sum(h);
+        let loss = g.add(s1, s2);
+        g.backward(loss);
+        let dx: Vec<u32> = g.grad(x).data().iter().map(|v| v.to_bits()).collect();
+        let weight_grads = [g.try_grad(w).is_some(), g.try_grad(b).is_some()];
+        let exported = g.param_grads(&store).iter().any(|t| t.max_abs() > 0.0);
+        (dx, weight_grads, exported)
+    };
+    let (dx, weight_grads, exported) = run(Graph::new());
+    assert_eq!((weight_grads, exported), ([true, true], true));
+    let (dx_frozen, weight_grads, exported) = run(Graph::with_frozen_params());
+    assert_eq!((weight_grads, exported), ([false, false], false));
+    assert_eq!(dx_frozen, dx);
 }
 
 /// Trilinear weights of a unit-cell point `(u, v, w)` over the 8 vertices in

@@ -7,7 +7,9 @@
 //! Measures the blocked GEMM (all three transpose layouts) against the
 //! pre-optimization naive `ikj` kernel kept here as a frozen reference,
 //! the two conv3d lowerings (direct and fused implicit-GEMM — forward and
-//! both gradients), the frozen encode/decode split, and one full training step
+//! both gradients), the frozen encode/decode split, the softplus kernel and
+//! its derivative, the decoder's forward and backward on the tape (the link
+//! between the kernel rows and the training step), and one full training step
 //! with the workspace pool on vs off. Results land in
 //! `BENCH_kernels.json` (default; `--out` overrides): median wall time,
 //! GFLOP/s, heap bytes allocated per call (counted by the `count-alloc`
@@ -23,11 +25,15 @@
 //! the ≥2× speedup the optimization is required to hold on the 256³
 //! GEMM. `--gate BASELINE.json` compares this run's speedup *ratios*
 //! (blocked/naive GEMM, implicit/direct conv) against a committed
-//! baseline report and fails if either drops below 85% of it — ratios,
-//! not absolute GFLOP/s, so the gate is insensitive to how fast the CI
-//! machine is that day.
+//! baseline report and fails if either drops below 85% of it, or if a cost
+//! ratio (adaptive/uniform sampling, softplus derivative/softplus) rises
+//! above the baseline's by the same margin — ratios, not absolute GFLOP/s,
+//! so the gate is insensitive to how fast the CI machine is that day.
 
-use mfn_core::{Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer};
+use mfn_autodiff::Graph;
+use mfn_core::{
+    plan_queries, Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+};
 use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec, QueryStrategy};
 use mfn_sample::{OctreeConfig, OctreeSampler};
 use mfn_solver::{simulate, RbcConfig};
@@ -129,6 +135,12 @@ fn lcg_fill(buf: &mut [f32], mut state: u64) {
     }
 }
 
+/// `(median, minimum)` of a set of timings.
+fn median_and_best(mut samples: Vec<f64>) -> (f64, f64) {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
+    (samples[samples.len() / 2], samples[0])
+}
+
 /// One timed measurement: `(median_ns, best_ns)` over `iters` calls of
 /// `f`, plus allocator bytes attributed to a single (post-warm-up) call.
 ///
@@ -150,8 +162,8 @@ fn time_samples<F: FnMut()>(iters: usize, mut f: F) -> (f64, f64, u64) {
         f();
         samples.push(t.elapsed().as_nanos() as f64);
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-    (samples[samples.len() / 2], samples[0], bytes_per_call)
+    let (median, best) = median_and_best(samples);
+    (median, best, bytes_per_call)
 }
 
 /// Interleaved timing of several variants: each iteration times one call
@@ -173,13 +185,7 @@ fn time_interleaved(iters: usize, fs: &mut [&mut dyn FnMut()]) -> Vec<(f64, f64)
             s.push(t.elapsed().as_nanos() as f64);
         }
     }
-    samples
-        .into_iter()
-        .map(|mut s| {
-            s.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-            (s[s.len() / 2], s[0])
-        })
-        .collect()
+    samples.into_iter().map(median_and_best).collect()
 }
 
 /// Allocator bytes attributed to one (post-warm-up) call of `f`.
@@ -323,20 +329,40 @@ struct DecodeRow {
     alloc_bytes_per_call: u64,
 }
 
+/// The bench decoder's model: a tiny U-Net under a serving-sized decoder
+/// (35→128→128→4), whose ~85 KB of weight panels spill a 32-48 KB L1d — the
+/// regime a served decoder runs in.
+fn bench_decoder_config() -> MfnConfig {
+    let mut cfg = MfnConfig::small();
+    cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 32 };
+    cfg.base_channels = 4;
+    cfg.latent_channels = 32;
+    cfg.mlp_hidden = vec![128, 128];
+    cfg.levels = 2;
+    cfg
+}
+
+/// `q` deterministic query points in the unit patch.
+fn bench_queries(q: usize) -> Vec<(usize, [f32; 3])> {
+    let mut state = q as u64 * 7919 + 1;
+    (0..q)
+        .map(|_| {
+            let mut coord = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((state >> 40) as f32 / (1u64 << 24) as f32).clamp(0.0, 1.0)
+            };
+            (0usize, [coord(), coord(), coord()])
+        })
+        .collect()
+}
+
 /// Times the serving split on a tiny frozen model: one U-Net encode (the
 /// expensive encode-once half) and `FrozenModel::decode_values` at several
 /// query-batch sizes (the cheap decode-many half). The encode/decode ratio
 /// in the JSON is the asymmetry the latent-context cache in `mfn-serve`
 /// exploits. Returns the encode median and the decode rows.
 fn bench_decode(iters: usize) -> (f64, Vec<DecodeRow>) {
-    let mut cfg = MfnConfig::small();
-    cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 32 };
-    cfg.base_channels = 4;
-    // Serving-sized decoder (35→128→128→4): its ~85 KB of weight panels
-    // spill a 32-48 KB L1d, the regime a served decoder runs in.
-    cfg.latent_channels = 32;
-    cfg.mlp_hidden = vec![128, 128];
-    cfg.levels = 2;
+    let cfg = bench_decoder_config();
     let in_channels = cfg.in_channels;
     let frozen = FrozenModel::from_model(MeshfreeFlowNet::new(cfg));
     let mut rng = ChaCha8Rng::seed_from_u64(21);
@@ -350,18 +376,7 @@ fn bench_decode(iters: usize) -> (f64, Vec<DecodeRow>) {
     let rows = [1usize, 8, 64, 512, 4096]
         .into_iter()
         .map(|q| {
-            let mut state = q as u64 * 7919 + 1;
-            let queries: Vec<(usize, [f32; 3])> = (0..q)
-                .map(|_| {
-                    let mut coord = || {
-                        state = state
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        ((state >> 40) as f32 / (1u64 << 24) as f32).clamp(0.0, 1.0)
-                    };
-                    (0usize, [coord(), coord(), coord()])
-                })
-                .collect();
+            let queries = bench_queries(q);
             let (median_ns, best_ns, alloc_bytes_per_call) = time_samples(iters, || {
                 std::hint::black_box(frozen.decode_values(&latent, queries.iter().copied()));
             });
@@ -377,18 +392,102 @@ fn bench_decode(iters: usize) -> (f64, Vec<DecodeRow>) {
     (encode_ns, rows)
 }
 
-/// The activation kernel on its own: `rowops::softplus_slice` in place over
-/// 64K elements (one decode block's hidden activations twice over).
-/// Branch-free, so re-applying it to its own output times the same work.
-/// Returns `(elements, median_ns, best_ns)`.
-fn bench_softplus(iters: usize) -> (usize, f64, f64) {
+/// Queries of the `tape_decoder` row: the many-block row of `decode_values`.
+const TAPE_QUERIES: usize = 4096;
+
+/// The decoder on the tape, forward and backward apart: `(median_ns,
+/// best_ns)` of each.
+struct TapeDecoderBench {
+    forward: (f64, f64),
+    backward: (f64, f64),
+    /// GEMM FLOPs of one forward pass: `2 · rows · Σ in·out` over the layers.
+    forward_flops: f64,
+}
+
+impl TapeDecoderBench {
+    /// Backward runs two GEMMs (`dx`, `dW`) for each forward one.
+    fn backward_flops(&self) -> f64 {
+        2.0 * self.forward_flops
+    }
+}
+
+/// Times what one of a training step's eight decoder passes costs on the
+/// tape: `ContinuousDecoder::decode` of [`TAPE_QUERIES`] points (gather,
+/// concat, one fused Linear node per layer, blend) with the latent and the
+/// weights as gradient leaves, then `Graph::backward` from the mean of the
+/// output. The same model and queries as the 4096-query `decode_values` row,
+/// so the two rows differ by exactly what the tape adds.
+fn bench_tape_decoder(iters: usize) -> TapeDecoderBench {
+    let cfg = bench_decoder_config();
+    let in_channels = cfg.in_channels;
+    let model = MeshfreeFlowNet::new(cfg);
+    let mut rng = ChaCha8Rng::seed_from_u64(21);
+    let latent = model.encode(&Tensor::randn(&[1, in_channels, 4, 4, 4], 1.0, &mut rng));
+    let plan = plan_queries(model.grid_dims(), bench_queries(TAPE_QUERIES));
+    let mlp = &model.decoder.mlp;
+    let forward_flops = 2.0
+        * (TAPE_QUERIES * 8) as f64
+        * mlp.layers.iter().map(|l| (l.in_features * l.out_features) as f64).sum::<f64>();
+    let (mut fwd, mut bwd) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
+    // One untimed pass first: workspace pool, icache.
+    for i in 0..=iters {
+        let t = Instant::now();
+        let mut g = Graph::new();
+        let l = g.leaf_with_grad(latent.clone());
+        let out = model.decoder.decode(&mut g, &model.store, l, &plan);
+        let loss = g.mean(out);
+        let forward_ns = t.elapsed().as_nanos() as f64;
+        let t = Instant::now();
+        g.backward(loss);
+        let backward_ns = t.elapsed().as_nanos() as f64;
+        std::hint::black_box(g.grad(l));
+        if i > 0 {
+            fwd.push(forward_ns);
+            bwd.push(backward_ns);
+        }
+    }
+    TapeDecoderBench {
+        forward: median_and_best(fwd),
+        backward: median_and_best(bwd),
+        forward_flops,
+    }
+}
+
+/// `(median_ns, best_ns)` of the activation kernel and of its derivative.
+struct SoftplusBench {
+    elements: usize,
+    forward: (f64, f64),
+    grad: (f64, f64),
+}
+
+impl SoftplusBench {
+    /// Derivative cost relative to the forward kernel; the gated ratio.
+    fn grad_ratio(&self) -> f64 {
+        self.grad.1 / self.forward.1
+    }
+}
+
+/// The activation kernels on their own, over 64K elements (one decode
+/// block's hidden activations twice over): `rowops::softplus_slice` in place
+/// (re-applying it to its own output times the same work) and
+/// `rowops::softplus_grad_slice`, the tape's backward for it. Interleaved,
+/// because their quotient is gated. Both are branch-free, so the values
+/// matter in one way only: `σ(|x|) ≥ ½` keeps the products of a unit adjoint
+/// clear of the subnormal range, whose slow path is not what is measured,
+/// for more calls than any run makes.
+fn bench_softplus(iters: usize) -> SoftplusBench {
     let n = 64 * 1024;
     let mut x = vec![0.0f32; n];
     lcg_fill(&mut x, 31);
-    let (median_ns, best_ns, _) = time_samples(iters, || {
-        rowops::softplus_slice(std::hint::black_box(&mut x));
-    });
-    (n, median_ns, best_ns)
+    let z: Vec<f32> = x.iter().map(|v| v.abs()).collect();
+    let mut g = vec![1.0f32; n];
+    let t = time_interleaved(
+        iters,
+        &mut [&mut || rowops::softplus_slice(std::hint::black_box(&mut x)), &mut || {
+            rowops::softplus_grad_slice(std::hint::black_box(&mut g), std::hint::black_box(&z))
+        }],
+    );
+    SoftplusBench { elements: n, forward: t[0], grad: t[1] }
 }
 
 /// Measured sampling rows: uniform vs residual-guided adaptive query
@@ -565,9 +664,52 @@ struct GateSampling {
     adaptive_overhead: f64,
 }
 
+/// Optional `softplus_grad` section of a committed baseline (reports up to
+/// schema v5 have none; the leg is then skipped).
+#[derive(serde::Deserialize)]
+struct GateSoftplusGradDoc {
+    softplus_grad: GateSoftplusGrad,
+}
+
+/// Baseline softplus-derivative row: only the cost ratio matters to the gate.
+#[derive(serde::Deserialize)]
+struct GateSoftplusGrad {
+    ratio_vs_softplus: f64,
+}
+
 /// `--gate` floor: each speedup ratio must hold at least this fraction of
-/// the committed baseline's.
+/// the committed baseline's; each cost ratio may rise to the baseline's
+/// divided by it.
 const GATE_FRACTION: f64 = 0.85;
+
+/// The ceiling legs of the gate: a cost ratio of two interleaved minima
+/// (machine speed divides out, as in the kernel legs) must not balloon past
+/// the committed baseline's. Like [`run_gate`], a ratio above the ceiling is
+/// re-measured in up to two fresh windows and the best window counts.
+fn gate_ceiling(
+    what: &str,
+    base: f64,
+    first: f64,
+    mut remeasure: impl FnMut() -> f64,
+) -> Result<(), String> {
+    let ceiling = base / GATE_FRACTION;
+    let mut now = first;
+    for attempt in 0..3 {
+        eprintln!("[gate] {what}: now {now:.2}x vs baseline {base:.2}x (ceiling {ceiling:.2}x)");
+        if now <= ceiling {
+            return Ok(());
+        }
+        if attempt < 2 {
+            eprintln!("[gate] above ceiling; re-measuring in a fresh window ...");
+            std::thread::sleep(std::time::Duration::from_millis(500));
+            now = now.min(remeasure());
+        }
+    }
+    Err(format!(
+        "{what} {now:.2}x stayed above {ceiling:.2}x (baseline {base:.2}x / {GATE_FRACTION}) \
+         across 3 windows"
+    ))
+}
 
 /// Compares this run's speedup *ratios* (blocked/naive GEMM, implicit/
 /// direct conv) against a committed baseline report. Ratios divide out the
@@ -828,8 +970,27 @@ fn main() {
             at(4096) / 1e6,
         );
     }
-    let (sp_n, sp_med, sp_best) = bench_softplus(iters);
-    eprintln!("[bench] softplus: {:.3} ns/element over {sp_n} elements", sp_best / sp_n as f64);
+    let softplus = bench_softplus(iters);
+    eprintln!(
+        "[bench] softplus: {:.3} ns/element, derivative {:.3} ns/element ({:.2}x) over {} elements",
+        softplus.forward.1 / softplus.elements as f64,
+        softplus.grad.1 / softplus.elements as f64,
+        softplus.grad_ratio(),
+        softplus.elements,
+    );
+
+    // ---- The decoder on the tape: the link between the kernel rows above
+    // and the training step below ----------------------------------------
+    eprintln!("[bench] timing the decoder on the tape ({decode_iters} iters) ...");
+    let tape = bench_tape_decoder(decode_iters);
+    eprintln!(
+        "[bench] tape decoder at {TAPE_QUERIES} queries: forward {:.2} ms ({:.1} GFLOP/s), \
+         backward {:.2} ms ({:.1} GFLOP/s); gemm_nn {blocked:.1} GFLOP/s",
+        tape.forward.1 / 1e6,
+        tape.forward_flops / tape.forward.1,
+        tape.backward.1 / 1e6,
+        tape.backward_flops() / tape.backward.1,
+    );
 
     // ---- One-train-step A/B: workspace pool on vs off ------------------
     let step_iters = if quick { 5 } else { 15 };
@@ -892,7 +1053,7 @@ fn main() {
     };
     let json = format!(
         "{{\n\
-         \"schema\": \"mfn-bench/kernels/v5\",\n\
+         \"schema\": \"mfn-bench/kernels/v6\",\n\
          \"mode\": \"{mode}\",\n\
          \"count_alloc\": {count_alloc},\n\
          \"checks\": {{\"gemm_vs_naive\": \"ok\", \"lowerings_vs_direct\": \"ok\"}},\n\
@@ -912,6 +1073,12 @@ fn main() {
          \"rows\": [\n{decode_json}\n  ]\n\
          }},\n\
          \"softplus\": {{\"elements\": {sp_n}, \"median_ns\": {sp_med:.0}, \"best_ns\": {sp_best:.0}, \"ns_per_element\": {sp_per:.3}}},\n\
+         \"softplus_grad\": {{\"elements\": {sp_n}, \"median_ns\": {sg_med:.0}, \"best_ns\": {sg_best:.0}, \"ns_per_element\": {sg_per:.3}, \"ratio_vs_softplus\": {sg_ratio:.3}}},\n\
+         \"tape_decoder\": {{\n\
+         \"queries\": {TAPE_QUERIES}, \"rows\": {tape_rows},\n\
+         \"forward_ms\": {tf_ms:.3}, \"forward_median_ms\": {tf_med_ms:.3}, \"forward_gflops\": {tf_gf:.2}, \"forward_vs_gemm_nn\": {tf_rel:.3},\n\
+         \"backward_ms\": {tb_ms:.3}, \"backward_median_ms\": {tb_med_ms:.3}, \"backward_gflops\": {tb_gf:.2}, \"backward_vs_gemm_nn\": {tb_rel:.3}\n\
+         }},\n\
          \"sampling\": {{\n\
          \"queries_per_draw\": {sq},\n\
          \"uniform\": {{\"median_ns\": {su_med:.0}, \"best_ns\": {su_best:.0}, \"points_per_s\": {su_pps:.0}}},\n\
@@ -940,7 +1107,23 @@ fn main() {
         gw_row = conv_row(gw_med, gw_ns, gw_bytes),
         encode_ns = encode_ns,
         enc_dec_ratio = encode_ns / decode_rows.first().expect("decode rows").median_ns,
-        sp_per = sp_best / sp_n as f64,
+        sp_n = softplus.elements,
+        sp_med = softplus.forward.0,
+        sp_best = softplus.forward.1,
+        sp_per = softplus.forward.1 / softplus.elements as f64,
+        sg_med = softplus.grad.0,
+        sg_best = softplus.grad.1,
+        sg_per = softplus.grad.1 / softplus.elements as f64,
+        sg_ratio = softplus.grad_ratio(),
+        tape_rows = TAPE_QUERIES * 8,
+        tf_ms = tape.forward.1 / 1e6,
+        tf_med_ms = tape.forward.0 / 1e6,
+        tf_gf = tape.forward_flops / tape.forward.1,
+        tf_rel = tape.forward_flops / tape.forward.1 / blocked,
+        tb_ms = tape.backward.1 / 1e6,
+        tb_med_ms = tape.backward.0 / 1e6,
+        tb_gf = tape.backward_flops() / tape.backward.1,
+        tb_rel = tape.backward_flops() / tape.backward.1 / blocked,
         sq = sampling.queries,
         su_med = sampling.uniform_median_ns,
         su_best = sampling.uniform_best_ns,
@@ -1016,40 +1199,32 @@ fn main() {
             eprintln!("[bench] FAIL: {e}");
             std::process::exit(1);
         }
-        // Sampling leg: the adaptive draw's cost relative to uniform must
-        // not balloon past the committed baseline. Ratio of two interleaved
-        // minima, so machine speed divides out like the kernel legs.
-        match serde_json::from_str::<GateSamplingDoc>(baseline) {
-            Ok(doc) => {
-                let base = doc.sampling.adaptive_overhead;
-                let ceiling = base / GATE_FRACTION;
-                let mut now = sampling.overhead();
-                let mut passed = false;
-                for attempt in 0..3 {
-                    eprintln!(
-                        "[gate] sampling adaptive/uniform draw cost: now {now:.2}x vs \
-                         baseline {base:.2}x (ceiling {ceiling:.2}x)"
-                    );
-                    if now <= ceiling {
-                        passed = true;
-                        break;
-                    }
-                    if attempt < 2 {
-                        eprintln!("[gate] above ceiling; re-measuring in a fresh window ...");
-                        std::thread::sleep(std::time::Duration::from_millis(500));
-                        now = now.min(bench_sampling(iters).overhead());
-                    }
-                }
-                if !passed {
-                    eprintln!(
-                        "[bench] FAIL: adaptive draw overhead {now:.2}x stayed above \
-                         {ceiling:.2}x (baseline {base:.2}x / {GATE_FRACTION}) across 3 windows"
-                    );
+        // Ceiling legs. A baseline written before a section existed still
+        // gates everything it has; the missing leg is skipped.
+        let sampling_leg = serde_json::from_str::<GateSamplingDoc>(baseline).map(|doc| {
+            gate_ceiling(
+                "sampling adaptive/uniform draw cost",
+                doc.sampling.adaptive_overhead,
+                sampling.overhead(),
+                || bench_sampling(iters).overhead(),
+            )
+        });
+        let softplus_leg = serde_json::from_str::<GateSoftplusGradDoc>(baseline).map(|doc| {
+            gate_ceiling(
+                "softplus derivative/softplus cost",
+                doc.softplus_grad.ratio_vs_softplus,
+                softplus.grad_ratio(),
+                || bench_softplus(iters).grad_ratio(),
+            )
+        });
+        for (section, leg) in [("sampling", sampling_leg), ("softplus_grad", softplus_leg)] {
+            match leg {
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => {
+                    eprintln!("[bench] FAIL: {e}");
                     std::process::exit(1);
                 }
-            }
-            Err(_) => {
-                eprintln!("[gate] baseline has no sampling section; skipping sampling leg");
+                Err(_) => eprintln!("[gate] baseline has no {section} section; skipping that leg"),
             }
         }
         eprintln!("[bench] gate vs {path}: ok");

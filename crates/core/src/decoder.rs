@@ -10,7 +10,7 @@
 //!
 //! - **tape**: [`ContinuousDecoder::decode`] records the computation on the
 //!   reverse-mode graph (training and test-time refinement — whatever needs
-//!   a gradient);
+//!   a gradient), one fused `Graph::linear` node per MLP layer;
 //! - **no-grad**: `decode_packed` evaluates the same values, bit for bit,
 //!   with no tape, a block of queries at a time, against MLP weights packed
 //!   into GEMM panels once ([`PackedMlp`]) — by the frozen engine when it is
@@ -118,10 +118,26 @@ pub fn plan_queries(
     grid_dims: [usize; 3],
     queries: impl IntoIterator<Item = (usize, [f32; 3])>,
 ) -> QueryPlan {
+    let mut plan = QueryPlan::default();
+    plan_queries_into(&mut plan, grid_dims, queries);
+    plan
+}
+
+/// [`plan_queries`] into `plan`, replacing its contents but keeping its
+/// buffers — for a caller that plans patch after patch (`super_resolve`: ten
+/// plans of ~1.8 MB a pass, which as fresh vectors grown by doubling were
+/// 37 MB of allocator traffic per pass).
+pub(crate) fn plan_queries_into(
+    plan: &mut QueryPlan,
+    grid_dims: [usize; 3],
+    queries: impl IntoIterator<Item = (usize, [f32; 3])>,
+) {
     let [nt, nz, nx] = grid_dims;
     assert!(nt >= 2 && nz >= 2 && nx >= 2, "latent grid needs >= 2 vertices per axis");
     let vol = (nt * nz * nx) as u32;
-    let mut plan = QueryPlan::default();
+    plan.index.clear();
+    plan.rel.clear();
+    plan.weights.clear();
     for (b, local) in queries {
         let (it, ft) = locate(local[0], nt);
         let (iz, fz) = locate(local[1], nz);
@@ -139,7 +155,6 @@ pub fn plan_queries(
             plan.weights.push(wt * wz * wx);
         }
     }
-    plan
 }
 
 /// The shared decoding MLP plus its latent/output widths.

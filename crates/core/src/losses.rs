@@ -9,6 +9,13 @@
 //!   the tape, so `∂Loss/∂θ` flows exactly through the stencil (see DESIGN.md
 //!   for why this substitutes for the paper's autograd-through-inputs, and
 //!   `decoder::tests` for the jet-based validation of the stencil).
+//!
+//! One training step is therefore eight decoder passes on the tape (one for
+//! Eqn. 8, seven stencil components for Eqn. 9), each a gather, a concat, one
+//! fused `Graph::linear` node per MLP layer and a blend; that path is where a
+//! step's time goes. What the loss differentiates is the tape's choice, not
+//! this module's: on `Graph::new()` the weights and the latent, on
+//! `Graph::with_frozen_params()` (test-time refinement) the latent alone.
 
 use crate::decoder::{plan_queries, ContinuousDecoder, QueryPlan};
 use mfn_autodiff::{Graph, ParamStore, Var};

@@ -1,7 +1,7 @@
 //! The assembled MeshfreeFlowNet model (paper Sec. 4, Fig. 3).
 
 use crate::config::MfnConfig;
-use crate::decoder::{plan_queries, ContinuousDecoder};
+use crate::decoder::{plan_queries, plan_queries_into, ContinuousDecoder, QueryPlan};
 use crate::losses::{self, ChannelStats, RbcParamsF32};
 use crate::unet::UNet3d;
 use mfn_autodiff::{load_params, save_params, Graph, Mlp, ParamStore, Var};
@@ -346,8 +346,10 @@ impl MeshfreeFlowNet {
         // written.
         let hat =
             |s: f32| -> f64 { 0.02 + (s.clamp(0.0, 1.0).min(1.0 - s.clamp(0.0, 1.0))) as f64 };
+        // Per-patch scratch, reused across patches.
         let mut queries: Vec<[f32; 3]> = Vec::new();
         let mut targets: Vec<(usize, usize, usize)> = Vec::new();
+        let mut plan = QueryPlan::default();
 
         for (ti, &t0) in origins.t.iter().enumerate() {
             let o_t = t0 as f64 * lr.dt();
@@ -380,7 +382,10 @@ impl MeshfreeFlowNet {
                     }
                     let patch = extract_patch(lr, [t0, z0, x0], spec, stats);
                     let latent = self.encode(&patch);
-                    let pred = self.decode_values(&latent, queries.iter().map(|&q| (0usize, q)));
+                    // `decode_values`, with the plan's buffers kept.
+                    let points = queries.iter().map(|&q| (0usize, q));
+                    plan_queries_into(&mut plan, self.grid_dims(), points);
+                    let pred = self.decoder.decode_nograd(&self.store, &latent, &plan);
                     for ((q, &(f, j, i)), values) in
                         queries.iter().zip(&targets).zip(pred.data().chunks_exact(CHANNELS))
                     {

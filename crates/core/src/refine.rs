@@ -5,9 +5,13 @@
 //! residual. We already own every ingredient: the frozen decoder, the
 //! FD-stencil equation residual from training ([`equation_loss_at_points`]),
 //! and the reverse-mode tape. [`refine_latent`] composes them: build a small
-//! tape whose only gradient leaf is the latent grid (the weights stay
-//! frozen constants), take the equation residual at the client's query
-//! points as the loss, and run a few backtracking gradient steps.
+//! tape whose only gradient leaf is the latent grid (the weights are
+//! recorded as constants — `Graph::with_frozen_params` — so backward spends
+//! nothing on them), take the equation residual at the client's query
+//! points as the loss, and run a few backtracking gradient steps. Each
+//! candidate latent gets exactly one tape: its forward pass is the
+//! candidate's residual, and backward runs on that same tape only if the
+//! candidate is accepted and another step follows.
 //!
 //! Three properties the serving layer depends on are enforced here:
 //!
@@ -22,14 +26,14 @@
 //!   is a [`RefineBudget`] field the client pays for explicitly.
 //! - **Determinism.** For a fixed (weights, latent, points, budget) the
 //!   result is bit-reproducible as long as the wall-clock cap does not bind:
-//!   the tape is rebuilt identically every step and no randomness enters.
+//!   every candidate's tape is built the same way and no randomness enters.
 //!   (A binding wall-clock cap truncates the step count — that is the one
 //!   intentionally nondeterministic budget axis.)
 
 use crate::config::MfnConfig;
 use crate::decoder::ContinuousDecoder;
 use crate::losses::{equation_loss_at_points, ChannelStats, ConstraintSet, RbcParamsF32};
-use mfn_autodiff::{Graph, ParamStore};
+use mfn_autodiff::{Graph, ParamStore, Var};
 use mfn_tensor::Tensor;
 use std::time::Instant;
 
@@ -93,8 +97,9 @@ impl Default for RefineSettings {
 /// none can extend it past the server's caps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefineBudget {
-    /// Maximum candidate steps (gradient evaluations are bounded by
-    /// `max_steps + 1`). Zero means "decode without refining".
+    /// Maximum candidate steps (residual evaluations are bounded by
+    /// `max_steps + 1`, gradient evaluations by `max_steps`). Zero means
+    /// "decode without refining".
     pub max_steps: u32,
     /// Early-stop once the mean absolute residual is at or below this.
     pub tol: f32,
@@ -145,14 +150,16 @@ pub fn refine_latent(
     settings: &RefineSettings,
     budget: &RefineBudget,
 ) -> (Tensor, RefineReport) {
-    let residual_of = |lat: &Tensor| -> f32 {
-        let mut g = Graph::new();
-        let l = g.constant(lat.clone());
+    // The one tape builder: the latent is the gradient leaf, the decoder's
+    // weights are constants.
+    let evaluate = |lat: &Tensor| -> Candidate {
+        let mut tape = Graph::with_frozen_params();
+        let latent = tape.leaf_with_grad(lat.clone());
         let (loss, _) = equation_loss_at_points(
-            &mut g,
+            &mut tape,
             store,
             decoder,
-            l,
+            latent,
             points,
             grid_dims,
             settings.extent_phys,
@@ -161,35 +168,14 @@ pub fn refine_latent(
             settings.h_local,
             settings.constraints,
         );
-        g.value(loss).item()
-    };
-    // Same forward, but with the latent as a gradient leaf. The forward
-    // value is bit-identical to `residual_of` (the tape records the same
-    // ops either way), so accepted candidates reuse it.
-    let grad_of = |lat: &Tensor| -> (f32, Tensor) {
-        let mut g = Graph::new();
-        let l = g.leaf_with_grad(lat.clone());
-        let (loss, _) = equation_loss_at_points(
-            &mut g,
-            store,
-            decoder,
-            l,
-            points,
-            grid_dims,
-            settings.extent_phys,
-            settings.params,
-            settings.stats,
-            settings.h_local,
-            settings.constraints,
-        );
-        let v = g.value(loss).item();
-        g.backward(loss);
-        (v, g.grad(l).clone())
+        Candidate { tape, latent, loss }
     };
 
     let start = Instant::now();
     let mut cur = latent.clone();
-    let mut cur_res = residual_of(&cur);
+    // The current iterate's tape, until its backward pass has run.
+    let mut unswept = Some(evaluate(&cur));
+    let mut cur_res = unswept.as_ref().expect("just built").residual();
     let mut report = RefineReport {
         steps_run: 0,
         steps_accepted: 0,
@@ -202,18 +188,26 @@ pub fn refine_latent(
     }
 
     let mut lr = settings.lr.max(LR_FLOOR);
-    let mut grad = grad_of(&cur).1;
+    // Overwritten before its first use: the first step sweeps `unswept`.
+    let mut grad = Tensor::zeros(cur.dims());
     while report.steps_run < budget.max_steps
         && cur_res > budget.tol
         && lr >= LR_FLOOR
         && !(budget.max_micros > 0 && start.elapsed().as_micros() as u64 >= budget.max_micros)
     {
+        // A step from a freshly accepted iterate needs its gradient; a retry
+        // after a rejection reuses the one it has.
+        if let Some(accepted) = unswept.take() {
+            grad = accepted.into_gradient();
+        }
         report.steps_run += 1;
         let cand = axpy(&cur, -lr, &grad);
-        let cand_res = residual_of(&cand);
+        let cand_tape = evaluate(&cand);
+        let cand_res = cand_tape.residual();
         if cand_res.is_finite() && cand_res < cur_res {
             cur = cand;
             cur_res = cand_res;
+            unswept = Some(cand_tape);
             report.steps_accepted += 1;
             report.residual_trace.push(cur_res);
             // An accepted step means the current rate is conservative: grow
@@ -223,9 +217,6 @@ pub fn refine_latent(
             // the trace stays monotone either way, and the doubling rule is
             // deterministic.
             lr *= 2.0;
-            if report.steps_run < budget.max_steps && cur_res > budget.tol {
-                grad = grad_of(&cur).1;
-            }
         } else {
             // Overshot (or hit a non-finite region): the direction is still
             // a descent direction at `cur`, so halve and retry from there.
@@ -234,6 +225,26 @@ pub fn refine_latent(
     }
     report.final_residual = cur_res;
     (cur, report)
+}
+
+/// One candidate latent's tape: forward done, backward not yet.
+struct Candidate {
+    tape: Graph,
+    latent: Var,
+    loss: Var,
+}
+
+impl Candidate {
+    /// The mean absolute equation residual the forward pass computed.
+    fn residual(&self) -> f32 {
+        self.tape.value(self.loss).item()
+    }
+
+    /// Runs backward on the tape and returns the residual's latent gradient.
+    fn into_gradient(mut self) -> Tensor {
+        self.tape.backward(self.loss);
+        self.tape.grad(self.latent).clone()
+    }
 }
 
 /// `a + s·b`, elementwise, as a fresh tensor.
@@ -271,6 +282,41 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn frozen_weight_tape_gives_the_parameter_tape_latent_gradient() {
+        // The tape `refine_latent` builds records the weights as constants;
+        // that must not move one bit of the latent gradient, and no weight
+        // gradient may exist on it.
+        let (store, dec) = setup();
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let latent = Tensor::randn(&[1, 5, 3, 4, 4], 0.5, &mut rng);
+        let pts = points(7, 12);
+        let s = RefineSettings::default();
+        let run = |mut g: Graph| {
+            let l = g.leaf_with_grad(latent.clone());
+            let (loss, _) = equation_loss_at_points(
+                &mut g,
+                &store,
+                &dec,
+                l,
+                &pts,
+                [3, 4, 4],
+                s.extent_phys,
+                s.params,
+                s.stats,
+                s.h_local,
+                s.constraints,
+            );
+            g.backward(loss);
+            let bits: Vec<u32> = g.grad(l).data().iter().map(|v| v.to_bits()).collect();
+            let weight_grad = g.param_grads(&store).iter().any(|t| t.max_abs() > 0.0);
+            (g.value(loss).item().to_bits(), bits, weight_grad)
+        };
+        let (loss, grad, weight_grad) = run(Graph::new());
+        assert!(weight_grad, "a parameter tape differentiates the weights");
+        assert_eq!(run(Graph::with_frozen_params()), (loss, grad, false));
     }
 
     #[test]

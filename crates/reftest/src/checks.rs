@@ -207,7 +207,7 @@ pub fn check_channel_affine() -> Report {
     c.finish()
 }
 
-/// Element-wise activations (graph ops and the scalar helpers) against f64
+/// Element-wise activations (graph ops and the scalar softplus) against f64
 /// twins, on the unbounded set plus explicit ±inf / NaN / saturation probes.
 pub fn check_activations() -> Report {
     let mut c = Checker::new("activations", Tolerance::new(8, 1.0e-6, 0.0));
@@ -240,11 +240,6 @@ pub fn check_activations() -> Report {
             c.check_f32_in(i, Some(f64::from(x)), got, want, want.abs().max(1.0));
         }
     }
-    c.case("sigmoid_scalar");
-    for (i, &x) in xs.iter().enumerate() {
-        let want = refk::sigmoid_ref(f64::from(x));
-        c.check_f32_in(i, Some(f64::from(x)), mfn_autodiff::sigmoid_scalar(x), want, 1.0);
-    }
     c.case("softplus_scalar");
     for (i, &x) in xs.iter().enumerate() {
         let want = refk::softplus_ref(f64::from(x));
@@ -255,6 +250,83 @@ pub fn check_activations() -> Report {
             want,
             want.abs().max(1.0),
         );
+    }
+    c.finish()
+}
+
+/// `sigmoid_scalar`, the one definition of softplus′ (tape backward kernels,
+/// `Activation::{d1, d2}`, the jets), against the f64 logistic. Measured
+/// worst case over 20 M points of [−87, 88]: 2.40 ULP of the exact value, 2
+/// ULP of its f32 rounding — polynomial `exp` (≤ 2 ULP), one add, one
+/// divide — hence a budget of 3. Below the clamp at −87 the kernel holds
+/// `e⁻⁸⁷` where the true value is subnormal; the absolute floor covers
+/// exactly that.
+pub fn check_sigmoid() -> Report {
+    let mut c = Checker::new("sigmoid", Tolerance::new(3, 0.0, 2.0e-38));
+    let mut xs = adversarial(512, 610);
+    xs.extend_from_slice(&[
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        100.0,
+        -100.0,
+        88.0,
+        -88.0,
+        87.0,
+        -87.0,
+        20.0,
+        -20.0,
+    ]);
+    c.case("adversarial seed 610 + clamp and saturation probes");
+    for (i, &x) in xs.iter().enumerate() {
+        let want = refk::sigmoid_ref(f64::from(x));
+        c.check_f32_in(i, Some(f64::from(x)), mfn_autodiff::sigmoid_scalar(x), want, 1.0);
+    }
+    c.case("sweep of [-87, 88], 8192 points");
+    for i in 0..8192usize {
+        let x = -87.0 + 175.0 * (i as f32 / 8191.0);
+        let want = refk::sigmoid_ref(f64::from(x));
+        c.check_f32_in(i, Some(f64::from(x)), mfn_autodiff::sigmoid_scalar(x), want, 1.0);
+    }
+    c.finish()
+}
+
+/// The fused tape layer's backward (`Graph::linear`, softplus): `dx`, `dW`
+/// and `db` against the all-f64 chain rule. Each is a GEMM-shaped sum of
+/// `dz = gy·σ(z)` terms, so the budget is the GEMM one; what `dz` adds — the
+/// f32 rounding of `z` through `σ′ ≤ ¼` and the sigmoid's own ≤ 3 ULP — is
+/// a few 1e-7 of each term, well inside `rtol · Σ|terms|`. Shapes put a
+/// ragged edge on every micro-tile and a row count past one GEMM row block.
+pub fn check_linear_backward() -> Report {
+    let mut c = Checker::new("linear_backward", Tolerance::new(4, 1.0e-4, 0.0));
+    for (si, &(m, k, n)) in
+        [(1usize, 3usize, 2usize), (37, 19, 23), (130, 35, 50)].iter().enumerate()
+    {
+        let seed = 1900 + si as u64;
+        let mut g = Lcg::new(seed);
+        let mut fill =
+            |len: usize, amp: f32| -> Vec<f32> { (0..len).map(|_| g.uniform() * amp).collect() };
+        // Pre-activations spread over roughly ±12: both softplus tails and
+        // the curved middle.
+        let (x, w, b, gy) = (fill(m * k, 2.0), fill(n * k, 1.5), fill(n, 1.0), fill(m * n, 3.0));
+
+        let mut tape = Graph::new();
+        let xv = tape.leaf_with_grad(Tensor::from_vec(x.clone(), &[m, k]));
+        let wv = tape.leaf_with_grad(Tensor::from_vec(w.clone(), &[n, k]));
+        let bv = tape.leaf_with_grad(Tensor::from_vec(b.clone(), &[n]));
+        let y = tape.linear(xv, wv, bv, Activation::Softplus);
+        let gyv = tape.constant(Tensor::from_vec(gy.clone(), &[m, n]));
+        let weighted = tape.mul(y, gyv);
+        let loss = tape.sum(weighted);
+        tape.backward(loss);
+
+        let (dx, dw, db) = refk::linear_softplus_backward_ref(m, k, n, &x, &w, &b, &gy);
+        for (name, var, want) in [("dx", xv, dx), ("dW", wv, dw), ("db", bv, db)] {
+            c.case(format!("{name} of [{m}x{k}] -> {n}, seed {seed}"));
+            for (i, &got) in tape.grad(var).data().iter().enumerate() {
+                c.check_f32(i, got, want.value[i], want.scale[i]);
+            }
+        }
     }
     c.finish()
 }
@@ -779,6 +851,7 @@ pub fn run_all() -> Vec<Report> {
         check_batch_norm(),
         check_channel_affine(),
         check_activations(),
+        check_sigmoid(),
         check_bias(),
         check_blend_rows(),
         check_gather_rows(),
@@ -791,6 +864,7 @@ pub fn run_all() -> Vec<Report> {
     reports.extend(check_solver());
     reports.push(check_trilinear());
     reports.push(check_downsample());
+    reports.push(check_linear_backward());
     reports.push(check_refine_grad());
     reports.push(check_decode_blocked());
     reports

@@ -465,6 +465,46 @@ pub fn abs_ref(x: f64) -> f64 {
     x.abs()
 }
 
+// ---- fully-connected layer backward ----
+
+/// f64 twin of the backward pass of one softplus layer `y = softplus(x·Wᵀ +
+/// b)` (the tape's `Graph::linear` node): given the output adjoint `gy:
+/// [m, n]`, the adjoints of `x: [m, k]`, `W: [n, k]` and `b: [n]` by the
+/// chain rule, `dz = gy ⊙ σ(z)` with `z` recomputed in f64. Returns `(dx,
+/// dW, db)`; each scale is the sum of the magnitudes of the terms of that
+/// element's sum.
+pub fn linear_softplus_backward_ref(
+    m: usize,
+    k: usize,
+    n: usize,
+    x: &[f32],
+    w: &[f32],
+    b: &[f32],
+    gy: &[f32],
+) -> (RefOut, RefOut, RefOut) {
+    let out = |len: usize| RefOut { value: vec![0.0; len], scale: vec![0.0; len] };
+    let (mut dx, mut dw, mut db) = (out(m * k), out(n * k), out(n));
+    for r in 0..m {
+        for j in 0..n {
+            let mut z = f64::from(b[j]);
+            for i in 0..k {
+                z += f64::from(x[r * k + i]) * f64::from(w[j * k + i]);
+            }
+            let dz = f64::from(gy[r * n + j]) * sigmoid_ref(z);
+            db.value[j] += dz;
+            db.scale[j] += dz.abs();
+            for i in 0..k {
+                let (xv, wv) = (f64::from(x[r * k + i]), f64::from(w[j * k + i]));
+                dw.value[j * k + i] += dz * xv;
+                dw.scale[j * k + i] += (dz * xv).abs();
+                dx.value[r * k + i] += dz * wv;
+                dx.scale[r * k + i] += (dz * wv).abs();
+            }
+        }
+    }
+    (dx, dw, db)
+}
+
 // ---- Fourier / spectral ----
 
 /// Naive O(n²) complex DFT: `X[k] = Σ_j x[j]·e^{−2πi·jk/n}`, plus the

@@ -53,6 +53,16 @@ fn activations_match_reference() {
 }
 
 #[test]
+fn sigmoid_matches_reference() {
+    assert_ok(checks::check_sigmoid());
+}
+
+#[test]
+fn linear_backward_matches_reference() {
+    assert_ok(checks::check_linear_backward());
+}
+
+#[test]
 fn bias_adds_match_reference() {
     assert_ok(checks::check_bias());
 }

@@ -7,8 +7,15 @@
 //! eval mode" — so the elementwise loops live here exactly once and both
 //! callers delegate. Any change to summation order or zero-handling in these
 //! functions changes the bits of every checkpointed model's predictions.
+//!
+//! Softplus and its derivative each have one scalar definition
+//! ([`softplus_scalar`], [`sigmoid_scalar`], both in [`crate::simd`]); the
+//! slice kernels re-exported beside them are those definitions on vectors.
 
-pub use crate::simd::{bias_softplus_rows, softplus_scalar, softplus_slice};
+pub use crate::simd::{
+    bias_softplus_grad_rows, bias_softplus_rows, sigmoid_scalar, softplus_grad_slice,
+    softplus_scalar, softplus_slice,
+};
 use crate::tensor::Tensor;
 use crate::workspace;
 

@@ -30,9 +30,11 @@
 //! tile-unaligned shapes with adversarial inputs.
 //!
 //! The same dispatch carries the one element-wise kernel that is worth
-//! explicit vectors, the decoder's softplus ([`softplus_slice`],
-//! [`bias_softplus_rows`]): every tier evaluates the operations of
-//! [`softplus_scalar`] in the same order, so the contract holds there too.
+//! explicit vectors, the decoder's softplus and its derivative
+//! ([`softplus_slice`], [`bias_softplus_rows`] forward;
+//! [`softplus_grad_slice`], [`bias_softplus_grad_rows`] backward): every tier
+//! evaluates the operations of [`softplus_scalar`] / [`sigmoid_scalar`] in
+//! the same order, so the contract holds there too.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -617,10 +619,30 @@ pub fn softplus_scalar(x: f32) -> f32 {
     }
 }
 
+/// The logistic sigmoid `1 / (1 + e⁻ˣ)` — softplus′ — as `z / (1 + z)` on
+/// the clamped polynomial exponential `z` that [`softplus_scalar`] starts
+/// from, so the derivative costs one division more than the value and is
+/// just as branch-free. Above the clamp it is exactly `1.0`; below it, it
+/// stays at `e⁻⁸⁷` (the true value is subnormal there). This scalar form is
+/// the one definition of softplus′: the tape's backward kernels
+/// ([`softplus_grad_slice`], [`bias_softplus_grad_rows`]) evaluate exactly
+/// these operations on every backend, and the activation derivatives the
+/// jets use call it directly.
+#[inline]
+pub fn sigmoid_scalar(x: f32) -> f32 {
+    let z = exp_poly(x.clamp(EXP_FLOOR, SATURATE));
+    let s = z / (1.0 + z);
+    if x.is_nan() {
+        x
+    } else {
+        s
+    }
+}
+
 /// `x[i] = softplus(x[i])`, in place.
 pub fn softplus_slice(x: &mut [f32]) {
     // SAFETY: `resolve` only returns tiers this CPU was detected to have.
-    unsafe { softplus_rows::<false>(resolve(), x, &[]) }
+    unsafe { softplus_rows::<false, false>(resolve(), x, &[], &[]) }
 }
 
 /// `x[r][j] = softplus(x[r][j] + bias[j])` over the rows of `x: [M, N]`
@@ -637,41 +659,78 @@ pub fn bias_softplus_rows(x: &mut [f32], bias: &[f32]) {
         bias.len()
     );
     // SAFETY: as in `softplus_slice`.
-    unsafe { softplus_rows::<true>(resolve(), x, bias) }
+    unsafe { softplus_rows::<true, false>(resolve(), x, bias, &[]) }
 }
 
-/// The two entry points above on a given tier; without `BIAS` the whole
-/// slice is one row.
+/// `g[i] *= softplus′(z[i])`, in place on `g` — the softplus backward pass:
+/// the adjoint of the output becomes the adjoint of the pre-activation `z`.
+///
+/// # Panics
+/// Panics if `g` and `z` differ in length.
+pub fn softplus_grad_slice(g: &mut [f32], z: &[f32]) {
+    assert_eq!(g.len(), z.len(), "softplus_grad_slice: adjoint and pre-activation lengths differ");
+    // SAFETY: as in `softplus_slice`.
+    unsafe { softplus_rows::<false, true>(resolve(), g, &[], z) }
+}
+
+/// `g[r][j] *= softplus′(z[r][j] + bias[j])` over the rows of `g, z: [M, N]`
+/// (`N = bias.len()`), in place on `g` — the backward pass of
+/// [`bias_softplus_rows`], reading the GEMM output `z` it overwrote.
+///
+/// # Panics
+/// Panics if `g` and `z` differ in length or are not rows of `bias.len()`.
+pub fn bias_softplus_grad_rows(g: &mut [f32], z: &[f32], bias: &[f32]) {
+    assert!(
+        !bias.is_empty() && g.len().is_multiple_of(bias.len()) && g.len() == z.len(),
+        "bias_softplus_grad_rows: {} adjoints, {} pre-activations, rows of {}",
+        g.len(),
+        z.len(),
+        bias.len()
+    );
+    // SAFETY: as in `softplus_slice`.
+    unsafe { softplus_rows::<true, true>(resolve(), g, bias, z) }
+}
+
+/// The four entry points above on a given tier. Without `BIAS` the whole
+/// slice is one row. Without `GRAD`, `x` is the input and `z` is unused;
+/// with it, `z` (as long as `x`) is the input and `x` the adjoint it scales.
 ///
 /// # Safety
 /// The CPU must have the features of `backend` (any tier `>=` the detected
 /// one qualifies).
-unsafe fn softplus_rows<const BIAS: bool>(backend: u8, x: &mut [f32], bias: &[f32]) {
+unsafe fn softplus_rows<const BIAS: bool, const GRAD: bool>(
+    backend: u8,
+    x: &mut [f32],
+    bias: &[f32],
+    z: &[f32],
+) {
     let n = if BIAS { bias.len() } else { x.len().max(1) };
     match backend {
         #[cfg(target_arch = "x86_64")]
-        B_AVX512 => softplus_avx512::rows::<BIAS>(x, n, bias),
+        B_AVX512 => softplus_avx512::rows::<BIAS, GRAD>(x, n, bias, z),
         #[cfg(target_arch = "x86_64")]
-        B_AVX2 => softplus_avx2::rows::<BIAS>(x, n, bias),
+        B_AVX2 => softplus_avx2::rows::<BIAS, GRAD>(x, n, bias, z),
         _ => {
-            for row in x.chunks_mut(n) {
-                softplus_tail::<BIAS>(row, bias);
+            for (r, row) in x.chunks_mut(n).enumerate() {
+                let z_row = if GRAD { &z[r * n..r * n + row.len()] } else { z };
+                softplus_tail::<BIAS, GRAD>(row, bias, z_row);
             }
         }
     }
 }
 
-/// The scalar form over (the end of) one row; `bias` is aligned with `row`.
+/// The scalar forms over (the end of) one row; `bias` and (with `GRAD`) `z`
+/// are aligned with `row`.
 #[inline]
-fn softplus_tail<const BIAS: bool>(row: &mut [f32], bias: &[f32]) {
-    if BIAS {
-        for (v, &b) in row.iter_mut().zip(bias) {
-            *v = softplus_scalar(*v + b);
-        }
-    } else {
-        for v in row {
-            *v = softplus_scalar(*v);
-        }
+fn softplus_tail<const BIAS: bool, const GRAD: bool>(row: &mut [f32], bias: &[f32], z: &[f32]) {
+    // Slice the unused operands to nothing and the used ones to the row, so
+    // the loop below carries no bounds checks and vectorizes.
+    let bias = &bias[..if BIAS { row.len() } else { 0 }];
+    let z = &z[..if GRAD { row.len() } else { 0 }];
+    for (i, v) in row.iter_mut().enumerate() {
+        let x = if GRAD { z[i] } else { *v };
+        let x = if BIAS { x + bias[i] } else { x };
+        *v = if GRAD { *v * sigmoid_scalar(x) } else { softplus_scalar(x) };
     }
 }
 
@@ -690,13 +749,14 @@ macro_rules! vector_ops {
     };
 }
 
-/// The vector softplus: [`softplus_scalar`] transcribed operation by
-/// operation onto `N` independent vectors, each step issued for all `N`
-/// before the next. One vector's two Horner chains are ~20 dependent FMAs
-/// with nothing else to issue in their shadow; with several vectors in
-/// flight the chains overlap and the loop is bound by FMA throughput
-/// instead of FMA latency. Expands inside a module that defines `V`, `VI`,
-/// `LANES` and the `vector_ops!` vocabulary.
+/// The vector softplus and its derivative: [`softplus_scalar`] and
+/// [`sigmoid_scalar`] transcribed operation by operation onto `N`
+/// independent vectors, each step issued for all `N` before the next. One
+/// vector's two Horner chains are ~20 dependent FMAs with nothing else to
+/// issue in their shadow; with several vectors in flight the chains overlap
+/// and the loop is bound by FMA throughput instead of FMA latency. Expands
+/// inside a module that defines `V`, `VI`, `LANES` and the `vector_ops!`
+/// vocabulary.
 #[cfg(target_arch = "x86_64")]
 macro_rules! softplus_kernel {
     ($feat:literal) => {
@@ -711,10 +771,10 @@ macro_rules! softplus_kernel {
             }};
         }
 
+        /// `exp_poly(clamp(x))`, the exponential both functions start from.
         #[inline]
         #[target_feature(enable = $feat)]
-        fn softplus<const N: usize>(x: [V; N]) -> [V; N] {
-            // exp_poly(clamp(x))
+        fn exp_clamped<const N: usize>(x: [V; N]) -> [V; N] {
             let t = each!(|i| max(min(x[i], splat(SATURATE)), splat(EXP_FLOOR)));
             let z = each!(|i| fma(t[i], splat(std::f32::consts::LOG2_E), splat(EXP_SHIFT)));
             let ni = |z: V| isub(bits(z), isplat(EXP_SHIFT.to_bits() as i32));
@@ -727,7 +787,13 @@ macro_rules! softplus_kernel {
                 p = each!(|i| fma(p[i], r[i], splat(*c)));
             }
             let y = each!(|i| add(fma(mul(p[i], r[i]), r[i], r[i]), splat(1.0)));
-            let z = each!(|i| mul(y[i], scale[i]));
+            each!(|i| mul(y[i], scale[i]))
+        }
+
+        #[inline]
+        #[target_feature(enable = $feat)]
+        fn softplus<const N: usize>(x: [V; N]) -> [V; N] {
+            let z = exp_clamped(x);
             // ln_poly(1 + z)
             let u = each!(|i| add(splat(1.0), z[i]));
             let e = each!(|i| to_f32(isub(sar23(bits(u[i])), isplat(126))));
@@ -751,22 +817,43 @@ macro_rules! softplus_kernel {
             each!(|i| nan_or(x[i], y[i]))
         }
 
-        /// `N` vectors at column `c` of one row.
-        ///
-        /// # Safety
-        /// `row` and (with `BIAS`) `bias` must be valid for `N * LANES`
-        /// floats from offset `c`.
         #[inline]
         #[target_feature(enable = $feat)]
-        unsafe fn step<const BIAS: bool, const N: usize>(row: *mut f32, bias: *const f32, c: usize) {
+        fn sigmoid<const N: usize>(x: [V; N]) -> [V; N] {
+            let z = exp_clamped(x);
+            let s = each!(|i| div(z[i], add(splat(1.0), z[i])));
+            each!(|i| nan_or(x[i], s[i]))
+        }
+
+        /// `N` vectors at column `c` of one row: `row = softplus(row)`, or
+        /// with `GRAD` `row *= sigmoid(z)`, the argument plus `bias` first
+        /// with `BIAS`.
+        ///
+        /// # Safety
+        /// `row` and (with `BIAS`) `bias` and (with `GRAD`) `z` must be valid
+        /// for `N * LANES` floats from offset `c`; an unused pointer is never
+        /// offset or read.
+        #[inline]
+        #[target_feature(enable = $feat)]
+        unsafe fn step<const BIAS: bool, const GRAD: bool, const N: usize>(
+            row: *mut f32,
+            bias: *const f32,
+            z: *const f32,
+            c: usize,
+        ) {
             let mut x = [zero(); N];
             for i in 0..N {
-                x[i] = load(row.add(c + i * LANES));
+                x[i] = if GRAD { load(z.add(c + i * LANES)) } else { load(row.add(c + i * LANES)) };
                 if BIAS {
                     x[i] = add(x[i], load(bias.add(c + i * LANES)));
                 }
             }
-            let y = softplus(x);
+            let y = if GRAD {
+                let s = sigmoid(x);
+                each!(|i| mul(load(row.add(c + i * LANES)), s[i]))
+            } else {
+                softplus(x)
+            };
             for i in 0..N {
                 store(row.add(c + i * LANES), y[i]);
             }
@@ -778,26 +865,39 @@ macro_rules! softplus_kernel {
         /// # Safety
         /// The CPU must have the features this module is compiled for.
         #[target_feature(enable = $feat)]
-        pub(super) unsafe fn rows<const BIAS: bool>(x: &mut [f32], n: usize, bias: &[f32]) {
+        pub(super) unsafe fn rows<const BIAS: bool, const GRAD: bool>(
+            x: &mut [f32],
+            n: usize,
+            bias: &[f32],
+            z: &[f32],
+        ) {
             debug_assert!(!BIAS || bias.len() == n);
-            for row in x.chunks_mut(n) {
-                let (len, ptr, b) = (row.len(), row.as_mut_ptr(), bias.as_ptr());
+            assert!(!GRAD || z.len() == x.len(), "one pre-activation per adjoint");
+            for (r, row) in x.chunks_mut(n).enumerate() {
+                let len = row.len();
+                let z_row = if GRAD { &z[r * n..r * n + len] } else { z };
+                let (ptr, b, zp) = (row.as_mut_ptr(), bias.as_ptr(), z_row.as_ptr());
                 let mut c = 0;
-                // SAFETY: every step is entered with `c + N * LANES <= len`,
-                // and `bias` is as long as a full row when it is read.
+                // SAFETY: every step is entered with `c + N * LANES <= len`;
+                // `bias` is as long as a full row and `z_row` as long as
+                // this one when they are read.
                 while c + 4 * LANES <= len {
-                    step::<BIAS, 4>(ptr, b, c);
+                    step::<BIAS, GRAD, 4>(ptr, b, zp, c);
                     c += 4 * LANES;
                 }
                 if c + 2 * LANES <= len {
-                    step::<BIAS, 2>(ptr, b, c);
+                    step::<BIAS, GRAD, 2>(ptr, b, zp, c);
                     c += 2 * LANES;
                 }
                 if c + LANES <= len {
-                    step::<BIAS, 1>(ptr, b, c);
+                    step::<BIAS, GRAD, 1>(ptr, b, zp, c);
                     c += LANES;
                 }
-                softplus_tail::<BIAS>(&mut row[c..], if BIAS { &bias[c..] } else { bias });
+                softplus_tail::<BIAS, GRAD>(
+                    &mut row[c..],
+                    if BIAS { &bias[c..] } else { bias },
+                    if GRAD { &z_row[c..] } else { z },
+                );
             }
         }
     };
@@ -819,6 +919,7 @@ mod softplus_avx2 {
         add(a: V, b: V) -> V = _mm256_add_ps(a, b);
         sub(a: V, b: V) -> V = _mm256_sub_ps(a, b);
         mul(a: V, b: V) -> V = _mm256_mul_ps(a, b);
+        div(a: V, b: V) -> V = _mm256_div_ps(a, b);
         fma(a: V, b: V, c: V) -> V = _mm256_fmadd_ps(a, b, c);
         min(a: V, b: V) -> V = _mm256_min_ps(a, b);
         max(a: V, b: V) -> V = _mm256_max_ps(a, b);
@@ -867,6 +968,7 @@ mod softplus_avx512 {
         add(a: V, b: V) -> V = _mm512_add_ps(a, b);
         sub(a: V, b: V) -> V = _mm512_sub_ps(a, b);
         mul(a: V, b: V) -> V = _mm512_mul_ps(a, b);
+        div(a: V, b: V) -> V = _mm512_div_ps(a, b);
         fma(a: V, b: V, c: V) -> V = _mm512_fmadd_ps(a, b, c);
         min(a: V, b: V) -> V = _mm512_min_ps(a, b);
         max(a: V, b: V) -> V = _mm512_max_ps(a, b);
@@ -1039,7 +1141,7 @@ mod tests {
         let want: Vec<u32> = xs.iter().map(|&x| softplus_scalar(x).to_bits()).collect();
         for (tier, name) in runnable_tiers() {
             // SAFETY: `runnable_tiers` lists only tiers at or below detection.
-            let run = |x: &mut [f32]| unsafe { softplus_rows::<false>(tier, x, &[]) };
+            let run = |x: &mut [f32]| unsafe { softplus_rows::<false, false>(tier, x, &[], &[]) };
             let mut got = xs.clone();
             run(&mut got);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -1075,7 +1177,7 @@ mod tests {
                     .map(|(i, &x)| softplus_scalar(x + bias[i % n]).to_bits())
                     .collect();
                 // SAFETY: `runnable_tiers` lists only tiers at or below detection.
-                unsafe { softplus_rows::<true>(tier, &mut got, &bias) };
+                unsafe { softplus_rows::<true, false>(tier, &mut got, &bias, &[]) };
                 let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, want, "{name} width {n}");
             }
@@ -1083,6 +1185,96 @@ mod tests {
         let mut x = vec![0.25f32; 6];
         bias_softplus_rows(&mut x, &[1.0, -1.0, 0.5]);
         assert_eq!(x[4].to_bits(), softplus_scalar(-0.75).to_bits());
+    }
+
+    /// The bits of adjoints `got` scaled by the derivative kernels, for
+    /// comparison with those of [`scalar_grad`]. Where `g` and `σ(z)` are
+    /// both NaN the product's payload is whichever operand the instruction
+    /// selection put first, so that one case reads as "some NaN" (`u32::MAX`).
+    fn grad_bits(got: &[f32], g: &[f32], z: &[f32]) -> Vec<u32> {
+        got.iter()
+            .zip(g.iter().zip(z))
+            .map(|(y, (g, z))| if g.is_nan() && z.is_nan() { u32::MAX } else { y.to_bits() })
+            .collect()
+    }
+
+    /// `g[i] * sigmoid_scalar(z[i])`: what the derivative kernels must
+    /// reproduce.
+    fn scalar_grad(g: &[f32], z: &[f32]) -> Vec<f32> {
+        g.iter().zip(z).map(|(&g, &z)| g * sigmoid_scalar(z)).collect()
+    }
+
+    #[test]
+    fn softplus_grad_slice_matches_scalar_bitwise_on_every_backend() {
+        // Pre-activations: the softplus probes (specials, ±88, ±87, ±20 and
+        // their ULP neighbours, the 1 M-point sweep). Adjoints: the same
+        // values in another order, so every special meets every regime.
+        let zs = softplus_probes();
+        let gs: Vec<f32> = (0..zs.len()).map(|i| zs[(i * 7 + 3) % zs.len()]).collect();
+        let want = grad_bits(&scalar_grad(&gs, &zs), &gs, &zs);
+        for (tier, name) in runnable_tiers() {
+            // SAFETY: `runnable_tiers` lists only tiers at or below detection.
+            let run =
+                |g: &mut [f32], z: &[f32]| unsafe { softplus_rows::<false, true>(tier, g, &[], z) };
+            let mut got = gs.clone();
+            run(&mut got, &zs);
+            for (i, (g, w)) in grad_bits(&got, &gs, &zs).iter().zip(&want).enumerate() {
+                assert_eq!(g, w, "{name} at g = {:e}, z = {:e} (#{i})", gs[i], zs[i]);
+            }
+            // Every remainder-lane count, over the special values.
+            for len in 0..=67 {
+                for start in [0usize, 13, 41] {
+                    let (g, z) = (&gs[start..start + len], &zs[start..start + len]);
+                    let mut got = g.to_vec();
+                    run(&mut got, z);
+                    assert_eq!(grad_bits(&got, g, z), want[start..start + len], "{name} len {len}");
+                }
+            }
+        }
+        // The public entry point is the same code on the detected tier.
+        let mut got = gs[..200].to_vec();
+        softplus_grad_slice(&mut got, &zs[..200]);
+        assert_eq!(grad_bits(&got, &gs[..200], &zs[..200]), want[..200]);
+    }
+
+    #[test]
+    fn bias_softplus_grad_rows_matches_add_then_scalar_bitwise() {
+        let xs = softplus_probes();
+        for (tier, name) in runnable_tiers() {
+            for n in (1..=67).chain([96, 128]) {
+                let rows = 3;
+                let bias: Vec<f32> = xs[40..40 + n].iter().map(|b| b.clamp(-30.0, 30.0)).collect();
+                let z = &xs[100..100 + rows * n];
+                let g = &xs[700..700 + rows * n];
+                let pre: Vec<f32> = z.iter().enumerate().map(|(i, &z)| z + bias[i % n]).collect();
+                let want = grad_bits(&scalar_grad(g, &pre), g, &pre);
+                let mut got = g.to_vec();
+                // SAFETY: `runnable_tiers` lists only tiers at or below detection.
+                unsafe { softplus_rows::<true, true>(tier, &mut got, &bias, z) };
+                assert_eq!(grad_bits(&got, g, &pre), want, "{name} width {n}");
+            }
+        }
+        let mut g = vec![2.0f32; 6];
+        bias_softplus_grad_rows(&mut g, &[0.25; 6], &[1.0, -1.0, 0.5]);
+        assert_eq!(g[4].to_bits(), (2.0 * sigmoid_scalar(-0.75)).to_bits());
+    }
+
+    #[test]
+    fn sigmoid_regimes_and_special_values() {
+        assert_eq!(sigmoid_scalar(f32::INFINITY), 1.0);
+        assert_eq!(sigmoid_scalar(25.0), 1.0);
+        assert_eq!(sigmoid_scalar(0.0), 0.5);
+        assert_eq!(sigmoid_scalar(-0.0), 0.5);
+        assert!(sigmoid_scalar(f32::NAN).is_nan());
+        let floor = sigmoid_scalar(f32::NEG_INFINITY);
+        assert!(floor > 0.0 && floor < 2.0e-38, "clamped at e^-87, got {floor:e}");
+        // Within a few ULP of the f64 value across the live range.
+        for i in -3000..=3000 {
+            let x = i as f32 * 0.01;
+            let want = (1.0 / (1.0 + (-f64::from(x)).exp())) as f32;
+            let ulps = (sigmoid_scalar(x).to_bits() as i64 - want.to_bits() as i64).abs();
+            assert!(ulps <= 3, "sigmoid({x}) is {ulps} ULP off");
+        }
     }
 
     #[test]

@@ -326,31 +326,37 @@ impl Tensor {
         Tensor::from_vec(data, &out_dims)
     }
 
+    /// The `len` entries from `start` along `axis`, copied into a tensor of
+    /// their own.
+    pub fn narrow(&self, axis: usize, start: usize, len: usize) -> Tensor {
+        assert!(axis < self.shape.rank(), "narrow axis out of range");
+        let axis_len = self.dims()[axis];
+        assert!(start + len <= axis_len, "narrow range exceeds the axis");
+        let outer: usize = self.dims()[..axis].iter().product();
+        let inner: usize = self.dims()[axis + 1..].iter().product();
+        let mut dims = self.dims().to_vec();
+        dims[axis] = len;
+        let mut data = workspace::take_vec_capacity(outer * len * inner);
+        for o in 0..outer {
+            let off = (o * axis_len + start) * inner;
+            data.extend_from_slice(&self.data[off..off + len * inner]);
+        }
+        Tensor::from_vec(data, &dims)
+    }
+
     /// Splits a tensor along `axis` into chunks of the given sizes
     /// (the inverse of [`Tensor::concat`]).
     pub fn split(&self, axis: usize, sizes: &[usize]) -> Vec<Tensor> {
-        let rank = self.shape.rank();
-        assert!(axis < rank);
+        assert!(axis < self.shape.rank());
         assert_eq!(sizes.iter().sum::<usize>(), self.dims()[axis], "split sizes must cover axis");
-        let outer: usize = self.dims()[..axis].iter().product();
-        let inner: usize = self.dims()[axis + 1..].iter().product();
-        let axis_len = self.dims()[axis];
-        let mut parts: Vec<(Vec<f32>, Vec<usize>)> = sizes
+        let mut start = 0;
+        sizes
             .iter()
             .map(|&s| {
-                let mut dims = self.dims().to_vec();
-                dims[axis] = s;
-                (workspace::take_vec_capacity(outer * s * inner), dims)
+                start += s;
+                self.narrow(axis, start - s, s)
             })
-            .collect();
-        for o in 0..outer {
-            let mut off = o * axis_len * inner;
-            for (p, &s) in parts.iter_mut().zip(sizes) {
-                p.0.extend_from_slice(&self.data[off..off + s * inner]);
-                off += s * inner;
-            }
-        }
-        parts.into_iter().map(|(d, dims)| Tensor::from_vec(d, &dims)).collect()
+            .collect()
     }
 
     /// 2D transpose of a rank-2 tensor.
