@@ -26,6 +26,8 @@ pub use checkpoint::{load_params, read_adam, read_params, save_params, write_ada
 pub use graph::{Graph, Var};
 pub use jet::{activation_jet, linear_jet, mlp_jet, Jet3, JetVec};
 pub use mfn_tensor::rowops::{sigmoid_scalar, softplus_scalar};
-pub use nn::{Activation, BatchNorm3d, Conv3dLayer, Linear, Mlp, PackedMlp};
+pub use nn::{
+    Activation, BatchNorm3d, Conv3dLayer, EvalAffine, Linear, Mlp, PackedConv3dLayer, PackedMlp,
+};
 pub use optim::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Sgd};
 pub use params::{flatten_grads, unflatten_grads, FrozenParams, ParamId, ParamStore};

@@ -8,7 +8,7 @@
 
 use crate::graph::{Graph, Var};
 use crate::params::{ParamId, ParamStore};
-use mfn_tensor::{conv3d_auto, rowops, MatLayout, PackedGemm, Tensor};
+use mfn_tensor::{rowops, MatLayout, PackedConv3d, PackedGemm, Tensor};
 use rand::Rng;
 
 /// Element-wise activation selector.
@@ -168,11 +168,36 @@ impl Conv3dLayer {
         g.bias_channel(y, b)
     }
 
-    /// Eager no-grad forward: same `conv3d_auto` + channel-bias kernels as
-    /// the tape path — bit-identical to [`Conv3dLayer::forward`].
-    pub fn forward_nograd(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut y = conv3d_auto(x, store.get(self.weight));
-        rowops::add_bias_channels(&mut y, store.get(self.bias).data());
+    /// Snapshots the layer out of `store` as a [`PackedConv3dLayer`] for
+    /// tape-free evaluation: the weight as implicit-GEMM panels, the bias
+    /// copied. `vol` is the output voxel count `D·H·W` the layer runs at (a
+    /// tile-shape hint, see [`PackedConv3d::pack`]). The snapshot does not
+    /// track later updates.
+    pub fn pack(&self, store: &ParamStore, vol: usize) -> PackedConv3dLayer {
+        PackedConv3dLayer {
+            weight: PackedConv3d::pack(store.get(self.weight), vol),
+            bias: store.get(self.bias).data().to_vec(),
+        }
+    }
+}
+
+/// An inference-only snapshot of a [`Conv3dLayer`]: weight panels packed
+/// once ([`PackedConv3d`]) next to a copy of the bias, so repeated evaluation
+/// never touches the parameter store or re-packs a weight.
+#[derive(Debug)]
+pub struct PackedConv3dLayer {
+    weight: PackedConv3d,
+    bias: Vec<f32>,
+}
+
+impl PackedConv3dLayer {
+    /// Eager no-grad forward on `x: [N, Cin, D, H, W]`: the conv, then the
+    /// channel bias added in place on the conv's own output. Bit-identical
+    /// to what [`Conv3dLayer::forward`] records on the tape — `conv3d_auto`
+    /// packs the same panels per call and the bias kernel is shared.
+    pub fn forward_nograd(&self, x: &Tensor) -> Tensor {
+        let mut y = self.weight.forward(x);
+        rowops::add_bias_channels(&mut y, &self.bias);
         y
     }
 }
@@ -226,7 +251,7 @@ impl BatchNorm3d {
     /// The frozen per-channel affine implied by the running statistics:
     /// `scale = γ/√(var+eps)`, `shift = β − mean·scale`. Both the tape eval
     /// path and the no-grad path derive their affine from here.
-    pub fn eval_scale_shift(&self, store: &ParamStore) -> (Vec<f32>, Vec<f32>) {
+    pub fn eval_scale_shift(&self, store: &ParamStore) -> EvalAffine {
         let gamma = store.get(self.gamma).data();
         let beta = store.get(self.beta).data();
         let scale: Vec<f32> =
@@ -237,23 +262,13 @@ impl BatchNorm3d {
             .zip(&scale)
             .map(|((&b, &m), &s)| b - m * s)
             .collect();
-        (scale, shift)
+        EvalAffine { scale, shift }
     }
 
     /// Inference-mode forward: frozen affine using the running statistics.
     pub fn forward_eval(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
-        let (scale, shift) = self.eval_scale_shift(store);
+        let EvalAffine { scale, shift } = self.eval_scale_shift(store);
         g.channel_affine(x, scale, shift)
-    }
-
-    /// Eager no-grad inference forward: the same frozen affine as
-    /// [`BatchNorm3d::forward_eval`], applied without a tape. Never touches
-    /// the running statistics.
-    pub fn forward_nograd(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let (scale, shift) = self.eval_scale_shift(store);
-        let mut y = x.clone();
-        rowops::channel_affine(&mut y, &scale, &shift);
-        y
     }
 
     /// Dispatches on `training`.
@@ -263,6 +278,26 @@ impl BatchNorm3d {
         } else {
             self.forward_eval(g, store, x)
         }
+    }
+}
+
+/// Eval-mode batch norm as the per-channel affine it is
+/// ([`BatchNorm3d::eval_scale_shift`]): computed once by whoever holds
+/// statistics that cannot move, applied in place.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EvalAffine {
+    /// `γ/√(var+eps)` per channel.
+    pub scale: Vec<f32>,
+    /// `β − mean·scale` per channel.
+    pub shift: Vec<f32>,
+}
+
+impl EvalAffine {
+    /// Eager no-grad inference forward over `x: [N, C, ...]`, in place: the
+    /// kernel [`BatchNorm3d::forward_eval`] records on the tape. Never
+    /// touches the running statistics.
+    pub fn forward_nograd(&self, x: &mut Tensor) {
+        rowops::channel_affine(x, &self.scale, &self.shift);
     }
 }
 

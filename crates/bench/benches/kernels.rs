@@ -9,7 +9,7 @@ use mfn_core::{plan_queries, ContinuousDecoder};
 use mfn_dist::ring;
 use mfn_fft::FftPlan;
 use mfn_solver::{RbcConfig, RbcSolver};
-use mfn_tensor::{conv3d, conv3d_implicit_gemm, matmul, Tensor};
+use mfn_tensor::{conv3d_auto, matmul, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -38,25 +38,7 @@ fn bench_conv3d(c: &mut Criterion) {
         let flops = 4 * ch * ch * 4 * 16 * 16 * 27;
         group.throughput(Throughput::Elements(flops as u64));
         group.bench_with_input(BenchmarkId::from_parameter(ch), &ch, |bench, _| {
-            bench.iter(|| conv3d(black_box(&x), black_box(&w)))
-        });
-    }
-    group.finish();
-}
-
-/// Ablation: direct conv3d vs the fused implicit-GEMM lowering at U-Net
-/// shapes.
-fn bench_conv3d_implicit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("conv3d_implicit_vs_direct");
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    for &ch in &[8usize, 32] {
-        let x = Tensor::randn(&[4, ch, 4, 16, 16], 1.0, &mut rng);
-        let w = Tensor::randn(&[ch, ch, 3, 3, 3], 0.1, &mut rng);
-        group.bench_with_input(BenchmarkId::new("direct", ch), &ch, |bench, _| {
-            bench.iter(|| conv3d(black_box(&x), black_box(&w)))
-        });
-        group.bench_with_input(BenchmarkId::new("implicit_gemm", ch), &ch, |bench, _| {
-            bench.iter(|| conv3d_implicit_gemm(black_box(&x), black_box(&w)))
+            bench.iter(|| conv3d_auto(black_box(&x), black_box(&w)))
         });
     }
     group.finish();
@@ -166,7 +148,7 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_matmul, bench_conv3d, bench_conv3d_implicit, bench_fft,
+    targets = bench_matmul, bench_conv3d, bench_fft,
         bench_solver_step, bench_decoder_queries, bench_ring_allreduce
 }
 criterion_main!(kernels);

@@ -6,8 +6,9 @@
 //!
 //! Measures the blocked GEMM (all three transpose layouts) against the
 //! pre-optimization naive `ikj` kernel kept here as a frozen reference,
-//! the two conv3d lowerings (direct and fused implicit-GEMM — forward and
-//! both gradients), the frozen encode/decode split, the softplus kernel and
+//! the implicit-GEMM conv3d (forward and both gradients, a training-shaped
+//! 3×3×3 layer and its pointwise twin), one U-Net encode attributed conv by
+//! conv and stage by stage, the frozen encode/decode split, the softplus kernel and
 //! its derivative, the decoder's forward and backward on the tape (the link
 //! between the kernel rows and the training step), and one full training step
 //! with the workspace pool on vs off. Results land in
@@ -18,13 +19,13 @@
 //!
 //! The binary doubles as a regression gate: before timing anything it
 //! re-checks the blocked GEMM against the naive reference on
-//! tile-unaligned shapes and the implicit-GEMM conv3d kernels against the
-//! direct ones, and exits non-zero on any mismatch. `--oracle` additionally
+//! tile-unaligned shapes and the conv3d kernels against a definition loop
+//! and the adjoint identities, and exits non-zero on any mismatch. `--oracle` additionally
 //! runs the full mfn-reftest differential suite first. `--quick`
 //! shrinks the problem sizes for CI; the full run additionally asserts
 //! the ≥2× speedup the optimization is required to hold on the 256³
 //! GEMM. `--gate BASELINE.json` compares this run's speedup *ratios*
-//! (blocked/naive GEMM, implicit/direct conv) against a committed
+//! (blocked/naive GEMM, conv3d/blocked GEMM) against a committed
 //! baseline report and fails if either drops below 85% of it, or if a cost
 //! ratio (adaptive/uniform sampling, softplus derivative/softplus) rises
 //! above the baseline's by the same margin — ratios, not absolute GFLOP/s,
@@ -38,9 +39,8 @@ use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec, QuerySt
 use mfn_sample::{OctreeConfig, OctreeSampler};
 use mfn_solver::{simulate, RbcConfig};
 use mfn_tensor::{
-    conv3d, conv3d_grad_input_direct, conv3d_grad_weight_direct, conv3d_implicit_gemm,
-    conv3d_implicit_grad_input, conv3d_implicit_grad_weight, gemm, rowops, workspace, Conv3dDims,
-    MatLayout, Tensor,
+    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, rowops, workspace, Conv3dDims,
+    ConvStages, MatLayout, PackedConv3d, Tensor,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -278,45 +278,195 @@ fn check_gemm_vs_naive() -> Result<(), String> {
     Ok(())
 }
 
-/// Correctness gate: the fused implicit-GEMM lowering vs the direct conv3d
-/// kernel — forward, and the implicit gradient kernels vs their direct
-/// twins.
-fn check_lowerings_vs_direct() -> Result<(), String> {
+/// Correctness gate: the conv3d forward vs its f64 definition loop
+/// (`mfn-reftest`'s twin), and both gradients vs the forward through the
+/// adjoint identities `<conv(x, w), g> = <x, grad_input(g, w)> =
+/// <w, grad_weight(x, g)>`.
+fn check_conv3d_vs_definition() -> Result<(), String> {
     let mut rng = ChaCha8Rng::seed_from_u64(99);
-    let close = |tag: &str, got: &Tensor, want: &Tensor| -> Result<(), String> {
-        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
-            if (g - w).abs() > 1e-4 * (1.0 + w.abs()) {
-                return Err(format!("{tag} mismatch at {i}: {g} vs {w}"));
-            }
-        }
-        Ok(())
+    let dot = |a: &[f64], b: &Tensor| -> f64 {
+        a.iter().zip(b.data()).map(|(&x, &y)| x * f64::from(y)).sum()
     };
+    let wide = |t: &Tensor| -> Vec<f64> { t.data().iter().map(|&v| f64::from(v)).collect() };
     for &(kd, kh, kw, cin, cout) in
         &[(1usize, 1, 1, 3usize, 5usize), (3, 3, 3, 2, 4), (1, 3, 3, 4, 2)]
     {
         let tag = format!("{kd}x{kh}x{kw}, cin={cin}, cout={cout}");
         let input = Tensor::randn(&[2, cin, 3, 4, 5], 1.0, &mut rng);
         let weight = Tensor::randn(&[cout, cin, kd, kh, kw], 1.0, &mut rng);
-        let direct = conv3d(&input, &weight);
-        close(
-            &format!("implicit_gemm vs direct ({tag})"),
-            &conv3d_implicit_gemm(&input, &weight),
-            &direct,
-        )?;
         let dims = Conv3dDims::infer(&input, &weight);
+        let want = mfn_reftest::reference::conv3d_ref(
+            dims.n,
+            cin,
+            cout,
+            dims.spatial,
+            dims.kernel,
+            input.data(),
+            weight.data(),
+        )
+        .value;
+        for (i, (&g, &w)) in conv3d_auto(&input, &weight).data().iter().zip(&want).enumerate() {
+            if (f64::from(g) - w).abs() > 1e-4 * (1.0 + w.abs()) {
+                return Err(format!("conv3d vs definition ({tag}) mismatch at {i}: {g} vs {w}"));
+            }
+        }
         let gout = Tensor::randn(&[2, cout, 3, 4, 5], 1.0, &mut rng);
-        close(
-            &format!("implicit grad_input vs direct ({tag})"),
-            &conv3d_implicit_grad_input(&gout, &weight, dims),
-            &conv3d_grad_input_direct(&gout, &weight, dims),
-        )?;
-        close(
-            &format!("implicit grad_weight vs direct ({tag})"),
-            &conv3d_implicit_grad_weight(&input, &gout, dims),
-            &conv3d_grad_weight_direct(&input, &gout, dims),
-        )?;
+        let forward = dot(&want, &gout);
+        let via_input = dot(&wide(&conv3d_grad_input(&gout, &weight, dims)), &input);
+        let via_weight = dot(&wide(&conv3d_grad_weight(&input, &gout, dims)), &weight);
+        for (what, got) in [("grad_input", via_input), ("grad_weight", via_weight)] {
+            if (got - forward).abs() > 1e-4 * (1.0 + forward.abs()) {
+                return Err(format!("conv3d {what} adjoint ({tag}): {got} vs {forward}"));
+            }
+        }
     }
     Ok(())
+}
+
+/// The `unet_encode` section, already formatted, and its headline figures.
+struct UnetEncodeBench {
+    json: String,
+    encode_us: f64,
+    conv_us: f64,
+    conv_gflops: f64,
+}
+
+/// U-Net depth of the block a parameter belongs to: `unet.down{l}` works at
+/// level `l + 1`, `unet.up{l}` at level `l`, stem and head at level 0.
+fn unet_level(name: &str) -> Option<usize> {
+    let block = name.strip_prefix("unet.")?.split('.').next()?;
+    if let Some(l) = block.strip_prefix("down") {
+        l.parse::<usize>().ok().map(|l| l + 1)
+    } else if let Some(l) = block.strip_prefix("up") {
+        l.parse().ok()
+    } else {
+        Some(0)
+    }
+}
+
+/// Attributes one `FrozenModel::encode` of the end-to-end benchmark's model
+/// (small preset, patch `[4, 8, 8]`, batch 1): the encode itself, then every
+/// conv of the pass replayed on prepacked panels at its real shape — total
+/// and by stage (`PackedConv3d::forward_staged`) — next to what the frozen
+/// engine does not pay per call (`pack_a_us`, the weight pack) and the
+/// in-place passes that follow the conv in the network (`epilogue_us`: bias,
+/// eval-mode BN affine, ReLU, residual sum as the layer has them). All
+/// figures are minima over `iters` calls.
+fn bench_unet_encode(iters: usize, gemm_nn_gflops: f64) -> UnetEncodeBench {
+    let mut cfg = MfnConfig::small();
+    cfg.patch = PatchSpec { nt: 4, nz: 8, nx: 8, queries: 128 };
+    let patch = [cfg.patch.nt, cfg.patch.nz, cfg.patch.nx];
+    let pools = cfg.pool_factors();
+    let frozen = FrozenModel::from_model(MeshfreeFlowNet::new(cfg.clone()));
+    let mut rng = ChaCha8Rng::seed_from_u64(23);
+    let input = Tensor::randn(&[1, cfg.in_channels, patch[0], patch[1], patch[2]], 1.0, &mut rng);
+    let (encode_median, encode_best, _) = time_samples(iters, || {
+        std::hint::black_box(frozen.encode(&input));
+    });
+
+    // Sums per kernel size: [layers, flops, us, pack_a, pad_copy, pack_b, micro, epilogue].
+    let mut sums = [[0.0f64; 8]; 2];
+    let mut layers_json = String::new();
+    for (_, name, weight) in frozen.params().iter() {
+        let (Some(level), &[cout, cin, kd, kh, kw]) = (unet_level(name), weight.dims()) else {
+            continue;
+        };
+        let mut sp = patch;
+        for f in &pools[..level] {
+            sp = [sp[0] / f[0], sp[1] / f[1], sp[2] / f[2]];
+        }
+        let vol: usize = sp.iter().product();
+        let x = Tensor::randn(&[1, cin, sp[0], sp[1], sp[2]], 1.0, &mut rng);
+        let (_, pack_a, _) = time_samples(iters, || {
+            std::hint::black_box(PackedConv3d::pack(weight, vol));
+        });
+        let packed = PackedConv3d::pack(weight, vol);
+        let (_, us, _) = time_samples(iters, || {
+            std::hint::black_box(packed.forward(&x));
+        });
+        let mut stage = [f64::MAX; 3];
+        for _ in 0..iters {
+            let mut s = ConvStages::default();
+            std::hint::black_box(packed.forward_staged(&x, Some(&mut s)));
+            for (best, now) in stage.iter_mut().zip([s.pad_copy_ns, s.pack_b_ns, s.micro_ns]) {
+                *best = best.min(now);
+            }
+        }
+        // The passes the network runs on this conv's output, by the layer's
+        // place in its ResBlock (`skip` and `head` only add their bias).
+        let role = name.rsplit('.').nth(1).unwrap_or("");
+        let mut y = packed.forward(&x);
+        let (ones, other) = (vec![1.0f32; cout], y.clone());
+        let (_, epilogue, _) = time_samples(iters, || {
+            rowops::add_bias_channels(&mut y, &ones);
+            if role.starts_with("conv") {
+                rowops::channel_affine(&mut y, &ones, &ones);
+                if role == "conv3" {
+                    y.add_assign(&other);
+                }
+                for v in y.data_mut() {
+                    *v = v.max(0.0);
+                }
+            }
+            std::hint::black_box(&mut y);
+        });
+        let flops = 2.0 * (vol * cout * cin * kd * kh * kw) as f64;
+        let row = [1.0, flops, us, pack_a, stage[0], stage[1], stage[2], epilogue];
+        let sum = &mut sums[usize::from(kd * kh * kw > 1)];
+        for (acc, v) in sum.iter_mut().zip(row) {
+            *acc += v;
+        }
+        if !layers_json.is_empty() {
+            layers_json.push_str(",\n");
+        }
+        layers_json.push_str(&format!(
+            "    {{\"name\": \"{}\", \"cin\": {cin}, \"cout\": {cout}, \"kernel\": [{kd}, {kh}, {kw}], \"vol\": {vol}, \"us\": {:.2}, \"gflops\": {:.2}, \"pack_a_us\": {:.2}, \"pad_copy_us\": {:.2}, \"pack_b_us\": {:.2}, \"micro_us\": {:.2}, \"epilogue_us\": {:.2}}}",
+            name.trim_end_matches(".weight"),
+            us / 1e3,
+            flops / us,
+            pack_a / 1e3,
+            stage[0] / 1e3,
+            stage[1] / 1e3,
+            stage[2] / 1e3,
+            epilogue / 1e3,
+        ));
+    }
+    let group = |s: &[f64; 8]| {
+        format!(
+            "{{\"layers\": {:.0}, \"us\": {:.2}, \"gflops\": {:.2}, \"pack_a_us\": {:.2}, \"pad_copy_us\": {:.2}, \"pack_b_us\": {:.2}, \"micro_us\": {:.2}, \"epilogue_us\": {:.2}}}",
+            s[0],
+            s[2] / 1e3,
+            s[1] / s[2],
+            s[3] / 1e3,
+            s[4] / 1e3,
+            s[5] / 1e3,
+            s[6] / 1e3,
+            s[7] / 1e3,
+        )
+    };
+    let conv_ns = sums[0][2] + sums[1][2];
+    let conv_gflops = (sums[0][1] + sums[1][1]) / conv_ns;
+    let json = format!(
+        "{{\n\
+         \"patch\": [{}, {}, {}], \"batch\": 1,\n\
+         \"encode_us\": {:.2}, \"encode_median_us\": {:.2},\n\
+         \"layers\": [\n{layers_json}\n  ],\n\
+         \"pointwise\": {},\n\
+         \"k3x3x3\": {},\n\
+         \"conv_us\": {:.2}, \"conv_share\": {:.3}, \"conv_gflops\": {conv_gflops:.2}, \"conv_vs_gemm_nn\": {:.3}\n\
+         }}",
+        patch[0],
+        patch[1],
+        patch[2],
+        encode_best / 1e3,
+        encode_median / 1e3,
+        group(&sums[0]),
+        group(&sums[1]),
+        conv_ns / 1e3,
+        conv_ns / encode_best,
+        conv_gflops / gemm_nn_gflops,
+    );
+    UnetEncodeBench { json, encode_us: encode_best / 1e3, conv_us: conv_ns / 1e3, conv_gflops }
 }
 
 /// One `decode_values` benchmark row: `q` continuous point queries decoded
@@ -633,14 +783,21 @@ fn bench_train_step(iters: usize, pool_on: bool) -> TrainSide {
 /// reads (extra fields in the baseline are ignored).
 #[derive(serde::Deserialize)]
 struct GateBaseline {
+    gemm: Vec<GateGemm>,
     gemm_speedup_vs_naive: f64,
     conv3d: GateConv,
 }
 
-/// Baseline conv3d rows the gate's ratio is built from.
+/// One baseline GEMM row; the conv leg reads the blocked `gemm_nn_*` one.
+#[derive(serde::Deserialize)]
+struct GateGemm {
+    name: String,
+    gflops: f64,
+}
+
+/// Baseline conv3d row the gate's ratio is built from.
 #[derive(serde::Deserialize)]
 struct GateConv {
-    direct: GateKernel,
     implicit_gemm: GateKernel,
 }
 
@@ -648,6 +805,21 @@ struct GateConv {
 #[derive(serde::Deserialize)]
 struct GateKernel {
     gflops: f64,
+}
+
+impl GateBaseline {
+    /// The conv leg: implicit-GEMM conv3d forward as a fraction of the
+    /// blocked GEMM's rate. Both keys exist in every committed schema since
+    /// v2, so the leg gates against files written before the direct kernel
+    /// (the old denominator) was deleted.
+    fn conv_vs_gemm(&self) -> Result<f64, String> {
+        let nn = self
+            .gemm
+            .iter()
+            .find(|r| r.name.starts_with("gemm_nn_"))
+            .ok_or("baseline has no gemm_nn row")?;
+        Ok(self.conv3d.implicit_gemm.gflops / nn.gflops)
+    }
 }
 
 /// Optional `sampling` section of a committed baseline. Parsed separately
@@ -711,8 +883,8 @@ fn gate_ceiling(
     ))
 }
 
-/// Compares this run's speedup *ratios* (blocked/naive GEMM, implicit/
-/// direct conv) against a committed baseline report. Ratios divide out the
+/// Compares this run's speedup *ratios* (blocked/naive GEMM, conv3d/
+/// blocked GEMM) against a committed baseline report. Ratios divide out the
 /// machine's absolute speed, so the gate catches codegen/blocking
 /// regressions without tripping on a slow CI host.
 ///
@@ -730,7 +902,7 @@ fn run_gate(
 ) -> Result<(), String> {
     let base: GateBaseline =
         serde_json::from_str(baseline_text).map_err(|e| format!("parse {path}: {e}"))?;
-    let base_conv = base.conv3d.implicit_gemm.gflops / base.conv3d.direct.gflops;
+    let base_conv = base.conv_vs_gemm()?;
     let floors = (GATE_FRACTION * base.gemm_speedup_vs_naive, GATE_FRACTION * base_conv);
     let (mut gemm_now, mut conv_now) = first;
     for attempt in 0..3 {
@@ -739,8 +911,8 @@ fn run_gate(
             base.gemm_speedup_vs_naive, floors.0
         );
         eprintln!(
-            "[gate] conv3d implicit/direct: now {conv_now:.2}x vs baseline {base_conv:.2}x \
-             (floor {:.2}x)",
+            "[gate] conv3d/gemm_nn: now {conv_now:.3}x vs baseline {base_conv:.3}x \
+             (floor {:.3}x)",
             floors.1
         );
         if gemm_now >= floors.0 && conv_now >= floors.1 {
@@ -758,12 +930,93 @@ fn run_gate(
     let (what, now, floor) = if gemm_now < floors.0 {
         ("gemm blocked/naive", gemm_now, floors.0)
     } else {
-        ("conv3d implicit/direct", conv_now, floors.1)
+        ("conv3d/gemm_nn", conv_now, floors.1)
     };
     Err(format!(
         "{what} speedup {now:.2}x stayed below {GATE_FRACTION}x baseline ({floor:.2}x) \
          across 3 measurement windows"
     ))
+}
+
+/// The operands of the two gated kernel ratios — blocked vs naive GEMM at
+/// `size`³, and the implicit-GEMM conv3d on a training-shaped 3×3×3 layer vs
+/// the blocked GEMM — and the one loop that times them.
+struct GatedKernels {
+    size: usize,
+    a: Vec<f32>,
+    b: Vec<f32>,
+    c_nn: Vec<f32>,
+    c_naive: Vec<f32>,
+    /// Conv input `[n, c, d, h, w]`, the gated 3×3×3 weight and its
+    /// pointwise twin (same channels, 1×1×1), output gradient.
+    cinput: Tensor,
+    cweight: Tensor,
+    pweight: Tensor,
+    cgout: Tensor,
+}
+
+impl GatedKernels {
+    fn new(quick: bool) -> Self {
+        let size = if quick { 128 } else { 256 };
+        let (mut a, mut b) = (vec![0.0f32; size * size], vec![0.0f32; size * size]);
+        lcg_fill(&mut a, 1);
+        lcg_fill(&mut b, 2);
+        let (cn, ch, cs) = if quick { (2, 8, [4usize, 8, 8]) } else { (4, 16, [4, 16, 16]) };
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        GatedKernels {
+            size,
+            a,
+            b,
+            c_nn: vec![0.0f32; size * size],
+            c_naive: vec![0.0f32; size * size],
+            cinput: Tensor::randn(&[cn, ch, cs[0], cs[1], cs[2]], 1.0, &mut rng),
+            cweight: Tensor::randn(&[ch, ch, 3, 3, 3], 1.0, &mut rng),
+            pweight: Tensor::randn(&[ch, ch, 1, 1, 1], 1.0, &mut rng),
+            cgout: Tensor::randn(&[cn, ch, cs[0], cs[1], cs[2]], 1.0, &mut rng),
+        }
+    }
+
+    /// FLOPs of one conv pass (forward or either gradient) with `weight`.
+    fn conv_flops(&self, weight: &Tensor) -> f64 {
+        let voxels = self.cinput.numel() / self.cinput.dims()[1];
+        2.0 * (voxels * weight.numel()) as f64
+    }
+
+    /// `[gemm_nn, gemm_naive, conv forward, grad-input, grad-weight]` (the
+    /// conv with the 3×3×3 weight, or its pointwise twin), each `(median_ns,
+    /// best_ns, alloc bytes per call)`, timed interleaved in one loop: both
+    /// gated ratios divide rows of this loop, so numerator and denominator
+    /// share the host's steal phases.
+    fn time(&mut self, iters: usize, pointwise: bool) -> Vec<(f64, f64, u64)> {
+        let (size, a, b) = (self.size, &self.a, &self.b);
+        let (c_nn, c_naive) = (&mut self.c_nn, &mut self.c_naive);
+        let w = if pointwise { &self.pweight } else { &self.cweight };
+        let (x, g) = (&self.cinput, &self.cgout);
+        let dims = Conv3dDims::infer(x, w);
+        let mut fs: [&mut dyn FnMut(); 5] = [
+            &mut || gemm(size, size, size, a, MatLayout::Normal, b, MatLayout::Normal, c_nn),
+            &mut || naive_ikj(size, size, size, a, b, c_naive),
+            &mut || {
+                std::hint::black_box(conv3d_auto(x, w));
+            },
+            &mut || {
+                std::hint::black_box(conv3d_grad_input(g, w, dims));
+            },
+            &mut || {
+                std::hint::black_box(conv3d_grad_weight(x, g, dims));
+            },
+        ];
+        let bytes: Vec<u64> = fs.iter_mut().map(bytes_per_call).collect();
+        let timings = time_interleaved(iters, &mut fs);
+        timings.into_iter().zip(bytes).map(|((median, best), b)| (median, best, b)).collect()
+    }
+
+    /// `(blocked/naive GEMM, conv3d GFLOP/s / blocked GEMM GFLOP/s)` of one
+    /// [`GatedKernels::time`] result — the two ratios `--gate` holds.
+    fn ratios(&self, t: &[(f64, f64, u64)]) -> (f64, f64) {
+        let gemm_rate = gemm_gflops(self.size, self.size, self.size, t[0].1);
+        (t[1].1 / t[0].1, self.conv_flops(&self.cweight) / t[2].1 / gemm_rate)
+    }
 }
 
 fn main() {
@@ -828,65 +1081,42 @@ fn main() {
         eprintln!("[bench] FAIL: {e}");
         std::process::exit(1);
     }
-    eprintln!("[bench] checking conv3d lowerings vs direct ...");
-    if let Err(e) = check_lowerings_vs_direct() {
+    eprintln!("[bench] checking conv3d vs its definition ...");
+    if let Err(e) = check_conv3d_vs_definition() {
         eprintln!("[bench] FAIL: {e}");
         std::process::exit(1);
     }
 
     // ---- Kernel benchmarks ---------------------------------------------
-    let size = if quick { 128 } else { 256 };
     // Full mode samples the cheap gemm/conv sections hard (each call is
     // 0.2-1.5 ms, so 75 iterations still costs well under a second) because
     // the minimum estimator needs at least one call inside a hypervisor
     // quiet window; the expensive decode rows keep a smaller count.
     let iters = if quick { 11 } else { 75 };
     let decode_iters = if quick { 11 } else { 25 };
-    eprintln!("[bench] timing GEMM at {size}^3 ({iters} iters/layout) ...");
-    // The blocked nn layout and the frozen pre-optimization kernel are
-    // timed interleaved because their quotient is the gated
-    // `gemm_speedup_vs_naive` ratio.
-    let (nn_row, naive_row) = {
-        let mut a = vec![0.0f32; size * size];
-        let mut b = vec![0.0f32; size * size];
-        let mut c_nn = vec![0.0f32; size * size];
-        let mut c_naive = vec![0.0f32; size * size];
-        lcg_fill(&mut a, 1);
-        lcg_fill(&mut b, 2);
-        let nn_bytes = bytes_per_call(|| {
-            gemm(size, size, size, &a, MatLayout::Normal, &b, MatLayout::Normal, &mut c_nn)
-        });
-        let naive_bytes = bytes_per_call(|| naive_ikj(size, size, size, &a, &b, &mut c_naive));
-        let timings = time_interleaved(
-            iters,
-            &mut [
-                &mut || {
-                    gemm(size, size, size, &a, MatLayout::Normal, &b, MatLayout::Normal, &mut c_nn)
-                },
-                &mut || naive_ikj(size, size, size, &a, &b, &mut c_naive),
-            ],
-        );
-        let row = |name: &str, (median_ns, best_ns): (f64, f64), bytes| GemmRow {
-            name: format!("{name}_{size}"),
-            m: size,
-            k: size,
-            n: size,
-            median_ns,
-            best_ns,
-            gflops: gemm_gflops(size, size, size, best_ns),
-            alloc_bytes_per_call: bytes,
-        };
-        (row("gemm_nn", timings[0], nn_bytes), row("gemm_naive_ikj", timings[1], naive_bytes))
+    let mut gated = GatedKernels::new(quick);
+    let size = gated.size;
+    eprintln!("[bench] timing GEMM at {size}^3 and conv3d ({iters} iters each) ...");
+    let gated_timings = gated.time(iters, false);
+    let (speedup, conv_vs_gemm) = gated.ratios(&gated_timings);
+    let gemm_row = |name: &str, (median_ns, best_ns, bytes): (f64, f64, u64)| GemmRow {
+        name: format!("{name}_{size}"),
+        m: size,
+        k: size,
+        n: size,
+        median_ns,
+        best_ns,
+        gflops: gemm_gflops(size, size, size, best_ns),
+        alloc_bytes_per_call: bytes,
     };
     let rows = [
-        nn_row,
+        gemm_row("gemm_nn", gated_timings[0]),
         bench_gemm("gemm_tn", size, MatLayout::Transposed, MatLayout::Normal, iters),
         bench_gemm("gemm_nt", size, MatLayout::Normal, MatLayout::Transposed, iters),
-        naive_row,
+        gemm_row("gemm_naive_ikj", gated_timings[1]),
     ];
     let blocked = rows[0].gflops;
     let naive = rows.last().expect("naive row").gflops;
-    let speedup = blocked / naive;
     eprintln!(
         "[bench] GEMM {size}^3: blocked {blocked:.1} GFLOP/s vs naive {naive:.1} ({speedup:.2}x)"
     );
@@ -895,61 +1125,38 @@ fn main() {
         std::process::exit(1);
     }
 
-    // conv3d lowerings on a training-shaped layer: forward through both
-    // paths, gradients through the fused implicit-GEMM kernels.
-    eprintln!("[bench] timing conv3d lowerings ...");
-    let (cn, cin, cout, cs) =
-        if quick { (2, 8, 8, [4usize, 8, 8]) } else { (4, 16, 16, [4, 16, 16]) };
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let cinput = Tensor::randn(&[cn, cin, cs[0], cs[1], cs[2]], 1.0, &mut rng);
-    let cweight = Tensor::randn(&[cout, cin, 3, 3, 3], 1.0, &mut rng);
-    let conv_flops = 2.0 * (cn * cout * cin * 27 * cs[0] * cs[1] * cs[2]) as f64;
-    let cdims = Conv3dDims::infer(&cinput, &cweight);
-    let cgout = Tensor::randn(&[cn, cout, cs[0], cs[1], cs[2]], 1.0, &mut rng);
-    // All four variants interleave in one loop: implicit/direct is the
-    // gated ratio, so their minima must come from the same steal-phase
-    // distribution.
-    let direct_bytes = bytes_per_call(|| {
-        std::hint::black_box(conv3d(&cinput, &cweight));
-    });
-    let implicit_bytes = bytes_per_call(|| {
-        std::hint::black_box(conv3d_implicit_gemm(&cinput, &cweight));
-    });
-    let gi_bytes = bytes_per_call(|| {
-        std::hint::black_box(conv3d_implicit_grad_input(&cgout, &cweight, cdims));
-    });
-    let gw_bytes = bytes_per_call(|| {
-        std::hint::black_box(conv3d_implicit_grad_weight(&cinput, &cgout, cdims));
-    });
-    let conv_timings = time_interleaved(
-        iters,
-        &mut [
-            &mut || {
-                std::hint::black_box(conv3d(&cinput, &cweight));
-            },
-            &mut || {
-                std::hint::black_box(conv3d_implicit_gemm(&cinput, &cweight));
-            },
-            &mut || {
-                std::hint::black_box(conv3d_implicit_grad_input(&cgout, &cweight, cdims));
-            },
-            &mut || {
-                std::hint::black_box(conv3d_implicit_grad_weight(&cinput, &cgout, cdims));
-            },
-        ],
-    );
-    let (direct_med, direct_ns) = conv_timings[0];
-    let (implicit_med, implicit_ns) = conv_timings[1];
-    let (gi_med, gi_ns) = conv_timings[2];
-    let (gw_med, gw_ns) = conv_timings[3];
-    let conv_speedup = direct_ns / implicit_ns;
+    // conv3d on a training-shaped layer (timed in the loop above) and its
+    // pointwise twin (same batch, channels and extent, 1×1×1 kernel):
+    // forward and both gradients.
+    let conv_row = |flops: f64, (median, best, bytes): (f64, f64, u64)| {
+        format!(
+            "{{\"median_ns\": {median:.0}, \"best_ns\": {best:.0}, \"gflops\": {:.2}, \"alloc_bytes_per_call\": {bytes}}}",
+            flops / best
+        )
+    };
+    let conv_flops = gated.conv_flops(&gated.cweight);
+    let conv_json: Vec<String> =
+        gated_timings[2..].iter().map(|&t| conv_row(conv_flops, t)).collect();
+    let conv_gflops = conv_flops / gated_timings[2].1;
+    let pointwise_flops = gated.conv_flops(&gated.pweight);
+    let pointwise_timings = gated.time(iters, true);
+    let pointwise_json: Vec<String> =
+        pointwise_timings[2..].iter().map(|&t| conv_row(pointwise_flops, t)).collect();
+    let pointwise_gflops = pointwise_flops / pointwise_timings[2].1;
     eprintln!(
-        "[bench] conv3d fwd: direct {:.2} / implicit {:.2} GFLOP/s \
-         ({conv_speedup:.2}x vs direct); grads implicit {:.2} / {:.2}",
-        conv_flops / direct_ns,
-        conv_flops / implicit_ns,
-        conv_flops / gi_ns,
-        conv_flops / gw_ns,
+        "[bench] conv3d fwd: 3x3x3 {conv_gflops:.2} GFLOP/s ({conv_vs_gemm:.3}x gemm_nn), \
+         1x1x1 {pointwise_gflops:.2} GFLOP/s"
+    );
+
+    // ---- One U-Net encode, conv by conv and stage by stage --------------
+    eprintln!("[bench] attributing one U-Net encode ({iters} iters/layer) ...");
+    let unet = bench_unet_encode(iters, blocked);
+    eprintln!(
+        "[bench] unet encode {:.1} us; its convs {:.1} us ({:.2} GFLOP/s, {:.3}x gemm_nn)",
+        unet.encode_us,
+        unet.conv_us,
+        unet.conv_gflops,
+        unet.conv_gflops / blocked,
     );
 
     // ---- Serving split: encode-once vs decode-many --------------------
@@ -1045,28 +1252,23 @@ fn main() {
             r.queries, r.median_ns, r.best_ns, r.points_per_s, r.alloc_bytes_per_call
         ));
     }
-    let conv_row = |median: f64, best: f64, bytes: u64| {
-        format!(
-            "{{\"median_ns\": {median:.0}, \"best_ns\": {best:.0}, \"gflops\": {gf:.2}, \"alloc_bytes_per_call\": {bytes}}}",
-            gf = conv_flops / best
-        )
-    };
     let json = format!(
         "{{\n\
-         \"schema\": \"mfn-bench/kernels/v6\",\n\
+         \"schema\": \"mfn-bench/kernels/v7\",\n\
          \"mode\": \"{mode}\",\n\
          \"count_alloc\": {count_alloc},\n\
-         \"checks\": {{\"gemm_vs_naive\": \"ok\", \"lowerings_vs_direct\": \"ok\"}},\n\
+         \"checks\": {{\"gemm_vs_naive\": \"ok\", \"conv3d_vs_definition\": \"ok\"}},\n\
          \"gemm\": [\n{gemm_json}\n  ],\n\
          \"gemm_speedup_vs_naive\": {speedup:.3},\n\
          \"conv3d\": {{\n\
          \"shape\": {{\"n\": {cn}, \"cin\": {cin}, \"cout\": {cout}, \"spatial\": [{s0}, {s1}, {s2}], \"kernel\": [3, 3, 3]}},\n\
-         \"direct\": {direct_row},\n\
          \"implicit_gemm\": {implicit_row},\n\
          \"implicit_grad_input\": {gi_row},\n\
          \"implicit_grad_weight\": {gw_row},\n\
-         \"implicit_speedup_vs_direct\": {conv_speedup:.3}\n\
+         \"pointwise\": {{\"kernel\": [1, 1, 1], \"implicit_gemm\": {pw_row}, \"implicit_grad_input\": {pw_gi_row}, \"implicit_grad_weight\": {pw_gw_row}}},\n\
+         \"implicit_vs_gemm_nn\": {conv_vs_gemm:.3}\n\
          }},\n\
+         \"unet_encode\": {unet_json},\n\
          \"decode_values\": {{\n\
          \"encode_median_ns\": {encode_ns:.0},\n\
          \"encode_to_1query_decode_ratio\": {enc_dec_ratio:.1},\n\
@@ -1095,16 +1297,19 @@ fn main() {
         mode = if quick { "quick" } else { "full" },
         count_alloc = cfg!(feature = "count-alloc"),
         speedup = speedup,
-        cn = cn,
-        cin = cin,
-        cout = cout,
-        s0 = cs[0],
-        s1 = cs[1],
-        s2 = cs[2],
-        direct_row = conv_row(direct_med, direct_ns, direct_bytes),
-        implicit_row = conv_row(implicit_med, implicit_ns, implicit_bytes),
-        gi_row = conv_row(gi_med, gi_ns, gi_bytes),
-        gw_row = conv_row(gw_med, gw_ns, gw_bytes),
+        cn = gated.cinput.dims()[0],
+        cin = gated.cinput.dims()[1],
+        cout = gated.cweight.dims()[0],
+        s0 = gated.cinput.dims()[2],
+        s1 = gated.cinput.dims()[3],
+        s2 = gated.cinput.dims()[4],
+        implicit_row = conv_json[0],
+        gi_row = conv_json[1],
+        gw_row = conv_json[2],
+        pw_row = pointwise_json[0],
+        pw_gi_row = pointwise_json[1],
+        pw_gw_row = pointwise_json[2],
+        unet_json = unet.json,
         encode_ns = encode_ns,
         enc_dec_ratio = encode_ns / decode_rows.first().expect("decode rows").median_ns,
         sp_n = softplus.elements,
@@ -1153,49 +1358,15 @@ fn main() {
     // ---- Regression gate (--gate): speedup ratios vs the committed
     // baseline, after the fresh report is on disk for forensics ----------
     if let Some(path) = gate_path {
-        // Re-measure with the same interleaving the report rows use: each
-        // ratio's numerator and denominator must share steal phases or the
-        // retry windows inherit the very noise they exist to reject.
+        // Re-measure in the loop the report rows came from: each ratio's
+        // numerator and denominator must share steal phases or the retry
+        // windows inherit the very noise they exist to reject.
         let remeasure = || {
-            let mut a = vec![0.0f32; size * size];
-            let mut b = vec![0.0f32; size * size];
-            let mut c_nn = vec![0.0f32; size * size];
-            let mut c_naive = vec![0.0f32; size * size];
-            lcg_fill(&mut a, 1);
-            lcg_fill(&mut b, 2);
-            let t = time_interleaved(
-                iters,
-                &mut [
-                    &mut || {
-                        gemm(
-                            size,
-                            size,
-                            size,
-                            &a,
-                            MatLayout::Normal,
-                            &b,
-                            MatLayout::Normal,
-                            &mut c_nn,
-                        )
-                    },
-                    &mut || naive_ikj(size, size, size, &a, &b, &mut c_naive),
-                ],
-            );
-            let tc = time_interleaved(
-                iters,
-                &mut [
-                    &mut || {
-                        std::hint::black_box(conv3d(&cinput, &cweight));
-                    },
-                    &mut || {
-                        std::hint::black_box(conv3d_implicit_gemm(&cinput, &cweight));
-                    },
-                ],
-            );
-            (t[1].1 / t[0].1, tc[0].1 / tc[1].1)
+            let t = gated.time(iters, false);
+            gated.ratios(&t)
         };
         let baseline = gate_baseline.as_deref().expect("baseline read at startup");
-        if let Err(e) = run_gate(&path, baseline, (speedup, conv_speedup), remeasure) {
+        if let Err(e) = run_gate(&path, baseline, (speedup, conv_vs_gemm), remeasure) {
             eprintln!("[bench] FAIL: {e}");
             std::process::exit(1);
         }

@@ -10,18 +10,25 @@
 //! decodes concurrent query batches without any locking around the weights.
 //!
 //! The no-grad forwards are the ones `MeshfreeFlowNet::{encode,
-//! decode_values}` run — the engine has no decode of its own; because its
-//! weights cannot change, it packs the decoder MLP into GEMM panels once at
-//! construction where the live model packs per call — and are bit-identical
-//! to the training graph in eval mode (pinned by the `inference_equivalence`
-//! property tests in `mfn-serve`): the elementwise kernels are literally
-//! shared (`mfn_tensor::rowops`), not reimplemented.
+//! decode_values}` run — the engine has no encode or decode of its own. What
+//! differs is when the weight-side work happens: because the engine's store
+//! is private and never written, it does once at construction what the live
+//! model does on every call — the decoder MLP packed into GEMM panels
+//! (`PackedMlp`), every U-Net conv weight packed into implicit-GEMM panels
+//! and every batch norm reduced to its eval-mode `(scale, shift)`
+//! (`PackedUNet`). Nothing can make those snapshots stale: no method hands
+//! out `&mut` to the store or the running statistics, and the `UNet3d` they
+//! were taken from is dropped at construction. Both forwards are
+//! bit-identical to the training graph in eval mode (pinned by the
+//! `inference_equivalence` property tests in `mfn-serve`): the elementwise
+//! kernels are literally shared (`mfn_tensor::rowops`), not reimplemented,
+//! and a prepacked panel is the panel a per-call pack builds.
 
 use crate::checkpoint::{decode_inference_state, load_train_state_with_fallback, CheckpointError};
 use crate::config::MfnConfig;
 use crate::decoder::{decode_packed, plan_queries, ContinuousDecoder};
 use crate::model::MeshfreeFlowNet;
-use crate::unet::UNet3d;
+use crate::unet::PackedUNet;
 use mfn_autodiff::{FrozenParams, PackedMlp, ParamStore};
 use mfn_tensor::Tensor;
 use std::path::Path;
@@ -30,10 +37,12 @@ use std::path::Path;
 pub struct FrozenModel {
     cfg: MfnConfig,
     store: ParamStore,
-    unet: UNet3d,
+    /// The U-Net's conv weights as implicit-GEMM panels and its batch norms
+    /// as eval-mode affines, and the decoder MLP's weights as GEMM panels —
+    /// all taken once here: `store` and the running statistics are private
+    /// and never written, so they cannot go stale.
+    unet: PackedUNet,
     decoder: ContinuousDecoder,
-    /// The decoder MLP's weights as GEMM panels, packed once here: `store`
-    /// is private and never written, so they cannot go stale.
     packed: PackedMlp,
     trained_steps: u64,
 }
@@ -46,6 +55,7 @@ impl FrozenModel {
 
     fn with_steps(model: MeshfreeFlowNet, trained_steps: u64) -> Self {
         let MeshfreeFlowNet { cfg, store, unet, decoder } = model;
+        let unet = unet.pack(&store, [cfg.patch.nt, cfg.patch.nz, cfg.patch.nx]);
         let packed = decoder.mlp.pack(&store);
         FrozenModel { cfg, store, unet, decoder, packed, trained_steps }
     }
@@ -104,7 +114,7 @@ impl FrozenModel {
             &[self.cfg.in_channels, self.cfg.patch.nt, self.cfg.patch.nz, self.cfg.patch.nx],
             "encode input shape does not match the model's patch spec"
         );
-        self.unet.forward_nograd(&self.store, input)
+        self.unet.forward_nograd(input)
     }
 
     /// Decodes continuous point queries against an encoded latent grid —

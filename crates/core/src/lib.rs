@@ -53,4 +53,4 @@ pub use trainer::{
     log_pool_stats, octree_config, BaselineTrainer, Corpus, EpochRecord, GradReduce, NoReduce,
     Trainer,
 };
-pub use unet::{ResBlock3d, UNet3d};
+pub use unet::{PackedResBlock, PackedUNet, ResBlock3d, UNet3d};

@@ -7,11 +7,29 @@
 //! contractive feature map, and a ResBlock halving the channels. A final
 //! 1×1×1 convolution maps to the `n_c` latent channels of the Latent Context
 //! Grid, which has the same `[nt, nz, nx]` extent as the LR input patch.
+//!
+//! Two forwards share every kernel and are bit-identical in eval mode. The
+//! tape forward ([`UNet3d::forward`]) records onto a `Graph`. The no-grad
+//! forward runs on a [`PackedUNet`] — every conv weight as implicit-GEMM
+//! panels, every batch norm as its eval-mode affine — with bias, affine,
+//! ReLU and the residual sum applied in place on each conv's own output.
+//! Who builds the snapshot follows from who may change the weights: a
+//! frozen engine packs once ([`UNet3d::pack`]), the live model once per
+//! call ([`UNet3d::forward_nograd`]) and keeps nothing.
 
 use crate::config::MfnConfig;
-use mfn_autodiff::{BatchNorm3d, Conv3dLayer, Graph, ParamStore, Var};
-use mfn_tensor::{maxpool3d, upsample_nearest3d, Tensor};
+use mfn_autodiff::{
+    BatchNorm3d, Conv3dLayer, EvalAffine, Graph, PackedConv3dLayer, ParamStore, Var,
+};
+use mfn_tensor::{maxpool3d_values, upsample_nearest3d, Tensor};
 use rand::Rng;
+
+/// `max(v, 0)` in place — the operation `Graph::relu` applies.
+fn relu_inplace(x: &mut Tensor) {
+    for v in x.data_mut() {
+        *v = v.max(0.0);
+    }
+}
 
 /// One residual block: `1×1×1 → BN → ReLU → 3×3×3 → BN → ReLU → 1×1×1 → BN`,
 /// additive skip (with a 1×1×1 projection when channel counts differ),
@@ -74,24 +92,18 @@ impl ResBlock3d {
         g.relu(sum)
     }
 
-    /// Eager no-grad inference forward: eval-mode batch norm (frozen running
-    /// statistics) and no tape. Takes `&self` — nothing is mutated, which is
-    /// what lets the serving engine share one model across worker threads.
-    /// Bit-identical to [`ResBlock3d::forward`] with `training = false`.
-    pub fn forward_nograd(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut h = self.conv1.forward_nograd(store, x);
-        h = self.bn1.forward_nograd(store, &h);
-        h = h.map(|v| v.max(0.0));
-        h = self.conv2.forward_nograd(store, &h);
-        h = self.bn2.forward_nograd(store, &h);
-        h = h.map(|v| v.max(0.0));
-        h = self.conv3.forward_nograd(store, &h);
-        h = self.bn3.forward_nograd(store, &h);
-        let sum = match &self.skip {
-            Some(proj) => h.add(&proj.forward_nograd(store, x)),
-            None => h.add(x),
-        };
-        sum.map(|v| v.max(0.0))
+    /// Snapshots the block out of `store` for tape-free evaluation at an
+    /// output voxel count of `vol` per batch item.
+    pub fn pack(&self, store: &ParamStore, vol: usize) -> PackedResBlock {
+        PackedResBlock {
+            conv1: self.conv1.pack(store, vol),
+            bn1: self.bn1.eval_scale_shift(store),
+            conv2: self.conv2.pack(store, vol),
+            bn2: self.bn2.eval_scale_shift(store),
+            conv3: self.conv3.pack(store, vol),
+            bn3: self.bn3.eval_scale_shift(store),
+            skip: self.skip.as_ref().map(|proj| proj.pack(store, vol)),
+        }
     }
 
     /// Mid-block width (diagnostics).
@@ -112,6 +124,44 @@ impl ResBlock3d {
         out.push(&mut self.bn1);
         out.push(&mut self.bn2);
         out.push(&mut self.bn3);
+    }
+}
+
+/// An inference-only snapshot of a [`ResBlock3d`]: packed convs and
+/// eval-mode batch-norm affines, field for field.
+#[derive(Debug)]
+pub struct PackedResBlock {
+    conv1: PackedConv3dLayer,
+    bn1: EvalAffine,
+    conv2: PackedConv3dLayer,
+    bn2: EvalAffine,
+    conv3: PackedConv3dLayer,
+    bn3: EvalAffine,
+    skip: Option<PackedConv3dLayer>,
+}
+
+impl PackedResBlock {
+    /// Eager no-grad inference forward: eval-mode batch norm and no tape,
+    /// every step after a conv applied in place on that conv's output.
+    /// Takes `&self` — nothing is mutated, which is what lets the serving
+    /// engine share one model across worker threads. Bit-identical to
+    /// [`ResBlock3d::forward`] with `training = false`: the same kernels and
+    /// per-element operations in the same order.
+    pub fn forward_nograd(&self, x: &Tensor) -> Tensor {
+        let mut h = self.conv1.forward_nograd(x);
+        self.bn1.forward_nograd(&mut h);
+        relu_inplace(&mut h);
+        let mut h = self.conv2.forward_nograd(&h);
+        self.bn2.forward_nograd(&mut h);
+        relu_inplace(&mut h);
+        let mut h = self.conv3.forward_nograd(&h);
+        self.bn3.forward_nograd(&mut h);
+        match &self.skip {
+            Some(proj) => h.add_assign(&proj.forward_nograd(x)),
+            None => h.add_assign(x),
+        }
+        relu_inplace(&mut h);
+        h
     }
 }
 
@@ -196,24 +246,70 @@ impl UNet3d {
         self.head.forward(g, store, h)
     }
 
+    /// Snapshots the whole network out of `store` for tape-free evaluation
+    /// on inputs of spatial extent `spatial = [nt, nz, nx]` (each level's
+    /// voxel count follows from the pooling factors).
+    pub fn pack(&self, store: &ParamStore, spatial: [usize; 3]) -> PackedUNet {
+        let vol = |sp: [usize; 3]| sp.iter().product::<usize>();
+        let mut sp = spatial;
+        let stem = self.stem.pack(store, vol(sp));
+        let mut down = Vec::with_capacity(self.down.len());
+        for (block, f) in self.down.iter().zip(&self.pool) {
+            sp = [sp[0] / f[0], sp[1] / f[1], sp[2] / f[2]];
+            down.push(block.pack(store, vol(sp)));
+        }
+        let mut up = Vec::with_capacity(self.up.len());
+        for (block, f) in self.up.iter().zip(self.pool.iter().rev()) {
+            sp = [sp[0] * f[0], sp[1] * f[1], sp[2] * f[2]];
+            up.push(block.pack(store, vol(sp)));
+        }
+        let head = self.head.pack(store, vol(spatial));
+        PackedUNet { stem, down, up, head, pool: self.pool.clone() }
+    }
+
     /// Eager no-grad inference forward (eval-mode BN, no tape, `&self`):
     /// `x: [N, Cin, nt, nz, nx]` → latent grid `[N, n_c, nt, nz, nx]`.
-    /// Bit-identical to [`UNet3d::forward`] with `training = false`.
+    /// Bit-identical to [`UNet3d::forward`] with `training = false`. The
+    /// weights are packed out of `store` on every call and never kept — the
+    /// store of a live model moves under every optimizer step — so a caller
+    /// whose weights cannot change packs once itself (`FrozenModel`).
     pub fn forward_nograd(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut h = self.stem.forward_nograd(store, x);
+        assert_eq!(x.shape().rank(), 5, "U-Net input must be [N, C, nt, nz, nx]");
+        self.pack(store, [x.dims()[2], x.dims()[3], x.dims()[4]]).forward_nograd(x)
+    }
+}
+
+/// An inference-only snapshot of a [`UNet3d`]: every conv weight packed
+/// into implicit-GEMM panels and every batch norm reduced to its eval-mode
+/// affine, so repeated encodes never touch the parameter store, re-pack a
+/// weight or re-derive a scale.
+#[derive(Debug)]
+pub struct PackedUNet {
+    stem: PackedResBlock,
+    down: Vec<PackedResBlock>,
+    up: Vec<PackedResBlock>,
+    head: PackedConv3dLayer,
+    pool: Vec<[usize; 3]>,
+}
+
+impl PackedUNet {
+    /// The no-grad forward proper: `x: [N, Cin, nt, nz, nx]` → latent grid
+    /// `[N, n_c, nt, nz, nx]`. Skip tensors are moved, not copied.
+    pub fn forward_nograd(&self, x: &Tensor) -> Tensor {
+        let mut h = self.stem.forward_nograd(x);
         let mut skips: Vec<Tensor> = Vec::with_capacity(self.down.len());
-        for (l, block) in self.down.iter().enumerate() {
-            skips.push(h.clone());
-            let (pooled, _indices) = maxpool3d(&h, self.pool[l]);
-            h = block.forward_nograd(store, &pooled);
+        for (block, &f) in self.down.iter().zip(&self.pool) {
+            let pooled = maxpool3d_values(&h, f);
+            skips.push(h);
+            h = block.forward_nograd(&pooled);
         }
-        for (i, block) in self.up.iter().enumerate() {
-            let l = self.down.len() - 1 - i; // level being undone
-            h = upsample_nearest3d(&h, self.pool[l]);
-            h = Tensor::concat(&[&h, &skips[l]], 1);
-            h = block.forward_nograd(store, &h);
+        // Levels are undone deepest first.
+        for (block, &f) in self.up.iter().zip(self.pool.iter().rev()) {
+            let skip = skips.pop().expect("one skip per level");
+            h = Tensor::concat(&[&upsample_nearest3d(&h, f), &skip], 1);
+            h = block.forward_nograd(&h);
         }
-        self.head.forward_nograd(store, &h)
+        self.head.forward_nograd(&h)
     }
 }
 
@@ -304,5 +400,72 @@ mod tests {
         }
         // Every parameter tensor should receive some gradient.
         assert_eq!(nonzero, grads.len(), "{nonzero}/{} params got gradient", grads.len());
+    }
+
+    /// After real optimizer steps every batch norm has moved `γ`, `β` and
+    /// both running statistics, so no precomputed `(scale, shift)` is the
+    /// identity: the tape in eval mode, the live model (packs per call), an
+    /// engine frozen from the model and one loaded from its checkpoint still
+    /// encode to the same bits — the last two having built identical panels.
+    #[test]
+    fn encode_after_training_is_one_value_on_every_path() {
+        use crate::config::TrainConfig;
+        use crate::infer::FrozenModel;
+        use crate::model::MeshfreeFlowNet;
+        use crate::trainer::{Corpus, Trainer};
+        use mfn_data::{downsample, Dataset, PatchSpec};
+        use mfn_solver::{simulate, RbcConfig};
+
+        let tiny_cfg = || {
+            let mut cfg = MfnConfig::small();
+            cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
+            cfg.base_channels = 4;
+            cfg.latent_channels = 8;
+            cfg.mlp_hidden = vec![16, 16];
+            cfg.levels = 2;
+            cfg
+        };
+        let sim = simulate(
+            &RbcConfig { nx: 16, nz: 9, ra: 1e5, dt_max: 2e-3, ..Default::default() },
+            0.1,
+            9,
+        );
+        let hr = Dataset::from_simulation(&sim);
+        let lr = downsample(&hr, 2, 2);
+        let corpus = Corpus::new(vec![(hr, lr)]);
+        let cfg =
+            TrainConfig { epochs: 1, batches_per_epoch: 3, batch_size: 2, ..Default::default() };
+        let mut trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), cfg);
+        trainer.train(&corpus);
+
+        let mut bns = Vec::new();
+        trainer.model.unet.collect_bn(&mut bns);
+        for bn in &bns {
+            let affine = bn.eval_scale_shift(&trainer.model.store);
+            assert!(affine.scale.iter().all(|&s| s != 1.0), "scale still the identity");
+            assert!(affine.shift.iter().all(|&s| s != 0.0), "shift still the identity");
+        }
+
+        let dir = std::env::temp_dir().join(format!("mfn_infer_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("state.ckpt");
+        trainer.save_checkpoint(&path).expect("save checkpoint");
+        let loaded = FrozenModel::load_state(tiny_cfg(), &path).expect("load checkpoint");
+        std::fs::remove_dir_all(&dir).ok();
+
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let input = Tensor::randn(&[2, 4, 4, 4, 4], 1.0, &mut rng);
+        let mut model = trainer.model;
+        let tape = {
+            let mut g = Graph::new();
+            let x = g.constant(input.clone());
+            let latent = model.unet.forward(&mut g, &model.store, x, false);
+            g.value(latent).clone()
+        };
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tape), bits(&model.encode(&input)), "live encode");
+        assert_eq!(bits(&tape), bits(&loaded.encode(&input)), "engine loaded from the checkpoint");
+        let frozen = FrozenModel::from_model(model);
+        assert_eq!(bits(&tape), bits(&frozen.encode(&input)), "engine frozen from the model");
     }
 }

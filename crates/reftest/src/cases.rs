@@ -134,9 +134,10 @@ pub const GEMM_SHAPES: &[(usize, usize, usize)] = &[
     (3, 257, 5),
 ];
 
-/// Conv3d shapes `(n, cin, cout, spatial, kernel)` exercising 1×1×1 kernels,
-/// anisotropic 3-d kernels, and spatial extents smaller than the kernel
-/// (padding clamps on both sides).
+/// Conv3d shapes `(n, cin, cout, spatial, kernel)` exercising 1×1×1 kernels
+/// (shallow, and deeper than one `KC` block), anisotropic 3-d kernels,
+/// spatial extents smaller than the kernel (border on both sides) and the
+/// U-Net's deepest `[2, 2, 2]` volume, narrower than one micro-tile.
 pub type ConvShape = (usize, usize, usize, [usize; 3], [usize; 3]);
 pub const CONV_SHAPES: &[ConvShape] = &[
     (1, 1, 1, [1, 1, 1], [1, 1, 1]),
@@ -144,6 +145,10 @@ pub const CONV_SHAPES: &[ConvShape] = &[
     (2, 3, 2, [4, 2, 6], [1, 3, 1]),
     (1, 4, 4, [2, 3, 3], [3, 1, 3]),
     (2, 1, 5, [5, 5, 2], [5, 3, 1]),
+    (2, 24, 8, [4, 8, 8], [1, 1, 1]),
+    (1, 300, 5, [2, 3, 4], [1, 1, 1]),
+    (2, 16, 32, [2, 2, 2], [1, 1, 1]),
+    (2, 6, 7, [2, 2, 2], [3, 3, 3]),
 ];
 
 #[cfg(test)]

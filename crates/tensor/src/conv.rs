@@ -5,24 +5,41 @@
 //! "same" zero padding with odd kernel sizes, which is exactly what the
 //! architecture needs (1×1×1 and 3×3×3 convolutions).
 //!
-//! Two forward lowerings are provided, and [`conv3d_auto`] picks between
-//! them per layer by shape ([`conv3d_path`]):
+//! There is one lowering, a *fused implicit GEMM* on the blocked driver of
+//! [`crate::gemm`](mod@crate::gemm): per batch item `out[co, p] = W[co, :] ·
+//! patch[:, p]`, where the `[Cin·kvol, D·H·W]` patch matrix is never built.
+//! Its one definition is
 //!
-//! - [`conv3d`]: direct kernel, one sweep per (batch, output channel)
-//!   slab; no intermediate materialization, used for 1×1×1 kernels (already
-//!   a GEMM-shaped axpy sweep);
-//! - [`conv3d_implicit_gemm`]: packs patch columns on the fly inside the
-//!   blocked GEMM of [`crate::gemm`](mod@crate::gemm), so the register-tiled micro-kernel
-//!   runs every other kernel size without materializing a patch matrix.
+//! ```text
+//! patch(kidx, p) = xp[koff(kidx) + voff(p)]
+//! koff(ci, zd, zh, zw) = ci·volp + (zd·hp + zh)·wp + zw
+//! voff(d, h, w)        = (d·hp + h)·wp + w
+//! ```
 //!
-//! All inner loops are branch-free: there is deliberately no zero-skip
-//! shortcut on weights, because `0·∞` must produce NaN, not silence (the
-//! gradcheck and NaN-propagation tests pin this down). Output buffers and
-//! packing scratch come from the [`crate::workspace`] pool, so steady-state
-//! training steps do not touch the system allocator.
+//! over `xp: [Cin, D+2pd, H+2ph, W+2pw]`, a pooled copy of the input with a
+//! zero border (`hp`, `wp`, `volp` its plane extents) — so no inner loop
+//! tests a border, clamps or divides. A 1×1×1 kernel has no border and `xp`
+//! *is* the input. The B-panel packers read `xp` through the two offset
+//! maps; the weight-side A panels are a [`PackedConv3d`], packed per call by
+//! [`conv3d_auto`] or once by a caller whose weights cannot change.
+//! [`conv3d_grad_input`] is the same driver on flipped weights and
+//! [`conv3d_grad_weight`] packs the transposed patch matrix from the same
+//! maps.
+//!
+//! Numerics: every conv output, pointwise included, is one `k`-ordered FMA
+//! chain over `(ci, zd, zh, zw)` — border zeros included as `0.0` terms —
+//! restarted every `KC` depths and summed across blocks; pinned bit-for-bit
+//! against a scalar transcription by the tests here. There is deliberately
+//! no zero-skip shortcut on weights, because `0·∞` must produce NaN, not
+//! silence. Output buffers and packing scratch come from the
+//! [`crate::workspace`] pool, so steady-state calls do not touch the system
+//! allocator.
 
+use crate::gemm::{macro_block, pack_a, take_scratch_aligned, KC, NC};
+use crate::simd::{self, Kernel};
 use crate::tensor::Tensor;
 use crate::workspace;
+use std::time::Instant;
 
 /// Shape metadata for one conv3d application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,524 +69,462 @@ impl Conv3dDims {
         let (cout, cin_w) = (weight.dims()[0], weight.dims()[1]);
         let kernel = [weight.dims()[2], weight.dims()[3], weight.dims()[4]];
         assert_eq!(cin, cin_w, "conv3d channel mismatch: input {cin}, weight {cin_w}");
-        for k in kernel {
-            assert!(k % 2 == 1, "conv3d kernels must be odd for same padding, got {kernel:?}");
-        }
+        assert_odd(kernel);
         Conv3dDims { n, cin, cout, spatial, kernel }
-    }
-
-    fn pad(&self) -> [usize; 3] {
-        [self.kernel[0] / 2, self.kernel[1] / 2, self.kernel[2] / 2]
     }
 
     fn vol(&self) -> usize {
         self.spatial.iter().product()
     }
-}
 
-/// Forward 3D convolution with stride 1 and same zero padding.
-///
-/// `input: [N, Cin, D, H, W]`, `weight: [Cout, Cin, kd, kh, kw]` →
-/// `[N, Cout, D, H, W]`.
-pub fn conv3d(input: &Tensor, weight: &Tensor) -> Tensor {
-    let dims = Conv3dDims::infer(input, weight);
-    let [sd, sh, sw] = dims.spatial;
-    let [kd, kh, kw] = dims.kernel;
-    let [pd, ph, pw] = dims.pad();
-    let vol = dims.vol();
-    let x = input.data();
-    let wgt = weight.data();
-    let mut out = workspace::take_vec_zeroed(dims.n * dims.cout * vol);
-
-    out.chunks_mut(vol).enumerate().for_each(|(chunk, o)| {
-        let n = chunk / dims.cout;
-        let co = chunk % dims.cout;
-        for ci in 0..dims.cin {
-            let xin = &x[(n * dims.cin + ci) * vol..(n * dims.cin + ci + 1) * vol];
-            let wv = &wgt
-                [((co * dims.cin + ci) * kd * kh * kw)..((co * dims.cin + ci + 1) * kd * kh * kw)];
-            for zd in 0..kd {
-                for zh in 0..kh {
-                    for zw in 0..kw {
-                        // No zero-skip on `wval`: 0·∞ must yield NaN, and the
-                        // branch is a mispredict tax on dense weights.
-                        let wval = wv[(zd * kh + zh) * kw + zw];
-                        // Output index (d,h,w) reads input (d+zd-pd, h+zh-ph, w+zw-pw).
-                        let d_lo = pd.saturating_sub(zd);
-                        let d_hi = (sd + pd - zd).min(sd);
-                        let h_lo = ph.saturating_sub(zh);
-                        let h_hi = (sh + ph - zh).min(sh);
-                        let w_lo = pw.saturating_sub(zw);
-                        let w_hi = (sw + pw - zw).min(sw);
-                        for d in d_lo..d_hi {
-                            let id = d + zd - pd;
-                            for h in h_lo..h_hi {
-                                let ih = h + zh - ph;
-                                let orow = (d * sh + h) * sw;
-                                let irow = (id * sh + ih) * sw;
-                                for w in w_lo..w_hi {
-                                    o[orow + w] += wval * xin[irow + w + zw - pw];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-    Tensor::from_vec(out, &[dims.n, dims.cout, sd, sh, sw])
-}
-
-/// Gradient of [`conv3d`] with respect to its input — auto-dispatching
-/// entry point (this is what the autodiff graph calls). Routes through the
-/// fused implicit GEMM for real (non-pointwise, odd) kernels and falls back
-/// to the direct sliding-window kernel otherwise.
-pub fn conv3d_grad_input(grad_out: &Tensor, weight: &Tensor, dims: Conv3dDims) -> Tensor {
-    // The flipped-weight trick behind the implicit path needs odd kernels
-    // (true for every conv this repo builds, but `dims` arrives unchecked).
-    let odd = dims.kernel.iter().all(|k| k % 2 == 1);
-    match conv3d_path(&dims) {
-        Conv3dPath::ImplicitGemm if odd => conv3d_implicit_grad_input(grad_out, weight, dims),
-        _ => conv3d_grad_input_direct(grad_out, weight, dims),
+    fn kvol(&self) -> usize {
+        self.kernel.iter().product()
     }
 }
 
-/// Gradient of [`conv3d`] with respect to its weights — auto-dispatching
-/// entry point mirroring [`conv3d_grad_input`].
-pub fn conv3d_grad_weight(input: &Tensor, grad_out: &Tensor, dims: Conv3dDims) -> Tensor {
-    match conv3d_path(&dims) {
-        Conv3dPath::ImplicitGemm => conv3d_implicit_grad_weight(input, grad_out, dims),
-        _ => conv3d_grad_weight_direct(input, grad_out, dims),
-    }
+/// Same padding (and the flipped-weight form of the input gradient) is only
+/// a convolution for odd kernels. [`Conv3dDims`] has public fields, so every
+/// entry point that is handed one checks again.
+fn assert_odd(kernel: [usize; 3]) {
+    assert!(
+        kernel.iter().all(|k| k % 2 == 1),
+        "conv3d kernels must be odd for same padding, got {kernel:?}"
+    );
 }
 
-/// Gradient of [`conv3d`] with respect to its input, direct kernel.
-///
-/// `grad_out: [N, Cout, D, H, W]` → `[N, Cin, D, H, W]`.
-pub fn conv3d_grad_input_direct(grad_out: &Tensor, weight: &Tensor, dims: Conv3dDims) -> Tensor {
-    let [sd, sh, sw] = dims.spatial;
-    let [kd, kh, kw] = dims.kernel;
-    let [pd, ph, pw] = dims.pad();
-    let vol = dims.vol();
-    assert_eq!(grad_out.dims(), &[dims.n, dims.cout, sd, sh, sw]);
-    let g = grad_out.data();
-    let wgt = weight.data();
-    let mut out = workspace::take_vec_zeroed(dims.n * dims.cin * vol);
-
-    out.chunks_mut(vol).enumerate().for_each(|(chunk, o)| {
-        let n = chunk / dims.cin;
-        let ci = chunk % dims.cin;
-        for co in 0..dims.cout {
-            let gout = &g[(n * dims.cout + co) * vol..(n * dims.cout + co + 1) * vol];
-            let wv = &wgt
-                [((co * dims.cin + ci) * kd * kh * kw)..((co * dims.cin + ci + 1) * kd * kh * kw)];
-            for zd in 0..kd {
-                for zh in 0..kh {
-                    for zw in 0..kw {
-                        // Branch-free, same as the forward kernel.
-                        let wval = wv[(zd * kh + zh) * kw + zw];
-                        // grad_in[i] += grad_out[i - z + p] * w[z]; bounds on the
-                        // *output* index od = id - zd + pd.
-                        let d_lo = zd.saturating_sub(pd);
-                        let d_hi = (sd + zd).min(sd + pd).saturating_sub(pd).min(sd);
-                        let h_lo = zh.saturating_sub(ph);
-                        let h_hi = (sh + zh).min(sh + ph).saturating_sub(ph).min(sh);
-                        let w_lo = zw.saturating_sub(pw);
-                        let w_hi = (sw + zw).min(sw + pw).saturating_sub(pw).min(sw);
-                        for id in d_lo..d_hi {
-                            let od = id + pd - zd;
-                            if od >= sd {
-                                continue;
-                            }
-                            for ih in h_lo..h_hi {
-                                let oh = ih + ph - zh;
-                                if oh >= sh {
-                                    continue;
-                                }
-                                let irow = (id * sh + ih) * sw;
-                                let orow = (od * sh + oh) * sw;
-                                for iw in w_lo..w_hi {
-                                    let ow = iw + pw - zw;
-                                    if ow < sw {
-                                        o[irow + iw] += wval * gout[orow + ow];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-    Tensor::from_vec(out, &[dims.n, dims.cin, sd, sh, sw])
-}
-
-/// Gradient of [`conv3d`] with respect to its weights, direct kernel.
-///
-/// Returns `[Cout, Cin, kd, kh, kw]`.
-pub fn conv3d_grad_weight_direct(input: &Tensor, grad_out: &Tensor, dims: Conv3dDims) -> Tensor {
-    let [sd, sh, sw] = dims.spatial;
-    let [kd, kh, kw] = dims.kernel;
-    let [pd, ph, pw] = dims.pad();
-    let vol = dims.vol();
-    assert_eq!(grad_out.dims(), &[dims.n, dims.cout, sd, sh, sw]);
-    let x = input.data();
-    let g = grad_out.data();
-    let ksize = kd * kh * kw;
-    let mut out = workspace::take_vec_zeroed(dims.cout * dims.cin * ksize);
-
-    out.chunks_mut(dims.cin * ksize).enumerate().for_each(|(co, wslab)| {
-        for n in 0..dims.n {
-            let gout = &g[(n * dims.cout + co) * vol..(n * dims.cout + co + 1) * vol];
-            for ci in 0..dims.cin {
-                let xin = &x[(n * dims.cin + ci) * vol..(n * dims.cin + ci + 1) * vol];
-                let wv = &mut wslab[ci * ksize..(ci + 1) * ksize];
-                for zd in 0..kd {
-                    for zh in 0..kh {
-                        for zw in 0..kw {
-                            let d_lo = pd.saturating_sub(zd);
-                            let d_hi = (sd + pd - zd).min(sd);
-                            let h_lo = ph.saturating_sub(zh);
-                            let h_hi = (sh + ph - zh).min(sh);
-                            let w_lo = pw.saturating_sub(zw);
-                            let w_hi = (sw + pw - zw).min(sw);
-                            let mut acc = 0.0f32;
-                            for d in d_lo..d_hi {
-                                let id = d + zd - pd;
-                                for h in h_lo..h_hi {
-                                    let ih = h + zh - ph;
-                                    let orow = (d * sh + h) * sw;
-                                    let irow = (id * sh + ih) * sw;
-                                    for w in w_lo..w_hi {
-                                        acc += gout[orow + w] * xin[irow + w + zw - pw];
-                                    }
-                                }
-                            }
-                            wv[(zd * kh + zh) * kw + zw] += acc;
-                        }
-                    }
-                }
-            }
-        }
-    });
-    Tensor::from_vec(out, &[dims.cout, dims.cin, kd, kh, kw])
-}
-
-/// Which lowering [`conv3d_auto`] (and the gradient dispatchers) picked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Conv3dPath {
-    /// Direct sliding-window kernel ([`conv3d`]).
-    Direct,
-    /// Fused implicit-GEMM ([`conv3d_implicit_gemm`]): patch columns are
-    /// packed on the fly inside the GEMM's KC loop — the patch matrix is
-    /// never materialized.
-    ImplicitGemm,
-}
-
-impl Conv3dPath {
-    /// Stable lowercase name, used by trainer telemetry.
-    pub fn name(self) -> &'static str {
-        match self {
-            Conv3dPath::Direct => "direct",
-            Conv3dPath::ImplicitGemm => "implicit_gemm",
-        }
-    }
-}
-
-/// Shape-based heuristic choosing the forward lowering for one layer.
-///
-/// 1×1×1 kernels stay direct: their inner loop is already a dense
-/// channel-mixing GEMM over contiguous voxels, and lowering would only copy
-/// the input. Everything else goes through the fused implicit GEMM — the
-/// register-tiled micro-kernel wins as soon as the reduction depth
-/// `Cin·kd·kh·kw` is non-trivial, and since patch columns are packed
-/// on the fly there is no materialized patch matrix to cap.
-pub fn conv3d_path(dims: &Conv3dDims) -> Conv3dPath {
-    let kvol: usize = dims.kernel.iter().product();
-    if kvol == 1 {
-        Conv3dPath::Direct
-    } else {
-        Conv3dPath::ImplicitGemm
-    }
-}
-
-/// Forward 3D convolution dispatching to the lowering chosen by
-/// [`conv3d_path`]. This is what the U-Net layers call.
-pub fn conv3d_auto(input: &Tensor, weight: &Tensor) -> Tensor {
-    let dims = Conv3dDims::infer(input, weight);
-    match conv3d_path(&dims) {
-        Conv3dPath::Direct => conv3d(input, weight),
-        Conv3dPath::ImplicitGemm => conv3d_implicit_gemm(input, weight),
-    }
-}
-
-/// Fills one span of the *implicit* patch matrix.
-///
-/// Patch element `(kidx, p)` is `x[n, ci, (d+zd-pd, h+zh-ph, w+zw-pw)]`
-/// (zero outside the input) for `kidx = (ci, zd, zh, zw)` and output voxel
-/// `p = (d, h, w)`. This writes elements `j0 .. j0+cols` of row `kidx` into
-/// `dst` at `stride` (stride 1 packs a forward B-panel row; stride `nr`
-/// packs a grad-weight B-panel column). The walk is segment-wise: each
-/// output row `(d, h)` contributes one contiguous `w`-run of `xin` plus
-/// zero-padding at the borders, so the common case is a memcpy.
-#[allow(clippy::too_many_arguments)]
-fn fill_patch_span(
-    dst: &mut [f32],
-    stride: usize,
-    xin: &[f32],
-    spatial: [usize; 3],
-    z: [usize; 3],
-    pad: [usize; 3],
-    j0: usize,
-    cols: usize,
+/// `tab[i] = Σ_j digit_j(start + i) · stride[j]`, the digits those of a
+/// mixed-radix counter (`radix[0]` unbounded, last digit fastest): one
+/// decomposition of `start`, then an odometer — no division per entry.
+fn fill_offsets<const N: usize>(
+    tab: &mut [u32],
+    start: usize,
+    radix: [usize; N],
+    stride: [usize; N],
 ) {
-    let [sd, sh, sw] = spatial;
-    let [zd, zh, zw] = z;
-    let [pd, ph, pw] = pad;
-    let mut j = 0usize;
-    while j < cols {
-        let p = j0 + j;
-        let d = p / (sh * sw);
-        let rem = p % (sh * sw);
-        let h = rem / sw;
-        let w0 = rem % sw;
-        // Run to the end of this output row (or of the requested span).
-        let seg = (sw - w0).min(cols - j);
-        let id_ok = d + zd >= pd && d + zd < sd + pd;
-        let ih_ok = h + zh >= ph && h + zh < sh + ph;
-        let zero = |dst: &mut [f32], at: usize, len: usize| {
-            if stride == 1 {
-                dst[at..at + len].fill(0.0);
-            } else {
-                for jj in 0..len {
-                    dst[(at + jj) * stride] = 0.0;
-                }
-            }
-        };
-        if !(id_ok && ih_ok) {
-            zero(dst, j, seg);
-        } else {
-            let irow = ((d + zd - pd) * sh + (h + zh - ph)) * sw;
-            // In-bounds input width: iw = w + zw - pw must lie in [0, sw).
-            let lo = pw.saturating_sub(zw).clamp(w0, w0 + seg);
-            let hi = (sw + pw).saturating_sub(zw).min(sw).clamp(lo, w0 + seg);
-            zero(dst, j, lo - w0);
-            if stride == 1 {
-                dst[j + (lo - w0)..j + (hi - w0)]
-                    .copy_from_slice(&xin[irow + lo + zw - pw..irow + hi + zw - pw]);
-            } else {
-                for (jj, w) in (lo..hi).enumerate() {
-                    dst[(j + (lo - w0) + jj) * stride] = xin[irow + w + zw - pw];
-                }
-            }
-            zero(dst, j + (hi - w0), w0 + seg - hi);
+    let (mut digit, mut rest) = ([0usize; N], start);
+    for j in (1..N).rev() {
+        (digit[j], rest) = (rest % radix[j], rest / radix[j]);
+    }
+    digit[0] = rest;
+    let mut off: usize = digit.iter().zip(&stride).map(|(d, s)| d * s).sum();
+    for t in tab {
+        *t = off as u32;
+        let mut j = N - 1;
+        (digit[j], off) = (digit[j] + 1, off + stride[j]);
+        while j > 0 && digit[j] == radix[j] {
+            (digit[j], off) = (0, off - radix[j] * stride[j]);
+            j -= 1;
+            (digit[j], off) = (digit[j] + 1, off + stride[j]);
         }
-        j += seg;
     }
 }
 
-/// Forward 3D convolution as a *fused implicit GEMM*: per batch item,
-/// `out[co, p] = W[co, :] · patch[:, p]` with `W: [Cout, Cin·kd·kh·kw]` in
-/// its native layout and the patch operand packed on the fly, one `KC×NC`
-/// block at a time, by `fill_patch_span` — the `[Cin·kvol, D·H·W]` patch
-/// matrix never exists in memory. The output lands directly in NCDHW (no
-/// transpose-back), and all scratch is pooled: steady-state calls do not
-/// allocate.
-///
-/// Numerics: each output element is one `k`-ordered FMA chain over
-/// `(ci, zd, zh, zw)`, restarted every `KC` depths and summed across
-/// blocks — pinned bit-for-bit against a scalar transcription by the tests
-/// here.
-pub fn conv3d_implicit_gemm(input: &Tensor, weight: &Tensor) -> Tensor {
-    let dims = Conv3dDims::infer(input, weight);
-    let [sd, sh, sw] = dims.spatial;
-    let out = implicit_forward_into(input.data(), weight.data(), dims);
-    Tensor::from_vec(out, &[dims.n, dims.cout, sd, sh, sw])
+/// The zero-bordered input copy `xp: [cin, sd+2pd, sh+2ph, sw+2pw]` of one
+/// batch item and the two offset maps that define the implicit patch matrix
+/// over it (module doc). With a 1×1×1 kernel the border is empty and `xp`
+/// is the input itself.
+#[derive(Clone, Copy)]
+struct PatchMap {
+    spatial: [usize; 3],
+    kernel: [usize; 3],
+    /// Plane extents of `xp`: padded height, padded width, padded volume.
+    hp: usize,
+    wp: usize,
+    volp: usize,
 }
 
-/// Shared implicit-GEMM forward driver: `x: [n, cin, vol]` NCDHW, `w:
-/// [cout, cin·kvol]`, returns `[n, cout, vol]`. Also serves the
-/// grad-input pass (which is a forward conv against flipped weights).
-fn implicit_forward_into(x: &[f32], w: &[f32], dims: Conv3dDims) -> Vec<f32> {
-    use crate::gemm::{macro_block, pack_a, take_scratch_aligned, KC, NC};
-    let [kd, kh, kw] = dims.kernel;
-    let kvol = kd * kh * kw;
-    let vol = dims.vol();
-    let ksize = dims.cin * kvol;
-    let pad = dims.pad();
-    let kernel = crate::simd::active_kernel_for(dims.cout, vol);
-    let (mr, nr) = (kernel.mr, kernel.nr);
-    let mut out = workspace::take_vec_scratch(dims.n * dims.cout * vol);
-
-    // The packed weight block for each KC slice is identical across batch
-    // items and column slabs: pack all of A once, up front.
-    let a_panel_rows = dims.cout.div_ceil(mr) * mr;
-    let (mut a_buf, a_off) = take_scratch_aligned(a_panel_rows * ksize);
-    let mut a_blocks = Vec::new(); // (pc, range in a_buf)
-    {
-        let mut off = a_off;
-        for pc in (0..ksize).step_by(KC) {
-            let kb = KC.min(ksize - pc);
-            let len = a_panel_rows * kb;
-            pack_a(mr, &mut a_buf[off..off + len], w, ksize, 1, 0, dims.cout, pc, kb);
-            a_blocks.push((pc, off..off + len));
-            off += len;
-        }
+impl PatchMap {
+    /// The map, and the pooled `xp` buffer a padded kernel needs — zeroed
+    /// once: the interior is overwritten per batch item, the border never.
+    fn new(dims: &Conv3dDims) -> (Self, Option<workspace::WorkspaceGuard>) {
+        let [sd, sh, sw] = dims.spatial;
+        let [kd, kh, kw] = dims.kernel;
+        let (hp, wp) = (sh + kh - 1, sw + kw - 1);
+        let volp = (sd + kd - 1) * hp * wp;
+        assert!(dims.cin * volp <= u32::MAX as usize, "conv3d input too large for u32 offsets");
+        let xp = (dims.kvol() > 1).then(|| workspace::take_zeroed(dims.cin * volp));
+        (PatchMap { spatial: dims.spatial, kernel: dims.kernel, hp, wp, volp }, xp)
     }
 
-    for (n, oslab) in out.chunks_mut(dims.cout * vol).enumerate() {
-        for jc in (0..vol).step_by(NC) {
-            let nb = NC.min(vol - jc);
-            let n_panels = nb.div_ceil(nr);
-            for (pc, a_range) in a_blocks.iter() {
-                let pc = *pc;
-                let kb = KC.min(ksize - pc);
-                let first = pc == 0;
-                let b_len = n_panels * nr * kb;
-                let (mut b_buf, b_off) = take_scratch_aligned(b_len);
-                let b_pack = &mut b_buf[b_off..b_off + b_len];
-                for (pj, panel) in b_pack.chunks_exact_mut(nr * kb).enumerate() {
-                    let j0 = jc + pj * nr;
-                    let cols = nr.min(nb - pj * nr);
-                    for (p, row) in panel.chunks_exact_mut(nr).enumerate() {
-                        let kidx = pc + p;
-                        let (ci, z) = (kidx / kvol, kidx % kvol);
-                        let zoff = [z / (kh * kw), (z / kw) % kh, z % kw];
-                        let xin = &x[(n * dims.cin + ci) * vol..][..vol];
-                        fill_patch_span(row, 1, xin, dims.spatial, zoff, pad, j0, cols);
-                        row[cols..].fill(0.0);
+    /// `tab[i] = koff(k0 + i)`.
+    fn fill_koff(&self, tab: &mut [u32], k0: usize) {
+        let [kd, kh, kw] = self.kernel;
+        fill_offsets(tab, k0, [usize::MAX, kd, kh, kw], [self.volp, self.hp * self.wp, self.wp, 1]);
+    }
+
+    /// `tab[i] = voff(p0 + i)`.
+    fn fill_voff(&self, tab: &mut [u32], p0: usize) {
+        let [_, sh, sw] = self.spatial;
+        fill_offsets(tab, p0, [usize::MAX, sh, sw], [self.hp * self.wp, self.wp, 1]);
+    }
+
+    /// `xp` of one batch item `x: [cin, sd, sh, sw]`: `x` itself without a
+    /// border, else `x` copied into the interior of the zero-bordered `buf`.
+    fn item<'a>(
+        &self,
+        buf: &'a mut Option<workspace::WorkspaceGuard>,
+        x: &'a [f32],
+        stages: &mut Option<&mut ConvStages>,
+    ) -> &'a [f32] {
+        let Some(xp) = buf else { return x };
+        let [sd, sh, sw] = self.spatial;
+        let [pd, ph, pw] = self.kernel.map(|k| k / 2);
+        timed(
+            stages,
+            |s| &mut s.pad_copy_ns,
+            || {
+                for (xc, pc) in x.chunks_exact(sd * sh * sw).zip(xp.chunks_exact_mut(self.volp)) {
+                    for (d, plane) in xc.chunks_exact(sh * sw).enumerate() {
+                        let at = ((d + pd) * self.hp + ph) * self.wp + pw;
+                        for (row, dst) in plane.chunks_exact(sw).zip(pc[at..].chunks_mut(self.wp)) {
+                            dst[..sw].copy_from_slice(row);
+                        }
                     }
                 }
-                macro_block(
-                    kernel,
-                    &a_buf[a_range.clone()],
-                    &b_buf[b_off..b_off + b_len],
-                    oslab,
-                    dims.cout,
-                    kb,
-                    nb,
-                    vol,
-                    jc,
-                    first,
-                );
-            }
-        }
+            },
+        );
+        xp
     }
+}
+
+/// Wall time of one [`PackedConv3d::forward_staged`] call by stage, for the
+/// `unet_encode` bench row (nanoseconds, accumulated over the call).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ConvStages {
+    /// Copying the input into the zero-bordered `xp` (0 for 1×1×1 kernels).
+    pub pad_copy_ns: f64,
+    /// Packing patch columns into B panels.
+    pub pack_b_ns: f64,
+    /// Micro-kernel tiles and their write-back.
+    pub micro_ns: f64,
+}
+
+/// Runs `work`, adding its wall time to one stage when someone is timing
+/// (no clock is read otherwise).
+fn timed<R>(
+    stages: &mut Option<&mut ConvStages>,
+    field: impl FnOnce(&mut ConvStages) -> &mut f64,
+    work: impl FnOnce() -> R,
+) -> R {
+    let Some(stages) = stages.as_deref_mut() else { return work() };
+    let t = Instant::now();
+    let out = work();
+    *field(stages) += t.elapsed().as_secs_f64() * 1e9;
     out
 }
 
-/// Gradient of conv3d w.r.t. its input, as an implicit GEMM.
+/// Packs one forward B panel: row `i` (depth `koff[i]`) holds the patch
+/// values of the `voff.len() <= nr` output voxels of this panel, zero-padded
+/// to `nr`. Consecutive voxels of one output row `(d, h)` are consecutive in
+/// `xp`, so a panel row is a few contiguous runs, the same in every row.
+///
+/// The runs are found once per panel and cut into moves of one fixed width
+/// — the widest of 8, 4, 2, 1 lanes that fits the shortest run, a run's last
+/// move pulled back to end at its end (overlapping its predecessor when the
+/// width does not divide the length). A U-Net encode copies tens of
+/// thousands of `sw`-long runs; as variable-length `copy_from_slice` each is
+/// a libc `memcpy` call that costs more than the bytes it moves.
+fn pack_patch_panel(panel: &mut [f32], nr: usize, xp: &[f32], koff: &[u32], voff: &[u32]) {
+    /// One row per depth, `moves` = (column, offset into `xp`) pairs.
+    fn rows<const W: usize>(
+        panel: &mut [f32],
+        nr: usize,
+        xp: &[f32],
+        koff: &[u32],
+        moves: &[(u32, u32)],
+    ) {
+        for (row, &k) in panel.chunks_exact_mut(nr).zip(koff) {
+            for &(at, v) in moves {
+                let (at, from) = (at as usize, (k + v) as usize);
+                row[at..at + W].copy_from_slice(&xp[from..from + W]);
+            }
+        }
+    }
+    let cols = voff.len();
+    if cols < nr {
+        panel.fill(0.0);
+    }
+    // Runs of consecutive offsets: (first column, length).
+    let mut runs = [(0usize, 0usize); simd::MAX_NR];
+    let (mut n_runs, mut shortest) = (0, usize::MAX);
+    let mut j = 0;
+    while j < cols {
+        let start = j;
+        j += 1;
+        while j < cols && voff[j] == voff[j - 1] + 1 {
+            j += 1;
+        }
+        runs[n_runs] = (start, j - start);
+        n_runs += 1;
+        shortest = shortest.min(j - start);
+    }
+    let width = [8, 4, 2, 1].into_iter().find(|&w| w <= shortest).unwrap_or(1);
+    let mut moves = [(0u32, 0u32); simd::MAX_NR];
+    let mut n_moves = 0;
+    for &(start, len) in &runs[..n_runs] {
+        for i in 0..len.div_ceil(width) {
+            let at = start + (i * width).min(len - width);
+            moves[n_moves] = (at as u32, voff[at]);
+            n_moves += 1;
+        }
+    }
+    let moves = &moves[..n_moves];
+    match width {
+        8 => rows::<8>(panel, nr, xp, koff, moves),
+        4 => rows::<4>(panel, nr, xp, koff, moves),
+        2 => rows::<2>(panel, nr, xp, koff, moves),
+        _ => rows::<1>(panel, nr, xp, koff, moves),
+    }
+}
+
+/// A conv weight `[Cout, Cin, kd, kh, kw]` packed once into the A panels of
+/// the implicit GEMM: per `KC`-deep slab of the `[Cout, Cin·kvol]` matrix,
+/// `mr`-row panels column-major over depth, zero-padded edge rows, 64-byte
+/// aligned — what [`conv3d_auto`] builds on every call. A caller whose
+/// weights cannot change (a frozen model) packs once and calls
+/// [`PackedConv3d::forward`]: same panels, same micro-kernel, same `KC`
+/// split, bit-identical output.
+///
+/// The kernel (tile shape) is captured at pack time and kept for the panels'
+/// lifetime, so a later [`crate::set_backend_override`] never desynchronizes
+/// layout and micro-kernel.
+pub struct PackedConv3d {
+    cin: usize,
+    cout: usize,
+    kernel: [usize; 3],
+    tile: &'static Kernel,
+    /// Panel storage from the [`crate::workspace`] pool (per-call packing
+    /// must not allocate); the payload starts at `off`, cache-line aligned.
+    buf: Vec<f32>,
+    off: usize,
+}
+
+impl Drop for PackedConv3d {
+    fn drop(&mut self) {
+        workspace::give_vec(std::mem::take(&mut self.buf));
+    }
+}
+
+// Hand-written: neither the panels nor the kernel's fn table are worth printing.
+impl std::fmt::Debug for PackedConv3d {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (cin, cout, backend) = (self.cin, self.cout, self.tile.backend.name());
+        write!(f, "PackedConv3d({cin} -> {cout}, kernel {:?}, {backend})", self.kernel)
+    }
+}
+
+impl PackedConv3d {
+    /// Packs `weight: [Cout, Cin, kd, kh, kw]`. `vol` is the output voxel
+    /// count `D·H·W` the panels will mostly run at; it only picks the tile
+    /// shape, every tile gives the same bits at any input extent.
+    ///
+    /// # Panics
+    /// Panics on a weight that is not rank 5 or has an even kernel extent.
+    pub fn pack(weight: &Tensor, vol: usize) -> Self {
+        assert_eq!(weight.shape().rank(), 5, "conv3d weight must be [Co,Ci,kd,kh,kw]");
+        let d = weight.dims();
+        Self::pack_rows(weight.data(), d[0], d[1], [d[2], d[3], d[4]], vol)
+    }
+
+    /// Packs the `[cout, cin·kvol]` row-major matrix `w`.
+    fn pack_rows(w: &[f32], cout: usize, cin: usize, kernel: [usize; 3], vol: usize) -> Self {
+        assert_odd(kernel);
+        let ksize = cin * kernel.iter().product::<usize>();
+        let tile = simd::active_kernel_for(cout, vol);
+        let rows = cout.div_ceil(tile.mr) * tile.mr;
+        let mut buf = workspace::take_vec_scratch(rows * ksize + 15);
+        let off = buf.as_ptr().align_offset(64).min(15);
+        let mut at = off;
+        for pc in (0..ksize).step_by(KC) {
+            let kb = KC.min(ksize - pc);
+            pack_a(tile.mr, &mut buf[at..at + rows * kb], w, ksize, 1, 0, cout, pc, kb);
+            at += rows * kb;
+        }
+        PackedConv3d { cin, cout, kernel, tile, buf, off }
+    }
+
+    /// Forward 3D convolution with stride 1 and same zero padding:
+    /// `input: [N, Cin, D, H, W]` → `[N, Cout, D, H, W]`, bit-identical to
+    /// [`conv3d_auto`] on the unpacked weight.
+    ///
+    /// # Panics
+    /// Panics on a rank or channel mismatch.
+    pub fn forward(&self, input: &Tensor) -> Tensor {
+        self.forward_staged(input, None)
+    }
+
+    /// [`PackedConv3d::forward`], adding each stage's wall time to `stages`
+    /// when given (the bench's attribution hook; `None` reads no clock).
+    pub fn forward_staged(&self, input: &Tensor, stages: Option<&mut ConvStages>) -> Tensor {
+        assert_eq!(input.shape().rank(), 5, "conv3d input must be [N,C,D,H,W]");
+        let d = input.dims();
+        assert_eq!(d[1], self.cin, "conv3d channel mismatch: input {}, weight {}", d[1], self.cin);
+        let (n, spatial) = (d[0], [d[2], d[3], d[4]]);
+        let out = self.run(input.data(), n, spatial, stages);
+        Tensor::from_vec(out, &[n, self.cout, spatial[0], spatial[1], spatial[2]])
+    }
+
+    /// The implicit-GEMM driver: `x: [n, cin, vol]` → `[n, cout, vol]`.
+    fn run(
+        &self,
+        x: &[f32],
+        n: usize,
+        spatial: [usize; 3],
+        mut stages: Option<&mut ConvStages>,
+    ) -> Vec<f32> {
+        let dims = Conv3dDims { n, cin: self.cin, cout: self.cout, spatial, kernel: self.kernel };
+        let (vol, ksize) = (dims.vol(), self.cin * dims.kvol());
+        let (map, mut xp_buf) = PatchMap::new(&dims);
+        let (mr, nr) = (self.tile.mr, self.tile.nr);
+        let a_rows = self.cout.div_ceil(mr) * mr;
+        let mut out = workspace::take_vec_scratch(n * self.cout * vol);
+        let (mut koff, mut voff) = ([0u32; KC], [0u32; NC]);
+
+        for (oslab, x) in out.chunks_mut(self.cout * vol).zip(x.chunks(self.cin * vol)) {
+            let xp = map.item(&mut xp_buf, x, &mut stages);
+            for jc in (0..vol).step_by(NC) {
+                let nb = NC.min(vol - jc);
+                map.fill_voff(&mut voff[..nb], jc);
+                let mut a_at = self.off;
+                for pc in (0..ksize).step_by(KC) {
+                    let kb = KC.min(ksize - pc);
+                    map.fill_koff(&mut koff[..kb], pc);
+                    let b_len = nb.div_ceil(nr) * nr * kb;
+                    let (mut b_buf, b_off) = take_scratch_aligned(b_len);
+                    let b_pack = &mut b_buf[b_off..b_off + b_len];
+                    timed(
+                        &mut stages,
+                        |s| &mut s.pack_b_ns,
+                        || {
+                            let cols = voff[..nb].chunks(nr);
+                            for (panel, cols) in b_pack.chunks_exact_mut(nr * kb).zip(cols) {
+                                pack_patch_panel(panel, nr, xp, &koff[..kb], cols);
+                            }
+                        },
+                    );
+                    let a_pack = &self.buf[a_at..a_at + a_rows * kb];
+                    let (tile, cout, first) = (self.tile, self.cout, pc == 0);
+                    timed(
+                        &mut stages,
+                        |s| &mut s.micro_ns,
+                        || {
+                            macro_block(tile, a_pack, b_pack, oslab, cout, kb, nb, vol, jc, first);
+                        },
+                    );
+                    a_at += a_rows * kb;
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Forward 3D convolution with stride 1 and same zero padding — the one
+/// forward entry point (the autodiff tape and the live model call it):
+/// `input: [N, Cin, D, H, W]`, `weight: [Cout, Cin, kd, kh, kw]` →
+/// `[N, Cout, D, H, W]`. Packs the weight for this call and keeps nothing.
+pub fn conv3d_auto(input: &Tensor, weight: &Tensor) -> Tensor {
+    let dims = Conv3dDims::infer(input, weight);
+    PackedConv3d::pack(weight, dims.vol()).forward(input)
+}
+
+/// Gradient of [`conv3d_auto`] with respect to its input:
+/// `grad_out: [N, Cout, D, H, W]` → `[N, Cin, D, H, W]`.
 ///
 /// For stride-1 same-padding convolution with odd kernels, `∂L/∂x` is
 /// itself a same-padding convolution of `grad_out` against the weight with
 /// input/output channels swapped and every kernel axis flipped:
 /// `W'[ci, co, z] = W[co, ci, flip(z)]`. The flipped weight (a few KiB) is
-/// materialized once per call; the patch operand streams through
-/// `fill_patch_span` exactly like the forward pass.
-pub fn conv3d_implicit_grad_input(grad_out: &Tensor, weight: &Tensor, dims: Conv3dDims) -> Tensor {
+/// materialized once per call and run through the forward driver.
+///
+/// # Panics
+/// Panics on an even kernel extent or a `grad_out` that disagrees with `dims`.
+pub fn conv3d_grad_input(grad_out: &Tensor, weight: &Tensor, dims: Conv3dDims) -> Tensor {
+    assert_odd(dims.kernel);
     let [sd, sh, sw] = dims.spatial;
-    let [kd, kh, kw] = dims.kernel;
-    let kvol = kd * kh * kw;
+    let kvol = dims.kvol();
     assert_eq!(grad_out.dims(), &[dims.n, dims.cout, sd, sh, sw]);
     let w = weight.data();
-    let mut wf = workspace::take_vec_scratch(dims.cin * dims.cout * kvol);
+    let mut wf = workspace::take_scratch(dims.cin * dims.cout * kvol);
     for co in 0..dims.cout {
         for ci in 0..dims.cin {
             let src = &w[(co * dims.cin + ci) * kvol..][..kvol];
             let dst = &mut wf[(ci * dims.cout + co) * kvol..][..kvol];
-            for (z, d) in dst.iter_mut().enumerate() {
-                *d = src[kvol - 1 - z];
+            for (d, s) in dst.iter_mut().zip(src.iter().rev()) {
+                *d = *s;
             }
         }
     }
-    let flipped = Conv3dDims { cin: dims.cout, cout: dims.cin, ..dims };
-    let out = implicit_forward_into(grad_out.data(), &wf, flipped);
-    drop(wf);
+    let flipped = PackedConv3d::pack_rows(&wf, dims.cin, dims.cout, dims.kernel, dims.vol());
+    let out = flipped.run(grad_out.data(), dims.n, dims.spatial, None);
     Tensor::from_vec(out, &[dims.n, dims.cin, sd, sh, sw])
 }
 
-/// Gradient of conv3d w.r.t. its weights, as an implicit GEMM.
+/// Gradient of [`conv3d_auto`] with respect to its weights; returns
+/// `[Cout, Cin, kd, kh, kw]`.
 ///
 /// Per batch item `n`, `∂L/∂W[co, kidx] += grad_out_n[co, :] ·
 /// patchᵀ_n[:, kidx]` — a `[Cout, vol] × [vol, Cin·kvol]` GEMM whose
-/// right-hand side is the *transposed* implicit patch matrix, packed
-/// column-wise by `fill_patch_span` with a write stride of `nr`. The
-/// depth dimension is the voxel count, so accumulation runs over both the
-/// `KC` voxel blocks and the batch (`first` only on the very first block).
-pub fn conv3d_implicit_grad_weight(input: &Tensor, grad_out: &Tensor, dims: Conv3dDims) -> Tensor {
-    use crate::gemm::{macro_block, pack_a, take_scratch_aligned, KC, NC};
+/// right-hand side is the *transposed* implicit patch matrix: B-panel
+/// element `(p, kidx)` is `xp[koff(kidx) + voff(p)]`, read through the same
+/// two offset maps as the forward pack. The depth dimension is the voxel
+/// count, so accumulation runs over both the `KC` voxel blocks and the batch
+/// (`first` only on the very first block).
+///
+/// # Panics
+/// Panics on an even kernel extent or a `grad_out` that disagrees with `dims`.
+pub fn conv3d_grad_weight(input: &Tensor, grad_out: &Tensor, dims: Conv3dDims) -> Tensor {
+    assert_odd(dims.kernel);
     let [sd, sh, sw] = dims.spatial;
     let [kd, kh, kw] = dims.kernel;
-    let kvol = kd * kh * kw;
-    let vol = dims.vol();
-    let ksize = dims.cin * kvol;
-    let pad = dims.pad();
+    let (vol, ksize) = (dims.vol(), dims.cin * dims.kvol());
+    assert_eq!(input.dims(), &[dims.n, dims.cin, sd, sh, sw]);
     assert_eq!(grad_out.dims(), &[dims.n, dims.cout, sd, sh, sw]);
-    let x = input.data();
     let g = grad_out.data();
-    let kernel = crate::simd::active_kernel_for(dims.cout, ksize);
+    let kernel = simd::active_kernel_for(dims.cout, ksize);
     let (mr, nr) = (kernel.mr, kernel.nr);
+    let (map, mut xp_buf) = PatchMap::new(&dims);
     let mut out = workspace::take_vec_scratch(dims.cout * ksize);
+    let (mut koff, mut voff) = ([0u32; NC], [0u32; KC]);
 
-    for n in 0..dims.n {
+    for (n, x) in input.data().chunks(dims.cin * vol).enumerate() {
+        let xp = map.item(&mut xp_buf, x, &mut None);
         let gn = &g[n * dims.cout * vol..][..dims.cout * vol];
         for jc in (0..ksize).step_by(NC) {
             let nb = NC.min(ksize - jc);
-            let n_panels = nb.div_ceil(nr);
+            map.fill_koff(&mut koff[..nb], jc);
             for pc in (0..vol).step_by(KC) {
                 let kb = KC.min(vol - pc);
-                let first = n == 0 && pc == 0;
-                let b_len = n_panels * nr * kb;
+                map.fill_voff(&mut voff[..kb], pc);
+                let b_len = nb.div_ceil(nr) * nr * kb;
                 let (mut b_buf, b_off) = take_scratch_aligned(b_len);
                 let b_pack = &mut b_buf[b_off..b_off + b_len];
-                for (pj, panel) in b_pack.chunks_exact_mut(nr * kb).enumerate() {
-                    let j0 = jc + pj * nr;
-                    let cols = nr.min(nb - pj * nr);
-                    if cols < nr {
-                        panel.fill(0.0); // edge panel: pad columns
-                    }
-                    for jj in 0..cols {
-                        let kidx = j0 + jj;
-                        let (ci, z) = (kidx / kvol, kidx % kvol);
-                        let zoff = [z / (kh * kw), (z / kw) % kh, z % kw];
-                        let xin = &x[(n * dims.cin + ci) * vol..][..vol];
-                        // Column jj of the panel, over kb depth (voxel) rows.
-                        fill_patch_span(&mut panel[jj..], nr, xin, dims.spatial, zoff, pad, pc, kb);
+                for (panel, ks) in b_pack.chunks_exact_mut(nr * kb).zip(koff[..nb].chunks(nr)) {
+                    for (row, &v) in panel.chunks_exact_mut(nr).zip(&voff[..kb]) {
+                        for (d, &k) in row.iter_mut().zip(ks) {
+                            *d = xp[(k + v) as usize];
+                        }
+                        row[ks.len()..].fill(0.0);
                     }
                 }
                 let a_len = dims.cout.div_ceil(mr) * mr * kb;
                 let (mut a_buf, a_off) = take_scratch_aligned(a_len);
                 let a_pack = &mut a_buf[a_off..a_off + a_len];
                 pack_a(mr, a_pack, gn, vol, 1, 0, dims.cout, pc, kb);
-                macro_block(
-                    kernel,
-                    a_pack,
-                    &b_buf[b_off..b_off + b_len],
-                    &mut out,
-                    dims.cout,
-                    kb,
-                    nb,
-                    ksize,
-                    jc,
-                    first,
-                );
+                let first = n == 0 && pc == 0;
+                macro_block(kernel, a_pack, b_pack, &mut out, dims.cout, kb, nb, ksize, jc, first);
             }
         }
     }
     Tensor::from_vec(out, &[dims.cout, dims.cin, kd, kh, kw])
 }
 
-/// Non-overlapping 3D max pooling by integer factors `[fd, fh, fw]`.
-///
-/// Returns the pooled tensor and the flat argmax index (into the input
-/// buffer) per output element, for use by the backward pass.
-///
-/// # Panics
-/// Panics if a spatial extent is not divisible by its factor.
-pub fn maxpool3d(input: &Tensor, factors: [usize; 3]) -> (Tensor, Vec<u32>) {
+/// The window loop of non-overlapping 3D max pooling over `input:
+/// [N, C, D, H, W]`: calls `emit(output index, max, flat argmax into the
+/// input)` once per output element, in output order.
+fn pool_windows(input: &Tensor, factors: [usize; 3], mut emit: impl FnMut(usize, f32, usize)) {
     assert_eq!(input.shape().rank(), 5, "maxpool3d input must be [N,C,D,H,W]");
     let [fd, fh, fw] = factors;
-    let (n, c) = (input.dims()[0], input.dims()[1]);
     let (d, h, w) = (input.dims()[2], input.dims()[3], input.dims()[4]);
     assert!(
         d % fd == 0 && h % fh == 0 && w % fw == 0,
@@ -577,11 +532,9 @@ pub fn maxpool3d(input: &Tensor, factors: [usize; 3]) -> (Tensor, Vec<u32>) {
     );
     let (od, oh, ow) = (d / fd, h / fh, w / fw);
     let x = input.data();
-    let ovol = od * oh * ow;
-    let mut out = workspace::take_vec_scratch(n * c * ovol);
-    let mut idx = vec![0u32; n * c * ovol];
-    out.chunks_mut(ovol).zip(idx.chunks_mut(ovol)).enumerate().for_each(|(chunk, (o, ix))| {
-        let base = chunk * d * h * w; // start of this (n,c) slab in input
+    let mut oi = 0;
+    for base in (0..x.len()).step_by(d * h * w) {
+        // `base` is the start of one (n, c) slab of the input.
         for zd in 0..od {
             for zh in 0..oh {
                 for zw in 0..ow {
@@ -606,14 +559,45 @@ pub fn maxpool3d(input: &Tensor, factors: [usize; 3]) -> (Tensor, Vec<u32>) {
                             }
                         }
                     }
-                    let oi = (zd * oh + zh) * ow + zw;
-                    o[oi] = best;
-                    ix[oi] = best_i as u32;
+                    emit(oi, best, best_i);
+                    oi += 1;
                 }
             }
         }
+    }
+}
+
+fn pooled_dims(input: &Tensor, [fd, fh, fw]: [usize; 3]) -> [usize; 5] {
+    let d = input.dims();
+    [d[0], d[1], d[2] / fd, d[3] / fh, d[4] / fw]
+}
+
+/// Non-overlapping 3D max pooling by integer factors `[fd, fh, fw]`.
+///
+/// Returns the pooled tensor and the flat argmax index (into the input
+/// buffer) per output element, for use by the backward pass.
+///
+/// # Panics
+/// Panics if a spatial extent is not divisible by its factor.
+pub fn maxpool3d(input: &Tensor, factors: [usize; 3]) -> (Tensor, Vec<u32>) {
+    let dims = pooled_dims(input, factors);
+    let numel = dims.iter().product();
+    let mut out = workspace::take_vec_scratch(numel);
+    let mut idx = vec![0u32; numel];
+    pool_windows(input, factors, |oi, best, best_i| {
+        out[oi] = best;
+        idx[oi] = best_i as u32;
     });
-    (Tensor::from_vec(out, &[n, c, od, oh, ow]), idx)
+    (Tensor::from_vec(out, &dims), idx)
+}
+
+/// [`maxpool3d`] without the argmax vector, for callers that never run the
+/// backward pass (the no-grad encode): same windows, same NaN-sticky max.
+pub fn maxpool3d_values(input: &Tensor, factors: [usize; 3]) -> Tensor {
+    let dims = pooled_dims(input, factors);
+    let mut out = workspace::take_vec_scratch(dims.iter().product());
+    pool_windows(input, factors, |oi, best, _| out[oi] = best);
+    Tensor::from_vec(out, &dims)
 }
 
 /// Backward of [`maxpool3d`]: scatters output gradients to the recorded
@@ -635,22 +619,22 @@ pub fn upsample_nearest3d(input: &Tensor, factors: [usize; 3]) -> Tensor {
     let (n, c) = (input.dims()[0], input.dims()[1]);
     let (d, h, w) = (input.dims()[2], input.dims()[3], input.dims()[4]);
     let (od, oh, ow) = (d * fd, h * fh, w * fw);
-    let x = input.data();
-    let ovol = od * oh * ow;
-    let ivol = d * h * w;
-    let mut out = workspace::take_vec_scratch(n * c * ovol);
-    out.chunks_mut(ovol).enumerate().for_each(|(chunk, o)| {
-        let xin = &x[chunk * ivol..(chunk + 1) * ivol];
-        for zd in 0..od {
-            for zh in 0..oh {
-                let irow = ((zd / fd) * h + zh / fh) * w;
-                let orow = (zd * oh + zh) * ow;
-                for zw in 0..ow {
-                    o[orow + zw] = xin[irow + zw / fw];
+    let mut out = workspace::take_vec_scratch(n * c * od * oh * ow);
+    // Walk the input; the output rows it replicates into come in memory
+    // order, so nothing divides: plane `fd` times, row `fh` times, element
+    // `fw` times.
+    let mut orows = out.chunks_exact_mut(ow);
+    for plane in input.data().chunks_exact(h * w) {
+        for _ in 0..fd {
+            for irow in plane.chunks_exact(w) {
+                for orow in orows.by_ref().take(fh) {
+                    for (o, &v) in orow.chunks_exact_mut(fw).zip(irow) {
+                        o.fill(v);
+                    }
                 }
             }
         }
-    });
+    }
     Tensor::from_vec(out, &[n, c, od, oh, ow])
 }
 
@@ -662,28 +646,31 @@ pub fn upsample_nearest3d_backward(grad_out: &Tensor, factors: [usize; 3]) -> Te
     let (od, oh, ow) = (grad_out.dims()[2], grad_out.dims()[3], grad_out.dims()[4]);
     assert!(od % fd == 0 && oh % fh == 0 && ow % fw == 0);
     let (d, h, w) = (od / fd, oh / fh, ow / fw);
-    let g = grad_out.data();
-    let ivol = d * h * w;
-    let ovol = od * oh * ow;
-    let mut out = workspace::take_vec_zeroed(n * c * ivol);
-    out.chunks_mut(ivol).enumerate().for_each(|(chunk, o)| {
-        let gout = &g[chunk * ovol..(chunk + 1) * ovol];
-        for zd in 0..od {
-            for zh in 0..oh {
-                let orow = (zd * oh + zh) * ow;
-                let irow = ((zd / fd) * h + zh / fh) * w;
-                for zw in 0..ow {
-                    o[irow + zw / fw] += gout[orow + zw];
+    let mut out = workspace::take_vec_zeroed(n * c * d * h * w);
+    // The mirror walk of the forward: each input element sums its block in
+    // the order (zd, zh, zw).
+    let mut grows = grad_out.data().chunks_exact(ow);
+    for plane in out.chunks_exact_mut(h * w) {
+        for _ in 0..fd {
+            for irow in plane.chunks_exact_mut(w) {
+                for grow in grows.by_ref().take(fh) {
+                    for (acc, gs) in irow.iter_mut().zip(grow.chunks_exact(fw)) {
+                        for &g in gs {
+                            *acc += g;
+                        }
+                    }
                 }
             }
         }
-    });
+    }
     Tensor::from_vec(out, &[n, c, d, h, w])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::tests::runnable_backends;
+    use crate::set_backend_override;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -743,15 +730,27 @@ mod tests {
         }
     }
 
+    fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
+        assert_eq!(a.dims(), b.dims(), "{what}: dims");
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: elem {i}: {x} vs {y}");
+        }
+    }
+
     #[test]
     fn conv3d_matches_naive() {
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        for &(k, c) in
-            &[([1usize, 1, 1], (2usize, 3usize)), ([3, 3, 3], (2, 2)), ([1, 3, 3], (3, 1))]
-        {
-            let input = Tensor::randn(&[2, c.0, 3, 4, 5], 1.0, &mut rng);
-            let weight = Tensor::randn(&[c.1, c.0, k[0], k[1], k[2]], 1.0, &mut rng);
-            assert_close(&conv3d(&input, &weight), &conv3d_naive(&input, &weight), 1e-4);
+        for &(k, cin, cout) in &[
+            ([1usize, 1, 1], 2usize, 3usize),
+            ([1, 1, 1], 3, 5),
+            ([3, 3, 3], 2, 2),
+            ([3, 3, 3], 2, 4),
+            ([1, 3, 3], 3, 1),
+            ([1, 3, 3], 4, 2),
+        ] {
+            let input = Tensor::randn(&[2, cin, 3, 4, 5], 1.0, &mut rng);
+            let weight = Tensor::randn(&[cout, cin, k[0], k[1], k[2]], 1.0, &mut rng);
+            assert_close(&conv3d_auto(&input, &weight), &conv3d_naive(&input, &weight), 1e-4);
         }
     }
 
@@ -760,7 +759,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let input = Tensor::randn(&[1, 1, 4, 4, 4], 1.0, &mut rng);
         let weight = Tensor::ones(&[1, 1, 1, 1, 1]);
-        assert_close(&conv3d(&input, &weight), &input, 1e-6);
+        assert_close(&conv3d_auto(&input, &weight), &input, 1e-6);
     }
 
     /// Numerical gradient check of both conv3d backward kernels.
@@ -772,7 +771,7 @@ mod tests {
         let dims = Conv3dDims::infer(&input, &weight);
         // Loss = sum(conv(x, w) * r) for a fixed random r.
         let r = Tensor::randn(&[1, 2, 2, 3, 3], 1.0, &mut rng);
-        let loss = |x: &Tensor, w: &Tensor| conv3d(x, w).mul(&r).sum() as f64;
+        let loss = |x: &Tensor, w: &Tensor| conv3d_naive(x, w).mul(&r).sum() as f64;
 
         let gx = conv3d_grad_input(&r, &weight, dims);
         let gw = conv3d_grad_weight(&input, &r, dims);
@@ -803,42 +802,6 @@ mod tests {
         }
     }
 
-    /// `conv3d_auto` must be a pure dispatcher: whichever lowering the
-    /// heuristic picks, the numbers match the direct reference.
-    #[test]
-    fn conv3d_auto_matches_direct() {
-        let mut rng = ChaCha8Rng::seed_from_u64(78);
-        for &(k, cin, cout) in
-            &[([1usize, 1, 1], 3usize, 5usize), ([3, 3, 3], 2, 4), ([1, 3, 3], 4, 2)]
-        {
-            let input = Tensor::randn(&[2, cin, 3, 4, 5], 1.0, &mut rng);
-            let weight = Tensor::randn(&[cout, cin, k[0], k[1], k[2]], 1.0, &mut rng);
-            let direct = conv3d(&input, &weight);
-            let auto = conv3d_auto(&input, &weight);
-            assert_eq!(direct.dims(), auto.dims());
-            for (a, b) in direct.data().iter().zip(auto.data()) {
-                assert!((a - b).abs() < 1e-4 * (1.0 + b.abs()), "{a} vs {b} (k={k:?})");
-            }
-        }
-    }
-
-    /// The shape heuristic: pointwise kernels stay direct (lowering would
-    /// only copy), everything else goes through the fused implicit GEMM —
-    /// including huge shapes, since nothing is materialized there is no
-    /// byte-cap fallback anymore.
-    #[test]
-    fn conv3d_path_heuristic() {
-        let pointwise = Conv3dDims { n: 2, cin: 4, cout: 8, spatial: [4, 8, 8], kernel: [1, 1, 1] };
-        assert!(matches!(conv3d_path(&pointwise), Conv3dPath::Direct));
-        assert_eq!(conv3d_path(&pointwise).name(), "direct");
-        let typical = Conv3dDims { n: 2, cin: 4, cout: 8, spatial: [4, 8, 8], kernel: [3, 3, 3] };
-        assert!(matches!(conv3d_path(&typical), Conv3dPath::ImplicitGemm));
-        assert_eq!(conv3d_path(&typical).name(), "implicit_gemm");
-        let huge =
-            Conv3dDims { n: 64, cin: 256, cout: 256, spatial: [64, 256, 256], kernel: [3, 3, 3] };
-        assert!(matches!(conv3d_path(&huge), Conv3dPath::ImplicitGemm));
-    }
-
     /// Scalar transcription of the implicit GEMM's numerical contract: per
     /// output element one `k`-ordered FMA chain over `(ci, zd, zh, zw)` —
     /// padding voxels included as `0.0` terms, never skipped — restarted
@@ -847,7 +810,7 @@ mod tests {
         let dims = Conv3dDims::infer(input, weight);
         let [sd, sh, sw] = dims.spatial;
         let [kd, kh, kw] = dims.kernel;
-        let [pd, ph, pw] = dims.pad();
+        let [pd, ph, pw] = [kd / 2, kh / 2, kw / 2];
         let kvol = kd * kh * kw;
         let ksize = dims.cin * kvol;
         let mut out = Tensor::zeros(&[dims.n, dims.cout, sd, sh, sw]);
@@ -858,9 +821,9 @@ mod tests {
                     .enumerate()
                 {
                     let (d, h, w) = (p / (sh * sw), (p / sw) % sh, p % sw);
-                    for pc in (0..ksize).step_by(crate::gemm::KC) {
+                    for pc in (0..ksize).step_by(KC) {
                         let mut acc = 0.0f32;
-                        for kidx in pc..(pc + crate::gemm::KC).min(ksize) {
+                        for kidx in pc..(pc + KC).min(ksize) {
                             let (ci, z) = (kidx / kvol, kidx % kvol);
                             let (id, ih, iw) = (d + z / (kh * kw), h + (z / kw) % kh, w + z % kw);
                             let inside = id >= pd
@@ -884,60 +847,156 @@ mod tests {
         out
     }
 
+    /// `(kernel, cin, cout, spatial)` rows covering every blocking edge, the
+    /// pointwise kernels and the U-Net's five real 3×3×3 layers.
+    const CHAIN_SHAPES: &[([usize; 3], usize, usize, [usize; 3])] = &[
+        ([3, 3, 3], 2, 4, [3, 4, 5]),
+        ([1, 3, 3], 4, 2, [3, 4, 5]),
+        ([3, 1, 1], 1, 1, [2, 2, 2]),
+        // cin*kvol = 10*27 = 270 > KC: exercises the depth split.
+        ([3, 3, 3], 10, 3, [2, 5, 7]),
+        // vol > NC: exercises the column-slab loop.
+        ([3, 3, 3], 2, 3, [4, 12, 13]),
+        // Pointwise: the input is the patch matrix; 300 > KC.
+        ([1, 1, 1], 4, 8, [4, 8, 8]),
+        ([1, 1, 1], 24, 8, [4, 8, 8]),
+        ([1, 1, 1], 48, 16, [4, 4, 4]),
+        ([1, 1, 1], 300, 32, [3, 4, 5]),
+        // One tile wider than the whole output.
+        ([3, 3, 3], 3, 2, [2, 2, 2]),
+        ([1, 1, 1], 16, 32, [2, 2, 2]),
+        // The small-preset U-Net at patch [4, 8, 8]: stem, down0, down1, up1, up0.
+        ([3, 3, 3], 8, 8, [4, 8, 8]),
+        ([3, 3, 3], 16, 16, [4, 4, 4]),
+        ([3, 3, 3], 32, 32, [2, 2, 2]),
+        ([3, 3, 3], 16, 16, [4, 4, 4]),
+        ([3, 3, 3], 8, 8, [4, 8, 8]),
+    ];
+
     /// The fused implicit GEMM is *bit-identical* to its scalar contract on
-    /// every blocking edge: only packing and tiling differ.
+    /// every blocking edge and every backend the host can run: only packing
+    /// and tiling differ.
     #[test]
     fn implicit_gemm_is_bit_identical_to_scalar_fma_chain() {
         let mut rng = ChaCha8Rng::seed_from_u64(79);
-        for &(k, cin, cout, sp) in &[
-            ([3usize, 3, 3], 2usize, 4usize, [3usize, 4, 5]),
-            ([1, 3, 3], 4, 2, [3, 4, 5]),
-            ([3, 1, 1], 1, 1, [2, 2, 2]),
-            // cin*kvol = 10*27 = 270 > KC: exercises the depth split.
-            ([3, 3, 3], 10, 3, [2, 5, 7]),
-            // vol > NC: exercises the column-slab loop.
-            ([3, 3, 3], 2, 3, [4, 12, 13]),
-        ] {
+        let backends = runnable_backends();
+        for &(k, cin, cout, sp) in CHAIN_SHAPES {
             let input = Tensor::randn(&[2, cin, sp[0], sp[1], sp[2]], 1.0, &mut rng);
             let weight = Tensor::randn(&[cout, cin, k[0], k[1], k[2]], 1.0, &mut rng);
             let chain = conv3d_fma_chain(&input, &weight);
-            let fused = conv3d_implicit_gemm(&input, &weight);
-            assert_eq!(chain.dims(), fused.dims());
-            for (i, (a, b)) in chain.data().iter().zip(fused.data()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "elem {i}: {a} vs {b} (k={k:?})");
+            for &backend in &backends {
+                set_backend_override(Some(backend));
+                let fused = conv3d_auto(&input, &weight);
+                let what = format!("k={k:?} {cin}->{cout} {sp:?} on {}", backend.name());
+                assert_bits_eq(&chain, &fused, &what);
             }
+        }
+        set_backend_override(None);
+    }
+
+    /// Panels packed once give the bits of the per-call pack — also when
+    /// they were packed under one backend override and run under another.
+    #[test]
+    fn prepacked_forward_is_bit_identical_to_per_call_pack() {
+        let mut rng = ChaCha8Rng::seed_from_u64(82);
+        let backends = runnable_backends();
+        for &(k, cin, cout, sp) in CHAIN_SHAPES {
+            let input = Tensor::randn(&[2, cin, sp[0], sp[1], sp[2]], 1.0, &mut rng);
+            let weight = Tensor::randn(&[cout, cin, k[0], k[1], k[2]], 1.0, &mut rng);
+            let want = conv3d_auto(&input, &weight);
+            for &pack_on in &backends {
+                set_backend_override(Some(pack_on));
+                // The voxel count is a tile-shape hint only: a wrong one
+                // must not show either.
+                for vol in [sp.iter().product(), 1, 1 << 20] {
+                    let packed = PackedConv3d::pack(&weight, vol);
+                    for &run_on in &backends {
+                        set_backend_override(Some(run_on));
+                        let what = format!(
+                            "k={k:?} {cin}->{cout} {sp:?} hint {vol} packed on {} run on {}",
+                            pack_on.name(),
+                            run_on.name()
+                        );
+                        assert_bits_eq(&want, &packed.forward(&input), &what);
+                    }
+                    set_backend_override(Some(pack_on));
+                }
+            }
+        }
+        set_backend_override(None);
+    }
+
+    /// The stage clock is an observer: a staged forward returns the same
+    /// bits and accounts a pad copy only where there is a border.
+    #[test]
+    fn staged_forward_times_without_changing_the_result() {
+        let mut rng = ChaCha8Rng::seed_from_u64(83);
+        for k in [[1usize, 1, 1], [3, 3, 3]] {
+            let input = Tensor::randn(&[2, 4, 4, 8, 8], 1.0, &mut rng);
+            let weight = Tensor::randn(&[8, 4, k[0], k[1], k[2]], 1.0, &mut rng);
+            let packed = PackedConv3d::pack(&weight, 256);
+            let mut stages = ConvStages::default();
+            let staged = packed.forward_staged(&input, Some(&mut stages));
+            assert_bits_eq(&packed.forward(&input), &staged, "staged");
+            assert!(stages.pack_b_ns > 0.0 && stages.micro_ns > 0.0, "{stages:?}");
+            assert_eq!(stages.pad_copy_ns > 0.0, k != [1, 1, 1], "{stages:?}");
         }
     }
 
-    /// Implicit-GEMM gradients agree with the direct gradient kernels
-    /// (different summation order, so tolerance rather than bits).
+    /// Both gradients are adjoints of the forward map, which is linear in
+    /// each argument: `<conv(x, w), g> = <x, grad_input(g, w)> =
+    /// <w, grad_weight(x, g)>` — on shapes crossing the depth split and the
+    /// column slabs, pointwise included.
     #[test]
-    fn implicit_gradients_match_direct() {
+    fn gradients_are_adjoints_of_the_forward() {
         let mut rng = ChaCha8Rng::seed_from_u64(80);
+        let dot = |a: &Tensor, b: &Tensor| -> f64 {
+            a.data().iter().zip(b.data()).map(|(&x, &y)| x as f64 * y as f64).sum()
+        };
         for &(k, cin, cout, sp) in &[
             ([3usize, 3, 3], 2usize, 4usize, [3usize, 4, 5]),
             ([1, 3, 3], 4, 2, [3, 4, 5]),
             ([3, 3, 3], 10, 3, [2, 5, 7]),
             ([3, 3, 3], 2, 3, [4, 12, 13]),
+            ([1, 1, 1], 24, 8, [4, 8, 8]),
+            ([1, 1, 1], 300, 5, [3, 4, 5]),
         ] {
             let input = Tensor::randn(&[2, cin, sp[0], sp[1], sp[2]], 1.0, &mut rng);
             let weight = Tensor::randn(&[cout, cin, k[0], k[1], k[2]], 1.0, &mut rng);
             let dims = Conv3dDims::infer(&input, &weight);
             let gout = Tensor::randn(&[2, cout, sp[0], sp[1], sp[2]], 1.0, &mut rng);
-            assert_close(
-                &conv3d_implicit_grad_input(&gout, &weight, dims),
-                &conv3d_grad_input_direct(&gout, &weight, dims),
-                1e-4,
-            );
-            assert_close(
-                &conv3d_implicit_grad_weight(&input, &gout, dims),
-                &conv3d_grad_weight_direct(&input, &gout, dims),
-                1e-4,
-            );
+            let forward = dot(&conv3d_naive(&input, &weight), &gout);
+            let via_input = dot(&input, &conv3d_grad_input(&gout, &weight, dims));
+            let via_weight = dot(&weight, &conv3d_grad_weight(&input, &gout, dims));
+            let scale = 1e-4 * (1.0 + forward.abs());
+            assert!((forward - via_input).abs() < scale, "{forward} vs {via_input} (k={k:?})");
+            assert!((forward - via_weight).abs() < scale, "{forward} vs {via_weight} (k={k:?})");
         }
     }
 
-    /// NaN and inf flow through the implicit path untouched: the on-the-fly
+    fn even_dims() -> (Tensor, Tensor, Conv3dDims) {
+        let x = Tensor::ones(&[1, 1, 2, 4, 4]);
+        let w = Tensor::ones(&[1, 1, 1, 2, 2]);
+        (x, w, Conv3dDims { n: 1, cin: 1, cout: 1, spatial: [2, 4, 4], kernel: [1, 2, 2] })
+    }
+
+    /// A hand-built `Conv3dDims` with an even extent must be refused, not
+    /// answered with a flipped-weight convolution that is wrong for it.
+    #[test]
+    #[should_panic(expected = "must be odd")]
+    fn grad_input_rejects_even_kernels() {
+        let (x, w, dims) = even_dims();
+        conv3d_grad_input(&x, &w, dims);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be odd")]
+    fn grad_weight_rejects_even_kernels() {
+        let (x, _, dims) = even_dims();
+        conv3d_grad_weight(&x, &x, dims);
+    }
+
+    /// NaN and inf flow through the lowering untouched: the on-the-fly
     /// packer must not skip or zero non-finite input values.
     #[test]
     fn implicit_gemm_propagates_nan_and_inf() {
@@ -946,7 +1005,7 @@ mod tests {
         input.data_mut()[7] = f32::NAN;
         input.data_mut()[31] = f32::INFINITY;
         let weight = Tensor::randn(&[3, 2, 3, 3, 3], 1.0, &mut rng);
-        let fused = conv3d_implicit_gemm(&input, &weight);
+        let fused = conv3d_auto(&input, &weight);
         let chain = conv3d_fma_chain(&input, &weight);
         for (i, (a, b)) in fused.data().iter().zip(chain.data()).enumerate() {
             assert_eq!(
@@ -968,7 +1027,7 @@ mod tests {
     fn conv3d_zero_weight_propagates_nan_from_inf_input() {
         let input = Tensor::full(&[1, 1, 2, 2, 2], f32::INFINITY);
         let weight = Tensor::zeros(&[1, 1, 1, 1, 1]);
-        for v in conv3d(&input, &weight).data() {
+        for v in conv3d_auto(&input, &weight).data() {
             assert!(v.is_nan(), "0 * inf must be NaN, got {v}");
         }
         // Same law through the input-gradient kernel (grad = w * grad_out).
@@ -1003,6 +1062,7 @@ mod tests {
         for &v in out.data() {
             assert!(input.data().contains(&v));
         }
+        assert_eq!(out, maxpool3d_values(&input, [1, 2, 4]));
     }
 
     #[test]
@@ -1018,6 +1078,9 @@ mod tests {
         assert!(out.data()[0].is_nan(), "NaN window must pool to NaN");
         assert_eq!(idx[0], 5, "argmax must point at the NaN");
         assert_eq!(out.data()[1], 7.0, "healthy window unaffected");
+        // The index-free form runs the same window loop.
+        let values = maxpool3d_values(&input, [2, 2, 2]);
+        assert!(values.data()[0].is_nan() && values.data()[1] == 7.0);
 
         let all_nan = Tensor::from_vec(vec![f32::NAN; 8], &[1, 1, 2, 2, 2]);
         let (out, _) = maxpool3d(&all_nan, [2, 2, 2]);
@@ -1033,6 +1096,33 @@ mod tests {
         // Every 2x2x2 block of `up` is constant, so maxpool inverts it.
         let (back, _) = maxpool3d(&up, [2, 2, 2]);
         assert_close(&back, &input, 1e-6);
+    }
+
+    /// Replication and its adjoint against their index definitions, bit for
+    /// bit, on anisotropic factors (the sum's order is part of the contract).
+    #[test]
+    fn upsample_matches_its_index_definition() {
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let f = [2usize, 1, 3];
+        let x = Tensor::randn(&[2, 2, 2, 3, 2], 1.0, &mut rng);
+        let up = upsample_nearest3d(&x, f);
+        let y = Tensor::randn(up.dims(), 1.0, &mut rng);
+        let back = upsample_nearest3d_backward(&y, f);
+        let mut want_back = Tensor::zeros(x.dims());
+        let [od, oh, ow] = [4, 3, 6];
+        for slab in 0..4 {
+            for zd in 0..od {
+                for zh in 0..oh {
+                    for zw in 0..ow {
+                        let o = ((slab * od + zd) * oh + zh) * ow + zw;
+                        let i = ((slab * 2 + zd / f[0]) * 3 + zh / f[1]) * 2 + zw / f[2];
+                        assert_eq!(up.data()[o].to_bits(), x.data()[i].to_bits());
+                        want_back.data_mut()[i] += y.data()[o];
+                    }
+                }
+            }
+        }
+        assert_bits_eq(&want_back, &back, "upsample backward");
     }
 
     #[test]

@@ -408,7 +408,7 @@ pub(crate) fn macro_block(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Reference triple loop, deliberately free of shortcuts.
@@ -535,7 +535,7 @@ mod tests {
     }
 
     /// Every tier this host can execute, most capable first.
-    fn runnable_backends() -> Vec<KernelBackend> {
+    pub(crate) fn runnable_backends() -> Vec<KernelBackend> {
         set_backend_override(None);
         let detected = kernel_backend();
         [KernelBackend::Avx512, KernelBackend::Avx2Fma, KernelBackend::Portable]

@@ -8,10 +8,10 @@
 //! - [`linalg`]: GEMM entry points (`A@B`, `Aᵀ@B`, `A@Bᵀ`) for the
 //!   continuous decoding MLP, all lowering onto the blocked micro-kernel in
 //!   [`gemm`](mod@gemm);
-//! - [`conv`]: 3D convolution (forward + both backwards; fused
-//!   implicit-GEMM lowerings, with the direct kernel for 1×1×1 filters and
-//!   as the oracle baseline), max pooling and nearest-neighbor upsampling
-//!   for the 3D U-Net encoder;
+//! - [`conv`]: 3D convolution (forward + both backwards, one fused
+//!   implicit-GEMM lowering for every odd kernel; [`PackedConv3d`] holds a
+//!   weight's panels), max pooling and nearest-neighbor upsampling for the
+//!   3D U-Net encoder;
 //! - [`rowops`]: the gather/blend/bias/affine/softplus row kernels shared verbatim by
 //!   the autodiff tape and the no-grad inference engine (bit-identical paths);
 //! - [`workspace`]: the buffer pool that lets kernels and tensor temporaries
@@ -30,10 +30,9 @@ pub mod tensor;
 pub mod workspace;
 
 pub use conv::{
-    conv3d, conv3d_auto, conv3d_grad_input, conv3d_grad_input_direct, conv3d_grad_weight,
-    conv3d_grad_weight_direct, conv3d_implicit_gemm, conv3d_implicit_grad_input,
-    conv3d_implicit_grad_weight, conv3d_path, maxpool3d, maxpool3d_backward, upsample_nearest3d,
-    upsample_nearest3d_backward, Conv3dDims, Conv3dPath,
+    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, maxpool3d, maxpool3d_backward,
+    maxpool3d_values, upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims, ConvStages,
+    PackedConv3d,
 };
 pub use gemm::{gemm, MatLayout, PackedGemm};
 pub use linalg::{matmul, matmul_nt, matmul_tn, matvec};
