@@ -21,6 +21,14 @@
 //! the no-grad `PackedMlp::forward` calls, so the two forwards are one code
 //! path. It saves what backward needs once: its own output (which the next
 //! layer reads anyway) and, for softplus only, a copy of the GEMM output.
+//!
+//! The same node differentiates the network with respect to its *inputs* —
+//! how the PDE residuals get exact derivatives of the decoder: on
+//! [`JET_LANES`] lanes its input stacks a value and five derivatives of it as
+//! row blocks, the GEMM maps all six with the same weight (a linear map
+//! commutes with differentiation) and the activation acts by the second-order
+//! chain rule ([`Activation::bias_jet_rows`]). The lanes being ordinary node
+//! values, a loss on the derivatives reaches weights and latent in reverse.
 
 use crate::nn::Activation;
 use crate::params::{ParamId, ParamStore};
@@ -29,6 +37,8 @@ use mfn_tensor::{
     maxpool3d_backward, upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims, Tensor,
 };
 use mfn_tensor::{rowops, workspace};
+
+pub use mfn_tensor::rowops::JET_LANES;
 
 /// A handle to a node on the tape (an SSA value of the recorded program).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,15 +59,17 @@ enum Op {
     AddScalar(Var),
     /// `A @ B` for rank-2 operands.
     Matmul(Var, Var),
-    /// A fully-connected layer `act(x @ w^T + b)` for `x: [M, in]`,
+    /// A fully-connected layer `act(x @ w^T + b)` for `x: [lanes·M, in]`,
     /// `w: [out, in]`, `b: [out]`. `pre` is the GEMM output `x @ w^T`, kept
-    /// only where backward cannot work from the node's own value (softplus).
+    /// only where backward cannot work from the node's own value (softplus;
+    /// any curved activation of a jet).
     Linear {
         x: Var,
         w: Var,
         b: Var,
         act: Activation,
         pre: Option<Tensor>,
+        lanes: usize,
     },
     /// `x + b` broadcasting `b: [C]` over channel dim 1 of `x: [N, C, ...]`.
     BiasChannel(Var, Var),
@@ -75,11 +87,12 @@ enum Op {
         axis: usize,
         sizes: Vec<usize>,
     },
-    /// Column slice `x[:, lo..hi]` of a rank-2 tensor.
-    SliceCols {
+    /// The slab `start..start + len` of `input` along `axis`.
+    Narrow {
         input: Var,
-        lo: usize,
-        cols: usize,
+        axis: usize,
+        start: usize,
+        len: usize,
     },
     Reshape(Var),
     Conv3d {
@@ -149,7 +162,7 @@ impl Op {
             Op::Sum(..) => "sum",
             Op::Mean(..) => "mean",
             Op::Concat { .. } => "concat",
-            Op::SliceCols { .. } => "slice_cols",
+            Op::Narrow { .. } => "narrow",
             Op::Reshape(..) => "reshape",
             Op::Conv3d { .. } => "conv3d",
             Op::MaxPool3d { .. } => "maxpool3d",
@@ -183,7 +196,7 @@ impl Op {
             | Op::Mean(a)
             | Op::Reshape(a) => vec![*a],
             Op::Concat { inputs, .. } => inputs.clone(),
-            Op::SliceCols { input, .. }
+            Op::Narrow { input, .. }
             | Op::MaxPool3d { input, .. }
             | Op::Upsample3d { input, .. }
             | Op::ChannelAffine { input, .. }
@@ -391,14 +404,27 @@ impl Graph {
     /// `w: [out, in]` (gradients arrive in that layout), `b: [out]`. The
     /// value is the GEMM followed by [`Activation::bias_apply_rows`] in place
     /// on its output, exactly what the no-grad `PackedMlp::forward` computes.
-    pub fn linear(&mut self, x: Var, w: Var, b: Var, act: Activation) -> Var {
+    ///
+    /// With `lanes = JET_LANES`, `x: [6·M, in]` stacks a value and five
+    /// derivatives as row blocks (module docs): still one GEMM, whose value
+    /// block is the 1-lane node's bit for bit — a GEMM row does not depend on
+    /// the rows around it — then [`Activation::bias_jet_rows`].
+    pub fn linear(&mut self, x: Var, w: Var, b: Var, act: Activation, lanes: usize) -> Var {
+        assert!(lanes == 1 || lanes == JET_LANES, "a layer runs on 1 or {JET_LANES} lanes");
         let mut y = matmul_nt(&self.nodes[x.0].value, &self.nodes[w.0].value);
         let rg = self.rg(x) || self.rg(w) || self.rg(b);
         // Softplus' is a function of the pre-activation, which the in-place
-        // activation overwrites; the other derivatives read the output.
-        let pre = (rg && act == Activation::Softplus).then(|| y.clone());
-        act.bias_apply_rows(y.data_mut(), self.nodes[b.0].value.data());
-        self.push(y, Op::Linear { x, w, b, act, pre }, rg)
+        // activation overwrites; the other derivatives read the output. A
+        // curved activation of a jet reads every pre-activation lane.
+        let curved_jet = lanes > 1 && act != Activation::Linear;
+        let pre = (rg && (curved_jet || act == Activation::Softplus)).then(|| y.clone());
+        let bias = self.nodes[b.0].value.data();
+        if lanes == 1 {
+            act.bias_apply_rows(y.data_mut(), bias);
+        } else {
+            act.bias_jet_rows::<false>(y.data_mut(), &[], bias);
+        }
+        self.push(y, Op::Linear { x, w, b, act, pre, lanes }, rg)
     }
 
     /// Adds bias `b: [C]` over channel dim 1 of `x: [N, C, ...]`.
@@ -469,18 +495,11 @@ impl Graph {
         self.push(v, Op::Concat { inputs: inputs.to_vec(), axis, sizes }, rg)
     }
 
-    /// Column slice `x[:, lo..lo+cols]` of a rank-2 node.
-    pub fn slice_cols(&mut self, x: Var, lo: usize, cols: usize) -> Var {
-        let xv = &self.nodes[x.0].value;
-        assert_eq!(xv.shape().rank(), 2, "slice_cols input must be rank 2");
-        let (m, n) = (xv.dims()[0], xv.dims()[1]);
-        assert!(lo + cols <= n, "slice_cols out of range");
-        let mut out = workspace::take_vec_capacity(m * cols);
-        for row in xv.data().chunks(n) {
-            out.extend_from_slice(&row[lo..lo + cols]);
-        }
+    /// The slab `start..start + len` of a node along `axis`.
+    pub fn narrow(&mut self, x: Var, axis: usize, start: usize, len: usize) -> Var {
+        let v = self.nodes[x.0].value.narrow(axis, start, len);
         let rg = self.rg(x);
-        self.push(Tensor::from_vec(out, &[m, cols]), Op::SliceCols { input: x, lo, cols }, rg)
+        self.push(v, Op::Narrow { input: x, axis, start, len }, rg)
     }
 
     /// Reinterprets a node's buffer with a new shape.
@@ -724,26 +743,30 @@ impl Graph {
                     self.accumulate(b, gb);
                 }
             }
-            Op::Linear { x, w, b, act, pre } => {
+            Op::Linear { x, w, b, act, pre, lanes } => {
                 // dz, the adjoint of the pre-activation z = x @ w^T + b, in
                 // place on the adjoint of the output y = act(z).
-                match act {
-                    Activation::Softplus => {
+                let bias = self.nodes[b.0].value.data();
+                match (act, pre) {
+                    (_, Some(pre)) if lanes > 1 => {
+                        act.bias_jet_rows::<true>(grad.data_mut(), pre.data(), bias)
+                    }
+                    (Activation::Softplus, pre) => {
                         let pre =
                             pre.expect("a softplus layer that needs a gradient saved its GEMM");
-                        let bias = self.nodes[b.0].value.data();
                         rowops::bias_softplus_grad_rows(grad.data_mut(), pre.data(), bias);
                     }
                     // y = max(z, 0) is positive exactly where z is.
-                    Activation::Relu => relu_grad(&mut grad, &self.nodes[node_idx].value),
-                    Activation::Tanh => tanh_grad(&mut grad, &self.nodes[node_idx].value),
-                    Activation::Linear => {}
+                    (Activation::Relu, _) => relu_grad(&mut grad, &self.nodes[node_idx].value),
+                    (Activation::Tanh, _) => tanh_grad(&mut grad, &self.nodes[node_idx].value),
+                    (Activation::Linear, _) => {}
                 }
                 let dz = grad;
                 if self.rg(b) {
-                    // Column sums, rows added in order.
+                    // Column sums of the value block (the only lane the bias
+                    // joins), rows added in order.
                     let mut db = workspace::take_vec_zeroed(dz.dims()[1]);
-                    for row in dz.data().chunks(db.len()) {
+                    for row in dz.data()[..dz.numel() / lanes].chunks(db.len()) {
                         for (acc, &r) in db.iter_mut().zip(row) {
                             *acc += r;
                         }
@@ -821,14 +844,16 @@ impl Graph {
                     start += size;
                 }
             }
-            Op::SliceCols { input, lo, cols } => {
-                let xv = &self.nodes[input.0].value;
-                let (m, n) = (xv.dims()[0], xv.dims()[1]);
-                let mut gi = workspace::take_vec_zeroed(m * n);
-                for (row, grow) in grad.data().chunks(cols).enumerate() {
-                    gi[row * n + lo..row * n + lo + cols].copy_from_slice(grow);
+            Op::Narrow { input, axis, start, len } => {
+                let dims = self.nodes[input.0].value.dims().to_vec();
+                let inner: usize = dims[axis + 1..].iter().product();
+                let mut gi = workspace::take_vec_zeroed(dims.iter().product());
+                for (slab, g) in
+                    gi.chunks_mut(dims[axis] * inner).zip(grad.data().chunks(len * inner))
+                {
+                    slab[start * inner..(start + len) * inner].copy_from_slice(g);
                 }
-                self.accumulate(input, Tensor::from_vec(gi, &[m, n]));
+                self.accumulate(input, Tensor::from_vec(gi, &dims));
             }
             Op::Reshape(a) => {
                 let dims = self.nodes[a.0].value.dims().to_vec();

@@ -8,23 +8,24 @@
 //!   blending) with exact reverse-mode gradients;
 //! - [`nn`]: `Linear`, `Conv3dLayer`, `BatchNorm3d`, `Mlp` layers over a
 //!   shared [`ParamStore`];
-//! - [`optim`]: Adam (the paper's optimizer) and SGD;
-//! - [`jet`]: exact forward-mode first/second directional derivatives through
-//!   an MLP, for evaluating the PDE residuals of the continuous decoder.
+//! - [`optim`]: Adam (the paper's optimizer) and SGD.
+//!
+//! The tape also differentiates a network with respect to its inputs: a
+//! layer run on [`JET_LANES`] lanes carries a value with its first and second
+//! space-time derivatives (see [`graph`]), which is where the PDE residuals
+//! of the continuous decoder get theirs.
 //!
 //! Graphs are plain owned values (`Send`), so the data-parallel trainer can
 //! run one tape per worker thread with no shared mutable state.
 
 pub mod checkpoint;
 pub mod graph;
-pub mod jet;
 pub mod nn;
 pub mod optim;
 pub mod params;
 
 pub use checkpoint::{load_params, read_adam, read_params, save_params, write_adam, write_params};
-pub use graph::{Graph, Var};
-pub use jet::{activation_jet, linear_jet, mlp_jet, Jet3, JetVec};
+pub use graph::{Graph, Var, JET_LANES};
 pub use mfn_tensor::rowops::{sigmoid_scalar, softplus_scalar};
 pub use nn::{
     Activation, BatchNorm3d, Conv3dLayer, EvalAffine, Linear, Mlp, PackedConv3dLayer, PackedMlp,

@@ -8,7 +8,8 @@
 
 use crate::graph::{Graph, Var};
 use crate::params::{ParamId, ParamStore};
-use mfn_tensor::{rowops, MatLayout, PackedConv3d, PackedGemm, Tensor};
+use mfn_tensor::rowops::{self, JET_LANES};
+use mfn_tensor::{MatLayout, PackedConv3d, PackedGemm, Tensor};
 use rand::Rng;
 
 /// Element-wise activation selector.
@@ -38,53 +39,46 @@ impl Activation {
             Activation::Relu | Activation::Tanh => {
                 rowops::add_bias_rows(y, bias);
                 for v in y {
-                    *v = self.eval(*v);
+                    *v = self.derivs(*v)[0];
                 }
             }
         }
     }
 
-    /// Scalar evaluation (used by the forward-mode jet propagator).
-    pub fn eval(self, x: f32) -> f32 {
+    /// [`Activation::bias_apply_rows`] on a six-lane stack `y: [JET_LANES·M,
+    /// bias.len()]` (value, `∂t`, `∂z`, `∂x`, `∂zz`, `∂xx` of the
+    /// pre-activation as row blocks): the bias joins the value block alone,
+    /// which comes out as `bias_apply_rows` leaves it, and the activation
+    /// acts by the second-order chain rule ([`rowops::bias_jet_rows`]). With
+    /// `GRAD`, the reverse pass instead: `y` holds the output adjoint and
+    /// `pre` the GEMM output the forward overwrote (unused without `GRAD`).
+    pub fn bias_jet_rows<const GRAD: bool>(self, y: &mut [f32], pre: &[f32], bias: &[f32]) {
         match self {
-            Activation::Relu => x.max(0.0),
-            Activation::Softplus => rowops::softplus_scalar(x),
-            Activation::Tanh => x.tanh(),
-            Activation::Linear => x,
+            Activation::Softplus => rowops::bias_softplus_jet_rows::<GRAD>(y, pre, bias),
+            // Derivatives pass through the identity untouched.
+            Activation::Linear if GRAD => {}
+            Activation::Linear => {
+                let value_block = y.len() / JET_LANES;
+                rowops::add_bias_rows(&mut y[..value_block], bias)
+            }
+            Activation::Relu | Activation::Tanh => {
+                rowops::bias_jet_rows::<GRAD>(y, pre, bias, |x| self.derivs(x))
+            }
         }
     }
 
-    /// First derivative at `x`.
-    pub fn d1(self, x: f32) -> f32 {
+    /// The activation and its first three derivatives `[σ, σ′, σ″, σ‴]` at
+    /// `x` (the third is what the reverse pass through a second needs).
+    pub fn derivs(self, x: f32) -> [f32; 4] {
         match self {
-            Activation::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Softplus => rowops::sigmoid_scalar(x),
+            Activation::Relu => [x.max(0.0), if x > 0.0 { 1.0 } else { 0.0 }, 0.0, 0.0],
+            Activation::Softplus => rowops::softplus_derivs(x),
             Activation::Tanh => {
                 let t = x.tanh();
-                1.0 - t * t
+                let c = 1.0 - t * t;
+                [t, c, -2.0 * t * c, -2.0 * c * (1.0 - 3.0 * t * t)]
             }
-            Activation::Linear => 1.0,
-        }
-    }
-
-    /// Second derivative at `x`.
-    pub fn d2(self, x: f32) -> f32 {
-        match self {
-            Activation::Relu | Activation::Linear => 0.0,
-            Activation::Softplus => {
-                let s = rowops::sigmoid_scalar(x);
-                s * (1.0 - s)
-            }
-            Activation::Tanh => {
-                let t = x.tanh();
-                -2.0 * t * (1.0 - t * t)
-            }
+            Activation::Linear => [x, 1.0, 0.0, 0.0],
         }
     }
 }
@@ -122,12 +116,19 @@ impl Linear {
         }
     }
 
-    /// Applies the layer and `act` to `x: [M, in]`, producing `[M, out]`, as
-    /// one [`Graph::linear`] node.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, act: Activation) -> Var {
+    /// Applies the layer and `act` to the `lanes` row blocks of `x: [lanes·M,
+    /// in]`, producing `[lanes·M, out]`, as one [`Graph::linear`] node.
+    pub fn forward(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: Var,
+        act: Activation,
+        lanes: usize,
+    ) -> Var {
         let w = g.param(store, self.weight);
         let b = g.param(store, self.bias);
-        g.linear(x, w, b, act)
+        g.linear(x, w, b, act, lanes)
     }
 }
 
@@ -338,14 +339,15 @@ impl Mlp {
         self.layers.last().expect("non-empty").out_features
     }
 
-    /// Records the forward pass for `x: [M, in]`, one node per layer.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
+    /// Records the forward pass for the `lanes` row blocks of `x: [lanes·M,
+    /// in]` (1, or [`JET_LANES`] to carry derivatives), one node per layer.
+    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, lanes: usize) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
             // Hidden activation on every layer but the linear head.
             let act = if i == last { Activation::Linear } else { self.activation };
-            h = layer.forward(g, store, h, act);
+            h = layer.forward(g, store, h, act, lanes);
         }
         h
     }
@@ -432,7 +434,7 @@ mod tests {
         let lin = Linear::new(&mut store, "l", 3, 2, &mut rng);
         let mut g = Graph::new();
         let x = g.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]));
-        let y = lin.forward(&mut g, &store, x, Activation::Linear);
+        let y = lin.forward(&mut g, &store, x, Activation::Linear, 1);
         let w = store.get(lin.weight);
         let b = store.get(lin.bias);
         for o in 0..2 {
@@ -507,12 +509,12 @@ mod tests {
         let mut g1 = Graph::new();
         let v1 = {
             let xv = g1.constant(x.clone());
-            let y = mlp.forward(&mut g1, &store, xv);
+            let y = mlp.forward(&mut g1, &store, xv, 1);
             g1.value(y).clone()
         };
         let mut g2 = Graph::new();
         let xv = g2.constant(x);
-        let y = mlp.forward(&mut g2, &store, xv);
+        let y = mlp.forward(&mut g2, &store, xv, 1);
         assert_eq!(&v1, g2.value(y));
         assert_eq!(v1.dims(), &[4, 2]);
     }
@@ -524,10 +526,11 @@ mod tests {
                 // f32 round-off dominates second differences at tiny h, so use
                 // a moderate step and loose-but-meaningful tolerances.
                 let h = 5e-2f32;
-                let d1_fd = (act.eval(x + h) - act.eval(x - h)) / (2.0 * h);
-                let d2_fd = (act.eval(x + h) - 2.0 * act.eval(x) + act.eval(x - h)) / (h * h);
-                assert!((act.d1(x) - d1_fd).abs() < 1e-3, "{act:?} d1 at {x}");
-                assert!((act.d2(x) - d2_fd).abs() < 2e-2, "{act:?} d2 at {x}");
+                let ([vm, _, d2m, _], [v, d1, d2, d3], [vp, _, d2p, _]) =
+                    (act.derivs(x - h), act.derivs(x), act.derivs(x + h));
+                assert!((d1 - (vp - vm) / (2.0 * h)).abs() < 1e-3, "{act:?} d1 at {x}");
+                assert!((d2 - (vp - 2.0 * v + vm) / (h * h)).abs() < 2e-2, "{act:?} d2 at {x}");
+                assert!((d3 - (d2p - d2m) / (2.0 * h)).abs() < 1e-2, "{act:?} d3 at {x}");
             }
         }
     }

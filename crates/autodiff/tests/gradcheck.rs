@@ -4,7 +4,7 @@
 //! mode gradients, and compares them against central finite differences of
 //! the re-executed forward pass.
 
-use mfn_autodiff::{Activation, Graph, Mlp, ParamStore, Var};
+use mfn_autodiff::{Activation, Graph, Mlp, ParamStore, Var, JET_LANES};
 use mfn_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -101,19 +101,19 @@ fn linear_all_three_operands() {
     for act in [Activation::Softplus, Activation::Tanh, Activation::Linear] {
         gradcheck(&x0, 1e-2, |g, x| {
             let (w, b) = (g.constant(w0.clone()), g.constant(b0.clone()));
-            let y = g.linear(x, w, b, act);
+            let y = g.linear(x, w, b, act, 1);
             let sq = g.mul(y, y);
             g.sum(sq)
         });
         gradcheck(&w0, 1e-2, |g, w| {
             let (x, b) = (g.constant(x0.clone()), g.constant(b0.clone()));
-            let y = g.linear(x, w, b, act);
+            let y = g.linear(x, w, b, act, 1);
             let sq = g.mul(y, y);
             g.sum(sq)
         });
         gradcheck(&b0, 1e-2, |g, b| {
             let (x, w) = (g.constant(x0.clone()), g.constant(w0.clone()));
-            let y = g.linear(x, w, b, act);
+            let y = g.linear(x, w, b, act, 1);
             let sq = g.mul(y, y);
             g.sum(sq)
         });
@@ -123,10 +123,101 @@ fn linear_all_three_operands() {
     let b_relu = Tensor::from_vec(vec![4.0, -4.0, 4.0, -4.0, 4.0], &[5]);
     gradcheck(&x0, 1e-2, |g, x| {
         let (w, b) = (g.constant(w0.clone()), g.constant(b_relu.clone()));
-        let y = g.linear(x, w, b, Activation::Relu);
+        let y = g.linear(x, w, b, Activation::Relu, 1);
         let sq = g.mul(y, y);
         g.sum(sq)
     });
+}
+
+#[test]
+fn linear_six_lanes_all_three_operands() {
+    // The same node on a value with its five derivative lanes: every lane of
+    // the output enters the loss, so the reverse pass of the second-order
+    // chain rule (σ‴ included) is what is checked.
+    let (x0, w0, b0) = (randn(&[JET_LANES * 2, 4], 23), randn(&[5, 4], 24), randn(&[5], 25));
+    let mix = randn(&[JET_LANES * 2, 5], 26);
+    // ReLU: pre-activations a finite-difference span away from the kink.
+    let b_relu = Tensor::from_vec(vec![6.0, -6.0, 6.0, -6.0, 6.0], &[5]);
+    for (act, b0) in [
+        (Activation::Softplus, &b0),
+        (Activation::Tanh, &b0),
+        (Activation::Linear, &b0),
+        (Activation::Relu, &b_relu),
+    ] {
+        let loss = |g: &mut Graph, x: Var, w: Var, b: Var| {
+            let y = g.linear(x, w, b, act, JET_LANES);
+            let m = g.constant(mix.clone());
+            let weighted = g.mul(y, m);
+            let sq = g.mul(weighted, y);
+            g.sum(sq)
+        };
+        gradcheck(&x0, 2e-2, |g, x| {
+            let (w, b) = (g.constant(w0.clone()), g.constant(b0.clone()));
+            loss(g, x, w, b)
+        });
+        gradcheck(&w0, 2e-2, |g, w| {
+            let (x, b) = (g.constant(x0.clone()), g.constant(b0.clone()));
+            loss(g, x, w, b)
+        });
+        gradcheck(b0, 2e-2, |g, b| {
+            let (x, w) = (g.constant(x0.clone()), g.constant(w0.clone()));
+            loss(g, x, w, b)
+        });
+    }
+}
+
+#[test]
+fn six_lane_layer_differentiates_the_one_lane_layer() {
+    // Move the input along x(t, z, x) = x0 + a·t + b·z + c·x + e·z²/2 + f·x²/2:
+    // the six-lane node fed [x0, a, b, c, e, f] must return the layer's
+    // value, its three first derivatives and its two second derivatives at
+    // the origin, which central differences of the 1-lane node measure.
+    let lanes = randn(&[JET_LANES, 4], 27);
+    let (w0, b0) = (randn(&[3, 4], 28), randn(&[3], 29));
+    let row = |l: usize| &lanes.data()[l * 4..(l + 1) * 4];
+    for act in [Activation::Softplus, Activation::Tanh] {
+        let at = |t: f32, z: f32, x: f32| -> Vec<f32> {
+            let input: Vec<f32> = (0..4)
+                .map(|i| {
+                    row(0)[i]
+                        + row(1)[i] * t
+                        + row(2)[i] * z
+                        + row(3)[i] * x
+                        + 0.5 * (row(4)[i] * z * z + row(5)[i] * x * x)
+                })
+                .collect();
+            let mut g = Graph::new();
+            let xv = g.constant(Tensor::from_vec(input, &[1, 4]));
+            let (w, b) = (g.constant(w0.clone()), g.constant(b0.clone()));
+            let y = g.linear(xv, w, b, act, 1);
+            g.value(y).data().to_vec()
+        };
+        let mut g = Graph::new();
+        let xv = g.constant(lanes.clone());
+        let (w, b) = (g.constant(w0.clone()), g.constant(b0.clone()));
+        let y = g.linear(xv, w, b, act, JET_LANES);
+        let got = g.value(y).data().to_vec();
+        let h = 2e-2f32;
+        let f0 = at(0.0, 0.0, 0.0);
+        let step = |axis: usize, s: f32| {
+            let mut p = [0.0f32; 3];
+            p[axis] = s;
+            at(p[0], p[1], p[2])
+        };
+        for o in 0..3 {
+            assert_eq!(got[o].to_bits(), f0[o].to_bits(), "{act:?} value lane");
+            for axis in 0..3 {
+                let (fp, fm) = (step(axis, h)[o], step(axis, -h)[o]);
+                let d = (fp - fm) / (2.0 * h);
+                assert!((got[(1 + axis) * 3 + o] - d).abs() < 5e-3, "{act:?} d/d{axis} out {o}");
+                if axis > 0 {
+                    let dd = (fp - 2.0 * f0[o] + fm) / (h * h);
+                    let lane = 3 + axis;
+                    assert!((got[lane * 3 + o] - dd).abs() < 5e-2, "{act:?} d²/d{axis}² out {o}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -182,7 +273,7 @@ fn layer_on_tape(
     let b = leaf(&mut g, b0.clone(), needs[2]);
     let (w, y) = if fused {
         let w = leaf(&mut g, w0.clone(), needs[1]);
-        (w, g.linear(x, w, b, act))
+        (w, g.linear(x, w, b, act, 1))
     } else {
         let wt = leaf(&mut g, w0.transpose2(), needs[1]);
         let u = g.matmul(x, wt);
@@ -276,7 +367,7 @@ fn concat_and_slice() {
     gradcheck(&randn(&[3, 4], 50), 1e-2, |g, x| {
         let o = g.constant(other.clone());
         let c = g.concat(&[x, o], 1);
-        let s = g.slice_cols(c, 1, 3);
+        let s = g.narrow(c, 1, 1, 3);
         let sq = g.mul(s, s);
         g.sum(sq)
     });
@@ -384,6 +475,15 @@ fn gather_and_blend() {
 }
 
 #[test]
+fn narrow_rows() {
+    gradcheck(&randn(&[5, 3], 114), 1e-2, |g, x| {
+        let mid = g.narrow(x, 0, 1, 3);
+        let sq = g.mul(mid, mid);
+        g.sum(sq)
+    });
+}
+
+#[test]
 fn l1_and_mse_losses() {
     let target = randn(&[4, 2], 121);
     let mut x0 = randn(&[4, 2], 120);
@@ -415,7 +515,7 @@ fn full_mlp_param_gradients() {
     let run = |store: &ParamStore| -> f32 {
         let mut g = Graph::new();
         let x = g.constant(x0.clone());
-        let y = mlp.forward(&mut g, store, x);
+        let y = mlp.forward(&mut g, store, x, 1);
         let t = g.constant(target.clone());
         let loss = g.mse_loss(y, t);
         g.value(loss).item()
@@ -423,7 +523,7 @@ fn full_mlp_param_gradients() {
 
     let mut g = Graph::new();
     let x = g.constant(x0.clone());
-    let y = mlp.forward(&mut g, &store, x);
+    let y = mlp.forward(&mut g, &store, x, 1);
     let t = g.constant(target.clone());
     let loss = g.mse_loss(y, t);
     g.backward(loss);
@@ -480,7 +580,7 @@ fn backward_leaves_gradients_on_leaves_only() {
     let x = g.leaf_with_grad(randn(&[4, 3], 180));
     let w = g.leaf_with_grad(randn(&[2, 3], 181));
     let b = g.constant(randn(&[2], 182));
-    let h = g.linear(x, w, b, Activation::Softplus);
+    let h = g.linear(x, w, b, Activation::Softplus, 1);
     let t = g.tanh(h);
     let sq = g.mul(t, t);
     let loss = g.sum(sq);
@@ -517,8 +617,8 @@ fn frozen_param_tape_records_weights_as_constants() {
         let x = g.leaf_with_grad(x0.clone());
         let w = g.param(&store, mlp.layers[0].weight);
         let b = g.param(&store, mlp.layers[0].bias);
-        let h = g.linear(x, w, b, Activation::Softplus);
-        let y = mlp.forward(&mut g, &store, x);
+        let h = g.linear(x, w, b, Activation::Softplus, 1);
+        let y = mlp.forward(&mut g, &store, x, 1);
         let sq = g.mul(y, y);
         let s1 = g.sum(sq);
         let s2 = g.sum(h);
@@ -602,11 +702,10 @@ fn trilinear_decoder_path_batched_grid() {
 }
 
 #[test]
-fn fd_stencil_jet_path_accumulates_through_shared_grid() {
-    // The PDE-residual path: the equation loss decodes the same latent grid
-    // at stencil-shifted query points and combines them with central-
-    // difference coefficients. Gradients must accumulate into the one grid
-    // leaf through all three gathers.
+fn shifted_queries_accumulate_through_shared_grid() {
+    // Several decodes of the same latent grid at shifted query points,
+    // combined with central-difference coefficients: gradients must
+    // accumulate into the one grid leaf through all three gathers.
     let h = 0.05f32;
     let index: Vec<u32> = (0..8).collect();
     let center = trilinear_weights(0.5, 0.5, 0.5);

@@ -1,6 +1,6 @@
 //! Criterion benchmarks of the end-to-end pipeline stages: one full training
-//! step (forward + both losses + backward + Adam), the equation-loss stencil
-//! overhead (the ablation of DESIGN.md's FD-substitution cost), and
+//! step (forward + both losses + backward + Adam), the equation-loss
+//! overhead (γ = 0 against γ*: one decoder lane against six), and
 //! full-domain super-resolution.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -31,7 +31,7 @@ fn model_cfg(gamma: f32) -> MfnConfig {
 }
 
 /// One optimizer step, with and without the equation loss: measures the cost
-/// of the PDE constraint (7 extra decoder passes through the FD stencil).
+/// of the PDE constraint (the decoder's five derivative lanes).
 fn bench_train_step(c: &mut Criterion) {
     let (hr, lr) = data();
     let corpus = Corpus::new(vec![(hr.clone(), lr.clone())]);

@@ -31,9 +31,10 @@
 //! above the baseline's by the same margin — ratios, not absolute GFLOP/s,
 //! so the gate is insensitive to how fast the CI machine is that day.
 
-use mfn_autodiff::Graph;
+use mfn_autodiff::{Graph, Var, JET_LANES};
 use mfn_core::{
-    plan_queries, Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+    equation_loss, plan_queries, ChannelStats, ConstraintSet, Corpus, FrozenModel, MeshfreeFlowNet,
+    MfnConfig, RbcParams, TrainConfig, Trainer,
 };
 use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec, QueryStrategy};
 use mfn_sample::{OctreeConfig, OctreeSampler};
@@ -542,65 +543,84 @@ fn bench_decode(iters: usize) -> (f64, Vec<DecodeRow>) {
     (encode_ns, rows)
 }
 
-/// Queries of the `tape_decoder` row: the many-block row of `decode_values`.
-const TAPE_QUERIES: usize = 4096;
+/// Queries of the `tape_decoder` row: with eight vertices and six lanes
+/// apiece, 49 152 GEMM rows — the size of a benchmark training step's decode.
+const TAPE_QUERIES: usize = 1024;
 
-/// The decoder on the tape, forward and backward apart: `(median_ns,
-/// best_ns)` of each.
+/// The decoder on the tape as a training step with `γ > 0` runs it:
+/// `(median_ns, best_ns)` of each part.
 struct TapeDecoderBench {
     forward: (f64, f64),
     backward: (f64, f64),
-    /// GEMM FLOPs of one forward pass: `2 · rows · Σ in·out` over the layers.
+    /// GEMM FLOPs of one forward pass: `2 · rows · Σ in·out` over the layers
+    /// (backward runs two GEMMs, `dx` and `dW`, for each forward one).
     forward_flops: f64,
+    /// Forward + backward of the equation loss on that decode.
+    eq_loss: (f64, f64),
+    /// Forward + backward of the one-lane decode of the same points: what
+    /// `γ = 0` pays, so `eq_loss / one_lane` is the cost of the lanes.
+    one_lane: (f64, f64),
 }
 
-impl TapeDecoderBench {
-    /// Backward runs two GEMMs (`dx`, `dW`) for each forward one.
-    fn backward_flops(&self) -> f64 {
-        2.0 * self.forward_flops
-    }
-}
-
-/// Times what one of a training step's eight decoder passes costs on the
-/// tape: `ContinuousDecoder::decode` of [`TAPE_QUERIES`] points (gather,
-/// concat, one fused Linear node per layer, blend) with the latent and the
-/// weights as gradient leaves, then `Graph::backward` from the mean of the
-/// output. The same model and queries as the 4096-query `decode_values` row,
-/// so the two rows differ by exactly what the tape adds.
+/// Times the decoder pass of a training step on the tape:
+/// `ContinuousDecoder::decode_derivs` of [`TAPE_QUERIES`] points (gather,
+/// concat, one fused six-lane Linear node per layer, blend) with the latent
+/// and the weights as gradient leaves, then `Graph::backward` from the mean
+/// of the output — and, interleaved with it, the same tape reduced through
+/// the equation loss instead, and the one-lane `decode` of the same points.
+/// The model of the `decode_values` rows.
 fn bench_tape_decoder(iters: usize) -> TapeDecoderBench {
     let cfg = bench_decoder_config();
     let in_channels = cfg.in_channels;
     let model = MeshfreeFlowNet::new(cfg);
     let mut rng = ChaCha8Rng::seed_from_u64(21);
     let latent = model.encode(&Tensor::randn(&[1, in_channels, 4, 4, 4], 1.0, &mut rng));
-    let plan = plan_queries(model.grid_dims(), bench_queries(TAPE_QUERIES));
-    let mlp = &model.decoder.mlp;
+    let grid = model.grid_dims();
+    let plan = plan_queries(grid, bench_queries(TAPE_QUERIES));
+    let (dec, store) = (&model.decoder, &model.store);
     let forward_flops = 2.0
-        * (TAPE_QUERIES * 8) as f64
-        * mlp.layers.iter().map(|l| (l.in_features * l.out_features) as f64).sum::<f64>();
-    let (mut fwd, mut bwd) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
+        * (TAPE_QUERIES * 8 * JET_LANES) as f64
+        * dec.mlp.layers.iter().map(|l| (l.in_features * l.out_features) as f64).sum::<f64>();
+    let lanes = |g: &mut Graph, l: Var| dec.decode_derivs(g, store, l, &plan, grid, [1.0; 3]);
+    let stats = ChannelStats { mean: [0.0; 4], std: [1.0; 4] };
+    let params = RbcParams::from_ra_pr(1e5, 1.0);
+    type Record<'a> = &'a dyn Fn(&mut Graph, Var) -> Var;
+    let arms: [Record; 3] = [
+        &|g, l| {
+            let out = lanes(g, l);
+            g.mean(out)
+        },
+        &|g, l| {
+            let out = lanes(g, l);
+            equation_loss(g, out, params, stats, ConstraintSet::ALL).0
+        },
+        &|g, l| {
+            let out = dec.decode(g, store, l, &plan);
+            g.mean(out)
+        },
+    ];
+    // Per arm: forward, backward and total samples.
+    let mut samples = [(); 3].map(|_| [(); 3].map(|_| Vec::with_capacity(iters)));
     // One untimed pass first: workspace pool, icache.
     for i in 0..=iters {
-        let t = Instant::now();
-        let mut g = Graph::new();
-        let l = g.leaf_with_grad(latent.clone());
-        let out = model.decoder.decode(&mut g, &model.store, l, &plan);
-        let loss = g.mean(out);
-        let forward_ns = t.elapsed().as_nanos() as f64;
-        let t = Instant::now();
-        g.backward(loss);
-        let backward_ns = t.elapsed().as_nanos() as f64;
-        std::hint::black_box(g.grad(l));
-        if i > 0 {
-            fwd.push(forward_ns);
-            bwd.push(backward_ns);
+        for (record, [fwd, bwd, total]) in arms.iter().zip(&mut samples) {
+            let t = Instant::now();
+            let mut g = Graph::new();
+            let l = g.leaf_with_grad(latent.clone());
+            let loss = record(&mut g, l);
+            let forward_ns = t.elapsed().as_nanos() as f64;
+            g.backward(loss);
+            let total_ns = t.elapsed().as_nanos() as f64;
+            std::hint::black_box(g.grad(l));
+            if i > 0 {
+                fwd.push(forward_ns);
+                bwd.push(total_ns - forward_ns);
+                total.push(total_ns);
+            }
         }
     }
-    TapeDecoderBench {
-        forward: median_and_best(fwd),
-        backward: median_and_best(bwd),
-        forward_flops,
-    }
+    let [[fwd, bwd, _], [_, _, eq], [_, _, one]] = samples.map(|arm| arm.map(median_and_best));
+    TapeDecoderBench { forward: fwd, backward: bwd, forward_flops, eq_loss: eq, one_lane: one }
 }
 
 /// `(median_ns, best_ns)` of the activation kernel and of its derivative.
@@ -1191,12 +1211,16 @@ fn main() {
     eprintln!("[bench] timing the decoder on the tape ({decode_iters} iters) ...");
     let tape = bench_tape_decoder(decode_iters);
     eprintln!(
-        "[bench] tape decoder at {TAPE_QUERIES} queries: forward {:.2} ms ({:.1} GFLOP/s), \
-         backward {:.2} ms ({:.1} GFLOP/s); gemm_nn {blocked:.1} GFLOP/s",
+        "[bench] tape decoder at {TAPE_QUERIES} queries x {JET_LANES} lanes: forward {:.2} ms \
+         ({:.1} GFLOP/s), backward {:.2} ms ({:.1} GFLOP/s); gemm_nn {blocked:.1} GFLOP/s; \
+         equation loss {:.2} ms vs one-lane decode {:.2} ms ({:.2}x)",
         tape.forward.1 / 1e6,
         tape.forward_flops / tape.forward.1,
         tape.backward.1 / 1e6,
-        tape.backward_flops() / tape.backward.1,
+        2.0 * tape.forward_flops / tape.backward.1,
+        tape.eq_loss.1 / 1e6,
+        tape.one_lane.1 / 1e6,
+        tape.eq_loss.1 / tape.one_lane.1,
     );
 
     // ---- One-train-step A/B: workspace pool on vs off ------------------
@@ -1254,7 +1278,7 @@ fn main() {
     }
     let json = format!(
         "{{\n\
-         \"schema\": \"mfn-bench/kernels/v7\",\n\
+         \"schema\": \"mfn-bench/kernels/v8\",\n\
          \"mode\": \"{mode}\",\n\
          \"count_alloc\": {count_alloc},\n\
          \"checks\": {{\"gemm_vs_naive\": \"ok\", \"conv3d_vs_definition\": \"ok\"}},\n\
@@ -1277,9 +1301,10 @@ fn main() {
          \"softplus\": {{\"elements\": {sp_n}, \"median_ns\": {sp_med:.0}, \"best_ns\": {sp_best:.0}, \"ns_per_element\": {sp_per:.3}}},\n\
          \"softplus_grad\": {{\"elements\": {sp_n}, \"median_ns\": {sg_med:.0}, \"best_ns\": {sg_best:.0}, \"ns_per_element\": {sg_per:.3}, \"ratio_vs_softplus\": {sg_ratio:.3}}},\n\
          \"tape_decoder\": {{\n\
-         \"queries\": {TAPE_QUERIES}, \"rows\": {tape_rows},\n\
+         \"queries\": {TAPE_QUERIES}, \"lanes\": {JET_LANES}, \"rows\": {tape_rows},\n\
          \"forward_ms\": {tf_ms:.3}, \"forward_median_ms\": {tf_med_ms:.3}, \"forward_gflops\": {tf_gf:.2}, \"forward_vs_gemm_nn\": {tf_rel:.3},\n\
-         \"backward_ms\": {tb_ms:.3}, \"backward_median_ms\": {tb_med_ms:.3}, \"backward_gflops\": {tb_gf:.2}, \"backward_vs_gemm_nn\": {tb_rel:.3}\n\
+         \"backward_ms\": {tb_ms:.3}, \"backward_median_ms\": {tb_med_ms:.3}, \"backward_gflops\": {tb_gf:.2}, \"backward_vs_gemm_nn\": {tb_rel:.3},\n\
+         \"eq_loss_ms\": {te_ms:.3}, \"one_lane_ms\": {t1_ms:.3}, \"eq_loss_vs_one_lane\": {te_rel:.3}\n\
          }},\n\
          \"sampling\": {{\n\
          \"queries_per_draw\": {sq},\n\
@@ -1320,15 +1345,18 @@ fn main() {
         sg_best = softplus.grad.1,
         sg_per = softplus.grad.1 / softplus.elements as f64,
         sg_ratio = softplus.grad_ratio(),
-        tape_rows = TAPE_QUERIES * 8,
+        tape_rows = TAPE_QUERIES * 8 * JET_LANES,
         tf_ms = tape.forward.1 / 1e6,
         tf_med_ms = tape.forward.0 / 1e6,
         tf_gf = tape.forward_flops / tape.forward.1,
         tf_rel = tape.forward_flops / tape.forward.1 / blocked,
         tb_ms = tape.backward.1 / 1e6,
         tb_med_ms = tape.backward.0 / 1e6,
-        tb_gf = tape.backward_flops() / tape.backward.1,
-        tb_rel = tape.backward_flops() / tape.backward.1 / blocked,
+        tb_gf = 2.0 * tape.forward_flops / tape.backward.1,
+        tb_rel = 2.0 * tape.forward_flops / tape.backward.1 / blocked,
+        te_ms = tape.eq_loss.1 / 1e6,
+        t1_ms = tape.one_lane.1 / 1e6,
+        te_rel = tape.eq_loss.1 / tape.one_lane.1,
         sq = sampling.queries,
         su_med = sampling.uniform_median_ns,
         su_best = sampling.uniform_best_ns,

@@ -12,8 +12,8 @@
 //!   fig7a      throughput & scaling-efficiency curve (paper Fig. 7a)
 //!   fig7b      loss vs. epochs per worker count (paper Fig. 7b)
 //!   fig7c      loss vs. wall time per worker count (paper Fig. 7c)
-//!   ablation   design-choice ablations: FD stencil step, decoder
-//!              activation, PDE-constraint combinations
+//!   ablation   design-choice ablations: decoder activation,
+//!              PDE-constraint combinations
 //!   all        every experiment at the chosen scale
 //!
 //! Options:
@@ -28,8 +28,8 @@
 //! ```
 
 use mfn_bench::{
-    ablation_activation, ablation_constraints, ablation_fd_step, fig6, fig7, print_rows, table1,
-    table2, table3, table4, ExperimentScale, TABLE1_GAMMAS,
+    ablation_activation, ablation_constraints, fig6, fig7, print_rows, table1, table2, table3,
+    table4, ExperimentScale, TABLE1_GAMMAS,
 };
 use mfn_telemetry::Recorder;
 use std::path::PathBuf;
@@ -199,11 +199,6 @@ fn main() {
             println!("fig6 panels written to {}", args.out.join("fig6").display());
         }
         "ablation" => {
-            println!("\n=== Ablation: FD stencil step (equation-loss derivative substitution) ===");
-            println!("{:>10} {:>12} {:>12}", "h", "pred loss", "eq loss");
-            for (h, p, e) in ablation_fd_step(&args.scale, &[0.01, 0.02, 0.05, 0.1]) {
-                println!("{h:>10} {p:>12.4} {e:>12.4}");
-            }
             println!("\n=== Ablation: decoder activation ===");
             println!("{:>10} {:>12} {:>12}", "act", "pred loss", "eq loss");
             for (n, p, e) in ablation_activation(&args.scale) {

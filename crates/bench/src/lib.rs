@@ -342,28 +342,7 @@ pub fn fig7(scale: &ExperimentScale, max_workers: usize) -> (Vec<ScalingPoint>, 
     (points, model)
 }
 
-/// **Ablation A**: sensitivity of the equation-loss training to the
-/// finite-difference stencil step `h` (the key knob of DESIGN.md's
-/// derivative substitution). Returns `(h, final prediction loss, final
-/// equation loss)` per setting.
-pub fn ablation_fd_step(scale: &ExperimentScale, steps: &[f32]) -> Vec<(f32, f32, f32)> {
-    let pair = scale.build_pair(1e6, 7);
-    let corpus = Corpus::new(vec![pair]);
-    steps
-        .iter()
-        .map(|&h| {
-            eprintln!("[ablation] fd_step = {h} ...");
-            let mut cfg = scale.model_config(MfnConfig::GAMMA_STAR);
-            cfg.fd_step = h;
-            let mut trainer = Trainer::new(MeshfreeFlowNet::new(cfg), scale.train_config());
-            let recs = trainer.train(&corpus);
-            let last = recs.last().expect("non-empty training");
-            (h, last.prediction, last.equation)
-        })
-        .collect()
-}
-
-/// **Ablation B**: decoder activation. The paper's Fig. 5 shows ReLU; we
+/// **Ablation A**: decoder activation. The paper's Fig. 5 shows ReLU; we
 /// default to softplus so exact second derivatives exist (ReLU's vanish
 /// almost everywhere, silently disabling the Laplacian terms of the
 /// equation loss). Returns `(name, final prediction loss, final equation
@@ -386,7 +365,7 @@ pub fn ablation_activation(scale: &ExperimentScale) -> Vec<(&'static str, f32, f
         .collect()
 }
 
-/// **Ablation C**: PDE-constraint combinations (the paper's "arbitrary
+/// **Ablation B**: PDE-constraint combinations (the paper's "arbitrary
 /// combinations of PDE constraints" feature). Returns
 /// `(label, final prediction loss, final equation loss)` per combination.
 pub fn ablation_constraints(scale: &ExperimentScale) -> Vec<(&'static str, f32, f32)> {
@@ -493,11 +472,9 @@ mod tests {
     #[test]
     fn ablations_smoke() {
         let s = micro();
-        let fd = ablation_fd_step(&s, &[0.02, 0.05]);
-        assert_eq!(fd.len(), 2);
-        assert!(fd.iter().all(|(_, p, e)| p.is_finite() && e.is_finite() && *e > 0.0));
         let act = ablation_activation(&s);
         assert_eq!(act.len(), 3);
+        assert!(act.iter().all(|(_, p, e)| p.is_finite() && e.is_finite() && *e > 0.0));
         let cons = ablation_constraints(&s);
         assert_eq!(cons.len(), 3);
         // Different constraint sets must produce different equation-loss

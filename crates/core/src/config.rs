@@ -31,9 +31,6 @@ pub struct MfnConfig {
     pub activation: Activation,
     /// Equation-loss weight γ of Eqn. 10 (γ* = 0.0125 per Table 1).
     pub gamma: f32,
-    /// Local-coordinate step of the finite-difference stencil used for the
-    /// training-time PDE derivatives.
-    pub fd_step: f32,
     /// Which PDE residuals enter the equation loss (the paper supports
     /// arbitrary combinations; default: all four).
     pub constraints: ConstraintSet,
@@ -55,7 +52,6 @@ impl MfnConfig {
             mlp_hidden: vec![512, 256, 128, 64, 32],
             activation: Activation::Softplus,
             gamma: 0.0125,
-            fd_step: 2e-2,
             constraints: ConstraintSet::ALL,
             seed: 0,
         }
@@ -75,7 +71,6 @@ impl MfnConfig {
             mlp_hidden: vec![64, 64, 32],
             activation: Activation::Softplus,
             gamma: 0.0125,
-            fd_step: 2e-2,
             constraints: ConstraintSet::ALL,
             seed: 0,
         }
@@ -139,13 +134,8 @@ impl MfnConfig {
             }
             .to_string(),
             gamma: self.gamma,
-            fd_step: self.fd_step,
-            constraints: [
-                self.constraints.continuity,
-                self.constraints.temperature,
-                self.constraints.momentum_x,
-                self.constraints.momentum_z,
-            ],
+            fd_step: None,
+            constraints: self.constraints.flags(),
             seed: self.seed,
         };
         serde_json::to_string_pretty(&file).expect("config serializes")
@@ -161,6 +151,7 @@ impl MfnConfig {
             "linear" => Activation::Linear,
             other => return Err(format!("unknown activation {other:?}")),
         };
+        let [continuity, temperature, momentum_x, momentum_z] = f.constraints;
         Ok(MfnConfig {
             patch: PatchSpec {
                 nt: f.patch_nt,
@@ -176,13 +167,7 @@ impl MfnConfig {
             mlp_hidden: f.mlp_hidden,
             activation,
             gamma: f.gamma,
-            fd_step: f.fd_step,
-            constraints: ConstraintSet {
-                continuity: f.constraints[0],
-                temperature: f.constraints[1],
-                momentum_x: f.constraints[2],
-                momentum_z: f.constraints[3],
-            },
+            constraints: ConstraintSet { continuity, temperature, momentum_x, momentum_z },
             seed: f.seed,
         })
     }
@@ -223,7 +208,12 @@ struct ConfigFile {
     mlp_hidden: Vec<usize>,
     activation: String,
     gamma: f32,
-    fd_step: f32,
+    /// Retired: the stencil step of builds that took the PDE derivatives by
+    /// finite differences. Read so that their sidecars keep loading, then
+    /// dropped; never written.
+    #[serde(default, skip_serializing)]
+    #[allow(dead_code)]
+    fd_step: Option<f32>,
     constraints: [bool; 4],
     seed: u64,
 }
@@ -324,6 +314,28 @@ mod tests {
         cfg.seed = 99;
         let back = MfnConfig::from_json(&cfg.to_json()).expect("roundtrip");
         assert_eq!(back, cfg);
+    }
+
+    #[test]
+    fn sidecar_with_the_retired_stencil_step_still_loads() {
+        // A sidecar as written before the derivative lanes, `fd_step`
+        // included: it loads to the config it described, and writing that
+        // back out drops the key for good.
+        let old = r#"{
+  "patch_nt": 4, "patch_nz": 8, "patch_nx": 8, "patch_queries": 64,
+  "in_channels": 4, "out_channels": 4, "base_channels": 8, "levels": 2,
+  "latent_channels": 16, "mlp_hidden": [64, 64, 32], "activation": "softplus",
+  "gamma": 0.0125, "fd_step": 0.02,
+  "constraints": [true, true, true, true], "seed": 7
+}"#;
+        let cfg = MfnConfig::from_json(old).expect("pre-lanes sidecar loads");
+        let mut want = MfnConfig::small();
+        want.patch = PatchSpec { nt: 4, nz: 8, nx: 8, queries: 64 };
+        want.seed = 7;
+        assert_eq!(cfg, want);
+        let written = cfg.to_json();
+        assert!(!written.contains("fd_step"), "the retired key is never written: {written}");
+        assert_eq!(MfnConfig::from_json(&written).expect("roundtrip"), want);
     }
 
     #[test]

@@ -6,23 +6,24 @@
 //! *relative to that vertex* and the vertex's latent vector — and blends the
 //! 8 results with trilinear weights (Eqn. 6).
 //!
-//! Three evaluation paths exist:
+//! Two evaluation paths exist:
 //!
 //! - **tape**: [`ContinuousDecoder::decode`] records the computation on the
 //!   reverse-mode graph (training and test-time refinement — whatever needs
-//!   a gradient), one fused `Graph::linear` node per MLP layer;
+//!   a gradient), one fused `Graph::linear` node per MLP layer.
+//!   [`ContinuousDecoder::decode_derivs`] is the same recording on six
+//!   lanes: the value with its exact `∂t, ∂z, ∂x, ∂zz, ∂xx` in physical
+//!   units, through the MLP *and* (by the product rule) the trilinear
+//!   blending — what the PDE residuals read, differentiable like any other
+//!   node;
 //! - **no-grad**: `decode_packed` evaluates the same values, bit for bit,
 //!   with no tape, a block of queries at a time, against MLP weights packed
 //!   into GEMM panels once ([`PackedMlp`]) — by the frozen engine when it is
 //!   built, by [`ContinuousDecoder::decode_nograd`] once per call (all
 //!   inference: `MeshfreeFlowNet::super_resolve`, the frozen engine,
-//!   serving);
-//! - **jets**: [`ContinuousDecoder::decode_jet`] propagates exact first and
-//!   second space-time derivatives through the MLP *and* the trilinear
-//!   blending (inference-time PDE residuals, and the oracle the training
-//!   stencil is validated against).
+//!   serving).
 
-use mfn_autodiff::{mlp_jet, Graph, Jet3, JetVec, Mlp, PackedMlp, ParamStore, Var};
+use mfn_autodiff::{Graph, Mlp, PackedMlp, ParamStore, Var, JET_LANES};
 use mfn_tensor::{blend_rows_into, gather_concat_rows, workspace, Tensor};
 
 /// Number of bounding vertices of a 3D cell.
@@ -99,6 +100,28 @@ impl QueryPlan {
     /// Whether the plan holds no queries.
     pub fn is_empty(&self) -> bool {
         self.weights.is_empty()
+    }
+
+    /// `∂w/∂t`, `∂w/∂z`, `∂w/∂x` of every trilinear weight (`Q × 8` entries
+    /// per axis), where the cell fraction along axis `a` advances by
+    /// `scale[a]` per unit of the coordinate differentiated by. A weight is a
+    /// product of one factor per axis, `f` or `1 − f`, so its derivative
+    /// along an axis is `± scale` times the other two factors.
+    fn weight_derivs(&self, scale: [f32; 3]) -> [Vec<f32>; 3] {
+        let mut out = [0, 1, 2].map(|_| Vec::with_capacity(self.weights.len()));
+        for rel in self.rel.chunks_exact(VERTICES * 3) {
+            // Vertex 0 sits at the cell's origin: its `rel` is the fraction.
+            let f = [rel[0], rel[1], rel[2]];
+            for v in 0..VERTICES {
+                let upper = [(v >> 2) & 1 == 1, (v >> 1) & 1 == 1, v & 1 == 1];
+                let factor = |a: usize| if upper[a] { f[a] } else { 1.0 - f[a] };
+                for (a, out) in out.iter_mut().enumerate() {
+                    let slope = if upper[a] { scale[a] } else { -scale[a] };
+                    out.push(slope * factor((a + 1) % 3) * factor((a + 2) % 3));
+                }
+            }
+        }
+        out
     }
 }
 
@@ -183,12 +206,83 @@ impl ContinuousDecoder {
     /// Tape path: decodes a plan against a latent grid node
     /// `latent: [N, n_c, nt, nz, nx]`, returning predictions `[Q, out]`.
     pub fn decode(&self, g: &mut Graph, store: &ParamStore, latent: Var, plan: &QueryPlan) -> Var {
+        self.decode_lanes(g, store, latent, plan, None)
+    }
+
+    /// [`ContinuousDecoder::decode`] with exact space-time derivatives: the
+    /// result `[JET_LANES·Q, out]` stacks the predictions (the rows `decode`
+    /// returns, bit for bit) over their `∂t, ∂z, ∂x, ∂zz, ∂xx` with respect
+    /// to *physical* coordinates, for a patch of `extent_phys` per axis on
+    /// `grid_dims` vertices (of the normalized outputs — denormalization is
+    /// the caller's job). On a cell face the derivatives are those of the
+    /// cell the query was located in.
+    pub fn decode_derivs(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        latent: Var,
+        plan: &QueryPlan,
+        grid_dims: [usize; 3],
+        extent_phys: [f64; 3],
+    ) -> Var {
+        // d(frac)/d(phys): frac advances by (n-1) per unit local coordinate.
+        let scale =
+            [0, 1, 2].map(|a| ((grid_dims[a] - 1) as f64 / extent_phys[a].max(1e-30)) as f32);
+        self.decode_lanes(g, store, latent, plan, Some(scale))
+    }
+
+    /// The one tape recording: gather, coordinate concat, the MLP, the
+    /// blend — on one lane, or with `scale = d(rel)/d(coordinate)` on six.
+    fn decode_lanes(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        latent: Var,
+        plan: &QueryPlan,
+        scale: Option<[f32; 3]>,
+    ) -> Var {
         assert!(!plan.is_empty(), "empty query plan");
+        let n = plan.index.len();
         let rows = g.gather_vertices(latent, plan.index.clone());
-        let coords = g.constant(Tensor::from_vec(plan.rel.clone(), &[plan.index.len(), 3]));
+        let coords = g.constant(Tensor::from_vec(plan.rel.clone(), &[n, 3]));
         let inp = g.concat(&[coords, rows], 1);
-        let out = self.mlp.forward(g, store, inp);
-        g.vertex_blend(out, plan.weights.clone(), VERTICES)
+        let Some(scale) = scale else {
+            let out = self.mlp.forward(g, store, inp, 1);
+            return g.vertex_blend(out, plan.weights.clone(), VERTICES);
+        };
+        // The derivative lanes of the MLP input: each relative coordinate
+        // moves with its own axis at rate `scale`, the latent vector (fixed
+        // at a vertex) with none, and nothing has curvature.
+        let width = 3 + self.latent_channels;
+        let mut seed = workspace::take_vec_zeroed((JET_LANES - 1) * n * width);
+        for (axis, lane) in seed.chunks_mut(n * width).take(3).enumerate() {
+            for row in lane.chunks_mut(width) {
+                row[axis] = scale[axis];
+            }
+        }
+        let seed = g.constant(Tensor::from_vec(seed, &[(JET_LANES - 1) * n, width]));
+        let inp = g.concat(&[inp, seed], 0);
+        let out = self.mlp.forward(g, store, inp, JET_LANES);
+        // The blend, lane by lane, by the product rule against the weights'
+        // own slopes: (wy)′ = wy′ + w′y and (wy)″ = wy″ + 2w′y′ (a trilinear
+        // weight has no second derivative along an axis).
+        let dw = plan.weight_derivs(scale);
+        let y: [Var; JET_LANES] = std::array::from_fn(|k| g.narrow(out, 0, k * n, n));
+        let blended: Vec<Var> = (0..JET_LANES)
+            .map(|k| {
+                let own = g.vertex_blend(y[k], plan.weights.clone(), VERTICES);
+                // (lane the weight's slope multiplies, its axis, its factor)
+                let (from, axis, factor) = match k {
+                    0 => return own,
+                    1..=3 => (0, k - 1, 1.0),
+                    _ => (k - 2, k - 3, 2.0),
+                };
+                let slopes = dw[axis].iter().map(|w| factor * w).collect();
+                let cross = g.vertex_blend(y[from], slopes, VERTICES);
+                g.add(own, cross)
+            })
+            .collect();
+        g.concat(&blended, 0)
     }
 
     /// Eager no-grad path: the same math as [`ContinuousDecoder::decode`]
@@ -198,76 +292,6 @@ impl ContinuousDecoder {
     /// whose weights cannot change packs once itself (`FrozenModel`).
     pub fn decode_nograd(&self, store: &ParamStore, latent: &Tensor, plan: &QueryPlan) -> Tensor {
         decode_packed(&self.mlp.pack(store), latent, plan)
-    }
-
-    /// Jet path: exact value + first + diagonal-second space-time derivatives
-    /// of every output channel at one query point.
-    ///
-    /// `latent` is the latent grid as a plain tensor `[N, n_c, nt, nz, nx]`;
-    /// `local` are the query's local coordinates; `extent_phys` the physical
-    /// patch extents (chain rule `d(local)/d(phys) = 1/extent`). Returns one
-    /// [`Jet3`] per output channel with derivatives in *physical* units
-    /// (of the normalized outputs — denormalization is the caller's job).
-    pub fn decode_jet(
-        &self,
-        store: &ParamStore,
-        latent: &Tensor,
-        batch: usize,
-        local: [f32; 3],
-        extent_phys: [f64; 3],
-    ) -> Vec<Jet3> {
-        assert_eq!(latent.shape().rank(), 5);
-        let c = latent.dims()[1];
-        assert_eq!(c, self.latent_channels);
-        let (nt, nz, nx) = (latent.dims()[2], latent.dims()[3], latent.dims()[4]);
-        let vol = nt * nz * nx;
-        let (it, ft) = locate(local[0], nt);
-        let (iz, fz) = locate(local[1], nz);
-        let (ix, fx) = locate(local[2], nx);
-        // d(frac)/d(phys): frac advances by (n-1) per unit local coordinate.
-        let scale = [
-            ((nt - 1) as f64 / extent_phys[0].max(1e-30)) as f32,
-            ((nz - 1) as f64 / extent_phys[1].max(1e-30)) as f32,
-            ((nx - 1) as f64 / extent_phys[2].max(1e-30)) as f32,
-        ];
-        let mut acc = vec![Jet3::constant(0.0); self.out_channels];
-        for v in 0..VERTICES {
-            let (dt, dz, dx) = ((v >> 2) & 1, (v >> 1) & 1, v & 1);
-            // Coordinate jets: rel = frac - d, with d(rel)/d(phys) = scale.
-            let jets: Vec<Jet3> = [
-                Jet3::scaled_variable(ft - dt as f32, 0, scale[0]),
-                Jet3::scaled_variable(fz - dz as f32, 1, scale[1]),
-                Jet3::scaled_variable(fx - dx as f32, 2, scale[2]),
-            ]
-            .into_iter()
-            .chain((0..c).map(|ci| {
-                let sp = ((it + dt) * nz + (iz + dz)) * nx + (ix + dx);
-                Jet3::constant(latent.data()[(batch * c + ci) * vol + sp])
-            }))
-            .collect();
-            let out = mlp_jet(&self.mlp, store, &JetVec::from_jets(&jets));
-            // Trilinear weight as a jet (each factor linear in one phys axis).
-            let wt = Jet3::scaled_variable(
-                if dt == 1 { ft } else { 1.0 - ft },
-                0,
-                if dt == 1 { scale[0] } else { -scale[0] },
-            );
-            let wz = Jet3::scaled_variable(
-                if dz == 1 { fz } else { 1.0 - fz },
-                1,
-                if dz == 1 { scale[1] } else { -scale[1] },
-            );
-            let wx = Jet3::scaled_variable(
-                if dx == 1 { fx } else { 1.0 - fx },
-                2,
-                if dx == 1 { scale[2] } else { -scale[2] },
-            );
-            let w = wt.mul(wz).mul(wx);
-            for (o, a) in acc.iter_mut().enumerate() {
-                *a = a.add(w.mul(out.jet(o)));
-            }
-        }
-        acc
     }
 }
 
@@ -343,33 +367,35 @@ mod tests {
     }
 
     #[test]
-    fn jet_value_matches_tape_value() {
+    fn value_lane_is_the_plain_decode_bit_for_bit() {
+        // Interior, patch-wall and latent-cell-face points: the rows of the
+        // six-lane GEMMs that carry the value never see the other lanes.
         let (store, dec) = setup();
-        let latent = random_latent(2, &[1, 6, 3, 4, 4]);
-        let local = [0.37, 0.61, 0.23];
-        let plan = plan_queries([3, 4, 4], [(0usize, local)]);
+        let latent = random_latent(2, &[2, 6, 3, 4, 4]);
+        let queries = [
+            (0, [0.37, 0.61, 0.23]),
+            (1, [0.0, 1.0, 0.5]),
+            (0, [1.0, 0.0, 1.0]),
+            (1, [0.5, 1.0 / 3.0, 2.0 / 3.0]),
+        ];
+        let plan = plan_queries([3, 4, 4], queries);
         let mut g = Graph::new();
-        let l = g.constant(latent.clone());
+        let l = g.constant(latent);
         let y = dec.decode(&mut g, &store, l, &plan);
-        let jets = dec.decode_jet(&store, &latent, 0, local, [1.0, 1.0, 1.0]);
-        for (o, jet) in jets.iter().enumerate() {
-            assert!(
-                (g.value(y).data()[o] - jet.v).abs() < 1e-4,
-                "channel {o}: tape {} jet {}",
-                g.value(y).data()[o],
-                jet.v
-            );
-        }
+        let lanes = dec.decode_derivs(&mut g, &store, l, &plan, [3, 4, 4], [2.0, 0.5, 1.5]);
+        assert_eq!(g.value(lanes).dims(), &[JET_LANES * 4, 4]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&g.value(lanes).data()[..16]), bits(g.value(y).data()));
     }
 
     #[test]
-    fn jet_derivatives_match_finite_differences_of_tape() {
+    fn derivative_lanes_match_finite_differences_of_the_decode() {
         let (store, dec) = setup();
         let latent = random_latent(3, &[1, 6, 3, 4, 4]);
         let extent = [2.0f64, 0.5, 1.5];
         // Chosen so the FD stencil stays inside one latent cell: the decoder
-        // is only C⁰ across cell faces, where jets (one-sided, exact) and
-        // finite differences (face-straddling) legitimately disagree.
+        // is only C⁰ across cell faces, where the lanes (one-sided, exact)
+        // and finite differences (face-straddling) legitimately disagree.
         let local = [0.41, 0.52, 0.45];
         let value = |loc: [f32; 3]| -> Vec<f32> {
             let plan = plan_queries([3, 4, 4], [(0usize, loc)]);
@@ -378,29 +404,35 @@ mod tests {
             let y = dec.decode(&mut g, &store, l, &plan);
             g.value(y).data().to_vec()
         };
-        let jets = dec.decode_jet(&store, &latent, 0, local, extent);
-        // FD in *physical* units: step h_phys => h_local = h_phys / extent.
+        let plan = plan_queries([3, 4, 4], [(0usize, local)]);
+        let mut g = Graph::new();
+        let l = g.constant(latent.clone());
+        let lanes = dec.decode_derivs(&mut g, &store, l, &plan, [3, 4, 4], extent);
+        let lane = |k: usize, o: usize| g.value(lanes).data()[k * 4 + o] as f64;
+        // FD in *physical* units: a local step is step·extent physically.
+        let step = 1e-2f32;
         for axis in 0..3 {
-            let h_phys = 1e-2f64 * extent[axis];
-            let h_local = (h_phys / extent[axis]) as f32;
+            let h_phys = step as f64 * extent[axis];
             let mut lp = local;
-            lp[axis] += h_local;
+            lp[axis] += step;
             let mut lm = local;
-            lm[axis] -= h_local;
+            lm[axis] -= step;
             let (fp, fm, f0) = (value(lp), value(lm), value(local));
             for o in 0..4 {
                 let d_fd = (fp[o] - fm[o]) as f64 / (2.0 * h_phys);
-                let dd_fd = (fp[o] - 2.0 * f0[o] + fm[o]) as f64 / (h_phys * h_phys);
+                let d = lane(1 + axis, o);
                 assert!(
-                    (jets[o].d[axis] as f64 - d_fd).abs() < 2e-2 * (1.0 + d_fd.abs()),
-                    "axis {axis} ch {o}: jet {} fd {d_fd}",
-                    jets[o].d[axis]
+                    (d - d_fd).abs() < 2e-2 * (1.0 + d_fd.abs()),
+                    "axis {axis} ch {o}: {d} fd {d_fd}"
                 );
-                assert!(
-                    (jets[o].dd[axis] as f64 - dd_fd).abs() < 2e-1 * (1.0 + dd_fd.abs()),
-                    "axis {axis} ch {o}: jet dd {} fd {dd_fd}",
-                    jets[o].dd[axis]
-                );
+                if axis > 0 {
+                    let dd_fd = (fp[o] - 2.0 * f0[o] + fm[o]) as f64 / (h_phys * h_phys);
+                    let dd = lane(3 + axis, o);
+                    assert!(
+                        (dd - dd_fd).abs() < 2e-1 * (1.0 + dd_fd.abs()),
+                        "axis {axis} ch {o}: second derivative {dd} fd {dd_fd}"
+                    );
+                }
             }
         }
     }

@@ -8,10 +8,11 @@
 //! - [`unet`]: the Context Generation Network — a residual 3D U-Net with
 //!   anisotropic pooling producing the Latent Context Grid (Sec. 4.1);
 //! - [`decoder`]: the Continuous Decoding Network — a shared MLP queried per
-//!   cell vertex and blended trilinearly (Sec. 4.2), with both a reverse-mode
-//!   tape path and an exact forward-mode jet path;
-//! - [`losses`]: prediction loss (Eqn. 8) and PDE equation loss (Eqn. 9) with
-//!   finite-difference stencil derivatives;
+//!   cell vertex and blended trilinearly (Sec. 4.2), on the reverse-mode tape
+//!   (values, or values with their exact space-time derivatives as lanes)
+//!   and tape-free;
+//! - [`losses`]: prediction loss (Eqn. 8) and PDE equation loss (Eqn. 9) on
+//!   those derivative lanes;
 //! - [`model`]: the assembled network, combined loss (Eqn. 10), and
 //!   full-domain super-resolution;
 //! - [`baseline`]: Baseline (I) trilinear and Baseline (II) convolutional-
@@ -42,8 +43,8 @@ pub use eval::{evaluate_pair, metric_series, table_header, EvalRow};
 pub use infer::FrozenModel;
 pub use losses::{
     equation_loss, equation_loss_at_points, prediction_loss, ChannelStats, ConstraintSet,
-    RbcParamsF32,
 };
+pub use mfn_physics::RbcParams;
 pub use model::{
     covering_origins, extract_patch, CoveringOrigins, LossNodes, MeshfreeFlowNet, StepLosses,
 };

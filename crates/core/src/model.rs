@@ -2,10 +2,11 @@
 
 use crate::config::MfnConfig;
 use crate::decoder::{plan_queries, plan_queries_into, ContinuousDecoder, QueryPlan};
-use crate::losses::{self, ChannelStats, RbcParamsF32};
+use crate::losses::{self, ChannelStats};
 use crate::unet::UNet3d;
 use mfn_autodiff::{load_params, save_params, Graph, Mlp, ParamStore, Var};
 use mfn_data::{covering_axis, Batch, Dataset, DatasetMeta, PatchSpec, CHANNELS};
+use mfn_physics::RbcParams;
 use mfn_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -144,53 +145,44 @@ impl MeshfreeFlowNet {
     /// training tape is assembled. Returns `(loss_var, components, nodes)`;
     /// `nodes` are the handles [`MeshfreeFlowNet::importance_readback`]
     /// reads per-point values from.
+    ///
+    /// With `γ > 0` the decoder runs once, on six lanes: the equation loss
+    /// reads all of them and the prediction loss the value lane, which is
+    /// bit for bit what the one-lane decode of `γ = 0` computes.
     pub fn loss_on_batch(
         &mut self,
         g: &mut Graph,
         batch: &Batch,
-        params: RbcParamsF32,
+        params: RbcParams,
         stats: ChannelStats,
         training: bool,
     ) -> (Var, StepLosses, LossNodes) {
         let x = g.constant(batch.input.clone());
         let latent = self.unet.forward(g, &self.store, x, training);
-        let (pred_loss, predictions) = losses::prediction_loss(
-            g,
-            &self.store,
-            &self.decoder,
-            latent,
-            &batch.samples,
-            self.grid_dims(),
-        );
-        if self.cfg.gamma > 0.0 {
-            let (eq_loss, residuals) = losses::equation_loss(
-                g,
-                &self.store,
-                &self.decoder,
-                latent,
-                &batch.samples,
-                self.grid_dims(),
-                params,
-                stats,
-                self.cfg.fd_step,
-                self.cfg.constraints,
-            );
-            let scaled = g.scale(eq_loss, self.cfg.gamma);
-            let total = g.add(pred_loss, scaled);
-            let comps = StepLosses {
-                total: g.value(total).item(),
-                prediction: g.value(pred_loss).item(),
-                equation: g.value(eq_loss).item(),
-            };
-            (total, comps, LossNodes { predictions, residuals: Some(residuals) })
+        let (grid, samples) = (self.grid_dims(), &batch.samples[..]);
+        let plan = losses::prediction_plan(grid, samples);
+        let (predictions, equation) = if self.cfg.gamma > 0.0 {
+            let extent = losses::batch_extent(samples);
+            let lanes = self.decoder.decode_derivs(g, &self.store, latent, &plan, grid, extent);
+            let eq = losses::equation_loss(g, lanes, params, stats, self.cfg.constraints);
+            (g.narrow(lanes, 0, 0, plan.len()), Some(eq))
         } else {
-            let comps = StepLosses {
-                total: g.value(pred_loss).item(),
-                prediction: g.value(pred_loss).item(),
-                equation: 0.0,
-            };
-            (pred_loss, comps, LossNodes { predictions, residuals: None })
-        }
+            (self.decoder.decode(g, &self.store, latent, &plan), None)
+        };
+        let pred_loss = losses::prediction_loss(g, predictions, samples);
+        let (total, equation, residuals) = match equation {
+            Some((eq_loss, residuals)) => {
+                let scaled = g.scale(eq_loss, self.cfg.gamma);
+                (g.add(pred_loss, scaled), g.value(eq_loss).item(), Some(residuals))
+            }
+            None => (pred_loss, 0.0, None),
+        };
+        let comps = StepLosses {
+            total: g.value(total).item(),
+            prediction: g.value(pred_loss).item(),
+            equation,
+        };
+        (total, comps, LossNodes { predictions, residuals })
     }
 
     /// What an adaptive query sampler needs from a recorded
@@ -517,7 +509,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let batch = make_batch(&sampler, 2, &mut rng);
         let stats = ChannelStats::from_meta(&hr.meta);
-        let params = RbcParamsF32::from_ra_pr(hr.meta.ra, hr.meta.pr);
+        let params = RbcParams::from_ra_pr(hr.meta.ra, hr.meta.pr);
         let mut g = Graph::new();
         let (loss, comps, _) = m.loss_on_batch(&mut g, &batch, params, stats, true);
         assert!(comps.total.is_finite() && comps.total > 0.0);
@@ -538,11 +530,19 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let batch = make_batch(&sampler, 1, &mut rng);
         let stats = ChannelStats::from_meta(&hr.meta);
-        let params = RbcParamsF32::from_ra_pr(hr.meta.ra, hr.meta.pr);
+        let params = RbcParams::from_ra_pr(hr.meta.ra, hr.meta.pr);
         let mut g = Graph::new();
-        let (_, comps, _) = m.loss_on_batch(&mut g, &batch, params, stats, true);
+        let (_, comps, nodes) = m.loss_on_batch(&mut g, &batch, params, stats, true);
         assert_eq!(comps.equation, 0.0);
         assert_eq!(comps.total, comps.prediction);
+        // γ = 0 decodes on one lane; the six-lane decode of γ > 0 predicts
+        // the same bits from its value lane.
+        m.cfg.gamma = 0.05;
+        let mut g6 = Graph::new();
+        let (_, with_eq, nodes6) = m.loss_on_batch(&mut g6, &batch, params, stats, true);
+        assert!(with_eq.equation > 0.0 && g.len() < g6.len());
+        assert_eq!(g.value(nodes.predictions), g6.value(nodes6.predictions));
+        assert_eq!(comps.prediction.to_bits(), with_eq.prediction.to_bits());
     }
 
     /// The read-back adds no tape nodes, and for a batch without importance
@@ -552,7 +552,7 @@ mod tests {
     fn importance_readback_of_a_uniform_batch_matches_the_tape() {
         let (hr, lr) = tiny_data();
         let stats = ChannelStats::from_meta(&hr.meta);
-        let params = RbcParamsF32::from_ra_pr(hr.meta.ra, hr.meta.pr);
+        let params = RbcParams::from_ra_pr(hr.meta.ra, hr.meta.pr);
         for gamma in [0.0, 0.05] {
             let mut m = tiny_model();
             m.cfg.gamma = gamma;

@@ -3,8 +3,8 @@
 //! Chen et al. (arXiv:2304.12130) show that super-resolved fields improve
 //! substantially when refined at inference time by descending the physics
 //! residual. We already own every ingredient: the frozen decoder, the
-//! FD-stencil equation residual from training ([`equation_loss_at_points`]),
-//! and the reverse-mode tape. [`refine_latent`] composes them: build a small
+//! equation residual from training with its exact derivative lanes
+//! ([`equation_loss_at_points`]), and the reverse-mode tape. [`refine_latent`] composes them: build a small
 //! tape whose only gradient leaf is the latent grid (the weights are
 //! recorded as constants — `Graph::with_frozen_params` — so backward spends
 //! nothing on them), take the equation residual at the client's query
@@ -32,8 +32,9 @@
 
 use crate::config::MfnConfig;
 use crate::decoder::ContinuousDecoder;
-use crate::losses::{equation_loss_at_points, ChannelStats, ConstraintSet, RbcParamsF32};
+use crate::losses::{equation_loss_at_points, ChannelStats, ConstraintSet};
 use mfn_autodiff::{Graph, ParamStore, Var};
+use mfn_physics::RbcParams;
 use mfn_tensor::Tensor;
 use std::time::Instant;
 
@@ -47,15 +48,13 @@ const LR_FLOOR: f32 = 1e-10;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefineSettings {
     /// Dimensionless Rayleigh–Bénard coefficients.
-    pub params: RbcParamsF32,
+    pub params: RbcParams,
     /// Channel denormalization statistics (identity when the server has no
     /// dataset metadata — the residual is then in normalized units, which
     /// descent minimizes just as well).
     pub stats: ChannelStats,
     /// Physical extent of the patch per `[t, z, x]` axis.
     pub extent_phys: [f64; 3],
-    /// FD stencil step in local coordinates.
-    pub h_local: f32,
     /// Which PDE residuals enter the objective.
     pub constraints: ConstraintSet,
     /// Initial gradient-descent learning rate (backtracking halves it on
@@ -64,29 +63,21 @@ pub struct RefineSettings {
 }
 
 impl RefineSettings {
-    /// Settings derived from an architecture config: the training stencil
-    /// step and constraint set, identity normalization, unit extent, and
-    /// the paper's Ra/Pr. This is what a server uses when the checkpoint
+    /// Settings derived from an architecture config: the training
+    /// constraint set, identity normalization, unit extent, and the paper's
+    /// Ra/Pr. This is what a server uses when the checkpoint
     /// sidecar carries no dataset statistics.
     pub fn from_config(cfg: &MfnConfig) -> Self {
-        RefineSettings {
-            params: RbcParamsF32::from_ra_pr(1e5, 1.0),
-            stats: ChannelStats { mean: [0.0; 4], std: [1.0; 4] },
-            extent_phys: [1.0; 3],
-            h_local: cfg.fd_step,
-            constraints: cfg.constraints,
-            lr: 0.05,
-        }
+        RefineSettings { constraints: cfg.constraints, ..Default::default() }
     }
 }
 
 impl Default for RefineSettings {
     fn default() -> Self {
         RefineSettings {
-            params: RbcParamsF32::from_ra_pr(1e5, 1.0),
+            params: RbcParams::from_ra_pr(1e5, 1.0),
             stats: ChannelStats { mean: [0.0; 4], std: [1.0; 4] },
             extent_phys: [1.0; 3],
-            h_local: 2e-2,
             constraints: ConstraintSet::ALL,
             lr: 0.05,
         }
@@ -138,9 +129,8 @@ pub struct RefineReport {
 /// a shared cache entry stays bit-identical) and a [`RefineReport`].
 ///
 /// # Panics
-/// Panics on empty `points` or an out-of-range `h_local` (the serving layer
-/// validates both into typed errors before calling).
-#[allow(clippy::too_many_arguments)]
+/// Panics on empty `points` (the serving layer validates that into a typed
+/// error before calling).
 pub fn refine_latent(
     store: &ParamStore,
     decoder: &ContinuousDecoder,
@@ -165,7 +155,6 @@ pub fn refine_latent(
             settings.extent_phys,
             settings.params,
             settings.stats,
-            settings.h_local,
             settings.constraints,
         );
         Candidate { tape, latent, loss }
@@ -306,7 +295,6 @@ mod tests {
                 s.extent_phys,
                 s.params,
                 s.stats,
-                s.h_local,
                 s.constraints,
             );
             g.backward(loss);

@@ -10,11 +10,12 @@ use crate::checkpoint::{
     CheckpointError, TrainStateMeta,
 };
 use crate::config::TrainConfig;
-use crate::losses::{ChannelStats, RbcParamsF32};
+use crate::losses::ChannelStats;
 use crate::model::{MeshfreeFlowNet, StepLosses};
 use crate::rng::{RngState, SampleRng};
 use mfn_autodiff::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Graph, ParamStore, Var};
 use mfn_data::{make_batch, make_batch_with, Dataset, PatchSampler};
+use mfn_physics::RbcParams;
 use mfn_sample::{OctreeConfig, OctreeSampler};
 use mfn_telemetry::{sampler_gauges, Recorder, StepMetrics, Stopwatch};
 use mfn_tensor::{workspace, Tensor};
@@ -73,9 +74,9 @@ impl Corpus {
 
     /// PDE coefficients of pair `i` (boundary conditions can differ per
     /// pair in the Table 4 sweep).
-    pub fn params(&self, i: usize) -> RbcParamsF32 {
+    pub fn params(&self, i: usize) -> RbcParams {
         let meta = &self.pairs[i].0.meta;
-        RbcParamsF32::from_ra_pr(meta.ra, meta.pr)
+        RbcParams::from_ra_pr(meta.ra, meta.pr)
     }
 }
 
@@ -415,7 +416,7 @@ impl Trainer {
     pub fn step(
         &mut self,
         batch: &mfn_data::Batch,
-        params: RbcParamsF32,
+        params: RbcParams,
         stats: ChannelStats,
     ) -> StepLosses {
         let Ok(comps) = self.step_reduced(batch, params, stats, &mut NoReduce);
@@ -428,7 +429,7 @@ impl Trainer {
     pub fn step_reduced<R: GradReduce>(
         &mut self,
         batch: &mfn_data::Batch,
-        params: RbcParamsF32,
+        params: RbcParams,
         stats: ChannelStats,
         reduce: &mut R,
     ) -> Result<StepLosses, R::Error> {

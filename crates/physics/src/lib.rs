@@ -7,9 +7,9 @@
 //!   Reynolds number, Kolmogorov time/length, integral scale, eddy turnover);
 //! - [`scores`]: NMAE and R² scoring of metric series — the numbers printed
 //!   in Tables 1–4;
-//! - [`residual`]: the Rayleigh–Bénard PDE residual definitions shared by
-//!   the training equation loss, the jet-based inference evaluation, and the
-//!   solver cross-check.
+//! - [`residual`]: the Rayleigh–Bénard PDE residuals, written once for any
+//!   arithmetic: the solver cross-check runs them on `f64`, the training
+//!   equation loss and test-time refinement on autodiff-tape nodes.
 
 pub mod residual;
 pub mod scores;

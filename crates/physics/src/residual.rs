@@ -1,18 +1,17 @@
 //! Rayleigh–Bénard PDE residuals (the paper's Eqns. 3a–3c).
 //!
-//! The scalar (f64) residual definitions live here and have two callers:
+//! [`residuals`] is the one place the four formulas are written. It is
+//! generic over the values it combines (anything with `+`, `−`, `·` and
+//! multiples by an `f64`) and has two kinds of caller:
 //!
-//! 1. the inference-time residual evaluation through forward-mode jets,
-//! 2. the grid-based residual diagnostic that cross-checks the CFD solver
-//!    itself (see [`grid_residuals`]).
-//!
-//! The training-time *equation loss* does not call them: `mfn-core::losses`
-//! holds a twin of the same four formulas written as f32 autodiff-tape ops
-//! (`equation_loss_at_points`), pinned against this module by
-//! `equation_loss_matches_jet_residuals` and `tests/physics_consistency.rs`.
-//! The two stay separate until ROADMAP item 1 (jet on the tape) merges them.
+//! 1. on `f64` numbers: the grid-based diagnostic that cross-checks the CFD
+//!    solver itself ([`grid_residuals`]);
+//! 2. on columns of an autodiff tape (`mfn-core::losses`): the training
+//!    equation loss and the test-time refinement objective, whose
+//!    [`PointState`] holds the decoder's value and derivative lanes.
 
 use mfn_solver::{d2dx2, d2dz2, ddx, ddz, Simulation};
+use std::ops::{Add, Mul, Sub};
 
 /// Dimensionless diffusivities of the Rayleigh–Bénard system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,47 +32,80 @@ impl RbcParams {
 /// All field values and derivatives the four residuals need at one
 /// space-time point.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PointState {
+pub struct PointState<T> {
     /// Temperature and its derivatives.
-    pub t: f64,
+    pub t: T,
     /// Pressure gradient components (only gradients of `p` enter the PDE).
-    pub p_x: f64,
+    pub p_x: T,
     /// ∂p/∂z.
-    pub p_z: f64,
+    pub p_z: T,
     /// Velocity components.
-    pub u: f64,
+    pub u: T,
     /// Vertical velocity.
-    pub w: f64,
+    pub w: T,
     /// ∂T/∂t.
-    pub t_t: f64,
+    pub t_t: T,
     /// ∂T/∂x.
-    pub t_x: f64,
+    pub t_x: T,
     /// ∂T/∂z.
-    pub t_z: f64,
+    pub t_z: T,
     /// ∂²T/∂x².
-    pub t_xx: f64,
+    pub t_xx: T,
     /// ∂²T/∂z².
-    pub t_zz: f64,
+    pub t_zz: T,
     /// ∂u/∂t.
-    pub u_t: f64,
+    pub u_t: T,
     /// ∂u/∂x.
-    pub u_x: f64,
+    pub u_x: T,
     /// ∂u/∂z.
-    pub u_z: f64,
+    pub u_z: T,
     /// ∂²u/∂x².
-    pub u_xx: f64,
+    pub u_xx: T,
     /// ∂²u/∂z².
-    pub u_zz: f64,
+    pub u_zz: T,
     /// ∂w/∂t.
-    pub w_t: f64,
+    pub w_t: T,
     /// ∂w/∂x.
-    pub w_x: f64,
+    pub w_x: T,
     /// ∂w/∂z.
-    pub w_z: f64,
+    pub w_z: T,
     /// ∂²w/∂x².
-    pub w_xx: f64,
+    pub w_xx: T,
     /// ∂²w/∂z².
-    pub w_zz: f64,
+    pub w_zz: T,
+}
+
+impl<T> PointState<T> {
+    /// Fills a state from `get(lane, channel)` with lanes `[value, ∂t, ∂z,
+    /// ∂x, ∂zz, ∂xx]` and channels `[T, p, u, w]` — the order a decoder's
+    /// derivative lanes and a dataset's channels come in. `get` is asked for
+    /// exactly the twenty entries the residuals read.
+    pub fn from_lanes(mut get: impl FnMut(usize, usize) -> T) -> Self {
+        let [val, d_t, d_z, d_x, d_zz, d_xx] = [0, 1, 2, 3, 4, 5];
+        let [temp, pres, uvel, wvel] = [0, 1, 2, 3];
+        PointState {
+            t: get(val, temp),
+            p_x: get(d_x, pres),
+            p_z: get(d_z, pres),
+            u: get(val, uvel),
+            w: get(val, wvel),
+            t_t: get(d_t, temp),
+            t_x: get(d_x, temp),
+            t_z: get(d_z, temp),
+            t_xx: get(d_xx, temp),
+            t_zz: get(d_zz, temp),
+            u_t: get(d_t, uvel),
+            u_x: get(d_x, uvel),
+            u_z: get(d_z, uvel),
+            u_xx: get(d_xx, uvel),
+            u_zz: get(d_zz, uvel),
+            w_t: get(d_t, wvel),
+            w_x: get(d_x, wvel),
+            w_z: get(d_z, wvel),
+            w_xx: get(d_xx, wvel),
+            w_zz: get(d_zz, wvel),
+        }
+    }
 }
 
 /// The four PDE residuals `[continuity, temperature, momentum-x, momentum-z]`
@@ -85,11 +117,14 @@ pub struct PointState {
 /// r_u = u_t + u u_x + w u_z + p_x − R*(u_xx + u_zz)
 /// r_w = w_t + u w_x + w w_z + p_z − T − R*(w_xx + w_zz)
 /// ```
-pub fn residuals(params: RbcParams, s: &PointState) -> [f64; 4] {
+pub fn residuals<T>(params: RbcParams, s: &PointState<T>) -> [T; 4]
+where
+    T: Copy + Add<Output = T> + Sub<Output = T> + Mul<Output = T> + Mul<f64, Output = T>,
+{
     let r_c = s.u_x + s.w_z;
-    let r_t = s.t_t + s.u * s.t_x + s.w * s.t_z - params.p_star * (s.t_xx + s.t_zz);
-    let r_u = s.u_t + s.u * s.u_x + s.w * s.u_z + s.p_x - params.r_star * (s.u_xx + s.u_zz);
-    let r_w = s.w_t + s.u * s.w_x + s.w * s.w_z + s.p_z - s.t - params.r_star * (s.w_xx + s.w_zz);
+    let r_t = s.t_t + s.u * s.t_x + s.w * s.t_z - (s.t_xx + s.t_zz) * params.p_star;
+    let r_u = s.u_t + s.u * s.u_x + s.w * s.u_z + s.p_x - (s.u_xx + s.u_zz) * params.r_star;
+    let r_w = s.w_t + s.u * s.w_x + s.w * s.w_z + s.p_z - s.t - (s.w_xx + s.w_zz) * params.r_star;
     [r_c, r_t, r_u, r_w]
 }
 
@@ -113,47 +148,25 @@ pub fn grid_residuals(sim: &Simulation, frame: usize) -> [f64; 4] {
     let f2 = &sim.frames[frame + 1];
     let dt2 = f2.time - f0.time;
 
-    let dt_field = |a: &[f64], b: &[f64]| -> Vec<f64> {
-        a.iter().zip(b).map(|(x0, x2)| (x2 - x0) / dt2).collect()
+    // Lanes [value, ∂t, ∂z, ∂x, ∂zz, ∂xx] per channel [T, p, u, w]; what
+    // the residuals never read of the pressure stays empty.
+    let lanes = |before: &[f64], f: &[f64], after: &[f64]| {
+        let f_t = before.iter().zip(after).map(|(x0, x2)| (x2 - x0) / dt2).collect();
+        [f.to_vec(), f_t, ddz(d, f), ddx(d, f), d2dz2(d, f), d2dx2(d, f)]
     };
-    let t_t = dt_field(&f0.temp, &f2.temp);
-    let u_t = dt_field(&f0.u, &f2.u);
-    let w_t = dt_field(&f0.w, &f2.w);
-
-    let der = |f: &[f64]| (ddx(d, f), ddz(d, f), d2dx2(d, f), d2dz2(d, f));
-    let (t_x, t_z, t_xx, t_zz) = der(&f1.temp);
-    let (u_x, u_z, u_xx, u_zz) = der(&f1.u);
-    let (w_x, w_z, w_xx, w_zz) = der(&f1.w);
-    let p_x = ddx(d, &f1.p);
-    let p_z = ddz(d, &f1.p);
+    let p = [vec![], vec![], ddz(d, &f1.p), ddx(d, &f1.p), vec![], vec![]];
+    let fields = [
+        lanes(&f0.temp, &f1.temp, &f2.temp),
+        p,
+        lanes(&f0.u, &f1.u, &f2.u),
+        lanes(&f0.w, &f1.w, &f2.w),
+    ];
 
     let mut acc = [0.0f64; 4];
     let mut count = 0usize;
     for j in 1..d.nz - 1 {
         for i in 0..d.nx {
-            let k = j * d.nx + i;
-            let s = PointState {
-                t: f1.temp[k],
-                p_x: p_x[k],
-                p_z: p_z[k],
-                u: f1.u[k],
-                w: f1.w[k],
-                t_t: t_t[k],
-                t_x: t_x[k],
-                t_z: t_z[k],
-                t_xx: t_xx[k],
-                t_zz: t_zz[k],
-                u_t: u_t[k],
-                u_x: u_x[k],
-                u_z: u_z[k],
-                u_xx: u_xx[k],
-                u_zz: u_zz[k],
-                w_t: w_t[k],
-                w_x: w_x[k],
-                w_z: w_z[k],
-                w_xx: w_xx[k],
-                w_zz: w_zz[k],
-            };
+            let s = PointState::from_lanes(|lane, c| fields[c][lane][j * d.nx + i]);
             let r = residuals(params, &s);
             for (a, v) in acc.iter_mut().zip(r) {
                 *a += v.abs();

@@ -13,7 +13,7 @@ use crate::reference as refk;
 use mfn_autodiff::{Activation, Graph, Mlp, ParamStore};
 use mfn_core::{
     equation_loss_at_points, plan_queries, ChannelStats, ConstraintSet, ContinuousDecoder,
-    RbcParamsF32,
+    RbcParams,
 };
 use mfn_data::{Dataset, DatasetMeta, CHANNELS};
 use mfn_fft::{energy_spectrum_x, Complex, FftPlan, RealFftPlan};
@@ -254,7 +254,7 @@ pub fn check_activations() -> Report {
 }
 
 /// `sigmoid_scalar`, the one definition of softplus′ (tape backward kernels,
-/// `Activation::{d1, d2}`, the jets), against the f64 logistic. Measured
+/// `Activation::derivs`, the six-lane epilogue), against the f64 logistic. Measured
 /// worst case over 20 M points of [−87, 88]: 2.40 ULP of the exact value, 2
 /// ULP of its f32 rounding — polynomial `exp` (≤ 2 ULP), one add, one
 /// divide — hence a budget of 3. Below the clamp at −87 the kernel holds
@@ -313,7 +313,7 @@ pub fn check_linear_backward() -> Report {
         let xv = tape.leaf_with_grad(Tensor::from_vec(x.clone(), &[m, k]));
         let wv = tape.leaf_with_grad(Tensor::from_vec(w.clone(), &[n, k]));
         let bv = tape.leaf_with_grad(Tensor::from_vec(b.clone(), &[n]));
-        let y = tape.linear(xv, wv, bv, Activation::Softplus);
+        let y = tape.linear(xv, wv, bv, Activation::Softplus, 1);
         let gyv = tape.constant(Tensor::from_vec(gy.clone(), &[m, n]));
         let weighted = tape.mul(y, gyv);
         let loss = tape.sum(weighted);
@@ -687,36 +687,97 @@ pub fn check_downsample() -> Report {
     c.finish()
 }
 
-/// The serving-side test-time refinement objective vs its all-f64 twin: the
-/// FD-stencil equation residual (`equation_loss_at_points`) as a value, and
-/// its latent gradient (reverse-mode, latent as the only leaf) against f64
-/// central differences of the twin. This is the descent direction
-/// `refine_latent` takes at serve time — a biased gradient silently degrades
-/// refinement quality without failing any exactness test, so it gets an
-/// oracle row of its own.
-pub fn check_refine_grad() -> Report {
+const LANE_GRID: [usize; 3] = [3, 4, 4];
+const LANE_CHANNELS: usize = 5;
+const LANE_EXTENT: [f64; 3] = [1.0, 0.5, 2.0];
+
+/// The decoder, latent and query points the two derivative-lane rows share:
+/// a 5-channel latent on a 3×4×4 grid under an 8-12-8-4 softplus MLP, at
+/// interior points, points exactly on the patch walls (0 and 1 per axis) and
+/// points on latent-cell faces (multiples of 1/2 in t, of 1/3 in z and x).
+fn lane_fixture(seed: u64) -> (ParamStore, ContinuousDecoder, Tensor, Vec<(usize, [f32; 3])>) {
     use rand::SeedableRng;
-    let mut chk = Checker::new("refine_grad", Tolerance::new(8, 1.0e-3, 0.0));
     let mut store = ParamStore::new();
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1700);
-    let c = 5usize;
-    let mlp = Mlp::new(&mut store, "dec", &[3 + c, 12, 8, 4], Activation::Softplus, &mut rng);
-    let dec = ContinuousDecoder::new(mlp, c);
-    let grid = [3usize, 4, 4];
-    let latent = Tensor::randn(&[1, c, grid[0], grid[1], grid[2]], 0.5, &mut rng);
-    let h_local = 0.05f32;
-    let extent = [1.0f64, 0.5, 2.0];
-    let params = RbcParamsF32::from_ra_pr(1.0e5, 1.0);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let widths = [3 + LANE_CHANNELS, 12, 8, 4];
+    let mlp = Mlp::new(&mut store, "dec", &widths, Activation::Softplus, &mut rng);
+    let [nt, nz, nx] = LANE_GRID;
+    let latent = Tensor::randn(&[1, LANE_CHANNELS, nt, nz, nx], 0.5, &mut rng);
+    let mut g = Lcg::new(seed + 1);
+    let mut coord = || 0.5 * (g.uniform() + 1.0);
+    let mut points: Vec<[f32; 3]> = (0..6).map(|_| [coord(), coord(), coord()]).collect();
+    points.extend([
+        [0.0, 0.0, 0.0],
+        [1.0, 1.0, 1.0],
+        [0.0, 1.0, 0.37],
+        [0.5, 1.0 / 3.0, 2.0 / 3.0],
+        [0.5, 0.21, 1.0],
+        [0.83, 2.0 / 3.0, 0.0],
+    ]);
+    let points = points.into_iter().map(|q| (0usize, q)).collect();
+    (store, ContinuousDecoder::new(mlp, LANE_CHANNELS), latent, points)
+}
+
+/// The fixture as the reference twins read it: `(layers, latent, points)`.
+fn widen_fixture(
+    store: &ParamStore,
+    dec: &ContinuousDecoder,
+    latent: &Tensor,
+    points: &[(usize, [f32; 3])],
+) -> (Vec<refk::MlpLayerRef>, Vec<f64>, Vec<[f64; 3]>) {
+    let latent = latent.data().iter().map(|&v| f64::from(v)).collect();
+    (widen_mlp(dec, store), latent, points.iter().map(|&(_, q)| q.map(f64::from)).collect())
+}
+
+/// The tape's six derivative lanes (`ContinuousDecoder::decode_derivs`: one
+/// GEMM per layer over value, `∂t, ∂z, ∂x, ∂zz, ∂xx`, the second-order chain
+/// rule in the softplus epilogue, the product rule in the blend) against the
+/// analytic f64 lanes of `decode_point_ref`, every lane of every channel.
+/// The budget is the blocked decode's — a few f32 roundings per stage
+/// relative to the magnitude of the last layer's and the blend's terms
+/// (measured worst case 1.2e-7 of that bound, on a second-derivative lane).
+pub fn check_jet_decoder() -> Report {
+    let mut chk = Checker::new("jet_decoder", Tolerance::new(16, 4.0e-6, 0.0));
+    let (store, dec, latent, points) = lane_fixture(1750);
+    let plan = plan_queries(LANE_GRID, points.iter().copied());
+    let mut graph = Graph::new();
+    let leaf = graph.constant(latent.clone());
+    let lanes = dec.decode_derivs(&mut graph, &store, leaf, &plan, LANE_GRID, LANE_EXTENT);
+    let got = graph.value(lanes).data();
+
+    let (layers, lat64, pts64) = widen_fixture(&store, &dec, &latent, &points);
+    let q = pts64.len();
+    chk.case("12 points (interior, walls, cell faces), grid 3x4x4, MLP 8-12-8-4, seed 1750");
+    for (qi, point) in pts64.iter().enumerate() {
+        let (want, scale) =
+            refk::decode_point_ref(&layers, &lat64, LANE_CHANNELS, LANE_GRID, *point, LANE_EXTENT);
+        for (o, (w, s)) in want.iter().zip(&scale).enumerate() {
+            for k in 0..6 {
+                let at = (k * q + qi) * 4 + o;
+                chk.check_f32(at, got[at], w[k], s[k]);
+            }
+        }
+    }
+    chk.finish()
+}
+
+/// The serving-side test-time refinement objective vs its all-f64 twin: the
+/// equation residual on the exact derivative lanes
+/// (`equation_loss_at_points`) as a value, and its latent gradient
+/// (reverse-mode, latent as the only leaf) against f64 central differences of
+/// the twin — on the same interior, wall and cell-face points as
+/// `jet_decoder`. This is the descent direction `refine_latent` takes at
+/// serve time — a biased gradient silently degrades refinement quality
+/// without failing any exactness test, so it gets an oracle row of its own.
+/// Both sides differentiate the decoder analytically, so the budget is f32
+/// rounding alone, the `jet_decoder` one (measured worst case 1.2e-7 of the
+/// bound; the finite-difference stencil this row used to carry needed 1e-3).
+pub fn check_refine_grad() -> Report {
+    let mut chk = Checker::new("refine_grad", Tolerance::new(8, 4.0e-6, 0.0));
+    let (store, dec, latent, points) = lane_fixture(1700);
+    let params = RbcParams::from_ra_pr(1.0e5, 1.0);
     // Non-identity statistics so the denormalization path is exercised.
     let stats = ChannelStats { mean: [0.1, -0.2, 0.05, 0.0], std: [1.5, 0.7, 1.2, 0.9] };
-    let mut g = Lcg::new(1701);
-    let points: Vec<(usize, [f32; 3])> = (0..6)
-        .map(|_| {
-            // Interior points, away from the stencil clamp band.
-            let mut coord = || 0.1 + 0.4 * (g.uniform() + 1.0);
-            (0usize, [coord(), coord(), coord()])
-        })
-        .collect();
 
     // Optimized side: the f32 tape, latent as the only gradient leaf —
     // exactly what `mfn_core::refine_latent` evaluates per step.
@@ -728,61 +789,32 @@ pub fn check_refine_grad() -> Report {
         &dec,
         leaf,
         &points,
-        grid,
-        extent,
+        LANE_GRID,
+        LANE_EXTENT,
         params,
         stats,
-        h_local,
         ConstraintSet::ALL,
     );
     let got_value = graph.value(loss).item();
     graph.backward(loss);
-    let got_grad = graph.grad(leaf).clone();
 
-    // Reference side: widen everything once, then pure scalar f64.
-    let layers = widen_mlp(&dec, &store);
-    let lat64: Vec<f64> = latent.data().iter().map(|&v| f64::from(v)).collect();
-    let pts64: Vec<[f64; 3]> =
-        points.iter().map(|&(_, q)| [f64::from(q[0]), f64::from(q[1]), f64::from(q[2])]).collect();
-    // The same dimensionless coefficients the tape multiplies by (f32
-    // constants, widened), not a fresh f64 computation of them.
-    let (p_star, r_star) = (f64::from(params.p_star), f64::from(params.r_star));
-    let mean64 = stats.mean.map(f64::from);
-    let std64 = stats.std.map(f64::from);
+    // Reference side: widen everything once, then pure scalar f64 — with the
+    // dimensionless coefficients the tape multiplies by (f32 constants,
+    // widened), not a fresh f64 computation of them.
+    let (layers, lat64, pts64) = widen_fixture(&store, &dec, &latent, &points);
+    let (p_star, r_star) = (f64::from(params.p_star as f32), f64::from(params.r_star as f32));
+    let (mean, std) = (stats.mean.map(f64::from), stats.std.map(f64::from));
+    let (l, c, g, e) = (&layers, LANE_CHANNELS, LANE_GRID, LANE_EXTENT);
+    let (want, scale) =
+        refk::refine_objective_ref(l, &lat64, c, g, &pts64, e, p_star, r_star, mean, std);
+    chk.case("equation residual value (12 pts, grid 3x4x4, seed 1700)");
+    chk.check_f32(0, got_value, want, scale);
 
-    let (want_value, value_scale) = refk::refine_objective_ref(
-        &layers,
-        &lat64,
-        c,
-        grid,
-        &pts64,
-        extent,
-        p_star,
-        r_star,
-        mean64,
-        std64,
-        f64::from(h_local),
-    );
-    chk.case("equation residual value (6 pts, grid 3x4x4, seed 1700)");
-    chk.check_f32(0, got_value, want_value, value_scale);
-
-    let want_grad = refk::refine_latent_grad_ref(
-        &layers,
-        &lat64,
-        c,
-        grid,
-        &pts64,
-        extent,
-        p_star,
-        r_star,
-        mean64,
-        std64,
-        f64::from(h_local),
-        1.0e-5,
-    );
+    let want =
+        refk::refine_latent_grad_ref(l, &lat64, c, g, &pts64, e, p_star, r_star, mean, std, 1.0e-5);
     chk.case("latent gradient vs f64 central differences");
-    for (i, &got) in got_grad.data().iter().enumerate() {
-        chk.check_f32(i, got, want_grad.value[i], want_grad.scale[i]);
+    for (i, &got) in graph.grad(leaf).data().iter().enumerate() {
+        chk.check_f32(i, got, want.value[i], want.scale[i]);
     }
     chk.finish()
 }
@@ -831,9 +863,10 @@ pub fn check_decode_blocked() -> Report {
     let lat64: Vec<f64> = latent.data().iter().map(|&v| f64::from(v)).collect();
     chk.case("203 queries, grid 3x4x5, MLP 8-24-16-4, seed 1800");
     for (q, point) in points.iter().enumerate() {
-        let (want, scale) = refk::decode_point_ref(&layers, &lat64, c, grid, point.map(f64::from));
+        let (want, scale) =
+            refk::decode_point_ref(&layers, &lat64, c, grid, point.map(f64::from), [1.0; 3]);
         for (o, (w, s)) in want.iter().zip(&scale).enumerate() {
-            chk.check_f32(q * 4 + o, got.data()[q * 4 + o], *w, *s);
+            chk.check_f32(q * 4 + o, got.data()[q * 4 + o], w[0], s[0]);
         }
     }
     chk.finish()
@@ -864,6 +897,7 @@ pub fn run_all() -> Vec<Report> {
     reports.push(check_trilinear());
     reports.push(check_downsample());
     reports.push(check_linear_backward());
+    reports.push(check_jet_decoder());
     reports.push(check_refine_grad());
     reports.push(check_decode_blocked());
     reports

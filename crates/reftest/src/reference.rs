@@ -829,68 +829,118 @@ pub struct MlpLayerRef {
     pub out_features: usize,
 }
 
+/// f64 twin of the tape's six derivative lanes: a value with its first
+/// derivatives along `t, z, x` and its second along `z` and `x`, in that
+/// order — `[f, f_t, f_z, f_x, f_zz, f_xx]`.
+pub type Lanes = [f64; 6];
+
+/// `f · g` on lanes, by the Leibniz rule: `(fg)′ = f′g + fg′` and
+/// `(fg)″ = f″g + 2f′g′ + fg″` (lanes 4, 5 pair with lanes 2, 3).
+pub fn lanes_mul(f: Lanes, g: Lanes) -> Lanes {
+    [
+        f[0] * g[0],
+        f[1] * g[0] + f[0] * g[1],
+        f[2] * g[0] + f[0] * g[2],
+        f[3] * g[0] + f[0] * g[3],
+        f[4] * g[0] + 2.0 * f[2] * g[2] + f[0] * g[4],
+        f[5] * g[0] + 2.0 * f[3] * g[3] + f[0] * g[5],
+    ]
+}
+
+/// `softplus(u)` on lanes, by the chain rule: `σ(u)′ = σ′u′` and
+/// `σ(u)″ = σ″u′² + σ′u″` with `σ′` the sigmoid `s` and `σ″ = s(1 − s)`.
+pub fn lanes_softplus(u: Lanes) -> Lanes {
+    let s = sigmoid_ref(u[0]);
+    let c = s * (1.0 - s);
+    [
+        softplus_ref(u[0]),
+        s * u[1],
+        s * u[2],
+        s * u[3],
+        c * u[2] * u[2] + s * u[4],
+        c * u[3] * u[3] + s * u[5],
+    ]
+}
+
 /// f64 twin of the continuous decoder at one local point of a single-patch
-/// latent grid `[1, c, nt, nz, nx]`: locate the cell, run the MLP (softplus
-/// hidden — the activation the PDE-constrained decoder uses) on the
-/// concatenation of per-vertex relative coordinates and latent vector, and
-/// blend the 8 vertex outputs with trilinear weights.
+/// latent grid `[1, c, nt, nz, nx]`, value and exact derivatives with respect
+/// to physical coordinates (a patch of `extent` per axis) at once: locate the
+/// cell, run the MLP (softplus hidden — the activation the PDE-constrained
+/// decoder uses) on the concatenation of per-vertex relative coordinates and
+/// latent vector, and blend the 8 vertex outputs with trilinear weights —
+/// every quantity a [`Lanes`], the coordinates seeded with their rate of
+/// change `(n − 1)/extent` and the latent with none.
 ///
-/// Returns `(values, scales)`; a channel's `scale` bounds the terms of its
-/// last-layer dot products and of the blend along the same path.
+/// Returns `(lanes, scales)` per output channel; a lane's `scale` bounds the
+/// terms of its last-layer dot products and of the blend along the same
+/// path. Lane 0 is the plain decode.
 pub fn decode_point_ref(
     layers: &[MlpLayerRef],
     latent: &[f64],
     c: usize,
     grid: [usize; 3],
     local: [f64; 3],
-) -> (Vec<f64>, Vec<f64>) {
-    let [nt, nz, nx] = grid;
-    let vol = nt * nz * nx;
+    extent: [f64; 3],
+) -> (Vec<Lanes>, Vec<Lanes>) {
+    let vol = grid[0] * grid[1] * grid[2];
     let locate = |q: f64, n: usize| -> (usize, f64) {
         let s = q.clamp(0.0, 1.0) * (n - 1) as f64;
         let i = (s.floor() as usize).min(n.saturating_sub(2));
         (i, s - i as f64)
     };
-    let (it, ft) = locate(local[0], nt);
-    let (iz, fz) = locate(local[1], nz);
-    let (ix, fx) = locate(local[2], nx);
+    let cell = [0, 1, 2].map(|a| locate(local[a], grid[a]));
+    let rate = [0, 1, 2].map(|a| (grid[a] - 1) as f64 / extent[a]);
+    // `value` moving along `axis` at `slope` per unit of physical coordinate.
+    let moving = |value: f64, axis: usize, slope: f64| -> Lanes {
+        let mut l = [value, 0.0, 0.0, 0.0, 0.0, 0.0];
+        l[1 + axis] = slope;
+        l
+    };
     let out_w = layers.last().expect("non-empty MLP").out_features;
-    let mut out = vec![0.0f64; out_w];
-    let mut scale = vec![0.0f64; out_w];
+    let mut out = vec![[0.0f64; 6]; out_w];
+    let mut scale = vec![[0.0f64; 6]; out_w];
     for v in 0..8usize {
-        let (dt, dz, dx) = ((v >> 2) & 1, (v >> 1) & 1, v & 1);
-        let sp = ((it + dt) * nz + (iz + dz)) * nx + (ix + dx);
-        let mut h: Vec<f64> = Vec::with_capacity(3 + c);
-        h.push(ft - dt as f64);
-        h.push(fz - dz as f64);
-        h.push(fx - dx as f64);
-        for ci in 0..c {
-            h.push(latent[ci * vol + sp]);
-        }
+        let d = [(v >> 2) & 1, (v >> 1) & 1, v & 1];
+        let sp = ((cell[0].0 + d[0]) * grid[1] + (cell[1].0 + d[1])) * grid[2] + (cell[2].0 + d[2]);
+        let mut h: Vec<Lanes> =
+            (0..3).map(|a| moving(cell[a].1 - d[a] as f64, a, rate[a])).collect();
+        h.extend((0..c).map(|ci| moving(latent[ci * vol + sp], 0, 0.0)));
         let last = layers.len() - 1;
         let mut mag = Vec::new();
         for (li, layer) in layers.iter().enumerate() {
-            let mut y = vec![0.0f64; layer.out_features];
-            mag = vec![0.0f64; layer.out_features];
+            let mut y = vec![[0.0f64; 6]; layer.out_features];
+            mag = vec![[0.0f64; 6]; layer.out_features];
             for (o, yo) in y.iter_mut().enumerate() {
-                let mut acc = layer.bias[o];
-                mag[o] = acc.abs();
-                for (i2, &hi) in h.iter().enumerate() {
-                    let term = layer.weight[o * layer.in_features + i2] * hi;
-                    acc += term;
-                    mag[o] += term.abs();
+                // A linear map acts on every lane alike; the bias is a constant.
+                let mut acc = moving(layer.bias[o], 0, 0.0);
+                mag[o][0] = acc[0].abs();
+                for (i2, hi) in h.iter().enumerate() {
+                    for k in 0..6 {
+                        let term = layer.weight[o * layer.in_features + i2] * hi[k];
+                        acc[k] += term;
+                        mag[o][k] += term.abs();
+                    }
                 }
-                *yo = if li == last { acc } else { softplus_ref(acc) };
+                *yo = if li == last { acc } else { lanes_softplus(acc) };
             }
             h = y;
         }
-        let wt = if dt == 1 { ft } else { 1.0 - ft };
-        let wz = if dz == 1 { fz } else { 1.0 - fz };
-        let wx = if dx == 1 { fx } else { 1.0 - fx };
-        let w = wt * wz * wx;
-        for (o, a) in out.iter_mut().enumerate() {
-            *a += w * h[o];
-            scale[o] += w.abs() * mag[o];
+        // The trilinear weight: one factor per axis, `f` or `1 − f`.
+        let factor = |a: usize| {
+            let f = cell[a].1;
+            if d[a] == 1 {
+                moving(f, a, rate[a])
+            } else {
+                moving(1.0 - f, a, -rate[a])
+            }
+        };
+        let w = lanes_mul(lanes_mul(factor(0), factor(1)), factor(2));
+        for o in 0..out_w {
+            let (term, bound) = (lanes_mul(w, h[o]), lanes_mul(w.map(f64::abs), mag[o]));
+            for k in 0..6 {
+                out[o][k] += term[k];
+                scale[o][k] += bound[k];
+            }
         }
     }
     (out, scale)
@@ -898,11 +948,9 @@ pub fn decode_point_ref(
 
 /// f64 twin of the test-time refinement objective
 /// (`mfn_core::equation_loss_at_points` with all four Rayleigh–Bénard
-/// constraints): the mean absolute FD-stencil equation residual over the
-/// query points of one patch. Returns `(value, scale)`; `scale` bounds the
-/// residual terms along the same path, with derivative magnitudes bounded
-/// by `(|f₊| + |f₋|)/2h` — the stencil is a near-cancelling difference, so
-/// the bound must count the operands, not the difference.
+/// constraints): the mean absolute equation residual over the query points
+/// of one patch, on the exact derivatives of [`decode_point_ref`]. Returns
+/// `(value, scale)`; `scale` bounds the residual terms along the same path.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_objective_ref(
     layers: &[MlpLayerRef],
@@ -915,69 +963,24 @@ pub fn refine_objective_ref(
     r_star: f64,
     mean: [f64; 4],
     std: [f64; 4],
-    h_local: f64,
 ) -> (f64, f64) {
-    // Stencil offsets in plan order: center, t±, z±, x±.
-    const STENCIL: [[f64; 3]; 7] = [
-        [0.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, -1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0],
-    ];
-    let hp = [h_local * extent[0], h_local * extent[1], h_local * extent[2]];
     let mut acc = 0.0f64;
     let mut acc_scale = 0.0f64;
     for q in points {
-        let ctr = [
-            q[0].clamp(h_local, 1.0 - h_local),
-            q[1].clamp(h_local, 1.0 - h_local),
-            q[2].clamp(h_local, 1.0 - h_local),
-        ];
-        let ev: Vec<Vec<f64>> = STENCIL
-            .iter()
-            .map(|off| {
-                let p = [
-                    ctr[0] + off[0] * h_local,
-                    ctr[1] + off[1] * h_local,
-                    ctr[2] + off[2] * h_local,
-                ];
-                decode_point_ref(layers, latent, c, grid, p).0
-            })
-            .collect();
-        let (v0, tp, tm, zp, zm, xp, xm) = (&ev[0], &ev[1], &ev[2], &ev[3], &ev[4], &ev[5], &ev[6]);
-        // Denormalized first/second derivative, each with a magnitude bound.
-        let d1 = |p: &[f64], m: &[f64], ch: usize, h: f64| {
-            ((p[ch] - m[ch]) * 0.5 / h * std[ch], (p[ch].abs() + m[ch].abs()) * 0.5 / h * std[ch])
-        };
-        let d2 = |p: &[f64], m: &[f64], ch: usize, h: f64| {
-            (
-                (p[ch] + m[ch] - 2.0 * v0[ch]) / (h * h) * std[ch],
-                (p[ch].abs() + m[ch].abs() + 2.0 * v0[ch].abs()) / (h * h) * std[ch],
-            )
-        };
-        let val = |ch: usize| std[ch] * v0[ch] + mean[ch];
-        // Channels: 0=T, 1=p, 2=u, 3=w.
+        let (lanes, bounds) = decode_point_ref(layers, latent, c, grid, *q, extent);
+        // Denormalized `(value, magnitude bound)`: values need mean and std,
+        // derivatives only the std factor. Channels: 0=T, 1=p, 2=u, 3=w;
+        // lanes: 0=value, 1=∂t, 2=∂z, 3=∂x, 4=∂zz, 5=∂xx.
+        let val = |ch: usize| std[ch] * lanes[ch][0] + mean[ch];
+        let der = |ch: usize, k: usize| (std[ch] * lanes[ch][k], std[ch] * bounds[ch][k]);
         let (t_v, u_v, w_v) = (val(0), val(2), val(3));
-        let (t_t, t_t_s) = d1(tp, tm, 0, hp[0]);
-        let (t_x, t_x_s) = d1(xp, xm, 0, hp[2]);
-        let (t_z, t_z_s) = d1(zp, zm, 0, hp[1]);
-        let (t_xx, t_xx_s) = d2(xp, xm, 0, hp[2]);
-        let (t_zz, t_zz_s) = d2(zp, zm, 0, hp[1]);
-        let (p_x, p_x_s) = d1(xp, xm, 1, hp[2]);
-        let (p_z, p_z_s) = d1(zp, zm, 1, hp[1]);
-        let (u_t, u_t_s) = d1(tp, tm, 2, hp[0]);
-        let (u_x, u_x_s) = d1(xp, xm, 2, hp[2]);
-        let (u_z, u_z_s) = d1(zp, zm, 2, hp[1]);
-        let (u_xx, u_xx_s) = d2(xp, xm, 2, hp[2]);
-        let (u_zz, u_zz_s) = d2(zp, zm, 2, hp[1]);
-        let (w_t, w_t_s) = d1(tp, tm, 3, hp[0]);
-        let (w_x, w_x_s) = d1(xp, xm, 3, hp[2]);
-        let (w_z, w_z_s) = d1(zp, zm, 3, hp[1]);
-        let (w_xx, w_xx_s) = d2(xp, xm, 3, hp[2]);
-        let (w_zz, w_zz_s) = d2(zp, zm, 3, hp[1]);
+        let [(t_t, t_t_s), (t_z, t_z_s), (t_x, t_x_s), (t_zz, t_zz_s), (t_xx, t_xx_s)] =
+            [1, 2, 3, 4, 5].map(|k| der(0, k));
+        let [(p_z, p_z_s), (p_x, p_x_s)] = [2, 3].map(|k| der(1, k));
+        let [(u_t, u_t_s), (u_z, u_z_s), (u_x, u_x_s), (u_zz, u_zz_s), (u_xx, u_xx_s)] =
+            [1, 2, 3, 4, 5].map(|k| der(2, k));
+        let [(w_t, w_t_s), (w_z, w_z_s), (w_x, w_x_s), (w_zz, w_zz_s), (w_xx, w_xx_s)] =
+            [1, 2, 3, 4, 5].map(|k| der(3, k));
         // r_c = u_x + w_z
         acc += (u_x + w_z).abs();
         acc_scale += u_x_s + w_z_s;
@@ -1020,23 +1023,19 @@ pub fn refine_latent_grad_ref(
     r_star: f64,
     mean: [f64; 4],
     std: [f64; 4],
-    h_local: f64,
     fd_step: f64,
 ) -> RefOut {
     let mut work = latent.to_vec();
     let mut value = vec![0.0f64; latent.len()];
     for (i, out) in value.iter_mut().enumerate() {
         let base = work[i];
-        work[i] = base + fd_step;
-        let (fp, _) = refine_objective_ref(
-            layers, &work, c, grid, points, extent, p_star, r_star, mean, std, h_local,
-        );
-        work[i] = base - fd_step;
-        let (fm, _) = refine_objective_ref(
-            layers, &work, c, grid, points, extent, p_star, r_star, mean, std, h_local,
-        );
+        let mut at = |x: f64| {
+            work[i] = x;
+            refine_objective_ref(layers, &work, c, grid, points, extent, p_star, r_star, mean, std)
+                .0
+        };
+        *out = (at(base + fd_step) - at(base - fd_step)) / (2.0 * fd_step);
         work[i] = base;
-        *out = (fp - fm) / (2.0 * fd_step);
     }
     let gmax = value.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     RefOut { scale: vec![gmax; value.len()], value }

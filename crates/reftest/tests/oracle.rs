@@ -115,6 +115,11 @@ fn downsample_is_exact() {
 }
 
 #[test]
+fn jet_decoder_matches_reference() {
+    assert_ok(checks::check_jet_decoder());
+}
+
+#[test]
 fn refine_objective_gradient_matches_reference() {
     assert_ok(checks::check_refine_grad());
 }

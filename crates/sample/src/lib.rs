@@ -6,7 +6,7 @@
 //! patch, but the PDE residual is concentrated near plumes and walls. The
 //! octree-based sampling follow-up (Wang et al., arXiv:2306.05133) shows
 //! that drawing points where residuals are large buys convergence per
-//! decoder/stencil evaluation. [`OctreeSampler`] implements that idea as a
+//! decoder evaluation. [`OctreeSampler`] implements that idea as a
 //! [`mfn_data::QueryStrategy`]:
 //!
 //! - an adaptive octree over local patch coordinates `(t, z, x) ∈ [0, 1]³`

@@ -21,7 +21,7 @@ use std::time::Duration;
 /// would otherwise pay for steps it did not get).
 pub const MAX_REFINE_STEPS: u32 = 256;
 /// Server-side cap on query points per refinement request (each point costs
-/// seven stencil decodes per gradient step).
+/// a six-lane decode per gradient step).
 pub const MAX_REFINE_POINTS: usize = 4096;
 /// Admission cap on the summed cost (`(max_steps + 1) · points`) of
 /// refinements in flight; beyond it new refinements get `Busy`, so a burst

@@ -13,8 +13,9 @@
 //! slice kernels re-exported beside them are those definitions on vectors.
 
 pub use crate::simd::{
-    bias_softplus_grad_rows, bias_softplus_rows, sigmoid_scalar, softplus_grad_slice,
-    softplus_scalar, softplus_slice,
+    bias_jet_rows, bias_softplus_grad_rows, bias_softplus_jet_rows, bias_softplus_rows,
+    sigmoid_scalar, softplus_derivs, softplus_grad_slice, softplus_scalar, softplus_slice,
+    JET_LANES,
 };
 use crate::tensor::Tensor;
 use crate::workspace;

@@ -32,9 +32,12 @@
 //! The same dispatch carries the one element-wise kernel that is worth
 //! explicit vectors, the decoder's softplus and its derivative
 //! ([`softplus_slice`], [`bias_softplus_rows`] forward;
-//! [`softplus_grad_slice`], [`bias_softplus_grad_rows`] backward): every tier
-//! evaluates the operations of [`softplus_scalar`] / [`sigmoid_scalar`] in
-//! the same order, so the contract holds there too.
+//! [`softplus_grad_slice`], [`bias_softplus_grad_rows`] backward) and their
+//! six-lane form, softplus applied to a value with its space-time
+//! derivatives ([`bias_softplus_jet_rows`], forward and backward):
+//! every tier evaluates the operations of [`softplus_scalar`] /
+//! [`sigmoid_scalar`] / [`jet_chain`] / [`jet_chain_grad`] in the same
+//! order, so the contract holds there too.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -691,6 +694,150 @@ pub fn bias_softplus_grad_rows(g: &mut [f32], z: &[f32], bias: &[f32]) {
     unsafe { softplus_rows::<true, true>(resolve(), g, bias, z) }
 }
 
+/// Row blocks a derivative-carrying matrix stacks: a value, its first
+/// derivatives along `t`, `z`, `x` and its second along `z` and `x` (what the
+/// Rayleigh–Bénard residuals read). Lane `l` of an `[m, n]` quantity is rows
+/// `l·m..(l+1)·m`, so a linear map acts on all six with one GEMM.
+pub const JET_LANES: usize = 6;
+
+/// An activation `σ` applied to the six lanes `u` of its argument, given
+/// `v = σ(u₀)`, `d1 = σ′(u₀)`, `d2 = σ″(u₀)`: `σ(u)′ = σ′u′` and
+/// `σ(u)″ = σ″u′² + σ′u″` (the second-derivative lanes 4, 5 pair with the
+/// first-derivative lanes 2, 3). The one definition of that chain rule: the
+/// vector kernels transcribe these operations in this order.
+#[inline]
+pub fn jet_chain(v: f32, d1: f32, d2: f32, u: [f32; JET_LANES]) -> [f32; JET_LANES] {
+    [
+        v,
+        d1 * u[1],
+        d1 * u[2],
+        d1 * u[3],
+        (d2 * u[2]).mul_add(u[2], d1 * u[4]),
+        (d2 * u[3]).mul_add(u[3], d1 * u[5]),
+    ]
+}
+
+/// The reverse pass of [`jet_chain`]: the adjoints of the six argument lanes
+/// `u` from the adjoints `g` of the six output lanes. The value lane collects
+/// `g₀σ′ + σ″·Σ gₖuₖ + g₄(σ‴u₂² + σ″u₄) + g₅(σ‴u₃² + σ″u₅)`, a
+/// first-derivative lane its own `gₖσ′` plus `2σ″uₖ` of its second-derivative
+/// partner's adjoint.
+#[inline]
+pub fn jet_chain_grad(
+    [d1, d2, d3]: [f32; 3],
+    g: [f32; JET_LANES],
+    u: [f32; JET_LANES],
+) -> [f32; JET_LANES] {
+    let first = g[1].mul_add(u[1], g[2].mul_add(u[2], g[3] * u[3]));
+    let q4 = (d3 * u[2]).mul_add(u[2], d2 * u[4]);
+    let q5 = (d3 * u[3]).mul_add(u[3], d2 * u[5]);
+    let (w2, w3) = (d2 * u[2], d2 * u[3]);
+    [
+        g[5].mul_add(q5, g[4].mul_add(q4, g[0].mul_add(d1, d2 * first))),
+        g[1] * d1,
+        g[2].mul_add(d1, g[4] * (w2 + w2)),
+        g[3].mul_add(d1, g[5] * (w3 + w3)),
+        g[4] * d1,
+        g[5] * d1,
+    ]
+}
+
+/// Softplus and its first three derivatives `[σ, σ′, σ″, σ‴]` at `x`, the
+/// last two from the sigmoid `s`: `s(1 − s)` and `s(1 − s)(1 − 2s)`.
+#[inline]
+pub fn softplus_derivs(x: f32) -> [f32; 4] {
+    let s = sigmoid_scalar(x);
+    let c = s * (1.0 - s);
+    [softplus_scalar(x), s, c, c * (1.0 - (s + s))]
+}
+
+/// [`jet_chain`] over the six lane blocks of `x: [JET_LANES·M, N]`
+/// (`N = bias.len()`), in place, for an activation given by its
+/// [`softplus_derivs`]-shaped `derivs`; `bias` joins the value lane only.
+/// With `GRAD`, [`jet_chain_grad`] instead — the backward pass, in place on
+/// the adjoints `x`, reading the matrix `z` (as long as `x`; unused without
+/// `GRAD`) the forward overwrote.
+pub fn bias_jet_rows<const GRAD: bool>(
+    x: &mut [f32],
+    z: &[f32],
+    bias: &[f32],
+    derivs: impl Fn(f32) -> [f32; 4],
+) {
+    let m = jet_block_rows::<GRAD>(x.len(), z.len(), bias.len());
+    jet_columns::<GRAD>(x, z, bias, 0..m, 0, derivs);
+}
+
+/// [`bias_jet_rows`] for softplus on explicit vectors, one clamped
+/// exponential per element.
+pub fn bias_softplus_jet_rows<const GRAD: bool>(x: &mut [f32], z: &[f32], bias: &[f32]) {
+    let m = jet_block_rows::<GRAD>(x.len(), z.len(), bias.len());
+    // SAFETY: `resolve` only returns tiers this CPU was detected to have.
+    unsafe { softplus_jet_rows::<GRAD>(resolve(), x, m, bias, z) }
+}
+
+/// Rows per lane block of a `len`-element matrix of `n`-wide rows.
+fn jet_block_rows<const GRAD: bool>(len: usize, z_len: usize, n: usize) -> usize {
+    assert!(
+        n > 0 && len.is_multiple_of(JET_LANES * n) && (!GRAD || z_len == len),
+        "{len} values ({z_len} pre-activations) are not {JET_LANES} lane blocks of rows of {n}"
+    );
+    len / (JET_LANES * n)
+}
+
+/// [`bias_softplus_jet_rows`] on a given tier.
+///
+/// # Safety
+/// As [`softplus_rows`].
+unsafe fn softplus_jet_rows<const GRAD: bool>(
+    backend: u8,
+    x: &mut [f32],
+    m: usize,
+    bias: &[f32],
+    z: &[f32],
+) {
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        B_AVX512 => softplus_avx512::jet_rows::<GRAD>(x, m, bias, z),
+        #[cfg(target_arch = "x86_64")]
+        B_AVX2 => softplus_avx2::jet_rows::<GRAD>(x, m, bias, z),
+        _ => jet_columns::<GRAD>(x, z, bias, 0..m, 0, softplus_derivs),
+    }
+}
+
+/// The scalar forms over columns `from..` of `rows` of every lane block:
+/// `x` becomes [`jet_chain`] of itself, or with `GRAD` [`jet_chain_grad`] of
+/// itself at the pre-activation lanes `z`.
+#[inline]
+fn jet_columns<const GRAD: bool>(
+    x: &mut [f32],
+    z: &[f32],
+    bias: &[f32],
+    rows: std::ops::Range<usize>,
+    from: usize,
+    derivs: impl Fn(f32) -> [f32; 4],
+) {
+    let n = bias.len();
+    let block = x.len() / JET_LANES;
+    for r in rows {
+        for (c, b) in bias.iter().enumerate().skip(from) {
+            let at = r * n + c;
+            let lanes =
+                |m: &[f32]| -> [f32; JET_LANES] { std::array::from_fn(|l| m[l * block + at]) };
+            let mut u = lanes(if GRAD { z } else { x });
+            u[0] += b;
+            let [v, d1, d2, d3] = derivs(u[0]);
+            let y = if GRAD {
+                jet_chain_grad([d1, d2, d3], lanes(x), u)
+            } else {
+                jet_chain(v, d1, d2, u)
+            };
+            for (l, y) in y.into_iter().enumerate() {
+                x[l * block + at] = y;
+            }
+        }
+    }
+}
+
 /// The four entry points above on a given tier. Without `BIAS` the whole
 /// slice is one row. Without `GRAD`, `x` is the input and `z` is unused;
 /// with it, `z` (as long as `x`) is the input and `x` the adjoint it scales.
@@ -790,10 +937,10 @@ macro_rules! softplus_kernel {
             each!(|i| mul(y[i], scale[i]))
         }
 
+        /// `softplus(x)` given `z = exp_clamped(x)`.
         #[inline]
         #[target_feature(enable = $feat)]
-        fn softplus<const N: usize>(x: [V; N]) -> [V; N] {
-            let z = exp_clamped(x);
+        fn softplus_of<const N: usize>(x: [V; N], z: [V; N]) -> [V; N] {
             // ln_poly(1 + z)
             let u = each!(|i| add(splat(1.0), z[i]));
             let e = each!(|i| to_f32(isub(sar23(bits(u[i])), isplat(126))));
@@ -817,10 +964,10 @@ macro_rules! softplus_kernel {
             each!(|i| nan_or(x[i], y[i]))
         }
 
+        /// `sigmoid(x)` given `z = exp_clamped(x)`.
         #[inline]
         #[target_feature(enable = $feat)]
-        fn sigmoid<const N: usize>(x: [V; N]) -> [V; N] {
-            let z = exp_clamped(x);
+        fn sigmoid_of<const N: usize>(x: [V; N], z: [V; N]) -> [V; N] {
             let s = each!(|i| div(z[i], add(splat(1.0), z[i])));
             each!(|i| nan_or(x[i], s[i]))
         }
@@ -848,11 +995,12 @@ macro_rules! softplus_kernel {
                     x[i] = add(x[i], load(bias.add(c + i * LANES)));
                 }
             }
+            let z = exp_clamped(x);
             let y = if GRAD {
-                let s = sigmoid(x);
+                let s = sigmoid_of(x, z);
                 each!(|i| mul(load(row.add(c + i * LANES)), s[i]))
             } else {
-                softplus(x)
+                softplus_of(x, z)
             };
             for i in 0..N {
                 store(row.add(c + i * LANES), y[i]);
@@ -898,6 +1046,111 @@ macro_rules! softplus_kernel {
                     if BIAS { &bias[c..] } else { bias },
                     if GRAD { &z_row[c..] } else { z },
                 );
+            }
+        }
+
+        /// [`jet_chain`] (with `GRAD`, [`jet_chain_grad`]) of softplus on `N`
+        /// vectors of each lane, at element `at` (column `c`) of every lane
+        /// block: one exponential serves `σ` … `σ‴`.
+        ///
+        /// # Safety
+        /// `x` and (with `GRAD`) `z` must be valid for `N * LANES` floats from
+        /// `l * block + at` for every lane `l`, `bias` from `c`.
+        #[inline]
+        #[target_feature(enable = $feat)]
+        unsafe fn jet_step<const GRAD: bool, const N: usize>(
+            x: *mut f32,
+            z: *const f32,
+            bias: *const f32,
+            block: usize,
+            at: usize,
+            c: usize,
+        ) {
+            let src: *const f32 = if GRAD { z } else { x };
+            let mut u = [[zero(); N]; JET_LANES];
+            for (l, lane) in u.iter_mut().enumerate() {
+                for i in 0..N {
+                    lane[i] = load(src.add(l * block + at + i * LANES));
+                }
+            }
+            u[0] = each!(|i| add(u[0][i], load(bias.add(c + i * LANES))));
+            let e = exp_clamped(u[0]);
+            let d1 = sigmoid_of(u[0], e);
+            let d2 = each!(|i| mul(d1[i], sub(splat(1.0), d1[i])));
+            // σ″u′² + σ′u″ with the given second and first derivative of σ.
+            let second = |d2: [V; N], d1: [V; N], k: usize, kk: usize| {
+                each!(|i| fma(mul(d2[i], u[k][i]), u[k][i], mul(d1[i], u[kk][i])))
+            };
+            let y = if GRAD {
+                let mut g = [[zero(); N]; JET_LANES];
+                for (l, lane) in g.iter_mut().enumerate() {
+                    for i in 0..N {
+                        lane[i] = load(x.add(l * block + at + i * LANES));
+                    }
+                }
+                let d3 = each!(|i| mul(d2[i], sub(splat(1.0), add(d1[i], d1[i]))));
+                let first =
+                    each!(|i| fma(g[1][i], u[1][i], fma(g[2][i], u[2][i], mul(g[3][i], u[3][i]))));
+                let (q4, q5) = (second(d3, d2, 2, 4), second(d3, d2, 3, 5));
+                let r0 = each!(|i| fma(g[0][i], d1[i], mul(d2[i], first[i])));
+                let r0 = each!(|i| fma(g[4][i], q4[i], r0[i]));
+                let partner = |k: usize, kk: usize| {
+                    let w = each!(|i| mul(d2[i], u[k][i]));
+                    each!(|i| fma(g[k][i], d1[i], mul(g[kk][i], add(w[i], w[i]))))
+                };
+                [
+                    each!(|i| fma(g[5][i], q5[i], r0[i])),
+                    each!(|i| mul(g[1][i], d1[i])),
+                    partner(2, 4),
+                    partner(3, 5),
+                    each!(|i| mul(g[4][i], d1[i])),
+                    each!(|i| mul(g[5][i], d1[i])),
+                ]
+            } else {
+                [
+                    softplus_of(u[0], e),
+                    each!(|i| mul(d1[i], u[1][i])),
+                    each!(|i| mul(d1[i], u[2][i])),
+                    each!(|i| mul(d1[i], u[3][i])),
+                    second(d2, d1, 2, 4),
+                    second(d2, d1, 3, 5),
+                ]
+            };
+            for (l, lane) in y.iter().enumerate() {
+                for i in 0..N {
+                    store(x.add(l * block + at + i * LANES), lane[i]);
+                }
+            }
+        }
+
+        /// Six lane blocks of `m` rows of `bias.len()` floats: two vectors of
+        /// every lane at a time, then one, then the scalar form.
+        ///
+        /// # Safety
+        /// The CPU must have the features this module is compiled for.
+        #[target_feature(enable = $feat)]
+        pub(super) unsafe fn jet_rows<const GRAD: bool>(
+            x: &mut [f32],
+            m: usize,
+            bias: &[f32],
+            z: &[f32],
+        ) {
+            let n = bias.len();
+            assert!(x.len() == JET_LANES * m * n && (!GRAD || z.len() == x.len()));
+            for r in 0..m {
+                let (xp, zp, bp) = (x.as_mut_ptr(), z.as_ptr(), bias.as_ptr());
+                let mut c = 0;
+                // SAFETY: every step is entered with `c + N * LANES <= n`, so
+                // each lane's vectors end inside row `r` of its block.
+                while c + 2 * LANES <= n {
+                    jet_step::<GRAD, 2>(xp, zp, bp, m * n, r * n + c, c);
+                    c += 2 * LANES;
+                }
+                if c + LANES <= n {
+                    jet_step::<GRAD, 1>(xp, zp, bp, m * n, r * n + c, c);
+                    c += LANES;
+                }
+                jet_columns::<GRAD>(x, z, bias, r..r + 1, c, softplus_derivs);
             }
         }
     };
@@ -1257,6 +1510,76 @@ mod tests {
         let mut g = vec![2.0f32; 6];
         bias_softplus_grad_rows(&mut g, &[0.25; 6], &[1.0, -1.0, 0.5]);
         assert_eq!(g[4].to_bits(), (2.0 * sigmoid_scalar(-0.75)).to_bits());
+    }
+
+    /// Six lane blocks of `m` rows of `n` finite probes (the value lane over
+    /// the live range of the softplus, the derivative lanes a few units wide).
+    fn jet_probes(m: usize, n: usize, seed: u32) -> Vec<f32> {
+        let mut s = seed;
+        (0..JET_LANES * m * n)
+            .map(|i| {
+                s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                let unit = (s >> 8) as f32 / (1 << 24) as f32 - 0.5;
+                unit * if i < m * n { 60.0 } else { 8.0 }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn softplus_jet_rows_match_the_scalar_chain_bitwise_on_every_backend() {
+        for (tier, name) in runnable_tiers() {
+            for n in (1..=35).chain([64, 67, 128]) {
+                let m = 3;
+                let bias: Vec<f32> = jet_probes(1, n, 7)[..n].iter().map(|b| b * 0.1).collect();
+                let z = jet_probes(m, n, 11 + n as u32);
+                let g = jet_probes(m, n, 97 + n as u32);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+                let mut want = z.clone();
+                bias_jet_rows::<false>(&mut want, &[], &bias, softplus_derivs);
+                let mut got = z.clone();
+                // SAFETY: `runnable_tiers` lists only tiers at or below detection.
+                unsafe { softplus_jet_rows::<false>(tier, &mut got, m, &bias, &[]) };
+                assert_eq!(bits(&got), bits(&want), "{name} forward width {n}");
+                // The value lane is the one-lane kernel's output.
+                let mut value = z[..m * n].to_vec();
+                bias_softplus_rows(&mut value, &bias);
+                assert_eq!(bits(&got[..m * n]), bits(&value), "{name} value lane width {n}");
+
+                let mut want = g.clone();
+                bias_jet_rows::<true>(&mut want, &z, &bias, softplus_derivs);
+                let mut got = g.clone();
+                // SAFETY: as above.
+                unsafe { softplus_jet_rows::<true>(tier, &mut got, m, &bias, &z) };
+                assert_eq!(bits(&got), bits(&want), "{name} backward width {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn jet_chain_grad_is_the_transpose_of_the_jet_chain_jacobian() {
+        // d/dε of Σ g·jet_chain(u + ε·e_l) against jet_chain_grad, in f64-ish
+        // central differences on softplus at a curved point.
+        let u = [0.3f32, 0.7, -0.4, 0.9, 0.2, -0.6];
+        let g = [0.5f32, -1.0, 0.25, 2.0, -0.75, 1.5];
+        let f = |u: [f32; JET_LANES]| -> f64 {
+            let [v, d1, d2, _] = softplus_derivs(u[0]);
+            jet_chain(v, d1, d2, u).iter().zip(&g).map(|(y, g)| f64::from(y * g)).sum()
+        };
+        let [_, d1, d2, d3] = softplus_derivs(u[0]);
+        let analytic = jet_chain_grad([d1, d2, d3], g, u);
+        for l in 0..JET_LANES {
+            let h = 1e-2f32;
+            let (mut up, mut um) = (u, u);
+            up[l] += h;
+            um[l] -= h;
+            let fd = (f(up) - f(um)) / f64::from(2.0 * h);
+            assert!(
+                (f64::from(analytic[l]) - fd).abs() < 2e-3,
+                "lane {l}: {} vs {fd}",
+                analytic[l]
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Uniform vs residual-guided adaptive query sampling: equation-loss
-//! convergence per decoder/stencil evaluation (EXPERIMENTS.md "Adaptive
+//! convergence per decoder evaluation (EXPERIMENTS.md "Adaptive
 //! query sampling" entry).
 //!
 //! Both arms train the same small MeshfreeFlowNet on the same
@@ -15,8 +15,8 @@
 //!   same fixed uniformly-drawn held-out batches (shared across arms and
 //!   seeds), which removes estimator effects entirely.
 //!
-//! Every training step evaluates the decoder (and the FD stencil of the
-//! equation loss) at `batch_size × queries` points, so cumulative
+//! Every training step evaluates the decoder (value and derivative lanes of
+//! the equation loss) at `batch_size × queries` points, so cumulative
 //! evaluations are proportional to steps and efficiency ratios are ratios
 //! of step counts.
 //!
@@ -156,9 +156,9 @@ fn main() {
     mcfg.mlp_hidden = vec![32, 32];
     mcfg.levels = 2;
     mcfg.gamma = MfnConfig::GAMMA_STAR;
-    // Decoder/stencil evaluations per gradient step (both arms identical):
-    // batch_size × queries points, each costing one decode for the
-    // prediction loss plus the FD stencil decodes of the equation loss.
+    // Decoder evaluations per gradient step (both arms identical):
+    // batch_size × queries points, each costing one six-lane decode for the
+    // prediction and the equation loss.
     let evals_per_step = 2 * mcfg.patch.queries * 2;
 
     // Held-out probe: fixed uniform batches shared by every arm and seed,

@@ -1,10 +1,10 @@
-//! Cross-crate physics consistency: the solver, the PDE residual
-//! definitions, the jet-based decoder derivatives, and the FD training
-//! stencil must all agree with each other.
+//! Cross-crate physics consistency: the solver, the PDE residual definition
+//! and the decoder's derivative lanes on the training tape must all agree
+//! with each other.
 
-use meshfreeflownet::autodiff::{Activation, Graph, Mlp, ParamStore};
+use meshfreeflownet::autodiff::{Activation, Graph, Mlp, ParamStore, JET_LANES};
 use meshfreeflownet::core::{
-    equation_loss, ChannelStats, ConstraintSet, ContinuousDecoder, RbcParamsF32,
+    equation_loss, plan_queries, ChannelStats, ConstraintSet, ContinuousDecoder,
 };
 use meshfreeflownet::physics::{grid_residuals, residuals, PointState, RbcParams};
 use meshfreeflownet::solver::{simulate, RbcConfig};
@@ -30,8 +30,12 @@ fn solver_residual_converges_with_frame_rate() {
     );
 }
 
-/// The tape-recorded equation loss agrees with the scalar residual formulas
-/// in `mfn-physics` when derivatives come from exact jets.
+/// One function, two scalars: the equation loss on the tape and the solver
+/// diagnostics on `f64` both call `mfn_physics::residuals`. Read the six
+/// derivative lanes the tape decoded back out, widen them to a
+/// `PointState<f64>` with the same denormalization, run the same function —
+/// and the tape's residual node agrees to f32 rounding, at an interior
+/// point, on a patch wall and on a latent-cell face alike.
 #[test]
 fn tape_equation_loss_consistent_with_physics_residuals() {
     let mut store = ParamStore::new();
@@ -40,91 +44,47 @@ fn tape_equation_loss_consistent_with_physics_residuals() {
     let dec = ContinuousDecoder::new(mlp, 8);
     let latent = Tensor::randn(&[1, 8, 4, 4, 4], 0.5, &mut rng);
 
-    let h = 0.02f32;
-    let extent = [0.8f64, 1.0, 2.0];
-    let queries: Vec<[f32; 3]> = vec![[0.31f32, 0.42, 0.53], [0.61, 0.72, 0.33]]
-        .into_iter()
-        .map(|q| [q[0].clamp(h, 1.0 - h), q[1].clamp(h, 1.0 - h), q[2].clamp(h, 1.0 - h)])
-        .collect();
-    let sample = mfn_data::Sample {
-        lr_patch: Tensor::zeros(&[4, 4, 4, 4]),
-        query_local: queries.clone(),
-        query_values: vec![[0.0; 4]; queries.len()],
-        origin_phys: [0.0; 3],
-        extent_phys: extent,
-    };
-    let params = RbcParamsF32::from_ra_pr(1e5, 1.0);
+    let (grid, extent) = ([4, 4, 4], [0.8f64, 1.0, 2.0]);
+    let queries =
+        [[0.31f32, 0.42, 0.53], [0.61, 0.72, 0.33], [0.0, 1.0, 0.5], [1.0 / 3.0, 0.2, 2.0 / 3.0]];
+    let params = RbcParams::from_ra_pr(1e5, 1.0);
     let stats = ChannelStats { mean: [0.1, -0.2, 0.0, 0.3], std: [1.5, 0.7, 1.0, 2.0] };
 
     let mut g = Graph::new();
-    let l = g.constant(latent.clone());
-    let (loss, _) = equation_loss(
-        &mut g,
-        &store,
-        &dec,
-        l,
-        std::slice::from_ref(&sample),
-        [4, 4, 4],
-        params,
-        stats,
-        h,
-        ConstraintSet::ALL,
-    );
-    let tape = g.value(loss).item() as f64;
+    let l = g.constant(latent);
+    let plan = plan_queries(grid, queries.iter().map(|&q| (0usize, q)));
+    let lanes = dec.decode_derivs(&mut g, &store, l, &plan, grid, extent);
+    let (loss, tape_residuals) = equation_loss(&mut g, lanes, params, stats, ConstraintSet::ALL);
 
-    // Jets + scalar formulas, with the same denormalization.
-    let p64 = RbcParams::from_ra_pr(1e5, 1.0);
+    let q = queries.len();
+    let decoded = g.value(lanes).data();
+    assert_eq!(decoded.len(), JET_LANES * q * 4);
     let mut acc = 0.0;
-    for q in &queries {
-        let jets = dec.decode_jet(&store, &latent, 0, *q, extent);
-        let dn = |c: usize, j: &meshfreeflownet::autodiff::Jet3| {
-            (
-                (j.v * stats.std[c] + stats.mean[c]) as f64,
-                [
-                    (j.d[0] * stats.std[c]) as f64,
-                    (j.d[1] * stats.std[c]) as f64,
-                    (j.d[2] * stats.std[c]) as f64,
-                ],
-                [
-                    (j.dd[0] * stats.std[c]) as f64,
-                    (j.dd[1] * stats.std[c]) as f64,
-                    (j.dd[2] * stats.std[c]) as f64,
-                ],
-            )
-        };
-        let (tv, td, tdd) = dn(0, &jets[0]);
-        let (_pv, pd, _pdd) = dn(1, &jets[1]);
-        let (uv, ud, udd) = dn(2, &jets[2]);
-        let (wv, wd, wdd) = dn(3, &jets[3]);
-        let s = PointState {
-            t: tv,
-            p_x: pd[2],
-            p_z: pd[1],
-            u: uv,
-            w: wv,
-            t_t: td[0],
-            t_x: td[2],
-            t_z: td[1],
-            t_xx: tdd[2],
-            t_zz: tdd[1],
-            u_t: ud[0],
-            u_x: ud[2],
-            u_z: ud[1],
-            u_xx: udd[2],
-            u_zz: udd[1],
-            w_t: wd[0],
-            w_x: wd[2],
-            w_z: wd[1],
-            w_xx: wdd[2],
-            w_zz: wdd[1],
-        };
-        acc += residuals(p64, &s).iter().map(|v| v.abs()).sum::<f64>();
+    for point in 0..q {
+        let state = PointState::from_lanes(|lane, c| {
+            let v = f64::from(decoded[(lane * q + point) * 4 + c]) * f64::from(stats.std[c]);
+            if lane == 0 {
+                v + f64::from(stats.mean[c])
+            } else {
+                v
+            }
+        });
+        let want = residuals(params, &state);
+        let got = &g.value(tape_residuals).data()[point * 4..(point + 1) * 4];
+        // The terms of a residual are O(|derivatives|): a few f32 roundings
+        // of the largest one.
+        let scale = 1.0 + want.iter().fold(0.0f64, |m, r| m.max(r.abs()));
+        for (got, want) in got.iter().zip(want) {
+            assert!(
+                (f64::from(*got) - want).abs() < 1e-5 * scale,
+                "point {point}: {got} vs {want}"
+            );
+        }
+        acc += want.iter().map(|r| r.abs()).sum::<f64>();
     }
-    let jet = acc / (queries.len() * 4) as f64;
-    assert!(
-        (tape - jet).abs() < 0.15 * (1.0 + jet),
-        "tape equation loss {tape} vs jet residual {jet}"
-    );
+    let mean = acc / (q * 4) as f64;
+    let tape = f64::from(g.value(loss).item());
+    assert!((tape - mean).abs() < 1e-5 * (1.0 + mean), "tape equation loss {tape} vs {mean}");
 }
 
 /// The dataset's stored pressure channel makes the momentum residuals small

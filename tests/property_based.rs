@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core data structures and
 //! numerical invariants that every experiment relies on.
 
-use meshfreeflownet::autodiff::{Graph, Jet3};
+use meshfreeflownet::autodiff::{Activation, Graph, JET_LANES};
 use meshfreeflownet::core::plan_queries;
 use meshfreeflownet::data::{downsample, sample_trilinear, Dataset, DatasetMeta, CHANNELS};
 use meshfreeflownet::fft::{fft, ifft, Complex, RealFftPlan};
@@ -136,19 +136,26 @@ proptest! {
         }
     }
 
-    /// Jet multiplication satisfies the Leibniz rule against independent
-    /// evaluation: d(fg) = f dg + g df for arbitrary jets.
+    /// A linear map commutes with differentiation: the six-lane layer node
+    /// maps every lane by the same weight as six one-lane nodes would, the
+    /// bias joining the value lane only.
     #[test]
-    fn jet_leibniz_rule(
-        fv in -2.0f32..2.0, fd in -2.0f32..2.0,
-        gv in -2.0f32..2.0, gd in -2.0f32..2.0,
+    fn linear_layer_maps_every_lane_alike(
+        x in prop::collection::vec(-2.0f32..2.0, JET_LANES * 3),
+        w in prop::collection::vec(-2.0f32..2.0, 6),
+        b in prop::collection::vec(-2.0f32..2.0, 2),
     ) {
-        let f = Jet3 { v: fv, d: [fd, 0.0, 0.0], dd: [0.0; 3] };
-        let g = Jet3 { v: gv, d: [gd, 0.0, 0.0], dd: [0.0; 3] };
-        let p = f.mul(g);
-        prop_assert!((p.v - fv * gv).abs() < 1e-5);
-        prop_assert!((p.d[0] - (fv * gd + gv * fd)).abs() < 1e-5);
-        prop_assert!((p.dd[0] - 2.0 * fd * gd).abs() < 1e-5);
+        let mut g = Graph::new();
+        let xv = g.constant(Tensor::from_vec(x.clone(), &[JET_LANES, 3]));
+        let wv = g.constant(Tensor::from_vec(w, &[2, 3]));
+        let bv = g.constant(Tensor::from_vec(b, &[2]));
+        let zero = g.constant(Tensor::zeros(&[2]));
+        let lanes = g.linear(xv, wv, bv, Activation::Linear, JET_LANES);
+        for k in 0..JET_LANES {
+            let row = g.constant(Tensor::from_vec(x[k * 3..(k + 1) * 3].to_vec(), &[1, 3]));
+            let one = g.linear(row, wv, if k == 0 { bv } else { zero }, Activation::Linear, 1);
+            prop_assert_eq!(&g.value(lanes).data()[k * 2..(k + 1) * 2], g.value(one).data());
+        }
     }
 
     /// Concat/split on the tape round-trips values and routes gradients with
