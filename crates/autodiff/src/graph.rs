@@ -17,10 +17,11 @@
 //! operand requires a gradient.
 //!
 //! A fully-connected layer is one node, [`Graph::linear`]: GEMM, then
-//! [`Activation::bias_apply_rows`] in place on the GEMM output — the kernel
-//! the no-grad `PackedMlp::forward` calls, so the two forwards are one code
-//! path. It saves what backward needs once: its own output (which the next
-//! layer reads anyway) and, for softplus only, a copy of the GEMM output.
+//! [`Activation::bias_apply_rows`] in place on the GEMM output — the element
+//! function the no-grad `PackedMlp::forward` applies to its transposed
+//! (feature-major) activations, so the two forwards agree bit for bit. It
+//! saves what backward needs once: its own output (which the next layer
+//! reads anyway) and, for softplus only, a copy of the GEMM output.
 //!
 //! The same node differentiates the network with respect to its *inputs* —
 //! how the PDE residuals get exact derivatives of the decoder: on
@@ -403,7 +404,8 @@ impl Graph {
     /// A fully-connected layer `act(x @ w^T + b)` as one node: `x: [M, in]`,
     /// `w: [out, in]` (gradients arrive in that layout), `b: [out]`. The
     /// value is the GEMM followed by [`Activation::bias_apply_rows`] in place
-    /// on its output, exactly what the no-grad `PackedMlp::forward` computes.
+    /// on its output — the transpose of what a layer of the no-grad
+    /// `PackedMlp::forward` computes, bit for bit.
     ///
     /// With `lanes = JET_LANES`, `x: [6·M, in]` stacks a value and five
     /// derivatives as row blocks (module docs): still one GEMM, whose value

@@ -9,7 +9,7 @@
 use crate::graph::{Graph, Var};
 use crate::params::{ParamId, ParamStore};
 use mfn_tensor::rowops::{self, JET_LANES};
-use mfn_tensor::{MatLayout, PackedConv3d, PackedGemm, Tensor};
+use mfn_tensor::{timed, ConvStages, PackedConv3d, Tensor};
 use rand::Rng;
 
 /// Element-wise activation selector.
@@ -26,21 +26,36 @@ pub enum Activation {
     Linear,
 }
 
+/// An in-place `(y, bias)` pass.
+type BiasFn = fn(&mut [f32], &[f32]);
+
 impl Activation {
     /// The row bias add of a Linear layer and this activation in one
-    /// in-place pass over the GEMM output `y: [M, bias.len()]`. Both forwards
-    /// of a layer end in this call — the tape's [`Graph::linear`] node and
-    /// the no-grad [`PackedMlp::forward`] — so their outputs are bit-equal
-    /// by construction.
+    /// in-place pass over the GEMM output `y: [M, bias.len()]` — how the
+    /// tape's [`Graph::linear`] node ends.
     pub fn bias_apply_rows(self, y: &mut [f32], bias: &[f32]) {
-        match self {
-            Activation::Softplus => rowops::bias_softplus_rows(y, bias),
-            Activation::Linear => rowops::add_bias_rows(y, bias),
-            Activation::Relu | Activation::Tanh => {
-                rowops::add_bias_rows(y, bias);
-                for v in y {
-                    *v = self.derivs(*v)[0];
-                }
+        self.bias_apply(y, bias, rowops::bias_softplus_rows, rowops::add_bias_rows)
+    }
+
+    /// [`Activation::bias_apply_rows`] on the transpose, `y: [bias.len(), M]`
+    /// (an output feature is a contiguous row with one bias) — how a layer of
+    /// the no-grad [`PackedMlp::forward`] ends. Only where the bias lies
+    /// differs: the same element function meets the same sum `y + bias`, so
+    /// the two forwards are bit-equal by construction.
+    pub fn bias_apply_features(self, y: &mut [f32], bias: &[f32]) {
+        self.bias_apply(y, bias, rowops::bias_softplus_features, rowops::add_bias_features)
+    }
+
+    /// Bias add and activation over `y` in the layout `softplus` (fused) and
+    /// `add` read the bias in.
+    fn bias_apply(self, y: &mut [f32], bias: &[f32], softplus: BiasFn, add: BiasFn) {
+        if self == Activation::Softplus {
+            return softplus(y, bias);
+        }
+        add(y, bias);
+        if self != Activation::Linear {
+            for v in y {
+                *v = self.derivs(*v)[0];
             }
         }
     }
@@ -360,61 +375,77 @@ impl Mlp {
             .iter()
             .map(|layer| {
                 let w = store.get(layer.weight).data();
-                let (k, n) = (layer.in_features, layer.out_features);
                 (
-                    PackedGemm::pack(k, n, w, MatLayout::Transposed),
+                    PackedConv3d::pack_linear(w, layer.out_features, layer.in_features),
                     store.get(layer.bias).data().to_vec(),
                 )
             })
             .collect();
-        PackedMlp { layers, activation: self.activation }
+        PackedMlp { in_features: self.layers[0].in_features, layers, activation: self.activation }
     }
 }
 
 /// An inference-only snapshot of an [`Mlp`]: every layer's weight prepacked
-/// into GEMM panels ([`PackedGemm`]) next to a copy of its bias, so repeated
-/// evaluation never touches the parameter store or re-packs a weight.
+/// as the A panels of its GEMM ([`PackedConv3d`] — a `Linear` over `M` points
+/// is a 1×1×1 conv over a volume of `M` voxels) next to a copy of its bias,
+/// so repeated evaluation never touches the parameter store or re-packs a
+/// weight.
 ///
+/// Activations are *feature-major*, `[width, M]`: with the weight on the
+/// tile's rows they are the GEMM's B operand as they lie, each layer is `W ·
+/// X` and nothing is transposed between layers. An output element is the
+/// same `k`-order FMA chain whichever operand sits on the tile's rows, so
 /// [`PackedMlp::forward`] is bit-identical to what [`Mlp::forward`] records
-/// on the tape — the same GEMM, bias and activation kernels — and, because a
-/// GEMM row does not depend on how many rows the call has, for any split of
-/// the rows into blocks.
+/// on the tape — and, because a GEMM column does not depend on how many
+/// columns the call has, for any split of the points into blocks.
 #[derive(Debug)]
 pub struct PackedMlp {
-    layers: Vec<(PackedGemm, Vec<f32>)>,
+    in_features: usize,
+    /// Weight panels and bias (one entry per output feature) of each layer.
+    layers: Vec<(PackedConv3d, Vec<f32>)>,
     activation: Activation,
 }
 
 impl PackedMlp {
     /// Input width.
     pub fn in_features(&self) -> usize {
-        self.layers.first().expect("non-empty").0.depth()
+        self.in_features
     }
 
     /// Output width.
     pub fn out_features(&self) -> usize {
-        self.layers.last().expect("non-empty").0.cols()
+        self.layers.last().expect("non-empty").1.len()
     }
 
-    /// The widest row any layer reads or writes — what each of
-    /// [`PackedMlp::forward`]'s two buffers must hold per row.
+    /// The widest activation any layer reads or writes — what each of
+    /// [`PackedMlp::forward`]'s two buffers must hold per point.
     pub fn max_width(&self) -> usize {
-        self.layers.iter().map(|(w, _)| w.cols()).fold(self.in_features(), usize::max)
+        self.layers.iter().map(|(_, b)| b.len()).fold(self.in_features, usize::max)
     }
 
-    /// Evaluates the MLP on the `m` rows at the front of `x` (`[m, in]`),
-    /// ping-ponging layer outputs between `x` and `y`, and returns the
-    /// `[m, out]` result (a prefix of whichever buffer the last layer wrote).
-    /// Both buffers must hold at least `m * max_width()` elements.
-    pub fn forward<'a>(&self, m: usize, x: &'a mut [f32], y: &'a mut [f32]) -> &'a [f32] {
-        let (mut cur, mut next) = (x, y);
+    /// Evaluates the MLP on the `m` points at the front of `x` (`[in, m]`:
+    /// feature `f` of point `r` at `x[f·m + r]`), ping-ponging layer outputs
+    /// between `x` and `y`, and returns the `[out, m]` result (a prefix of
+    /// whichever buffer the last layer wrote). Both buffers must hold at
+    /// least `m * max_width()` elements. With `stages`, each layer's B-pack,
+    /// micro-kernel and bias + activation times are added to it (`None`
+    /// reads no clock).
+    pub fn forward<'a>(
+        &self,
+        m: usize,
+        x: &'a mut [f32],
+        y: &'a mut [f32],
+        mut stages: Option<&mut ConvStages>,
+    ) -> &'a [f32] {
+        let (mut cur, mut next, mut width) = (x, y, self.in_features);
         let last = self.layers.len() - 1;
         for (i, (weight, bias)) in self.layers.iter().enumerate() {
-            let out = &mut next[..m * weight.cols()];
-            weight.matmul(m, &cur[..m * weight.depth()], out);
+            let out = &mut next[..m * bias.len()];
+            weight.forward_slices(&cur[..m * width], [1, 1, m], out, stages.as_deref_mut());
+            width = bias.len();
             // Hidden activation on every layer but the linear head.
             let act = if i == last { Activation::Linear } else { self.activation };
-            act.bias_apply_rows(out, bias);
+            timed(&mut stages, |s| &mut s.epilogue_ns, || act.bias_apply_features(out, bias));
             std::mem::swap(&mut cur, &mut next);
         }
         &cur[..m * self.out_features()]
@@ -517,6 +548,56 @@ mod tests {
         let y = mlp.forward(&mut g2, &store, xv, 1);
         assert_eq!(&v1, g2.value(y));
         assert_eq!(v1.dims(), &[4, 2]);
+    }
+
+    /// The no-grad snapshot is the tape, bit for bit: every layer of
+    /// `PackedMlp::forward` (weight on the tile's rows, feature-major
+    /// activations, `bias_apply_features`) against `Mlp::forward`'s
+    /// `Graph::linear` nodes, for every hidden activation, on every backend
+    /// this host runs — panels packed under one override, run under another.
+    #[test]
+    fn packed_mlp_is_bit_identical_to_the_tape() {
+        use mfn_tensor::{set_backend_override, KernelBackend};
+        // A tier the host lacks falls back to the detected one: a repeat.
+        let backends = [KernelBackend::Avx512, KernelBackend::Avx2Fma, KernelBackend::Portable];
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        for act in [Activation::Softplus, Activation::Relu, Activation::Tanh, Activation::Linear] {
+            // 300 is deeper than one `KC` block; the head is 4 wide.
+            for widths in [&[19usize, 64, 32, 4][..], &[300, 33, 4]] {
+                let mut store = ParamStore::new();
+                let mlp = Mlp::new(&mut store, "m", widths, act, &mut rng);
+                for m in [8usize, 24, 504, 512] {
+                    let x = Tensor::randn(&[m, widths[0]], 1.5, &mut rng);
+                    let mut g = Graph::new();
+                    let xv = g.constant(x.clone());
+                    let y = mlp.forward(&mut g, &store, xv, 1);
+                    let want = g.value(y).data();
+                    for &pack_on in &backends {
+                        set_backend_override(Some(pack_on));
+                        let packed = mlp.pack(&store);
+                        for &run_on in &backends {
+                            set_backend_override(Some(run_on));
+                            let mut a = vec![f32::NAN; m * packed.max_width()];
+                            let mut b = a.clone();
+                            for (i, &v) in x.data().iter().enumerate() {
+                                a[i % widths[0] * m + i / widths[0]] = v;
+                            }
+                            let got = packed.forward(m, &mut a, &mut b, None);
+                            for (i, want) in want.iter().enumerate() {
+                                assert_eq!(
+                                    got[i % 4 * m + i / 4].to_bits(),
+                                    want.to_bits(),
+                                    "{act:?} {widths:?} rows {m} packed on {} run on {} elem {i}",
+                                    pack_on.name(),
+                                    run_on.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        set_backend_override(None);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! pre-optimization naive `ikj` kernel kept here as a frozen reference,
 //! the implicit-GEMM conv3d (forward and both gradients, a training-shaped
 //! 3×3×3 layer and its pointwise twin), one U-Net encode attributed conv by
-//! conv and stage by stage, the frozen encode/decode split, the softplus kernel and
-//! its derivative, the decoder's forward and backward on the tape (the link
+//! conv and stage by stage, the frozen encode/decode split with every decode
+//! row attributed stage by stage and its GEMM stage timed against the blocked
+//! GEMM, the softplus kernel (as a slice and as the decoder's feature-major
+//! epilogue) and its derivative, the decoder's forward and backward on the tape (the link
 //! between the kernel rows and the training step), and one full training step
 //! with the workspace pool on vs off. Results land in
 //! `BENCH_kernels.json` (default; `--out` overrides): median wall time,
@@ -33,8 +35,8 @@
 
 use mfn_autodiff::{Graph, Var, JET_LANES};
 use mfn_core::{
-    equation_loss, plan_queries, ChannelStats, ConstraintSet, Corpus, FrozenModel, MeshfreeFlowNet,
-    MfnConfig, RbcParams, TrainConfig, Trainer,
+    equation_loss, plan_queries, ChannelStats, ConstraintSet, Corpus, DecodeStages, FrozenModel,
+    MeshfreeFlowNet, MfnConfig, RbcParams, TrainConfig, Trainer,
 };
 use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec, QueryStrategy};
 use mfn_sample::{OctreeConfig, OctreeSampler};
@@ -478,7 +480,14 @@ struct DecodeRow {
     best_ns: f64,
     points_per_s: f64,
     alloc_bytes_per_call: u64,
+    /// Each stage's minimum over the staged calls
+    /// (`FrozenModel::decode_values_staged`), in [`DECODE_STAGES`] order.
+    stage_ns: [f64; 6],
 }
+
+/// The stage columns of a `decode_values` row.
+const DECODE_STAGES: [&str; 6] =
+    ["plan_us", "gather_us", "pack_b_us", "micro_us", "epilogue_us", "blend_us"];
 
 /// The bench decoder's model: a tiny U-Net under a serving-sized decoder
 /// (35→128→128→4), whose ~85 KB of weight panels spill a 32-48 KB L1d — the
@@ -509,9 +518,11 @@ fn bench_queries(q: usize) -> Vec<(usize, [f32; 3])> {
 
 /// Times the serving split on a tiny frozen model: one U-Net encode (the
 /// expensive encode-once half) and `FrozenModel::decode_values` at several
-/// query-batch sizes (the cheap decode-many half). The encode/decode ratio
-/// in the JSON is the asymmetry the latent-context cache in `mfn-serve`
-/// exploits. Returns the encode median and the decode rows.
+/// query-batch sizes (the cheap decode-many half), each row also by stage —
+/// plan, gather, the layers' B-pack, micro-kernel and bias + activation,
+/// blend. The encode/decode ratio in the JSON is the asymmetry the
+/// latent-context cache in `mfn-serve` exploits. Returns the encode median
+/// and the decode rows.
 fn bench_decode(iters: usize) -> (f64, Vec<DecodeRow>) {
     let cfg = bench_decoder_config();
     let in_channels = cfg.in_channels;
@@ -531,12 +542,25 @@ fn bench_decode(iters: usize) -> (f64, Vec<DecodeRow>) {
             let (median_ns, best_ns, alloc_bytes_per_call) = time_samples(iters, || {
                 std::hint::black_box(frozen.decode_values(&latent, queries.iter().copied()));
             });
+            let mut stage_ns = [f64::MAX; 6];
+            for _ in 0..iters {
+                let mut s = DecodeStages::default();
+                let points = queries.iter().copied();
+                std::hint::black_box(frozen.decode_values_staged(&latent, points, Some(&mut s)));
+                let l = s.layers;
+                let now =
+                    [s.plan_ns, s.gather_ns, l.pack_b_ns, l.micro_ns, l.epilogue_ns, s.blend_ns];
+                for (best, now) in stage_ns.iter_mut().zip(now) {
+                    *best = best.min(now);
+                }
+            }
             DecodeRow {
                 queries: q,
                 median_ns,
                 best_ns,
                 points_per_s: q as f64 * 1e9 / best_ns,
                 alloc_bytes_per_call,
+                stage_ns,
             }
         })
         .collect();
@@ -623,11 +647,16 @@ fn bench_tape_decoder(iters: usize) -> TapeDecoderBench {
     TapeDecoderBench { forward: fwd, backward: bwd, forward_flops, eq_loss: eq, one_lane: one }
 }
 
-/// `(median_ns, best_ns)` of the activation kernel and of its derivative.
+/// `(median_ns, best_ns)` of the activation kernel, of its derivative and of
+/// its feature-major form at two row lengths.
 struct SoftplusBench {
     elements: usize,
     forward: (f64, f64),
     grad: (f64, f64),
+    /// `bias_softplus_features` on `[128, 512]` (a full decode block's rows).
+    features_512: (f64, f64),
+    /// The same elements as `[8192, 8]` (one query's rows).
+    features_8: (f64, f64),
 }
 
 impl SoftplusBench {
@@ -639,25 +668,36 @@ impl SoftplusBench {
 
 /// The activation kernels on their own, over 64K elements (one decode
 /// block's hidden activations twice over): `rowops::softplus_slice` in place
-/// (re-applying it to its own output times the same work) and
-/// `rowops::softplus_grad_slice`, the tape's backward for it. Interleaved,
-/// because their quotient is gated. Both are branch-free, so the values
-/// matter in one way only: `σ(|x|) ≥ ½` keeps the products of a unit adjoint
-/// clear of the subnormal range, whose slow path is not what is measured,
-/// for more calls than any run makes.
+/// (re-applying it to its own output times the same work),
+/// `rowops::softplus_grad_slice`, the tape's backward for it, and
+/// `rowops::bias_softplus_features`, the no-grad decoder's epilogue (one
+/// bias per contiguous row), on rows of a full block and of one query.
+/// Interleaved, because the derivative's quotient is gated and the
+/// feature-major form is held to the slice's per-element cost. All are
+/// branch-free, so the values matter in one way only: `σ(|x|) ≥ ½` keeps the
+/// products of a unit adjoint clear of the subnormal range, whose slow path
+/// is not what is measured, for more calls than any run makes.
 fn bench_softplus(iters: usize) -> SoftplusBench {
     let n = 64 * 1024;
     let mut x = vec![0.0f32; n];
     lcg_fill(&mut x, 31);
     let z: Vec<f32> = x.iter().map(|v| v.abs()).collect();
     let mut g = vec![1.0f32; n];
+    let (mut f512, mut f8) = (x.clone(), x.clone());
+    let mut bias = vec![0.0f32; n / 8];
+    lcg_fill(&mut bias, 32);
     let t = time_interleaved(
         iters,
-        &mut [&mut || rowops::softplus_slice(std::hint::black_box(&mut x)), &mut || {
-            rowops::softplus_grad_slice(std::hint::black_box(&mut g), std::hint::black_box(&z))
-        }],
+        &mut [
+            &mut || rowops::softplus_slice(std::hint::black_box(&mut x)),
+            &mut || {
+                rowops::softplus_grad_slice(std::hint::black_box(&mut g), std::hint::black_box(&z))
+            },
+            &mut || rowops::bias_softplus_features(std::hint::black_box(&mut f512), &bias[..128]),
+            &mut || rowops::bias_softplus_features(std::hint::black_box(&mut f8), &bias),
+        ],
     );
-    SoftplusBench { elements: n, forward: t[0], grad: t[1] }
+    SoftplusBench { elements: n, forward: t[0], grad: t[1], features_512: t[2], features_8: t[3] }
 }
 
 /// Measured sampling rows: uniform vs residual-guided adaptive query
@@ -958,9 +998,13 @@ fn run_gate(
     ))
 }
 
+/// Rows of one full block of the no-grad decode (64 queries × 8 vertices).
+const DECODE_BLOCK_ROWS: usize = 512;
+
 /// The operands of the two gated kernel ratios — blocked vs naive GEMM at
 /// `size`³, and the implicit-GEMM conv3d on a training-shaped 3×3×3 layer vs
-/// the blocked GEMM — and the one loop that times them.
+/// the blocked GEMM — and of the decoder's GEMM stage, and the one loop that
+/// times them.
 struct GatedKernels {
     size: usize,
     a: Vec<f32>,
@@ -973,6 +1017,14 @@ struct GatedKernels {
     cweight: Tensor,
     pweight: Tensor,
     cgout: Tensor,
+    /// The bench decoder's layers as the no-grad decode holds them (weight
+    /// panels packed once) with its widths, a feature-major input block and
+    /// the two buffers layer outputs ping-pong between: the GEMM stage of one
+    /// block, B-pack and micro-kernel, nothing else.
+    mlp: Vec<PackedConv3d>,
+    widths: Vec<usize>,
+    mlp_in: Vec<f32>,
+    mlp_bufs: [Vec<f32>; 2],
 }
 
 impl GatedKernels {
@@ -983,6 +1035,17 @@ impl GatedKernels {
         lcg_fill(&mut b, 2);
         let (cn, ch, cs) = if quick { (2, 8, [4usize, 8, 8]) } else { (4, 16, [4, 16, 16]) };
         let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let widths = bench_decoder_config().mlp_widths();
+        let mlp: Vec<PackedConv3d> = widths
+            .windows(2)
+            .map(|w| {
+                let weight = Tensor::randn(&[w[1], w[0]], (1.0 / w[0] as f32).sqrt(), &mut rng);
+                PackedConv3d::pack_linear(weight.data(), w[1], w[0])
+            })
+            .collect();
+        let widest = widths.iter().copied().max().expect("decoder widths");
+        let mut mlp_in = vec![0.0f32; DECODE_BLOCK_ROWS * widths[0]];
+        lcg_fill(&mut mlp_in, 3);
         GatedKernels {
             size,
             a,
@@ -993,7 +1056,17 @@ impl GatedKernels {
             cweight: Tensor::randn(&[ch, ch, 3, 3, 3], 1.0, &mut rng),
             pweight: Tensor::randn(&[ch, ch, 1, 1, 1], 1.0, &mut rng),
             cgout: Tensor::randn(&[cn, ch, cs[0], cs[1], cs[2]], 1.0, &mut rng),
+            mlp,
+            widths,
+            mlp_in,
+            mlp_bufs: [(); 2].map(|_| vec![0.0f32; DECODE_BLOCK_ROWS * widest]),
         }
+    }
+
+    /// GEMM FLOPs of the decoder layers over one block.
+    fn decode_flops(&self) -> f64 {
+        let macs: usize = self.widths.windows(2).map(|w| w[0] * w[1]).sum();
+        2.0 * (DECODE_BLOCK_ROWS * macs) as f64
     }
 
     /// FLOPs of one conv pass (forward or either gradient) with `weight`.
@@ -1002,18 +1075,20 @@ impl GatedKernels {
         2.0 * (voxels * weight.numel()) as f64
     }
 
-    /// `[gemm_nn, gemm_naive, conv forward, grad-input, grad-weight]` (the
-    /// conv with the 3×3×3 weight, or its pointwise twin), each `(median_ns,
-    /// best_ns, alloc bytes per call)`, timed interleaved in one loop: both
-    /// gated ratios divide rows of this loop, so numerator and denominator
-    /// share the host's steal phases.
+    /// `[gemm_nn, gemm_naive, conv forward, grad-input, grad-weight, decoder
+    /// GEMMs]` (the conv with the 3×3×3 weight, or its pointwise twin), each
+    /// `(median_ns, best_ns, alloc bytes per call)`, timed interleaved in one
+    /// loop: both gated ratios and `decode_vs_gemm_nn` divide rows of this
+    /// loop, so numerator and denominator share the host's steal phases.
     fn time(&mut self, iters: usize, pointwise: bool) -> Vec<(f64, f64, u64)> {
         let (size, a, b) = (self.size, &self.a, &self.b);
         let (c_nn, c_naive) = (&mut self.c_nn, &mut self.c_naive);
         let w = if pointwise { &self.pweight } else { &self.cweight };
         let (x, g) = (&self.cinput, &self.cgout);
         let dims = Conv3dDims::infer(x, w);
-        let mut fs: [&mut dyn FnMut(); 5] = [
+        let (mlp, widths, mlp_in) = (&self.mlp, &self.widths, &self.mlp_in);
+        let [mlp_x, mlp_y] = &mut self.mlp_bufs;
+        let mut fs: [&mut dyn FnMut(); 6] = [
             &mut || gemm(size, size, size, a, MatLayout::Normal, b, MatLayout::Normal, c_nn),
             &mut || naive_ikj(size, size, size, a, b, c_naive),
             &mut || {
@@ -1024,6 +1099,18 @@ impl GatedKernels {
             },
             &mut || {
                 std::hint::black_box(conv3d_grad_weight(x, g, dims));
+            },
+            &mut || {
+                let (mut cur, mut next) = (&mut *mlp_x, &mut *mlp_y);
+                let mut input: &[f32] = mlp_in;
+                for (layer, w) in mlp.iter().zip(widths.windows(2)) {
+                    let rows = [1, 1, DECODE_BLOCK_ROWS];
+                    let out = &mut next[..w[1] * DECODE_BLOCK_ROWS];
+                    layer.forward_slices(&input[..w[0] * DECODE_BLOCK_ROWS], rows, out, None);
+                    std::mem::swap(&mut cur, &mut next);
+                    input = cur;
+                }
+                std::hint::black_box(input);
             },
         ];
         let bytes: Vec<u64> = fs.iter_mut().map(bytes_per_call).collect();
@@ -1168,6 +1255,16 @@ fn main() {
          1x1x1 {pointwise_gflops:.2} GFLOP/s"
     );
 
+    // The decoder's GEMM stage over one block, from the same loop.
+    let decode_gemm = gated_timings[5];
+    let decode_gemm_gflops = gated.decode_flops() / decode_gemm.1;
+    eprintln!(
+        "[bench] decoder GEMMs, one {DECODE_BLOCK_ROWS}-row block: {:.2} us, \
+         {decode_gemm_gflops:.2} GFLOP/s ({:.3}x gemm_nn)",
+        decode_gemm.1 / 1e3,
+        decode_gemm_gflops / blocked,
+    );
+
     // ---- One U-Net encode, conv by conv and stage by stage --------------
     eprintln!("[bench] attributing one U-Net encode ({iters} iters/layer) ...");
     let unet = bench_unet_encode(iters, blocked);
@@ -1199,10 +1296,13 @@ fn main() {
     }
     let softplus = bench_softplus(iters);
     eprintln!(
-        "[bench] softplus: {:.3} ns/element, derivative {:.3} ns/element ({:.2}x) over {} elements",
+        "[bench] softplus: {:.3} ns/element, derivative {:.3} ns/element ({:.2}x), feature-major \
+         {:.3} (rows of 512) / {:.3} (rows of 8) over {} elements",
         softplus.forward.1 / softplus.elements as f64,
         softplus.grad.1 / softplus.elements as f64,
         softplus.grad_ratio(),
+        softplus.features_512.1 / softplus.elements as f64,
+        softplus.features_8.1 / softplus.elements as f64,
         softplus.elements,
     );
 
@@ -1271,14 +1371,24 @@ fn main() {
         if idx > 0 {
             decode_json.push_str(",\n");
         }
+        let stages: Vec<String> = DECODE_STAGES
+            .iter()
+            .zip(r.stage_ns)
+            .map(|(name, ns)| format!("\"{name}\": {:.2}", ns / 1e3))
+            .collect();
         decode_json.push_str(&format!(
-            "    {{\"queries\": {}, \"median_ns\": {:.0}, \"best_ns\": {:.0}, \"points_per_s\": {:.0}, \"alloc_bytes_per_call\": {}}}",
-            r.queries, r.median_ns, r.best_ns, r.points_per_s, r.alloc_bytes_per_call
+            "    {{\"queries\": {}, \"median_ns\": {:.0}, \"best_ns\": {:.0}, \"points_per_s\": {:.0}, \"alloc_bytes_per_call\": {}, {}}}",
+            r.queries,
+            r.median_ns,
+            r.best_ns,
+            r.points_per_s,
+            r.alloc_bytes_per_call,
+            stages.join(", "),
         ));
     }
     let json = format!(
         "{{\n\
-         \"schema\": \"mfn-bench/kernels/v8\",\n\
+         \"schema\": \"mfn-bench/kernels/v9\",\n\
          \"mode\": \"{mode}\",\n\
          \"count_alloc\": {count_alloc},\n\
          \"checks\": {{\"gemm_vs_naive\": \"ok\", \"conv3d_vs_definition\": \"ok\"}},\n\
@@ -1296,9 +1406,10 @@ fn main() {
          \"decode_values\": {{\n\
          \"encode_median_ns\": {encode_ns:.0},\n\
          \"encode_to_1query_decode_ratio\": {enc_dec_ratio:.1},\n\
-         \"rows\": [\n{decode_json}\n  ]\n\
+         \"rows\": [\n{decode_json}\n  ],\n\
+         \"gemm_stage\": {{\"rows\": {DECODE_BLOCK_ROWS}, \"median_ns\": {dg_med:.0}, \"best_ns\": {dg_best:.0}, \"alloc_bytes_per_call\": {dg_bytes}, \"decode_gemm_gflops\": {decode_gemm_gflops:.2}, \"decode_vs_gemm_nn\": {dg_rel:.3}}}\n\
          }},\n\
-         \"softplus\": {{\"elements\": {sp_n}, \"median_ns\": {sp_med:.0}, \"best_ns\": {sp_best:.0}, \"ns_per_element\": {sp_per:.3}}},\n\
+         \"softplus\": {{\"elements\": {sp_n}, \"median_ns\": {sp_med:.0}, \"best_ns\": {sp_best:.0}, \"ns_per_element\": {sp_per:.3}, \"features_512_ns_per_element\": {sf512_per:.3}, \"features_8_ns_per_element\": {sf8_per:.3}}},\n\
          \"softplus_grad\": {{\"elements\": {sp_n}, \"median_ns\": {sg_med:.0}, \"best_ns\": {sg_best:.0}, \"ns_per_element\": {sg_per:.3}, \"ratio_vs_softplus\": {sg_ratio:.3}}},\n\
          \"tape_decoder\": {{\n\
          \"queries\": {TAPE_QUERIES}, \"lanes\": {JET_LANES}, \"rows\": {tape_rows},\n\
@@ -1341,6 +1452,12 @@ fn main() {
         sp_med = softplus.forward.0,
         sp_best = softplus.forward.1,
         sp_per = softplus.forward.1 / softplus.elements as f64,
+        sf512_per = softplus.features_512.1 / softplus.elements as f64,
+        sf8_per = softplus.features_8.1 / softplus.elements as f64,
+        dg_med = decode_gemm.0,
+        dg_best = decode_gemm.1,
+        dg_bytes = decode_gemm.2,
+        dg_rel = decode_gemm_gflops / blocked,
         sg_med = softplus.grad.0,
         sg_best = softplus.grad.1,
         sg_per = softplus.grad.1 / softplus.elements as f64,

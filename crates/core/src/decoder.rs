@@ -17,47 +17,70 @@
 //!   blending — what the PDE residuals read, differentiable like any other
 //!   node;
 //! - **no-grad**: `decode_packed` evaluates the same values, bit for bit,
-//!   with no tape, a block of queries at a time, against MLP weights packed
-//!   into GEMM panels once ([`PackedMlp`]) — by the frozen engine when it is
-//!   built, by [`ContinuousDecoder::decode_nograd`] once per call (all
+//!   with no tape, a block of queries at a time and *feature-major* from
+//!   gather to blend: a block's activations are `[width, rows]`, so the MLP
+//!   weights — packed into GEMM A panels once ([`PackedMlp`]) — sit on the
+//!   micro-kernel tile's rows, the activations are its B operand as they
+//!   lie, and no layer transposes anything. The frozen engine packs when it
+//!   is built, [`ContinuousDecoder::decode_nograd`] once per call (all
 //!   inference: `MeshfreeFlowNet::super_resolve`, the frozen engine,
 //!   serving).
 
 use mfn_autodiff::{Graph, Mlp, PackedMlp, ParamStore, Var, JET_LANES};
-use mfn_tensor::{blend_rows_into, gather_concat_rows, workspace, Tensor};
+use mfn_tensor::{blend_features_into, gather_features, timed, workspace, ConvStages, Tensor};
 
 /// Number of bounding vertices of a 3D cell.
 pub const VERTICES: usize = 8;
 
-/// Queries the no-grad decode evaluates at a time: what bounds its scratch
-/// (two ping-pong buffers of 512 rows × the widest layer, 256 KiB each for
-/// a 128-wide MLP, L2-resident) however many queries a call brings. With
-/// the weights prepacked a block has no fixed cost left to amortize, and
-/// the size no longer shows in the timings: 32 / 64 / 128 queries a block
-/// ran the `super_resolve` benchmark workload at 523–534k / 522–537k /
-/// 527–536k points/s (three runs each) and the 4096-query `bench` decode
-/// row at 139k / 142–147k / 139–140k.
+/// Queries the no-grad decode evaluates at a time: 512 rows, one `NC` column
+/// slab of the GEMM driver, and what bounds the decode's scratch (two
+/// ping-pong buffers of 512 rows × the widest layer, 256 KiB each for a
+/// 128-wide MLP, L2-resident) however many queries a call brings. With the
+/// weights prepacked a block has no fixed cost to amortize beyond that.
 const BLOCK_QUERIES: usize = 64;
 
+/// Wall time of one staged no-grad decode by stage, for the `decode_values`
+/// bench rows (nanoseconds, accumulated over the call).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DecodeStages {
+    /// Building the query plan: cell lookup, relative coordinates, weights.
+    pub plan_ns: f64,
+    /// Gathering vertex latents and coordinates into each block's MLP input.
+    pub gather_ns: f64,
+    /// The MLP layers: B-pack, micro-kernel, bias + activation.
+    pub layers: ConvStages,
+    /// The trilinear blend into the result.
+    pub blend_ns: f64,
+}
+
 /// The no-grad decode: `decode_blocked` at the production block size.
-pub(crate) fn decode_packed(mlp: &PackedMlp, latent: &Tensor, plan: &QueryPlan) -> Tensor {
-    decode_blocked(mlp, latent, plan, BLOCK_QUERIES)
+pub(crate) fn decode_packed(
+    mlp: &PackedMlp,
+    latent: &Tensor,
+    plan: &QueryPlan,
+    stages: Option<&mut DecodeStages>,
+) -> Tensor {
+    decode_blocked(mlp, latent, plan, BLOCK_QUERIES, stages)
 }
 
 /// The no-grad decode pipeline, one block of `block_queries` queries at a
-/// time: gather + coordinate concat → every MLP layer (bias and activation
-/// included) → trilinear blend straight into the `[Q, out]` result.
-/// Intermediates live in two block-sized buffers taken once per call, so
-/// memory does not grow with the query count.
+/// time: gather + coordinate de-interleave into `[3 + n_c, rows]` → every
+/// MLP layer (bias and activation included) → trilinear blend straight into
+/// the `[Q, out]` result. Intermediates live in two block-sized buffers taken
+/// once per call, so memory does not grow with the query count.
 ///
-/// Blocking is invisible in the output: every stage is row-wise, and a GEMM
-/// output row does not depend on how many rows the call has (`mfn_tensor::
-/// gemm` module doc), so any block size gives the bits of a single pass.
+/// Blocking is invisible in the output: every stage is point-wise, and a
+/// GEMM output column does not depend on how many columns the call has
+/// (`mfn_tensor::gemm` module doc), so any block size gives the bits of a
+/// single pass. A short last block is `[width, rows]` at its own `rows`: the
+/// B-pack zero-fills the columns of its last tile and the write-back stores
+/// none of them, so nothing past `rows` is read, stored or blended.
 fn decode_blocked(
     mlp: &PackedMlp,
     latent: &Tensor,
     plan: &QueryPlan,
     block_queries: usize,
+    mut stages: Option<&mut DecodeStages>,
 ) -> Tensor {
     assert!(!plan.is_empty(), "empty query plan");
     let (in_width, out_channels) = (mlp.in_features(), mlp.out_features());
@@ -68,14 +91,14 @@ fn decode_blocked(
     for (b, out_block) in out.chunks_mut(block_queries * out_channels).enumerate() {
         let rows = out_block.len() / out_channels * VERTICES;
         let at = b * block_queries * VERTICES;
-        gather_concat_rows(
-            latent,
-            &plan.index[at..at + rows],
-            &plan.rel[at * 3..(at + rows) * 3],
-            &mut cur[..rows * in_width],
-        );
-        let values = mlp.forward(rows, &mut cur, &mut next);
-        blend_rows_into(values, &plan.weights[at..at + rows], VERTICES, out_block);
+        let (index, rel) = (&plan.index[at..at + rows], &plan.rel[at * 3..(at + rows) * 3]);
+        let input = &mut cur[..rows * in_width];
+        timed(&mut stages, |s| &mut s.gather_ns, || gather_features(latent, index, rel, input));
+        let layers = stages.as_deref_mut().map(|s| &mut s.layers);
+        let values = mlp.forward(rows, &mut cur, &mut next, layers);
+        let weights = &plan.weights[at..at + rows];
+        let blend = || blend_features_into(values, weights, VERTICES, out_block);
+        timed(&mut stages, |s| &mut s.blend_ns, blend);
     }
     Tensor::from_vec(out, &[plan.len(), out_channels])
 }
@@ -291,7 +314,7 @@ impl ContinuousDecoder {
     /// store of a live model moves under every optimizer step — so a caller
     /// whose weights cannot change packs once itself (`FrozenModel`).
     pub fn decode_nograd(&self, store: &ParamStore, latent: &Tensor, plan: &QueryPlan) -> Tensor {
-        decode_packed(&self.mlp.pack(store), latent, plan)
+        decode_packed(&self.mlp.pack(store), latent, plan, None)
     }
 }
 
@@ -468,7 +491,7 @@ mod tests {
                     (i % 2, [f, (f * 7.3).fract(), (f * 13.1).fract()])
                 }),
             );
-            let whole = decode_blocked(&packed, &latent, &plan, q);
+            let whole = decode_blocked(&packed, &latent, &plan, q, None);
             assert_eq!(whole.dims(), &[q, 4]);
             assert_eq!(
                 bits(&dec.decode_nograd(&store, &latent, &plan)),
@@ -480,6 +503,87 @@ mod tests {
             let tape = dec.decode(&mut g, &store, l, &plan);
             assert_eq!(bits(g.value(tape)), bits(&whole), "tape, Q={q}");
         }
+    }
+
+    /// Tail-block hygiene: tiles compute whole `nr`-column panels, so a
+    /// short last block must never let stale scratch past its `rows` reach a
+    /// store or the blend. With every pool bucket the decode draws from
+    /// poisoned with NaN, the result equals the clean run.
+    #[test]
+    fn short_last_block_never_reads_stale_scratch() {
+        let (store, dec) = setup();
+        let packed = dec.mlp.pack(&store);
+        let latent = random_latent(8, &[2, 6, 3, 4, 4]);
+        let q = 2 * BLOCK_QUERIES + 3;
+        let plan = plan_queries(
+            [3, 4, 4],
+            (0..q).map(|i| {
+                let f = i as f32 / q as f32;
+                (i % 2, [(f * 3.7).fract(), f, (f * 11.3).fract()])
+            }),
+        );
+        workspace::clear();
+        let clean = decode_packed(&packed, &latent, &plan, None);
+        assert!(clean.data().iter().all(|v| v.is_finite()));
+        let poison: Vec<Vec<f32>> = (6..=16)
+            .flat_map(|shift| [1usize << shift; 4])
+            .map(|len| {
+                let mut v = workspace::take_vec_scratch(len);
+                v.fill(f32::NAN);
+                v
+            })
+            .collect();
+        poison.into_iter().for_each(workspace::give_vec);
+        let dirty = decode_packed(&packed, &latent, &plan, None);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dirty), bits(&clean));
+    }
+
+    /// The blend skip and the GEMM's no-zero-skip rule through the new
+    /// operand order: `0 · ∞` in a layer is NaN at the output of every query
+    /// that blends the vertex in, and a query exactly on a vertex never sees
+    /// its zero-weight neighbours, NaN or not.
+    #[test]
+    fn nan_reaches_the_output_only_through_nonzero_weights() {
+        let (mut store, dec) = setup();
+        // First-layer weights of latent channel 0 (input column 3) all zero.
+        let w = store.get_mut(dec.mlp.layers[0].weight);
+        let (out, inp) = (w.dims()[0], w.dims()[1]);
+        for o in 0..out {
+            w.data_mut()[o * inp + 3] = 0.0;
+        }
+        let grid = [3usize, 4, 4];
+        let vertex = |t: usize, z: usize, x: usize| (t * grid[1] + z) * grid[2] + x;
+        let mut latent = random_latent(9, &[1, 6, 3, 4, 4]);
+        let vol = 3 * 4 * 4;
+        // Channel 0 is infinite at vertex (1, 2, 2); every channel is NaN at
+        // its neighbour (2, 2, 2), which shares a cell with it in each query.
+        latent.data_mut()[vertex(1, 2, 2)] = f32::INFINITY;
+        for c in 0..6 {
+            latent.data_mut()[c * vol + vertex(2, 2, 2)] = f32::NAN;
+        }
+        let on_vertex =
+            |t: usize, z: usize, x: usize| [t as f32 / 2.0, z as f32 / 3.0, x as f32 / 3.0];
+        let queries = [
+            (0usize, on_vertex(1, 1, 1)), // on a vertex: both are zero-weight neighbours
+            (0, [0.5, 0.5, 0.5]),         // on the t = 1 face: blends (1, 2, 2) in, not (2, 2, 2)
+            (0, on_vertex(1, 2, 2)),      // on the infinite vertex itself
+        ];
+        let plan = plan_queries(grid, queries);
+        let got = dec.decode_nograd(&store, &latent, &plan);
+        let row = |q: usize| &got.data()[q * 4..(q + 1) * 4];
+        assert!(row(0).iter().all(|v| v.is_finite()), "zero-weight NaN neighbours: {:?}", row(0));
+        assert!(row(1).iter().all(|v| v.is_nan()), "0 * inf must reach the output: {:?}", row(1));
+        assert!(row(2).iter().all(|v| v.is_nan()), "0 * inf on the vertex itself: {:?}", row(2));
+        // And the tape agrees, bit for bit where finite.
+        let mut g = Graph::new();
+        let l = g.constant(latent);
+        let tape = dec.decode(&mut g, &store, l, &plan);
+        assert_eq!(
+            g.value(tape).data()[..4].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            row(0).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert!(g.value(tape).data()[4..].iter().all(|v| v.is_nan()));
     }
 
     #[test]

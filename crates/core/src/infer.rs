@@ -13,33 +13,34 @@
 //! decode_values}` run — the engine has no encode or decode of its own. What
 //! differs is when the weight-side work happens: because the engine's store
 //! is private and never written, it does once at construction what the live
-//! model does on every call — the decoder MLP packed into GEMM panels
-//! (`PackedMlp`), every U-Net conv weight packed into implicit-GEMM panels
-//! and every batch norm reduced to its eval-mode `(scale, shift)`
+//! model does on every call — every weight, the decoder MLP's layers
+//! (`PackedMlp`) and the U-Net's convs alike, packed into the A panels of
+//! its GEMM, and every batch norm reduced to its eval-mode `(scale, shift)`
 //! (`PackedUNet`). Nothing can make those snapshots stale: no method hands
 //! out `&mut` to the store or the running statistics, and the `UNet3d` they
 //! were taken from is dropped at construction. Both forwards are
 //! bit-identical to the training graph in eval mode (pinned by the
 //! `inference_equivalence` property tests in `mfn-serve`): the elementwise
-//! kernels are literally shared (`mfn_tensor::rowops`), not reimplemented,
-//! and a prepacked panel is the panel a per-call pack builds.
+//! kernels are shared (`mfn_tensor::rowops`; the decoder's run on the
+//! transpose of the tape's layout, same element functions in the same
+//! order), and a prepacked panel is the panel a per-call pack builds.
 
 use crate::checkpoint::{decode_inference_state, load_train_state_with_fallback, CheckpointError};
 use crate::config::MfnConfig;
-use crate::decoder::{decode_packed, plan_queries, ContinuousDecoder};
+use crate::decoder::{decode_packed, plan_queries, ContinuousDecoder, DecodeStages};
 use crate::model::MeshfreeFlowNet;
 use crate::unet::PackedUNet;
 use mfn_autodiff::{FrozenParams, PackedMlp, ParamStore};
-use mfn_tensor::Tensor;
+use mfn_tensor::{timed, Tensor};
 use std::path::Path;
 
 /// An immutable inference engine over trained weights.
 pub struct FrozenModel {
     cfg: MfnConfig,
     store: ParamStore,
-    /// The U-Net's conv weights as implicit-GEMM panels and its batch norms
-    /// as eval-mode affines, and the decoder MLP's weights as GEMM panels —
-    /// all taken once here: `store` and the running statistics are private
+    /// The U-Net's conv weights and the decoder MLP's weights as GEMM A
+    /// panels, and the batch norms as eval-mode affines — all taken once
+    /// here: `store` and the running statistics are private
     /// and never written, so they cannot go stale.
     unet: PackedUNet,
     decoder: ContinuousDecoder,
@@ -126,8 +127,21 @@ impl FrozenModel {
         latent: &Tensor,
         queries: impl IntoIterator<Item = (usize, [f32; 3])>,
     ) -> Tensor {
-        let plan = plan_queries(self.grid_dims(), queries);
-        decode_packed(&self.packed, latent, &plan)
+        self.decode_values_staged(latent, queries, None)
+    }
+
+    /// [`FrozenModel::decode_values`], adding each stage's wall time to
+    /// `stages` when given (the bench's attribution hook; `None` reads no
+    /// clock).
+    pub fn decode_values_staged(
+        &self,
+        latent: &Tensor,
+        queries: impl IntoIterator<Item = (usize, [f32; 3])>,
+        mut stages: Option<&mut DecodeStages>,
+    ) -> Tensor {
+        let grid = self.grid_dims();
+        let plan = timed(&mut stages, |s| &mut s.plan_ns, || plan_queries(grid, queries));
+        decode_packed(&self.packed, latent, &plan, stages)
     }
 
     /// Test-time physics refinement (see [`crate::refine`]): budgeted gradient

@@ -18,7 +18,7 @@ use mfn_core::{
 use mfn_data::{Dataset, DatasetMeta, CHANNELS};
 use mfn_fft::{energy_spectrum_x, Complex, FftPlan, RealFftPlan};
 use mfn_solver::{d2dx2, d2dz2, ddx, ddz, dealias_x, laplacian, Domain};
-use mfn_tensor::{rowops, MatLayout, PackedConv3d, PackedGemm, Tensor};
+use mfn_tensor::{rowops, MatLayout, PackedConv3d, Tensor};
 
 /// Bound for accumulating kernels: products stay ≤ 1e30 and sums of a few
 /// hundred of them stay below f32::MAX, so intermediates cannot overflow.
@@ -55,9 +55,11 @@ pub fn check_gemm() -> Report {
     c.finish()
 }
 
-/// The prepacked-weight GEMM (`x @ Wᵀ` against panels packed once) vs the
-/// triple loop, under the ordinary GEMM budget: packing ahead of time moves
-/// work, not roundings.
+/// The prepacked `Linear` weight over feature-major activations (`W · X`,
+/// `X: [k, m]`, against A panels packed once — the no-grad decoder's layer)
+/// vs the triple loop of `x @ Wᵀ`, under the ordinary GEMM budget: packing
+/// ahead of time and swapping the operands' places in the tile move work,
+/// not roundings.
 pub fn check_gemm_packed() -> Report {
     let mut c = Checker::new("gemm_packed", Tolerance::new(4, 1.0e-4, 0.0));
     for (si, &(m, k, n)) in GEMM_SHAPES.iter().enumerate() {
@@ -65,12 +67,13 @@ pub fn check_gemm_packed() -> Report {
         c.case(format!("m{m} k{k} n{n} seed {seed}"));
         let a = adversarial_bounded(m * k, seed, ACC_CAP);
         let w = adversarial_bounded(n * k, seed ^ 0xB16, ACC_CAP); // [n, k] weight
-        let packed = PackedGemm::pack(k, n, &w, MatLayout::Transposed);
-        let mut out = vec![f32::NAN; m * n]; // NaN canary: must be overwritten
-        packed.matmul(m, &a, &mut out);
+        let xt: Vec<f32> = (0..k * m).map(|i| a[i % m * k + i / m]).collect();
+        let packed = PackedConv3d::pack_linear(&w, n, k);
+        let mut out = vec![f32::NAN; n * m]; // NaN canary: must be overwritten
+        packed.forward_slices(&xt, [1, 1, m], &mut out, None);
         let want = refk::gemm_ref(m, k, n, &a, MatLayout::Normal, &w, MatLayout::Transposed);
-        for (i, &got) in out.iter().enumerate() {
-            c.check_f32(i, got, want.value[i], want.scale[i]);
+        for i in 0..m * n {
+            c.check_f32(i, out[i % n * m + i / n], want.value[i], want.scale[i]);
         }
     }
     c.finish()
@@ -418,35 +421,31 @@ pub fn check_gather_rows() -> Report {
     c.finish()
 }
 
-/// Fused prefix + vertex gather (the decoder's no-grad input build): pure
-/// data movement, so bit-for-bit against the unfused composition it
-/// replaces — each output row must be the prefix slice followed by the
-/// gathered latent row, exactly.
-pub fn check_gather_concat_rows() -> Report {
-    let mut c = Checker::new("gather_concat_rows", Tolerance::exact());
-    let (n, ch, vol_dims, picks, k) = (2usize, 3usize, [2usize, 2, 3], 40usize, 3usize);
+/// Prefix de-interleave + vertex gather into feature-major rows (the
+/// decoder's no-grad input build): pure data movement, so bit-for-bit
+/// against the composition it transposes — row `r` of `concat([prefix,
+/// gather_rows], 1)` must be column `r` of the output, exactly. 70 picks
+/// cross the kernel's 64-row chunk.
+pub fn check_gather_features() -> Report {
+    let mut c = Checker::new("gather_features", Tolerance::exact());
+    let (n, ch, vol_dims, picks, k) = (2usize, 3usize, [2usize, 2, 3], 70usize, 3usize);
     let vol: usize = vol_dims.iter().product();
     let x = adversarial(n * ch * vol, 910);
     let prefix = adversarial(picks * k, 911);
     let mut g = Lcg::new(912);
     let index: Vec<u32> = (0..picks).map(|_| g.index(n * vol) as u32).collect();
     let t = Tensor::from_vec(x.clone(), &[n, ch, vol_dims[0], vol_dims[1], vol_dims[2]]);
-    let w = k + ch;
-    let mut got = vec![f32::NAN; picks * w];
-    rowops::gather_concat_rows(&t, &index, &prefix, &mut got);
-    c.case("[2,3,2,2,3] pick 40 prefix 3 seed 910");
+    let mut got = vec![f32::NAN; picks * (k + ch)];
+    rowops::gather_features(&t, &index, &prefix, &mut got);
+    c.case("[2,3,2,2,3] pick 70 prefix 3 seed 910");
     for (r, &flat) in index.iter().enumerate() {
         let (ni, sp) = (flat as usize / vol, flat as usize % vol);
         for j in 0..k {
-            c.check_f32(r * w + j, got[r * w + j], f64::from(prefix[r * k + j]), 0.0);
+            c.check_f32(j * picks + r, got[j * picks + r], f64::from(prefix[r * k + j]), 0.0);
         }
         for j in 0..ch {
-            c.check_f32(
-                r * w + k + j,
-                got[r * w + k + j],
-                f64::from(x[(ni * ch + j) * vol + sp]),
-                0.0,
-            );
+            let at = (k + j) * picks + r;
+            c.check_f32(at, got[at], f64::from(x[(ni * ch + j) * vol + sp]), 0.0);
         }
     }
     c.finish()
@@ -887,7 +886,7 @@ pub fn run_all() -> Vec<Report> {
         check_bias(),
         check_blend_rows(),
         check_gather_rows(),
-        check_gather_concat_rows(),
+        check_gather_features(),
         check_maxpool(),
         check_upsample(),
         check_fft(),

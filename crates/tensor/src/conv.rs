@@ -24,7 +24,11 @@
 //! [`conv3d_auto`] or once by a caller whose weights cannot change.
 //! [`conv3d_grad_input`] is the same driver on flipped weights and
 //! [`conv3d_grad_weight`] packs the transposed patch matrix from the same
-//! maps.
+//! maps. A fully-connected layer over `M` points is the 1×1×1 case over a
+//! volume of `M` voxels — activations feature-major `[width, M]`, the
+//! weight on the tile's rows — so the no-grad decoder's MLP runs on this
+//! driver too ([`PackedConv3d::pack_linear`],
+//! [`PackedConv3d::forward_slices`]): one weight-panel store.
 //!
 //! Numerics: every conv output, pointwise included, is one `k`-ordered FMA
 //! chain over `(ci, zd, zh, zw)` — border zeros included as `0.0` terms —
@@ -187,8 +191,9 @@ impl PatchMap {
     }
 }
 
-/// Wall time of one [`PackedConv3d::forward_staged`] call by stage, for the
-/// `unet_encode` bench row (nanoseconds, accumulated over the call).
+/// Wall time of the staged forwards by stage, for the `unet_encode` and
+/// `decode_values` bench rows (nanoseconds, accumulated over the calls the
+/// value is handed to).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ConvStages {
     /// Copying the input into the zero-bordered `xp` (0 for 1×1×1 kernels).
@@ -197,13 +202,16 @@ pub struct ConvStages {
     pub pack_b_ns: f64,
     /// Micro-kernel tiles and their write-back.
     pub micro_ns: f64,
+    /// The in-place bias + activation pass over the output, where the staged
+    /// caller owns it (an MLP layer; a conv's is its network's business).
+    pub epilogue_ns: f64,
 }
 
-/// Runs `work`, adding its wall time to one stage when someone is timing
-/// (no clock is read otherwise).
-fn timed<R>(
-    stages: &mut Option<&mut ConvStages>,
-    field: impl FnOnce(&mut ConvStages) -> &mut f64,
+/// Runs `work`, adding its wall time to one stage of `S` when someone is
+/// timing (no clock is read otherwise) — the one way a staged entry times.
+pub fn timed<S, R>(
+    stages: &mut Option<&mut S>,
+    field: impl FnOnce(&mut S) -> &mut f64,
     work: impl FnOnce() -> R,
 ) -> R {
     let Some(stages) = stages.as_deref_mut() else { return work() };
@@ -283,7 +291,9 @@ fn pack_patch_panel(panel: &mut [f32], nr: usize, xp: &[f32], koff: &[u32], voff
 /// aligned — what [`conv3d_auto`] builds on every call. A caller whose
 /// weights cannot change (a frozen model) packs once and calls
 /// [`PackedConv3d::forward`]: same panels, same micro-kernel, same `KC`
-/// split, bit-identical output.
+/// split, bit-identical output. A `Linear` weight is the 1×1×1 case
+/// ([`PackedConv3d::pack_linear`]), so an MLP layer and a pointwise conv are
+/// one store and one driver.
 ///
 /// The kernel (tile shape) is captured at pack time and kept for the panels'
 /// lifetime, so a later [`crate::set_backend_override`] never desynchronizes
@@ -326,6 +336,19 @@ impl PackedConv3d {
         Self::pack_rows(weight.data(), d[0], d[1], [d[2], d[3], d[4]], vol)
     }
 
+    /// Packs a `Linear` weight `w: [out_features, in_features]`: the 1×1×1
+    /// conv it is over a volume of points, applied to feature-major
+    /// activations by [`PackedConv3d::forward_slices`]. How many points a
+    /// call will bring is not known here, so the tile is the one a full
+    /// `NC`-column slab of the driver picks.
+    ///
+    /// # Panics
+    /// Panics if `w` is not `out_features · in_features` long.
+    pub fn pack_linear(w: &[f32], out_features: usize, in_features: usize) -> Self {
+        assert_eq!(w.len(), out_features * in_features, "linear weight length mismatch");
+        Self::pack_rows(w, out_features, in_features, [1, 1, 1], NC)
+    }
+
     /// Packs the `[cout, cin·kvol]` row-major matrix `w`.
     fn pack_rows(w: &[f32], cout: usize, cin: usize, kernel: [usize; 3], vol: usize) -> Self {
         assert_odd(kernel);
@@ -359,25 +382,40 @@ impl PackedConv3d {
         assert_eq!(input.shape().rank(), 5, "conv3d input must be [N,C,D,H,W]");
         let d = input.dims();
         assert_eq!(d[1], self.cin, "conv3d channel mismatch: input {}, weight {}", d[1], self.cin);
-        let (n, spatial) = (d[0], [d[2], d[3], d[4]]);
-        let out = self.run(input.data(), n, spatial, stages);
-        Tensor::from_vec(out, &[n, self.cout, spatial[0], spatial[1], spatial[2]])
+        let out_dims = [d[0], self.cout, d[2], d[3], d[4]];
+        let mut out = workspace::take_vec_scratch(out_dims.iter().product());
+        self.forward_slices(input.data(), [d[2], d[3], d[4]], &mut out, stages);
+        Tensor::from_vec(out, &out_dims)
     }
 
-    /// The implicit-GEMM driver: `x: [n, cin, vol]` → `[n, cout, vol]`.
-    fn run(
+    /// The implicit-GEMM driver on slices, for callers that keep their own
+    /// buffers (the decoder's ping-pong block buffers, where an MLP layer
+    /// over `M` points is this with `spatial = [1, 1, M]`): `x: [n, cin,
+    /// vol]` → `out: [n, cout, vol]`, fully overwritten. `stages` as in
+    /// [`PackedConv3d::forward_staged`].
+    ///
+    /// # Panics
+    /// Panics if the slices are not the same number of `[cin, vol]` and
+    /// `[cout, vol]` items.
+    pub fn forward_slices(
         &self,
         x: &[f32],
-        n: usize,
         spatial: [usize; 3],
+        out: &mut [f32],
         mut stages: Option<&mut ConvStages>,
-    ) -> Vec<f32> {
+    ) {
+        let vol: usize = spatial.iter().product();
+        let n = out.len() / (self.cout * vol);
+        assert_eq!(out.len(), n * self.cout * vol, "conv3d output length mismatch");
+        assert_eq!(x.len(), n * self.cin * vol, "conv3d input length mismatch");
         let dims = Conv3dDims { n, cin: self.cin, cout: self.cout, spatial, kernel: self.kernel };
-        let (vol, ksize) = (dims.vol(), self.cin * dims.kvol());
+        let ksize = self.cin * dims.kvol();
+        if ksize == 0 {
+            return out.fill(0.0); // an empty sum; the `pc` loop would store nothing
+        }
         let (map, mut xp_buf) = PatchMap::new(&dims);
         let (mr, nr) = (self.tile.mr, self.tile.nr);
         let a_rows = self.cout.div_ceil(mr) * mr;
-        let mut out = workspace::take_vec_scratch(n * self.cout * vol);
         let (mut koff, mut voff) = ([0u32; KC], [0u32; NC]);
 
         for (oslab, x) in out.chunks_mut(self.cout * vol).zip(x.chunks(self.cin * vol)) {
@@ -415,7 +453,6 @@ impl PackedConv3d {
                 }
             }
         }
-        out
     }
 }
 
@@ -456,7 +493,8 @@ pub fn conv3d_grad_input(grad_out: &Tensor, weight: &Tensor, dims: Conv3dDims) -
         }
     }
     let flipped = PackedConv3d::pack_rows(&wf, dims.cin, dims.cout, dims.kernel, dims.vol());
-    let out = flipped.run(grad_out.data(), dims.n, dims.spatial, None);
+    let mut out = workspace::take_vec_scratch(dims.n * dims.cin * dims.vol());
+    flipped.forward_slices(grad_out.data(), dims.spatial, &mut out, None);
     Tensor::from_vec(out, &[dims.n, dims.cin, sd, sh, sw])
 }
 
@@ -923,6 +961,55 @@ mod tests {
                 }
             }
         }
+        set_backend_override(None);
+    }
+
+    /// A `Linear` weight packed as A panels over feature-major activations
+    /// gives the bits of `gemm(x, Normal, w, Transposed)` — the tape's
+    /// product — on the transpose: an output element is the same `k`-order
+    /// FMA chain whichever operand sits on the tile's rows. Shapes: the
+    /// decoder's 19-deep input, its 4-wide head, a depth past `KC`; rows of
+    /// one query, three, a short block and a full one; panels packed under
+    /// one backend override and run under another; and `k = 0`.
+    #[test]
+    fn packed_linear_is_bit_identical_to_gemm_on_the_transpose() {
+        use crate::gemm::tests::adversarial_finite;
+        use crate::gemm::{gemm, MatLayout};
+        let backends = runnable_backends();
+        for (si, &(k, n)) in [(19usize, 64usize), (64, 4), (300, 33), (35, 128)].iter().enumerate()
+        {
+            let w = adversarial_finite(n * k, 41 + si as u32);
+            for m in [8usize, 24, 504, 512] {
+                let x = adversarial_finite(m * k, 7 + (si * 4 + m) as u32);
+                let mut want = vec![f32::NAN; m * n];
+                gemm(m, k, n, &x, MatLayout::Normal, &w, MatLayout::Transposed, &mut want);
+                let xt: Vec<f32> = (0..k * m).map(|i| x[i % m * k + i / m]).collect();
+                for &pack_on in &backends {
+                    set_backend_override(Some(pack_on));
+                    let packed = PackedConv3d::pack_linear(&w, n, k);
+                    for &run_on in &backends {
+                        set_backend_override(Some(run_on));
+                        let mut got = vec![f32::NAN; n * m];
+                        packed.forward_slices(&xt, [1, 1, m], &mut got, None);
+                        for (i, want) in want.iter().enumerate() {
+                            let g = got[i % n * m + i / n];
+                            assert_eq!(
+                                g.to_bits(),
+                                want.to_bits(),
+                                "{k}->{n} rows {m} packed on {} run on {} elem {i}: {g:e} vs \
+                                 {want:e}",
+                                pack_on.name(),
+                                run_on.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // No inputs: an empty sum, and `out` is still fully overwritten.
+        let mut got = vec![f32::NAN; 5 * 4];
+        PackedConv3d::pack_linear(&[], 5, 0).forward_slices(&[], [1, 1, 4], &mut got, None);
+        assert!(got.iter().all(|v| v.to_bits() == 0), "k = 0 must zero-fill: {got:?}");
         set_backend_override(None);
     }
 

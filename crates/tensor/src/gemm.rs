@@ -30,9 +30,10 @@
 //! (branch-free inner loop — no zero-skip shortcuts, so `0·∞ = NaN`
 //! propagates correctly) and the write-back masks the padding. Packing
 //! buffers come from the [`crate::workspace`] pool, so steady-state GEMM
-//! calls do not allocate. A right-hand side that is multiplied against many
-//! times unchanged can be packed once instead ([`PackedGemm`]): the loop nest
-//! below minus `pack_b`.
+//! calls do not allocate. A *weight* that is multiplied against many times
+//! unchanged sits on the A side and is packed once instead
+//! ([`crate::PackedConv3d`]: a conv weight, or a `Linear` weight over
+//! feature-major activations): this loop nest minus `pack_a`.
 //!
 //! `C` is *overwritten* on the first `pc` iteration and accumulated into on
 //! subsequent ones, so callers never need to pre-zero the output. The `KC`
@@ -126,144 +127,15 @@ pub fn gemm(
             let b_pack = &mut b_buf[b_off..b_off + b_len];
             pack_b(kernel.nr, b_pack, b, b_rs, b_cs, pc, kb, jc, nb);
             let b_pack = &b_buf[b_off..b_off + b_len];
-            row_blocks(kernel, a, a_rs, a_cs, pc, kb, b_pack, c, m, nb, n, jc);
-        }
-    }
-}
-
-/// The row-block loop under one packed B slab (depth `pc..pc+kb`, columns
-/// `jc..jc+nb`): packs each `MC`-row block of op(A) and runs its micro-tiles
-/// into the matching rows of `c` (`[m, n]`), overwriting on the first depth
-/// block and accumulating after. Shared by [`gemm`] and
-/// [`PackedGemm::matmul`], which differ only in where `b_pack` comes from.
-#[allow(clippy::too_many_arguments)]
-fn row_blocks(
-    kernel: &Kernel,
-    a: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    pc: usize,
-    kb: usize,
-    b_pack: &[f32],
-    c: &mut [f32],
-    m: usize,
-    nb: usize,
-    n: usize,
-    jc: usize,
-) {
-    for (bi, c_block) in c.chunks_mut(MC * n).enumerate() {
-        let i0 = bi * MC;
-        let mb = MC.min(m - i0);
-        let a_len = mb.div_ceil(kernel.mr) * kernel.mr * kb;
-        let (mut a_buf, a_off) = take_scratch_aligned(a_len);
-        let a_pack = &mut a_buf[a_off..a_off + a_len];
-        pack_a(kernel.mr, a_pack, a, a_rs, a_cs, i0, mb, pc, kb);
-        macro_block(kernel, a_pack, b_pack, c_block, mb, kb, nb, n, jc, pc == 0);
-    }
-}
-
-/// A `[k, n]` right-hand side packed once into the panels [`gemm`] would
-/// build on every call: per `KC`-deep depth block, `nr`-column panels
-/// row-major over depth, zero-padded edge columns, 64-byte aligned. For
-/// weights that are multiplied against many times without changing (a
-/// frozen decoder's MLP), [`PackedGemm::matmul`] is then `gemm` minus the
-/// B-side packing — same micro-kernel, same `KC` split, bit-identical
-/// output.
-///
-/// The kernel (tile shape) is captured at pack time and kept for the
-/// panels' lifetime, so a later [`set_backend_override`] never
-/// desynchronizes layout and micro-kernel.
-pub struct PackedGemm {
-    k: usize,
-    n: usize,
-    kernel: &'static Kernel,
-    /// Panel storage, checked out of the [`crate::workspace`] pool like every
-    /// other kernel buffer (a live model packs on every decode call; a fresh
-    /// heap block per call, or one long-lived block pinned above the pool's,
-    /// measurably raises peak RSS). The payload starts at `off`
-    /// (cache-line aligned).
-    buf: Vec<f32>,
-    off: usize,
-}
-
-impl Drop for PackedGemm {
-    fn drop(&mut self) {
-        workspace::give_vec(std::mem::take(&mut self.buf));
-    }
-}
-
-// Hand-written: the kernel field is a fn table, not worth printing.
-impl std::fmt::Debug for PackedGemm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PackedGemm")
-            .field("k", &self.k)
-            .field("n", &self.n)
-            .field("backend", &self.kernel.backend.name())
-            .finish()
-    }
-}
-
-impl PackedGemm {
-    /// Packs `op(B): [k, n]` from `b` (`[k, n]` if `Normal`, `[n, k]` if
-    /// `Transposed` — a `Linear` weight multiplied as `x @ Wᵀ`).
-    ///
-    /// # Panics
-    /// Panics if `b.len() != k * n`.
-    pub fn pack(k: usize, n: usize, b: &[f32], b_layout: MatLayout) -> Self {
-        assert_eq!(b.len(), k * n, "packed gemm rhs length mismatch");
-        // Row count is unknown at pack time; decode batches are row-rich,
-        // so size the tile choice by `n` alone (large-`m` limit).
-        let kernel = simd::active_kernel_for(1 << 20, n);
-        let (b_rs, b_cs) = match b_layout {
-            MatLayout::Normal => (n, 1),
-            MatLayout::Transposed => (1, k),
-        };
-        let panel_cols = n.div_ceil(kernel.nr) * kernel.nr;
-        let mut buf = workspace::take_vec_scratch(panel_cols * k + 15);
-        let off = buf.as_ptr().align_offset(64).min(15);
-        let mut at = off;
-        for pc in (0..k).step_by(KC) {
-            let kb = KC.min(k - pc);
-            let slab = &mut buf[at..at + panel_cols * kb];
-            pack_b(kernel.nr, slab, b, b_rs, b_cs, pc, kb, 0, n);
-            at += slab.len();
-        }
-        PackedGemm { k, n, kernel, buf, off }
-    }
-
-    /// Output columns `n`.
-    pub fn cols(&self) -> usize {
-        self.n
-    }
-
-    /// Depth `k`.
-    pub fn depth(&self) -> usize {
-        self.k
-    }
-
-    /// `C = A · op(B)` with `A: [m, k]` row-major, `C: [m, n]` fully
-    /// overwritten — bit-identical to [`gemm`] on the unpacked operand.
-    ///
-    /// # Panics
-    /// Panics if slice lengths disagree with `m` and the packed shape.
-    pub fn matmul(&self, m: usize, a: &[f32], c: &mut [f32]) {
-        let (k, n) = (self.k, self.n);
-        assert_eq!(a.len(), m * k, "packed gemm lhs length mismatch");
-        assert_eq!(c.len(), m * n, "packed gemm output length mismatch");
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            c.fill(0.0);
-            return;
-        }
-        let panel_cols = n.div_ceil(self.kernel.nr) * self.kernel.nr;
-        let mut at = self.off;
-        for pc in (0..k).step_by(KC) {
-            let kb = KC.min(k - pc);
-            let slab = &self.buf[at..at + panel_cols * kb];
-            row_blocks(self.kernel, a, k, 1, pc, kb, slab, c, m, n, n, 0);
-            at += slab.len();
+            for (bi, c_block) in c.chunks_mut(MC * n).enumerate() {
+                let i0 = bi * MC;
+                let mb = MC.min(m - i0);
+                let a_len = mb.div_ceil(kernel.mr) * kernel.mr * kb;
+                let (mut a_buf, a_off) = take_scratch_aligned(a_len);
+                let a_pack = &mut a_buf[a_off..a_off + a_len];
+                pack_a(kernel.mr, a_pack, a, a_rs, a_cs, i0, mb, pc, kb);
+                macro_block(kernel, a_pack, b_pack, c_block, mb, kb, nb, n, jc, pc == 0);
+            }
         }
     }
 }
@@ -505,7 +377,7 @@ pub(crate) mod tests {
     /// neighbors — but no NaN/inf, whose *payload* propagation through a
     /// libm `fma` on generic codegen is not bit-pinned (the reftest oracle
     /// covers NaN/inf with payload-insensitive comparison).
-    fn adversarial_finite(len: usize, seed: u32) -> Vec<f32> {
+    pub(crate) fn adversarial_finite(len: usize, seed: u32) -> Vec<f32> {
         let mut s = seed.wrapping_mul(747796405).wrapping_add(1);
         let mut out: Vec<f32> = Vec::with_capacity(len);
         for _ in 0..len {
@@ -542,59 +414,6 @@ pub(crate) mod tests {
             .into_iter()
             .filter(|&tier| tier >= detected)
             .collect()
-    }
-
-    /// Prepacked panels give the bits of `gemm` on the unpacked weight: on
-    /// shapes straddling every tile edge (`n` off every `nr` of 16/32/48,
-    /// `m` off `mr` and `MC`) and one, two and three `KC` depth blocks, on
-    /// every backend — including panels packed under one backend and
-    /// multiplied after the override moved to another.
-    #[test]
-    fn packed_matmul_is_bit_identical_to_gemm() {
-        let shapes = [
-            (1, 1, 1),
-            (7, 11, 32),
-            (13, 300, 49),
-            (70, 64, 17),
-            (5, 257, 33),
-            (3, 513, 40),
-            (9, 515, 95),
-        ];
-        let backends = runnable_backends();
-        for (si, &(m, k, n)) in shapes.iter().enumerate() {
-            let a = adversarial_finite(m * k, 23 + si as u32);
-            let w = adversarial_finite(n * k, 57 + si as u32); // [n, k]
-            let mut want = vec![f32::NAN; m * n];
-            gemm(m, k, n, &a, MatLayout::Normal, &w, MatLayout::Transposed, &mut want);
-            for &pack_on in &backends {
-                set_backend_override(Some(pack_on));
-                let packed = PackedGemm::pack(k, n, &w, MatLayout::Transposed);
-                assert_eq!((packed.depth(), packed.cols()), (k, n));
-                for &run_on in &backends {
-                    set_backend_override(Some(run_on));
-                    let mut got = vec![f32::NAN; m * n];
-                    packed.matmul(m, &a, &mut got);
-                    for (i, (&g, &wv)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            g.to_bits(),
-                            wv.to_bits(),
-                            "{m}x{k}x{n} packed on {} run on {} elem {i}: {g:e} vs {wv:e}",
-                            pack_on.name(),
-                            run_on.name()
-                        );
-                    }
-                }
-            }
-        }
-        set_backend_override(None);
-    }
-
-    #[test]
-    fn packed_k_zero_zeroes_output() {
-        let packed = PackedGemm::pack(0, 3, &[], MatLayout::Transposed);
-        let mut c = vec![5.0f32; 6];
-        packed.matmul(2, &[], &mut c);
-        assert!(c.iter().all(|&v| v == 0.0));
     }
 
     /// Perf probe (not a correctness test): times each available backend at

@@ -10,10 +10,11 @@
 //!   [`gemm`](mod@gemm);
 //! - [`conv`]: 3D convolution (forward + both backwards, one fused
 //!   implicit-GEMM lowering for every odd kernel; [`PackedConv3d`] holds a
-//!   weight's panels), max pooling and nearest-neighbor upsampling for the
-//!   3D U-Net encoder;
-//! - [`rowops`]: the gather/blend/bias/affine/softplus row kernels shared verbatim by
-//!   the autodiff tape and the no-grad inference engine (bit-identical paths);
+//!   weight's panels — a conv's, or a `Linear`'s as the 1×1×1 case), max
+//!   pooling and nearest-neighbor upsampling for the 3D U-Net encoder;
+//! - [`rowops`]: the gather/blend/bias/affine/softplus kernels the autodiff
+//!   tape (row-major activations) and the no-grad inference engine
+//!   (feature-major) share, bit-identical paths;
 //! - [`workspace`]: the buffer pool that lets kernels and tensor temporaries
 //!   reuse memory across training steps.
 //!
@@ -31,14 +32,14 @@ pub mod workspace;
 
 pub use conv::{
     conv3d_auto, conv3d_grad_input, conv3d_grad_weight, maxpool3d, maxpool3d_backward,
-    maxpool3d_values, upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims, ConvStages,
-    PackedConv3d,
+    maxpool3d_values, timed, upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims,
+    ConvStages, PackedConv3d,
 };
-pub use gemm::{gemm, MatLayout, PackedGemm};
+pub use gemm::{gemm, MatLayout};
 pub use linalg::{matmul, matmul_nt, matmul_tn, matvec};
 pub use rowops::{
-    add_bias_channels, add_bias_rows, blend_rows, blend_rows_into, channel_affine,
-    gather_concat_rows, gather_rows,
+    add_bias_channels, add_bias_features, add_bias_rows, blend_features_into, blend_rows,
+    channel_affine, gather_features, gather_rows,
 };
 pub use shape::Shape;
 pub use simd::{kernel_backend, set_backend_override, KernelBackend};

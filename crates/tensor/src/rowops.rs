@@ -4,18 +4,24 @@
 //!
 //! Both execution paths must produce *bit-identical* outputs — the serving
 //! engine's correctness contract is "same bytes as the training graph in
-//! eval mode" — so the elementwise loops live here exactly once and both
-//! callers delegate. Any change to summation order or zero-handling in these
-//! functions changes the bits of every checkpointed model's predictions.
+//! eval mode" — so the elementwise loops live here and both callers
+//! delegate. The tape keeps a layer's activations row-major `[M, width]`,
+//! the no-grad decoder feature-major `[width, M]` (its GEMM's B operand as
+//! it lies), so gather, bias and blend each come in that pair of layouts
+//! (`*_rows` / `*_features`): the same values, sums and skips in the same
+//! order on the transpose, pinned against each other by the tests here, in
+//! `mfn-core` and by the oracle. Any change to summation order or
+//! zero-handling in these functions changes the bits of every checkpointed
+//! model's predictions.
 //!
 //! Softplus and its derivative each have one scalar definition
 //! ([`softplus_scalar`], [`sigmoid_scalar`], both in [`crate::simd`]); the
 //! slice kernels re-exported beside them are those definitions on vectors.
 
 pub use crate::simd::{
-    bias_jet_rows, bias_softplus_grad_rows, bias_softplus_jet_rows, bias_softplus_rows,
-    sigmoid_scalar, softplus_derivs, softplus_grad_slice, softplus_scalar, softplus_slice,
-    JET_LANES,
+    bias_jet_rows, bias_softplus_features, bias_softplus_grad_rows, bias_softplus_jet_rows,
+    bias_softplus_rows, sigmoid_scalar, softplus_derivs, softplus_grad_slice, softplus_scalar,
+    softplus_slice, JET_LANES,
 };
 use crate::tensor::Tensor;
 use crate::workspace;
@@ -43,18 +49,20 @@ pub fn gather_rows(grid: &Tensor, index: &[u32]) -> Tensor {
     Tensor::from_vec(out, &[m, c])
 }
 
-/// Fused gather + coordinate prefix for the decoder's no-grad hot path:
-/// fills `out: [M, K + C]` so that each row is the `K` per-vertex values
-/// from `prefix` followed by the gathered latent row. Bit-identical to
-/// `Tensor::concat(&[prefix, gather_rows(grid, index)], 1)` — the values
-/// are plain copies — but skips the intermediate `[M, C]` tensor and writes
-/// into the caller's block buffer.
+/// The decoder's no-grad input build, feature-major: fills `out: [K + C, M]`
+/// (`M = index.len()`) with the `K` per-row values of `prefix: [M, K]`
+/// de-interleaved into the first `K` feature rows and, under them, channel
+/// `c` of vertex `index[m]` of `grid: [N, C, D, H, W]` at `out[(K + c)·M +
+/// m]`. That is the transpose of `concat([prefix, gather_rows(grid, index)],
+/// 1)` — the values are plain copies — written straight into the caller's
+/// block buffer; the grid is channel-major already, so a feature row is one
+/// indexed read per vertex.
 ///
 /// # Panics
 /// Panics if `grid` is not rank 5, `prefix.len()` is not a multiple of
-/// `index.len()`, or `out` is not `index.len()` rows of `K + C`.
-pub fn gather_concat_rows(grid: &Tensor, index: &[u32], prefix: &[f32], out: &mut [f32]) {
-    assert_eq!(grid.shape().rank(), 5, "gather_concat_rows grid must be [N,C,D,H,W]");
+/// `index.len()`, or `out` is not `K + C` rows of `index.len()`.
+pub fn gather_features(grid: &Tensor, index: &[u32], prefix: &[f32], out: &mut [f32]) {
+    assert_eq!(grid.shape().rank(), 5, "gather_features grid must be [N,C,D,H,W]");
     let (n, c) = (grid.dims()[0], grid.dims()[1]);
     let vol: usize = grid.dims()[2..].iter().product();
     let g = grid.data();
@@ -64,43 +72,46 @@ pub fn gather_concat_rows(grid: &Tensor, index: &[u32], prefix: &[f32], out: &mu
         "prefix length must be a multiple of the row count"
     );
     let k = prefix.len() / m;
-    let w = k + c;
-    assert_eq!(out.len(), m * w, "gather_concat_rows output length mismatch");
-    for (row, (dst, &flat)) in out.chunks_exact_mut(w).zip(index).enumerate() {
-        let flat = flat as usize;
-        let ni = flat / vol;
-        let sp = flat % vol;
-        debug_assert!(ni < n, "gather index out of batch range");
-        dst[..k].copy_from_slice(&prefix[row * k..(row + 1) * k]);
-        for (ci, d) in dst[k..].iter_mut().enumerate() {
-            *d = g[(ni * c + ci) * vol + sp];
+    assert_eq!(out.len(), m * (k + c), "gather_features output length mismatch");
+    let (coords, channels) = out.split_at_mut(k * m);
+    for (j, row) in coords.chunks_exact_mut(m).enumerate() {
+        for (d, p) in row.iter_mut().zip(prefix.chunks_exact(k)) {
+            *d = p[j];
+        }
+    }
+    // Where channel 0 of each vertex sits in the grid, a chunk of rows at a
+    // time: one division per row instead of one per element.
+    const CHUNK: usize = 64;
+    let mut base = [0usize; CHUNK];
+    for (i, idx) in index.chunks(CHUNK).enumerate() {
+        for (b, &flat) in base.iter_mut().zip(idx) {
+            let (ni, sp) = (flat as usize / vol, flat as usize % vol);
+            debug_assert!(ni < n, "gather index out of batch range");
+            *b = ni * c * vol + sp;
+        }
+        for (ci, row) in channels.chunks_exact_mut(m).enumerate() {
+            for (d, &b) in row[i * CHUNK..][..idx.len()].iter_mut().zip(&base) {
+                *d = g[b + ci * vol];
+            }
         }
     }
 }
 
 /// Blends groups of `group` consecutive rows of `x: [Q*group, C]` with fixed
 /// weights (`weights.len() == Q*group`), producing `[Q, C]` — the trilinear
-/// vertex interpolation of the paper's Eqn. 6.
+/// vertex interpolation of the paper's Eqn. 6. A row whose weight is exactly
+/// zero is skipped, not multiplied: a query on a cell face never reads the
+/// vertices beyond it.
 pub fn blend_rows(x: &Tensor, weights: &[f32], group: usize) -> Tensor {
     assert_eq!(x.shape().rank(), 2);
     let (rows, c) = (x.dims()[0], x.dims()[1]);
     assert_eq!(rows % group, 0, "blend_rows rows not divisible by group");
-    let mut out = workspace::take_vec_scratch(rows / group * c);
-    blend_rows_into(x.data(), weights, group, &mut out);
-    Tensor::from_vec(out, &[rows / group, c])
-}
-
-/// [`blend_rows`] on slices: `x` holds `weights.len()` rows, `out` (fully
-/// overwritten) one row per `group` of them.
-pub fn blend_rows_into(x: &[f32], weights: &[f32], group: usize, out: &mut [f32]) {
-    let q = weights.len() / group;
-    assert!(q > 0 && weights.len() == q * group, "blend_rows weight count mismatch");
-    assert_eq!(out.len() % q, 0, "blend_rows output is not one row per group");
-    let c = out.len() / q;
-    assert_eq!(x.len(), weights.len() * c, "blend_rows input length mismatch");
-    out.fill(0.0);
-    for ((dst, ws), rows) in
-        out.chunks_exact_mut(c).zip(weights.chunks_exact(group)).zip(x.chunks_exact(group * c))
+    assert_eq!(weights.len(), rows, "blend_rows weight count mismatch");
+    let mut out = workspace::take_vec_zeroed(rows / group * c);
+    for ((dst, ws), rows) in out
+        .chunks_exact_mut(c)
+        .zip(weights.chunks_exact(group))
+        .zip(x.data().chunks_exact(group * c))
     {
         for (&w, src) in ws.iter().zip(rows.chunks_exact(c)) {
             if w == 0.0 {
@@ -109,6 +120,34 @@ pub fn blend_rows_into(x: &[f32], weights: &[f32], group: usize, out: &mut [f32]
             for (o, &s) in dst.iter_mut().zip(src) {
                 *o += w * s;
             }
+        }
+    }
+    Tensor::from_vec(out, &[rows / group, c])
+}
+
+/// [`blend_rows`] of feature-major values: `x: [C, Q*group]` holds channel
+/// `c` of row `r` at `x[c·Q·group + r]`, `out` (`[Q, C]` row-major, fully
+/// overwritten) is what `blend_rows` returns for the transpose — the same
+/// vertex order, summation order and exact-zero skip, so the same bits.
+pub fn blend_features_into(x: &[f32], weights: &[f32], group: usize, out: &mut [f32]) {
+    let rows = weights.len();
+    let q = rows / group;
+    assert!(q > 0 && rows == q * group, "blend_features weight count mismatch");
+    assert_eq!(out.len() % q, 0, "blend_features output is not one row per group");
+    let c = out.len() / q;
+    assert_eq!(x.len(), rows * c, "blend_features input length mismatch");
+    for ((dst, ws), at) in
+        out.chunks_exact_mut(c).zip(weights.chunks_exact(group)).zip((0..).step_by(group))
+    {
+        for (o, feature) in dst.iter_mut().zip(x.chunks_exact(rows)) {
+            let mut acc = 0.0f32;
+            for (&w, &s) in ws.iter().zip(&feature[at..at + group]) {
+                if w == 0.0 {
+                    continue;
+                }
+                acc += w * s;
+            }
+            *o = acc;
         }
     }
 }
@@ -124,6 +163,19 @@ pub fn add_bias_rows(x: &mut [f32], bias: &[f32]) {
     }
 }
 
+/// Adds `bias[j]` to every element of feature row `j` of `x: [bias.len(),
+/// M]`, in place — [`add_bias_rows`] on the transpose.
+pub fn add_bias_features(x: &mut [f32], bias: &[f32]) {
+    let n = bias.len();
+    assert!(n > 0 && x.len().is_multiple_of(n), "add_bias_features: not one row per bias");
+    let m = x.len() / n;
+    for (row, &bb) in x.chunks_exact_mut(m).zip(bias) {
+        for o in row {
+            *o += bb;
+        }
+    }
+}
+
 /// Adds bias `bias: [C]` over channel dim 1 of `x: [N, C, ...]`, in place.
 pub fn add_bias_channels(x: &mut Tensor, bias: &[f32]) {
     assert!(x.shape().rank() >= 2, "add_bias_channels input must have a channel dim");
@@ -131,12 +183,7 @@ pub fn add_bias_channels(x: &mut Tensor, bias: &[f32]) {
     assert_eq!(bias.len(), c, "bias length mismatch");
     let inner: usize = x.dims()[2..].iter().product();
     for slab in x.data_mut().chunks_mut(c * inner) {
-        for (ch, sub) in slab.chunks_mut(inner).enumerate() {
-            let bb = bias[ch];
-            for o in sub {
-                *o += bb;
-            }
-        }
+        add_bias_features(slab, bias);
     }
 }
 
@@ -169,6 +216,10 @@ mod tests {
         let out = gather_rows(&grid, &[0, 3]);
         assert_eq!(out.dims(), &[2, 2]);
         assert_eq!(out.data(), &[0.0, 10.0, 3.0, 13.0]);
+        // The same picks feature-major, under one de-interleaved prefix value.
+        let mut rows = [f32::NAN; 6];
+        gather_features(&grid, &[0, 3], &[-1.0, -2.0], &mut rows);
+        assert_eq!(rows, [-1.0, -2.0, 0.0, 3.0, 10.0, 13.0]);
     }
 
     #[test]
@@ -187,6 +238,9 @@ mod tests {
         let x = Tensor::from_vec(vec![f32::NAN, f32::NAN, 5.0, 7.0], &[2, 2]);
         let out = blend_rows(&x, &[0.0, 1.0], 2);
         assert_eq!(out.data(), &[5.0, 7.0]);
+        let mut out = [f32::NAN; 2];
+        blend_features_into(&[f32::NAN, 5.0, f32::NAN, 7.0], &[0.0, 1.0], 2, &mut out);
+        assert_eq!(out, [5.0, 7.0]);
     }
 
     #[test]
@@ -194,6 +248,8 @@ mod tests {
         let mut x = [1.0, 2.0, 3.0, 4.0];
         add_bias_rows(&mut x, &[10.0, 20.0]);
         assert_eq!(x, [11.0, 22.0, 13.0, 24.0]);
+        add_bias_features(&mut x, &[10.0, 20.0]);
+        assert_eq!(x, [21.0, 32.0, 33.0, 44.0]);
 
         let mut y = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]);
         add_bias_channels(&mut y, &[1.0, -1.0]);

@@ -31,7 +31,8 @@
 //!
 //! The same dispatch carries the one element-wise kernel that is worth
 //! explicit vectors, the decoder's softplus and its derivative
-//! ([`softplus_slice`], [`bias_softplus_rows`] forward;
+//! ([`softplus_slice`], [`bias_softplus_rows`] and its transpose
+//! [`bias_softplus_features`] forward;
 //! [`softplus_grad_slice`], [`bias_softplus_grad_rows`] backward) and their
 //! six-lane form, softplus applied to a value with its space-time
 //! derivatives ([`bias_softplus_jet_rows`], forward and backward):
@@ -665,6 +666,47 @@ pub fn bias_softplus_rows(x: &mut [f32], bias: &[f32]) {
     unsafe { softplus_rows::<true, false>(resolve(), x, bias, &[]) }
 }
 
+/// `x[j][r] = softplus(x[j][r] + bias[j])` over the feature rows of `x:
+/// [bias.len(), M]`, in place — [`bias_softplus_rows`] on the transpose, the
+/// layout of the no-grad decoder, where a layer's output feature is one
+/// contiguous row with one bias.
+///
+/// # Panics
+/// Panics if `x.len()` is not a multiple of `bias.len()`.
+pub fn bias_softplus_features(x: &mut [f32], bias: &[f32]) {
+    assert!(
+        !bias.is_empty() && x.len().is_multiple_of(bias.len()),
+        "bias_softplus_features: {} values are not {} feature rows",
+        x.len(),
+        bias.len()
+    );
+    // SAFETY: as in `softplus_slice`.
+    unsafe { softplus_features(resolve(), x, bias) }
+}
+
+/// [`bias_softplus_features`] on a given tier. The vector tiers take rows
+/// that are whole 8-lane groups (every decode block: 8 vertices a query);
+/// any other length runs the scalar form.
+///
+/// # Safety
+/// As [`softplus_rows`].
+unsafe fn softplus_features(backend: u8, x: &mut [f32], bias: &[f32]) {
+    let m = x.len() / bias.len();
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        B_AVX512 if m.is_multiple_of(8) => softplus_avx512::features(x, m, bias),
+        #[cfg(target_arch = "x86_64")]
+        B_AVX2 if m.is_multiple_of(8) => softplus_avx2::features(x, m, bias),
+        _ => {
+            for (row, &b) in x.chunks_mut(m.max(1)).zip(bias) {
+                for v in row {
+                    *v = softplus_scalar(*v + b);
+                }
+            }
+        }
+    }
+}
+
 /// `g[i] *= softplus′(z[i])`, in place on `g` — the softplus backward pass:
 /// the adjoint of the output becomes the adjoint of the pre-activation `z`.
 ///
@@ -881,6 +923,18 @@ fn softplus_tail<const BIAS: bool, const GRAD: bool>(row: &mut [f32], bias: &[f3
     }
 }
 
+/// The bias of the next 8-lane group of a `[bias.len(), m]` matrix walked in
+/// order; `at` is the cursor `(row, groups left in it)`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn group_bias(bias: &[f32], m: usize, at: &mut (usize, usize)) -> f32 {
+    if at.1 == 0 {
+        *at = (at.0 + 1, m / 8);
+    }
+    at.1 -= 1;
+    bias[at.0]
+}
+
 /// One-line `#[target_feature]` wrappers giving both vector widths the same
 /// vocabulary, so the kernel below is written once.
 #[cfg(target_arch = "x86_64")]
@@ -988,11 +1042,32 @@ macro_rules! softplus_kernel {
             z: *const f32,
             c: usize,
         ) {
+            let mut b = [zero(); N];
+            if BIAS {
+                for i in 0..N {
+                    b[i] = load(bias.add(c + i * LANES));
+                }
+            }
+            step_biased::<BIAS, GRAD, N>(row, b, z, c)
+        }
+
+        /// [`step`] with the `N` bias vectors in registers.
+        ///
+        /// # Safety
+        /// As [`step`], `bias` apart.
+        #[inline]
+        #[target_feature(enable = $feat)]
+        unsafe fn step_biased<const BIAS: bool, const GRAD: bool, const N: usize>(
+            row: *mut f32,
+            bias: [V; N],
+            z: *const f32,
+            c: usize,
+        ) {
             let mut x = [zero(); N];
             for i in 0..N {
                 x[i] = if GRAD { load(z.add(c + i * LANES)) } else { load(row.add(c + i * LANES)) };
                 if BIAS {
-                    x[i] = add(x[i], load(bias.add(c + i * LANES)));
+                    x[i] = add(x[i], bias[i]);
                 }
             }
             let z = exp_clamped(x);
@@ -1046,6 +1121,56 @@ macro_rules! softplus_kernel {
                     if BIAS { &bias[c..] } else { bias },
                     if GRAD { &z_row[c..] } else { z },
                 );
+            }
+        }
+
+        /// Feature rows of `m` floats (`m` a multiple of 8), row `j` plus its
+        /// one bias `bias[j]`. The matrix is walked as one slice, four
+        /// vectors at a time whatever `m` is — a one-query block has rows of
+        /// 8, and a lone vector per row would run its Horner chains at FMA
+        /// latency — each vector's bias splatted per 8-lane group, since a
+        /// 16-lane vector may straddle two rows.
+        ///
+        /// # Safety
+        /// The CPU must have the features this module is compiled for.
+        #[target_feature(enable = $feat)]
+        pub(super) unsafe fn features(x: &mut [f32], m: usize, bias: &[f32]) {
+            assert!(m % 8 == 0 && x.len() == m * bias.len(), "rows of whole 8-lane groups");
+            // The 8-lane groups of `x` in order: (row, groups left in it).
+            let mut at = (0, m / 8);
+            let (ptr, len) = (x.as_mut_ptr(), x.len());
+            let mut c = 0;
+            macro_rules! vectors {
+                ($n:literal) => {{
+                    let b = if at.1 >= $n * LANES / 8 {
+                        // All inside one row (every step of a long row).
+                        at.1 -= $n * LANES / 8;
+                        [splat(bias[at.0]); $n]
+                    } else {
+                        let mut b = [zero(); $n];
+                        for v in &mut b {
+                            *v = splat_groups([(); LANES / 8].map(|_| group_bias(bias, m, &mut at)));
+                        }
+                        b
+                    };
+                    // SAFETY: entered with `c + $n * LANES <= len`; the
+                    // unused `z` is never read.
+                    step_biased::<true, false, $n>(ptr, b, ptr, c);
+                    c += $n * LANES;
+                }};
+            }
+            while c + 4 * LANES <= len {
+                vectors!(4)
+            }
+            if c + 2 * LANES <= len {
+                vectors!(2)
+            }
+            if c + LANES <= len {
+                vectors!(1)
+            }
+            // At most one group is left (16-lane vectors, an odd group count).
+            if c < len {
+                softplus_tail::<true, false>(&mut x[c..], &[group_bias(bias, m, &mut at); 8], &[]);
             }
         }
 
@@ -1168,6 +1293,7 @@ mod softplus_avx2 {
     vector_ops! { "avx2,fma";
         zero() -> V = _mm256_setzero_ps();
         splat(x: f32) -> V = _mm256_set1_ps(x);
+        splat_groups(x: [f32; 1]) -> V = _mm256_set1_ps(x[0]);
         isplat(x: i32) -> VI = _mm256_set1_epi32(x);
         add(a: V, b: V) -> V = _mm256_add_ps(a, b);
         sub(a: V, b: V) -> V = _mm256_sub_ps(a, b);
@@ -1217,6 +1343,7 @@ mod softplus_avx512 {
     vector_ops! { "avx512f";
         zero() -> V = _mm512_setzero_ps();
         splat(x: f32) -> V = _mm512_set1_ps(x);
+        splat_groups(x: [f32; 2]) -> V = _mm512_mask_blend_ps(0xFF00, _mm512_set1_ps(x[0]), _mm512_set1_ps(x[1]));
         isplat(x: i32) -> VI = _mm512_set1_epi32(x);
         add(a: V, b: V) -> V = _mm512_add_ps(a, b);
         sub(a: V, b: V) -> V = _mm512_sub_ps(a, b);
@@ -1438,6 +1565,36 @@ mod tests {
         let mut x = vec![0.25f32; 6];
         bias_softplus_rows(&mut x, &[1.0, -1.0, 0.5]);
         assert_eq!(x[4].to_bits(), softplus_scalar(-0.75).to_bits());
+    }
+
+    #[test]
+    fn bias_softplus_features_matches_add_then_scalar_bitwise() {
+        // Row lengths: one query, three, a short last block, a full block,
+        // one past it — and 5, which is not whole groups (scalar form).
+        let xs = softplus_probes();
+        for (tier, name) in runnable_tiers() {
+            for m in [8, 24, 504, 512, 520, 5] {
+                for n in [1, 3, 4, 33] {
+                    let bias: Vec<f32> =
+                        xs[40..40 + n].iter().map(|b| b.clamp(-30.0, 30.0)).collect();
+                    // From the front: the specials (NaN, ±inf, the regime cuts).
+                    let mut got = xs[..n * m].to_vec();
+                    let want: Vec<u32> = got
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &x)| softplus_scalar(x + bias[i / m]).to_bits())
+                        .collect();
+                    // SAFETY: `runnable_tiers` lists only tiers at or below detection.
+                    unsafe { softplus_features(tier, &mut got, &bias) };
+                    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{name}: {n} feature rows of {m}");
+                }
+            }
+        }
+        let mut x = vec![0.25f32; 16];
+        bias_softplus_features(&mut x, &[1.0, -1.0]);
+        assert_eq!(x[7].to_bits(), softplus_scalar(1.25).to_bits());
+        assert_eq!(x[8].to_bits(), softplus_scalar(-0.75).to_bits());
     }
 
     /// The bits of adjoints `got` scaled by the derivative kernels, for
