@@ -535,7 +535,7 @@ fn fleet_main(args: Args) {
         let total = (s.cache_hits + s.cache_misses).max(1);
         eprintln!(
             "shard {}: {} reqs, cache {}/{} hit/miss ({:.1}% hit), \
-             {} decode calls / {} batched queries",
+             {} decodes / {} points decoded",
             s.addr,
             s.requests,
             s.cache_hits,

@@ -3,9 +3,8 @@
 //!
 //! ```text
 //! usage: serve --ckpt PATH.state [--config PATH.cfg.json] [--addr HOST:PORT]
-//!              [--cache-cap N] [--batch-max N] [--batch-wait-us N]
-//!              [--workers N] [--timeout-ms N] [--telemetry PATH]
-//!              [--duration-s N] [--refine]
+//!              [--cache-cap N] [--workers N] [--timeout-ms N]
+//!              [--telemetry PATH] [--duration-s N] [--refine]
 //! ```
 //!
 //! `--ckpt` names an `MFNSTAT1` train-state file (as written by `train
@@ -29,8 +28,6 @@ struct Args {
     config: Option<PathBuf>,
     addr: String,
     cache_cap: usize,
-    batch_max: usize,
-    batch_wait_us: u64,
     workers: usize,
     timeout_ms: u64,
     telemetry: Option<PathBuf>,
@@ -41,15 +38,12 @@ struct Args {
 fn parse() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: serve --ckpt PATH.state [--config PATH.cfg.json] \
-                 [--addr HOST:PORT] [--cache-cap N] [--batch-max N] \
-                 [--batch-wait-us N] [--workers N] [--timeout-ms N] \
+                 [--addr HOST:PORT] [--cache-cap N] [--workers N] [--timeout-ms N] \
                  [--telemetry PATH] [--duration-s N] [--refine]";
     let mut ckpt = None;
     let mut config = None;
     let mut addr = "127.0.0.1:7077".to_string();
     let mut cache_cap = 64usize;
-    let mut batch_max = 256usize;
-    let mut batch_wait_us = 200u64;
     let mut workers = 4usize;
     let mut timeout_ms = 2000u64;
     let mut telemetry = None;
@@ -72,12 +66,6 @@ fn parse() -> Args {
             "--addr" => addr = next(&argv, &mut i, "--addr"),
             "--cache-cap" => {
                 cache_cap = next(&argv, &mut i, "--cache-cap").parse().expect("integer")
-            }
-            "--batch-max" => {
-                batch_max = next(&argv, &mut i, "--batch-max").parse().expect("integer")
-            }
-            "--batch-wait-us" => {
-                batch_wait_us = next(&argv, &mut i, "--batch-wait-us").parse().expect("integer")
             }
             "--workers" => workers = next(&argv, &mut i, "--workers").parse().expect("integer"),
             "--timeout-ms" => {
@@ -108,8 +96,6 @@ fn parse() -> Args {
         config,
         addr,
         cache_cap,
-        batch_max,
-        batch_wait_us,
         workers,
         timeout_ms,
         telemetry,
@@ -144,15 +130,8 @@ fn main() {
         model.grid_dims(),
     );
     let refine = args.refine.then(|| RefineSettings::from_config(model.cfg()));
-    let engine = Arc::new(Engine::new(
-        model,
-        EngineConfig {
-            cache_capacity: args.cache_cap,
-            max_batch: args.batch_max,
-            max_wait: Duration::from_micros(args.batch_wait_us),
-            refine,
-        },
-    ));
+    let engine =
+        Arc::new(Engine::new(model, EngineConfig { cache_capacity: args.cache_cap, refine }));
     if args.refine {
         eprintln!("test-time physics refinement enabled");
     }

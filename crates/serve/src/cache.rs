@@ -132,7 +132,7 @@ struct Inner {
 /// A bounded LRU cache from patch digest to encoded latent grid.
 ///
 /// Latents are handed out as `Arc<Tensor>` so an eviction never invalidates
-/// a batch currently decoding against the latent. Hit/miss counters are
+/// a request currently decoding against the latent. Hit/miss counters are
 /// lock-free; the map itself sits behind a `Mutex` — the critical section is
 /// a hash lookup, dwarfed by the decode work on either side.
 pub struct LatentCache {

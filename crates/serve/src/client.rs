@@ -5,7 +5,7 @@
 //! comes from opening more connections). Server-reported failures surface as
 //! [`ServeError::Remote`] carrying the original wire code.
 
-use crate::batcher::Query;
+use crate::engine::Query;
 use crate::error::ServeError;
 use crate::protocol::{
     decode_error, decode_stats, put_f32s, read_frame, write_frame, Cursor, Kind, ModelInfo,

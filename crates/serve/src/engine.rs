@@ -1,11 +1,11 @@
-//! The inference engine: frozen model + latent cache + micro-batcher.
+//! The inference engine: frozen model + latent cache.
 //!
 //! One [`Engine`] is shared (via `Arc`) by every server worker. All methods
 //! take `&self` and validate client-supplied shapes *before* touching the
 //! model, mapping violations to typed [`ServeError`]s — a malformed request
-//! must never reach a kernel assert.
+//! must never reach a kernel assert. Each request is decoded on the worker
+//! that holds it; no request waits on another (DESIGN.md §11).
 
-use crate::batcher::{Batcher, BatcherConfig, Query};
 use crate::cache::{patch_digest, patch_verify, LatentCache, Lookup};
 use crate::error::ServeError;
 use crate::metrics::ServeStats;
@@ -14,7 +14,9 @@ use mfn_core::{FrozenModel, RefineBudget, RefineReport, RefineSettings};
 use mfn_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+
+/// A query point: `(batch index, [t, z, x] local coords)`.
+pub type Query = (usize, [f32; 3]);
 
 /// Server-side cap on a refinement's `max_steps` — a client budget beyond
 /// this is rejected with `BadBudget`, never silently clamped (the client
@@ -34,10 +36,6 @@ pub const MAX_INFLIGHT_REFINE_COST: u64 = 2 * (MAX_REFINE_STEPS as u64 + 1) * 40
 pub struct EngineConfig {
     /// Latents kept in the LRU cache.
     pub cache_capacity: usize,
-    /// Micro-batch size bound.
-    pub max_batch: usize,
-    /// Longest a batch leader waits for followers.
-    pub max_wait: Duration,
     /// Test-time physics refinement settings; `None` (the default) answers
     /// every `Refine` request with `RefineDisabled` and keeps the engine a
     /// pure grad-free fast path.
@@ -46,12 +44,7 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            cache_capacity: 64,
-            max_batch: 256,
-            max_wait: Duration::from_micros(200),
-            refine: None,
-        }
+        EngineConfig { cache_capacity: 64, refine: None }
     }
 }
 
@@ -67,41 +60,48 @@ pub struct RefineOutcome {
     pub report: RefineReport,
 }
 
+/// Decodes run and points decoded: the counters behind the wire fields
+/// [`ShardStat::decode_calls`] / [`ShardStat::batched_queries`].
+#[derive(Default)]
+pub struct DecodeCounters {
+    calls: AtomicU64,
+    points: AtomicU64,
+}
+
+impl DecodeCounters {
+    /// Total `decode_values` invocations so far.
+    pub fn decode_calls(&self) -> u64 {
+        self.calls.load(Ordering::Relaxed)
+    }
+
+    /// Total query points decoded so far; `batched_queries / decode_calls`
+    /// is the mean points per decode.
+    pub fn batched_queries(&self) -> u64 {
+        self.points.load(Ordering::Relaxed)
+    }
+}
+
 /// A thread-safe serving engine over a [`FrozenModel`]: the grad-free
 /// decode fast path, plus (when enabled) the grad-capable refinement tier.
 pub struct Engine {
     model: FrozenModel,
     cache: LatentCache,
-    batcher: Batcher,
+    decodes: DecodeCounters,
     stats: ServeStats,
     refine_settings: Option<RefineSettings>,
-    /// Refined-latent decodes go through their own batcher, never the
-    /// digest-keyed one above: a refined latent is request-private, and a
-    /// shared key would let a concurrent plain `Query` follower be answered
-    /// from it — a silent wrong answer. Keys here are one-shot nonces.
-    refine_batcher: Batcher,
-    refine_nonce: AtomicU64,
     /// Summed `(max_steps + 1) · points` of refinements in flight.
     refine_cost: AtomicU64,
 }
 
 impl Engine {
-    /// Wraps a frozen model with a cache and batcher.
+    /// Wraps a frozen model with a cache.
     pub fn new(model: FrozenModel, cfg: EngineConfig) -> Self {
         Engine {
             model,
             cache: LatentCache::new(cfg.cache_capacity),
-            batcher: Batcher::new(BatcherConfig {
-                max_batch: cfg.max_batch,
-                max_wait: cfg.max_wait,
-            }),
+            decodes: DecodeCounters::default(),
             stats: ServeStats::new(),
             refine_settings: cfg.refine,
-            refine_batcher: Batcher::new(BatcherConfig {
-                max_batch: cfg.max_batch,
-                max_wait: Duration::ZERO,
-            }),
-            refine_nonce: AtomicU64::new(0),
             refine_cost: AtomicU64::new(0),
         }
     }
@@ -116,9 +116,10 @@ impl Engine {
         &self.cache
     }
 
-    /// The micro-batcher (decode-call counters live here).
-    pub fn batcher(&self) -> &Batcher {
-        &self.batcher
+    /// The decode counters. Named for the batcher that once held them:
+    /// `benchmark/` reads them as `batcher()` and cannot change with the engine.
+    pub fn batcher(&self) -> &DecodeCounters {
+        &self.decodes
     }
 
     /// Shared serving counters.
@@ -153,8 +154,8 @@ impl Engine {
             cache_misses: self.cache.misses(),
             cache_collisions: self.cache.collisions(),
             cache_len: self.cache.len() as u64,
-            decode_calls: self.batcher.decode_calls(),
-            batched_queries: self.batcher.batched_queries(),
+            decode_calls: self.decodes.decode_calls(),
+            batched_queries: self.decodes.batched_queries(),
         }
     }
 
@@ -203,20 +204,21 @@ impl Engine {
         Ok((digest, false))
     }
 
-    /// Answers point queries against a cached latent, micro-batching with
-    /// any concurrent queries for the same digest. Returns the flattened
-    /// `len·C` values and the channel count `C`.
+    /// Answers point queries against a cached latent on the calling thread.
+    /// Returns the flattened `len·C` values and the channel count `C`.
     pub fn query(&self, digest: u64, queries: Vec<Query>) -> Result<(Vec<f32>, usize), ServeError> {
         let latent = self.cache.get(digest).ok_or(ServeError::UnknownDigest(digest))?;
         self.validate_queries(&queries, latent.dims()[0])?;
         self.stats.note_queries(queries.len() as u64);
-        // With nothing else in flight there is no one to coalesce with;
-        // don't make a lone client pay the batching wait.
-        let solo = self.stats.inflight() <= 1;
-        let out = self.batcher.submit(digest, queries, solo, |batch| {
-            self.model.decode_values(&latent, batch.iter().copied())
-        })?;
-        Ok((out, self.model.cfg().out_channels))
+        Ok((self.decode(&latent, &queries), self.model.cfg().out_channels))
+    }
+
+    /// The one value path of `query` and `refine`: one `decode_values` call,
+    /// counted, whose own buffer is the reply.
+    fn decode(&self, latent: &Tensor, queries: &[Query]) -> Vec<f32> {
+        self.decodes.calls.fetch_add(1, Ordering::Relaxed);
+        self.decodes.points.fetch_add(queries.len() as u64, Ordering::Relaxed);
+        self.model.decode_values(latent, queries.iter().copied()).into_vec()
     }
 
     /// Encode + query in one call (one network round trip for cold
@@ -296,13 +298,8 @@ impl Engine {
         let (refined, report) = self.model.refine_latent(&latent, &queries, &settings, &budget);
         self.stats.note_refine(report.steps_run as u64);
         // Decode through the engine's standard value path so a zero-step
-        // refinement is bit-identical to a plain `query` of the same
-        // digest. Nonce keys + solo: refined latents never coalesce with
-        // anything.
-        let nonce = u64::MAX ^ self.refine_nonce.fetch_add(1, Ordering::Relaxed);
-        let values = self.refine_batcher.submit(nonce, queries, true, |batch| {
-            self.model.decode_values(&refined, batch.iter().copied())
-        })?;
+        // refinement is bit-identical to a plain `query` of the same digest.
+        let values = self.decode(&refined, &queries);
         Ok(RefineOutcome { values, channels: self.model.cfg().out_channels, report })
     }
 
@@ -355,7 +352,7 @@ mod tests {
         cfg.levels = 2;
         Engine::new(
             FrozenModel::from_model(MeshfreeFlowNet::new(cfg)),
-            EngineConfig { cache_capacity: 4, ..EngineConfig::default() },
+            EngineConfig { cache_capacity: 8, ..EngineConfig::default() },
         )
     }
 
@@ -392,6 +389,44 @@ mod tests {
         assert!(vals.iter().all(|v| v.is_finite()));
         let err = e.query(d ^ 1, vec![(0, [0.5, 0.5, 0.5])]).unwrap_err();
         assert_eq!(err, ServeError::UnknownDigest(d ^ 1));
+    }
+
+    #[test]
+    fn concurrent_queries_are_answered_alone_and_counted() {
+        const THREADS: usize = 4;
+        const CALLS: usize = 50;
+        let e = tiny_engine();
+        let (shared, _) = e.encode_patch(1, patch(&e, 20)).unwrap();
+        let start = std::sync::Barrier::new(THREADS);
+        let points: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (e, start) = (&e, &start);
+                    s.spawn(move || {
+                        let (own, _) = e.encode_patch(1, patch(e, 21 + t as u64)).unwrap();
+                        start.wait();
+                        let mut points = 0;
+                        for call in 0..CALLS {
+                            let digest = if call % 2 == 0 { shared } else { own };
+                            let qs: Vec<Query> = (0..1 + (call + t) % 7)
+                                .map(|j| {
+                                    (0, [0.013 * call as f32, 0.11 * j as f32, 0.2 * t as f32])
+                                })
+                                .collect();
+                            let (got, _) = e.query(digest, qs.clone()).unwrap();
+                            let latent = e.cache().get(digest).unwrap();
+                            let want = e.model().decode_values(&latent, qs.iter().copied());
+                            assert_eq!(got, want.data(), "thread {t} call {call}");
+                            points += qs.len();
+                        }
+                        points
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(e.batcher().decode_calls(), (THREADS * CALLS) as u64);
+        assert_eq!(e.batcher().batched_queries(), points as u64);
     }
 
     #[test]
@@ -446,7 +481,7 @@ mod tests {
         let refine = Some(mfn_core::RefineSettings::from_config(&cfg));
         Engine::new(
             FrozenModel::from_model(MeshfreeFlowNet::new(cfg)),
-            EngineConfig { cache_capacity: 4, refine, ..EngineConfig::default() },
+            EngineConfig { cache_capacity: 4, refine },
         )
     }
 

@@ -9,11 +9,10 @@
 //!
 //! - [`engine`]: a grad-free [`Engine`] over [`mfn_core::FrozenModel`] —
 //!   no autodiff tape, batch norm on frozen running statistics, `&self`
-//!   everywhere so one engine serves all threads;
+//!   everywhere so one engine serves all threads, each request decoded on
+//!   the worker that holds it;
 //! - [`cache`]: an LRU [`LatentCache`] keyed by a digest of the input patch
 //!   bytes — *encode once, decode many*;
-//! - [`batcher`]: a leader–follower micro-[`Batcher`] coalescing concurrent
-//!   point queries against the same latent into single decode calls;
 //! - [`protocol`] / [`server`] / [`client`]: a std-only, length-prefixed
 //!   binary TCP protocol with versioned headers, typed error frames, and an
 //!   incremental [`protocol::FrameDecoder`] for nonblocking streams;
@@ -33,7 +32,6 @@
 //! fleet), and `loadgen` (drive a server or fleet; writes
 //! `BENCH_serve.json` / `BENCH_fleet.json`).
 
-pub mod batcher;
 pub mod cache;
 pub mod client;
 pub mod engine;
@@ -45,11 +43,10 @@ pub mod ring;
 pub mod router;
 pub mod server;
 
-pub use batcher::{Batcher, BatcherConfig, Query};
 pub use cache::{patch_digest, patch_digest_bytes, patch_verify, LatentCache, Lookup};
 pub use client::{Client, QueryResult, RefineResult};
 pub use engine::{
-    Engine, EngineConfig, RefineOutcome, MAX_INFLIGHT_REFINE_COST, MAX_REFINE_POINTS,
+    Engine, EngineConfig, Query, RefineOutcome, MAX_INFLIGHT_REFINE_COST, MAX_REFINE_POINTS,
     MAX_REFINE_STEPS,
 };
 pub use error::ServeError;

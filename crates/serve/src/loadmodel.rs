@@ -4,9 +4,8 @@
 //!
 //! - **Skewed popularity.** Real query traffic replays a handful of hot
 //!   patches (the frame being super-resolved, the region being explored),
-//!   which is exactly what makes the latent cache and the leader–follower
-//!   batcher pay off. [`Zipf`] models that: patch rank `k` is drawn with
-//!   probability `∝ 1/k^s`.
+//!   which is exactly what makes the latent cache pay off. [`Zipf`] models
+//!   that: patch rank `k` is drawn with probability `∝ 1/k^s`.
 //! - **Open-loop arrivals.** A closed loop (send, wait, send) lets a slow
 //!   server throttle its own load, hiding queueing delay — the coordinated
 //!   omission trap. [`ArrivalSchedule`] instead fixes *offered* load as a

@@ -349,9 +349,9 @@ pub struct ShardStat {
     pub cache_collisions: u64,
     /// Latents currently cached.
     pub cache_len: u64,
-    /// Decode invocations (micro-batches run).
+    /// Decode invocations (one per `Query`, `EncodeQuery` or `Refine`).
     pub decode_calls: u64,
-    /// Query points decoded across all batches.
+    /// Query points decoded across all of them.
     pub batched_queries: u64,
 }
 

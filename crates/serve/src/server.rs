@@ -804,6 +804,7 @@ fn publish_loop(
         recorder.gauge("serve.cache_collisions", engine.cache().collisions() as f64);
         recorder.gauge("serve.refines", stats.refines() as f64);
         recorder.gauge("serve.refine_steps", stats.refine_steps() as f64);
+        // Points per decode (the name predates one-request decodes).
         let calls = engine.batcher().decode_calls();
         if calls > 0 {
             recorder.gauge(
