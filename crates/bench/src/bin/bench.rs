@@ -35,8 +35,8 @@
 
 use mfn_autodiff::{Graph, Var, JET_LANES};
 use mfn_core::{
-    equation_loss, plan_queries, ChannelStats, ConstraintSet, Corpus, DecodeStages, FrozenModel,
-    MeshfreeFlowNet, MfnConfig, RbcParams, TrainConfig, Trainer,
+    decode_workers, equation_loss, plan_queries, ChannelStats, ConstraintSet, Corpus, DecodeStages,
+    FrozenModel, MeshfreeFlowNet, MfnConfig, RbcParams, TrainConfig, Trainer,
 };
 use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec, QueryStrategy};
 use mfn_sample::{OctreeConfig, OctreeSampler};
@@ -480,10 +480,21 @@ struct DecodeRow {
     best_ns: f64,
     points_per_s: f64,
     alloc_bytes_per_call: u64,
+    /// Threads the timed call ran its blocks on (`mfn_core::decode_workers`).
+    workers: usize,
     /// Each stage's minimum over the staged calls
-    /// (`FrozenModel::decode_values_staged`), in [`DECODE_STAGES`] order.
+    /// (`FrozenModel::decode_values_staged`, always one thread), in
+    /// [`DECODE_STAGES`] order.
     stage_ns: [f64; 6],
+    /// For the [`TWO_CORE_ROWS`]: `best_ns` of the call forced onto one
+    /// worker and of the call as it picks its own count, interleaved.
+    one_vs_default_ns: Option<(f64, f64)>,
 }
+
+/// The rows large enough to split across cores (from 1,024 queries), timed
+/// on one forced worker against the default for
+/// `decode_values.two_core_speedup`.
+const TWO_CORE_ROWS: [usize; 2] = [4096, 16384];
 
 /// The stage columns of a `decode_values` row.
 const DECODE_STAGES: [&str; 6] =
@@ -535,7 +546,8 @@ fn bench_decode(iters: usize) -> (f64, Vec<DecodeRow>) {
     let latent = frozen.encode(&input);
     // 4096 queries is the many-block row of the blocked decode (64 queries a
     // block): its points/s against the 64-query row is what blocking holds.
-    let rows = [1usize, 8, 64, 512, 4096]
+    // 16384 is a `super_resolve` patch and a half: what the split holds.
+    let rows = [1usize, 8, 64, 512, 4096, 16384]
         .into_iter()
         .map(|q| {
             let queries = bench_queries(q);
@@ -554,13 +566,26 @@ fn bench_decode(iters: usize) -> (f64, Vec<DecodeRow>) {
                     *best = best.min(now);
                 }
             }
+            let one_vs_default_ns = TWO_CORE_ROWS.contains(&q).then(|| {
+                let points = || queries.iter().copied();
+                let mut one = || {
+                    std::hint::black_box(frozen.decode_values_on(1, &latent, points()));
+                };
+                let mut default = || {
+                    std::hint::black_box(frozen.decode_values(&latent, points()));
+                };
+                let t = time_interleaved(iters, &mut [&mut one, &mut default]);
+                (t[0].1, t[1].1)
+            });
             DecodeRow {
                 queries: q,
                 median_ns,
                 best_ns,
                 points_per_s: q as f64 * 1e9 / best_ns,
                 alloc_bytes_per_call,
+                workers: decode_workers(q),
                 stage_ns,
+                one_vs_default_ns,
             }
         })
         .collect();
@@ -1293,6 +1318,18 @@ fn main() {
             at(512) / 1e6,
             at(4096) / 1e6,
         );
+        for r in &decode_rows {
+            if let Some((one, default)) = r.one_vs_default_ns {
+                eprintln!(
+                    "[bench] decode {} queries: one worker {:.2} ms, {} workers {:.2} ms ({:.2}x)",
+                    r.queries,
+                    one / 1e6,
+                    r.workers,
+                    default / 1e6,
+                    one / default,
+                );
+            }
+        }
     }
     let softplus = bench_softplus(iters);
     eprintln!(
@@ -1377,8 +1414,9 @@ fn main() {
             .map(|(name, ns)| format!("\"{name}\": {:.2}", ns / 1e3))
             .collect();
         decode_json.push_str(&format!(
-            "    {{\"queries\": {}, \"median_ns\": {:.0}, \"best_ns\": {:.0}, \"points_per_s\": {:.0}, \"alloc_bytes_per_call\": {}, {}}}",
+            "    {{\"queries\": {}, \"workers\": {}, \"median_ns\": {:.0}, \"best_ns\": {:.0}, \"points_per_s\": {:.0}, \"alloc_bytes_per_call\": {}, {}}}",
             r.queries,
+            r.workers,
             r.median_ns,
             r.best_ns,
             r.points_per_s,
@@ -1386,9 +1424,23 @@ fn main() {
             stages.join(", "),
         ));
     }
+    let two_core_json: Vec<String> = decode_rows
+        .iter()
+        .filter_map(|r| {
+            let (one, default) = r.one_vs_default_ns?;
+            Some(format!(
+                "\"q{}\": {{\"workers\": {}, \"one_worker_best_ns\": {one:.0}, \"best_ns\": {default:.0}, \"speedup\": {:.3}}}",
+                r.queries,
+                r.workers,
+                one / default,
+            ))
+        })
+        .collect();
+    let two_core_json = two_core_json.join(", ");
+    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
     let json = format!(
         "{{\n\
-         \"schema\": \"mfn-bench/kernels/v9\",\n\
+         \"schema\": \"mfn-bench/kernels/v10\",\n\
          \"mode\": \"{mode}\",\n\
          \"count_alloc\": {count_alloc},\n\
          \"checks\": {{\"gemm_vs_naive\": \"ok\", \"conv3d_vs_definition\": \"ok\"}},\n\
@@ -1407,6 +1459,7 @@ fn main() {
          \"encode_median_ns\": {encode_ns:.0},\n\
          \"encode_to_1query_decode_ratio\": {enc_dec_ratio:.1},\n\
          \"rows\": [\n{decode_json}\n  ],\n\
+         \"two_core_speedup\": {{\"available_parallelism\": {host_cores}, {two_core_json}}},\n\
          \"gemm_stage\": {{\"rows\": {DECODE_BLOCK_ROWS}, \"median_ns\": {dg_med:.0}, \"best_ns\": {dg_best:.0}, \"alloc_bytes_per_call\": {dg_bytes}, \"decode_gemm_gflops\": {decode_gemm_gflops:.2}, \"decode_vs_gemm_nn\": {dg_rel:.3}}}\n\
          }},\n\
          \"softplus\": {{\"elements\": {sp_n}, \"median_ns\": {sp_med:.0}, \"best_ns\": {sp_best:.0}, \"ns_per_element\": {sp_per:.3}, \"features_512_ns_per_element\": {sf512_per:.3}, \"features_8_ns_per_element\": {sf8_per:.3}}},\n\

@@ -24,10 +24,14 @@
 //!   lie, and no layer transposes anything. The frozen engine packs when it
 //!   is built, [`ContinuousDecoder::decode_nograd`] once per call (all
 //!   inference: `MeshfreeFlowNet::super_resolve`, the frozen engine,
-//!   serving).
+//!   serving). Blocks are independent, so a call of 1,024 queries or more
+//!   splits its blocks over the host's cores (`decode_blocked`) — the only
+//!   threads below `mfn-dist` and `mfn-serve`; the kernels under a block
+//!   stay single-threaded.
 
 use mfn_autodiff::{Graph, Mlp, PackedMlp, ParamStore, Var, JET_LANES};
 use mfn_tensor::{blend_features_into, gather_features, timed, workspace, ConvStages, Tensor};
+use std::sync::Mutex;
 
 /// Number of bounding vertices of a 3D cell.
 pub const VERTICES: usize = 8;
@@ -53,21 +57,50 @@ pub struct DecodeStages {
     pub blend_ns: f64,
 }
 
-/// The no-grad decode: `decode_blocked` at the production block size.
+/// Blocks a worker must have before a second one is worth spawning: a block
+/// is ≈ 190 µs of decode and a spawn + join ≈ 50 µs, so a call splits from 16
+/// blocks (1,024 queries, ≈ 3 ms) up and every serving decode (≤ 64 points,
+/// one block) stays on the thread that asked.
+const BLOCKS_PER_WORKER: usize = 8;
+
+/// Threads an unstaged no-grad decode of `queries` points runs on: as many
+/// as the call can feed and the host has,
+/// `min(available_parallelism(), blocks / 8)`, and at least one. Public for
+/// the bench's `workers` column only.
+#[doc(hidden)]
+pub fn decode_workers(queries: usize) -> usize {
+    let fed = queries.div_ceil(BLOCK_QUERIES) / BLOCKS_PER_WORKER;
+    if fed < 2 {
+        return 1;
+    }
+    // Asked per call, not cached: it honours an affinity mask set later.
+    fed.min(std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// The no-grad decode: `decode_blocked` at the production block size, on
+/// `workers` threads or — `None`, every production call — on
+/// [`decode_workers`] of them, one when `stages` is given (stage times are
+/// one thread's).
 pub(crate) fn decode_packed(
     mlp: &PackedMlp,
     latent: &Tensor,
     plan: &QueryPlan,
+    workers: Option<usize>,
     stages: Option<&mut DecodeStages>,
 ) -> Tensor {
-    decode_blocked(mlp, latent, plan, BLOCK_QUERIES, stages)
+    let workers = match workers {
+        Some(workers) => workers,
+        None if stages.is_some() => 1,
+        None => decode_workers(plan.len()),
+    };
+    decode_blocked(mlp, latent, plan, BLOCK_QUERIES, workers, stages)
 }
 
 /// The no-grad decode pipeline, one block of `block_queries` queries at a
 /// time: gather + coordinate de-interleave into `[3 + n_c, rows]` → every
 /// MLP layer (bias and activation included) → trilinear blend straight into
-/// the `[Q, out]` result. Intermediates live in two block-sized buffers taken
-/// once per call, so memory does not grow with the query count.
+/// the `[Q, out]` result. Intermediates live in two block-sized buffers per
+/// worker, so memory does not grow with the query count.
 ///
 /// Blocking is invisible in the output: every stage is point-wise, and a
 /// GEMM output column does not depend on how many columns the call has
@@ -75,31 +108,54 @@ pub(crate) fn decode_packed(
 /// single pass. A short last block is `[width, rows]` at its own `rows`: the
 /// B-pack zero-fills the columns of its last tile and the write-back stores
 /// none of them, so nothing past `rows` is read, stored or blended.
+///
+/// So is the thread count: every block is decoded whole into its own slice
+/// of the result, and `workers` threads — the caller and `workers − 1` scoped
+/// ones, one worker being the same call with nothing spawned — each take the
+/// next undecoded block until none is left. Taking turns instead of halving
+/// the blocks up front is for the host, not the output: a helper that starts
+/// late or sits on a core someone else is using slows only the blocks it
+/// took. The threads live for this call only; a panic on one leaves the
+/// scope as a panic here once the rest have finished.
 fn decode_blocked(
     mlp: &PackedMlp,
     latent: &Tensor,
     plan: &QueryPlan,
     block_queries: usize,
-    mut stages: Option<&mut DecodeStages>,
+    workers: usize,
+    stages: Option<&mut DecodeStages>,
 ) -> Tensor {
     assert!(!plan.is_empty(), "empty query plan");
+    assert!(workers == 1 || stages.is_none(), "stage times are one thread's");
     let (in_width, out_channels) = (mlp.in_features(), mlp.out_features());
     let block_rows = block_queries.min(plan.len()) * VERTICES;
-    let mut cur = workspace::take_scratch(block_rows * mlp.max_width());
-    let mut next = workspace::take_scratch(block_rows * mlp.max_width());
     let mut out = workspace::take_vec_scratch(plan.len() * out_channels);
-    for (b, out_block) in out.chunks_mut(block_queries * out_channels).enumerate() {
-        let rows = out_block.len() / out_channels * VERTICES;
-        let at = b * block_queries * VERTICES;
-        let (index, rel) = (&plan.index[at..at + rows], &plan.rel[at * 3..(at + rows) * 3]);
-        let input = &mut cur[..rows * in_width];
-        timed(&mut stages, |s| &mut s.gather_ns, || gather_features(latent, index, rel, input));
-        let layers = stages.as_deref_mut().map(|s| &mut s.layers);
-        let values = mlp.forward(rows, &mut cur, &mut next, layers);
-        let weights = &plan.weights[at..at + rows];
-        let blend = || blend_features_into(values, weights, VERTICES, out_block);
-        timed(&mut stages, |s| &mut s.blend_ns, blend);
-    }
+    let blocks = Mutex::new(out.chunks_mut(block_queries * out_channels).enumerate());
+    let work = |mut stages: Option<&mut DecodeStages>| {
+        let mut cur = workspace::take_scratch(block_rows * mlp.max_width());
+        let mut next = workspace::take_scratch(block_rows * mlp.max_width());
+        loop {
+            // Held for the `next()` only, so a panic below cannot poison it.
+            let block = blocks.lock().expect("no holder panics").next();
+            let Some((b, out_block)) = block else { break };
+            let rows = out_block.len() / out_channels * VERTICES;
+            let at = b * block_queries * VERTICES;
+            let (index, rel) = (&plan.index[at..at + rows], &plan.rel[at * 3..(at + rows) * 3]);
+            let input = &mut cur[..rows * in_width];
+            timed(&mut stages, |s| &mut s.gather_ns, || gather_features(latent, index, rel, input));
+            let layers = stages.as_deref_mut().map(|s| &mut s.layers);
+            let values = mlp.forward(rows, &mut cur, &mut next, layers);
+            let weights = &plan.weights[at..at + rows];
+            let blend = || blend_features_into(values, weights, VERTICES, out_block);
+            timed(&mut stages, |s| &mut s.blend_ns, blend);
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(plan.len().div_ceil(block_queries)) {
+            scope.spawn(|| work(None));
+        }
+        work(stages);
+    });
     Tensor::from_vec(out, &[plan.len(), out_channels])
 }
 
@@ -314,7 +370,7 @@ impl ContinuousDecoder {
     /// store of a live model moves under every optimizer step — so a caller
     /// whose weights cannot change packs once itself (`FrozenModel`).
     pub fn decode_nograd(&self, store: &ParamStore, latent: &Tensor, plan: &QueryPlan) -> Tensor {
-        decode_packed(&self.mlp.pack(store), latent, plan, None)
+        decode_packed(&self.mlp.pack(store), latent, plan, None, None)
     }
 }
 
@@ -336,6 +392,21 @@ mod tests {
     fn random_latent(seed: u64, dims: &[usize]) -> Tensor {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         Tensor::randn(dims, 0.5, &mut rng)
+    }
+
+    /// `q` queries scattered over both samples of a `[3, 4, 4]` grid.
+    fn scattered_plan(q: usize) -> QueryPlan {
+        plan_queries(
+            [3, 4, 4],
+            (0..q).map(|i| {
+                let f = i as f32 / q as f32;
+                (i % 2, [f, (f * 7.3).fract(), (f * 13.1).fract()])
+            }),
+        )
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -416,9 +487,10 @@ mod tests {
         let (store, dec) = setup();
         let latent = random_latent(3, &[1, 6, 3, 4, 4]);
         let extent = [2.0f64, 0.5, 1.5];
-        // Chosen so the FD stencil stays inside one latent cell: the decoder
-        // is only C⁰ across cell faces, where the lanes (one-sided, exact)
-        // and finite differences (face-straddling) legitimately disagree.
+        // Chosen so the test's own ± 0.01 steps stay inside one latent cell:
+        // the decoder is only C⁰ across cell faces, where the lanes
+        // (one-sided, exact) and finite differences (face-straddling)
+        // legitimately disagree.
         let local = [0.41, 0.52, 0.45];
         let value = |loc: [f32; 3]| -> Vec<f32> {
             let plan = plan_queries([3, 4, 4], [(0usize, loc)]);
@@ -482,16 +554,9 @@ mod tests {
         let (store, dec) = setup();
         let packed = dec.mlp.pack(&store);
         let latent = random_latent(7, &[2, 6, 3, 4, 4]);
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for q in [1, B - 1, B, B + 1, 3 * B + 7] {
-            let plan = plan_queries(
-                [3, 4, 4],
-                (0..q).map(|i| {
-                    let f = i as f32 / q as f32;
-                    (i % 2, [f, (f * 7.3).fract(), (f * 13.1).fract()])
-                }),
-            );
-            let whole = decode_blocked(&packed, &latent, &plan, q, None);
+            let plan = scattered_plan(q);
+            let whole = decode_blocked(&packed, &latent, &plan, q, 1, None);
             assert_eq!(whole.dims(), &[q, 4]);
             assert_eq!(
                 bits(&dec.decode_nograd(&store, &latent, &plan)),
@@ -503,6 +568,48 @@ mod tests {
             let tape = dec.decode(&mut g, &store, l, &plan);
             assert_eq!(bits(g.value(tape)), bits(&whole), "tape, Q={q}");
         }
+    }
+
+    /// So is the thread count: query counts with a short last block, that
+    /// split (16 blocks and up) or stay whole under the production rule, more
+    /// workers than that rule would spawn and more than there are blocks —
+    /// all the bits of one worker, at the production block size and at one
+    /// query a block, whichever thread ends up taking which block.
+    #[test]
+    fn worker_count_is_invisible_in_the_output() {
+        const B: usize = BLOCK_QUERIES;
+        let (store, dec) = setup();
+        let packed = dec.mlp.pack(&store);
+        let latent = random_latent(10, &[2, 6, 3, 4, 4]);
+        for q in [2, 15 * B, 16 * B + 1, 23 * B + 37] {
+            let plan = scattered_plan(q);
+            let whole = decode_blocked(&packed, &latent, &plan, q, 1, None);
+            for block in [1, B] {
+                for workers in [1, 2, 3] {
+                    let got = decode_blocked(&packed, &latent, &plan, block, workers, None);
+                    assert_eq!(bits(&got), bits(&whole), "Q={q} block={block} workers={workers}");
+                }
+            }
+            let picked = decode_packed(&packed, &latent, &plan, None, None);
+            assert_eq!(bits(&picked), bits(&whole), "Q={q}, the count the call picks");
+            let mut stages = DecodeStages::default();
+            let staged = decode_packed(&packed, &latent, &plan, None, Some(&mut stages));
+            assert_eq!(bits(&staged), bits(&whole), "Q={q}, staged");
+        }
+    }
+
+    /// A panic under the scope (here: a plan index beyond the latent, in the
+    /// last block, which either thread may be the one to take) comes out of
+    /// the decode as a panic once the other thread has run out of blocks — it
+    /// neither hangs nor returns a result with that block unwritten.
+    #[test]
+    #[should_panic]
+    fn a_panic_on_either_thread_leaves_the_decode_as_a_panic() {
+        let (store, dec) = setup();
+        let latent = random_latent(11, &[2, 6, 3, 4, 4]);
+        let mut plan = scattered_plan(32 * BLOCK_QUERIES);
+        *plan.index.last_mut().expect("non-empty") = u32::MAX;
+        decode_blocked(&dec.mlp.pack(&store), &latent, &plan, BLOCK_QUERIES, 2, None);
     }
 
     /// Tail-block hygiene: tiles compute whole `nr`-column panels, so a
@@ -523,7 +630,7 @@ mod tests {
             }),
         );
         workspace::clear();
-        let clean = decode_packed(&packed, &latent, &plan, None);
+        let clean = decode_packed(&packed, &latent, &plan, None, None);
         assert!(clean.data().iter().all(|v| v.is_finite()));
         let poison: Vec<Vec<f32>> = (6..=16)
             .flat_map(|shift| [1usize << shift; 4])
@@ -534,8 +641,7 @@ mod tests {
             })
             .collect();
         poison.into_iter().for_each(workspace::give_vec);
-        let dirty = decode_packed(&packed, &latent, &plan, None);
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let dirty = decode_packed(&packed, &latent, &plan, None, None);
         assert_eq!(bits(&dirty), bits(&clean));
     }
 

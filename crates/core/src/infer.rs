@@ -141,7 +141,22 @@ impl FrozenModel {
     ) -> Tensor {
         let grid = self.grid_dims();
         let plan = timed(&mut stages, |s| &mut s.plan_ns, || plan_queries(grid, queries));
-        decode_packed(&self.packed, latent, &plan, stages)
+        decode_packed(&self.packed, latent, &plan, None, stages)
+    }
+
+    /// [`FrozenModel::decode_values`] on exactly `workers` threads (as many
+    /// as there are blocks, at most) where `decode_values` picks the count
+    /// itself — for the thread-count invariance tests and the bench's
+    /// one-core row only; the result does not depend on it.
+    #[doc(hidden)]
+    pub fn decode_values_on(
+        &self,
+        workers: usize,
+        latent: &Tensor,
+        queries: impl IntoIterator<Item = (usize, [f32; 3])>,
+    ) -> Tensor {
+        let plan = plan_queries(self.grid_dims(), queries);
+        decode_packed(&self.packed, latent, &plan, Some(workers), None)
     }
 
     /// Test-time physics refinement (see [`crate::refine`]): budgeted gradient

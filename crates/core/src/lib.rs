@@ -38,7 +38,9 @@ pub use checkpoint::{
     load_train_state_with_fallback, prev_path, save_train_state, CheckpointError, TrainStateMeta,
 };
 pub use config::{MfnConfig, TrainConfig};
-pub use decoder::{plan_queries, ContinuousDecoder, DecodeStages, QueryPlan, VERTICES};
+pub use decoder::{
+    decode_workers, plan_queries, ContinuousDecoder, DecodeStages, QueryPlan, VERTICES,
+};
 pub use eval::{evaluate_pair, metric_series, table_header, EvalRow};
 pub use infer::FrozenModel;
 pub use losses::{

@@ -1,7 +1,9 @@
 //! The assembled MeshfreeFlowNet model (paper Sec. 4, Fig. 3).
 
 use crate::config::MfnConfig;
-use crate::decoder::{plan_queries, plan_queries_into, ContinuousDecoder, QueryPlan};
+use crate::decoder::{
+    decode_packed, plan_queries, plan_queries_into, ContinuousDecoder, QueryPlan,
+};
 use crate::losses::{self, ChannelStats};
 use crate::unet::UNet3d;
 use mfn_autodiff::{load_params, save_params, Graph, Mlp, ParamStore, Var};
@@ -309,6 +311,20 @@ impl MeshfreeFlowNet {
         hr_meta: &DatasetMeta,
         stats: ChannelStats,
     ) -> Dataset {
+        self.super_resolve_on(None, lr, hr_meta, stats)
+    }
+
+    /// [`MeshfreeFlowNet::super_resolve`] with every patch decoded on exactly
+    /// `workers` threads where `None` lets the decode pick — for the
+    /// thread-count invariance tests only; the result does not depend on it.
+    #[doc(hidden)]
+    pub fn super_resolve_on(
+        &self,
+        workers: Option<usize>,
+        lr: &Dataset,
+        hr_meta: &DatasetMeta,
+        stats: ChannelStats,
+    ) -> Dataset {
         let spec = self.cfg.patch;
         let origins = covering_origins(lr, spec);
         let n_out = hr_meta.nt * CHANNELS * hr_meta.nz * hr_meta.nx;
@@ -338,54 +354,62 @@ impl MeshfreeFlowNet {
         // written.
         let hat =
             |s: f32| -> f64 { 0.02 + (s.clamp(0.0, 1.0).min(1.0 - s.clamp(0.0, 1.0))) as f64 };
-        // Per-patch scratch, reused across patches.
-        let mut queries: Vec<[f32; 3]> = Vec::new();
-        let mut targets: Vec<(usize, usize, usize)> = Vec::new();
+        // One axis of a patch: the local coordinate and hat weight of each HR
+        // index it covers. Both are separable, so a patch needs three short
+        // tables, not three clamps and divisions per point.
+        let axis = |(lo, hi): (usize, usize), h_hr: f64, origin_pos: f64, ext: f64| {
+            let entry = |i: usize| {
+                let local = ((i as f64 * h_hr - origin_pos) / ext.max(1e-30)) as f32;
+                (local, hat(local))
+            };
+            (lo..=hi).map(entry).collect::<Vec<(f32, f64)>>()
+        };
+        let packed = self.decoder.mlp.pack(&self.store);
         let mut plan = QueryPlan::default();
 
         for (ti, &t0) in origins.t.iter().enumerate() {
             let o_t = t0 as f64 * lr.dt();
-            let (f_lo, f_hi) =
-                covered(hr_meta.nt, hr_dt, o_t, extent[0], ti + 1 == origins.t.len());
+            let frames = covered(hr_meta.nt, hr_dt, o_t, extent[0], ti + 1 == origins.t.len());
+            let along_t = axis(frames, hr_dt, o_t, extent[0]);
             for (zi, &z0) in origins.z.iter().enumerate() {
                 let o_z = z0 as f64 * lr.dz();
-                let (j_lo, j_hi) =
-                    covered(hr_meta.nz, hr_dz, o_z, extent[1], zi + 1 == origins.z.len());
+                let rows = covered(hr_meta.nz, hr_dz, o_z, extent[1], zi + 1 == origins.z.len());
+                let along_z = axis(rows, hr_dz, o_z, extent[1]);
                 for (xi, &x0) in origins.x.iter().enumerate() {
                     let o_x = x0 as f64 * lr.dx();
-                    let (i_lo, i_hi) =
+                    let cols =
                         covered(hr_meta.nx, hr_dx, o_x, extent[2], xi + 1 == origins.x.len());
-                    queries.clear();
-                    targets.clear();
-                    for f in f_lo..=f_hi {
-                        for j in j_lo..=j_hi {
-                            for i in i_lo..=i_hi {
-                                queries.push([
-                                    ((f as f64 * hr_dt - o_t) / extent[0].max(1e-30)) as f32,
-                                    ((j as f64 * hr_dz - o_z) / extent[1].max(1e-30)) as f32,
-                                    ((i as f64 * hr_dx - o_x) / extent[2].max(1e-30)) as f32,
-                                ]);
-                                targets.push((f, j, i));
-                            }
-                        }
-                    }
-                    if queries.is_empty() {
+                    let along_x = axis(cols, hr_dx, o_x, extent[2]);
+                    if along_t.is_empty() || along_z.is_empty() || along_x.is_empty() {
                         continue;
                     }
                     let patch = extract_patch(lr, [t0, z0, x0], spec, stats);
                     let latent = self.encode(&patch);
-                    // `decode_values`, with the plan's buffers kept.
-                    let points = queries.iter().map(|&q| (0usize, q));
+                    // `decode_values`, with the plan's buffers and the packed
+                    // weights kept across patches.
+                    let points = along_t.iter().flat_map(|&(t, _)| {
+                        let along_x = &along_x;
+                        along_z.iter().flat_map(move |&(z, _)| {
+                            along_x.iter().map(move |&(x, _)| (0usize, [t, z, x]))
+                        })
+                    });
                     plan_queries_into(&mut plan, self.grid_dims(), points);
-                    let pred = self.decoder.decode_nograd(&self.store, &latent, &plan);
-                    for ((q, &(f, j, i)), values) in
-                        queries.iter().zip(&targets).zip(pred.data().chunks_exact(CHANNELS))
-                    {
-                        let w = hat(q[0]) * hat(q[1]) * hat(q[2]);
-                        wsum[(f * hr_meta.nz + j) * hr_meta.nx + i] += w;
-                        for (c, &raw) in values.iter().enumerate() {
-                            acc[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i] +=
-                                w * raw as f64;
+                    let pred = decode_packed(&packed, &latent, &plan, workers, None);
+                    // Blend in patch order on this thread: `w` is the f64
+                    // product `hat_t * hat_z * hat_x`, left to right.
+                    let mut values = pred.data().chunks_exact(CHANNELS);
+                    for (f, &(_, hat_t)) in (frames.0..).zip(&along_t) {
+                        for (j, &(_, hat_z)) in (rows.0..).zip(&along_z) {
+                            let hat_tz = hat_t * hat_z;
+                            for (i, &(_, hat_x)) in (cols.0..).zip(&along_x) {
+                                let w = hat_tz * hat_x;
+                                wsum[(f * hr_meta.nz + j) * hr_meta.nx + i] += w;
+                                let values = values.next().expect("one prediction per query");
+                                for (c, &raw) in values.iter().enumerate() {
+                                    acc[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i] +=
+                                        w * raw as f64;
+                                }
+                            }
                         }
                     }
                 }

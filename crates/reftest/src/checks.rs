@@ -13,7 +13,7 @@ use crate::reference as refk;
 use mfn_autodiff::{Activation, Graph, Mlp, ParamStore};
 use mfn_core::{
     equation_loss_at_points, plan_queries, ChannelStats, ConstraintSet, ContinuousDecoder,
-    RbcParams,
+    MeshfreeFlowNet, MfnConfig, RbcParams,
 };
 use mfn_data::{Dataset, DatasetMeta, CHANNELS};
 use mfn_fft::{energy_spectrum_x, Complex, FftPlan, RealFftPlan};
@@ -871,6 +871,37 @@ pub fn check_decode_blocked() -> Report {
     chk.finish()
 }
 
+/// Thread-count invariance of the no-grad decode, end to end: a whole
+/// `MeshfreeFlowNet::super_resolve` (eight covering patches of 343 or 392
+/// queries — six or seven blocks — blended across their seams) with every
+/// patch decoded on one, two and three threads, and on the count the call
+/// picks itself. The reference is the one-thread field and the budget is
+/// zero — a thread decodes whole blocks into its own slice of the result, so
+/// nothing about the arithmetic may depend on how many there are.
+pub fn check_decode_threads() -> Report {
+    let mut chk = Checker::new("decode_threads", Tolerance::exact());
+    let hr = synthetic_dataset(7, 13, 24, 1900);
+    let lr = mfn_data::downsample(&hr, 2, 2);
+    let mut cfg = MfnConfig::small();
+    cfg.patch = mfn_data::PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
+    cfg.base_channels = 4;
+    cfg.latent_channels = 5;
+    cfg.mlp_hidden = vec![24, 16];
+    cfg.levels = 2;
+    cfg.seed = 1901;
+    let model = MeshfreeFlowNet::new(cfg);
+    let stats = ChannelStats::from_meta(&hr.meta);
+    let want = model.super_resolve_on(Some(1), &lr, &hr.meta, stats);
+    for workers in [Some(2), Some(3), None] {
+        chk.case(format!("7x13x24 from 4x7x12, patch 4x4x4, seed 1900, workers {workers:?}"));
+        let got = model.super_resolve_on(workers, &lr, &hr.meta, stats);
+        for (i, (&g, &w)) in got.data.iter().zip(&want.data).enumerate() {
+            chk.check_f32(i, g, f64::from(w), 0.0);
+        }
+    }
+    chk.finish()
+}
+
 /// Runs every kernel check, in dependency order (primitives first).
 pub fn run_all() -> Vec<Report> {
     let mut reports = vec![
@@ -899,6 +930,7 @@ pub fn run_all() -> Vec<Report> {
     reports.push(check_jet_decoder());
     reports.push(check_refine_grad());
     reports.push(check_decode_blocked());
+    reports.push(check_decode_threads());
     reports
 }
 

@@ -128,3 +128,8 @@ fn refine_objective_gradient_matches_reference() {
 fn blocked_decode_matches_reference() {
     assert_ok(checks::check_decode_blocked());
 }
+
+#[test]
+fn super_resolve_is_byte_equal_on_any_number_of_decode_threads() {
+    assert_ok(checks::check_decode_threads());
+}

@@ -116,8 +116,10 @@ fn nograd_decode_is_bit_identical_to_tape() {
         let input = rand_patch(&cfg, 2, seed + 41);
         let latent = tape_encode(&mut reference, &input);
         let mut qstate = seed + 9;
-        // One block of the blocked decode, and several with a ragged last one.
-        for n in [32, 250] {
+        // One block of the blocked decode, several with a ragged last one,
+        // and enough (33 blocks, from 16 the call splits) that the no-grad
+        // side runs its blocks on two threads where the host has them.
+        for n in [32, 250, 2_100] {
             let qs = rand_queries(&mut qstate, 2, n);
             let tape = tape_decode(&reference, &latent, &qs);
             let model = reference.decode_values(&latent, qs.iter().copied());
