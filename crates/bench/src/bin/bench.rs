@@ -1,8 +1,5 @@
 //! `bench` — kernel + training-step micro-benchmarks with JSON output.
-//!
-//! ```text
-//! usage: bench [--quick] [--oracle] [--gate BASELINE.json] [--out PATH]
-//! ```
+//! Options: [`USAGE`].
 //!
 //! Measures the blocked GEMM (all three transpose layouts) against the
 //! pre-optimization naive `ikj` kernel kept here as a frozen reference,
@@ -13,10 +10,10 @@
 //! GEMM, the softplus kernel (as a slice and as the decoder's feature-major
 //! epilogue) and its derivative, the decoder's forward and backward on the tape (the link
 //! between the kernel rows and the training step), and one full training step
-//! with the workspace pool on vs off. Results land in
-//! `BENCH_kernels.json` (default; `--out` overrides): median wall time,
-//! GFLOP/s, heap bytes allocated per call (counted by the `count-alloc`
-//! global allocator, on by default), and workspace-pool hit/miss
+//! with the workspace pool on vs off. The results are one [`KernelsReport`],
+//! written by `serde_json` to `BENCH_kernels.json` (default; `--out`
+//! overrides): median wall time, GFLOP/s, heap bytes allocated per call
+//! (counted by the global allocator below), and workspace-pool hit/miss
 //! counters.
 //!
 //! The binary doubles as a regression gate: before timing anything it
@@ -26,12 +23,15 @@
 //! runs the full mfn-reftest differential suite first. `--quick`
 //! shrinks the problem sizes for CI; the full run additionally asserts
 //! the ≥2× speedup the optimization is required to hold on the 256³
-//! GEMM. `--gate BASELINE.json` compares this run's speedup *ratios*
-//! (blocked/naive GEMM, conv3d/blocked GEMM) against a committed
-//! baseline report and fails if either drops below 85% of it, or if a cost
-//! ratio (adaptive/uniform sampling, softplus derivative/softplus) rises
+//! GEMM. `--gate BASELINE.json` parses a committed report into the same
+//! [`KernelsReport`] and holds this run's *ratios* against it
+//! ([`run_gate`]): the speedups (blocked/naive GEMM, conv3d/blocked GEMM)
+//! may not drop below 85% of the baseline's, and the cost ratios
+//! (adaptive/uniform sampling, softplus derivative/softplus) may not rise
 //! above the baseline's by the same margin — ratios, not absolute GFLOP/s,
-//! so the gate is insensitive to how fast the CI machine is that day.
+//! so the gate is insensitive to how fast the CI machine is that day. A
+//! baseline of the other mode (`--quick` against full) fails the gate: its
+//! ratios were measured at other sizes.
 
 use mfn_autodiff::{Graph, Var, JET_LANES};
 use mfn_core::{
@@ -47,14 +47,17 @@ use mfn_tensor::{
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use serde::{Deserialize, Serialize};
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
+
+const USAGE: &str = "usage: bench [--quick] [--oracle] [--gate BASELINE.json] [--out PATH]";
 
 /// Counting allocator: every heap allocation in the process adds to a
 /// pair of atomics so benchmarks can report bytes-allocated-per-call.
 /// The counters only track `alloc`/`realloc` growth — frees are not
 /// subtracted, because "how much did the allocator have to hand out"
 /// is exactly the churn the workspace pool exists to remove.
-#[cfg(feature = "count-alloc")]
 mod counting_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,28 +88,16 @@ mod counting_alloc {
     static COUNTER: Counting = Counting;
 }
 
-/// Heap bytes handed out by the allocator so far (0 without `count-alloc`).
-fn alloc_bytes() -> u64 {
-    #[cfg(feature = "count-alloc")]
-    {
-        counting_alloc::BYTES.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "count-alloc"))]
-    {
-        0
-    }
+/// `x` rounded to `places` decimals: the precision the report keeps a
+/// figure at, applied when its section is built.
+fn round(x: f64, places: i32) -> f64 {
+    let scale = 10f64.powi(places);
+    (x * scale).round() / scale
 }
 
-/// Allocation calls so far (0 without `count-alloc`).
-fn alloc_calls() -> u64 {
-    #[cfg(feature = "count-alloc")]
-    {
-        counting_alloc::CALLS.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "count-alloc"))]
-    {
-        0
-    }
+/// `x` rounded to a whole number (nanosecond timings, rates).
+fn whole(x: f64) -> u64 {
+    x.round() as u64
 }
 
 /// The pre-optimization GEMM, frozen verbatim from the seed
@@ -155,18 +146,9 @@ fn median_and_best(mut samples: Vec<f64>) -> (f64, f64) {
 /// come from `best_ns`; `median_ns` stays in the report as the
 /// what-you'll-typically-see number.
 fn time_samples<F: FnMut()>(iters: usize, mut f: F) -> (f64, f64, u64) {
-    f(); // warm up: populates the workspace pool and the icache
-    let b0 = alloc_bytes();
-    f();
-    let bytes_per_call = alloc_bytes() - b0;
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_nanos() as f64);
-    }
-    let (median, best) = median_and_best(samples);
-    (median, best, bytes_per_call)
+    let bytes = bytes_per_call(&mut f);
+    let (median, best) = time_interleaved(iters, &mut [&mut f])[0];
+    (median, best, bytes)
 }
 
 /// Interleaved timing of several variants: each iteration times one call
@@ -191,22 +173,57 @@ fn time_interleaved(iters: usize, fs: &mut [&mut dyn FnMut()]) -> Vec<(f64, f64)
     samples.into_iter().map(median_and_best).collect()
 }
 
-/// Allocator bytes attributed to one (post-warm-up) call of `f`.
+/// Allocator bytes attributed to one call of `f`, after one that warms up
+/// the workspace pool and the icache.
 fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
     f();
-    let b0 = alloc_bytes();
+    let b0 = counting_alloc::BYTES.load(Relaxed);
     f();
-    alloc_bytes() - b0
+    counting_alloc::BYTES.load(Relaxed) - b0
 }
 
-/// One GEMM benchmark row for the JSON report.
+/// Schema tag of the report this binary writes.
+const SCHEMA: &str = "mfn-bench/kernels/v11";
+
+/// `BENCH_kernels.json`. The field names are the keys (the vendored derive
+/// renames nothing) and `--gate` parses a committed report back into this
+/// type, so the writer and the gate cannot disagree on a key. Unknown keys
+/// are ignored: a v10 report (which also carried `count_alloc`) parses.
+#[derive(Serialize, Deserialize)]
+struct KernelsReport {
+    schema: String,
+    /// `quick` or `full`: the problem sizes the rows were measured at.
+    mode: String,
+    checks: Checks,
+    gemm: Vec<GemmRow>,
+    gemm_speedup_vs_naive: f64,
+    conv3d: Conv3d,
+    unet_encode: UnetEncode,
+    decode_values: DecodeValues,
+    softplus: Softplus,
+    softplus_grad: SoftplusGrad,
+    tape_decoder: TapeDecoder,
+    sampling: Sampling,
+    train_step: TrainStep,
+}
+
+/// The correctness gates that ran before any timing; a report is only
+/// written when both passed.
+#[derive(Serialize, Deserialize)]
+struct Checks {
+    gemm_vs_naive: String,
+    conv3d_vs_definition: String,
+}
+
+/// One GEMM benchmark row.
+#[derive(Serialize, Deserialize)]
 struct GemmRow {
     name: String,
     m: usize,
     k: usize,
     n: usize,
-    median_ns: f64,
-    best_ns: f64,
+    median_ns: u64,
+    best_ns: u64,
     gflops: f64,
     alloc_bytes_per_call: u64,
 }
@@ -215,24 +232,69 @@ fn gemm_gflops(m: usize, k: usize, n: usize, ns: f64) -> f64 {
     (2.0 * m as f64 * k as f64 * n as f64) / ns
 }
 
-/// Benches one blocked-GEMM layout at `s`³.
-fn bench_gemm(name: &str, s: usize, a_l: MatLayout, b_l: MatLayout, iters: usize) -> GemmRow {
-    let mut a = vec![0.0f32; s * s];
-    let mut b = vec![0.0f32; s * s];
-    let mut c = vec![0.0f32; s * s];
-    lcg_fill(&mut a, 1);
-    lcg_fill(&mut b, 2);
-    let (median_ns, best_ns, bytes) =
-        time_samples(iters, || gemm(s, s, s, &a, a_l, &b, b_l, &mut c));
-    GemmRow {
-        name: format!("{name}_{s}"),
-        m: s,
-        k: s,
-        n: s,
-        median_ns,
-        best_ns,
-        gflops: gemm_gflops(s, s, s, best_ns),
-        alloc_bytes_per_call: bytes,
+impl GemmRow {
+    /// The row of a `size`³ GEMM timed as `(median_ns, best_ns, bytes)`.
+    fn new(name: &str, size: usize, (median, best, bytes): (f64, f64, u64)) -> Self {
+        GemmRow {
+            name: format!("{name}_{size}"),
+            m: size,
+            k: size,
+            n: size,
+            median_ns: whole(median),
+            best_ns: whole(best),
+            gflops: round(gemm_gflops(size, size, size, best), 2),
+            alloc_bytes_per_call: bytes,
+        }
+    }
+}
+
+/// A training-shaped 3×3×3 conv (the gated one) and its pointwise twin (same
+/// batch, channels and extent, 1×1×1 kernel), forward and both gradients.
+#[derive(Serialize, Deserialize)]
+struct Conv3d {
+    shape: ConvShape,
+    implicit_gemm: KernelRow,
+    implicit_grad_input: KernelRow,
+    implicit_grad_weight: KernelRow,
+    pointwise: PointwiseConv,
+    implicit_vs_gemm_nn: f64,
+}
+
+#[derive(Serialize, Deserialize)]
+struct ConvShape {
+    n: usize,
+    cin: usize,
+    cout: usize,
+    spatial: [usize; 3],
+    kernel: [usize; 3],
+}
+
+#[derive(Serialize, Deserialize)]
+struct PointwiseConv {
+    kernel: [usize; 3],
+    implicit_gemm: KernelRow,
+    implicit_grad_input: KernelRow,
+    implicit_grad_weight: KernelRow,
+}
+
+/// One timed kernel; GFLOP/s come from the best time.
+#[derive(Serialize, Deserialize)]
+struct KernelRow {
+    median_ns: u64,
+    best_ns: u64,
+    gflops: f64,
+    alloc_bytes_per_call: u64,
+}
+
+impl KernelRow {
+    /// A kernel doing `flops` per call, timed as `(median_ns, best_ns, bytes)`.
+    fn new(flops: f64, (median, best, bytes): (f64, f64, u64)) -> Self {
+        KernelRow {
+            median_ns: whole(median),
+            best_ns: whole(best),
+            gflops: round(flops / best, 2),
+            alloc_bytes_per_call: bytes,
+        }
     }
 }
 
@@ -326,12 +388,52 @@ fn check_conv3d_vs_definition() -> Result<(), String> {
     Ok(())
 }
 
-/// The `unet_encode` section, already formatted, and its headline figures.
-struct UnetEncodeBench {
-    json: String,
+/// The `unet_encode` section ([`bench_unet_encode`]): times in µs, minima
+/// unless the key says median.
+#[derive(Serialize, Deserialize)]
+struct UnetEncode {
+    patch: [usize; 3],
+    batch: usize,
     encode_us: f64,
+    encode_median_us: f64,
+    layers: Vec<ConvLayer>,
+    pointwise: ConvGroup,
+    k3x3x3: ConvGroup,
     conv_us: f64,
+    conv_share: f64,
     conv_gflops: f64,
+    conv_vs_gemm_nn: f64,
+}
+
+/// One conv of the encode at its real shape, whole and by stage.
+#[derive(Serialize, Deserialize)]
+struct ConvLayer {
+    name: String,
+    cin: usize,
+    cout: usize,
+    kernel: [usize; 3],
+    vol: usize,
+    us: f64,
+    gflops: f64,
+    pack_a_us: f64,
+    pad_copy_us: f64,
+    pack_b_us: f64,
+    micro_us: f64,
+    epilogue_us: f64,
+}
+
+/// The [`ConvLayer`] columns summed over the encode's convs of one kernel
+/// size.
+#[derive(Serialize, Deserialize)]
+struct ConvGroup {
+    layers: usize,
+    us: f64,
+    gflops: f64,
+    pack_a_us: f64,
+    pad_copy_us: f64,
+    pack_b_us: f64,
+    micro_us: f64,
+    epilogue_us: f64,
 }
 
 /// U-Net depth of the block a parameter belongs to: `unet.down{l}` works at
@@ -355,7 +457,7 @@ fn unet_level(name: &str) -> Option<usize> {
 /// in-place passes that follow the conv in the network (`epilogue_us`: bias,
 /// eval-mode BN affine, ReLU, residual sum as the layer has them). All
 /// figures are minima over `iters` calls.
-fn bench_unet_encode(iters: usize, gemm_nn_gflops: f64) -> UnetEncodeBench {
+fn bench_unet_encode(iters: usize, gemm_nn_gflops: f64) -> UnetEncode {
     let mut cfg = MfnConfig::small();
     cfg.patch = PatchSpec { nt: 4, nz: 8, nx: 8, queries: 128 };
     let patch = [cfg.patch.nt, cfg.patch.nz, cfg.patch.nx];
@@ -367,9 +469,10 @@ fn bench_unet_encode(iters: usize, gemm_nn_gflops: f64) -> UnetEncodeBench {
         std::hint::black_box(frozen.encode(&input));
     });
 
-    // Sums per kernel size: [layers, flops, us, pack_a, pad_copy, pack_b, micro, epilogue].
+    let us = |ns: f64| round(ns / 1e3, 2);
+    // Sums per kernel size: [layers, flops, ns, pack_a, pad_copy, pack_b, micro, epilogue].
     let mut sums = [[0.0f64; 8]; 2];
-    let mut layers_json = String::new();
+    let mut layers = Vec::new();
     for (_, name, weight) in frozen.params().iter() {
         let (Some(level), &[cout, cin, kd, kh, kw]) = (unet_level(name), weight.dims()) else {
             continue;
@@ -384,7 +487,7 @@ fn bench_unet_encode(iters: usize, gemm_nn_gflops: f64) -> UnetEncodeBench {
             std::hint::black_box(PackedConv3d::pack(weight, vol));
         });
         let packed = PackedConv3d::pack(weight, vol);
-        let (_, us, _) = time_samples(iters, || {
+        let (_, conv_ns, _) = time_samples(iters, || {
             std::hint::black_box(packed.forward(&x));
         });
         let mut stage = [f64::MAX; 3];
@@ -414,91 +517,112 @@ fn bench_unet_encode(iters: usize, gemm_nn_gflops: f64) -> UnetEncodeBench {
             std::hint::black_box(&mut y);
         });
         let flops = 2.0 * (vol * cout * cin * kd * kh * kw) as f64;
-        let row = [1.0, flops, us, pack_a, stage[0], stage[1], stage[2], epilogue];
+        let row = [1.0, flops, conv_ns, pack_a, stage[0], stage[1], stage[2], epilogue];
         let sum = &mut sums[usize::from(kd * kh * kw > 1)];
         for (acc, v) in sum.iter_mut().zip(row) {
             *acc += v;
         }
-        if !layers_json.is_empty() {
-            layers_json.push_str(",\n");
-        }
-        layers_json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cin\": {cin}, \"cout\": {cout}, \"kernel\": [{kd}, {kh}, {kw}], \"vol\": {vol}, \"us\": {:.2}, \"gflops\": {:.2}, \"pack_a_us\": {:.2}, \"pad_copy_us\": {:.2}, \"pack_b_us\": {:.2}, \"micro_us\": {:.2}, \"epilogue_us\": {:.2}}}",
-            name.trim_end_matches(".weight"),
-            us / 1e3,
-            flops / us,
-            pack_a / 1e3,
-            stage[0] / 1e3,
-            stage[1] / 1e3,
-            stage[2] / 1e3,
-            epilogue / 1e3,
-        ));
+        layers.push(ConvLayer {
+            name: name.trim_end_matches(".weight").to_string(),
+            cin,
+            cout,
+            kernel: [kd, kh, kw],
+            vol,
+            us: us(conv_ns),
+            gflops: round(flops / conv_ns, 2),
+            pack_a_us: us(pack_a),
+            pad_copy_us: us(stage[0]),
+            pack_b_us: us(stage[1]),
+            micro_us: us(stage[2]),
+            epilogue_us: us(epilogue),
+        });
     }
-    let group = |s: &[f64; 8]| {
-        format!(
-            "{{\"layers\": {:.0}, \"us\": {:.2}, \"gflops\": {:.2}, \"pack_a_us\": {:.2}, \"pad_copy_us\": {:.2}, \"pack_b_us\": {:.2}, \"micro_us\": {:.2}, \"epilogue_us\": {:.2}}}",
-            s[0],
-            s[2] / 1e3,
-            s[1] / s[2],
-            s[3] / 1e3,
-            s[4] / 1e3,
-            s[5] / 1e3,
-            s[6] / 1e3,
-            s[7] / 1e3,
-        )
+    let group = |s: &[f64; 8]| ConvGroup {
+        layers: s[0] as usize,
+        us: us(s[2]),
+        gflops: round(s[1] / s[2], 2),
+        pack_a_us: us(s[3]),
+        pad_copy_us: us(s[4]),
+        pack_b_us: us(s[5]),
+        micro_us: us(s[6]),
+        epilogue_us: us(s[7]),
     };
     let conv_ns = sums[0][2] + sums[1][2];
     let conv_gflops = (sums[0][1] + sums[1][1]) / conv_ns;
-    let json = format!(
-        "{{\n\
-         \"patch\": [{}, {}, {}], \"batch\": 1,\n\
-         \"encode_us\": {:.2}, \"encode_median_us\": {:.2},\n\
-         \"layers\": [\n{layers_json}\n  ],\n\
-         \"pointwise\": {},\n\
-         \"k3x3x3\": {},\n\
-         \"conv_us\": {:.2}, \"conv_share\": {:.3}, \"conv_gflops\": {conv_gflops:.2}, \"conv_vs_gemm_nn\": {:.3}\n\
-         }}",
-        patch[0],
-        patch[1],
-        patch[2],
-        encode_best / 1e3,
-        encode_median / 1e3,
-        group(&sums[0]),
-        group(&sums[1]),
-        conv_ns / 1e3,
-        conv_ns / encode_best,
-        conv_gflops / gemm_nn_gflops,
-    );
-    UnetEncodeBench { json, encode_us: encode_best / 1e3, conv_us: conv_ns / 1e3, conv_gflops }
+    UnetEncode {
+        patch,
+        batch: 1,
+        encode_us: us(encode_best),
+        encode_median_us: us(encode_median),
+        layers,
+        pointwise: group(&sums[0]),
+        k3x3x3: group(&sums[1]),
+        conv_us: us(conv_ns),
+        conv_share: round(conv_ns / encode_best, 3),
+        conv_gflops: round(conv_gflops, 2),
+        conv_vs_gemm_nn: round(conv_gflops / gemm_nn_gflops, 3),
+    }
 }
 
-/// One `decode_values` benchmark row: `q` continuous point queries decoded
-/// against a cached latent grid.
+/// The `decode_values` section: the serving split ([`bench_decode`]) and
+/// one decode block's GEMM stage from the gated loop.
+#[derive(Serialize, Deserialize)]
+struct DecodeValues {
+    encode_median_ns: u64,
+    encode_to_1query_decode_ratio: f64,
+    rows: Vec<DecodeRow>,
+    two_core_speedup: TwoCoreSpeedup,
+    gemm_stage: GemmStage,
+}
+
+/// `queries` continuous point queries decoded against a cached latent: the
+/// timed call on `workers` threads (`mfn_core::decode_workers`), then each
+/// stage's minimum in µs over staged calls
+/// (`FrozenModel::decode_values_staged`, always one thread).
+#[derive(Serialize, Deserialize)]
 struct DecodeRow {
     queries: usize,
-    median_ns: f64,
-    best_ns: f64,
-    points_per_s: f64,
-    alloc_bytes_per_call: u64,
-    /// Threads the timed call ran its blocks on (`mfn_core::decode_workers`).
     workers: usize,
-    /// Each stage's minimum over the staged calls
-    /// (`FrozenModel::decode_values_staged`, always one thread), in
-    /// [`DECODE_STAGES`] order.
-    stage_ns: [f64; 6],
-    /// For the [`TWO_CORE_ROWS`]: `best_ns` of the call forced onto one
-    /// worker and of the call as it picks its own count, interleaved.
-    one_vs_default_ns: Option<(f64, f64)>,
+    median_ns: u64,
+    best_ns: u64,
+    points_per_s: u64,
+    alloc_bytes_per_call: u64,
+    plan_us: f64,
+    gather_us: f64,
+    pack_b_us: f64,
+    micro_us: f64,
+    epilogue_us: f64,
+    blend_us: f64,
 }
 
-/// The rows large enough to split across cores (from 1,024 queries), timed
-/// on one forced worker against the default for
-/// `decode_values.two_core_speedup`.
-const TWO_CORE_ROWS: [usize; 2] = [4096, 16384];
+/// The rows large enough to split across cores (from 1,024 queries): the
+/// call forced onto one worker against the call picking its own count,
+/// interleaved.
+#[derive(Serialize, Deserialize)]
+struct TwoCoreSpeedup {
+    available_parallelism: usize,
+    q4096: TwoCoreRow,
+    q16384: TwoCoreRow,
+}
 
-/// The stage columns of a `decode_values` row.
-const DECODE_STAGES: [&str; 6] =
-    ["plan_us", "gather_us", "pack_b_us", "micro_us", "epilogue_us", "blend_us"];
+#[derive(Serialize, Deserialize)]
+struct TwoCoreRow {
+    workers: usize,
+    one_worker_best_ns: u64,
+    best_ns: u64,
+    speedup: f64,
+}
+
+/// The decoder's layers over one full block, B-pack and micro-kernel.
+#[derive(Serialize, Deserialize)]
+struct GemmStage {
+    rows: usize,
+    median_ns: u64,
+    best_ns: u64,
+    alloc_bytes_per_call: u64,
+    decode_gemm_gflops: f64,
+    decode_vs_gemm_nn: f64,
+}
 
 /// The bench decoder's model: a tiny U-Net under a serving-sized decoder
 /// (35→128→128→4), whose ~85 KB of weight panels spill a 32-48 KB L1d — the
@@ -531,10 +655,9 @@ fn bench_queries(q: usize) -> Vec<(usize, [f32; 3])> {
 /// expensive encode-once half) and `FrozenModel::decode_values` at several
 /// query-batch sizes (the cheap decode-many half), each row also by stage —
 /// plan, gather, the layers' B-pack, micro-kernel and bias + activation,
-/// blend. The encode/decode ratio in the JSON is the asymmetry the
-/// latent-context cache in `mfn-serve` exploits. Returns the encode median
-/// and the decode rows.
-fn bench_decode(iters: usize) -> (f64, Vec<DecodeRow>) {
+/// blend — then the [`TwoCoreSpeedup`] rows. The encode/decode ratio in the
+/// report is the asymmetry the latent-context cache in `mfn-serve` exploits.
+fn bench_decode(iters: usize, gemm_stage: GemmStage) -> DecodeValues {
     let cfg = bench_decoder_config();
     let in_channels = cfg.in_channels;
     let frozen = FrozenModel::from_model(MeshfreeFlowNet::new(cfg));
@@ -544,17 +667,18 @@ fn bench_decode(iters: usize) -> (f64, Vec<DecodeRow>) {
         std::hint::black_box(frozen.encode(&input));
     });
     let latent = frozen.encode(&input);
+    let us = |ns: f64| round(ns / 1e3, 2);
     // 4096 queries is the many-block row of the blocked decode (64 queries a
     // block): its points/s against the 64-query row is what blocking holds.
     // 16384 is a `super_resolve` patch and a half: what the split holds.
-    let rows = [1usize, 8, 64, 512, 4096, 16384]
+    let rows: Vec<DecodeRow> = [1usize, 8, 64, 512, 4096, 16384]
         .into_iter()
         .map(|q| {
             let queries = bench_queries(q);
             let (median_ns, best_ns, alloc_bytes_per_call) = time_samples(iters, || {
                 std::hint::black_box(frozen.decode_values(&latent, queries.iter().copied()));
             });
-            let mut stage_ns = [f64::MAX; 6];
+            let mut stage = [f64::MAX; 6];
             for _ in 0..iters {
                 let mut s = DecodeStages::default();
                 let points = queries.iter().copied();
@@ -562,53 +686,79 @@ fn bench_decode(iters: usize) -> (f64, Vec<DecodeRow>) {
                 let l = s.layers;
                 let now =
                     [s.plan_ns, s.gather_ns, l.pack_b_ns, l.micro_ns, l.epilogue_ns, s.blend_ns];
-                for (best, now) in stage_ns.iter_mut().zip(now) {
+                for (best, now) in stage.iter_mut().zip(now) {
                     *best = best.min(now);
                 }
             }
-            let one_vs_default_ns = TWO_CORE_ROWS.contains(&q).then(|| {
-                let points = || queries.iter().copied();
-                let mut one = || {
-                    std::hint::black_box(frozen.decode_values_on(1, &latent, points()));
-                };
-                let mut default = || {
-                    std::hint::black_box(frozen.decode_values(&latent, points()));
-                };
-                let t = time_interleaved(iters, &mut [&mut one, &mut default]);
-                (t[0].1, t[1].1)
-            });
             DecodeRow {
                 queries: q,
-                median_ns,
-                best_ns,
-                points_per_s: q as f64 * 1e9 / best_ns,
-                alloc_bytes_per_call,
                 workers: decode_workers(q),
-                stage_ns,
-                one_vs_default_ns,
+                median_ns: whole(median_ns),
+                best_ns: whole(best_ns),
+                points_per_s: whole(q as f64 * 1e9 / best_ns),
+                alloc_bytes_per_call,
+                plan_us: us(stage[0]),
+                gather_us: us(stage[1]),
+                pack_b_us: us(stage[2]),
+                micro_us: us(stage[3]),
+                epilogue_us: us(stage[4]),
+                blend_us: us(stage[5]),
             }
         })
         .collect();
-    (encode_ns, rows)
+    let two_core = |q: usize| {
+        let queries = bench_queries(q);
+        let points = || queries.iter().copied();
+        let mut one = || {
+            std::hint::black_box(frozen.decode_values_on(1, &latent, points()));
+        };
+        let mut default = || {
+            std::hint::black_box(frozen.decode_values(&latent, points()));
+        };
+        let t = time_interleaved(iters, &mut [&mut one, &mut default]);
+        TwoCoreRow {
+            workers: decode_workers(q),
+            one_worker_best_ns: whole(t[0].1),
+            best_ns: whole(t[1].1),
+            speedup: round(t[0].1 / t[1].1, 3),
+        }
+    };
+    DecodeValues {
+        encode_median_ns: whole(encode_ns),
+        encode_to_1query_decode_ratio: round(encode_ns / rows[0].median_ns as f64, 1),
+        rows,
+        two_core_speedup: TwoCoreSpeedup {
+            available_parallelism: std::thread::available_parallelism().map_or(1, usize::from),
+            q4096: two_core(4096),
+            q16384: two_core(16384),
+        },
+        gemm_stage,
+    }
 }
 
 /// Queries of the `tape_decoder` row: with eight vertices and six lanes
 /// apiece, 49 152 GEMM rows — the size of a benchmark training step's decode.
 const TAPE_QUERIES: usize = 1024;
 
-/// The decoder on the tape as a training step with `γ > 0` runs it:
-/// `(median_ns, best_ns)` of each part.
-struct TapeDecoderBench {
-    forward: (f64, f64),
-    backward: (f64, f64),
-    /// GEMM FLOPs of one forward pass: `2 · rows · Σ in·out` over the layers
-    /// (backward runs two GEMMs, `dx` and `dW`, for each forward one).
-    forward_flops: f64,
-    /// Forward + backward of the equation loss on that decode.
-    eq_loss: (f64, f64),
-    /// Forward + backward of the one-lane decode of the same points: what
-    /// `γ = 0` pays, so `eq_loss / one_lane` is the cost of the lanes.
-    one_lane: (f64, f64),
+/// The decoder on the tape as a training step with `γ > 0` runs it: times in
+/// ms (minima unless the key says median), GEMM-GFLOP/s of forward and
+/// backward, and the equation loss against the one-lane decode `γ = 0` pays.
+#[derive(Serialize, Deserialize)]
+struct TapeDecoder {
+    queries: usize,
+    lanes: usize,
+    rows: usize,
+    forward_ms: f64,
+    forward_median_ms: f64,
+    forward_gflops: f64,
+    forward_vs_gemm_nn: f64,
+    backward_ms: f64,
+    backward_median_ms: f64,
+    backward_gflops: f64,
+    backward_vs_gemm_nn: f64,
+    eq_loss_ms: f64,
+    one_lane_ms: f64,
+    eq_loss_vs_one_lane: f64,
 }
 
 /// Times the decoder pass of a training step on the tape:
@@ -618,7 +768,7 @@ struct TapeDecoderBench {
 /// of the output — and, interleaved with it, the same tape reduced through
 /// the equation loss instead, and the one-lane `decode` of the same points.
 /// The model of the `decode_values` rows.
-fn bench_tape_decoder(iters: usize) -> TapeDecoderBench {
+fn bench_tape_decoder(iters: usize, gemm_nn_gflops: f64) -> TapeDecoder {
     let cfg = bench_decoder_config();
     let in_channels = cfg.in_channels;
     let model = MeshfreeFlowNet::new(cfg);
@@ -627,6 +777,8 @@ fn bench_tape_decoder(iters: usize) -> TapeDecoderBench {
     let grid = model.grid_dims();
     let plan = plan_queries(grid, bench_queries(TAPE_QUERIES));
     let (dec, store) = (&model.decoder, &model.store);
+    // GEMM FLOPs of one forward pass: `2 · rows · Σ in·out` over the layers
+    // (backward runs two GEMMs, `dx` and `dW`, for each forward one).
     let forward_flops = 2.0
         * (TAPE_QUERIES * 8 * JET_LANES) as f64
         * dec.mlp.layers.iter().map(|l| (l.in_features * l.out_features) as f64).sum::<f64>();
@@ -669,26 +821,47 @@ fn bench_tape_decoder(iters: usize) -> TapeDecoderBench {
         }
     }
     let [[fwd, bwd, _], [_, _, eq], [_, _, one]] = samples.map(|arm| arm.map(median_and_best));
-    TapeDecoderBench { forward: fwd, backward: bwd, forward_flops, eq_loss: eq, one_lane: one }
-}
-
-/// `(median_ns, best_ns)` of the activation kernel, of its derivative and of
-/// its feature-major form at two row lengths.
-struct SoftplusBench {
-    elements: usize,
-    forward: (f64, f64),
-    grad: (f64, f64),
-    /// `bias_softplus_features` on `[128, 512]` (a full decode block's rows).
-    features_512: (f64, f64),
-    /// The same elements as `[8192, 8]` (one query's rows).
-    features_8: (f64, f64),
-}
-
-impl SoftplusBench {
-    /// Derivative cost relative to the forward kernel; the gated ratio.
-    fn grad_ratio(&self) -> f64 {
-        self.grad.1 / self.forward.1
+    let ms = |ns: f64| round(ns / 1e6, 3);
+    let (fwd_gflops, bwd_gflops) = (forward_flops / fwd.1, 2.0 * forward_flops / bwd.1);
+    TapeDecoder {
+        queries: TAPE_QUERIES,
+        lanes: JET_LANES,
+        rows: TAPE_QUERIES * 8 * JET_LANES,
+        forward_ms: ms(fwd.1),
+        forward_median_ms: ms(fwd.0),
+        forward_gflops: round(fwd_gflops, 2),
+        forward_vs_gemm_nn: round(fwd_gflops / gemm_nn_gflops, 3),
+        backward_ms: ms(bwd.1),
+        backward_median_ms: ms(bwd.0),
+        backward_gflops: round(bwd_gflops, 2),
+        backward_vs_gemm_nn: round(bwd_gflops / gemm_nn_gflops, 3),
+        eq_loss_ms: ms(eq.1),
+        one_lane_ms: ms(one.1),
+        eq_loss_vs_one_lane: round(eq.1 / one.1, 3),
     }
+}
+
+/// The activation kernel as a slice and as the decoder's feature-major
+/// epilogue (`bias_softplus_features` on `[128, 512]`, a full decode block's
+/// rows, and on the same elements as `[8192, 8]`, one query's rows).
+#[derive(Serialize, Deserialize)]
+struct Softplus {
+    elements: usize,
+    median_ns: u64,
+    best_ns: u64,
+    ns_per_element: f64,
+    features_512_ns_per_element: f64,
+    features_8_ns_per_element: f64,
+}
+
+/// The activation's derivative; `ratio_vs_softplus` is the gated cost ratio.
+#[derive(Serialize, Deserialize)]
+struct SoftplusGrad {
+    elements: usize,
+    median_ns: u64,
+    best_ns: u64,
+    ns_per_element: f64,
+    ratio_vs_softplus: f64,
 }
 
 /// The activation kernels on their own, over 64K elements (one decode
@@ -702,7 +875,7 @@ impl SoftplusBench {
 /// branch-free, so the values matter in one way only: `σ(|x|) ≥ ½` keeps the
 /// products of a unit adjoint clear of the subnormal range, whose slow path
 /// is not what is measured, for more calls than any run makes.
-fn bench_softplus(iters: usize) -> SoftplusBench {
+fn bench_softplus(iters: usize) -> (Softplus, SoftplusGrad) {
     let n = 64 * 1024;
     let mut x = vec![0.0f32; n];
     lcg_fill(&mut x, 31);
@@ -722,27 +895,56 @@ fn bench_softplus(iters: usize) -> SoftplusBench {
             &mut || rowops::bias_softplus_features(std::hint::black_box(&mut f8), &bias),
         ],
     );
-    SoftplusBench { elements: n, forward: t[0], grad: t[1], features_512: t[2], features_8: t[3] }
+    let per = |ns: f64| round(ns / n as f64, 3);
+    let softplus = Softplus {
+        elements: n,
+        median_ns: whole(t[0].0),
+        best_ns: whole(t[0].1),
+        ns_per_element: per(t[0].1),
+        features_512_ns_per_element: per(t[2].1),
+        features_8_ns_per_element: per(t[3].1),
+    };
+    let grad = SoftplusGrad {
+        elements: n,
+        median_ns: whole(t[1].0),
+        best_ns: whole(t[1].1),
+        ns_per_element: per(t[1].1),
+        ratio_vs_softplus: round(t[1].1 / t[0].1, 3),
+    };
+    (softplus, grad)
 }
 
-/// Measured sampling rows: uniform vs residual-guided adaptive query
-/// draws, plus the per-step octree update (EMA feedback + split/merge).
-struct SamplingBench {
-    queries: usize,
-    uniform_median_ns: f64,
-    uniform_best_ns: f64,
-    adaptive_median_ns: f64,
-    adaptive_best_ns: f64,
-    leaves: usize,
-    update_median_ns: f64,
-    update_best_ns: f64,
+/// Uniform vs residual-guided adaptive query draws, plus the per-step
+/// octree update (EMA feedback + split/merge). `adaptive_overhead` (adaptive
+/// draw cost over uniform, 1.0 = free) is the gated cost ratio.
+#[derive(Serialize, Deserialize)]
+struct Sampling {
+    queries_per_draw: usize,
+    uniform: Draws,
+    adaptive: AdaptiveDraws,
+    adaptive_overhead: f64,
+    tree_update: Timing,
 }
 
-impl SamplingBench {
-    /// Adaptive draw cost relative to uniform (1.0 = free); the gated ratio.
-    fn overhead(&self) -> f64 {
-        self.adaptive_best_ns / self.uniform_best_ns
-    }
+#[derive(Serialize, Deserialize)]
+struct Draws {
+    median_ns: u64,
+    best_ns: u64,
+    points_per_s: u64,
+}
+
+#[derive(Serialize, Deserialize)]
+struct AdaptiveDraws {
+    median_ns: u64,
+    best_ns: u64,
+    points_per_s: u64,
+    octree_leaves: usize,
+}
+
+#[derive(Serialize, Deserialize)]
+struct Timing {
+    median_ns: u64,
+    best_ns: u64,
 }
 
 /// Builds an octree pre-warmed to a realistic refined shape (residual mass
@@ -763,14 +965,14 @@ fn warmed_tree(queries: usize) -> OctreeSampler {
 
 /// Times uniform vs adaptive query draws interleaved (their quotient is the
 /// gated `adaptive_overhead`), then the per-step tree update on its own.
-fn bench_sampling(iters: usize) -> SamplingBench {
+fn bench_sampling(iters: usize) -> Sampling {
     let q = 256usize;
     let mut tree = warmed_tree(q);
-    let leaves = tree.leaf_count();
+    let octree_leaves = tree.leaf_count();
     let mut uniform = mfn_data::UniformQueries;
     let mut rng_u = ChaCha8Rng::seed_from_u64(12);
     let mut rng_a = ChaCha8Rng::seed_from_u64(13);
-    let timings = time_interleaved(
+    let t = time_interleaved(
         iters,
         &mut [
             &mut || {
@@ -787,17 +989,23 @@ fn bench_sampling(iters: usize) -> SamplingBench {
     let draws = tree.draw_queries(q, &mut rng);
     let points: Vec<[f32; 3]> = draws.iter().map(|d| d.local).collect();
     let residuals: Vec<f32> = points.iter().map(|p| if p[1] < 0.2 { 1.0 } else { 0.05 }).collect();
-    let (update_median_ns, update_best_ns, _) =
-        time_samples(iters, || tree.update(&points, &residuals));
-    SamplingBench {
-        queries: q,
-        uniform_median_ns: timings[0].0,
-        uniform_best_ns: timings[0].1,
-        adaptive_median_ns: timings[1].0,
-        adaptive_best_ns: timings[1].1,
-        leaves,
-        update_median_ns,
-        update_best_ns,
+    let (update_median, update_best, _) = time_samples(iters, || tree.update(&points, &residuals));
+    let pps = |ns: f64| whole(q as f64 * 1e9 / ns);
+    Sampling {
+        queries_per_draw: q,
+        uniform: Draws {
+            median_ns: whole(t[0].0),
+            best_ns: whole(t[0].1),
+            points_per_s: pps(t[0].1),
+        },
+        adaptive: AdaptiveDraws {
+            median_ns: whole(t[1].0),
+            best_ns: whole(t[1].1),
+            points_per_s: pps(t[1].1),
+            octree_leaves,
+        },
+        adaptive_overhead: round(t[1].1 / t[0].1, 3),
+        tree_update: Timing { median_ns: whole(update_median), best_ns: whole(update_best) },
     }
 }
 
@@ -821,11 +1029,21 @@ fn train_fixture() -> (Corpus, Trainer) {
     (corpus, trainer)
 }
 
-/// Measured side of the pool on/off A/B.
+/// One full training step with the workspace pool on and off.
+#[derive(Serialize, Deserialize)]
+struct TrainStep {
+    pool_on: TrainSide,
+    pool_off: TrainSide,
+    alloc_drop_ratio: f64,
+}
+
+/// One side of the pool on/off A/B: median step time, heap traffic of one
+/// step, and the pool's counters over the whole side.
+#[derive(Serialize, Deserialize)]
 struct TrainSide {
-    median_ns: f64,
-    alloc_bytes_per_step: u64,
-    alloc_calls_per_step: u64,
+    median_ns: u64,
+    alloc_bytes: u64,
+    alloc_calls: u64,
     pool_hits: u64,
     pool_misses: u64,
 }
@@ -841,186 +1059,89 @@ fn bench_train_step(iters: usize, pool_on: bool) -> TrainSide {
     workspace::set_enabled(pool_on);
     workspace::reset_stats();
     trainer.step(&batch, corpus.params(0), corpus.stats); // warm up
-    let b0 = alloc_bytes();
-    let c0 = alloc_calls();
+    let (bytes, calls) = (&counting_alloc::BYTES, &counting_alloc::CALLS);
+    let (b0, c0) = (bytes.load(Relaxed), calls.load(Relaxed));
     trainer.step(&batch, corpus.params(0), corpus.stats);
-    let alloc_bytes_per_step = alloc_bytes() - b0;
-    let alloc_calls_per_step = alloc_calls() - c0;
+    let (alloc_bytes, alloc_calls) = (bytes.load(Relaxed) - b0, calls.load(Relaxed) - c0);
     let mut samples = Vec::with_capacity(iters);
     for _ in 0..iters {
         let t = Instant::now();
         trainer.step(&batch, corpus.params(0), corpus.stats);
         samples.push(t.elapsed().as_nanos() as f64);
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
     let s = workspace::stats();
     workspace::set_enabled(true); // leave the process in the default state
     TrainSide {
-        median_ns: samples[samples.len() / 2],
-        alloc_bytes_per_step,
-        alloc_calls_per_step,
+        median_ns: whole(median_and_best(samples).0),
+        alloc_bytes,
+        alloc_calls,
         pool_hits: s.hits,
         pool_misses: s.misses,
     }
 }
 
-/// The subset of a committed `BENCH_kernels.json` the `--gate` compare
-/// reads (extra fields in the baseline are ignored).
-#[derive(serde::Deserialize)]
-struct GateBaseline {
-    gemm: Vec<GateGemm>,
-    gemm_speedup_vs_naive: f64,
-    conv3d: GateConv,
-}
-
-/// One baseline GEMM row; the conv leg reads the blocked `gemm_nn_*` one.
-#[derive(serde::Deserialize)]
-struct GateGemm {
-    name: String,
-    gflops: f64,
-}
-
-/// Baseline conv3d row the gate's ratio is built from.
-#[derive(serde::Deserialize)]
-struct GateConv {
-    implicit_gemm: GateKernel,
-}
-
-/// One baseline kernel row: only the GFLOP/s matter to the gate.
-#[derive(serde::Deserialize)]
-struct GateKernel {
-    gflops: f64,
-}
-
-impl GateBaseline {
-    /// The conv leg: implicit-GEMM conv3d forward as a fraction of the
-    /// blocked GEMM's rate. Both keys exist in every committed schema since
-    /// v2, so the leg gates against files written before the direct kernel
-    /// (the old denominator) was deleted.
-    fn conv_vs_gemm(&self) -> Result<f64, String> {
-        let nn = self
-            .gemm
-            .iter()
-            .find(|r| r.name.starts_with("gemm_nn_"))
-            .ok_or("baseline has no gemm_nn row")?;
-        Ok(self.conv3d.implicit_gemm.gflops / nn.gflops)
-    }
-}
-
-/// Optional `sampling` section of a committed baseline. Parsed separately
-/// from [`GateBaseline`] so reports written before the adaptive sampler
-/// landed still gate the kernel ratios — the sampling leg is just skipped.
-#[derive(serde::Deserialize)]
-struct GateSamplingDoc {
-    sampling: GateSampling,
-}
-
-/// Baseline sampling row: only the overhead ratio matters to the gate.
-#[derive(serde::Deserialize)]
-struct GateSampling {
-    adaptive_overhead: f64,
-}
-
-/// Optional `softplus_grad` section of a committed baseline (reports up to
-/// schema v5 have none; the leg is then skipped).
-#[derive(serde::Deserialize)]
-struct GateSoftplusGradDoc {
-    softplus_grad: GateSoftplusGrad,
-}
-
-/// Baseline softplus-derivative row: only the cost ratio matters to the gate.
-#[derive(serde::Deserialize)]
-struct GateSoftplusGrad {
-    ratio_vs_softplus: f64,
-}
-
-/// `--gate` floor: each speedup ratio must hold at least this fraction of
-/// the committed baseline's; each cost ratio may rise to the baseline's
-/// divided by it.
+/// `--gate` margin: each speedup must hold at least this fraction of the
+/// baseline's; each cost ratio may rise to the baseline's divided by it.
 const GATE_FRACTION: f64 = 0.85;
 
-/// The ceiling legs of the gate: a cost ratio of two interleaved minima
-/// (machine speed divides out, as in the kernel legs) must not balloon past
-/// the committed baseline's. Like [`run_gate`], a ratio above the ceiling is
-/// re-measured in up to two fresh windows and the best window counts.
-fn gate_ceiling(
-    what: &str,
-    base: f64,
-    first: f64,
-    mut remeasure: impl FnMut() -> f64,
-) -> Result<(), String> {
-    let ceiling = base / GATE_FRACTION;
-    let mut now = first;
-    for attempt in 0..3 {
-        eprintln!("[gate] {what}: now {now:.2}x vs baseline {base:.2}x (ceiling {ceiling:.2}x)");
-        if now <= ceiling {
-            return Ok(());
-        }
-        if attempt < 2 {
-            eprintln!("[gate] above ceiling; re-measuring in a fresh window ...");
-            std::thread::sleep(std::time::Duration::from_millis(500));
-            now = now.min(remeasure());
-        }
-    }
-    Err(format!(
-        "{what} {now:.2}x stayed above {ceiling:.2}x (baseline {base:.2}x / {GATE_FRACTION}) \
-         across 3 windows"
-    ))
-}
+/// Where a report keeps a gated ratio.
+type GateRead = fn(&KernelsReport) -> f64;
 
-/// Compares this run's speedup *ratios* (blocked/naive GEMM, conv3d/
-/// blocked GEMM) against a committed baseline report. Ratios divide out the
-/// machine's absolute speed, so the gate catches codegen/blocking
-/// regressions without tripping on a slow CI host.
-///
-/// A shared VM can lose 30–40% of a single measurement window to steal
+/// The ratios `--gate` holds, in the order [`run_gate`] checks them: what
+/// each is, `true` for a speedup (a floor) or `false` for a cost (a
+/// ceiling), and where a report keeps it. Each is a quotient of two
+/// interleaved minima, so the machine's absolute speed divides out.
+const GATE_LEGS: [(&str, bool, GateRead); 4] = [
+    ("gemm blocked/naive", true, |r| r.gemm_speedup_vs_naive),
+    ("conv3d/gemm_nn", true, |r| r.conv3d.implicit_vs_gemm_nn),
+    ("sampling adaptive/uniform draw cost", false, |r| r.sampling.adaptive_overhead),
+    ("softplus derivative/softplus cost", false, |r| r.softplus_grad.ratio_vs_softplus),
+];
+
+/// Holds this run's [`GATE_LEGS`] against a committed baseline report of
+/// the same mode: a codegen or blocking regression fails, a slow CI host
+/// does not. A shared VM can lose 30–40% of a single measurement window to steal
 /// time, and the loss hits numerator and denominator unevenly — so a ratio
-/// below the floor is re-measured in up to two fresh windows (`remeasure`)
-/// and the gate keeps each ratio's best window before declaring a
-/// regression. A real codegen regression is below the floor in every
-/// window; a noise burst is not.
+/// past its bound is re-measured in up to two fresh windows
+/// (`remeasure(leg)`, `leg` indexing [`GATE_LEGS`]) and the gate keeps its
+/// best window before declaring a regression. A real codegen regression is
+/// past the bound in every window; a noise burst is not.
 fn run_gate(
-    path: &str,
-    baseline_text: &str,
-    first: (f64, f64),
-    mut remeasure: impl FnMut() -> (f64, f64),
+    base: &KernelsReport,
+    now: &KernelsReport,
+    mut remeasure: impl FnMut(usize) -> f64,
 ) -> Result<(), String> {
-    let base: GateBaseline =
-        serde_json::from_str(baseline_text).map_err(|e| format!("parse {path}: {e}"))?;
-    let base_conv = base.conv_vs_gemm()?;
-    let floors = (GATE_FRACTION * base.gemm_speedup_vs_naive, GATE_FRACTION * base_conv);
-    let (mut gemm_now, mut conv_now) = first;
-    for attempt in 0..3 {
-        eprintln!(
-            "[gate] gemm blocked/naive: now {gemm_now:.2}x vs baseline {:.2}x (floor {:.2}x)",
-            base.gemm_speedup_vs_naive, floors.0
-        );
-        eprintln!(
-            "[gate] conv3d/gemm_nn: now {conv_now:.3}x vs baseline {base_conv:.3}x \
-             (floor {:.3}x)",
-            floors.1
-        );
-        if gemm_now >= floors.0 && conv_now >= floors.1 {
-            return Ok(());
-        }
-        if attempt < 2 {
-            eprintln!("[gate] below floor; re-measuring in a fresh window ...");
+    if base.mode != now.mode {
+        return Err(format!(
+            "the baseline is a {:?} report and this run is {:?}: its ratios were measured at \
+             other sizes, so they gate nothing",
+            base.mode, now.mode
+        ));
+    }
+    for (leg, (what, floor, read)) in GATE_LEGS.into_iter().enumerate() {
+        let was = read(base);
+        let (bound, side) =
+            if floor { (was * GATE_FRACTION, "floor") } else { (was / GATE_FRACTION, "ceiling") };
+        let mut value = read(now);
+        for window in 1..=3 {
+            eprintln!("[gate] {what}: now {value:.3}x vs baseline {was:.3}x ({side} {bound:.3}x)");
+            if (floor && value >= bound) || (!floor && value <= bound) {
+                break;
+            }
+            if window == 3 {
+                return Err(format!(
+                    "{what} {value:.3}x stayed past its {side} {bound:.3}x (baseline {was:.3}x, \
+                     margin {GATE_FRACTION}) across 3 measurement windows"
+                ));
+            }
+            eprintln!("[gate] past the {side}; re-measuring in a fresh window ...");
             // Let a scheduler/steal burst drain before the next window.
             std::thread::sleep(std::time::Duration::from_millis(500));
-            let (g, c) = remeasure();
-            gemm_now = gemm_now.max(g);
-            conv_now = conv_now.max(c);
+            let again = remeasure(leg);
+            value = if floor { value.max(again) } else { value.min(again) };
         }
     }
-    let (what, now, floor) = if gemm_now < floors.0 {
-        ("gemm blocked/naive", gemm_now, floors.0)
-    } else {
-        ("conv3d/gemm_nn", conv_now, floors.1)
-    };
-    Err(format!(
-        "{what} speedup {now:.2}x stayed below {GATE_FRACTION}x baseline ({floor:.2}x) \
-         across 3 measurement windows"
-    ))
+    Ok(())
 }
 
 /// Rows of one full block of the no-grad decode (64 queries × 8 vertices).
@@ -1088,6 +1209,12 @@ impl GatedKernels {
         }
     }
 
+    /// The blocked GEMM on the same operands in another layout, on its own.
+    fn gemm_row(&mut self, name: &str, a_l: MatLayout, b_l: MatLayout, iters: usize) -> GemmRow {
+        let (s, a, b, c) = (self.size, &self.a, &self.b, &mut self.c_nn);
+        GemmRow::new(name, s, time_samples(iters, || gemm(s, s, s, a, a_l, b, b_l, c)))
+    }
+
     /// GEMM FLOPs of the decoder layers over one block.
     fn decode_flops(&self) -> f64 {
         let macs: usize = self.widths.windows(2).map(|w| w[0] * w[1]).sum();
@@ -1143,52 +1270,48 @@ impl GatedKernels {
         timings.into_iter().zip(bytes).map(|((median, best), b)| (median, best, b)).collect()
     }
 
-    /// `(blocked/naive GEMM, conv3d GFLOP/s / blocked GEMM GFLOP/s)` of one
-    /// [`GatedKernels::time`] result — the two ratios `--gate` holds.
-    fn ratios(&self, t: &[(f64, f64, u64)]) -> (f64, f64) {
+    /// `[blocked/naive GEMM, conv3d GFLOP/s / blocked GEMM GFLOP/s]` of one
+    /// [`GatedKernels::time`] result — the two speedups `--gate` holds, in
+    /// [`GATE_LEGS`] order.
+    fn ratios(&self, t: &[(f64, f64, u64)]) -> [f64; 2] {
         let gemm_rate = gemm_gflops(self.size, self.size, self.size, t[0].1);
-        (t[1].1 / t[0].1, self.conv_flops(&self.cweight) / t[2].1 / gemm_rate)
+        [t[1].1 / t[0].1, self.conv_flops(&self.cweight) / t[2].1 / gemm_rate]
     }
 }
 
+/// Prints `[bench] FAIL: {msg}` and exits 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("[bench] FAIL: {msg}");
+    std::process::exit(1)
+}
+
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut oracle = false;
-    let mut gate_path: Option<String> = None;
+    let (mut quick, mut oracle, mut gate_path) = (false, false, None);
     let mut out_path = String::from("BENCH_kernels.json");
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut argv = std::env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
             "--quick" => quick = true,
             "--oracle" => oracle = true,
-            "--gate" => {
-                i += 1;
-                gate_path = Some(argv.get(i).expect("--gate needs a baseline path").clone());
-            }
-            "--out" => {
-                i += 1;
-                out_path = argv.get(i).expect("--out needs a value").clone();
-            }
+            "--gate" => gate_path = Some(argv.next().expect("--gate needs a baseline path")),
+            "--out" => out_path = argv.next().expect("--out needs a value"),
             other => {
-                eprintln!(
-                    "unknown argument {other}\n\
-                     usage: bench [--quick] [--oracle] [--gate BASELINE.json] [--out PATH]"
-                );
+                eprintln!("unknown argument {other}\n{USAGE}");
                 std::process::exit(2);
             }
         }
-        i += 1;
     }
 
-    // Read the gate baseline up front: fails fast on a bad path, and stays
-    // correct when --gate and --out name the same file (CI gates against
-    // the committed report, then overwrites it with this run's).
-    let gate_baseline = gate_path.as_ref().map(|p| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("[bench] FAIL: read gate baseline {p}: {e}");
-            std::process::exit(1);
-        })
+    // Parse the gate baseline up front: fails fast on a bad path or a file
+    // that is not a report, and stays correct when --gate and --out name the
+    // same file (CI gates against the committed report, then overwrites it
+    // with this run's).
+    let baseline = gate_path.map(|path| {
+        let parsed = std::fs::read_to_string(&path).map_err(|e| e.to_string()).and_then(|text| {
+            serde_json::from_str::<KernelsReport>(&text).map_err(|e| e.to_string())
+        });
+        let report = parsed.unwrap_or_else(|e| fail(&format!("gate baseline {path}: {e}")));
+        (path, report)
     });
 
     // ---- Differential oracle gate (--oracle): every optimized kernel vs
@@ -1200,23 +1323,14 @@ fn main() {
             eprintln!("[oracle] {r}");
         }
         if !mfn_reftest::all_passed(&reports) {
-            eprintln!(
-                "[bench] FAIL: kernels diverged from reference; timings would be meaningless"
-            );
-            std::process::exit(1);
+            fail("kernels diverged from reference; timings would be meaningless");
         }
     }
 
     // ---- Correctness gates (always, before any timing) -----------------
-    eprintln!("[bench] checking blocked GEMM vs naive reference ...");
-    if let Err(e) = check_gemm_vs_naive() {
-        eprintln!("[bench] FAIL: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("[bench] checking conv3d vs its definition ...");
-    if let Err(e) = check_conv3d_vs_definition() {
-        eprintln!("[bench] FAIL: {e}");
-        std::process::exit(1);
+    eprintln!("[bench] checking blocked GEMM vs naive reference and conv3d vs its definition ...");
+    if let Err(e) = check_gemm_vs_naive().and_then(|()| check_conv3d_vs_definition()) {
+        fail(&e);
     }
 
     // ---- Kernel benchmarks ---------------------------------------------
@@ -1228,374 +1342,171 @@ fn main() {
     let decode_iters = if quick { 11 } else { 25 };
     let mut gated = GatedKernels::new(quick);
     let size = gated.size;
-    eprintln!("[bench] timing GEMM at {size}^3 and conv3d ({iters} iters each) ...");
-    let gated_timings = gated.time(iters, false);
-    let (speedup, conv_vs_gemm) = gated.ratios(&gated_timings);
-    let gemm_row = |name: &str, (median_ns, best_ns, bytes): (f64, f64, u64)| GemmRow {
-        name: format!("{name}_{size}"),
-        m: size,
-        k: size,
-        n: size,
-        median_ns,
-        best_ns,
-        gflops: gemm_gflops(size, size, size, best_ns),
-        alloc_bytes_per_call: bytes,
-    };
-    let rows = [
-        gemm_row("gemm_nn", gated_timings[0]),
-        bench_gemm("gemm_tn", size, MatLayout::Transposed, MatLayout::Normal, iters),
-        bench_gemm("gemm_nt", size, MatLayout::Normal, MatLayout::Transposed, iters),
-        gemm_row("gemm_naive_ikj", gated_timings[1]),
-    ];
-    let blocked = rows[0].gflops;
-    let naive = rows.last().expect("naive row").gflops;
-    eprintln!(
-        "[bench] GEMM {size}^3: blocked {blocked:.1} GFLOP/s vs naive {naive:.1} ({speedup:.2}x)"
-    );
+    eprintln!("[bench] timing GEMM at {size}^3, conv3d and decoder GEMMs ({iters} iters each) ...");
+    let t = gated.time(iters, false);
+    let [speedup, conv_vs_gemm] = gated.ratios(&t);
     if !quick && speedup < 2.0 {
-        eprintln!("[bench] FAIL: blocked GEMM speedup {speedup:.2}x < required 2x at {size}^3");
-        std::process::exit(1);
+        fail(&format!("blocked GEMM speedup {speedup:.2}x < required 2x at {size}^3"));
     }
-
-    // conv3d on a training-shaped layer (timed in the loop above) and its
-    // pointwise twin (same batch, channels and extent, 1×1×1 kernel):
-    // forward and both gradients.
-    let conv_row = |flops: f64, (median, best, bytes): (f64, f64, u64)| {
-        format!(
-            "{{\"median_ns\": {median:.0}, \"best_ns\": {best:.0}, \"gflops\": {:.2}, \"alloc_bytes_per_call\": {bytes}}}",
-            flops / best
-        )
+    let blocked = gemm_gflops(size, size, size, t[0].1);
+    let gemm = vec![
+        GemmRow::new("gemm_nn", size, t[0]),
+        gated.gemm_row("gemm_tn", MatLayout::Transposed, MatLayout::Normal, iters),
+        gated.gemm_row("gemm_nt", MatLayout::Normal, MatLayout::Transposed, iters),
+        GemmRow::new("gemm_naive_ikj", size, t[1]),
+    ];
+    let (flops, pw_flops) = (gated.conv_flops(&gated.cweight), gated.conv_flops(&gated.pweight));
+    let pw = gated.time(iters, true);
+    let x = gated.cinput.dims();
+    let conv3d = Conv3d {
+        shape: ConvShape {
+            n: x[0],
+            cin: x[1],
+            cout: gated.cweight.dims()[0],
+            spatial: [x[2], x[3], x[4]],
+            kernel: [3, 3, 3],
+        },
+        implicit_gemm: KernelRow::new(flops, t[2]),
+        implicit_grad_input: KernelRow::new(flops, t[3]),
+        implicit_grad_weight: KernelRow::new(flops, t[4]),
+        pointwise: PointwiseConv {
+            kernel: [1, 1, 1],
+            implicit_gemm: KernelRow::new(pw_flops, pw[2]),
+            implicit_grad_input: KernelRow::new(pw_flops, pw[3]),
+            implicit_grad_weight: KernelRow::new(pw_flops, pw[4]),
+        },
+        implicit_vs_gemm_nn: round(conv_vs_gemm, 3),
     };
-    let conv_flops = gated.conv_flops(&gated.cweight);
-    let conv_json: Vec<String> =
-        gated_timings[2..].iter().map(|&t| conv_row(conv_flops, t)).collect();
-    let conv_gflops = conv_flops / gated_timings[2].1;
-    let pointwise_flops = gated.conv_flops(&gated.pweight);
-    let pointwise_timings = gated.time(iters, true);
-    let pointwise_json: Vec<String> =
-        pointwise_timings[2..].iter().map(|&t| conv_row(pointwise_flops, t)).collect();
-    let pointwise_gflops = pointwise_flops / pointwise_timings[2].1;
-    eprintln!(
-        "[bench] conv3d fwd: 3x3x3 {conv_gflops:.2} GFLOP/s ({conv_vs_gemm:.3}x gemm_nn), \
-         1x1x1 {pointwise_gflops:.2} GFLOP/s"
-    );
+    let stage_gflops = gated.decode_flops() / t[5].1;
+    let gemm_stage = GemmStage {
+        rows: DECODE_BLOCK_ROWS,
+        median_ns: whole(t[5].0),
+        best_ns: whole(t[5].1),
+        alloc_bytes_per_call: t[5].2,
+        decode_gemm_gflops: round(stage_gflops, 2),
+        decode_vs_gemm_nn: round(stage_gflops / blocked, 3),
+    };
 
-    // The decoder's GEMM stage over one block, from the same loop.
-    let decode_gemm = gated_timings[5];
-    let decode_gemm_gflops = gated.decode_flops() / decode_gemm.1;
-    eprintln!(
-        "[bench] decoder GEMMs, one {DECODE_BLOCK_ROWS}-row block: {:.2} us, \
-         {decode_gemm_gflops:.2} GFLOP/s ({:.3}x gemm_nn)",
-        decode_gemm.1 / 1e3,
-        decode_gemm_gflops / blocked,
-    );
-
-    // ---- One U-Net encode, conv by conv and stage by stage --------------
     eprintln!("[bench] attributing one U-Net encode ({iters} iters/layer) ...");
-    let unet = bench_unet_encode(iters, blocked);
-    eprintln!(
-        "[bench] unet encode {:.1} us; its convs {:.1} us ({:.2} GFLOP/s, {:.3}x gemm_nn)",
-        unet.encode_us,
-        unet.conv_us,
-        unet.conv_gflops,
-        unet.conv_gflops / blocked,
-    );
+    let unet_encode = bench_unet_encode(iters, blocked);
 
-    // ---- Serving split: encode-once vs decode-many --------------------
     eprintln!("[bench] timing frozen encode + decode_values ({decode_iters} iters/size) ...");
-    let (encode_ns, decode_rows) = bench_decode(decode_iters);
-    {
-        let at = |q: usize| {
-            decode_rows.iter().find(|r| r.queries == q).expect("decode row").points_per_s
-        };
-        let d1 = decode_rows.first().expect("decode rows");
-        eprintln!(
-            "[bench] encode {:.0} ns vs 1-query decode {:.0} ns ({:.0}x); \
-             decode {:.3} Mpts/s at 512 queries, {:.3} Mpts/s at 4096",
-            encode_ns,
-            d1.median_ns,
-            encode_ns / d1.median_ns,
-            at(512) / 1e6,
-            at(4096) / 1e6,
-        );
-        for r in &decode_rows {
-            if let Some((one, default)) = r.one_vs_default_ns {
-                eprintln!(
-                    "[bench] decode {} queries: one worker {:.2} ms, {} workers {:.2} ms ({:.2}x)",
-                    r.queries,
-                    one / 1e6,
-                    r.workers,
-                    default / 1e6,
-                    one / default,
-                );
-            }
-        }
-    }
-    let softplus = bench_softplus(iters);
-    eprintln!(
-        "[bench] softplus: {:.3} ns/element, derivative {:.3} ns/element ({:.2}x), feature-major \
-         {:.3} (rows of 512) / {:.3} (rows of 8) over {} elements",
-        softplus.forward.1 / softplus.elements as f64,
-        softplus.grad.1 / softplus.elements as f64,
-        softplus.grad_ratio(),
-        softplus.features_512.1 / softplus.elements as f64,
-        softplus.features_8.1 / softplus.elements as f64,
-        softplus.elements,
-    );
+    let decode_values = bench_decode(decode_iters, gemm_stage);
+
+    eprintln!("[bench] timing softplus and its derivative ({iters} iters) ...");
+    let (softplus, softplus_grad) = bench_softplus(iters);
 
     // ---- The decoder on the tape: the link between the kernel rows above
     // and the training step below ----------------------------------------
     eprintln!("[bench] timing the decoder on the tape ({decode_iters} iters) ...");
-    let tape = bench_tape_decoder(decode_iters);
-    eprintln!(
-        "[bench] tape decoder at {TAPE_QUERIES} queries x {JET_LANES} lanes: forward {:.2} ms \
-         ({:.1} GFLOP/s), backward {:.2} ms ({:.1} GFLOP/s); gemm_nn {blocked:.1} GFLOP/s; \
-         equation loss {:.2} ms vs one-lane decode {:.2} ms ({:.2}x)",
-        tape.forward.1 / 1e6,
-        tape.forward_flops / tape.forward.1,
-        tape.backward.1 / 1e6,
-        2.0 * tape.forward_flops / tape.backward.1,
-        tape.eq_loss.1 / 1e6,
-        tape.one_lane.1 / 1e6,
-        tape.eq_loss.1 / tape.one_lane.1,
-    );
+    let tape_decoder = bench_tape_decoder(decode_iters, blocked);
 
-    // ---- One-train-step A/B: workspace pool on vs off ------------------
     let step_iters = if quick { 5 } else { 15 };
-    eprintln!("[bench] timing one training step, pool ON ({step_iters} iters) ...");
-    let pool_on = bench_train_step(step_iters, true);
-    eprintln!("[bench] timing one training step, pool OFF ({step_iters} iters) ...");
-    let pool_off = bench_train_step(step_iters, false);
-    let alloc_drop = if pool_off.alloc_bytes_per_step > 0 {
-        1.0 - pool_on.alloc_bytes_per_step as f64 / pool_off.alloc_bytes_per_step as f64
-    } else {
-        0.0
-    };
-    eprintln!(
-        "[bench] train step heap churn: {} B with pool vs {} B without ({:.1}% drop)",
-        pool_on.alloc_bytes_per_step,
-        pool_off.alloc_bytes_per_step,
-        100.0 * alloc_drop
-    );
+    eprintln!("[bench] timing one training step, pool on then off ({step_iters} iters each) ...");
+    let (pool_on, pool_off) =
+        (bench_train_step(step_iters, true), bench_train_step(step_iters, false));
+    let alloc_drop = 1.0 - pool_on.alloc_bytes as f64 / pool_off.alloc_bytes.max(1) as f64;
 
-    // ---- Query sampling: uniform vs residual-guided adaptive draws ------
     eprintln!("[bench] timing query sampling, uniform vs adaptive ({iters} iters) ...");
     let sampling = bench_sampling(iters);
-    eprintln!(
-        "[bench] sampling ({} pts/draw): uniform {:.1} / adaptive {:.1} Mpts/s \
-         ({:.2}x overhead, {} leaves); tree update {:.0} ns/step",
-        sampling.queries,
-        sampling.queries as f64 * 1e3 / sampling.uniform_best_ns,
-        sampling.queries as f64 * 1e3 / sampling.adaptive_best_ns,
-        sampling.overhead(),
-        sampling.leaves,
-        sampling.update_median_ns,
-    );
 
-    // ---- JSON report ----------------------------------------------------
-    let mut gemm_json = String::new();
-    for (idx, r) in rows.iter().enumerate() {
-        if idx > 0 {
-            gemm_json.push_str(",\n");
-        }
-        gemm_json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"median_ns\": {:.0}, \"best_ns\": {:.0}, \"gflops\": {:.2}, \"alloc_bytes_per_call\": {}}}",
-            r.name, r.m, r.k, r.n, r.median_ns, r.best_ns, r.gflops, r.alloc_bytes_per_call
-        ));
-    }
-    let mut decode_json = String::new();
-    for (idx, r) in decode_rows.iter().enumerate() {
-        if idx > 0 {
-            decode_json.push_str(",\n");
-        }
-        let stages: Vec<String> = DECODE_STAGES
-            .iter()
-            .zip(r.stage_ns)
-            .map(|(name, ns)| format!("\"{name}\": {:.2}", ns / 1e3))
-            .collect();
-        decode_json.push_str(&format!(
-            "    {{\"queries\": {}, \"workers\": {}, \"median_ns\": {:.0}, \"best_ns\": {:.0}, \"points_per_s\": {:.0}, \"alloc_bytes_per_call\": {}, {}}}",
-            r.queries,
-            r.workers,
-            r.median_ns,
-            r.best_ns,
-            r.points_per_s,
-            r.alloc_bytes_per_call,
-            stages.join(", "),
-        ));
-    }
-    let two_core_json: Vec<String> = decode_rows
-        .iter()
-        .filter_map(|r| {
-            let (one, default) = r.one_vs_default_ns?;
-            Some(format!(
-                "\"q{}\": {{\"workers\": {}, \"one_worker_best_ns\": {one:.0}, \"best_ns\": {default:.0}, \"speedup\": {:.3}}}",
-                r.queries,
-                r.workers,
-                one / default,
-            ))
-        })
-        .collect();
-    let two_core_json = two_core_json.join(", ");
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let json = format!(
-        "{{\n\
-         \"schema\": \"mfn-bench/kernels/v10\",\n\
-         \"mode\": \"{mode}\",\n\
-         \"count_alloc\": {count_alloc},\n\
-         \"checks\": {{\"gemm_vs_naive\": \"ok\", \"conv3d_vs_definition\": \"ok\"}},\n\
-         \"gemm\": [\n{gemm_json}\n  ],\n\
-         \"gemm_speedup_vs_naive\": {speedup:.3},\n\
-         \"conv3d\": {{\n\
-         \"shape\": {{\"n\": {cn}, \"cin\": {cin}, \"cout\": {cout}, \"spatial\": [{s0}, {s1}, {s2}], \"kernel\": [3, 3, 3]}},\n\
-         \"implicit_gemm\": {implicit_row},\n\
-         \"implicit_grad_input\": {gi_row},\n\
-         \"implicit_grad_weight\": {gw_row},\n\
-         \"pointwise\": {{\"kernel\": [1, 1, 1], \"implicit_gemm\": {pw_row}, \"implicit_grad_input\": {pw_gi_row}, \"implicit_grad_weight\": {pw_gw_row}}},\n\
-         \"implicit_vs_gemm_nn\": {conv_vs_gemm:.3}\n\
-         }},\n\
-         \"unet_encode\": {unet_json},\n\
-         \"decode_values\": {{\n\
-         \"encode_median_ns\": {encode_ns:.0},\n\
-         \"encode_to_1query_decode_ratio\": {enc_dec_ratio:.1},\n\
-         \"rows\": [\n{decode_json}\n  ],\n\
-         \"two_core_speedup\": {{\"available_parallelism\": {host_cores}, {two_core_json}}},\n\
-         \"gemm_stage\": {{\"rows\": {DECODE_BLOCK_ROWS}, \"median_ns\": {dg_med:.0}, \"best_ns\": {dg_best:.0}, \"alloc_bytes_per_call\": {dg_bytes}, \"decode_gemm_gflops\": {decode_gemm_gflops:.2}, \"decode_vs_gemm_nn\": {dg_rel:.3}}}\n\
-         }},\n\
-         \"softplus\": {{\"elements\": {sp_n}, \"median_ns\": {sp_med:.0}, \"best_ns\": {sp_best:.0}, \"ns_per_element\": {sp_per:.3}, \"features_512_ns_per_element\": {sf512_per:.3}, \"features_8_ns_per_element\": {sf8_per:.3}}},\n\
-         \"softplus_grad\": {{\"elements\": {sp_n}, \"median_ns\": {sg_med:.0}, \"best_ns\": {sg_best:.0}, \"ns_per_element\": {sg_per:.3}, \"ratio_vs_softplus\": {sg_ratio:.3}}},\n\
-         \"tape_decoder\": {{\n\
-         \"queries\": {TAPE_QUERIES}, \"lanes\": {JET_LANES}, \"rows\": {tape_rows},\n\
-         \"forward_ms\": {tf_ms:.3}, \"forward_median_ms\": {tf_med_ms:.3}, \"forward_gflops\": {tf_gf:.2}, \"forward_vs_gemm_nn\": {tf_rel:.3},\n\
-         \"backward_ms\": {tb_ms:.3}, \"backward_median_ms\": {tb_med_ms:.3}, \"backward_gflops\": {tb_gf:.2}, \"backward_vs_gemm_nn\": {tb_rel:.3},\n\
-         \"eq_loss_ms\": {te_ms:.3}, \"one_lane_ms\": {t1_ms:.3}, \"eq_loss_vs_one_lane\": {te_rel:.3}\n\
-         }},\n\
-         \"sampling\": {{\n\
-         \"queries_per_draw\": {sq},\n\
-         \"uniform\": {{\"median_ns\": {su_med:.0}, \"best_ns\": {su_best:.0}, \"points_per_s\": {su_pps:.0}}},\n\
-         \"adaptive\": {{\"median_ns\": {sa_med:.0}, \"best_ns\": {sa_best:.0}, \"points_per_s\": {sa_pps:.0}, \"octree_leaves\": {s_leaves}}},\n\
-         \"adaptive_overhead\": {s_overhead:.3},\n\
-         \"tree_update\": {{\"median_ns\": {st_med:.0}, \"best_ns\": {st_best:.0}}}\n\
-         }},\n\
-         \"train_step\": {{\n\
-         \"pool_on\": {{\"median_ns\": {on_ns:.0}, \"alloc_bytes\": {on_b}, \"alloc_calls\": {on_c}, \"pool_hits\": {on_h}, \"pool_misses\": {on_m}}},\n\
-         \"pool_off\": {{\"median_ns\": {off_ns:.0}, \"alloc_bytes\": {off_b}, \"alloc_calls\": {off_c}, \"pool_hits\": {off_h}, \"pool_misses\": {off_m}}},\n\
-         \"alloc_drop_ratio\": {alloc_drop:.4}\n\
-         }}\n\
-         }}\n",
-        mode = if quick { "quick" } else { "full" },
-        count_alloc = cfg!(feature = "count-alloc"),
-        speedup = speedup,
-        cn = gated.cinput.dims()[0],
-        cin = gated.cinput.dims()[1],
-        cout = gated.cweight.dims()[0],
-        s0 = gated.cinput.dims()[2],
-        s1 = gated.cinput.dims()[3],
-        s2 = gated.cinput.dims()[4],
-        implicit_row = conv_json[0],
-        gi_row = conv_json[1],
-        gw_row = conv_json[2],
-        pw_row = pointwise_json[0],
-        pw_gi_row = pointwise_json[1],
-        pw_gw_row = pointwise_json[2],
-        unet_json = unet.json,
-        encode_ns = encode_ns,
-        enc_dec_ratio = encode_ns / decode_rows.first().expect("decode rows").median_ns,
-        sp_n = softplus.elements,
-        sp_med = softplus.forward.0,
-        sp_best = softplus.forward.1,
-        sp_per = softplus.forward.1 / softplus.elements as f64,
-        sf512_per = softplus.features_512.1 / softplus.elements as f64,
-        sf8_per = softplus.features_8.1 / softplus.elements as f64,
-        dg_med = decode_gemm.0,
-        dg_best = decode_gemm.1,
-        dg_bytes = decode_gemm.2,
-        dg_rel = decode_gemm_gflops / blocked,
-        sg_med = softplus.grad.0,
-        sg_best = softplus.grad.1,
-        sg_per = softplus.grad.1 / softplus.elements as f64,
-        sg_ratio = softplus.grad_ratio(),
-        tape_rows = TAPE_QUERIES * 8 * JET_LANES,
-        tf_ms = tape.forward.1 / 1e6,
-        tf_med_ms = tape.forward.0 / 1e6,
-        tf_gf = tape.forward_flops / tape.forward.1,
-        tf_rel = tape.forward_flops / tape.forward.1 / blocked,
-        tb_ms = tape.backward.1 / 1e6,
-        tb_med_ms = tape.backward.0 / 1e6,
-        tb_gf = 2.0 * tape.forward_flops / tape.backward.1,
-        tb_rel = 2.0 * tape.forward_flops / tape.backward.1 / blocked,
-        te_ms = tape.eq_loss.1 / 1e6,
-        t1_ms = tape.one_lane.1 / 1e6,
-        te_rel = tape.eq_loss.1 / tape.one_lane.1,
-        sq = sampling.queries,
-        su_med = sampling.uniform_median_ns,
-        su_best = sampling.uniform_best_ns,
-        su_pps = sampling.queries as f64 * 1e9 / sampling.uniform_best_ns,
-        sa_med = sampling.adaptive_median_ns,
-        sa_best = sampling.adaptive_best_ns,
-        sa_pps = sampling.queries as f64 * 1e9 / sampling.adaptive_best_ns,
-        s_leaves = sampling.leaves,
-        s_overhead = sampling.overhead(),
-        st_med = sampling.update_median_ns,
-        st_best = sampling.update_best_ns,
-        on_ns = pool_on.median_ns,
-        on_b = pool_on.alloc_bytes_per_step,
-        on_c = pool_on.alloc_calls_per_step,
-        on_h = pool_on.pool_hits,
-        on_m = pool_on.pool_misses,
-        off_ns = pool_off.median_ns,
-        off_b = pool_off.alloc_bytes_per_step,
-        off_c = pool_off.alloc_calls_per_step,
-        off_h = pool_off.pool_hits,
-        off_m = pool_off.pool_misses,
-    );
+    let report = KernelsReport {
+        schema: SCHEMA.to_string(),
+        mode: if quick { "quick" } else { "full" }.to_string(),
+        checks: Checks { gemm_vs_naive: "ok".to_string(), conv3d_vs_definition: "ok".to_string() },
+        gemm,
+        gemm_speedup_vs_naive: round(speedup, 3),
+        conv3d,
+        unet_encode,
+        decode_values,
+        softplus,
+        softplus_grad,
+        tape_decoder,
+        sampling,
+        train_step: TrainStep { pool_on, pool_off, alloc_drop_ratio: round(alloc_drop, 4) },
+    };
+    let json = serde_json::to_string_pretty(&report).expect("a report serializes");
     std::fs::write(&out_path, &json).expect("write bench report");
     eprintln!("[bench] wrote {out_path}");
     println!("{json}");
 
-    // ---- Regression gate (--gate): speedup ratios vs the committed
-    // baseline, after the fresh report is on disk for forensics ----------
-    if let Some(path) = gate_path {
+    // ---- Regression gate (--gate): ratios vs the committed baseline,
+    // after the fresh report is on disk for forensics --------------------
+    if let Some((path, base)) = baseline {
         // Re-measure in the loop the report rows came from: each ratio's
         // numerator and denominator must share steal phases or the retry
         // windows inherit the very noise they exist to reject.
-        let remeasure = || {
-            let t = gated.time(iters, false);
-            gated.ratios(&t)
-        };
-        let baseline = gate_baseline.as_deref().expect("baseline read at startup");
-        if let Err(e) = run_gate(&path, baseline, (speedup, conv_vs_gemm), remeasure) {
-            eprintln!("[bench] FAIL: {e}");
-            std::process::exit(1);
-        }
-        // Ceiling legs. A baseline written before a section existed still
-        // gates everything it has; the missing leg is skipped.
-        let sampling_leg = serde_json::from_str::<GateSamplingDoc>(baseline).map(|doc| {
-            gate_ceiling(
-                "sampling adaptive/uniform draw cost",
-                doc.sampling.adaptive_overhead,
-                sampling.overhead(),
-                || bench_sampling(iters).overhead(),
-            )
-        });
-        let softplus_leg = serde_json::from_str::<GateSoftplusGradDoc>(baseline).map(|doc| {
-            gate_ceiling(
-                "softplus derivative/softplus cost",
-                doc.softplus_grad.ratio_vs_softplus,
-                softplus.grad_ratio(),
-                || bench_softplus(iters).grad_ratio(),
-            )
-        });
-        for (section, leg) in [("sampling", sampling_leg), ("softplus_grad", softplus_leg)] {
-            match leg {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    eprintln!("[bench] FAIL: {e}");
-                    std::process::exit(1);
-                }
-                Err(_) => eprintln!("[gate] baseline has no {section} section; skipping that leg"),
+        let remeasure = |leg: usize| match leg {
+            0 | 1 => {
+                let t = gated.time(iters, false);
+                gated.ratios(&t)[leg]
             }
+            2 => bench_sampling(iters).adaptive_overhead,
+            _ => bench_softplus(iters).1.ratio_vs_softplus,
+        };
+        if let Err(e) = run_gate(&base, &report, remeasure) {
+            fail(&e);
         }
         eprintln!("[bench] gate vs {path}: ok");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed report: the schema and the type must agree.
+    const COMMITTED: &str = include_str!("../../../../BENCH_kernels.json");
+
+    fn committed() -> KernelsReport {
+        serde_json::from_str(COMMITTED).expect("BENCH_kernels.json parses as a KernelsReport")
+    }
+
+    /// The committed report with its mode and its [`GATE_LEGS`] ratios set.
+    fn synthesized(mode: &str, [gemm, conv, sampling, softplus]: [f64; 4]) -> KernelsReport {
+        let mut r = committed();
+        r.mode = mode.to_string();
+        r.gemm_speedup_vs_naive = gemm;
+        r.conv3d.implicit_vs_gemm_nn = conv;
+        r.sampling.adaptive_overhead = sampling;
+        r.softplus_grad.ratio_vs_softplus = softplus;
+        r
+    }
+
+    #[test]
+    fn committed_report_parses_and_round_trips() {
+        assert_eq!(committed().schema, SCHEMA);
+        let report = synthesized("quick", [3.25, 0.5, 6.125, 0.75]);
+        let text = serde_json::to_string_pretty(&report).expect("serializes");
+        let back: KernelsReport = serde_json::from_str(&text).expect("parses back");
+        assert_eq!(serde_json::to_string_pretty(&back).expect("serializes"), text);
+        assert_eq!((back.mode.as_str(), back.sampling.adaptive_overhead), ("quick", 6.125));
+        // A v10 report carried one more top-level key; the gate still reads it.
+        let v10 = COMMITTED.replacen('{', r#"{"count_alloc": true,"#, 1);
+        serde_json::from_str::<KernelsReport>(&v10).expect("a v10 report parses");
+    }
+
+    #[test]
+    fn gate_holds_floors_and_ceilings() {
+        let base = synthesized("full", [5.0, 0.7, 5.0, 0.5]);
+        let within = synthesized("full", [4.3, 0.6, 1.0, 0.55]);
+        assert_eq!(run_gate(&base, &within, |_| unreachable!("nothing to re-measure")), Ok(()));
+        // A first window under the floor that a fresh one clears passes.
+        let noisy = synthesized("full", [3.0, 0.7, 5.0, 0.5]);
+        assert_eq!(run_gate(&base, &noisy, |_| 4.5), Ok(()));
+        let slow = synthesized("full", [5.0, 0.5, 5.0, 0.5]);
+        let err = run_gate(&base, &slow, |_| 0.55).expect_err("conv3d below its floor");
+        assert!(err.starts_with("conv3d/gemm_nn 0.550x stayed past its floor"), "{err}");
+        let costlier = synthesized("full", [5.0, 0.7, 5.0, 0.6]);
+        let err = run_gate(&base, &costlier, |_| 0.7).expect_err("softplus above its ceiling");
+        assert!(err.starts_with("softplus derivative/softplus cost 0.600x stayed past"), "{err}");
+    }
+
+    #[test]
+    fn gate_refuses_a_baseline_of_the_other_mode() {
+        let ratios = [5.0, 0.7, 5.0, 0.5];
+        let (full, quick) = (synthesized("full", ratios), synthesized("quick", ratios));
+        let err = run_gate(&full, &quick, |_| unreachable!()).expect_err("mode mismatch");
+        assert!(err.contains(r#"a "full" report and this run is "quick""#), "{err}");
     }
 }

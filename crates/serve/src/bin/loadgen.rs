@@ -1,69 +1,56 @@
 //! `loadgen` — drive a running `serve` instance (or a router-fronted
-//! fleet) and write a benchmark summary.
+//! fleet) and write a benchmark report. Options: [`USAGE`].
 //!
-//! ```text
-//! usage: loadgen --addr HOST:PORT [--threads N] [--duration-s N]
-//!                [--patches N] [--queries-per-req N] [--out PATH] [--strict]
-//!                [--fleet] [--rates R1,R2,...] [--conns N] [--zipf-s F]
-//!                [--seed N] [--closed-addr HOST:PORT] [--slo-ms F]
-//!                [--refine] [--refine-budgets K1,K2,...] [--refine-points N]
-//!                [--min-reduction F]
-//! ```
+//! **Rate sweep** (default; a [`FleetReport`] in `BENCH_fleet.json`), against
+//! one server or a router:
+//! 1. **Warm**: encode `--patches` deterministic patches, timing each cold
+//!    (U-Net) encode, then re-encode each once, a cache hit. `cache` keeps
+//!    both p50s and `hit_to_miss_speedup`, how much the latent cache buys.
+//!    Through a router each patch lands on its owning shard.
+//! 2. **Open loop**: for each offered rate in `--rates`, a seeded Poisson
+//!    arrival schedule fixes *when* each request is due and a
+//!    zipf(`--zipf-s`) draw over the patches fixes *which* one it queries;
+//!    latency runs from the scheduled due time, so queueing delay the server
+//!    causes counts against its tail (no coordinated omission). The whole
+//!    workload is a pure function of `--seed`. The sweep's **knee**
+//!    ([`pick_knee`]) is its best point under a 50 ms p99 SLO. Then the
+//!    per-shard cache stats (the `Stats` frame: one entry per healthy shard
+//!    behind a router, one for a single server).
+//! 3. **Closed loop**: `--threads` self-paced connections issue queries
+//!    back to back for `--duration-s`, timing per-request RTT, against
+//!    `--closed-addr` (default `--addr`). Pointing it at one shard's direct
+//!    address gives the single-server comparison the open-loop sweep cannot.
 //!
-//! **Closed-loop mode** (default) has three phases:
-//! 1. **Encode-miss**: encode `--patches` fresh deterministic patches,
-//!    timing each cold (U-Net) encode.
-//! 2. **Cache-hit**: re-encode the same patches (pure cache lookups) and
-//!    run point queries against their latents, timing both.
-//! 3. **Main**: `--threads` connections hammer queries for `--duration-s`
-//!    seconds; aggregate QPS and latency percentiles.
+//! **Refine sweep** (`--refine`; a [`RefineReport`] in `BENCH_refine.json`)
+//! sweeps the test-time physics refinement quality/latency tradeoff against a
+//! `serve --refine` instance: encode one smooth Rayleigh–Bénard-like patch,
+//! then for each step budget in `--refine-budgets` issue repeated `Refine`
+//! requests at the same deterministic query points and record the
+//! server-reported PDE residual before/after plus request latency
+//! percentiles. `--min-reduction F` fails the run unless some budget achieved
+//! at least an `F`× residual reduction — the CI quality gate for the endpoint.
 //!
-//! The summary JSON includes `hit_to_miss_speedup` — the encode-miss p50
-//! over the cache-hit p50, i.e. how much the latent cache buys. `--strict`
-//! exits nonzero when the run saw zero completed requests or any protocol
-//! error, which is how CI asserts a live end-to-end serving path.
-//!
-//! **Fleet mode** (`--fleet`) is open-loop: for each offered rate in
-//! `--rates`, a seeded Poisson arrival schedule fixes *when* each request
-//! is due and a zipf(`--zipf-s`) draw over `--patches` ranks fixes *which*
-//! patch it queries; latency is measured from the scheduled due time, so
-//! queueing delay the server causes counts against its tail (no
-//! coordinated omission). The sweep plus per-shard cache stats (via the
-//! `Stats` frame — one entry per healthy shard when `--addr` is a router)
-//! land in `BENCH_fleet.json`. The whole workload is a pure function of
-//! `--seed`.
-//!
-//! The sweep's **knee** is the highest-throughput rate point whose p99
-//! stays under the latency SLO (`--slo-ms`, default 50 ms) — raw max
-//! achieved QPS is meaningless open-loop, because an overloaded server
-//! still "achieves" high QPS while its queue (and tail) grow without
-//! bound. When every rate busts the SLO the knee falls back to the
-//! lowest-p99 point and is flagged `met_slo: false`.
-//!
-//! After the sweep, fleet mode also runs one *closed-loop* phase
-//! (`--threads` self-paced connections, per-request RTT — the exact
-//! measurement the historical `BENCH_baseline.json` used) against
-//! `--closed-addr` (default `--addr`). Pointing it at a single shard's
-//! direct address yields the apples-to-apples single-server comparison the
-//! open-loop sweep cannot provide; it lands in the `closed_loop` section.
-//!
-//! **Refine mode** (`--refine`) sweeps the test-time physics refinement
-//! quality/latency tradeoff against a `serve --refine` instance: encode one
-//! smooth Rayleigh–Bénard-like patch, then for each step budget in
-//! `--refine-budgets` issue repeated `Refine` requests at the same
-//! deterministic query points and record the server-reported PDE residual
-//! before/after plus request latency percentiles. The curve lands in the
-//! `refine` section of the output JSON. `--min-reduction F` makes the run
-//! fail unless some budget achieved at least an `F`× residual reduction —
-//! the CI quality gate for the endpoint.
+//! Every request of every loop goes through [`Conn::send`]. Either mode
+//! writes its report, then exits 1 if no request completed or any failed,
+//! which is how CI asserts a live end-to-end serving path.
 
 use mfn_core::RefineBudget;
-use mfn_serve::{ArrivalSchedule, Client, ServeError, ShardStat, SplitMix64, Zipf};
-use std::io::Write;
-use std::path::PathBuf;
-use std::sync::{Arc, Barrier};
+use mfn_serve::error::code::UNKNOWN_DIGEST;
+use mfn_serve::{
+    ArrivalSchedule, Client, ModelInfo, RefineResult, ServeError, ShardStat, SplitMix64, Zipf,
+};
+use serde::{Deserialize, Serialize};
+use std::path::{Path, PathBuf};
+use std::sync::{Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
+/// The sweep's latency SLO: the knee is the best rate whose p99 meets it.
+const SLO_MS: u64 = 50;
+
+/// `Refine` requests per step budget.
+const REFINE_REPS: usize = 8;
+
+/// Command-line options, with their defaults in [`parse`].
 struct Args {
     addr: String,
     threads: usize,
@@ -71,129 +58,92 @@ struct Args {
     patches: usize,
     queries_per_req: usize,
     out: PathBuf,
-    strict: bool,
-    fleet: bool,
     rates: Vec<f64>,
     conns: usize,
     zipf_s: f64,
     seed: u64,
     closed_addr: Option<String>,
-    slo_ms: f64,
     refine: bool,
     refine_budgets: Vec<u32>,
     refine_points: usize,
     min_reduction: f64,
 }
 
+const USAGE: &str = "usage: loadgen --addr HOST:PORT [--threads N] [--duration-s N] \
+                     [--patches N] [--queries-per-req N] [--out PATH] [--rates R1,R2,...] \
+                     [--conns N] [--zipf-s F] [--seed N] [--closed-addr HOST:PORT] [--refine] \
+                     [--refine-budgets K1,K2,...] [--refine-points N] [--min-reduction F]";
+
+/// Prints `msg` and the usage line, then exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// `text` parsed as a value of `flag`, or a usage error.
+fn value<T: std::str::FromStr>(flag: &str, text: &str) -> T {
+    text.trim().parse().unwrap_or_else(|_| usage_error(&format!("bad value {text:?} for {flag}")))
+}
+
 fn parse() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: loadgen --addr HOST:PORT [--threads N] [--duration-s N] \
-                 [--patches N] [--queries-per-req N] [--out PATH] [--strict] \
-                 [--fleet] [--rates R1,R2,...] [--conns N] [--zipf-s F] [--seed N] \
-                 [--closed-addr HOST:PORT] [--slo-ms F] [--refine] \
-                 [--refine-budgets K1,K2,...] [--refine-points N] [--min-reduction F]";
-    let mut addr = None;
-    let mut threads = 2usize;
-    let mut duration_s = 5u64;
-    let mut patches = 4usize;
-    let mut queries_per_req = 64usize;
-    let mut out = None;
-    let mut strict = false;
-    let mut fleet = false;
-    let mut rates = vec![500.0, 1000.0, 1750.0, 2500.0];
-    let mut conns = 16usize;
-    let mut zipf_s = 1.0f64;
-    let mut seed = 0x4D46_4E53u64; // "MFNS"
-    let mut closed_addr = None;
-    let mut slo_ms = 50.0f64;
-    let mut refine = false;
-    let mut refine_budgets = vec![0u32, 1, 2, 4, 8, 16, 32, 64];
-    let mut refine_points = 16usize;
-    let mut min_reduction = 0.0f64;
-    let mut i = 0;
-    let next = |argv: &[String], i: &mut usize, what: &str| -> String {
-        *i += 1;
-        argv.get(*i)
-            .unwrap_or_else(|| {
-                eprintln!("error: {what} needs a value\n{usage}");
-                std::process::exit(2);
-            })
-            .clone()
+    let mut a = Args {
+        addr: String::new(),
+        threads: 2,
+        duration_s: 5,
+        patches: 4,
+        queries_per_req: 64,
+        out: PathBuf::new(),
+        rates: vec![500.0, 1000.0, 1750.0, 2500.0],
+        conns: 16,
+        zipf_s: 1.0,
+        seed: 0x4D46_4E53, // "MFNS"
+        closed_addr: None,
+        refine: false,
+        refine_budgets: vec![0, 1, 2, 4, 8, 16, 32, 64],
+        refine_points: 16,
+        min_reduction: 0.0,
     };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => addr = Some(next(&argv, &mut i, "--addr")),
-            "--threads" => threads = next(&argv, &mut i, "--threads").parse().expect("integer"),
-            "--duration-s" => {
-                duration_s = next(&argv, &mut i, "--duration-s").parse().expect("integer")
-            }
-            "--patches" => patches = next(&argv, &mut i, "--patches").parse().expect("integer"),
-            "--queries-per-req" => {
-                queries_per_req = next(&argv, &mut i, "--queries-per-req").parse().expect("integer")
-            }
-            "--out" => out = Some(PathBuf::from(next(&argv, &mut i, "--out"))),
-            "--strict" => strict = true,
-            "--fleet" => fleet = true,
-            "--rates" => {
-                rates = next(&argv, &mut i, "--rates")
-                    .split(',')
-                    .map(|r| r.trim().parse().expect("rate"))
-                    .collect()
-            }
-            "--conns" => conns = next(&argv, &mut i, "--conns").parse().expect("integer"),
-            "--zipf-s" => zipf_s = next(&argv, &mut i, "--zipf-s").parse().expect("float"),
-            "--seed" => seed = next(&argv, &mut i, "--seed").parse().expect("integer"),
-            "--closed-addr" => closed_addr = Some(next(&argv, &mut i, "--closed-addr")),
-            "--slo-ms" => slo_ms = next(&argv, &mut i, "--slo-ms").parse().expect("float"),
-            "--refine" => refine = true,
+    let mut out = None;
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        let mut next =
+            || argv.next().unwrap_or_else(|| usage_error(&format!("{flag} needs a value")));
+        match flag.as_str() {
+            "--addr" => a.addr = next(),
+            "--threads" => a.threads = value(&flag, &next()),
+            "--duration-s" => a.duration_s = value(&flag, &next()),
+            "--patches" => a.patches = value(&flag, &next()),
+            "--queries-per-req" => a.queries_per_req = value(&flag, &next()),
+            "--out" => out = Some(PathBuf::from(next())),
+            "--rates" => a.rates = next().split(',').map(|r| value(&flag, r)).collect(),
+            "--conns" => a.conns = value(&flag, &next()),
+            "--zipf-s" => a.zipf_s = value(&flag, &next()),
+            "--seed" => a.seed = value(&flag, &next()),
+            "--closed-addr" => a.closed_addr = Some(next()),
+            "--refine" => a.refine = true,
             "--refine-budgets" => {
-                refine_budgets = next(&argv, &mut i, "--refine-budgets")
-                    .split(',')
-                    .map(|k| k.trim().parse().expect("step budget"))
-                    .collect()
+                a.refine_budgets = next().split(',').map(|k| value(&flag, k)).collect()
             }
-            "--refine-points" => {
-                refine_points = next(&argv, &mut i, "--refine-points").parse().expect("integer")
-            }
-            "--min-reduction" => {
-                min_reduction = next(&argv, &mut i, "--min-reduction").parse().expect("float")
-            }
+            "--refine-points" => a.refine_points = value(&flag, &next()),
+            "--min-reduction" => a.min_reduction = value(&flag, &next()),
             "--help" | "-h" => {
-                println!("{usage}");
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("error: unknown option {other}\n{usage}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown option {other}")),
         }
-        i += 1;
     }
-    Args {
-        addr: addr.unwrap_or_else(|| {
-            eprintln!("error: --addr is required\n{usage}");
-            std::process::exit(2);
-        }),
-        threads: threads.max(1),
-        duration_s: duration_s.max(1),
-        patches: patches.max(1),
-        queries_per_req: queries_per_req.max(1),
-        out: out.unwrap_or_else(|| {
-            PathBuf::from(if fleet { "BENCH_fleet.json" } else { "BENCH_serve.json" })
-        }),
-        strict,
-        fleet,
-        rates,
-        conns: conns.max(1),
-        zipf_s,
-        seed,
-        closed_addr,
-        slo_ms,
-        refine,
-        refine_budgets,
-        refine_points: refine_points.max(1),
-        min_reduction,
+    if a.addr.is_empty() {
+        usage_error("--addr is required");
     }
+    let default_out = if a.refine { "BENCH_refine.json" } else { "BENCH_fleet.json" };
+    a.out = out.unwrap_or_else(|| PathBuf::from(default_out));
+    for n in [&mut a.threads, &mut a.patches, &mut a.queries_per_req, &mut a.conns] {
+        *n = (*n).max(1);
+    }
+    a.refine_points = a.refine_points.max(1);
+    a.duration_s = a.duration_s.max(1);
+    a
 }
 
 /// Deterministic 64-bit LCG (same constants as the kernel bench).
@@ -226,129 +176,259 @@ fn percentile_us(sorted: &[u64], q: f64) -> u64 {
     sorted[((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1)]
 }
 
+/// `x` rounded to `places` decimals: the precision the report keeps.
+fn round(x: f64, places: i32) -> f64 {
+    let scale = 10f64.powi(places);
+    (x * scale).round() / scale
+}
+
+/// Prints `error: {msg}` and exits 1.
+fn die(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1)
+}
+
+/// Connects to `addr` and asks for the served model's shape, or exits.
+fn connect(addr: &str) -> (Client, ModelInfo) {
+    let mut client =
+        Client::connect(addr).unwrap_or_else(|e| die(format!("cannot connect to {addr}: {e}")));
+    let info = client.info().unwrap_or_else(|e| die(format!("info request failed: {e}")));
+    (client, info)
+}
+
+/// Writes `report` to `out` and stdout, then exits 1 unless some request
+/// completed and none failed.
+fn finish<T: Serialize>(out: &Path, report: &T, requests: u64, errors: u64) {
+    let json = serde_json::to_string_pretty(report).expect("a report serializes");
+    std::fs::write(out, &json).unwrap_or_else(|e| die(format!("write {}: {e}", out.display())));
+    println!("{json}");
+    eprintln!("wrote {}", out.display());
+    if requests == 0 || errors > 0 {
+        die(format!(
+            "requests = {requests}, protocol_errors = {errors} \
+             (need requests > 0 and zero errors)"
+        ));
+    }
+}
+
+/// One client connection of a load phase, and what it measured.
+struct Conn {
+    addr: String,
+    /// `None` once the connection failed and could not be reopened.
+    client: Option<Client>,
+    /// Latency of every request that succeeded, in µs.
+    lat_us: Vec<u64>,
+    errors: u64,
+}
+
+impl Conn {
+    /// A connection to `addr`; one that failed to open counts as an error.
+    fn new(addr: &str, client: Option<Client>) -> Conn {
+        Conn { addr: addr.to_string(), errors: u64::from(client.is_none()), client, lat_us: vec![] }
+    }
+
+    /// Sends one request with the standard client recovery, the one body of
+    /// every loadgen loop. A digest the server does not hold (evicted, or
+    /// owned by another shard) is re-encoded from `patch` and the request
+    /// sent again. A success records its latency since `since`; any other
+    /// error is counted and logged, and the connection reopened. Returns the
+    /// reply, or `None` on failure.
+    fn send<T>(
+        &mut self,
+        since: Instant,
+        patch: impl FnOnce() -> Vec<f32>,
+        mut request: impl FnMut(&mut Client) -> Result<T, ServeError>,
+    ) -> Option<T> {
+        let client = self.client.as_mut()?;
+        let reply = match request(client) {
+            Err(ServeError::Remote { code, .. }) if code == UNKNOWN_DIGEST => {
+                client.encode(1, &patch()).and_then(|_| request(client))
+            }
+            other => other,
+        };
+        match reply {
+            Ok(reply) => {
+                self.lat_us.push(since.elapsed().as_micros() as u64);
+                Some(reply)
+            }
+            Err(e) => {
+                self.errors += 1;
+                eprintln!("loadgen {}: {e}", self.addr);
+                self.client = Client::connect(&self.addr).ok();
+                None
+            }
+        }
+    }
+}
+
+/// Runs `body(id, start, conn)` on `n` connections to `addr`, one thread
+/// each. All connect first, then a barrier releases them at one `start`
+/// instant. Returns every latency sorted, the error count and the seconds
+/// from `start` until the last one finished.
+fn run_conns(
+    addr: &str,
+    n: usize,
+    body: impl Fn(usize, Instant, &mut Conn) + Sync,
+) -> (Vec<u64>, u64, f64) {
+    let barrier = Barrier::new(n + 1);
+    let start = OnceLock::new();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
+            .map(|id| {
+                let (barrier, start, body) = (&barrier, &start, &body);
+                s.spawn(move || {
+                    let mut conn = Conn::new(addr, Client::connect(addr).ok());
+                    barrier.wait();
+                    body(id, *start.wait(), &mut conn);
+                    conn
+                })
+            })
+            .collect();
+        barrier.wait();
+        let t0 = *start.get_or_init(Instant::now);
+        let conns: Vec<Conn> =
+            handles.into_iter().map(|h| h.join().expect("loadgen connection thread")).collect();
+        let elapsed = t0.elapsed().as_secs_f64();
+        let mut lat_us: Vec<u64> = conns.iter().flat_map(|c| c.lat_us.iter().copied()).collect();
+        lat_us.sort_unstable();
+        (lat_us, conns.iter().map(|c| c.errors).sum(), elapsed)
+    })
+}
+
+/// `BENCH_fleet.json`. The field names are the report's keys.
+#[derive(Serialize, Deserialize)]
+struct FleetReport {
+    schema: String,
+    config: FleetConfig,
+    cache: CacheEconomics,
+    sweep: Vec<RatePoint>,
+    knee: Knee,
+    closed_loop: ClosedLoop,
+    shards: Vec<ShardRow>,
+}
+
+#[derive(Serialize, Deserialize)]
+struct FleetConfig {
+    addr: String,
+    conns: usize,
+    duration_s_per_rate: u64,
+    patches: usize,
+    queries_per_req: usize,
+    zipf_s: f64,
+    seed: u64,
+    slo_ms: u64,
+}
+
+/// The warm phase: cold-encode p50 against cache-hit re-encode p50.
+#[derive(Serialize, Deserialize)]
+struct CacheEconomics {
+    encode_miss_us_p50: u64,
+    cache_hit_encode_us_p50: u64,
+    hit_to_miss_speedup: f64,
+}
+
 /// One measured point of the open-loop sweep.
+#[derive(Serialize, Deserialize)]
 struct RatePoint {
     offered_qps: f64,
     achieved_qps: f64,
     requests: u64,
-    errors: u64,
+    protocol_errors: u64,
     p50_us: u64,
     p90_us: u64,
     p99_us: u64,
     max_us: u64,
 }
 
-/// Runs one offered-load level: `count` requests due at seeded Poisson
-/// times, zipf-picked patches, spread round-robin over `conns` connections.
-/// Latency for request `i` runs from its *scheduled* due time to response
-/// receipt, so a server falling behind pays the backlog in its tail.
-#[allow(clippy::too_many_arguments)]
-fn run_rate(
-    addr: &str,
-    rate: f64,
+/// The sweep point [`pick_knee`] chose.
+#[derive(Serialize, Deserialize)]
+struct Knee {
+    offered_qps: f64,
+    achieved_qps: f64,
+    p99_us: u64,
+    slo_us: u64,
+    met_slo: bool,
+}
+
+/// Aggregate result of the closed-loop phase.
+#[derive(Serialize, Deserialize)]
+struct ClosedLoop {
+    addr: String,
+    threads: usize,
     duration_s: u64,
-    conns: usize,
-    digests: Arc<Vec<u64>>,
-    numel: usize,
-    qn: usize,
-    zipf_s: f64,
-    seed: u64,
-) -> RatePoint {
+    requests: u64,
+    protocol_errors: u64,
+    qps: f64,
+    p50_us: u64,
+    p90_us: u64,
+    p99_us: u64,
+}
+
+/// One shard's cache economics after the sweep.
+#[derive(Serialize, Deserialize)]
+struct ShardRow {
+    addr: String,
+    requests: u64,
+    errors: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    hit_rate: f64,
+    cache_len: u64,
+    decode_calls: u64,
+    batched_queries: u64,
+}
+
+impl From<ShardStat> for ShardRow {
+    fn from(s: ShardStat) -> Self {
+        let lookups = (s.cache_hits + s.cache_misses).max(1);
+        ShardRow {
+            hit_rate: round(s.cache_hits as f64 / lookups as f64, 4),
+            addr: s.addr,
+            requests: s.requests,
+            errors: s.errors,
+            cache_hits: s.cache_hits,
+            cache_misses: s.cache_misses,
+            cache_len: s.cache_len,
+            decode_calls: s.decode_calls,
+            batched_queries: s.batched_queries,
+        }
+    }
+}
+
+/// Runs one offered-load level: `count` requests due at seeded Poisson
+/// times, zipf-picked patches, spread round-robin over `--conns`
+/// connections. Latency for request `i` runs from its *scheduled* due time
+/// to response receipt, so a server falling behind pays the backlog in its
+/// tail.
+fn run_rate(args: &Args, rate: f64, digests: &[u64], numel: usize) -> RatePoint {
     // Per-rate RNG stream: the whole workload (schedule + picks) is a pure
     // function of (seed, rate), independent of thread interleaving.
-    let mut rng = SplitMix64::new(seed ^ rate.to_bits());
-    let count = ((rate * duration_s as f64) as usize).max(1);
+    let mut rng = SplitMix64::new(args.seed ^ rate.to_bits());
+    let count = ((rate * args.duration_s as f64) as usize).max(1);
     let schedule = ArrivalSchedule::new(rate, count, &mut rng);
-    let zipf = Zipf::new(digests.len(), zipf_s);
+    let zipf = Zipf::new(digests.len(), args.zipf_s);
     let picks: Vec<usize> = (0..count).map(|_| zipf.sample(&mut rng)).collect();
-    let offsets = Arc::new(schedule.offsets_us().to_vec());
-    let picks = Arc::new(picks);
-    // All senders arm on a barrier so "due time" means the same instant
-    // everywhere; the extra slot releases them from this thread.
-    let barrier = Arc::new(Barrier::new(conns + 1));
-    let start_cell = Arc::new(std::sync::OnceLock::<Instant>::new());
-
-    let handles: Vec<_> = (0..conns)
-        .map(|cid| {
-            let addr = addr.to_string();
-            let offsets = offsets.clone();
-            let picks = picks.clone();
-            let digests = digests.clone();
-            let barrier = barrier.clone();
-            let start_cell = start_cell.clone();
-            std::thread::spawn(move || {
-                let mut lat_us: Vec<u64> = Vec::new();
-                let mut errors = 0u64;
-                let mut client = match Client::connect(&addr) {
-                    Ok(c) => c,
-                    Err(_) => {
-                        barrier.wait();
-                        return (lat_us, 1u64);
-                    }
-                };
-                barrier.wait();
-                let start = *start_cell.wait();
-                let mut i = cid;
-                while i < offsets.len() {
-                    let due = start + Duration::from_micros(offsets[i]);
-                    let now = Instant::now();
-                    if due > now {
-                        std::thread::sleep(due - now);
-                    }
-                    // Query content depends only on the request index.
-                    let mut qstate = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED;
-                    let qs = gen_queries(&mut qstate, qn);
-                    let pick = picks[i];
-                    let res = match client.query(digests[pick], &qs) {
-                        // A rerouted or evicted digest misses on the shard
-                        // now owning it: re-encode in-band and continue —
-                        // the same recovery a single-server client uses.
-                        Err(ServeError::Remote { code, .. })
-                            if code == mfn_serve::error::code::UNKNOWN_DIGEST =>
-                        {
-                            let patch = gen_patch(pick, numel);
-                            client.encode_query(1, &patch, &qs).map(|_| ())
-                        }
-                        other => other.map(|_| ()),
-                    };
-                    match res {
-                        Ok(()) => {
-                            lat_us.push(due.elapsed().as_micros() as u64);
-                        }
-                        Err(e) => {
-                            errors += 1;
-                            eprintln!("loadgen conn {cid}: {e}");
-                            match Client::connect(&addr) {
-                                Ok(c) => client = c,
-                                Err(_) => break,
-                            }
-                        }
-                    }
-                    i += conns;
-                }
-                (lat_us, errors)
-            })
-        })
-        .collect();
-    barrier.wait();
-    let start = Instant::now();
-    let _ = start_cell.set(start);
-
-    let mut lat_us = Vec::new();
-    let mut errors = 0u64;
-    for h in handles {
-        let (mut l, e) = h.join().expect("loadgen conn thread");
-        lat_us.append(&mut l);
-        errors += e;
-    }
-    let elapsed = start.elapsed().as_secs_f64();
+    let offsets = schedule.offsets_us();
+    let (lat_us, errors, elapsed) = run_conns(&args.addr, args.conns, |cid, start, conn| {
+        for i in (cid..count).step_by(args.conns) {
+            if conn.client.is_none() {
+                break;
+            }
+            let due = start + Duration::from_micros(offsets[i]);
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+            // Query content depends only on the request index.
+            let mut qstate = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED;
+            let qs = gen_queries(&mut qstate, args.queries_per_req);
+            let pick = picks[i];
+            conn.send(due, || gen_patch(pick, numel), |c| c.query(digests[pick], &qs));
+        }
+    });
     let requests = lat_us.len() as u64;
-    lat_us.sort_unstable();
     RatePoint {
-        offered_qps: rate,
-        achieved_qps: requests as f64 / elapsed,
+        offered_qps: round(rate, 1),
+        achieved_qps: round(requests as f64 / elapsed, 2),
         requests,
-        errors,
+        protocol_errors: errors,
         p50_us: percentile_us(&lat_us, 0.5),
         p90_us: percentile_us(&lat_us, 0.9),
         p99_us: percentile_us(&lat_us, 0.99),
@@ -382,295 +462,148 @@ fn pick_knee(sweep: &[RatePoint], slo_us: u64) -> (usize, bool) {
     (i, false)
 }
 
-/// Aggregate result of the closed-loop comparison phase.
-struct ClosedLoop {
-    addr: String,
-    threads: usize,
-    requests: u64,
-    errors: u64,
-    qps: f64,
-    p50_us: u64,
-    p90_us: u64,
-    p99_us: u64,
-}
-
-/// Closed-loop phase: `threads` self-paced connections issue back-to-back
-/// queries over the warm digests for `duration_s`, timing per-request RTT —
-/// the measurement regime of the historical blocking-server baseline, so
-/// the resulting qps/p99 compare directly against `BENCH_baseline.json`.
-fn run_closed(
-    addr: &str,
-    threads: usize,
-    duration_s: u64,
-    digests: Arc<Vec<u64>>,
-    numel: usize,
-    qn: usize,
-) -> ClosedLoop {
-    let deadline = Instant::now() + Duration::from_secs(duration_s);
-    let t_start = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|tid| {
-            let addr = addr.to_string();
-            let digests = digests.clone();
-            std::thread::spawn(move || {
-                let mut lat_us = Vec::new();
-                let mut errors = 0u64;
-                let mut state = (tid as u64 + 1) * 0xA5A5_5A5A;
-                let mut client = match Client::connect(&addr) {
-                    Ok(c) => c,
-                    Err(_) => return (lat_us, 1u64),
-                };
-                while Instant::now() < deadline {
-                    let pick = (lcg(&mut state) as usize) % digests.len();
-                    let qs = gen_queries(&mut state, qn);
-                    let t0 = Instant::now();
-                    let res = match client.query(digests[pick], &qs) {
-                        // A digest owned by a different shard misses here
-                        // (this phase may target one shard directly): the
-                        // standard re-encode recovery warms it locally.
-                        Err(ServeError::Remote { code, .. })
-                            if code == mfn_serve::error::code::UNKNOWN_DIGEST =>
-                        {
-                            let patch = gen_patch(pick, numel);
-                            client.encode_query(1, &patch, &qs).map(|_| ())
-                        }
-                        other => other.map(|_| ()),
-                    };
-                    match res {
-                        Ok(()) => lat_us.push(t0.elapsed().as_micros() as u64),
-                        Err(e) => {
-                            errors += 1;
-                            eprintln!("closed-loop thread {tid}: {e}");
-                            match Client::connect(&addr) {
-                                Ok(c) => client = c,
-                                Err(_) => break,
-                            }
-                        }
-                    }
-                }
-                (lat_us, errors)
-            })
-        })
-        .collect();
-    let mut lat_us = Vec::new();
-    let mut errors = 0u64;
-    for h in handles {
-        let (mut l, e) = h.join().expect("closed-loop thread");
-        lat_us.append(&mut l);
-        errors += e;
-    }
-    let elapsed = t_start.elapsed().as_secs_f64();
+/// Closed-loop phase: `--threads` self-paced connections issue back-to-back
+/// queries over the warm digests for `--duration-s`, timing per-request RTT.
+fn run_closed(args: &Args, digests: &[u64], numel: usize) -> ClosedLoop {
+    let addr = args.closed_addr.as_deref().unwrap_or(&args.addr);
+    let (lat_us, errors, elapsed) = run_conns(addr, args.threads, |tid, start, conn| {
+        let deadline = start + Duration::from_secs(args.duration_s);
+        let mut state = (tid as u64 + 1) * 0xA5A5_5A5A;
+        while conn.client.is_some() && Instant::now() < deadline {
+            let pick = (lcg(&mut state) as usize) % digests.len();
+            let qs = gen_queries(&mut state, args.queries_per_req);
+            conn.send(Instant::now(), || gen_patch(pick, numel), |c| c.query(digests[pick], &qs));
+        }
+    });
     let requests = lat_us.len() as u64;
-    lat_us.sort_unstable();
     ClosedLoop {
         addr: addr.to_string(),
-        threads,
+        threads: args.threads,
+        duration_s: args.duration_s,
         requests,
-        errors,
-        qps: requests as f64 / elapsed,
+        protocol_errors: errors,
+        qps: round(requests as f64 / elapsed, 2),
         p50_us: percentile_us(&lat_us, 0.5),
         p90_us: percentile_us(&lat_us, 0.9),
         p99_us: percentile_us(&lat_us, 0.99),
     }
 }
 
-fn fleet_main(args: Args) {
-    let mut client = Client::connect(&args.addr).unwrap_or_else(|e| {
-        eprintln!("error: cannot connect to {}: {e}", args.addr);
-        std::process::exit(1);
-    });
-    let info = client.info().unwrap_or_else(|e| {
-        eprintln!("error: info request failed: {e}");
-        std::process::exit(1);
-    });
+fn sweep_main(args: &Args) {
+    let (mut client, info) = connect(&args.addr);
     let numel = (info.in_channels * info.grid[0] * info.grid[1] * info.grid[2]) as usize;
     eprintln!(
-        "fleet target: {} params, grid {:?}, patch numel {numel}, \
-         {} patches, zipf s={}, seed {}",
+        "target: {} params, grid {:?}, patch numel {numel}, {} patches, zipf s={}, seed {}",
         info.param_count, info.grid, args.patches, args.zipf_s, args.seed
     );
 
-    // Warm phase: encode every patch once so the sweep measures the
-    // steady decode path. Through a router these land on each digest's
-    // owning shard — encode-once fleet-wide.
-    let mut digests = Vec::with_capacity(args.patches);
-    for idx in 0..args.patches {
-        let patch = gen_patch(idx, numel);
-        let (digest, _) = client.encode(1, &patch).unwrap_or_else(|e| {
-            eprintln!("error: warm encode failed: {e}");
-            std::process::exit(1);
-        });
-        digests.push(digest);
+    // Warm phase: every patch encoded once so the sweep measures the steady
+    // decode path, then once more. A warm server (a rerun against the same
+    // instance) hits at once: only genuine misses enter the miss p50.
+    let (mut digests, mut miss_us, mut hit_us) = (Vec::new(), Vec::new(), Vec::new());
+    for pass in 0..2 {
+        for idx in 0..args.patches {
+            let patch = gen_patch(idx, numel);
+            let t0 = Instant::now();
+            let (digest, hit) =
+                client.encode(1, &patch).unwrap_or_else(|e| die(format!("warm encode: {e}")));
+            let us = t0.elapsed().as_micros() as u64;
+            if hit {
+                hit_us.push(us);
+            } else {
+                miss_us.push(us);
+            }
+            if pass == 0 {
+                digests.push(digest);
+            }
+        }
     }
-    let digests = Arc::new(digests);
+    miss_us.sort_unstable();
+    hit_us.sort_unstable();
+    let (miss_p50, hit_p50) = (percentile_us(&miss_us, 0.5), percentile_us(&hit_us, 0.5));
+    let cache = CacheEconomics {
+        encode_miss_us_p50: miss_p50,
+        cache_hit_encode_us_p50: hit_p50,
+        hit_to_miss_speedup: round(miss_p50 as f64 / hit_p50.max(1) as f64, 2),
+    };
 
-    let mut sweep = Vec::new();
-    for &rate in &args.rates {
-        let pt = run_rate(
-            &args.addr,
-            rate,
-            args.duration_s,
-            args.conns,
-            digests.clone(),
-            numel,
-            args.queries_per_req,
-            args.zipf_s,
-            args.seed,
-        );
-        eprintln!(
-            "offered {:.0} qps -> achieved {:.0} qps | p50 {} us, p90 {} us, \
-             p99 {} us, max {} us | {} errors",
-            pt.offered_qps, pt.achieved_qps, pt.p50_us, pt.p90_us, pt.p99_us, pt.max_us, pt.errors
-        );
-        sweep.push(pt);
-    }
+    let sweep: Vec<RatePoint> = args
+        .rates
+        .iter()
+        .map(|&rate| {
+            eprintln!("offered {rate} qps for {} s ...", args.duration_s);
+            run_rate(args, rate, &digests, numel)
+        })
+        .collect();
+    // Per-shard counters before the closed loop, so they describe the sweep.
+    let shards = client.stats().unwrap_or_else(|e| die(format!("stats request failed: {e}")));
+    eprintln!("closed loop, {} threads for {} s ...", args.threads, args.duration_s);
+    let closed_loop = run_closed(args, &digests, numel);
 
-    // Per-shard cache economics after the sweep. Against a router this is
-    // one entry per healthy shard; against a single server, one entry.
-    let shards: Vec<ShardStat> = client.stats().unwrap_or_else(|e| {
-        eprintln!("error: stats request failed: {e}");
-        std::process::exit(1);
-    });
-    for s in &shards {
-        let total = (s.cache_hits + s.cache_misses).max(1);
-        eprintln!(
-            "shard {}: {} reqs, cache {}/{} hit/miss ({:.1}% hit), \
-             {} decodes / {} points decoded",
-            s.addr,
-            s.requests,
-            s.cache_hits,
-            s.cache_misses,
-            100.0 * s.cache_hits as f64 / total as f64,
-            s.decode_calls,
-            s.batched_queries,
-        );
-    }
-
-    // Closed-loop comparison, after the stats snapshot so the per-shard
-    // counters above describe the sweep alone.
-    let closed_target = args.closed_addr.clone().unwrap_or_else(|| args.addr.clone());
-    let closed = run_closed(
-        &closed_target,
-        args.threads,
-        args.duration_s,
-        digests.clone(),
-        numel,
-        args.queries_per_req,
-    );
-    eprintln!(
-        "closed-loop vs {}: {} reqs = {:.0} qps | p50 {} us, p90 {} us, p99 {} us | {} errors",
-        closed.addr,
-        closed.requests,
-        closed.qps,
-        closed.p50_us,
-        closed.p90_us,
-        closed.p99_us,
-        closed.errors
-    );
-
-    let slo_us = (args.slo_ms * 1000.0) as u64;
+    let slo_us = SLO_MS * 1000;
     let (knee_idx, met_slo) = pick_knee(&sweep, slo_us);
-    let knee = &sweep[knee_idx];
-    eprintln!(
-        "knee @ p99<={:.0}ms SLO: offered {:.0} qps -> achieved {:.0} qps, p99 {} us{}",
-        args.slo_ms,
-        knee.offered_qps,
-        knee.achieved_qps,
-        knee.p99_us,
-        if met_slo { "" } else { " (NO rate met the SLO; lowest-p99 point shown)" },
-    );
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"mfn-bench/fleet/v2\",\n  \"config\": {\n");
-    json.push_str(&format!(
-        "    \"addr\": \"{}\",\n    \"conns\": {},\n    \"duration_s_per_rate\": {},\n    \
-         \"patches\": {},\n    \"queries_per_req\": {},\n    \"zipf_s\": {},\n    \
-         \"seed\": {},\n    \"slo_ms\": {}\n  }},\n",
-        args.addr,
-        args.conns,
-        args.duration_s,
-        args.patches,
-        args.queries_per_req,
-        args.zipf_s,
-        args.seed,
-        args.slo_ms
-    ));
-    json.push_str("  \"sweep\": [\n");
-    for (i, p) in sweep.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"offered_qps\": {:.1}, \"achieved_qps\": {:.2}, \"requests\": {}, \
-             \"protocol_errors\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \
-             \"max_us\": {} }}{}\n",
-            p.offered_qps,
-            p.achieved_qps,
-            p.requests,
-            p.errors,
-            p.p50_us,
-            p.p90_us,
-            p.p99_us,
-            p.max_us,
-            if i + 1 < sweep.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    // `knee` is the headline number; `best` keeps the old key pointing at
-    // the same (now SLO-aware) point so existing report readers still work.
-    json.push_str(&format!(
-        "  \"knee\": {{ \"offered_qps\": {:.1}, \"achieved_qps\": {:.2}, \"p99_us\": {}, \
-         \"slo_us\": {slo_us}, \"met_slo\": {met_slo} }},\n",
-        knee.offered_qps, knee.achieved_qps, knee.p99_us
-    ));
-    json.push_str(&format!(
-        "  \"best\": {{ \"offered_qps\": {:.1}, \"achieved_qps\": {:.2}, \"p99_us\": {} }},\n",
-        knee.offered_qps, knee.achieved_qps, knee.p99_us
-    ));
-    json.push_str(&format!(
-        "  \"closed_loop\": {{ \"addr\": \"{}\", \"threads\": {}, \"duration_s\": {}, \
-         \"requests\": {}, \"protocol_errors\": {}, \"qps\": {:.2}, \"p50_us\": {}, \
-         \"p90_us\": {}, \"p99_us\": {} }},\n",
-        closed.addr,
-        closed.threads,
-        args.duration_s,
-        closed.requests,
-        closed.errors,
-        closed.qps,
-        closed.p50_us,
-        closed.p90_us,
-        closed.p99_us,
-    ));
-    json.push_str("  \"shards\": [\n");
-    for (i, s) in shards.iter().enumerate() {
-        let total = (s.cache_hits + s.cache_misses).max(1);
-        json.push_str(&format!(
-            "    {{ \"addr\": \"{}\", \"requests\": {}, \"errors\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"hit_rate\": {:.4}, \"cache_len\": {}, \
-             \"decode_calls\": {}, \"batched_queries\": {} }}{}\n",
-            s.addr,
-            s.requests,
-            s.errors,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_hits as f64 / total as f64,
-            s.cache_len,
-            s.decode_calls,
-            s.batched_queries,
-            if i + 1 < shards.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&args.out, &json).expect("write BENCH_fleet.json");
-    print!("{json}");
-    let _ = std::io::stdout().flush();
-    eprintln!("wrote {}", args.out.display());
+    let k = &sweep[knee_idx];
+    let knee = Knee {
+        offered_qps: k.offered_qps,
+        achieved_qps: k.achieved_qps,
+        p99_us: k.p99_us,
+        slo_us,
+        met_slo,
+    };
+    let requests = sweep.iter().map(|p| p.requests).sum::<u64>() + closed_loop.requests;
+    let errors = sweep.iter().map(|p| p.protocol_errors).sum::<u64>() + closed_loop.protocol_errors;
+    let report = FleetReport {
+        schema: "mfn-bench/fleet/v3".to_string(),
+        config: FleetConfig {
+            addr: args.addr.clone(),
+            conns: args.conns,
+            duration_s_per_rate: args.duration_s,
+            patches: args.patches,
+            queries_per_req: args.queries_per_req,
+            zipf_s: args.zipf_s,
+            seed: args.seed,
+            slo_ms: SLO_MS,
+        },
+        cache,
+        sweep,
+        knee,
+        closed_loop,
+        shards: shards.into_iter().map(ShardRow::from).collect(),
+    };
+    finish(&args.out, &report, requests, errors);
+}
 
-    let total_requests: u64 = sweep.iter().map(|p| p.requests).sum::<u64>() + closed.requests;
-    let total_errors: u64 = sweep.iter().map(|p| p.errors).sum::<u64>() + closed.errors;
-    if args.strict && (total_requests == 0 || total_errors > 0) {
-        eprintln!(
-            "STRICT FAILURE: requests = {total_requests}, protocol_errors = {total_errors} \
-             (need requests > 0 and zero errors)"
-        );
-        std::process::exit(1);
-    }
+/// `BENCH_refine.json`. The field names are the report's keys.
+#[derive(Serialize, Deserialize)]
+struct RefineReport {
+    schema: String,
+    config: RefineConfig,
+    curve: Vec<RefinePoint>,
+    best_reduction: f64,
+    requests: u64,
+    protocol_errors: u64,
+}
+
+#[derive(Serialize, Deserialize)]
+struct RefineConfig {
+    addr: String,
+    points: usize,
+    reps_per_budget: usize,
+    seed: u64,
+    min_reduction: f64,
+}
+
+/// One measured point of the refinement quality/latency sweep.
+#[derive(Serialize, Deserialize)]
+struct RefinePoint {
+    max_steps: u32,
+    steps_run: u32,
+    steps_accepted: u32,
+    initial_residual: f64,
+    final_residual: f64,
+    reduction: f64,
+    p50_us: u64,
+    p99_us: u64,
 }
 
 /// Smooth Rayleigh–Bénard-like patch for the refinement sweep: a conductive
@@ -704,44 +637,16 @@ fn gen_smooth_patch(channels: usize, nt: usize, nz: usize, nx: usize) -> Vec<f32
     out
 }
 
-/// One measured point of the refinement quality/latency sweep.
-struct RefinePoint {
-    max_steps: u32,
-    steps_run: u32,
-    steps_accepted: u32,
-    initial_residual: f32,
-    final_residual: f32,
-    reduction: f64,
-    p50_us: u64,
-    p99_us: u64,
-}
-
 /// Refinement sweep: one smooth patch, fixed deterministic query points,
-/// repeated `Refine` calls per step budget. Quality (server-reported
+/// [`REFINE_REPS`] `Refine` calls per step budget. Quality (server-reported
 /// residual reduction) and cost (request latency) per budget land in the
-/// `refine` section of the output JSON; `--min-reduction` turns the best
-/// reduction into a pass/fail gate.
-fn refine_main(args: Args) {
-    let mut client = Client::connect(&args.addr).unwrap_or_else(|e| {
-        eprintln!("error: cannot connect to {}: {e}", args.addr);
-        std::process::exit(1);
-    });
-    let info = client.info().unwrap_or_else(|e| {
-        eprintln!("error: info request failed: {e}");
-        std::process::exit(1);
-    });
-    let (c, nt, nz, nx) = (
-        info.in_channels as usize,
-        info.grid[0] as usize,
-        info.grid[1] as usize,
-        info.grid[2] as usize,
-    );
-    let patch = gen_smooth_patch(c, nt, nz, nx);
-    let (digest, _) = client.encode(1, &patch).unwrap_or_else(|e| {
-        eprintln!("error: encode failed: {e}");
-        std::process::exit(1);
-    });
-    // Interior points well away from the FD clamp band, fixed across the
+/// `curve`; `--min-reduction` turns the best reduction into a pass/fail gate.
+fn refine_main(args: &Args) {
+    let (mut client, info) = connect(&args.addr);
+    let [nt, nz, nx] = info.grid.map(|d| d as usize);
+    let patch = gen_smooth_patch(info.in_channels as usize, nt, nz, nx);
+    let (digest, _) = client.encode(1, &patch).unwrap_or_else(|e| die(format!("encode: {e}")));
+    // Interior points well away from the patch walls, fixed across the
     // whole sweep so every budget refines against the same objective.
     let mut qstate = args.seed ^ 0x5EED;
     let qs: Vec<(usize, [f32; 3])> = (0..args.refine_points)
@@ -756,55 +661,26 @@ fn refine_main(args: Args) {
         args.refine_budgets
     );
 
-    const REPS: usize = 8;
-    let mut errors = 0u64;
+    let mut conn = Conn::new(&args.addr, Some(client));
     let mut requests = 0u64;
     let mut curve: Vec<RefinePoint> = Vec::new();
     for &k in &args.refine_budgets {
         let budget = RefineBudget { max_steps: k, tol: 0.0, max_micros: 0 };
-        let mut lat_us: Vec<u64> = Vec::new();
-        let mut first: Option<mfn_serve::RefineResult> = None;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let res = match client.refine(digest, &qs, budget) {
-                // Evicted digest: the standard re-encode recovery, then retry.
-                Err(ServeError::Remote { code, .. })
-                    if code == mfn_serve::error::code::UNKNOWN_DIGEST =>
-                {
-                    let patch = gen_smooth_patch(c, nt, nz, nx);
-                    client.encode(1, &patch).and_then(|_| client.refine(digest, &qs, budget))
-                }
-                other => other,
-            };
-            match res {
-                Ok(r) => {
-                    requests += 1;
-                    lat_us.push(t0.elapsed().as_micros() as u64);
-                    // Untimed budgets are deterministic: reruns against the
-                    // same latent must agree bit-for-bit.
-                    if let Some(f) = &first {
-                        if r.values != f.values || r.final_residual != f.final_residual {
-                            errors += 1;
-                            eprintln!(
-                                "refine sweep: nondeterministic response at budget {k} \
-                                 ({} vs {} final residual)",
-                                r.final_residual, f.final_residual
-                            );
-                        }
-                    } else {
-                        first = Some(r);
-                    }
-                }
-                Err(e) => {
-                    errors += 1;
-                    eprintln!("refine sweep: budget {k}: {e}");
-                    match Client::connect(&args.addr) {
-                        Ok(cl) => client = cl,
-                        Err(_) => break,
-                    }
-                }
+        let mut first: Option<RefineResult> = None;
+        for _ in 0..REFINE_REPS {
+            let reply =
+                conn.send(Instant::now(), || patch.clone(), |c| c.refine(digest, &qs, budget));
+            let Some(r) = reply else { continue };
+            // Untimed budgets are deterministic: reruns against the same
+            // latent must agree bit-for-bit.
+            let f = first.get_or_insert_with(|| r.clone());
+            if r.values != f.values || r.final_residual != f.final_residual {
+                conn.errors += 1;
+                eprintln!("refine sweep: nondeterministic response at budget {k}");
             }
         }
+        let mut lat_us = std::mem::take(&mut conn.lat_us);
+        requests += lat_us.len() as u64;
         let Some(r) = first else { continue };
         lat_us.sort_unstable();
         let reduction = if r.final_residual > 0.0 {
@@ -812,269 +688,48 @@ fn refine_main(args: Args) {
         } else {
             f64::INFINITY
         };
-        let pt = RefinePoint {
+        curve.push(RefinePoint {
             max_steps: k,
             steps_run: r.steps_run,
             steps_accepted: r.steps_accepted,
-            initial_residual: r.initial_residual,
-            final_residual: r.final_residual,
-            reduction,
+            initial_residual: round(r.initial_residual.into(), 6),
+            final_residual: round(r.final_residual.into(), 6),
+            reduction: round(reduction, 4),
             p50_us: percentile_us(&lat_us, 0.5),
             p99_us: percentile_us(&lat_us, 0.99),
-        };
-        eprintln!(
-            "budget {:>3}: residual {:.6} -> {:.6} ({:.2}x, {}/{} steps accepted) | \
-             p50 {} us, p99 {} us",
-            pt.max_steps,
-            pt.initial_residual,
-            pt.final_residual,
-            pt.reduction,
-            pt.steps_accepted,
-            pt.steps_run,
-            pt.p50_us,
-            pt.p99_us
-        );
-        curve.push(pt);
+        });
     }
 
     let best_reduction = curve.iter().map(|p| p.reduction).fold(0.0f64, f64::max);
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"mfn-bench/serve-refine/v1\",\n  \"config\": {\n");
-    json.push_str(&format!(
-        "    \"addr\": \"{}\",\n    \"points\": {},\n    \"reps_per_budget\": {REPS},\n    \
-         \"seed\": {},\n    \"min_reduction\": {}\n  }},\n",
-        args.addr,
-        qs.len(),
-        args.seed,
-        args.min_reduction
-    ));
-    json.push_str("  \"curve\": [\n");
-    for (i, p) in curve.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"max_steps\": {}, \"steps_run\": {}, \"steps_accepted\": {}, \
-             \"initial_residual\": {:.6}, \"final_residual\": {:.6}, \"reduction\": {:.4}, \
-             \"p50_us\": {}, \"p99_us\": {} }}{}\n",
-            p.max_steps,
-            p.steps_run,
-            p.steps_accepted,
-            p.initial_residual,
-            p.final_residual,
-            p.reduction,
-            p.p50_us,
-            p.p99_us,
-            if i + 1 < curve.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"best_reduction\": {best_reduction:.4},\n  \
-         \"requests\": {requests},\n  \"protocol_errors\": {errors}\n}}\n"
-    ));
-    std::fs::write(&args.out, &json).expect("write refine bench json");
-    print!("{json}");
-    let _ = std::io::stdout().flush();
-    eprintln!("wrote {}", args.out.display());
-
-    if args.strict && (requests == 0 || errors > 0) {
-        eprintln!(
-            "STRICT FAILURE: requests = {requests}, protocol_errors = {errors} \
-             (need requests > 0 and zero errors)"
-        );
-        std::process::exit(1);
-    }
-    if args.min_reduction > 0.0 && best_reduction < args.min_reduction {
-        eprintln!(
-            "QUALITY GATE FAILURE: best residual reduction {best_reduction:.2}x \
-             < required {:.2}x",
+    let report = RefineReport {
+        schema: "mfn-bench/serve-refine/v1".to_string(),
+        config: RefineConfig {
+            addr: args.addr.clone(),
+            points: qs.len(),
+            reps_per_budget: REFINE_REPS,
+            seed: args.seed,
+            min_reduction: args.min_reduction,
+        },
+        curve,
+        best_reduction,
+        requests,
+        protocol_errors: conn.errors,
+    };
+    finish(&args.out, &report, requests, conn.errors);
+    if best_reduction < args.min_reduction {
+        die(format!(
+            "quality gate: best residual reduction {best_reduction:.2}x < required {:.2}x",
             args.min_reduction
-        );
-        std::process::exit(1);
+        ));
     }
 }
 
 fn main() {
     let args = parse();
     if args.refine {
-        return refine_main(args);
-    }
-    if args.fleet {
-        return fleet_main(args);
-    }
-    let mut client = Client::connect(&args.addr).unwrap_or_else(|e| {
-        eprintln!("error: cannot connect to {}: {e}", args.addr);
-        std::process::exit(1);
-    });
-    let info = client.info().unwrap_or_else(|e| {
-        eprintln!("error: info request failed: {e}");
-        std::process::exit(1);
-    });
-    let numel = (info.in_channels * info.grid[0] * info.grid[1] * info.grid[2]) as usize;
-    eprintln!(
-        "server: {} params, {} trained steps, grid {:?}, patch numel {numel}",
-        info.param_count, info.trained_steps, info.grid
-    );
-
-    // Phase 1+2: encode-miss vs cache-hit latency, single connection.
-    let mut miss_us = Vec::new();
-    let mut hit_encode_us = Vec::new();
-    let mut hit_query_us = Vec::new();
-    let mut digests = Vec::new();
-    let mut qstate = 0x5EED_u64;
-    for idx in 0..args.patches {
-        let patch = gen_patch(idx, numel);
-        let t0 = Instant::now();
-        let (digest, was_hit) = client.encode(1, &patch).unwrap_or_else(|e| {
-            eprintln!("error: encode failed: {e}");
-            std::process::exit(1);
-        });
-        let us = t0.elapsed().as_micros() as u64;
-        // A warm server (rerun against the same instance) hits immediately;
-        // only genuine misses enter the miss distribution.
-        if was_hit {
-            hit_encode_us.push(us);
-        } else {
-            miss_us.push(us);
-        }
-        digests.push(digest);
-    }
-    for idx in 0..args.patches {
-        let patch = gen_patch(idx, numel);
-        let t0 = Instant::now();
-        let (_, was_hit) = client.encode(1, &patch).expect("re-encode");
-        assert!(was_hit, "second encode of identical patch must hit the cache");
-        hit_encode_us.push(t0.elapsed().as_micros() as u64);
-    }
-    for &digest in &digests {
-        for _ in 0..8 {
-            let qs = gen_queries(&mut qstate, args.queries_per_req);
-            let t0 = Instant::now();
-            client.query(digest, &qs).expect("warm query");
-            hit_query_us.push(t0.elapsed().as_micros() as u64);
-        }
-    }
-    miss_us.sort_unstable();
-    hit_encode_us.sort_unstable();
-    hit_query_us.sort_unstable();
-    let miss_p50 = percentile_us(&miss_us, 0.5);
-    let hit_enc_p50 = percentile_us(&hit_encode_us, 0.5);
-    let hit_query_p50 = percentile_us(&hit_query_us, 0.5);
-    let speedup = miss_p50 as f64 / hit_enc_p50.max(1) as f64;
-    eprintln!(
-        "encode miss p50 {miss_p50} us | cache-hit encode p50 {hit_enc_p50} us \
-         ({speedup:.1}x) | cache-hit query p50 {hit_query_p50} us"
-    );
-
-    // Phase 3: multi-threaded sustained load.
-    let deadline = Instant::now() + Duration::from_secs(args.duration_s);
-    let digests = std::sync::Arc::new(digests);
-    let t_start = Instant::now();
-    let handles: Vec<_> = (0..args.threads)
-        .map(|tid| {
-            let addr = args.addr.clone();
-            let digests = digests.clone();
-            let qn = args.queries_per_req;
-            std::thread::spawn(move || {
-                let mut requests = 0u64;
-                let mut errors = 0u64;
-                let mut lat_us = Vec::new();
-                let mut state = (tid as u64 + 1) * 0xA5A5_5A5A;
-                let mut client = match Client::connect(&addr) {
-                    Ok(c) => c,
-                    Err(_) => return (0, 1, lat_us),
-                };
-                while Instant::now() < deadline {
-                    let pick = (lcg(&mut state) as usize) % digests.len();
-                    let qs = gen_queries(&mut state, qn);
-                    let t0 = Instant::now();
-                    // 1-in-8 requests exercise the combined encode+query
-                    // path; the rest query cached latents by digest.
-                    let res = if lcg(&mut state).is_multiple_of(8) {
-                        let patch = gen_patch(pick, numel);
-                        client.encode_query(1, &patch, &qs).map(|_| ())
-                    } else {
-                        match client.query(digests[pick], &qs) {
-                            // Evicted digest (tiny cache): re-encode and go on.
-                            Err(ServeError::Remote { code, .. })
-                                if code == mfn_serve::error::code::UNKNOWN_DIGEST =>
-                            {
-                                let patch = gen_patch(pick, numel);
-                                client.encode_query(1, &patch, &qs).map(|_| ())
-                            }
-                            other => other.map(|_| ()),
-                        }
-                    };
-                    match res {
-                        Ok(()) => {
-                            requests += 1;
-                            lat_us.push(t0.elapsed().as_micros() as u64);
-                        }
-                        Err(e) => {
-                            errors += 1;
-                            eprintln!("loadgen thread {tid}: {e}");
-                            // Reconnect once; a dropped connection mid-run
-                            // otherwise poisons the remaining duration.
-                            match Client::connect(&addr) {
-                                Ok(c) => client = c,
-                                Err(_) => break,
-                            }
-                        }
-                    }
-                }
-                (requests, errors, lat_us)
-            })
-        })
-        .collect();
-    let mut requests = 0u64;
-    let mut errors = 0u64;
-    let mut lat_us = Vec::new();
-    for h in handles {
-        let (r, e, mut l) = h.join().expect("loadgen thread");
-        requests += r;
-        errors += e;
-        lat_us.append(&mut l);
-    }
-    let elapsed = t_start.elapsed().as_secs_f64();
-    lat_us.sort_unstable();
-    let qps = requests as f64 / elapsed;
-    let p50 = percentile_us(&lat_us, 0.5);
-    let p90 = percentile_us(&lat_us, 0.9);
-    let p99 = percentile_us(&lat_us, 0.99);
-    eprintln!(
-        "{requests} requests in {elapsed:.1}s = {qps:.0} qps | p50 {p50} us, \
-         p90 {p90} us, p99 {p99} us | {errors} errors"
-    );
-
-    let json = format!(
-        "{{\n  \"schema\": \"mfn-bench/serve/v1\",\n  \"config\": {{\n    \
-         \"addr\": \"{addr}\",\n    \"threads\": {threads},\n    \
-         \"duration_s\": {duration},\n    \"patches\": {patches},\n    \
-         \"queries_per_req\": {qpr}\n  }},\n  \"cache\": {{\n    \
-         \"encode_miss_us_p50\": {miss_p50},\n    \
-         \"cache_hit_encode_us_p50\": {hit_enc_p50},\n    \
-         \"cache_hit_query_us_p50\": {hit_query_p50},\n    \
-         \"hit_to_miss_speedup\": {speedup:.2}\n  }},\n  \"load\": {{\n    \
-         \"requests\": {requests},\n    \"protocol_errors\": {errors},\n    \
-         \"qps\": {qps:.2},\n    \"p50_us\": {p50},\n    \"p90_us\": {p90},\n    \
-         \"p99_us\": {p99}\n  }},\n  \"server\": {{\n    \
-         \"param_count\": {params},\n    \"trained_steps\": {steps}\n  }}\n}}\n",
-        addr = args.addr,
-        threads = args.threads,
-        duration = args.duration_s,
-        patches = args.patches,
-        qpr = args.queries_per_req,
-        params = info.param_count,
-        steps = info.trained_steps,
-    );
-    std::fs::write(&args.out, &json).expect("write BENCH_serve.json");
-    print!("{json}");
-    let _ = std::io::stdout().flush();
-    eprintln!("wrote {}", args.out.display());
-
-    if args.strict && (requests == 0 || errors > 0) {
-        eprintln!(
-            "STRICT FAILURE: requests = {requests}, protocol_errors = {errors} \
-             (need requests > 0 and zero errors)"
-        );
-        std::process::exit(1);
+        refine_main(&args);
+    } else {
+        sweep_main(&args);
     }
 }
 
@@ -1087,7 +742,7 @@ mod tests {
             offered_qps: offered,
             achieved_qps: achieved,
             requests: achieved as u64,
-            errors: 0,
+            protocol_errors: 0,
             p50_us: p99_us / 4,
             p90_us: p99_us / 2,
             p99_us,
@@ -1135,5 +790,27 @@ mod tests {
     fn fallback_tie_prefers_higher_throughput() {
         let sweep = [pt(1000.0, 900.0, 200_000), pt(2000.0, 1500.0, 200_000)];
         assert_eq!(pick_knee(&sweep, 50_000), (1, false));
+    }
+
+    /// Serializes `report`, parses it back and serializes again: the same
+    /// text, so every key the writer emits is one the type reads.
+    fn round_trips<T: Serialize + Deserialize>(report: &T) {
+        let text = serde_json::to_string_pretty(report).expect("serializes");
+        let back: T = serde_json::from_str(&text).expect("parses back");
+        assert_eq!(serde_json::to_string_pretty(&back).expect("serializes"), text);
+    }
+
+    #[test]
+    fn committed_reports_parse_as_their_types_and_round_trip() {
+        let fleet: FleetReport = serde_json::from_str(include_str!("../../../../BENCH_fleet.json"))
+            .expect("BENCH_fleet.json parses as a FleetReport");
+        assert_eq!(fleet.schema, "mfn-bench/fleet/v3");
+        assert_eq!(fleet.config.slo_ms, SLO_MS);
+        round_trips(&fleet);
+        let refine: RefineReport =
+            serde_json::from_str(include_str!("../../../../BENCH_refine.json"))
+                .expect("BENCH_refine.json parses as a RefineReport");
+        assert_eq!(refine.schema, "mfn-bench/serve-refine/v1");
+        round_trips(&refine);
     }
 }

@@ -30,7 +30,7 @@
 //!
 //! Binaries: `serve` (load a checkpoint, listen), `router` (front a shard
 //! fleet), and `loadgen` (drive a server or fleet; writes
-//! `BENCH_serve.json` / `BENCH_fleet.json`).
+//! `BENCH_fleet.json`, or `BENCH_refine.json` with `--refine`).
 
 pub mod cache;
 pub mod client;
