@@ -26,9 +26,9 @@
 //! GEMM. `--gate BASELINE.json` parses a committed report into the same
 //! [`KernelsReport`] and holds this run's *ratios* against it
 //! ([`run_gate`]): the speedups (blocked/naive GEMM, conv3d/blocked GEMM)
-//! may not drop below 85% of the baseline's, and the cost ratios
-//! (adaptive/uniform sampling, softplus derivative/softplus) may not rise
-//! above the baseline's by the same margin — ratios, not absolute GFLOP/s,
+//! may not drop below 85% of the baseline's, and the cost ratio (softplus
+//! derivative/softplus) may not rise above the baseline's by the same
+//! margin — ratios, not absolute GFLOP/s,
 //! so the gate is insensitive to how fast the CI machine is that day. A
 //! baseline of the other mode (`--quick` against full) fails the gate: its
 //! ratios were measured at other sizes.
@@ -38,8 +38,7 @@ use mfn_core::{
     decode_workers, equation_loss, plan_queries, ChannelStats, ConstraintSet, Corpus, DecodeStages,
     FrozenModel, MeshfreeFlowNet, MfnConfig, RbcParams, TrainConfig, Trainer,
 };
-use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec, QueryStrategy};
-use mfn_sample::{OctreeConfig, OctreeSampler};
+use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec};
 use mfn_solver::{simulate, RbcConfig};
 use mfn_tensor::{
     conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, rowops, workspace, Conv3dDims,
@@ -183,12 +182,12 @@ fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
 }
 
 /// Schema tag of the report this binary writes.
-const SCHEMA: &str = "mfn-bench/kernels/v11";
+const SCHEMA: &str = "mfn-bench/kernels/v12";
 
 /// `BENCH_kernels.json`. The field names are the keys (the vendored derive
 /// renames nothing) and `--gate` parses a committed report back into this
 /// type, so the writer and the gate cannot disagree on a key. Unknown keys
-/// are ignored: a v10 report (which also carried `count_alloc`) parses.
+/// are ignored: a v11 report (which also carried `sampling`) parses.
 #[derive(Serialize, Deserialize)]
 struct KernelsReport {
     schema: String,
@@ -203,7 +202,6 @@ struct KernelsReport {
     softplus: Softplus,
     softplus_grad: SoftplusGrad,
     tape_decoder: TapeDecoder,
-    sampling: Sampling,
     train_step: TrainStep,
 }
 
@@ -914,101 +912,6 @@ fn bench_softplus(iters: usize) -> (Softplus, SoftplusGrad) {
     (softplus, grad)
 }
 
-/// Uniform vs residual-guided adaptive query draws, plus the per-step
-/// octree update (EMA feedback + split/merge). `adaptive_overhead` (adaptive
-/// draw cost over uniform, 1.0 = free) is the gated cost ratio.
-#[derive(Serialize, Deserialize)]
-struct Sampling {
-    queries_per_draw: usize,
-    uniform: Draws,
-    adaptive: AdaptiveDraws,
-    adaptive_overhead: f64,
-    tree_update: Timing,
-}
-
-#[derive(Serialize, Deserialize)]
-struct Draws {
-    median_ns: u64,
-    best_ns: u64,
-    points_per_s: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct AdaptiveDraws {
-    median_ns: u64,
-    best_ns: u64,
-    points_per_s: u64,
-    octree_leaves: usize,
-}
-
-#[derive(Serialize, Deserialize)]
-struct Timing {
-    median_ns: u64,
-    best_ns: u64,
-}
-
-/// Builds an octree pre-warmed to a realistic refined shape (residual mass
-/// concentrated near one wall, the way the equation loss behaves on RBC)
-/// so the CDF walk in the timed draws crosses a split tree, not the root.
-fn warmed_tree(queries: usize) -> OctreeSampler {
-    let mut tree = OctreeSampler::new(OctreeConfig { min_count: 32, ..OctreeConfig::default() });
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
-    for _ in 0..64 {
-        let draws = tree.draw_queries(queries, &mut rng);
-        let points: Vec<[f32; 3]> = draws.iter().map(|d| d.local).collect();
-        let residuals: Vec<f32> =
-            points.iter().map(|p| if p[1] < 0.2 { 1.0 } else { 0.05 }).collect();
-        tree.update(&points, &residuals);
-    }
-    tree
-}
-
-/// Times uniform vs adaptive query draws interleaved (their quotient is the
-/// gated `adaptive_overhead`), then the per-step tree update on its own.
-fn bench_sampling(iters: usize) -> Sampling {
-    let q = 256usize;
-    let mut tree = warmed_tree(q);
-    let octree_leaves = tree.leaf_count();
-    let mut uniform = mfn_data::UniformQueries;
-    let mut rng_u = ChaCha8Rng::seed_from_u64(12);
-    let mut rng_a = ChaCha8Rng::seed_from_u64(13);
-    let t = time_interleaved(
-        iters,
-        &mut [
-            &mut || {
-                std::hint::black_box(uniform.draw_queries(q, &mut rng_u));
-            },
-            &mut || {
-                std::hint::black_box(tree.draw_queries(q, &mut rng_a));
-            },
-        ],
-    );
-    // Fixed feedback batch: the update cost is what every adaptive training
-    // step pays on top of the uniform path's loss computation.
-    let mut rng = ChaCha8Rng::seed_from_u64(14);
-    let draws = tree.draw_queries(q, &mut rng);
-    let points: Vec<[f32; 3]> = draws.iter().map(|d| d.local).collect();
-    let residuals: Vec<f32> = points.iter().map(|p| if p[1] < 0.2 { 1.0 } else { 0.05 }).collect();
-    let (update_median, update_best, _) = time_samples(iters, || tree.update(&points, &residuals));
-    let pps = |ns: f64| whole(q as f64 * 1e9 / ns);
-    Sampling {
-        queries_per_draw: q,
-        uniform: Draws {
-            median_ns: whole(t[0].0),
-            best_ns: whole(t[0].1),
-            points_per_s: pps(t[0].1),
-        },
-        adaptive: AdaptiveDraws {
-            median_ns: whole(t[1].0),
-            best_ns: whole(t[1].1),
-            points_per_s: pps(t[1].1),
-            octree_leaves,
-        },
-        adaptive_overhead: round(t[1].1 / t[0].1, 3),
-        tree_update: Timing { median_ns: whole(update_median), best_ns: whole(update_best) },
-    }
-}
-
 /// The tiny training problem used for the one-train-step benchmark.
 fn train_fixture() -> (Corpus, Trainer) {
     let sim =
@@ -1091,10 +994,9 @@ type GateRead = fn(&KernelsReport) -> f64;
 /// each is, `true` for a speedup (a floor) or `false` for a cost (a
 /// ceiling), and where a report keeps it. Each is a quotient of two
 /// interleaved minima, so the machine's absolute speed divides out.
-const GATE_LEGS: [(&str, bool, GateRead); 4] = [
+const GATE_LEGS: [(&str, bool, GateRead); 3] = [
     ("gemm blocked/naive", true, |r| r.gemm_speedup_vs_naive),
     ("conv3d/gemm_nn", true, |r| r.conv3d.implicit_vs_gemm_nn),
-    ("sampling adaptive/uniform draw cost", false, |r| r.sampling.adaptive_overhead),
     ("softplus derivative/softplus cost", false, |r| r.softplus_grad.ratio_vs_softplus),
 ];
 
@@ -1407,9 +1309,6 @@ fn main() {
         (bench_train_step(step_iters, true), bench_train_step(step_iters, false));
     let alloc_drop = 1.0 - pool_on.alloc_bytes as f64 / pool_off.alloc_bytes.max(1) as f64;
 
-    eprintln!("[bench] timing query sampling, uniform vs adaptive ({iters} iters) ...");
-    let sampling = bench_sampling(iters);
-
     let report = KernelsReport {
         schema: SCHEMA.to_string(),
         mode: if quick { "quick" } else { "full" }.to_string(),
@@ -1422,7 +1321,6 @@ fn main() {
         softplus,
         softplus_grad,
         tape_decoder,
-        sampling,
         train_step: TrainStep { pool_on, pool_off, alloc_drop_ratio: round(alloc_drop, 4) },
     };
     let json = serde_json::to_string_pretty(&report).expect("a report serializes");
@@ -1441,7 +1339,6 @@ fn main() {
                 let t = gated.time(iters, false);
                 gated.ratios(&t)[leg]
             }
-            2 => bench_sampling(iters).adaptive_overhead,
             _ => bench_softplus(iters).1.ratio_vs_softplus,
         };
         if let Err(e) = run_gate(&base, &report, remeasure) {
@@ -1463,12 +1360,11 @@ mod tests {
     }
 
     /// The committed report with its mode and its [`GATE_LEGS`] ratios set.
-    fn synthesized(mode: &str, [gemm, conv, sampling, softplus]: [f64; 4]) -> KernelsReport {
+    fn synthesized(mode: &str, [gemm, conv, softplus]: [f64; 3]) -> KernelsReport {
         let mut r = committed();
         r.mode = mode.to_string();
         r.gemm_speedup_vs_naive = gemm;
         r.conv3d.implicit_vs_gemm_nn = conv;
-        r.sampling.adaptive_overhead = sampling;
         r.softplus_grad.ratio_vs_softplus = softplus;
         r
     }
@@ -1476,35 +1372,35 @@ mod tests {
     #[test]
     fn committed_report_parses_and_round_trips() {
         assert_eq!(committed().schema, SCHEMA);
-        let report = synthesized("quick", [3.25, 0.5, 6.125, 0.75]);
+        let report = synthesized("quick", [3.25, 0.5, 0.75]);
         let text = serde_json::to_string_pretty(&report).expect("serializes");
         let back: KernelsReport = serde_json::from_str(&text).expect("parses back");
         assert_eq!(serde_json::to_string_pretty(&back).expect("serializes"), text);
-        assert_eq!((back.mode.as_str(), back.sampling.adaptive_overhead), ("quick", 6.125));
-        // A v10 report carried one more top-level key; the gate still reads it.
-        let v10 = COMMITTED.replacen('{', r#"{"count_alloc": true,"#, 1);
-        serde_json::from_str::<KernelsReport>(&v10).expect("a v10 report parses");
+        assert_eq!((back.mode.as_str(), back.softplus_grad.ratio_vs_softplus), ("quick", 0.75));
+        // A v11 report carried one more top-level key; the gate still reads it.
+        let v11 = COMMITTED.replacen('{', r#"{"sampling": {"adaptive_overhead": 6.187},"#, 1);
+        serde_json::from_str::<KernelsReport>(&v11).expect("a v11 report parses");
     }
 
     #[test]
     fn gate_holds_floors_and_ceilings() {
-        let base = synthesized("full", [5.0, 0.7, 5.0, 0.5]);
-        let within = synthesized("full", [4.3, 0.6, 1.0, 0.55]);
+        let base = synthesized("full", [5.0, 0.7, 0.5]);
+        let within = synthesized("full", [4.3, 0.6, 0.55]);
         assert_eq!(run_gate(&base, &within, |_| unreachable!("nothing to re-measure")), Ok(()));
         // A first window under the floor that a fresh one clears passes.
-        let noisy = synthesized("full", [3.0, 0.7, 5.0, 0.5]);
+        let noisy = synthesized("full", [3.0, 0.7, 0.5]);
         assert_eq!(run_gate(&base, &noisy, |_| 4.5), Ok(()));
-        let slow = synthesized("full", [5.0, 0.5, 5.0, 0.5]);
+        let slow = synthesized("full", [5.0, 0.5, 0.5]);
         let err = run_gate(&base, &slow, |_| 0.55).expect_err("conv3d below its floor");
         assert!(err.starts_with("conv3d/gemm_nn 0.550x stayed past its floor"), "{err}");
-        let costlier = synthesized("full", [5.0, 0.7, 5.0, 0.6]);
+        let costlier = synthesized("full", [5.0, 0.7, 0.6]);
         let err = run_gate(&base, &costlier, |_| 0.7).expect_err("softplus above its ceiling");
         assert!(err.starts_with("softplus derivative/softplus cost 0.600x stayed past"), "{err}");
     }
 
     #[test]
     fn gate_refuses_a_baseline_of_the_other_mode() {
-        let ratios = [5.0, 0.7, 5.0, 0.5];
+        let ratios = [5.0, 0.7, 0.5];
         let (full, quick) = (synthesized("full", ratios), synthesized("quick", ratios));
         let err = run_gate(&full, &quick, |_| unreachable!()).expect_err("mode mismatch");
         assert!(err.contains(r#"a "full" report and this run is "quick""#), "{err}");

@@ -5,18 +5,11 @@
 //! usage: train --hr PATH --lr PATH --ckpt PATH [--epochs N] [--gamma G]
 //!              [--rate LR] [--batch N] [--workers N] [--valid-frac F]
 //!              [--telemetry PATH] [--checkpoint-every N] [--resume PATH]
-//!              [--adaptive-sampling] [--sampler-epsilon E]
 //! ```
 //!
 //! With `--workers > 1`, trains data-parallel with the ring all-reduce:
 //! every worker runs the same step and epoch loop as `--workers 1` (same LR
-//! decay, same `--adaptive-sampling` behaviour, one octree per worker) on
-//! its own batch stream, and worker 0's replica is what gets saved.
-//! With `--adaptive-sampling`, query points are drawn from the
-//! residual-guided octree in `mfn-sample` instead of uniformly
-//! (`--sampler-epsilon` sets the uniform blend floor ε, default 0.2); the
-//! default remains the uniform sampler, bit-identical to builds without
-//! the feature.
+//! decay) on its own batch stream, and worker 0's replica is what gets saved.
 //! With `--valid-frac`, holds out the trailing fraction of frames and
 //! reports the physics-metric scoreboard on the held-out range.
 //! With `--telemetry`, appends one JSON object per gradient step (losses,
@@ -52,8 +45,7 @@ fn parse() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: train --hr PATH [--lr PATH] --ckpt PATH [--epochs N] \
                  [--gamma G] [--rate LR] [--batch N] [--workers N] [--valid-frac F] \
-                 [--telemetry PATH] [--checkpoint-every N] [--resume PATH] \
-                 [--adaptive-sampling] [--sampler-epsilon E]";
+                 [--telemetry PATH] [--checkpoint-every N] [--resume PATH]";
     let mut hr = None;
     let mut lr = None;
     let mut ckpt = None;
@@ -99,11 +91,6 @@ fn parse() -> Args {
                     next(&argv, &mut i, "--checkpoint-every").parse().expect("integer")
             }
             "--resume" => resume = Some(PathBuf::from(next(&argv, &mut i, "--resume"))),
-            "--adaptive-sampling" => tc.adaptive_sampling = true,
-            "--sampler-epsilon" => {
-                tc.sampler_epsilon =
-                    next(&argv, &mut i, "--sampler-epsilon").parse().expect("float")
-            }
             "--help" | "-h" => {
                 println!("{usage}");
                 std::process::exit(0);
@@ -159,9 +146,6 @@ fn main() {
         "HR [{} x {} x {}], LR [{} x {} x {}], gamma = {}",
         hr.meta.nt, hr.meta.nz, hr.meta.nx, lr.meta.nt, lr.meta.nz, lr.meta.nx, args.gamma
     );
-    if args.tc.adaptive_sampling {
-        eprintln!("adaptive query sampling on (epsilon = {})", args.tc.sampler_epsilon);
-    }
     // Patch shape adapted to the LR grid.
     let patch = PatchSpec {
         nt: lr.meta.nt.min(4),

@@ -29,9 +29,9 @@ use std::path::{Path, PathBuf};
 const STATE_MAGIC: &[u8; 8] = b"MFNSTAT1";
 /// Frame format version.
 const STATE_VERSION: u32 = 1;
-/// Magic of the optional trailing adaptive-sampler section. Absent for
-/// uniform-sampling runs, so their checkpoints stay byte-identical to the
-/// pre-sampler format (and old checkpoints keep loading).
+/// Magic of the trailing section the removed adaptive query sampler
+/// appended after the Adam block. Only recognized, so that such a payload
+/// is refused by name instead of as trailing garbage.
 const SAMPLER_MAGIC: &[u8; 8] = b"MFNSMPL1";
 
 /// Why a checkpoint could not be written or restored.
@@ -109,10 +109,6 @@ pub struct TrainStateMeta {
     /// Sampler stream positions — one for a single-process trainer, one per
     /// logical rank for the distributed supervisor.
     pub rngs: Vec<RngState>,
-    /// Serialized adaptive-sampler (octree) states, one per rank, mirroring
-    /// `rngs`. Empty for uniform-sampling runs — then no `MFNSMPL1` section
-    /// is written and the payload is byte-identical to the legacy format.
-    pub samplers: Vec<Vec<u8>>,
 }
 
 /// Serializes model + optimizer + loop position into a checkpoint payload
@@ -131,100 +127,34 @@ pub fn encode_train_state(model: &MeshfreeFlowNet, opt: &Adam, meta: &TrainState
     write_params(&model.store, &mut buf).expect("vec write");
     model.write_bn_stats(&mut buf).expect("vec write");
     write_adam(opt, &mut buf).expect("vec write");
-    if !meta.samplers.is_empty() {
-        buf.write_all(SAMPLER_MAGIC).expect("vec write");
-        buf.write_all(&(meta.samplers.len() as u64).to_le_bytes()).expect("vec write");
-        for s in &meta.samplers {
-            buf.write_all(&(s.len() as u64).to_le_bytes()).expect("vec write");
-            buf.write_all(s).expect("vec write");
-        }
-    }
     buf
 }
 
-/// Reads the optional trailing `MFNSMPL1` sampler section. Clean EOF at the
-/// section boundary means a legacy/uniform payload (no section → empty vec);
-/// anything partial or mislabeled is corruption.
-fn read_sampler_section(r: &mut impl Read) -> Result<Vec<Vec<u8>>, CheckpointError> {
-    let mut magic = [0u8; 8];
-    let mut got = 0usize;
-    while got < 8 {
-        match r.read(&mut magic[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(CheckpointError::Io(e)),
-        }
-    }
-    if got == 0 {
-        return Ok(Vec::new());
-    }
-    if got < 8 {
-        return Err(CheckpointError::Corrupt(format!(
-            "trailing section header truncated at {got} bytes"
-        )));
-    }
-    if &magic != SAMPLER_MAGIC {
-        return Err(CheckpointError::Corrupt("bad sampler-section magic".into()));
-    }
-    let u64le = |r: &mut dyn Read| -> Result<u64, CheckpointError> {
-        let mut b = [0u8; 8];
-        r.read_exact(&mut b).map_err(decode_err)?;
-        Ok(u64::from_le_bytes(b))
-    };
-    let count = u64le(r)? as usize;
-    if count == 0 || count > 1 << 20 {
-        return Err(CheckpointError::Corrupt(format!("implausible sampler count {count}")));
-    }
-    let mut samplers = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = u64le(r)? as usize;
-        if len > 1 << 30 {
-            return Err(CheckpointError::Corrupt(format!("implausible sampler size {len}")));
-        }
-        let mut bytes = vec![0u8; len];
-        r.read_exact(&mut bytes).map_err(decode_err)?;
-        samplers.push(bytes);
-    }
-    Ok(samplers)
-}
-
 /// Restores a payload produced by [`encode_train_state`] into `model`,
-/// returning the rebuilt optimizer and loop metadata.
+/// returning the rebuilt optimizer and loop metadata: the
+/// [`decode_inference_state`] prefix, then the Adam block, which must end
+/// the payload. A payload that goes on with the removed adaptive sampler's
+/// `MFNSMPL1` section is `Incompatible`; any other trailing bytes are
+/// `Corrupt`.
 pub fn decode_train_state(
     model: &mut MeshfreeFlowNet,
     r: &mut impl Read,
 ) -> Result<(Adam, TrainStateMeta), CheckpointError> {
-    let u64le = |r: &mut dyn Read| -> Result<u64, CheckpointError> {
-        let mut b = [0u8; 8];
-        r.read_exact(&mut b).map_err(decode_err)?;
-        Ok(u64::from_le_bytes(b))
-    };
-    let global_step = u64le(r)?;
-    let epoch = u64le(r)? as usize;
-    let batch_cursor = u64le(r)? as usize;
-    let n_rngs = u64le(r)? as usize;
-    if n_rngs == 0 || n_rngs > 1 << 20 {
-        return Err(CheckpointError::Corrupt(format!("implausible RNG count {n_rngs}")));
-    }
-    let mut rngs = Vec::with_capacity(n_rngs);
-    for _ in 0..n_rngs {
-        let seed = u64le(r)?;
-        let words = u64le(r)?;
-        rngs.push(RngState { seed, words });
-    }
-    read_params(&mut model.store, r).map_err(decode_err)?;
-    model.read_bn_stats(r).map_err(decode_err)?;
+    let meta = decode_inference_state(model, r)?;
     let opt = read_adam(&model.store, r).map_err(decode_err)?;
-    let samplers = read_sampler_section(r)?;
-    if !samplers.is_empty() && samplers.len() != rngs.len() {
-        return Err(CheckpointError::Corrupt(format!(
-            "{} sampler states for {} RNG streams",
-            samplers.len(),
-            rngs.len()
-        )));
+    let mut tail = Vec::new();
+    r.take(SAMPLER_MAGIC.len() as u64).read_to_end(&mut tail)?;
+    if tail == SAMPLER_MAGIC {
+        return Err(CheckpointError::Incompatible(
+            "checkpoint carries an MFNSMPL1 section of the removed adaptive query sampler; \
+             this build draws query points uniformly and cannot continue that run"
+                .into(),
+        ));
     }
-    Ok((opt, TrainStateMeta { global_step, epoch, batch_cursor, rngs, samplers }))
+    if !tail.is_empty() {
+        return Err(CheckpointError::Corrupt("trailing payload bytes after the Adam state".into()));
+    }
+    Ok((opt, meta))
 }
 
 /// Restores only the inference-relevant slice of a train-state payload —
@@ -257,7 +187,7 @@ pub fn decode_inference_state(
     }
     read_params(&mut model.store, r).map_err(decode_err)?;
     model.read_bn_stats(r).map_err(decode_err)?;
-    Ok(TrainStateMeta { global_step, epoch, batch_cursor, rngs, samplers: Vec::new() })
+    Ok(TrainStateMeta { global_step, epoch, batch_cursor, rngs })
 }
 
 /// The rotation target for the previous good checkpoint.
@@ -427,7 +357,6 @@ mod tests {
             epoch: 1,
             batch_cursor: 2,
             rngs: vec![RngState { seed: 3, words: 11 }],
-            samplers: Vec::new(),
         };
         let dir = tmpdir("drift");
         let path = dir.join("state.ckpt");
@@ -467,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn sampler_section_roundtrips_and_legacy_payloads_still_load() {
+    fn payload_must_end_after_the_adam_state() {
         use crate::config::MfnConfig;
         use crate::model::MeshfreeFlowNet;
         use mfn_autodiff::{Adam, AdamConfig};
@@ -481,47 +410,33 @@ mod tests {
         cfg.levels = 2;
         let model = MeshfreeFlowNet::new(cfg.clone());
         let opt = Adam::new(&model.store, AdamConfig::default());
-
-        let plain = TrainStateMeta {
+        let meta = TrainStateMeta {
             global_step: 3,
             epoch: 0,
             batch_cursor: 3,
             rngs: vec![RngState { seed: 5, words: 17 }],
-            samplers: Vec::new(),
         };
-        let with_tree = TrainStateMeta { samplers: vec![vec![1u8, 2, 3, 4, 5]], ..plain.clone() };
+        let payload = encode_train_state(&model, &opt, &meta);
+        let decode = |bytes: &[u8]| {
+            let mut m = MeshfreeFlowNet::new(cfg.clone());
+            decode_train_state(&mut m, &mut &bytes[..]).map(|(_, meta)| meta)
+        };
+        assert_eq!(decode(&payload).expect("decode"), meta);
 
-        let legacy = encode_train_state(&model, &opt, &plain);
-        let extended = encode_train_state(&model, &opt, &with_tree);
-        // The sampler section strictly appends: uniform runs write the
-        // legacy bytes, adaptive runs the legacy bytes plus the section.
-        assert!(extended.starts_with(&legacy));
-        assert!(extended.len() > legacy.len());
-
-        let mut m = MeshfreeFlowNet::new(cfg.clone());
-        let (_, meta) =
-            decode_train_state(&mut m, &mut std::io::Cursor::new(&extended)).expect("decode");
-        assert_eq!(meta, with_tree);
-        let mut m = MeshfreeFlowNet::new(cfg.clone());
-        let (_, meta) =
-            decode_train_state(&mut m, &mut std::io::Cursor::new(&legacy)).expect("legacy");
-        assert_eq!(meta, plain);
-
-        // A sampler count that disagrees with the RNG streams is corruption.
-        let two = TrainStateMeta { samplers: vec![vec![1], vec![2]], ..plain.clone() };
-        let bad = encode_train_state(&model, &opt, &two);
-        let mut m = MeshfreeFlowNet::new(cfg.clone());
-        assert!(matches!(
-            decode_train_state(&mut m, &mut std::io::Cursor::new(&bad)),
-            Err(CheckpointError::Corrupt(_))
-        ));
-        // A truncated sampler section is corruption, not a clean load.
-        let cut = &extended[..extended.len() - 2];
-        let mut m = MeshfreeFlowNet::new(cfg);
-        assert!(matches!(
-            decode_train_state(&mut m, &mut std::io::Cursor::new(cut)),
-            Err(CheckpointError::Corrupt(_))
-        ));
+        // A section of the removed adaptive sampler is refused by name; any
+        // other tail, however short, is damage.
+        let mut with_sampler = payload.clone();
+        with_sampler.extend_from_slice(SAMPLER_MAGIC);
+        with_sampler.extend_from_slice(&u64::MAX.to_le_bytes());
+        match decode(&with_sampler) {
+            Err(CheckpointError::Incompatible(m)) => assert!(m.contains("adaptive"), "{m}"),
+            other => panic!("expected Incompatible, got {other:?}"),
+        }
+        for tail in [&b"M"[..], b"MFNSMPL", b"MFNSMPL2"] {
+            let mut bytes = payload.clone();
+            bytes.extend_from_slice(tail);
+            assert!(matches!(decode(&bytes), Err(CheckpointError::Corrupt(_))), "{tail:?}");
+        }
     }
 
     #[test]

@@ -241,13 +241,6 @@ pub struct TrainConfig {
     /// disables). Takes effect only when the trainer has a checkpoint path
     /// (see `Trainer::with_checkpointing`).
     pub checkpoint_every: usize,
-    /// Draw query points from the residual-guided octree sampler
-    /// (`mfn-sample`) instead of uniformly. Off by default; the uniform
-    /// path is bit-identical to a build without the sampler.
-    pub adaptive_sampling: bool,
-    /// Uniform blend floor `ε` of the adaptive sampler (ignored when
-    /// `adaptive_sampling` is off).
-    pub sampler_epsilon: f32,
 }
 
 impl Default for TrainConfig {
@@ -261,8 +254,6 @@ impl Default for TrainConfig {
             lr_decay: 1.0,
             seed: 0,
             checkpoint_every: 0,
-            adaptive_sampling: false,
-            sampler_epsilon: 0.2,
         }
     }
 }

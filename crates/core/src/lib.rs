@@ -47,13 +47,10 @@ pub use losses::{
     equation_loss, equation_loss_at_points, prediction_loss, ChannelStats, ConstraintSet,
 };
 pub use mfn_physics::RbcParams;
-pub use model::{
-    covering_origins, extract_patch, CoveringOrigins, LossNodes, MeshfreeFlowNet, StepLosses,
-};
+pub use model::{covering_origins, extract_patch, CoveringOrigins, MeshfreeFlowNet, StepLosses};
 pub use refine::{refine_latent, RefineBudget, RefineReport, RefineSettings};
 pub use rng::{RngState, SampleRng};
 pub use trainer::{
-    log_pool_stats, octree_config, BaselineTrainer, Corpus, EpochRecord, GradReduce, NoReduce,
-    Trainer,
+    log_pool_stats, BaselineTrainer, Corpus, EpochRecord, GradReduce, NoReduce, Trainer,
 };
 pub use unet::{PackedResBlock, PackedUNet, ResBlock3d, UNet3d};

@@ -24,16 +24,6 @@ pub struct StepLosses {
     pub equation: f32,
 }
 
-/// Tape nodes of a recorded [`MeshfreeFlowNet::loss_on_batch`] whose
-/// per-point values the adaptive sampler's feedback is computed from.
-#[derive(Debug, Clone, Copy)]
-pub struct LossNodes {
-    /// Decoded predictions `[Q, 4]` at the batch's query points.
-    pub predictions: Var,
-    /// Raw PDE residuals `[Q, active constraints]`; `None` when γ = 0.
-    pub residuals: Option<Var>,
-}
-
 /// The end-to-end model: Context Generation Network + Continuous Decoding
 /// Network over a shared parameter store.
 pub struct MeshfreeFlowNet {
@@ -144,9 +134,7 @@ impl MeshfreeFlowNet {
     }
 
     /// Records the combined loss (Eqn. 10) for a batch — the only place a
-    /// training tape is assembled. Returns `(loss_var, components, nodes)`;
-    /// `nodes` are the handles [`MeshfreeFlowNet::importance_readback`]
-    /// reads per-point values from.
+    /// training tape is assembled. Returns `(loss_var, components)`.
     ///
     /// With `γ > 0` the decoder runs once, on six lanes: the equation loss
     /// reads all of them and the prediction loss the value lane, which is
@@ -158,7 +146,7 @@ impl MeshfreeFlowNet {
         params: RbcParams,
         stats: ChannelStats,
         training: bool,
-    ) -> (Var, StepLosses, LossNodes) {
+    ) -> (Var, StepLosses) {
         let x = g.constant(batch.input.clone());
         let latent = self.unet.forward(g, &self.store, x, training);
         let (grid, samples) = (self.grid_dims(), &batch.samples[..]);
@@ -166,111 +154,25 @@ impl MeshfreeFlowNet {
         let (predictions, equation) = if self.cfg.gamma > 0.0 {
             let extent = losses::batch_extent(samples);
             let lanes = self.decoder.decode_derivs(g, &self.store, latent, &plan, grid, extent);
-            let eq = losses::equation_loss(g, lanes, params, stats, self.cfg.constraints);
+            let (eq, _) = losses::equation_loss(g, lanes, params, stats, self.cfg.constraints);
             (g.narrow(lanes, 0, 0, plan.len()), Some(eq))
         } else {
             (self.decoder.decode(g, &self.store, latent, &plan), None)
         };
         let pred_loss = losses::prediction_loss(g, predictions, samples);
-        let (total, equation, residuals) = match equation {
-            Some((eq_loss, residuals)) => {
+        let (total, equation) = match equation {
+            Some(eq_loss) => {
                 let scaled = g.scale(eq_loss, self.cfg.gamma);
-                (g.add(pred_loss, scaled), g.value(eq_loss).item(), Some(residuals))
+                (g.add(pred_loss, scaled), g.value(eq_loss).item())
             }
-            None => (pred_loss, 0.0, None),
+            None => (pred_loss, 0.0),
         };
         let comps = StepLosses {
             total: g.value(total).item(),
             prediction: g.value(pred_loss).item(),
             equation,
         };
-        (total, comps, LossNodes { predictions, residuals })
-    }
-
-    /// What an adaptive query sampler needs from a recorded
-    /// [`loss_on_batch`] tape, read back from its nodes without adding any:
-    /// importance-weighted loss components and one residual score per
-    /// flattened query point.
-    ///
-    /// The score is the point's mean absolute PDE residual, normalized by
-    /// the batch mean so it is scale-free across training
-    /// (`mean_c |r_c| / E[mean_c |r_c|]`). With `γ = 0` there is no equation
-    /// term and the batch-normalized prediction error stands in.
-    ///
-    /// Two different reductions are in play (DESIGN.md §15):
-    ///
-    /// - the **loss variable** `loss_on_batch` returned (what `backward`
-    ///   sees) is the plain mean over the drawn points — training
-    ///   deliberately concentrates on high-residual regions, in the spirit
-    ///   of residual-based adaptive refinement and prioritized replay;
-    /// - the **[`StepLosses`] components** returned here apply the batch's
-    ///   self-normalized importance weights, making the telemetry an
-    ///   unbiased estimate of the *uniform*-sampling objective, directly
-    ///   comparable against a uniform run's step metrics.
-    ///
-    /// With empty `query_weights` the batch is treated as uniform.
-    ///
-    /// [`loss_on_batch`]: MeshfreeFlowNet::loss_on_batch
-    pub fn importance_readback(
-        &self,
-        g: &Graph,
-        nodes: LossNodes,
-        batch: &Batch,
-    ) -> (StepLosses, Vec<f32>) {
-        let n_points: usize = batch.samples.iter().map(|s| s.query_local.len()).sum();
-        let n_samples = batch.samples.len();
-        // Flatten per-sample normalized weights into per-row weights summing
-        // to 1 over the whole batch (uniform when the batch carries none).
-        let row_weights: Vec<f32> = if batch.query_weights.is_empty() {
-            vec![1.0 / n_points as f32; n_points]
-        } else {
-            batch
-                .query_weights
-                .iter()
-                .flat_map(|ws| ws.iter().map(|w| w / n_samples as f32))
-                .collect()
-        };
-        assert_eq!(row_weights.len(), n_points, "one weight per query point");
-        let weighted =
-            |rows: &[f32]| -> f32 { rows.iter().zip(&row_weights).map(|(r, w)| r * w).sum() };
-        // Per-point mean absolute value of a `[points, cols]` matrix.
-        let row_means = |data: &[f32], cols: usize| -> Vec<f32> {
-            data.chunks_exact(cols)
-                .map(|row| row.iter().map(|v| v.abs()).sum::<f32>() / cols as f32)
-                .collect()
-        };
-        // Batch-mean normalization; a zero-mean batch scores a flat 1.0
-        // (no preference).
-        let normalized = |rows: &[f32]| -> Option<Vec<f32>> {
-            let mean = rows.iter().sum::<f32>() / n_points as f32;
-            (mean > 0.0).then(|| rows.iter().map(|r| r / mean).collect())
-        };
-
-        let target = losses::stack_targets(&batch.samples);
-        let errors: Vec<f32> = g
-            .value(nodes.predictions)
-            .data()
-            .iter()
-            .zip(target.data())
-            .map(|(p, t)| p - t)
-            .collect();
-        let pred_rows = row_means(&errors, CHANNELS);
-        let prediction = weighted(&pred_rows);
-        let Some(residuals) = nodes.residuals else {
-            let scores = normalized(&pred_rows).unwrap_or_else(|| vec![1.0; n_points]);
-            return (StepLosses { total: prediction, prediction, equation: 0.0 }, scores);
-        };
-        let rv = g.value(residuals);
-        let eq_rows = row_means(rv.data(), rv.dims()[1]);
-        let equation = weighted(&eq_rows);
-        // The sampler chases the *PDE* residual: prediction error is spread
-        // by the data term everywhere, but the equation residual
-        // concentrates at walls and plume fronts — the structure worth
-        // refining into.
-        let scores = normalized(&eq_rows)
-            .or_else(|| normalized(&pred_rows))
-            .unwrap_or_else(|| vec![1.0; n_points]);
-        (StepLosses { total: prediction + self.cfg.gamma * equation, prediction, equation }, scores)
+        (total, comps)
     }
 
     /// Encodes a stacked input `[N, 4, nt, nz, nx]` into a latent grid value
@@ -535,7 +437,7 @@ mod tests {
         let stats = ChannelStats::from_meta(&hr.meta);
         let params = RbcParams::from_ra_pr(hr.meta.ra, hr.meta.pr);
         let mut g = Graph::new();
-        let (loss, comps, _) = m.loss_on_batch(&mut g, &batch, params, stats, true);
+        let (loss, comps) = m.loss_on_batch(&mut g, &batch, params, stats, true);
         assert!(comps.total.is_finite() && comps.total > 0.0);
         assert!(comps.equation > 0.0, "gamma > 0 must evaluate the equation loss");
         assert!((comps.total - comps.prediction - m.cfg.gamma * comps.equation).abs() < 1e-4);
@@ -556,44 +458,16 @@ mod tests {
         let stats = ChannelStats::from_meta(&hr.meta);
         let params = RbcParams::from_ra_pr(hr.meta.ra, hr.meta.pr);
         let mut g = Graph::new();
-        let (_, comps, nodes) = m.loss_on_batch(&mut g, &batch, params, stats, true);
+        let (_, comps) = m.loss_on_batch(&mut g, &batch, params, stats, true);
         assert_eq!(comps.equation, 0.0);
         assert_eq!(comps.total, comps.prediction);
         // γ = 0 decodes on one lane; the six-lane decode of γ > 0 predicts
         // the same bits from its value lane.
         m.cfg.gamma = 0.05;
         let mut g6 = Graph::new();
-        let (_, with_eq, nodes6) = m.loss_on_batch(&mut g6, &batch, params, stats, true);
+        let (_, with_eq) = m.loss_on_batch(&mut g6, &batch, params, stats, true);
         assert!(with_eq.equation > 0.0 && g.len() < g6.len());
-        assert_eq!(g.value(nodes.predictions), g6.value(nodes6.predictions));
         assert_eq!(comps.prediction.to_bits(), with_eq.prediction.to_bits());
-    }
-
-    /// The read-back adds no tape nodes, and for a batch without importance
-    /// weights its components are the tape's own (up to summation order);
-    /// scores are batch-mean-normalized.
-    #[test]
-    fn importance_readback_of_a_uniform_batch_matches_the_tape() {
-        let (hr, lr) = tiny_data();
-        let stats = ChannelStats::from_meta(&hr.meta);
-        let params = RbcParams::from_ra_pr(hr.meta.ra, hr.meta.pr);
-        for gamma in [0.0, 0.05] {
-            let mut m = tiny_model();
-            m.cfg.gamma = gamma;
-            let sampler = PatchSampler::new(&hr, &lr, m.cfg.patch);
-            let batch = make_batch(&sampler, 2, &mut ChaCha8Rng::seed_from_u64(2));
-            let mut g = Graph::new();
-            let (_, comps, nodes) = m.loss_on_batch(&mut g, &batch, params, stats, true);
-            assert_eq!(nodes.residuals.is_some(), gamma > 0.0);
-            let (weighted, scores) = m.importance_readback(&g, nodes, &batch);
-            let close = |a: f32, b: f32| (a - b).abs() <= 1e-5 * (1.0 + b.abs());
-            assert!(close(weighted.total, comps.total), "{weighted:?} vs {comps:?}");
-            assert!(close(weighted.prediction, comps.prediction), "{weighted:?} vs {comps:?}");
-            assert!(close(weighted.equation, comps.equation), "{weighted:?} vs {comps:?}");
-            assert_eq!(scores.len(), 2 * m.cfg.patch.queries);
-            let mean = scores.iter().sum::<f32>() / scores.len() as f32;
-            assert!(close(mean, 1.0) && scores.iter().all(|s| *s >= 0.0), "mean score {mean}");
-        }
     }
 
     #[test]

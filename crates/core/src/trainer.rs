@@ -14,10 +14,9 @@ use crate::losses::ChannelStats;
 use crate::model::{MeshfreeFlowNet, StepLosses};
 use crate::rng::{RngState, SampleRng};
 use mfn_autodiff::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Graph, ParamStore, Var};
-use mfn_data::{make_batch, make_batch_with, Dataset, PatchSampler};
+use mfn_data::{make_batch, Dataset, PatchSampler};
 use mfn_physics::RbcParams;
-use mfn_sample::{OctreeConfig, OctreeSampler};
-use mfn_telemetry::{sampler_gauges, Recorder, StepMetrics, Stopwatch};
+use mfn_telemetry::{Recorder, StepMetrics, Stopwatch};
 use mfn_tensor::{workspace, Tensor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -87,20 +86,6 @@ pub fn log_pool_stats(recorder: &Recorder) {
     recorder.gauge("pool/hits", s.hits as f64);
     recorder.gauge("pool/misses", s.misses as f64);
     recorder.gauge("pool/cached_bytes", s.cached_bytes as f64);
-}
-
-/// The octree configuration a [`TrainConfig`] implies: defaults everywhere
-/// except the user-tunable uniform floor `ε` and a split threshold scaled
-/// to the training feed. A step observes `batch_size × queries` points
-/// spread over the leaves, so with the default `min_count` a depth-2
-/// scaffold leaf (1/64 of the cube) would wait tens of epochs before it
-/// may refine; half the default keeps the split statistics meaningful
-/// while letting exploitation start within the first few epochs. Shared by
-/// the trainer and the distributed supervisor so both build identical
-/// trees.
-pub fn octree_config(cfg: &TrainConfig) -> OctreeConfig {
-    let base = OctreeConfig::default();
-    OctreeConfig { epsilon: cfg.sampler_epsilon, min_count: base.min_count / 2, ..base }
 }
 
 /// The gradient exchange that makes a [`Trainer`] one rank of a
@@ -225,10 +210,6 @@ pub struct Trainer {
     /// Checkpointable batch-sampling stream (persists across `train` calls
     /// so a resumed trainer continues the exact sample sequence).
     rng: SampleRng,
-    /// Residual-guided octree query sampler (`Some` iff
-    /// `cfg.adaptive_sampling`). `None` keeps the uniform path — and its
-    /// RNG draw sequence — bit-identical to a build without the sampler.
-    sampler: Option<OctreeSampler>,
     /// Destination for periodic train-state checkpoints (None disables).
     checkpoint_path: Option<PathBuf>,
     /// Batch-assembly seconds to attribute to the next `step` call.
@@ -243,7 +224,6 @@ impl Trainer {
     pub fn new(model: MeshfreeFlowNet, cfg: TrainConfig) -> Self {
         let opt = Adam::new(&model.store, AdamConfig { lr: cfg.lr, ..Default::default() });
         let rng = SampleRng::seed_from_u64(cfg.seed);
-        let sampler = cfg.adaptive_sampling.then(|| OctreeSampler::new(octree_config(&cfg)));
         Trainer {
             model,
             opt,
@@ -254,7 +234,6 @@ impl Trainer {
             epoch: 0,
             batch_cursor: 0,
             rng,
-            sampler,
             checkpoint_path: None,
             pending_data_s: 0.0,
             reduce_wait_s: 0.0,
@@ -315,7 +294,7 @@ impl Trainer {
 
     /// Rank `rank` of the `world`-rank run whose train state `payload`
     /// holds (the bytes [`encode_train_state`] produced): the shared model
-    /// and Adam state, and that rank's own sampler stream and octree.
+    /// and Adam state, and that rank's own sampler stream.
     /// [`Trainer::resume`] is rank 0 of 1; the elastic supervisor in
     /// `mfn-dist` builds every rank of a round from its snapshot this way.
     pub fn from_state(
@@ -326,11 +305,7 @@ impl Trainer {
         world: usize,
     ) -> Result<Trainer, CheckpointError> {
         let mut t = Trainer::new(model, cfg).with_rank(rank);
-        let mut r = payload;
-        let (opt, meta) = decode_train_state(&mut t.model, &mut r)?;
-        if !r.is_empty() {
-            return Err(CheckpointError::Corrupt(format!("{} trailing payload bytes", r.len())));
-        }
+        let (opt, meta) = decode_train_state(&mut t.model, &mut &payload[..])?;
         if meta.rngs.len() != world || rank >= world {
             return Err(CheckpointError::Incompatible(format!(
                 "checkpoint holds {} sampler streams, rank {rank} of {world} expected",
@@ -342,24 +317,13 @@ impl Trainer {
         t.epoch = meta.epoch;
         t.batch_cursor = meta.batch_cursor;
         t.rng = SampleRng::restore(meta.rngs[rank]);
-        if let Some(bytes) = meta.samplers.get(rank) {
-            if !cfg.adaptive_sampling {
-                return Err(CheckpointError::Incompatible(
-                    "checkpoint carries adaptive-sampler state but adaptive_sampling is off".into(),
-                ));
-            }
-            t.sampler = Some(
-                OctreeSampler::from_bytes(bytes, octree_config(&cfg))
-                    .map_err(CheckpointError::Corrupt)?,
-            );
-        }
         Ok(t)
     }
 
-    /// This rank's sampler stream position and, with adaptive sampling on,
-    /// its serialized octree — the per-rank half of a train state.
-    pub fn sampler_state(&self) -> (RngState, Option<Vec<u8>>) {
-        (self.rng.state(), self.sampler.as_ref().map(OctreeSampler::to_bytes))
+    /// This rank's sampler stream position — the per-rank half of a train
+    /// state.
+    pub fn sampler_state(&self) -> RngState {
+        self.rng.state()
     }
 
     /// Current loop position in checkpoint form, normalized so a cursor at
@@ -370,13 +334,11 @@ impl Trainer {
             epoch += 1;
             cursor = 0;
         }
-        let (rng, sampler) = self.sampler_state();
         TrainStateMeta {
             global_step: self.global_step,
             epoch,
             batch_cursor: cursor,
-            rngs: vec![rng],
-            samplers: sampler.into_iter().collect(),
+            rngs: vec![self.sampler_state()],
         }
     }
 
@@ -425,7 +387,7 @@ impl Trainer {
 
     /// [`Trainer::step`] with the gradients passed through `reduce` before
     /// clipping. This body is the one place a training step is defined:
-    /// tape, backward, exchange, clip, Adam, sampler feedback, metrics.
+    /// tape, backward, exchange, clip, Adam, metrics.
     pub fn step_reduced<R: GradReduce>(
         &mut self,
         batch: &mfn_data::Batch,
@@ -435,16 +397,7 @@ impl Trainer {
     ) -> Result<StepLosses, R::Error> {
         let sw = Stopwatch::start();
         let mut g = Graph::new();
-        let (loss, mut comps, nodes) = self.model.loss_on_batch(&mut g, batch, params, stats, true);
-        // The adaptive path reports importance-weighted components and
-        // scores every point for the octree; the tape is the same.
-        let scores = if self.sampler.is_some() {
-            let (weighted, scores) = self.model.importance_readback(&g, nodes, batch);
-            comps = weighted;
-            Some(scores)
-        } else {
-            None
-        };
+        let (loss, comps) = self.model.loss_on_batch(&mut g, batch, params, stats, true);
         let tag = StepTag {
             step: self.global_step + 1,
             epoch: self.epoch,
@@ -465,17 +418,6 @@ impl Trainer {
             tag,
         )?;
         self.global_step += 1;
-        if let (Some(tree), Some(scores)) = (self.sampler.as_mut(), scores) {
-            let points: Vec<[f32; 3]> =
-                batch.samples.iter().flat_map(|s| s.query_local.iter().copied()).collect();
-            tree.update(&points, &scores);
-            if self.recorder.is_enabled() {
-                self.recorder.gauge(sampler_gauges::LEAVES, tree.leaf_count() as f64);
-                self.recorder.gauge(sampler_gauges::MAX_DEPTH, tree.max_depth() as f64);
-                self.recorder.gauge(sampler_gauges::ENTROPY, tree.entropy());
-                self.recorder.gauge(sampler_gauges::TOP_DECILE_MASS, tree.top_decile_mass());
-            }
-        }
         Ok(comps)
     }
 
@@ -510,11 +452,7 @@ impl Trainer {
             reduce.before_step(self.global_step + 1)?;
             let mut sw = Stopwatch::start();
             let di = self.rng.gen_range(0..samplers.len());
-            let batch = if let Some(tree) = self.sampler.as_mut() {
-                make_batch_with(&samplers[di], self.cfg.batch_size, tree, &mut self.rng)
-            } else {
-                make_batch(&samplers[di], self.cfg.batch_size, &mut self.rng)
-            };
+            let batch = make_batch(&samplers[di], self.cfg.batch_size, &mut self.rng);
             self.pending_data_s = sw.lap();
             let comps = self.step_reduced(&batch, corpus.params(di), corpus.stats, reduce)?;
             tl += comps.total;

@@ -26,7 +26,4 @@ pub use downsample::{
 };
 pub use interp::{sample_trilinear, upsample_trilinear};
 pub use io::{load_dataset, save_dataset};
-pub use patch::{
-    covering_axis, make_batch, make_batch_with, stack_patches, Batch, PatchSampler, PatchSpec,
-    QueryStrategy, Sample, UniformQueries, WeightedQuery,
-};
+pub use patch::{covering_axis, make_batch, stack_patches, Batch, PatchSampler, PatchSpec, Sample};

@@ -52,47 +52,6 @@ pub struct Sample {
     pub extent_phys: [f64; 3],
 }
 
-/// One query point drawn by a [`QueryStrategy`]: a local patch coordinate
-/// plus its self-normalized importance weight.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightedQuery {
-    /// Local patch coordinate `(t, z, x) ∈ [0, 1]³`.
-    pub local: [f32; 3],
-    /// Self-normalized importance weight; the weights of one draw sum to 1,
-    /// so `Σ w_j f(q_j)` estimates the uniform mean of `f` over the patch.
-    pub weight: f32,
-}
-
-/// How the continuous query points of one sample are drawn.
-///
-/// The default training path draws uniformly ([`UniformQueries`]); an
-/// importance sampler (e.g. the residual-guided octree in `mfn-sample`)
-/// concentrates points where its feedback signal is large and reports the
-/// correction weights that keep a weighted loss estimate unbiased.
-pub trait QueryStrategy {
-    /// Draws `n` query points with self-normalized weights (summing to 1).
-    /// All randomness must come from `rng` so draws stay replayable.
-    fn draw_queries<R: Rng + ?Sized>(&mut self, n: usize, rng: &mut R) -> Vec<WeightedQuery>;
-}
-
-/// The paper's strategy: i.i.d. uniform points, equal weights. Draws the
-/// same `rng.gen::<f32>()` sequence as [`PatchSampler::sample`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UniformQueries;
-
-impl QueryStrategy for UniformQueries {
-    fn draw_queries<R: Rng + ?Sized>(&mut self, n: usize, rng: &mut R) -> Vec<WeightedQuery> {
-        assert!(n > 0, "need at least one query");
-        let w = 1.0 / n as f32;
-        (0..n)
-            .map(|_| WeightedQuery {
-                local: [rng.gen::<f32>(), rng.gen::<f32>(), rng.gen::<f32>()],
-                weight: w,
-            })
-            .collect()
-    }
-}
-
 /// Draws patches + query points from an HR/LR dataset pair.
 pub struct PatchSampler<'a> {
     hr: &'a Dataset,
@@ -198,37 +157,6 @@ impl<'a> PatchSampler<'a> {
         sample
     }
 
-    /// Draws one sample whose query points come from `strategy` instead of
-    /// the built-in uniform draw: same origin draws as [`PatchSampler::sample`],
-    /// then `spec.queries` weighted points. Returns the sample plus the
-    /// per-query importance weights (summing to 1).
-    pub fn sample_with<S: QueryStrategy, R: Rng>(
-        &self,
-        strategy: &mut S,
-        rng: &mut R,
-    ) -> (Sample, Vec<f32>) {
-        let s = self.spec;
-        let origin = [
-            rng.gen_range(0..=self.lr.meta.nt - s.nt),
-            rng.gen_range(0..=self.lr.meta.nz - s.nz),
-            rng.gen_range(0..=self.lr.meta.nx - s.nx),
-        ];
-        let mut sample = self.patch_at(origin);
-        let queries = strategy.draw_queries(s.queries, rng);
-        sample.query_local.reserve(queries.len());
-        sample.query_values.reserve(queries.len());
-        let mut weights = Vec::with_capacity(queries.len());
-        for q in queries {
-            let t = sample.origin_phys[0] + q.local[0] as f64 * sample.extent_phys[0];
-            let z = sample.origin_phys[1] + q.local[1] as f64 * sample.extent_phys[1];
-            let x = sample.origin_phys[2] + q.local[2] as f64 * sample.extent_phys[2];
-            sample.query_local.push(q.local);
-            sample.query_values.push(self.hr_value(t, z, x));
-            weights.push(q.weight);
-        }
-        (sample, weights)
-    }
-
     /// Patch origins whose union of cells covers the whole LR grid
     /// (consecutive patches share a boundary vertex). Used for full-domain
     /// super-resolution at evaluation time.
@@ -277,10 +205,6 @@ pub struct Batch {
     pub input: Tensor,
     /// The individual samples (queries and geometry).
     pub samples: Vec<Sample>,
-    /// Per-sample importance weights for the query points, parallel to
-    /// `samples` (each inner vector sums to 1). Empty for uniform batches —
-    /// losses then use the plain unweighted mean.
-    pub query_weights: Vec<Vec<f32>>,
 }
 
 /// Stacks `n` random samples into a batch.
@@ -288,27 +212,7 @@ pub fn make_batch<R: Rng>(sampler: &PatchSampler<'_>, n: usize, rng: &mut R) -> 
     assert!(n > 0);
     let samples: Vec<Sample> = (0..n).map(|_| sampler.sample(rng)).collect();
     let input = stack_patches(&samples);
-    Batch { input, samples, query_weights: Vec::new() }
-}
-
-/// Stacks `n` samples whose query points come from `strategy`, carrying the
-/// per-query importance weights alongside the samples.
-pub fn make_batch_with<S: QueryStrategy, R: Rng>(
-    sampler: &PatchSampler<'_>,
-    n: usize,
-    strategy: &mut S,
-    rng: &mut R,
-) -> Batch {
-    assert!(n > 0);
-    let mut samples = Vec::with_capacity(n);
-    let mut query_weights = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (s, w) = sampler.sample_with(strategy, rng);
-        samples.push(s);
-        query_weights.push(w);
-    }
-    let input = stack_patches(&samples);
-    Batch { input, samples, query_weights }
+    Batch { input, samples }
 }
 
 /// Stacks the patches of pre-built samples into `[N, 4, nt, nz, nx]`.
@@ -457,39 +361,6 @@ mod tests {
     fn rejects_oversized_patch() {
         let (hr, lr) = pair();
         PatchSampler::new(&hr, &lr, PatchSpec { nt: 100, nz: 4, nx: 4, queries: 1 });
-    }
-
-    /// `sample_with(UniformQueries)` must consume the identical RNG stream
-    /// as the built-in uniform draw — the bit-identity contract that lets
-    /// the strategy hook exist without perturbing the default path.
-    #[test]
-    fn uniform_strategy_replays_builtin_sampler_exactly() {
-        let (hr, lr) = pair();
-        let sampler = PatchSampler::new(&hr, &lr, spec());
-        let plain = sampler.sample(&mut ChaCha8Rng::seed_from_u64(23));
-        let (via_strategy, weights) =
-            sampler.sample_with(&mut UniformQueries, &mut ChaCha8Rng::seed_from_u64(23));
-        assert_eq!(plain.lr_patch, via_strategy.lr_patch);
-        assert_eq!(plain.query_local, via_strategy.query_local);
-        assert_eq!(plain.query_values, via_strategy.query_values);
-        let expect = 1.0 / spec().queries as f32;
-        assert!(weights.iter().all(|&w| w == expect));
-    }
-
-    #[test]
-    fn weighted_batches_carry_normalized_weights() {
-        let (hr, lr) = pair();
-        let sampler = PatchSampler::new(&hr, &lr, spec());
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let b = make_batch_with(&sampler, 3, &mut UniformQueries, &mut rng);
-        assert_eq!(b.query_weights.len(), 3);
-        for (s, w) in b.samples.iter().zip(&b.query_weights) {
-            assert_eq!(s.query_local.len(), w.len());
-            let sum: f32 = w.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5, "weights must sum to 1, got {sum}");
-        }
-        // The plain path leaves the weights empty (uniform marker).
-        assert!(make_batch(&sampler, 2, &mut rng).query_weights.is_empty());
     }
 
     /// Covering origins on a domain the patch does not evenly divide: the

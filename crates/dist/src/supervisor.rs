@@ -27,19 +27,16 @@
 //!
 //! Logical ranks are stable identities: rank `r` keeps its sampler stream
 //! (`seed + r * 7919`) across re-forms, so shrinking the world never makes
-//! two workers draw the same batches. With adaptive query sampling enabled,
-//! each logical rank additionally owns a residual-guided octree whose bytes
-//! ride the same snapshot/commit/rollback lifecycle as the RNG positions.
+//! two workers draw the same batches.
 
 use crate::fault::FaultPlan;
 use crate::trainer::{bn_stats_bytes, on_ring, param_digest, rank_seed, RankFailure};
 use mfn_autodiff::{Adam, AdamConfig};
 use mfn_core::{
-    decode_train_state, encode_train_state, load_train_state_with_fallback, octree_config,
-    save_train_state, CheckpointError, Corpus, EpochRecord, MeshfreeFlowNet, MfnConfig, RngState,
-    TrainConfig, TrainStateMeta, Trainer,
+    decode_train_state, encode_train_state, load_train_state_with_fallback, save_train_state,
+    CheckpointError, Corpus, EpochRecord, MeshfreeFlowNet, MfnConfig, RngState, TrainConfig,
+    TrainStateMeta, Trainer,
 };
-use mfn_sample::OctreeSampler;
 use mfn_telemetry::Recorder;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -125,7 +122,7 @@ pub fn train_elastic(
     assert!(sup.min_world >= 1, "min_world must be at least 1");
 
     // Master state, authoritative between rounds: the replica, its Adam
-    // state, and the position plus every logical rank's sampler state.
+    // state, and the position plus every logical rank's sampler stream.
     let mut master = MeshfreeFlowNet::new(model_cfg.clone());
     let mut opt = Adam::new(&master.store, AdamConfig { lr: train_cfg.lr, ..Default::default() });
     let mut meta = TrainStateMeta {
@@ -137,16 +134,6 @@ pub fn train_elastic(
         rngs: (0..sup.workers)
             .map(|r| RngState { seed: rank_seed(train_cfg.seed, r), words: 0 })
             .collect(),
-        // One octree per logical rank when adaptive sampling is on; empty
-        // for the uniform path so snapshots stay byte-identical to the
-        // legacy format.
-        samplers: if train_cfg.adaptive_sampling {
-            (0..sup.workers)
-                .map(|_| OctreeSampler::new(octree_config(train_cfg)).to_bytes())
-                .collect()
-        } else {
-            Vec::new()
-        },
     };
     let steps_per_epoch = train_cfg.batches_per_epoch as u64;
 
@@ -156,7 +143,7 @@ pub fn train_elastic(
         match load_train_state_with_fallback(path) {
             Ok(payload) => {
                 let (restored, found) = decode_train_state(&mut master, &mut payload.as_slice())
-                    .expect("resumable checkpoint");
+                    .unwrap_or_else(|e| panic!("cannot resume from {}: {e}", path.display()));
                 assert_eq!(
                     found.rngs.len(),
                     sup.workers,
@@ -164,13 +151,6 @@ pub fn train_elastic(
                     found.rngs.len(),
                     sup.workers
                 );
-                if !found.samplers.is_empty() {
-                    assert!(
-                        train_cfg.adaptive_sampling,
-                        "checkpoint carries adaptive-sampler state but adaptive_sampling is off"
-                    );
-                    meta.samplers = found.samplers;
-                }
                 opt = restored;
                 meta.rngs = found.rngs;
                 meta.epoch = found.epoch;
@@ -221,16 +201,12 @@ pub fn train_elastic(
 
         if results.iter().all(Result::is_ok) {
             // Commit: adopt ring-position-0's replica (replicas are
-            // bit-identical) and every rank's sampler state; the round
+            // bit-identical) and every rank's sampler stream; the round
             // becomes the new master state.
             let mut loss = 0.0f32;
             for (&rank, r) in active.iter().zip(results) {
                 let (trainer, record) = r.unwrap_or_else(|_| unreachable!("checked above"));
-                let (rng, sampler) = trainer.sampler_state();
-                meta.rngs[rank] = rng;
-                if let Some(bytes) = sampler {
-                    meta.samplers[rank] = bytes;
-                }
+                meta.rngs[rank] = trainer.sampler_state();
                 loss += record.loss;
                 if rank == active[0] {
                     master = trainer.model;
@@ -397,40 +373,6 @@ mod tests {
         assert_eq!(
             faulted.final_digest, clean.final_digest,
             "rollback + restart must reproduce the faultless run bit-for-bit"
-        );
-    }
-
-    /// Adaptive query sampling: each rank's octree must ride the same
-    /// commit/rollback lifecycle as the RNG positions, so a killed round
-    /// leaks no residual-EMA updates and kill+restart still reproduces the
-    /// faultless adaptive run bit-for-bit.
-    #[test]
-    fn adaptive_kill_with_restart_is_deterministic() {
-        let (corpus, cfg, mut tc) = tiny_setup();
-        tc.adaptive_sampling = true;
-        let sup = SupervisorConfig { workers: 2, restart_failed: true, ..Default::default() };
-        let clean = train_elastic(&corpus, &cfg, &tc, &sup, &FaultPlan::none(), Recorder::null());
-        let plan = FaultPlan::none().kill(1, 6);
-        let faulted = train_elastic(&corpus, &cfg, &tc, &sup, &plan, Recorder::null());
-        assert!(faulted.completed);
-        assert_eq!(faulted.failures, 1);
-        assert_eq!(
-            faulted.final_digest, clean.final_digest,
-            "adaptive sampler rollback must be as exact as parameter rollback"
-        );
-        // The adaptive path must actually diverge from the uniform one —
-        // otherwise this test would pass vacuously.
-        let uniform = train_elastic(
-            &corpus,
-            &cfg,
-            &tiny_setup().2,
-            &sup,
-            &FaultPlan::none(),
-            Recorder::null(),
-        );
-        assert_ne!(
-            clean.final_digest, uniform.final_digest,
-            "adaptive sampling should change which query points are drawn"
         );
     }
 }

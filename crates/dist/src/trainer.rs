@@ -376,25 +376,6 @@ mod tests {
         assert_ne!(bits(fresh_bn.encode(&input).data()), want, "BN statistics had no effect");
     }
 
-    /// `adaptive_sampling` reaches the plain data-parallel driver: every
-    /// rank draws from its own octree (parent: silently uniform).
-    #[test]
-    fn adaptive_sampling_is_honoured_and_stays_replica_consistent() {
-        let (corpus, cfg, tc) = tiny_setup();
-        let uniform = train_data_parallel(&corpus, &cfg, &tc, 2);
-        let (recorder, sink) = Recorder::memory(4096);
-        let adaptive_tc = TrainConfig { adaptive_sampling: true, ..tc };
-        let adaptive = train_data_parallel_recorded(&corpus, &cfg, &adaptive_tc, 2, recorder);
-        assert_ne!(
-            param_digest(&adaptive.final_params),
-            param_digest(&uniform.final_params),
-            "adaptive sampling should change which query points are drawn"
-        );
-        assert_eq!(adaptive.epoch_param_digests[1], adaptive.epoch_param_digests[0]);
-        assert!(sink.gauge(mfn_telemetry::sampler_gauges::LEAVES).is_some_and(|n| n >= 1.0));
-        assert!(sink.gauge(mfn_telemetry::sampler_gauges::ENTROPY).is_some());
-    }
-
     /// `lr_decay` reaches every rank (parent: both drivers ignored it).
     #[test]
     fn lr_decay_anneals_every_rank() {

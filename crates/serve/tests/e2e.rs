@@ -91,7 +91,6 @@ fn write_checkpoint(dir: &TempDir) -> (PathBuf, PathBuf, MfnConfig) {
         epoch: 1,
         batch_cursor: 0,
         rngs: vec![SampleRng::seed_from_u64(7).state()],
-        samplers: Vec::new(),
     };
     let ckpt = dir.path("model.ckpt.state");
     save_train_state(&ckpt, &encode_train_state(&model, &opt, &meta)).expect("save checkpoint");

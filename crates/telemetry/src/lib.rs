@@ -39,16 +39,3 @@ mod sink;
 pub use record::{Event, SolverStepMetrics, StepMetrics};
 pub use recorder::{Recorder, SpanGuard, Stopwatch};
 pub use sink::{JsonlSink, MemorySink, NullSink, Sink};
-
-/// Canonical gauge names for the adaptive query sampler (`mfn-sample`), so
-/// emitters and dashboards agree on spelling.
-pub mod sampler_gauges {
-    /// Current octree leaf count.
-    pub const LEAVES: &str = "sampler.leaves";
-    /// Deepest current octree leaf.
-    pub const MAX_DEPTH: &str = "sampler.max_depth";
-    /// Shannon entropy (nats) of the leaf draw distribution.
-    pub const ENTROPY: &str = "sampler.entropy";
-    /// Fraction of residual mass in the top decile of leaves by mass.
-    pub const TOP_DECILE_MASS: &str = "sampler.top_decile_mass";
-}

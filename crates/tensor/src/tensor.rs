@@ -168,10 +168,16 @@ impl Tensor {
 
     /// Reads a tensor written by [`Tensor::write_to`].
     ///
+    /// The header's element count is only a claim: the buffer grows as
+    /// payload bytes arrive, so a header over a short input allocates no
+    /// more than that input could fill.
+    ///
     /// # Errors
-    /// Returns `InvalidData` on truncation or an implausible header (rank or
-    /// dims so large the payload cannot fit in memory).
+    /// Returns `UnexpectedEof` on truncation and `InvalidData` on an
+    /// implausible header (a rank above 16, or dims whose byte count
+    /// overflows `usize`).
     pub fn read_from(r: &mut impl std::io::Read) -> std::io::Result<Tensor> {
+        const CHUNK: usize = 4096;
         let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
         let mut b4 = [0u8; 4];
         r.read_exact(&mut b4)?;
@@ -183,22 +189,24 @@ impl Tensor {
         let mut b8 = [0u8; 8];
         for _ in 0..rank {
             r.read_exact(&mut b8)?;
-            dims.push(u64::from_le_bytes(b8) as usize);
+            let dim = usize::try_from(u64::from_le_bytes(b8));
+            dims.push(dim.map_err(|_| bad("tensor dims overflow usize"))?);
         }
-        let numel: usize = dims.iter().product();
-        if numel > (1usize << 34) {
-            return Err(bad("tensor payload implausibly large"));
-        }
-        let mut data = workspace::take_vec_scratch(numel);
-        let mut buf = vec![0u8; 4 * 4096];
-        let mut filled = 0usize;
-        while filled < numel {
-            let take = (4 * (numel - filled)).min(buf.len());
-            r.read_exact(&mut buf[..take])?;
-            for chunk in buf[..take].chunks_exact(4) {
-                data[filled] = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-                filled += 1;
-            }
+        let numel = dims
+            .iter()
+            .try_fold(4usize, |bytes, &d| bytes.checked_mul(d))
+            .map(|bytes| bytes / 4)
+            .ok_or_else(|| bad("tensor dims overflow usize"))?;
+        let mut data = workspace::take_vec_capacity(numel.min(CHUNK));
+        let mut buf = [0u8; 4 * CHUNK];
+        while data.len() < numel {
+            let take = (numel - data.len()).min(CHUNK);
+            r.read_exact(&mut buf[..4 * take])?;
+            data.extend(
+                buf[..4 * take]
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
+            );
         }
         Ok(Tensor::from_vec(data, &dims))
     }
@@ -511,5 +519,21 @@ mod tests {
         // A header claiming an absurd rank must not allocate.
         let garbage = u32::MAX.to_le_bytes();
         assert!(Tensor::read_from(&mut &garbage[..]).is_err());
+        // Dims whose product overflows usize: a typed error, not a panic
+        // (debug) or a wrapped count (release).
+        let header = |dims: &[u64]| {
+            let mut h = (dims.len() as u32).to_le_bytes().to_vec();
+            dims.iter().for_each(|d| h.extend_from_slice(&d.to_le_bytes()));
+            h
+        };
+        let overflow = header(&[1 << 40, 1 << 40]);
+        let err = Tensor::read_from(&mut overflow.as_slice()).expect_err("overflowing dims");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // A 2^33-element header over 8 payload bytes fails at the end of the
+        // input without first reserving 32 GiB.
+        let mut short = header(&[1 << 33]);
+        short.extend_from_slice(&[0u8; 8]);
+        let err = Tensor::read_from(&mut short.as_slice()).expect_err("short payload");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

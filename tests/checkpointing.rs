@@ -2,8 +2,8 @@
 //! crash-resume bit-exactness, and corruption handling.
 
 use meshfreeflownet::core::{
-    load_train_state, load_train_state_with_fallback, prev_path, ChannelStats, CheckpointError,
-    Corpus, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+    load_train_state, load_train_state_with_fallback, prev_path, save_train_state, ChannelStats,
+    CheckpointError, Corpus, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
 };
 use meshfreeflownet::data::{downsample, Dataset, PatchSpec};
 use meshfreeflownet::dist::param_digest;
@@ -164,115 +164,71 @@ fn crash_resume_is_bit_identical_to_uninterrupted_run() {
     assert!((resumed.opt.config().lr - expect_lr).abs() < 1e-9);
 }
 
-/// The PR-3 resume guarantee extended to adaptive query sampling: with the
-/// residual-guided octree enabled, 6 uninterrupted epochs vs. 3 epochs →
-/// save → fresh `Trainer::resume` → 3 more must agree on every parameter
-/// bit, every per-step loss, and the serialized octree itself (compared
-/// through the final checkpoint payload, which embeds the `MFNSMPL1`
-/// section). A stale or re-initialized tree would redirect later draws and
-/// split the trajectories.
-#[test]
-fn adaptive_crash_resume_is_bit_identical_including_octree() {
-    let (corpus, _hr, _lr) = tiny_corpus();
-    let tc = |epochs: usize| TrainConfig {
-        epochs,
-        batches_per_epoch: 4,
-        batch_size: 2,
-        lr: 5e-3,
-        seed: 11,
-        adaptive_sampling: true,
-        ..Default::default()
-    };
-
-    let (rec_a, sink_a) = Recorder::memory(8192);
-    let mut straight = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc(6)).with_recorder(rec_a);
-    straight.train(&corpus);
-
-    let dir = TempDir::new("adaptive_resume");
-    let path = dir.path("state.ckpt");
-    let (rec_b, sink_b) = Recorder::memory(8192);
-    let mut first = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc(3)).with_recorder(rec_b);
-    first.train(&corpus);
-    first.save_checkpoint(&path).expect("save");
-    let half = std::fs::read(&path).expect("read checkpoint");
-    assert!(
-        half.windows(8).any(|w| w == b"MFNSMPL1"),
-        "adaptive checkpoint must embed the framed octree section"
-    );
-    drop(first);
-
-    let (rec_c, sink_c) = Recorder::memory(8192);
-    let mut resumed = Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc(6), &path)
-        .expect("resume")
-        .with_recorder(rec_c);
-    resumed.train(&corpus);
-
-    assert_eq!(
-        param_digest(&straight.model.store.flatten()),
-        param_digest(&resumed.model.store.flatten()),
-        "adaptive resume diverged from the uninterrupted adaptive run"
-    );
-    let straight_losses: Vec<u32> =
-        sink_a.train_steps().iter().map(|m| m.loss_total.to_bits()).collect();
-    let mut stitched: Vec<u32> =
-        sink_b.train_steps().iter().map(|m| m.loss_total.to_bits()).collect();
-    stitched.extend(sink_c.train_steps().iter().map(|m| m.loss_total.to_bits()));
-    assert_eq!(straight_losses, stitched, "per-step losses diverged across the adaptive resume");
-
-    // Strongest form: the full final checkpoints — parameters, Adam, RNG
-    // words, and the serialized octree — must be byte-identical.
-    let p_straight = dir.path("final_straight.ckpt");
-    let p_resumed = dir.path("final_resumed.ckpt");
-    straight.save_checkpoint(&p_straight).expect("save straight");
-    resumed.save_checkpoint(&p_resumed).expect("save resumed");
-    assert_eq!(
-        std::fs::read(&p_straight).expect("read"),
-        std::fs::read(&p_resumed).expect("read"),
-        "final checkpoint payloads (octree section included) differ"
-    );
-}
-
-/// Uniform runs must stay byte-compatible with the legacy checkpoint
-/// format: no `MFNSMPL1` section is written, a legacy payload resumes
-/// cleanly, and an adaptive checkpoint refuses to resume with the flag off
-/// (silently dropping tree state would bias the estimator unnoticed).
-#[test]
-fn uniform_checkpoint_has_no_sampler_section_and_flag_mismatch_is_rejected() {
-    let (corpus, _hr, _lr) = tiny_corpus();
-    let tc = |adaptive: bool| TrainConfig {
+fn sampler_section_config() -> TrainConfig {
+    TrainConfig {
         epochs: 2,
         batches_per_epoch: 2,
         batch_size: 2,
         lr: 5e-3,
         seed: 29,
-        adaptive_sampling: adaptive,
         ..Default::default()
-    };
-    let dir = TempDir::new("sampler_section");
+    }
+}
 
-    let uniform_path = dir.path("uniform.ckpt");
-    let mut uniform = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc(false));
-    uniform.train(&corpus);
-    uniform.save_checkpoint(&uniform_path).expect("save uniform");
-    let bytes = std::fs::read(&uniform_path).expect("read");
-    assert!(
-        !bytes.windows(8).any(|w| w == b"MFNSMPL1"),
-        "uniform checkpoint must be byte-identical to the legacy format"
+/// A uniform run's checkpoint ends with the Adam block — no `MFNSMPL1`
+/// section — and a resumed trainer writes back the very same bytes, so the
+/// payload round-trips through `Trainer::resume` without loss.
+#[test]
+fn uniform_checkpoint_has_no_sampler_section_and_round_trips() {
+    let (corpus, _hr, _lr) = tiny_corpus();
+    let tc = sampler_section_config();
+    let dir = TempDir::new("uniform_section");
+    let path = dir.path("state.ckpt");
+    let mut trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc);
+    trainer.train(&corpus);
+    trainer.save_checkpoint(&path).expect("save");
+    let payload = load_train_state(&path).expect("load");
+    assert!(!payload.windows(8).any(|w| w == b"MFNSMPL1"), "a uniform run writes no section");
+
+    let resumed = Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc, &path)
+        .expect("uniform state resumes");
+    let again = dir.path("again.ckpt");
+    resumed.save_checkpoint(&again).expect("save resumed");
+    assert_eq!(
+        load_train_state(&again).expect("load resumed"),
+        payload,
+        "resume → save must reproduce the checkpoint payload byte for byte"
     );
-    // …and it resumes on the uniform path exactly as before this feature.
-    Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc(false), &uniform_path)
-        .expect("legacy-shaped checkpoint must resume");
+}
 
-    let adaptive_path = dir.path("adaptive.ckpt");
-    let mut adaptive = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc(true));
-    adaptive.train(&corpus);
-    adaptive.save_checkpoint(&adaptive_path).expect("save adaptive");
-    match Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc(false), &adaptive_path) {
+/// A checkpoint written by a build with the (since removed) adaptive query
+/// sampler ends in an `MFNSMPL1` section after the Adam state. Resuming it
+/// is a typed `Incompatible` naming the sampler — not `Corrupt`, not a
+/// trailing-bytes complaint, and no allocation sized by the section's
+/// length fields.
+#[test]
+fn checkpoint_with_adaptive_sampler_section_is_incompatible() {
+    let (corpus, _hr, _lr) = tiny_corpus();
+    let tc = sampler_section_config();
+    let dir = TempDir::new("sampler_section");
+    let path = dir.path("state.ckpt");
+    let mut trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc);
+    trainer.train(&corpus);
+    trainer.save_checkpoint(&path).expect("save");
+    let mut payload = load_train_state(&path).expect("load");
+
+    // One rank's section claiming a 1 GiB octree it does not carry.
+    payload.extend_from_slice(b"MFNSMPL1");
+    payload.extend_from_slice(&1u64.to_le_bytes());
+    payload.extend_from_slice(&(1u64 << 30).to_le_bytes());
+    payload.extend_from_slice(&[7u8; 16]);
+    save_train_state(&path, &payload).expect("save with section");
+    match Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc, &path) {
         Err(CheckpointError::Incompatible(msg)) => {
-            assert!(msg.contains("adaptive"), "unexpected message: {msg}");
+            assert!(msg.contains("adaptive"), "message should name the sampler: {msg}")
         }
         Err(other) => panic!("expected Incompatible, got {other:?}"),
-        Ok(_) => panic!("resume with adaptive_sampling off must reject octree state"),
+        Ok(_) => panic!("a checkpoint with sampler state must not resume"),
     }
 }
 

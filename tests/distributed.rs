@@ -50,7 +50,7 @@ fn all_reduced_gradient_equals_serial_average() {
         for b in &batches {
             let mut model = MeshfreeFlowNet::new(cfg.clone());
             let mut g = Graph::new();
-            let (loss, _, _) = model.loss_on_batch(&mut g, b, corpus.params(0), corpus.stats, true);
+            let (loss, _) = model.loss_on_batch(&mut g, b, corpus.params(0), corpus.stats, true);
             g.backward(loss);
             let flat = flatten_grads(&g.param_grads(&model.store));
             if sum.is_empty() {
@@ -76,7 +76,7 @@ fn all_reduced_gradient_equals_serial_average() {
                 scope.spawn(move || {
                     let mut model = MeshfreeFlowNet::new(cfg);
                     let mut g = Graph::new();
-                    let (loss, _, _) =
+                    let (loss, _) =
                         model.loss_on_batch(&mut g, b, corpus.params(0), corpus.stats, true);
                     g.backward(loss);
                     let mut flat = flatten_grads(&g.param_grads(&model.store));
