@@ -30,12 +30,16 @@
 //! commutes with differentiation) and the activation acts by the second-order
 //! chain rule ([`Activation::bias_jet_rows`]). The lanes being ordinary node
 //! values, a loss on the derivatives reaches weights and latent in reverse.
+//! Where the lanes begin — the network's input, whose derivatives are a
+//! constant seed — [`Graph::linear_seeded`] is that node taking the value
+//! lane alone: the seed lanes never exist, so no GEMM multiplies their zeros.
 
 use crate::nn::Activation;
 use crate::params::{ParamId, ParamStore};
 use mfn_tensor::{
-    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, matmul, matmul_nt, matmul_tn, maxpool3d,
-    maxpool3d_backward, upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims, Tensor,
+    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, matmul, matmul_nt, matmul_tn,
+    maxpool3d, maxpool3d_backward, upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims,
+    MatLayout, Tensor,
 };
 use mfn_tensor::{rowops, workspace};
 
@@ -61,9 +65,12 @@ enum Op {
     /// `A @ B` for rank-2 operands.
     Matmul(Var, Var),
     /// A fully-connected layer `act(x @ w^T + b)` for `x: [lanes·M, in]`,
-    /// `w: [out, in]`, `b: [out]`. `pre` is the GEMM output `x @ w^T`, kept
-    /// only where backward cannot work from the node's own value (softplus;
-    /// any curved activation of a jet).
+    /// `w: [out, in]`, `b: [out]` — or, with a `seed`, for the one-lane
+    /// `x: [M, in]` of [`Graph::linear_seeded`], whose six-lane output the
+    /// seed makes. `pre` is the GEMM output `x @ w^T` (under a seed, the
+    /// value lane's: the seed lanes' are the seed's), kept only where
+    /// backward cannot work from the node's own value (softplus; any curved
+    /// activation of a jet).
     Linear {
         x: Var,
         w: Var,
@@ -71,6 +78,7 @@ enum Op {
         act: Activation,
         pre: Option<Tensor>,
         lanes: usize,
+        seed: Option<[f32; 3]>,
     },
     /// `x + b` broadcasting `b: [C]` over channel dim 1 of `x: [N, C, ...]`.
     BiasChannel(Var, Var),
@@ -413,20 +421,75 @@ impl Graph {
     /// the rows around it — then [`Activation::bias_jet_rows`].
     pub fn linear(&mut self, x: Var, w: Var, b: Var, act: Activation, lanes: usize) -> Var {
         assert!(lanes == 1 || lanes == JET_LANES, "a layer runs on 1 or {JET_LANES} lanes");
-        let mut y = matmul_nt(&self.nodes[x.0].value, &self.nodes[w.0].value);
+        let y = matmul_nt(&self.nodes[x.0].value, &self.nodes[w.0].value);
+        self.linear_epilogue(y, x, w, b, act, lanes, None)
+    }
+
+    /// The first layer of a six-lane decode as one node: [`Graph::linear`]
+    /// on `JET_LANES` lanes of the one-lane `x: [M, in]` and its derivative
+    /// lanes, which are not recorded anywhere but made here from `seed`:
+    /// column `a < 3` of `x` moves at rate `seed[a]` along lane `1 + a`,
+    /// every other column is constant and nothing has curvature. The value
+    /// is the `[JET_LANES·M, out]` stack `linear` returns for that input, bit
+    /// for bit, without multiplying a zero: one GEMM over the value lane, and
+    /// an epilogue that reads pre-activation lane `1 + a` as the one row
+    /// `seed[a] · w[:, a]` (all a seeded row's GEMM sums to) and lanes 4 and
+    /// 5 as zeros. It saves the value lane's GEMM output alone for backward,
+    /// which reads `x` alone: the seed lanes are constants, so `dx` is the
+    /// value lane's and `dw` the value lane's plus `seed[a] · Σ_rows dz_{1+a}`
+    /// in column `a`.
+    pub fn linear_seeded(
+        &mut self,
+        x: Var,
+        w: Var,
+        b: Var,
+        act: Activation,
+        seed: [f32; 3],
+    ) -> Var {
+        let (xv, wv) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
+        let (m, k, n) = (xv.dims()[0], xv.dims()[1], wv.dims()[0]);
+        assert!(k >= 3 && wv.dims()[1] == k, "a seeded layer reads 3 coordinates of {k} inputs");
+        // The value lane's GEMM; the epilogue writes all six lanes.
+        let mut y = workspace::take_vec_scratch(JET_LANES * m * n);
+        let value = &mut y[..m * n];
+        gemm(m, k, n, xv.data(), MatLayout::Normal, wv.data(), MatLayout::Transposed, value);
+        let y = Tensor::from_vec(y, &[JET_LANES * m, n]);
+        self.linear_epilogue(y, x, w, b, act, JET_LANES, Some(seed))
+    }
+
+    /// The bias and activation on a layer's GEMM output `y`, in place, and
+    /// the node that records it.
+    #[allow(clippy::too_many_arguments)]
+    fn linear_epilogue(
+        &mut self,
+        mut y: Tensor,
+        x: Var,
+        w: Var,
+        b: Var,
+        act: Activation,
+        lanes: usize,
+        seed: Option<[f32; 3]>,
+    ) -> Var {
         let rg = self.rg(x) || self.rg(w) || self.rg(b);
         // Softplus' is a function of the pre-activation, which the in-place
         // activation overwrites; the other derivatives read the output. A
-        // curved activation of a jet reads every pre-activation lane.
+        // curved activation of a jet reads every pre-activation lane — under
+        // a seed, the value lane is the only one that is data.
         let curved_jet = lanes > 1 && act != Activation::Linear;
-        let pre = (rg && (curved_jet || act == Activation::Softplus)).then(|| y.clone());
+        let pre = (rg && (curved_jet || act == Activation::Softplus)).then(|| {
+            let (len, n) = (y.numel() / if seed.is_some() { JET_LANES } else { 1 }, y.dims()[1]);
+            let mut pre = workspace::take_vec_scratch(len);
+            pre.copy_from_slice(&y.data()[..len]);
+            Tensor::from_vec(pre, &[len / n, n])
+        });
+        let seeds = seed_rows(&self.nodes[w.0].value, seed);
         let bias = self.nodes[b.0].value.data();
         if lanes == 1 {
             act.bias_apply_rows(y.data_mut(), bias);
         } else {
-            act.bias_jet_rows::<false>(y.data_mut(), &[], bias);
+            act.bias_jet_rows::<false>(y.data_mut(), &[], bias, seeds.as_deref().unwrap_or(&[]));
         }
-        self.push(y, Op::Linear { x, w, b, act, pre, lanes }, rg)
+        self.push(y, Op::Linear { x, w, b, act, pre, lanes, seed }, rg)
     }
 
     /// Adds bias `b: [C]` over channel dim 1 of `x: [N, C, ...]`.
@@ -659,9 +722,20 @@ impl Graph {
     /// Panics if `loss` is not a single-element node, or on a second call.
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(self.nodes[loss.0].value.numel(), 1, "backward seed must be scalar");
+        let seed = Tensor::ones(self.nodes[loss.0].value.dims());
+        self.backward_with(loss, seed);
+    }
+
+    /// [`Graph::backward`] from any node, its adjoint given: the sweep of
+    /// `⟨adjoint, v⟩`, a vector–Jacobian product.
+    ///
+    /// # Panics
+    /// Panics if `adjoint` is not shaped like `v`, or on a second sweep.
+    pub fn backward_with(&mut self, v: Var, adjoint: Tensor) {
+        assert_eq!(adjoint.dims(), self.nodes[v.0].value.dims(), "adjoint shape mismatch");
         assert!(!self.swept, "a tape is single-use: backward already ran on it");
         self.swept = true;
-        self.nodes[loss.0].grad = Some(Tensor::ones(self.nodes[loss.0].value.dims()));
+        self.nodes[v.0].grad = Some(adjoint);
         for i in (0..self.nodes.len()).rev() {
             let node = &mut self.nodes[i];
             // A leaf has nothing to propagate to and keeps its adjoint.
@@ -745,13 +819,15 @@ impl Graph {
                     self.accumulate(b, gb);
                 }
             }
-            Op::Linear { x, w, b, act, pre, lanes } => {
+            Op::Linear { x, w, b, act, pre, lanes, seed } => {
                 // dz, the adjoint of the pre-activation z = x @ w^T + b, in
                 // place on the adjoint of the output y = act(z).
                 let bias = self.nodes[b.0].value.data();
                 match (act, pre) {
                     (_, Some(pre)) if lanes > 1 => {
-                        act.bias_jet_rows::<true>(grad.data_mut(), pre.data(), bias)
+                        let seeds = seed_rows(&self.nodes[w.0].value, seed);
+                        let seeds = seeds.as_deref().unwrap_or(&[]);
+                        act.bias_jet_rows::<true>(grad.data_mut(), pre.data(), bias, seeds)
                     }
                     (Activation::Softplus, pre) => {
                         let pre =
@@ -763,27 +839,39 @@ impl Graph {
                     (Activation::Tanh, _) => tanh_grad(&mut grad, &self.nodes[node_idx].value),
                     (Activation::Linear, _) => {}
                 }
-                let dz = grad;
-                if self.rg(b) {
-                    // Column sums of the value block (the only lane the bias
-                    // joins), rows added in order.
-                    let mut db = workspace::take_vec_zeroed(dz.dims()[1]);
-                    for row in dz.data()[..dz.numel() / lanes].chunks(db.len()) {
-                        for (acc, &r) in db.iter_mut().zip(row) {
-                            *acc += r;
+                let (xv, wv) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
+                let ((m, k), n) = ((xv.dims()[0], xv.dims()[1]), wv.dims()[0]);
+                // The value lane of dz, and the rows of dz that met a row of
+                // x: all of them, or under a seed the value lane's.
+                let (value, dz) = (&grad.data()[..grad.numel() / lanes], &grad.data()[..m * n]);
+                // The bias joins the value lane only.
+                let db = self.rg(b).then(|| {
+                    let db = column_sums(value, n).detach();
+                    Tensor::from_vec(db, self.nodes[b.0].value.dims())
+                });
+                let dw = self.rg(w).then(|| {
+                    // y = x @ w^T  =>  dw = dz^T @ x, in w's [out, in] layout.
+                    let mut dw = workspace::take_vec_scratch(n * k);
+                    gemm(n, m, k, dz, MatLayout::Transposed, xv.data(), MatLayout::Normal, &mut dw);
+                    // Seed lane 1 + a is seed[a] in column a, zero elsewhere.
+                    for (a, &s) in seed.iter().flatten().enumerate() {
+                        let lane = grad.data().chunks_exact(value.len()).nth(1 + a);
+                        let sums = column_sums(lane.expect("six lanes"), n);
+                        for (o, &sum) in sums.iter().enumerate() {
+                            dw[o * k + a] += s * sum;
                         }
                     }
-                    let dims = self.nodes[b.0].value.dims().to_vec();
-                    self.accumulate(b, Tensor::from_vec(db, &dims));
-                }
-                if self.rg(w) {
-                    // y = x @ w^T  =>  dw = dz^T @ x, in w's [out, in] layout.
-                    let dw = matmul_tn(&dz, &self.nodes[x.0].value);
-                    self.accumulate(w, dw);
-                }
-                if self.rg(x) {
-                    let dx = matmul(&dz, &self.nodes[w.0].value);
-                    self.accumulate(x, dx);
+                    Tensor::from_vec(dw, wv.dims())
+                });
+                let dx = self.rg(x).then(|| {
+                    let mut dx = workspace::take_vec_scratch(m * k);
+                    gemm(m, n, k, dz, MatLayout::Normal, wv.data(), MatLayout::Normal, &mut dx);
+                    Tensor::from_vec(dx, xv.dims())
+                });
+                for (v, g) in [(b, db), (w, dw), (x, dx)] {
+                    if let Some(g) = g {
+                        self.accumulate(v, g);
+                    }
                 }
             }
             Op::BiasChannel(x, b) => {
@@ -980,6 +1068,34 @@ impl Graph {
         }
         grads
     }
+}
+
+/// The three pre-activation rows a seed makes in a layer of weight `w: [n,
+/// k]` ([`Graph::linear_seeded`]): row `a` is `seed[a] · w[:, a]`, what the
+/// GEMM of an input row that is `seed[a]` in column `a` and zero elsewhere
+/// sums to. `+ 0.0` because the GEMM's chain starts from +0: a -0 comes out
+/// +0. `None` without a seed.
+fn seed_rows(w: &Tensor, seed: Option<[f32; 3]>) -> Option<workspace::WorkspaceGuard> {
+    let (n, k) = (w.dims()[0], w.dims()[1]);
+    let seed = seed?;
+    let mut rows = workspace::take_scratch(3 * n);
+    for (a, (row, s)) in rows.chunks_exact_mut(n).zip(seed).enumerate() {
+        for (o, r) in row.iter_mut().enumerate() {
+            *r = s * w.data()[o * k + a] + 0.0;
+        }
+    }
+    Some(rows)
+}
+
+/// Column sums of the `[rows, n]` matrix `m`, rows added in order.
+fn column_sums(m: &[f32], n: usize) -> workspace::WorkspaceGuard {
+    let mut sums = workspace::take_zeroed(n);
+    for row in m.chunks_exact(n) {
+        for (acc, &r) in sums.iter_mut().zip(row) {
+            *acc += r;
+        }
+    }
+    sums
 }
 
 /// relu′ in place: zeroes `g` wherever `v` is not positive. `v` may be the

@@ -67,18 +67,25 @@ impl Activation {
     /// acts by the second-order chain rule ([`rowops::bias_jet_rows`]). With
     /// `GRAD`, the reverse pass instead: `y` holds the output adjoint and
     /// `pre` the GEMM output the forward overwrote (unused without `GRAD`).
-    pub fn bias_jet_rows<const GRAD: bool>(self, y: &mut [f32], pre: &[f32], bias: &[f32]) {
+    /// With `seeds`, pre-activation lanes 1–5 are the three per-column seed
+    /// rows and zeros, and `y` (forward) or `pre` (`GRAD`) holds the value
+    /// lane alone ([`rowops::bias_jet_rows`]).
+    pub fn bias_jet_rows<const GRAD: bool>(
+        self,
+        y: &mut [f32],
+        pre: &[f32],
+        bias: &[f32],
+        seeds: &[f32],
+    ) {
         match self {
-            Activation::Softplus => rowops::bias_softplus_jet_rows::<GRAD>(y, pre, bias),
+            Activation::Softplus => rowops::bias_softplus_jet_rows::<GRAD>(y, pre, bias, seeds),
             // Derivatives pass through the identity untouched.
             Activation::Linear if GRAD => {}
-            Activation::Linear => {
+            Activation::Linear if seeds.is_empty() => {
                 let value_block = y.len() / JET_LANES;
                 rowops::add_bias_rows(&mut y[..value_block], bias)
             }
-            Activation::Relu | Activation::Tanh => {
-                rowops::bias_jet_rows::<GRAD>(y, pre, bias, |x| self.derivs(x))
-            }
+            _ => rowops::bias_jet_rows::<GRAD>(y, pre, bias, seeds, |x| self.derivs(x)),
         }
     }
 
@@ -354,15 +361,31 @@ impl Mlp {
         self.layers.last().expect("non-empty").out_features
     }
 
-    /// Records the forward pass for the `lanes` row blocks of `x: [lanes·M,
-    /// in]` (1, or [`JET_LANES`] to carry derivatives), one node per layer.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, lanes: usize) -> Var {
+    /// Records the forward pass of `x: [M, in]`, one node per layer: on one
+    /// lane, or with `seed` on [`JET_LANES`] — `[JET_LANES·M, out]`, the
+    /// value with its derivatives where input column `a < 3` moves at rate
+    /// `seed[a]` ([`Graph::linear_seeded`] makes the lanes in the first
+    /// layer).
+    pub fn forward(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: Var,
+        seed: Option<[f32; 3]>,
+    ) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
             // Hidden activation on every layer but the linear head.
             let act = if i == last { Activation::Linear } else { self.activation };
-            h = layer.forward(g, store, h, act, lanes);
+            h = match seed {
+                None => layer.forward(g, store, h, act, 1),
+                Some(seed) if i == 0 => {
+                    let (w, b) = (g.param(store, layer.weight), g.param(store, layer.bias));
+                    g.linear_seeded(h, w, b, act, seed)
+                }
+                Some(_) => layer.forward(g, store, h, act, JET_LANES),
+            };
         }
         h
     }
@@ -540,12 +563,12 @@ mod tests {
         let mut g1 = Graph::new();
         let v1 = {
             let xv = g1.constant(x.clone());
-            let y = mlp.forward(&mut g1, &store, xv, 1);
+            let y = mlp.forward(&mut g1, &store, xv, None);
             g1.value(y).clone()
         };
         let mut g2 = Graph::new();
         let xv = g2.constant(x);
-        let y = mlp.forward(&mut g2, &store, xv, 1);
+        let y = mlp.forward(&mut g2, &store, xv, None);
         assert_eq!(&v1, g2.value(y));
         assert_eq!(v1.dims(), &[4, 2]);
     }
@@ -570,7 +593,7 @@ mod tests {
                     let x = Tensor::randn(&[m, widths[0]], 1.5, &mut rng);
                     let mut g = Graph::new();
                     let xv = g.constant(x.clone());
-                    let y = mlp.forward(&mut g, &store, xv, 1);
+                    let y = mlp.forward(&mut g, &store, xv, None);
                     let want = g.value(y).data();
                     for &pack_on in &backends {
                         set_backend_override(Some(pack_on));

@@ -515,7 +515,7 @@ fn full_mlp_param_gradients() {
     let run = |store: &ParamStore| -> f32 {
         let mut g = Graph::new();
         let x = g.constant(x0.clone());
-        let y = mlp.forward(&mut g, store, x, 1);
+        let y = mlp.forward(&mut g, store, x, None);
         let t = g.constant(target.clone());
         let loss = g.mse_loss(y, t);
         g.value(loss).item()
@@ -523,7 +523,7 @@ fn full_mlp_param_gradients() {
 
     let mut g = Graph::new();
     let x = g.constant(x0.clone());
-    let y = mlp.forward(&mut g, &store, x, 1);
+    let y = mlp.forward(&mut g, &store, x, None);
     let t = g.constant(target.clone());
     let loss = g.mse_loss(y, t);
     g.backward(loss);
@@ -618,7 +618,7 @@ fn frozen_param_tape_records_weights_as_constants() {
         let w = g.param(&store, mlp.layers[0].weight);
         let b = g.param(&store, mlp.layers[0].bias);
         let h = g.linear(x, w, b, Activation::Softplus, 1);
-        let y = mlp.forward(&mut g, &store, x, 1);
+        let y = mlp.forward(&mut g, &store, x, None);
         let sq = g.mul(y, y);
         let s1 = g.sum(sq);
         let s2 = g.sum(h);

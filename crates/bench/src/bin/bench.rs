@@ -26,17 +26,18 @@
 //! GEMM. `--gate BASELINE.json` parses a committed report into the same
 //! [`KernelsReport`] and holds this run's *ratios* against it
 //! ([`run_gate`]): the speedups (blocked/naive GEMM, conv3d/blocked GEMM)
-//! may not drop below 85% of the baseline's, and the cost ratio (softplus
-//! derivative/softplus) may not rise above the baseline's by the same
-//! margin — ratios, not absolute GFLOP/s,
+//! may not drop below 85% of the baseline's, and the cost ratios (softplus
+//! derivative/softplus; the tape's six-lane equation loss/one-lane decode)
+//! may not rise above the baseline's by the same margin — ratios, not
+//! absolute GFLOP/s,
 //! so the gate is insensitive to how fast the CI machine is that day. A
 //! baseline of the other mode (`--quick` against full) fails the gate: its
 //! ratios were measured at other sizes.
 
-use mfn_autodiff::{Graph, Var, JET_LANES};
+use mfn_autodiff::{Activation, Graph, Var, JET_LANES};
 use mfn_core::{
     decode_workers, equation_loss, plan_queries, ChannelStats, ConstraintSet, Corpus, DecodeStages,
-    FrozenModel, MeshfreeFlowNet, MfnConfig, RbcParams, TrainConfig, Trainer,
+    FrozenModel, MeshfreeFlowNet, MfnConfig, QueryPlan, RbcParams, TrainConfig, Trainer,
 };
 use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec};
 use mfn_solver::{simulate, RbcConfig};
@@ -182,12 +183,13 @@ fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
 }
 
 /// Schema tag of the report this binary writes.
-const SCHEMA: &str = "mfn-bench/kernels/v12";
+const SCHEMA: &str = "mfn-bench/kernels/v13";
 
 /// `BENCH_kernels.json`. The field names are the keys (the vendored derive
 /// renames nothing) and `--gate` parses a committed report back into this
 /// type, so the writer and the gate cannot disagree on a key. Unknown keys
-/// are ignored: a v11 report (which also carried `sampling`) parses.
+/// are ignored (v11's `sampling`); a missing one fails the parse, so a v12
+/// report, which has no `tape_decoder.layers`, gates nothing.
 #[derive(Serialize, Deserialize)]
 struct KernelsReport {
     schema: String,
@@ -739,8 +741,9 @@ fn bench_decode(iters: usize, gemm_stage: GemmStage) -> DecodeValues {
 const TAPE_QUERIES: usize = 1024;
 
 /// The decoder on the tape as a training step with `γ > 0` runs it: times in
-/// ms (minima unless the key says median), GEMM-GFLOP/s of forward and
-/// backward, and the equation loss against the one-lane decode `γ = 0` pays.
+/// ms (minima unless the key says median), executed GEMM-GFLOP/s of forward
+/// and backward, the equation loss against the one-lane decode `γ = 0` pays,
+/// and every MLP layer on its own.
 #[derive(Serialize, Deserialize)]
 struct TapeDecoder {
     queries: usize,
@@ -757,15 +760,33 @@ struct TapeDecoder {
     eq_loss_ms: f64,
     one_lane_ms: f64,
     eq_loss_vs_one_lane: f64,
+    layers: Vec<TapeLayer>,
+}
+
+/// One MLP layer's node on a tape of its own (minima, ms), its input a leaf
+/// and its output's adjoint given (`Graph::backward_with`). GFLOP/s count
+/// the GEMMs it executes: `gemm_rows` is the one-lane input of the seeded
+/// first layer (`Graph::linear_seeded`) and all six lanes after it, and
+/// backward runs two (`dx`, `dW`) for each forward one.
+#[derive(Serialize, Deserialize)]
+struct TapeLayer {
+    in_features: usize,
+    out_features: usize,
+    gemm_rows: usize,
+    forward_ms: f64,
+    backward_ms: f64,
+    forward_gflops: f64,
+    backward_gflops: f64,
 }
 
 /// Times the decoder pass of a training step on the tape:
 /// `ContinuousDecoder::decode_derivs` of [`TAPE_QUERIES`] points (gather,
-/// concat, one fused six-lane Linear node per layer, blend) with the latent
-/// and the weights as gradient leaves, then `Graph::backward` from the mean
-/// of the output — and, interleaved with it, the same tape reduced through
-/// the equation loss instead, and the one-lane `decode` of the same points.
-/// The model of the `decode_values` rows.
+/// concat, the seeded first layer and a six-lane Linear node per layer after
+/// it, blend) with the latent and the weights as gradient leaves, then
+/// `Graph::backward` from the mean of the output — and, interleaved with it,
+/// the same tape reduced through the equation loss instead, and the one-lane
+/// `decode` of the same points; then each layer alone
+/// ([`bench_tape_layers`]). The model of the `decode_values` rows.
 fn bench_tape_decoder(iters: usize, gemm_nn_gflops: f64) -> TapeDecoder {
     let cfg = bench_decoder_config();
     let in_channels = cfg.in_channels;
@@ -775,11 +796,11 @@ fn bench_tape_decoder(iters: usize, gemm_nn_gflops: f64) -> TapeDecoder {
     let grid = model.grid_dims();
     let plan = plan_queries(grid, bench_queries(TAPE_QUERIES));
     let (dec, store) = (&model.decoder, &model.store);
-    // GEMM FLOPs of one forward pass: `2 · rows · Σ in·out` over the layers
-    // (backward runs two GEMMs, `dx` and `dW`, for each forward one).
-    let forward_flops = 2.0
-        * (TAPE_QUERIES * 8 * JET_LANES) as f64
-        * dec.mlp.layers.iter().map(|l| (l.in_features * l.out_features) as f64).sum::<f64>();
+    let layers = bench_tape_layers(iters, &model, &latent, &plan);
+    // Executed GEMM FLOPs of one forward pass (backward runs two GEMMs, `dx`
+    // and `dW`, for each forward one).
+    let forward_flops: f64 =
+        layers.iter().map(|l| 2.0 * (l.gemm_rows * l.in_features * l.out_features) as f64).sum();
     let lanes = |g: &mut Graph, l: Var| dec.decode_derivs(g, store, l, &plan, grid, [1.0; 3]);
     let stats = ChannelStats { mean: [0.0; 4], std: [1.0; 4] };
     let params = RbcParams::from_ra_pr(1e5, 1.0);
@@ -836,7 +857,76 @@ fn bench_tape_decoder(iters: usize, gemm_nn_gflops: f64) -> TapeDecoder {
         eq_loss_ms: ms(eq.1),
         one_lane_ms: ms(one.1),
         eq_loss_vs_one_lane: round(eq.1 / one.1, 3),
+        layers,
     }
+}
+
+/// The [`TapeLayer`] rows of [`bench_tape_decoder`]'s pass: the MLP input
+/// `decode_derivs` builds (relative coordinates beside the gathered latent
+/// rows), then layer by layer the node the pass records on the previous
+/// layer's output, forward and backward timed apart, `iters` times after one
+/// untimed pass.
+fn bench_tape_layers(
+    iters: usize,
+    model: &MeshfreeFlowNet,
+    latent: &Tensor,
+    plan: &QueryPlan,
+) -> Vec<TapeLayer> {
+    let (mlp, store, grid) = (&model.decoder.mlp, &model.store, model.grid_dims());
+    let n = plan.index.len();
+    let mut g = Graph::new();
+    let l = g.constant(latent.clone());
+    let rows = g.gather_vertices(l, plan.index.clone());
+    let coords = g.constant(Tensor::from_vec(plan.rel.clone(), &[n, 3]));
+    let inp = g.concat(&[coords, rows], 1);
+    let mut x = g.value(inp).clone();
+    // `decode_derivs`' seed at the unit extent the pass is timed at.
+    let seed = grid.map(|v| (v - 1) as f32);
+    let last = mlp.layers.len() - 1;
+    let ms = |ns: f64| round(ns / 1e6, 3);
+    mlp.layers
+        .iter()
+        .enumerate()
+        .map(|(i, layer)| {
+            let act = if i == last { Activation::Linear } else { mlp.activation };
+            let (mut fwd, mut bwd) = (f64::MAX, f64::MAX);
+            let mut out = None;
+            for _ in 0..=iters {
+                let mut g = Graph::new();
+                let xv = g.leaf_with_grad(x.clone());
+                let (w, b) = (g.param(store, layer.weight), g.param(store, layer.bias));
+                let t = Instant::now();
+                let y = if i == 0 {
+                    g.linear_seeded(xv, w, b, act, seed)
+                } else {
+                    g.linear(xv, w, b, act, JET_LANES)
+                };
+                let forward_ns = t.elapsed().as_nanos() as f64;
+                let adjoint = Tensor::ones(g.value(y).dims());
+                let t = Instant::now();
+                g.backward_with(y, adjoint);
+                let backward_ns = t.elapsed().as_nanos() as f64;
+                // The first pass is the untimed one.
+                if out.is_some() {
+                    (fwd, bwd) = (fwd.min(forward_ns), bwd.min(backward_ns));
+                }
+                std::hint::black_box(g.grad(xv));
+                out = Some(g.value(y).clone());
+            }
+            x = out.expect("at least one pass");
+            let gemm_rows = if i == 0 { n } else { n * JET_LANES };
+            let flops = 2.0 * (gemm_rows * layer.in_features * layer.out_features) as f64;
+            TapeLayer {
+                in_features: layer.in_features,
+                out_features: layer.out_features,
+                gemm_rows,
+                forward_ms: ms(fwd),
+                backward_ms: ms(bwd),
+                forward_gflops: round(flops / fwd, 2),
+                backward_gflops: round(2.0 * flops / bwd, 2),
+            }
+        })
+        .collect()
 }
 
 /// The activation kernel as a slice and as the decoder's feature-major
@@ -994,10 +1084,11 @@ type GateRead = fn(&KernelsReport) -> f64;
 /// each is, `true` for a speedup (a floor) or `false` for a cost (a
 /// ceiling), and where a report keeps it. Each is a quotient of two
 /// interleaved minima, so the machine's absolute speed divides out.
-const GATE_LEGS: [(&str, bool, GateRead); 3] = [
+const GATE_LEGS: [(&str, bool, GateRead); 4] = [
     ("gemm blocked/naive", true, |r| r.gemm_speedup_vs_naive),
     ("conv3d/gemm_nn", true, |r| r.conv3d.implicit_vs_gemm_nn),
     ("softplus derivative/softplus cost", false, |r| r.softplus_grad.ratio_vs_softplus),
+    ("equation loss/one-lane decode cost", false, |r| r.tape_decoder.eq_loss_vs_one_lane),
 ];
 
 /// Holds this run's [`GATE_LEGS`] against a committed baseline report of
@@ -1339,7 +1430,8 @@ fn main() {
                 let t = gated.time(iters, false);
                 gated.ratios(&t)[leg]
             }
-            _ => bench_softplus(iters).1.ratio_vs_softplus,
+            2 => bench_softplus(iters).1.ratio_vs_softplus,
+            _ => bench_tape_decoder(decode_iters, blocked).eq_loss_vs_one_lane,
         };
         if let Err(e) = run_gate(&base, &report, remeasure) {
             fail(&e);
@@ -1360,47 +1452,52 @@ mod tests {
     }
 
     /// The committed report with its mode and its [`GATE_LEGS`] ratios set.
-    fn synthesized(mode: &str, [gemm, conv, softplus]: [f64; 3]) -> KernelsReport {
+    fn synthesized(mode: &str, [gemm, conv, softplus, eq]: [f64; 4]) -> KernelsReport {
         let mut r = committed();
         r.mode = mode.to_string();
         r.gemm_speedup_vs_naive = gemm;
         r.conv3d.implicit_vs_gemm_nn = conv;
         r.softplus_grad.ratio_vs_softplus = softplus;
+        r.tape_decoder.eq_loss_vs_one_lane = eq;
         r
     }
 
     #[test]
     fn committed_report_parses_and_round_trips() {
         assert_eq!(committed().schema, SCHEMA);
-        let report = synthesized("quick", [3.25, 0.5, 0.75]);
+        let report = synthesized("quick", [3.25, 0.5, 0.75, 4.5]);
         let text = serde_json::to_string_pretty(&report).expect("serializes");
         let back: KernelsReport = serde_json::from_str(&text).expect("parses back");
         assert_eq!(serde_json::to_string_pretty(&back).expect("serializes"), text);
         assert_eq!((back.mode.as_str(), back.softplus_grad.ratio_vs_softplus), ("quick", 0.75));
-        // A v11 report carried one more top-level key; the gate still reads it.
-        let v11 = COMMITTED.replacen('{', r#"{"sampling": {"adaptive_overhead": 6.187},"#, 1);
-        serde_json::from_str::<KernelsReport>(&v11).expect("a v11 report parses");
+        // A key the type does not know (v11's `sampling`) is skipped.
+        let extra = COMMITTED.replacen('{', r#"{"sampling": {"adaptive_overhead": 6.187},"#, 1);
+        serde_json::from_str::<KernelsReport>(&extra).expect("an unknown key is ignored");
     }
 
     #[test]
     fn gate_holds_floors_and_ceilings() {
-        let base = synthesized("full", [5.0, 0.7, 0.5]);
-        let within = synthesized("full", [4.3, 0.6, 0.55]);
+        let base = synthesized("full", [5.0, 0.7, 0.5, 4.6]);
+        let within = synthesized("full", [4.3, 0.6, 0.55, 5.2]);
         assert_eq!(run_gate(&base, &within, |_| unreachable!("nothing to re-measure")), Ok(()));
         // A first window under the floor that a fresh one clears passes.
-        let noisy = synthesized("full", [3.0, 0.7, 0.5]);
+        let noisy = synthesized("full", [3.0, 0.7, 0.5, 4.6]);
         assert_eq!(run_gate(&base, &noisy, |_| 4.5), Ok(()));
-        let slow = synthesized("full", [5.0, 0.5, 0.5]);
+        let slow = synthesized("full", [5.0, 0.5, 0.5, 4.6]);
         let err = run_gate(&base, &slow, |_| 0.55).expect_err("conv3d below its floor");
         assert!(err.starts_with("conv3d/gemm_nn 0.550x stayed past its floor"), "{err}");
-        let costlier = synthesized("full", [5.0, 0.7, 0.6]);
+        let costlier = synthesized("full", [5.0, 0.7, 0.6, 4.6]);
         let err = run_gate(&base, &costlier, |_| 0.7).expect_err("softplus above its ceiling");
         assert!(err.starts_with("softplus derivative/softplus cost 0.600x stayed past"), "{err}");
+        // Six lanes at the dense first layer's cost again.
+        let dense = synthesized("full", [5.0, 0.7, 0.5, 5.9]);
+        let err = run_gate(&base, &dense, |_| 5.8).expect_err("equation loss above its ceiling");
+        assert!(err.starts_with("equation loss/one-lane decode cost 5.800x stayed past"), "{err}");
     }
 
     #[test]
     fn gate_refuses_a_baseline_of_the_other_mode() {
-        let ratios = [5.0, 0.7, 0.5];
+        let ratios = [5.0, 0.7, 0.5, 4.6];
         let (full, quick) = (synthesized("full", ratios), synthesized("quick", ratios));
         let err = run_gate(&full, &quick, |_| unreachable!()).expect_err("mode mismatch");
         assert!(err.contains(r#"a "full" report and this run is "quick""#), "{err}");

@@ -13,9 +13,10 @@
 //!   a gradient), one fused `Graph::linear` node per MLP layer.
 //!   [`ContinuousDecoder::decode_derivs`] is the same recording on six
 //!   lanes: the value with its exact `∂t, ∂z, ∂x, ∂zz, ∂xx` in physical
-//!   units, through the MLP *and* (by the product rule) the trilinear
-//!   blending — what the PDE residuals read, differentiable like any other
-//!   node;
+//!   units, through the MLP (whose first node, `Graph::linear_seeded`, makes
+//!   the lanes from the one-lane input) *and* (by the product rule) the
+//!   trilinear blending — what the PDE residuals read, differentiable like
+//!   any other node;
 //! - **no-grad**: `decode_packed` evaluates the same values, bit for bit,
 //!   with no tape, a block of queries at a time and *feature-major* from
 //!   gather to blend: a block's activations are `[width, rows]`, so the MLP
@@ -312,6 +313,10 @@ impl ContinuousDecoder {
 
     /// The one tape recording: gather, coordinate concat, the MLP, the
     /// blend — on one lane, or with `scale = d(rel)/d(coordinate)` on six.
+    /// The MLP's first layer makes the six lanes of its input from `scale`
+    /// ([`Graph::linear_seeded`]): each relative coordinate moves with its
+    /// own axis at that rate, the latent vector (fixed at a vertex) with
+    /// none, and nothing has curvature.
     fn decode_lanes(
         &self,
         g: &mut Graph,
@@ -321,47 +326,18 @@ impl ContinuousDecoder {
         scale: Option<[f32; 3]>,
     ) -> Var {
         assert!(!plan.is_empty(), "empty query plan");
-        let n = plan.index.len();
         let rows = g.gather_vertices(latent, plan.index.clone());
-        let coords = g.constant(Tensor::from_vec(plan.rel.clone(), &[n, 3]));
+        // A pool buffer: the tensor donates its storage to the pool when the
+        // tape drops it, into the bucket it came from.
+        let mut rel = workspace::take_vec_capacity(plan.rel.len());
+        rel.extend_from_slice(&plan.rel);
+        let coords = g.constant(Tensor::from_vec(rel, &[plan.index.len(), 3]));
         let inp = g.concat(&[coords, rows], 1);
-        let Some(scale) = scale else {
-            let out = self.mlp.forward(g, store, inp, 1);
-            return g.vertex_blend(out, plan.weights.clone(), VERTICES);
-        };
-        // The derivative lanes of the MLP input: each relative coordinate
-        // moves with its own axis at rate `scale`, the latent vector (fixed
-        // at a vertex) with none, and nothing has curvature.
-        let width = 3 + self.latent_channels;
-        let mut seed = workspace::take_vec_zeroed((JET_LANES - 1) * n * width);
-        for (axis, lane) in seed.chunks_mut(n * width).take(3).enumerate() {
-            for row in lane.chunks_mut(width) {
-                row[axis] = scale[axis];
-            }
+        let out = self.mlp.forward(g, store, inp, scale);
+        match scale {
+            None => g.vertex_blend(out, plan.weights.clone(), VERTICES),
+            Some(scale) => blend_lanes(g, out, plan, scale),
         }
-        let seed = g.constant(Tensor::from_vec(seed, &[(JET_LANES - 1) * n, width]));
-        let inp = g.concat(&[inp, seed], 0);
-        let out = self.mlp.forward(g, store, inp, JET_LANES);
-        // The blend, lane by lane, by the product rule against the weights'
-        // own slopes: (wy)′ = wy′ + w′y and (wy)″ = wy″ + 2w′y′ (a trilinear
-        // weight has no second derivative along an axis).
-        let dw = plan.weight_derivs(scale);
-        let y: [Var; JET_LANES] = std::array::from_fn(|k| g.narrow(out, 0, k * n, n));
-        let blended: Vec<Var> = (0..JET_LANES)
-            .map(|k| {
-                let own = g.vertex_blend(y[k], plan.weights.clone(), VERTICES);
-                // (lane the weight's slope multiplies, its axis, its factor)
-                let (from, axis, factor) = match k {
-                    0 => return own,
-                    1..=3 => (0, k - 1, 1.0),
-                    _ => (k - 2, k - 3, 2.0),
-                };
-                let slopes = dw[axis].iter().map(|w| factor * w).collect();
-                let cross = g.vertex_blend(y[from], slopes, VERTICES);
-                g.add(own, cross)
-            })
-            .collect();
-        g.concat(&blended, 0)
     }
 
     /// Eager no-grad path: the same math as [`ContinuousDecoder::decode`]
@@ -372,6 +348,31 @@ impl ContinuousDecoder {
     pub fn decode_nograd(&self, store: &ParamStore, latent: &Tensor, plan: &QueryPlan) -> Tensor {
         decode_packed(&self.mlp.pack(store), latent, plan, None, None)
     }
+}
+
+/// The trilinear blend of the MLP's six-lane output `out: [JET_LANES·8Q,
+/// out]`, lane by lane, by the product rule against the weights' own slopes:
+/// (wy)′ = wy′ + w′y and (wy)″ = wy″ + 2w′y′ (a trilinear weight has no
+/// second derivative along an axis).
+fn blend_lanes(g: &mut Graph, out: Var, plan: &QueryPlan, scale: [f32; 3]) -> Var {
+    let n = plan.index.len();
+    let dw = plan.weight_derivs(scale);
+    let y: [Var; JET_LANES] = std::array::from_fn(|k| g.narrow(out, 0, k * n, n));
+    let blended: Vec<Var> = (0..JET_LANES)
+        .map(|k| {
+            let own = g.vertex_blend(y[k], plan.weights.clone(), VERTICES);
+            // (lane the weight's slope multiplies, its axis, its factor)
+            let (from, axis, factor) = match k {
+                0 => return own,
+                1..=3 => (0, k - 1, 1.0),
+                _ => (k - 2, k - 3, 2.0),
+            };
+            let slopes = dw[axis].iter().map(|w| factor * w).collect();
+            let cross = g.vertex_blend(y[from], slopes, VERTICES);
+            g.add(own, cross)
+        })
+        .collect();
+    g.concat(&blended, 0)
 }
 
 #[cfg(test)]
@@ -480,6 +481,101 @@ mod tests {
         assert_eq!(g.value(lanes).dims(), &[JET_LANES * 4, 4]);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&g.value(lanes).data()[..16]), bits(g.value(y).data()));
+    }
+
+    /// The six-lane decode with the first layer recorded densely: the seed
+    /// lanes as a constant concatenated under the value lane, and every
+    /// layer a six-lane `Graph::linear` — what `linear_seeded` replaces.
+    fn dense_decode_derivs(
+        dec: &ContinuousDecoder,
+        g: &mut Graph,
+        store: &ParamStore,
+        latent: Var,
+        plan: &QueryPlan,
+        scale: [f32; 3],
+    ) -> Var {
+        let n = plan.index.len();
+        let rows = g.gather_vertices(latent, plan.index.clone());
+        let coords = g.constant(Tensor::from_vec(plan.rel.clone(), &[n, 3]));
+        let inp = g.concat(&[coords, rows], 1);
+        let width = 3 + dec.latent_channels;
+        let mut seed = vec![0.0f32; (JET_LANES - 1) * n * width];
+        for (axis, lane) in seed.chunks_mut(n * width).take(3).enumerate() {
+            for row in lane.chunks_mut(width) {
+                row[axis] = scale[axis];
+            }
+        }
+        let seed = g.constant(Tensor::from_vec(seed, &[(JET_LANES - 1) * n, width]));
+        let mut h = g.concat(&[inp, seed], 0);
+        let last = dec.mlp.layers.len() - 1;
+        for (i, layer) in dec.mlp.layers.iter().enumerate() {
+            let act = if i == last { Activation::Linear } else { dec.mlp.activation };
+            h = layer.forward(g, store, h, act, JET_LANES);
+        }
+        blend_lanes(g, h, plan, scale)
+    }
+
+    /// The seeded first layer is the dense one: for every activation, at
+    /// interior, patch-wall and latent-cell-face points, the six lanes and
+    /// the latent gradient of the equation loss are bit-identical, and so is
+    /// every weight gradient but the first layer's coordinate columns (their
+    /// seed-lane sums are added in another order), which stay inside the
+    /// `eq_weight_grad` oracle row's budget of each other.
+    #[test]
+    fn seeded_first_layer_is_the_dense_six_lane_layer() {
+        use crate::losses::{equation_loss, ChannelStats, ConstraintSet};
+        let (grid, extent) = ([3usize, 4, 4], [2.0f64, 0.5, 1.5]);
+        let scale = [0, 1, 2].map(|a| ((grid[a] - 1) as f64 / extent[a]) as f32);
+        let plan = plan_queries(
+            grid,
+            [
+                (0, [0.37, 0.61, 0.23]),
+                (1, [0.81, 0.12, 0.95]),
+                (1, [0.0, 1.0, 0.5]),
+                (0, [1.0, 0.0, 1.0]),
+                (1, [0.5, 1.0 / 3.0, 2.0 / 3.0]),
+                (0, [0.5, 0.29, 1.0 / 3.0]),
+            ],
+        );
+        let latent = random_latent(12, &[2, 6, 3, 4, 4]);
+        let stats = ChannelStats { mean: [0.1, -0.2, 0.05, 0.0], std: [1.5, 0.7, 1.2, 0.9] };
+        for act in [Activation::Softplus, Activation::Tanh, Activation::Relu, Activation::Linear] {
+            let mut store = ParamStore::new();
+            let mut rng = ChaCha8Rng::seed_from_u64(13);
+            let mlp = Mlp::new(&mut store, "dec", &[3 + 6, 24, 16, 4], act, &mut rng);
+            let dec = ContinuousDecoder::new(mlp, 6);
+            let run = |dense: bool| {
+                let mut g = Graph::new();
+                let l = g.leaf_with_grad(latent.clone());
+                let lanes = if dense {
+                    dense_decode_derivs(&dec, &mut g, &store, l, &plan, scale)
+                } else {
+                    dec.decode_derivs(&mut g, &store, l, &plan, grid, extent)
+                };
+                let params = mfn_physics::RbcParams::from_ra_pr(1e5, 1.0);
+                let (loss, _) = equation_loss(&mut g, lanes, params, stats, ConstraintSet::ALL);
+                let lanes = bits(g.value(lanes));
+                g.backward(loss);
+                (lanes, bits(g.grad(l)), g.param_grads(&store))
+            };
+            let (want, got) = (run(true), run(false));
+            assert_eq!(got.0, want.0, "{act:?}: six lanes");
+            assert_eq!(got.1, want.1, "{act:?}: latent gradient");
+            for (p, (got, want)) in got.2.iter().zip(&want.2).enumerate() {
+                if p != 0 {
+                    assert_eq!(bits(got), bits(want), "{act:?}: gradient of parameter {p}");
+                    continue;
+                }
+                let gmax = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                for (i, (&a, &b)) in got.data().iter().zip(want.data()).enumerate() {
+                    if i % (3 + 6) >= 3 {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{act:?}: first-layer dW[{i}]");
+                    } else {
+                        assert!((a - b).abs() <= 4e-6 * gmax, "{act:?}: dW[{i}] {a} vs {b}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

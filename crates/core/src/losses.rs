@@ -10,8 +10,9 @@
 //!   the one definition the solver diagnostics use on `f64`.
 //!
 //! With `γ > 0` a training step is therefore one six-lane decoder pass on the
-//! tape — a gather, a concat, one fused `Graph::linear` node per MLP layer
-//! and a blend — whose value lane is the prediction of Eqn. 8; that pass is
+//! tape — a gather, a concat, one fused node per MLP layer (the first,
+//! `Graph::linear_seeded`, makes the six lanes from the one-lane input) and a
+//! blend — whose value lane is the prediction of Eqn. 8; that pass is
 //! where a step's time goes. What the loss differentiates is the tape's
 //! choice, not this module's: on `Graph::new()` the weights and the latent,
 //! on `Graph::with_frozen_params()` (test-time refinement) the latent alone.

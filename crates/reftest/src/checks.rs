@@ -818,6 +818,59 @@ pub fn check_refine_grad() -> Report {
     chk.finish()
 }
 
+/// The equation loss's weight gradient (`equation_loss_at_points` on a
+/// `Graph::new()` tape, the weights as parameters and the latent a constant —
+/// the decoder half of a training step's Eqn. 9 term) against f64 central
+/// differences of `refine_objective_ref` with one weight perturbed, on the
+/// `jet_decoder` fixture. It covers all three coordinate columns of the
+/// first layer — the only weight-gradient values whose bits the seeded
+/// first layer (`Graph::linear_seeded`) changed, its seed lanes being summed
+/// per column apart from the value lane's GEMM — plus one hidden-layer and
+/// one head entry. The budget is `refine_grad`'s, scale = the largest checked
+/// magnitude; measured worst case 5.7e-7 of the scale (the head entry),
+/// 1.6e-7 on a coordinate column.
+pub fn check_eq_weight_grad() -> Report {
+    let mut chk = Checker::new("eq_weight_grad", Tolerance::new(8, 4.0e-6, 0.0));
+    let (store, dec, latent, points) = lane_fixture(1760);
+    let params = RbcParams::from_ra_pr(1.0e5, 1.0);
+    let stats = ChannelStats { mean: [0.1, -0.2, 0.05, 0.0], std: [1.5, 0.7, 1.2, 0.9] };
+    let mut graph = Graph::new();
+    let leaf = graph.constant(latent.clone());
+    let (loss, _) = equation_loss_at_points(
+        &mut graph,
+        &store,
+        &dec,
+        leaf,
+        &points,
+        LANE_GRID,
+        LANE_EXTENT,
+        params,
+        stats,
+        ConstraintSet::ALL,
+    );
+    graph.backward(loss);
+    let grads = graph.param_grads(&store);
+
+    let layers = &dec.mlp.layers;
+    let width = layers[0].in_features;
+    let mut entries: Vec<(usize, usize)> =
+        (0..layers[0].out_features).flat_map(|o| (0..3).map(move |a| (0, o * width + a))).collect();
+    entries.extend([(1, 5 * layers[1].in_features + 7), (2, 2 * layers[2].in_features + 3)]);
+    let (layers64, lat64, pts64) = widen_fixture(&store, &dec, &latent, &points);
+    let (p_star, r_star) = (f64::from(params.p_star as f32), f64::from(params.r_star as f32));
+    let (mean, std) = (stats.mean.map(f64::from), stats.std.map(f64::from));
+    let (l, c, g, e) = (&layers64, LANE_CHANNELS, LANE_GRID, LANE_EXTENT);
+    let want = refk::refine_weight_grad_ref(
+        l, &lat64, c, g, &pts64, e, p_star, r_star, mean, std, &entries, 1.0e-5,
+    );
+    chk.case("first-layer coordinate columns, a hidden and a head weight (12 pts, seed 1760)");
+    for (i, &(layer, at)) in entries.iter().enumerate() {
+        let got = grads[layers[layer].weight.index()].data()[at];
+        chk.check_f32(i, got, want.value[i], want.scale[i]);
+    }
+    chk.finish()
+}
+
 /// A decoder's MLP widened to f64, as the reference twins read it.
 fn widen_mlp(dec: &ContinuousDecoder, store: &ParamStore) -> Vec<refk::MlpLayerRef> {
     let widen = |t: &Tensor| t.data().iter().map(|&v| f64::from(v)).collect();
@@ -929,6 +982,7 @@ pub fn run_all() -> Vec<Report> {
     reports.push(check_linear_backward());
     reports.push(check_jet_decoder());
     reports.push(check_refine_grad());
+    reports.push(check_eq_weight_grad());
     reports.push(check_decode_blocked());
     reports.push(check_decode_threads());
     reports

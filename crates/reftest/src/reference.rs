@@ -818,6 +818,7 @@ pub fn sample_trilinear_ref(
 
 /// One decoder MLP layer widened to f64: row-major `[out, in]` weight plus
 /// bias, as read back from the `ParamStore`.
+#[derive(Clone)]
 pub struct MlpLayerRef {
     /// Row-major `[out, in]` weight matrix.
     pub weight: Vec<f64>,
@@ -1037,6 +1038,47 @@ pub fn refine_latent_grad_ref(
         *out = (at(base + fd_step) - at(base - fd_step)) / (2.0 * fd_step);
         work[i] = base;
     }
+    let gmax = value.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    RefOut { scale: vec![gmax; value.len()], value }
+}
+
+/// Weight gradient of [`refine_objective_ref`] by f64 central differences,
+/// at the `(layer, index into its [out, in] weight)` entries asked for — the
+/// oracle for the reverse-mode gradient a training step's equation loss
+/// sends to the decoder's weights. `scale` is the largest magnitude among
+/// them, for every entry, as in [`refine_latent_grad_ref`].
+#[allow(clippy::too_many_arguments)]
+pub fn refine_weight_grad_ref(
+    layers: &[MlpLayerRef],
+    latent: &[f64],
+    c: usize,
+    grid: [usize; 3],
+    points: &[[f64; 3]],
+    extent: [f64; 3],
+    p_star: f64,
+    r_star: f64,
+    mean: [f64; 4],
+    std: [f64; 4],
+    entries: &[(usize, usize)],
+    fd_step: f64,
+) -> RefOut {
+    let mut work = layers.to_vec();
+    let value: Vec<f64> = entries
+        .iter()
+        .map(|&(l, i)| {
+            let base = work[l].weight[i];
+            let mut at = |x: f64| {
+                work[l].weight[i] = x;
+                refine_objective_ref(
+                    &work, latent, c, grid, points, extent, p_star, r_star, mean, std,
+                )
+                .0
+            };
+            let d = (at(base + fd_step) - at(base - fd_step)) / (2.0 * fd_step);
+            work[l].weight[i] = base;
+            d
+        })
+        .collect();
     let gmax = value.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     RefOut { scale: vec![gmax; value.len()], value }
 }

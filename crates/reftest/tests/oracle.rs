@@ -125,6 +125,11 @@ fn refine_objective_gradient_matches_reference() {
 }
 
 #[test]
+fn equation_loss_weight_gradient_matches_reference() {
+    assert_ok(checks::check_eq_weight_grad());
+}
+
+#[test]
 fn blocked_decode_matches_reference() {
     assert_ok(checks::check_decode_blocked());
 }

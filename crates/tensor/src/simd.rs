@@ -799,29 +799,45 @@ pub fn softplus_derivs(x: f32) -> [f32; 4] {
 /// With `GRAD`, [`jet_chain_grad`] instead — the backward pass, in place on
 /// the adjoints `x`, reading the matrix `z` (as long as `x`; unused without
 /// `GRAD`) the forward overwrote.
+///
+/// With `seeds` (`3·N` values rather than none) the argument's lanes 1–5 are
+/// not in `x` or `z` but constant down every column: lane `1 + a` is row `a`
+/// of `seeds`, lanes 4 and 5 are zero, and `z` holds the value lane alone.
+/// The forward reads only `x`'s value block then, and writes all six.
 pub fn bias_jet_rows<const GRAD: bool>(
     x: &mut [f32],
     z: &[f32],
     bias: &[f32],
+    seeds: &[f32],
     derivs: impl Fn(f32) -> [f32; 4],
 ) {
-    let m = jet_block_rows::<GRAD>(x.len(), z.len(), bias.len());
-    jet_columns::<GRAD>(x, z, bias, 0..m, 0, derivs);
+    let m = jet_block_rows::<GRAD>(x.len(), z.len(), bias.len(), seeds.len());
+    jet_columns::<GRAD>(x, z, bias, seeds, 0..m, 0, derivs);
 }
 
 /// [`bias_jet_rows`] for softplus on explicit vectors, one clamped
 /// exponential per element.
-pub fn bias_softplus_jet_rows<const GRAD: bool>(x: &mut [f32], z: &[f32], bias: &[f32]) {
-    let m = jet_block_rows::<GRAD>(x.len(), z.len(), bias.len());
+pub fn bias_softplus_jet_rows<const GRAD: bool>(
+    x: &mut [f32],
+    z: &[f32],
+    bias: &[f32],
+    seeds: &[f32],
+) {
+    let m = jet_block_rows::<GRAD>(x.len(), z.len(), bias.len(), seeds.len());
     // SAFETY: `resolve` only returns tiers this CPU was detected to have.
-    unsafe { softplus_jet_rows::<GRAD>(resolve(), x, m, bias, z) }
+    unsafe { softplus_jet_rows::<GRAD>(resolve(), x, m, bias, z, seeds) }
 }
 
 /// Rows per lane block of a `len`-element matrix of `n`-wide rows.
-fn jet_block_rows<const GRAD: bool>(len: usize, z_len: usize, n: usize) -> usize {
+fn jet_block_rows<const GRAD: bool>(len: usize, z_len: usize, n: usize, seeds: usize) -> usize {
+    let z_lanes = if seeds == 0 { 1 } else { JET_LANES };
     assert!(
-        n > 0 && len.is_multiple_of(JET_LANES * n) && (!GRAD || z_len == len),
-        "{len} values ({z_len} pre-activations) are not {JET_LANES} lane blocks of rows of {n}"
+        n > 0
+            && len.is_multiple_of(JET_LANES * n)
+            && (!GRAD || z_len * z_lanes == len)
+            && (seeds == 0 || seeds == 3 * n),
+        "{len} values ({z_len} pre-activations, {seeds} seeds) are not {JET_LANES} lane blocks \
+         of rows of {n}"
     );
     len / (JET_LANES * n)
 }
@@ -836,24 +852,31 @@ unsafe fn softplus_jet_rows<const GRAD: bool>(
     m: usize,
     bias: &[f32],
     z: &[f32],
+    seeds: &[f32],
 ) {
-    match backend {
+    match (backend, seeds.is_empty()) {
         #[cfg(target_arch = "x86_64")]
-        B_AVX512 => softplus_avx512::jet_rows::<GRAD>(x, m, bias, z),
+        (B_AVX512, true) => softplus_avx512::jet_rows::<GRAD, false>(x, m, bias, z, seeds),
         #[cfg(target_arch = "x86_64")]
-        B_AVX2 => softplus_avx2::jet_rows::<GRAD>(x, m, bias, z),
-        _ => jet_columns::<GRAD>(x, z, bias, 0..m, 0, softplus_derivs),
+        (B_AVX512, false) => softplus_avx512::jet_rows::<GRAD, true>(x, m, bias, z, seeds),
+        #[cfg(target_arch = "x86_64")]
+        (B_AVX2, true) => softplus_avx2::jet_rows::<GRAD, false>(x, m, bias, z, seeds),
+        #[cfg(target_arch = "x86_64")]
+        (B_AVX2, false) => softplus_avx2::jet_rows::<GRAD, true>(x, m, bias, z, seeds),
+        _ => jet_columns::<GRAD>(x, z, bias, seeds, 0..m, 0, softplus_derivs),
     }
 }
 
 /// The scalar forms over columns `from..` of `rows` of every lane block:
 /// `x` becomes [`jet_chain`] of itself, or with `GRAD` [`jet_chain_grad`] of
-/// itself at the pre-activation lanes `z`.
+/// itself at the pre-activation lanes `z` — lanes 1–5 of the argument from
+/// `seeds` instead where there are any ([`bias_jet_rows`]).
 #[inline]
 fn jet_columns<const GRAD: bool>(
     x: &mut [f32],
     z: &[f32],
     bias: &[f32],
+    seeds: &[f32],
     rows: std::ops::Range<usize>,
     from: usize,
     derivs: impl Fn(f32) -> [f32; 4],
@@ -865,7 +888,12 @@ fn jet_columns<const GRAD: bool>(
             let at = r * n + c;
             let lanes =
                 |m: &[f32]| -> [f32; JET_LANES] { std::array::from_fn(|l| m[l * block + at]) };
-            let mut u = lanes(if GRAD { z } else { x });
+            let mut u = if seeds.is_empty() {
+                lanes(if GRAD { z } else { x })
+            } else {
+                let value = if GRAD { z[at] } else { x[at] };
+                [value, seeds[c], seeds[n + c], seeds[2 * n + c], 0.0, 0.0]
+            };
             u[0] += b;
             let [v, d1, d2, d3] = derivs(u[0]);
             let y = if GRAD {
@@ -1176,17 +1204,24 @@ macro_rules! softplus_kernel {
 
         /// [`jet_chain`] (with `GRAD`, [`jet_chain_grad`]) of softplus on `N`
         /// vectors of each lane, at element `at` (column `c`) of every lane
-        /// block: one exponential serves `σ` … `σ‴`.
+        /// block: one exponential serves `σ` … `σ‴`. With `SEEDED`, lanes
+        /// 1–5 of the argument are row `l − 1` of `seeds` (rows `n` apart)
+        /// at column `c` and zeros ([`bias_jet_rows`]).
         ///
         /// # Safety
         /// `x` and (with `GRAD`) `z` must be valid for `N * LANES` floats from
-        /// `l * block + at` for every lane `l`, `bias` from `c`.
+        /// `l * block + at` for every lane `l` (with `SEEDED`, `z` for lane 0
+        /// only), `bias` from `c` and (with `SEEDED`) `seeds` from `a * n + c`
+        /// for `a < 3`; an unused pointer is never offset or read.
         #[inline]
         #[target_feature(enable = $feat)]
-        unsafe fn jet_step<const GRAD: bool, const N: usize>(
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn jet_step<const GRAD: bool, const SEEDED: bool, const N: usize>(
             x: *mut f32,
             z: *const f32,
             bias: *const f32,
+            seeds: *const f32,
+            n: usize,
             block: usize,
             at: usize,
             c: usize,
@@ -1195,7 +1230,12 @@ macro_rules! softplus_kernel {
             let mut u = [[zero(); N]; JET_LANES];
             for (l, lane) in u.iter_mut().enumerate() {
                 for i in 0..N {
-                    lane[i] = load(src.add(l * block + at + i * LANES));
+                    lane[i] = match l {
+                        _ if !SEEDED => load(src.add(l * block + at + i * LANES)),
+                        0 => load(src.add(at + i * LANES)),
+                        1..=3 => load(seeds.add((l - 1) * n + c + i * LANES)),
+                        _ => zero(),
+                    };
                 }
             }
             u[0] = each!(|i| add(u[0][i], load(bias.add(c + i * LANES))));
@@ -1249,33 +1289,38 @@ macro_rules! softplus_kernel {
         }
 
         /// Six lane blocks of `m` rows of `bias.len()` floats: two vectors of
-        /// every lane at a time, then one, then the scalar form.
+        /// every lane at a time, then one, then the scalar form; lanes 1–5
+        /// of the argument from `seeds` with `SEEDED`.
         ///
         /// # Safety
         /// The CPU must have the features this module is compiled for.
         #[target_feature(enable = $feat)]
-        pub(super) unsafe fn jet_rows<const GRAD: bool>(
+        pub(super) unsafe fn jet_rows<const GRAD: bool, const SEEDED: bool>(
             x: &mut [f32],
             m: usize,
             bias: &[f32],
             z: &[f32],
+            seeds: &[f32],
         ) {
             let n = bias.len();
-            assert!(x.len() == JET_LANES * m * n && (!GRAD || z.len() == x.len()));
+            let z_lanes = if SEEDED { JET_LANES } else { 1 };
+            assert!(x.len() == JET_LANES * m * n && (!GRAD || z.len() * z_lanes == x.len()));
+            assert!(!SEEDED || seeds.len() == 3 * n, "three seed rows");
             for r in 0..m {
-                let (xp, zp, bp) = (x.as_mut_ptr(), z.as_ptr(), bias.as_ptr());
+                let (xp, zp, bp, sp) = (x.as_mut_ptr(), z.as_ptr(), bias.as_ptr(), seeds.as_ptr());
                 let mut c = 0;
                 // SAFETY: every step is entered with `c + N * LANES <= n`, so
-                // each lane's vectors end inside row `r` of its block.
+                // each lane's vectors end inside row `r` of its block and
+                // each seed row's inside that row.
                 while c + 2 * LANES <= n {
-                    jet_step::<GRAD, 2>(xp, zp, bp, m * n, r * n + c, c);
+                    jet_step::<GRAD, SEEDED, 2>(xp, zp, bp, sp, n, m * n, r * n + c, c);
                     c += 2 * LANES;
                 }
                 if c + LANES <= n {
-                    jet_step::<GRAD, 1>(xp, zp, bp, m * n, r * n + c, c);
+                    jet_step::<GRAD, SEEDED, 1>(xp, zp, bp, sp, n, m * n, r * n + c, c);
                     c += LANES;
                 }
-                jet_columns::<GRAD>(x, z, bias, r..r + 1, c, softplus_derivs);
+                jet_columns::<GRAD>(x, z, bias, seeds, r..r + 1, c, softplus_derivs);
             }
         }
     };
@@ -1693,10 +1738,10 @@ mod tests {
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
                 let mut want = z.clone();
-                bias_jet_rows::<false>(&mut want, &[], &bias, softplus_derivs);
+                bias_jet_rows::<false>(&mut want, &[], &bias, &[], softplus_derivs);
                 let mut got = z.clone();
                 // SAFETY: `runnable_tiers` lists only tiers at or below detection.
-                unsafe { softplus_jet_rows::<false>(tier, &mut got, m, &bias, &[]) };
+                unsafe { softplus_jet_rows::<false>(tier, &mut got, m, &bias, &[], &[]) };
                 assert_eq!(bits(&got), bits(&want), "{name} forward width {n}");
                 // The value lane is the one-lane kernel's output.
                 let mut value = z[..m * n].to_vec();
@@ -1704,11 +1749,36 @@ mod tests {
                 assert_eq!(bits(&got[..m * n]), bits(&value), "{name} value lane width {n}");
 
                 let mut want = g.clone();
-                bias_jet_rows::<true>(&mut want, &z, &bias, softplus_derivs);
+                bias_jet_rows::<true>(&mut want, &z, &bias, &[], softplus_derivs);
                 let mut got = g.clone();
                 // SAFETY: as above.
-                unsafe { softplus_jet_rows::<true>(tier, &mut got, m, &bias, &z) };
+                unsafe { softplus_jet_rows::<true>(tier, &mut got, m, &bias, &z, &[]) };
                 assert_eq!(bits(&got), bits(&want), "{name} backward width {n}");
+
+                // Seeded: lanes 1-5 of the argument from three seed rows and
+                // zeros are those lanes written out down every column.
+                let seeds = &jet_probes(1, n, 5 + n as u32)[..3 * n];
+                let mut stacked = z.clone();
+                for (l, lane) in stacked.chunks_exact_mut(m * n).enumerate().skip(1) {
+                    for row in lane.chunks_exact_mut(n) {
+                        row.copy_from_slice(
+                            seeds.get((l - 1) * n..l * n).unwrap_or(&[0.0; 128][..n]),
+                        );
+                    }
+                }
+                let mut want = stacked.clone();
+                bias_jet_rows::<false>(&mut want, &[], &bias, &[], softplus_derivs);
+                let mut got = z.clone();
+                got[m * n..].fill(f32::NAN);
+                // SAFETY: as above.
+                unsafe { softplus_jet_rows::<false>(tier, &mut got, m, &bias, &[], seeds) };
+                assert_eq!(bits(&got), bits(&want), "{name} seeded forward width {n}");
+                let mut want = g.clone();
+                bias_jet_rows::<true>(&mut want, &stacked, &bias, &[], softplus_derivs);
+                let mut got = g.clone();
+                // SAFETY: as above.
+                unsafe { softplus_jet_rows::<true>(tier, &mut got, m, &bias, &z[..m * n], seeds) };
+                assert_eq!(bits(&got), bits(&want), "{name} seeded backward width {n}");
             }
         }
     }
