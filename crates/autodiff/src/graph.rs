@@ -16,30 +16,34 @@
 //! every node keeps its value. An operand's adjoint is computed only if that
 //! operand requires a gradient.
 //!
-//! A fully-connected layer is one node, [`Graph::linear`]: GEMM, then
-//! [`Activation::bias_apply_rows`] in place on the GEMM output — the element
-//! function the no-grad `PackedMlp::forward` applies to its transposed
-//! (feature-major) activations, so the two forwards agree bit for bit. It
-//! saves what backward needs once: its own output (which the next layer
-//! reads anyway) and, for softplus only, a copy of the GEMM output.
+//! A fully-connected layer is one node, [`Graph::linear`], on feature-major
+//! activations `[width, M]` — the layout of the no-grad `PackedMlp::forward`
+//! and of the U-Net's convs: the layer is the 1×1×1 convolution over `M`
+//! voxels, run by the conv driver (`PackedConv3d::forward_slices`, and
+//! `conv3d_grad_input` / `conv3d_grad_weight` backward), then
+//! [`Activation::bias_apply_features`] in place on its output, so the tape
+//! and the no-grad forward agree bit for bit. It saves what backward needs
+//! once: its own output (which the next layer reads anyway) and, for
+//! softplus only, a copy of the GEMM output.
 //!
 //! The same node differentiates the network with respect to its *inputs* —
 //! how the PDE residuals get exact derivatives of the decoder: on
-//! [`JET_LANES`] lanes its input stacks a value and five derivatives of it as
-//! row blocks, the GEMM maps all six with the same weight (a linear map
-//! commutes with differentiation) and the activation acts by the second-order
-//! chain rule ([`Activation::bias_jet_rows`]). The lanes being ordinary node
-//! values, a loss on the derivatives reaches weights and latent in reverse.
-//! Where the lanes begin — the network's input, whose derivatives are a
-//! constant seed — [`Graph::linear_seeded`] is that node taking the value
-//! lane alone: the seed lanes never exist, so no GEMM multiplies their zeros.
+//! [`JET_LANES`] lanes each feature row holds a value and five derivatives
+//! of it as column blocks, the GEMM maps all six with the same weight (a
+//! linear map commutes with differentiation) and the activation acts by the
+//! second-order chain rule ([`Activation::bias_jet_features`]). The lanes
+//! being ordinary node values, a loss on the derivatives reaches weights and
+//! latent in reverse. Where the lanes begin — the network's input, whose
+//! derivatives are a constant seed — [`Graph::linear_seeded`] is that node
+//! taking the value lane alone: the seed lanes never exist, so no GEMM
+//! multiplies their zeros.
 
 use crate::nn::Activation;
 use crate::params::{ParamId, ParamStore};
 use mfn_tensor::{
-    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, matmul, matmul_nt, matmul_tn,
-    maxpool3d, maxpool3d_backward, upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims,
-    MatLayout, Tensor,
+    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, matmul, matmul_nt, matmul_tn, maxpool3d,
+    maxpool3d_backward, upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims, PackedConv3d,
+    Tensor,
 };
 use mfn_tensor::{rowops, workspace};
 
@@ -64,13 +68,14 @@ enum Op {
     AddScalar(Var),
     /// `A @ B` for rank-2 operands.
     Matmul(Var, Var),
-    /// A fully-connected layer `act(x @ w^T + b)` for `x: [lanes·M, in]`,
-    /// `w: [out, in]`, `b: [out]` — or, with a `seed`, for the one-lane
-    /// `x: [M, in]` of [`Graph::linear_seeded`], whose six-lane output the
-    /// seed makes. `pre` is the GEMM output `x @ w^T` (under a seed, the
-    /// value lane's: the seed lanes' are the seed's), kept only where
-    /// backward cannot work from the node's own value (softplus; any curved
-    /// activation of a jet).
+    /// A fully-connected layer `act(w · x + b)` for the feature-major `x:
+    /// [in, lanes·M]`, `w: [out, in]`, `b: [out]` — or, with a `seed`, for
+    /// the one-lane `x: [in, M]` of [`Graph::linear_seeded`], whose six-lane
+    /// output the seed makes. `pre` is the GEMM output `w · x`, kept only
+    /// where backward cannot work from the node's own value (softplus; any
+    /// curved activation of a jet) — under a seed, always: it is the value
+    /// lane's, the GEMM's own output buffer, and backward leaves the value
+    /// lane's adjoint in it.
     Linear {
         x: Var,
         w: Var,
@@ -133,15 +138,17 @@ enum Op {
         input: Var,
         scale: Vec<f32>,
     },
-    /// Row gather from a 5D latent grid: row `m` of the output is
-    /// `grid[n_m, :, d_m, h_m, w_m]` with the flat spatial index stored in
-    /// `index[m]` (already combined as `n*vol + offset`).
+    /// Vertex gather from a 5D latent grid under a constant prefix: column
+    /// `m` of the output's last `C` feature rows is `grid[n_m, :, d_m, h_m,
+    /// w_m]` with the flat spatial index stored in `index[m]` (already
+    /// combined as `n*vol + offset`).
     GatherVertices {
         grid: Var,
         index: Vec<u32>,
     },
-    /// Blend groups of `group` consecutive rows with fixed weights:
-    /// `out[q, c] = sum_v weights[q*group + v] * x[q*group + v, c]`.
+    /// Blend groups of `group` consecutive points of the feature-major `x:
+    /// [C, Q·group]` with fixed weights into rows:
+    /// `out[q, c] = sum_v weights[q*group + v] * x[c, q*group + v]`.
     VertexBlend {
         input: Var,
         weights: Vec<f32>,
@@ -409,35 +416,52 @@ impl Graph {
         self.push(v, Op::Matmul(a, b), rg)
     }
 
-    /// A fully-connected layer `act(x @ w^T + b)` as one node: `x: [M, in]`,
-    /// `w: [out, in]` (gradients arrive in that layout), `b: [out]`. The
-    /// value is the GEMM followed by [`Activation::bias_apply_rows`] in place
-    /// on its output — the transpose of what a layer of the no-grad
-    /// `PackedMlp::forward` computes, bit for bit.
+    /// A fully-connected layer `act(w · x + b)` as one node on feature-major
+    /// activations: `x: [in, M]`, `w: [out, in]` (gradients arrive in that
+    /// layout), `b: [out]` → `[out, M]`. The value is the 1×1×1 convolution
+    /// over `M` voxels on the conv driver (`PackedConv3d::pack_linear` and
+    /// `forward_slices`, what a layer of the no-grad `PackedMlp::forward`
+    /// runs) followed by [`Activation::bias_apply_features`] in place on its
+    /// output — that layer, bit for bit.
     ///
-    /// With `lanes = JET_LANES`, `x: [6·M, in]` stacks a value and five
-    /// derivatives as row blocks (module docs): still one GEMM, whose value
-    /// block is the 1-lane node's bit for bit — a GEMM row does not depend on
-    /// the rows around it — then [`Activation::bias_jet_rows`].
+    /// With `lanes = JET_LANES`, `x: [in, 6·M]` holds a value and five
+    /// derivatives as column blocks of each feature row (module docs): still
+    /// one GEMM, whose value columns are the 1-lane node's bit for bit — a
+    /// GEMM column does not depend on the columns around it — then
+    /// [`Activation::bias_jet_features`].
     pub fn linear(&mut self, x: Var, w: Var, b: Var, act: Activation, lanes: usize) -> Var {
         assert!(lanes == 1 || lanes == JET_LANES, "a layer runs on 1 or {JET_LANES} lanes");
-        let y = matmul_nt(&self.nodes[x.0].value, &self.nodes[w.0].value);
-        self.linear_epilogue(y, x, w, b, act, lanes, None)
+        let mut y = self.linear_gemm(x, w);
+        let cols = y.dims()[1];
+        assert!(cols.is_multiple_of(lanes), "{cols} columns are not {lanes} lanes");
+        let rg = self.rg(x) || self.rg(w) || self.rg(b);
+        // Softplus' is a function of the pre-activation, which the in-place
+        // activation overwrites; the other derivatives read the output. A
+        // curved activation of a jet reads every pre-activation lane.
+        let curved_jet = lanes > 1 && act != Activation::Linear;
+        let pre = (rg && (curved_jet || act == Activation::Softplus)).then(|| y.clone());
+        let bias = self.nodes[b.0].value.data();
+        if lanes == 1 {
+            act.bias_apply_features(y.data_mut(), bias);
+        } else {
+            act.bias_jet_features::<false>(y.data_mut(), &mut [], bias, &[]);
+        }
+        self.push(y, Op::Linear { x, w, b, act, pre, lanes, seed: None }, rg)
     }
 
     /// The first layer of a six-lane decode as one node: [`Graph::linear`]
-    /// on `JET_LANES` lanes of the one-lane `x: [M, in]` and its derivative
+    /// on `JET_LANES` lanes of the one-lane `x: [in, M]` and its derivative
     /// lanes, which are not recorded anywhere but made here from `seed`:
-    /// column `a < 3` of `x` moves at rate `seed[a]` along lane `1 + a`,
-    /// every other column is constant and nothing has curvature. The value
-    /// is the `[JET_LANES·M, out]` stack `linear` returns for that input, bit
-    /// for bit, without multiplying a zero: one GEMM over the value lane, and
-    /// an epilogue that reads pre-activation lane `1 + a` as the one row
-    /// `seed[a] · w[:, a]` (all a seeded row's GEMM sums to) and lanes 4 and
-    /// 5 as zeros. It saves the value lane's GEMM output alone for backward,
-    /// which reads `x` alone: the seed lanes are constants, so `dx` is the
-    /// value lane's and `dw` the value lane's plus `seed[a] · Σ_rows dz_{1+a}`
-    /// in column `a`.
+    /// input feature `a < 3` moves at rate `seed[a]` along lane `1 + a`,
+    /// every other feature is constant and nothing has curvature. The value
+    /// is the `[out, JET_LANES·M]` matrix `linear` returns for that input,
+    /// bit for bit, without multiplying a zero: one GEMM over the value
+    /// lane, and an epilogue that reads pre-activation lane `1 + a` of
+    /// output feature `f` as the one scalar `seed[a] · w[f, a]` (all a
+    /// seeded column's GEMM sums to) and lanes 4 and 5 as zeros. It saves
+    /// the value lane's GEMM output alone for backward, which reads `x`
+    /// alone: the seed lanes are constants, so `dx` is the value lane's and
+    /// `dw` the value lane's plus `seed[a] · Σ_points dz_{1+a}` in column `a`.
     pub fn linear_seeded(
         &mut self,
         x: Var,
@@ -446,50 +470,35 @@ impl Graph {
         act: Activation,
         seed: [f32; 3],
     ) -> Var {
-        let (xv, wv) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
-        let (m, k, n) = (xv.dims()[0], xv.dims()[1], wv.dims()[0]);
-        assert!(k >= 3 && wv.dims()[1] == k, "a seeded layer reads 3 coordinates of {k} inputs");
-        // The value lane's GEMM; the epilogue writes all six lanes.
-        let mut y = workspace::take_vec_scratch(JET_LANES * m * n);
-        let value = &mut y[..m * n];
-        gemm(m, k, n, xv.data(), MatLayout::Normal, wv.data(), MatLayout::Transposed, value);
-        let y = Tensor::from_vec(y, &[JET_LANES * m, n]);
-        self.linear_epilogue(y, x, w, b, act, JET_LANES, Some(seed))
+        assert!(self.nodes[w.0].value.dims()[1] >= 3, "a seeded layer reads 3 coordinates");
+        let mut pre = self.linear_gemm(x, w);
+        let (n, m) = (pre.dims()[0], pre.dims()[1]);
+        let mut y =
+            Tensor::from_vec(workspace::take_vec_scratch(JET_LANES * n * m), &[n, JET_LANES * m]);
+        let seeds = seed_scalars(&self.nodes[w.0].value, Some(seed));
+        let bias = self.nodes[b.0].value.data();
+        act.bias_jet_features::<false>(y.data_mut(), pre.data_mut(), bias, &seeds);
+        let rg = self.rg(x) || self.rg(w) || self.rg(b);
+        let op =
+            Op::Linear { x, w, b, act, pre: rg.then_some(pre), lanes: JET_LANES, seed: Some(seed) };
+        self.push(y, op, rg)
     }
 
-    /// The bias and activation on a layer's GEMM output `y`, in place, and
-    /// the node that records it.
-    #[allow(clippy::too_many_arguments)]
-    fn linear_epilogue(
-        &mut self,
-        mut y: Tensor,
-        x: Var,
-        w: Var,
-        b: Var,
-        act: Activation,
-        lanes: usize,
-        seed: Option<[f32; 3]>,
-    ) -> Var {
-        let rg = self.rg(x) || self.rg(w) || self.rg(b);
-        // Softplus' is a function of the pre-activation, which the in-place
-        // activation overwrites; the other derivatives read the output. A
-        // curved activation of a jet reads every pre-activation lane — under
-        // a seed, the value lane is the only one that is data.
-        let curved_jet = lanes > 1 && act != Activation::Linear;
-        let pre = (rg && (curved_jet || act == Activation::Softplus)).then(|| {
-            let (len, n) = (y.numel() / if seed.is_some() { JET_LANES } else { 1 }, y.dims()[1]);
-            let mut pre = workspace::take_vec_scratch(len);
-            pre.copy_from_slice(&y.data()[..len]);
-            Tensor::from_vec(pre, &[len / n, n])
-        });
-        let seeds = seed_rows(&self.nodes[w.0].value, seed);
-        let bias = self.nodes[b.0].value.data();
-        if lanes == 1 {
-            act.bias_apply_rows(y.data_mut(), bias);
-        } else {
-            act.bias_jet_rows::<false>(y.data_mut(), &[], bias, seeds.as_deref().unwrap_or(&[]));
-        }
-        self.push(y, Op::Linear { x, w, b, act, pre, lanes, seed }, rg)
+    /// `w · x` of a layer node on the conv driver: the 1×1×1 convolution
+    /// over the columns of `x: [in, cols]`, `[out, cols]`.
+    fn linear_gemm(&self, x: Var, w: Var) -> Tensor {
+        let (xv, wv) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
+        assert_eq!(xv.shape().rank(), 2, "a layer reads feature rows");
+        let ((k, cols), n) = ((xv.dims()[0], xv.dims()[1]), wv.dims()[0]);
+        assert_eq!(wv.dims()[1], k, "the weight's inputs are the input's feature rows");
+        let mut y = workspace::take_vec_scratch(n * cols);
+        PackedConv3d::pack_linear(wv.data(), n, k).forward_slices(
+            xv.data(),
+            [1, 1, cols],
+            &mut y,
+            None,
+        );
+        Tensor::from_vec(y, &[n, cols])
     }
 
     /// Adds bias `b: [C]` over channel dim 1 of `x: [N, C, ...]`.
@@ -676,23 +685,33 @@ impl Graph {
         self.push(out, Op::ChannelAffine { input, scale }, rg)
     }
 
-    /// Gathers rows from a latent grid `grid: [N, C, D, H, W]`.
+    /// The decoder's MLP input: the `K` per-point values of `prefix: [M, K]`
+    /// (constants) over the vertex latents gathered from `grid: [N, C, D, H,
+    /// W]`, feature-major `[K + C, M]` ([`rowops::gather_features`]).
     ///
-    /// `index[m] = n*D*H*W + (d*H + h)*W + w` selects the vertex for output
-    /// row `m`; the output is `[M, C]`.
-    pub fn gather_vertices(&mut self, grid: Var, index: Vec<u32>) -> Var {
-        let out = rowops::gather_rows(&self.nodes[grid.0].value, &index);
+    /// `index[m] = n*D*H*W + (d*H + h)*W + w` selects the vertex of point
+    /// `m`.
+    pub fn gather_vertices(&mut self, grid: Var, index: Vec<u32>, prefix: &[f32]) -> Var {
+        assert!(!index.is_empty(), "a gather of no vertices");
+        let gv = &self.nodes[grid.0].value;
+        let (m, rows) = (index.len(), prefix.len() / index.len() + gv.dims()[1]);
+        let mut out = workspace::take_vec_scratch(rows * m);
+        rowops::gather_features(gv, &index, prefix, &mut out);
         let rg = self.rg(grid);
-        self.push(out, Op::GatherVertices { grid, index }, rg)
+        self.push(Tensor::from_vec(out, &[rows, m]), Op::GatherVertices { grid, index }, rg)
     }
 
-    /// Blends groups of `group` consecutive rows of `x: [Q*group, C]` with
-    /// fixed weights (`weights.len() == Q*group`), producing `[Q, C]` — the
-    /// trilinear vertex interpolation of paper Eqn. 6.
+    /// Blends groups of `group` consecutive points of the feature-major `x:
+    /// [C, Q*group]` with fixed weights (`weights.len() == Q*group`) into rows
+    /// `[Q, C]` — the trilinear vertex interpolation of paper Eqn. 6
+    /// ([`rowops::blend_features_into`]).
     pub fn vertex_blend(&mut self, input: Var, weights: Vec<f32>, group: usize) -> Var {
-        let out = rowops::blend_rows(&self.nodes[input.0].value, &weights, group);
+        let c = self.nodes[input.0].value.dims()[0];
+        let q = weights.len() / group;
+        let mut out = workspace::take_vec_scratch(q * c);
+        rowops::blend_features_into(self.nodes[input.0].value.data(), &weights, group, &mut out);
         let rg = self.rg(input);
-        self.push(out, Op::VertexBlend { input, weights, group }, rg)
+        self.push(Tensor::from_vec(out, &[q, c]), Op::VertexBlend { input, weights, group }, rg)
     }
 
     // ---- composite losses ----
@@ -819,20 +838,20 @@ impl Graph {
                     self.accumulate(b, gb);
                 }
             }
-            Op::Linear { x, w, b, act, pre, lanes, seed } => {
-                // dz, the adjoint of the pre-activation z = x @ w^T + b, in
-                // place on the adjoint of the output y = act(z).
+            Op::Linear { x, w, b, act, mut pre, lanes, seed } => {
+                // dz, the adjoint of the pre-activation z = w · x + b, in
+                // place on the adjoint of the output y = act(z) — under a
+                // seed, its value lane over `pre`.
                 let bias = self.nodes[b.0].value.data();
-                match (act, pre) {
+                match (act, pre.as_mut()) {
                     (_, Some(pre)) if lanes > 1 => {
-                        let seeds = seed_rows(&self.nodes[w.0].value, seed);
-                        let seeds = seeds.as_deref().unwrap_or(&[]);
-                        act.bias_jet_rows::<true>(grad.data_mut(), pre.data(), bias, seeds)
+                        let seeds = seed_scalars(&self.nodes[w.0].value, seed);
+                        act.bias_jet_features::<true>(grad.data_mut(), pre.data_mut(), bias, &seeds)
                     }
                     (Activation::Softplus, pre) => {
                         let pre =
                             pre.expect("a softplus layer that needs a gradient saved its GEMM");
-                        rowops::bias_softplus_grad_rows(grad.data_mut(), pre.data(), bias);
+                        rowops::bias_softplus_grad_features(grad.data_mut(), pre.data(), bias);
                     }
                     // y = max(z, 0) is positive exactly where z is.
                     (Activation::Relu, _) => relu_grad(&mut grad, &self.nodes[node_idx].value),
@@ -840,34 +859,34 @@ impl Graph {
                     (Activation::Linear, _) => {}
                 }
                 let (xv, wv) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
-                let ((m, k), n) = ((xv.dims()[0], xv.dims()[1]), wv.dims()[0]);
-                // The value lane of dz, and the rows of dz that met a row of
-                // x: all of them, or under a seed the value lane's.
-                let (value, dz) = (&grad.data()[..grad.numel() / lanes], &grad.data()[..m * n]);
+                let ((k, cols), n) = ((xv.dims()[0], xv.dims()[1]), wv.dims()[0]);
+                let points = grad.numel() / (n * lanes);
+                // The columns of dz that met a column of x: all of them, or
+                // under a seed the value lane's, which the epilogue left in
+                // `pre` — otherwise spent, and back in the pool before `dx`.
+                let pre = pre.filter(|_| seed.is_some());
+                let dz = pre.as_ref().unwrap_or(&grad).data();
+                let dims =
+                    Conv3dDims { n: 1, cin: k, cout: n, spatial: [1, 1, cols], kernel: [1; 3] };
                 // The bias joins the value lane only.
                 let db = self.rg(b).then(|| {
-                    let db = column_sums(value, n).detach();
+                    let db = lane_sums(dz, n, 0, points).detach();
                     Tensor::from_vec(db, self.nodes[b.0].value.dims())
                 });
                 let dw = self.rg(w).then(|| {
-                    // y = x @ w^T  =>  dw = dz^T @ x, in w's [out, in] layout.
-                    let mut dw = workspace::take_vec_scratch(n * k);
-                    gemm(n, m, k, dz, MatLayout::Transposed, xv.data(), MatLayout::Normal, &mut dw);
-                    // Seed lane 1 + a is seed[a] in column a, zero elsewhere.
+                    // y = w · x  =>  dw = dz · xᵀ, in w's [out, in] layout.
+                    let mut dw = conv3d_grad_weight(xv.data(), dz, dims).reshape(wv.dims());
+                    // Seed lane 1 + a is seed[a] in input feature a, zero elsewhere.
                     for (a, &s) in seed.iter().flatten().enumerate() {
-                        let lane = grad.data().chunks_exact(value.len()).nth(1 + a);
-                        let sums = column_sums(lane.expect("six lanes"), n);
+                        let sums = lane_sums(grad.data(), n, 1 + a, points);
                         for (o, &sum) in sums.iter().enumerate() {
-                            dw[o * k + a] += s * sum;
+                            dw.data_mut()[o * k + a] += s * sum;
                         }
                     }
-                    Tensor::from_vec(dw, wv.dims())
+                    dw
                 });
-                let dx = self.rg(x).then(|| {
-                    let mut dx = workspace::take_vec_scratch(m * k);
-                    gemm(m, n, k, dz, MatLayout::Normal, wv.data(), MatLayout::Normal, &mut dx);
-                    Tensor::from_vec(dx, xv.dims())
-                });
+                let dx =
+                    self.rg(x).then(|| conv3d_grad_input(dz, wv.data(), dims).reshape(xv.dims()));
                 for (v, g) in [(b, db), (w, dw), (x, dx)] {
                     if let Some(g) = g {
                         self.accumulate(v, g);
@@ -951,11 +970,13 @@ impl Graph {
             }
             Op::Conv3d { input, weight, dims } => {
                 if self.rg(input) {
-                    let gi = conv3d_grad_input(&grad, &self.nodes[weight.0].value, dims);
+                    let gi =
+                        conv3d_grad_input(grad.data(), self.nodes[weight.0].value.data(), dims);
                     self.accumulate(input, gi);
                 }
                 if self.rg(weight) {
-                    let gw = conv3d_grad_weight(&self.nodes[input.0].value, &grad, dims);
+                    let gw =
+                        conv3d_grad_weight(self.nodes[input.0].value.data(), grad.data(), dims);
                     self.accumulate(weight, gw);
                 }
             }
@@ -1023,35 +1044,37 @@ impl Graph {
             }
             Op::GatherVertices { grid, index } => {
                 let gv = &self.nodes[grid.0].value;
-                let (_, c) = (gv.dims()[0], gv.dims()[1]);
+                let c = gv.dims()[1];
                 let vol: usize = gv.dims()[2..].iter().product();
+                let m = index.len();
                 let mut gg = workspace::take_vec_zeroed(gv.numel());
-                for (row, &flat) in index.iter().enumerate() {
-                    let flat = flat as usize;
-                    let ni = flat / vol;
-                    let sp = flat % vol;
-                    for ci in 0..c {
-                        gg[(ni * c + ci) * vol + sp] += grad.data()[row * c + ci];
+                // The channel rows under the prefix; each grid element takes
+                // its points' adjoints in increasing point order.
+                let channels = &grad.data()[grad.numel() - c * m..];
+                for (ci, row) in channels.chunks_exact(m).enumerate() {
+                    for (&flat, &g) in index.iter().zip(row) {
+                        let (ni, sp) = (flat as usize / vol, flat as usize % vol);
+                        gg[(ni * c + ci) * vol + sp] += g;
                     }
                 }
                 let gg = Tensor::from_vec(gg, gv.dims());
                 self.accumulate(grid, gg);
             }
             Op::VertexBlend { input, weights, group } => {
-                let xv = &self.nodes[input.0].value;
-                let (rows, c) = (xv.dims()[0], xv.dims()[1]);
-                let mut gi = workspace::take_vec_scratch(rows * c);
-                for qi in 0..rows / group {
-                    let grow = &grad.data()[qi * c..(qi + 1) * c];
-                    for v in 0..group {
-                        let w = weights[qi * group + v];
-                        let dst = &mut gi[(qi * group + v) * c..(qi * group + v + 1) * c];
-                        for (o, &g) in dst.iter_mut().zip(grow) {
+                let dims = self.nodes[input.0].value.dims().to_vec();
+                let c = dims[0];
+                let mut gi = workspace::take_vec_scratch(c * weights.len());
+                for (ci, row) in gi.chunks_exact_mut(weights.len()).enumerate() {
+                    for ((dst, ws), qi) in
+                        row.chunks_exact_mut(group).zip(weights.chunks_exact(group)).zip(0..)
+                    {
+                        let g = grad.data()[qi * c + ci];
+                        for (o, &w) in dst.iter_mut().zip(ws) {
                             *o = w * g;
                         }
                     }
                 }
-                self.accumulate(input, Tensor::from_vec(gi, &[rows, c]));
+                self.accumulate(input, Tensor::from_vec(gi, &dims));
             }
         }
     }
@@ -1070,29 +1093,36 @@ impl Graph {
     }
 }
 
-/// The three pre-activation rows a seed makes in a layer of weight `w: [n,
-/// k]` ([`Graph::linear_seeded`]): row `a` is `seed[a] · w[:, a]`, what the
-/// GEMM of an input row that is `seed[a]` in column `a` and zero elsewhere
-/// sums to. `+ 0.0` because the GEMM's chain starts from +0: a -0 comes out
-/// +0. `None` without a seed.
-fn seed_rows(w: &Tensor, seed: Option<[f32; 3]>) -> Option<workspace::WorkspaceGuard> {
+/// The three pre-activation scalars a seed makes per output feature of a
+/// layer of weight `w: [n, k]` ([`Graph::linear_seeded`]), `[n, 3]`: `seed[a]
+/// · w[f, a]`, what the GEMM of an input column that is `seed[a]` in feature
+/// `a` and zero elsewhere sums to. `+ 0.0` because the GEMM's chain starts
+/// from +0: a -0 comes out +0. Empty without a seed.
+fn seed_scalars(w: &Tensor, seed: Option<[f32; 3]>) -> workspace::WorkspaceGuard {
+    let Some(seed) = seed else { return workspace::take_scratch(0) };
     let (n, k) = (w.dims()[0], w.dims()[1]);
-    let seed = seed?;
-    let mut rows = workspace::take_scratch(3 * n);
-    for (a, (row, s)) in rows.chunks_exact_mut(n).zip(seed).enumerate() {
-        for (o, r) in row.iter_mut().enumerate() {
-            *r = s * w.data()[o * k + a] + 0.0;
+    let mut out = workspace::take_scratch(3 * n);
+    for (row, wr) in out.chunks_exact_mut(3).zip(w.data().chunks_exact(k)) {
+        for ((o, s), &wa) in row.iter_mut().zip(seed).zip(wr) {
+            *o = s * wa + 0.0;
         }
     }
-    Some(rows)
+    out
 }
 
-/// Column sums of the `[rows, n]` matrix `m`, rows added in order.
-fn column_sums(m: &[f32], n: usize) -> workspace::WorkspaceGuard {
+/// Sums over lane `lane` of each of the `n` feature rows of `m` (lanes of
+/// `points` columns), points added in order. Each sum is one chain of adds;
+/// eight rows' chains are interleaved, so they run at the adder's throughput
+/// instead of its latency.
+fn lane_sums(m: &[f32], n: usize, lane: usize, points: usize) -> workspace::WorkspaceGuard {
+    const ROWS: usize = 8;
+    let len = m.len() / n;
     let mut sums = workspace::take_zeroed(n);
-    for row in m.chunks_exact(n) {
-        for (acc, &r) in sums.iter_mut().zip(row) {
-            *acc += r;
+    for (sums, rows) in sums.chunks_mut(ROWS).zip(m.chunks(ROWS * len)) {
+        for p in lane * points..(lane + 1) * points {
+            for (sum, row) in sums.iter_mut().zip(rows.chunks_exact(len)) {
+                *sum += row[p];
+            }
         }
     }
     sums

@@ -26,33 +26,17 @@ pub enum Activation {
     Linear,
 }
 
-/// An in-place `(y, bias)` pass.
-type BiasFn = fn(&mut [f32], &[f32]);
-
 impl Activation {
-    /// The row bias add of a Linear layer and this activation in one
-    /// in-place pass over the GEMM output `y: [M, bias.len()]` — how the
-    /// tape's [`Graph::linear`] node ends.
-    pub fn bias_apply_rows(self, y: &mut [f32], bias: &[f32]) {
-        self.bias_apply(y, bias, rowops::bias_softplus_rows, rowops::add_bias_rows)
-    }
-
-    /// [`Activation::bias_apply_rows`] on the transpose, `y: [bias.len(), M]`
-    /// (an output feature is a contiguous row with one bias) — how a layer of
-    /// the no-grad [`PackedMlp::forward`] ends. Only where the bias lies
-    /// differs: the same element function meets the same sum `y + bias`, so
-    /// the two forwards are bit-equal by construction.
+    /// The bias add of a Linear layer and this activation in one in-place
+    /// pass over its feature-major GEMM output `y: [bias.len(), M]` (an
+    /// output feature is a contiguous row with one bias) — how a one-lane
+    /// [`Graph::linear`] node and a layer of the no-grad
+    /// [`PackedMlp::forward`] end.
     pub fn bias_apply_features(self, y: &mut [f32], bias: &[f32]) {
-        self.bias_apply(y, bias, rowops::bias_softplus_features, rowops::add_bias_features)
-    }
-
-    /// Bias add and activation over `y` in the layout `softplus` (fused) and
-    /// `add` read the bias in.
-    fn bias_apply(self, y: &mut [f32], bias: &[f32], softplus: BiasFn, add: BiasFn) {
         if self == Activation::Softplus {
-            return softplus(y, bias);
+            return rowops::bias_softplus_features(y, bias);
         }
-        add(y, bias);
+        rowops::add_bias_features(y, bias);
         if self != Activation::Linear {
             for v in y {
                 *v = self.derivs(*v)[0];
@@ -60,32 +44,45 @@ impl Activation {
         }
     }
 
-    /// [`Activation::bias_apply_rows`] on a six-lane stack `y: [JET_LANES·M,
-    /// bias.len()]` (value, `∂t`, `∂z`, `∂x`, `∂zz`, `∂xx` of the
-    /// pre-activation as row blocks): the bias joins the value block alone,
-    /// which comes out as `bias_apply_rows` leaves it, and the activation
-    /// acts by the second-order chain rule ([`rowops::bias_jet_rows`]). With
-    /// `GRAD`, the reverse pass instead: `y` holds the output adjoint and
-    /// `pre` the GEMM output the forward overwrote (unused without `GRAD`).
-    /// With `seeds`, pre-activation lanes 1–5 are the three per-column seed
-    /// rows and zeros, and `y` (forward) or `pre` (`GRAD`) holds the value
-    /// lane alone ([`rowops::bias_jet_rows`]).
-    pub fn bias_jet_rows<const GRAD: bool>(
+    /// [`Activation::bias_apply_features`] on a six-lane matrix `y: [bias.len(),
+    /// JET_LANES·M]` (value, `∂t`, `∂z`, `∂x`, `∂zz`, `∂xx` of the
+    /// pre-activation as column blocks of each feature row): the bias joins
+    /// the value lane alone, which comes out as `bias_apply_features` leaves
+    /// it, and the activation acts by the second-order chain rule
+    /// ([`rowops::bias_jet_features`]). With `GRAD`, the reverse pass
+    /// instead: `y` holds the output adjoint and `pre` the GEMM output the
+    /// forward overwrote (unused without `GRAD`). With `seeds` (three per
+    /// feature), pre-activation lanes 1–5 are the seeds and zeros, `pre:
+    /// [bias.len(), M]` holds the value lane alone, and the forward reads it
+    /// where the backward leaves the value lane's adjoint
+    /// ([`rowops::bias_jet_features`]).
+    pub fn bias_jet_features<const GRAD: bool>(
         self,
         y: &mut [f32],
-        pre: &[f32],
+        pre: &mut [f32],
         bias: &[f32],
         seeds: &[f32],
     ) {
+        let points = y.len() / (JET_LANES * bias.len());
         match self {
-            Activation::Softplus => rowops::bias_softplus_jet_rows::<GRAD>(y, pre, bias, seeds),
-            // Derivatives pass through the identity untouched.
-            Activation::Linear if GRAD => {}
-            Activation::Linear if seeds.is_empty() => {
-                let value_block = y.len() / JET_LANES;
-                rowops::add_bias_rows(&mut y[..value_block], bias)
+            Activation::Softplus => rowops::bias_softplus_jet_features::<GRAD>(y, pre, bias, seeds),
+            // Derivatives pass through the identity untouched — the value
+            // lane's into `pre` under a seed.
+            Activation::Linear if GRAD => {
+                if !seeds.is_empty() {
+                    for (p, row) in
+                        pre.chunks_exact_mut(points).zip(y.chunks_exact(JET_LANES * points))
+                    {
+                        p.copy_from_slice(&row[..points]);
+                    }
+                }
             }
-            _ => rowops::bias_jet_rows::<GRAD>(y, pre, bias, seeds, |x| self.derivs(x)),
+            Activation::Linear if seeds.is_empty() => {
+                for (row, &b) in y.chunks_exact_mut(JET_LANES * points).zip(bias) {
+                    row[..points].iter_mut().for_each(|v| *v += b);
+                }
+            }
+            _ => rowops::bias_jet_features::<GRAD>(y, pre, bias, seeds, |x| self.derivs(x)),
         }
     }
 
@@ -138,8 +135,9 @@ impl Linear {
         }
     }
 
-    /// Applies the layer and `act` to the `lanes` row blocks of `x: [lanes·M,
-    /// in]`, producing `[lanes·M, out]`, as one [`Graph::linear`] node.
+    /// Applies the layer and `act` to the `lanes` column blocks of the
+    /// feature-major `x: [in, lanes·M]`, producing `[out, lanes·M]`, as one
+    /// [`Graph::linear`] node.
     pub fn forward(
         &self,
         g: &mut Graph,
@@ -361,11 +359,11 @@ impl Mlp {
         self.layers.last().expect("non-empty").out_features
     }
 
-    /// Records the forward pass of `x: [M, in]`, one node per layer: on one
-    /// lane, or with `seed` on [`JET_LANES`] — `[JET_LANES·M, out]`, the
-    /// value with its derivatives where input column `a < 3` moves at rate
-    /// `seed[a]` ([`Graph::linear_seeded`] makes the lanes in the first
-    /// layer).
+    /// Records the forward pass of the feature-major `x: [in, M]`, one node
+    /// per layer: on one lane, `[out, M]`, or with `seed` on [`JET_LANES`] —
+    /// `[out, JET_LANES·M]`, the value with its derivatives where input
+    /// feature `a < 3` moves at rate `seed[a]` ([`Graph::linear_seeded`]
+    /// makes the lanes in the first layer).
     pub fn forward(
         &self,
         g: &mut Graph,
@@ -414,13 +412,13 @@ impl Mlp {
 /// so repeated evaluation never touches the parameter store or re-packs a
 /// weight.
 ///
-/// Activations are *feature-major*, `[width, M]`: with the weight on the
-/// tile's rows they are the GEMM's B operand as they lie, each layer is `W ·
-/// X` and nothing is transposed between layers. An output element is the
-/// same `k`-order FMA chain whichever operand sits on the tile's rows, so
-/// [`PackedMlp::forward`] is bit-identical to what [`Mlp::forward`] records
-/// on the tape — and, because a GEMM column does not depend on how many
-/// columns the call has, for any split of the points into blocks.
+/// Activations are *feature-major*, `[width, M]`, as on the tape: with the
+/// weight on the tile's rows they are the GEMM's B operand as they lie, each
+/// layer is `W · X` and nothing is transposed between layers. The tape's
+/// [`Graph::linear`] runs the same driver and epilogue on panels it packs per
+/// call, so [`PackedMlp::forward`] is bit-identical to what [`Mlp::forward`]
+/// records — and, because a GEMM column does not depend on how many columns
+/// the call has, for any split of the points into blocks.
 #[derive(Debug)]
 pub struct PackedMlp {
     in_features: usize,
@@ -487,7 +485,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let lin = Linear::new(&mut store, "l", 3, 2, &mut rng);
         let mut g = Graph::new();
-        let x = g.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]));
+        let x = g.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3, 1]));
         let y = lin.forward(&mut g, &store, x, Activation::Linear, 1);
         let w = store.get(lin.weight);
         let b = store.get(lin.bias);
@@ -559,7 +557,7 @@ mod tests {
         let mlp = Mlp::new(&mut store, "mlp", &[5, 8, 8, 2], Activation::Softplus, &mut rng);
         assert_eq!(mlp.in_features(), 5);
         assert_eq!(mlp.out_features(), 2);
-        let x = Tensor::ones(&[4, 5]);
+        let x = Tensor::ones(&[5, 4]);
         let mut g1 = Graph::new();
         let v1 = {
             let xv = g1.constant(x.clone());
@@ -570,14 +568,14 @@ mod tests {
         let xv = g2.constant(x);
         let y = mlp.forward(&mut g2, &store, xv, None);
         assert_eq!(&v1, g2.value(y));
-        assert_eq!(v1.dims(), &[4, 2]);
+        assert_eq!(v1.dims(), &[2, 4]);
     }
 
     /// The no-grad snapshot is the tape, bit for bit: every layer of
-    /// `PackedMlp::forward` (weight on the tile's rows, feature-major
-    /// activations, `bias_apply_features`) against `Mlp::forward`'s
-    /// `Graph::linear` nodes, for every hidden activation, on every backend
-    /// this host runs — panels packed under one override, run under another.
+    /// `PackedMlp::forward` (panels packed once, ping-pong buffers) against
+    /// `Mlp::forward`'s `Graph::linear` nodes (panels packed per call), for
+    /// every hidden activation, on every backend this host runs — panels
+    /// packed under one override, run under another.
     #[test]
     fn packed_mlp_is_bit_identical_to_the_tape() {
         use mfn_tensor::{set_backend_override, KernelBackend};
@@ -590,7 +588,7 @@ mod tests {
                 let mut store = ParamStore::new();
                 let mlp = Mlp::new(&mut store, "m", widths, act, &mut rng);
                 for m in [8usize, 24, 504, 512] {
-                    let x = Tensor::randn(&[m, widths[0]], 1.5, &mut rng);
+                    let x = Tensor::randn(&[widths[0], m], 1.5, &mut rng);
                     let mut g = Graph::new();
                     let xv = g.constant(x.clone());
                     let y = mlp.forward(&mut g, &store, xv, None);
@@ -602,13 +600,11 @@ mod tests {
                             set_backend_override(Some(run_on));
                             let mut a = vec![f32::NAN; m * packed.max_width()];
                             let mut b = a.clone();
-                            for (i, &v) in x.data().iter().enumerate() {
-                                a[i % widths[0] * m + i / widths[0]] = v;
-                            }
+                            a[..x.numel()].copy_from_slice(x.data());
                             let got = packed.forward(m, &mut a, &mut b, None);
                             for (i, want) in want.iter().enumerate() {
                                 assert_eq!(
-                                    got[i % 4 * m + i / 4].to_bits(),
+                                    got[i].to_bits(),
                                     want.to_bits(),
                                     "{act:?} {widths:?} rows {m} packed on {} run on {} elem {i}",
                                     pack_on.name(),

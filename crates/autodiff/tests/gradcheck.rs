@@ -95,9 +95,10 @@ fn matmul_both_sides() {
 
 #[test]
 fn linear_all_three_operands() {
-    // The fused layer node act(x @ w^T + b), differentiated with respect to
-    // each operand in turn with the other two constant.
-    let (x0, w0, b0) = (randn(&[3, 4], 20), randn(&[5, 4], 21), randn(&[5], 22));
+    // The fused layer node act(w · x + b) on feature-major x: [in, M],
+    // differentiated with respect to each operand in turn with the other two
+    // constant.
+    let (x0, w0, b0) = (randn(&[4, 3], 20), randn(&[5, 4], 21), randn(&[5], 22));
     for act in [Activation::Softplus, Activation::Tanh, Activation::Linear] {
         gradcheck(&x0, 1e-2, |g, x| {
             let (w, b) = (g.constant(w0.clone()), g.constant(b0.clone()));
@@ -134,8 +135,8 @@ fn linear_six_lanes_all_three_operands() {
     // The same node on a value with its five derivative lanes: every lane of
     // the output enters the loss, so the reverse pass of the second-order
     // chain rule (σ‴ included) is what is checked.
-    let (x0, w0, b0) = (randn(&[JET_LANES * 2, 4], 23), randn(&[5, 4], 24), randn(&[5], 25));
-    let mix = randn(&[JET_LANES * 2, 5], 26);
+    let (x0, w0, b0) = (randn(&[4, JET_LANES * 2], 23), randn(&[5, 4], 24), randn(&[5], 25));
+    let mix = randn(&[5, JET_LANES * 2], 26);
     // ReLU: pre-activations a finite-difference span away from the kink.
     let b_relu = Tensor::from_vec(vec![6.0, -6.0, 6.0, -6.0, 6.0], &[5]);
     for (act, b0) in [
@@ -187,13 +188,13 @@ fn six_lane_layer_differentiates_the_one_lane_layer() {
                 })
                 .collect();
             let mut g = Graph::new();
-            let xv = g.constant(Tensor::from_vec(input, &[1, 4]));
+            let xv = g.constant(Tensor::from_vec(input, &[4, 1]));
             let (w, b) = (g.constant(w0.clone()), g.constant(b0.clone()));
             let y = g.linear(xv, w, b, act, 1);
             g.value(y).data().to_vec()
         };
         let mut g = Graph::new();
-        let xv = g.constant(lanes.clone());
+        let xv = g.constant(lanes.transpose2());
         let (w, b) = (g.constant(w0.clone()), g.constant(b0.clone()));
         let y = g.linear(xv, w, b, act, JET_LANES);
         let got = g.value(y).data().to_vec();
@@ -204,16 +205,17 @@ fn six_lane_layer_differentiates_the_one_lane_layer() {
             p[axis] = s;
             at(p[0], p[1], p[2])
         };
-        for o in 0..3 {
-            assert_eq!(got[o].to_bits(), f0[o].to_bits(), "{act:?} value lane");
+        // Feature-major: output feature o's six lanes of the one point.
+        for (o, (got, &f0)) in got.chunks_exact(JET_LANES).zip(&f0).enumerate() {
+            assert_eq!(got[0].to_bits(), f0.to_bits(), "{act:?} value lane");
             for axis in 0..3 {
                 let (fp, fm) = (step(axis, h)[o], step(axis, -h)[o]);
                 let d = (fp - fm) / (2.0 * h);
-                assert!((got[(1 + axis) * 3 + o] - d).abs() < 5e-3, "{act:?} d/d{axis} out {o}");
+                assert!((got[1 + axis] - d).abs() < 5e-3, "{act:?} d/d{axis} out {o}");
                 if axis > 0 {
-                    let dd = (fp - 2.0 * f0[o] + fm) / (h * h);
+                    let dd = (fp - 2.0 * f0 + fm) / (h * h);
                     let lane = 3 + axis;
-                    assert!((got[lane * 3 + o] - dd).abs() < 5e-2, "{act:?} d²/d{axis}² out {o}");
+                    assert!((got[lane] - dd).abs() < 5e-2, "{act:?} d²/d{axis}² out {o}");
                 }
             }
         }
@@ -248,13 +250,14 @@ fn spread(n: usize, seed: u32) -> Vec<f32> {
         .collect()
 }
 
-/// One layer on a fresh tape, fused (`Graph::linear`) or composed from the
-/// primitive ops (`matmul` against the transposed weight, `bias_channel` —
-/// on a rank-2 node the channel axis is the column — and the activation's
-/// own node), reduced to a scalar through fixed per-element weights so every
-/// output element gets a different adjoint. Returns the layer value and the
-/// gradients of `x`, `w` (in `[out, in]` layout) and `b`, `None` where
-/// `needs[k]` is false.
+/// One layer on a fresh tape, fused (`Graph::linear` on the feature-major
+/// transpose of the operands) or composed row-major from the primitive ops
+/// (`matmul` against the transposed weight, `bias_channel` — on a rank-2
+/// node the channel axis is the column — and the activation's own node),
+/// reduced to a scalar through fixed per-element weights so every output
+/// element gets a different adjoint. Returns the layer value and the
+/// gradients of `x`, `w` (in `[out, in]` layout) and `b`, the fused node's
+/// transposed back to the row-major layout, `None` where `needs[k]` is false.
 fn layer_on_tape(
     fused: bool,
     act: Activation,
@@ -269,7 +272,9 @@ fn layer_on_tape(
             g.constant(t)
         }
     };
-    let x = leaf(&mut g, x0.clone(), needs[0]);
+    // The fused node's layout is the transpose of the composition's.
+    let layout = |t: &Tensor| if fused { t.transpose2() } else { t.clone() };
+    let x = leaf(&mut g, layout(x0), needs[0]);
     let b = leaf(&mut g, b0.clone(), needs[2]);
     let (w, y) = if fused {
         let w = leaf(&mut g, w0.clone(), needs[1]);
@@ -286,7 +291,7 @@ fn layer_on_tape(
         };
         (wt, y)
     };
-    let m = g.constant(mix.clone());
+    let m = g.constant(layout(mix));
     let weighted = g.mul(y, m);
     let loss = g.sum(weighted);
     g.backward(loss);
@@ -294,16 +299,21 @@ fn layer_on_tape(
         assert_eq!(g.try_grad(v).is_some(), needed, "an operand has a gradient iff it asked");
         g.try_grad(v).cloned()
     };
+    // w: [out, in] on the fused node, its transpose in the composition.
     let dw = grad(w, needs[1]).map(|t| if fused { t } else { t.transpose2() });
-    (g.value(y).clone(), [grad(x, needs[0]), dw, grad(b, needs[2])])
+    (layout(g.value(y)), [grad(x, needs[0]).map(|t| layout(&t)), dw, grad(b, needs[2])])
 }
 
 #[test]
 fn fused_linear_is_the_primitive_composition_bit_for_bit() {
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-    // Row counts around the GEMM row tile and block; widths that are not
-    // multiples of any vector width.
-    for (m, k, n) in [(1usize, 5usize, 3usize), (7, 35, 13), (64, 19, 37), (513, 11, 21)] {
+    // Column counts around the GEMM tiles and blocks — the last that of a
+    // six-lane layer of 50 points, past `KC` and not a multiple of it, so
+    // dW's depth crosses the split; widths that are not multiples of any
+    // vector width.
+    for (m, k, n) in
+        [(1usize, 5usize, 3usize), (7, 35, 13), (64, 19, 37), (513, 11, 21), (300, 19, 33)]
+    {
         let x0 = Tensor::from_vec(spread(m * k, 1), &[m, k]);
         let w0 = Tensor::from_vec(spread(n * k, 2), &[n, k]);
         let b0 = Tensor::from_vec(spread(n, 3), &[n]);
@@ -467,7 +477,8 @@ fn gather_and_blend() {
     let index = vec![0u32, 3, 5, 6];
     let weights = vec![0.25f32, 0.75, 0.6, 0.4];
     gradcheck(&randn(&[1, 2, 2, 2, 2], 110), 1e-2, |g, grid| {
-        let rows = g.gather_vertices(grid, index.clone());
+        // A constant prefix row over the gathered channels: no gradient.
+        let rows = g.gather_vertices(grid, index.clone(), &[0.5, -1.0, 2.0, 0.25]);
         let blended = g.vertex_blend(rows, weights.clone(), 2);
         let sq = g.mul(blended, blended);
         g.sum(sq)
@@ -509,8 +520,8 @@ fn full_mlp_param_gradients() {
     let mut store = ParamStore::new();
     let mut rng = ChaCha8Rng::seed_from_u64(130);
     let mlp = Mlp::new(&mut store, "m", &[3, 8, 2], Activation::Softplus, &mut rng);
-    let x0 = Tensor::randn(&[5, 3], 1.0, &mut rng);
-    let target = Tensor::randn(&[5, 2], 1.0, &mut rng);
+    let x0 = Tensor::randn(&[3, 5], 1.0, &mut rng);
+    let target = Tensor::randn(&[2, 5], 1.0, &mut rng);
 
     let run = |store: &ParamStore| -> f32 {
         let mut g = Graph::new();
@@ -577,7 +588,7 @@ fn backward_leaves_gradients_on_leaves_only() {
     // leaves that asked hold theirs, interior nodes and constants none, and
     // every value is still readable.
     let mut g = Graph::new();
-    let x = g.leaf_with_grad(randn(&[4, 3], 180));
+    let x = g.leaf_with_grad(randn(&[3, 4], 180));
     let w = g.leaf_with_grad(randn(&[2, 3], 181));
     let b = g.constant(randn(&[2], 182));
     let h = g.linear(x, w, b, Activation::Softplus, 1);
@@ -589,9 +600,9 @@ fn backward_leaves_gradients_on_leaves_only() {
         assert!(g.try_grad(interior).is_none(), "interior node kept its adjoint");
     }
     assert!(g.try_grad(b).is_none());
-    assert_eq!(g.grad(x).dims(), &[4, 3]);
+    assert_eq!(g.grad(x).dims(), &[3, 4]);
     assert_eq!(g.grad(w).dims(), &[2, 3]);
-    assert_eq!(g.value(h).dims(), &[4, 2]);
+    assert_eq!(g.value(h).dims(), &[2, 4]);
     assert!(g.value(loss).item() > 0.0);
 }
 
@@ -612,7 +623,7 @@ fn frozen_param_tape_records_weights_as_constants() {
     let mut store = ParamStore::new();
     let mut rng = ChaCha8Rng::seed_from_u64(190);
     let mlp = Mlp::new(&mut store, "m", &[3, 6, 2], Activation::Softplus, &mut rng);
-    let x0 = Tensor::randn(&[5, 3], 1.0, &mut rng);
+    let x0 = Tensor::randn(&[3, 5], 1.0, &mut rng);
     let run = |mut g: Graph| {
         let x = g.leaf_with_grad(x0.clone());
         let w = g.param(&store, mlp.layers[0].weight);
@@ -693,7 +704,7 @@ fn trilinear_decoder_path_batched_grid() {
     weights.extend(trilinear_weights(0.0, 0.45, 0.8));
     let target = randn(&[2, 3], 150);
     gradcheck(&randn(&[2, 3, 2, 2, 2], 151), 1e-2, |g, grid| {
-        let rows = g.gather_vertices(grid, index.clone());
+        let rows = g.gather_vertices(grid, index.clone(), &[]);
         let blended = g.vertex_blend(rows, weights.clone(), 8);
         let act = g.tanh(blended);
         let t = g.constant(target.clone());
@@ -714,7 +725,7 @@ fn shifted_queries_accumulate_through_shared_grid() {
     let target = randn(&[1, 2], 160);
     gradcheck(&randn(&[1, 2, 2, 2, 2], 161), 2e-2, |g, grid| {
         let decode = |g: &mut Graph, grid: Var, w: &[f32]| {
-            let rows = g.gather_vertices(grid, index.clone());
+            let rows = g.gather_vertices(grid, index.clone(), &[]);
             let blended = g.vertex_blend(rows, w.to_vec(), 8);
             g.tanh(blended)
         };

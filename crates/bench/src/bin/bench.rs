@@ -183,7 +183,7 @@ fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
 }
 
 /// Schema tag of the report this binary writes.
-const SCHEMA: &str = "mfn-bench/kernels/v13";
+const SCHEMA: &str = "mfn-bench/kernels/v14";
 
 /// `BENCH_kernels.json`. The field names are the keys (the vendored derive
 /// renames nothing) and `--gate` parses a committed report back into this
@@ -377,8 +377,8 @@ fn check_conv3d_vs_definition() -> Result<(), String> {
         }
         let gout = Tensor::randn(&[2, cout, 3, 4, 5], 1.0, &mut rng);
         let forward = dot(&want, &gout);
-        let via_input = dot(&wide(&conv3d_grad_input(&gout, &weight, dims)), &input);
-        let via_weight = dot(&wide(&conv3d_grad_weight(&input, &gout, dims)), &weight);
+        let via_input = dot(&wide(&conv3d_grad_input(gout.data(), weight.data(), dims)), &input);
+        let via_weight = dot(&wide(&conv3d_grad_weight(input.data(), gout.data(), dims)), &weight);
         for (what, got) in [("grad_input", via_input), ("grad_weight", via_weight)] {
             if (got - forward).abs() > 1e-4 * (1.0 + forward.abs()) {
                 return Err(format!("conv3d {what} adjoint ({tag}): {got} vs {forward}"));
@@ -763,11 +763,14 @@ struct TapeDecoder {
     layers: Vec<TapeLayer>,
 }
 
-/// One MLP layer's node on a tape of its own (minima, ms), its input a leaf
-/// and its output's adjoint given (`Graph::backward_with`). GFLOP/s count
-/// the GEMMs it executes: `gemm_rows` is the one-lane input of the seeded
-/// first layer (`Graph::linear_seeded`) and all six lanes after it, and
-/// backward runs two (`dx`, `dW`) for each forward one.
+/// One MLP layer's node on a tape of its own (minima, ms), its input and
+/// weight leaves and its output's adjoint given (`Graph::backward_with`):
+/// `backward_ms` with both leaves, `grad_input_ms` with only the input a
+/// gradient leaf (`dx`), `grad_weight_ms` with only the weight (`dW`; v13
+/// reports, which lack the two, read zero). GFLOP/s count the GEMMs it
+/// executes: `gemm_rows` is the column count of the one-lane input of the
+/// seeded first layer (`Graph::linear_seeded`) and of all six lanes after
+/// it, and backward runs two (`dx`, `dW`) for each forward one.
 #[derive(Serialize, Deserialize)]
 struct TapeLayer {
     in_features: usize,
@@ -775,14 +778,18 @@ struct TapeLayer {
     gemm_rows: usize,
     forward_ms: f64,
     backward_ms: f64,
+    #[serde(default)]
+    grad_input_ms: f64,
+    #[serde(default)]
+    grad_weight_ms: f64,
     forward_gflops: f64,
     backward_gflops: f64,
 }
 
 /// Times the decoder pass of a training step on the tape:
 /// `ContinuousDecoder::decode_derivs` of [`TAPE_QUERIES`] points (gather,
-/// concat, the seeded first layer and a six-lane Linear node per layer after
-/// it, blend) with the latent and the weights as gradient leaves, then
+/// the seeded first layer and a six-lane Linear node per layer after it,
+/// blend) with the latent and the weights as gradient leaves, then
 /// `Graph::backward` from the mean of the output — and, interleaved with it,
 /// the same tape reduced through the equation loss instead, and the one-lane
 /// `decode` of the same points; then each layer alone
@@ -862,10 +869,11 @@ fn bench_tape_decoder(iters: usize, gemm_nn_gflops: f64) -> TapeDecoder {
 }
 
 /// The [`TapeLayer`] rows of [`bench_tape_decoder`]'s pass: the MLP input
-/// `decode_derivs` builds (relative coordinates beside the gathered latent
-/// rows), then layer by layer the node the pass records on the previous
-/// layer's output, forward and backward timed apart, `iters` times after one
-/// untimed pass.
+/// `decode_derivs` builds (relative coordinates over the gathered latent
+/// vectors, feature-major), then layer by layer the node the pass records on
+/// the previous layer's output, forward and backward timed apart, `iters`
+/// times after one untimed pass — and the backward twice more, with the
+/// input alone and the weight alone a gradient leaf.
 fn bench_tape_layers(
     iters: usize,
     model: &MeshfreeFlowNet,
@@ -876,9 +884,7 @@ fn bench_tape_layers(
     let n = plan.index.len();
     let mut g = Graph::new();
     let l = g.constant(latent.clone());
-    let rows = g.gather_vertices(l, plan.index.clone());
-    let coords = g.constant(Tensor::from_vec(plan.rel.clone(), &[n, 3]));
-    let inp = g.concat(&[coords, rows], 1);
+    let inp = g.gather_vertices(l, plan.index.clone(), &plan.rel);
     let mut x = g.value(inp).clone();
     // `decode_derivs`' seed at the unit extent the pass is timed at.
     let seed = grid.map(|v| (v - 1) as f32);
@@ -889,12 +895,22 @@ fn bench_tape_layers(
         .enumerate()
         .map(|(i, layer)| {
             let act = if i == last { Activation::Linear } else { mlp.activation };
-            let (mut fwd, mut bwd) = (f64::MAX, f64::MAX);
-            let mut out = None;
-            for _ in 0..=iters {
+            // Forward, then backward with those of [x, w, b] that ask as
+            // gradient leaves.
+            let pass = |leaves: [bool; 3]| {
                 let mut g = Graph::new();
-                let xv = g.leaf_with_grad(x.clone());
-                let (w, b) = (g.param(store, layer.weight), g.param(store, layer.bias));
+                let mut leaf = |t: &Tensor, asks: bool| {
+                    if asks {
+                        g.leaf_with_grad(t.clone())
+                    } else {
+                        g.constant(t.clone())
+                    }
+                };
+                let (xv, w, b) = (
+                    leaf(&x, leaves[0]),
+                    leaf(store.get(layer.weight), leaves[1]),
+                    leaf(store.get(layer.bias), leaves[2]),
+                );
                 let t = Instant::now();
                 let y = if i == 0 {
                     g.linear_seeded(xv, w, b, act, seed)
@@ -906,12 +922,21 @@ fn bench_tape_layers(
                 let t = Instant::now();
                 g.backward_with(y, adjoint);
                 let backward_ns = t.elapsed().as_nanos() as f64;
+                std::hint::black_box((g.try_grad(xv), g.try_grad(w), g.try_grad(b)));
+                (forward_ns, backward_ns, g.value(y).clone())
+            };
+            let (mut fwd, mut bwd, mut dx, mut dw) = (f64::MAX, f64::MAX, f64::MAX, f64::MAX);
+            let mut out = None;
+            for _ in 0..=iters {
+                let (forward_ns, backward_ns, y) = pass([true; 3]);
+                let (_, dx_ns, _) = pass([true, false, false]);
+                let (_, dw_ns, _) = pass([false, true, false]);
                 // The first pass is the untimed one.
                 if out.is_some() {
                     (fwd, bwd) = (fwd.min(forward_ns), bwd.min(backward_ns));
+                    (dx, dw) = (dx.min(dx_ns), dw.min(dw_ns));
                 }
-                std::hint::black_box(g.grad(xv));
-                out = Some(g.value(y).clone());
+                out = Some(y);
             }
             x = out.expect("at least one pass");
             let gemm_rows = if i == 0 { n } else { n * JET_LANES };
@@ -922,6 +947,8 @@ fn bench_tape_layers(
                 gemm_rows,
                 forward_ms: ms(fwd),
                 backward_ms: ms(bwd),
+                grad_input_ms: ms(dx),
+                grad_weight_ms: ms(dw),
                 forward_gflops: round(flops / fwd, 2),
                 backward_gflops: round(2.0 * flops / bwd, 2),
             }
@@ -1240,10 +1267,10 @@ impl GatedKernels {
                 std::hint::black_box(conv3d_auto(x, w));
             },
             &mut || {
-                std::hint::black_box(conv3d_grad_input(g, w, dims));
+                std::hint::black_box(conv3d_grad_input(g.data(), w.data(), dims));
             },
             &mut || {
-                std::hint::black_box(conv3d_grad_weight(x, g, dims));
+                std::hint::black_box(conv3d_grad_weight(x.data(), g.data(), dims));
             },
             &mut || {
                 let (mut cur, mut next) = (&mut *mlp_x, &mut *mlp_y);

@@ -6,24 +6,25 @@
 //! *relative to that vertex* and the vertex's latent vector — and blends the
 //! 8 results with trilinear weights (Eqn. 6).
 //!
-//! Two evaluation paths exist:
+//! Both evaluation paths are *feature-major* from gather to blend: the
+//! activations over `M` vertex points are `[width, M]`, so the MLP weights sit
+//! on the micro-kernel tile's rows (the conv driver's A panels), the
+//! activations are its B operand as they lie, no layer transposes anything,
+//! and the blend writes the `[Q, out]` rows the losses read:
 //!
 //! - **tape**: [`ContinuousDecoder::decode`] records the computation on the
 //!   reverse-mode graph (training and test-time refinement — whatever needs
 //!   a gradient), one fused `Graph::linear` node per MLP layer.
 //!   [`ContinuousDecoder::decode_derivs`] is the same recording on six
-//!   lanes: the value with its exact `∂t, ∂z, ∂x, ∂zz, ∂xx` in physical
-//!   units, through the MLP (whose first node, `Graph::linear_seeded`, makes
-//!   the lanes from the one-lane input) *and* (by the product rule) the
-//!   trilinear blending — what the PDE residuals read, differentiable like
-//!   any other node;
+//!   lanes, column blocks of each feature row: the value with its exact
+//!   `∂t, ∂z, ∂x, ∂zz, ∂xx` in physical units, through the MLP (whose first
+//!   node, `Graph::linear_seeded`, makes the lanes from the one-lane input)
+//!   *and* (by the product rule) the trilinear blending — what the PDE
+//!   residuals read, differentiable like any other node;
 //! - **no-grad**: `decode_packed` evaluates the same values, bit for bit,
-//!   with no tape, a block of queries at a time and *feature-major* from
-//!   gather to blend: a block's activations are `[width, rows]`, so the MLP
-//!   weights — packed into GEMM A panels once ([`PackedMlp`]) — sit on the
-//!   micro-kernel tile's rows, the activations are its B operand as they
-//!   lie, and no layer transposes anything. The frozen engine packs when it
-//!   is built, [`ContinuousDecoder::decode_nograd`] once per call (all
+//!   with no tape, a block of queries at a time, on weights packed into GEMM
+//!   A panels once ([`PackedMlp`]). The frozen engine packs when it is
+//!   built, [`ContinuousDecoder::decode_nograd`] once per call (all
 //!   inference: `MeshfreeFlowNet::super_resolve`, the frozen engine,
 //!   serving). Blocks are independent, so a call of 1,024 queries or more
 //!   splits its blocks over the host's cores (`decode_blocked`) — the only
@@ -311,12 +312,12 @@ impl ContinuousDecoder {
         self.decode_lanes(g, store, latent, plan, Some(scale))
     }
 
-    /// The one tape recording: gather, coordinate concat, the MLP, the
-    /// blend — on one lane, or with `scale = d(rel)/d(coordinate)` on six.
-    /// The MLP's first layer makes the six lanes of its input from `scale`
-    /// ([`Graph::linear_seeded`]): each relative coordinate moves with its
-    /// own axis at that rate, the latent vector (fixed at a vertex) with
-    /// none, and nothing has curvature.
+    /// The one tape recording: the gather under the relative coordinates,
+    /// the MLP, the blend — on one lane, or with `scale =
+    /// d(rel)/d(coordinate)` on six. The MLP's first layer makes the six
+    /// lanes of its input from `scale` ([`Graph::linear_seeded`]): each
+    /// relative coordinate moves with its own axis at that rate, the latent
+    /// vector (fixed at a vertex) with none, and nothing has curvature.
     fn decode_lanes(
         &self,
         g: &mut Graph,
@@ -326,13 +327,7 @@ impl ContinuousDecoder {
         scale: Option<[f32; 3]>,
     ) -> Var {
         assert!(!plan.is_empty(), "empty query plan");
-        let rows = g.gather_vertices(latent, plan.index.clone());
-        // A pool buffer: the tensor donates its storage to the pool when the
-        // tape drops it, into the bucket it came from.
-        let mut rel = workspace::take_vec_capacity(plan.rel.len());
-        rel.extend_from_slice(&plan.rel);
-        let coords = g.constant(Tensor::from_vec(rel, &[plan.index.len(), 3]));
-        let inp = g.concat(&[coords, rows], 1);
+        let inp = g.gather_vertices(latent, plan.index.clone(), &plan.rel);
         let out = self.mlp.forward(g, store, inp, scale);
         match scale {
             None => g.vertex_blend(out, plan.weights.clone(), VERTICES),
@@ -350,14 +345,15 @@ impl ContinuousDecoder {
     }
 }
 
-/// The trilinear blend of the MLP's six-lane output `out: [JET_LANES·8Q,
-/// out]`, lane by lane, by the product rule against the weights' own slopes:
-/// (wy)′ = wy′ + w′y and (wy)″ = wy″ + 2w′y′ (a trilinear weight has no
-/// second derivative along an axis).
+/// The trilinear blend of the MLP's six-lane output `out: [out, JET_LANES·8Q]`,
+/// lane by lane (column blocks), by the product rule against the weights' own
+/// slopes: (wy)′ = wy′ + w′y and (wy)″ = wy″ + 2w′y′ (a trilinear weight has
+/// no second derivative along an axis). The lanes come out as row blocks,
+/// `[JET_LANES·Q, out]`.
 fn blend_lanes(g: &mut Graph, out: Var, plan: &QueryPlan, scale: [f32; 3]) -> Var {
     let n = plan.index.len();
     let dw = plan.weight_derivs(scale);
-    let y: [Var; JET_LANES] = std::array::from_fn(|k| g.narrow(out, 0, k * n, n));
+    let y: [Var; JET_LANES] = std::array::from_fn(|k| g.narrow(out, 1, k * n, n));
     let blended: Vec<Var> = (0..JET_LANES)
         .map(|k| {
             let own = g.vertex_blend(y[k], plan.weights.clone(), VERTICES);
@@ -484,7 +480,7 @@ mod tests {
     }
 
     /// The six-lane decode with the first layer recorded densely: the seed
-    /// lanes as a constant concatenated under the value lane, and every
+    /// lanes as a constant concatenated beside the value lane, and every
     /// layer a six-lane `Graph::linear` — what `linear_seeded` replaces.
     fn dense_decode_derivs(
         dec: &ContinuousDecoder,
@@ -495,18 +491,16 @@ mod tests {
         scale: [f32; 3],
     ) -> Var {
         let n = plan.index.len();
-        let rows = g.gather_vertices(latent, plan.index.clone());
-        let coords = g.constant(Tensor::from_vec(plan.rel.clone(), &[n, 3]));
-        let inp = g.concat(&[coords, rows], 1);
+        let inp = g.gather_vertices(latent, plan.index.clone(), &plan.rel);
+        // Lanes 1-5 of each input feature: lane 1 + a of coordinate a is its
+        // scale, everything else zero.
         let width = 3 + dec.latent_channels;
-        let mut seed = vec![0.0f32; (JET_LANES - 1) * n * width];
-        for (axis, lane) in seed.chunks_mut(n * width).take(3).enumerate() {
-            for row in lane.chunks_mut(width) {
-                row[axis] = scale[axis];
-            }
+        let mut seed = vec![0.0f32; width * (JET_LANES - 1) * n];
+        for (axis, row) in seed.chunks_mut((JET_LANES - 1) * n).take(3).enumerate() {
+            row[axis * n..(axis + 1) * n].fill(scale[axis]);
         }
-        let seed = g.constant(Tensor::from_vec(seed, &[(JET_LANES - 1) * n, width]));
-        let mut h = g.concat(&[inp, seed], 0);
+        let seed = g.constant(Tensor::from_vec(seed, &[width, (JET_LANES - 1) * n]));
+        let mut h = g.concat(&[inp, seed], 1);
         let last = dec.mlp.layers.len() - 1;
         for (i, layer) in dec.mlp.layers.iter().enumerate() {
             let act = if i == last { Activation::Linear } else { dec.mlp.activation };

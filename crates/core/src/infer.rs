@@ -20,10 +20,10 @@
 //! out `&mut` to the store or the running statistics, and the `UNet3d` they
 //! were taken from is dropped at construction. Both forwards are
 //! bit-identical to the training graph in eval mode (pinned by the
-//! `inference_equivalence` property tests in `mfn-serve`): the elementwise
-//! kernels are shared (`mfn_tensor::rowops`; the decoder's run on the
-//! transpose of the tape's layout, same element functions in the same
-//! order), and a prepacked panel is the panel a per-call pack builds.
+//! `inference_equivalence` property tests in `mfn-serve`): the kernels are
+//! shared — the decoder runs the tape's feature-major layout, conv driver and
+//! `mfn_tensor::rowops` epilogues — and a prepacked panel is the panel a
+//! per-call pack builds.
 
 use crate::checkpoint::{decode_inference_state, load_train_state_with_fallback, CheckpointError};
 use crate::config::MfnConfig;

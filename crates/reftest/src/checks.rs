@@ -79,15 +79,14 @@ pub fn check_gemm_packed() -> Report {
     c.finish()
 }
 
-/// One `CONV_SHAPES` row as tensors: `(input, weight, grad_out)` with the
-/// raw buffers the references take.
+/// One `CONV_SHAPES` row: `(input, weight, grad_out)` as the raw buffers the
+/// references and the gradient kernels take, the first two also as tensors.
 struct ConvCase {
     x: Vec<f32>,
     w: Vec<f32>,
     gout: Vec<f32>,
     xt: Tensor,
     wt: Tensor,
-    gt: Tensor,
 }
 
 fn conv_case(&(n, cin, cout, [sd, sh, sw], [kd, kh, kw]): &ConvShape, seed: u64) -> ConvCase {
@@ -96,8 +95,7 @@ fn conv_case(&(n, cin, cout, [sd, sh, sw], [kd, kh, kw]): &ConvShape, seed: u64)
     let gout = adversarial_bounded(n * cout * sd * sh * sw, seed ^ 0xFACE, ACC_CAP);
     let xt = Tensor::from_vec(x.clone(), &[n, cin, sd, sh, sw]);
     let wt = Tensor::from_vec(w.clone(), &[cout, cin, kd, kh, kw]);
-    let gt = Tensor::from_vec(gout.clone(), &[n, cout, sd, sh, sw]);
-    ConvCase { x, w, gout, xt, wt, gt }
+    ConvCase { x, w, gout, xt, wt }
 }
 
 /// conv3d forward (the implicit GEMM, per-call pack and prepacked panels)
@@ -137,7 +135,7 @@ pub fn check_conv3d_grad_input() -> Report {
         let dims = mfn_tensor::Conv3dDims::infer(&case.xt, &case.wt);
         let want = refk::conv3d_grad_input_ref(n, cin, cout, spatial, kernel, &case.gout, &case.w);
         c.case(format!("{spatial:?}*{kernel:?} seed {seed}"));
-        let got = mfn_tensor::conv3d_grad_input(&case.gt, &case.wt, dims);
+        let got = mfn_tensor::conv3d_grad_input(&case.gout, &case.w, dims);
         for (i, &g) in got.data().iter().enumerate() {
             c.check_f32(i, g, want.value[i], want.scale[i]);
         }
@@ -155,7 +153,7 @@ pub fn check_conv3d_grad_weight() -> Report {
         let dims = mfn_tensor::Conv3dDims::infer(&case.xt, &case.wt);
         let want = refk::conv3d_grad_weight_ref(n, cin, cout, spatial, kernel, &case.x, &case.gout);
         c.case(format!("{spatial:?}*{kernel:?} seed {seed}"));
-        let got = mfn_tensor::conv3d_grad_weight(&case.xt, &case.gt, dims);
+        let got = mfn_tensor::conv3d_grad_weight(&case.x, &case.gout, dims);
         for (i, &g) in got.data().iter().enumerate() {
             c.check_f32(i, g, want.value[i], want.scale[i]);
         }
@@ -293,12 +291,14 @@ pub fn check_sigmoid() -> Report {
     c.finish()
 }
 
-/// The fused tape layer's backward (`Graph::linear`, softplus): `dx`, `dW`
-/// and `db` against the all-f64 chain rule. Each is a GEMM-shaped sum of
-/// `dz = gy·σ(z)` terms, so the budget is the GEMM one; what `dz` adds — the
-/// f32 rounding of `z` through `σ′ ≤ ¼` and the sigmoid's own ≤ 3 ULP — is
-/// a few 1e-7 of each term, well inside `rtol · Σ|terms|`. Shapes put a
-/// ragged edge on every micro-tile and a row count past one GEMM row block.
+/// The fused tape layer's backward (`Graph::linear`, softplus, on
+/// feature-major operands: the transposes of the twin's row-major `x` and
+/// `gy`): `dx`, `dW` and `db` against the all-f64 chain rule. Each is a
+/// GEMM-shaped sum of `dz = gy·σ(z)` terms, so the budget is the GEMM one;
+/// what `dz` adds — the f32 rounding of `z` through `σ′ ≤ ¼` and the
+/// sigmoid's own ≤ 3 ULP — is a few 1e-7 of each term, well inside `rtol ·
+/// Σ|terms|`. Shapes put a ragged edge on every micro-tile and a point count
+/// past one GEMM row block.
 pub fn check_linear_backward() -> Report {
     let mut c = Checker::new("linear_backward", Tolerance::new(4, 1.0e-4, 0.0));
     for (si, &(m, k, n)) in
@@ -313,19 +313,23 @@ pub fn check_linear_backward() -> Report {
         let (x, w, b, gy) = (fill(m * k, 2.0), fill(n * k, 1.5), fill(n, 1.0), fill(m * n, 3.0));
 
         let mut tape = Graph::new();
-        let xv = tape.leaf_with_grad(Tensor::from_vec(x.clone(), &[m, k]));
+        let xv = tape.leaf_with_grad(Tensor::from_vec(x.clone(), &[m, k]).transpose2());
         let wv = tape.leaf_with_grad(Tensor::from_vec(w.clone(), &[n, k]));
         let bv = tape.leaf_with_grad(Tensor::from_vec(b.clone(), &[n]));
         let y = tape.linear(xv, wv, bv, Activation::Softplus, 1);
-        let gyv = tape.constant(Tensor::from_vec(gy.clone(), &[m, n]));
+        let gyv = tape.constant(Tensor::from_vec(gy.clone(), &[m, n]).transpose2());
         let weighted = tape.mul(y, gyv);
         let loss = tape.sum(weighted);
         tape.backward(loss);
 
         let (dx, dw, db) = refk::linear_softplus_backward_ref(m, k, n, &x, &w, &b, &gy);
-        for (name, var, want) in [("dx", xv, dx), ("dW", wv, dw), ("db", bv, db)] {
+        // dx comes back feature-major, [k, m]: the twin's row-major [m, k].
+        let dx_got = tape.grad(xv).transpose2();
+        for (name, got, want) in
+            [("dx", &dx_got, dx), ("dW", tape.grad(wv), dw), ("db", tape.grad(bv), db)]
+        {
             c.case(format!("{name} of [{m}x{k}] -> {n}, seed {seed}"));
-            for (i, &got) in tape.grad(var).data().iter().enumerate() {
+            for (i, &got) in got.data().iter().enumerate() {
                 c.check_f32(i, got, want.value[i], want.scale[i]);
             }
         }
@@ -333,17 +337,17 @@ pub fn check_linear_backward() -> Report {
     c.finish()
 }
 
-/// Row- and channel-broadcast bias adds: a single f32 addition per element,
-/// so the budget is 1 ULP (double-rounding ties only).
+/// Feature-row and channel-broadcast bias adds: a single f32 addition per
+/// element, so the budget is 1 ULP (double-rounding ties only).
 pub fn check_bias() -> Report {
     let mut c = Checker::new("bias_add", Tolerance::new(1, 0.0, 0.0));
     let (m, n) = (17, 33);
     let x = adversarial(m * n, 700);
     let b = adversarial(n, 701);
     let mut t = x.clone();
-    rowops::add_bias_rows(&mut t, &b);
-    let want = refk::bias_rows_ref(m, n, &x, &b);
-    c.case("rows 17x33 seed 700");
+    rowops::add_bias_features(&mut t, &b);
+    let want = refk::bias_channels_ref(1, n, m, &x, &b);
+    c.case("features 33x17 seed 700");
     for (i, &got) in t.iter().enumerate() {
         c.check_f32(i, got, want.value[i], want.scale[i]);
     }
@@ -360,10 +364,18 @@ pub fn check_bias() -> Report {
     c.finish()
 }
 
-/// Grouped weighted row blending (the continuous decoder's vertex blend),
-/// including the pinned zero-weight NaN-masking contract.
-pub fn check_blend_rows() -> Report {
-    let mut c = Checker::new("blend_rows", Tolerance::new(4, 1.0e-6, 0.0));
+/// Grouped weighted blending of feature-major points into rows (the
+/// continuous decoder's vertex blend, `blend_features_into`) against the
+/// twin of the row-major definition on the transpose, including the pinned
+/// zero-weight NaN-masking contract.
+pub fn check_blend_features() -> Report {
+    let mut c = Checker::new("blend_features", Tolerance::new(4, 1.0e-6, 0.0));
+    let blend = |rows: usize, ch: usize, x: &[f32], w: &[f32], group: usize| {
+        let xt = Tensor::from_vec(x.to_vec(), &[rows, ch]).transpose2();
+        let mut out = vec![f32::NAN; rows / group * ch]; // NaN canary: must be overwritten
+        rowops::blend_features_into(xt.data(), w, group, &mut out);
+        out
+    };
     for (si, &(q, group, ch)) in
         [(7usize, 8usize, 5usize), (16, 2, 3), (4, 1, 9)].iter().enumerate()
     {
@@ -371,61 +383,33 @@ pub fn check_blend_rows() -> Report {
         let rows = q * group;
         let x = adversarial_bounded(rows * ch, seed, ACC_CAP);
         let w = adversarial_bounded(rows, seed ^ 7, ACC_CAP);
-        let t = Tensor::from_vec(x.clone(), &[rows, ch]);
-        let got = rowops::blend_rows(&t, &w, group);
+        let got = blend(rows, ch, &x, &w, group);
         let want = refk::blend_rows_ref(rows, ch, &x, &w, group);
         c.case(format!("q{q} g{group} c{ch} seed {seed}"));
-        for (i, &g) in got.data().iter().enumerate() {
+        for (i, &g) in got.iter().enumerate() {
             c.check_f32(i, g, want.value[i], want.scale[i]);
         }
     }
-    // Zero weight must mask a NaN row — both sides, by contract.
+    // Zero weight must mask a NaN point — both sides, by contract.
     let mut x = vec![1.0f32; 2 * 8 * 3];
-    x[0] = f32::NAN; // row 0 of query 0
+    x[0] = f32::NAN; // point 0 of query 0
     let mut w = vec![0.125f32; 16];
     w[0] = 0.0;
-    let t = Tensor::from_vec(x.clone(), &[16, 3]);
-    let got = rowops::blend_rows(&t, &w, 8);
+    let got = blend(16, 3, &x, &w, 8);
     let want = refk::blend_rows_ref(16, 3, &x, &w, 8);
     c.case("zero-weight NaN masking");
-    for (i, &g) in got.data().iter().enumerate() {
-        assert!(!want.value[i].is_nan(), "reference must mask the NaN row");
+    for (i, &g) in got.iter().enumerate() {
+        assert!(!want.value[i].is_nan(), "reference must mask the NaN point");
         c.check_f32(i, g, want.value[i], want.scale[i]);
     }
     c.finish()
 }
 
-/// Vertex gather from a latent grid: exact copies, bit-for-bit.
-pub fn check_gather_rows() -> Report {
-    let mut c = Checker::new("gather_rows", Tolerance::exact());
-    let (n, ch, vol_dims, picks) = (2usize, 3usize, [2usize, 2, 3], 40usize);
-    let vol: usize = vol_dims.iter().product();
-    let x = adversarial(n * ch * vol, 900);
-    let mut g = Lcg::new(901);
-    // index[m] = batch*vol + spatial, per the gather_rows contract.
-    let index: Vec<u32> = (0..picks).map(|_| g.index(n * vol) as u32).collect();
-    let t = Tensor::from_vec(x.clone(), &[n, ch, vol_dims[0], vol_dims[1], vol_dims[2]]);
-    let got = rowops::gather_rows(&t, &index);
-    c.case("[2,3,2,2,3] pick 40 seed 900");
-    for (r, &flat) in index.iter().enumerate() {
-        let (ni, sp) = (flat as usize / vol, flat as usize % vol);
-        for j in 0..ch {
-            c.check_f32(
-                r * ch + j,
-                got.data()[r * ch + j],
-                f64::from(x[(ni * ch + j) * vol + sp]),
-                0.0,
-            );
-        }
-    }
-    c.finish()
-}
-
 /// Prefix de-interleave + vertex gather into feature-major rows (the
-/// decoder's no-grad input build): pure data movement, so bit-for-bit
-/// against the composition it transposes — row `r` of `concat([prefix,
-/// gather_rows], 1)` must be column `r` of the output, exactly. 70 picks
-/// cross the kernel's 64-row chunk.
+/// decoder's MLP input on the tape and off it): pure data movement, so
+/// bit-for-bit — column `r` of the output must be point `r`'s prefix over
+/// the latent vector of vertex `index[r]`, exactly. 70 picks cross the
+/// kernel's 64-row chunk.
 pub fn check_gather_features() -> Report {
     let mut c = Checker::new("gather_features", Tolerance::exact());
     let (n, ch, vol_dims, picks, k) = (2usize, 3usize, [2usize, 2, 3], 70usize, 3usize);
@@ -968,8 +952,7 @@ pub fn run_all() -> Vec<Report> {
         check_activations(),
         check_sigmoid(),
         check_bias(),
-        check_blend_rows(),
-        check_gather_rows(),
+        check_blend_features(),
         check_gather_features(),
         check_maxpool(),
         check_upsample(),

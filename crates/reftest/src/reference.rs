@@ -370,20 +370,6 @@ pub fn channel_affine_ref(
     RefOut { value, scale }
 }
 
-/// Row-broadcast bias add `y[i,j] = x[i,j] + b[j]` by the definition.
-pub fn bias_rows_ref(m: usize, n: usize, x: &[f32], b: &[f32]) -> RefOut {
-    let mut value = vec![0.0f64; m * n];
-    let mut scale = vec![0.0f64; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let (xv, bv) = (f64::from(x[i * n + j]), f64::from(b[j]));
-            value[i * n + j] = xv + bv;
-            scale[i * n + j] = xv.abs() + bv.abs();
-        }
-    }
-    RefOut { value, scale }
-}
-
 /// Channel-broadcast bias add over `[N, C, inner]` by the definition.
 pub fn bias_channels_ref(n: usize, c: usize, inner: usize, x: &[f32], b: &[f32]) -> RefOut {
     let mut value = vec![0.0f64; x.len()];

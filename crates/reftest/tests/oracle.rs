@@ -68,13 +68,13 @@ fn bias_adds_match_reference() {
 }
 
 #[test]
-fn blend_rows_matches_reference() {
-    assert_ok(checks::check_blend_rows());
+fn blend_features_matches_reference() {
+    assert_ok(checks::check_blend_features());
 }
 
 #[test]
-fn gather_rows_is_exact() {
-    assert_ok(checks::check_gather_rows());
+fn gather_features_is_exact() {
+    assert_ok(checks::check_gather_features());
 }
 
 #[test]

@@ -26,8 +26,9 @@
 //! [`conv3d_grad_weight`] packs the transposed patch matrix from the same
 //! maps. A fully-connected layer over `M` points is the 1×1×1 case over a
 //! volume of `M` voxels — activations feature-major `[width, M]`, the
-//! weight on the tile's rows — so the no-grad decoder's MLP runs on this
-//! driver too ([`PackedConv3d::pack_linear`],
+//! weight on the tile's rows — so the decoder's MLP runs on this driver too,
+//! on the tape (forward, and both gradients through the two functions
+//! above) and off it ([`PackedConv3d::pack_linear`],
 //! [`PackedConv3d::forward_slices`]): one weight-panel store.
 //!
 //! Numerics: every conv output, pointwise included, is one `k`-ordered FMA
@@ -466,7 +467,8 @@ pub fn conv3d_auto(input: &Tensor, weight: &Tensor) -> Tensor {
 }
 
 /// Gradient of [`conv3d_auto`] with respect to its input:
-/// `grad_out: [N, Cout, D, H, W]` → `[N, Cin, D, H, W]`.
+/// `grad_out: [N, Cout, D, H, W]` and `weight: [Cout, Cin, kd, kh, kw]` as
+/// slices → `[N, Cin, D, H, W]`.
 ///
 /// For stride-1 same-padding convolution with odd kernels, `∂L/∂x` is
 /// itself a same-padding convolution of `grad_out` against the weight with
@@ -475,17 +477,17 @@ pub fn conv3d_auto(input: &Tensor, weight: &Tensor) -> Tensor {
 /// materialized once per call and run through the forward driver.
 ///
 /// # Panics
-/// Panics on an even kernel extent or a `grad_out` that disagrees with `dims`.
-pub fn conv3d_grad_input(grad_out: &Tensor, weight: &Tensor, dims: Conv3dDims) -> Tensor {
+/// Panics on an even kernel extent or a slice that disagrees with `dims`.
+pub fn conv3d_grad_input(grad_out: &[f32], weight: &[f32], dims: Conv3dDims) -> Tensor {
     assert_odd(dims.kernel);
     let [sd, sh, sw] = dims.spatial;
     let kvol = dims.kvol();
-    assert_eq!(grad_out.dims(), &[dims.n, dims.cout, sd, sh, sw]);
-    let w = weight.data();
+    assert_eq!(grad_out.len(), dims.n * dims.cout * dims.vol(), "conv3d grad_out length mismatch");
+    assert_eq!(weight.len(), dims.cout * dims.cin * kvol, "conv3d weight length mismatch");
     let mut wf = workspace::take_scratch(dims.cin * dims.cout * kvol);
     for co in 0..dims.cout {
         for ci in 0..dims.cin {
-            let src = &w[(co * dims.cin + ci) * kvol..][..kvol];
+            let src = &weight[(co * dims.cin + ci) * kvol..][..kvol];
             let dst = &mut wf[(ci * dims.cout + co) * kvol..][..kvol];
             for (d, s) in dst.iter_mut().zip(src.iter().rev()) {
                 *d = *s;
@@ -494,11 +496,12 @@ pub fn conv3d_grad_input(grad_out: &Tensor, weight: &Tensor, dims: Conv3dDims) -
     }
     let flipped = PackedConv3d::pack_rows(&wf, dims.cin, dims.cout, dims.kernel, dims.vol());
     let mut out = workspace::take_vec_scratch(dims.n * dims.cin * dims.vol());
-    flipped.forward_slices(grad_out.data(), dims.spatial, &mut out, None);
+    flipped.forward_slices(grad_out, dims.spatial, &mut out, None);
     Tensor::from_vec(out, &[dims.n, dims.cin, sd, sh, sw])
 }
 
-/// Gradient of [`conv3d_auto`] with respect to its weights; returns
+/// Gradient of [`conv3d_auto`] with respect to its weights, from `input:
+/// [N, Cin, D, H, W]` and `grad_out: [N, Cout, D, H, W]` as slices; returns
 /// `[Cout, Cin, kd, kh, kw]`.
 ///
 /// Per batch item `n`, `∂L/∂W[co, kidx] += grad_out_n[co, :] ·
@@ -510,24 +513,22 @@ pub fn conv3d_grad_input(grad_out: &Tensor, weight: &Tensor, dims: Conv3dDims) -
 /// (`first` only on the very first block).
 ///
 /// # Panics
-/// Panics on an even kernel extent or a `grad_out` that disagrees with `dims`.
-pub fn conv3d_grad_weight(input: &Tensor, grad_out: &Tensor, dims: Conv3dDims) -> Tensor {
+/// Panics on an even kernel extent or a slice that disagrees with `dims`.
+pub fn conv3d_grad_weight(input: &[f32], grad_out: &[f32], dims: Conv3dDims) -> Tensor {
     assert_odd(dims.kernel);
-    let [sd, sh, sw] = dims.spatial;
     let [kd, kh, kw] = dims.kernel;
     let (vol, ksize) = (dims.vol(), dims.cin * dims.kvol());
-    assert_eq!(input.dims(), &[dims.n, dims.cin, sd, sh, sw]);
-    assert_eq!(grad_out.dims(), &[dims.n, dims.cout, sd, sh, sw]);
-    let g = grad_out.data();
+    assert_eq!(input.len(), dims.n * dims.cin * vol, "conv3d input length mismatch");
+    assert_eq!(grad_out.len(), dims.n * dims.cout * vol, "conv3d grad_out length mismatch");
     let kernel = simd::active_kernel_for(dims.cout, ksize);
     let (mr, nr) = (kernel.mr, kernel.nr);
     let (map, mut xp_buf) = PatchMap::new(&dims);
     let mut out = workspace::take_vec_scratch(dims.cout * ksize);
     let (mut koff, mut voff) = ([0u32; NC], [0u32; KC]);
 
-    for (n, x) in input.data().chunks(dims.cin * vol).enumerate() {
+    for (n, x) in input.chunks(dims.cin * vol).enumerate() {
         let xp = map.item(&mut xp_buf, x, &mut None);
-        let gn = &g[n * dims.cout * vol..][..dims.cout * vol];
+        let gn = &grad_out[n * dims.cout * vol..][..dims.cout * vol];
         for jc in (0..ksize).step_by(NC) {
             let nb = NC.min(ksize - jc);
             map.fill_koff(&mut koff[..nb], jc);
@@ -811,8 +812,8 @@ mod tests {
         let r = Tensor::randn(&[1, 2, 2, 3, 3], 1.0, &mut rng);
         let loss = |x: &Tensor, w: &Tensor| conv3d_naive(x, w).mul(&r).sum() as f64;
 
-        let gx = conv3d_grad_input(&r, &weight, dims);
-        let gw = conv3d_grad_weight(&input, &r, dims);
+        let gx = conv3d_grad_input(r.data(), weight.data(), dims);
+        let gw = conv3d_grad_weight(input.data(), r.data(), dims);
         let eps = 1e-3f32;
         for i in (0..input.numel()).step_by(7) {
             let mut xp = input.clone();
@@ -965,9 +966,9 @@ mod tests {
     }
 
     /// A `Linear` weight packed as A panels over feature-major activations
-    /// gives the bits of `gemm(x, Normal, w, Transposed)` — the tape's
-    /// product — on the transpose: an output element is the same `k`-order
-    /// FMA chain whichever operand sits on the tile's rows. Shapes: the
+    /// gives the bits of the row-major `gemm(x, Normal, w, Transposed)` on
+    /// the transpose: an output element is the same `k`-order FMA chain
+    /// whichever operand sits on the tile's rows. Shapes: the
     /// decoder's 19-deep input, its 4-wide head, a depth past `KC`; rows of
     /// one query, three, a short block and a full one; panels packed under
     /// one backend override and run under another; and `k = 0`.
@@ -1053,8 +1054,8 @@ mod tests {
             let dims = Conv3dDims::infer(&input, &weight);
             let gout = Tensor::randn(&[2, cout, sp[0], sp[1], sp[2]], 1.0, &mut rng);
             let forward = dot(&conv3d_naive(&input, &weight), &gout);
-            let via_input = dot(&input, &conv3d_grad_input(&gout, &weight, dims));
-            let via_weight = dot(&weight, &conv3d_grad_weight(&input, &gout, dims));
+            let via_input = dot(&input, &conv3d_grad_input(gout.data(), weight.data(), dims));
+            let via_weight = dot(&weight, &conv3d_grad_weight(input.data(), gout.data(), dims));
             let scale = 1e-4 * (1.0 + forward.abs());
             assert!((forward - via_input).abs() < scale, "{forward} vs {via_input} (k={k:?})");
             assert!((forward - via_weight).abs() < scale, "{forward} vs {via_weight} (k={k:?})");
@@ -1073,14 +1074,14 @@ mod tests {
     #[should_panic(expected = "must be odd")]
     fn grad_input_rejects_even_kernels() {
         let (x, w, dims) = even_dims();
-        conv3d_grad_input(&x, &w, dims);
+        conv3d_grad_input(x.data(), w.data(), dims);
     }
 
     #[test]
     #[should_panic(expected = "must be odd")]
     fn grad_weight_rejects_even_kernels() {
         let (x, _, dims) = even_dims();
-        conv3d_grad_weight(&x, &x, dims);
+        conv3d_grad_weight(x.data(), x.data(), dims);
     }
 
     /// NaN and inf flow through the lowering untouched: the on-the-fly
@@ -1120,7 +1121,7 @@ mod tests {
         // Same law through the input-gradient kernel (grad = w * grad_out).
         let dims = Conv3dDims::infer(&input, &weight);
         let grad_out = Tensor::full(&[1, 1, 2, 2, 2], f32::INFINITY);
-        for v in conv3d_grad_input(&grad_out, &weight, dims).data() {
+        for v in conv3d_grad_input(grad_out.data(), weight.data(), dims).data() {
             assert!(v.is_nan(), "0 * inf must be NaN in grad_input, got {v}");
         }
     }

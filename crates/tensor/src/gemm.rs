@@ -10,8 +10,8 @@
 //!     pack_b  (KC × NC, nr-panel major, zero-padded edges)
 //!     for ic in 0..m step MC        // C row blocks
 //!       pack_a (MC × KC, mr-panel major, zero-padded edges)
-//!       for jr in 0..NC step nr     // micro-tiles
-//!         for ir in 0..MC step mr
+//!       for ir in 0..MC step mr     // micro-tiles
+//!         for jr in 0..NC step nr
 //!           micro-kernel: acc[mr×nr] += a_panel ⊗ b_panel   (registers)
 //! ```
 //!
@@ -253,15 +253,18 @@ pub(crate) fn macro_block(
     struct AccTile([f32; simd::MAX_MR * simd::MAX_NR]);
     let mut acc = AccTile([0.0; simd::MAX_MR * simd::MAX_NR]);
     let acc = &mut acc.0[..mr * nr];
-    // b-panel outer (BLIS order): one nr-wide B panel (up to 48 KiB at
-    // KC=256) stays hot in L1/L2 while the much smaller mr-row A panels
-    // stream past it.
-    for (pj, b_panel) in b_pack.chunks_exact(nr * kb).enumerate() {
-        let j = pj * nr;
-        let cols = nr.min(nb - j);
-        for (pi, a_panel) in a_pack.chunks_exact(mr * kb).enumerate() {
-            let i = pi * mr;
-            let rows = mr.min(mb - i);
+    // a-panel outer: one mr-row A panel (at most 12 KiB at KC=256) stays in
+    // L1 while the slab's B panels stream past it from L2, and the
+    // write-back fills mr output rows across the whole slab before moving
+    // on — long runs per row where C's rows are far apart (a feature-major
+    // output's rows are a volume long) and the depth is too shallow to
+    // hide the stores.
+    for (pi, a_panel) in a_pack.chunks_exact(mr * kb).enumerate() {
+        let i = pi * mr;
+        let rows = mr.min(mb - i);
+        for (pj, b_panel) in b_pack.chunks_exact(nr * kb).enumerate() {
+            let j = pj * nr;
+            let cols = nr.min(nb - j);
             (kernel.micro)(kb, a_panel, b_panel, acc);
             // Write-back masks the zero-padded lanes of edge tiles.
             for ii in 0..rows {

@@ -5,16 +5,15 @@
 //!
 //! - [`Tensor`]: contiguous row-major storage with element-wise ops,
 //!   concat/split, and seeded random initialization;
-//! - [`linalg`]: GEMM entry points (`A@B`, `Aᵀ@B`, `A@Bᵀ`) for the
-//!   continuous decoding MLP, all lowering onto the blocked micro-kernel in
-//!   [`gemm`](mod@gemm);
+//! - [`linalg`]: GEMM entry points (`A@B`, `Aᵀ@B`, `A@Bᵀ`), all lowering
+//!   onto the blocked micro-kernel in [`gemm`](mod@gemm);
 //! - [`conv`]: 3D convolution (forward + both backwards, one fused
 //!   implicit-GEMM lowering for every odd kernel; [`PackedConv3d`] holds a
 //!   weight's panels — a conv's, or a `Linear`'s as the 1×1×1 case), max
 //!   pooling and nearest-neighbor upsampling for the 3D U-Net encoder;
 //! - [`rowops`]: the gather/blend/bias/affine/softplus kernels the autodiff
-//!   tape (row-major activations) and the no-grad inference engine
-//!   (feature-major) share, bit-identical paths;
+//!   tape and the no-grad inference engine share, on one feature-major
+//!   activation layout;
 //! - [`workspace`]: the buffer pool that lets kernels and tensor temporaries
 //!   reuse memory across training steps.
 //!
@@ -38,8 +37,7 @@ pub use conv::{
 pub use gemm::{gemm, MatLayout};
 pub use linalg::{matmul, matmul_nt, matmul_tn, matvec};
 pub use rowops::{
-    add_bias_channels, add_bias_features, add_bias_rows, blend_features_into, blend_rows,
-    channel_affine, gather_features, gather_rows,
+    add_bias_channels, add_bias_features, blend_features_into, channel_affine, gather_features,
 };
 pub use shape::Shape;
 pub use simd::{kernel_backend, set_backend_override, KernelBackend};

@@ -1,16 +1,16 @@
-//! Row-oriented gather / blend / bias / affine / softplus kernels shared by
-//! the reverse-mode tape (`mfn-autodiff`) and the no-grad inference path
-//! (`mfn-core`'s blocked decode and frozen engine).
+//! The decoder's gather / blend / bias / softplus kernels and the U-Net's
+//! channel bias and affine, shared by the reverse-mode tape (`mfn-autodiff`)
+//! and the no-grad inference path (`mfn-core`'s blocked decode and frozen
+//! engine).
 //!
 //! Both execution paths must produce *bit-identical* outputs — the serving
 //! engine's correctness contract is "same bytes as the training graph in
 //! eval mode" — so the elementwise loops live here and both callers
-//! delegate. The tape keeps a layer's activations row-major `[M, width]`,
-//! the no-grad decoder feature-major `[width, M]` (its GEMM's B operand as
-//! it lies), so gather, bias and blend each come in that pair of layouts
-//! (`*_rows` / `*_features`): the same values, sums and skips in the same
-//! order on the transpose, pinned against each other by the tests here, in
-//! `mfn-core` and by the oracle. Any change to summation order or
+//! delegate. There is one activation layout, *feature-major*: a layer's
+//! activations over `M` points are `[width, M]`, the GEMM's B operand as it
+//! lies (the NCDHW layout of the U-Net's convs, one item of one voxel row),
+//! and a six-lane matrix is `[width, JET_LANES·M]`, the lanes as column
+//! blocks of every feature row. Any change to summation order or
 //! zero-handling in these functions changes the bits of every checkpointed
 //! model's predictions.
 //!
@@ -19,44 +19,20 @@
 //! slice kernels re-exported beside them are those definitions on vectors.
 
 pub use crate::simd::{
-    bias_jet_rows, bias_softplus_features, bias_softplus_grad_rows, bias_softplus_jet_rows,
-    bias_softplus_rows, sigmoid_scalar, softplus_derivs, softplus_grad_slice, softplus_scalar,
-    softplus_slice, JET_LANES,
+    bias_jet_features, bias_softplus_features, bias_softplus_grad_features,
+    bias_softplus_jet_features, sigmoid_scalar, softplus_derivs, softplus_grad_slice,
+    softplus_scalar, softplus_slice, JET_LANES,
 };
 use crate::tensor::Tensor;
-use crate::workspace;
 
-/// Gathers rows from a latent grid `grid: [N, C, D, H, W]` into `[M, C]`.
-///
-/// `index[m] = n*D*H*W + (d*H + h)*W + w` selects the vertex for output
-/// row `m` (batch and spatial offsets pre-combined).
-pub fn gather_rows(grid: &Tensor, index: &[u32]) -> Tensor {
-    assert_eq!(grid.shape().rank(), 5, "gather_rows grid must be [N,C,D,H,W]");
-    let (n, c) = (grid.dims()[0], grid.dims()[1]);
-    let vol: usize = grid.dims()[2..].iter().product();
-    let g = grid.data();
-    let m = index.len();
-    let mut out = workspace::take_vec_scratch(m * c);
-    for (row, &flat) in index.iter().enumerate() {
-        let flat = flat as usize;
-        let ni = flat / vol;
-        let sp = flat % vol;
-        debug_assert!(ni < n, "gather index out of batch range");
-        for ci in 0..c {
-            out[row * c + ci] = g[(ni * c + ci) * vol + sp];
-        }
-    }
-    Tensor::from_vec(out, &[m, c])
-}
-
-/// The decoder's no-grad input build, feature-major: fills `out: [K + C, M]`
-/// (`M = index.len()`) with the `K` per-row values of `prefix: [M, K]`
+/// The decoder's MLP input, feature-major: fills `out: [K + C, M]` (`M =
+/// index.len()`) with the `K` per-point values of `prefix: [M, K]`
 /// de-interleaved into the first `K` feature rows and, under them, channel
 /// `c` of vertex `index[m]` of `grid: [N, C, D, H, W]` at `out[(K + c)·M +
-/// m]`. That is the transpose of `concat([prefix, gather_rows(grid, index)],
-/// 1)` — the values are plain copies — written straight into the caller's
-/// block buffer; the grid is channel-major already, so a feature row is one
-/// indexed read per vertex.
+/// m]` (`index[m] = n·D·H·W + (d·H + h)·W + w`, batch and spatial offsets
+/// pre-combined). The values are plain copies, written straight into the
+/// caller's buffer; the grid is channel-major already, so a feature row is
+/// one indexed read per vertex.
 ///
 /// # Panics
 /// Panics if `grid` is not rank 5, `prefix.len()` is not a multiple of
@@ -97,38 +73,13 @@ pub fn gather_features(grid: &Tensor, index: &[u32], prefix: &[f32], out: &mut [
     }
 }
 
-/// Blends groups of `group` consecutive rows of `x: [Q*group, C]` with fixed
-/// weights (`weights.len() == Q*group`), producing `[Q, C]` — the trilinear
-/// vertex interpolation of the paper's Eqn. 6. A row whose weight is exactly
-/// zero is skipped, not multiplied: a query on a cell face never reads the
-/// vertices beyond it.
-pub fn blend_rows(x: &Tensor, weights: &[f32], group: usize) -> Tensor {
-    assert_eq!(x.shape().rank(), 2);
-    let (rows, c) = (x.dims()[0], x.dims()[1]);
-    assert_eq!(rows % group, 0, "blend_rows rows not divisible by group");
-    assert_eq!(weights.len(), rows, "blend_rows weight count mismatch");
-    let mut out = workspace::take_vec_zeroed(rows / group * c);
-    for ((dst, ws), rows) in out
-        .chunks_exact_mut(c)
-        .zip(weights.chunks_exact(group))
-        .zip(x.data().chunks_exact(group * c))
-    {
-        for (&w, src) in ws.iter().zip(rows.chunks_exact(c)) {
-            if w == 0.0 {
-                continue;
-            }
-            for (o, &s) in dst.iter_mut().zip(src) {
-                *o += w * s;
-            }
-        }
-    }
-    Tensor::from_vec(out, &[rows / group, c])
-}
-
-/// [`blend_rows`] of feature-major values: `x: [C, Q*group]` holds channel
-/// `c` of row `r` at `x[c·Q·group + r]`, `out` (`[Q, C]` row-major, fully
-/// overwritten) is what `blend_rows` returns for the transpose — the same
-/// vertex order, summation order and exact-zero skip, so the same bits.
+/// Blends groups of `group` consecutive points of the feature-major `x: [C,
+/// Q·group]` (channel `c` of point `r` at `x[c·Q·group + r]`) with fixed
+/// weights (`weights.len() == Q·group`) into `out: [Q, C]` (row-major, fully
+/// overwritten) — the trilinear vertex interpolation of the paper's Eqn. 6.
+/// Each output is one sum over its group in vertex order, and a point whose
+/// weight is exactly zero is skipped, not multiplied: a query on a cell face
+/// never reads the vertices beyond it.
 pub fn blend_features_into(x: &[f32], weights: &[f32], group: usize, out: &mut [f32]) {
     let rows = weights.len();
     let q = rows / group;
@@ -152,19 +103,8 @@ pub fn blend_features_into(x: &[f32], weights: &[f32], group: usize, out: &mut [
     }
 }
 
-/// Adds bias vector `bias: [N]` to every row of `x: [M, N]`, in place.
-pub fn add_bias_rows(x: &mut [f32], bias: &[f32]) {
-    let n = bias.len();
-    assert!(n > 0 && x.len().is_multiple_of(n), "add_bias_rows: rows do not match the bias");
-    for row in x.chunks_exact_mut(n) {
-        for (o, &bb) in row.iter_mut().zip(bias) {
-            *o += bb;
-        }
-    }
-}
-
 /// Adds `bias[j]` to every element of feature row `j` of `x: [bias.len(),
-/// M]`, in place — [`add_bias_rows`] on the transpose.
+/// M]`, in place.
 pub fn add_bias_features(x: &mut [f32], bias: &[f32]) {
     let n = bias.len();
     assert!(n > 0 && x.len().is_multiple_of(n), "add_bias_features: not one row per bias");
@@ -209,35 +149,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gather_rows_picks_expected_vertices() {
-        // grid [1, 2, 1, 2, 2]: channel-major planes of 4 spatial points.
+    fn gather_features_picks_expected_vertices() {
+        // grid [1, 2, 1, 2, 2]: channel-major planes of 4 spatial points; the
+        // picks under one de-interleaved prefix value per point.
         let grid =
             Tensor::from_vec(vec![0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 13.0], &[1, 2, 1, 2, 2]);
-        let out = gather_rows(&grid, &[0, 3]);
-        assert_eq!(out.dims(), &[2, 2]);
-        assert_eq!(out.data(), &[0.0, 10.0, 3.0, 13.0]);
-        // The same picks feature-major, under one de-interleaved prefix value.
         let mut rows = [f32::NAN; 6];
         gather_features(&grid, &[0, 3], &[-1.0, -2.0], &mut rows);
         assert_eq!(rows, [-1.0, -2.0, 0.0, 3.0, 10.0, 13.0]);
     }
 
     #[test]
-    fn blend_rows_weighted_sum() {
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let out = blend_rows(&x, &[0.25, 0.75], 2);
-        assert_eq!(out.dims(), &[1, 2]);
-        assert_eq!(out.data(), &[0.25 + 2.25, 0.5 + 3.0]);
+    fn blend_features_weighted_sum() {
+        // Two channels of one query's two points.
+        let mut out = [f32::NAN; 2];
+        blend_features_into(&[1.0, 3.0, 2.0, 4.0], &[0.25, 0.75], 2, &mut out);
+        assert_eq!(out, [0.25 + 2.25, 0.5 + 3.0]);
     }
 
     #[test]
-    fn blend_rows_skips_exact_zero_weights_only() {
+    fn blend_features_skips_exact_zero_weights_only() {
         // The w == 0.0 skip must not change results for nonzero weights;
-        // with a NaN row and zero weight, the NaN is masked (pinned behavior
-        // the tape relies on for out-of-cell vertices).
-        let x = Tensor::from_vec(vec![f32::NAN, f32::NAN, 5.0, 7.0], &[2, 2]);
-        let out = blend_rows(&x, &[0.0, 1.0], 2);
-        assert_eq!(out.data(), &[5.0, 7.0]);
+        // with a NaN point and zero weight, the NaN is masked (pinned
+        // behavior the tape relies on for out-of-cell vertices).
         let mut out = [f32::NAN; 2];
         blend_features_into(&[f32::NAN, 5.0, f32::NAN, 7.0], &[0.0, 1.0], 2, &mut out);
         assert_eq!(out, [5.0, 7.0]);
@@ -246,10 +180,8 @@ mod tests {
     #[test]
     fn bias_and_affine_in_place() {
         let mut x = [1.0, 2.0, 3.0, 4.0];
-        add_bias_rows(&mut x, &[10.0, 20.0]);
-        assert_eq!(x, [11.0, 22.0, 13.0, 24.0]);
         add_bias_features(&mut x, &[10.0, 20.0]);
-        assert_eq!(x, [21.0, 32.0, 33.0, 44.0]);
+        assert_eq!(x, [11.0, 12.0, 23.0, 24.0]);
 
         let mut y = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]);
         add_bias_channels(&mut y, &[1.0, -1.0]);

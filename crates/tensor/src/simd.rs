@@ -31,11 +31,11 @@
 //!
 //! The same dispatch carries the one element-wise kernel that is worth
 //! explicit vectors, the decoder's softplus and its derivative
-//! ([`softplus_slice`], [`bias_softplus_rows`] and its transpose
-//! [`bias_softplus_features`] forward;
-//! [`softplus_grad_slice`], [`bias_softplus_grad_rows`] backward) and their
-//! six-lane form, softplus applied to a value with its space-time
-//! derivatives ([`bias_softplus_jet_rows`], forward and backward):
+//! ([`softplus_slice`] and [`bias_softplus_features`] forward,
+//! [`softplus_grad_slice`] and [`bias_softplus_grad_features`] backward) and
+//! their six-lane form, softplus applied to a value with its space-time
+//! derivatives ([`bias_softplus_jet_features`], forward and backward), all
+//! on the decoder's feature-major layout:
 //! every tier evaluates the operations of [`softplus_scalar`] /
 //! [`sigmoid_scalar`] / [`jet_chain`] / [`jet_chain_grad`] in the same
 //! order, so the contract holds there too.
@@ -604,9 +604,9 @@ fn ln_poly(x: f32) -> f32 {
 /// Numerically-stable softplus `ln(1 + eˣ)`: the textbook regime structure
 /// with saturation at `|x| = 20`, built on the inlined polynomial
 /// `exp`/`ln` above instead of libm calls. This scalar form is the
-/// definition; [`softplus_slice`] and [`bias_softplus_rows`] evaluate exactly
-/// these operations in this order on every backend, so which one ran never
-/// shows in a single output bit. Stays within the reftest oracle's ULP
+/// definition; [`softplus_slice`] and [`bias_softplus_features`] evaluate
+/// exactly these operations in this order on every backend, so which one ran
+/// never shows in a single output bit. Stays within the reftest oracle's ULP
 /// budget.
 #[inline]
 pub fn softplus_scalar(x: f32) -> f32 {
@@ -629,7 +629,7 @@ pub fn softplus_scalar(x: f32) -> f32 {
 /// just as branch-free. Above the clamp it is exactly `1.0`; below it, it
 /// stays at `e⁻⁸⁷` (the true value is subnormal there). This scalar form is
 /// the one definition of softplus′: the tape's backward kernels
-/// ([`softplus_grad_slice`], [`bias_softplus_grad_rows`]) evaluate exactly
+/// ([`softplus_grad_slice`], [`bias_softplus_grad_features`]) evaluate exactly
 /// these operations on every backend, and the activation derivatives the
 /// jets use call it directly.
 #[inline]
@@ -646,30 +646,24 @@ pub fn sigmoid_scalar(x: f32) -> f32 {
 /// `x[i] = softplus(x[i])`, in place.
 pub fn softplus_slice(x: &mut [f32]) {
     // SAFETY: `resolve` only returns tiers this CPU was detected to have.
-    unsafe { softplus_rows::<false, false>(resolve(), x, &[], &[]) }
+    unsafe { slice_on::<false>(resolve(), x, &[]) }
 }
 
-/// `x[r][j] = softplus(x[r][j] + bias[j])` over the rows of `x: [M, N]`
-/// (`N = bias.len()`), in place — a Linear layer's bias add and hidden
-/// activation in one pass over the GEMM output.
+/// `g[i] *= softplus′(z[i])`, in place on `g` — the softplus backward pass:
+/// the adjoint of the output becomes the adjoint of the pre-activation `z`.
 ///
 /// # Panics
-/// Panics if `x.len()` is not a multiple of `bias.len()`.
-pub fn bias_softplus_rows(x: &mut [f32], bias: &[f32]) {
-    assert!(
-        !bias.is_empty() && x.len().is_multiple_of(bias.len()),
-        "bias_softplus_rows: {} values are not rows of {}",
-        x.len(),
-        bias.len()
-    );
+/// Panics if `g` and `z` differ in length.
+pub fn softplus_grad_slice(g: &mut [f32], z: &[f32]) {
+    assert_eq!(g.len(), z.len(), "softplus_grad_slice: adjoint and pre-activation lengths differ");
     // SAFETY: as in `softplus_slice`.
-    unsafe { softplus_rows::<true, false>(resolve(), x, bias, &[]) }
+    unsafe { slice_on::<true>(resolve(), g, z) }
 }
 
 /// `x[j][r] = softplus(x[j][r] + bias[j])` over the feature rows of `x:
-/// [bias.len(), M]`, in place — [`bias_softplus_rows`] on the transpose, the
-/// layout of the no-grad decoder, where a layer's output feature is one
-/// contiguous row with one bias.
+/// [bias.len(), M]`, in place — a Linear layer's bias add and hidden
+/// activation in one pass over its GEMM output, in the decoder's layout,
+/// where an output feature is one contiguous row with one bias.
 ///
 /// # Panics
 /// Panics if `x.len()` is not a multiple of `bias.len()`.
@@ -681,65 +675,87 @@ pub fn bias_softplus_features(x: &mut [f32], bias: &[f32]) {
         bias.len()
     );
     // SAFETY: as in `softplus_slice`.
-    unsafe { softplus_features(resolve(), x, bias) }
+    unsafe { features_on::<false>(resolve(), x, bias, &[]) }
 }
 
-/// [`bias_softplus_features`] on a given tier. The vector tiers take rows
-/// that are whole 8-lane groups (every decode block: 8 vertices a query);
-/// any other length runs the scalar form.
-///
-/// # Safety
-/// As [`softplus_rows`].
-unsafe fn softplus_features(backend: u8, x: &mut [f32], bias: &[f32]) {
-    let m = x.len() / bias.len();
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        B_AVX512 if m.is_multiple_of(8) => softplus_avx512::features(x, m, bias),
-        #[cfg(target_arch = "x86_64")]
-        B_AVX2 if m.is_multiple_of(8) => softplus_avx2::features(x, m, bias),
-        _ => {
-            for (row, &b) in x.chunks_mut(m.max(1)).zip(bias) {
-                for v in row {
-                    *v = softplus_scalar(*v + b);
-                }
-            }
-        }
-    }
-}
-
-/// `g[i] *= softplus′(z[i])`, in place on `g` — the softplus backward pass:
-/// the adjoint of the output becomes the adjoint of the pre-activation `z`.
+/// `g[j][r] *= softplus′(z[j][r] + bias[j])` over the feature rows of `g, z:
+/// [bias.len(), M]`, in place on `g` — the backward pass of
+/// [`bias_softplus_features`], reading the GEMM output `z` it overwrote.
 ///
 /// # Panics
-/// Panics if `g` and `z` differ in length.
-pub fn softplus_grad_slice(g: &mut [f32], z: &[f32]) {
-    assert_eq!(g.len(), z.len(), "softplus_grad_slice: adjoint and pre-activation lengths differ");
-    // SAFETY: as in `softplus_slice`.
-    unsafe { softplus_rows::<false, true>(resolve(), g, &[], z) }
-}
-
-/// `g[r][j] *= softplus′(z[r][j] + bias[j])` over the rows of `g, z: [M, N]`
-/// (`N = bias.len()`), in place on `g` — the backward pass of
-/// [`bias_softplus_rows`], reading the GEMM output `z` it overwrote.
-///
-/// # Panics
-/// Panics if `g` and `z` differ in length or are not rows of `bias.len()`.
-pub fn bias_softplus_grad_rows(g: &mut [f32], z: &[f32], bias: &[f32]) {
+/// Panics if `g` and `z` differ in length or are not feature rows of
+/// `bias.len()`.
+pub fn bias_softplus_grad_features(g: &mut [f32], z: &[f32], bias: &[f32]) {
     assert!(
         !bias.is_empty() && g.len().is_multiple_of(bias.len()) && g.len() == z.len(),
-        "bias_softplus_grad_rows: {} adjoints, {} pre-activations, rows of {}",
+        "bias_softplus_grad_features: {} adjoints, {} pre-activations, {} feature rows",
         g.len(),
         z.len(),
         bias.len()
     );
     // SAFETY: as in `softplus_slice`.
-    unsafe { softplus_rows::<true, true>(resolve(), g, bias, z) }
+    unsafe { features_on::<true>(resolve(), g, bias, z) }
 }
 
-/// Row blocks a derivative-carrying matrix stacks: a value, its first
-/// derivatives along `t`, `z`, `x` and its second along `z` and `x` (what the
-/// Rayleigh–Bénard residuals read). Lane `l` of an `[m, n]` quantity is rows
-/// `l·m..(l+1)·m`, so a linear map acts on all six with one GEMM.
+/// [`softplus_slice`] (with `GRAD`, [`softplus_grad_slice`]) on a given tier.
+///
+/// # Safety
+/// The CPU must have the features of `backend` (any tier `>=` the detected
+/// one qualifies).
+unsafe fn slice_on<const GRAD: bool>(backend: u8, x: &mut [f32], z: &[f32]) {
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        B_AVX512 => softplus_avx512::slice::<GRAD>(x, z),
+        #[cfg(target_arch = "x86_64")]
+        B_AVX2 => softplus_avx2::slice::<GRAD>(x, z),
+        _ => softplus_tail::<false, GRAD>(x, 0.0, z),
+    }
+}
+
+/// [`bias_softplus_features`] (with `GRAD`, [`bias_softplus_grad_features`])
+/// on a given tier. The vector tiers take rows that are whole 8-lane groups
+/// (every decode block: 8 vertices a query); any other length runs the
+/// scalar form.
+///
+/// # Safety
+/// As [`slice_on`].
+unsafe fn features_on<const GRAD: bool>(backend: u8, x: &mut [f32], bias: &[f32], z: &[f32]) {
+    let m = x.len() / bias.len();
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        B_AVX512 if m.is_multiple_of(8) => softplus_avx512::features::<GRAD>(x, m, bias, z),
+        #[cfg(target_arch = "x86_64")]
+        B_AVX2 if m.is_multiple_of(8) => softplus_avx2::features::<GRAD>(x, m, bias, z),
+        _ => {
+            for (j, (row, &b)) in x.chunks_mut(m.max(1)).zip(bias).enumerate() {
+                softplus_tail::<true, GRAD>(row, b, if GRAD { &z[j * m..][..m] } else { z });
+            }
+        }
+    }
+}
+
+/// The scalar forms over (the end of) one row, the argument plus `bias`
+/// first with `BIAS`. Without `GRAD`, `row` is the input and `z` is unused;
+/// with it, `z` (aligned with `row`) is the input and `row` the adjoint it
+/// scales.
+#[inline]
+fn softplus_tail<const BIAS: bool, const GRAD: bool>(row: &mut [f32], bias: f32, z: &[f32]) {
+    // Slice the unused operand to nothing and the used one to the row, so
+    // the loop below carries no bounds checks and vectorizes.
+    let z = &z[..if GRAD { row.len() } else { 0 }];
+    for (i, v) in row.iter_mut().enumerate() {
+        let x = if GRAD { z[i] } else { *v };
+        let x = if BIAS { x + bias } else { x };
+        *v = if GRAD { *v * sigmoid_scalar(x) } else { softplus_scalar(x) };
+    }
+}
+
+/// Lanes a derivative-carrying matrix holds: a value, its first derivatives
+/// along `t`, `z`, `x` and its second along `z` and `x` (what the
+/// Rayleigh–Bénard residuals read). A six-lane matrix of `M` points is
+/// feature-major, `[N, JET_LANES·M]`: feature row `j` holds lane 0's `M`
+/// points, then lane 1's, and so on, so a linear map acts on all six lanes
+/// with one GEMM over `JET_LANES·M` columns.
 pub const JET_LANES: usize = 6;
 
 /// An activation `σ` applied to the six lanes `u` of its argument, given
@@ -793,161 +809,126 @@ pub fn softplus_derivs(x: f32) -> [f32; 4] {
     [softplus_scalar(x), s, c, c * (1.0 - (s + s))]
 }
 
-/// [`jet_chain`] over the six lane blocks of `x: [JET_LANES·M, N]`
-/// (`N = bias.len()`), in place, for an activation given by its
-/// [`softplus_derivs`]-shaped `derivs`; `bias` joins the value lane only.
-/// With `GRAD`, [`jet_chain_grad`] instead — the backward pass, in place on
-/// the adjoints `x`, reading the matrix `z` (as long as `x`; unused without
-/// `GRAD`) the forward overwrote.
+/// [`jet_chain`] over the feature rows of a six-lane matrix `x: [N,
+/// JET_LANES·M]` (`N = bias.len()`, [`JET_LANES`]), in place, for an
+/// activation given by its [`softplus_derivs`]-shaped `derivs`; `bias[j]`
+/// joins row `j`'s value lane only. With `GRAD`, [`jet_chain_grad`] instead —
+/// the backward pass, in place on the adjoints `x`, reading the matrix `z`
+/// (as long as `x`; unused without `GRAD`) the forward overwrote.
 ///
-/// With `seeds` (`3·N` values rather than none) the argument's lanes 1–5 are
-/// not in `x` or `z` but constant down every column: lane `1 + a` is row `a`
-/// of `seeds`, lanes 4 and 5 are zero, and `z` holds the value lane alone.
-/// The forward reads only `x`'s value block then, and writes all six.
-pub fn bias_jet_rows<const GRAD: bool>(
+/// With `seeds` (three per row, `3·N` values, rather than none) the
+/// argument's lanes 1–5 are not in `x` or `z` but constant along each row:
+/// lane `1 + a` of row `j` is `seeds[3j + a]`, lanes 4 and 5 are zero, and
+/// `z: [N, M]` holds the value lane alone. The forward reads `z` and writes
+/// all six lanes of `x`; the backward writes the value lane's adjoint over
+/// `z` rather than into `x`, leaving it one contiguous `[N, M]` matrix.
+pub fn bias_jet_features<const GRAD: bool>(
     x: &mut [f32],
-    z: &[f32],
+    z: &mut [f32],
     bias: &[f32],
     seeds: &[f32],
     derivs: impl Fn(f32) -> [f32; 4],
 ) {
-    let m = jet_block_rows::<GRAD>(x.len(), z.len(), bias.len(), seeds.len());
-    jet_columns::<GRAD>(x, z, bias, seeds, 0..m, 0, derivs);
+    let m = jet_points_per_lane::<GRAD>(x.len(), z.len(), bias.len(), seeds.len());
+    let zl = z.len() / bias.len();
+    for (j, &b) in bias.iter().enumerate() {
+        let (xr, zr) = (&mut x[j * JET_LANES * m..][..JET_LANES * m], &mut z[j * zl..][..zl]);
+        let seeds = seeds.get(3 * j..3 * j + 3).map(|s| [s[0], s[1], s[2]]);
+        jet_points::<GRAD>(xr, zr, b, seeds, 0..m, &derivs);
+    }
 }
 
-/// [`bias_jet_rows`] for softplus on explicit vectors, one clamped
+/// [`bias_jet_features`] for softplus on explicit vectors, one clamped
 /// exponential per element.
-pub fn bias_softplus_jet_rows<const GRAD: bool>(
+pub fn bias_softplus_jet_features<const GRAD: bool>(
     x: &mut [f32],
-    z: &[f32],
+    z: &mut [f32],
     bias: &[f32],
     seeds: &[f32],
 ) {
-    let m = jet_block_rows::<GRAD>(x.len(), z.len(), bias.len(), seeds.len());
+    let m = jet_points_per_lane::<GRAD>(x.len(), z.len(), bias.len(), seeds.len());
     // SAFETY: `resolve` only returns tiers this CPU was detected to have.
-    unsafe { softplus_jet_rows::<GRAD>(resolve(), x, m, bias, z, seeds) }
+    unsafe { jet_features_on::<GRAD>(resolve(), x, m, bias, z, seeds) }
 }
 
-/// Rows per lane block of a `len`-element matrix of `n`-wide rows.
-fn jet_block_rows<const GRAD: bool>(len: usize, z_len: usize, n: usize, seeds: usize) -> usize {
+/// Points per lane of a six-lane matrix of `len` values in `n` feature rows,
+/// the lengths of `z` and `seeds` checked against it ([`bias_jet_features`]).
+fn jet_points_per_lane<const GRAD: bool>(
+    len: usize,
+    z_len: usize,
+    n: usize,
+    seeds: usize,
+) -> usize {
     let z_lanes = if seeds == 0 { 1 } else { JET_LANES };
     assert!(
         n > 0
             && len.is_multiple_of(JET_LANES * n)
-            && (!GRAD || z_len * z_lanes == len)
-            && (seeds == 0 || seeds == 3 * n),
-        "{len} values ({z_len} pre-activations, {seeds} seeds) are not {JET_LANES} lane blocks \
-         of rows of {n}"
+            && (seeds == 0 || seeds == 3 * n)
+            && ((!GRAD && seeds == 0) || z_len * z_lanes == len),
+        "{len} values ({z_len} pre-activations, {seeds} seeds) are not {n} feature rows of \
+         {JET_LANES} lanes"
     );
     len / (JET_LANES * n)
 }
 
-/// [`bias_softplus_jet_rows`] on a given tier.
+/// [`bias_softplus_jet_features`] on a given tier, `m` points per lane.
 ///
 /// # Safety
-/// As [`softplus_rows`].
-unsafe fn softplus_jet_rows<const GRAD: bool>(
+/// As [`slice_on`].
+unsafe fn jet_features_on<const GRAD: bool>(
     backend: u8,
     x: &mut [f32],
     m: usize,
     bias: &[f32],
-    z: &[f32],
+    z: &mut [f32],
     seeds: &[f32],
 ) {
     match (backend, seeds.is_empty()) {
         #[cfg(target_arch = "x86_64")]
-        (B_AVX512, true) => softplus_avx512::jet_rows::<GRAD, false>(x, m, bias, z, seeds),
+        (B_AVX512, true) => softplus_avx512::jet_features::<GRAD, false>(x, m, bias, z, seeds),
         #[cfg(target_arch = "x86_64")]
-        (B_AVX512, false) => softplus_avx512::jet_rows::<GRAD, true>(x, m, bias, z, seeds),
+        (B_AVX512, false) => softplus_avx512::jet_features::<GRAD, true>(x, m, bias, z, seeds),
         #[cfg(target_arch = "x86_64")]
-        (B_AVX2, true) => softplus_avx2::jet_rows::<GRAD, false>(x, m, bias, z, seeds),
+        (B_AVX2, true) => softplus_avx2::jet_features::<GRAD, false>(x, m, bias, z, seeds),
         #[cfg(target_arch = "x86_64")]
-        (B_AVX2, false) => softplus_avx2::jet_rows::<GRAD, true>(x, m, bias, z, seeds),
-        _ => jet_columns::<GRAD>(x, z, bias, seeds, 0..m, 0, softplus_derivs),
+        (B_AVX2, false) => softplus_avx2::jet_features::<GRAD, true>(x, m, bias, z, seeds),
+        _ => bias_jet_features::<GRAD>(x, z, bias, seeds, softplus_derivs),
     }
 }
 
-/// The scalar forms over columns `from..` of `rows` of every lane block:
-/// `x` becomes [`jet_chain`] of itself, or with `GRAD` [`jet_chain_grad`] of
-/// itself at the pre-activation lanes `z` — lanes 1–5 of the argument from
-/// `seeds` instead where there are any ([`bias_jet_rows`]).
+/// The scalar form over `points` of one feature row: `x: [JET_LANES·m]`
+/// holds lane `l` of point `r` at `x[l·m + r]` and becomes [`jet_chain`] of
+/// itself, or with `GRAD` [`jet_chain_grad`] of itself at the pre-activation
+/// lanes in `z` — lanes 1–5 of the argument from `seeds` where there are
+/// any, `z` then the value lane alone and, with `GRAD`, where its adjoint
+/// goes ([`bias_jet_features`]).
 #[inline]
-fn jet_columns<const GRAD: bool>(
+fn jet_points<const GRAD: bool>(
     x: &mut [f32],
-    z: &[f32],
-    bias: &[f32],
-    seeds: &[f32],
-    rows: std::ops::Range<usize>,
-    from: usize,
-    derivs: impl Fn(f32) -> [f32; 4],
+    z: &mut [f32],
+    bias: f32,
+    seeds: Option<[f32; 3]>,
+    points: std::ops::Range<usize>,
+    derivs: &impl Fn(f32) -> [f32; 4],
 ) {
-    let n = bias.len();
-    let block = x.len() / JET_LANES;
-    for r in rows {
-        for (c, b) in bias.iter().enumerate().skip(from) {
-            let at = r * n + c;
-            let lanes =
-                |m: &[f32]| -> [f32; JET_LANES] { std::array::from_fn(|l| m[l * block + at]) };
-            let mut u = if seeds.is_empty() {
-                lanes(if GRAD { z } else { x })
+    let m = x.len() / JET_LANES;
+    for r in points {
+        let lanes = |v: &[f32]| -> [f32; JET_LANES] { std::array::from_fn(|l| v[l * m + r]) };
+        let mut u = match seeds {
+            None => lanes(if GRAD { z } else { x }),
+            Some([s0, s1, s2]) => [z[r], s0, s1, s2, 0.0, 0.0],
+        };
+        u[0] += bias;
+        let [v, d1, d2, d3] = derivs(u[0]);
+        let y =
+            if GRAD { jet_chain_grad([d1, d2, d3], lanes(x), u) } else { jet_chain(v, d1, d2, u) };
+        for (l, y) in y.into_iter().enumerate() {
+            if GRAD && seeds.is_some() && l == 0 {
+                z[r] = y;
             } else {
-                let value = if GRAD { z[at] } else { x[at] };
-                [value, seeds[c], seeds[n + c], seeds[2 * n + c], 0.0, 0.0]
-            };
-            u[0] += b;
-            let [v, d1, d2, d3] = derivs(u[0]);
-            let y = if GRAD {
-                jet_chain_grad([d1, d2, d3], lanes(x), u)
-            } else {
-                jet_chain(v, d1, d2, u)
-            };
-            for (l, y) in y.into_iter().enumerate() {
-                x[l * block + at] = y;
+                x[l * m + r] = y;
             }
         }
-    }
-}
-
-/// The four entry points above on a given tier. Without `BIAS` the whole
-/// slice is one row. Without `GRAD`, `x` is the input and `z` is unused;
-/// with it, `z` (as long as `x`) is the input and `x` the adjoint it scales.
-///
-/// # Safety
-/// The CPU must have the features of `backend` (any tier `>=` the detected
-/// one qualifies).
-unsafe fn softplus_rows<const BIAS: bool, const GRAD: bool>(
-    backend: u8,
-    x: &mut [f32],
-    bias: &[f32],
-    z: &[f32],
-) {
-    let n = if BIAS { bias.len() } else { x.len().max(1) };
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        B_AVX512 => softplus_avx512::rows::<BIAS, GRAD>(x, n, bias, z),
-        #[cfg(target_arch = "x86_64")]
-        B_AVX2 => softplus_avx2::rows::<BIAS, GRAD>(x, n, bias, z),
-        _ => {
-            for (r, row) in x.chunks_mut(n).enumerate() {
-                let z_row = if GRAD { &z[r * n..r * n + row.len()] } else { z };
-                softplus_tail::<BIAS, GRAD>(row, bias, z_row);
-            }
-        }
-    }
-}
-
-/// The scalar forms over (the end of) one row; `bias` and (with `GRAD`) `z`
-/// are aligned with `row`.
-#[inline]
-fn softplus_tail<const BIAS: bool, const GRAD: bool>(row: &mut [f32], bias: &[f32], z: &[f32]) {
-    // Slice the unused operands to nothing and the used ones to the row, so
-    // the loop below carries no bounds checks and vectorizes.
-    let bias = &bias[..if BIAS { row.len() } else { 0 }];
-    let z = &z[..if GRAD { row.len() } else { 0 }];
-    for (i, v) in row.iter_mut().enumerate() {
-        let x = if GRAD { z[i] } else { *v };
-        let x = if BIAS { x + bias[i] } else { x };
-        *v = if GRAD { *v * sigmoid_scalar(x) } else { softplus_scalar(x) };
     }
 }
 
@@ -1054,106 +1035,70 @@ macro_rules! softplus_kernel {
             each!(|i| nan_or(x[i], s[i]))
         }
 
-        /// `N` vectors at column `c` of one row: `row = softplus(row)`, or
-        /// with `GRAD` `row *= sigmoid(z)`, the argument plus `bias` first
-        /// with `BIAS`.
+        /// `N` vectors at element `c` of `x`: `x = softplus(x)`, or with
+        /// `GRAD` `x *= sigmoid(z)`, the argument plus the `N` bias vectors
+        /// first with `BIAS`.
         ///
         /// # Safety
-        /// `row` and (with `BIAS`) `bias` and (with `GRAD`) `z` must be valid
-        /// for `N * LANES` floats from offset `c`; an unused pointer is never
-        /// offset or read.
+        /// `x` and (with `GRAD`) `z` must be valid for `N * LANES` floats
+        /// from offset `c`; an unused pointer is never offset or read.
         #[inline]
         #[target_feature(enable = $feat)]
         unsafe fn step<const BIAS: bool, const GRAD: bool, const N: usize>(
-            row: *mut f32,
-            bias: *const f32,
-            z: *const f32,
-            c: usize,
-        ) {
-            let mut b = [zero(); N];
-            if BIAS {
-                for i in 0..N {
-                    b[i] = load(bias.add(c + i * LANES));
-                }
-            }
-            step_biased::<BIAS, GRAD, N>(row, b, z, c)
-        }
-
-        /// [`step`] with the `N` bias vectors in registers.
-        ///
-        /// # Safety
-        /// As [`step`], `bias` apart.
-        #[inline]
-        #[target_feature(enable = $feat)]
-        unsafe fn step_biased<const BIAS: bool, const GRAD: bool, const N: usize>(
-            row: *mut f32,
+            x: *mut f32,
             bias: [V; N],
             z: *const f32,
             c: usize,
         ) {
-            let mut x = [zero(); N];
+            let mut u = [zero(); N];
             for i in 0..N {
-                x[i] = if GRAD { load(z.add(c + i * LANES)) } else { load(row.add(c + i * LANES)) };
+                u[i] = if GRAD { load(z.add(c + i * LANES)) } else { load(x.add(c + i * LANES)) };
                 if BIAS {
-                    x[i] = add(x[i], bias[i]);
+                    u[i] = add(u[i], bias[i]);
                 }
             }
-            let z = exp_clamped(x);
+            let e = exp_clamped(u);
             let y = if GRAD {
-                let s = sigmoid_of(x, z);
-                each!(|i| mul(load(row.add(c + i * LANES)), s[i]))
+                let s = sigmoid_of(u, e);
+                each!(|i| mul(load(x.add(c + i * LANES)), s[i]))
             } else {
-                softplus_of(x, z)
+                softplus_of(u, e)
             };
             for i in 0..N {
-                store(row.add(c + i * LANES), y[i]);
+                store(x.add(c + i * LANES), y[i]);
             }
         }
 
-        /// Rows of `n` floats: four vectors at a time, then two, then one,
-        /// then the scalar form for what is left of the row.
+        /// A whole slice: four vectors at a time, then two, then one, then
+        /// the scalar form for what is left.
         ///
         /// # Safety
         /// The CPU must have the features this module is compiled for.
         #[target_feature(enable = $feat)]
-        pub(super) unsafe fn rows<const BIAS: bool, const GRAD: bool>(
-            x: &mut [f32],
-            n: usize,
-            bias: &[f32],
-            z: &[f32],
-        ) {
-            debug_assert!(!BIAS || bias.len() == n);
+        pub(super) unsafe fn slice<const GRAD: bool>(x: &mut [f32], z: &[f32]) {
             assert!(!GRAD || z.len() == x.len(), "one pre-activation per adjoint");
-            for (r, row) in x.chunks_mut(n).enumerate() {
-                let len = row.len();
-                let z_row = if GRAD { &z[r * n..r * n + len] } else { z };
-                let (ptr, b, zp) = (row.as_mut_ptr(), bias.as_ptr(), z_row.as_ptr());
-                let mut c = 0;
-                // SAFETY: every step is entered with `c + N * LANES <= len`;
-                // `bias` is as long as a full row and `z_row` as long as
-                // this one when they are read.
-                while c + 4 * LANES <= len {
-                    step::<BIAS, GRAD, 4>(ptr, b, zp, c);
-                    c += 4 * LANES;
-                }
-                if c + 2 * LANES <= len {
-                    step::<BIAS, GRAD, 2>(ptr, b, zp, c);
-                    c += 2 * LANES;
-                }
-                if c + LANES <= len {
-                    step::<BIAS, GRAD, 1>(ptr, b, zp, c);
-                    c += LANES;
-                }
-                softplus_tail::<BIAS, GRAD>(
-                    &mut row[c..],
-                    if BIAS { &bias[c..] } else { bias },
-                    if GRAD { &z_row[c..] } else { z },
-                );
+            let (ptr, zp, len) = (x.as_mut_ptr(), z.as_ptr(), x.len());
+            let mut c = 0;
+            // SAFETY: every step is entered with `c + N * LANES <= len`, and
+            // `z` is as long as `x` when it is read.
+            while c + 4 * LANES <= len {
+                step::<false, GRAD, 4>(ptr, [zero(); 4], zp, c);
+                c += 4 * LANES;
             }
+            if c + 2 * LANES <= len {
+                step::<false, GRAD, 2>(ptr, [zero(); 2], zp, c);
+                c += 2 * LANES;
+            }
+            if c + LANES <= len {
+                step::<false, GRAD, 1>(ptr, [zero()], zp, c);
+                c += LANES;
+            }
+            softplus_tail::<false, GRAD>(&mut x[c..], 0.0, if GRAD { &z[c..] } else { z });
         }
 
         /// Feature rows of `m` floats (`m` a multiple of 8), row `j` plus its
-        /// one bias `bias[j]`. The matrix is walked as one slice, four
+        /// one bias `bias[j]`; with `GRAD`, the adjoints `x` scaled at the
+        /// pre-activations `z`. The matrix is walked as one slice, four
         /// vectors at a time whatever `m` is — a one-query block has rows of
         /// 8, and a lone vector per row would run its Horner chains at FMA
         /// latency — each vector's bias splatted per 8-lane group, since a
@@ -1162,11 +1107,17 @@ macro_rules! softplus_kernel {
         /// # Safety
         /// The CPU must have the features this module is compiled for.
         #[target_feature(enable = $feat)]
-        pub(super) unsafe fn features(x: &mut [f32], m: usize, bias: &[f32]) {
+        pub(super) unsafe fn features<const GRAD: bool>(
+            x: &mut [f32],
+            m: usize,
+            bias: &[f32],
+            z: &[f32],
+        ) {
             assert!(m % 8 == 0 && x.len() == m * bias.len(), "rows of whole 8-lane groups");
+            assert!(!GRAD || z.len() == x.len(), "one pre-activation per adjoint");
             // The 8-lane groups of `x` in order: (row, groups left in it).
             let mut at = (0, m / 8);
-            let (ptr, len) = (x.as_mut_ptr(), x.len());
+            let (ptr, zp, len) = (x.as_mut_ptr(), z.as_ptr(), x.len());
             let mut c = 0;
             macro_rules! vectors {
                 ($n:literal) => {{
@@ -1181,9 +1132,9 @@ macro_rules! softplus_kernel {
                         }
                         b
                     };
-                    // SAFETY: entered with `c + $n * LANES <= len`; the
-                    // unused `z` is never read.
-                    step_biased::<true, false, $n>(ptr, b, ptr, c);
+                    // SAFETY: entered with `c + $n * LANES <= len`; `z` is as
+                    // long as `x` when it is read.
+                    step::<true, GRAD, $n>(ptr, b, zp, c);
                     c += $n * LANES;
                 }};
             }
@@ -1198,47 +1149,47 @@ macro_rules! softplus_kernel {
             }
             // At most one group is left (16-lane vectors, an odd group count).
             if c < len {
-                softplus_tail::<true, false>(&mut x[c..], &[group_bias(bias, m, &mut at); 8], &[]);
+                let b = group_bias(bias, m, &mut at);
+                softplus_tail::<true, GRAD>(&mut x[c..], b, if GRAD { &z[c..] } else { z });
             }
         }
 
         /// [`jet_chain`] (with `GRAD`, [`jet_chain_grad`]) of softplus on `N`
-        /// vectors of each lane, at element `at` (column `c`) of every lane
-        /// block: one exponential serves `σ` … `σ‴`. With `SEEDED`, lanes
-        /// 1–5 of the argument are row `l − 1` of `seeds` (rows `n` apart)
-        /// at column `c` and zeros ([`bias_jet_rows`]).
+        /// vectors of each lane of one feature row, at point `r` of every
+        /// lane block (`m` points apart): one exponential serves `σ` … `σ‴`,
+        /// and the row's one bias and three seeds are splatted. With
+        /// `SEEDED`, lanes 1–5 of the argument are `seeds` and zeros, `z`
+        /// holds the value lane alone and, with `GRAD`, takes its adjoint
+        /// ([`bias_jet_features`]).
         ///
         /// # Safety
-        /// `x` and (with `GRAD`) `z` must be valid for `N * LANES` floats from
-        /// `l * block + at` for every lane `l` (with `SEEDED`, `z` for lane 0
-        /// only), `bias` from `c` and (with `SEEDED`) `seeds` from `a * n + c`
-        /// for `a < 3`; an unused pointer is never offset or read.
+        /// `x` must be valid for `N * LANES` floats from `l * m + r` for every
+        /// lane `l`, and so must `z` where it is read or written (with
+        /// `GRAD`, or from `r` alone with `SEEDED`); an unused pointer is
+        /// never offset or read.
         #[inline]
         #[target_feature(enable = $feat)]
-        #[allow(clippy::too_many_arguments)]
         unsafe fn jet_step<const GRAD: bool, const SEEDED: bool, const N: usize>(
             x: *mut f32,
-            z: *const f32,
-            bias: *const f32,
-            seeds: *const f32,
-            n: usize,
-            block: usize,
-            at: usize,
-            c: usize,
+            z: *mut f32,
+            m: usize,
+            r: usize,
+            bias: f32,
+            seeds: [f32; 3],
         ) {
-            let src: *const f32 = if GRAD { z } else { x };
+            let src: *const f32 = if GRAD || SEEDED { z } else { x };
             let mut u = [[zero(); N]; JET_LANES];
             for (l, lane) in u.iter_mut().enumerate() {
                 for i in 0..N {
                     lane[i] = match l {
-                        _ if !SEEDED => load(src.add(l * block + at + i * LANES)),
-                        0 => load(src.add(at + i * LANES)),
-                        1..=3 => load(seeds.add((l - 1) * n + c + i * LANES)),
+                        _ if !SEEDED => load(src.add(l * m + r + i * LANES)),
+                        0 => load(src.add(r + i * LANES)),
+                        1..=3 => splat(seeds[l - 1]),
                         _ => zero(),
                     };
                 }
             }
-            u[0] = each!(|i| add(u[0][i], load(bias.add(c + i * LANES))));
+            u[0] = each!(|i| add(u[0][i], splat(bias)));
             let e = exp_clamped(u[0]);
             let d1 = sigmoid_of(u[0], e);
             let d2 = each!(|i| mul(d1[i], sub(splat(1.0), d1[i])));
@@ -1250,7 +1201,7 @@ macro_rules! softplus_kernel {
                 let mut g = [[zero(); N]; JET_LANES];
                 for (l, lane) in g.iter_mut().enumerate() {
                     for i in 0..N {
-                        lane[i] = load(x.add(l * block + at + i * LANES));
+                        lane[i] = load(x.add(l * m + r + i * LANES));
                     }
                 }
                 let d3 = each!(|i| mul(d2[i], sub(splat(1.0), add(d1[i], d1[i]))));
@@ -1282,45 +1233,49 @@ macro_rules! softplus_kernel {
                 ]
             };
             for (l, lane) in y.iter().enumerate() {
+                let to = if GRAD && SEEDED && l == 0 { z.add(r) } else { x.add(l * m + r) };
                 for i in 0..N {
-                    store(x.add(l * block + at + i * LANES), lane[i]);
+                    store(to.add(i * LANES), lane[i]);
                 }
             }
         }
 
-        /// Six lane blocks of `m` rows of `bias.len()` floats: two vectors of
-        /// every lane at a time, then one, then the scalar form; lanes 1–5
-        /// of the argument from `seeds` with `SEEDED`.
+        /// The feature rows of a six-lane matrix, `m` points per lane: two
+        /// vectors of every lane at a time, then one, then the scalar form;
+        /// lanes 1–5 of the argument from `seeds` with `SEEDED`.
         ///
         /// # Safety
         /// The CPU must have the features this module is compiled for.
         #[target_feature(enable = $feat)]
-        pub(super) unsafe fn jet_rows<const GRAD: bool, const SEEDED: bool>(
+        pub(super) unsafe fn jet_features<const GRAD: bool, const SEEDED: bool>(
             x: &mut [f32],
             m: usize,
             bias: &[f32],
-            z: &[f32],
+            z: &mut [f32],
             seeds: &[f32],
         ) {
+            // Per row: the value lane under a seed, all six to differentiate.
+            let zl = if SEEDED { m } else if GRAD { JET_LANES * m } else { 0 };
             let n = bias.len();
-            let z_lanes = if SEEDED { JET_LANES } else { 1 };
-            assert!(x.len() == JET_LANES * m * n && (!GRAD || z.len() * z_lanes == x.len()));
-            assert!(!SEEDED || seeds.len() == 3 * n, "three seed rows");
-            for r in 0..m {
-                let (xp, zp, bp, sp) = (x.as_mut_ptr(), z.as_ptr(), bias.as_ptr(), seeds.as_ptr());
-                let mut c = 0;
-                // SAFETY: every step is entered with `c + N * LANES <= n`, so
-                // each lane's vectors end inside row `r` of its block and
-                // each seed row's inside that row.
-                while c + 2 * LANES <= n {
-                    jet_step::<GRAD, SEEDED, 2>(xp, zp, bp, sp, n, m * n, r * n + c, c);
-                    c += 2 * LANES;
+            assert!(x.len() == JET_LANES * m * n && (zl == 0 || z.len() == zl * n));
+            assert!(!SEEDED || seeds.len() == 3 * n, "three seeds a row");
+            for (j, &b) in bias.iter().enumerate() {
+                let (xr, zr) = (&mut x[j * JET_LANES * m..][..JET_LANES * m], &mut z[j * zl..][..zl]);
+                let s = if SEEDED { [seeds[3 * j], seeds[3 * j + 1], seeds[3 * j + 2]] } else { [0.0; 3] };
+                let (xp, zp) = (xr.as_mut_ptr(), zr.as_mut_ptr());
+                let mut r = 0;
+                // SAFETY: every step is entered with `r + N * LANES <= m`, so
+                // each lane's vectors end inside its block of the row, and
+                // `zr` holds the lanes `z` carries for this row.
+                while r + 2 * LANES <= m {
+                    jet_step::<GRAD, SEEDED, 2>(xp, zp, m, r, b, s);
+                    r += 2 * LANES;
                 }
-                if c + LANES <= n {
-                    jet_step::<GRAD, SEEDED, 1>(xp, zp, bp, sp, n, m * n, r * n + c, c);
-                    c += LANES;
+                if r + LANES <= m {
+                    jet_step::<GRAD, SEEDED, 1>(xp, zp, m, r, b, s);
+                    r += LANES;
                 }
-                jet_columns::<GRAD>(x, z, bias, seeds, r..r + 1, c, softplus_derivs);
+                jet_points::<GRAD>(xr, zr, b, SEEDED.then_some(s), r..m, &softplus_derivs);
             }
         }
     };
@@ -1566,7 +1521,7 @@ mod tests {
         let want: Vec<u32> = xs.iter().map(|&x| softplus_scalar(x).to_bits()).collect();
         for (tier, name) in runnable_tiers() {
             // SAFETY: `runnable_tiers` lists only tiers at or below detection.
-            let run = |x: &mut [f32]| unsafe { softplus_rows::<false, false>(tier, x, &[], &[]) };
+            let run = |x: &mut [f32]| unsafe { slice_on::<false>(tier, x, &[]) };
             let mut got = xs.clone();
             run(&mut got);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -1588,52 +1543,31 @@ mod tests {
         assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == *w));
     }
 
-    #[test]
-    fn bias_softplus_rows_matches_add_then_scalar_bitwise() {
-        let xs = softplus_probes();
-        for (tier, name) in runnable_tiers() {
-            for n in (1..=67).chain([96, 128]) {
-                let rows = 3;
-                let bias: Vec<f32> = xs[40..40 + n].iter().map(|b| b.clamp(-30.0, 30.0)).collect();
-                let mut got = xs[100..100 + rows * n].to_vec();
-                let want: Vec<u32> = got
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| softplus_scalar(x + bias[i % n]).to_bits())
-                    .collect();
-                // SAFETY: `runnable_tiers` lists only tiers at or below detection.
-                unsafe { softplus_rows::<true, false>(tier, &mut got, &bias, &[]) };
-                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "{name} width {n}");
-            }
-        }
-        let mut x = vec![0.25f32; 6];
-        bias_softplus_rows(&mut x, &[1.0, -1.0, 0.5]);
-        assert_eq!(x[4].to_bits(), softplus_scalar(-0.75).to_bits());
+    /// `(points, features)` of the feature-major softplus tests: rows of one
+    /// query, three, a short last block, a full block, one past it — and 5,
+    /// which is not whole groups (scalar form) — in feature counts that
+    /// leave a 16-lane vector straddling two rows.
+    fn feature_shapes() -> impl Iterator<Item = (usize, usize)> {
+        [8, 24, 504, 512, 520, 5].into_iter().flat_map(|m| [1, 3, 4, 33].map(|n| (m, n)))
     }
 
     #[test]
     fn bias_softplus_features_matches_add_then_scalar_bitwise() {
-        // Row lengths: one query, three, a short last block, a full block,
-        // one past it — and 5, which is not whole groups (scalar form).
         let xs = softplus_probes();
         for (tier, name) in runnable_tiers() {
-            for m in [8, 24, 504, 512, 520, 5] {
-                for n in [1, 3, 4, 33] {
-                    let bias: Vec<f32> =
-                        xs[40..40 + n].iter().map(|b| b.clamp(-30.0, 30.0)).collect();
-                    // From the front: the specials (NaN, ±inf, the regime cuts).
-                    let mut got = xs[..n * m].to_vec();
-                    let want: Vec<u32> = got
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &x)| softplus_scalar(x + bias[i / m]).to_bits())
-                        .collect();
-                    // SAFETY: `runnable_tiers` lists only tiers at or below detection.
-                    unsafe { softplus_features(tier, &mut got, &bias) };
-                    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got, want, "{name}: {n} feature rows of {m}");
-                }
+            for (m, n) in feature_shapes() {
+                let bias: Vec<f32> = xs[40..40 + n].iter().map(|b| b.clamp(-30.0, 30.0)).collect();
+                // From the front: the specials (NaN, ±inf, the regime cuts).
+                let mut got = xs[..n * m].to_vec();
+                let want: Vec<u32> = got
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| softplus_scalar(x + bias[i / m]).to_bits())
+                    .collect();
+                // SAFETY: `runnable_tiers` lists only tiers at or below detection.
+                unsafe { features_on::<false>(tier, &mut got, &bias, &[]) };
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{name}: {n} feature rows of {m}");
             }
         }
         let mut x = vec![0.25f32; 16];
@@ -1669,8 +1603,7 @@ mod tests {
         let want = grad_bits(&scalar_grad(&gs, &zs), &gs, &zs);
         for (tier, name) in runnable_tiers() {
             // SAFETY: `runnable_tiers` lists only tiers at or below detection.
-            let run =
-                |g: &mut [f32], z: &[f32]| unsafe { softplus_rows::<false, true>(tier, g, &[], z) };
+            let run = |g: &mut [f32], z: &[f32]| unsafe { slice_on::<true>(tier, g, z) };
             let mut got = gs.clone();
             run(&mut got, &zs);
             for (i, (g, w)) in grad_bits(&got, &gs, &zs).iter().zip(&want).enumerate() {
@@ -1693,92 +1626,112 @@ mod tests {
     }
 
     #[test]
-    fn bias_softplus_grad_rows_matches_add_then_scalar_bitwise() {
+    fn bias_softplus_grad_features_matches_add_then_scalar_bitwise() {
         let xs = softplus_probes();
         for (tier, name) in runnable_tiers() {
-            for n in (1..=67).chain([96, 128]) {
-                let rows = 3;
+            for (m, n) in feature_shapes() {
                 let bias: Vec<f32> = xs[40..40 + n].iter().map(|b| b.clamp(-30.0, 30.0)).collect();
-                let z = &xs[100..100 + rows * n];
-                let g = &xs[700..700 + rows * n];
-                let pre: Vec<f32> = z.iter().enumerate().map(|(i, &z)| z + bias[i % n]).collect();
+                let z = &xs[..n * m];
+                let g = &xs[700..700 + n * m];
+                let pre: Vec<f32> = z.iter().enumerate().map(|(i, &z)| z + bias[i / m]).collect();
                 let want = grad_bits(&scalar_grad(g, &pre), g, &pre);
                 let mut got = g.to_vec();
                 // SAFETY: `runnable_tiers` lists only tiers at or below detection.
-                unsafe { softplus_rows::<true, true>(tier, &mut got, &bias, z) };
-                assert_eq!(grad_bits(&got, g, &pre), want, "{name} width {n}");
+                unsafe { features_on::<true>(tier, &mut got, &bias, z) };
+                assert_eq!(grad_bits(&got, g, &pre), want, "{name}: {n} feature rows of {m}");
             }
         }
         let mut g = vec![2.0f32; 6];
-        bias_softplus_grad_rows(&mut g, &[0.25; 6], &[1.0, -1.0, 0.5]);
-        assert_eq!(g[4].to_bits(), (2.0 * sigmoid_scalar(-0.75)).to_bits());
+        bias_softplus_grad_features(&mut g, &[0.25; 6], &[1.0, -1.0, 0.5]);
+        assert_eq!(g[4].to_bits(), (2.0 * sigmoid_scalar(0.75)).to_bits());
     }
 
-    /// Six lane blocks of `m` rows of `n` finite probes (the value lane over
-    /// the live range of the softplus, the derivative lanes a few units wide).
-    fn jet_probes(m: usize, n: usize, seed: u32) -> Vec<f32> {
+    /// `len` values in `[-amp/2, amp/2)` from a seeded LCG.
+    fn lcg_probes(len: usize, seed: u32, amp: f32) -> Vec<f32> {
         let mut s = seed;
-        (0..JET_LANES * m * n)
-            .map(|i| {
+        (0..len)
+            .map(|_| {
                 s = s.wrapping_mul(1664525).wrapping_add(1013904223);
-                let unit = (s >> 8) as f32 / (1 << 24) as f32 - 0.5;
-                unit * if i < m * n { 60.0 } else { 8.0 }
+                ((s >> 8) as f32 / (1 << 24) as f32 - 0.5) * amp
             })
             .collect()
     }
 
+    /// `n` feature rows of six lanes of `m` finite probes: the value lane
+    /// over the live range of the softplus, the derivative lanes a few units
+    /// wide.
+    fn jet_probes(n: usize, m: usize, seed: u32) -> Vec<f32> {
+        let (value, rest) = (lcg_probes(n * m, seed, 60.0), lcg_probes(n * 5 * m, seed ^ 1, 8.0));
+        value
+            .chunks_exact(m)
+            .zip(rest.chunks_exact(5 * m))
+            .flat_map(|(v, r)| [v, r].concat())
+            .collect()
+    }
+
     #[test]
-    fn softplus_jet_rows_match_the_scalar_chain_bitwise_on_every_backend() {
+    fn softplus_jet_features_match_the_scalar_chain_bitwise_on_every_backend() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (tier, name) in runnable_tiers() {
-            for n in (1..=35).chain([64, 67, 128]) {
-                let m = 3;
-                let bias: Vec<f32> = jet_probes(1, n, 7)[..n].iter().map(|b| b * 0.1).collect();
-                let z = jet_probes(m, n, 11 + n as u32);
-                let g = jet_probes(m, n, 97 + n as u32);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (n, m) in [1usize, 3, 5]
+                .into_iter()
+                .flat_map(|n| (1..=35).chain([64, 67, 128]).map(move |m| (n, m)))
+            {
+                let label = format!("{name}: {n} feature rows of {m} points a lane");
+                // Lane 0 of each row, and lanes 1-5.
+                let value = |v: &[f32]| -> Vec<f32> {
+                    v.chunks_exact(JET_LANES * m).flat_map(|row| row[..m].to_vec()).collect()
+                };
+                let rest = |v: &[f32]| -> Vec<f32> {
+                    v.chunks_exact(JET_LANES * m).flat_map(|row| row[m..].to_vec()).collect()
+                };
+                let bias = lcg_probes(n, 7 + m as u32, 6.0);
+                let z = jet_probes(n, m, 11 + m as u32);
+                let g = jet_probes(n, m, 97 + m as u32);
 
                 let mut want = z.clone();
-                bias_jet_rows::<false>(&mut want, &[], &bias, &[], softplus_derivs);
+                bias_jet_features::<false>(&mut want, &mut [], &bias, &[], softplus_derivs);
                 let mut got = z.clone();
                 // SAFETY: `runnable_tiers` lists only tiers at or below detection.
-                unsafe { softplus_jet_rows::<false>(tier, &mut got, m, &bias, &[], &[]) };
-                assert_eq!(bits(&got), bits(&want), "{name} forward width {n}");
+                unsafe { jet_features_on::<false>(tier, &mut got, m, &bias, &mut [], &[]) };
+                assert_eq!(bits(&got), bits(&want), "{label}: forward");
                 // The value lane is the one-lane kernel's output.
-                let mut value = z[..m * n].to_vec();
-                bias_softplus_rows(&mut value, &bias);
-                assert_eq!(bits(&got[..m * n]), bits(&value), "{name} value lane width {n}");
+                let mut one_lane = value(&z);
+                bias_softplus_features(&mut one_lane, &bias);
+                assert_eq!(bits(&value(&got)), bits(&one_lane), "{label}: value lane");
 
                 let mut want = g.clone();
-                bias_jet_rows::<true>(&mut want, &z, &bias, &[], softplus_derivs);
+                bias_jet_features::<true>(&mut want, &mut z.clone(), &bias, &[], softplus_derivs);
                 let mut got = g.clone();
                 // SAFETY: as above.
-                unsafe { softplus_jet_rows::<true>(tier, &mut got, m, &bias, &z, &[]) };
-                assert_eq!(bits(&got), bits(&want), "{name} backward width {n}");
+                unsafe { jet_features_on::<true>(tier, &mut got, m, &bias, &mut z.clone(), &[]) };
+                assert_eq!(bits(&got), bits(&want), "{label}: backward");
 
-                // Seeded: lanes 1-5 of the argument from three seed rows and
-                // zeros are those lanes written out down every column.
-                let seeds = &jet_probes(1, n, 5 + n as u32)[..3 * n];
+                // Seeded: lanes 1-5 of the argument from three seeds a row
+                // and zeros are those lanes written out along every row.
+                let seeds = lcg_probes(3 * n, 5 + m as u32, 8.0);
                 let mut stacked = z.clone();
-                for (l, lane) in stacked.chunks_exact_mut(m * n).enumerate().skip(1) {
-                    for row in lane.chunks_exact_mut(n) {
-                        row.copy_from_slice(
-                            seeds.get((l - 1) * n..l * n).unwrap_or(&[0.0; 128][..n]),
-                        );
+                for (row, s) in stacked.chunks_exact_mut(JET_LANES * m).zip(seeds.chunks_exact(3)) {
+                    for (l, lane) in row.chunks_exact_mut(m).enumerate().skip(1) {
+                        lane.fill(s.get(l - 1).copied().unwrap_or(0.0));
                     }
                 }
                 let mut want = stacked.clone();
-                bias_jet_rows::<false>(&mut want, &[], &bias, &[], softplus_derivs);
-                let mut got = z.clone();
-                got[m * n..].fill(f32::NAN);
+                bias_jet_features::<false>(&mut want, &mut [], &bias, &[], softplus_derivs);
+                let mut got = vec![f32::NAN; z.len()];
                 // SAFETY: as above.
-                unsafe { softplus_jet_rows::<false>(tier, &mut got, m, &bias, &[], seeds) };
-                assert_eq!(bits(&got), bits(&want), "{name} seeded forward width {n}");
+                unsafe {
+                    jet_features_on::<false>(tier, &mut got, m, &bias, &mut value(&z), &seeds)
+                };
+                assert_eq!(bits(&got), bits(&want), "{label}: seeded forward");
+                // Backward: the value lane's adjoint over `z`, the rest in place.
                 let mut want = g.clone();
-                bias_jet_rows::<true>(&mut want, &stacked, &bias, &[], softplus_derivs);
-                let mut got = g.clone();
+                bias_jet_features::<true>(&mut want, &mut stacked, &bias, &[], softplus_derivs);
+                let (mut got, mut pre) = (g.clone(), value(&z));
                 // SAFETY: as above.
-                unsafe { softplus_jet_rows::<true>(tier, &mut got, m, &bias, &z[..m * n], seeds) };
-                assert_eq!(bits(&got), bits(&want), "{name} seeded backward width {n}");
+                unsafe { jet_features_on::<true>(tier, &mut got, m, &bias, &mut pre, &seeds) };
+                assert_eq!(bits(&pre), bits(&value(&want)), "{label}: seeded backward value lane");
+                assert_eq!(bits(&rest(&got)), bits(&rest(&want)), "{label}: seeded backward");
             }
         }
     }

@@ -145,16 +145,19 @@ proptest! {
         w in prop::collection::vec(-2.0f32..2.0, 6),
         b in prop::collection::vec(-2.0f32..2.0, 2),
     ) {
+        // Feature-major: input feature i of lane k at x[i·6 + k].
         let mut g = Graph::new();
-        let xv = g.constant(Tensor::from_vec(x.clone(), &[JET_LANES, 3]));
+        let xv = g.constant(Tensor::from_vec(x.clone(), &[3, JET_LANES]));
         let wv = g.constant(Tensor::from_vec(w, &[2, 3]));
         let bv = g.constant(Tensor::from_vec(b, &[2]));
         let zero = g.constant(Tensor::zeros(&[2]));
         let lanes = g.linear(xv, wv, bv, Activation::Linear, JET_LANES);
         for k in 0..JET_LANES {
-            let row = g.constant(Tensor::from_vec(x[k * 3..(k + 1) * 3].to_vec(), &[1, 3]));
-            let one = g.linear(row, wv, if k == 0 { bv } else { zero }, Activation::Linear, 1);
-            prop_assert_eq!(&g.value(lanes).data()[k * 2..(k + 1) * 2], g.value(one).data());
+            let lane: Vec<f32> = x.iter().skip(k).step_by(JET_LANES).copied().collect();
+            let col = g.constant(Tensor::from_vec(lane, &[3, 1]));
+            let one = g.linear(col, wv, if k == 0 { bv } else { zero }, Activation::Linear, 1);
+            let got: Vec<f32> = g.value(lanes).data().iter().skip(k).step_by(JET_LANES).copied().collect();
+            prop_assert_eq!(&got[..], g.value(one).data());
         }
     }
 
