@@ -1,34 +1,26 @@
-//! Parameter checkpointing: save/restore a [`ParamStore`] to disk.
+//! The parameter and optimizer streams a training-state checkpoint embeds
+//! (`mfn_core::checkpoint` frames them): a [`ParamStore`] and an [`Adam`].
 //!
-//! The format is a little-endian binary payload (magic, per-tensor name,
-//! shape, and data) — self-describing, dependency-free, and stable across
-//! platforms. Loading validates names and shapes against the live store, so
-//! a checkpoint can only be restored into a model with the same
-//! architecture.
+//! The format is little-endian binary (magic, then per tensor its name,
+//! shape and data) — self-describing, dependency-free, and stable across
+//! platforms. Reading validates names and shapes against the live store
+//! before it allocates anything they size, so a stream can only be restored
+//! into a model with the same architecture and a hostile header cannot make
+//! the reader allocate more than the model holds.
 
 use crate::optim::{Adam, AdamConfig};
 use crate::params::{ParamId, ParamStore};
 use mfn_tensor::Tensor;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"MFNCKPT1";
 
-/// Writes every parameter (name, shape, values) to `path`.
-pub fn save_params(store: &ParamStore, path: &Path) -> io::Result<()> {
-    let mut w = BufWriter::new(std::fs::File::create(path)?);
-    write_params(store, &mut w)?;
-    w.flush()
-}
-
 /// Streams every parameter (magic, count, then name/shape/values per
-/// parameter) into `w`. The payload-embedding form of [`save_params`], used
-/// by the full training-state checkpoint in `mfn-core`.
+/// parameter) into `w`.
 pub fn write_params(store: &ParamStore, w: &mut impl Write) -> io::Result<()> {
     w.write_all(MAGIC)?;
     w.write_all(&(store.len() as u64).to_le_bytes())?;
-    for (id, name, tensor) in store.iter() {
-        let _ = id;
+    for (_, name, tensor) in store.iter() {
         let nb = name.as_bytes();
         w.write_all(&(nb.len() as u32).to_le_bytes())?;
         w.write_all(nb)?;
@@ -37,18 +29,13 @@ pub fn write_params(store: &ParamStore, w: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Restores parameters saved by [`save_params`] into `store`.
+/// Streams parameters written by [`write_params`] back into `store`.
 ///
 /// # Errors
-/// Fails if the file is corrupt, or if any name/shape does not match the
-/// store (architecture mismatch).
-pub fn load_params(store: &mut ParamStore, path: &Path) -> io::Result<()> {
-    let mut r = BufReader::new(std::fs::File::open(path)?);
-    read_params(store, &mut r)
-}
-
-/// Streams parameters written by [`write_params`] back into `store`,
-/// validating names and shapes against the live registrations.
+/// `InvalidData` if the magic is wrong or any count, name or shape differs
+/// from the store's registrations — each length field is compared with the
+/// store before anything it sizes is read, and values are read straight
+/// into the store's tensors; `UnexpectedEof` if the stream ends early.
 pub fn read_params(store: &mut ParamStore, r: &mut impl Read) -> io::Result<()> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -61,34 +48,23 @@ pub fn read_params(store: &mut ParamStore, r: &mut impl Read) -> io::Result<()> 
     }
     for i in 0..count {
         let id = ParamId(i);
+        let want = store.name(id);
         let name_len = read_u32(r)? as usize;
+        if name_len != want.len() {
+            return Err(bad(&format!(
+                "parameter {i} name mismatch: checkpoint name of {name_len} bytes, model '{want}'"
+            )));
+        }
         let mut name = vec![0u8; name_len];
         r.read_exact(&mut name)?;
-        let name = String::from_utf8(name).map_err(|_| bad("non-UTF8 parameter name"))?;
-        if name != store.name(id) {
+        if name != want.as_bytes() {
             return Err(bad(&format!(
-                "parameter {i} name mismatch: checkpoint '{name}', model '{}'",
-                store.name(id)
+                "parameter {i} name mismatch: checkpoint '{}', model '{want}'",
+                String::from_utf8_lossy(&name)
             )));
         }
-        let rank = read_u32(r)? as usize;
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(read_u64(r)? as usize);
-        }
-        if dims != store.get(id).dims() {
-            return Err(bad(&format!(
-                "parameter '{name}' shape mismatch: checkpoint {dims:?}, model {:?}",
-                store.get(id).dims()
-            )));
-        }
-        let numel: usize = dims.iter().product();
-        let mut bytes = vec![0u8; numel * 4];
-        r.read_exact(&mut bytes)?;
-        let data = store.get_mut(id).data_mut();
-        for (k, chunk) in bytes.chunks_exact(4).enumerate() {
-            data[k] = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
+        let what = || format!("parameter '{}'", String::from_utf8_lossy(&name));
+        store.get_mut(id).read_into(r).map_err(|e| named(e, &what()))?;
     }
     Ok(())
 }
@@ -113,8 +89,9 @@ pub fn write_adam(opt: &Adam, w: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads Adam state written by [`write_adam`] and binds it to `store`,
-/// validating the moment shapes against the live parameters.
+/// Reads Adam state written by [`write_adam`] and binds it to `store`: each
+/// moment is read over a buffer of its parameter's shape, which the stream
+/// must carry.
 pub fn read_adam(store: &ParamStore, r: &mut impl Read) -> io::Result<Adam> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -134,29 +111,29 @@ pub fn read_adam(store: &ParamStore, r: &mut impl Read) -> io::Result<Adam> {
         return Err(bad(&format!("Adam state has {count} moments, model has {}", store.len())));
     }
     let mut read_list = |what: &str| -> io::Result<Vec<Tensor>> {
-        let mut out = Vec::with_capacity(count);
-        for i in 0..count {
-            let m = Tensor::read_from(r)?;
-            if m.dims() != store.get(ParamId(i)).dims() {
-                return Err(bad(&format!(
-                    "Adam {what} moment {i} shape {:?} does not match parameter {:?}",
-                    m.dims(),
-                    store.get(ParamId(i)).dims()
-                )));
-            }
-            out.push(m);
-        }
-        Ok(out)
+        (0..count)
+            .map(|i| {
+                let mut m = Tensor::zeros(store.get(ParamId(i)).dims());
+                m.read_into(r).map_err(|e| named(e, &format!("Adam {what} moment {i}")))?;
+                Ok(m)
+            })
+            .collect()
     };
     let m = read_list("first")?;
     let v = read_list("second")?;
-    let mut opt = Adam::new(store, cfg);
-    opt.restore_state(cfg, m, v, t);
-    Ok(opt)
+    Ok(Adam::from_parts(cfg, m, v, t))
 }
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// Prefixes an `InvalidData` error with what was being read.
+fn named(e: io::Error, what: &str) -> io::Error {
+    match e.kind() {
+        io::ErrorKind::InvalidData => bad(&format!("{what}: {e}")),
+        _ => e,
+    }
 }
 
 fn read_u32(r: &mut impl Read) -> io::Result<u32> {
@@ -187,43 +164,46 @@ mod tests {
         s
     }
 
+    fn params_of(store: &ParamStore) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_params(store, &mut buf).expect("vec write");
+        buf
+    }
+
     #[test]
     fn roundtrip_restores_exact_values() {
-        let dir = std::env::temp_dir().join("mfn_ckpt_roundtrip");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("model.ckpt");
         let trained = example_store(1);
-        save_params(&trained, &path).expect("save");
         let mut fresh = example_store(2); // different values, same shapes
         assert_ne!(fresh.flatten(), trained.flatten());
-        load_params(&mut fresh, &path).expect("load");
+        read_params(&mut fresh, &mut params_of(&trained).as_slice()).expect("read");
         assert_eq!(fresh.flatten(), trained.flatten());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn rejects_architecture_mismatch() {
-        let dir = std::env::temp_dir().join("mfn_ckpt_mismatch");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("model.ckpt");
-        save_params(&example_store(1), &path).expect("save");
+        let bytes = params_of(&example_store(1));
+        let mismatch = |other: &mut ParamStore| {
+            let err = read_params(other, &mut bytes.as_slice()).expect_err("mismatch");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        };
         // Wrong shape.
         let mut other = ParamStore::new();
         other.register("layer.weight", Tensor::zeros(&[5, 3]));
         other.register("layer.bias", Tensor::zeros(&[4]));
         other.register("bn.gamma", Tensor::zeros(&[2]));
-        assert!(load_params(&mut other, &path).is_err());
-        // Wrong name.
-        let mut other = ParamStore::new();
-        other.register("oops.weight", Tensor::zeros(&[4, 3]));
-        other.register("layer.bias", Tensor::zeros(&[4]));
-        other.register("bn.gamma", Tensor::zeros(&[2]));
-        assert!(load_params(&mut other, &path).is_err());
+        mismatch(&mut other);
+        // Wrong name, of the same and of another length.
+        for name in ["oops.weight", "layer.weigh"] {
+            let mut other = ParamStore::new();
+            other.register(name, Tensor::zeros(&[4, 3]));
+            other.register("layer.bias", Tensor::zeros(&[4]));
+            other.register("bn.gamma", Tensor::zeros(&[2]));
+            mismatch(&mut other);
+        }
         // Wrong count.
         let mut other = ParamStore::new();
         other.register("layer.weight", Tensor::zeros(&[4, 3]));
-        assert!(load_params(&mut other, &path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        mismatch(&mut other);
     }
 
     #[test]
@@ -274,13 +254,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_corrupt_file() {
-        let dir = std::env::temp_dir().join("mfn_ckpt_corrupt");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("model.ckpt");
-        std::fs::write(&path, b"definitely not a checkpoint").expect("write");
+    fn rejects_corrupt_stream() {
         let mut s = example_store(1);
-        assert!(load_params(&mut s, &path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(read_params(&mut s, &mut &b"definitely not a checkpoint"[..]).is_err());
+        let mut bytes = params_of(&example_store(2));
+        bytes.truncate(bytes.len() - 5);
+        let err = read_params(&mut s, &mut bytes.as_slice()).expect_err("truncated");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

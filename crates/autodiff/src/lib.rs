@@ -24,7 +24,7 @@ pub mod nn;
 pub mod optim;
 pub mod params;
 
-pub use checkpoint::{load_params, read_adam, read_params, save_params, write_adam, write_params};
+pub use checkpoint::{read_adam, read_params, write_adam, write_params};
 pub use graph::{Graph, Var, JET_LANES};
 pub use mfn_tensor::rowops::{sigmoid_scalar, softplus_scalar};
 pub use nn::{

@@ -71,23 +71,10 @@ impl Adam {
         (&self.m, &self.v)
     }
 
-    /// Replaces the optimizer state wholesale (checkpoint restore).
-    ///
-    /// # Panics
-    /// Panics if the moment lists do not match the existing buffers in
-    /// count or per-tensor shape — a restored state must describe the same
-    /// parameter registration order it was captured from.
-    pub fn restore_state(&mut self, cfg: AdamConfig, m: Vec<Tensor>, v: Vec<Tensor>, t: u64) {
-        assert_eq!(m.len(), self.m.len(), "Adam first-moment count mismatch");
-        assert_eq!(v.len(), self.v.len(), "Adam second-moment count mismatch");
-        for (i, (nm, nv)) in m.iter().zip(&v).enumerate() {
-            assert_eq!(nm.dims(), self.m[i].dims(), "first-moment shape mismatch at param {i}");
-            assert_eq!(nv.dims(), self.v[i].dims(), "second-moment shape mismatch at param {i}");
-        }
-        self.cfg = cfg;
-        self.m = m;
-        self.v = v;
-        self.t = t;
+    /// An optimizer over restored state (`checkpoint::read_adam`, which has
+    /// checked the moments against the store).
+    pub(crate) fn from_parts(cfg: AdamConfig, m: Vec<Tensor>, v: Vec<Tensor>, t: u64) -> Self {
+        Adam { cfg, m, v, t }
     }
 
     /// Applies one update. `grads` must align with the store.

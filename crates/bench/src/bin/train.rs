@@ -1,5 +1,5 @@
 //! `train` — train a MeshfreeFlowNet on datasets produced by `gendata` and
-//! save a checkpoint.
+//! write the train state `serve` loads.
 //!
 //! ```text
 //! usage: train --hr PATH --lr PATH --ckpt PATH [--epochs N] [--gamma G]
@@ -7,25 +7,30 @@
 //!              [--telemetry PATH] [--checkpoint-every N] [--resume PATH]
 //! ```
 //!
-//! With `--workers > 1`, trains data-parallel with the ring all-reduce:
-//! every worker runs the same step and epoch loop as `--workers 1` (same LR
-//! decay) on its own batch stream, and worker 0's replica is what gets saved.
-//! With `--valid-frac`, holds out the trailing fraction of frames and
-//! reports the physics-metric scoreboard on the held-out range.
+//! Every run ends by writing the full train state (params, BN stats, Adam
+//! moments, every sampler position, epoch/batch cursor) as a CRC-framed
+//! `MFNSTAT1` file to `<ckpt>.state`, and the architecture to
+//! `<ckpt>.cfg.json`: the pair `serve --ckpt <ckpt>.state` loads.
+//! With `--workers > 1`, trains data-parallel with the ring all-reduce under
+//! the elastic supervisor: every worker runs the same step and epoch loop as
+//! `--workers 1` (same LR decay) on its own batch stream.
+//! With `--valid-frac`, holds out the trailing fraction of HR frames, trains
+//! on the rest (both LR halves are downsampled from the split HR at the
+//! factors of the `--lr` file) and reports the physics-metric scoreboard on
+//! the held-out range.
 //! With `--telemetry`, appends one JSON object per gradient step (losses,
 //! gradient norms, per-phase timings) to the given `.jsonl` file.
-//! With `--checkpoint-every N`, writes a full train-state checkpoint
-//! (params, BN stats, Adam moments, sampler position, epoch/batch cursor)
-//! every N gradient steps to `<ckpt>.state`; `--resume PATH` continues a
-//! run from such a file bit-identically to one that was never interrupted.
-//! With `--workers > 1`, either flag routes training through the elastic
-//! supervisor, which snapshots once per epoch instead of every N steps.
+//! `--checkpoint-every N` also writes the state every N gradient steps (one
+//! worker) or before every epoch (several); `--resume PATH` continues a run
+//! from such a file bit-identically to one that was never interrupted, and
+//! writes the final state back there.
 
 use mfn_core::{
-    evaluate_pair, table_header, Corpus, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+    decode_inference_state, evaluate_pair, save_train_state, table_header, Corpus, MeshfreeFlowNet,
+    MfnConfig, TrainConfig, Trainer,
 };
-use mfn_data::{downsample, load_dataset, PatchSpec};
-use mfn_dist::{train_data_parallel_recorded, train_elastic, FaultPlan, SupervisorConfig};
+use mfn_data::{load_dataset, try_downsample, Dataset, PatchSpec};
+use mfn_dist::{train_elastic, FaultPlan, SupervisorConfig};
 use mfn_telemetry::Recorder;
 use std::path::PathBuf;
 
@@ -119,29 +124,59 @@ fn parse() -> Args {
     }
 }
 
-/// Rebuilds rank 0's trained replica from a multi-worker run's result. The
-/// batch-norm running statistics live in the layers, not the parameter
-/// store, so they travel separately.
-fn trained_replica(mcfg: MfnConfig, params: &[f32], mut bn_stats: &[u8]) -> MeshfreeFlowNet {
-    let mut m = MeshfreeFlowNet::new(mcfg);
-    m.store.unflatten_into(params);
-    m.read_bn_stats(&mut bn_stats).expect("run result carries this architecture's BN statistics");
-    m
+/// `(ft, fs)` such that `downsample(hr, ft, fs)` is `lr`: read off the two
+/// grids, then checked by downsampling.
+fn lr_factors(hr: &Dataset, lr: &Dataset) -> Result<(usize, usize), String> {
+    let ft = (lr.dt() / hr.dt()).round() as usize;
+    let fs = hr.meta.nx / lr.meta.nx.max(1);
+    let again = try_downsample(hr, ft, fs).map_err(|e| e.to_string())?;
+    let grid = |d: &Dataset| [d.meta.nt, d.meta.nz, d.meta.nx];
+    let bits = |d: &Dataset| d.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    if grid(&again) != grid(lr) || bits(&again) != bits(lr) {
+        return Err(format!(
+            "the LR dataset is not the HR dataset downsampled {ft}x in time and {fs}x in space"
+        ));
+    }
+    Ok((ft, fs))
+}
+
+/// An `(HR, LR)` dataset pair.
+type Pair = (Dataset, Dataset);
+
+/// The training `(HR, LR)` pair and, for `valid_frac > 0`, the held-out one.
+/// Holding out splits the HR frames and downsamples each half at the LR
+/// file's factors (4x/8x without one), so no held-out frame reaches
+/// training and validation runs at the factors training did.
+fn datasets(
+    hr_full: Dataset,
+    lr: Option<Dataset>,
+    valid_frac: f64,
+) -> Result<(Pair, Option<Pair>), String> {
+    let down = |hr: &Dataset, (ft, fs)| try_downsample(hr, ft, fs).map_err(|e| e.to_string());
+    if valid_frac <= 0.0 {
+        let lr = match lr {
+            Some(lr) => lr,
+            None => down(&hr_full, (4, 8))?,
+        };
+        return Ok(((hr_full, lr), None));
+    }
+    let factors = match &lr {
+        Some(lr) => lr_factors(&hr_full, lr)?,
+        None => (4, 8),
+    };
+    let (hr, valid) = hr_full.split_time(1.0 - valid_frac);
+    let (lr, valid_lr) = (down(&hr, factors)?, down(&valid, factors)?);
+    Ok(((hr, lr), Some((valid, valid_lr))))
 }
 
 fn main() {
     let args = parse();
     let hr_full = load_dataset(&args.hr).expect("load HR dataset");
-    let (hr, valid) = if args.valid_frac > 0.0 {
-        let (a, b) = hr_full.split_time(1.0 - args.valid_frac);
-        (a, Some(b))
-    } else {
-        (hr_full, None)
-    };
-    let lr = match &args.lr {
-        Some(p) => load_dataset(p).expect("load LR dataset"),
-        None => downsample(&hr, 4, 8),
-    };
+    let lr_file = args.lr.as_ref().map(|p| load_dataset(p).expect("load LR dataset"));
+    let ((hr, lr), valid) = datasets(hr_full, lr_file, args.valid_frac).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     eprintln!(
         "HR [{} x {} x {}], LR [{} x {} x {}], gamma = {}",
         hr.meta.nt, hr.meta.nz, hr.meta.nx, lr.meta.nt, lr.meta.nz, lr.meta.nx, args.gamma
@@ -156,7 +191,7 @@ fn main() {
     let mut mcfg = MfnConfig::small();
     mcfg.patch = patch;
     mcfg.gamma = args.gamma;
-    let corpus = Corpus::new(vec![(hr.clone(), lr.clone())]);
+    let corpus = Corpus::new(vec![(hr, lr)]);
     let recorder = match &args.telemetry {
         Some(path) => {
             let r = Recorder::jsonl(path).expect("create telemetry file");
@@ -166,58 +201,46 @@ fn main() {
         None => Recorder::null(),
     };
 
-    // Full train-state checkpoints (periodic writes and resume) live next to
-    // the model checkpoint unless --resume names an existing file.
-    let state_path = args.resume.clone().unwrap_or_else(|| {
+    // The train state goes next to the checkpoint name unless --resume
+    // names an existing file.
+    let sibling = |suffix: &str| {
         let mut p = args.ckpt.as_os_str().to_owned();
-        p.push(".state");
+        p.push(suffix);
         PathBuf::from(p)
-    });
+    };
+    let state_path = args.resume.clone().unwrap_or_else(|| sibling(".state"));
     let fault_tolerant = args.tc.checkpoint_every > 0 || args.resume.is_some();
 
     let model = if args.workers > 1 {
-        if fault_tolerant {
-            // The elastic supervisor checkpoints the whole multi-rank state
-            // once per epoch and resumes from an existing file on its own.
-            eprintln!(
-                "elastic training on {} workers (state: {}) ...",
-                args.workers,
-                state_path.display()
-            );
-            let sup = SupervisorConfig {
-                workers: args.workers,
-                checkpoint_path: Some(state_path.clone()),
-                ..Default::default()
-            };
-            let r =
-                train_elastic(&corpus, &mcfg, &args.tc, &sup, &FaultPlan::none(), recorder.clone());
-            eprintln!(
-                "final loss {:.4}, world {}, failures {}, ring re-forms {}{}",
-                r.epoch_losses.last().copied().unwrap_or(f32::NAN),
-                r.final_world,
-                r.failures,
-                r.ring_reforms,
-                if r.completed { "" } else { " (run stopped early)" }
-            );
-            trained_replica(mcfg, &r.final_params, &r.final_bn_stats)
-        } else {
-            eprintln!("data-parallel training on {} workers ...", args.workers);
-            let r = train_data_parallel_recorded(
-                &corpus,
-                &mcfg,
-                &args.tc,
-                args.workers,
-                recorder.clone(),
-            );
-            eprintln!(
-                "throughput {:.1} samples/s, final loss {:.4}",
-                r.throughput,
-                r.epoch_losses.last().copied().unwrap_or(f32::NAN)
-            );
-            let total_wait: f64 = r.allreduce_wait.iter().sum();
-            eprintln!("all-reduce wait: {:.3}s total across {} ranks", total_wait, r.workers);
-            trained_replica(mcfg, &r.final_params, &r.final_bn_stats)
+        eprintln!("data-parallel training on {} workers ...", args.workers);
+        // With --checkpoint-every or --resume the supervisor persists the
+        // state before every epoch and after the last, and resumes from an
+        // existing file on its own.
+        let sup = SupervisorConfig {
+            workers: args.workers,
+            checkpoint_path: fault_tolerant.then(|| state_path.clone()),
+            ..Default::default()
+        };
+        let r = train_elastic(&corpus, &mcfg, &args.tc, &sup, &FaultPlan::none(), recorder.clone());
+        eprintln!(
+            "throughput {:.1} samples/s, final loss {:.4}, world {}, failures {}, \
+             ring re-forms {}{}",
+            r.throughput,
+            r.epoch_losses.last().copied().unwrap_or(f32::NAN),
+            r.final_world,
+            r.failures,
+            r.ring_reforms,
+            if r.completed { "" } else { " (run stopped early)" }
+        );
+        let total_wait: f64 = r.allreduce_wait.iter().sum();
+        eprintln!("all-reduce wait: {total_wait:.3}s total across {} ranks", r.workers);
+        if !fault_tolerant {
+            save_train_state(&state_path, &r.final_state).expect("write train state");
         }
+        let mut model = MeshfreeFlowNet::new(mcfg);
+        decode_inference_state(&mut model, &mut r.final_state.as_slice())
+            .expect("the run's own state decodes");
+        model
     } else {
         let mut trainer = match &args.resume {
             Some(path) => {
@@ -232,16 +255,14 @@ fn main() {
             }
             None => Trainer::new(MeshfreeFlowNet::new(mcfg), args.tc),
         }
-        .with_recorder(recorder.clone());
-        if fault_tolerant {
-            trainer = trainer.with_checkpointing(&state_path);
-            if args.tc.checkpoint_every > 0 {
-                eprintln!(
-                    "train-state checkpoints every {} steps -> {}",
-                    args.tc.checkpoint_every,
-                    state_path.display()
-                );
-            }
+        .with_recorder(recorder.clone())
+        .with_checkpointing(&state_path);
+        if args.tc.checkpoint_every > 0 {
+            eprintln!(
+                "train-state checkpoints every {} steps -> {}",
+                args.tc.checkpoint_every,
+                state_path.display()
+            );
         }
         let recs = trainer.train(&corpus);
         for r in recs.iter().step_by((recs.len() / 8).max(1)) {
@@ -250,32 +271,71 @@ fn main() {
                 r.epoch, r.loss, r.prediction, r.equation
             );
         }
-        if fault_tolerant {
-            // A final state write captures the completed run so a later
-            // --resume with more epochs continues instead of restarting.
-            trainer.save_checkpoint(&state_path).expect("write final train state");
-        }
+        // The final state also lets a later --resume with more epochs
+        // continue instead of restarting.
+        trainer.save_checkpoint(&state_path).expect("write train state");
         trainer.model
     };
     recorder.flush();
-    model.save(&args.ckpt).expect("save checkpoint");
-    eprintln!("checkpoint written to {}", args.ckpt.display());
-    // Architecture sidecar: MFNSTAT1/MFNCKPT1 frames carry tensors, not the
+    eprintln!("train state written to {}", state_path.display());
+    // Architecture sidecar: the MFNSTAT1 frame carries tensors, not the
     // architecture, so `serve` needs this to rebuild the exact model.
-    let cfg_path = {
-        let mut p = args.ckpt.as_os_str().to_owned();
-        p.push(".cfg.json");
-        PathBuf::from(p)
-    };
+    let cfg_path = sibling(".cfg.json");
     model.cfg.save_json(&cfg_path).expect("write config sidecar");
     eprintln!("config sidecar written to {}", cfg_path.display());
 
-    if let Some(valid) = valid {
+    if let Some((valid, valid_lr)) = valid {
         eprintln!("evaluating on held-out frames ...");
-        let valid_lr = downsample(&valid, 4, 8);
         let sr = model.super_resolve(&valid_lr, &valid.meta, corpus.stats);
         let nu = (valid.meta.pr / valid.meta.ra).sqrt();
         println!("{}", table_header());
         println!("{}", evaluate_pair("validation", &valid, &sr, nu, 0).format());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mfn_data::downsample;
+    use mfn_solver::{simulate, RbcConfig};
+
+    fn hr() -> Dataset {
+        let sim = simulate(
+            &RbcConfig { nx: 16, nz: 9, ra: 1e5, dt_max: 2e-3, ..Default::default() },
+            0.1,
+            13,
+        );
+        Dataset::from_simulation(&sim)
+    }
+
+    /// README's `--lr data/rb.bin.lr --valid-frac 0.2`, at CI's 2x/2x
+    /// factors: the training LR covers the training HR frames only, and
+    /// validation runs at the LR file's factors.
+    #[test]
+    fn held_out_frames_stay_out_of_training_at_the_lr_files_factors() {
+        let hr_full = hr();
+        let lr_file = downsample(&hr_full, 2, 2);
+        let ((hr, lr), valid) = datasets(hr_full.clone(), Some(lr_file), 0.3).expect("2x/2x");
+        let (valid, valid_lr) = valid.expect("held-out pair");
+        let (want_hr, want_valid) = hr_full.split_time(0.7);
+        assert_eq!(hr.data, want_hr.data);
+        assert_eq!(valid.data, want_valid.data);
+        assert_eq!(lr.data, downsample(&want_hr, 2, 2).data);
+        assert!(lr.meta.duration <= hr.meta.duration, "LR frames past the training HR");
+        assert_eq!(valid_lr.data, downsample(&want_valid, 2, 2).data);
+    }
+
+    /// An LR file that is not the HR file downsampled cannot be split.
+    #[test]
+    fn an_lr_file_that_is_not_the_hr_downsampled_is_refused() {
+        let hr_full = hr();
+        let mut lr_file = downsample(&hr_full, 2, 2);
+        assert_eq!(lr_factors(&hr_full, &lr_file), Ok((2, 2)));
+        lr_file.data[7] += 1.0;
+        assert!(datasets(hr_full.clone(), Some(lr_file.clone()), 0.3).is_err());
+        // Without a split the file is used as given.
+        let ((_, lr), valid) = datasets(hr_full, Some(lr_file.clone()), 0.0).expect("no split");
+        assert_eq!(lr.data, lr_file.data);
+        assert!(valid.is_none());
     }
 }

@@ -284,6 +284,19 @@ pub fn load_train_state_with_fallback(path: &Path) -> Result<Vec<u8>, Checkpoint
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MfnConfig;
+    use mfn_autodiff::AdamConfig;
+    use mfn_data::PatchSpec;
+
+    fn tiny_cfg() -> MfnConfig {
+        let mut cfg = MfnConfig::small();
+        cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
+        cfg.base_channels = 4;
+        cfg.latent_channels = 8;
+        cfg.mlp_hidden = vec![16, 16];
+        cfg.levels = 2;
+        cfg
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -337,18 +350,9 @@ mod tests {
 
     #[test]
     fn checkpoint_from_disagreeing_config_is_incompatible() {
-        use crate::config::MfnConfig;
         use crate::infer::FrozenModel;
-        use crate::model::MeshfreeFlowNet;
-        use mfn_autodiff::{Adam, AdamConfig};
-        use mfn_data::PatchSpec;
 
-        let mut cfg = MfnConfig::small();
-        cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
-        cfg.base_channels = 4;
-        cfg.latent_channels = 8;
-        cfg.mlp_hidden = vec![16, 16];
-        cfg.levels = 2;
+        let cfg = tiny_cfg();
 
         let model = MeshfreeFlowNet::new(cfg.clone());
         let opt = Adam::new(&model.store, AdamConfig::default());
@@ -397,17 +401,7 @@ mod tests {
 
     #[test]
     fn payload_must_end_after_the_adam_state() {
-        use crate::config::MfnConfig;
-        use crate::model::MeshfreeFlowNet;
-        use mfn_autodiff::{Adam, AdamConfig};
-        use mfn_data::PatchSpec;
-
-        let mut cfg = MfnConfig::small();
-        cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
-        cfg.base_channels = 4;
-        cfg.latent_channels = 8;
-        cfg.mlp_hidden = vec![16, 16];
-        cfg.levels = 2;
+        let cfg = tiny_cfg();
         let model = MeshfreeFlowNet::new(cfg.clone());
         let opt = Adam::new(&model.store, AdamConfig::default());
         let meta = TrainStateMeta {
@@ -436,6 +430,37 @@ mod tests {
             let mut bytes = payload.clone();
             bytes.extend_from_slice(tail);
             assert!(matches!(decode(&bytes), Err(CheckpointError::Corrupt(_))), "{tail:?}");
+        }
+    }
+
+    /// The parameter stream's length fields are compared with the model
+    /// before they size anything: a name length or a rank of `u32::MAX`
+    /// inside an otherwise valid payload is a typed error, not a 4 GiB (or
+    /// 32 GiB) allocation.
+    #[test]
+    fn hostile_parameter_header_is_refused_before_allocating() {
+        let cfg = tiny_cfg();
+        let model = MeshfreeFlowNet::new(cfg.clone());
+        let opt = Adam::new(&model.store, AdamConfig::default());
+        let rngs = vec![RngState { seed: 1, words: 0 }];
+        let meta = TrainStateMeta { global_step: 0, epoch: 0, batch_cursor: 0, rngs };
+        let payload = encode_train_state(&model, &opt, &meta);
+        // The first parameter's header: magic, count, name length, name,
+        // then its rank.
+        let params = payload.windows(8).position(|w| w == b"MFNCKPT1").expect("param stream");
+        let name_len_at = params + 16;
+        let (_, first_name, _) = model.store.iter().next().expect("a parameter");
+        let rank_at = name_len_at + 4 + first_name.len();
+        for at in [name_len_at, rank_at] {
+            let mut hostile = payload.clone();
+            hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let mut m = MeshfreeFlowNet::new(cfg.clone());
+            match decode_train_state(&mut m, &mut hostile.as_slice()) {
+                Err(CheckpointError::Incompatible(msg)) => {
+                    assert!(msg.contains("mismatch"), "{msg}")
+                }
+                other => panic!("expected Incompatible, got {:?}", other.map(|_| ())),
+            }
         }
     }
 

@@ -6,7 +6,7 @@ use crate::decoder::{
 };
 use crate::losses::{self, ChannelStats};
 use crate::unet::UNet3d;
-use mfn_autodiff::{load_params, save_params, Graph, Mlp, ParamStore, Var};
+use mfn_autodiff::{Graph, Mlp, ParamStore, Var};
 use mfn_data::{covering_axis, Batch, Dataset, DatasetMeta, PatchSpec, CHANNELS};
 use mfn_physics::RbcParams;
 use mfn_tensor::Tensor;
@@ -53,21 +53,10 @@ impl MeshfreeFlowNet {
         self.store.total_numel()
     }
 
-    /// Saves the complete model state: trainable parameters (`<path>`) and
-    /// batch-norm running statistics (`<path>.bnstats`).
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        save_params(&self.store, path)?;
-        let mut w = std::io::BufWriter::new(std::fs::File::create(bn_stats_path(path))?);
-        self.write_bn_stats(&mut w)?;
-        use std::io::Write;
-        w.flush()
-    }
-
     /// Streams the batch-norm running statistics (count, then per-layer
-    /// channel count, means, variances) into `w`. Used by [`save`] and
-    /// embedded verbatim in the full training-state checkpoint.
-    ///
-    /// [`save`]: MeshfreeFlowNet::save
+    /// channel count, means, variances) into `w` — the section of the
+    /// training-state checkpoint that follows the parameters. They live in
+    /// the layers, not the parameter store.
     pub fn write_bn_stats(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
         let mut bns = Vec::new();
         self.unet.collect_bn(&mut bns);
@@ -82,14 +71,6 @@ impl MeshfreeFlowNet {
             }
         }
         Ok(())
-    }
-
-    /// Restores state written by [`MeshfreeFlowNet::save`]. The architecture
-    /// must match (validated by parameter names/shapes).
-    pub fn load(&mut self, path: &std::path::Path) -> std::io::Result<()> {
-        load_params(&mut self.store, path)?;
-        let mut r = std::io::BufReader::new(std::fs::File::open(bn_stats_path(path))?);
-        self.read_bn_stats(&mut r)
     }
 
     /// Restores batch-norm statistics written by [`write_bn_stats`],
@@ -336,12 +317,6 @@ impl MeshfreeFlowNet {
         ds.refresh_stats();
         ds
     }
-}
-
-fn bn_stats_path(path: &std::path::Path) -> std::path::PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".bnstats");
-    std::path::PathBuf::from(os)
 }
 
 /// Extracts a normalized `[1, 4, nt, nz, nx]` patch tensor from an LR

@@ -1,8 +1,8 @@
 //! The training step and epoch loop, defined once: [`Trainer`] is a rank.
-//! A single process trains with [`NoReduce`]; the data-parallel and elastic
-//! drivers in `mfn-dist` run one `Trainer` per worker thread and differ only
-//! in the [`GradReduce`] they pass (a ring all-reduce) and in what they do
-//! between epochs.
+//! A single process trains with [`NoReduce`]; the data-parallel driver in
+//! `mfn-dist` runs one `Trainer` per worker thread, passes a ring
+//! all-reduce as the [`GradReduce`], and rebuilds the ranks from a snapshot
+//! between epochs ([`Trainer::from_state`]).
 
 use crate::baseline::{hr_target_patch, BaselineII};
 use crate::checkpoint::{
@@ -223,7 +223,11 @@ impl Trainer {
     /// are drawn from the stream seeded with `cfg.seed`.
     pub fn new(model: MeshfreeFlowNet, cfg: TrainConfig) -> Self {
         let opt = Adam::new(&model.store, AdamConfig { lr: cfg.lr, ..Default::default() });
-        let rng = SampleRng::seed_from_u64(cfg.seed);
+        Trainer::assemble(model, opt, cfg, SampleRng::seed_from_u64(cfg.seed))
+    }
+
+    /// A trainer at the start of a run, with `opt` and `rng` as given.
+    fn assemble(model: MeshfreeFlowNet, opt: Adam, cfg: TrainConfig, rng: SampleRng) -> Self {
         Trainer {
             model,
             opt,
@@ -298,26 +302,26 @@ impl Trainer {
     /// [`Trainer::resume`] is rank 0 of 1; the elastic supervisor in
     /// `mfn-dist` builds every rank of a round from its snapshot this way.
     pub fn from_state(
-        model: MeshfreeFlowNet,
+        mut model: MeshfreeFlowNet,
         cfg: TrainConfig,
         payload: &[u8],
         rank: usize,
         world: usize,
     ) -> Result<Trainer, CheckpointError> {
-        let mut t = Trainer::new(model, cfg).with_rank(rank);
-        let (opt, meta) = decode_train_state(&mut t.model, &mut &payload[..])?;
+        let (opt, meta) = decode_train_state(&mut model, &mut &payload[..])?;
         if meta.rngs.len() != world || rank >= world {
             return Err(CheckpointError::Incompatible(format!(
                 "checkpoint holds {} sampler streams, rank {rank} of {world} expected",
                 meta.rngs.len()
             )));
         }
-        t.opt = opt;
-        t.global_step = meta.global_step;
-        t.epoch = meta.epoch;
-        t.batch_cursor = meta.batch_cursor;
-        t.rng = SampleRng::restore(meta.rngs[rank]);
-        Ok(t)
+        Ok(Trainer {
+            rank,
+            global_step: meta.global_step,
+            epoch: meta.epoch,
+            batch_cursor: meta.batch_cursor,
+            ..Trainer::assemble(model, opt, cfg, SampleRng::restore(meta.rngs[rank]))
+        })
     }
 
     /// This rank's sampler stream position — the per-rank half of a train

@@ -8,9 +8,9 @@
 //! reproduction.
 //!
 //! The gradient step and the epoch loop are not here: every worker is an
-//! `mfn_core::Trainer`, handed the ring as its gradient exchange. This crate
-//! holds the two ways of orchestrating such ranks — [`trainer`] runs them to
-//! completion, [`supervisor`] one epoch at a time with snapshot, [`fault`]
+//! `mfn_core::Trainer`, handed the ring as its gradient exchange
+//! ([`trainer`]). This crate holds the one driver of such ranks —
+//! [`supervisor`], one epoch round at a time with snapshot, [`fault`]
 //! injection and rollback.
 
 pub mod fault;
@@ -22,5 +22,5 @@ pub mod trainer;
 pub use fault::{FaultKind, FaultPlan};
 pub use ring::{ring, RingError, RingHandle};
 pub use scaling::ScalingModel;
-pub use supervisor::{train_elastic, ElasticRunResult, SupervisorConfig};
-pub use trainer::{param_digest, train_data_parallel, train_data_parallel_recorded, DistRunResult};
+pub use supervisor::{train_elastic, DistRunResult, SupervisorConfig};
+pub use trainer::{param_digest, train_data_parallel, train_data_parallel_recorded};

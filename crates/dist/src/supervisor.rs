@@ -1,10 +1,9 @@
-//! Elastic supervisor: fault-tolerant data-parallel training.
+//! The data-parallel driver: synchronous training that survives worker
+//! failures.
 //!
-//! The plain driver in [`crate::trainer`] assumes every worker survives the
-//! whole run — one dead thread takes the ring down with it. The supervisor
-//! here runs the same ranks (an [`mfn_core::Trainer`] with a
-//! `RingReduce` exchange) as a sequence of *epoch rounds*,
-//! each a snapshot → epoch → commit cycle:
+//! Every rank is an [`mfn_core::Trainer`] with a `RingReduce` exchange
+//! ([`crate::trainer`]). [`train_elastic`] runs them as a sequence of *epoch
+//! rounds*, each a snapshot → epoch → commit cycle:
 //!
 //! 1. Before a round, the supervisor encodes the master state (params, BN
 //!    stats, Adam, per-logical-rank sampler positions) and — when configured
@@ -23,14 +22,15 @@
 //! Because a round either commits whole or not at all, a run that suffered
 //! a kill-and-restart is bit-identical to one that never faulted (the
 //! kill-and-resume determinism test pins this), and a run that shrank keeps
-//! converging on the reduced world.
+//! converging on the reduced world. Without faults it is plain synchronous
+//! data-parallel SGD, which is all [`crate::train_data_parallel`] asks of it.
 //!
 //! Logical ranks are stable identities: rank `r` keeps its sampler stream
 //! (`seed + r * 7919`) across re-forms, so shrinking the world never makes
 //! two workers draw the same batches.
 
 use crate::fault::FaultPlan;
-use crate::trainer::{bn_stats_bytes, on_ring, param_digest, rank_seed, RankFailure};
+use crate::trainer::{on_ring, param_digest, rank_seed, RankFailure};
 use mfn_autodiff::{Adam, AdamConfig};
 use mfn_core::{
     decode_train_state, encode_train_state, load_train_state_with_fallback, save_train_state,
@@ -77,21 +77,36 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// What an elastic run did and produced.
+/// What a data-parallel run did and produced.
 #[derive(Debug, Clone)]
-pub struct ElasticRunResult {
+pub struct DistRunResult {
+    /// Initial world size (logical ranks `0..workers`).
+    pub workers: usize,
     /// Mean combined loss per committed epoch (over the ranks that ran it).
     pub epoch_losses: Vec<f32>,
     /// World size that committed each epoch.
     pub epoch_worlds: Vec<usize>,
-    /// Final master parameters.
+    /// Wall-clock seconds since the run started, at each commit.
+    pub epoch_wall: Vec<f64>,
+    /// Aggregate throughput in *samples per second* over the committed
+    /// epochs (one sample per patch, matching the paper's Fig. 7a axis).
+    pub throughput: f64,
+    /// Final master parameters, flattened.
     pub final_params: Vec<f32>,
-    /// Final master batch-norm running statistics, as
-    /// `MeshfreeFlowNet::write_bn_stats` streams them (they live in the
-    /// layers, not in [`ElasticRunResult::final_params`]).
-    pub final_bn_stats: Vec<u8>,
-    /// FNV-1a digest of [`ElasticRunResult::final_params`].
-    pub final_digest: u64,
+    /// The final master state as `encode_train_state` encodes it —
+    /// parameters, batch-norm running statistics, Adam and every rank's
+    /// sampler position: the payload `<ckpt>.state` frames, which
+    /// `FrozenModel::load_state` serves and `Trainer::from_state` resumes.
+    pub final_state: Vec<u8>,
+    /// Gradient buffer size in elements (for the scaling model).
+    pub grad_elems: usize,
+    /// Seconds each logical rank spent blocked in the ring all-reduce,
+    /// summed over its committed epochs.
+    pub allreduce_wait: Vec<f64>,
+    /// Parameter digest of every logical rank after every committed epoch
+    /// it ran (`epoch_param_digests[rank][epoch]`), for replica-consistency
+    /// checks: synchronous data-parallel SGD must keep these identical.
+    pub epoch_param_digests: Vec<Vec<u64>>,
     /// Worker failures observed (kills and stall-timeouts).
     pub failures: u64,
     /// Times the ring was re-formed after a failure.
@@ -103,8 +118,16 @@ pub struct ElasticRunResult {
     pub completed: bool,
 }
 
-/// Runs fault-tolerant data-parallel training of MeshfreeFlowNet under
-/// `plan` (pass [`FaultPlan::none`] for production behavior).
+/// Runs synchronous data-parallel training of MeshfreeFlowNet under `plan`
+/// (pass [`FaultPlan::none`] for production behavior).
+///
+/// `batches_per_epoch` mini-batches are processed by *each* worker per
+/// epoch (weak scaling, like the paper: the global batch grows with the
+/// worker count). Every rank emits what a single-process [`Trainer`] emits
+/// through a clone of `recorder` — one `StepMetrics` per gradient step,
+/// tagged with its rank and the seconds it spent in the ring all-reduce,
+/// and the per-epoch gauges — and the run adds its own: `dist.world` per
+/// round, the failure counters and `throughput_samples_per_sec`.
 ///
 /// # Panics
 /// Panics if `sup.workers == 0`, `sup.min_world == 0`, or a configured
@@ -117,7 +140,7 @@ pub fn train_elastic(
     sup: &SupervisorConfig,
     plan: &FaultPlan,
     recorder: Recorder,
-) -> ElasticRunResult {
+) -> DistRunResult {
     assert!(sup.workers >= 1, "supervisor needs at least one worker");
     assert!(sup.min_world >= 1, "min_world must be at least 1");
 
@@ -129,8 +152,6 @@ pub fn train_elastic(
         global_step: 0,
         epoch: 0,
         batch_cursor: 0,
-        // Seeded exactly like the plain data-parallel driver so the two
-        // agree on shard contents.
         rngs: (0..sup.workers)
             .map(|r| RngState { seed: rank_seed(train_cfg.seed, r), words: 0 })
             .collect(),
@@ -170,6 +191,11 @@ pub fn train_elastic(
     let mut ring_reforms = 0u64;
     let mut retries_left = sup.max_retries;
     let mut completed = true;
+    let mut epoch_wall = Vec::with_capacity(train_cfg.epochs);
+    let mut allreduce_wait = vec![0.0; sup.workers];
+    let mut epoch_param_digests = vec![Vec::new(); sup.workers];
+    let mut samples = 0usize;
+    let start = Instant::now();
 
     while meta.epoch < train_cfg.epochs {
         // The snapshot carries *all* logical rank streams, so every rank of
@@ -180,15 +206,16 @@ pub fn train_elastic(
 
         // One epoch round over the active world: every rank is rebuilt
         // from the snapshot and runs the epoch through a bounded ring.
-        let results: Vec<Result<(Trainer, EpochRecord), RankFailure>> =
-            on_ring(&active, Some(sup.allreduce_timeout), plan, |mut reduce| {
+        let results: Vec<Result<(Trainer, EpochRecord, u64), RankFailure>> =
+            on_ring(&active, sup.allreduce_timeout, plan, |mut reduce| {
                 let model = MeshfreeFlowNet::new(model_cfg.clone());
                 let mut trainer =
                     Trainer::from_state(model, *train_cfg, &snapshot, reduce.rank, sup.workers)
                         .expect("supervisor snapshot must decode")
                         .with_recorder(recorder.clone());
                 let record = trainer.run_epoch(corpus, &mut reduce)?;
-                Ok((trainer, record))
+                let digest = param_digest(&trainer.model.store.flatten());
+                Ok((trainer, record, digest))
             });
 
         let killed: Vec<usize> = results
@@ -205,9 +232,11 @@ pub fn train_elastic(
             // becomes the new master state.
             let mut loss = 0.0f32;
             for (&rank, r) in active.iter().zip(results) {
-                let (trainer, record) = r.unwrap_or_else(|_| unreachable!("checked above"));
+                let (trainer, record, digest) = r.unwrap_or_else(|_| unreachable!("checked above"));
                 meta.rngs[rank] = trainer.sampler_state();
                 loss += record.loss;
+                allreduce_wait[rank] += trainer.reduce_wait_s();
+                epoch_param_digests[rank].push(digest);
                 if rank == active[0] {
                     master = trainer.model;
                     opt = trainer.opt;
@@ -215,6 +244,8 @@ pub fn train_elastic(
             }
             epoch_losses.push(loss / active.len() as f32);
             epoch_worlds.push(active.len());
+            epoch_wall.push(start.elapsed().as_secs_f64());
+            samples += active.len() * train_cfg.batches_per_epoch * train_cfg.batch_size;
             meta.epoch += 1;
             meta.global_step += steps_per_epoch;
             continue;
@@ -255,16 +286,22 @@ pub fn train_elastic(
     }
 
     // Persist the final committed state so a follow-on run resumes cleanly.
-    persist(sup, &recorder, &encode_train_state(&master, &opt, &meta));
+    let final_state = encode_train_state(&master, &opt, &meta);
+    persist(sup, &recorder, &final_state);
+    let throughput = samples as f64 / start.elapsed().as_secs_f64();
+    recorder.gauge("throughput_samples_per_sec", throughput);
 
-    let final_params = master.store.flatten();
-    let final_digest = param_digest(&final_params);
-    ElasticRunResult {
+    DistRunResult {
+        workers: sup.workers,
         epoch_losses,
         epoch_worlds,
-        final_params,
-        final_bn_stats: bn_stats_bytes(&master),
-        final_digest,
+        epoch_wall,
+        throughput,
+        final_params: master.store.flatten(),
+        final_state,
+        grad_elems: master.store.total_numel(),
+        allreduce_wait,
+        epoch_param_digests,
         failures,
         ring_reforms,
         final_world: active.len(),
@@ -286,53 +323,7 @@ fn persist(sup: &SupervisorConfig, recorder: &Recorder, payload: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfn_data::{downsample, Dataset, PatchSpec};
-    use mfn_solver::{simulate, RbcConfig};
-
-    fn tiny_setup() -> (Corpus, MfnConfig, TrainConfig) {
-        let sim = simulate(
-            &RbcConfig { nx: 16, nz: 9, ra: 1e5, dt_max: 2e-3, ..Default::default() },
-            0.1,
-            9,
-        );
-        let hr = Dataset::from_simulation(&sim);
-        let lr = downsample(&hr, 2, 2);
-        let corpus = Corpus::new(vec![(hr, lr)]);
-        let mut cfg = MfnConfig::small();
-        cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 8 };
-        cfg.base_channels = 4;
-        cfg.latent_channels = 8;
-        cfg.mlp_hidden = vec![16, 16];
-        cfg.levels = 2;
-        let tc = TrainConfig {
-            epochs: 3,
-            batches_per_epoch: 4,
-            batch_size: 2,
-            lr: 5e-3,
-            ..Default::default()
-        };
-        (corpus, cfg, tc)
-    }
-
-    /// With no faults, the elastic supervisor is just a slower spelling of
-    /// the plain data-parallel trainer: identical final parameters.
-    #[test]
-    fn matches_plain_data_parallel_without_faults() {
-        let (corpus, cfg, tc) = tiny_setup();
-        let sup = SupervisorConfig { workers: 2, ..Default::default() };
-        let elastic = train_elastic(&corpus, &cfg, &tc, &sup, &FaultPlan::none(), Recorder::null());
-        let plain = crate::trainer::train_data_parallel(&corpus, &cfg, &tc, 2);
-        assert!(elastic.completed);
-        assert_eq!(elastic.failures, 0);
-        assert_eq!(elastic.ring_reforms, 0);
-        assert_eq!(elastic.epoch_worlds, vec![2; tc.epochs]);
-        assert_eq!(
-            elastic.final_params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            plain.final_params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            "elastic supervisor without faults must reproduce the plain trainer"
-        );
-        assert_eq!(elastic.final_bn_stats, plain.final_bn_stats);
-    }
+    use crate::trainer::tests::tiny_setup;
 
     /// `lr_decay` is applied once per committed epoch — also across a
     /// rollback, whose retry starts from the snapshot's undecayed rate.
@@ -352,8 +343,11 @@ mod tests {
             assert_eq!(last.epoch, 2);
             assert_eq!(last.lr, tc.lr * 0.25, "rank {rank}");
         }
-        let plain = crate::trainer::train_data_parallel(&corpus, &cfg, &tc, 2);
-        assert_eq!(r.final_digest, param_digest(&plain.final_params));
+        let clean = crate::train_data_parallel(&corpus, &cfg, &tc, 2);
+        assert!(
+            r.final_state == clean.final_state,
+            "the retried epoch must reproduce the clean run"
+        );
     }
 
     /// Killing a worker mid-epoch with restart: the run commits every epoch
@@ -370,8 +364,8 @@ mod tests {
         assert_eq!(faulted.failures, 1);
         assert_eq!(faulted.ring_reforms, 1);
         assert_eq!(faulted.final_world, 2);
-        assert_eq!(
-            faulted.final_digest, clean.final_digest,
+        assert!(
+            faulted.final_state == clean.final_state,
             "rollback + restart must reproduce the faultless run bit-for-bit"
         );
     }

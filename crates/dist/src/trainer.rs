@@ -9,50 +9,19 @@
 //!
 //! A worker is an [`mfn_core::Trainer`] — the same gradient step and epoch
 //! loop a single process runs — given `RingReduce` as its gradient
-//! exchange. This module only builds the ranks, runs them to completion and
-//! collects what they report; [`crate::supervisor`] runs the same ranks one
-//! epoch at a time with rollback.
+//! exchange. This module holds that exchange and the thread-per-rank ring
+//! it runs on; [`crate::supervisor`] is the one driver that runs the ranks,
+//! an epoch round at a time, and [`train_data_parallel`] is that driver with
+//! its default policy and no injected faults.
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::ring::{ring, RingError, RingHandle};
+use crate::supervisor::{train_elastic, DistRunResult, SupervisorConfig};
 use mfn_autodiff::{flatten_grads, unflatten_grads, ParamStore};
-use mfn_core::{Corpus, GradReduce, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer};
+use mfn_core::{Corpus, GradReduce, MfnConfig, TrainConfig};
 use mfn_telemetry::Recorder;
 use mfn_tensor::Tensor;
-use std::time::{Duration, Instant};
-
-/// Result of one data-parallel training run.
-#[derive(Debug, Clone)]
-pub struct DistRunResult {
-    /// Number of workers.
-    pub workers: usize,
-    /// Mean combined loss per epoch (averaged over workers and batches).
-    pub epoch_losses: Vec<f32>,
-    /// Cumulative wall-clock seconds at the end of each epoch.
-    pub epoch_wall: Vec<f64>,
-    /// Aggregate throughput in *samples per second* (batch × queries count
-    /// as one sample per patch, matching the paper's Fig. 7a axis).
-    pub throughput: f64,
-    /// Trained parameters of worker 0 (all workers are identical).
-    pub final_params: Vec<f32>,
-    /// Worker 0's batch-norm running statistics, as
-    /// `MeshfreeFlowNet::write_bn_stats` streams them: they live in the
-    /// layers, not the parameter store, so a model rebuilt from
-    /// [`DistRunResult::final_params`] needs `read_bn_stats` on these too.
-    pub final_bn_stats: Vec<u8>,
-    /// Gradient buffer size in elements (for the scaling model).
-    pub grad_elems: usize,
-    /// Seconds each rank spent blocked in the ring all-reduce, summed over
-    /// the whole run (index = rank).
-    pub allreduce_wait: Vec<f64>,
-    /// Parameter digest of every rank after every epoch
-    /// (`epoch_param_digests[rank][epoch]`), for replica-consistency checks:
-    /// synchronous data-parallel SGD must keep these identical across ranks.
-    pub epoch_param_digests: Vec<Vec<u64>>,
-    /// Every rank's final flattened parameters (index = rank). Rank 0 is
-    /// duplicated in [`DistRunResult::final_params`].
-    pub final_params_by_rank: Vec<Vec<f32>>,
-}
+use std::time::Duration;
 
 /// FNV-1a over the bit patterns of a parameter vector: a cheap, order-
 /// sensitive fingerprint used to assert replicas stay bit-identical (and,
@@ -74,13 +43,6 @@ pub(crate) fn rank_seed(seed: u64, rank: usize) -> u64 {
     seed.wrapping_add(rank as u64 * 7919)
 }
 
-/// The model's batch-norm running statistics as a byte stream.
-pub(crate) fn bn_stats_bytes(model: &MeshfreeFlowNet) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    model.write_bn_stats(&mut bytes).expect("writes into a Vec cannot fail");
-    bytes
-}
-
 /// Why a rank did not finish its epoch.
 #[derive(Debug)]
 pub(crate) enum RankFailure {
@@ -91,11 +53,11 @@ pub(crate) enum RankFailure {
 }
 
 /// A rank's gradient exchange: flatten → ring all-reduce (mean) →
-/// unflatten, under an optional per-collective time budget and a
+/// unflatten, under a per-collective time budget and a
 /// [`FaultPlan`] addressed to the rank's logical identity.
 pub(crate) struct RingReduce<'a> {
     handle: RingHandle,
-    timeout: Option<Duration>,
+    timeout: Duration,
     plan: &'a FaultPlan,
     /// Logical rank: stable across ring re-forms, unlike `handle.rank()`.
     pub rank: usize,
@@ -124,7 +86,7 @@ impl GradReduce for RingReduce<'_> {
             std::thread::sleep(d);
         }
         self.handle
-            .all_reduce_mean(&mut flat, self.timeout)
+            .all_reduce_mean(&mut flat, Some(self.timeout))
             .map_err(|err| RankFailure::Ring { rank: self.rank, err })?;
         *grads = unflatten_grads(store, &flat);
         Ok(())
@@ -135,7 +97,7 @@ impl GradReduce for RingReduce<'_> {
 /// with its endpoint of one ring over them; results in `ranks` order.
 pub(crate) fn on_ring<T: Send>(
     ranks: &[usize],
-    timeout: Option<Duration>,
+    timeout: Duration,
     plan: &FaultPlan,
     rank_body: impl Fn(RingReduce<'_>) -> T + Sync,
 ) -> Vec<T> {
@@ -153,11 +115,9 @@ pub(crate) fn on_ring<T: Send>(
     })
 }
 
-/// Runs synchronous data-parallel training of MeshfreeFlowNet.
-///
-/// `batches_per_epoch` mini-batches are processed by *each* worker per
-/// epoch (weak scaling, like the paper: the global batch grows with the
-/// worker count).
+/// Runs synchronous data-parallel training of MeshfreeFlowNet on
+/// `workers` ranks: [`train_elastic`] with the default
+/// [`SupervisorConfig`] and no injected faults.
 pub fn train_data_parallel(
     corpus: &Corpus,
     model_cfg: &MfnConfig,
@@ -167,19 +127,9 @@ pub fn train_data_parallel(
     train_data_parallel_recorded(corpus, model_cfg, train_cfg, workers, Recorder::null())
 }
 
-/// What one rank reports back: its trainer after the last epoch and, per
-/// epoch, `(mean loss, seconds since the run started, parameter digest)`.
-type RankRun = (Trainer, Vec<(f32, f64, u64)>);
-
-/// [`train_data_parallel`] with telemetry: every rank emits what a
-/// single-process [`Trainer`] emits — one `StepMetrics` per gradient step
-/// (tagged with its rank, including the seconds it spent in the ring
-/// all-reduce) and the per-epoch gauges — through a clone of `recorder`,
-/// and the run-level aggregates land in the returned [`DistRunResult`].
-///
-/// # Panics
-/// Panics if a worker dies: a run-to-completion ring has no one to re-form
-/// it (that is [`crate::train_elastic`]).
+/// [`train_data_parallel`] with telemetry: what [`train_elastic`] emits
+/// through `recorder`, one `StepMetrics` per gradient step of every rank
+/// included.
 pub fn train_data_parallel_recorded(
     corpus: &Corpus,
     model_cfg: &MfnConfig,
@@ -187,78 +137,18 @@ pub fn train_data_parallel_recorded(
     workers: usize,
     recorder: Recorder,
 ) -> DistRunResult {
-    let start = Instant::now();
-    let runs = run_ranks(corpus, model_cfg, train_cfg, workers, &recorder);
-    let elapsed = start.elapsed().as_secs_f64();
-    let epochs = train_cfg.epochs;
-    let total_samples =
-        (workers * train_cfg.batches_per_epoch * train_cfg.batch_size * epochs) as f64;
-    let throughput = total_samples / elapsed;
-    recorder.gauge("throughput_samples_per_sec", throughput);
-    let final_params_by_rank: Vec<Vec<f32>> =
-        runs.iter().map(|(t, _)| t.model.store.flatten()).collect();
-    let rank0 = &runs[0].0.model;
-    DistRunResult {
-        workers,
-        epoch_losses: (0..epochs)
-            .map(|e| runs.iter().map(|(_, ep)| ep[e].0).sum::<f32>() / workers as f32)
-            .collect(),
-        epoch_wall: (0..epochs)
-            .map(|e| runs.iter().map(|(_, ep)| ep[e].1).fold(0.0, f64::max))
-            .collect(),
-        throughput,
-        final_params: final_params_by_rank[0].clone(),
-        final_bn_stats: bn_stats_bytes(rank0),
-        grad_elems: rank0.store.total_numel(),
-        allreduce_wait: runs.iter().map(|(t, _)| t.reduce_wait_s()).collect(),
-        epoch_param_digests: runs
-            .iter()
-            .map(|(_, ep)| ep.iter().map(|&(_, _, digest)| digest).collect())
-            .collect(),
-        final_params_by_rank,
-    }
-}
-
-/// Runs `workers` fresh ranks to completion — every epoch through a ring
-/// without deadlines — and returns them in rank order.
-fn run_ranks(
-    corpus: &Corpus,
-    model_cfg: &MfnConfig,
-    train_cfg: &TrainConfig,
-    workers: usize,
-    recorder: &Recorder,
-) -> Vec<RankRun> {
-    assert!(workers >= 1);
-    let start = Instant::now();
-    let ranks: Vec<usize> = (0..workers).collect();
-    on_ring(&ranks, None, &FaultPlan::none(), |mut reduce| {
-        // Identical model seed across replicas → identical initialization;
-        // no parameter broadcast needed (verified by
-        // `replicas_stay_identical`). Only the batch stream differs.
-        let cfg = TrainConfig { seed: rank_seed(train_cfg.seed, reduce.rank), ..*train_cfg };
-        let mut trainer = Trainer::new(MeshfreeFlowNet::new(model_cfg.clone()), cfg)
-            .with_rank(reduce.rank)
-            .with_recorder(recorder.clone());
-        let epochs = (0..cfg.epochs)
-            .map(|_| {
-                let rec = trainer
-                    .run_epoch(corpus, &mut reduce)
-                    .unwrap_or_else(|e| panic!("ring peer hung up: {e:?}"));
-                let digest = param_digest(&trainer.model.store.flatten());
-                (rec.loss, start.elapsed().as_secs_f64(), digest)
-            })
-            .collect();
-        (trainer, epochs)
-    })
+    let sup = SupervisorConfig { workers, ..Default::default() };
+    train_elastic(corpus, model_cfg, train_cfg, &sup, &FaultPlan::none(), recorder)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use mfn_core::{decode_train_state, MeshfreeFlowNet};
     use mfn_data::{downsample, Dataset, PatchSpec};
     use mfn_solver::{simulate, RbcConfig};
 
-    fn tiny_setup() -> (Corpus, MfnConfig, TrainConfig) {
+    pub(crate) fn tiny_setup() -> (Corpus, MfnConfig, TrainConfig) {
         let sim = simulate(
             &RbcConfig { nx: 16, nz: 9, ra: 1e5, dt_max: 2e-3, ..Default::default() },
             0.1,
@@ -311,16 +201,13 @@ mod tests {
                 "rank {rank} params diverged from rank 0 mid-run"
             );
         }
-        // And the final parameter vectors themselves are bit-identical.
-        assert_eq!(r.final_params_by_rank.len(), workers);
-        for rank in 1..workers {
-            assert_eq!(
-                r.final_params_by_rank[rank].iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                r.final_params_by_rank[0].iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                "rank {rank} final params differ from rank 0"
-            );
-        }
-        assert_eq!(r.final_params, r.final_params_by_rank[0]);
+        // Every epoch committed whole on the full world, and the committed
+        // master is what every rank ended the run with.
+        assert!(r.completed);
+        assert_eq!((r.failures, r.ring_reforms), (0, 0));
+        assert_eq!(r.epoch_worlds, vec![workers; tc.epochs]);
+        assert_eq!(r.epoch_param_digests[0].len(), tc.epochs);
+        assert_eq!(r.epoch_param_digests[0].last(), Some(&param_digest(&r.final_params)));
     }
 
     #[test]
@@ -352,43 +239,28 @@ mod tests {
     }
 
     /// BN running statistics live in the layers, not the parameter store:
-    /// a model rebuilt from the result needs `final_bn_stats` to be rank
-    /// 0's replica (at the parent it silently kept the fresh defaults).
+    /// the model decoded from `final_state` is the master, statistics
+    /// included, and the state resumes the run where it ended.
     #[test]
-    fn result_rebuilds_rank0_replica_including_bn_statistics() {
+    fn final_state_decodes_to_the_master_including_bn_statistics() {
         let (corpus, cfg, tc) = tiny_setup();
         let r = train_data_parallel(&corpus, &cfg, &tc, 2);
-        // The replica itself, from an identical (deterministic) second run.
-        let ranks = run_ranks(&corpus, &cfg, &tc, 2, &Recorder::null());
-        let replica = &ranks[0].0.model;
+        let mut decoded = MeshfreeFlowNet::new(cfg.clone());
+        let (opt, meta) =
+            decode_train_state(&mut decoded, &mut r.final_state.as_slice()).expect("own state");
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&replica.store.flatten()), bits(&r.final_params));
+        assert_eq!(bits(&decoded.store.flatten()), bits(&r.final_params));
+        assert_eq!(opt.steps(), (tc.epochs * tc.batches_per_epoch) as u64);
+        assert_eq!((meta.epoch, meta.batch_cursor, meta.rngs.len()), (tc.epochs, 0, 2));
 
         let mut fresh_bn = MeshfreeFlowNet::new(cfg.clone());
         fresh_bn.store.unflatten_into(&r.final_params);
-        let mut rebuilt = MeshfreeFlowNet::new(cfg.clone());
-        rebuilt.store.unflatten_into(&r.final_params);
-        rebuilt.read_bn_stats(&mut r.final_bn_stats.as_slice()).expect("same architecture");
-
         let input = mfn_core::extract_patch(&corpus.pairs[0].1, [0, 0, 0], cfg.patch, corpus.stats);
-        let want = bits(replica.encode(&input).data());
-        assert_eq!(bits(rebuilt.encode(&input).data()), want, "rebuilt model is not the replica");
-        assert_ne!(bits(fresh_bn.encode(&input).data()), want, "BN statistics had no effect");
-    }
-
-    /// `lr_decay` reaches every rank (parent: both drivers ignored it).
-    #[test]
-    fn lr_decay_anneals_every_rank() {
-        let (corpus, cfg, tc) = tiny_setup();
-        let tc = TrainConfig { lr_decay: 0.5, ..tc };
-        let (recorder, sink) = Recorder::memory(4096);
-        train_data_parallel_recorded(&corpus, &cfg, &tc, 2, recorder);
-        let steps = sink.train_steps();
-        for rank in 0..2 {
-            let last = steps.iter().rfind(|m| m.rank == rank).expect("rank stepped");
-            assert_eq!(last.epoch, 2);
-            assert_eq!(last.lr, tc.lr * 0.25, "rank {rank}");
-        }
+        assert_ne!(
+            bits(fresh_bn.encode(&input).data()),
+            bits(decoded.encode(&input).data()),
+            "BN statistics had no effect"
+        );
     }
 
     #[test]

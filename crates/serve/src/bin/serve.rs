@@ -7,11 +7,11 @@
 //!              [--telemetry PATH] [--duration-s N] [--refine]
 //! ```
 //!
-//! `--ckpt` names an `MFNSTAT1` train-state file (as written by `train
-//! --checkpoint-every`); only parameters and BN statistics are loaded — the
-//! Adam moments are never materialized. The architecture comes from the
-//! JSON sidecar `train` writes next to the model checkpoint; by default it
-//! is derived from the state path (`model.ckpt.state` → `model.ckpt.cfg.json`).
+//! `--ckpt` names an `MFNSTAT1` train-state file (`train --ckpt model.ckpt`
+//! always writes `model.ckpt.state`); only parameters and BN statistics are
+//! loaded — the Adam moments are never materialized. The architecture comes
+//! from the JSON sidecar `train` writes next to it; by default it is derived
+//! from the state path (`model.ckpt.state` → `model.ckpt.cfg.json`).
 //! Prints `listening on ADDR` once ready. With `--duration-s N` the server
 //! drains gracefully after N seconds (for CI smoke runs); otherwise it
 //! serves until killed.

@@ -153,7 +153,7 @@ impl Tensor {
 
     /// Writes the tensor in the workspace's little-endian binary layout
     /// (rank `u32`, dims `u64` each, then the `f32` payload). The inverse of
-    /// [`Tensor::read_from`]; used by the checkpoint codecs so every tensor
+    /// [`Tensor::read_into`]; used by the checkpoint codecs so every tensor
     /// on disk shares one format.
     pub fn write_to(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
         w.write_all(&(self.shape.rank() as u32).to_le_bytes())?;
@@ -166,49 +166,44 @@ impl Tensor {
         Ok(())
     }
 
-    /// Reads a tensor written by [`Tensor::write_to`].
-    ///
-    /// The header's element count is only a claim: the buffer grows as
-    /// payload bytes arrive, so a header over a short input allocates no
-    /// more than that input could fill.
+    /// Reads a tensor written by [`Tensor::write_to`] over `self`, whose
+    /// shape the stream must carry. The header is compared with
+    /// `self.dims()` as it arrives, before any payload is read, so nothing
+    /// the stream claims is ever allocated.
     ///
     /// # Errors
-    /// Returns `UnexpectedEof` on truncation and `InvalidData` on an
-    /// implausible header (a rank above 16, or dims whose byte count
-    /// overflows `usize`).
-    pub fn read_from(r: &mut impl std::io::Read) -> std::io::Result<Tensor> {
+    /// `InvalidData` (naming a "shape mismatch") if the header disagrees,
+    /// `UnexpectedEof` on truncation; `self` then holds partial values.
+    pub fn read_into(&mut self, r: &mut impl std::io::Read) -> std::io::Result<()> {
         const CHUNK: usize = 4096;
-        let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
+        let dims = self.dims();
+        let mismatch = |got: String| {
+            let msg = format!("shape mismatch: stream {got}, tensor {dims:?}");
+            std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+        };
         let mut b4 = [0u8; 4];
         r.read_exact(&mut b4)?;
         let rank = u32::from_le_bytes(b4) as usize;
-        if rank > 16 {
-            return Err(bad("tensor rank implausibly large"));
+        if rank != dims.len() {
+            return Err(mismatch(format!("rank {rank}")));
         }
-        let mut dims = Vec::with_capacity(rank);
         let mut b8 = [0u8; 8];
-        for _ in 0..rank {
+        for (axis, &d) in dims.iter().enumerate() {
             r.read_exact(&mut b8)?;
-            let dim = usize::try_from(u64::from_le_bytes(b8));
-            dims.push(dim.map_err(|_| bad("tensor dims overflow usize"))?);
+            let got = u64::from_le_bytes(b8);
+            if got != d as u64 {
+                return Err(mismatch(format!("dim {axis} of {got}")));
+            }
         }
-        let numel = dims
-            .iter()
-            .try_fold(4usize, |bytes, &d| bytes.checked_mul(d))
-            .map(|bytes| bytes / 4)
-            .ok_or_else(|| bad("tensor dims overflow usize"))?;
-        let mut data = workspace::take_vec_capacity(numel.min(CHUNK));
         let mut buf = [0u8; 4 * CHUNK];
-        while data.len() < numel {
-            let take = (numel - data.len()).min(CHUNK);
-            r.read_exact(&mut buf[..4 * take])?;
-            data.extend(
-                buf[..4 * take]
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
-            );
+        for chunk in self.data.chunks_mut(CHUNK) {
+            let bytes = &mut buf[..4 * chunk.len()];
+            r.read_exact(bytes)?;
+            for (v, b) in chunk.iter_mut().zip(bytes.chunks_exact(4)) {
+                *v = f32::from_le_bytes(b.try_into().expect("4 bytes"));
+            }
         }
-        Ok(Tensor::from_vec(data, &dims))
+        Ok(())
     }
 
     /// Reinterprets the buffer with a new shape of equal element count.
@@ -497,12 +492,12 @@ mod tests {
     #[test]
     fn binary_io_roundtrips_bits() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        for dims in [&[][..], &[1], &[7], &[3, 5], &[2, 3, 4, 5]] {
+        for dims in [&[][..], &[1], &[7], &[3, 5], &[2, 3, 4, 5], &[4097]] {
             let t = Tensor::randn(dims, 1.0, &mut rng);
             let mut buf = Vec::new();
             t.write_to(&mut buf).expect("write");
-            let back = Tensor::read_from(&mut buf.as_slice()).expect("read");
-            assert_eq!(back.dims(), t.dims());
+            let mut back = Tensor::zeros(dims);
+            back.read_into(&mut buf.as_slice()).expect("read");
             let bits = |x: &Tensor| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&back), bits(&t));
         }
@@ -513,27 +508,26 @@ mod tests {
         let t = Tensor::ones(&[4, 4]);
         let mut buf = Vec::new();
         t.write_to(&mut buf).expect("write");
+        let mut into = Tensor::zeros(&[4, 4]);
         for cut in [1, 3, buf.len() / 2, buf.len() - 1] {
-            assert!(Tensor::read_from(&mut &buf[..cut]).is_err(), "cut at {cut} must fail");
+            let err = into.read_into(&mut &buf[..cut]).expect_err("truncated");
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
         }
-        // A header claiming an absurd rank must not allocate.
-        let garbage = u32::MAX.to_le_bytes();
-        assert!(Tensor::read_from(&mut &garbage[..]).is_err());
-        // Dims whose product overflows usize: a typed error, not a panic
-        // (debug) or a wrapped count (release).
+        // A header naming another shape — an absurd rank, other dims, or a
+        // 2^33-element claim over 8 payload bytes — is refused before any
+        // payload is read.
         let header = |dims: &[u64]| {
             let mut h = (dims.len() as u32).to_le_bytes().to_vec();
             dims.iter().for_each(|d| h.extend_from_slice(&d.to_le_bytes()));
+            h.extend_from_slice(&[0u8; 8]);
             h
         };
-        let overflow = header(&[1 << 40, 1 << 40]);
-        let err = Tensor::read_from(&mut overflow.as_slice()).expect_err("overflowing dims");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        // A 2^33-element header over 8 payload bytes fails at the end of the
-        // input without first reserving 32 GiB.
-        let mut short = header(&[1 << 33]);
-        short.extend_from_slice(&[0u8; 8]);
-        let err = Tensor::read_from(&mut short.as_slice()).expect_err("short payload");
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        let mut absurd = u32::MAX.to_le_bytes().to_vec();
+        absurd.extend_from_slice(&[0u8; 8]);
+        for bytes in [absurd, header(&[4, 5]), header(&[16]), header(&[1 << 33])] {
+            let err = into.read_into(&mut bytes.as_slice()).expect_err("other shape");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("shape mismatch"), "{err}");
+        }
     }
 }

@@ -1,14 +1,16 @@
-//! Integration tests: model checkpoint round-trips, full train-state
-//! crash-resume bit-exactness, and corruption handling.
+//! Integration tests: the train-state checkpoint round-trips into the
+//! serving engine, crash-resume is bit-exact, and corruption is handled.
 
 use meshfreeflownet::core::{
-    load_train_state, load_train_state_with_fallback, prev_path, save_train_state, ChannelStats,
-    CheckpointError, Corpus, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+    covering_origins, extract_patch, load_train_state, load_train_state_with_fallback, prev_path,
+    save_train_state, CheckpointError, Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig,
+    TrainConfig, Trainer,
 };
 use meshfreeflownet::data::{downsample, Dataset, PatchSpec};
 use meshfreeflownet::dist::param_digest;
 use meshfreeflownet::solver::{simulate, RbcConfig};
 use meshfreeflownet::telemetry::Recorder;
+use meshfreeflownet::tensor::Tensor;
 use std::path::PathBuf;
 
 /// Per-test unique temp dir, removed on drop (panic included) so parallel
@@ -56,9 +58,13 @@ fn tiny_corpus() -> (Corpus, Dataset, Dataset) {
     (corpus, hr, lr)
 }
 
+/// What `train` writes is what `serve` loads: a trained `Trainer`'s
+/// checkpoint, loaded by `FrozenModel::load_state`, super-resolves bit for
+/// bit like the trained model — every covering patch's encode and its
+/// decode at a lattice of points, batch-norm running statistics included.
 #[test]
 fn trained_model_roundtrips_through_checkpoint() {
-    let (corpus, hr, lr) = tiny_corpus();
+    let (corpus, _hr, lr) = tiny_corpus();
     let mut trainer = Trainer::new(
         MeshfreeFlowNet::new(tiny_cfg()),
         TrainConfig {
@@ -72,36 +78,55 @@ fn trained_model_roundtrips_through_checkpoint() {
     trainer.train(&corpus);
 
     let dir = TempDir::new("integration");
-    let path = dir.path("trained.ckpt");
-    trainer.model.save(&path).expect("save");
+    let path = dir.path("trained.ckpt.state");
+    trainer.save_checkpoint(&path).expect("save");
+    let frozen = FrozenModel::load_state(tiny_cfg(), &path).expect("load");
+    let untrained = FrozenModel::from_model(MeshfreeFlowNet::new(tiny_cfg()));
+    assert_eq!(frozen.trained_steps(), 3 * 4);
 
-    // A fresh model (different seed → different init) restored from the
-    // checkpoint must produce bit-identical super-resolution output —
-    // including the batch-norm running statistics, which are part of the
-    // saved state alongside the trainable parameters.
-    let mut fresh_cfg = tiny_cfg();
-    fresh_cfg.seed = 12345;
-    let mut fresh = MeshfreeFlowNet::new(fresh_cfg);
-    let stats = ChannelStats::from_meta(&hr.meta);
-    let before = fresh.super_resolve(&lr, &hr.meta, stats);
-    fresh.load(&path).expect("load");
-
-    let a = trainer.model.super_resolve(&lr, &hr.meta, stats);
-    let b = fresh.super_resolve(&lr, &hr.meta, stats);
-    assert_ne!(before.data, b.data, "load had no effect");
-    assert_eq!(a.data, b.data, "restored model differs from the trained one");
+    let lattice: Vec<(usize, [f32; 3])> = (0..125)
+        .map(|i| (0, [(i / 25) as f32 / 4.0, (i / 5 % 5) as f32 / 4.0, (i % 5) as f32 / 4.0]))
+        .collect();
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let spec = trainer.model.cfg.patch;
+    let origins = covering_origins(&lr, spec);
+    for &t in &origins.t {
+        for &z in &origins.z {
+            for &x in &origins.x {
+                let patch = extract_patch(&lr, [t, z, x], spec, corpus.stats);
+                let (want, got) = (trainer.model.encode(&patch), frozen.encode(&patch));
+                assert_eq!(bits(&got), bits(&want), "encode of patch {:?}", [t, z, x]);
+                assert_ne!(bits(&untrained.encode(&patch)), bits(&want), "load had no effect");
+                assert_eq!(
+                    bits(&frozen.decode_values(&got, lattice.iter().copied())),
+                    bits(&trainer.model.decode_values(&want, lattice.iter().copied())),
+                    "decode of patch {:?}",
+                    [t, z, x]
+                );
+            }
+        }
+    }
 }
 
+/// A train state written under one architecture is refused by a model of
+/// another (wider latent grid), both when served and when resumed, as a
+/// typed `Incompatible` rather than misloaded weights or a panic.
 #[test]
 fn load_rejects_different_architecture() {
-    let model = MeshfreeFlowNet::new(tiny_cfg());
+    let trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), TrainConfig::default());
     let dir = TempDir::new("arch");
-    let path = dir.path("m.ckpt");
-    model.save(&path).expect("save");
+    let path = dir.path("m.ckpt.state");
+    trainer.save_checkpoint(&path).expect("save");
     let mut bigger_cfg = tiny_cfg();
     bigger_cfg.latent_channels = 16;
-    let mut bigger = MeshfreeFlowNet::new(bigger_cfg);
-    assert!(bigger.load(&path).is_err());
+    assert!(matches!(
+        FrozenModel::load_state(bigger_cfg.clone(), &path),
+        Err(CheckpointError::Incompatible(_))
+    ));
+    assert!(matches!(
+        Trainer::resume(MeshfreeFlowNet::new(bigger_cfg), TrainConfig::default(), &path),
+        Err(CheckpointError::Incompatible(_))
+    ));
 }
 
 /// The headline resume guarantee: 6 epochs straight vs. 3 epochs → full

@@ -1,7 +1,8 @@
 //! Integration tests of the distributed layer against the serial trainer.
 
-use meshfreeflownet::core::MeshfreeFlowNet;
-use meshfreeflownet::core::{Corpus, MfnConfig, TrainConfig, Trainer};
+use meshfreeflownet::core::{
+    decode_train_state, Corpus, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+};
 use meshfreeflownet::data::{downsample, Dataset, PatchSpec};
 use meshfreeflownet::dist::{ring, train_data_parallel};
 use meshfreeflownet::solver::{simulate, RbcConfig};
@@ -129,9 +130,9 @@ fn one_worker_distributed_matches_serial_scale() {
 }
 
 /// One worker of the data-parallel driver *is* the serial trainer: the same
-/// rank body with an all-reduce over a world of one. Parameters and
-/// batch-norm statistics agree bit for bit, with and without LR decay (at
-/// the parent the driver ignored `lr_decay`).
+/// rank body with an all-reduce over a world of one. Parameters, and the
+/// model decoded from the run's final state (batch-norm statistics
+/// included), agree bit for bit, with and without LR decay.
 #[test]
 fn one_worker_distributed_is_the_serial_trainer_bit_for_bit() {
     let (corpus, cfg, tc) = setup();
@@ -146,8 +147,14 @@ fn one_worker_distributed_is_the_serial_trainer_bit_for_bit() {
             bits(&serial.model.store.flatten()),
             "lr_decay {lr_decay}"
         );
-        let mut bn = Vec::new();
-        serial.model.write_bn_stats(&mut bn).expect("vec write");
-        assert_eq!(r.final_bn_stats, bn, "lr_decay {lr_decay}");
+        let mut decoded = MeshfreeFlowNet::new(cfg.clone());
+        decode_train_state(&mut decoded, &mut r.final_state.as_slice()).expect("own state");
+        let bn = |m: &MeshfreeFlowNet| {
+            let mut bytes = Vec::new();
+            m.write_bn_stats(&mut bytes).expect("vec write");
+            bytes
+        };
+        assert_eq!(bn(&decoded), bn(&serial.model), "lr_decay {lr_decay}");
+        assert_eq!(bits(&decoded.store.flatten()), bits(&r.final_params), "lr_decay {lr_decay}");
     }
 }

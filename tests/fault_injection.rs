@@ -135,9 +135,9 @@ fn kill_and_resume_matches_no_fault_plan_bit_for_bit() {
     assert_eq!(faulted.failures, 1);
     assert_eq!(faulted.ring_reforms, 1);
     assert_eq!(faulted.final_world, 2, "restart mode holds the world fixed");
-    assert_eq!(
-        faulted.final_digest, clean.final_digest,
-        "rollback + restart must reproduce the faultless digest"
+    assert!(
+        faulted.final_state == clean.final_state,
+        "rollback + restart must reproduce the faultless state"
     );
     // The checkpoint writer ran before every epoch (plus the retried round
     // and the final state) and reported its volume.
@@ -169,8 +169,8 @@ fn elastic_resume_from_checkpoint_is_bit_identical() {
         train_elastic(&corpus, &cfg, &tc4, &ckpt_sup, &FaultPlan::none(), Recorder::null());
     assert!(resumed.completed);
     assert_eq!(resumed.epoch_losses.len(), 2, "resume must skip the committed epochs");
-    assert_eq!(
-        resumed.final_digest, straight.final_digest,
+    assert!(
+        resumed.final_state == straight.final_state,
         "checkpoint-resumed elastic run diverged from the uninterrupted one"
     );
 }
@@ -197,7 +197,7 @@ fn stalled_allreduce_times_out_rolls_back_and_retries() {
     assert_eq!(result.failures, 1, "the stall round counts as one failure");
     assert_eq!(result.ring_reforms, 1);
     assert_eq!(result.final_world, 2, "a stall kills no rank; the world stays whole");
-    assert_eq!(result.final_digest, clean.final_digest);
+    assert!(result.final_state == clean.final_state);
     assert_eq!(sink.counter_total("dist.failures"), 1);
     assert_eq!(sink.counter_total("dist.ring_reforms"), 1);
 }
