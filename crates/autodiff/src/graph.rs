@@ -41,9 +41,8 @@
 use crate::nn::Activation;
 use crate::params::{ParamId, ParamStore};
 use mfn_tensor::{
-    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, matmul, matmul_nt, matmul_tn, maxpool3d,
-    maxpool3d_backward, upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims, PackedConv3d,
-    Tensor,
+    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, maxpool3d, maxpool3d_backward,
+    upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims, PackedConv3d, Tensor,
 };
 use mfn_tensor::{rowops, workspace};
 
@@ -63,11 +62,8 @@ enum Op {
     Sub(Var, Var),
     /// Element-wise (Hadamard) product.
     Mul(Var, Var),
-    Neg(Var),
     Scale(Var, f32),
     AddScalar(Var),
-    /// `A @ B` for rank-2 operands.
-    Matmul(Var, Var),
     /// A fully-connected layer `act(w · x + b)` for the feature-major `x:
     /// [in, lanes·M]`, `w: [out, in]`, `b: [out]` — or, with a `seed`, for
     /// the one-lane `x: [in, M]` of [`Graph::linear_seeded`], whose six-lane
@@ -108,7 +104,6 @@ enum Op {
         start: usize,
         len: usize,
     },
-    Reshape(Var),
     Conv3d {
         input: Var,
         weight: Var,
@@ -165,10 +160,8 @@ impl Op {
             Op::Add(..) => "add",
             Op::Sub(..) => "sub",
             Op::Mul(..) => "mul",
-            Op::Neg(..) => "neg",
             Op::Scale(..) => "scale",
             Op::AddScalar(..) => "add_scalar",
-            Op::Matmul(..) => "matmul",
             Op::Linear { .. } => "linear",
             Op::BiasChannel(..) => "bias_channel",
             Op::Relu(..) => "relu",
@@ -179,7 +172,6 @@ impl Op {
             Op::Mean(..) => "mean",
             Op::Concat { .. } => "concat",
             Op::Narrow { .. } => "narrow",
-            Op::Reshape(..) => "reshape",
             Op::Conv3d { .. } => "conv3d",
             Op::MaxPool3d { .. } => "maxpool3d",
             Op::Upsample3d { .. } => "upsample3d",
@@ -195,22 +187,16 @@ impl Op {
     fn inputs(&self) -> Vec<Var> {
         match self {
             Op::Leaf => vec![],
-            Op::Add(a, b)
-            | Op::Sub(a, b)
-            | Op::Mul(a, b)
-            | Op::Matmul(a, b)
-            | Op::BiasChannel(a, b) => vec![*a, *b],
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::BiasChannel(a, b) => vec![*a, *b],
             Op::Linear { x, w, b, .. } => vec![*x, *w, *b],
-            Op::Neg(a)
-            | Op::Scale(a, _)
+            Op::Scale(a, _)
             | Op::AddScalar(a)
             | Op::Relu(a)
             | Op::Softplus(a)
             | Op::Tanh(a)
             | Op::Abs(a)
             | Op::Sum(a)
-            | Op::Mean(a)
-            | Op::Reshape(a) => vec![*a],
+            | Op::Mean(a) => vec![*a],
             Op::Concat { inputs, .. } => inputs.clone(),
             Op::Narrow { input, .. }
             | Op::MaxPool3d { input, .. }
@@ -388,13 +374,6 @@ impl Graph {
         self.push(v, Op::Mul(a, b), rg)
     }
 
-    /// Negation.
-    pub fn neg(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.scale(-1.0);
-        let rg = self.rg(a);
-        self.push(v, Op::Neg(a), rg)
-    }
-
     /// Multiplication by a compile-time-known scalar.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
         let v = self.nodes[a.0].value.scale(s);
@@ -407,13 +386,6 @@ impl Graph {
         let v = self.nodes[a.0].value.map(|x| x + s);
         let rg = self.rg(a);
         self.push(v, Op::AddScalar(a), rg)
-    }
-
-    /// Matrix product of rank-2 nodes.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = matmul(&self.nodes[a.0].value, &self.nodes[b.0].value);
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Matmul(a, b), rg)
     }
 
     /// A fully-connected layer `act(w · x + b)` as one node on feature-major
@@ -574,13 +546,6 @@ impl Graph {
         let v = self.nodes[x.0].value.narrow(axis, start, len);
         let rg = self.rg(x);
         self.push(v, Op::Narrow { input: x, axis, start, len }, rg)
-    }
-
-    /// Reinterprets a node's buffer with a new shape.
-    pub fn reshape(&mut self, a: Var, dims: &[usize]) -> Var {
-        let v = self.nodes[a.0].value.clone().reshape(dims);
-        let rg = self.rg(a);
-        self.push(v, Op::Reshape(a), rg)
     }
 
     // ---- structured NN ops ----
@@ -819,25 +784,11 @@ impl Graph {
                     self.accumulate(b, gb);
                 }
             }
-            Op::Neg(a) => {
-                scale_in_place(&mut grad, -1.0);
-                self.accumulate(a, grad);
-            }
             Op::Scale(a, s) => {
                 scale_in_place(&mut grad, s);
                 self.accumulate(a, grad);
             }
             Op::AddScalar(a) => self.accumulate(a, grad),
-            Op::Matmul(a, b) => {
-                if self.rg(a) {
-                    let ga = matmul_nt(&grad, &self.nodes[b.0].value);
-                    self.accumulate(a, ga);
-                }
-                if self.rg(b) {
-                    let gb = matmul_tn(&self.nodes[a.0].value, &grad);
-                    self.accumulate(b, gb);
-                }
-            }
             Op::Linear { x, w, b, act, mut pre, lanes, seed } => {
                 // dz, the adjoint of the pre-activation z = w · x + b, in
                 // place on the adjoint of the output y = act(z) — under a
@@ -963,10 +914,6 @@ impl Graph {
                     slab[start * inner..(start + len) * inner].copy_from_slice(g);
                 }
                 self.accumulate(input, Tensor::from_vec(gi, &dims));
-            }
-            Op::Reshape(a) => {
-                let dims = self.nodes[a.0].value.dims().to_vec();
-                self.accumulate(a, grad.reshape(&dims));
             }
             Op::Conv3d { input, weight, dims } => {
                 if self.rg(input) {

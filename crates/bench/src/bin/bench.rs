@@ -1,23 +1,25 @@
 //! `bench` — kernel + training-step micro-benchmarks with JSON output.
 //! Options: [`USAGE`].
 //!
-//! Measures the blocked GEMM (all three transpose layouts) against the
+//! Measures the conv driver every layer runs on, as a row-major GEMM
+//! (`PackedConv3d::pack_linear` + `forward_slices`), against the
 //! pre-optimization naive `ikj` kernel kept here as a frozen reference,
 //! the implicit-GEMM conv3d (forward and both gradients, a training-shaped
 //! 3×3×3 layer and its pointwise twin), one U-Net encode attributed conv by
 //! conv and stage by stage, the frozen encode/decode split with every decode
-//! row attributed stage by stage and its GEMM stage timed against the blocked
-//! GEMM, the softplus kernel (as a slice and as the decoder's feature-major
-//! epilogue) and its derivative, the decoder's forward and backward on the tape (the link
-//! between the kernel rows and the training step), and one full training step
-//! with the workspace pool on vs off. The results are one [`KernelsReport`],
-//! written by `serde_json` to `BENCH_kernels.json` (default; `--out`
+//! row attributed stage by stage and its GEMM stage timed against the
+//! driver's GEMM, the softplus kernel (as a slice and as the decoder's
+//! feature-major epilogue) and its derivative, the decoder's forward and
+//! backward on the tape (the link between the kernel rows and the training
+//! step), and the heap traffic of one full training step with the workspace
+//! pool on vs off. The results are one [`KernelsReport`], written by
+//! `serde_json` to `BENCH_kernels.json` (default; `--out`
 //! overrides): median wall time, GFLOP/s, heap bytes allocated per call
 //! (counted by the global allocator below), and workspace-pool hit/miss
 //! counters.
 //!
 //! The binary doubles as a regression gate: before timing anything it
-//! re-checks the blocked GEMM against the naive reference on
+//! re-checks the driver's GEMM against the naive reference on
 //! tile-unaligned shapes and the conv3d kernels against a definition loop
 //! and the adjoint identities, and exits non-zero on any mismatch. `--oracle` additionally
 //! runs the full mfn-reftest differential suite first. `--quick`
@@ -25,7 +27,7 @@
 //! the ≥2× speedup the optimization is required to hold on the 256³
 //! GEMM. `--gate BASELINE.json` parses a committed report into the same
 //! [`KernelsReport`] and holds this run's *ratios* against it
-//! ([`run_gate`]): the speedups (blocked/naive GEMM, conv3d/blocked GEMM)
+//! ([`run_gate`]): the speedups (driver/naive GEMM, conv3d/driver GEMM)
 //! may not drop below 85% of the baseline's, and the cost ratios (softplus
 //! derivative/softplus; the tape's six-lane equation loss/one-lane decode)
 //! may not rise above the baseline's by the same margin — ratios, not
@@ -42,8 +44,8 @@ use mfn_core::{
 use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec};
 use mfn_solver::{simulate, RbcConfig};
 use mfn_tensor::{
-    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, rowops, workspace, Conv3dDims,
-    ConvStages, MatLayout, PackedConv3d, Tensor,
+    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, rowops, workspace, Conv3dDims, ConvStages,
+    PackedConv3d, Tensor,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -100,9 +102,9 @@ fn whole(x: f64) -> u64 {
     x.round() as u64
 }
 
-/// The pre-optimization GEMM, frozen verbatim from the seed
-/// tree's `linalg::matmul`: row-major `ikj` with the zero-skip branch.
-/// This is the baseline every speedup in the JSON is measured against.
+/// The pre-optimization GEMM, frozen verbatim from the seed tree's
+/// row-major matrix product: `ikj` with the zero-skip branch. This is the
+/// baseline every speedup in the JSON is measured against.
 fn naive_ikj(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(c.len(), m * n);
     c.fill(0.0);
@@ -183,7 +185,7 @@ fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
 }
 
 /// Schema tag of the report this binary writes.
-const SCHEMA: &str = "mfn-bench/kernels/v14";
+const SCHEMA: &str = "mfn-bench/kernels/v15";
 
 /// `BENCH_kernels.json`. The field names are the keys (the vendored derive
 /// renames nothing) and `--gate` parses a committed report back into this
@@ -298,7 +300,14 @@ impl KernelRow {
     }
 }
 
-/// Correctness gate: blocked GEMM (all layouts) vs the naive reference on
+/// Row-major `c = a · b` for `a: [m, k]`, `b: [k, n]` on the conv driver:
+/// the feature-major `Linear` `y = W · x` with `W = a` over `n` columns
+/// `x = b`, packed per call as the tape's layer node packs it.
+fn driver_gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    PackedConv3d::pack_linear(a, m, k).forward_slices(b, [1, 1, n], c, None);
+}
+
+/// Correctness gate: the driver's GEMM vs the naive reference on
 /// tile-unaligned shapes. Returns an error string on the first mismatch.
 fn check_gemm_vs_naive() -> Result<(), String> {
     for &(m, k, n) in
@@ -310,33 +319,11 @@ fn check_gemm_vs_naive() -> Result<(), String> {
         lcg_fill(&mut b, (k * 17 + m) as u64);
         let mut want = vec![0.0f32; m * n];
         naive_ikj(m, k, n, &a, &b, &mut want);
-        // Row-major transposes so the same product is expressible in
-        // every layout the blocked kernel supports.
-        let mut at = vec![0.0f32; m * k]; // [k, m]
-        let mut bt = vec![0.0f32; k * n]; // [n, k]
-        for i in 0..m {
-            for p in 0..k {
-                at[p * m + i] = a[i * k + p];
-            }
-        }
-        for p in 0..k {
-            for j in 0..n {
-                bt[j * k + p] = b[p * n + j];
-            }
-        }
-        type GemmCase<'a> = (&'a str, &'a [f32], MatLayout, &'a [f32], MatLayout);
-        let cases: [GemmCase<'_>; 3] = [
-            ("nn", &a, MatLayout::Normal, &b, MatLayout::Normal),
-            ("tn", &at, MatLayout::Transposed, &b, MatLayout::Normal),
-            ("nt", &a, MatLayout::Normal, &bt, MatLayout::Transposed),
-        ];
-        for (tag, av, al, bv, bl) in cases {
-            let mut got = vec![0.0f32; m * n];
-            gemm(m, k, n, av, al, bv, bl, &mut got);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                if (g - w).abs() > 1e-4 * (1.0 + w.abs()) {
-                    return Err(format!("gemm_{tag} ({m}x{k}x{n}) mismatch at {i}: {g} vs {w}"));
-                }
+        let mut got = vec![0.0f32; m * n];
+        driver_gemm(m, k, n, &a, &b, &mut got);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            if (g - w).abs() > 1e-4 * (1.0 + w.abs()) {
+                return Err(format!("gemm_nn ({m}x{k}x{n}) mismatch at {i}: {g} vs {w}"));
             }
         }
     }
@@ -1049,7 +1036,11 @@ fn train_fixture() -> (Corpus, Trainer) {
     (corpus, trainer)
 }
 
-/// One full training step with the workspace pool on and off.
+/// What the workspace pool saves one full training step: its heap traffic
+/// with the pool on and off. Not its time: the pool's speed verdict is the
+/// end-to-end `train` workload (DESIGN §9, "Workspace pool"), where turning
+/// it off halves throughput; two sides timed one after the other here share
+/// no machine state and read the opposite.
 #[derive(Serialize, Deserialize)]
 struct TrainStep {
     pool_on: TrainSide,
@@ -1057,47 +1048,34 @@ struct TrainStep {
     alloc_drop_ratio: f64,
 }
 
-/// One side of the pool on/off A/B: median step time, heap traffic of one
-/// step, and the pool's counters over the whole side.
+/// One side of the pool on/off A/B: heap traffic of one step after a
+/// warm-up step, and the pool's counters over that step.
 #[derive(Serialize, Deserialize)]
 struct TrainSide {
-    median_ns: u64,
     alloc_bytes: u64,
     alloc_calls: u64,
     pool_hits: u64,
     pool_misses: u64,
 }
 
-/// Times one full gradient step (forward + backward + Adam) `iters` times
-/// with the workspace pool in the given state.
-fn bench_train_step(iters: usize, pool_on: bool) -> TrainSide {
+/// Counts one full gradient step (forward + backward + Adam), after a
+/// warm-up step, with the workspace pool in the given state.
+fn bench_train_step(pool_on: bool) -> TrainSide {
     let (corpus, mut trainer) = train_fixture();
     let (hr, lr) = &corpus.pairs[0];
     let sampler = PatchSampler::new(hr, lr, trainer.model.cfg.patch);
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let batch = make_batch(&sampler, 4, &mut rng);
     workspace::set_enabled(pool_on);
-    workspace::reset_stats();
     trainer.step(&batch, corpus.params(0), corpus.stats); // warm up
+    workspace::reset_stats();
     let (bytes, calls) = (&counting_alloc::BYTES, &counting_alloc::CALLS);
     let (b0, c0) = (bytes.load(Relaxed), calls.load(Relaxed));
     trainer.step(&batch, corpus.params(0), corpus.stats);
     let (alloc_bytes, alloc_calls) = (bytes.load(Relaxed) - b0, calls.load(Relaxed) - c0);
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        trainer.step(&batch, corpus.params(0), corpus.stats);
-        samples.push(t.elapsed().as_nanos() as f64);
-    }
     let s = workspace::stats();
     workspace::set_enabled(true); // leave the process in the default state
-    TrainSide {
-        median_ns: whole(median_and_best(samples).0),
-        alloc_bytes,
-        alloc_calls,
-        pool_hits: s.hits,
-        pool_misses: s.misses,
-    }
+    TrainSide { alloc_bytes, alloc_calls, pool_hits: s.hits, pool_misses: s.misses }
 }
 
 /// `--gate` margin: each speedup must hold at least this fraction of the
@@ -1112,7 +1090,7 @@ type GateRead = fn(&KernelsReport) -> f64;
 /// ceiling), and where a report keeps it. Each is a quotient of two
 /// interleaved minima, so the machine's absolute speed divides out.
 const GATE_LEGS: [(&str, bool, GateRead); 4] = [
-    ("gemm blocked/naive", true, |r| r.gemm_speedup_vs_naive),
+    ("driver/naive", true, |r| r.gemm_speedup_vs_naive),
     ("conv3d/gemm_nn", true, |r| r.conv3d.implicit_vs_gemm_nn),
     ("softplus derivative/softplus cost", false, |r| r.softplus_grad.ratio_vs_softplus),
     ("equation loss/one-lane decode cost", false, |r| r.tape_decoder.eq_loss_vs_one_lane),
@@ -1167,10 +1145,10 @@ fn run_gate(
 /// Rows of one full block of the no-grad decode (64 queries × 8 vertices).
 const DECODE_BLOCK_ROWS: usize = 512;
 
-/// The operands of the two gated kernel ratios — blocked vs naive GEMM at
-/// `size`³, and the implicit-GEMM conv3d on a training-shaped 3×3×3 layer vs
-/// the blocked GEMM — and of the decoder's GEMM stage, and the one loop that
-/// times them.
+/// The operands of the two gated kernel ratios — the driver's vs the naive
+/// GEMM at `size`³, and the implicit-GEMM conv3d on a training-shaped 3×3×3
+/// layer vs the driver's GEMM — and of the decoder's GEMM stage, and the one
+/// loop that times them.
 struct GatedKernels {
     size: usize,
     a: Vec<f32>,
@@ -1229,12 +1207,6 @@ impl GatedKernels {
         }
     }
 
-    /// The blocked GEMM on the same operands in another layout, on its own.
-    fn gemm_row(&mut self, name: &str, a_l: MatLayout, b_l: MatLayout, iters: usize) -> GemmRow {
-        let (s, a, b, c) = (self.size, &self.a, &self.b, &mut self.c_nn);
-        GemmRow::new(name, s, time_samples(iters, || gemm(s, s, s, a, a_l, b, b_l, c)))
-    }
-
     /// GEMM FLOPs of the decoder layers over one block.
     fn decode_flops(&self) -> f64 {
         let macs: usize = self.widths.windows(2).map(|w| w[0] * w[1]).sum();
@@ -1261,7 +1233,7 @@ impl GatedKernels {
         let (mlp, widths, mlp_in) = (&self.mlp, &self.widths, &self.mlp_in);
         let [mlp_x, mlp_y] = &mut self.mlp_bufs;
         let mut fs: [&mut dyn FnMut(); 6] = [
-            &mut || gemm(size, size, size, a, MatLayout::Normal, b, MatLayout::Normal, c_nn),
+            &mut || driver_gemm(size, size, size, a, b, c_nn),
             &mut || naive_ikj(size, size, size, a, b, c_naive),
             &mut || {
                 std::hint::black_box(conv3d_auto(x, w));
@@ -1290,7 +1262,7 @@ impl GatedKernels {
         timings.into_iter().zip(bytes).map(|((median, best), b)| (median, best, b)).collect()
     }
 
-    /// `[blocked/naive GEMM, conv3d GFLOP/s / blocked GEMM GFLOP/s]` of one
+    /// `[driver/naive GEMM, conv3d GFLOP/s / driver GEMM GFLOP/s]` of one
     /// [`GatedKernels::time`] result — the two speedups `--gate` holds, in
     /// [`GATE_LEGS`] order.
     fn ratios(&self, t: &[(f64, f64, u64)]) -> [f64; 2] {
@@ -1348,7 +1320,9 @@ fn main() {
     }
 
     // ---- Correctness gates (always, before any timing) -----------------
-    eprintln!("[bench] checking blocked GEMM vs naive reference and conv3d vs its definition ...");
+    eprintln!(
+        "[bench] checking the driver's GEMM vs naive reference and conv3d vs its definition ..."
+    );
     if let Err(e) = check_gemm_vs_naive().and_then(|()| check_conv3d_vs_definition()) {
         fail(&e);
     }
@@ -1366,15 +1340,11 @@ fn main() {
     let t = gated.time(iters, false);
     let [speedup, conv_vs_gemm] = gated.ratios(&t);
     if !quick && speedup < 2.0 {
-        fail(&format!("blocked GEMM speedup {speedup:.2}x < required 2x at {size}^3"));
+        fail(&format!("driver GEMM speedup {speedup:.2}x < required 2x at {size}^3"));
     }
-    let blocked = gemm_gflops(size, size, size, t[0].1);
-    let gemm = vec![
-        GemmRow::new("gemm_nn", size, t[0]),
-        gated.gemm_row("gemm_tn", MatLayout::Transposed, MatLayout::Normal, iters),
-        gated.gemm_row("gemm_nt", MatLayout::Normal, MatLayout::Transposed, iters),
-        GemmRow::new("gemm_naive_ikj", size, t[1]),
-    ];
+    let gemm_nn = gemm_gflops(size, size, size, t[0].1);
+    let gemm =
+        vec![GemmRow::new("gemm_nn", size, t[0]), GemmRow::new("gemm_naive_ikj", size, t[1])];
     let (flops, pw_flops) = (gated.conv_flops(&gated.cweight), gated.conv_flops(&gated.pweight));
     let pw = gated.time(iters, true);
     let x = gated.cinput.dims();
@@ -1404,11 +1374,11 @@ fn main() {
         best_ns: whole(t[5].1),
         alloc_bytes_per_call: t[5].2,
         decode_gemm_gflops: round(stage_gflops, 2),
-        decode_vs_gemm_nn: round(stage_gflops / blocked, 3),
+        decode_vs_gemm_nn: round(stage_gflops / gemm_nn, 3),
     };
 
     eprintln!("[bench] attributing one U-Net encode ({iters} iters/layer) ...");
-    let unet_encode = bench_unet_encode(iters, blocked);
+    let unet_encode = bench_unet_encode(iters, gemm_nn);
 
     eprintln!("[bench] timing frozen encode + decode_values ({decode_iters} iters/size) ...");
     let decode_values = bench_decode(decode_iters, gemm_stage);
@@ -1419,12 +1389,10 @@ fn main() {
     // ---- The decoder on the tape: the link between the kernel rows above
     // and the training step below ----------------------------------------
     eprintln!("[bench] timing the decoder on the tape ({decode_iters} iters) ...");
-    let tape_decoder = bench_tape_decoder(decode_iters, blocked);
+    let tape_decoder = bench_tape_decoder(decode_iters, gemm_nn);
 
-    let step_iters = if quick { 5 } else { 15 };
-    eprintln!("[bench] timing one training step, pool on then off ({step_iters} iters each) ...");
-    let (pool_on, pool_off) =
-        (bench_train_step(step_iters, true), bench_train_step(step_iters, false));
+    eprintln!("[bench] counting one training step's allocations, pool on then off ...");
+    let (pool_on, pool_off) = (bench_train_step(true), bench_train_step(false));
     let alloc_drop = 1.0 - pool_on.alloc_bytes as f64 / pool_off.alloc_bytes.max(1) as f64;
 
     let report = KernelsReport {
@@ -1458,7 +1426,7 @@ fn main() {
                 gated.ratios(&t)[leg]
             }
             2 => bench_softplus(iters).1.ratio_vs_softplus,
-            _ => bench_tape_decoder(decode_iters, blocked).eq_loss_vs_one_lane,
+            _ => bench_tape_decoder(decode_iters, gemm_nn).eq_loss_vs_one_lane,
         };
         if let Err(e) = run_gate(&base, &report, remeasure) {
             fail(&e);

@@ -179,7 +179,8 @@ pub fn decode_inference_state(
     if n_rngs == 0 || n_rngs > 1 << 20 {
         return Err(CheckpointError::Corrupt(format!("implausible RNG count {n_rngs}")));
     }
-    let mut rngs = Vec::with_capacity(n_rngs);
+    // Grown as states arrive: the count is not trusted to size anything.
+    let mut rngs = Vec::new();
     for _ in 0..n_rngs {
         let seed = u64le(r)?;
         let words = u64le(r)?;
@@ -433,10 +434,12 @@ mod tests {
         }
     }
 
-    /// The parameter stream's length fields are compared with the model
-    /// before they size anything: a name length or a rank of `u32::MAX`
-    /// inside an otherwise valid payload is a typed error, not a 4 GiB (or
-    /// 32 GiB) allocation.
+    /// The payload's length fields are compared with the model, or with the
+    /// bytes that follow, before they size anything: a name length or a rank
+    /// of `u32::MAX` inside an otherwise valid payload is a typed error, not
+    /// a 4 GiB (or 32 GiB) allocation, and a `1 << 20` RNG count over a
+    /// payload that ends after one state is `Corrupt`, not 16 MiB reserved
+    /// up front.
     #[test]
     fn hostile_parameter_header_is_refused_before_allocating() {
         let cfg = tiny_cfg();
@@ -461,6 +464,15 @@ mod tests {
                 }
                 other => panic!("expected Incompatible, got {:?}", other.map(|_| ())),
             }
+        }
+        // global_step, epoch, batch_cursor, the RNG count, then one state.
+        let mut truncated = payload[..24].to_vec();
+        truncated.extend_from_slice(&(1u64 << 20).to_le_bytes());
+        truncated.extend_from_slice(&payload[32..48]);
+        let mut m = MeshfreeFlowNet::new(cfg);
+        match decode_train_state(&mut m, &mut truncated.as_slice()) {
+            Err(CheckpointError::Corrupt(_)) => {}
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
         }
     }
 

@@ -255,12 +255,6 @@ impl Trainer {
         self.recorder = recorder;
     }
 
-    /// Tags emitted step metrics with `rank` (builder form; default 0).
-    pub fn with_rank(mut self, rank: usize) -> Self {
-        self.rank = rank;
-        self
-    }
-
     /// Writes periodic train-state checkpoints to `path` every
     /// `cfg.checkpoint_every` gradient steps (builder form).
     pub fn with_checkpointing(mut self, path: impl Into<PathBuf>) -> Self {
@@ -313,6 +307,15 @@ impl Trainer {
             return Err(CheckpointError::Incompatible(format!(
                 "checkpoint holds {} sampler streams, rank {rank} of {world} expected",
                 meta.rngs.len()
+            )));
+        }
+        // A cursor is only ever saved inside an epoch (`state_meta`): one at
+        // or past this run's epoch length was written under another
+        // `batches_per_epoch`, and `run_epoch` would run no batch of it.
+        if meta.batch_cursor > 0 && meta.batch_cursor >= cfg.batches_per_epoch {
+            return Err(CheckpointError::Incompatible(format!(
+                "checkpoint is at batch {} of its epoch, this run's epochs have {}",
+                meta.batch_cursor, cfg.batches_per_epoch
             )));
         }
         Ok(Trainer {

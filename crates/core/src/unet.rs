@@ -44,8 +44,6 @@ pub struct ResBlock3d {
     bn3: BatchNorm3d,
     /// Channel projection on the skip path, present iff `cin != cout`.
     skip: Option<Conv3dLayer>,
-    /// Mid-block channel width (the 3×3×3 conv's width).
-    mid: usize,
 }
 
 impl ResBlock3d {
@@ -70,7 +68,6 @@ impl ResBlock3d {
             } else {
                 None
             },
-            mid,
         }
     }
 
@@ -104,11 +101,6 @@ impl ResBlock3d {
             bn3: self.bn3.eval_scale_shift(store),
             skip: self.skip.as_ref().map(|proj| proj.pack(store, vol)),
         }
-    }
-
-    /// Mid-block width (diagnostics).
-    pub fn mid_channels(&self) -> usize {
-        self.mid
     }
 
     /// Appends references to this block's batch-norm layers (for state

@@ -41,6 +41,10 @@ use mfn_telemetry::Recorder;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+/// Upper bound on failure-retry rounds across the run (guards chaos tests
+/// against livelock if a plan keeps killing workers).
+const MAX_RETRIES: usize = 8;
+
 /// Supervisor policy knobs.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
@@ -53,11 +57,6 @@ pub struct SupervisorConfig {
     /// world — preemption-with-replacement); false continues on the
     /// surviving world (elastic shrink).
     pub restart_failed: bool,
-    /// Stop shrinking below this world size; the run aborts instead.
-    pub min_world: usize,
-    /// Upper bound on failure-retry rounds across the run (guards chaos
-    /// tests against livelock if a plan keeps killing workers).
-    pub max_retries: usize,
     /// When set, the master state is checkpointed here before every epoch
     /// and after the last; an existing file is resumed from (falling back
     /// to `<path>.prev` if the newest write is damaged).
@@ -70,8 +69,6 @@ impl Default for SupervisorConfig {
             workers: 2,
             allreduce_timeout: Duration::from_secs(10),
             restart_failed: false,
-            min_world: 1,
-            max_retries: 8,
             checkpoint_path: None,
         }
     }
@@ -114,7 +111,7 @@ pub struct DistRunResult {
     /// World size at the end of the run.
     pub final_world: usize,
     /// True when the run committed every configured epoch (false when the
-    /// retry budget or `min_world` stopped it early).
+    /// retry budget ran out or no worker survived).
     pub completed: bool,
 }
 
@@ -130,7 +127,7 @@ pub struct DistRunResult {
 /// round, the failure counters and `throughput_samples_per_sec`.
 ///
 /// # Panics
-/// Panics if `sup.workers == 0`, `sup.min_world == 0`, or a configured
+/// Panics if `sup.workers == 0` or a configured
 /// checkpoint cannot be written; a *damaged* checkpoint on resume falls
 /// back to `<path>.prev` and only panics when both copies are bad.
 pub fn train_elastic(
@@ -142,7 +139,6 @@ pub fn train_elastic(
     recorder: Recorder,
 ) -> DistRunResult {
     assert!(sup.workers >= 1, "supervisor needs at least one worker");
-    assert!(sup.min_world >= 1, "min_world must be at least 1");
 
     // Master state, authoritative between rounds: the replica, its Adam
     // state, and the position plus every logical rank's sampler stream.
@@ -189,7 +185,7 @@ pub fn train_elastic(
     let mut epoch_worlds = Vec::with_capacity(train_cfg.epochs);
     let mut failures = 0u64;
     let mut ring_reforms = 0u64;
-    let mut retries_left = sup.max_retries;
+    let mut retries_left = MAX_RETRIES;
     let mut completed = true;
     let mut epoch_wall = Vec::with_capacity(train_cfg.epochs);
     let mut allreduce_wait = vec![0.0; sup.workers];
@@ -274,11 +270,7 @@ pub fn train_elastic(
         }
         ring_reforms += 1;
         recorder.incr("dist.ring_reforms", 1);
-        if active.len() < sup.min_world {
-            completed = false;
-            break;
-        }
-        if retries_left == 0 {
+        if active.is_empty() || retries_left == 0 {
             completed = false;
             break;
         }

@@ -1,9 +1,8 @@
 //! `router` — front a fleet of `serve` shards with digest-affine routing.
 //!
 //! ```text
-//! usage: router --shards ADDR,ADDR,... [--addr HOST:PORT] [--vnodes N]
-//!               [--health-interval-ms N] [--fail-threshold N]
-//!               [--timeout-ms N] [--duration-s N]
+//! usage: router --shards ADDR,ADDR,... [--addr HOST:PORT]
+//!               [--health-interval-ms N] [--timeout-ms N] [--duration-s N]
 //! ```
 //!
 //! Every shard must serve the *same* checkpoint: the ring assigns each
@@ -19,9 +18,7 @@ use std::time::Duration;
 struct Args {
     addr: String,
     shards: Vec<String>,
-    vnodes: usize,
     health_interval_ms: u64,
-    fail_threshold: u32,
     timeout_ms: u64,
     duration_s: u64,
 }
@@ -29,13 +26,10 @@ struct Args {
 fn parse() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: router --shards ADDR,ADDR,... [--addr HOST:PORT] \
-                 [--vnodes N] [--health-interval-ms N] [--fail-threshold N] \
-                 [--timeout-ms N] [--duration-s N]";
+                 [--health-interval-ms N] [--timeout-ms N] [--duration-s N]";
     let mut addr = "127.0.0.1:7070".to_string();
     let mut shards: Vec<String> = Vec::new();
-    let mut vnodes = mfn_serve::ring::DEFAULT_VNODES;
     let mut health_interval_ms = 200u64;
-    let mut fail_threshold = 2u32;
     let mut timeout_ms = 5000u64;
     let mut duration_s = 0u64;
     let mut i = 0;
@@ -58,13 +52,9 @@ fn parse() -> Args {
                     .filter(|s| !s.is_empty())
                     .collect()
             }
-            "--vnodes" => vnodes = next(&argv, &mut i, "--vnodes").parse().expect("integer"),
             "--health-interval-ms" => {
                 health_interval_ms =
                     next(&argv, &mut i, "--health-interval-ms").parse().expect("integer")
-            }
-            "--fail-threshold" => {
-                fail_threshold = next(&argv, &mut i, "--fail-threshold").parse().expect("integer")
             }
             "--timeout-ms" => {
                 timeout_ms = next(&argv, &mut i, "--timeout-ms").parse().expect("integer")
@@ -87,7 +77,7 @@ fn parse() -> Args {
         eprintln!("error: --shards is required\n{usage}");
         std::process::exit(2);
     }
-    Args { addr, shards, vnodes, health_interval_ms, fail_threshold, timeout_ms, duration_s }
+    Args { addr, shards, health_interval_ms, timeout_ms, duration_s }
 }
 
 fn main() {
@@ -96,9 +86,7 @@ fn main() {
     let router = Router::start(RouterConfig {
         addr: args.addr.clone(),
         shards: args.shards,
-        vnodes: args.vnodes,
         health_interval: Duration::from_millis(args.health_interval_ms),
-        fail_threshold: args.fail_threshold,
         request_timeout: Duration::from_millis(args.timeout_ms),
     })
     .unwrap_or_else(|e| {

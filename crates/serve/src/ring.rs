@@ -1,6 +1,6 @@
 //! Consistent-hash ring for sharding the latent cache across a fleet.
 //!
-//! Each shard is placed on a `u64` ring at `vnodes` pseudo-random points
+//! Each shard is placed on a `u64` ring at `VNODES` (128) pseudo-random points
 //! derived from its *name* (its address string), and a patch digest is
 //! served by the shard owning the first point at or after the digest's own
 //! position. Two properties make this the right structure for a latent
@@ -16,7 +16,8 @@
 //!   so every process — router, load generator, test oracle — computes the
 //!   identical assignment on every platform and codegen target. The ring
 //!   is effectively part of the fleet protocol: encode-once only holds
-//!   fleet-wide if everyone agrees who owns a digest.
+//!   fleet-wide if everyone agrees who owns a digest — which is why the
+//!   vnode count is a constant and not a per-process setting.
 //!
 //! Health is layered on top, not baked in: [`HashRing::shard_for`] is the
 //! pure assignment, and [`HashRing::route`] walks forward past unhealthy
@@ -45,9 +46,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Default virtual nodes per shard. High enough that the largest arc a
-/// single shard owns stays within a few percent of fair share.
-pub const DEFAULT_VNODES: usize = 128;
+/// Virtual nodes per shard. High enough that the largest arc a single shard
+/// owns stays within a few percent of fair share.
+const VNODES: usize = 128;
 
 /// A consistent-hash ring over named shards.
 #[derive(Debug, Clone)]
@@ -59,19 +60,13 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// Builds a ring from shard names with [`DEFAULT_VNODES`] points each.
+    /// Builds a ring from shard names with `VNODES` points each.
     pub fn new(names: &[String]) -> Self {
-        Self::with_vnodes(names, DEFAULT_VNODES)
-    }
-
-    /// Builds a ring with an explicit vnode count (min 1) per shard.
-    pub fn with_vnodes(names: &[String], vnodes: usize) -> Self {
         assert!(!names.is_empty(), "a ring needs at least one shard");
-        let vnodes = vnodes.max(1);
-        let mut points = Vec::with_capacity(names.len() * vnodes);
+        let mut points = Vec::with_capacity(names.len() * VNODES);
         for (idx, name) in names.iter().enumerate() {
             let base = fnv1a(name.as_bytes());
-            for v in 0..vnodes {
+            for v in 0..VNODES {
                 // Mix the vnode counter through an avalanche so a shard's
                 // points scatter instead of clustering near its base hash.
                 points.push((splitmix(base ^ (v as u64).wrapping_mul(FNV_PRIME)), idx));

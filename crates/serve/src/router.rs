@@ -33,13 +33,16 @@ use crate::error::ServeError;
 use crate::protocol::{
     encode_stats, read_frame, write_error, write_frame, Kind, ModelInfo, ShardStat,
 };
-use crate::ring::{HashRing, DEFAULT_VNODES};
+use crate::ring::HashRing;
 use crate::Client;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Consecutive probe/forward failures before a shard is marked down.
+const FAIL_THRESHOLD: u32 = 2;
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -48,12 +51,8 @@ pub struct RouterConfig {
     pub addr: String,
     /// Shard addresses; their order defines ring shard indices.
     pub shards: Vec<String>,
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: usize,
     /// Background health-probe cadence.
     pub health_interval: Duration,
-    /// Consecutive probe/forward failures before a shard is marked down.
-    pub fail_threshold: u32,
     /// I/O deadline for shard forwards and health probes.
     pub request_timeout: Duration,
 }
@@ -63,9 +62,7 @@ impl Default for RouterConfig {
         RouterConfig {
             addr: "127.0.0.1:0".into(),
             shards: Vec::new(),
-            vnodes: DEFAULT_VNODES,
             health_interval: Duration::from_millis(200),
-            fail_threshold: 2,
             request_timeout: Duration::from_secs(5),
         }
     }
@@ -75,15 +72,13 @@ impl Default for RouterConfig {
 struct Health {
     healthy: Vec<AtomicBool>,
     fails: Vec<AtomicU32>,
-    threshold: u32,
 }
 
 impl Health {
-    fn new(n: usize, threshold: u32) -> Self {
+    fn new(n: usize) -> Self {
         Health {
             healthy: (0..n).map(|_| AtomicBool::new(true)).collect(),
             fails: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            threshold: threshold.max(1),
         }
     }
 
@@ -94,7 +89,7 @@ impl Health {
 
     fn note_fail(&self, i: usize) {
         let n = self.fails[i].fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= self.threshold {
+        if n >= FAIL_THRESHOLD {
             self.healthy[i].store(false, Ordering::Relaxed);
         }
     }
@@ -163,8 +158,8 @@ impl Router {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let ring = HashRing::with_vnodes(&cfg.shards, cfg.vnodes);
-        let health = Health::new(cfg.shards.len(), cfg.fail_threshold);
+        let ring = HashRing::new(&cfg.shards);
+        let health = Health::new(cfg.shards.len());
         let ctx = Arc::new(Ctx { cfg, ring, health, info: Mutex::new(None) });
         let mut threads = Vec::new();
 

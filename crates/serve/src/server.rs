@@ -25,10 +25,10 @@
 //! reorder map and are flushed strictly in sequence.
 //!
 //! Admission control bounds memory three ways: a connection with
-//! [`ServerConfig::max_inflight_per_conn`] requests in flight is simply not
-//! read from (TCP backpressure, no errors); a full compute queue answers
-//! `Busy` but keeps the connection; a process at
-//! [`ServerConfig::max_conns`] refuses new connections with `Busy`.
+//! `MAX_INFLIGHT_PER_CONN` (32) requests in flight is simply not read from
+//! (TCP backpressure, no errors); a full compute queue (`JOB_QUEUE`, 64
+//! jobs) answers `Busy` but keeps the connection; a process at `MAX_CONNS`
+//! (4,096) refuses new connections with `Busy`.
 //!
 //! Error discipline is unchanged from the blocking server: payload-level
 //! failures (`BadPayload`, `ShapeMismatch`, `UnknownDigest`, …) are
@@ -56,6 +56,17 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Bound of the compute job queue; when full, requests get a typed `Busy`
+/// error.
+const JOB_QUEUE: usize = 64;
+/// Open-connection cap; beyond it new connections are refused `Busy`.
+const MAX_CONNS: usize = 4096;
+/// Per-connection in-flight request bound; a connection at the bound is not
+/// read from until a response completes (TCP backpressure).
+const MAX_INFLIGHT_PER_CONN: usize = 32;
+/// Telemetry publish cadence.
+const PUBLISH_INTERVAL: Duration = Duration::from_millis(500);
+
 /// Server knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -63,21 +74,11 @@ pub struct ServerConfig {
     pub addr: String,
     /// Compute worker threads (concurrent model evaluations).
     pub workers: usize,
-    /// Bound of the compute job queue; when full, requests get a typed
-    /// `Busy` error.
-    pub backlog: usize,
     /// Deadline for a started frame to finish arriving, and for a blocked
     /// write to make progress.
     pub request_timeout: Duration,
     /// Cap on the IO loop's idle backoff sleep (bounds shutdown latency).
     pub idle_poll: Duration,
-    /// Telemetry publish cadence.
-    pub publish_interval: Duration,
-    /// Open-connection cap; beyond it new connections are refused `Busy`.
-    pub max_conns: usize,
-    /// Per-connection in-flight request bound; a connection at the bound is
-    /// not read from until a response completes (TCP backpressure).
-    pub max_inflight_per_conn: usize,
 }
 
 impl Default for ServerConfig {
@@ -85,12 +86,8 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
-            backlog: 64,
             request_timeout: Duration::from_secs(2),
             idle_poll: Duration::from_millis(25),
-            publish_interval: Duration::from_millis(500),
-            max_conns: 4096,
-            max_inflight_per_conn: 32,
         }
     }
 }
@@ -117,7 +114,7 @@ impl Server {
         // one so port-0 servers are distinguishable in fleet aggregation.
         cfg.addr = local_addr.to_string();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<Job>(cfg.backlog.max(1));
+        let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<Job>(JOB_QUEUE);
         let (done_tx, done_rx) = std::sync::mpsc::channel::<Done>();
         let job_rx = Arc::new(Mutex::new(job_rx));
         let mut threads = Vec::new();
@@ -147,11 +144,10 @@ impl Server {
         {
             let engine = engine.clone();
             let shutdown = shutdown.clone();
-            let interval = cfg.publish_interval;
             threads.push(
                 std::thread::Builder::new()
                     .name("serve-telemetry".into())
-                    .spawn(move || publish_loop(engine, recorder, shutdown, interval))?,
+                    .spawn(move || publish_loop(engine, recorder, shutdown))?,
             );
         }
         Ok(Server { local_addr, shutdown, threads })
@@ -296,7 +292,7 @@ impl Conn {
         draining: bool,
     ) -> bool {
         let mut progress = false;
-        while !self.closing && self.inflight < cfg.max_inflight_per_conn {
+        while !self.closing && self.inflight < MAX_INFLIGHT_PER_CONN {
             match self.decoder.next_frame() {
                 Ok(Some((kind, payload))) => {
                     progress = true;
@@ -391,7 +387,7 @@ impl Conn {
 
         if !self.closing && !self.read_closed && !self.decoder.is_poisoned() {
             let mut reads = 0usize;
-            while self.inflight < cfg.max_inflight_per_conn && reads < 4 {
+            while self.inflight < MAX_INFLIGHT_PER_CONN && reads < 4 {
                 match self.stream.read(buf) {
                     Ok(0) => {
                         progress = true;
@@ -422,7 +418,7 @@ impl Conn {
         // Stall timeout: a frame that started must finish within the
         // request deadline. Suppressed while the in-flight bound pauses
         // parsing — then the stall is ours, not the client's.
-        if self.closing || !self.decoder.mid_frame() || self.inflight >= cfg.max_inflight_per_conn {
+        if self.closing || !self.decoder.mid_frame() || self.inflight >= MAX_INFLIGHT_PER_CONN {
             self.frame_deadline = None;
         } else {
             let now = Instant::now();
@@ -532,7 +528,7 @@ fn io_loop(
                         progress = true;
                         let _ = stream.set_nonblocking(true);
                         let _ = stream.set_nodelay(true);
-                        if live >= cfg.max_conns {
+                        if live >= MAX_CONNS {
                             engine.stats().note_busy();
                             refuse(stream, &ServeError::Busy);
                             continue;
@@ -769,12 +765,7 @@ fn refine_resp(digest: u64, out: &RefineOutcome) -> Vec<u8> {
     p
 }
 
-fn publish_loop(
-    engine: Arc<Engine>,
-    recorder: Recorder,
-    shutdown: Arc<AtomicBool>,
-    interval: Duration,
-) {
+fn publish_loop(engine: Arc<Engine>, recorder: Recorder, shutdown: Arc<AtomicBool>) {
     if !recorder.is_enabled() {
         return;
     }
@@ -783,7 +774,7 @@ fn publish_loop(
     loop {
         let stopping = shutdown.load(Ordering::SeqCst);
         if !stopping {
-            std::thread::sleep(interval);
+            std::thread::sleep(PUBLISH_INTERVAL);
         }
         let stats = engine.stats();
         let now = Instant::now();

@@ -99,7 +99,6 @@ fn shard_kill_under_load_reroutes_and_stays_bit_identical() {
     let router = Router::start(RouterConfig {
         shards: vec![addr_a.clone(), addr_b.clone()],
         health_interval: Duration::from_millis(50),
-        fail_threshold: 2,
         request_timeout: Duration::from_secs(2),
         ..RouterConfig::default()
     })
@@ -228,7 +227,6 @@ fn shard_kill_mid_refine_load_recovers_bit_identical() {
     let router = Router::start(RouterConfig {
         shards: vec![addr_a.clone(), addr_b.clone()],
         health_interval: Duration::from_millis(50),
-        fail_threshold: 2,
         request_timeout: Duration::from_secs(2),
         ..RouterConfig::default()
     })

@@ -1,8 +1,11 @@
 //! Cache-blocked, register-tiled GEMM driver.
 //!
-//! All three transpose variants exposed by [`crate::linalg`] (`NN`, `TN`,
-//! `NT`) lower onto the single [`gemm`] entry point here, which implements
-//! the classic BLIS/GotoBLAS loop nest:
+//! Every layer of the network multiplies on [`crate::PackedConv3d`]'s
+//! driver, which is built from the blocking constants, `pack_a` and
+//! `macro_block` here. The row-major [`gemm`] entry (three operand
+//! layouts, `NN`, `TN`, `NT`) has no caller in the network: it stays as the
+//! kernel the end-to-end benchmark replays, and as the plainest statement
+//! of the classic BLIS/GotoBLAS loop nest both drivers share:
 //!
 //! ```text
 //! for jc in 0..n step NC            // L3: column slab of B/C

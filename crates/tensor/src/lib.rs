@@ -5,12 +5,15 @@
 //!
 //! - [`Tensor`]: contiguous row-major storage with element-wise ops,
 //!   concat/split, and seeded random initialization;
-//! - [`linalg`]: GEMM entry points (`A@B`, `Aᵀ@B`, `A@Bᵀ`), all lowering
-//!   onto the blocked micro-kernel in [`gemm`](mod@gemm);
 //! - [`conv`]: 3D convolution (forward + both backwards, one fused
 //!   implicit-GEMM lowering for every odd kernel; [`PackedConv3d`] holds a
-//!   weight's panels — a conv's, or a `Linear`'s as the 1×1×1 case), max
-//!   pooling and nearest-neighbor upsampling for the 3D U-Net encoder;
+//!   weight's panels — a conv's, or a `Linear`'s as the 1×1×1 case — so its
+//!   driver is the one matrix multiply every layer of the network runs on),
+//!   max pooling and nearest-neighbor upsampling for the 3D U-Net encoder;
+//! - [`gemm`](mod@gemm): the blocking constants, packers and macro-kernel
+//!   that driver is built from, and the row-major [`gemm`](fn@gemm) entry,
+//!   which no layer calls: it is kept as the end-to-end benchmark's kernel
+//!   replay;
 //! - [`rowops`]: the gather/blend/bias/affine/softplus kernels the autodiff
 //!   tape and the no-grad inference engine share, on one feature-major
 //!   activation layout;
@@ -22,7 +25,6 @@
 
 pub mod conv;
 pub mod gemm;
-pub mod linalg;
 pub mod rowops;
 pub mod shape;
 pub mod simd;
@@ -35,7 +37,6 @@ pub use conv::{
     ConvStages, PackedConv3d,
 };
 pub use gemm::{gemm, MatLayout};
-pub use linalg::{matmul, matmul_nt, matmul_tn, matvec};
 pub use rowops::{
     add_bias_channels, add_bias_features, blend_features_into, channel_affine, gather_features,
 };

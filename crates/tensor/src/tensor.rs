@@ -10,7 +10,7 @@ use std::fmt;
 /// This is the storage type shared by the whole neural-network stack. It is
 /// deliberately plain — owned `Vec<f32>` plus a [`Shape`] — so that the
 /// autodiff tape can clone, move, and mutate buffers without aliasing
-/// headaches, and so the kernels in [`crate::linalg`] and [`crate::conv`]
+/// headaches, and so the kernels in [`crate::conv`] and [`crate::rowops`]
 /// can split the flat buffer freely.
 ///
 /// Storage is pool-backed: constructors check buffers out of the

@@ -293,6 +293,41 @@ fn mid_epoch_periodic_checkpoint_resumes_bit_identical() {
     );
 }
 
+/// A mid-epoch checkpoint resumed under shorter epochs is refused as
+/// `Incompatible`: its batch cursor lies at or past the new epoch's end, where
+/// the epoch loop would run no batch (a zero-loss epoch in release, a
+/// subtraction overflow in debug).
+#[test]
+fn batch_cursor_past_the_epoch_is_incompatible() {
+    let (corpus, _hr, _lr) = tiny_corpus();
+    let dir = TempDir::new("cursor");
+    let path = dir.path("periodic.ckpt");
+    let tc = |batches_per_epoch: usize, every: usize| TrainConfig {
+        epochs: 1,
+        batches_per_epoch,
+        batch_size: 2,
+        seed: 31,
+        checkpoint_every: every,
+        ..Default::default()
+    };
+    // The only periodic write of this 8-step epoch is at batch 6.
+    Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc(8, 6))
+        .with_checkpointing(&path)
+        .train(&corpus);
+    for batches_per_epoch in [4, 6] {
+        match Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc(batches_per_epoch, 0), &path) {
+            Err(CheckpointError::Incompatible(msg)) => assert!(msg.contains("batch 6"), "{msg}"),
+            Err(other) => {
+                panic!("{batches_per_epoch} batches: expected Incompatible, got {other:?}")
+            }
+            Ok(_) => panic!("{batches_per_epoch} batches: a cursor of 6 must not resume"),
+        }
+    }
+    let resumed =
+        Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc(8, 0), &path).expect("same epochs");
+    assert_eq!(resumed.steps_taken(), 6);
+}
+
 /// Truncation and bit flips must surface as typed `CheckpointError`s, and
 /// the rotated `.prev` checkpoint must be recoverable through the fallback
 /// loader after the newest write is damaged.
