@@ -149,7 +149,6 @@ fn main() {
             addr: args.addr.clone(),
             workers: args.workers,
             request_timeout: Duration::from_millis(args.timeout_ms),
-            ..ServerConfig::default()
         },
         recorder,
     )

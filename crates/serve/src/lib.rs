@@ -14,12 +14,11 @@
 //! - [`cache`]: an LRU [`LatentCache`] keyed by a digest of the input patch
 //!   bytes — *encode once, decode many*;
 //! - [`protocol`] / [`server`] / [`client`]: a std-only, length-prefixed
-//!   binary TCP protocol with versioned headers, typed error frames, and an
-//!   incremental [`protocol::FrameDecoder`] for nonblocking streams;
-//! - [`server`]: a readiness-loop server — one IO thread multiplexing all
-//!   connections over nonblocking sockets with per-connection state
-//!   machines, a bounded compute-worker pool, admission control, and
-//!   graceful drain;
+//!   binary TCP protocol with versioned headers and typed error frames;
+//! - [`server`]: the shard — a blocking accept, one reused thread per live
+//!   connection carrying each request from read to write, model work on a
+//!   bounded compute-worker pool, and graceful drain; the router serves its
+//!   connections the same way;
 //! - [`ring`] / [`router`]: fleet scale-out — a consistent-hash [`HashRing`]
 //!   shards the latent cache by patch digest across N servers, and the
 //!   [`Router`] forwards frames digest-affinely while health-checking
@@ -34,6 +33,7 @@
 
 pub mod cache;
 pub mod client;
+mod conn;
 pub mod engine;
 pub mod error;
 pub mod loadmodel;

@@ -105,9 +105,14 @@ impl ServeStats {
         self.queries.load(Ordering::Relaxed)
     }
 
-    /// Publishes the current open-connection count (set by the IO loop).
-    pub fn set_conns(&self, n: u64) {
-        self.conns.store(n, Ordering::Relaxed);
+    /// Counts one connection opened.
+    pub fn note_conn_opened(&self) {
+        self.conns.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one connection closed.
+    pub fn note_conn_closed(&self) {
+        self.conns.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Connections currently open.
@@ -120,7 +125,7 @@ impl ServeStats {
         self.busy_rejects.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Requests or connections refused with `Busy` so far.
+    /// Requests refused with `Busy` (full compute queue) so far.
     pub fn busy_rejects(&self) -> u64 {
         self.busy_rejects.load(Ordering::Relaxed)
     }

@@ -15,9 +15,10 @@
 //! Response kinds are the request kind with the high bit set; `0xFF` is the
 //! error frame (`code: u16 LE` + UTF-8 message). A server reads frames off a
 //! blocking stream; any header violation produces a typed [`ServeError`]
-//! *before* the payload is touched, so a hostile 4 GiB length prefix costs
-//! nothing. Payload decoding is bounds-checked cursor reads — malformed
-//! payloads are rejected, never panicked on.
+//! *before* the payload is touched, and the payload buffer grows as its bytes
+//! arrive, so a hostile length prefix costs nothing. Payload decoding is
+//! bounds-checked cursor reads — malformed payloads are rejected, never
+//! panicked on.
 
 use crate::error::ServeError;
 use std::io::{Read, Write};
@@ -30,6 +31,9 @@ pub const VERSION: u8 = 1;
 pub const HEADER_LEN: usize = 12;
 /// Maximum payload size (16 MiB) — caps memory a frame can demand.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
+/// Payload bytes [`read_frame`] reserves before any arrive; past this the
+/// buffer grows with what the stream delivers.
+const FIRST_READ: usize = 64 * 1024;
 
 /// Frame kinds. Requests are `0x01..=0x07`; each response is the request
 /// kind with the high bit set; `0xFF` is the error frame.
@@ -114,6 +118,23 @@ pub fn write_frame(w: &mut impl Write, kind: Kind, payload: &[u8]) -> std::io::R
     w.flush()
 }
 
+/// Validates a frame header — magic, version, the payload cap — and returns
+/// its `(kind, payload_len)`. The one header check of [`read_frame`] and
+/// [`FrameDecoder`].
+pub(crate) fn check_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize), ServeError> {
+    if h[0..4] != MAGIC {
+        return Err(ServeError::BadMagic);
+    }
+    if h[4] != VERSION {
+        return Err(ServeError::BadVersion { got: h[4] });
+    }
+    let len = u32::from_le_bytes([h[8], h[9], h[10], h[11]]);
+    if len > MAX_PAYLOAD {
+        return Err(ServeError::Oversized { len });
+    }
+    Ok((h[5], len as usize))
+}
+
 /// Reads one frame, validating the header before allocating for the
 /// payload. Returns `Ok(None)` on a clean EOF at a frame boundary (the peer
 /// closed between requests — not an error).
@@ -132,32 +153,28 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ServeError
             Err(e) => return Err(ServeError::from_io(&e)),
         }
     }
-    if header[0..4] != MAGIC {
-        return Err(ServeError::BadMagic);
+    let (kind, len) = check_header(&header)?;
+    // A header may promise 16 MiB and then close: reserve a first read, and
+    // let the buffer grow only as bytes arrive.
+    let mut payload = Vec::with_capacity(len.min(FIRST_READ));
+    r.take(len as u64).read_to_end(&mut payload).map_err(|e| ServeError::from_io(&e))?;
+    if payload.len() < len {
+        return Err(ServeError::Truncated);
     }
-    if header[4] != VERSION {
-        return Err(ServeError::BadVersion { got: header[4] });
-    }
-    let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-    if len > MAX_PAYLOAD {
-        return Err(ServeError::Oversized { len });
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| ServeError::from_io(&e))?;
-    Ok(Some((header[5], payload)))
+    Ok(Some((kind, payload)))
 }
 
-/// Incremental frame decoder for nonblocking streams.
+/// Incremental frame decoder: buffers bytes as they arrive in arbitrary
+/// slices and yields complete frames as they form, checking each header the
+/// moment 12 bytes are buffered, with the same check as [`read_frame`].
 ///
-/// [`read_frame`] assumes it can block until a whole frame arrives; a
-/// readiness-loop server instead gets bytes in arbitrary slices across poll
-/// wakeups. The decoder buffers whatever arrives and yields complete frames
-/// as they form. Header validation happens the moment 12 bytes are buffered
-/// — a hostile length prefix is rejected *before* any payload allocation,
-/// exactly as in the blocking path.
+/// No server reads through it — both read with [`read_frame`]. It is kept for
+/// its two users outside the crate: `benchmark/`'s `serve.protocol_us` times
+/// framing with it, and the `fuzz_protocol` suite drives it with mutated
+/// byte streams.
 ///
 /// After any `Err` the stream is desynced and the decoder refuses further
-/// input; the caller answers with the typed error frame and closes.
+/// input.
 pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Bytes of `buf` already consumed by yielded frames.
@@ -203,25 +220,10 @@ impl FrameDecoder {
         let (kind, len) = match self.pending {
             Some(h) => h,
             None => {
-                let avail = self.buf.len() - self.pos;
-                if avail < HEADER_LEN {
+                let Some(h) = self.buf[self.pos..].first_chunk::<HEADER_LEN>() else {
                     return Ok(None);
-                }
-                let h = &self.buf[self.pos..self.pos + HEADER_LEN];
-                if h[0..4] != MAGIC {
-                    self.poisoned = true;
-                    return Err(ServeError::BadMagic);
-                }
-                if h[4] != VERSION {
-                    self.poisoned = true;
-                    return Err(ServeError::BadVersion { got: h[4] });
-                }
-                let len = u32::from_le_bytes([h[8], h[9], h[10], h[11]]);
-                if len > MAX_PAYLOAD {
-                    self.poisoned = true;
-                    return Err(ServeError::Oversized { len });
-                }
-                let header = (h[5], len as usize);
+                };
+                let header = check_header(h).inspect_err(|_| self.poisoned = true)?;
                 self.pos += HEADER_LEN;
                 self.pending = Some(header);
                 header
@@ -234,11 +236,6 @@ impl FrameDecoder {
         self.pos += len;
         self.pending = None;
         Ok(Some((kind, payload)))
-    }
-
-    /// Whether a frame has started but not finished (stall-timeout basis).
-    pub fn mid_frame(&self) -> bool {
-        !self.poisoned && (self.pending.is_some() || self.buf.len() - self.pos > 0)
     }
 
     /// Whether a header violation permanently desynced this stream.
@@ -446,6 +443,11 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Result<u8, ServeError> {
         Ok(self.take(1)?[0])
@@ -585,7 +587,7 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, Kind::Encode, &[1, 2, 3]).unwrap();
         write_frame(&mut wire, Kind::Ping, &[]).unwrap();
-        // Feed one byte at a time: the worst fragmentation a poll loop sees.
+        // Feed one byte at a time: the worst fragmentation a stream can show.
         let mut d = FrameDecoder::new();
         let mut frames = Vec::new();
         for &b in &wire {
@@ -597,7 +599,6 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0], (Kind::Encode as u8, vec![1, 2, 3]));
         assert_eq!(frames[1], (Kind::Ping as u8, Vec::new()));
-        assert!(!d.mid_frame());
     }
 
     #[test]
@@ -623,19 +624,38 @@ mod tests {
     }
 
     #[test]
-    fn decoder_tracks_mid_frame() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, Kind::Encode, &[0u8; 32]).unwrap();
-        let mut d = FrameDecoder::new();
-        assert!(!d.mid_frame());
-        d.extend(&wire[..5]);
-        assert!(d.mid_frame(), "partial header is mid-frame");
-        d.extend(&wire[5..20]);
-        assert!(d.next_frame().unwrap().is_none());
-        assert!(d.mid_frame(), "partial payload is mid-frame");
-        d.extend(&wire[20..]);
-        assert!(d.next_frame().unwrap().is_some());
-        assert!(!d.mid_frame());
+    fn both_readers_give_every_header_the_same_verdict() {
+        let frame = |magic: &[u8; 4], version: u8, kind: u8, reserved: u8, len: u32| {
+            let mut wire = magic.to_vec();
+            wire.extend_from_slice(&[version, kind, reserved, 0]);
+            wire.extend_from_slice(&len.to_le_bytes());
+            // A header within the cap comes with its payload.
+            if len <= MAX_PAYLOAD {
+                wire.resize(HEADER_LEN + len as usize, 7);
+            }
+            wire
+        };
+        let cases = [
+            frame(&MAGIC, VERSION, Kind::Ping as u8, 0, 0),
+            frame(&MAGIC, VERSION, Kind::Query as u8, 0, 3),
+            // Kind and reserved bytes are the payload decoder's business.
+            frame(&MAGIC, VERSION, 0x42, 0, 1),
+            frame(&MAGIC, VERSION, Kind::Ping as u8, 9, 0),
+            frame(&MAGIC, VERSION, Kind::Encode as u8, 0, MAX_PAYLOAD),
+            frame(b"MFNX", VERSION, Kind::Ping as u8, 0, 0),
+            frame(b"\0\0\0\0", VERSION, Kind::Ping as u8, 0, 0),
+            frame(&MAGIC, 0, Kind::Ping as u8, 0, 0),
+            frame(&MAGIC, VERSION + 1, Kind::Ping as u8, 0, 0),
+            frame(&MAGIC, VERSION, Kind::Ping as u8, 0, MAX_PAYLOAD + 1),
+            frame(&MAGIC, VERSION, Kind::Ping as u8, 0, u32::MAX),
+        ];
+        for wire in cases {
+            let mut d = FrameDecoder::new();
+            d.extend(&wire);
+            let verdict = read_frame(&mut wire.as_slice());
+            assert_eq!(d.next_frame(), verdict, "header {:?}", &wire[..HEADER_LEN]);
+            assert_eq!(d.is_poisoned(), verdict.is_err());
+        }
     }
 
     #[test]

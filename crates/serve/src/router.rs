@@ -22,20 +22,18 @@
 //! recovery: re-encode and continue. When no shard is healthy the router
 //! answers [`ServeError::NoHealthyShard`] and keeps the connection.
 //!
-//! Forwarding is intentionally blocking and thread-per-connection: the
-//! router holds a few dozen long-lived client connections (load generators,
-//! notebooks), each with its own pooled shard connections, and relays one
-//! frame at a time. The thousands-of-connections problem lives in the
-//! shards' readiness loops, not here.
+//! Client connections are served by the crate's one connection model
+//! (`conn.rs`, shared with the shard): one reused thread per live
+//! connection reads a frame, forwards it over that connection's own pooled
+//! shard connections, and relays the reply.
 
 use crate::cache::patch_digest_bytes;
+use crate::conn::{resolve, Connections, Reply, Service};
 use crate::error::ServeError;
-use crate::protocol::{
-    encode_stats, read_frame, write_error, write_frame, Kind, ModelInfo, ShardStat,
-};
+use crate::protocol::{encode_stats, read_frame, write_frame, Kind, ModelInfo, ShardStat};
 use crate::ring::HashRing;
 use crate::Client;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -145,9 +143,8 @@ fn probe_client(addr: &str, timeout: Duration) -> Result<Client, ServeError> {
 
 /// A running router; dropping or calling [`Router::shutdown`] stops it.
 pub struct Router {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    conns: Connections,
+    health: Option<JoinHandle<()>>,
 }
 
 impl Router {
@@ -155,49 +152,37 @@ impl Router {
     pub fn start(cfg: RouterConfig) -> std::io::Result<Router> {
         assert!(!cfg.shards.is_empty(), "router needs at least one shard");
         let listener = TcpListener::bind(resolve(&cfg.addr)?)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let ring = HashRing::new(&cfg.shards);
         let health = Health::new(cfg.shards.len());
+        let timeout = cfg.request_timeout;
         let ctx = Arc::new(Ctx { cfg, ring, health, info: Mutex::new(None) });
-        let mut threads = Vec::new();
-
-        {
+        let health = {
             let ctx = ctx.clone();
             let shutdown = shutdown.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("router-health".into())
-                    .spawn(move || health_loop(ctx, shutdown))?,
-            );
-        }
-        {
-            let ctx = ctx.clone();
-            let shutdown = shutdown.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("router-accept".into())
-                    .spawn(move || accept_loop(listener, ctx, shutdown))?,
-            );
-        }
-        Ok(Router { local_addr, shutdown, threads })
+            std::thread::Builder::new()
+                .name("router-health".into())
+                .spawn(move || health_loop(ctx, shutdown))?
+        };
+        let conns = Connections::serve("router", listener, ctx, timeout, shutdown)?;
+        Ok(Router { conns, health: Some(health) })
     }
 
     /// The bound listen address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.conns.local_addr()
     }
 
-    /// Stops accepting and joins the router threads. Connection handler
-    /// threads notice the flag at their next read-poll and exit.
+    /// Stops accepting, tells idle connections `ShuttingDown`, and joins
+    /// every router thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
+        // Raises the flag the health prober watches too.
+        self.conns.join();
+        if let Some(t) = self.health.take() {
             let _ = t.join();
         }
     }
@@ -207,12 +192,6 @@ impl Drop for Router {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
-    addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("unresolvable {addr}"))
-    })
 }
 
 /// Background prober: pings every shard each interval; successes and
@@ -241,104 +220,30 @@ fn health_loop(ctx: Arc<Ctx>, shutdown: Arc<AtomicBool>) {
     }
 }
 
-fn accept_loop(listener: TcpListener, ctx: Arc<Ctx>, shutdown: Arc<AtomicBool>) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let ctx = ctx.clone();
-                let shutdown = shutdown.clone();
-                // Handlers are detached; they poll the shutdown flag.
-                let _ = std::thread::Builder::new()
-                    .name("router-conn".into())
-                    .spawn(move || handle_conn(stream, ctx, shutdown));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
+/// Routes one frame: `Ping` answered here, `Info` from the cached model
+/// metadata, `Stats` aggregated, model work forwarded to its shard over the
+/// connection's own pooled shard connections (opened on first forward,
+/// dropped on first I/O error), which keeps the data path lock-free.
+impl Service for Ctx {
+    type Conn = Vec<Option<TcpStream>>;
 
-/// Per-connection forwarding loop. Mirrors shard error discipline: header
-/// violations answer a typed error then close; payload-level problems keep
-/// the connection. Idle waits poll with a short read timeout so shutdown is
-/// never blocked on a silent client.
-fn handle_conn(mut stream: TcpStream, ctx: Arc<Ctx>, shutdown: Arc<AtomicBool>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_write_timeout(Some(ctx.cfg.request_timeout));
-    // Pooled connections to shards, opened on first forward, dropped on
-    // first I/O error. One pool per client connection keeps the router
-    // lock-free on the data path.
-    let mut pool: Vec<Option<TcpStream>> = ctx.cfg.shards.iter().map(|_| None).collect();
-    let mut peek = [0u8; 1];
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            let _ = write_error(&mut stream, &ServeError::ShuttingDown);
-            return;
-        }
-        // Wait for the first byte with a short timeout (keeps the shutdown
-        // poll alive), then read the frame with the full request deadline.
-        match stream.peek(&mut peek) {
-            Ok(0) => return, // clean close
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return,
-        }
-        let _ = stream.set_read_timeout(Some(ctx.cfg.request_timeout));
-        let res = read_frame(&mut stream);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-        match res {
-            Ok(None) => return,
-            Ok(Some((kind, payload))) => {
-                if !dispatch(&mut stream, &ctx, &mut pool, kind, &payload) {
-                    return;
-                }
-            }
-            Err(err) => {
-                // A stalled or garbled frame desyncs the stream: answer
-                // the typed error, then close.
-                let _ = write_error(&mut stream, &err);
-                return;
-            }
-        }
+    fn open(&self) -> Self::Conn {
+        self.cfg.shards.iter().map(|_| None).collect()
     }
-}
 
-/// Routes one frame. Returns false when the connection should close.
-fn dispatch(
-    stream: &mut TcpStream,
-    ctx: &Ctx,
-    pool: &mut [Option<TcpStream>],
-    kind: u8,
-    payload: &[u8],
-) -> bool {
-    let reply = |stream: &mut TcpStream, r: Result<(Kind, Vec<u8>), ServeError>| -> bool {
-        match r {
-            Ok((k, p)) => write_frame(stream, k, &p).is_ok(),
-            Err(e) => write_error(stream, &e).is_ok(),
+    fn answer(&self, pool: &mut Self::Conn, kind: u8, payload: Vec<u8>) -> Reply {
+        match Kind::from_u8(kind) {
+            Some(Kind::Ping) => Ok((Kind::Pong, Vec::new())),
+            Some(Kind::Info) => self.model_info().map(|info| (Kind::InfoResp, info.encode())),
+            Some(Kind::Stats) => gather_stats(self),
+            Some(k @ (Kind::Encode | Kind::Query | Kind::EncodeQuery | Kind::Refine)) => {
+                let digest = extract_digest(self, k, &payload);
+                forward(self, pool, k, &payload, digest)
+            }
+            // Response kinds and unknown bytes: same answer a shard gives,
+            // and the connection stays usable.
+            Some(_) | None => Err(ServeError::UnknownKind { kind }),
         }
-    };
-    match Kind::from_u8(kind) {
-        Some(Kind::Ping) => reply(stream, Ok((Kind::Pong, Vec::new()))),
-        Some(Kind::Info) => {
-            let r = ctx.model_info().map(|info| (Kind::InfoResp, info.encode()));
-            reply(stream, r)
-        }
-        Some(Kind::Stats) => reply(stream, gather_stats(ctx)),
-        Some(k @ (Kind::Encode | Kind::Query | Kind::EncodeQuery | Kind::Refine)) => {
-            let digest = extract_digest(ctx, k, payload);
-            reply(stream, forward(ctx, pool, k, payload, digest))
-        }
-        // Response kinds and unknown bytes: same answer a shard gives, and
-        // the connection stays usable.
-        Some(_) | None => reply(stream, Err(ServeError::UnknownKind { kind })),
     }
 }
 

@@ -58,7 +58,6 @@ fn start_shard_with(engine: Arc<Engine>) -> (Server, String) {
     let cfg = ServerConfig {
         workers: 2,
         request_timeout: Duration::from_millis(500),
-        idle_poll: Duration::from_millis(5),
         ..ServerConfig::default()
     };
     let server = Server::start(engine, cfg, Recorder::null()).expect("start shard");

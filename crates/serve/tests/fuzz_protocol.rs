@@ -1,10 +1,10 @@
-//! Deterministic frame-level fuzzing of the nonblocking protocol path.
+//! Deterministic frame-level fuzzing of the protocol path.
 //!
-//! A readiness-loop server sees the wire at its ugliest: frames split at
-//! arbitrary byte boundaries across poll wakeups, headers that lie about
-//! their length, bytes flipped in flight. This suite drives both layers
-//! with a seeded mutation corpus — every run replays the identical inputs,
-//! so a failure here is a bug, never flake:
+//! A server sees the wire at its ugliest: frames split at arbitrary byte
+//! boundaries across reads, headers that lie about their length, bytes
+//! flipped in flight. This suite drives both layers with a seeded mutation
+//! corpus — every run replays the identical inputs, so a failure here is a
+//! bug, never flake:
 //!
 //! 1. the [`FrameDecoder`] in isolation, fed mutated byte streams in
 //!    randomly-sized slices: it must never panic and, once it reports a
@@ -49,7 +49,6 @@ fn start_server() -> (Server, String, Arc<Engine>) {
     let cfg = ServerConfig {
         workers: 2,
         request_timeout: Duration::from_millis(150),
-        idle_poll: Duration::from_millis(5),
         ..ServerConfig::default()
     };
     let server = Server::start(engine.clone(), cfg, Recorder::null()).expect("start server");
@@ -167,7 +166,7 @@ fn decoder_survives_seeded_mutations_in_arbitrary_slices() {
         let mut saw_error = false;
         while pos < bytes.len() {
             // Feed in random slices down to a single byte — the worst
-            // fragmentation a poll loop can observe.
+            // fragmentation a stream can deliver.
             let take = (rng.next_below(17) as usize + 1).min(bytes.len() - pos);
             d.extend(&bytes[pos..pos + take]);
             pos += take;
@@ -260,9 +259,8 @@ fn live_server_answers_mutated_streams_with_typed_errors_or_clean_close() {
         let mut s = TcpStream::connect(&addr).expect("connect");
         s.set_nodelay(true).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
-        // Interleave partial writes across poll wakeups: send in seeded
-        // slices with occasional tiny stalls so the server's decoder sees
-        // split headers and split payloads.
+        // Send in seeded slices with occasional tiny stalls so the server's
+        // reads see split headers and split payloads.
         let mut pos = 0usize;
         while pos < bytes.len() {
             let take = (rng.next_below(23) as usize + 1).min(bytes.len() - pos);
@@ -280,7 +278,7 @@ fn live_server_answers_mutated_streams_with_typed_errors_or_clean_close() {
         drain_and_check(&mut s, case);
 
         // The fleet-killing failure mode: one poisoned connection wedging
-        // the shared IO loop. Probe liveness on a fresh connection.
+        // the server. Probe liveness on a fresh connection.
         if case % 10 == 0 {
             mfn_serve::Client::connect(&addr)
                 .expect("fresh connect")

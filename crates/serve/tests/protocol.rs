@@ -8,12 +8,14 @@ use mfn_core::{FrozenModel, MeshfreeFlowNet, MfnConfig};
 use mfn_data::PatchSpec;
 use mfn_serve::error::code;
 use mfn_serve::protocol::{HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION};
-use mfn_serve::{Client, Engine, EngineConfig, ServeError, Server, ServerConfig};
+use mfn_serve::{
+    Client, Engine, EngineConfig, Router, RouterConfig, ServeError, Server, ServerConfig,
+};
 use mfn_telemetry::Recorder;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tiny_cfg() -> MfnConfig {
     let mut cfg = MfnConfig::small();
@@ -27,17 +29,16 @@ fn tiny_cfg() -> MfnConfig {
 }
 
 fn start_server() -> (Server, String, Arc<Engine>) {
+    // Short so the stalled-frame test completes quickly.
+    start_server_with(Duration::from_millis(200))
+}
+
+fn start_server_with(request_timeout: Duration) -> (Server, String, Arc<Engine>) {
     let engine = Arc::new(Engine::new(
         FrozenModel::from_model(MeshfreeFlowNet::new(tiny_cfg())),
         EngineConfig::default(),
     ));
-    let cfg = ServerConfig {
-        workers: 2,
-        // Short so the stalled-frame test completes quickly.
-        request_timeout: Duration::from_millis(200),
-        idle_poll: Duration::from_millis(10),
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig { workers: 2, request_timeout, ..ServerConfig::default() };
     let server = Server::start(engine.clone(), cfg, Recorder::null()).expect("start server");
     let addr = server.local_addr().to_string();
     (server, addr, engine)
@@ -145,6 +146,41 @@ fn truncated_frame_stall_times_out_with_typed_error() {
         got == code::TIMEOUT || got == code::TRUNCATED,
         "stall should read as timeout/truncated, got code {got}"
     );
+    server.shutdown();
+}
+
+/// A frame trickled in one byte every 150 ms never completes inside a
+/// 500 ms request timeout: the shard and the router both answer `Timeout`
+/// within the timeout plus one 100 ms idle tick of its first byte, instead
+/// of holding a thread until the frame is whole.
+#[test]
+fn trickled_frame_times_out_on_shard_and_router() {
+    let timeout = Duration::from_millis(500);
+    let (server, shard_addr, _) = start_server_with(timeout);
+    let router = Router::start(RouterConfig {
+        shards: vec![shard_addr.clone()],
+        request_timeout: timeout,
+        ..RouterConfig::default()
+    })
+    .expect("start router");
+    for addr in [shard_addr, router.local_addr().to_string()] {
+        let mut s = connect_raw(&addr);
+        let mut trickle = s.try_clone().unwrap();
+        let t0 = Instant::now();
+        let writer = std::thread::spawn(move || {
+            for b in header(&MAGIC, VERSION, 0x01, 0) {
+                if trickle.write_all(&[b]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(150));
+            }
+        });
+        expect_error_frame(&mut s, code::TIMEOUT, &addr);
+        let waited = t0.elapsed();
+        assert!(waited < timeout + Duration::from_millis(100), "{addr}: answered after {waited:?}");
+        writer.join().unwrap();
+    }
+    router.shutdown();
     server.shutdown();
 }
 
