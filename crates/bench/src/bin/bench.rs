@@ -37,6 +37,7 @@
 //! ratios were measured at other sizes.
 
 use mfn_autodiff::{Activation, Graph, Var, JET_LANES};
+use mfn_core::cli::Cli;
 use mfn_core::{
     decode_workers, equation_loss, plan_queries, ChannelStats, ConstraintSet, Corpus, DecodeStages,
     FrozenModel, MeshfreeFlowNet, MfnConfig, QueryPlan, RbcParams, TrainConfig, Trainer,
@@ -1278,19 +1279,16 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let (mut quick, mut oracle, mut gate_path) = (false, false, None);
+    let (mut quick, mut oracle, mut gate_path) = (false, false, None::<String>);
     let mut out_path = String::from("BENCH_kernels.json");
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
+    let mut cli = Cli::new(USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
             "--quick" => quick = true,
             "--oracle" => oracle = true,
-            "--gate" => gate_path = Some(argv.next().expect("--gate needs a baseline path")),
-            "--out" => out_path = argv.next().expect("--out needs a value"),
-            other => {
-                eprintln!("unknown argument {other}\n{USAGE}");
-                std::process::exit(2);
-            }
+            "--gate" => gate_path = Some(cli.value(&flag)),
+            "--out" => out_path = cli.value(&flag),
+            other => cli.fail(&format!("unknown option {other}")),
         }
     }
 

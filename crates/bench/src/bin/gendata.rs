@@ -5,64 +5,51 @@
 //!                [--ra RA] [--pr PR] [--seed S] [--ds-t F --ds-s F]
 //! ```
 //!
-//! Writes the HR dataset to `PATH` (binary + `.json` metadata) and, when
-//! downsampling factors are given, the LR companion to `PATH.lr`.
+//! Writes the HR dataset to `PATH` and, when downsampling factors are
+//! given, the LR companion to `PATH.lr`: one `MFNDATA2` file each, its
+//! metadata inside. A missing or malformed option value prints the usage
+//! and exits 2; a failed write prints the error and exits 1.
 
+use mfn_core::cli::Cli;
 use mfn_data::{downsample, save_dataset, Dataset};
 use mfn_solver::{simulate, RbcConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+const USAGE: &str = "usage: gendata --out PATH [--nx N] [--nz N] [--frames N] \
+                     [--duration S] [--ra RA] [--pr PR] [--seed S] [--ds-t F --ds-s F]";
+
+/// Writes `ds` to `path`, or prints why not and exits 1.
+fn save(ds: &Dataset, path: &Path) {
+    save_dataset(ds, path).unwrap_or_else(|e| {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    });
+}
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut out: Option<PathBuf> = None;
     let mut cfg = RbcConfig { nx: 128, nz: 33, dt_max: 2e-3, ..Default::default() };
     let mut frames = 49usize;
     let mut duration = 12.0f64;
     let mut ds_t = 0usize;
     let mut ds_s = 0usize;
-    let mut i = 0;
-    let usage = "usage: gendata --out PATH [--nx N] [--nz N] [--frames N] \
-                 [--duration S] [--ra RA] [--pr PR] [--seed S] [--ds-t F --ds-s F]";
-    let parse = |argv: &[String], i: &mut usize, what: &str| -> String {
-        *i += 1;
-        argv.get(*i)
-            .unwrap_or_else(|| {
-                eprintln!("error: {what} needs a value\n{usage}");
-                std::process::exit(2);
-            })
-            .clone()
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--out" => out = Some(PathBuf::from(parse(&argv, &mut i, "--out"))),
-            "--nx" => cfg.nx = parse(&argv, &mut i, "--nx").parse().expect("--nx integer"),
-            "--nz" => cfg.nz = parse(&argv, &mut i, "--nz").parse().expect("--nz integer"),
-            "--frames" => {
-                frames = parse(&argv, &mut i, "--frames").parse().expect("--frames integer")
-            }
-            "--duration" => {
-                duration = parse(&argv, &mut i, "--duration").parse().expect("--duration float")
-            }
-            "--ra" => cfg.ra = parse(&argv, &mut i, "--ra").parse().expect("--ra float"),
-            "--pr" => cfg.pr = parse(&argv, &mut i, "--pr").parse().expect("--pr float"),
-            "--seed" => cfg.seed = parse(&argv, &mut i, "--seed").parse().expect("--seed integer"),
-            "--ds-t" => ds_t = parse(&argv, &mut i, "--ds-t").parse().expect("--ds-t integer"),
-            "--ds-s" => ds_s = parse(&argv, &mut i, "--ds-s").parse().expect("--ds-s integer"),
-            "--help" | "-h" => {
-                println!("{usage}");
-                return;
-            }
-            other => {
-                eprintln!("error: unknown option {other}\n{usage}");
-                std::process::exit(2);
-            }
+    let mut cli = Cli::new(USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--out" => out = Some(cli.value(&flag)),
+            "--nx" => cfg.nx = cli.value(&flag),
+            "--nz" => cfg.nz = cli.value(&flag),
+            "--frames" => frames = cli.value(&flag),
+            "--duration" => duration = cli.value(&flag),
+            "--ra" => cfg.ra = cli.value(&flag),
+            "--pr" => cfg.pr = cli.value(&flag),
+            "--seed" => cfg.seed = cli.value(&flag),
+            "--ds-t" => ds_t = cli.value(&flag),
+            "--ds-s" => ds_s = cli.value(&flag),
+            other => cli.fail(&format!("unknown option {other}")),
         }
-        i += 1;
     }
-    let out = out.unwrap_or_else(|| {
-        eprintln!("error: --out is required\n{usage}");
-        std::process::exit(2);
-    });
+    let out = out.unwrap_or_else(|| cli.fail("--out is required"));
 
     eprintln!(
         "simulating {}x{} grid, Ra = {:.2e}, Pr = {}, {} frames over {duration} s ...",
@@ -71,7 +58,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let sim = simulate(&cfg, duration, frames);
     let hr = Dataset::from_simulation(&sim);
-    save_dataset(&hr, &out).expect("write HR dataset");
+    save(&hr, &out);
     eprintln!(
         "wrote {} ({} frames, {} MB) in {:.0}s",
         out.display(),
@@ -82,7 +69,7 @@ fn main() {
     if ds_t > 0 && ds_s > 0 {
         let lr = downsample(&hr, ds_t, ds_s);
         let lr_path = PathBuf::from(format!("{}.lr", out.display()));
-        save_dataset(&lr, &lr_path).expect("write LR dataset");
+        save(&lr, &lr_path);
         eprintln!(
             "wrote {} ({}x{}x{} LR companion, factors {ds_t}x/{ds_s}x)",
             lr_path.display(),

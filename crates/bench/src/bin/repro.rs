@@ -31,6 +31,7 @@ use mfn_bench::{
     ablation_activation, ablation_constraints, fig6, fig7, print_rows, table1, table2, table3,
     table4, ExperimentScale, TABLE1_GAMMAS,
 };
+use mfn_core::cli::Cli;
 use mfn_telemetry::Recorder;
 use std::path::PathBuf;
 
@@ -42,50 +43,22 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() || argv[0] == "--help" || argv[0] == "-h" {
-        eprintln!("{}", USAGE);
-        std::process::exit(if argv.is_empty() { 2 } else { 0 });
-    }
-    let experiment = argv[0].clone();
+    let mut cli = Cli::new(USAGE);
+    let experiment = cli.next_flag().unwrap_or_else(|| cli.fail("an experiment is required"));
     let mut scale = ExperimentScale::default_scale();
     let mut out = PathBuf::from("results");
     let mut gammas = TABLE1_GAMMAS.to_vec();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
             "--quick" => scale = ExperimentScale::quick(),
             "--paper-scale" => scale = ExperimentScale::paper(),
-            "--epochs" => {
-                i += 1;
-                scale.epochs = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--epochs needs an integer"));
-            }
-            "--out" => {
-                i += 1;
-                out = PathBuf::from(argv.get(i).unwrap_or_else(|| die("--out needs a path")));
-            }
-            "--gammas" => {
-                i += 1;
-                gammas = argv
-                    .get(i)
-                    .unwrap_or_else(|| die("--gammas needs a comma-separated list"))
-                    .split(',')
-                    .map(|v| v.parse().unwrap_or_else(|_| die("bad gamma value")))
-                    .collect();
-            }
-            other => die(&format!("unknown option {other}")),
+            "--epochs" => scale.epochs = cli.value(&flag),
+            "--out" => out = cli.value(&flag),
+            "--gammas" => gammas = cli.list(&flag),
+            other => cli.fail(&format!("unknown option {other}")),
         }
-        i += 1;
     }
     Args { experiment, scale, out, gammas }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{USAGE}");
-    std::process::exit(2)
 }
 
 const USAGE: &str =
@@ -224,7 +197,7 @@ fn main() {
             run_fig7(&args, 'b');
             run_fig7(&args, 'c');
         }
-        other => die(&format!("unknown experiment {other}")),
+        other => Cli::new(USAGE).fail(&format!("unknown experiment {other}")),
     }
     drop(_experiment_span);
     recorder.gauge("total_seconds", t0.elapsed().as_secs_f64());

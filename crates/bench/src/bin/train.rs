@@ -7,10 +7,10 @@
 //!              [--telemetry PATH] [--checkpoint-every N] [--resume PATH]
 //! ```
 //!
-//! Every run ends by writing the full train state (params, BN stats, Adam
-//! moments, every sampler position, epoch/batch cursor) as a CRC-framed
-//! `MFNSTAT1` file to `<ckpt>.state`, and the architecture to
-//! `<ckpt>.cfg.json`: the pair `serve --ckpt <ckpt>.state` loads.
+//! Every run ends by writing the full train state (architecture, params, BN
+//! stats, Adam moments, every sampler position, epoch/batch cursor) as a
+//! CRC-framed `MFNSTAT1` file to `<ckpt>.state`: the one file
+//! `serve --ckpt <ckpt>.state` loads.
 //! With `--workers > 1`, trains data-parallel with the ring all-reduce under
 //! the elastic supervisor: every worker runs the same step and epoch loop as
 //! `--workers 1` (same LR decay) on its own batch stream.
@@ -23,8 +23,12 @@
 //! `--checkpoint-every N` also writes the state every N gradient steps (one
 //! worker) or before every epoch (several); `--resume PATH` continues a run
 //! from such a file bit-identically to one that was never interrupted, and
-//! writes the final state back there.
+//! writes the final state back there; a file written under another
+//! architecture (patch shape, γ, constraint set) is refused.
+//! A missing or malformed option value prints the usage and exits 2; an
+//! unreadable dataset or checkpoint prints the error and exits 1.
 
+use mfn_core::cli::Cli;
 use mfn_core::{
     decode_inference_state, evaluate_pair, save_train_state, table_header, Corpus, MeshfreeFlowNet,
     MfnConfig, TrainConfig, Trainer,
@@ -32,7 +36,7 @@ use mfn_core::{
 use mfn_data::{load_dataset, try_downsample, Dataset, PatchSpec};
 use mfn_dist::{train_elastic, FaultPlan, SupervisorConfig};
 use mfn_telemetry::Recorder;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 struct Args {
     hr: PathBuf,
@@ -46,82 +50,59 @@ struct Args {
     resume: Option<PathBuf>,
 }
 
+const USAGE: &str = "usage: train --hr PATH [--lr PATH] --ckpt PATH [--epochs N] \
+                     [--gamma G] [--rate LR] [--batch N] [--workers N] [--valid-frac F] \
+                     [--telemetry PATH] [--checkpoint-every N] [--resume PATH]";
+
 fn parse() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: train --hr PATH [--lr PATH] --ckpt PATH [--epochs N] \
-                 [--gamma G] [--rate LR] [--batch N] [--workers N] [--valid-frac F] \
-                 [--telemetry PATH] [--checkpoint-every N] [--resume PATH]";
-    let mut hr = None;
-    let mut lr = None;
-    let mut ckpt = None;
-    let mut tc = TrainConfig {
-        epochs: 60,
-        batches_per_epoch: 8,
-        batch_size: 4,
-        lr: 1e-2,
-        lr_decay: 0.98,
-        ..Default::default()
+    let mut a = Args {
+        hr: PathBuf::new(),
+        lr: None,
+        ckpt: PathBuf::new(),
+        tc: TrainConfig {
+            epochs: 60,
+            batches_per_epoch: 8,
+            batch_size: 4,
+            lr: 1e-2,
+            lr_decay: 0.98,
+            ..Default::default()
+        },
+        gamma: MfnConfig::GAMMA_STAR,
+        workers: 1,
+        valid_frac: 0.0,
+        telemetry: None,
+        resume: None,
     };
-    let mut gamma = MfnConfig::GAMMA_STAR;
-    let mut workers = 1usize;
-    let mut valid_frac = 0.0f64;
-    let mut telemetry = None;
-    let mut resume = None;
-    let mut i = 0;
-    let next = |argv: &[String], i: &mut usize, what: &str| -> String {
-        *i += 1;
-        argv.get(*i)
-            .unwrap_or_else(|| {
-                eprintln!("error: {what} needs a value\n{usage}");
-                std::process::exit(2);
-            })
-            .clone()
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--hr" => hr = Some(PathBuf::from(next(&argv, &mut i, "--hr"))),
-            "--lr" => lr = Some(PathBuf::from(next(&argv, &mut i, "--lr"))),
-            "--ckpt" => ckpt = Some(PathBuf::from(next(&argv, &mut i, "--ckpt"))),
-            "--epochs" => tc.epochs = next(&argv, &mut i, "--epochs").parse().expect("integer"),
-            "--gamma" => gamma = next(&argv, &mut i, "--gamma").parse().expect("float"),
-            "--rate" => tc.lr = next(&argv, &mut i, "--rate").parse().expect("float"),
-            "--batch" => tc.batch_size = next(&argv, &mut i, "--batch").parse().expect("integer"),
-            "--workers" => workers = next(&argv, &mut i, "--workers").parse().expect("integer"),
-            "--valid-frac" => {
-                valid_frac = next(&argv, &mut i, "--valid-frac").parse().expect("float")
-            }
-            "--telemetry" => telemetry = Some(PathBuf::from(next(&argv, &mut i, "--telemetry"))),
-            "--checkpoint-every" => {
-                tc.checkpoint_every =
-                    next(&argv, &mut i, "--checkpoint-every").parse().expect("integer")
-            }
-            "--resume" => resume = Some(PathBuf::from(next(&argv, &mut i, "--resume"))),
-            "--help" | "-h" => {
-                println!("{usage}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("error: unknown option {other}\n{usage}");
-                std::process::exit(2);
-            }
+    let (mut hr, mut ckpt) = (None, None);
+    let mut cli = Cli::new(USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--hr" => hr = Some(cli.value(&flag)),
+            "--lr" => a.lr = Some(cli.value(&flag)),
+            "--ckpt" => ckpt = Some(cli.value(&flag)),
+            "--epochs" => a.tc.epochs = cli.value(&flag),
+            "--gamma" => a.gamma = cli.value(&flag),
+            "--rate" => a.tc.lr = cli.value(&flag),
+            "--batch" => a.tc.batch_size = cli.value(&flag),
+            "--workers" => a.workers = cli.value(&flag),
+            "--valid-frac" => a.valid_frac = cli.value(&flag),
+            "--telemetry" => a.telemetry = Some(cli.value(&flag)),
+            "--checkpoint-every" => a.tc.checkpoint_every = cli.value(&flag),
+            "--resume" => a.resume = Some(cli.value(&flag)),
+            other => cli.fail(&format!("unknown option {other}")),
         }
-        i += 1;
     }
-    let missing = |what: &str| -> ! {
-        eprintln!("error: {what} is required\n{usage}");
-        std::process::exit(2);
-    };
-    Args {
-        hr: hr.unwrap_or_else(|| missing("--hr")),
-        lr,
-        ckpt: ckpt.unwrap_or_else(|| missing("--ckpt")),
-        tc,
-        gamma,
-        workers,
-        valid_frac,
-        telemetry,
-        resume,
-    }
+    a.hr = hr.unwrap_or_else(|| cli.fail("--hr is required"));
+    a.ckpt = ckpt.unwrap_or_else(|| cli.fail("--ckpt is required"));
+    a
+}
+
+/// The dataset at `path`, or the error printed and exit 1.
+fn load(path: &Path) -> Dataset {
+    load_dataset(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot load dataset {}: {e}", path.display());
+        std::process::exit(1);
+    })
 }
 
 /// `(ft, fs)` such that `downsample(hr, ft, fs)` is `lr`: read off the two
@@ -171,8 +152,8 @@ fn datasets(
 
 fn main() {
     let args = parse();
-    let hr_full = load_dataset(&args.hr).expect("load HR dataset");
-    let lr_file = args.lr.as_ref().map(|p| load_dataset(p).expect("load LR dataset"));
+    let hr_full = load(&args.hr);
+    let lr_file = args.lr.as_deref().map(load);
     let ((hr, lr), valid) = datasets(hr_full, lr_file, args.valid_frac).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -203,12 +184,11 @@ fn main() {
 
     // The train state goes next to the checkpoint name unless --resume
     // names an existing file.
-    let sibling = |suffix: &str| {
+    let state_path = args.resume.clone().unwrap_or_else(|| {
         let mut p = args.ckpt.as_os_str().to_owned();
-        p.push(suffix);
+        p.push(".state");
         PathBuf::from(p)
-    };
-    let state_path = args.resume.clone().unwrap_or_else(|| sibling(".state"));
+    });
     let fault_tolerant = args.tc.checkpoint_every > 0 || args.resume.is_some();
 
     let model = if args.workers > 1 {
@@ -278,11 +258,6 @@ fn main() {
     };
     recorder.flush();
     eprintln!("train state written to {}", state_path.display());
-    // Architecture sidecar: the MFNSTAT1 frame carries tensors, not the
-    // architecture, so `serve` needs this to rebuild the exact model.
-    let cfg_path = sibling(".cfg.json");
-    model.cfg.save_json(&cfg_path).expect("write config sidecar");
-    eprintln!("config sidecar written to {}", cfg_path.display());
 
     if let Some((valid, valid_lr)) = valid {
         eprintln!("evaluating on held-out frames ...");

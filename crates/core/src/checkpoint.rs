@@ -4,8 +4,10 @@
 //! resume — Adam's bias correction restarts, the moments reset, and the batch
 //! sampler replays the epoch from scratch. The *train state* checkpoint
 //! captures everything a resumed run needs to be bit-identical to an
-//! uninterrupted one:
+//! uninterrupted one, after the architecture it was trained under:
 //!
+//! - the architecture ([`MfnConfig`] as JSON), which a serving process
+//!   builds its model from and a resumed trainer must match exactly,
 //! - model parameters (the `MFNCKPT1` stream of `mfn_autodiff::checkpoint`),
 //! - batch-norm running statistics,
 //! - Adam configuration, step count, and both moment buffers,
@@ -14,11 +16,14 @@
 //!
 //! On disk the payload sits inside a frame — magic, version, payload length,
 //! CRC32 — so a torn or bit-flipped write is detected *before* any tensor is
-//! decoded. Writes go to a temp file that is atomically renamed over the
-//! target after `sync_all`; the previous checkpoint is rotated to
-//! `<path>.prev` first, which is what [`load_train_state_with_fallback`]
-//! falls back to when the newest file is corrupt.
+//! decoded. The frame is version 2, the first with the architecture section;
+//! a frame of any other version is refused as `Incompatible`, by its number.
+//! Writes go to a temp file that is atomically renamed over the target after
+//! `sync_all`; the previous checkpoint is rotated to `<path>.prev` first,
+//! which is what [`load_train_state_with_fallback`] falls back to when the
+//! newest file is corrupt.
 
+use crate::config::MfnConfig;
 use crate::model::MeshfreeFlowNet;
 use crate::rng::RngState;
 use mfn_autodiff::{read_adam, read_params, write_adam, write_params, Adam};
@@ -27,23 +32,21 @@ use std::path::{Path, PathBuf};
 
 /// Frame magic for a full train-state checkpoint.
 const STATE_MAGIC: &[u8; 8] = b"MFNSTAT1";
-/// Frame format version.
-const STATE_VERSION: u32 = 1;
-/// Magic of the trailing section the removed adaptive query sampler
-/// appended after the Adam block. Only recognized, so that such a payload
-/// is refused by name instead of as trailing garbage.
-const SAMPLER_MAGIC: &[u8; 8] = b"MFNSMPL1";
+/// Frame format version (2: the payload opens with the architecture).
+const STATE_VERSION: u32 = 2;
+/// Largest architecture section read, in bytes.
+const MAX_CONFIG_LEN: usize = 64 << 10;
 
 /// Why a checkpoint could not be written or restored.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Filesystem-level failure (missing file, permissions, disk full).
     Io(io::Error),
-    /// The frame is damaged: wrong magic/version, truncated payload, or a
-    /// CRC mismatch. The file cannot be trusted at all.
+    /// The frame is damaged: wrong magic, truncated payload, a CRC mismatch
+    /// or an architecture the payload cannot hold. Nothing in it is trusted.
     Corrupt(String),
-    /// The frame is intact but the payload does not describe this model
-    /// (parameter names/shapes, BN layout, or moment shapes differ).
+    /// The frame is intact but another format version, or its payload does
+    /// not describe this model (architecture, parameters, BN or moments).
     Incompatible(String),
 }
 
@@ -114,8 +117,11 @@ pub struct TrainStateMeta {
 /// Serializes model + optimizer + loop position into a checkpoint payload
 /// (the bytes inside the frame; see [`save_train_state`]).
 pub fn encode_train_state(model: &MeshfreeFlowNet, opt: &Adam, meta: &TrainStateMeta) -> Vec<u8> {
+    let config = model.cfg.to_json();
     let mut buf = Vec::new();
     // Writes into a Vec cannot fail.
+    buf.write_all(&(config.len() as u32).to_le_bytes()).expect("vec write");
+    buf.write_all(config.as_bytes()).expect("vec write");
     buf.write_all(&meta.global_step.to_le_bytes()).expect("vec write");
     buf.write_all(&(meta.epoch as u64).to_le_bytes()).expect("vec write");
     buf.write_all(&(meta.batch_cursor as u64).to_le_bytes()).expect("vec write");
@@ -133,45 +139,63 @@ pub fn encode_train_state(model: &MeshfreeFlowNet, opt: &Adam, meta: &TrainState
 /// Restores a payload produced by [`encode_train_state`] into `model`,
 /// returning the rebuilt optimizer and loop metadata: the
 /// [`decode_inference_state`] prefix, then the Adam block, which must end
-/// the payload. A payload that goes on with the removed adaptive sampler's
-/// `MFNSMPL1` section is `Incompatible`; any other trailing bytes are
-/// `Corrupt`.
+/// the payload (trailing bytes are `Corrupt`).
 pub fn decode_train_state(
     model: &mut MeshfreeFlowNet,
-    r: &mut impl Read,
+    r: &mut &[u8],
 ) -> Result<(Adam, TrainStateMeta), CheckpointError> {
     let meta = decode_inference_state(model, r)?;
     let opt = read_adam(&model.store, r).map_err(decode_err)?;
-    let mut tail = Vec::new();
-    r.take(SAMPLER_MAGIC.len() as u64).read_to_end(&mut tail)?;
-    if tail == SAMPLER_MAGIC {
-        return Err(CheckpointError::Incompatible(
-            "checkpoint carries an MFNSMPL1 section of the removed adaptive query sampler; \
-             this build draws query points uniformly and cannot continue that run"
-                .into(),
-        ));
-    }
-    if !tail.is_empty() {
+    if !r.is_empty() {
         return Err(CheckpointError::Corrupt("trailing payload bytes after the Adam state".into()));
     }
     Ok((opt, meta))
 }
 
+/// Reads the architecture section — a `u32` length of at most 64 KiB,
+/// then that much JSON — and checks it against the rest of the payload
+/// before it can size anything ([`MfnConfig::check_sizes`]): the
+/// parameters it implies must fit there, four bytes each.
+pub(crate) fn read_config(r: &mut &[u8]) -> Result<MfnConfig, CheckpointError> {
+    let corrupt = |m: String| CheckpointError::Corrupt(format!("architecture section: {m}"));
+    let mut len = [0u8; 4];
+    r.read_exact(&mut len).map_err(decode_err)?;
+    let len = u32::from_le_bytes(len) as usize;
+    if len > MAX_CONFIG_LEN.min(r.len()) {
+        return Err(corrupt(format!("{len} bytes, of at most {MAX_CONFIG_LEN} and {}", r.len())));
+    }
+    let (json, rest) = r.split_at(len);
+    *r = rest;
+    let cfg = MfnConfig::from_json(&String::from_utf8_lossy(json))
+        .map_err(|e| CheckpointError::Incompatible(format!("architecture section: {e}")))?;
+    cfg.check_sizes(r.len() / 4).map_err(corrupt)?;
+    Ok(cfg)
+}
+
 /// Restores only the inference-relevant slice of a train-state payload —
-/// loop metadata, model parameters, and BN running statistics — and stops
-/// there. The trailing Adam section is never read or materialized, so a
-/// serving process cannot observe or perturb optimizer moments even by
-/// accident; the sampler RNG states in the returned meta are positions, not
-/// live generators.
+/// architecture, loop metadata, model parameters, and BN running
+/// statistics — and stops there. An architecture other than `model.cfg` is
+/// `Incompatible`, and the error shows both. The trailing Adam section is
+/// never read or materialized, so a serving process cannot observe or
+/// perturb optimizer moments even by accident; the sampler RNG states in the
+/// returned meta are positions, not live generators.
 pub fn decode_inference_state(
     model: &mut MeshfreeFlowNet,
-    r: &mut impl Read,
+    r: &mut &[u8],
 ) -> Result<TrainStateMeta, CheckpointError> {
     let u64le = |r: &mut dyn Read| -> Result<u64, CheckpointError> {
         let mut b = [0u8; 8];
         r.read_exact(&mut b).map_err(decode_err)?;
         Ok(u64::from_le_bytes(b))
     };
+    let found = read_config(r)?;
+    if found != model.cfg {
+        return Err(CheckpointError::Incompatible(format!(
+            "the checkpoint holds the architecture {}, this model is {}",
+            found.to_json(),
+            model.cfg.to_json()
+        )));
+    }
     let global_step = u64le(r)?;
     let epoch = u64le(r)? as usize;
     let batch_cursor = u64le(r)? as usize;
@@ -242,8 +266,8 @@ pub fn load_train_state(path: &Path) -> Result<Vec<u8>, CheckpointError> {
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     if version != STATE_VERSION {
-        return Err(CheckpointError::Corrupt(format!(
-            "format version {version}, expected {STATE_VERSION}"
+        return Err(CheckpointError::Incompatible(format!(
+            "format version {version}; this build reads version {STATE_VERSION} only"
         )));
     }
     let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
@@ -285,7 +309,6 @@ pub fn load_train_state_with_fallback(path: &Path) -> Result<Vec<u8>, Checkpoint
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MfnConfig;
     use mfn_autodiff::AdamConfig;
     use mfn_data::PatchSpec;
 
@@ -367,36 +390,29 @@ mod tests {
         let path = dir.join("state.ckpt");
         save_train_state(&path, &encode_train_state(&model, &opt, &meta)).expect("save");
 
-        // The matching config restores cleanly.
-        let ok = FrozenModel::load_state(cfg.clone(), &path).expect("matching config");
-        assert_eq!(ok.trained_steps(), 7);
+        // The frame alone rebuilds the model it was written from.
+        let ok = FrozenModel::load_state(&path).expect("self-describing frame");
+        assert_eq!((ok.cfg(), ok.trained_steps()), (&cfg, 7));
 
-        // A config that disagrees with the one the checkpoint was written
-        // under (wider U-Net stem → different parameter shapes) must be a
-        // typed Incompatible, not silently-misloaded weights or a panic.
+        // A model that disagrees with the architecture the checkpoint was
+        // written under — wider U-Net stem, an extra MLP layer, or only γ —
+        // refuses it before reading a tensor, and says how they differ.
+        let payload = load_train_state(&path).expect("load");
         let mut wider = cfg.clone();
         wider.base_channels = 8;
-        match FrozenModel::load_state(wider, &path) {
-            Err(CheckpointError::Incompatible(m)) => {
-                // base_channels changes both parameter count and shapes;
-                // whichever check fires first must name the disagreement.
-                assert!(
-                    m.contains("mismatch") || m.contains("parameters"),
-                    "message should name the mismatch: {m}"
-                )
-            }
-            Err(other) => panic!("expected Incompatible, got {other:?}"),
-            Ok(_) => panic!("expected Incompatible, got a loaded model"),
-        }
-
-        // Structural drift (extra MLP layer → different parameter count)
-        // is caught too, before any tensor data is interpreted.
-        let mut deeper = cfg;
+        let mut deeper = cfg.clone();
         deeper.mlp_hidden = vec![16, 16, 16];
-        assert!(matches!(
-            FrozenModel::load_state(deeper, &path),
-            Err(CheckpointError::Incompatible(_))
-        ));
+        let mut gamma = cfg.clone();
+        gamma.gamma = 0.0;
+        for other in [wider, deeper, gamma] {
+            let mut m = MeshfreeFlowNet::new(other.clone());
+            match decode_train_state(&mut m, &mut payload.as_slice()) {
+                Err(CheckpointError::Incompatible(m)) => {
+                    assert!(m.contains(&cfg.to_json()) && m.contains(&other.to_json()), "{m}")
+                }
+                other => panic!("expected Incompatible, got {:?}", other.map(|_| ())),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -418,16 +434,8 @@ mod tests {
         };
         assert_eq!(decode(&payload).expect("decode"), meta);
 
-        // A section of the removed adaptive sampler is refused by name; any
-        // other tail, however short, is damage.
-        let mut with_sampler = payload.clone();
-        with_sampler.extend_from_slice(SAMPLER_MAGIC);
-        with_sampler.extend_from_slice(&u64::MAX.to_le_bytes());
-        match decode(&with_sampler) {
-            Err(CheckpointError::Incompatible(m)) => assert!(m.contains("adaptive"), "{m}"),
-            other => panic!("expected Incompatible, got {other:?}"),
-        }
-        for tail in [&b"M"[..], b"MFNSMPL", b"MFNSMPL2"] {
+        // Any tail, however short, is damage.
+        for tail in [&b"M"[..], b"MFNS", &[7u8; 24]] {
             let mut bytes = payload.clone();
             bytes.extend_from_slice(tail);
             assert!(matches!(decode(&bytes), Err(CheckpointError::Corrupt(_))), "{tail:?}");
@@ -465,10 +473,12 @@ mod tests {
                 other => panic!("expected Incompatible, got {:?}", other.map(|_| ())),
             }
         }
-        // global_step, epoch, batch_cursor, the RNG count, then one state.
-        let mut truncated = payload[..24].to_vec();
+        // The architecture section, global_step, epoch, batch_cursor, the
+        // RNG count, then one state.
+        let head = 4 + cfg.to_json().len();
+        let mut truncated = payload[..head + 24].to_vec();
         truncated.extend_from_slice(&(1u64 << 20).to_le_bytes());
-        truncated.extend_from_slice(&payload[32..48]);
+        truncated.extend_from_slice(&payload[head + 32..head + 48]);
         let mut m = MeshfreeFlowNet::new(cfg);
         match decode_train_state(&mut m, &mut truncated.as_slice()) {
             Err(CheckpointError::Corrupt(_)) => {}

@@ -109,11 +109,59 @@ impl MfnConfig {
         w
     }
 
-    /// Serializes the architecture to the JSON sidecar format written next
-    /// to checkpoints (`<ckpt>.cfg.json`). A `MFNSTAT1` train-state frame
-    /// stores tensors by name/shape but not the architecture itself; the
-    /// sidecar is what lets a serving process rebuild the exact model a
-    /// checkpoint was trained with.
+    /// Checks a configuration read from a file before it sizes anything:
+    /// every width, the level count and every patch dimension at least 1,
+    /// the patch's element count `in_channels·nt·nz·nx` within `usize`, and
+    /// at most `max_params` parameters (a checkpoint's parameters must fit
+    /// in its bytes). The count uses checked arithmetic and stops as soon as
+    /// it passes the bound; on success it is `MeshfreeFlowNet::new(self)`'s.
+    pub fn check_sizes(&self, max_params: usize) -> Result<usize, String> {
+        let (c0, [nt, nz, nx]) =
+            (self.base_channels, [self.patch.nt, self.patch.nz, self.patch.nx]);
+        let sizes = [self.in_channels, self.out_channels, c0, self.levels, self.latent_channels];
+        if sizes.iter().chain(&[nt, nz, nx]).chain(&self.mlp_hidden).any(|&n| n == 0) {
+            return Err("a width, the level count or a patch dimension is 0".into());
+        }
+        [nt, nz, nx]
+            .into_iter()
+            .try_fold(self.in_channels, usize::checked_mul)
+            .ok_or("the patch's element count overflows usize")?;
+        // A `ResBlock3d`: 1, 27 and 1 taps with biases, three batch norms
+        // (γ, β) and a 1×1×1 projection when the channel counts differ.
+        let block = |cin: usize, cout: usize| {
+            let body = cout.checked_mul(28)?.checked_add(cin)?.checked_add(9)?.checked_mul(cout)?;
+            let skip = if cin == cout { 0 } else { cin.checked_add(1)?.checked_mul(cout)? };
+            body.checked_add(skip)
+        };
+        // `c0 << l` and `c0 << (l + 1)`, or `None` once a bit would fall off.
+        let widths = |l: usize| {
+            let c = c0.checked_mul(1usize.checked_shl(u32::try_from(l).ok()?)?)?;
+            Some((c, c.checked_mul(2)?))
+        };
+        let unet = (0..self.levels).flat_map(|l| {
+            let w = widths(l);
+            [w.and_then(|(c, c2)| block(c, c2)), w.and_then(|(c, c2)| block(c.checked_add(c2)?, c))]
+        });
+        let mut fan_in = self.latent_channels.checked_add(3);
+        let mlp = self.mlp_hidden.iter().chain([&self.out_channels]).map(|&out| {
+            let layer = fan_in.and_then(|i| i.checked_add(1)?.checked_mul(out));
+            fan_in = Some(out);
+            layer
+        });
+        let head = c0.checked_add(1).and_then(|c| c.checked_mul(self.latent_channels));
+        let mut total = 0usize;
+        for n in std::iter::once(block(self.in_channels, c0)).chain(unet).chain([head]).chain(mlp) {
+            total = n
+                .and_then(|n| total.checked_add(n))
+                .filter(|&t| t <= max_params)
+                .ok_or_else(|| format!("the architecture has more than {max_params} parameters"))?;
+        }
+        Ok(total)
+    }
+
+    /// The architecture as compact JSON (`ConfigFile`): the section that
+    /// opens every train-state payload, so a checkpoint names the model it
+    /// holds and any other model refuses it.
     pub fn to_json(&self) -> String {
         let file = ConfigFile {
             patch_nt: self.patch.nt,
@@ -126,31 +174,27 @@ impl MfnConfig {
             levels: self.levels,
             latent_channels: self.latent_channels,
             mlp_hidden: self.mlp_hidden.clone(),
-            activation: match self.activation {
-                Activation::Relu => "relu",
-                Activation::Softplus => "softplus",
-                Activation::Tanh => "tanh",
-                Activation::Linear => "linear",
-            }
-            .to_string(),
+            activation: ACTIVATIONS
+                .iter()
+                .find(|a| a.1 == self.activation)
+                .expect("named")
+                .0
+                .into(),
             gamma: self.gamma,
-            fd_step: None,
             constraints: self.constraints.flags(),
             seed: self.seed,
         };
-        serde_json::to_string_pretty(&file).expect("config serializes")
+        serde_json::to_string(&file).expect("config serializes")
     }
 
-    /// Parses a sidecar produced by [`MfnConfig::to_json`].
+    /// Parses JSON produced by [`MfnConfig::to_json`]. Nothing is checked
+    /// beyond the schema; see [`MfnConfig::check_sizes`].
     pub fn from_json(s: &str) -> Result<Self, String> {
         let f: ConfigFile = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        let activation = match f.activation.as_str() {
-            "relu" => Activation::Relu,
-            "softplus" => Activation::Softplus,
-            "tanh" => Activation::Tanh,
-            "linear" => Activation::Linear,
-            other => return Err(format!("unknown activation {other:?}")),
-        };
+        let (_, activation) = ACTIVATIONS
+            .into_iter()
+            .find(|a| a.0 == f.activation)
+            .ok_or_else(|| format!("unknown activation {:?}", f.activation))?;
         let [continuity, temperature, momentum_x, momentum_z] = f.constraints;
         Ok(MfnConfig {
             patch: PatchSpec {
@@ -171,24 +215,21 @@ impl MfnConfig {
             seed: f.seed,
         })
     }
-
-    /// Writes the JSON sidecar to `path`.
-    pub fn save_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Loads a JSON sidecar from `path` (parse errors map to `InvalidData`).
-    pub fn load_json(path: &std::path::Path) -> std::io::Result<Self> {
-        let s = std::fs::read_to_string(path)?;
-        Self::from_json(&s).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
 }
+
+/// Every activation under the name [`ConfigFile`] stores it as.
+const ACTIVATIONS: [(&str, Activation); 4] = [
+    ("relu", Activation::Relu),
+    ("softplus", Activation::Softplus),
+    ("tanh", Activation::Tanh),
+    ("linear", Activation::Linear),
+];
 
 /// On-disk representation of [`MfnConfig`]. Kept separate (plain scalars,
 /// activation/constraints as data) so `mfn-autodiff` and `mfn-data` need no
 /// serde dependency.
 ///
-/// `deny_unknown_fields`: a sidecar with fields this build does not know
+/// `deny_unknown_fields`: a section with fields this build does not know
 /// about was written by a different (newer or diverged) schema. Silently
 /// dropping those fields would rebuild a model that disagrees with the one
 /// the checkpoint was trained with — the drift must be a load error, not a
@@ -208,12 +249,6 @@ struct ConfigFile {
     mlp_hidden: Vec<usize>,
     activation: String,
     gamma: f32,
-    /// Retired: the stencil step of builds that took the PDE derivatives by
-    /// finite differences. Read so that their sidecars keep loading, then
-    /// dropped; never written.
-    #[serde(default, skip_serializing)]
-    #[allow(dead_code)]
-    fd_step: Option<f32>,
     constraints: [bool; 4],
     seed: u64,
 }
@@ -307,31 +342,48 @@ mod tests {
         assert_eq!(back, cfg);
     }
 
+    /// The count `check_sizes` bounds is the parameter count of the model
+    /// the configuration builds, and one parameter less is refused.
     #[test]
-    fn sidecar_with_the_retired_stencil_step_still_loads() {
-        // A sidecar as written before the derivative lanes, `fd_step`
-        // included: it loads to the config it described, and writing that
-        // back out drops the key for good.
-        let old = r#"{
-  "patch_nt": 4, "patch_nz": 8, "patch_nx": 8, "patch_queries": 64,
-  "in_channels": 4, "out_channels": 4, "base_channels": 8, "levels": 2,
-  "latent_channels": 16, "mlp_hidden": [64, 64, 32], "activation": "softplus",
-  "gamma": 0.0125, "fd_step": 0.02,
-  "constraints": [true, true, true, true], "seed": 7
-}"#;
-        let cfg = MfnConfig::from_json(old).expect("pre-lanes sidecar loads");
-        let mut want = MfnConfig::small();
-        want.patch = PatchSpec { nt: 4, nz: 8, nx: 8, queries: 64 };
-        want.seed = 7;
-        assert_eq!(cfg, want);
-        let written = cfg.to_json();
-        assert!(!written.contains("fd_step"), "the retired key is never written: {written}");
-        assert_eq!(MfnConfig::from_json(&written).expect("roundtrip"), want);
+    fn check_sizes_counts_the_models_parameters() {
+        let mut deeper = MfnConfig::small();
+        (deeper.levels, deeper.in_channels) = (3, 8);
+        let mut narrow = MfnConfig::small();
+        narrow.patch = PatchSpec { nt: 2, nz: 4, nx: 4, queries: 8 };
+        (narrow.base_channels, narrow.latent_channels, narrow.mlp_hidden) = (1, 1, vec![1]);
+        for cfg in [MfnConfig::small(), deeper, narrow] {
+            let n = crate::MeshfreeFlowNet::new(cfg.clone()).param_count();
+            assert_eq!(cfg.check_sizes(n), Ok(n), "{cfg:?}");
+            assert!(cfg.check_sizes(n - 1).is_err(), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn check_sizes_refuses_zeros_and_overflow() {
+        let zero: [fn(&mut MfnConfig); 4] = [
+            |c| c.levels = 0,
+            |c| c.patch.nz = 0,
+            |c| c.mlp_hidden[1] = 0,
+            |c| c.latent_channels = 0,
+        ];
+        for set in zero {
+            let mut cfg = MfnConfig::small();
+            set(&mut cfg);
+            assert!(cfg.check_sizes(usize::MAX).expect_err("zero").contains("is 0"));
+        }
+        let mut cfg = MfnConfig::small();
+        cfg.patch.nt = usize::MAX / 2;
+        assert!(cfg.check_sizes(usize::MAX).expect_err("numel").contains("overflows"));
+        for (levels, base) in [(70, 8), (1, 1 << 40), (1, 1 << 62)] {
+            let mut cfg = MfnConfig::small();
+            (cfg.levels, cfg.base_channels) = (levels, base);
+            assert!(cfg.check_sizes(usize::MAX).is_err(), "levels {levels}, base {base}");
+        }
     }
 
     #[test]
     fn unknown_sidecar_field_is_rejected() {
-        // A sidecar carrying a field this build does not know about was
+        // A section carrying a field this build does not know about was
         // written by a diverged schema; dropping it silently could rebuild
         // a different model than the checkpoint was trained with.
         let json = MfnConfig::small().to_json().replacen('{', "{ \"dropout\": 0.1,", 1);

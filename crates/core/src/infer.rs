@@ -25,7 +25,9 @@
 //! `mfn_tensor::rowops` epilogues — and a prepacked panel is the panel a
 //! per-call pack builds.
 
-use crate::checkpoint::{decode_inference_state, load_train_state_with_fallback, CheckpointError};
+use crate::checkpoint::{
+    decode_inference_state, load_train_state_with_fallback, read_config, CheckpointError,
+};
 use crate::config::MfnConfig;
 use crate::decoder::{decode_packed, plan_queries, ContinuousDecoder, DecodeStages};
 use crate::model::MeshfreeFlowNet;
@@ -64,14 +66,15 @@ impl FrozenModel {
     /// Loads a `MFNSTAT1` train-state checkpoint (as written by the trainer's
     /// periodic checkpointing or the `train` binary) into a frozen engine.
     ///
+    /// The model is built from the architecture section that opens the
+    /// payload, once that section is checked against the payload's size.
     /// Only parameters and BN running statistics are restored; the Adam
     /// moments in the trailing section of the payload are never materialized.
     /// Falls back to `<path>.prev` when the newest frame is corrupt.
-    pub fn load_state(cfg: MfnConfig, path: &Path) -> Result<Self, CheckpointError> {
-        let mut model = MeshfreeFlowNet::new(cfg);
+    pub fn load_state(path: &Path) -> Result<Self, CheckpointError> {
         let payload = load_train_state_with_fallback(path)?;
-        let mut r = payload.as_slice();
-        let meta = decode_inference_state(&mut model, &mut r)?;
+        let mut model = MeshfreeFlowNet::new(read_config(&mut payload.as_slice())?);
+        let meta = decode_inference_state(&mut model, &mut payload.as_slice())?;
         Ok(Self::with_steps(model, meta.global_step))
     }
 

@@ -17,10 +17,12 @@
 //!   full-domain super-resolution;
 //! - [`baseline`]: Baseline (I) trilinear and Baseline (II) convolutional-
 //!   decoder U-Net of Table 2;
-//! - [`trainer`] / [`eval`]: Adam training loops and the NMAE/R² table rows.
+//! - [`trainer`] / [`eval`]: Adam training loops and the NMAE/R² table rows;
+//! - [`cli`]: the command-line parsing every binary shares.
 
 pub mod baseline;
 pub mod checkpoint;
+pub mod cli;
 pub mod config;
 pub mod decoder;
 pub mod eval;

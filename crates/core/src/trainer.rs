@@ -275,9 +275,10 @@ impl Trainer {
 
     /// Reconstructs a trainer from a train-state checkpoint written by
     /// [`Trainer::save_checkpoint`] (or the periodic writer). `model` must
-    /// have the architecture the checkpoint was captured from — a fresh
-    /// `MeshfreeFlowNet::new(cfg)` is fine, its initial weights are
-    /// overwritten. The resumed trainer continues bit-identically to the run
+    /// have the architecture the checkpoint was captured from, field for
+    /// field (γ and the constraint set included; any difference is
+    /// `Incompatible`) — a fresh `MeshfreeFlowNet::new(cfg)` is fine, its
+    /// initial weights are overwritten. The resumed trainer continues bit-identically to the run
     /// that wrote the checkpoint: same parameters, Adam moments and step
     /// count, learning rate, sampler stream position, and epoch/batch
     /// cursor. Falls back to `<path>.prev` when the newest file is damaged.

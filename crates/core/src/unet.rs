@@ -442,7 +442,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("state.ckpt");
         trainer.save_checkpoint(&path).expect("save checkpoint");
-        let loaded = FrozenModel::load_state(tiny_cfg(), &path).expect("load checkpoint");
+        let loaded = FrozenModel::load_state(&path).expect("load checkpoint");
         std::fs::remove_dir_all(&dir).ok();
 
         let mut rng = ChaCha8Rng::seed_from_u64(9);

@@ -20,8 +20,8 @@ pub const CH_W: usize = 3;
 /// Number of physical channels.
 pub const CHANNELS: usize = 4;
 
-/// Physical/geometric metadata of a dataset (serialized as JSON next to the
-/// binary payload).
+/// Physical/geometric metadata of a dataset (serialized as JSON inside the
+/// dataset file, ahead of the payload; see `io`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatasetMeta {
     /// Number of time frames.

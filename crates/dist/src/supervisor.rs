@@ -91,8 +91,8 @@ pub struct DistRunResult {
     /// Final master parameters, flattened.
     pub final_params: Vec<f32>,
     /// The final master state as `encode_train_state` encodes it —
-    /// parameters, batch-norm running statistics, Adam and every rank's
-    /// sampler position: the payload `<ckpt>.state` frames, which
+    /// architecture, parameters, batch-norm running statistics, Adam and
+    /// every rank's sampler position: the payload `<ckpt>.state` frames, which
     /// `FrozenModel::load_state` serves and `Trainer::from_state` resumes.
     pub final_state: Vec<u8>,
     /// Gradient buffer size in elements (for the scaling model).

@@ -34,6 +34,7 @@
 //! writes its report, then exits 1 if no request completed or any failed,
 //! which is how CI asserts a live end-to-end serving path.
 
+use mfn_core::cli::Cli;
 use mfn_core::RefineBudget;
 use mfn_serve::error::code::UNKNOWN_DIGEST;
 use mfn_serve::{
@@ -74,17 +75,6 @@ const USAGE: &str = "usage: loadgen --addr HOST:PORT [--threads N] [--duration-s
                      [--conns N] [--zipf-s F] [--seed N] [--closed-addr HOST:PORT] [--refine] \
                      [--refine-budgets K1,K2,...] [--refine-points N] [--min-reduction F]";
 
-/// Prints `msg` and the usage line, then exits 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{USAGE}");
-    std::process::exit(2)
-}
-
-/// `text` parsed as a value of `flag`, or a usage error.
-fn value<T: std::str::FromStr>(flag: &str, text: &str) -> T {
-    text.trim().parse().unwrap_or_else(|_| usage_error(&format!("bad value {text:?} for {flag}")))
-}
-
 fn parse() -> Args {
     let mut a = Args {
         addr: String::new(),
@@ -104,37 +94,29 @@ fn parse() -> Args {
         min_reduction: 0.0,
     };
     let mut out = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        let mut next =
-            || argv.next().unwrap_or_else(|| usage_error(&format!("{flag} needs a value")));
+    let mut cli = Cli::new(USAGE);
+    while let Some(flag) = cli.next_flag() {
         match flag.as_str() {
-            "--addr" => a.addr = next(),
-            "--threads" => a.threads = value(&flag, &next()),
-            "--duration-s" => a.duration_s = value(&flag, &next()),
-            "--patches" => a.patches = value(&flag, &next()),
-            "--queries-per-req" => a.queries_per_req = value(&flag, &next()),
-            "--out" => out = Some(PathBuf::from(next())),
-            "--rates" => a.rates = next().split(',').map(|r| value(&flag, r)).collect(),
-            "--conns" => a.conns = value(&flag, &next()),
-            "--zipf-s" => a.zipf_s = value(&flag, &next()),
-            "--seed" => a.seed = value(&flag, &next()),
-            "--closed-addr" => a.closed_addr = Some(next()),
+            "--addr" => a.addr = cli.value(&flag),
+            "--threads" => a.threads = cli.value(&flag),
+            "--duration-s" => a.duration_s = cli.value(&flag),
+            "--patches" => a.patches = cli.value(&flag),
+            "--queries-per-req" => a.queries_per_req = cli.value(&flag),
+            "--out" => out = Some(cli.value(&flag)),
+            "--rates" => a.rates = cli.list(&flag),
+            "--conns" => a.conns = cli.value(&flag),
+            "--zipf-s" => a.zipf_s = cli.value(&flag),
+            "--seed" => a.seed = cli.value(&flag),
+            "--closed-addr" => a.closed_addr = Some(cli.value(&flag)),
             "--refine" => a.refine = true,
-            "--refine-budgets" => {
-                a.refine_budgets = next().split(',').map(|k| value(&flag, k)).collect()
-            }
-            "--refine-points" => a.refine_points = value(&flag, &next()),
-            "--min-reduction" => a.min_reduction = value(&flag, &next()),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_error(&format!("unknown option {other}")),
+            "--refine-budgets" => a.refine_budgets = cli.list(&flag),
+            "--refine-points" => a.refine_points = cli.value(&flag),
+            "--min-reduction" => a.min_reduction = cli.value(&flag),
+            other => cli.fail(&format!("unknown option {other}")),
         }
     }
     if a.addr.is_empty() {
-        usage_error("--addr is required");
+        cli.fail("--addr is required");
     }
     let default_out = if a.refine { "BENCH_refine.json" } else { "BENCH_fleet.json" };
     a.out = out.unwrap_or_else(|| PathBuf::from(default_out));

@@ -10,8 +10,10 @@
 //! queries against it hit that shard's latent cache. Prints
 //! `routing on ADDR (N shards)` once ready — smoke scripts wait for this
 //! exact line. With `--duration-s N` the router exits after N seconds;
-//! otherwise it routes until killed.
+//! otherwise it routes until killed. A missing or malformed option value
+//! prints the usage and exits 2.
 
+use mfn_core::cli::Cli;
 use mfn_serve::{Router, RouterConfig};
 use std::time::Duration;
 
@@ -23,61 +25,33 @@ struct Args {
     duration_s: u64,
 }
 
+const USAGE: &str = "usage: router --shards ADDR,ADDR,... [--addr HOST:PORT] \
+                     [--health-interval-ms N] [--timeout-ms N] [--duration-s N]";
+
 fn parse() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: router --shards ADDR,ADDR,... [--addr HOST:PORT] \
-                 [--health-interval-ms N] [--timeout-ms N] [--duration-s N]";
-    let mut addr = "127.0.0.1:7070".to_string();
-    let mut shards: Vec<String> = Vec::new();
-    let mut health_interval_ms = 200u64;
-    let mut timeout_ms = 5000u64;
-    let mut duration_s = 0u64;
-    let mut i = 0;
-    let next = |argv: &[String], i: &mut usize, what: &str| -> String {
-        *i += 1;
-        argv.get(*i)
-            .unwrap_or_else(|| {
-                eprintln!("error: {what} needs a value\n{usage}");
-                std::process::exit(2);
-            })
-            .clone()
+    let mut a = Args {
+        addr: "127.0.0.1:7070".to_string(),
+        shards: Vec::new(),
+        health_interval_ms: 200,
+        timeout_ms: 5000,
+        duration_s: 0,
     };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => addr = next(&argv, &mut i, "--addr"),
-            "--shards" => {
-                shards = next(&argv, &mut i, "--shards")
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--health-interval-ms" => {
-                health_interval_ms =
-                    next(&argv, &mut i, "--health-interval-ms").parse().expect("integer")
-            }
-            "--timeout-ms" => {
-                timeout_ms = next(&argv, &mut i, "--timeout-ms").parse().expect("integer")
-            }
-            "--duration-s" => {
-                duration_s = next(&argv, &mut i, "--duration-s").parse().expect("integer")
-            }
-            "--help" | "-h" => {
-                println!("{usage}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("error: unknown option {other}\n{usage}");
-                std::process::exit(2);
-            }
+    let mut cli = Cli::new(USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--addr" => a.addr = cli.value(&flag),
+            "--shards" => a.shards = cli.list(&flag),
+            "--health-interval-ms" => a.health_interval_ms = cli.value(&flag),
+            "--timeout-ms" => a.timeout_ms = cli.value(&flag),
+            "--duration-s" => a.duration_s = cli.value(&flag),
+            other => cli.fail(&format!("unknown option {other}")),
         }
-        i += 1;
     }
-    if shards.is_empty() {
-        eprintln!("error: --shards is required\n{usage}");
-        std::process::exit(2);
+    a.shards.retain(|s| !s.is_empty());
+    if a.shards.is_empty() {
+        cli.fail("--shards is required");
     }
-    Args { addr, shards, health_interval_ms, timeout_ms, duration_s }
+    a
 }
 
 fn main() {

@@ -169,6 +169,11 @@ impl Engine {
     /// the cache, returning `(digest, cache_hit)`. A hit skips the U-Net
     /// entirely — that asymmetry is the entire point of this subsystem.
     pub fn encode_patch(&self, batch: usize, data: Vec<f32>) -> Result<(u64, bool), ServeError> {
+        self.encode(batch, data).map(|(digest, hit, _)| (digest, hit))
+    }
+
+    /// [`Engine::encode_patch`], also returning the latent it found or made.
+    fn encode(&self, batch: usize, data: Vec<f32>) -> Result<(u64, bool, Arc<Tensor>), ServeError> {
         if batch == 0 {
             return Err(ServeError::ShapeMismatch("encode batch must be >= 1".into()));
         }
@@ -191,7 +196,7 @@ impl Engine {
         // cached at all — refuse loudly instead of answering from the
         // wrong latent.
         match self.cache.get_verified(digest, verify) {
-            Lookup::Hit(_) => return Ok((digest, true)),
+            Lookup::Hit(latent) => return Ok((digest, true, latent)),
             Lookup::Collision => return Err(ServeError::DigestCollision(digest)),
             Lookup::Miss => {}
         }
@@ -199,18 +204,27 @@ impl Engine {
         // insert; the result is identical either way (the encode is a pure
         // function of the bytes), so we take the duplicated work over
         // holding a lock across the U-Net.
-        let latent = self.model.encode(&Tensor::from_vec(data, &dims));
-        self.cache.insert(digest, verify, Arc::new(latent));
-        Ok((digest, false))
+        let latent = Arc::new(self.model.encode(&Tensor::from_vec(data, &dims)));
+        self.cache.insert(digest, verify, latent.clone());
+        Ok((digest, false, latent))
     }
 
     /// Answers point queries against a cached latent on the calling thread.
     /// Returns the flattened `len·C` values and the channel count `C`.
     pub fn query(&self, digest: u64, queries: Vec<Query>) -> Result<(Vec<f32>, usize), ServeError> {
         let latent = self.cache.get(digest).ok_or(ServeError::UnknownDigest(digest))?;
+        self.answer(&latent, queries)
+    }
+
+    /// The query half of `query` and `encode_query`.
+    fn answer(
+        &self,
+        latent: &Tensor,
+        queries: Vec<Query>,
+    ) -> Result<(Vec<f32>, usize), ServeError> {
         self.validate_queries(&queries, latent.dims()[0])?;
         self.stats.note_queries(queries.len() as u64);
-        Ok((self.decode(&latent, &queries), self.model.cfg().out_channels))
+        Ok((self.decode(latent, &queries), self.model.cfg().out_channels))
     }
 
     /// The one value path of `query` and `refine`: one `decode_values` call,
@@ -222,15 +236,16 @@ impl Engine {
     }
 
     /// Encode + query in one call (one network round trip for cold
-    /// patches). Returns `(digest, cache_hit, values, channels)`.
+    /// patches). Returns `(digest, cache_hit, values, channels)`. One cache
+    /// lookup: the queries see the latent the encode found or made.
     pub fn encode_query(
         &self,
         batch: usize,
         data: Vec<f32>,
         queries: Vec<Query>,
     ) -> Result<(u64, bool, Vec<f32>, usize), ServeError> {
-        let (digest, hit) = self.encode_patch(batch, data)?;
-        let (values, channels) = self.query(digest, queries)?;
+        let (digest, hit, latent) = self.encode(batch, data)?;
+        let (values, channels) = self.answer(&latent, queries)?;
         Ok((digest, hit, values, channels))
     }
 
@@ -555,5 +570,18 @@ mod tests {
         assert_eq!(d, d2);
         assert!(hit2);
         assert_eq!(vals, vals2, "cache hit must be bit-identical to fresh encode");
+    }
+
+    /// An `EncodeQuery` looks its patch up once: cold, one miss and no hit;
+    /// warm, one hit and no miss.
+    #[test]
+    fn encode_query_counts_one_lookup() {
+        let e = tiny_engine();
+        let p = patch(&e, 5);
+        let counts = |e: &Engine| (e.cache().hits(), e.cache().misses());
+        e.encode_query(1, p.clone(), vec![(0, [0.5, 0.5, 0.5])]).unwrap();
+        assert_eq!(counts(&e), (0, 1), "cold");
+        e.encode_query(1, p, vec![(0, [0.5, 0.5, 0.5])]).unwrap();
+        assert_eq!(counts(&e), (1, 1), "warm");
     }
 }

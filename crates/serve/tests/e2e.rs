@@ -1,9 +1,9 @@
-//! End-to-end serving: a real `MFNSTAT1` checkpoint plus its config sidecar
-//! on disk → `FrozenModel::load_state` → live TCP server → concurrent
-//! clients — with every served value spot-checked bit-for-bit against a
-//! direct in-process `FrozenModel` decode of the same checkpoint. This is
-//! the whole tentpole path in one test, minus only the binaries' argv
-//! parsing.
+//! End-to-end serving: a real `MFNSTAT1` checkpoint on disk, the one file
+//! with the architecture inside → `FrozenModel::load_state` → live TCP
+//! server → concurrent clients — with every served value spot-checked
+//! bit-for-bit against a direct in-process `FrozenModel` decode of the same
+//! checkpoint. This is the whole serving path in one test, minus only the
+//! binaries' argv parsing.
 
 use mfn_autodiff::{Adam, AdamConfig, Graph};
 use mfn_core::{
@@ -75,7 +75,7 @@ fn gen_queries(seed: u64, n: usize) -> Vec<(usize, [f32; 3])> {
 
 /// Writes a checkpoint whose BN running stats have genuinely drifted (a
 /// fresh-init model would hide stats-restore bugs behind identical inits).
-fn write_checkpoint(dir: &TempDir) -> (PathBuf, PathBuf, MfnConfig) {
+fn write_checkpoint(dir: &TempDir) -> (PathBuf, MfnConfig) {
     let cfg = tiny_cfg();
     let mut model = MeshfreeFlowNet::new(cfg.clone());
     for i in 0..4u64 {
@@ -94,34 +94,22 @@ fn write_checkpoint(dir: &TempDir) -> (PathBuf, PathBuf, MfnConfig) {
     };
     let ckpt = dir.path("model.ckpt.state");
     save_train_state(&ckpt, &encode_train_state(&model, &opt, &meta)).expect("save checkpoint");
-    // Sidecar naming matches the `train`/`serve` binaries: strip ".state",
-    // append ".cfg.json".
-    let cfg_path = dir.path("model.ckpt.cfg.json");
-    cfg.save_json(&cfg_path).expect("save config sidecar");
-    (ckpt, cfg_path, cfg)
-}
-
-#[test]
-fn config_sidecar_roundtrips() {
-    let dir = TempDir::new("cfg");
-    let (_, cfg_path, cfg) = write_checkpoint(&dir);
-    let loaded = MfnConfig::load_json(&cfg_path).expect("load sidecar");
-    assert_eq!(loaded.to_json(), cfg.to_json(), "sidecar must round-trip the full config");
+    (ckpt, cfg)
 }
 
 #[test]
 fn serve_loads_checkpoint_and_matches_direct_decode() {
     let dir = TempDir::new("e2e");
-    let (ckpt, cfg_path, _) = write_checkpoint(&dir);
+    let (ckpt, cfg) = write_checkpoint(&dir);
 
-    // The serving path: sidecar config + checkpoint → frozen engine.
-    let cfg = MfnConfig::load_json(&cfg_path).expect("load sidecar");
-    let frozen = FrozenModel::load_state(cfg.clone(), &ckpt).expect("load checkpoint");
+    // The serving path: checkpoint → frozen engine.
+    let frozen = FrozenModel::load_state(&ckpt).expect("load checkpoint");
+    assert_eq!(frozen.cfg(), &cfg, "the checkpoint carries the full config");
     assert_eq!(frozen.trained_steps(), 42, "meta.global_step must survive the round trip");
 
     // Reference: an independent load of the same checkpoint, used for
     // direct in-process decodes to check the served values against.
-    let reference = FrozenModel::load_state(cfg.clone(), &ckpt).expect("reference load");
+    let reference = FrozenModel::load_state(&ckpt).expect("reference load");
 
     let engine = Arc::new(Engine::new(frozen, EngineConfig::default()));
     let numel = engine.patch_numel(1);

@@ -3,11 +3,10 @@
 
 use meshfreeflownet::core::{
     covering_origins, extract_patch, load_train_state, load_train_state_with_fallback, prev_path,
-    save_train_state, CheckpointError, Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig,
-    TrainConfig, Trainer,
+    CheckpointError, Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
 };
 use meshfreeflownet::data::{downsample, Dataset, PatchSpec};
-use meshfreeflownet::dist::param_digest;
+use meshfreeflownet::dist::{param_digest, train_elastic, FaultPlan, SupervisorConfig};
 use meshfreeflownet::solver::{simulate, RbcConfig};
 use meshfreeflownet::telemetry::Recorder;
 use meshfreeflownet::tensor::Tensor;
@@ -80,7 +79,7 @@ fn trained_model_roundtrips_through_checkpoint() {
     let dir = TempDir::new("integration");
     let path = dir.path("trained.ckpt.state");
     trainer.save_checkpoint(&path).expect("save");
-    let frozen = FrozenModel::load_state(tiny_cfg(), &path).expect("load");
+    let frozen = FrozenModel::load_state(&path).expect("load");
     let untrained = FrozenModel::from_model(MeshfreeFlowNet::new(tiny_cfg()));
     assert_eq!(frozen.trained_steps(), 3 * 4);
 
@@ -108,25 +107,66 @@ fn trained_model_roundtrips_through_checkpoint() {
     }
 }
 
-/// A train state written under one architecture is refused by a model of
-/// another (wider latent grid), both when served and when resumed, as a
-/// typed `Incompatible` rather than misloaded weights or a panic.
+/// A train state is served as the architecture it was written under —
+/// the file alone decides it — and a model of another architecture (wider
+/// latent grid) refuses to resume it, as a typed `Incompatible` rather than
+/// misloaded weights or a panic.
 #[test]
 fn load_rejects_different_architecture() {
     let trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), TrainConfig::default());
     let dir = TempDir::new("arch");
     let path = dir.path("m.ckpt.state");
     trainer.save_checkpoint(&path).expect("save");
+    assert_eq!(FrozenModel::load_state(&path).expect("load").cfg(), &tiny_cfg());
     let mut bigger_cfg = tiny_cfg();
     bigger_cfg.latent_channels = 16;
-    assert!(matches!(
-        FrozenModel::load_state(bigger_cfg.clone(), &path),
-        Err(CheckpointError::Incompatible(_))
-    ));
     assert!(matches!(
         Trainer::resume(MeshfreeFlowNet::new(bigger_cfg), TrainConfig::default(), &path),
         Err(CheckpointError::Incompatible(_))
     ));
+}
+
+/// The architecture differences that leave every tensor shape alone — γ,
+/// the patch's extent, the constraint set — refuse a resume as well, in the
+/// single trainer and in the data-parallel supervisor: the checkpoint's
+/// Eqn. 10 loss and pooling schedule are not this run's.
+#[test]
+fn resume_under_another_config_is_incompatible() {
+    let (corpus, _hr, _lr) = tiny_corpus();
+    let tc = TrainConfig { epochs: 1, batches_per_epoch: 2, batch_size: 2, ..Default::default() };
+    let dir = TempDir::new("config_drift");
+    let single = dir.path("single.state");
+    let elastic = dir.path("elastic.state");
+    let sup = |path: &PathBuf| SupervisorConfig {
+        workers: 1,
+        checkpoint_path: Some(path.clone()),
+        ..Default::default()
+    };
+    let run = |cfg: &MfnConfig, path: &PathBuf| {
+        train_elastic(&corpus, cfg, &tc, &sup(path), &FaultPlan::none(), Recorder::null())
+    };
+    Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc).save_checkpoint(&single).expect("save");
+    assert!(run(&tiny_cfg(), &elastic).completed);
+
+    let mut gamma = tiny_cfg();
+    gamma.gamma = 0.0;
+    let mut patch = tiny_cfg();
+    patch.patch = PatchSpec { nt: 4, nz: 8, nx: 8, queries: 16 };
+    let mut constraints = tiny_cfg();
+    constraints.constraints.momentum_x = false;
+    for (what, cfg) in [("gamma", gamma), ("patch", patch), ("constraints", constraints)] {
+        match Trainer::resume(MeshfreeFlowNet::new(cfg.clone()), tc, &single) {
+            Err(CheckpointError::Incompatible(m)) => {
+                assert!(m.contains(&tiny_cfg().to_json()) && m.contains(&cfg.to_json()), "{m}")
+            }
+            Err(other) => panic!("{what}: expected Incompatible, got {other:?}"),
+            Ok(_) => panic!("{what}: resumed under another config"),
+        }
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&cfg, &elastic)))
+            .expect_err(what);
+        let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("incompatible checkpoint"), "{what}: {msg}");
+    }
 }
 
 /// The headline resume guarantee: 6 epochs straight vs. 3 epochs → full
@@ -189,7 +229,7 @@ fn crash_resume_is_bit_identical_to_uninterrupted_run() {
     assert!((resumed.opt.config().lr - expect_lr).abs() < 1e-9);
 }
 
-fn sampler_section_config() -> TrainConfig {
+fn short_run_config() -> TrainConfig {
     TrainConfig {
         epochs: 2,
         batches_per_epoch: 2,
@@ -200,20 +240,19 @@ fn sampler_section_config() -> TrainConfig {
     }
 }
 
-/// A uniform run's checkpoint ends with the Adam block — no `MFNSMPL1`
-/// section — and a resumed trainer writes back the very same bytes, so the
-/// payload round-trips through `Trainer::resume` without loss.
+/// A uniform run's checkpoint ends with the Adam block, and a resumed
+/// trainer writes back the very same bytes, so the payload round-trips
+/// through `Trainer::resume` without loss.
 #[test]
 fn uniform_checkpoint_has_no_sampler_section_and_round_trips() {
     let (corpus, _hr, _lr) = tiny_corpus();
-    let tc = sampler_section_config();
+    let tc = short_run_config();
     let dir = TempDir::new("uniform_section");
     let path = dir.path("state.ckpt");
     let mut trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc);
     trainer.train(&corpus);
     trainer.save_checkpoint(&path).expect("save");
     let payload = load_train_state(&path).expect("load");
-    assert!(!payload.windows(8).any(|w| w == b"MFNSMPL1"), "a uniform run writes no section");
 
     let resumed = Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc, &path)
         .expect("uniform state resumes");
@@ -226,34 +265,28 @@ fn uniform_checkpoint_has_no_sampler_section_and_round_trips() {
     );
 }
 
-/// A checkpoint written by a build with the (since removed) adaptive query
-/// sampler ends in an `MFNSMPL1` section after the Adam state. Resuming it
-/// is a typed `Incompatible` naming the sampler — not `Corrupt`, not a
-/// trailing-bytes complaint, and no allocation sized by the section's
-/// length fields.
+/// A frame of format version 1 — written before the architecture moved
+/// into the payload, possibly with the removed adaptive sampler's section
+/// after the Adam state — is intact but another format: `Incompatible`,
+/// naming its version, both when served and when resumed.
 #[test]
-fn checkpoint_with_adaptive_sampler_section_is_incompatible() {
-    let (corpus, _hr, _lr) = tiny_corpus();
-    let tc = sampler_section_config();
-    let dir = TempDir::new("sampler_section");
+fn version_one_frame_is_incompatible_and_named() {
+    let dir = TempDir::new("v1");
     let path = dir.path("state.ckpt");
-    let mut trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc);
-    trainer.train(&corpus);
+    let trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), short_run_config());
     trainer.save_checkpoint(&path).expect("save");
-    let mut payload = load_train_state(&path).expect("load");
-
-    // One rank's section claiming a 1 GiB octree it does not carry.
-    payload.extend_from_slice(b"MFNSMPL1");
-    payload.extend_from_slice(&1u64.to_le_bytes());
-    payload.extend_from_slice(&(1u64 << 30).to_le_bytes());
-    payload.extend_from_slice(&[7u8; 16]);
-    save_train_state(&path, &payload).expect("save with section");
-    match Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc, &path) {
-        Err(CheckpointError::Incompatible(msg)) => {
-            assert!(msg.contains("adaptive"), "message should name the sampler: {msg}")
+    let mut frame = std::fs::read(&path).expect("read");
+    frame[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &frame).expect("write");
+    for err in [
+        load_train_state(&path).err(),
+        FrozenModel::load_state(&path).err(),
+        Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), short_run_config(), &path).err(),
+    ] {
+        match err {
+            Some(CheckpointError::Incompatible(m)) => assert!(m.contains("version 1"), "{m}"),
+            other => panic!("expected Incompatible, got {other:?}"),
         }
-        Err(other) => panic!("expected Incompatible, got {other:?}"),
-        Ok(_) => panic!("a checkpoint with sampler state must not resume"),
     }
 }
 
