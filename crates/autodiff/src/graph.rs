@@ -826,7 +826,7 @@ impl Graph {
                 });
                 let dw = self.rg(w).then(|| {
                     // y = w · x  =>  dw = dz · xᵀ, in w's [out, in] layout.
-                    let mut dw = conv3d_grad_weight(xv.data(), dz, dims).reshape(wv.dims());
+                    let mut dw = conv3d_grad_weight(xv.data(), dz, dims, None).reshape(wv.dims());
                     // Seed lane 1 + a is seed[a] in input feature a, zero elsewhere.
                     for (a, &s) in seed.iter().flatten().enumerate() {
                         let sums = lane_sums(grad.data(), n, 1 + a, points);
@@ -922,8 +922,12 @@ impl Graph {
                     self.accumulate(input, gi);
                 }
                 if self.rg(weight) {
-                    let gw =
-                        conv3d_grad_weight(self.nodes[input.0].value.data(), grad.data(), dims);
+                    let gw = conv3d_grad_weight(
+                        self.nodes[input.0].value.data(),
+                        grad.data(),
+                        dims,
+                        None,
+                    );
                     self.accumulate(weight, gw);
                 }
             }

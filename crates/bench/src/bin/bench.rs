@@ -3,20 +3,19 @@
 //!
 //! Measures the conv driver every layer runs on, as a row-major GEMM
 //! (`PackedConv3d::pack_linear` + `forward_slices`), against the
-//! pre-optimization naive `ikj` kernel kept here as a frozen reference,
-//! the implicit-GEMM conv3d (forward and both gradients, a training-shaped
-//! 3×3×3 layer and its pointwise twin), one U-Net encode attributed conv by
-//! conv and stage by stage, the frozen encode/decode split with every decode
-//! row attributed stage by stage and its GEMM stage timed against the
-//! driver's GEMM, the softplus kernel (as a slice and as the decoder's
-//! feature-major epilogue) and its derivative, the decoder's forward and
-//! backward on the tape (the link between the kernel rows and the training
-//! step), and the heap traffic of one full training step with the workspace
-//! pool on vs off. The results are one [`KernelsReport`], written by
-//! `serde_json` to `BENCH_kernels.json` (default; `--out`
-//! overrides): median wall time, GFLOP/s, heap bytes allocated per call
-//! (counted by the global allocator below), and workspace-pool hit/miss
-//! counters.
+//! pre-optimization naive `ikj` kernel kept here as a frozen reference, the
+//! implicit-GEMM conv3d (forward and both gradients, a training-shaped 3×3×3
+//! layer and its pointwise twin, the weight gradient also stage by stage), one
+//! U-Net encode attributed conv by conv and stage by stage, the frozen
+//! encode/decode split with every decode row attributed stage by stage and its
+//! GEMM stage timed against the driver's GEMM, the softplus kernel (as a slice
+//! and as the decoder's feature-major epilogue) and its derivative, the
+//! decoder's forward and backward on the tape (the link between the kernel rows
+//! and the training step), and the heap traffic of one full training step with
+//! the workspace pool on vs off. The results are one [`KernelsReport`], written
+//! by `serde_json` to `BENCH_kernels.json` (default; `--out` overrides): median
+//! wall time, GFLOP/s, heap bytes allocated per call (counted by the global
+//! allocator below), and workspace-pool hit/miss counters.
 //!
 //! The binary doubles as a regression gate: before timing anything it
 //! re-checks the driver's GEMM against the naive reference on
@@ -27,14 +26,13 @@
 //! the ≥2× speedup the optimization is required to hold on the 256³
 //! GEMM. `--gate BASELINE.json` parses a committed report into the same
 //! [`KernelsReport`] and holds this run's *ratios* against it
-//! ([`run_gate`]): the speedups (driver/naive GEMM, conv3d/driver GEMM)
-//! may not drop below 85% of the baseline's, and the cost ratios (softplus
-//! derivative/softplus; the tape's six-lane equation loss/one-lane decode)
-//! may not rise above the baseline's by the same margin — ratios, not
-//! absolute GFLOP/s,
-//! so the gate is insensitive to how fast the CI machine is that day. A
-//! baseline of the other mode (`--quick` against full) fails the gate: its
-//! ratios were measured at other sizes.
+//! ([`run_gate`]): the speedups (driver/naive GEMM, conv3d and its weight
+//! gradient/driver GEMM) may not drop below 85% of the baseline's, and the
+//! cost ratios (softplus derivative/softplus; the tape's six-lane equation
+//! loss/one-lane decode) may not rise above the baseline's by the same
+//! margin — ratios, not absolute GFLOP/s, so the gate is insensitive to how
+//! fast the CI machine is that day. A baseline of the other mode (`--quick`
+//! against full) fails the gate: its ratios were measured at other sizes.
 
 use mfn_autodiff::{Activation, Graph, Var, JET_LANES};
 use mfn_core::cli::Cli;
@@ -186,7 +184,7 @@ fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
 }
 
 /// Schema tag of the report this binary writes.
-const SCHEMA: &str = "mfn-bench/kernels/v15";
+const SCHEMA: &str = "mfn-bench/kernels/v16";
 
 /// `BENCH_kernels.json`. The field names are the keys (the vendored derive
 /// renames nothing) and `--gate` parses a committed report back into this
@@ -252,15 +250,22 @@ impl GemmRow {
 }
 
 /// A training-shaped 3×3×3 conv (the gated one) and its pointwise twin (same
-/// batch, channels and extent, 1×1×1 kernel), forward and both gradients.
+/// batch, channels and extent, 1×1×1 kernel), forward and both gradients,
+/// the weight gradient also by stage. The two `_vs_gemm_nn` ratios are
+/// GFLOP/s over `gemm_nn`'s (v15 reports lack the weight gradient's and its
+/// stages, and read zero).
 #[derive(Serialize, Deserialize)]
 struct Conv3d {
     shape: ConvShape,
     implicit_gemm: KernelRow,
     implicit_grad_input: KernelRow,
     implicit_grad_weight: KernelRow,
+    #[serde(default)]
+    implicit_grad_weight_stages: GradWeightStages,
     pointwise: PointwiseConv,
     implicit_vs_gemm_nn: f64,
+    #[serde(default)]
+    implicit_grad_weight_vs_gemm_nn: f64,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -278,6 +283,42 @@ struct PointwiseConv {
     implicit_gemm: KernelRow,
     implicit_grad_input: KernelRow,
     implicit_grad_weight: KernelRow,
+    #[serde(default)]
+    implicit_grad_weight_stages: GradWeightStages,
+}
+
+/// `conv3d_grad_weight` by stage (µs, minima over staged calls): the pad
+/// copy of the input (3×3×3 only), the two transposing packs — `grad_out`
+/// rows into A panels, patch rows into B panels — and the micro-kernel
+/// tiles with their write-back.
+#[derive(Serialize, Deserialize, Default)]
+struct GradWeightStages {
+    pad_copy_us: f64,
+    pack_a_us: f64,
+    pack_b_us: f64,
+    micro_us: f64,
+}
+
+/// [`GradWeightStages`] of `conv3d_grad_weight(x, g, dims)` over `iters`
+/// staged calls.
+fn grad_weight_stages(iters: usize, x: &[f32], g: &[f32], dims: Conv3dDims) -> GradWeightStages {
+    let mut best = [f64::MAX; 4];
+    for _ in 0..iters {
+        let mut s = ConvStages::default();
+        std::hint::black_box(conv3d_grad_weight(x, g, dims, Some(&mut s)));
+        for (best, now) in
+            best.iter_mut().zip([s.pad_copy_ns, s.pack_a_ns, s.pack_b_ns, s.micro_ns])
+        {
+            *best = best.min(now);
+        }
+    }
+    let us = |ns: f64| round(ns / 1e3, 2);
+    GradWeightStages {
+        pad_copy_us: us(best[0]),
+        pack_a_us: us(best[1]),
+        pack_b_us: us(best[2]),
+        micro_us: us(best[3]),
+    }
 }
 
 /// One timed kernel; GFLOP/s come from the best time.
@@ -366,7 +407,8 @@ fn check_conv3d_vs_definition() -> Result<(), String> {
         let gout = Tensor::randn(&[2, cout, 3, 4, 5], 1.0, &mut rng);
         let forward = dot(&want, &gout);
         let via_input = dot(&wide(&conv3d_grad_input(gout.data(), weight.data(), dims)), &input);
-        let via_weight = dot(&wide(&conv3d_grad_weight(input.data(), gout.data(), dims)), &weight);
+        let via_weight =
+            dot(&wide(&conv3d_grad_weight(input.data(), gout.data(), dims, None)), &weight);
         for (what, got) in [("grad_input", via_input), ("grad_weight", via_weight)] {
             if (got - forward).abs() > 1e-4 * (1.0 + forward.abs()) {
                 return Err(format!("conv3d {what} adjoint ({tag}): {got} vs {forward}"));
@@ -755,7 +797,8 @@ struct TapeDecoder {
 /// weight leaves and its output's adjoint given (`Graph::backward_with`):
 /// `backward_ms` with both leaves, `grad_input_ms` with only the input a
 /// gradient leaf (`dx`), `grad_weight_ms` with only the weight (`dW`; v13
-/// reports, which lack the two, read zero). GFLOP/s count the GEMMs it
+/// reports, which lack the two, read zero) and `dW`'s `conv3d_grad_weight`
+/// by stage (v15 reports read zero). GFLOP/s count the GEMMs it
 /// executes: `gemm_rows` is the column count of the one-lane input of the
 /// seeded first layer (`Graph::linear_seeded`) and of all six lanes after
 /// it, and backward runs two (`dx`, `dW`) for each forward one.
@@ -770,6 +813,8 @@ struct TapeLayer {
     grad_input_ms: f64,
     #[serde(default)]
     grad_weight_ms: f64,
+    #[serde(default)]
+    grad_weight_stages: GradWeightStages,
     forward_gflops: f64,
     backward_gflops: f64,
 }
@@ -926,8 +971,12 @@ fn bench_tape_layers(
                 }
                 out = Some(y);
             }
-            x = out.expect("at least one pass");
             let gemm_rows = if i == 0 { n } else { n * JET_LANES };
+            let (cin, cout) = (layer.in_features, layer.out_features);
+            let dims = Conv3dDims { n: 1, cin, cout, spatial: [1, 1, gemm_rows], kernel: [1; 3] };
+            let dz = vec![1.0f32; cout * gemm_rows];
+            let grad_weight_stages = grad_weight_stages(iters, x.data(), &dz, dims);
+            x = out.expect("at least one pass");
             let flops = 2.0 * (gemm_rows * layer.in_features * layer.out_features) as f64;
             TapeLayer {
                 in_features: layer.in_features,
@@ -937,6 +986,7 @@ fn bench_tape_layers(
                 backward_ms: ms(bwd),
                 grad_input_ms: ms(dx),
                 grad_weight_ms: ms(dw),
+                grad_weight_stages,
                 forward_gflops: round(flops / fwd, 2),
                 backward_gflops: round(2.0 * flops / bwd, 2),
             }
@@ -1090,9 +1140,10 @@ type GateRead = fn(&KernelsReport) -> f64;
 /// each is, `true` for a speedup (a floor) or `false` for a cost (a
 /// ceiling), and where a report keeps it. Each is a quotient of two
 /// interleaved minima, so the machine's absolute speed divides out.
-const GATE_LEGS: [(&str, bool, GateRead); 4] = [
+const GATE_LEGS: [(&str, bool, GateRead); 5] = [
     ("driver/naive", true, |r| r.gemm_speedup_vs_naive),
     ("conv3d/gemm_nn", true, |r| r.conv3d.implicit_vs_gemm_nn),
+    ("conv3d grad_weight/gemm_nn", true, |r| r.conv3d.implicit_grad_weight_vs_gemm_nn),
     ("softplus derivative/softplus cost", false, |r| r.softplus_grad.ratio_vs_softplus),
     ("equation loss/one-lane decode cost", false, |r| r.tape_decoder.eq_loss_vs_one_lane),
 ];
@@ -1243,7 +1294,7 @@ impl GatedKernels {
                 std::hint::black_box(conv3d_grad_input(g.data(), w.data(), dims));
             },
             &mut || {
-                std::hint::black_box(conv3d_grad_weight(x.data(), g.data(), dims));
+                std::hint::black_box(conv3d_grad_weight(x.data(), g.data(), dims, None));
             },
             &mut || {
                 let (mut cur, mut next) = (&mut *mlp_x, &mut *mlp_y);
@@ -1263,12 +1314,14 @@ impl GatedKernels {
         timings.into_iter().zip(bytes).map(|((median, best), b)| (median, best, b)).collect()
     }
 
-    /// `[driver/naive GEMM, conv3d GFLOP/s / driver GEMM GFLOP/s]` of one
-    /// [`GatedKernels::time`] result — the two speedups `--gate` holds, in
+    /// `[driver/naive GEMM, conv3d GFLOP/s / driver GEMM GFLOP/s, conv3d
+    /// weight gradient GFLOP/s / driver GEMM GFLOP/s]` of one
+    /// [`GatedKernels::time`] result — the three speedups `--gate` holds, in
     /// [`GATE_LEGS`] order.
-    fn ratios(&self, t: &[(f64, f64, u64)]) -> [f64; 2] {
+    fn ratios(&self, t: &[(f64, f64, u64)]) -> [f64; 3] {
         let gemm_rate = gemm_gflops(self.size, self.size, self.size, t[0].1);
-        [t[1].1 / t[0].1, self.conv_flops(&self.cweight) / t[2].1 / gemm_rate]
+        let conv_flops = self.conv_flops(&self.cweight);
+        [t[1].1 / t[0].1, conv_flops / t[2].1 / gemm_rate, conv_flops / t[4].1 / gemm_rate]
     }
 }
 
@@ -1336,7 +1389,7 @@ fn main() {
     let size = gated.size;
     eprintln!("[bench] timing GEMM at {size}^3, conv3d and decoder GEMMs ({iters} iters each) ...");
     let t = gated.time(iters, false);
-    let [speedup, conv_vs_gemm] = gated.ratios(&t);
+    let [speedup, conv_vs_gemm, grad_weight_vs_gemm] = gated.ratios(&t);
     if !quick && speedup < 2.0 {
         fail(&format!("driver GEMM speedup {speedup:.2}x < required 2x at {size}^3"));
     }
@@ -1346,6 +1399,10 @@ fn main() {
     let (flops, pw_flops) = (gated.conv_flops(&gated.cweight), gated.conv_flops(&gated.pweight));
     let pw = gated.time(iters, true);
     let x = gated.cinput.dims();
+    let (cinput, cgout) = (&gated.cinput, &gated.cgout);
+    let dw_stages = |w: &Tensor| {
+        grad_weight_stages(iters, cinput.data(), cgout.data(), Conv3dDims::infer(cinput, w))
+    };
     let conv3d = Conv3d {
         shape: ConvShape {
             n: x[0],
@@ -1357,13 +1414,16 @@ fn main() {
         implicit_gemm: KernelRow::new(flops, t[2]),
         implicit_grad_input: KernelRow::new(flops, t[3]),
         implicit_grad_weight: KernelRow::new(flops, t[4]),
+        implicit_grad_weight_stages: dw_stages(&gated.cweight),
         pointwise: PointwiseConv {
             kernel: [1, 1, 1],
             implicit_gemm: KernelRow::new(pw_flops, pw[2]),
             implicit_grad_input: KernelRow::new(pw_flops, pw[3]),
             implicit_grad_weight: KernelRow::new(pw_flops, pw[4]),
+            implicit_grad_weight_stages: dw_stages(&gated.pweight),
         },
         implicit_vs_gemm_nn: round(conv_vs_gemm, 3),
+        implicit_grad_weight_vs_gemm_nn: round(grad_weight_vs_gemm, 3),
     };
     let stage_gflops = gated.decode_flops() / t[5].1;
     let gemm_stage = GemmStage {
@@ -1419,11 +1479,11 @@ fn main() {
         // numerator and denominator must share steal phases or the retry
         // windows inherit the very noise they exist to reject.
         let remeasure = |leg: usize| match leg {
-            0 | 1 => {
+            0..=2 => {
                 let t = gated.time(iters, false);
                 gated.ratios(&t)[leg]
             }
-            2 => bench_softplus(iters).1.ratio_vs_softplus,
+            3 => bench_softplus(iters).1.ratio_vs_softplus,
             _ => bench_tape_decoder(decode_iters, gemm_nn).eq_loss_vs_one_lane,
         };
         if let Err(e) = run_gate(&base, &report, remeasure) {
@@ -1445,11 +1505,12 @@ mod tests {
     }
 
     /// The committed report with its mode and its [`GATE_LEGS`] ratios set.
-    fn synthesized(mode: &str, [gemm, conv, softplus, eq]: [f64; 4]) -> KernelsReport {
+    fn synthesized(mode: &str, [gemm, conv, dw, softplus, eq]: [f64; 5]) -> KernelsReport {
         let mut r = committed();
         r.mode = mode.to_string();
         r.gemm_speedup_vs_naive = gemm;
         r.conv3d.implicit_vs_gemm_nn = conv;
+        r.conv3d.implicit_grad_weight_vs_gemm_nn = dw;
         r.softplus_grad.ratio_vs_softplus = softplus;
         r.tape_decoder.eq_loss_vs_one_lane = eq;
         r
@@ -1458,7 +1519,7 @@ mod tests {
     #[test]
     fn committed_report_parses_and_round_trips() {
         assert_eq!(committed().schema, SCHEMA);
-        let report = synthesized("quick", [3.25, 0.5, 0.75, 4.5]);
+        let report = synthesized("quick", [3.25, 0.5, 0.375, 0.75, 4.5]);
         let text = serde_json::to_string_pretty(&report).expect("serializes");
         let back: KernelsReport = serde_json::from_str(&text).expect("parses back");
         assert_eq!(serde_json::to_string_pretty(&back).expect("serializes"), text);
@@ -1470,27 +1531,31 @@ mod tests {
 
     #[test]
     fn gate_holds_floors_and_ceilings() {
-        let base = synthesized("full", [5.0, 0.7, 0.5, 4.6]);
-        let within = synthesized("full", [4.3, 0.6, 0.55, 5.2]);
+        let base = synthesized("full", [5.0, 0.7, 0.4, 0.5, 4.6]);
+        let within = synthesized("full", [4.3, 0.6, 0.35, 0.55, 5.2]);
         assert_eq!(run_gate(&base, &within, |_| unreachable!("nothing to re-measure")), Ok(()));
         // A first window under the floor that a fresh one clears passes.
-        let noisy = synthesized("full", [3.0, 0.7, 0.5, 4.6]);
+        let noisy = synthesized("full", [3.0, 0.7, 0.4, 0.5, 4.6]);
         assert_eq!(run_gate(&base, &noisy, |_| 4.5), Ok(()));
-        let slow = synthesized("full", [5.0, 0.5, 0.5, 4.6]);
+        let slow = synthesized("full", [5.0, 0.5, 0.4, 0.5, 4.6]);
         let err = run_gate(&base, &slow, |_| 0.55).expect_err("conv3d below its floor");
         assert!(err.starts_with("conv3d/gemm_nn 0.550x stayed past its floor"), "{err}");
-        let costlier = synthesized("full", [5.0, 0.7, 0.6, 4.6]);
+        // A pack regression: the weight gradient alone falls behind.
+        let slow_dw = synthesized("full", [5.0, 0.7, 0.25, 0.5, 4.6]);
+        let err = run_gate(&base, &slow_dw, |_| 0.3).expect_err("grad_weight below its floor");
+        assert!(err.starts_with("conv3d grad_weight/gemm_nn 0.300x stayed past"), "{err}");
+        let costlier = synthesized("full", [5.0, 0.7, 0.4, 0.6, 4.6]);
         let err = run_gate(&base, &costlier, |_| 0.7).expect_err("softplus above its ceiling");
         assert!(err.starts_with("softplus derivative/softplus cost 0.600x stayed past"), "{err}");
         // Six lanes at the dense first layer's cost again.
-        let dense = synthesized("full", [5.0, 0.7, 0.5, 5.9]);
+        let dense = synthesized("full", [5.0, 0.7, 0.4, 0.5, 5.9]);
         let err = run_gate(&base, &dense, |_| 5.8).expect_err("equation loss above its ceiling");
         assert!(err.starts_with("equation loss/one-lane decode cost 5.800x stayed past"), "{err}");
     }
 
     #[test]
     fn gate_refuses_a_baseline_of_the_other_mode() {
-        let ratios = [5.0, 0.7, 0.5, 4.6];
+        let ratios = [5.0, 0.7, 0.4, 0.5, 4.6];
         let (full, quick) = (synthesized("full", ratios), synthesized("quick", ratios));
         let err = run_gate(&full, &quick, |_| unreachable!()).expect_err("mode mismatch");
         assert!(err.contains(r#"a "full" report and this run is "quick""#), "{err}");

@@ -153,7 +153,7 @@ pub fn check_conv3d_grad_weight() -> Report {
         let dims = mfn_tensor::Conv3dDims::infer(&case.xt, &case.wt);
         let want = refk::conv3d_grad_weight_ref(n, cin, cout, spatial, kernel, &case.x, &case.gout);
         c.case(format!("{spatial:?}*{kernel:?} seed {seed}"));
-        let got = mfn_tensor::conv3d_grad_weight(&case.x, &case.gout, dims);
+        let got = mfn_tensor::conv3d_grad_weight(&case.x, &case.gout, dims, None);
         for (i, &g) in got.data().iter().enumerate() {
             c.check_f32(i, g, want.value[i], want.scale[i]);
         }

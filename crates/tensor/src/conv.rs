@@ -41,7 +41,7 @@
 //! allocator.
 
 use crate::gemm::{macro_block, pack_a, take_scratch_aligned, KC, NC};
-use crate::simd::{self, Kernel};
+use crate::simd::{self, transpose_pack, Kernel};
 use crate::tensor::Tensor;
 use crate::workspace;
 use std::time::Instant;
@@ -192,14 +192,18 @@ impl PatchMap {
     }
 }
 
-/// Wall time of the staged forwards by stage, for the `unet_encode` and
-/// `decode_values` bench rows (nanoseconds, accumulated over the calls the
-/// value is handed to).
+/// Wall time of the staged forwards and of the weight gradient by stage, for
+/// the `unet_encode`, `decode_values`, `conv3d` and `tape_decoder` bench rows
+/// (nanoseconds, accumulated over the calls the value is handed to).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ConvStages {
     /// Copying the input into the zero-bordered `xp` (0 for 1×1×1 kernels).
     pub pad_copy_ns: f64,
-    /// Packing patch columns into B panels.
+    /// Packing `grad_out` rows into A panels (the weight gradient's; a
+    /// forward's weights are packed before the call).
+    pub pack_a_ns: f64,
+    /// Packing patch columns (or, for the weight gradient, transposed patch
+    /// rows) into B panels.
     pub pack_b_ns: f64,
     /// Micro-kernel tiles and their write-back.
     pub micro_ns: f64,
@@ -512,9 +516,22 @@ pub fn conv3d_grad_input(grad_out: &[f32], weight: &[f32], dims: Conv3dDims) -> 
 /// count, so accumulation runs over both the `KC` voxel blocks and the batch
 /// (`first` only on the very first block).
 ///
+/// Both operands are transposed while packed, by the one transposing pack
+/// (`simd::transpose_pack`): the row-major `grad_out` rows into A panels
+/// (`pack_a`), and each B panel from its `nr` patch columns — source rows
+/// `xp[koff(kidx) + ..]` — along the runs of consecutive `voff` (one run of
+/// `kb` voxels for a 1×1×1 kernel, runs of the output row length `sw`
+/// otherwise). `stages` as in [`PackedConv3d::forward_staged`], with the A
+/// pack timed apart.
+///
 /// # Panics
 /// Panics on an even kernel extent or a slice that disagrees with `dims`.
-pub fn conv3d_grad_weight(input: &[f32], grad_out: &[f32], dims: Conv3dDims) -> Tensor {
+pub fn conv3d_grad_weight(
+    input: &[f32],
+    grad_out: &[f32],
+    dims: Conv3dDims,
+    mut stages: Option<&mut ConvStages>,
+) -> Tensor {
     assert_odd(dims.kernel);
     let [kd, kh, kw] = dims.kernel;
     let (vol, ksize) = (dims.vol(), dims.cin * dims.kvol());
@@ -527,7 +544,7 @@ pub fn conv3d_grad_weight(input: &[f32], grad_out: &[f32], dims: Conv3dDims) -> 
     let (mut koff, mut voff) = ([0u32; NC], [0u32; KC]);
 
     for (n, x) in input.chunks(dims.cin * vol).enumerate() {
-        let xp = map.item(&mut xp_buf, x, &mut None);
+        let xp = map.item(&mut xp_buf, x, &mut stages);
         let gn = &grad_out[n * dims.cout * vol..][..dims.cout * vol];
         for jc in (0..ksize).step_by(NC) {
             let nb = NC.min(ksize - jc);
@@ -538,24 +555,59 @@ pub fn conv3d_grad_weight(input: &[f32], grad_out: &[f32], dims: Conv3dDims) -> 
                 let b_len = nb.div_ceil(nr) * nr * kb;
                 let (mut b_buf, b_off) = take_scratch_aligned(b_len);
                 let b_pack = &mut b_buf[b_off..b_off + b_len];
-                for (panel, ks) in b_pack.chunks_exact_mut(nr * kb).zip(koff[..nb].chunks(nr)) {
-                    for (row, &v) in panel.chunks_exact_mut(nr).zip(&voff[..kb]) {
-                        for (d, &k) in row.iter_mut().zip(ks) {
-                            *d = xp[(k + v) as usize];
-                        }
-                        row[ks.len()..].fill(0.0);
-                    }
-                }
+                timed(
+                    &mut stages,
+                    |s| &mut s.pack_b_ns,
+                    || pack_patch_rows(b_pack, nr, xp, &koff[..nb], &voff[..kb]),
+                );
                 let a_len = dims.cout.div_ceil(mr) * mr * kb;
                 let (mut a_buf, a_off) = take_scratch_aligned(a_len);
                 let a_pack = &mut a_buf[a_off..a_off + a_len];
-                pack_a(mr, a_pack, gn, vol, 1, 0, dims.cout, pc, kb);
+                timed(
+                    &mut stages,
+                    |s| &mut s.pack_a_ns,
+                    || pack_a(mr, a_pack, gn, vol, 1, 0, dims.cout, pc, kb),
+                );
                 let first = n == 0 && pc == 0;
-                macro_block(kernel, a_pack, b_pack, &mut out, dims.cout, kb, nb, ksize, jc, first);
+                timed(
+                    &mut stages,
+                    |s| &mut s.micro_ns,
+                    || {
+                        macro_block(
+                            kernel, a_pack, b_pack, &mut out, dims.cout, kb, nb, ksize, jc, first,
+                        )
+                    },
+                );
             }
         }
     }
     Tensor::from_vec(out, &[dims.cout, dims.cin, kd, kh, kw])
+}
+
+/// Packs the weight gradient's B panels, the transposed patch matrix: panel
+/// `pj` holds patch columns `koff[pj·nr..]` at `panel[p·nr + j] =
+/// xp[koff[pj·nr + j] + voff[p]]`, zero-padded to `nr` columns — one
+/// transposing pack per panel along the runs of consecutive `voff`.
+fn pack_patch_rows(b_pack: &mut [f32], nr: usize, xp: &[f32], koff: &[u32], voff: &[u32]) {
+    let runs = voxel_runs(voff).map(|(p, len)| (p, voff[p] as usize, len));
+    for (panel, ks) in b_pack.chunks_exact_mut(nr * voff.len()).zip(koff.chunks(nr)) {
+        if ks.len() < nr {
+            panel.fill(0.0);
+        }
+        transpose_pack(panel, nr, xp, ks, runs.clone());
+    }
+}
+
+/// The runs of consecutive offsets in `voff` (the voxels of one output row
+/// are consecutive in `xp`), as `(first index, length)`, in order.
+fn voxel_runs(voff: &[u32]) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let rest = voff.get(start..).filter(|rest| !rest.is_empty())?;
+        let len = 1 + rest.windows(2).take_while(|w| w[1] == w[0] + 1).count();
+        start += len;
+        Some((start - len, len))
+    })
 }
 
 /// The window loop of non-overlapping 3D max pooling over `input:
@@ -813,7 +865,7 @@ mod tests {
         let loss = |x: &Tensor, w: &Tensor| conv3d_naive(x, w).mul(&r).sum() as f64;
 
         let gx = conv3d_grad_input(r.data(), weight.data(), dims);
-        let gw = conv3d_grad_weight(input.data(), r.data(), dims);
+        let gw = conv3d_grad_weight(input.data(), r.data(), dims, None);
         let eps = 1e-3f32;
         for i in (0..input.numel()).step_by(7) {
             let mut xp = input.clone();
@@ -1055,10 +1107,149 @@ mod tests {
             let gout = Tensor::randn(&[2, cout, sp[0], sp[1], sp[2]], 1.0, &mut rng);
             let forward = dot(&conv3d_naive(&input, &weight), &gout);
             let via_input = dot(&input, &conv3d_grad_input(gout.data(), weight.data(), dims));
-            let via_weight = dot(&weight, &conv3d_grad_weight(input.data(), gout.data(), dims));
+            let via_weight =
+                dot(&weight, &conv3d_grad_weight(input.data(), gout.data(), dims, None));
             let scale = 1e-4 * (1.0 + forward.abs());
             assert!((forward - via_input).abs() < scale, "{forward} vs {via_input} (k={k:?})");
             assert!((forward - via_weight).abs() < scale, "{forward} vs {via_weight} (k={k:?})");
+        }
+    }
+
+    /// `(kernel, cin, cout, spatial)` of the weight-gradient tests: every
+    /// pair of the decoder's widths 4, 19, 35, 64 pointwise over 300 voxels
+    /// (past `KC`, with a tail that is no multiple of 16; `cout = 4` is the
+    /// head, fewer rows than any tile), and 3×3×3 kernels over output rows
+    /// `sw` = 1, 2, 4, 8, 16 voxels long — the runs the B pack walks — one of
+    /// them past `NC` patch columns.
+    fn grad_weight_shapes() -> Vec<([usize; 3], usize, usize, [usize; 3])> {
+        let widths = [4, 19, 35, 64];
+        let pointwise = widths.iter().flat_map(|&cin| widths.map(|cout| (cin, cout)));
+        let pointwise = pointwise.map(|(cin, cout)| ([1, 1, 1], cin, cout, [1, 1, 300]));
+        let cubic = [1, 2, 4, 8, 16].map(|sw| ([3, 3, 3], 3, 5, [2, 3, sw]));
+        pointwise.chain(cubic).chain([([3, 3, 3], 20, 5, [2, 3, 16])]).collect()
+    }
+
+    /// The full patch tables and the `xp` of one batch item.
+    fn patch_tables(dims: &Conv3dDims, x: &[f32]) -> (Vec<u32>, Vec<u32>, Vec<f32>) {
+        let (map, mut xp_buf) = PatchMap::new(dims);
+        let (mut koff, mut voff) = (vec![0u32; dims.cin * dims.kvol()], vec![0u32; dims.vol()]);
+        map.fill_koff(&mut koff, 0);
+        map.fill_voff(&mut voff, 0);
+        (koff, voff, map.item(&mut xp_buf, x, &mut None).to_vec())
+    }
+
+    /// Both transposing packs of the weight gradient against their
+    /// definitions, bit for bit, on every tier the host can run: B panels
+    /// `xp[koff(kidx) + voff(p)]` at every panel width, A panels of the
+    /// row-major `grad_out` at every tile height, each `KC` block — padding
+    /// included, over buffers that start out NaN.
+    #[test]
+    fn transposing_packs_match_the_patch_definition() {
+        let mut rng = ChaCha8Rng::seed_from_u64(84);
+        for (k, cin, cout, sp) in grad_weight_shapes() {
+            let dims = Conv3dDims { n: 1, cin, cout, spatial: sp, kernel: k };
+            let (vol, ksize) = (dims.vol(), cin * dims.kvol());
+            let x = Tensor::randn(&[cin * vol], 1.0, &mut rng);
+            let g = Tensor::randn(&[cout * vol], 1.0, &mut rng);
+            let (koff, voff, xp) = patch_tables(&dims, x.data());
+            for backend in runnable_backends() {
+                set_backend_override(Some(backend));
+                let what = |side: &str| {
+                    format!("{side} k={k:?} {cin}->{cout} {sp:?} on {}", backend.name())
+                };
+                for pc in (0..vol).step_by(KC) {
+                    let kb = KC.min(vol - pc);
+                    for nr in [16, 32, 48] {
+                        let mut b = vec![f32::NAN; ksize.div_ceil(nr) * nr * kb];
+                        pack_patch_rows(&mut b, nr, &xp, &koff, &voff[pc..pc + kb]);
+                        for (i, got) in b.iter().enumerate() {
+                            let (kidx, p) = (i / (nr * kb) * nr + i % nr, i % (nr * kb) / nr);
+                            let want =
+                                koff.get(kidx).map_or(0.0, |&o| xp[(o + voff[pc + p]) as usize]);
+                            assert_eq!(got.to_bits(), want.to_bits(), "{} nr {nr}: {i}", what("B"));
+                        }
+                    }
+                    for mr in [6, 8, 12] {
+                        let mut a = vec![f32::NAN; cout.div_ceil(mr) * mr * kb];
+                        pack_a(mr, &mut a, g.data(), vol, 1, 0, cout, pc, kb);
+                        for (i, got) in a.iter().enumerate() {
+                            let (co, p) = (i / (mr * kb) * mr + i % mr, i % (mr * kb) / mr);
+                            let want = if co < cout { g.data()[co * vol + pc + p] } else { 0.0 };
+                            assert_eq!(got.to_bits(), want.to_bits(), "{} mr {mr}: {i}", what("A"));
+                        }
+                    }
+                }
+            }
+        }
+        set_backend_override(None);
+    }
+
+    /// Scalar transcription of the weight gradient's numerical contract: per
+    /// weight and `KC` block of voxels, one FMA chain over the block in order,
+    /// `grad_out` times the patch value `xp[koff + voff]` (border zeros
+    /// included); blocks, then batch items, summed in order.
+    fn grad_weight_fma_chain(x: &[f32], g: &[f32], dims: Conv3dDims) -> Vec<f32> {
+        let (vol, ksize) = (dims.vol(), dims.cin * dims.kvol());
+        let mut out = vec![0.0f32; dims.cout * ksize];
+        for (n, x) in x.chunks(dims.cin * vol).enumerate() {
+            let (koff, voff, xp) = patch_tables(&dims, x);
+            for (co, g) in g[n * dims.cout * vol..].chunks(vol).take(dims.cout).enumerate() {
+                for (kidx, &k) in koff.iter().enumerate() {
+                    let o = &mut out[co * ksize + kidx];
+                    for pc in (0..vol).step_by(KC) {
+                        let mut acc = 0.0f32;
+                        for p in pc..(pc + KC).min(vol) {
+                            acc = g[p].mul_add(xp[(k + voff[p]) as usize], acc);
+                        }
+                        *o = if n == 0 && pc == 0 { acc } else { *o + acc };
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The weight gradient is bit-identical to its scalar contract on every
+    /// tier, batch 2 (the accumulate after the first item) included.
+    #[test]
+    fn grad_weight_is_bit_identical_to_scalar_fma_chain() {
+        let mut rng = ChaCha8Rng::seed_from_u64(85);
+        for (k, cin, cout, sp) in grad_weight_shapes() {
+            let dims = Conv3dDims { n: 2, cin, cout, spatial: sp, kernel: k };
+            let x = Tensor::randn(&[2 * cin * dims.vol()], 1.0, &mut rng);
+            let g = Tensor::randn(&[2 * cout * dims.vol()], 1.0, &mut rng);
+            let want = grad_weight_fma_chain(x.data(), g.data(), dims);
+            for backend in runnable_backends() {
+                set_backend_override(Some(backend));
+                let got = conv3d_grad_weight(x.data(), g.data(), dims, None);
+                for (i, (got, want)) in got.data().iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "k={k:?} {cin}->{cout} {sp:?} on {} elem {i}: {got:e} vs {want:e}",
+                        backend.name()
+                    );
+                }
+            }
+        }
+        set_backend_override(None);
+    }
+
+    /// The stage clock is an observer for the weight gradient too, and a
+    /// padded kernel accounts its pad copy.
+    #[test]
+    fn staged_grad_weight_times_without_changing_the_result() {
+        let mut rng = ChaCha8Rng::seed_from_u64(86);
+        for k in [[1usize, 1, 1], [3, 3, 3]] {
+            let dims = Conv3dDims { n: 2, cin: 4, cout: 8, spatial: [4, 8, 8], kernel: k };
+            let x = Tensor::randn(&[2 * 4 * 256], 1.0, &mut rng);
+            let g = Tensor::randn(&[2 * 8 * 256], 1.0, &mut rng);
+            let mut stages = ConvStages::default();
+            let staged = conv3d_grad_weight(x.data(), g.data(), dims, Some(&mut stages));
+            assert_bits_eq(&conv3d_grad_weight(x.data(), g.data(), dims, None), &staged, "staged");
+            let ConvStages { pad_copy_ns, pack_a_ns, pack_b_ns, micro_ns, .. } = stages;
+            assert!(pack_a_ns > 0.0 && pack_b_ns > 0.0 && micro_ns > 0.0, "{stages:?}");
+            assert_eq!(pad_copy_ns > 0.0, k != [1, 1, 1], "{stages:?}");
         }
     }
 
@@ -1081,7 +1272,7 @@ mod tests {
     #[should_panic(expected = "must be odd")]
     fn grad_weight_rejects_even_kernels() {
         let (x, _, dims) = even_dims();
-        conv3d_grad_weight(x.data(), x.data(), dims);
+        conv3d_grad_weight(x.data(), x.data(), dims, None);
     }
 
     /// NaN and inf flow through the lowering untouched: the on-the-fly

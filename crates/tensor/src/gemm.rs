@@ -44,7 +44,7 @@
 //! which (together with every tier being a pure FMA chain in `k` order) is
 //! why switching backends never changes a single output bit.
 
-use crate::simd::{self, Kernel};
+use crate::simd::{self, transpose_pack, Kernel};
 use crate::workspace;
 
 pub use crate::simd::{kernel_backend, set_backend_override, KernelBackend};
@@ -146,6 +146,8 @@ pub fn gemm(
 /// Packs an `mb × kb` block of op(A) (rows `i0..`, depth `p0..`) into
 /// mr-row panels stored column-major within the panel: panel `pi` holds rows
 /// `i0 + pi*mr ..` at `dst[pi*mr*kb + p*mr + i]`. Rows past `mb` are zero.
+/// One of the strides is 1: op(A) is stored transposed (`rs == 1`) or
+/// row-major (`cs == 1`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_a(
     mr: usize,
@@ -159,37 +161,23 @@ pub(crate) fn pack_a(
     kb: usize,
 ) {
     for (pi, panel) in dst.chunks_exact_mut(mr * kb).enumerate() {
-        let i = pi * mr;
-        let rows = mr.min(mb - i);
+        let i = i0 + pi * mr;
+        let rows = mr.min(i0 + mb - i);
         if rs == 1 {
-            // op(A) columns are contiguous in src (A stored transposed):
-            // each packed column is a straight memcpy.
+            // op(A) columns are contiguous in src: each packed column is a
+            // straight memcpy.
             for (p, col) in panel.chunks_exact_mut(mr).enumerate() {
-                let base = (p0 + p) * cs + i0 + i;
+                let base = (p0 + p) * cs + i;
                 col[..rows].copy_from_slice(&src[base..base + rows]);
                 col[rows..].fill(0.0);
             }
-        } else if cs == 1 {
-            // op(A) rows are contiguous in src: read each row once and
-            // scatter it across the column-major panel (contiguous reads
-            // beat contiguous writes — the rows come straight from RAM,
-            // the panel is cache-resident).
+        } else {
+            assert_eq!(cs, 1, "pack_a: neither stride of op(A) is 1");
             if rows < mr {
                 panel.fill(0.0);
             }
-            for ii in 0..rows {
-                let srow = &src[(i0 + i + ii) * rs + p0..][..kb];
-                for (p, &v) in srow.iter().enumerate() {
-                    panel[p * mr + ii] = v;
-                }
-            }
-        } else {
-            for (p, col) in panel.chunks_exact_mut(mr).enumerate() {
-                let base = (p0 + p) * cs + (i0 + i) * rs;
-                for (ii, d) in col.iter_mut().enumerate() {
-                    *d = if ii < rows { src[base + ii * rs] } else { 0.0 };
-                }
-            }
+            let run = std::iter::once((0, i * rs + p0, kb));
+            transpose_pack(panel, mr, src, &strided_rows(rows, rs)[..rows], run);
         }
     }
 }
@@ -197,7 +185,7 @@ pub(crate) fn pack_a(
 /// Packs a `kb × nb` block of op(B) (depth `p0..`, cols `j0..`) into
 /// nr-column panels stored row-major within the panel: panel `pj` holds
 /// columns `j0 + pj*nr ..` at `dst[pj*nr*kb + p*nr + j]`. Columns past `nb`
-/// are zero.
+/// are zero. One of the strides is 1, as in [`pack_a`].
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
     nr: usize,
@@ -211,26 +199,35 @@ fn pack_b(
     nb: usize,
 ) {
     for (pj, panel) in dst.chunks_exact_mut(nr * kb).enumerate() {
-        let j = pj * nr;
-        let cols = nr.min(nb - j);
+        let j = j0 + pj * nr;
+        let cols = nr.min(j0 + nb - j);
         if cs == 1 {
             // op(B) rows are contiguous in src: each packed row is a
             // straight memcpy — this is the hot pack (nb ≥ mb in every
             // GEMM this crate issues) and it must not run scalar.
             for (p, row) in panel.chunks_exact_mut(nr).enumerate() {
-                let base = (p0 + p) * rs + j0 + j;
+                let base = (p0 + p) * rs + j;
                 row[..cols].copy_from_slice(&src[base..base + cols]);
                 row[cols..].fill(0.0);
             }
         } else {
-            for (p, row) in panel.chunks_exact_mut(nr).enumerate() {
-                let base = (p0 + p) * rs + (j0 + j) * cs;
-                for (jj, d) in row.iter_mut().enumerate() {
-                    *d = if jj < cols { src[base + jj * cs] } else { 0.0 };
-                }
+            assert_eq!(rs, 1, "pack_b: neither stride of op(B) is 1");
+            if cols < nr {
+                panel.fill(0.0);
             }
+            let run = std::iter::once((0, j * cs + p0, kb));
+            transpose_pack(panel, nr, src, &strided_rows(cols, cs)[..cols], run);
         }
     }
+}
+
+/// The offsets `0, stride, 2·stride, …` of `count <= MAX_NR` source rows,
+/// for [`transpose_pack`] (on the stack: a pack must not allocate).
+fn strided_rows(count: usize, stride: usize) -> [u32; simd::MAX_NR] {
+    assert!(count <= simd::MAX_NR, "a panel is at most MAX_NR wide");
+    let far = count.saturating_sub(1) * stride;
+    assert!(u32::try_from(far).is_ok(), "a panel's rows span more than u32 offsets");
+    std::array::from_fn(|r| if r < count { (r * stride) as u32 } else { 0 })
 }
 
 /// Runs every micro-tile of one packed `mb × kb` A block against the packed

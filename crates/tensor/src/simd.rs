@@ -29,8 +29,10 @@
 //! is shared by every tier. `gemm::tests` pins this property on
 //! tile-unaligned shapes with adversarial inputs.
 //!
-//! The same dispatch carries the one element-wise kernel that is worth
-//! explicit vectors, the decoder's softplus and its derivative
+//! The same dispatch picks the block size of the one transposing pack
+//! (`transpose_pack`: a row-major operand into A panels, the weight
+//! gradient's patch rows into B panels), and carries the one element-wise
+//! kernel that is worth explicit vectors, the decoder's softplus and its derivative
 //! ([`softplus_slice`] and [`bias_softplus_features`] forward,
 //! [`softplus_grad_slice`] and [`bias_softplus_grad_features`] backward) and
 //! their six-lane form, softplus applied to a value with its space-time
@@ -83,7 +85,12 @@ fn detect() -> u8 {
     }
     #[cfg(target_arch = "x86_64")]
     {
-        if is_x86_feature_detected!("avx512f") {
+        // The AVX-512 tier's transposing pack takes its narrow edges with
+        // the AVX2 blocks, so the tier asks for both.
+        if is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx2")
+            && is_x86_feature_detected!("fma")
+        {
             return B_AVX512;
         }
         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
@@ -511,6 +518,229 @@ unsafe fn micro_avx512_12x32_impl(
     for (i, row) in c.iter().enumerate() {
         _mm512_storeu_ps(out.add(i * 32), row[0]);
         _mm512_storeu_ps(out.add(i * 32 + 16), row[1]);
+    }
+}
+
+// ---- transposing pack ----------------------------------------------------
+
+/// The one transposing pack of the GEMM drivers. Each run `(r0, at, n)`
+/// writes `dst[(r0 + r)·ld + j] = src[at + rows[j] + r]` for `r < n`, `j <
+/// rows.len()`: each of the `rows.len()` source rows is read along `n`
+/// consecutive elements from its own offset and lands in column `j` of `n`
+/// destination rows `ld` apart. Columns past `rows.len()` are not touched (a
+/// panel's zero padding is its packer's business). A row-major operand's A
+/// panel is one run (`ld = mr`, one source row per output row); the weight
+/// gradient's B panel is one run per stretch of consecutive voxels (`ld =
+/// nr`, one source row per patch column).
+///
+/// Square blocks go through registers — 16×16 on the AVX-512 tier, 8×8 and
+/// 4×4 on it and on the AVX2 tier — and what no block covers (edge columns,
+/// a run's tail, and all of it on the portable tier) is the scalar loop. A
+/// pack moves bits and computes nothing, so every tier packs the same panel.
+///
+/// # Panics
+/// Panics if a read or a write would leave its slice.
+pub(crate) fn transpose_pack(
+    dst: &mut [f32],
+    ld: usize,
+    src: &[f32],
+    rows: &[u32],
+    runs: impl Iterator<Item = (usize, usize, usize)>,
+) {
+    // SAFETY: `resolve` only returns tiers this CPU was detected to have.
+    unsafe { transpose_pack_on(resolve(), dst, ld, src, rows, runs) }
+}
+
+/// [`transpose_pack`] on a given tier.
+///
+/// # Safety
+/// As [`slice_on`].
+unsafe fn transpose_pack_on(
+    backend: u8,
+    dst: &mut [f32],
+    ld: usize,
+    src: &[f32],
+    rows: &[u32],
+    runs: impl Iterator<Item = (usize, usize, usize)>,
+) {
+    let Some(&far) = rows.iter().max() else { return };
+    let w = rows.len();
+    assert!(w <= ld, "a transposed block is wider than its panel");
+    let blocks: &[usize] = match backend {
+        B_AVX512 => &[16, 8, 4],
+        B_AVX2 => &[8, 4],
+        _ => &[],
+    };
+    for (r0, at, n) in runs.filter(|run| run.2 > 0) {
+        assert!((r0 + n - 1) * ld + w <= dst.len(), "a transposed run leaves its panel");
+        assert!(at + far as usize + n <= src.len(), "a transposed run reads past its source");
+        // Blocks no wider than the run and the columns.
+        let fit = blocks.iter().position(|&t| t <= n.min(w)).unwrap_or(blocks.len());
+        // SAFETY: every access below is `r < n`, `j < w` in the ranges checked
+        // above, and the caller vouches for the tier of `blocks`.
+        unsafe {
+            let (to, from) = (dst.as_mut_ptr().add(r0 * ld), src.as_ptr().add(at));
+            transpose_cover(to, ld, from, rows, 0..w, 0..n, &blocks[fit..]);
+        }
+    }
+}
+
+/// [`transpose_pack`] over columns `js` and rows `rs`: whole `t × t` blocks
+/// of the first size in `blocks`, then the rows those blocks left and the
+/// columns they left with the sizes after it, then the scalar loop.
+///
+/// # Safety
+/// As [`transpose_pack`] checks for one run, `dst` and `src` advanced to it.
+unsafe fn transpose_cover(
+    dst: *mut f32,
+    ld: usize,
+    src: *const f32,
+    rows: &[u32],
+    js: std::ops::Range<usize>,
+    rs: std::ops::Range<usize>,
+    blocks: &[usize],
+) {
+    if js.is_empty() || rs.is_empty() {
+        return;
+    }
+    let Some((&t, smaller)) = blocks.split_first() else {
+        // The longer extent innermost: a long run reads each source row
+        // straight through, a short one writes each destination row so.
+        if rs.len() >= js.len() {
+            for j in js {
+                let from = src.add(rows[j] as usize);
+                for r in rs.clone() {
+                    *dst.add(r * ld + j) = *from.add(r);
+                }
+            }
+        } else {
+            for r in rs {
+                let (to, from) = (dst.add(r * ld), src.add(r));
+                for j in js.clone() {
+                    *to.add(j) = *from.add(rows[j] as usize);
+                }
+            }
+        }
+        return;
+    };
+    let j_end = js.start + js.len() / t * t;
+    let r_end = rs.start + rs.len() / t * t;
+    for j in (js.start..j_end).step_by(t) {
+        for r in (rs.start..r_end).step_by(t) {
+            let (from, to, rows) = (src.add(r), dst.add(r * ld + j), &rows[j..j + t]);
+            #[cfg(target_arch = "x86_64")]
+            match t {
+                16 => transpose_16x16(from, rows, to, ld),
+                8 => transpose_8x8(from, rows, to, ld),
+                _ => transpose_4x4(from, rows, to, ld),
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            let _ = (from, to, rows);
+        }
+    }
+    transpose_cover(dst, ld, src, rows, js.start..j_end, r_end..rs.end, smaller);
+    transpose_cover(dst, ld, src, rows, j_end..js.end, rs, smaller);
+}
+
+/// One 4×4 block: source row `i` from `src + rows[i]`, destination row `i`
+/// at `dst + i·ld` (SSE operations, VEX-encoded beside the AVX blocks).
+///
+/// # Safety
+/// The CPU has AVX2, `rows` holds at least 4 offsets, and the 4 floats at
+/// each `src + rows[i]` and at each `dst + i·ld` (`i < 4`) are in bounds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_4x4(src: *const f32, rows: &[u32], dst: *mut f32, ld: usize) {
+    use std::arch::x86_64::*;
+    let mut r = [_mm_setzero_ps(); 4];
+    for (v, &o) in r.iter_mut().zip(rows) {
+        *v = _mm_loadu_ps(src.add(o as usize));
+    }
+    let (t0, t1) = (_mm_unpacklo_ps(r[0], r[1]), _mm_unpacklo_ps(r[2], r[3]));
+    let (t2, t3) = (_mm_unpackhi_ps(r[0], r[1]), _mm_unpackhi_ps(r[2], r[3]));
+    let cols = [
+        _mm_movelh_ps(t0, t1),
+        _mm_movehl_ps(t1, t0),
+        _mm_movelh_ps(t2, t3),
+        _mm_movehl_ps(t3, t2),
+    ];
+    for (k, c) in cols.into_iter().enumerate() {
+        _mm_storeu_ps(dst.add(k * ld), c);
+    }
+}
+
+/// One 8×8 block (as [`transpose_4x4`]): pairs interleaved, then quads,
+/// then the 128-bit halves swapped across.
+///
+/// # Safety
+/// As [`transpose_4x4`], for 8 rows of 8 floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_8x8(src: *const f32, rows: &[u32], dst: *mut f32, ld: usize) {
+    use std::arch::x86_64::*;
+    let mut r = [_mm256_setzero_ps(); 8];
+    for (v, &o) in r.iter_mut().zip(rows) {
+        *v = _mm256_loadu_ps(src.add(o as usize));
+    }
+    let mut t = [_mm256_setzero_ps(); 8];
+    for i in 0..4 {
+        t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    // Rows 4q..4q+4, columns k and k+4: s[4q + k].
+    let mut s = [_mm256_setzero_ps(); 8];
+    for q in 0..2 {
+        let (lo, hi) = (4 * q, 4 * q + 2);
+        s[lo] = _mm256_shuffle_ps::<0x44>(t[lo], t[hi]);
+        s[lo + 1] = _mm256_shuffle_ps::<0xEE>(t[lo], t[hi]);
+        s[lo + 2] = _mm256_shuffle_ps::<0x44>(t[lo + 1], t[hi + 1]);
+        s[lo + 3] = _mm256_shuffle_ps::<0xEE>(t[lo + 1], t[hi + 1]);
+    }
+    for k in 0..4 {
+        _mm256_storeu_ps(dst.add(k * ld), _mm256_permute2f128_ps::<0x20>(s[k], s[4 + k]));
+        _mm256_storeu_ps(dst.add((k + 4) * ld), _mm256_permute2f128_ps::<0x31>(s[k], s[4 + k]));
+    }
+}
+
+/// One 16×16 block (as [`transpose_8x8`], with the 128-bit lanes gathered
+/// by two rounds of `vshuff32x4`).
+///
+/// # Safety
+/// As [`transpose_4x4`], for 16 rows of 16 floats, and the CPU has
+/// AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn transpose_16x16(src: *const f32, rows: &[u32], dst: *mut f32, ld: usize) {
+    use std::arch::x86_64::*;
+    let mut r = [_mm512_setzero_ps(); 16];
+    for (v, &o) in r.iter_mut().zip(rows) {
+        *v = _mm512_loadu_ps(src.add(o as usize));
+    }
+    let mut t = [_mm512_setzero_ps(); 16];
+    for i in 0..8 {
+        t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    // Rows 4q..4q+4, columns k, k+4, k+8, k+12 (one per 128-bit lane): u[4q + k].
+    let mut u = [_mm512_setzero_ps(); 16];
+    for q in 0..4 {
+        let (lo, hi) = (4 * q, 4 * q + 2);
+        u[lo] = _mm512_shuffle_ps::<0x44>(t[lo], t[hi]);
+        u[lo + 1] = _mm512_shuffle_ps::<0xEE>(t[lo], t[hi]);
+        u[lo + 2] = _mm512_shuffle_ps::<0x44>(t[lo + 1], t[hi + 1]);
+        u[lo + 3] = _mm512_shuffle_ps::<0xEE>(t[lo + 1], t[hi + 1]);
+    }
+    for k in 0..4 {
+        // Rows 0..8 (`a`) and 8..16 (`b`) of columns k, k+8 (`0x88`) and
+        // k+4, k+12 (`0xDD`), as [c rows 0-3 | c' rows 0-3 | c rows 4-7 | c' rows 4-7].
+        let a0 = _mm512_shuffle_f32x4::<0x88>(u[k], u[4 + k]);
+        let a1 = _mm512_shuffle_f32x4::<0xDD>(u[k], u[4 + k]);
+        let b0 = _mm512_shuffle_f32x4::<0x88>(u[8 + k], u[12 + k]);
+        let b1 = _mm512_shuffle_f32x4::<0xDD>(u[8 + k], u[12 + k]);
+        _mm512_storeu_ps(dst.add(k * ld), _mm512_shuffle_f32x4::<0x88>(a0, b0));
+        _mm512_storeu_ps(dst.add((k + 8) * ld), _mm512_shuffle_f32x4::<0xDD>(a0, b0));
+        _mm512_storeu_ps(dst.add((k + 4) * ld), _mm512_shuffle_f32x4::<0x88>(a1, b1));
+        _mm512_storeu_ps(dst.add((k + 12) * ld), _mm512_shuffle_f32x4::<0xDD>(a1, b1));
     }
 }
 
@@ -1513,6 +1743,48 @@ mod tests {
             .into_iter()
             .filter(|&(tier, _)| tier >= detect())
             .collect()
+    }
+
+    /// The transposing pack against its definition on every tier this host
+    /// can run: widths around every block size up to a 48-wide panel, runs of
+    /// every length to past two 16-blocks at scattered destination rows,
+    /// unsorted and repeating source offsets. Whatever is outside the runs'
+    /// rows and past the width keeps its bits.
+    #[test]
+    fn transpose_pack_matches_its_definition_on_every_tier() {
+        let src: Vec<f32> =
+            (0..4096u32).map(|i| f32::from_bits(0x3f80_0000 ^ (i * 7919))).collect();
+        let rows: Vec<u32> = (0..48u32).map(|j| (j * 613 + (j % 5) * 1000) % 3900).collect();
+        for (tier, name) in runnable_tiers() {
+            for (w, ld) in [(1, 6), (3, 6), (4, 6), (6, 6), (8, 8), (11, 12), (12, 12), (16, 16)]
+                .into_iter()
+                .chain([(19, 32), (32, 32), (35, 48), (47, 48), (48, 48)])
+            {
+                for len in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33] {
+                    // Two runs with a gap between, the second from elsewhere.
+                    let runs = [(1, 5, len), (len + 3, 111, len)];
+                    let nrows = 2 * len + 4;
+                    let mut dst = vec![f32::from_bits(0x7fc0_dead); nrows * ld];
+                    // SAFETY: `runnable_tiers` lists only tiers at or below detection.
+                    unsafe {
+                        transpose_pack_on(tier, &mut dst, ld, &src, &rows[..w], runs.into_iter())
+                    };
+                    for (i, got) in dst.iter().enumerate() {
+                        let (r, j) = (i / ld, i % ld);
+                        let run = runs.iter().find(|&&(r0, _, n)| (r0..r0 + n).contains(&r));
+                        let want = match run {
+                            Some(&(r0, at, _)) if j < w => src[at + rows[j] as usize + r - r0],
+                            _ => f32::from_bits(0x7fc0_dead),
+                        };
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{name} w {w} ld {ld} run {len}: ({r}, {j})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
