@@ -3,7 +3,10 @@
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation section (Sec. 5). Each `table*`/`fig*` function runs
 //! the full pipeline — simulate → downsample → train → super-resolve →
-//! score — and returns/prints the same rows the paper reports.
+//! score — and returns/prints the same rows the paper reports. The ones on
+//! the paper's Ra = 10⁶ run take its corpus
+//! ([`ExperimentScale::paper_corpus`]) as an argument, so a process that runs
+//! several of them simulates it once.
 //!
 //! Scale is controlled by [`ExperimentScale`]: `quick()` (CI-sized, minutes
 //! on a laptop CPU), `default_scale()` (the scale used for EXPERIMENTS.md),
@@ -12,12 +15,13 @@
 //! crossovers), not the authors' GPU-cluster absolute numbers; see
 //! EXPERIMENTS.md.
 
+use mfn_autodiff::Activation;
 use mfn_core::{
-    baseline_trilinear, evaluate_pair, table_header, BaselineII, BaselineTrainer, Corpus, EvalRow,
-    MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+    baseline_trilinear, evaluate_pair, table_header, BaselineII, BaselineTrainer, ConstraintSet,
+    Corpus, EpochRecord, EvalRow, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
 };
 use mfn_data::{downsample, Dataset, PatchSpec};
-use mfn_dist::{train_data_parallel, DistRunResult, ScalingModel};
+use mfn_dist::{train_data_parallel, DistRunResult};
 use mfn_solver::{simulate, RbcConfig};
 use std::path::Path;
 
@@ -152,6 +156,7 @@ impl ExperimentScale {
 
     /// Simulates one HR/LR dataset pair at this scale.
     pub fn build_pair(&self, ra: f64, seed: u64) -> (Dataset, Dataset) {
+        eprintln!("[data] simulating Ra={ra:.1e}, seed={seed} ...");
         let cfg =
             RbcConfig { nx: self.nx, nz: self.nz, ra, dt_max: 2e-3, seed, ..Default::default() };
         let sim = simulate(&cfg, self.duration, self.frames);
@@ -159,6 +164,25 @@ impl ExperimentScale {
         let lr = downsample(&hr, self.ds_t, self.ds_s);
         (hr, lr)
     }
+
+    /// The paper's Ra = 10⁶ run (seed 7) as a one-pair corpus: the data of
+    /// Tables 1–2, Fig. 6, Fig. 7 and the ablations. Build it once and pass
+    /// it to each of them.
+    pub fn paper_corpus(&self) -> Corpus {
+        Corpus::new(vec![self.build_pair(1e6, 7)])
+    }
+}
+
+/// Trains a MeshfreeFlowNet of `cfg` on `corpus` under this scale's training
+/// config; returns the model and its per-epoch records.
+fn train_mfn(
+    scale: &ExperimentScale,
+    cfg: MfnConfig,
+    corpus: &Corpus,
+) -> (MeshfreeFlowNet, Vec<EpochRecord>) {
+    let mut trainer = Trainer::new(MeshfreeFlowNet::new(cfg), scale.train_config());
+    let records = trainer.train(corpus);
+    (trainer.model, records)
 }
 
 /// Trains a MeshfreeFlowNet on `corpus` and scores it against `test`.
@@ -169,23 +193,22 @@ pub fn train_and_score(
     gamma: f32,
     label: &str,
 ) -> EvalRow {
-    let mut trainer =
-        Trainer::new(MeshfreeFlowNet::new(scale.model_config(gamma)), scale.train_config());
-    trainer.train(corpus);
+    let (model, _) = train_mfn(scale, scale.model_config(gamma), corpus);
     let (hr, lr) = test;
-    let sr = trainer.model.super_resolve(lr, &hr.meta, corpus.stats);
+    let sr = model.super_resolve(lr, &hr.meta, corpus.stats);
     let nu = (hr.meta.pr / hr.meta.ra).sqrt();
     evaluate_pair(label, hr, &sr, nu, scale.eval_skip)
 }
 
-/// **Table 1**: equation-loss-weight (γ) ablation. Returns one row per γ.
-pub fn table1(scale: &ExperimentScale, gammas: &[f32]) -> Vec<EvalRow> {
-    let pair = scale.build_pair(1e6, 7);
-    let corpus = Corpus::new(vec![pair.clone()]);
+/// **Table 1**: equation-loss-weight (γ) ablation on `corpus` (the paper's
+/// run, [`ExperimentScale::paper_corpus`]), scored on its own pair. Returns
+/// one row per γ.
+pub fn table1(scale: &ExperimentScale, corpus: &Corpus, gammas: &[f32]) -> Vec<EvalRow> {
+    let pair = &corpus.pairs[0];
     let mut rows = Vec::with_capacity(gammas.len());
     for &gamma in gammas {
         eprintln!("[table1] training gamma = {gamma} ...");
-        rows.push(train_and_score(scale, &corpus, &pair, gamma, &format!("gamma={gamma}")));
+        rows.push(train_and_score(scale, corpus, pair, gamma, &format!("gamma={gamma}")));
     }
     rows
 }
@@ -193,11 +216,11 @@ pub fn table1(scale: &ExperimentScale, gammas: &[f32]) -> Vec<EvalRow> {
 /// The paper's Table 1 γ sweep.
 pub const TABLE1_GAMMAS: [f32; 9] = [0.0, 0.0125, 0.025, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0];
 
-/// **Table 2**: MeshfreeFlowNet (γ=0 and γ=γ*) vs. Baselines (I) and (II).
-pub fn table2(scale: &ExperimentScale) -> Vec<EvalRow> {
-    let pair = scale.build_pair(1e6, 7);
-    let corpus = Corpus::new(vec![pair.clone()]);
-    let (hr, lr) = &pair;
+/// **Table 2**: MeshfreeFlowNet (γ=0 and γ=γ*) vs. Baselines (I) and (II),
+/// trained on `corpus` (the paper's run) and scored on its own pair.
+pub fn table2(scale: &ExperimentScale, corpus: &Corpus) -> Vec<EvalRow> {
+    let pair = &corpus.pairs[0];
+    let (hr, lr) = pair;
     let nu = (hr.meta.pr / hr.meta.ra).sqrt();
     let mut rows = Vec::new();
 
@@ -214,27 +237,29 @@ pub fn table2(scale: &ExperimentScale) -> Vec<EvalRow> {
     let mut b2_tc = scale.train_config();
     b2_tc.epochs = (scale.epochs / 3).max(5);
     let mut b2t = BaselineTrainer::new(b2, b2_tc);
-    b2t.train(&corpus);
+    b2t.train(corpus);
     let b2sr = b2t.model.super_resolve(lr, &hr.meta, corpus.stats);
     rows.push(evaluate_pair("Baseline (II)", hr, &b2sr, nu, scale.eval_skip));
 
     eprintln!("[table2] MeshfreeFlowNet gamma = 0");
-    rows.push(train_and_score(scale, &corpus, &pair, 0.0, "MFN, gamma=0"));
+    rows.push(train_and_score(scale, corpus, pair, 0.0, "MFN, gamma=0"));
     eprintln!("[table2] MeshfreeFlowNet gamma = gamma*");
-    rows.push(train_and_score(scale, &corpus, &pair, MfnConfig::GAMMA_STAR, "MFN, gamma=g*"));
+    rows.push(train_and_score(scale, corpus, pair, MfnConfig::GAMMA_STAR, "MFN, gamma=g*"));
     rows
 }
 
 /// **Table 3**: generalization to an unseen initial condition after training
-/// on 1 vs. `n_many` datasets with different ICs.
+/// on 1 vs. `n_many` datasets with different ICs (seeds `1..=n_many`; the
+/// single-dataset run trains on the first of them).
 pub fn table3(scale: &ExperimentScale, n_many: usize) -> Vec<EvalRow> {
     let test = scale.build_pair(1e6, 999);
+    let pairs: Vec<_> = (1..=n_many as u64).map(|s| scale.build_pair(1e6, s)).collect();
     let mut rows = Vec::new();
     eprintln!("[table3] training on 1 dataset ...");
-    let one = Corpus::new(vec![scale.build_pair(1e6, 1)]);
+    let one = Corpus::new(vec![pairs[0].clone()]);
     rows.push(train_and_score(scale, &one, &test, MfnConfig::GAMMA_STAR, "1 dataset"));
     eprintln!("[table3] training on {n_many} datasets ...");
-    let many = Corpus::new((1..=n_many as u64).map(|s| scale.build_pair(1e6, s)).collect());
+    let many = Corpus::new(pairs);
     rows.push(train_and_score(
         scale,
         &many,
@@ -252,16 +277,12 @@ pub fn table4(scale: &ExperimentScale, train_ras: &[f64], test_ras: &[f64]) -> V
     let corpus = Corpus::new(
         train_ras.iter().enumerate().map(|(i, &ra)| scale.build_pair(ra, 10 + i as u64)).collect(),
     );
-    let mut trainer = Trainer::new(
-        MeshfreeFlowNet::new(scale.model_config(MfnConfig::GAMMA_STAR)),
-        scale.train_config(),
-    );
-    trainer.train(&corpus);
+    let (model, _) = train_mfn(scale, scale.model_config(MfnConfig::GAMMA_STAR), &corpus);
     let mut rows = Vec::new();
     for &ra in test_ras {
         eprintln!("[table4] evaluating Ra = {ra:.1e} ...");
         let (hr, lr) = scale.build_pair(ra, 777);
-        let sr = trainer.model.super_resolve(&lr, &hr.meta, corpus.stats);
+        let sr = model.super_resolve(&lr, &hr.meta, corpus.stats);
         let nu = (hr.meta.pr / hr.meta.ra).sqrt();
         rows.push(evaluate_pair(&format!("Ra={ra:.1e}"), &hr, &sr, nu, scale.eval_skip));
     }
@@ -269,19 +290,14 @@ pub fn table4(scale: &ExperimentScale, train_ras: &[f64], test_ras: &[f64]) -> V
 }
 
 /// **Fig. 6**: dumps LR-input / MFN-prediction / HR-ground-truth contour
-/// panels (PGM + CSV) for all four channels into `outdir`.
-pub fn fig6(scale: &ExperimentScale, outdir: &Path) -> std::io::Result<()> {
+/// panels (PGM + CSV) for all four channels of `corpus`'s pair (the paper's
+/// run) into `outdir`.
+pub fn fig6(scale: &ExperimentScale, corpus: &Corpus, outdir: &Path) -> std::io::Result<()> {
     std::fs::create_dir_all(outdir)?;
-    let pair = scale.build_pair(1e6, 7);
-    let corpus = Corpus::new(vec![pair.clone()]);
-    let (hr, lr) = &pair;
+    let (hr, lr) = &corpus.pairs[0];
     eprintln!("[fig6] training MFN gamma = gamma* ...");
-    let mut trainer = Trainer::new(
-        MeshfreeFlowNet::new(scale.model_config(MfnConfig::GAMMA_STAR)),
-        scale.train_config(),
-    );
-    trainer.train(&corpus);
-    let sr = trainer.model.super_resolve(lr, &hr.meta, corpus.stats);
+    let (model, _) = train_mfn(scale, scale.model_config(MfnConfig::GAMMA_STAR), corpus);
+    let sr = model.super_resolve(lr, &hr.meta, corpus.stats);
     let frame_hr = hr.meta.nt * 3 / 4;
     let frame_lr = (frame_hr / scale.ds_t).min(lr.meta.nt - 1);
     let names = ["T", "p", "u", "w"];
@@ -296,105 +312,66 @@ pub fn fig6(scale: &ExperimentScale, outdir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One measured point of the Fig. 7 scaling study.
-#[derive(Debug, Clone)]
-pub struct ScalingPoint {
-    /// Worker count.
-    pub workers: usize,
-    /// Measured samples/second.
-    pub throughput: f64,
-    /// Loss per epoch.
-    pub epoch_losses: Vec<f32>,
-    /// Wall-clock at each epoch end.
-    pub epoch_wall: Vec<f64>,
-}
-
-/// **Fig. 7**: measured data-parallel scaling up to `max_workers` plus the
-/// calibrated analytic extension to 128 workers. Returns the measured points
-/// and the fitted model.
-pub fn fig7(scale: &ExperimentScale, max_workers: usize) -> (Vec<ScalingPoint>, ScalingModel) {
-    let pair = scale.build_pair(1e6, 7);
-    let corpus = Corpus::new(vec![pair]);
+/// **Fig. 7**: measured synchronous data-parallel training on `corpus` (the
+/// paper's run) at 1, 2, 4, … workers up to `max_workers`, one run per
+/// count. The runs carry all three panels: throughput (7a), loss per epoch
+/// (7b) and wall-clock per epoch (7c).
+pub fn fig7(scale: &ExperimentScale, corpus: &Corpus, max_workers: usize) -> Vec<DistRunResult> {
     let tc = scale.train_config();
     let mcfg = scale.model_config(MfnConfig::GAMMA_STAR);
-    let mut counts = vec![1usize];
-    let mut w = 2;
-    while w <= max_workers {
-        counts.push(w);
-        w *= 2;
-    }
-    let mut points = Vec::new();
-    let mut grad_elems = 1usize;
-    for &n in &counts {
-        eprintln!("[fig7] measuring {n} worker(s) ...");
-        let r: DistRunResult = train_data_parallel(&corpus, &mcfg, &tc, n);
-        grad_elems = r.grad_elems;
-        points.push(ScalingPoint {
-            workers: n,
-            throughput: r.throughput,
-            epoch_losses: r.epoch_losses,
-            epoch_wall: r.epoch_wall,
-        });
-    }
-    let measured: Vec<(usize, f64)> = points.iter().map(|p| (p.workers, p.throughput)).collect();
-    let model =
-        ScalingModel::calibrate(&measured, (grad_elems * 4) as f64, tc.batch_size as f64, 0.8);
-    (points, model)
-}
-
-/// **Ablation A**: decoder activation. The paper's Fig. 5 shows ReLU; we
-/// default to softplus so exact second derivatives exist (ReLU's vanish
-/// almost everywhere, silently disabling the Laplacian terms of the
-/// equation loss). Returns `(name, final prediction loss, final equation
-/// loss)` per activation.
-pub fn ablation_activation(scale: &ExperimentScale) -> Vec<(&'static str, f32, f32)> {
-    use mfn_autodiff::Activation;
-    let pair = scale.build_pair(1e6, 7);
-    let corpus = Corpus::new(vec![pair]);
-    [("softplus", Activation::Softplus), ("relu", Activation::Relu), ("tanh", Activation::Tanh)]
-        .into_iter()
-        .map(|(name, act)| {
-            eprintln!("[ablation] activation = {name} ...");
-            let mut cfg = scale.model_config(MfnConfig::GAMMA_STAR);
-            cfg.activation = act;
-            let mut trainer = Trainer::new(MeshfreeFlowNet::new(cfg), scale.train_config());
-            let recs = trainer.train(&corpus);
-            let last = recs.last().expect("non-empty training");
-            (name, last.prediction, last.equation)
+    (0..)
+        .map(|k| 1usize << k)
+        .take_while(|&n| n <= max_workers.max(1))
+        .map(|n| {
+            eprintln!("[fig7] measuring {n} worker(s) ...");
+            train_data_parallel(corpus, &mcfg, &tc, n)
         })
         .collect()
 }
 
-/// **Ablation B**: PDE-constraint combinations (the paper's "arbitrary
-/// combinations of PDE constraints" feature). Returns
-/// `(label, final prediction loss, final equation loss)` per combination.
-pub fn ablation_constraints(scale: &ExperimentScale) -> Vec<(&'static str, f32, f32)> {
-    use mfn_core::ConstraintSet;
-    let pair = scale.build_pair(1e6, 7);
-    let corpus = Corpus::new(vec![pair]);
-    let combos: [(&'static str, ConstraintSet); 3] = [
-        ("all four", ConstraintSet::ALL),
-        ("continuity only", ConstraintSet::CONTINUITY_ONLY),
-        (
-            "transport only",
-            ConstraintSet {
-                continuity: false,
-                temperature: true,
-                momentum_x: false,
-                momentum_z: false,
-            },
-        ),
+/// Scaling efficiency of `run` against the one-worker `base`: its
+/// throughput over `workers ×` the one-worker throughput.
+pub fn efficiency(base: &DistRunResult, run: &DistRunResult) -> f64 {
+    run.throughput / (base.throughput * run.final_world as f64)
+}
+
+/// **Ablations** (beyond the paper), trained on `corpus` (the paper's run).
+/// Returns `(study, variant, final prediction loss, final equation loss)`
+/// per variant of two studies:
+/// - `"activation"`: the decoder activation. The paper's Fig. 5 shows ReLU;
+///   we default to softplus so exact second derivatives exist (ReLU's vanish
+///   almost everywhere, silently disabling the Laplacian terms of the
+///   equation loss).
+/// - `"constraints"`: PDE-constraint combinations (the paper's "arbitrary
+///   combinations of PDE constraints" feature).
+pub fn ablation(
+    scale: &ExperimentScale,
+    corpus: &Corpus,
+) -> Vec<(&'static str, &'static str, f32, f32)> {
+    let base = scale.model_config(MfnConfig::GAMMA_STAR);
+    let act = |activation| MfnConfig { activation, ..base.clone() };
+    let set = |constraints| MfnConfig { constraints, ..base.clone() };
+    let transport_only = ConstraintSet {
+        continuity: false,
+        temperature: true,
+        momentum_x: false,
+        momentum_z: false,
+    };
+    let variants = [
+        ("activation", "softplus", act(Activation::Softplus)),
+        ("activation", "relu", act(Activation::Relu)),
+        ("activation", "tanh", act(Activation::Tanh)),
+        ("constraints", "all four", set(ConstraintSet::ALL)),
+        ("constraints", "continuity only", set(ConstraintSet::CONTINUITY_ONLY)),
+        ("constraints", "transport only", set(transport_only)),
     ];
-    combos
+    variants
         .into_iter()
-        .map(|(name, set)| {
-            eprintln!("[ablation] constraints = {name} ...");
-            let mut cfg = scale.model_config(MfnConfig::GAMMA_STAR);
-            cfg.constraints = set;
-            let mut trainer = Trainer::new(MeshfreeFlowNet::new(cfg), scale.train_config());
-            let recs = trainer.train(&corpus);
-            let last = recs.last().expect("non-empty training");
-            (name, last.prediction, last.equation)
+        .map(|(study, variant, cfg)| {
+            eprintln!("[ablation] {study} = {variant} ...");
+            let (_, records) = train_mfn(scale, cfg, corpus);
+            let last = records.last().expect("non-empty training");
+            (study, variant, last.prediction, last.equation)
         })
         .collect()
 }
@@ -435,7 +412,8 @@ mod tests {
 
     #[test]
     fn table2_smoke() {
-        let rows = table2(&micro());
+        let s = micro();
+        let rows = table2(&s, &s.paper_corpus());
         assert_eq!(rows.len(), 4);
         assert!(rows.iter().all(|r| r.scores.len() == 9));
         assert!(rows[0].label.contains("Baseline (I)"));
@@ -443,7 +421,8 @@ mod tests {
 
     #[test]
     fn table1_smoke() {
-        let rows = table1(&micro(), &[0.0, 0.1]);
+        let s = micro();
+        let rows = table1(&s, &s.paper_corpus(), &[0.0, 0.1]);
         assert_eq!(rows.len(), 2);
         assert!(rows[1].label.contains("0.1"));
     }
@@ -462,30 +441,35 @@ mod tests {
 
     #[test]
     fn fig7_smoke() {
-        let (points, model) = fig7(&micro(), 2);
-        assert_eq!(points.len(), 2);
-        assert!(points.iter().all(|p| p.throughput > 0.0));
-        assert!(model.throughput(128) > 0.0);
-        assert!(model.efficiency(128) <= 1.0 + 1e-9);
+        let s = micro();
+        let runs = fig7(&s, &s.paper_corpus(), 2);
+        assert_eq!(runs.iter().map(|r| r.final_world).collect::<Vec<_>>(), [1, 2]);
+        assert!(runs.iter().all(|r| r.throughput > 0.0));
+        assert_eq!(efficiency(&runs[0], &runs[0]), 1.0);
+        for r in &runs {
+            assert_eq!(r.epoch_losses.len(), s.epochs);
+            assert_eq!(r.epoch_wall.len(), s.epochs);
+        }
     }
 
     #[test]
     fn ablations_smoke() {
         let s = micro();
-        let act = ablation_activation(&s);
-        assert_eq!(act.len(), 3);
-        assert!(act.iter().all(|(_, p, e)| p.is_finite() && e.is_finite() && *e > 0.0));
-        let cons = ablation_constraints(&s);
+        let rows = ablation(&s, &s.paper_corpus());
+        assert_eq!(rows.len(), 6);
+        assert!(rows.iter().all(|(_, _, p, e)| p.is_finite() && e.is_finite() && *e > 0.0));
+        let cons: Vec<_> = rows.iter().filter(|r| r.0 == "constraints").collect();
         assert_eq!(cons.len(), 3);
         // Different constraint sets must produce different equation-loss
         // magnitudes (they average different residuals).
-        assert_ne!(cons[0].2, cons[1].2);
+        assert_ne!(cons[0].3, cons[1].3);
     }
 
     #[test]
     fn fig6_smoke() {
+        let s = micro();
         let dir = std::env::temp_dir().join("mfn_fig6_smoke");
-        fig6(&micro(), &dir).expect("fig6");
+        fig6(&s, &s.paper_corpus(), &dir).expect("fig6");
         for name in ["lr_T.pgm", "pred_w.pgm", "gt_u.csv"] {
             assert!(dir.join(name).exists(), "{name} missing");
         }

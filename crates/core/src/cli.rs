@@ -7,13 +7,18 @@ use std::str::FromStr;
 /// A binary's arguments after the program name, with its usage line.
 pub struct Cli {
     usage: &'static str,
-    args: std::iter::Skip<std::env::Args>,
+    args: std::vec::IntoIter<String>,
 }
 
 impl Cli {
     /// The process's arguments; `usage` is printed with every error.
     pub fn new(usage: &'static str) -> Self {
-        Cli { usage, args: std::env::args().skip(1) }
+        Self::with_args(usage, std::env::args().skip(1))
+    }
+
+    /// `args` (program name excluded) in place of the process's.
+    pub fn with_args(usage: &'static str, args: impl IntoIterator<Item = String>) -> Self {
+        Cli { usage, args: args.into_iter().collect::<Vec<_>>().into_iter() }
     }
 
     /// The next argument, or `None` after the last. `--help` and `-h` print

@@ -95,7 +95,7 @@ pub struct DistRunResult {
     /// every rank's sampler position: the payload `<ckpt>.state` frames, which
     /// `FrozenModel::load_state` serves and `Trainer::from_state` resumes.
     pub final_state: Vec<u8>,
-    /// Gradient buffer size in elements (for the scaling model).
+    /// Gradient buffer size in elements: what each rank all-reduces per step.
     pub grad_elems: usize,
     /// Seconds each logical rank spent blocked in the ring all-reduce,
     /// summed over its committed epochs.
