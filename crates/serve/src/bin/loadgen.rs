@@ -40,6 +40,7 @@ use mfn_serve::error::code::UNKNOWN_DIGEST;
 use mfn_serve::{
     ArrivalSchedule, Client, ModelInfo, RefineResult, ServeError, ShardStat, SplitMix64, Zipf,
 };
+use mfn_telemetry::{Histogram, Snapshot};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::{Barrier, OnceLock};
@@ -151,13 +152,6 @@ fn gen_queries(state: &mut u64, n: usize) -> Vec<(usize, [f32; 3])> {
         .collect()
 }
 
-fn percentile_us(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1)]
-}
-
 /// `x` rounded to `places` decimals: the precision the report keeps.
 fn round(x: f64, places: i32) -> f64 {
     let scale = 10f64.powi(places);
@@ -194,19 +188,20 @@ fn finish<T: Serialize>(out: &Path, report: &T, requests: u64, errors: u64) {
 }
 
 /// One client connection of a load phase, and what it measured.
-struct Conn {
+struct Conn<'a> {
     addr: String,
     /// `None` once the connection failed and could not be reopened.
     client: Option<Client>,
-    /// Latency of every request that succeeded, in µs.
-    lat_us: Vec<u64>,
+    /// Latency of every request that succeeded, in µs, shared by the
+    /// phase's connections.
+    latency_us: &'a Histogram,
     errors: u64,
 }
 
-impl Conn {
+impl<'a> Conn<'a> {
     /// A connection to `addr`; one that failed to open counts as an error.
-    fn new(addr: &str, client: Option<Client>) -> Conn {
-        Conn { addr: addr.to_string(), errors: u64::from(client.is_none()), client, lat_us: vec![] }
+    fn new(addr: &str, client: Option<Client>, latency_us: &'a Histogram) -> Conn<'a> {
+        Conn { addr: addr.to_string(), errors: u64::from(client.is_none()), client, latency_us }
     }
 
     /// Sends one request with the standard client recovery, the one body of
@@ -230,7 +225,7 @@ impl Conn {
         };
         match reply {
             Ok(reply) => {
-                self.lat_us.push(since.elapsed().as_micros() as u64);
+                self.latency_us.record(since.elapsed().as_micros() as u64);
                 Some(reply)
             }
             Err(e) => {
@@ -245,35 +240,33 @@ impl Conn {
 
 /// Runs `body(id, start, conn)` on `n` connections to `addr`, one thread
 /// each. All connect first, then a barrier releases them at one `start`
-/// instant. Returns every latency sorted, the error count and the seconds
-/// from `start` until the last one finished.
+/// instant. Returns the latencies, the error count and the seconds from
+/// `start` until the last one finished.
 fn run_conns(
     addr: &str,
     n: usize,
-    body: impl Fn(usize, Instant, &mut Conn) + Sync,
-) -> (Vec<u64>, u64, f64) {
+    body: impl Fn(usize, Instant, &mut Conn<'_>) + Sync,
+) -> (Snapshot, u64, f64) {
     let barrier = Barrier::new(n + 1);
     let start = OnceLock::new();
+    let latency_us = Histogram::default();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..n)
             .map(|id| {
-                let (barrier, start, body) = (&barrier, &start, &body);
+                let (barrier, start, body, latency_us) = (&barrier, &start, &body, &latency_us);
                 s.spawn(move || {
-                    let mut conn = Conn::new(addr, Client::connect(addr).ok());
+                    let mut conn = Conn::new(addr, Client::connect(addr).ok(), latency_us);
                     barrier.wait();
                     body(id, *start.wait(), &mut conn);
-                    conn
+                    conn.errors
                 })
             })
             .collect();
         barrier.wait();
         let t0 = *start.get_or_init(Instant::now);
-        let conns: Vec<Conn> =
-            handles.into_iter().map(|h| h.join().expect("loadgen connection thread")).collect();
-        let elapsed = t0.elapsed().as_secs_f64();
-        let mut lat_us: Vec<u64> = conns.iter().flat_map(|c| c.lat_us.iter().copied()).collect();
-        lat_us.sort_unstable();
-        (lat_us, conns.iter().map(|c| c.errors).sum(), elapsed)
+        let errors =
+            handles.into_iter().map(|h| h.join().expect("loadgen connection thread")).sum();
+        (latency_us.snapshot(), errors, t0.elapsed().as_secs_f64())
     })
 }
 
@@ -391,7 +384,7 @@ fn run_rate(args: &Args, rate: f64, digests: &[u64], numel: usize) -> RatePoint 
     let zipf = Zipf::new(digests.len(), args.zipf_s);
     let picks: Vec<usize> = (0..count).map(|_| zipf.sample(&mut rng)).collect();
     let offsets = schedule.offsets_us();
-    let (lat_us, errors, elapsed) = run_conns(&args.addr, args.conns, |cid, start, conn| {
+    let (latency_us, errors, elapsed) = run_conns(&args.addr, args.conns, |cid, start, conn| {
         for i in (cid..count).step_by(args.conns) {
             if conn.client.is_none() {
                 break;
@@ -405,16 +398,16 @@ fn run_rate(args: &Args, rate: f64, digests: &[u64], numel: usize) -> RatePoint 
             conn.send(due, || gen_patch(pick, numel), |c| c.query(digests[pick], &qs));
         }
     });
-    let requests = lat_us.len() as u64;
+    let requests = latency_us.count();
     RatePoint {
         offered_qps: round(rate, 1),
         achieved_qps: round(requests as f64 / elapsed, 2),
         requests,
         protocol_errors: errors,
-        p50_us: percentile_us(&lat_us, 0.5),
-        p90_us: percentile_us(&lat_us, 0.9),
-        p99_us: percentile_us(&lat_us, 0.99),
-        max_us: lat_us.last().copied().unwrap_or(0),
+        p50_us: latency_us.quantile(0.5).unwrap_or(0),
+        p90_us: latency_us.quantile(0.9).unwrap_or(0),
+        p99_us: latency_us.quantile(0.99).unwrap_or(0),
+        max_us: latency_us.max(),
     }
 }
 
@@ -424,12 +417,15 @@ fn run_rate(args: &Args, rate: f64, digests: &[u64], numel: usize) -> RatePoint 
 /// wrong "best" for an open-loop sweep — a saturated server keeps
 /// completing requests at high rate while every one of them sits in queue
 /// past any usable latency. If no point meets the SLO the knee falls back
-/// to the lowest-p99 point (ties: higher throughput) with `false`.
+/// to the lowest-p99 point (ties: higher throughput) with `false`. A point
+/// that completed no request has no p99: it never meets the SLO and is the
+/// last fallback.
 fn pick_knee(sweep: &[RatePoint], slo_us: u64) -> (usize, bool) {
+    let p99 = |p: &RatePoint| if p.requests > 0 { p.p99_us } else { u64::MAX };
     let under = sweep
         .iter()
         .enumerate()
-        .filter(|(_, p)| p.p99_us <= slo_us)
+        .filter(|(_, p)| p99(p) <= slo_us)
         .max_by(|(_, a), (_, b)| a.achieved_qps.total_cmp(&b.achieved_qps));
     if let Some((i, _)) = under {
         return (i, true);
@@ -438,7 +434,7 @@ fn pick_knee(sweep: &[RatePoint], slo_us: u64) -> (usize, bool) {
         .iter()
         .enumerate()
         .min_by(|(_, a), (_, b)| {
-            a.p99_us.cmp(&b.p99_us).then(b.achieved_qps.total_cmp(&a.achieved_qps))
+            p99(a).cmp(&p99(b)).then(b.achieved_qps.total_cmp(&a.achieved_qps))
         })
         .expect("at least one rate point");
     (i, false)
@@ -448,7 +444,7 @@ fn pick_knee(sweep: &[RatePoint], slo_us: u64) -> (usize, bool) {
 /// queries over the warm digests for `--duration-s`, timing per-request RTT.
 fn run_closed(args: &Args, digests: &[u64], numel: usize) -> ClosedLoop {
     let addr = args.closed_addr.as_deref().unwrap_or(&args.addr);
-    let (lat_us, errors, elapsed) = run_conns(addr, args.threads, |tid, start, conn| {
+    let (latency_us, errors, elapsed) = run_conns(addr, args.threads, |tid, start, conn| {
         let deadline = start + Duration::from_secs(args.duration_s);
         let mut state = (tid as u64 + 1) * 0xA5A5_5A5A;
         while conn.client.is_some() && Instant::now() < deadline {
@@ -457,7 +453,7 @@ fn run_closed(args: &Args, digests: &[u64], numel: usize) -> ClosedLoop {
             conn.send(Instant::now(), || gen_patch(pick, numel), |c| c.query(digests[pick], &qs));
         }
     });
-    let requests = lat_us.len() as u64;
+    let requests = latency_us.count();
     ClosedLoop {
         addr: addr.to_string(),
         threads: args.threads,
@@ -465,9 +461,9 @@ fn run_closed(args: &Args, digests: &[u64], numel: usize) -> ClosedLoop {
         requests,
         protocol_errors: errors,
         qps: round(requests as f64 / elapsed, 2),
-        p50_us: percentile_us(&lat_us, 0.5),
-        p90_us: percentile_us(&lat_us, 0.9),
-        p99_us: percentile_us(&lat_us, 0.99),
+        p50_us: latency_us.quantile(0.5).unwrap_or(0),
+        p90_us: latency_us.quantile(0.9).unwrap_or(0),
+        p99_us: latency_us.quantile(0.99).unwrap_or(0),
     }
 }
 
@@ -482,27 +478,21 @@ fn sweep_main(args: &Args) {
     // Warm phase: every patch encoded once so the sweep measures the steady
     // decode path, then once more. A warm server (a rerun against the same
     // instance) hits at once: only genuine misses enter the miss p50.
-    let (mut digests, mut miss_us, mut hit_us) = (Vec::new(), Vec::new(), Vec::new());
+    // Encode latencies by outcome: `[miss, hit]`.
+    let (mut digests, encode_us) = (Vec::new(), [Histogram::default(), Histogram::default()]);
     for pass in 0..2 {
         for idx in 0..args.patches {
             let patch = gen_patch(idx, numel);
             let t0 = Instant::now();
             let (digest, hit) =
                 client.encode(1, &patch).unwrap_or_else(|e| die(format!("warm encode: {e}")));
-            let us = t0.elapsed().as_micros() as u64;
-            if hit {
-                hit_us.push(us);
-            } else {
-                miss_us.push(us);
-            }
+            encode_us[usize::from(hit)].record(t0.elapsed().as_micros() as u64);
             if pass == 0 {
                 digests.push(digest);
             }
         }
     }
-    miss_us.sort_unstable();
-    hit_us.sort_unstable();
-    let (miss_p50, hit_p50) = (percentile_us(&miss_us, 0.5), percentile_us(&hit_us, 0.5));
+    let [miss_p50, hit_p50] = encode_us.map(|h| h.snapshot().quantile(0.5).unwrap_or(0));
     let cache = CacheEconomics {
         encode_miss_us_p50: miss_p50,
         cache_hit_encode_us_p50: hit_p50,
@@ -643,10 +633,11 @@ fn refine_main(args: &Args) {
         args.refine_budgets
     );
 
-    let mut conn = Conn::new(&args.addr, Some(client));
-    let mut requests = 0u64;
+    let latency_us = Histogram::default();
+    let mut conn = Conn::new(&args.addr, Some(client), &latency_us);
     let mut curve: Vec<RefinePoint> = Vec::new();
     for &k in &args.refine_budgets {
+        let before = latency_us.snapshot();
         let budget = RefineBudget { max_steps: k, tol: 0.0, max_micros: 0 };
         let mut first: Option<RefineResult> = None;
         for _ in 0..REFINE_REPS {
@@ -661,10 +652,8 @@ fn refine_main(args: &Args) {
                 eprintln!("refine sweep: nondeterministic response at budget {k}");
             }
         }
-        let mut lat_us = std::mem::take(&mut conn.lat_us);
-        requests += lat_us.len() as u64;
         let Some(r) = first else { continue };
-        lat_us.sort_unstable();
+        let budget_us = latency_us.snapshot().since(&before);
         let reduction = if r.final_residual > 0.0 {
             r.initial_residual as f64 / r.final_residual as f64
         } else {
@@ -677,12 +666,13 @@ fn refine_main(args: &Args) {
             initial_residual: round(r.initial_residual.into(), 6),
             final_residual: round(r.final_residual.into(), 6),
             reduction: round(reduction, 4),
-            p50_us: percentile_us(&lat_us, 0.5),
-            p99_us: percentile_us(&lat_us, 0.99),
+            p50_us: budget_us.quantile(0.5).unwrap_or(0),
+            p99_us: budget_us.quantile(0.99).unwrap_or(0),
         });
     }
 
     let best_reduction = curve.iter().map(|p| p.reduction).fold(0.0f64, f64::max);
+    let requests = latency_us.snapshot().count();
     let report = RefineReport {
         schema: "mfn-bench/serve-refine/v1".to_string(),
         config: RefineConfig {
@@ -759,6 +749,13 @@ mod tests {
         let sweep = [pt(100.0, 99.0, 50_000)];
         assert_eq!(pick_knee(&sweep, 50_000), (0, true));
         assert!(!pick_knee(&sweep, 49_999).1);
+    }
+
+    #[test]
+    fn a_point_that_completed_nothing_never_meets_the_slo() {
+        assert_eq!(pick_knee(&[pt(2500.0, 0.0, 0)], 50_000), (0, false));
+        let sweep = [pt(1000.0, 900.0, 300_000), pt(2500.0, 0.0, 0)];
+        assert_eq!(pick_knee(&sweep, 50_000), (0, false));
     }
 
     #[test]

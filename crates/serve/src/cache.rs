@@ -30,28 +30,21 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// FNV-1a 64 offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64 prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64 over the dims (as LE u64s) followed by `data`.
+fn fnv1a(dims: &[usize], data: impl IntoIterator<Item = u8>) -> u64 {
+    dims.iter()
+        .flat_map(|&d| (d as u64).to_le_bytes())
+        .chain(data)
+        .fold(FNV_OFFSET, |h, b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
 
 /// Digest of an input patch: FNV-1a 64 over the dims (as LE u64s) followed
 /// by the raw little-endian f32 bytes. Stable across platforms and process
 /// restarts — it is part of the wire protocol.
 pub fn patch_digest(dims: &[usize], data: &[f32]) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    };
-    for &d in dims {
-        for b in (d as u64).to_le_bytes() {
-            eat(b);
-        }
-    }
-    for &v in data {
-        for b in v.to_le_bytes() {
-            eat(b);
-        }
-    }
-    h
+    fnv1a(dims, data.iter().flat_map(|v| v.to_le_bytes()))
 }
 
 /// [`patch_digest`] computed from the raw little-endian f32 bytes instead
@@ -60,20 +53,7 @@ pub fn patch_digest(dims: &[usize], data: &[f32]) -> u64 {
 /// float — this is what lets the router assign an `Encode` frame to a
 /// shard by looking at the payload bytes alone.
 pub fn patch_digest_bytes(dims: &[usize], data: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    };
-    for &d in dims {
-        for b in (d as u64).to_le_bytes() {
-            eat(b);
-        }
-    }
-    for &b in data {
-        eat(b);
-    }
-    h
+    fnv1a(dims, data.iter().copied())
 }
 
 /// Second, independent hash of the same `(dims, data)` bytes, used to
@@ -284,6 +264,14 @@ mod tests {
         assert_ne!(a, patch_digest(&[2, 2], &[1.0, 2.0, 3.0, 5.0]));
         // -0.0 and 0.0 differ bitwise, so they are different patches.
         assert_ne!(patch_digest(&[1], &[0.0]), patch_digest(&[1], &[-0.0]));
+    }
+
+    #[test]
+    fn digest_bits_are_pinned() {
+        // The digest is the wire handle: these values must never move.
+        assert_eq!(patch_digest(&[2, 2], &[1.0, 2.0, 3.0, 4.0]), 0x3f88_de06_5db9_6918);
+        let ramp: Vec<f32> = (0..512).map(|i| i as f32 * 0.25 - 3.0).collect();
+        assert_eq!(patch_digest(&[1, 4, 4, 4, 8], &ramp), 0xbc24_6895_c310_81dc);
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl Engine {
             model,
             cache: LatentCache::new(cfg.cache_capacity),
             decodes: DecodeCounters::default(),
-            stats: ServeStats::new(),
+            stats: ServeStats::default(),
             refine_settings: cfg.refine,
             refine_cost: AtomicU64::new(0),
         }

@@ -24,27 +24,8 @@
 //! shards, which preserves the assignment of every healthy shard while a
 //! peer is down (keys of the dead shard spill to ring successors).
 
-/// FNV-1a 64 offset basis (same constants as the patch digest).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64 prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// SplitMix64 avalanche: bijective, well-mixed, pure integer ops.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+use crate::cache::{patch_digest_bytes, FNV_PRIME};
+use crate::SplitMix64;
 
 /// Virtual nodes per shard. High enough that the largest arc a single shard
 /// owns stays within a few percent of fair share.
@@ -65,11 +46,12 @@ impl HashRing {
         assert!(!names.is_empty(), "a ring needs at least one shard");
         let mut points = Vec::with_capacity(names.len() * VNODES);
         for (idx, name) in names.iter().enumerate() {
-            let base = fnv1a(name.as_bytes());
+            let base = patch_digest_bytes(&[], name.as_bytes());
             for v in 0..VNODES {
                 // Mix the vnode counter through an avalanche so a shard's
                 // points scatter instead of clustering near its base hash.
-                points.push((splitmix(base ^ (v as u64).wrapping_mul(FNV_PRIME)), idx));
+                let vnode = base ^ (v as u64).wrapping_mul(FNV_PRIME);
+                points.push((SplitMix64::new(vnode).next_u64(), idx));
             }
         }
         // Position ties (astronomically unlikely) resolve by shard index so
@@ -96,7 +78,7 @@ impl HashRing {
     /// The shard index owning `key`: the first ring point at or after the
     /// key's avalanche position, wrapping at the top.
     pub fn shard_for(&self, key: u64) -> usize {
-        let pos = splitmix(key);
+        let pos = SplitMix64::new(key).next_u64();
         let i = self.points.partition_point(|&(p, _)| p < pos);
         let (_, shard) = self.points[if i == self.points.len() { 0 } else { i }];
         shard
@@ -110,7 +92,7 @@ impl HashRing {
         if healthy.iter().all(|h| !h) {
             return None;
         }
-        let pos = splitmix(key);
+        let pos = SplitMix64::new(key).next_u64();
         let start = self.points.partition_point(|&(p, _)| p < pos);
         let n = self.points.len();
         for step in 0..n {
@@ -147,7 +129,7 @@ mod tests {
         let ring = HashRing::new(&names(4));
         let mut counts = [0usize; 4];
         for key in 0..40_000u64 {
-            counts[ring.shard_for(splitmix(key))] += 1;
+            counts[ring.shard_for(SplitMix64::new(key).next_u64())] += 1;
         }
         for &c in &counts {
             // Fair share is 10k; 128 vnodes keeps shards within ~±35%.
@@ -160,7 +142,7 @@ mod tests {
         let ring = HashRing::new(&names(3));
         let all = [true, true, true];
         for key in 0..5_000u64 {
-            let k = splitmix(key);
+            let k = SplitMix64::new(key).next_u64();
             let owner = ring.shard_for(k);
             assert_eq!(ring.route(k, &all), Some(owner));
             let mut down = all;

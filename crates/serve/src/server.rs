@@ -327,7 +327,7 @@ fn publish_loop(engine: Arc<Engine>, recorder: Recorder, shutdown: Arc<AtomicBoo
     if !recorder.is_enabled() {
         return;
     }
-    let mut last_requests = 0u64;
+    let mut last_latency = engine.stats().latency_us().snapshot();
     let mut last_t = Instant::now();
     loop {
         let stopping = shutdown.load(Ordering::SeqCst);
@@ -337,13 +337,15 @@ fn publish_loop(engine: Arc<Engine>, recorder: Recorder, shutdown: Arc<AtomicBoo
         let stats = engine.stats();
         let now = Instant::now();
         let dt = now.duration_since(last_t).as_secs_f64().max(1e-9);
-        let requests = stats.requests();
-        recorder.gauge("serve.qps", (requests - last_requests) as f64 / dt);
-        last_requests = requests;
         last_t = now;
-        if let Some(p) = stats.latency_percentiles_us(&[0.5, 0.99]) {
-            recorder.gauge("serve.p50_us", p[0] as f64);
-            recorder.gauge("serve.p99_us", p[1] as f64);
+        // Rate and percentiles of the requests completed since the last publish.
+        let latency = stats.latency_us().snapshot();
+        let interval = latency.since(&last_latency);
+        last_latency = latency;
+        recorder.gauge("serve.qps", interval.count() as f64 / dt);
+        if let (Some(p50), Some(p99)) = (interval.quantile(0.5), interval.quantile(0.99)) {
+            recorder.gauge("serve.p50_us", p50 as f64);
+            recorder.gauge("serve.p99_us", p99 as f64);
         }
         recorder.gauge("serve.inflight", stats.inflight() as f64);
         recorder.gauge("serve.conns", stats.conns() as f64);
@@ -368,5 +370,32 @@ fn publish_loop(engine: Arc<Engine>, recorder: Recorder, shutdown: Arc<AtomicBoo
         if stopping {
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::EngineConfig;
+    use mfn_core::{FrozenModel, MeshfreeFlowNet, MfnConfig};
+    use mfn_data::PatchSpec;
+
+    #[test]
+    fn a_publish_with_no_new_requests_reports_no_percentiles() {
+        let mut cfg = MfnConfig::small();
+        cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
+        cfg.levels = 2;
+        let model = FrozenModel::from_model(MeshfreeFlowNet::new(cfg));
+        let engine = Arc::new(Engine::new(model, EngineConfig::default()));
+        // Requests completed before the loop started belong to no interval
+        // it publishes; a stopping loop publishes once, at once.
+        for us in [800, 900, 1_000] {
+            engine.stats().note_request(us);
+        }
+        let (recorder, telemetry) = Recorder::memory(64);
+        publish_loop(engine, recorder, Arc::new(AtomicBool::new(true)));
+        assert!(telemetry.gauge("serve.qps").is_some(), "the loop published");
+        assert_eq!(telemetry.gauge("serve.p50_us"), None);
+        assert_eq!(telemetry.gauge("serve.p99_us"), None);
     }
 }

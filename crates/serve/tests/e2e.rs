@@ -113,10 +113,11 @@ fn serve_loads_checkpoint_and_matches_direct_decode() {
 
     let engine = Arc::new(Engine::new(frozen, EngineConfig::default()));
     let numel = engine.patch_numel(1);
+    let (recorder, telemetry) = Recorder::memory(4096);
     let server = Server::start(
         engine.clone(),
         ServerConfig { workers: 3, ..ServerConfig::default() },
-        Recorder::null(),
+        recorder,
     )
     .expect("start server");
     let addr = server.local_addr().to_string();
@@ -175,4 +176,9 @@ fn serve_loads_checkpoint_and_matches_direct_decode() {
 
     assert!(engine.cache().hits() >= 4, "each client's rerun should have hit the cache");
     server.shutdown();
+    // Some publish interval held the served requests: it reported their
+    // percentiles, read from the shard's latency histogram.
+    let p50 = telemetry.gauge("serve.p50_us").expect("a p50 gauge");
+    let p99 = telemetry.gauge("serve.p99_us").expect("a p99 gauge");
+    assert!(0.0 <= p50 && p50 <= p99, "p50 {p50} µs, p99 {p99} µs");
 }

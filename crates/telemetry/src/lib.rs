@@ -1,8 +1,9 @@
 //! # mfn-telemetry
 //!
 //! Lightweight, thread-safe observability for the MeshfreeFlowNet
-//! reproduction: counters, gauges, scoped wall-clock spans, and structured
-//! per-step metrics for both the trainer and the Rayleigh–Bénard solver.
+//! reproduction: counters, gauges, scoped wall-clock spans, structured
+//! per-step metrics for both the trainer and the Rayleigh–Bénard solver, and
+//! the one latency [`Histogram`] the server and the load generator share.
 //!
 //! The design goals, in order:
 //!
@@ -32,10 +33,12 @@
 //! {"type":"span","name":"epoch","seconds":1.25}
 //! ```
 
+mod histogram;
 mod record;
 mod recorder;
 mod sink;
 
+pub use histogram::{Histogram, Snapshot};
 pub use record::{Event, SolverStepMetrics, StepMetrics};
 pub use recorder::{Recorder, SpanGuard, Stopwatch};
 pub use sink::{JsonlSink, MemorySink, NullSink, Sink};
