@@ -50,20 +50,10 @@ impl FftPlan {
         FftPlan { n, rev, twiddles }
     }
 
-    /// The transform length this plan was built for.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the plan length is 1 (a degenerate but valid plan).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// In-place forward DFT: `X[k] = sum_j x[j] e^{-2 pi i jk / n}`.
     ///
     /// # Panics
-    /// Panics if `data.len() != self.len()`.
+    /// Panics if `data.len()` is not the plan's length.
     pub fn forward(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.n, "buffer length does not match plan");
         self.transform(data, false);
@@ -73,7 +63,7 @@ impl FftPlan {
     /// `x[j] = (1/n) sum_k X[k] e^{+2 pi i jk / n}`.
     ///
     /// # Panics
-    /// Panics if `data.len() != self.len()`.
+    /// Panics if `data.len()` is not the plan's length.
     pub fn inverse(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.n, "buffer length does not match plan");
         self.transform(data, true);
@@ -116,16 +106,6 @@ impl FftPlan {
     }
 }
 
-/// One-shot forward FFT of a complex slice (builds a plan internally).
-pub fn fft(data: &mut [Complex]) {
-    FftPlan::new(data.len()).forward(data);
-}
-
-/// One-shot inverse FFT of a complex slice (builds a plan internally).
-pub fn ifft(data: &mut [Complex]) {
-    FftPlan::new(data.len()).inverse(data);
-}
-
 /// A plan for transforms of *real* signals of power-of-two length `n`.
 ///
 /// Returns the `n/2 + 1` non-redundant spectral coefficients (the remaining
@@ -142,25 +122,15 @@ impl RealFftPlan {
         RealFftPlan { plan: FftPlan::new(n) }
     }
 
-    /// The signal length.
-    pub fn len(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// Whether the signal length is zero (never true for a constructed plan).
-    pub fn is_empty(&self) -> bool {
-        self.plan.is_empty()
-    }
-
     /// The number of non-redundant output coefficients, `n/2 + 1`.
     pub fn spectrum_len(&self) -> usize {
-        self.plan.len() / 2 + 1
+        self.plan.n / 2 + 1
     }
 
     /// Forward transform of a real signal. Returns `n/2 + 1` coefficients
     /// `X[0..=n/2]` of the full complex DFT.
     pub fn forward(&self, signal: &[f64]) -> Vec<Complex> {
-        assert_eq!(signal.len(), self.plan.len());
+        assert_eq!(signal.len(), self.plan.n);
         let mut buf: Vec<Complex> = signal.iter().map(|&x| Complex::real(x)).collect();
         self.plan.forward(&mut buf);
         buf.truncate(self.spectrum_len());
@@ -171,7 +141,7 @@ impl RealFftPlan {
     /// signal of length `n`. The imaginary parts of `X[0]` and `X[n/2]` are
     /// ignored (they must be zero for a genuinely real signal).
     pub fn inverse(&self, spectrum: &[Complex]) -> Vec<f64> {
-        let n = self.plan.len();
+        let n = self.plan.n;
         assert_eq!(spectrum.len(), self.spectrum_len());
         let mut buf = vec![Complex::ZERO; n];
         buf[0] = Complex::real(spectrum[0].re);
@@ -217,7 +187,7 @@ mod tests {
             let sig = rand_signal(n, n as u64);
             let expect = dft_naive(&sig);
             let mut got = sig.clone();
-            fft(&mut got);
+            FftPlan::new(got.len()).forward(&mut got);
             for (g, e) in got.iter().zip(&expect) {
                 assert!((*g - *e).abs() < 1e-9 * (n as f64), "n={n}");
             }
@@ -228,8 +198,9 @@ mod tests {
     fn roundtrip_is_identity() {
         let sig = rand_signal(128, 7);
         let mut buf = sig.clone();
-        fft(&mut buf);
-        ifft(&mut buf);
+        let plan = FftPlan::new(buf.len());
+        plan.forward(&mut buf);
+        plan.inverse(&mut buf);
         for (a, b) in buf.iter().zip(&sig) {
             assert!((*a - *b).abs() < 1e-12);
         }
@@ -245,7 +216,7 @@ mod tests {
     fn impulse_has_flat_spectrum() {
         let mut sig = vec![Complex::ZERO; 32];
         sig[0] = Complex::ONE;
-        fft(&mut sig);
+        FftPlan::new(sig.len()).forward(&mut sig);
         for z in &sig {
             assert!((*z - Complex::ONE).abs() < 1e-12);
         }
@@ -258,7 +229,7 @@ mod tests {
         let mut sig: Vec<Complex> = (0..n)
             .map(|j| Complex::cis(2.0 * std::f64::consts::PI * (k0 * j) as f64 / n as f64))
             .collect();
-        fft(&mut sig);
+        FftPlan::new(sig.len()).forward(&mut sig);
         for (k, z) in sig.iter().enumerate() {
             let expect = if k == k0 { n as f64 } else { 0.0 };
             assert!((z.re - expect).abs() < 1e-9 && z.im.abs() < 1e-9, "bin {k}");
@@ -270,7 +241,7 @@ mod tests {
         let sig = rand_signal(256, 42);
         let time_energy: f64 = sig.iter().map(|z| z.norm_sqr()).sum();
         let mut spec = sig.clone();
-        fft(&mut spec);
+        FftPlan::new(spec.len()).forward(&mut spec);
         let freq_energy: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / 256.0;
         assert!((time_energy - freq_energy).abs() < 1e-9 * time_energy.max(1.0));
     }
@@ -283,7 +254,7 @@ mod tests {
         let plan = RealFftPlan::new(n);
         let half = plan.forward(&sig);
         let mut full: Vec<Complex> = sig.iter().map(|&x| Complex::real(x)).collect();
-        fft(&mut full);
+        FftPlan::new(full.len()).forward(&mut full);
         for k in 0..=n / 2 {
             assert!((half[k] - full[k]).abs() < 1e-10, "k={k}");
         }
@@ -307,7 +278,7 @@ mod tests {
         let n = 32;
         let sig: Vec<f64> = (0..n).map(|j| (j as f64 * 0.37).sin() + 0.2).collect();
         let mut full: Vec<Complex> = sig.iter().map(|&x| Complex::real(x)).collect();
-        fft(&mut full);
+        FftPlan::new(full.len()).forward(&mut full);
         for k in 1..n / 2 {
             assert!((full[k] - full[n - k].conj()).abs() < 1e-10);
         }

@@ -17,5 +17,5 @@ pub mod fft;
 pub mod spectrum;
 
 pub use complex::Complex;
-pub use fft::{dft_naive, fft, ifft, FftPlan, RealFftPlan};
+pub use fft::{dft_naive, FftPlan, RealFftPlan};
 pub use spectrum::{energy_spectrum_x, EnergySpectrum};

@@ -7,8 +7,16 @@
 //! Crank–Nicolson diffusion, AB2 advection, and a projection method whose
 //! per-wavenumber Poisson/Helmholtz systems are tridiagonal solves.
 //!
+//! Each mechanism exists once: every x-operator (`ddx`, `d2dx2`,
+//! `dealias_x`) and both implicit solves run through one row transform with
+//! a per-mode rule, the Helmholtz and Poisson systems share one per-mode
+//! solve, and [`solve_complex`] is the one Thomas sweep. The output is
+//! pinned bit for bit by `tests/frame_digest.rs`.
+//!
 //! Entry point: [`simulate`] produces the `(T, p, u, w)` snapshot sequence
-//! that `mfn-data` turns into training datasets.
+//! that `mfn-data` turns into training datasets; [`try_simulate`] returns a
+//! [`ConfigError`] for a grid or run it cannot simulate instead of
+//! panicking.
 
 pub mod ops;
 pub mod rbc;
@@ -16,6 +24,7 @@ pub mod tridiag;
 
 pub use ops::{d2dx2, d2dz2, ddx, ddz, dealias_x, laplacian, Domain};
 pub use rbc::{
-    simulate, simulate_recorded, RbcConfig, RbcSolver, Simulation, Snapshot, T_BOTTOM, T_TOP,
+    simulate, try_simulate, ConfigError, RbcConfig, RbcSolver, Simulation, Snapshot, T_BOTTOM,
+    T_TOP,
 };
 pub use tridiag::{solve_complex, Tridiag};

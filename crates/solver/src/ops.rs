@@ -8,6 +8,7 @@
 //! operators the implicit solves use, keeping the Crank–Nicolson scheme
 //! consistent.
 
+use crate::rbc::ConfigError;
 use mfn_fft::{Complex, RealFftPlan};
 
 /// Geometry of the Rayleigh–Bénard computational domain.
@@ -24,12 +25,30 @@ pub struct Domain {
 }
 
 impl Domain {
-    /// Creates a domain, validating the discretization.
+    /// Creates a domain, or says which dimension cannot be discretized.
+    ///
+    /// # Errors
+    /// Rejects an `nx` that is not a power of two `>= 4`, an `nz` below 4
+    /// and a length that is not positive.
+    pub fn try_new(nx: usize, nz: usize, lx: f64, lz: f64) -> Result<Self, ConfigError> {
+        if !(nx.is_power_of_two() && nx >= 4) {
+            return Err(ConfigError::Nx);
+        }
+        if nz < 4 {
+            return Err(ConfigError::Nz);
+        }
+        if !(lx > 0.0 && lz > 0.0) {
+            return Err(ConfigError::Length);
+        }
+        Ok(Domain { nx, nz, lx, lz })
+    }
+
+    /// Panicking convenience wrapper over [`Domain::try_new`].
+    ///
+    /// # Panics
+    /// Panics with the [`ConfigError`] message on an invalid dimension.
     pub fn new(nx: usize, nz: usize, lx: f64, lz: f64) -> Self {
-        assert!(nx.is_power_of_two() && nx >= 4, "nx must be a power of two >= 4");
-        assert!(nz >= 4, "nz must be at least 4");
-        assert!(lx > 0.0 && lz > 0.0);
-        Domain { nx, nz, lx, lz }
+        Self::try_new(nx, nz, lx, lz).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Grid spacing in `x`.
@@ -69,42 +88,51 @@ pub fn idx(domain: &Domain, j: usize, i: usize) -> usize {
     j * domain.nx + i
 }
 
+/// The one x-transform: forward real FFT of every z-row, `rule(k, column)`
+/// on the `nz` coefficients of each mode `k = 0..=nx/2` (its z-profile, in
+/// row order), inverse FFT of every row.
+pub(crate) fn map_modes(
+    domain: &Domain,
+    f: &[f64],
+    rule: impl Fn(usize, &mut [Complex]),
+) -> Vec<f64> {
+    assert_eq!(f.len(), domain.n());
+    let (nx, nz) = (domain.nx, domain.nz);
+    let plan = RealFftPlan::new(nx);
+    // Mode-major: the z-profile of mode `k` is `spec[k * nz..(k + 1) * nz]`.
+    let mut spec = vec![Complex::ZERO; plan.spectrum_len() * nz];
+    for (j, row) in f.chunks(nx).enumerate() {
+        spec[j..].iter_mut().step_by(nz).zip(plan.forward(row)).for_each(|(s, c)| *s = c);
+    }
+    spec.chunks_mut(nz).enumerate().for_each(|(k, column)| rule(k, column));
+    let mut out = Vec::with_capacity(f.len());
+    let mut row = vec![Complex::ZERO; plan.spectrum_len()];
+    for j in 0..nz {
+        row.iter_mut().zip(spec[j..].iter().step_by(nz)).for_each(|(r, s)| *r = *s);
+        out.extend(plan.inverse(&row));
+    }
+    out
+}
+
 /// Spectral ∂/∂x along each z-row. The Nyquist mode's derivative is set to
 /// zero (its `i·k` image is not representable for a real signal).
 pub fn ddx(domain: &Domain, f: &[f64]) -> Vec<f64> {
-    assert_eq!(f.len(), domain.n());
-    let plan = RealFftPlan::new(domain.nx);
-    let nx = domain.nx;
-    let mut out = vec![0.0f64; f.len()];
-    out.chunks_mut(nx).zip(f.chunks(nx)).for_each(|(orow, frow)| {
-        let mut spec = plan.forward(frow);
-        for (k, c) in spec.iter_mut().enumerate() {
-            if k == nx / 2 {
-                *c = Complex::ZERO;
-            } else {
-                *c = c.mul_i().scale(domain.wavenumber(k));
-            }
+    map_modes(domain, f, |k, column| {
+        if k == domain.nx / 2 {
+            column.fill(Complex::ZERO);
+        } else {
+            let kk = domain.wavenumber(k);
+            column.iter_mut().for_each(|c| *c = c.mul_i().scale(kk));
         }
-        orow.copy_from_slice(&plan.inverse(&spec));
-    });
-    out
+    })
 }
 
 /// Spectral ∂²/∂x² along each z-row.
 pub fn d2dx2(domain: &Domain, f: &[f64]) -> Vec<f64> {
-    assert_eq!(f.len(), domain.n());
-    let plan = RealFftPlan::new(domain.nx);
-    let nx = domain.nx;
-    let mut out = vec![0.0f64; f.len()];
-    out.chunks_mut(nx).zip(f.chunks(nx)).for_each(|(orow, frow)| {
-        let mut spec = plan.forward(frow);
-        for (k, c) in spec.iter_mut().enumerate() {
-            let kk = domain.wavenumber(k);
-            *c = c.scale(-kk * kk);
-        }
-        orow.copy_from_slice(&plan.inverse(&spec));
-    });
-    out
+    map_modes(domain, f, |k, column| {
+        let kk = domain.wavenumber(k);
+        column.iter_mut().for_each(|c| *c = c.scale(-kk * kk));
+    })
 }
 
 /// Second-order ∂/∂z: central in the interior, one-sided (second-order
@@ -161,36 +189,16 @@ pub fn laplacian(domain: &Domain, f: &[f64]) -> Vec<f64> {
     lx
 }
 
-/// Forward real FFT of every z-row: returns `nz` rows of `nx/2+1` modes.
-pub fn rows_to_spectral(domain: &Domain, f: &[f64]) -> Vec<Vec<Complex>> {
-    let plan = RealFftPlan::new(domain.nx);
-    f.chunks(domain.nx).map(|row| plan.forward(row)).collect()
-}
-
-/// Inverse of [`rows_to_spectral`].
-pub fn rows_from_spectral(domain: &Domain, spec: &[Vec<Complex>]) -> Vec<f64> {
-    let plan = RealFftPlan::new(domain.nx);
-    let mut out = vec![0.0f64; domain.n()];
-    out.chunks_mut(domain.nx).zip(spec.iter()).for_each(|(orow, srow)| {
-        orow.copy_from_slice(&plan.inverse(srow));
-    });
-    out
-}
-
 /// Zeroes the top third of x-modes of a physical field (the 2/3 dealiasing
 /// rule applied to nonlinear products).
 pub fn dealias_x(domain: &Domain, f: &mut [f64]) {
-    let plan = RealFftPlan::new(domain.nx);
     let cutoff = domain.nx / 3;
-    f.chunks_mut(domain.nx).for_each(|row| {
-        let mut spec = plan.forward(row);
-        for (k, c) in spec.iter_mut().enumerate() {
-            if k > cutoff {
-                *c = Complex::ZERO;
-            }
+    let kept = map_modes(domain, f, |k, column| {
+        if k > cutoff {
+            column.fill(Complex::ZERO);
         }
-        row.copy_from_slice(&plan.inverse(&spec));
     });
+    f.copy_from_slice(&kept);
 }
 
 #[cfg(test)]
@@ -279,8 +287,7 @@ mod tests {
     fn spectral_roundtrip() {
         let d = make_domain();
         let f = fill(&d, |x, z| (x * 1.3).sin() * (z * 0.7).cos() + z);
-        let spec = rows_to_spectral(&d, &f);
-        let back = rows_from_spectral(&d, &spec);
+        let back = map_modes(&d, &f, |_, _| {});
         for (a, b) in back.iter().zip(&f) {
             assert!((a - b).abs() < 1e-12);
         }

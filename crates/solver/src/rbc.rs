@@ -19,10 +19,9 @@
 use crate::ops::{self, ddx, ddz, laplacian, Domain};
 use crate::tridiag::{solve_complex, Tridiag};
 use mfn_fft::Complex;
-use mfn_telemetry::{Recorder, SolverStepMetrics};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
+use std::fmt;
 
 /// Physical and numerical configuration of a Rayleigh–Bénard run.
 #[derive(Debug, Clone, Copy)]
@@ -49,8 +48,6 @@ pub struct RbcConfig {
     /// RNG seed for the initial perturbation (each dataset in the paper's
     /// Table 3 differs only in this).
     pub seed: u64,
-    /// Whether to 2/3-dealias the nonlinear products (recommended).
-    pub dealias: bool,
 }
 
 impl Default for RbcConfig {
@@ -66,10 +63,39 @@ impl Default for RbcConfig {
             dt_max: 5e-3,
             noise_amp: 1e-2,
             seed: 0,
-            dealias: true,
         }
     }
 }
+
+/// Why a grid or a run cannot be simulated. Each message names the
+/// parameter at fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `nx` is not a power of two `>= 4`.
+    Nx,
+    /// `nz` is below 4.
+    Nz,
+    /// `lx` or `lz` is not positive.
+    Length,
+    /// Fewer than two frames were asked for.
+    Frames,
+    /// The duration is not positive.
+    Duration,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ConfigError::Nx => "nx must be a power of two >= 4",
+            ConfigError::Nz => "nz must be at least 4",
+            ConfigError::Length => "lx and lz must be positive",
+            ConfigError::Frames => "need at least two frames",
+            ConfigError::Duration => "duration must be positive",
+        })
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl RbcConfig {
     /// `P* = (Ra·Pr)^{-1/2}` — the dimensionless thermal diffusivity.
@@ -147,8 +173,6 @@ pub struct RbcSolver {
     dt_prev: f64,
     /// Total steps taken.
     pub steps: u64,
-    /// Telemetry destination (disabled by default).
-    recorder: Recorder,
 }
 
 /// Wall temperatures: hot bottom `T=1`, cold top `T=0` (normalized ΔT = 1).
@@ -184,18 +208,7 @@ impl RbcSolver {
             n_prev: None,
             dt_prev: 0.0,
             steps: 0,
-            recorder: Recorder::null(),
         }
-    }
-
-    /// Routes per-timestep metrics (`SolverStepMetrics`) to `recorder`.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &RbcConfig {
-        &self.cfg
     }
 
     /// The grid geometry.
@@ -226,11 +239,7 @@ impl RbcSolver {
         // T̄(z) ẑ is a gradient (hydrostatic balance) and is absorbed into the
         // modified pressure exactly, which keeps the discrete projection from
         // having to cancel a large irrotational forcing every step.
-        let mut tbar = vec![0.0f64; d.nz];
-        for (j, tb) in tbar.iter_mut().enumerate() {
-            let row = &self.temp[j * d.nx..(j + 1) * d.nx];
-            *tb = row.iter().sum::<f64>() / d.nx as f64;
-        }
+        let tbar = row_means(d, &self.temp);
         let mut nu = vec![0.0f64; n];
         let mut nw = vec![0.0f64; n];
         let mut nt = vec![0.0f64; n];
@@ -241,10 +250,8 @@ impl RbcSolver {
             nt[k] = -(self.u[k] * tx[k] + self.w[k] * tz[k]);
         }
         let mut out = [nu, nw, nt];
-        if self.cfg.dealias {
-            for f in out.iter_mut() {
-                ops::dealias_x(d, f);
-            }
+        for f in out.iter_mut() {
+            ops::dealias_x(d, f);
         }
         out
     }
@@ -289,32 +296,30 @@ impl RbcSolver {
         m
     }
 
+    /// Solves `matrix(k²) f̂_k = r̂_k` for the z-profile of every x-mode `k`
+    /// of `rhs`, whose wall rows are first set to the boundary values
+    /// `walls = (bottom, top)`: the DFT of a constant is `value * nx` in
+    /// mode 0, zero elsewhere.
+    fn solve_modes(
+        &self,
+        rhs: &[f64],
+        matrix: impl Fn(f64) -> Tridiag,
+        (bottom, top): (f64, f64),
+    ) -> Vec<f64> {
+        let d = &self.domain;
+        ops::map_modes(d, rhs, |k, column| {
+            let wall = |v: f64| if k == 0 { Complex::real(v * d.nx as f64) } else { Complex::ZERO };
+            column[0] = wall(bottom);
+            column[d.nz - 1] = wall(top);
+            let kk = d.wavenumber(k);
+            column.copy_from_slice(&solve_complex(&matrix(kk * kk), column));
+        })
+    }
+
     /// Implicit Crank–Nicolson diffusion solve: returns the field satisfying
     /// `(I − a(D_zz − k²)) f = rhs` with Dirichlet values `(bottom, top)`.
     fn diffuse(&self, rhs: &[f64], a: f64, bottom: f64, top: f64) -> Vec<f64> {
-        let d = &self.domain;
-        let nz = d.nz;
-        let spec = ops::rows_to_spectral(d, rhs);
-        let nmodes = d.nx / 2 + 1;
-        // Transpose to per-mode z-profiles, solve, transpose back.
-        let solved: Vec<Vec<Complex>> = (0..nmodes)
-            .map(|k| {
-                let k2 = {
-                    let kk = d.wavenumber(k);
-                    kk * kk
-                };
-                let m = self.helmholtz_matrix(a, k2);
-                let mut b: Vec<Complex> = (0..nz).map(|j| spec[j][k]).collect();
-                // Dirichlet rows: the DFT of a constant boundary value is
-                // `value * nx` in mode 0, zero elsewhere.
-                b[0] = if k == 0 { Complex::real(bottom * d.nx as f64) } else { Complex::ZERO };
-                b[nz - 1] = if k == 0 { Complex::real(top * d.nx as f64) } else { Complex::ZERO };
-                solve_complex(&m, &b)
-            })
-            .collect();
-        let rows: Vec<Vec<Complex>> =
-            (0..nz).map(|j| (0..nmodes).map(|k| solved[k][j]).collect()).collect();
-        ops::rows_from_spectral(d, &rows)
+        self.solve_modes(rhs, |k2| self.helmholtz_matrix(a, k2), (bottom, top))
     }
 
     /// Pressure projection: makes `(u, w)` divergence-free, storing the
@@ -337,11 +342,7 @@ impl RbcSolver {
         // ∇(φ + H) − T ẑ = ∇φ − (T − T̄) ẑ.
         let d = &self.domain;
         let dz = d.dz();
-        let mut tbar = vec![0.0f64; d.nz];
-        for (j, tb) in tbar.iter_mut().enumerate() {
-            let row = &self.temp[j * d.nx..(j + 1) * d.nx];
-            *tb = row.iter().sum::<f64>() / d.nx as f64;
-        }
+        let tbar = row_means(d, &self.temp);
         let mut hydro = vec![0.0f64; d.nz];
         for j in 1..d.nz {
             hydro[j] = hydro[j - 1] + 0.5 * (tbar[j] + tbar[j - 1]) * dz;
@@ -355,30 +356,9 @@ impl RbcSolver {
 
     fn project_once(&mut self, dt: f64) {
         let d = &self.domain;
-        let nz = d.nz;
-        let mut div = ddx(d, &self.u);
-        let wz = ddz(d, &self.w);
-        for (a, b) in div.iter_mut().zip(&wz) {
-            *a = (*a + b) / dt;
-        }
-        let spec = ops::rows_to_spectral(d, &div);
-        let nmodes = d.nx / 2 + 1;
-        let solved: Vec<Vec<Complex>> = (0..nmodes)
-            .map(|k| {
-                let k2 = {
-                    let kk = d.wavenumber(k);
-                    kk * kk
-                };
-                let m = self.poisson_matrix(k2);
-                let mut b: Vec<Complex> = (0..nz).map(|j| spec[j][k]).collect();
-                b[0] = Complex::ZERO; // Neumann (or pin) row
-                b[nz - 1] = Complex::ZERO;
-                solve_complex(&m, &b)
-            })
-            .collect();
-        let rows: Vec<Vec<Complex>> =
-            (0..nz).map(|j| (0..nmodes).map(|k| solved[k][j]).collect()).collect();
-        let phi = ops::rows_from_spectral(d, &rows);
+        let rhs: Vec<f64> = self.divergence().iter().map(|v| v / dt).collect();
+        // Neumann (or, for k = 0, pinned) wall rows: zero right-hand side.
+        let phi = self.solve_modes(&rhs, |k2| self.poisson_matrix(k2), (0.0, 0.0));
         let phix = ddx(d, &phi);
         let phiz = ddz(d, &phi);
         for k in 0..d.n() {
@@ -402,10 +382,6 @@ impl RbcSolver {
     /// Advances one step of size `dt`.
     pub fn step(&mut self, dt: f64) {
         assert!(dt > 0.0, "dt must be positive");
-        // When telemetry is on, sample the CFL limit before the state
-        // advances (that is the limit this `dt` was chosen against).
-        let cfl_dt = if self.recorder.is_enabled() { self.cfl_dt() } else { dt };
-        let started = Instant::now();
         let d = self.domain;
         let n = d.n();
         let nl = self.nonlinear();
@@ -422,21 +398,14 @@ impl RbcSolver {
         let lap_u = laplacian(&d, &self.u);
         let lap_w = laplacian(&d, &self.w);
         let lap_t = laplacian(&d, &self.temp);
-        let zeros;
-        let prev: &[Vec<f64>; 3] = match &self.n_prev {
-            Some(p) => p,
-            None => {
-                zeros = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
-                &zeros
-            }
-        };
+        let prev = |f: usize, k: usize| self.n_prev.as_ref().map_or(0.0, |p| p[f][k]);
         let mut rhs_u = vec![0.0f64; n];
         let mut rhs_w = vec![0.0f64; n];
         let mut rhs_t = vec![0.0f64; n];
         for k in 0..n {
-            let nu = c0 * nl[0][k] + c1 * prev[0][k];
-            let nw = c0 * nl[1][k] + c1 * prev[1][k];
-            let nt = c0 * nl[2][k] + c1 * prev[2][k];
+            let nu = c0 * nl[0][k] + c1 * prev(0, k);
+            let nw = c0 * nl[1][k] + c1 * prev(1, k);
+            let nt = c0 * nl[2][k] + c1 * prev(2, k);
             rhs_u[k] = self.u[k] + dt * (nu + 0.5 * kappa_u * lap_u[k]);
             rhs_w[k] = self.w[k] + dt * (nw + 0.5 * kappa_u * lap_w[k]);
             rhs_t[k] = self.temp[k] + dt * (nt + 0.5 * kappa_t * lap_t[k]);
@@ -451,13 +420,6 @@ impl RbcSolver {
         self.dt_prev = dt;
         self.t += dt;
         self.steps += 1;
-        self.recorder.solver_step(SolverStepMetrics {
-            step: self.steps,
-            time: self.t,
-            dt,
-            cfl_dt,
-            seconds: started.elapsed().as_secs_f64(),
-        });
     }
 
     /// Advances with CFL-adaptive steps until exactly `t_target`.
@@ -484,18 +446,20 @@ impl RbcSolver {
         1.0 + wt / conductive
     }
 
+    /// The discrete divergence `∂u/∂x + ∂w/∂z` at every node.
+    fn divergence(&self) -> Vec<f64> {
+        let mut div = ddx(&self.domain, &self.u);
+        for (a, b) in div.iter_mut().zip(ddz(&self.domain, &self.w)) {
+            *a += b;
+        }
+        div
+    }
+
     /// Maximum |∇·u| over the interior (projection quality diagnostic).
     pub fn max_divergence(&self) -> f64 {
-        let d = &self.domain;
-        let ux = ddx(d, &self.u);
-        let wz = ddz(d, &self.w);
-        let mut m = 0.0f64;
-        for j in 1..d.nz - 1 {
-            for i in 0..d.nx {
-                m = m.max((ux[ops::idx(d, j, i)] + wz[ops::idx(d, j, i)]).abs());
-            }
-        }
-        m
+        let nx = self.domain.nx;
+        let div = self.divergence();
+        div[nx..div.len() - nx].iter().fold(0.0f64, |m, v| m.max(v.abs()))
     }
 
     /// Captures the current state as an output frame.
@@ -510,39 +474,47 @@ impl RbcSolver {
     }
 }
 
-/// Runs a full simulation, saving `n_frames` uniformly-spaced snapshots
-/// (including the initial condition at `t = 0`).
-pub fn simulate(cfg: &RbcConfig, duration: f64, n_frames: usize) -> Simulation {
-    simulate_recorded(cfg, duration, n_frames, Recorder::null())
+/// The mean of every z-row of `f` (one value per row).
+fn row_means(d: &Domain, f: &[f64]) -> Vec<f64> {
+    f.chunks(d.nx).map(|row| row.iter().sum::<f64>() / d.nx as f64).collect()
 }
 
-/// [`simulate`] with telemetry: every solver timestep emits a
-/// `SolverStepMetrics` event (CFL limit, dt taken, wall seconds), each saved
-/// frame emits a `frame` span, and the final diagnostics (`nusselt`,
-/// `kinetic_energy`) land as gauges.
-pub fn simulate_recorded(
+/// Runs a full simulation, saving `n_frames` uniformly-spaced snapshots
+/// (including the initial condition at `t = 0`).
+///
+/// # Errors
+/// Rejects fewer than two frames, a duration that is not positive and a
+/// grid [`Domain::try_new`] rejects, before the first step.
+pub fn try_simulate(
     cfg: &RbcConfig,
     duration: f64,
     n_frames: usize,
-    recorder: Recorder,
-) -> Simulation {
-    assert!(n_frames >= 2, "need at least two frames");
-    assert!(duration > 0.0);
+) -> Result<Simulation, ConfigError> {
+    if n_frames < 2 {
+        return Err(ConfigError::Frames);
+    }
+    if duration.is_nan() || duration <= 0.0 {
+        return Err(ConfigError::Duration);
+    }
+    Domain::try_new(cfg.nx, cfg.nz, cfg.lx, cfg.lz)?;
     let mut solver = RbcSolver::new(*cfg);
-    solver.set_recorder(recorder.clone());
     let mut frames = Vec::with_capacity(n_frames);
     frames.push(solver.snapshot());
     let frame_dt = duration / (n_frames - 1) as f64;
     for f in 1..n_frames {
-        let span = recorder.span("frame");
         solver.advance_to(f as f64 * frame_dt);
-        drop(span);
-        recorder.incr("frames", 1);
         frames.push(solver.snapshot());
     }
-    recorder.gauge("nusselt", solver.nusselt());
-    recorder.gauge("kinetic_energy", solver.kinetic_energy());
-    Simulation { cfg: *cfg, domain: solver.domain, frames }
+    Ok(Simulation { cfg: *cfg, domain: solver.domain, frames })
+}
+
+/// Panicking convenience wrapper over [`try_simulate`], for callers whose
+/// configuration is static.
+///
+/// # Panics
+/// Panics with the [`ConfigError`] message on an invalid configuration.
+pub fn simulate(cfg: &RbcConfig, duration: f64, n_frames: usize) -> Simulation {
+    try_simulate(cfg, duration, n_frames).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -634,43 +606,17 @@ mod tests {
     }
 
     #[test]
-    fn simulate_recorded_emits_per_step_metrics() {
-        let cfg = quick_cfg();
-        let (recorder, sink) = Recorder::memory(8192);
-        let sim = simulate_recorded(&cfg, 0.05, 5, recorder);
-        assert_eq!(sim.frames.len(), 5);
-        let steps = sink.solver_steps();
-        assert!(!steps.is_empty(), "no solver steps recorded");
-        for (i, m) in steps.iter().enumerate() {
-            // `advance_to` always takes dt <= min(CFL limit, dt_max).
-            assert!(m.dt > 0.0 && m.dt <= m.cfl_dt + 1e-15, "step {i}: {m:?}");
-            assert!(m.dt <= cfg.dt_max + 1e-15, "step {i}: {m:?}");
-            assert!(m.seconds >= 0.0);
-            assert_eq!(m.step, i as u64 + 1);
-        }
-        // Times are strictly increasing and end at the requested duration.
-        assert!(steps.windows(2).all(|w| w[1].time > w[0].time));
-        assert!((steps.last().expect("steps").time - 0.05).abs() < 1e-9);
-        // One frame span + counter per saved frame (minus the initial one),
-        // plus the end-of-run diagnostics gauges.
-        assert_eq!(sink.counter_total("frames"), 4);
-        assert!(sink.span_total("frame") >= 0.0);
-        assert!(sink.gauge("nusselt").is_some());
-        assert!(sink.gauge("kinetic_energy").is_some());
-    }
-
-    #[test]
-    fn recorded_and_unrecorded_runs_are_identical() {
-        // Telemetry must not perturb the numerics.
-        let cfg = quick_cfg();
-        let plain = simulate(&cfg, 0.05, 3);
-        let (recorder, _sink) = Recorder::memory(8192);
-        let recorded = simulate_recorded(&cfg, 0.05, 3, recorder);
-        for (fa, fb) in plain.frames.iter().zip(&recorded.frames) {
-            assert_eq!(fa.temp, fb.temp);
-            assert_eq!(fa.u, fb.u);
-            assert_eq!(fa.w, fb.w);
-            assert_eq!(fa.p, fb.p);
+    fn try_simulate_names_the_parameter_at_fault() {
+        let ok = quick_cfg();
+        for (cfg, duration, frames, err) in [
+            (RbcConfig { nx: 48, ..ok }, 0.1, 3, ConfigError::Nx),
+            (RbcConfig { nz: 3, ..ok }, 0.1, 3, ConfigError::Nz),
+            (RbcConfig { lz: 0.0, ..ok }, 0.1, 3, ConfigError::Length),
+            (ok, 0.1, 1, ConfigError::Frames),
+            (ok, 0.0, 3, ConfigError::Duration),
+            (ok, f64::NAN, 3, ConfigError::Duration),
+        ] {
+            assert_eq!(try_simulate(&cfg, duration, frames).err(), Some(err));
         }
     }
 

@@ -1,4 +1,5 @@
-//! Tridiagonal solvers (Thomas algorithm), real and complex.
+//! The tridiagonal solver (Thomas algorithm): real matrix, complex
+//! right-hand side.
 //!
 //! The Fourier–finite-difference solver reduces every implicit step to a
 //! family of independent tridiagonal systems in `z` — one Helmholtz solve
@@ -23,72 +24,20 @@ impl Tridiag {
     pub fn zeros(n: usize) -> Self {
         Tridiag { lower: vec![0.0; n], diag: vec![0.0; n], upper: vec![0.0; n] }
     }
-
-    /// System size.
-    pub fn len(&self) -> usize {
-        self.diag.len()
-    }
-
-    /// Whether the system is empty.
-    pub fn is_empty(&self) -> bool {
-        self.diag.is_empty()
-    }
-
-    /// Solves `A x = rhs` by the Thomas algorithm (no pivoting; valid for the
-    /// diagonally-dominant Helmholtz/Poisson systems we build).
-    ///
-    /// # Panics
-    /// Panics if sizes mismatch or a pivot vanishes.
-    pub fn solve(&self, rhs: &[f64]) -> Vec<f64> {
-        let n = self.len();
-        assert_eq!(rhs.len(), n, "rhs length mismatch");
-        assert!(n > 0, "empty system");
-        let mut c = vec![0.0f64; n];
-        let mut d = vec![0.0f64; n];
-        let mut piv = self.diag[0];
-        assert!(piv.abs() > 1e-300, "zero pivot at row 0");
-        c[0] = self.upper[0] / piv;
-        d[0] = rhs[0] / piv;
-        for i in 1..n {
-            piv = self.diag[i] - self.lower[i] * c[i - 1];
-            assert!(piv.abs() > 1e-300, "zero pivot at row {i}");
-            c[i] = if i + 1 < n { self.upper[i] / piv } else { 0.0 };
-            d[i] = (rhs[i] - self.lower[i] * d[i - 1]) / piv;
-        }
-        let mut x = d;
-        for i in (0..n - 1).rev() {
-            let next = x[i + 1];
-            x[i] -= c[i] * next;
-        }
-        x
-    }
-
-    /// Matrix–vector product (used by tests to verify solves).
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let n = self.len();
-        assert_eq!(x.len(), n);
-        (0..n)
-            .map(|i| {
-                let mut v = self.diag[i] * x[i];
-                if i > 0 {
-                    v += self.lower[i] * x[i - 1];
-                }
-                if i + 1 < n {
-                    v += self.upper[i] * x[i + 1];
-                }
-                v
-            })
-            .collect()
-    }
 }
 
-/// Solves a *real-coefficient* tridiagonal system with complex right-hand
-/// side (the per-mode Helmholtz systems have real matrices but complex
-/// Fourier-coefficient RHS). Solving the real and imaginary parts shares one
-/// factorization sweep.
+/// Solves `A x = rhs` by the Thomas algorithm (no pivoting; valid for the
+/// diagonally-dominant Helmholtz/Poisson systems the solver builds). The
+/// matrix is real and the right-hand side complex (the per-mode systems have
+/// real matrices but complex Fourier-coefficient RHS): the real and
+/// imaginary parts share one factorization sweep. A real right-hand side is
+/// given as [`Complex::real`] values.
+///
+/// # Panics
+/// Panics if sizes mismatch or a pivot vanishes.
 pub fn solve_complex(a: &Tridiag, rhs: &[Complex]) -> Vec<Complex> {
-    let n = a.len();
-    assert_eq!(rhs.len(), n);
+    let n = a.diag.len();
+    assert_eq!(rhs.len(), n, "rhs length mismatch");
     let mut c = vec![0.0f64; n];
     let mut d = vec![Complex::ZERO; n];
     let mut piv = a.diag[0];
@@ -115,6 +64,29 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
+    /// `A x`, to build right-hand sides with a known solution.
+    fn matvec(t: &Tridiag, x: &[f64]) -> Vec<f64> {
+        let n = t.diag.len();
+        assert_eq!(x.len(), n);
+        (0..n)
+            .map(|i| {
+                let mut v = t.diag[i] * x[i];
+                if i > 0 {
+                    v += t.lower[i] * x[i - 1];
+                }
+                if i + 1 < n {
+                    v += t.upper[i] * x[i + 1];
+                }
+                v
+            })
+            .collect()
+    }
+
+    /// Solves a real right-hand side through [`solve_complex`].
+    fn solve_real(t: &Tridiag, rhs: &[f64]) -> Vec<Complex> {
+        solve_complex(t, &rhs.iter().map(|&v| Complex::real(v)).collect::<Vec<_>>())
+    }
+
     fn random_dd_system(n: usize, seed: u64) -> Tridiag {
         // Diagonally dominant => Thomas is stable and exact-ish.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -133,10 +105,10 @@ mod tests {
             let t = random_dd_system(n, n as u64);
             let mut rng = ChaCha8Rng::seed_from_u64(100 + n as u64);
             let x_true: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
-            let rhs = t.matvec(&x_true);
-            let x = t.solve(&rhs);
+            let rhs = matvec(&t, &x_true);
+            let x = solve_real(&t, &rhs);
             for (a, b) in x.iter().zip(&x_true) {
-                assert!((a - b).abs() < 1e-10, "n={n}: {a} vs {b}");
+                assert!((a.re - b).abs() < 1e-10 && a.im == 0.0, "n={n}: {a:?} vs {b}");
             }
         }
     }
@@ -146,7 +118,8 @@ mod tests {
         let mut t = Tridiag::zeros(4);
         t.diag = vec![1.0; 4];
         let rhs = vec![1.0, -2.0, 3.0, -4.0];
-        assert_eq!(t.solve(&rhs), rhs);
+        let x: Vec<f64> = solve_real(&t, &rhs).iter().map(|z| z.re).collect();
+        assert_eq!(x, rhs);
     }
 
     #[test]
@@ -166,7 +139,7 @@ mod tests {
         }
         let pi = std::f64::consts::PI;
         let rhs: Vec<f64> = (1..=n).map(|i| pi * pi * (pi * i as f64 * h).sin()).collect();
-        let u = t.solve(&rhs);
+        let u: Vec<f64> = solve_real(&t, &rhs).iter().map(|z| z.re).collect();
         for (i, &ui) in u.iter().enumerate() {
             let exact = (pi * (i as f64 + 1.0) * h).sin();
             assert!((ui - exact).abs() < 1e-3, "z={}: {ui} vs {exact}", (i + 1) as f64 * h);
@@ -182,17 +155,17 @@ mod tests {
             .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
             .collect();
         let x = solve_complex(&t, &rhs);
-        let re = t.solve(&rhs.iter().map(|z| z.re).collect::<Vec<_>>());
-        let im = t.solve(&rhs.iter().map(|z| z.im).collect::<Vec<_>>());
+        let re = solve_real(&t, &rhs.iter().map(|z| z.re).collect::<Vec<_>>());
+        let im = solve_real(&t, &rhs.iter().map(|z| z.im).collect::<Vec<_>>());
         for i in 0..n {
-            assert!((x[i].re - re[i]).abs() < 1e-12);
-            assert!((x[i].im - im[i]).abs() < 1e-12);
+            assert!((x[i].re - re[i].re).abs() < 1e-12);
+            assert!((x[i].im - im[i].re).abs() < 1e-12);
         }
     }
 
     #[test]
     #[should_panic(expected = "rhs length mismatch")]
     fn length_mismatch_panics() {
-        Tridiag::zeros(3).solve(&[1.0, 2.0]);
+        solve_real(&Tridiag::zeros(3), &[1.0, 2.0]);
     }
 }

@@ -58,30 +58,11 @@ impl StepMetrics {
     }
 }
 
-/// Per-timestep metrics emitted by the Rayleigh–Bénard solver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverStepMetrics {
-    /// Timestep index (monotonic over the solver's lifetime).
-    pub step: u64,
-    /// Simulation time *after* this step.
-    pub time: f64,
-    /// Timestep size actually taken.
-    pub dt: f64,
-    /// The CFL-limited dt that was available at the start of the step;
-    /// `dt <= cfl_dt` holds whenever the CFL controller (`advance_to`)
-    /// chose the step size.
-    pub cfl_dt: f64,
-    /// Wall-clock seconds for this step.
-    pub seconds: f64,
-}
-
 /// A telemetry event. Sinks receive these by reference.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// One trainer gradient step.
     TrainStep(StepMetrics),
-    /// One solver timestep.
-    SolverStep(SolverStepMetrics),
     /// A named monotonic counter increment.
     Counter {
         /// Counter name.
@@ -159,19 +140,6 @@ impl Event {
                     ("optimizer_s", m.optimizer_s),
                     ("samples_per_sec", m.samples_per_sec()),
                 ] {
-                    s.push_str(",\"");
-                    s.push_str(k);
-                    s.push_str("\":");
-                    json_f64(v, &mut s);
-                }
-                s.push('}');
-            }
-            Event::SolverStep(m) => {
-                s.push_str("{\"type\":\"solver_step\"");
-                s.push_str(&format!(",\"step\":{}", m.step));
-                for (k, v) in
-                    [("time", m.time), ("dt", m.dt), ("cfl_dt", m.cfl_dt), ("seconds", m.seconds)]
-                {
                     s.push_str(",\"");
                     s.push_str(k);
                     s.push_str("\":");

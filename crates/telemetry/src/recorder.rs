@@ -1,6 +1,6 @@
 //! The [`Recorder`] handle and timing helpers.
 
-use crate::record::{Event, SolverStepMetrics, StepMetrics};
+use crate::record::{Event, StepMetrics};
 use crate::sink::{JsonlSink, MemorySink, NullSink, Sink};
 use std::path::Path;
 use std::sync::Arc;
@@ -63,13 +63,6 @@ impl Recorder {
     pub fn train_step(&self, metrics: StepMetrics) {
         if self.enabled {
             self.sink.record(&Event::TrainStep(metrics));
-        }
-    }
-
-    /// Records one solver timestep.
-    pub fn solver_step(&self, metrics: SolverStepMetrics) {
-        if self.enabled {
-            self.sink.record(&Event::SolverStep(metrics));
         }
     }
 

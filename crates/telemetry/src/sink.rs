@@ -1,7 +1,7 @@
 //! Pluggable event sinks: no-op, bounded in-memory ring buffer, and
 //! JSON-lines file writer.
 
-use crate::record::{Event, SolverStepMetrics, StepMetrics};
+use crate::record::{Event, StepMetrics};
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -83,20 +83,6 @@ impl MemorySink {
             .iter()
             .filter_map(|e| match e {
                 Event::TrainStep(m) => Some(*m),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// All buffered solver-step metrics, oldest first.
-    pub fn solver_steps(&self) -> Vec<SolverStepMetrics> {
-        self.inner
-            .lock()
-            .expect("telemetry lock")
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::SolverStep(m) => Some(*m),
                 _ => None,
             })
             .collect()

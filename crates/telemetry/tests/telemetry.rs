@@ -2,7 +2,7 @@
 //! JSONL well-formedness (validated with a tiny standalone JSON parser so the
 //! crate stays dependency-free).
 
-use mfn_telemetry::{Event, MemorySink, Recorder, Sink, SolverStepMetrics, StepMetrics};
+use mfn_telemetry::{Event, MemorySink, Recorder, Sink, StepMetrics};
 use std::sync::Arc;
 
 /// Minimal recursive-descent JSON validity checker (objects, arrays,
@@ -200,13 +200,6 @@ fn memory_sink_ring_buffer_bounds_and_drop_count() {
 fn memory_sink_accessors_filter_by_event_kind() {
     let (rec, sink) = Recorder::memory(64);
     rec.train_step(sample_step(0));
-    rec.solver_step(SolverStepMetrics {
-        step: 1,
-        time: 0.1,
-        dt: 1e-3,
-        cfl_dt: 2e-3,
-        seconds: 1e-5,
-    });
     rec.incr("batches", 3);
     rec.incr("batches", 2);
     rec.incr("other", 100);
@@ -215,7 +208,6 @@ fn memory_sink_accessors_filter_by_event_kind() {
     rec.span_seconds("epoch", 1.5);
     rec.span_seconds("epoch", 0.5);
     assert_eq!(sink.train_steps().len(), 1);
-    assert_eq!(sink.solver_steps().len(), 1);
     assert_eq!(sink.counter_total("batches"), 5);
     assert_eq!(sink.counter_total("missing"), 0);
     assert_eq!(sink.gauge("lr"), Some(0.005));
@@ -276,13 +268,6 @@ fn jsonl_sink_lines_are_valid_json_with_expected_fields() {
     let path = std::env::temp_dir().join("mfn_telemetry_jsonl_test.jsonl");
     let rec = Recorder::jsonl(&path).expect("create jsonl sink");
     rec.train_step(sample_step(3));
-    rec.solver_step(SolverStepMetrics {
-        step: 9,
-        time: 0.5,
-        dt: 1e-3,
-        cfl_dt: 2e-3,
-        seconds: 1e-5,
-    });
     rec.incr("frames", 2);
     rec.gauge("nu", 1.7);
     rec.span_seconds("simulate", 0.25);
@@ -291,7 +276,7 @@ fn jsonl_sink_lines_are_valid_json_with_expected_fields() {
     rec.flush();
     let text = std::fs::read_to_string(&path).expect("read jsonl");
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 6);
+    assert_eq!(lines.len(), 5);
     for (i, line) in lines.iter().enumerate() {
         json::validate(line)
             .unwrap_or_else(|pos| panic!("line {i} invalid JSON at byte {pos}: {line}"));
@@ -300,8 +285,7 @@ fn jsonl_sink_lines_are_valid_json_with_expected_fields() {
     assert!(lines[0].contains("\"loss_total\":"));
     assert!(lines[0].contains("\"grad_norm_pre\":"));
     assert!(lines[0].contains("\"samples_per_sec\":"));
-    assert!(lines[1].contains("\"cfl_dt\":"));
-    assert!(lines[5].contains("\"value\":null"));
+    assert!(lines[4].contains("\"value\":null"));
     let _ = std::fs::remove_file(&path);
 }
 

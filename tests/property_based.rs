@@ -4,7 +4,7 @@
 use meshfreeflownet::autodiff::{Activation, Graph, JET_LANES};
 use meshfreeflownet::core::plan_queries;
 use meshfreeflownet::data::{downsample, sample_trilinear, Dataset, DatasetMeta, CHANNELS};
-use meshfreeflownet::fft::{fft, ifft, Complex, RealFftPlan};
+use meshfreeflownet::fft::{Complex, FftPlan, RealFftPlan};
 use meshfreeflownet::telemetry::{Event, Recorder, StepMetrics};
 use meshfreeflownet::tensor::Tensor;
 use proptest::prelude::*;
@@ -35,9 +35,10 @@ proptest! {
     #[test]
     fn fft_roundtrip(re in prop::collection::vec(-100.0f64..100.0, 64)) {
         let sig: Vec<Complex> = re.iter().map(|&r| Complex::new(r, -r * 0.5)).collect();
+        let plan = FftPlan::new(64);
         let mut buf = sig.clone();
-        fft(&mut buf);
-        ifft(&mut buf);
+        plan.forward(&mut buf);
+        plan.inverse(&mut buf);
         for (a, b) in buf.iter().zip(&sig) {
             prop_assert!((*a - *b).abs() < 1e-8);
         }
@@ -49,7 +50,7 @@ proptest! {
         let sig: Vec<Complex> = re.iter().map(|&r| Complex::real(r)).collect();
         let time: f64 = sig.iter().map(|z| z.norm_sqr()).sum();
         let mut spec = sig;
-        fft(&mut spec);
+        FftPlan::new(128).forward(&mut spec);
         let freq: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / 128.0;
         prop_assert!((time - freq).abs() < 1e-6 * (1.0 + time));
     }
