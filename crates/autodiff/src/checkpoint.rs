@@ -3,15 +3,17 @@
 //!
 //! The format is little-endian binary (magic, then per tensor its name,
 //! shape and data) — self-describing, dependency-free, and stable across
-//! platforms. Reading validates names and shapes against the live store
-//! before it allocates anything they size, so a stream can only be restored
-//! into a model with the same architecture and a hostile header cannot make
-//! the reader allocate more than the model holds.
+//! platforms. Readers decode the front of a byte slice with the workspace's
+//! one reader, `mfn_tensor::le`, and validate names and shapes against the
+//! live store before anything they size is read, so a stream can only be
+//! restored into a model with the same architecture and a hostile header
+//! cannot make the reader allocate more than the model holds.
 
 use crate::optim::{Adam, AdamConfig};
 use crate::params::{ParamId, ParamStore};
+use mfn_tensor::le::ReadLe;
 use mfn_tensor::Tensor;
-use std::io::{self, Read, Write};
+use std::io::{self, ErrorKind::InvalidData, Write};
 
 const MAGIC: &[u8; 8] = b"MFNCKPT1";
 
@@ -29,41 +31,38 @@ pub fn write_params(store: &ParamStore, w: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Streams parameters written by [`write_params`] back into `store`.
+/// Reads parameters written by [`write_params`] from the front of `r` into
+/// `store`.
 ///
 /// # Errors
 /// `InvalidData` if the magic is wrong or any count, name or shape differs
 /// from the store's registrations — each length field is compared with the
 /// store before anything it sizes is read, and values are read straight
-/// into the store's tensors; `UnexpectedEof` if the stream ends early.
-pub fn read_params(store: &mut ParamStore, r: &mut impl Read) -> io::Result<()> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("bad magic bytes"));
+/// into the store's tensors; `UnexpectedEof` if the bytes end early.
+pub fn read_params(store: &mut ParamStore, r: &mut &[u8]) -> io::Result<()> {
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(io::Error::new(InvalidData, "bad magic bytes"));
     }
-    let count = read_u64(r)? as usize;
+    let count = r.u64()? as usize;
     if count != store.len() {
-        return Err(bad(&format!("checkpoint has {count} parameters, model has {}", store.len())));
+        let msg = format!("checkpoint has {count} parameters, model has {}", store.len());
+        return Err(io::Error::new(InvalidData, msg));
     }
     for i in 0..count {
         let id = ParamId(i);
         let want = store.name(id);
-        let name_len = read_u32(r)? as usize;
+        let name_len = r.u32()? as usize;
         if name_len != want.len() {
-            return Err(bad(&format!(
-                "parameter {i} name mismatch: checkpoint name of {name_len} bytes, model '{want}'"
-            )));
+            let msg = format!("parameter {i} name mismatch: {name_len}-byte name, model '{want}'");
+            return Err(io::Error::new(InvalidData, msg));
         }
-        let mut name = vec![0u8; name_len];
-        r.read_exact(&mut name)?;
+        let name = r.take(name_len)?;
         if name != want.as_bytes() {
-            return Err(bad(&format!(
-                "parameter {i} name mismatch: checkpoint '{}', model '{want}'",
-                String::from_utf8_lossy(&name)
-            )));
+            let got = String::from_utf8_lossy(name);
+            let msg = format!("parameter {i} name mismatch: checkpoint '{got}', model '{want}'");
+            return Err(io::Error::new(InvalidData, msg));
         }
-        let what = || format!("parameter '{}'", String::from_utf8_lossy(&name));
+        let what = || format!("parameter '{}'", String::from_utf8_lossy(name));
         store.get_mut(id).read_into(r).map_err(|e| named(e, &what()))?;
     }
     Ok(())
@@ -89,26 +88,25 @@ pub fn write_adam(opt: &Adam, w: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads Adam state written by [`write_adam`] and binds it to `store`: each
-/// moment is read over a buffer of its parameter's shape, which the stream
-/// must carry.
-pub fn read_adam(store: &ParamStore, r: &mut impl Read) -> io::Result<Adam> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != ADAM_MAGIC {
-        return Err(bad("bad Adam state magic bytes"));
+/// Reads Adam state written by [`write_adam`] from the front of `r` and
+/// binds it to `store`: each moment is read over a buffer of its
+/// parameter's shape, which the bytes must carry.
+pub fn read_adam(store: &ParamStore, r: &mut &[u8]) -> io::Result<Adam> {
+    if r.take(ADAM_MAGIC.len())? != ADAM_MAGIC {
+        return Err(io::Error::new(InvalidData, "bad Adam state magic bytes"));
     }
-    let mut f = [0f32; 5];
-    for v in f.iter_mut() {
-        let mut b = [0u8; 4];
-        r.read_exact(&mut b)?;
-        *v = f32::from_le_bytes(b);
-    }
-    let cfg = AdamConfig { lr: f[0], beta1: f[1], beta2: f[2], eps: f[3], weight_decay: f[4] };
-    let t = read_u64(r)?;
-    let count = read_u64(r)? as usize;
+    let cfg = AdamConfig {
+        lr: r.f32()?,
+        beta1: r.f32()?,
+        beta2: r.f32()?,
+        eps: r.f32()?,
+        weight_decay: r.f32()?,
+    };
+    let t = r.u64()?;
+    let count = r.u64()? as usize;
     if count != store.len() {
-        return Err(bad(&format!("Adam state has {count} moments, model has {}", store.len())));
+        let msg = format!("Adam state has {count} moments, model has {}", store.len());
+        return Err(io::Error::new(InvalidData, msg));
     }
     let mut read_list = |what: &str| -> io::Result<Vec<Tensor>> {
         (0..count)
@@ -124,28 +122,12 @@ pub fn read_adam(store: &ParamStore, r: &mut impl Read) -> io::Result<Adam> {
     Ok(Adam::from_parts(cfg, m, v, t))
 }
 
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
 /// Prefixes an `InvalidData` error with what was being read.
 fn named(e: io::Error, what: &str) -> io::Error {
     match e.kind() {
-        io::ErrorKind::InvalidData => bad(&format!("{what}: {e}")),
+        InvalidData => io::Error::new(InvalidData, format!("{what}: {e}")),
         _ => e,
     }
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 #[cfg(test)]

@@ -27,7 +27,8 @@ use crate::config::MfnConfig;
 use crate::model::MeshfreeFlowNet;
 use crate::rng::RngState;
 use mfn_autodiff::{read_adam, read_params, write_adam, write_params, Adam};
-use std::io::{self, Read, Write};
+use mfn_tensor::le::{ReadLe, Short};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Frame magic for a full train-state checkpoint.
@@ -65,6 +66,13 @@ impl std::error::Error for CheckpointError {}
 impl From<io::Error> for CheckpointError {
     fn from(e: io::Error) -> Self {
         CheckpointError::Io(e)
+    }
+}
+
+/// A payload that ends inside a field lied about its content.
+impl From<Short> for CheckpointError {
+    fn from(e: Short) -> Self {
+        CheckpointError::Corrupt(format!("payload truncated: {e}"))
     }
 }
 
@@ -158,14 +166,11 @@ pub fn decode_train_state(
 /// parameters it implies must fit there, four bytes each.
 pub(crate) fn read_config(r: &mut &[u8]) -> Result<MfnConfig, CheckpointError> {
     let corrupt = |m: String| CheckpointError::Corrupt(format!("architecture section: {m}"));
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len).map_err(decode_err)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_CONFIG_LEN.min(r.len()) {
-        return Err(corrupt(format!("{len} bytes, of at most {MAX_CONFIG_LEN} and {}", r.len())));
+    let len = r.u32()? as usize;
+    if len > MAX_CONFIG_LEN {
+        return Err(corrupt(format!("{len} bytes, of at most {MAX_CONFIG_LEN}")));
     }
-    let (json, rest) = r.split_at(len);
-    *r = rest;
+    let json = r.take(len)?;
     let cfg = MfnConfig::from_json(&String::from_utf8_lossy(json))
         .map_err(|e| CheckpointError::Incompatible(format!("architecture section: {e}")))?;
     cfg.check_sizes(r.len() / 4).map_err(corrupt)?;
@@ -183,11 +188,6 @@ pub fn decode_inference_state(
     model: &mut MeshfreeFlowNet,
     r: &mut &[u8],
 ) -> Result<TrainStateMeta, CheckpointError> {
-    let u64le = |r: &mut dyn Read| -> Result<u64, CheckpointError> {
-        let mut b = [0u8; 8];
-        r.read_exact(&mut b).map_err(decode_err)?;
-        Ok(u64::from_le_bytes(b))
-    };
     let found = read_config(r)?;
     if found != model.cfg {
         return Err(CheckpointError::Incompatible(format!(
@@ -196,19 +196,18 @@ pub fn decode_inference_state(
             model.cfg.to_json()
         )));
     }
-    let global_step = u64le(r)?;
-    let epoch = u64le(r)? as usize;
-    let batch_cursor = u64le(r)? as usize;
-    let n_rngs = u64le(r)? as usize;
-    if n_rngs == 0 || n_rngs > 1 << 20 {
-        return Err(CheckpointError::Corrupt(format!("implausible RNG count {n_rngs}")));
+    let global_step = r.u64()?;
+    let epoch = r.u64()? as usize;
+    let batch_cursor = r.u64()? as usize;
+    let n_rngs = r.u64()? as usize;
+    // 16 bytes a state: the count sizes nothing the payload cannot fill.
+    if n_rngs == 0 || n_rngs > r.len() / 16 {
+        let msg = format!("RNG count {n_rngs} over {} payload bytes", r.len());
+        return Err(CheckpointError::Corrupt(msg));
     }
-    // Grown as states arrive: the count is not trusted to size anything.
-    let mut rngs = Vec::new();
+    let mut rngs = Vec::with_capacity(n_rngs);
     for _ in 0..n_rngs {
-        let seed = u64le(r)?;
-        let words = u64le(r)?;
-        rngs.push(RngState { seed, words });
+        rngs.push(RngState { seed: r.u64()?, words: r.u64()? });
     }
     read_params(&mut model.store, r).map_err(decode_err)?;
     model.read_bn_stats(r).map_err(decode_err)?;
@@ -252,40 +251,39 @@ pub fn save_train_state(path: &Path, payload: &[u8]) -> Result<u64, CheckpointEr
     Ok(total)
 }
 
-/// Reads and verifies the frame at `path`, returning the payload bytes.
+/// Reads and verifies the frame at `path`, returning the payload bytes:
+/// the file's own buffer, its 24-byte header stripped in place.
 pub fn load_train_state(path: &Path) -> Result<Vec<u8>, CheckpointError> {
-    let bytes = std::fs::read(path)?;
-    if bytes.len() < 24 {
-        return Err(CheckpointError::Corrupt(format!(
-            "file is {} bytes, header is 24",
-            bytes.len()
-        )));
-    }
-    if &bytes[0..8] != STATE_MAGIC {
+    let mut bytes = std::fs::read(path)?;
+    let Ok(mut header) = (&bytes[..]).take(24) else {
+        let n = bytes.len();
+        return Err(CheckpointError::Corrupt(format!("file is {n} bytes, header is 24")));
+    };
+    if header.take(8)? != STATE_MAGIC {
         return Err(CheckpointError::Corrupt("bad magic bytes".into()));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let version = header.u32()?;
     if version != STATE_VERSION {
         return Err(CheckpointError::Incompatible(format!(
             "format version {version}; this build reads version {STATE_VERSION} only"
         )));
     }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    let payload = &bytes[24..];
-    if payload.len() != len {
+    let len = header.u64()? as usize;
+    let crc = header.u32()?;
+    bytes.drain(..24);
+    if bytes.len() != len {
         return Err(CheckpointError::Corrupt(format!(
             "payload is {} bytes, header claims {len} (torn write?)",
-            payload.len()
+            bytes.len()
         )));
     }
-    let actual = crc32(payload);
+    let actual = crc32(&bytes);
     if actual != crc {
         return Err(CheckpointError::Corrupt(format!(
             "CRC mismatch: stored {crc:#010x}, computed {actual:#010x}"
         )));
     }
-    Ok(bytes[24..].to_vec())
+    Ok(bytes)
 }
 
 /// Like [`load_train_state`], but when `path` is missing or damaged, falls

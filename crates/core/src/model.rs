@@ -9,6 +9,7 @@ use crate::unet::UNet3d;
 use mfn_autodiff::{Graph, Mlp, ParamStore, Var};
 use mfn_data::{covering_axis, Batch, Dataset, DatasetMeta, PatchSpec, CHANNELS};
 use mfn_physics::RbcParams;
+use mfn_tensor::le::ReadLe;
 use mfn_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -73,38 +74,26 @@ impl MeshfreeFlowNet {
         Ok(())
     }
 
-    /// Restores batch-norm statistics written by [`write_bn_stats`],
-    /// validating layer and channel counts against this model.
+    /// Restores batch-norm statistics written by [`write_bn_stats`] from
+    /// the front of `r`, validating layer and channel counts against this
+    /// model.
     ///
     /// [`write_bn_stats`]: MeshfreeFlowNet::write_bn_stats
-    pub fn read_bn_stats(&mut self, r: &mut impl std::io::Read) -> std::io::Result<()> {
-        let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let read_u64 = |r: &mut dyn std::io::Read| -> std::io::Result<u64> {
-            let mut b = [0u8; 8];
-            r.read_exact(&mut b)?;
-            Ok(u64::from_le_bytes(b))
-        };
-        let count = read_u64(r)? as usize;
+    pub fn read_bn_stats(&mut self, r: &mut &[u8]) -> std::io::Result<()> {
+        let invalid = std::io::ErrorKind::InvalidData;
+        let count = r.u64()? as usize;
         let mut bns = Vec::new();
         self.unet.collect_bn_mut(&mut bns);
         if count != bns.len() {
-            return Err(bad(&format!("checkpoint has {count} BN layers, model has {}", bns.len())));
+            let msg = format!("checkpoint has {count} BN layers, model has {}", bns.len());
+            return Err(std::io::Error::new(invalid, msg));
         }
         for bn in bns {
-            let c = read_u64(r)? as usize;
-            if c != bn.running_mean.len() {
-                return Err(bad("BN channel count mismatch"));
+            if r.u64()? != bn.running_mean.len() as u64 {
+                return Err(std::io::Error::new(invalid, "BN channel count mismatch"));
             }
-            let mut read_f32s = |dst: &mut Vec<f32>| -> std::io::Result<()> {
-                for v in dst.iter_mut() {
-                    let mut b = [0u8; 4];
-                    r.read_exact(&mut b)?;
-                    *v = f32::from_le_bytes(b);
-                }
-                Ok(())
-            };
-            read_f32s(&mut bn.running_mean)?;
-            read_f32s(&mut bn.running_var)?;
+            r.f32s_into(&mut bn.running_mean)?;
+            r.f32s_into(&mut bn.running_var)?;
         }
         Ok(())
     }

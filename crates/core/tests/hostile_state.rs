@@ -4,11 +4,13 @@
 //! frames whose sections claim 70 U-Net levels, a 2^40-channel stem and a
 //! 2^30-wide decoder layer are each refused with a typed error, and a
 //! counting global allocator shows that no single allocation reached 1 MiB.
+//! Every proper prefix of an honest payload is `Corrupt`, and none of them
+//! makes the decoder allocate more than the payload's own length.
 
 use mfn_autodiff::{Adam, AdamConfig};
 use mfn_core::{
-    encode_train_state, save_train_state, CheckpointError, FrozenModel, MeshfreeFlowNet, MfnConfig,
-    RngState, TrainStateMeta,
+    decode_train_state, encode_train_state, save_train_state, CheckpointError, FrozenModel,
+    MeshfreeFlowNet, MfnConfig, RngState, TrainStateMeta,
 };
 use mfn_data::PatchSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -97,4 +99,15 @@ fn absurd_architecture_sections_are_refused_before_allocating() {
         assert!(largest < 1 << 20, "{json}: a {largest}-byte allocation");
     }
     std::fs::remove_dir_all(&dir).ok();
+
+    let mut m = MeshfreeFlowNet::new(cfg);
+    LARGEST.store(0, Ordering::Relaxed);
+    for cut in 0..payload.len() {
+        match decode_train_state(&mut m, &mut &payload[..cut]) {
+            Err(CheckpointError::Corrupt(_)) => {}
+            other => panic!("prefix of {cut} bytes: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(largest <= payload.len(), "a {largest}-byte allocation, payload {}", payload.len());
 }

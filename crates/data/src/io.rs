@@ -1,9 +1,11 @@
 //! Dataset persistence: one self-describing file per dataset — the magic,
 //! the [`DatasetMeta`] JSON (length-prefixed, at most 64 KiB), then the
 //! value count and the little-endian `f32` payload. No external formats and
-//! no second file, so two datasets never share a name.
+//! no second file, so two datasets never share a name. Loading decodes with
+//! the workspace's one byte reader, `mfn_tensor::le`.
 
 use crate::dataset::{Dataset, DatasetMeta};
+use mfn_tensor::le::{ReadLe, Short};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -31,31 +33,30 @@ pub fn save_dataset(ds: &Dataset, path: &Path) -> io::Result<()> {
 /// Loads a dataset written by [`save_dataset`]. Nothing in the file is
 /// trusted: a metadata length over 64 KiB, dimensions that overflow
 /// `usize`, or a value count that disagrees with them is `InvalidData`, and
-/// the payload buffer grows as bytes arrive, so a header claiming more than
-/// the file holds fails at its end of file without reserving what it
-/// claimed.
+/// a count the file is too short to hold is `UnexpectedEof` before the
+/// payload buffer is sized. That buffer is then allocated once, at its
+/// exact size, and filled in fixed chunks as they are read.
 pub fn load_dataset(path: &Path) -> io::Result<Dataset> {
     const CHUNK: usize = 4096;
     let bad = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len() as usize;
+    let mut r = BufReader::new(file);
+    let mut head = [0u8; 12];
+    r.read_exact(&mut head)?;
+    if head[..8] != MAGIC[..] {
         return Err(bad("bad magic bytes (not an MFNDATA2 dataset)".into()));
     }
-    let mut word = [0u8; 4];
-    r.read_exact(&mut word)?;
-    let meta_len = u32::from_le_bytes(word) as usize;
+    let meta_len = (&head[8..]).u32()? as usize;
     if meta_len > MAX_META_LEN {
         return Err(bad(format!("metadata of {meta_len} bytes, at most {MAX_META_LEN} are read")));
     }
-    let mut meta_json = vec![0u8; meta_len];
-    r.read_exact(&mut meta_json)?;
-    let meta: DatasetMeta = serde_json::from_str(&String::from_utf8_lossy(&meta_json))
-        .map_err(|e| bad(e.to_string()))?;
-    let mut len_bytes = [0u8; 8];
-    r.read_exact(&mut len_bytes)?;
-    let len = u64::from_le_bytes(len_bytes);
+    let mut section = vec![0u8; meta_len + 8];
+    r.read_exact(&mut section)?;
+    let (json, mut count) = section.split_at(meta_len);
+    let meta: DatasetMeta =
+        serde_json::from_str(&String::from_utf8_lossy(json)).map_err(|e| bad(e.to_string()))?;
+    let len = count.u64()?;
     let expected = [crate::dataset::CHANNELS, meta.nz, meta.nx]
         .into_iter()
         .try_fold(meta.nt, usize::checked_mul)
@@ -63,14 +64,16 @@ pub fn load_dataset(path: &Path) -> io::Result<Dataset> {
     if usize::try_from(len) != Ok(expected) {
         return Err(bad(format!("payload length {len} does not match metadata ({expected})")));
     }
-    let mut data = Vec::with_capacity(expected.min(CHUNK));
+    let have = file_len.saturating_sub(head.len() + section.len());
+    if expected > have / 4 {
+        return Err(Short { need: expected.saturating_mul(4), have }.into());
+    }
+    let mut data = vec![0.0; expected];
     let mut buf = [0u8; 4 * CHUNK];
-    while data.len() < expected {
-        let take = (expected - data.len()).min(CHUNK);
-        r.read_exact(&mut buf[..4 * take])?;
-        data.extend(
-            buf[..4 * take].chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
+    for chunk in data.chunks_mut(CHUNK) {
+        let bytes = &mut buf[..4 * chunk.len()];
+        r.read_exact(bytes)?;
+        (&bytes[..]).f32s_into(chunk)?;
     }
     Ok(Dataset::from_parts(meta, data))
 }
@@ -102,8 +105,14 @@ mod tests {
         let sim = simulate(&RbcConfig { nx: 16, nz: 9, ra: 1e4, ..Default::default() }, 0.02, 3);
         let ds = Dataset::from_simulation(&sim);
         save_dataset(&ds, &path).expect("save");
-        // Corrupt the magic.
         let mut bytes = std::fs::read(&path).expect("read");
+        // Every truncation, in the header, the metadata or the values.
+        for cut in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).expect("write prefix");
+            let err = load_dataset(&path).expect_err("a prefix is not a dataset");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}: {err}");
+        }
+        // Corrupt the magic.
         bytes[0] = b'X';
         std::fs::write(&path, bytes).expect("write");
         assert!(load_dataset(&path).is_err());

@@ -27,14 +27,7 @@ use std::time::Duration;
 /// sensitive fingerprint used to assert replicas stay bit-identical (and,
 /// in the chaos suite, that crash-resume reproduces a run exactly).
 pub fn param_digest(params: &[f32]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &p in params {
-        for b in p.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    mfn_tensor::le::fnv1a(params.iter().flat_map(|p| p.to_le_bytes()))
 }
 
 /// Seed of logical rank `rank`'s batch stream: distinct per rank so the

@@ -22,29 +22,22 @@
 //! hit is only honoured when both hashes agree, and a digest match with a
 //! verify mismatch is surfaced as [`Lookup::Collision`] and counted.
 
+use mfn_tensor::le::fnv1a;
 use mfn_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// FNV-1a 64 offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64 prime.
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a 64 over the dims (as LE u64s) followed by `data`.
-fn fnv1a(dims: &[usize], data: impl IntoIterator<Item = u8>) -> u64 {
-    dims.iter()
-        .flat_map(|&d| (d as u64).to_le_bytes())
-        .chain(data)
-        .fold(FNV_OFFSET, |h, b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+fn fnv1a_dims(dims: &[usize], data: impl IntoIterator<Item = u8>) -> u64 {
+    fnv1a(dims.iter().flat_map(|&d| (d as u64).to_le_bytes()).chain(data))
 }
 
 /// Digest of an input patch: FNV-1a 64 over the dims (as LE u64s) followed
 /// by the raw little-endian f32 bytes. Stable across platforms and process
 /// restarts — it is part of the wire protocol.
 pub fn patch_digest(dims: &[usize], data: &[f32]) -> u64 {
-    fnv1a(dims, data.iter().flat_map(|v| v.to_le_bytes()))
+    fnv1a_dims(dims, data.iter().flat_map(|v| v.to_le_bytes()))
 }
 
 /// [`patch_digest`] computed from the raw little-endian f32 bytes instead
@@ -53,7 +46,7 @@ pub fn patch_digest(dims: &[usize], data: &[f32]) -> u64 {
 /// float — this is what lets the router assign an `Encode` frame to a
 /// shard by looking at the payload bytes alone.
 pub fn patch_digest_bytes(dims: &[usize], data: &[u8]) -> u64 {
-    fnv1a(dims, data.iter().copied())
+    fnv1a_dims(dims, data.iter().copied())
 }
 
 /// Second, independent hash of the same `(dims, data)` bytes, used to

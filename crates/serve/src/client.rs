@@ -8,10 +8,11 @@
 use crate::engine::Query;
 use crate::error::ServeError;
 use crate::protocol::{
-    decode_error, decode_stats, put_f32s, read_frame, write_frame, Cursor, Kind, ModelInfo,
+    decode_error, decode_stats, finish, put_f32s, read_frame, write_frame, Kind, ModelInfo,
     ShardStat,
 };
 use mfn_core::RefineBudget;
+use mfn_tensor::le::ReadLe;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -104,10 +105,10 @@ impl Client {
         p.extend_from_slice(&(batch as u32).to_le_bytes());
         put_f32s(&mut p, data);
         let resp = self.expect(Kind::Encode, &p, Kind::EncodeResp)?;
-        let mut c = Cursor::new(&resp);
-        let digest = c.u64()?;
-        let hit = c.u8()? != 0;
-        c.finish()?;
+        let mut r = resp.as_slice();
+        let digest = r.u64()?;
+        let hit = r.u8()? != 0;
+        finish(r)?;
         Ok((digest, hit))
     }
 
@@ -137,20 +138,13 @@ impl Client {
         p.extend_from_slice(&budget.max_micros.to_le_bytes());
         put_queries(&mut p, queries);
         let resp = self.expect(Kind::Refine, &p, Kind::RefineResp)?;
-        let mut c = Cursor::new(&resp);
-        let digest = c.u64()?;
-        let steps_run = c.u32()?;
-        let steps_accepted = c.u32()?;
-        let initial_residual = c.f32()?;
-        let final_residual = c.f32()?;
-        let count = c.u32()? as usize;
-        let channels = c.u32()? as usize;
-        let values = c.f32s(
-            count
-                .checked_mul(channels)
-                .ok_or_else(|| ServeError::BadPayload("refine response size overflows".into()))?,
-        )?;
-        c.finish()?;
+        let mut r = resp.as_slice();
+        let digest = r.u64()?;
+        let steps_run = r.u32()?;
+        let steps_accepted = r.u32()?;
+        let initial_residual = r.f32()?;
+        let final_residual = r.f32()?;
+        let (values, channels) = decode_values(&mut r)?;
         Ok(RefineResult {
             digest,
             steps_run,
@@ -195,17 +189,19 @@ fn put_queries(p: &mut Vec<u8>, queries: &[Query]) {
     }
 }
 
-fn decode_query_resp(resp: &[u8]) -> Result<QueryResult, ServeError> {
-    let mut c = Cursor::new(resp);
-    let digest = c.u64()?;
-    let cache_hit = c.u8()? != 0;
-    let count = c.u32()? as usize;
-    let channels = c.u32()? as usize;
-    let values = c.f32s(
-        count
-            .checked_mul(channels)
-            .ok_or_else(|| ServeError::BadPayload("query response size overflows".into()))?,
-    )?;
-    c.finish()?;
+fn decode_query_resp(mut r: &[u8]) -> Result<QueryResult, ServeError> {
+    let digest = r.u64()?;
+    let cache_hit = r.u8()? != 0;
+    let (values, channels) = decode_values(&mut r)?;
     Ok(QueryResult { digest, cache_hit, values, channels })
+}
+
+/// Reads `count: u32`, `channels: u32`, then the `count·channels` values,
+/// which must end the payload.
+fn decode_values(r: &mut &[u8]) -> Result<(Vec<f32>, usize), ServeError> {
+    let count = r.u32()? as usize;
+    let channels = r.u32()? as usize;
+    let values = r.f32s(count.saturating_mul(channels))?;
+    finish(r)?;
+    Ok((values, channels))
 }

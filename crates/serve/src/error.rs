@@ -175,6 +175,13 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// A payload that ends inside a field is structurally malformed.
+impl From<mfn_tensor::le::Short> for ServeError {
+    fn from(e: mfn_tensor::le::Short) -> Self {
+        ServeError::BadPayload(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

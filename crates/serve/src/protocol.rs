@@ -16,12 +16,15 @@
 //! error frame (`code: u16 LE` + UTF-8 message). A server reads frames off a
 //! blocking stream; any header violation produces a typed [`ServeError`]
 //! *before* the payload is touched, and the payload buffer grows as its bytes
-//! arrive, so a hostile length prefix costs nothing. Payload decoding is
-//! bounds-checked cursor reads — malformed payloads are rejected, never
+//! arrive, so a hostile length prefix costs nothing. Headers and payloads
+//! are decoded with the workspace's one bounds-checked reader,
+//! `mfn_tensor::le`, whose every read is a value or a typed
+//! [`ServeError::BadPayload`] — malformed payloads are rejected, never
 //! panicked on.
 
 use crate::error::ServeError;
-use std::io::{Read, Write};
+use mfn_tensor::le::ReadLe;
+use std::io::Write;
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"MFNS";
@@ -128,7 +131,7 @@ pub(crate) fn check_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize), ServeErr
     if h[4] != VERSION {
         return Err(ServeError::BadVersion { got: h[4] });
     }
-    let len = u32::from_le_bytes([h[8], h[9], h[10], h[11]]);
+    let len = (&h[8..]).u32()?;
     if len > MAX_PAYLOAD {
         return Err(ServeError::Oversized { len });
     }
@@ -138,7 +141,8 @@ pub(crate) fn check_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize), ServeErr
 /// Reads one frame, validating the header before allocating for the
 /// payload. Returns `Ok(None)` on a clean EOF at a frame boundary (the peer
 /// closed between requests — not an error).
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ServeError> {
+pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<(u8, Vec<u8>)>, ServeError> {
+    use std::io::Read;
     let mut header = [0u8; HEADER_LEN];
     // A clean close before any header byte is a normal end of conversation;
     // EOF after the first byte is a truncated frame.
@@ -254,13 +258,11 @@ pub fn write_error(w: &mut impl Write, err: &ServeError) -> std::io::Result<()> 
 }
 
 /// Decodes an error frame payload into a client-side [`ServeError::Remote`].
-pub fn decode_error(payload: &[u8]) -> ServeError {
-    if payload.len() < 2 {
-        return ServeError::BadPayload("error frame shorter than its code".into());
+pub fn decode_error(mut payload: &[u8]) -> ServeError {
+    match payload.u16() {
+        Ok(code) => ServeError::Remote { code, message: String::from_utf8_lossy(payload).into() },
+        Err(_) => ServeError::BadPayload("error frame shorter than its code".into()),
     }
-    let code = u16::from_le_bytes([payload[0], payload[1]]);
-    let message = String::from_utf8_lossy(&payload[2..]).into_owned();
-    ServeError::Remote { code, message }
 }
 
 /// The byte that closes every [`ModelInfo`] and [`ShardStat`] on the wire.
@@ -310,18 +312,17 @@ impl ModelInfo {
     }
 
     /// Parses an InfoResp payload.
-    pub fn decode(payload: &[u8]) -> Result<ModelInfo, ServeError> {
-        let mut c = Cursor::new(payload);
+    pub fn decode(mut r: &[u8]) -> Result<ModelInfo, ServeError> {
         let info = ModelInfo {
-            in_channels: c.u32()?,
-            out_channels: c.u32()?,
-            grid: [c.u32()?, c.u32()?, c.u32()?],
-            latent_channels: c.u32()?,
-            param_count: c.u64()?,
-            trained_steps: c.u64()?,
+            in_channels: r.u32()?,
+            out_channels: r.u32()?,
+            grid: [r.u32()?, r.u32()?, r.u32()?],
+            latent_channels: r.u32()?,
+            param_count: r.u64()?,
+            trained_steps: r.u64()?,
         };
-        c.u8()?; // RESERVED_TIER: must be present, any value
-        c.finish()?;
+        r.u8()?; // RESERVED_TIER: must be present, any value
+        finish(r)?;
         Ok(info)
     }
 }
@@ -373,24 +374,24 @@ impl ShardStat {
         out.push(RESERVED_TIER);
     }
 
-    /// Reads one stat from a cursor.
-    pub fn decode_from(c: &mut Cursor<'_>) -> Result<ShardStat, ServeError> {
-        let n = c.u32()? as usize;
-        let addr = String::from_utf8(c.bytes(n)?.to_vec())
+    /// Reads one stat from the front of `r`.
+    pub fn decode_from(r: &mut &[u8]) -> Result<ShardStat, ServeError> {
+        let n = r.u32()? as usize;
+        let addr = String::from_utf8(r.take(n)?.to_vec())
             .map_err(|_| ServeError::BadPayload("shard address is not UTF-8".into()))?;
         let stat = ShardStat {
             addr,
-            requests: c.u64()?,
-            errors: c.u64()?,
-            inflight: c.u64()?,
-            cache_hits: c.u64()?,
-            cache_misses: c.u64()?,
-            cache_collisions: c.u64()?,
-            cache_len: c.u64()?,
-            decode_calls: c.u64()?,
-            batched_queries: c.u64()?,
+            requests: r.u64()?,
+            errors: r.u64()?,
+            inflight: r.u64()?,
+            cache_hits: r.u64()?,
+            cache_misses: r.u64()?,
+            cache_collisions: r.u64()?,
+            cache_len: r.u64()?,
+            decode_calls: r.u64()?,
+            batched_queries: r.u64()?,
         };
-        c.u8()?; // RESERVED_TIER: must be present, any value
+        r.u8()?; // RESERVED_TIER: must be present, any value
         Ok(stat)
     }
 }
@@ -406,96 +407,23 @@ pub fn encode_stats(stats: &[ShardStat]) -> Vec<u8> {
 }
 
 /// Parses a StatsResp payload.
-pub fn decode_stats(payload: &[u8]) -> Result<Vec<ShardStat>, ServeError> {
-    let mut c = Cursor::new(payload);
-    let count = c.u32()? as usize;
+pub fn decode_stats(mut r: &[u8]) -> Result<Vec<ShardStat>, ServeError> {
+    let count = r.u32()? as usize;
     let mut stats = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        stats.push(ShardStat::decode_from(&mut c)?);
+        stats.push(ShardStat::decode_from(&mut r)?);
     }
-    c.finish()?;
+    finish(r)?;
     Ok(stats)
 }
 
-/// Bounds-checked little-endian payload reader. Every read either yields a
-/// value or a typed [`ServeError::BadPayload`] — no slicing panics.
-pub struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Wraps a payload for sequential decoding.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len()).ok_or_else(|| {
-            ServeError::BadPayload(format!(
-                "payload ends at byte {} but {} more needed",
-                self.bytes.len(),
-                self.pos + n - self.bytes.len(),
-            ))
-        })?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Bytes not yet read.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> Result<u8, ServeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        self.take(n)
-    }
-
-    /// Reads a LE `u32`.
-    pub fn u32(&mut self) -> Result<u32, ServeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a LE `u64`.
-    pub fn u64(&mut self) -> Result<u64, ServeError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    /// Reads a LE `f32`.
-    pub fn f32(&mut self) -> Result<f32, ServeError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads `count` LE `f32`s.
-    pub fn f32s(&mut self, count: usize) -> Result<Vec<f32>, ServeError> {
-        let b = self.take(
-            count
-                .checked_mul(4)
-                .ok_or_else(|| ServeError::BadPayload("f32 count overflows".into()))?,
-        )?;
-        Ok(b.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-    }
-
-    /// Asserts the payload was fully consumed (trailing bytes = malformed).
-    pub fn finish(&self) -> Result<(), ServeError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(ServeError::BadPayload(format!(
-                "{} trailing bytes after payload",
-                self.bytes.len() - self.pos
-            )))
-        }
+/// Requires a payload to have been read to its end: trailing bytes are
+/// malformed.
+pub(crate) fn finish(rest: &[u8]) -> Result<(), ServeError> {
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(ServeError::BadPayload(format!("{} trailing bytes after payload", rest.len())))
     }
 }
 
@@ -698,10 +626,10 @@ mod tests {
 
     #[test]
     fn cursor_rejects_overrun_and_trailing() {
-        let mut c = Cursor::new(&[1, 0, 0, 0]);
-        assert_eq!(c.u32().unwrap(), 1);
-        assert!(matches!(c.u32(), Err(ServeError::BadPayload(_))));
-        let c2 = Cursor::new(&[0u8; 5]);
-        assert!(matches!(c2.finish(), Err(ServeError::BadPayload(_))));
+        let mut r = &[1u8, 0, 0, 0][..];
+        assert_eq!(r.u32().map_err(ServeError::from), Ok(1));
+        assert!(matches!(r.u32().map_err(ServeError::from), Err(ServeError::BadPayload(_))));
+        assert!(matches!(finish(&[0u8; 5]), Err(ServeError::BadPayload(_))));
+        assert_eq!(decode_error(&[6]).code(), crate::error::code::BAD_PAYLOAD);
     }
 }

@@ -24,8 +24,9 @@
 //! shards, which preserves the assignment of every healthy shard while a
 //! peer is down (keys of the dead shard spill to ring successors).
 
-use crate::cache::{patch_digest_bytes, FNV_PRIME};
+use crate::cache::patch_digest_bytes;
 use crate::SplitMix64;
+use mfn_tensor::le::FNV_PRIME;
 
 /// Virtual nodes per shard. High enough that the largest arc a single shard
 /// owns stays within a few percent of fair share.

@@ -33,6 +33,7 @@ use crate::error::ServeError;
 use crate::protocol::{encode_stats, read_frame, write_frame, Kind, ModelInfo, ShardStat};
 use crate::ring::HashRing;
 use crate::Client;
+use mfn_tensor::le::ReadLe;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
@@ -259,24 +260,20 @@ impl Service for Ctx {
 /// Malformed payloads get `None` and are routed to the first healthy shard,
 /// whose decoder produces the authoritative typed error — the router never
 /// duplicates payload validation.
-fn extract_digest(ctx: &Ctx, kind: Kind, payload: &[u8]) -> Option<u64> {
+fn extract_digest(ctx: &Ctx, kind: Kind, mut r: &[u8]) -> Option<u64> {
     match kind {
-        Kind::Query | Kind::Refine => {
-            let b = payload.get(0..8)?;
-            Some(u64::from_le_bytes(b.try_into().ok()?))
-        }
+        Kind::Query | Kind::Refine => r.u64().ok(),
         Kind::Encode | Kind::EncodeQuery => {
             let info = ctx.model_info().ok()?;
-            let batch = u32::from_le_bytes(payload.get(0..4)?.try_into().ok()?) as usize;
             let dims = [
-                batch,
+                r.u32().ok()? as usize,
                 info.in_channels as usize,
                 info.grid[0] as usize,
                 info.grid[1] as usize,
                 info.grid[2] as usize,
             ];
             let numel = dims.iter().try_fold(1usize, |a, &d| a.checked_mul(d))?;
-            let data = payload.get(4..4 + numel.checked_mul(4)?)?;
+            let data = r.take(numel.checked_mul(4)?).ok()?;
             Some(patch_digest_bytes(&dims, data))
         }
         _ => None,

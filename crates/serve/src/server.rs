@@ -18,9 +18,10 @@
 use crate::conn::{resolve, Connections, Reply, Service};
 use crate::engine::{Engine, RefineOutcome};
 use crate::error::ServeError;
-use crate::protocol::{self, Cursor, Kind};
+use crate::protocol::{self, Kind};
 use mfn_core::RefineBudget;
 use mfn_telemetry::Recorder;
+use mfn_tensor::le::ReadLe;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -164,7 +165,7 @@ impl Service for Shard {
     fn answer(&self, _conn: &mut OpenConn, kind: u8, payload: Vec<u8>) -> Reply {
         let t0 = Instant::now();
         let engine = &self.engine;
-        let empty = || Cursor::new(&payload).finish();
+        let empty = || protocol::finish(&payload);
         let reply = match Kind::from_u8(kind) {
             Some(Kind::Ping) => empty().map(|_| (Kind::Pong, Vec::new())),
             Some(Kind::Info) => empty().map(|_| (Kind::InfoResp, engine.info().encode())),
@@ -211,41 +212,33 @@ fn worker_loop(engine: Arc<Engine>, jobs: Arc<Mutex<Receiver<Job>>>) {
 }
 
 /// Decodes and executes one request frame.
-fn handle_request(
-    engine: &Engine,
-    kind: u8,
-    payload: &[u8],
-) -> Result<(Kind, Vec<u8>), ServeError> {
+fn handle_request(engine: &Engine, kind: u8, mut r: &[u8]) -> Result<(Kind, Vec<u8>), ServeError> {
     match Kind::from_u8(kind) {
         Some(Kind::Encode) => {
-            let (batch, data) = decode_encode_payload(engine, payload)?;
+            let (batch, data) = decode_patch(engine, &mut r)?;
+            protocol::finish(r)?;
             let (digest, hit) = engine.encode_patch(batch, data)?;
             Ok((Kind::EncodeResp, encode_resp(digest, hit)))
         }
         Some(Kind::Query) => {
-            let mut c = Cursor::new(payload);
-            let digest = c.u64()?;
-            let queries = decode_queries(&mut c)?;
-            c.finish()?;
+            let digest = r.u64()?;
+            let queries = decode_queries(engine, &mut r, QUERY_RESP_HEAD)?;
+            protocol::finish(r)?;
             let (values, channels) = engine.query(digest, queries)?;
             Ok((Kind::QueryResp, query_resp(digest, true, &values, channels)))
         }
         Some(Kind::EncodeQuery) => {
-            let mut c = Cursor::new(payload);
-            let batch = c.u32()? as usize;
-            let expect = checked_patch_numel(engine, batch)?;
-            let data = c.f32s(expect)?;
-            let queries = decode_queries(&mut c)?;
-            c.finish()?;
+            let (batch, data) = decode_patch(engine, &mut r)?;
+            let queries = decode_queries(engine, &mut r, QUERY_RESP_HEAD)?;
+            protocol::finish(r)?;
             let (digest, hit, values, channels) = engine.encode_query(batch, data, queries)?;
             Ok((Kind::QueryResp, query_resp(digest, hit, &values, channels)))
         }
         Some(Kind::Refine) => {
-            let mut c = Cursor::new(payload);
-            let digest = c.u64()?;
-            let budget = RefineBudget { max_steps: c.u32()?, tol: c.f32()?, max_micros: c.u64()? };
-            let queries = decode_queries(&mut c)?;
-            c.finish()?;
+            let digest = r.u64()?;
+            let budget = RefineBudget { max_steps: r.u32()?, tol: r.f32()?, max_micros: r.u64()? };
+            let queries = decode_queries(engine, &mut r, REFINE_RESP_HEAD)?;
+            protocol::finish(r)?;
             let out = engine.refine(digest, queries, budget)?;
             Ok((Kind::RefineResp, refine_resp(digest, &out)))
         }
@@ -255,38 +248,43 @@ fn handle_request(
     }
 }
 
-/// Reads `batch: u32` then the patch f32s, which must fill the payload.
-fn decode_encode_payload(engine: &Engine, payload: &[u8]) -> Result<(usize, Vec<f32>), ServeError> {
-    let mut c = Cursor::new(payload);
-    let batch = c.u32()? as usize;
-    let expect = checked_patch_numel(engine, batch)?;
-    let data = c.f32s(expect)?;
-    c.finish()?;
-    Ok((batch, data))
-}
-
-/// `patch_numel(batch)` guarded against absurd batch values: the result
-/// must fit the frame cap, so a hostile `batch = u32::MAX` is rejected
-/// before any allocation.
-fn checked_patch_numel(engine: &Engine, batch: usize) -> Result<usize, ServeError> {
+/// Reads `batch: u32` then the patch f32s. A batch of more patches than
+/// the payload holds fails at the reader before it sizes anything.
+fn decode_patch(engine: &Engine, r: &mut &[u8]) -> Result<(usize, Vec<f32>), ServeError> {
+    let batch = r.u32()? as usize;
     if batch == 0 {
         return Err(ServeError::ShapeMismatch("encode batch must be >= 1".into()));
     }
-    let per_patch = engine.patch_numel(1);
-    let expect = batch.checked_mul(per_patch).filter(|&n| n * 4 <= protocol::MAX_PAYLOAD as usize);
-    expect.ok_or_else(|| {
-        ServeError::BadPayload(format!("batch {batch} patches exceed the frame cap"))
-    })
+    Ok((batch, r.f32s(batch.saturating_mul(engine.patch_numel(1)))?))
 }
 
-fn decode_queries(c: &mut Cursor<'_>) -> Result<Vec<(usize, [f32; 3])>, ServeError> {
-    let count = c.u32()? as usize;
+/// Bytes of a `QueryResp` payload before its values.
+const QUERY_RESP_HEAD: usize = 17;
+/// Bytes of a `RefineResp` payload before its values.
+const REFINE_RESP_HEAD: usize = 32;
+
+/// Reads `count: u32` then the queries. A count whose reply — `head` bytes,
+/// then `channels` f32s a point — would pass the frame cap is refused
+/// before any query is read.
+fn decode_queries(
+    engine: &Engine,
+    r: &mut &[u8],
+    head: usize,
+) -> Result<Vec<(usize, [f32; 3])>, ServeError> {
+    let count = r.u32()? as usize;
+    let channels = engine.model().cfg().out_channels.max(1);
+    let most = (protocol::MAX_PAYLOAD as usize - head) / (4 * channels);
+    if count > most {
+        return Err(ServeError::BadPayload(format!(
+            "{count} queries: the reply would pass the frame cap ({most} fit)"
+        )));
+    }
     // 16 bytes per query: reserve no more than the rest of the payload can
-    // fill, so a lying count fails at the cursor before it sizes anything.
-    let mut qs = Vec::with_capacity(count.min(c.remaining() / 16));
+    // fill, so a lying count fails at the reader before it sizes anything.
+    let mut qs = Vec::with_capacity(count.min(r.len() / 16));
     for _ in 0..count {
-        let b = c.u32()? as usize;
-        qs.push((b, [c.f32()?, c.f32()?, c.f32()?]));
+        let b = r.u32()? as usize;
+        qs.push((b, [r.f32()?, r.f32()?, r.f32()?]));
     }
     Ok(qs)
 }
@@ -300,7 +298,7 @@ fn encode_resp(digest: u64, hit: bool) -> Vec<u8> {
 
 fn query_resp(digest: u64, hit: bool, values: &[f32], channels: usize) -> Vec<u8> {
     let count = values.len() / channels.max(1);
-    let mut p = Vec::with_capacity(17 + values.len() * 4);
+    let mut p = Vec::with_capacity(QUERY_RESP_HEAD + values.len() * 4);
     p.extend_from_slice(&digest.to_le_bytes());
     p.push(hit as u8);
     p.extend_from_slice(&(count as u32).to_le_bytes());
@@ -311,7 +309,7 @@ fn query_resp(digest: u64, hit: bool, values: &[f32], channels: usize) -> Vec<u8
 
 fn refine_resp(digest: u64, out: &RefineOutcome) -> Vec<u8> {
     let count = out.values.len() / out.channels.max(1);
-    let mut p = Vec::with_capacity(32 + out.values.len() * 4);
+    let mut p = Vec::with_capacity(REFINE_RESP_HEAD + out.values.len() * 4);
     p.extend_from_slice(&digest.to_le_bytes());
     p.extend_from_slice(&out.report.steps_run.to_le_bytes());
     p.extend_from_slice(&out.report.steps_accepted.to_le_bytes());

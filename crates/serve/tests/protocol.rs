@@ -214,6 +214,32 @@ fn malformed_payload_is_typed_not_fatal() {
     server.shutdown();
 }
 
+/// The largest `Query` the frame cap admits, 1,048,575 points, asks for a
+/// reply of 17 + 16·n bytes, one byte over the cap: it is refused with a
+/// typed error before its points are read, and the connection still
+/// answers.
+#[test]
+fn a_query_whose_reply_would_pass_the_cap_is_typed() {
+    let (server, addr, engine) = start_server();
+    let mut client = Client::connect(&addr).unwrap();
+    let (digest, _) = client.encode(1, &vec![0.5; engine.patch_numel(1)]).expect("encode");
+    let n = (MAX_PAYLOAD - 12) / 16;
+    let mut payload = digest.to_le_bytes().to_vec();
+    payload.extend_from_slice(&n.to_le_bytes());
+    for _ in 0..n {
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        [0.5f32; 3].iter().for_each(|v| payload.extend_from_slice(&v.to_le_bytes()));
+    }
+    assert_eq!(payload.len(), MAX_PAYLOAD as usize - 4, "the largest query frame");
+    let mut s = connect_raw(&addr);
+    s.write_all(&header(&MAGIC, VERSION, 0x04, payload.len() as u32)).unwrap();
+    s.write_all(&payload).unwrap();
+    expect_error_frame(&mut s, code::BAD_PAYLOAD, "reply over the cap");
+    s.write_all(&header(&MAGIC, VERSION, 0x01, 0)).unwrap();
+    assert_eq!(read_raw_frame(&mut s).0, 0x81, "ping on the same connection");
+    server.shutdown();
+}
+
 #[test]
 fn unknown_digest_is_remote_error_with_code() {
     let (server, addr, _) = start_server();

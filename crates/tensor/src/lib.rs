@@ -18,13 +18,16 @@
 //!   tape and the no-grad inference engine share, on one feature-major
 //!   activation layout;
 //! - [`workspace`]: the buffer pool that lets kernels and tensor temporaries
-//!   reuse memory across training steps.
+//!   reuse memory across training steps;
+//! - [`le`]: the bounds-checked little-endian reader every byte loader
+//!   decodes with, and the FNV-1a fold the workspace's digests share.
 //!
 //! The `mfn-autodiff` crate wraps these kernels with a reverse-mode tape;
 //! this crate itself is AD-agnostic.
 
 pub mod conv;
 pub mod gemm;
+pub mod le;
 pub mod rowops;
 pub mod shape;
 pub mod simd;

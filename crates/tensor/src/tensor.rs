@@ -1,5 +1,6 @@
 //! The dense `f32` tensor type and its element-wise operations.
 
+use crate::le::ReadLe;
 use crate::shape::Shape;
 use crate::workspace;
 use rand::Rng;
@@ -166,43 +167,31 @@ impl Tensor {
         Ok(())
     }
 
-    /// Reads a tensor written by [`Tensor::write_to`] over `self`, whose
-    /// shape the stream must carry. The header is compared with
-    /// `self.dims()` as it arrives, before any payload is read, so nothing
-    /// the stream claims is ever allocated.
+    /// Reads a tensor written by [`Tensor::write_to`] from the front of `r`
+    /// over `self`, whose shape the bytes must carry. The header is compared
+    /// with `self.dims()` before any payload is read, so nothing the bytes
+    /// claim is ever allocated.
     ///
     /// # Errors
     /// `InvalidData` (naming a "shape mismatch") if the header disagrees,
-    /// `UnexpectedEof` on truncation; `self` then holds partial values.
-    pub fn read_into(&mut self, r: &mut impl std::io::Read) -> std::io::Result<()> {
-        const CHUNK: usize = 4096;
+    /// `UnexpectedEof` on truncation.
+    pub fn read_into(&mut self, r: &mut &[u8]) -> std::io::Result<()> {
         let dims = self.dims();
         let mismatch = |got: String| {
             let msg = format!("shape mismatch: stream {got}, tensor {dims:?}");
             std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
         };
-        let mut b4 = [0u8; 4];
-        r.read_exact(&mut b4)?;
-        let rank = u32::from_le_bytes(b4) as usize;
+        let rank = r.u32()? as usize;
         if rank != dims.len() {
             return Err(mismatch(format!("rank {rank}")));
         }
-        let mut b8 = [0u8; 8];
         for (axis, &d) in dims.iter().enumerate() {
-            r.read_exact(&mut b8)?;
-            let got = u64::from_le_bytes(b8);
+            let got = r.u64()?;
             if got != d as u64 {
                 return Err(mismatch(format!("dim {axis} of {got}")));
             }
         }
-        let mut buf = [0u8; 4 * CHUNK];
-        for chunk in self.data.chunks_mut(CHUNK) {
-            let bytes = &mut buf[..4 * chunk.len()];
-            r.read_exact(bytes)?;
-            for (v, b) in chunk.iter_mut().zip(bytes.chunks_exact(4)) {
-                *v = f32::from_le_bytes(b.try_into().expect("4 bytes"));
-            }
-        }
+        r.f32s_into(&mut self.data)?;
         Ok(())
     }
 
