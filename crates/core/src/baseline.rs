@@ -143,7 +143,7 @@ impl BaselineII {
                                     let i = (x0 * fx + dx).min(hr_meta.nx - 1);
                                     let v = yv.at(&[0, c, dt, dz, dx]);
                                     out[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i] =
-                                        v * stats.std[c] + stats.mean[c];
+                                        stats.restore(c, v);
                                 }
                             }
                         }
@@ -158,7 +158,7 @@ impl BaselineII {
 }
 
 /// Extracts the HR target patch aligned with an LR patch origin, shaped
-/// `[1, 4, nt·ft, nz·fz, nx·fx]`, normalized with `stats`. Indices beyond
+/// `[1, 4, nt·ft, nz·fz, nx·fx]`, standardized with `stats`. Indices beyond
 /// the HR grid clamp to the boundary (edge replication).
 pub fn hr_target_patch(
     hr: &Dataset,
@@ -178,7 +178,7 @@ pub fn hr_target_patch(
                 for dx in 0..px {
                     let i = (lr_origin[2] * fx + dx).min(hr.meta.nx - 1);
                     buf[((c * pt + dt) * pz + dz) * px + dx] =
-                        (hr.at(f, c, j, i) - stats.mean[c]) / stats.std[c];
+                        stats.standardize(c, hr.at(f, c, j, i));
                 }
             }
         }
@@ -189,6 +189,7 @@ pub fn hr_target_patch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Corpus;
     use mfn_data::{downsample, PatchSpec};
     use mfn_solver::{simulate, RbcConfig};
 
@@ -201,7 +202,7 @@ mod tests {
         cfg
     }
 
-    fn data() -> (Dataset, Dataset) {
+    fn corpus() -> Corpus {
         let sim = simulate(
             &RbcConfig { nx: 16, nz: 9, ra: 1e5, dt_max: 2e-3, ..Default::default() },
             0.1,
@@ -209,7 +210,7 @@ mod tests {
         );
         let hr = Dataset::from_simulation(&sim);
         let lr = downsample(&hr, 2, 2);
-        (hr, lr)
+        Corpus::new(vec![(hr, lr)])
     }
 
     #[test]
@@ -232,17 +233,17 @@ mod tests {
 
     #[test]
     fn loss_backprop_reaches_params() {
-        let (hr, lr) = data();
-        let stats = ChannelStats::from_meta(&hr.meta);
+        let corpus = corpus();
+        let ((hr, lr), stats) = (&corpus.pairs[0], corpus.stats);
         let mut b2 = BaselineII::new(tiny_cfg(), [2, 2, 2]);
         // Batch of 2: with a single sample, batch norm at the U-Net's
         // [1,1,1] bottleneck normalizes over one element and (correctly)
         // passes zero gradient — training always uses batch >= 2.
-        let p0 = extract_patch(&lr, [0, 0, 0], b2.cfg.patch, stats);
-        let p1 = extract_patch(&lr, [1, 1, 3], b2.cfg.patch, stats);
+        let p0 = extract_patch(lr, [0, 0, 0], b2.cfg.patch, stats);
+        let p1 = extract_patch(lr, [1, 1, 3], b2.cfg.patch, stats);
         let input = Tensor::concat(&[&p0, &p1], 0);
-        let t0 = hr_target_patch(&hr, [0, 0, 0], b2.cfg.patch, [2, 2, 2], stats);
-        let t1 = hr_target_patch(&hr, [1, 1, 3], b2.cfg.patch, [2, 2, 2], stats);
+        let t0 = hr_target_patch(hr, [0, 0, 0], b2.cfg.patch, [2, 2, 2], stats);
+        let t1 = hr_target_patch(hr, [1, 1, 3], b2.cfg.patch, [2, 2, 2], stats);
         let target = Tensor::concat(&[&t0, &t1], 0);
         let mut g = Graph::new();
         let loss = b2.loss(&mut g, &input, &target, true);
@@ -255,20 +256,21 @@ mod tests {
 
     #[test]
     fn target_patch_values_align_with_hr() {
-        let (hr, _) = data();
-        let stats = ChannelStats::from_meta(&hr.meta);
+        let corpus = corpus();
+        let (hr, stats) = (&corpus.pairs[0].0, corpus.stats);
         let spec = PatchSpec { nt: 2, nz: 3, nx: 3, queries: 1 };
-        let t = hr_target_patch(&hr, [1, 1, 2], spec, [2, 2, 2], stats);
+        let t = hr_target_patch(hr, [1, 1, 2], spec, [2, 2, 2], stats);
         assert_eq!(t.dims(), &[1, 4, 4, 6, 6]);
-        // Element (c=0, dt=1, dz=2, dx=3) = HR (f=3, j=4, i=7), normalized.
-        let expect = (hr.at(3, 0, 4, 7) - stats.mean[0]) / stats.std[0];
-        assert!((t.at(&[0, 0, 1, 2, 3]) - expect).abs() < 1e-6);
+        // Element (c=0, dt=1, dz=2, dx=3) = HR (f=3, j=4, i=7), standardized.
+        let expect = stats.standardize(0, hr.at(3, 0, 4, 7));
+        assert_eq!(t.at(&[0, 0, 1, 2, 3]), expect);
     }
 
     #[test]
     fn baseline_one_wraps_trilinear() {
-        let (hr, lr) = data();
-        let b1 = baseline_trilinear(&lr, &hr);
+        let corpus = corpus();
+        let (hr, lr) = &corpus.pairs[0];
+        let b1 = baseline_trilinear(lr, hr);
         assert_eq!(b1.meta.nt, hr.meta.nt);
         // Shared grid points are exact.
         assert!((b1.at(2, 0, 4, 6) - hr.at(2, 0, 4, 6)).abs() < 1e-5);
@@ -276,10 +278,10 @@ mod tests {
 
     #[test]
     fn super_resolve_writes_whole_grid() {
-        let (hr, lr) = data();
-        let stats = ChannelStats::from_meta(&hr.meta);
+        let corpus = corpus();
+        let (hr, lr) = &corpus.pairs[0];
         let mut b2 = BaselineII::new(tiny_cfg(), [2, 2, 2]);
-        let sr = b2.super_resolve(&lr, &hr.meta, stats);
+        let sr = b2.super_resolve(lr, &hr.meta, corpus.stats);
         assert_eq!(sr.data.len(), hr.data.len());
         assert!(sr.data.iter().all(|v| v.is_finite()));
     }

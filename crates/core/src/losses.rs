@@ -72,27 +72,44 @@ impl Default for ConstraintSet {
     }
 }
 
-/// Per-channel normalization statistics (copied from the HR dataset).
+/// The one normalization of the pipeline: every model input, training
+/// target and prediction is standardized with a corpus's pooled HR channel
+/// statistics ([`crate::Corpus::stats`]) and restored with the same ones.
+/// Datasets and training samples hold physical units; what enters the model
+/// (a training batch, an `extract_patch` input, a served patch) does not.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelStats {
     /// Channel means `(T, p, u, w)`.
     pub mean: [f32; 4],
-    /// Channel standard deviations.
+    /// Channel standard deviations (positive: [`crate::Corpus::new`]
+    /// floors the variance).
     pub std: [f32; 4],
 }
 
 impl ChannelStats {
-    /// Reads the statistics recorded in a dataset's metadata.
-    pub fn from_meta(meta: &mfn_data::DatasetMeta) -> Self {
-        ChannelStats {
-            mean: meta.channel_mean,
-            std: {
-                let mut s = meta.channel_std;
-                for v in s.iter_mut() {
-                    *v = v.max(1e-8);
-                }
-                s
-            },
+    /// The standardized value `(v − mean) / std` of physical value `v` of
+    /// channel `c`.
+    #[inline]
+    pub fn standardize(&self, c: usize, v: f32) -> f32 {
+        (v - self.mean[c]) / self.std[c]
+    }
+
+    /// The physical value `v · std + mean` of standardized value `v` of
+    /// channel `c`; inverts [`ChannelStats::standardize`].
+    #[inline]
+    pub fn restore(&self, c: usize, v: f32) -> f32 {
+        v * self.std[c] + self.mean[c]
+    }
+
+    /// Standardizes a `[.., 4, nt, nz, nx]` patch tensor in place.
+    pub fn standardize_patches(&self, patches: &mut Tensor) {
+        let dims = patches.dims();
+        assert_eq!(dims[dims.len() - 4], 4, "patches are [.., 4, nt, nz, nx]");
+        let block: usize = dims[dims.len() - 3..].iter().product();
+        for (k, chunk) in patches.data_mut().chunks_exact_mut(block).enumerate() {
+            for v in chunk {
+                *v = self.standardize(k % 4, *v);
+            }
         }
     }
 }
@@ -106,22 +123,28 @@ pub fn prediction_plan(grid_dims: [usize; 3], samples: &[Sample]) -> QueryPlan {
     )
 }
 
-/// Stacks the samples' ground-truth query values into `[Q, 4]`.
-pub fn stack_targets(samples: &[Sample]) -> Tensor {
+/// Stacks the samples' ground-truth query values into `[Q, 4]`,
+/// standardized with `stats`.
+pub fn stack_targets(samples: &[Sample], stats: ChannelStats) -> Tensor {
     let q: usize = samples.iter().map(|s| s.query_values.len()).sum();
     let mut buf = Vec::with_capacity(q * 4);
     for s in samples {
         for v in &s.query_values {
-            buf.extend_from_slice(v);
+            buf.extend(v.iter().enumerate().map(|(c, &x)| stats.standardize(c, x)));
         }
     }
     Tensor::from_vec(buf, &[q, 4])
 }
 
 /// Records the prediction loss (Eqn. 8): the L1 distance of the decoded
-/// `predictions: [Q, 4]` to the samples' targets.
-pub fn prediction_loss(g: &mut Graph, predictions: Var, samples: &[Sample]) -> Var {
-    let target = g.constant(stack_targets(samples));
+/// `predictions: [Q, 4]` to the samples' targets standardized with `stats`.
+pub fn prediction_loss(
+    g: &mut Graph,
+    predictions: Var,
+    samples: &[Sample],
+    stats: ChannelStats,
+) -> Var {
+    let target = g.constant(stack_targets(samples, stats));
     g.l1_loss(predictions, target)
 }
 
@@ -232,6 +255,7 @@ mod tests {
 
     const GRID: [usize; 3] = [3, 4, 4];
     const EXTENT: [f64; 3] = [1.0, 0.5, 2.0];
+    const IDENTITY: ChannelStats = ChannelStats { mean: [0.0; 4], std: [1.0; 4] };
 
     fn fake_sample(b_queries: usize, seed: u64) -> Sample {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -288,8 +312,7 @@ mod tests {
     ) -> Var {
         let plan = prediction_plan(GRID, samples);
         let lanes = dec.decode_derivs(g, store, latent, &plan, GRID, batch_extent(samples));
-        let stats = ChannelStats { mean: [0.0; 4], std: [1.0; 4] };
-        equation_loss(g, lanes, RbcParams::from_ra_pr(1e5, 1.0), stats, set).0
+        equation_loss(g, lanes, RbcParams::from_ra_pr(1e5, 1.0), IDENTITY, set).0
     }
 
     #[test]
@@ -305,7 +328,7 @@ mod tests {
         for (t, p) in s.query_values.iter_mut().zip(g.value(pred).data().chunks(4)) {
             t.copy_from_slice(p);
         }
-        let loss = prediction_loss(&mut g, pred, &[s]);
+        let loss = prediction_loss(&mut g, pred, &[s], IDENTITY);
         assert!(g.value(loss).item() < 1e-6);
     }
 
@@ -316,7 +339,7 @@ mod tests {
         let mut g = Graph::new();
         let l = g.leaf_with_grad(random_latent(12, 2));
         let pred = dec.decode(&mut g, &store, l, &prediction_plan(GRID, &samples));
-        let loss = prediction_loss(&mut g, pred, &samples);
+        let loss = prediction_loss(&mut g, pred, &samples, IDENTITY);
         assert_eq!(g.value(pred).dims(), &[16, 4]);
         assert!(g.value(loss).item() > 0.0);
         g.backward(loss);

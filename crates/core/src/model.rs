@@ -7,7 +7,7 @@ use crate::decoder::{
 use crate::losses::{self, ChannelStats};
 use crate::unet::UNet3d;
 use mfn_autodiff::{Graph, Mlp, ParamStore, Var};
-use mfn_data::{covering_axis, Batch, Dataset, DatasetMeta, PatchSpec, CHANNELS};
+use mfn_data::{covering_axis, raw_patch, Batch, Dataset, DatasetMeta, PatchSpec, CHANNELS};
 use mfn_physics::RbcParams;
 use mfn_tensor::le::ReadLe;
 use mfn_tensor::Tensor;
@@ -104,7 +104,9 @@ impl MeshfreeFlowNet {
     }
 
     /// Records the combined loss (Eqn. 10) for a batch — the only place a
-    /// training tape is assembled. Returns `(loss_var, components)`.
+    /// training tape is assembled. Returns `(loss_var, components)`. The
+    /// batch is in physical units; its input and targets are standardized
+    /// here, with `stats`, the statistics the equation loss restores with.
     ///
     /// With `γ > 0` the decoder runs once, on six lanes: the equation loss
     /// reads all of them and the prediction loss the value lane, which is
@@ -117,7 +119,9 @@ impl MeshfreeFlowNet {
         stats: ChannelStats,
         training: bool,
     ) -> (Var, StepLosses) {
-        let x = g.constant(batch.input.clone());
+        let mut input = batch.input.clone();
+        stats.standardize_patches(&mut input);
+        let x = g.constant(input);
         let latent = self.unet.forward(g, &self.store, x, training);
         let (grid, samples) = (self.grid_dims(), &batch.samples[..]);
         let plan = losses::prediction_plan(grid, samples);
@@ -129,7 +133,7 @@ impl MeshfreeFlowNet {
         } else {
             (self.decoder.decode(g, &self.store, latent, &plan), None)
         };
-        let pred_loss = losses::prediction_loss(g, predictions, samples);
+        let pred_loss = losses::prediction_loss(g, predictions, samples, stats);
         let (total, equation) = match equation {
             Some(eq_loss) => {
                 let scaled = g.scale(eq_loss, self.cfg.gamma);
@@ -175,8 +179,8 @@ impl MeshfreeFlowNet {
     /// containing it and the results blended with separable hat weights
     /// peaking at the patch center. The blending removes patch-seam
     /// artifacts that would otherwise corrupt the spectral metrics (integral
-    /// scale, Taylor microscale). `stats` must be the training-time channel
-    /// statistics.
+    /// scale, Taylor microscale). `stats` must be the training corpus's
+    /// [`crate::Corpus::stats`].
     pub fn super_resolve(
         &self,
         lr: &Dataset,
@@ -297,7 +301,7 @@ impl MeshfreeFlowNet {
                         let v = acc[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i]
                             / w.max(1e-30);
                         out[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i] =
-                            v as f32 * stats.std[c] + stats.mean[c];
+                            stats.restore(c, v as f32);
                     }
                 }
             }
@@ -308,31 +312,18 @@ impl MeshfreeFlowNet {
     }
 }
 
-/// Extracts a normalized `[1, 4, nt, nz, nx]` patch tensor from an LR
-/// dataset at a grid origin.
+/// Extracts the `[1, 4, nt, nz, nx]` patch of an LR dataset at a grid
+/// origin, standardized with `stats`: the model input for that patch.
 pub fn extract_patch(
     lr: &Dataset,
     origin: [usize; 3],
     spec: PatchSpec,
     stats: ChannelStats,
 ) -> Tensor {
-    let [t0, z0, x0] = origin;
-    assert!(t0 + spec.nt <= lr.meta.nt, "patch t range out of bounds");
-    assert!(z0 + spec.nz <= lr.meta.nz, "patch z range out of bounds");
-    assert!(x0 + spec.nx <= lr.meta.nx, "patch x range out of bounds");
-    let mut buf = vec![0.0f32; CHANNELS * spec.nt * spec.nz * spec.nx];
-    for c in 0..CHANNELS {
-        for ft in 0..spec.nt {
-            for j in 0..spec.nz {
-                for i in 0..spec.nx {
-                    let v = lr.at(t0 + ft, c, z0 + j, x0 + i);
-                    buf[((c * spec.nt + ft) * spec.nz + j) * spec.nx + i] =
-                        (v - stats.mean[c]) / stats.std[c];
-                }
-            }
-        }
-    }
-    Tensor::from_vec(buf, &[1, CHANNELS, spec.nt, spec.nz, spec.nx])
+    let dims = [1, CHANNELS, spec.nt, spec.nz, spec.nx];
+    let mut patch = Tensor::from_vec(raw_patch(lr, origin, spec), &dims);
+    stats.standardize_patches(&mut patch);
+    patch
 }
 
 /// Cartesian-product covering origins per axis.
@@ -358,6 +349,7 @@ pub fn covering_origins(lr: &Dataset, spec: PatchSpec) -> CoveringOrigins {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Corpus;
     use mfn_data::{downsample, make_batch, PatchSampler};
     use mfn_solver::{simulate, RbcConfig};
 
@@ -371,7 +363,7 @@ mod tests {
         MeshfreeFlowNet::new(cfg)
     }
 
-    fn tiny_data() -> (Dataset, Dataset) {
+    fn tiny_corpus() -> Corpus {
         let sim = simulate(
             &RbcConfig { nx: 16, nz: 9, ra: 1e5, dt_max: 2e-3, ..Default::default() },
             0.1,
@@ -379,7 +371,7 @@ mod tests {
         );
         let hr = Dataset::from_simulation(&sim);
         let lr = downsample(&hr, 2, 2);
-        (hr, lr)
+        Corpus::new(vec![(hr, lr)])
     }
 
     #[test]
@@ -394,12 +386,12 @@ mod tests {
     #[test]
     fn loss_on_batch_produces_gradients() {
         let mut m = tiny_model();
-        let (hr, lr) = tiny_data();
-        let sampler = PatchSampler::new(&hr, &lr, m.cfg.patch);
+        let corpus = tiny_corpus();
+        let (hr, lr) = &corpus.pairs[0];
+        let sampler = PatchSampler::new(hr, lr, m.cfg.patch);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let batch = make_batch(&sampler, 2, &mut rng);
-        let stats = ChannelStats::from_meta(&hr.meta);
-        let params = RbcParams::from_ra_pr(hr.meta.ra, hr.meta.pr);
+        let (stats, params) = (corpus.stats, corpus.params(0));
         let mut g = Graph::new();
         let (loss, comps) = m.loss_on_batch(&mut g, &batch, params, stats, true);
         assert!(comps.total.is_finite() && comps.total > 0.0);
@@ -415,12 +407,12 @@ mod tests {
     fn gamma_zero_skips_equation_loss() {
         let mut m = tiny_model();
         m.cfg.gamma = 0.0;
-        let (hr, lr) = tiny_data();
-        let sampler = PatchSampler::new(&hr, &lr, m.cfg.patch);
+        let corpus = tiny_corpus();
+        let (hr, lr) = &corpus.pairs[0];
+        let sampler = PatchSampler::new(hr, lr, m.cfg.patch);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let batch = make_batch(&sampler, 1, &mut rng);
-        let stats = ChannelStats::from_meta(&hr.meta);
-        let params = RbcParams::from_ra_pr(hr.meta.ra, hr.meta.pr);
+        let (stats, params) = (corpus.stats, corpus.params(0));
         let mut g = Graph::new();
         let (_, comps) = m.loss_on_batch(&mut g, &batch, params, stats, true);
         assert_eq!(comps.equation, 0.0);
@@ -437,9 +429,9 @@ mod tests {
     #[test]
     fn super_resolve_covers_whole_grid() {
         let m = tiny_model();
-        let (hr, lr) = tiny_data();
-        let stats = ChannelStats::from_meta(&hr.meta);
-        let sr = m.super_resolve(&lr, &hr.meta, stats);
+        let corpus = tiny_corpus();
+        let (hr, lr) = &corpus.pairs[0];
+        let sr = m.super_resolve(lr, &hr.meta, corpus.stats);
         assert_eq!(sr.meta.nt, hr.meta.nt);
         assert_eq!(sr.data.len(), hr.data.len());
         // Untrained output is garbage but must be finite everywhere.

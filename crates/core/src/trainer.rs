@@ -14,7 +14,7 @@ use crate::losses::ChannelStats;
 use crate::model::{MeshfreeFlowNet, StepLosses};
 use crate::rng::{RngState, SampleRng};
 use mfn_autodiff::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Graph, ParamStore, Var};
-use mfn_data::{make_batch, Dataset, PatchSampler};
+use mfn_data::{make_batch, Dataset, DatasetMeta, PatchSampler};
 use mfn_physics::RbcParams;
 use mfn_telemetry::{Recorder, StepMetrics, Stopwatch};
 use mfn_tensor::{workspace, Tensor};
@@ -43,30 +43,33 @@ pub struct EpochRecord {
 pub struct Corpus {
     /// The `(HR, LR)` dataset pairs.
     pub pairs: Vec<(Dataset, Dataset)>,
-    /// Channel statistics shared across the corpus (computed from all HR
-    /// sets; every patch/target is normalized with these).
+    /// The one normalization, pooled over the HR sets of all pairs: training
+    /// standardizes every pair's patches and targets with it, and the
+    /// equation loss, evaluation and serving standardize inputs and restore
+    /// predictions with it.
     pub stats: ChannelStats,
 }
 
 impl Corpus {
-    /// Builds a corpus and its pooled channel statistics.
+    /// Builds a corpus and pools its channel statistics, each pair weighted
+    /// equally: the mean of the pairs' means `m`, and as variance the mean
+    /// over pairs of `std² + (mean − m)²`, floored at `1e-16` (the
+    /// pipeline's one guard against a constant channel). A one-pair corpus
+    /// thus has its HR set's statistics bit for bit.
     pub fn new(pairs: Vec<(Dataset, Dataset)>) -> Self {
         assert!(!pairs.is_empty(), "corpus needs at least one dataset pair");
-        let mut mean = [0.0f64; 4];
-        let mut ms = [0.0f64; 4];
-        for (hr, _) in &pairs {
-            for c in 0..4 {
-                mean[c] += hr.meta.channel_mean[c] as f64;
-                ms[c] += (hr.meta.channel_std[c] as f64).powi(2)
-                    + (hr.meta.channel_mean[c] as f64).powi(2);
-            }
-        }
-        let n = pairs.len() as f64;
-        let mut stats = ChannelStats { mean: [0.0; 4], std: [1.0; 4] };
+        let metas: Vec<&DatasetMeta> = pairs.iter().map(|(hr, _)| &hr.meta).collect();
+        let n = metas.len() as f64;
+        let mut stats = ChannelStats { mean: [0.0; 4], std: [0.0; 4] };
         for c in 0..4 {
-            let m = mean[c] / n;
+            let m = metas.iter().map(|h| h.channel_mean[c] as f64).sum::<f64>() / n;
+            let var = metas
+                .iter()
+                .map(|h| (h.channel_std[c] as f64).powi(2) + (h.channel_mean[c] as f64 - m).powi(2))
+                .sum::<f64>()
+                / n;
             stats.mean[c] = m as f32;
-            stats.std[c] = ((ms[c] / n - m * m).max(1e-16)).sqrt() as f32;
+            stats.std[c] = var.max(1e-16).sqrt() as f32;
         }
         Corpus { pairs, stats }
     }
@@ -582,7 +585,8 @@ impl BaselineTrainer {
 mod tests {
     use super::*;
     use crate::config::MfnConfig;
-    use mfn_data::{downsample, PatchSpec};
+    use crate::model::extract_patch;
+    use mfn_data::{downsample, PatchSpec, CH_U, CH_W};
     use mfn_solver::{simulate, RbcConfig};
 
     /// Median of a slice (NaN-free input assumed).
@@ -602,15 +606,16 @@ mod tests {
         (median(&losses[..k]), median(&losses[losses.len() - k..]))
     }
 
-    fn tiny_corpus() -> Corpus {
-        let sim = simulate(
-            &RbcConfig { nx: 16, nz: 9, ra: 1e5, dt_max: 2e-3, ..Default::default() },
-            0.1,
-            9,
-        );
+    fn tiny_pair(ra: f64, duration: f64) -> (Dataset, Dataset) {
+        let cfg = RbcConfig { nx: 16, nz: 9, ra, dt_max: 2e-3, ..Default::default() };
+        let sim = simulate(&cfg, duration, 9);
         let hr = Dataset::from_simulation(&sim);
         let lr = downsample(&hr, 2, 2);
-        Corpus::new(vec![(hr, lr)])
+        (hr, lr)
+    }
+
+    fn tiny_corpus() -> Corpus {
+        Corpus::new(vec![tiny_pair(1e5, 0.1)])
     }
 
     fn tiny_model() -> MeshfreeFlowNet {
@@ -779,6 +784,56 @@ mod tests {
         let hits = sink.gauge("pool/hits").expect("pool hits gauge");
         let misses = sink.gauge("pool/misses").expect("pool misses gauge");
         assert!(hits + misses > 0.0, "training must touch the workspace pool");
+    }
+
+    /// Every pair of a multi-pair corpus is standardized with the corpus's
+    /// pooled statistics: the loss a batch from either pair records equals,
+    /// bit for bit, the same tape built by hand on `extract_patch` inputs
+    /// and `(raw − mean) / std` targets.
+    #[test]
+    fn two_pair_corpus_standardizes_every_pair_with_the_pooled_stats() {
+        let corpus = Corpus::new(vec![tiny_pair(2e5, 4.0), tiny_pair(3e6, 4.0)]);
+        let per_pair = |i: usize| Corpus::new(vec![corpus.pairs[i].clone()]).stats;
+        let (a, b) = (per_pair(0), per_pair(1));
+        assert!(a.std[CH_U] < 0.9 * b.std[CH_U] && a.std[CH_W] < 0.9 * b.std[CH_W], "{a:?} {b:?}");
+        let mut model = tiny_model();
+        model.cfg.gamma = 0.0;
+        let (spec, grid, stats) = (model.cfg.patch, model.grid_dims(), corpus.stats);
+        for (i, (hr, lr)) in corpus.pairs.iter().enumerate() {
+            let sampler = PatchSampler::new(hr, lr, spec);
+            let batch = make_batch(&sampler, 2, &mut ChaCha8Rng::seed_from_u64(i as u64));
+            let mut g = Graph::new();
+            let (_, got) = model.loss_on_batch(&mut g, &batch, corpus.params(i), stats, false);
+
+            let patches: Vec<Tensor> = (batch.samples.iter())
+                .map(|s| {
+                    let spacing = [lr.dt(), lr.dz(), lr.dx()];
+                    let origin =
+                        [0, 1, 2].map(|k| (s.origin_phys[k] / spacing[k]).round() as usize);
+                    extract_patch(lr, origin, spec, stats)
+                })
+                .collect();
+            let targets: Vec<f32> = (batch.samples.iter().flat_map(|s| &s.query_values))
+                .flat_map(|v| (0..4).map(|c| (v[c] - stats.mean[c]) / stats.std[c]))
+                .collect();
+            let mut h = Graph::new();
+            let x = h.constant(Tensor::concat(&patches.iter().collect::<Vec<_>>(), 0));
+            let latent = model.unet.forward(&mut h, &model.store, x, false);
+            let plan = crate::losses::prediction_plan(grid, &batch.samples);
+            let pred = model.decoder.decode(&mut h, &model.store, latent, &plan);
+            let target = h.constant(Tensor::from_vec(targets, &[plan.len(), 4]));
+            let want = h.l1_loss(pred, target);
+            assert_eq!(got.prediction.to_bits(), h.value(want).item().to_bits(), "pair {i}");
+        }
+    }
+
+    #[test]
+    fn one_pair_corpus_keeps_its_pair_statistics_bit_for_bit() {
+        let (hr, lr) = tiny_pair(1e5, 0.1);
+        let (mean, std) = (hr.meta.channel_mean, hr.meta.channel_std);
+        let stats = Corpus::new(vec![(hr, lr)]).stats;
+        assert_eq!(stats.mean.map(f32::to_bits), mean.map(f32::to_bits));
+        assert_eq!(stats.std.map(f32::to_bits), std.map(f32::to_bits));
     }
 
     #[test]

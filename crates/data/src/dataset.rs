@@ -3,8 +3,8 @@
 //! A [`Dataset`] holds a uniformly-sampled sequence of Rayleigh–Bénard frames
 //! as one `[nt, 4, nz, nx]` buffer (channel order `T, p, u, w` — the paper's
 //! four physical quantities), together with the physical geometry needed to
-//! map grid indices to `(t, z, x)` coordinates and per-channel normalization
-//! statistics.
+//! map grid indices to `(t, z, x)` coordinates and per-channel statistics
+//! (what a training corpus pools into its one normalization).
 
 use mfn_solver::Simulation;
 use serde::{Deserialize, Serialize};
@@ -42,23 +42,24 @@ pub struct DatasetMeta {
     pub pr: f64,
     /// RNG seed of the generating simulation (the "initial condition" id).
     pub seed: u64,
-    /// Per-channel means (over all frames) used for normalization.
+    /// Per-channel means over all frames. Models never read them: the
+    /// corpus pools them into its normalization (`mfn_core::Corpus::new`).
     pub channel_mean: [f32; CHANNELS],
-    /// Per-channel standard deviations.
+    /// Per-channel standard deviations over all frames.
     pub channel_std: [f32; CHANNELS],
 }
 
 /// A uniformly-sampled space-time dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
-    /// Metadata (geometry, physics, normalization).
+    /// Metadata (geometry, physics, channel statistics).
     pub meta: DatasetMeta,
     /// Field data, `[nt, 4, nz, nx]` row-major `f32`.
     pub data: Vec<f32>,
 }
 
 impl Dataset {
-    /// Builds a dataset from a finished simulation, computing normalization
+    /// Builds a dataset from a finished simulation, computing the channel
     /// statistics over all frames.
     pub fn from_simulation(sim: &Simulation) -> Self {
         let nt = sim.frames.len();
@@ -147,7 +148,7 @@ impl Dataset {
         self.channel_frame(f, c).iter().map(|&v| v as f64).collect()
     }
 
-    /// Recomputes the normalization statistics from the current data.
+    /// Recomputes the channel statistics from the current data.
     pub fn refresh_stats(&mut self) {
         let n = self.meta.nz * self.meta.nx;
         let (mean, std) = channel_stats(&self.data, self.meta.nt, n);
@@ -155,33 +156,10 @@ impl Dataset {
         self.meta.channel_std = std;
     }
 
-    /// Returns a copy with each channel standardized to zero mean / unit
-    /// variance (using the stored statistics).
-    pub fn normalized(&self) -> Dataset {
-        let n = self.meta.nz * self.meta.nx;
-        let mut out = self.clone();
-        for f in 0..self.meta.nt {
-            for c in 0..CHANNELS {
-                let (m, s) = (self.meta.channel_mean[c], self.meta.channel_std[c].max(1e-8));
-                let start = (f * CHANNELS + c) * n;
-                for v in &mut out.data[start..start + n] {
-                    *v = (*v - m) / s;
-                }
-            }
-        }
-        out
-    }
-
-    /// Inverts [`Dataset::normalized`] on a raw value of channel `c`.
-    #[inline]
-    pub fn denormalize_value(&self, c: usize, v: f32) -> f32 {
-        v * self.meta.channel_std[c].max(1e-8) + self.meta.channel_mean[c]
-    }
-
     /// Splits the dataset along time into `(train, validation)` at
     /// `frac` ∈ (0, 1): the first `ceil(frac·nt)` frames train, the rest
     /// validate (the paper evaluates on a held-out validation set).
-    /// Normalization statistics are recomputed per split.
+    /// Channel statistics are recomputed per split.
     ///
     /// # Panics
     /// Panics unless both splits end up with at least 2 frames.
@@ -272,36 +250,22 @@ mod tests {
     }
 
     #[test]
-    fn normalization_standardizes() {
+    fn channel_stats_are_the_data_moments() {
         let sim = tiny_sim();
         let ds = Dataset::from_simulation(&sim);
-        let norm = ds.normalized();
-        let n = ds.meta.nz * ds.meta.nx;
         for c in 0..CHANNELS {
-            let mut vals = Vec::new();
-            for f in 0..ds.meta.nt {
-                vals.extend_from_slice(norm.channel_frame(f, c));
-            }
-            let mean: f64 = vals.iter().map(|&v| v as f64).sum::<f64>() / vals.len() as f64;
-            assert!(mean.abs() < 1e-4, "channel {c} mean {mean}");
-            // Temperature varies, so its std must become ~1.
-            if c == CH_T {
-                let var: f64 = vals.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>()
-                    / vals.len() as f64;
-                assert!((var - 1.0).abs() < 1e-3, "channel {c} var {var}");
-            }
-            let _ = n;
+            let vals: Vec<f64> = (0..ds.meta.nt)
+                .flat_map(|f| ds.channel_frame(f, c).iter().map(|&v| v as f64))
+                .collect();
+            let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+            let var = vals.iter().map(|&v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
+            let (m, s) = (ds.meta.channel_mean[c] as f64, ds.meta.channel_std[c] as f64);
+            assert!(
+                (m - mean).abs() <= 1e-5 * (1.0 + mean.abs()),
+                "channel {c} mean {m} vs {mean}"
+            );
+            assert!((s - var.sqrt()).abs() <= 1e-4 * (1e-3 + var.sqrt()), "channel {c} std {s}");
         }
-    }
-
-    #[test]
-    fn denormalize_roundtrip() {
-        let sim = tiny_sim();
-        let ds = Dataset::from_simulation(&sim);
-        let norm = ds.normalized();
-        let v = ds.at(1, CH_T, 3, 5);
-        let nv = norm.at(1, CH_T, 3, 5);
-        assert!((ds.denormalize_value(CH_T, nv) - v).abs() < 1e-5);
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl std::error::Error for DownsampleError {}
 /// Strided downsampling by `ft` in time and `fs` in both spatial directions.
 ///
 /// LR sample `(f, j, i)` equals HR sample `(f·ft, j·fs, i·fs)`; the LR
-/// extents are the largest strided grids that fit. Normalization statistics
+/// extents are the largest strided grids that fit. Channel statistics
 /// are recomputed on the LR data.
 ///
 /// # Errors

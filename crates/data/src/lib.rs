@@ -4,7 +4,7 @@
 //! the query/supervision machinery of Fig. 3):
 //!
 //! - [`dataset`]: the `[nt, 4, nz, nx]` space-time container (`T, p, u, w`)
-//!   with normalization statistics;
+//!   with per-channel statistics;
 //! - [`downsample`](mod@downsample): strided LR construction (paper factors
 //!   `d_t=4, d_s=8`);
 //! - [`interp`]: space-time trilinear interpolation — HR supervision values
@@ -26,4 +26,6 @@ pub use downsample::{
 };
 pub use interp::{sample_trilinear, upsample_trilinear};
 pub use io::{load_dataset, save_dataset};
-pub use patch::{covering_axis, make_batch, stack_patches, Batch, PatchSampler, PatchSpec, Sample};
+pub use patch::{
+    covering_axis, make_batch, raw_patch, stack_patches, Batch, PatchSampler, PatchSpec, Sample,
+};

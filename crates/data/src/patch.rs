@@ -3,8 +3,8 @@
 //! Each training sample is a fixed-size LR patch (the paper uses
 //! `[t, z, x] = [4, 16, 16]`) plus a set of continuous query points inside
 //! the patch with ground-truth values interpolated from the HR dataset.
-//! Both the patch and the targets are standardized with the *HR* channel
-//! statistics so the network always sees one consistent scale.
+//! Both are in physical units: the model standardizes them with the
+//! corpus's statistics (`mfn_core::ChannelStats`), the one normalization.
 
 use crate::dataset::{Dataset, CHANNELS};
 use crate::interp::sample_trilinear;
@@ -39,12 +39,12 @@ impl PatchSpec {
 /// One training sample: LR patch, query coordinates, and supervision values.
 #[derive(Debug, Clone)]
 pub struct Sample {
-    /// Normalized LR patch, `[4, nt, nz, nx]`.
+    /// LR patch in physical units, `[4, nt, nz, nx]`.
     pub lr_patch: Tensor,
     /// Query locations in local patch coordinates `(t, z, x) ∈ [0, 1]³`
     /// (0 = first patch vertex, 1 = last).
     pub query_local: Vec<[f32; 3]>,
-    /// Normalized ground-truth `(T, p, u, w)` at each query.
+    /// Ground-truth `(T, p, u, w)` at each query, in physical units.
     pub query_values: Vec<[f32; 4]>,
     /// Physical coordinates of patch vertex `(0,0,0)`, axis order `(t,z,x)`.
     pub origin_phys: [f64; 3],
@@ -61,8 +61,7 @@ pub struct PatchSampler<'a> {
 
 impl<'a> PatchSampler<'a> {
     /// Creates a sampler. `hr` and `lr` must describe the same physical
-    /// domain (`lr` typically from [`crate::downsample::downsample`]); both
-    /// are normalized on the fly with `hr`'s channel statistics.
+    /// domain (`lr` typically from [`crate::downsample::downsample`]).
     ///
     /// # Panics
     /// Panics if the LR grid is smaller than the patch or domains mismatch.
@@ -89,29 +88,14 @@ impl<'a> PatchSampler<'a> {
         ]
     }
 
-    /// Extracts the normalized LR patch with the given LR-grid origin.
+    /// Extracts the LR patch with the given LR-grid origin.
     pub fn patch_at(&self, origin: [usize; 3]) -> Sample {
         let [t0, z0, x0] = origin;
         let s = self.spec;
-        assert!(t0 + s.nt <= self.lr.meta.nt, "patch t out of range");
-        assert!(z0 + s.nz <= self.lr.meta.nz, "patch z out of range");
-        assert!(x0 + s.nx <= self.lr.meta.nx, "patch x out of range");
-        let mean = self.hr.meta.channel_mean;
-        let std = self.hr.meta.channel_std;
-        let mut buf = vec![0.0f32; CHANNELS * s.nt * s.nz * s.nx];
-        for c in 0..CHANNELS {
-            let sd = std[c].max(1e-8);
-            for ft in 0..s.nt {
-                for j in 0..s.nz {
-                    for i in 0..s.nx {
-                        let v = self.lr.at(t0 + ft, c, z0 + j, x0 + i);
-                        buf[((c * s.nt + ft) * s.nz + j) * s.nx + i] = (v - mean[c]) / sd;
-                    }
-                }
-            }
-        }
+        let lr_patch =
+            Tensor::from_vec(raw_patch(self.lr, origin, s), &[CHANNELS, s.nt, s.nz, s.nx]);
         Sample {
-            lr_patch: Tensor::from_vec(buf, &[CHANNELS, s.nt, s.nz, s.nx]),
+            lr_patch,
             query_local: Vec::new(),
             query_values: Vec::new(),
             origin_phys: [
@@ -121,17 +105,6 @@ impl<'a> PatchSampler<'a> {
             ],
             extent_phys: self.patch_extent(),
         }
-    }
-
-    /// Normalized HR ground truth at a physical `(t, z, x)` point.
-    pub fn hr_value(&self, t: f64, z: f64, x: f64) -> [f32; 4] {
-        let raw = sample_trilinear(self.hr, t, z, x);
-        let mut out = [0.0f32; 4];
-        for c in 0..CHANNELS {
-            out[c] =
-                (raw[c] - self.hr.meta.channel_mean[c]) / self.hr.meta.channel_std[c].max(1e-8);
-        }
-        out
     }
 
     /// Draws one random training sample: uniform patch origin, uniform
@@ -152,29 +125,33 @@ impl<'a> PatchSampler<'a> {
             let z = sample.origin_phys[1] + local[1] as f64 * sample.extent_phys[1];
             let x = sample.origin_phys[2] + local[2] as f64 * sample.extent_phys[2];
             sample.query_local.push(local);
-            sample.query_values.push(self.hr_value(t, z, x));
+            sample.query_values.push(sample_trilinear(self.hr, t, z, x));
         }
         sample
     }
+}
 
-    /// Patch origins whose union of cells covers the whole LR grid
-    /// (consecutive patches share a boundary vertex). Used for full-domain
-    /// super-resolution at evaluation time.
-    pub fn covering_origins(&self) -> Vec<[usize; 3]> {
-        let s = self.spec;
-        let ts = covering_axis(self.lr.meta.nt, s.nt);
-        let zs = covering_axis(self.lr.meta.nz, s.nz);
-        let xs = covering_axis(self.lr.meta.nx, s.nx);
-        let mut out = Vec::with_capacity(ts.len() * zs.len() * xs.len());
-        for &t in &ts {
-            for &z in &zs {
-                for &x in &xs {
-                    out.push([t, z, x]);
-                }
+/// The `[4, nt, nz, nx]` channel-major values, in physical units, of the
+/// `spec`-sized patch of `lr` at the grid `origin` — the one patch
+/// extraction that training samples and inference patches share.
+///
+/// # Panics
+/// Panics if the patch does not fit inside the grid.
+pub fn raw_patch(lr: &Dataset, origin: [usize; 3], spec: PatchSpec) -> Vec<f32> {
+    let [t0, z0, x0] = origin;
+    assert!(t0 + spec.nt <= lr.meta.nt, "patch t out of range");
+    assert!(z0 + spec.nz <= lr.meta.nz, "patch z out of range");
+    assert!(x0 + spec.nx <= lr.meta.nx, "patch x out of range");
+    let mut buf = Vec::with_capacity(CHANNELS * spec.nt * spec.nz * spec.nx);
+    for c in 0..CHANNELS {
+        for f in t0..t0 + spec.nt {
+            for j in z0..z0 + spec.nz {
+                let row = lr.index(f, c, j, x0);
+                buf.extend_from_slice(&lr.data[row..row + spec.nx]);
             }
         }
-        out
     }
+    buf
 }
 
 /// Per-axis patch origins covering `[0, len)` with patches of `p` vertices:
@@ -201,7 +178,7 @@ pub fn covering_axis(len: usize, p: usize) -> Vec<usize> {
 /// A mini-batch: stacked patches plus per-sample query data.
 #[derive(Debug, Clone)]
 pub struct Batch {
-    /// Stacked LR patches `[N, 4, nt, nz, nx]`.
+    /// Stacked LR patches `[N, 4, nt, nz, nx]`, in physical units.
     pub input: Tensor,
     /// The individual samples (queries and geometry).
     pub samples: Vec<Sample>,
@@ -278,14 +255,13 @@ mod tests {
         let (hr, lr) = pair();
         let sampler = PatchSampler::new(&hr, &lr, spec());
         let s = sampler.patch_at([1, 2, 3]);
-        let mean = hr.meta.channel_mean[CH_T];
-        let std = hr.meta.channel_std[CH_T].max(1e-8);
-        for ft in 0..4 {
-            for j in 0..6 {
-                for i in 0..8 {
-                    let expect = (lr.at(1 + ft, CH_T, 2 + j, 3 + i) - mean) / std;
-                    let got = s.lr_patch.at(&[CH_T, ft, j, i]);
-                    assert!((got - expect).abs() < 1e-6);
+        for c in 0..CHANNELS {
+            for ft in 0..4 {
+                for j in 0..6 {
+                    for i in 0..8 {
+                        let got = s.lr_patch.at(&[c, ft, j, i]);
+                        assert_eq!(got, lr.at(1 + ft, c, 2 + j, 3 + i));
+                    }
                 }
             }
         }
@@ -303,34 +279,9 @@ mod tests {
         let t = s.origin_phys[0] + local[0] * s.extent_phys[0];
         let z = s.origin_phys[1] + local[1] * s.extent_phys[1];
         let x = s.origin_phys[2] + local[2] * s.extent_phys[2];
-        let gt = sampler.hr_value(t, z, x);
+        let gt = sample_trilinear(&hr, t, z, x);
         let patch_v = s.lr_patch.at(&[CH_T, 1, 2, 3]);
-        assert!((gt[CH_T] - patch_v).abs() < 1e-4, "{} vs {patch_v}", gt[CH_T]);
-    }
-
-    #[test]
-    fn covering_origins_cover_everything() {
-        let (hr, lr) = pair();
-        let sampler = PatchSampler::new(&hr, &lr, spec());
-        let origins = sampler.covering_origins();
-        assert!(!origins.is_empty());
-        // Every LR grid point must fall inside at least one patch.
-        let s = spec();
-        for t in 0..lr.meta.nt {
-            for z in 0..lr.meta.nz {
-                for x in 0..lr.meta.nx {
-                    let covered = origins.iter().any(|o| {
-                        t >= o[0]
-                            && t < o[0] + s.nt
-                            && z >= o[1]
-                            && z < o[1] + s.nz
-                            && x >= o[2]
-                            && x < o[2] + s.nx
-                    });
-                    assert!(covered, "LR point ({t},{z},{x}) uncovered");
-                }
-            }
-        }
+        assert!((gt[CH_T] - patch_v).abs() < 1e-5, "{} vs {patch_v}", gt[CH_T]);
     }
 
     #[test]
@@ -361,22 +312,6 @@ mod tests {
     fn rejects_oversized_patch() {
         let (hr, lr) = pair();
         PatchSampler::new(&hr, &lr, PatchSpec { nt: 100, nz: 4, nx: 4, queries: 1 });
-    }
-
-    /// Covering origins on a domain the patch does not evenly divide: the
-    /// forced final origin keeps coverage complete without going out of
-    /// bounds (satellite audit of `covering_origins`/`patch_at`).
-    #[test]
-    fn covering_origins_on_non_dividing_domain_stay_in_bounds() {
-        let (hr, lr) = pair();
-        // nz = 9 after downsample; nz patch 7 gives stride 6 with a forced
-        // final origin at 2 — an overlap of 5 vertices.
-        let sampler = PatchSampler::new(&hr, &lr, PatchSpec { nt: 3, nz: 7, nx: 5, queries: 4 });
-        for o in sampler.covering_origins() {
-            // patch_at asserts in-bounds internally; a panic here is the bug.
-            let s = sampler.patch_at(o);
-            assert_eq!(s.lr_patch.dims(), &[4, 3, 7, 5]);
-        }
     }
 }
 

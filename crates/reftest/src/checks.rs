@@ -12,7 +12,7 @@ use crate::compare::{Checker, Report, Tolerance};
 use crate::reference as refk;
 use mfn_autodiff::{Activation, Graph, Mlp, ParamStore};
 use mfn_core::{
-    equation_loss_at_points, plan_queries, ChannelStats, ConstraintSet, ContinuousDecoder,
+    equation_loss_at_points, plan_queries, ChannelStats, ConstraintSet, ContinuousDecoder, Corpus,
     MeshfreeFlowNet, MfnConfig, RbcParams,
 };
 use mfn_data::{Dataset, DatasetMeta, CHANNELS};
@@ -919,6 +919,8 @@ pub fn check_decode_threads() -> Report {
     let mut chk = Checker::new("decode_threads", Tolerance::exact());
     let hr = synthetic_dataset(7, 13, 24, 1900);
     let lr = mfn_data::downsample(&hr, 2, 2);
+    let corpus = Corpus::new(vec![(hr, lr)]);
+    let ((hr, lr), stats) = (&corpus.pairs[0], corpus.stats);
     let mut cfg = MfnConfig::small();
     cfg.patch = mfn_data::PatchSpec { nt: 4, nz: 4, nx: 4, queries: 16 };
     cfg.base_channels = 4;
@@ -927,11 +929,10 @@ pub fn check_decode_threads() -> Report {
     cfg.levels = 2;
     cfg.seed = 1901;
     let model = MeshfreeFlowNet::new(cfg);
-    let stats = ChannelStats::from_meta(&hr.meta);
-    let want = model.super_resolve_on(Some(1), &lr, &hr.meta, stats);
+    let want = model.super_resolve_on(Some(1), lr, &hr.meta, stats);
     for workers in [Some(2), Some(3), None] {
         chk.case(format!("7x13x24 from 4x7x12, patch 4x4x4, seed 1900, workers {workers:?}"));
-        let got = model.super_resolve_on(workers, &lr, &hr.meta, stats);
+        let got = model.super_resolve_on(workers, lr, &hr.meta, stats);
         for (i, (&g, &w)) in got.data.iter().zip(&want.data).enumerate() {
             chk.check_f32(i, g, f64::from(w), 0.0);
         }

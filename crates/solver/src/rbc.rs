@@ -422,10 +422,20 @@ impl RbcSolver {
         self.steps += 1;
     }
 
-    /// Advances with CFL-adaptive steps until exactly `t_target`.
+    /// Advances with CFL-adaptive steps until exactly `t_target`, with no
+    /// sliver step: full `cfl_dt()` steps until less than two remain, then
+    /// two equal halves of the rest, or one step if less than one remains.
+    /// A remainder within the loop's `1e-12` of one or two whole steps is
+    /// stepped whole. (A short last step inflates the stored pressure by
+    /// about `1/dt`, and the next AB2 step extrapolates with the ratio.)
     pub fn advance_to(&mut self, t_target: f64) {
         while self.t < t_target - 1e-12 {
-            let dt = self.cfl_dt().min(t_target - self.t);
+            let (cfl, left) = (self.cfl_dt(), t_target - self.t);
+            let dt = if left > cfl + 1e-12 && left < 2.0 * cfl - 1e-12 {
+                0.5 * left
+            } else {
+                cfl.min(left)
+            };
             self.step(dt);
         }
     }
@@ -582,6 +592,22 @@ mod tests {
         // Small over/undershoots from the FD scheme are tolerated.
         assert!(lo > -0.15 && hi < 1.15, "T range [{lo}, {hi}]");
         assert!(!s.temp.iter().any(|t| t.is_nan()));
+    }
+
+    #[test]
+    fn frame_intervals_end_without_a_sliver_step() {
+        // At rest the step is `dt_max`: 10.05 steps' worth ends on two
+        // halves of 1.05 steps, not on a 0.05-step sliver.
+        let cfg = RbcConfig { noise_amp: 0.0, ra: 1e3, ..quick_cfg() };
+        let mut s = RbcSolver::new(cfg);
+        s.advance_to(10.05 * cfg.dt_max);
+        assert_eq!(s.steps, 11);
+        assert!(s.dt_prev >= 0.5 * cfg.dt_max, "last step {}", s.dt_prev);
+        assert!((s.t - 10.05 * cfg.dt_max).abs() < 1e-12);
+        // Within rounding of a whole number of steps, every step is whole.
+        let mut s = RbcSolver::new(cfg);
+        s.advance_to(10.0 * cfg.dt_max);
+        assert_eq!(s.steps, 10);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! re-pins the table and says why. Never a tolerance.
 //!
 //! The last run is CFL-limited at its end (`cfl_dt() < dt_max`), so the
-//! adaptive step choice `dt = min(cfl_dt, dt_max, time to the next frame)`
-//! is part of what its digest pins.
+//! adaptive step choice of `RbcSolver::advance_to` (full CFL steps, then
+//! one step or two equal halves to the next frame) is part of what its
+//! digest pins.
 
 use mfn_solver::{simulate, RbcConfig, RbcSolver, Simulation};
 
@@ -59,5 +60,5 @@ fn cfl_limited_frames_keep_their_bits() {
     end.u.clone_from(&last.u);
     end.w.clone_from(&last.w);
     assert!(end.cfl_dt() < cfg.dt_max, "run ends at the cap: cfl_dt {}", end.cfl_dt());
-    assert_eq!(h, 0x0e6a_b745_f8ab_e796, "digest {h:#018x}");
+    assert_eq!(h, 0x750f_898e_ba2a_f84c, "digest {h:#018x}");
 }

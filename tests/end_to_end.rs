@@ -2,8 +2,7 @@
 //! super-resolve → score pipeline, exercised end-to-end at a tiny scale.
 
 use meshfreeflownet::core::{
-    baseline_trilinear, evaluate_pair, ChannelStats, Corpus, MeshfreeFlowNet, MfnConfig,
-    TrainConfig, Trainer,
+    baseline_trilinear, evaluate_pair, Corpus, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
 };
 use meshfreeflownet::data::{downsample, Dataset, PatchSpec};
 use meshfreeflownet::solver::{simulate, RbcConfig};
@@ -146,7 +145,7 @@ fn dataset_roundtrip_preserves_training_inputs() {
 #[test]
 fn super_resolution_is_deterministic() {
     let (hr, lr) = tiny_data(7);
-    let stats = ChannelStats::from_meta(&hr.meta);
+    let stats = Corpus::new(vec![(hr.clone(), lr.clone())]).stats;
     let m1 = MeshfreeFlowNet::new(tiny_cfg());
     let m2 = MeshfreeFlowNet::new(tiny_cfg());
     let a = m1.super_resolve(&lr, &hr.meta, stats);
@@ -159,7 +158,7 @@ fn mesh_free_decoding_at_arbitrary_resolution() {
     // The defining property: decode on a grid the model never saw, finer
     // than HR and with non-integer refinement of the LR spacing.
     let (hr, lr) = tiny_data(8);
-    let stats = ChannelStats::from_meta(&hr.meta);
+    let stats = Corpus::new(vec![(hr.clone(), lr.clone())]).stats;
     let model = MeshfreeFlowNet::new(tiny_cfg());
     let mut fine_meta = hr.meta.clone();
     fine_meta.nt = hr.meta.nt; // keep time frames
