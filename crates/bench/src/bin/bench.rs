@@ -608,7 +608,7 @@ struct DecodeValues {
 /// `queries` continuous point queries decoded against a cached latent: the
 /// timed call on `workers` threads (`mfn_core::decode_workers`), then each
 /// stage's minimum in µs over staged calls
-/// (`FrozenModel::decode_values_staged`, always one thread).
+/// (`FrozenModel::decode_values_with`, always one thread).
 #[derive(Serialize, Deserialize)]
 struct DecodeRow {
     queries: usize,
@@ -712,7 +712,8 @@ fn bench_decode(iters: usize, gemm_stage: GemmStage) -> DecodeValues {
             for _ in 0..iters {
                 let mut s = DecodeStages::default();
                 let points = queries.iter().copied();
-                std::hint::black_box(frozen.decode_values_staged(&latent, points, Some(&mut s)));
+                let staged = frozen.decode_values_with(&latent, points, None, Some(&mut s));
+                std::hint::black_box(staged);
                 let l = s.layers;
                 let now =
                     [s.plan_ns, s.gather_ns, l.pack_b_ns, l.micro_ns, l.epilogue_ns, s.blend_ns];
@@ -740,7 +741,7 @@ fn bench_decode(iters: usize, gemm_stage: GemmStage) -> DecodeValues {
         let queries = bench_queries(q);
         let points = || queries.iter().copied();
         let mut one = || {
-            std::hint::black_box(frozen.decode_values_on(1, &latent, points()));
+            std::hint::black_box(frozen.decode_values_with(&latent, points(), Some(1), None));
         };
         let mut default = || {
             std::hint::black_box(frozen.decode_values(&latent, points()));
@@ -832,7 +833,8 @@ fn bench_tape_decoder(iters: usize, gemm_nn_gflops: f64) -> TapeDecoder {
     let in_channels = cfg.in_channels;
     let model = MeshfreeFlowNet::new(cfg);
     let mut rng = ChaCha8Rng::seed_from_u64(21);
-    let latent = model.encode(&Tensor::randn(&[1, in_channels, 4, 4, 4], 1.0, &mut rng));
+    let input = Tensor::randn(&[1, in_channels, 4, 4, 4], 1.0, &mut rng);
+    let latent = FrozenModel::snapshot(&model).encode(&input);
     let grid = model.grid_dims();
     let plan = plan_queries(grid, bench_queries(TAPE_QUERIES));
     let (dec, store) = (&model.decoder, &model.store);

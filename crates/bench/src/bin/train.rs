@@ -30,8 +30,8 @@
 
 use mfn_core::cli::Cli;
 use mfn_core::{
-    decode_inference_state, evaluate_pair, save_train_state, table_header, Corpus, MeshfreeFlowNet,
-    MfnConfig, TrainConfig, Trainer,
+    decode_inference_state, evaluate_pair, save_train_state, table_header, Corpus, FrozenModel,
+    MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
 };
 use mfn_data::{load_dataset, try_downsample, Dataset, PatchSpec};
 use mfn_dist::{train_elastic, FaultPlan, SupervisorConfig};
@@ -261,7 +261,7 @@ fn main() {
 
     if let Some((valid, valid_lr)) = valid {
         eprintln!("evaluating on held-out frames ...");
-        let sr = model.super_resolve(&valid_lr, &valid.meta, corpus.stats);
+        let sr = FrozenModel::from_model(model).super_resolve(&valid_lr, &valid.meta, corpus.stats);
         let nu = (valid.meta.pr / valid.meta.ra).sqrt();
         println!("{}", table_header());
         println!("{}", evaluate_pair("validation", &valid, &sr, nu, 0).format());

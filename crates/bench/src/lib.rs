@@ -18,7 +18,7 @@
 use mfn_autodiff::Activation;
 use mfn_core::{
     baseline_trilinear, evaluate_pair, table_header, BaselineII, BaselineTrainer, ConstraintSet,
-    Corpus, EpochRecord, EvalRow, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+    Corpus, EpochRecord, EvalRow, FrozenModel, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
 };
 use mfn_data::{downsample, Dataset, PatchSpec};
 use mfn_dist::{train_data_parallel, DistRunResult};
@@ -195,7 +195,7 @@ pub fn train_and_score(
 ) -> EvalRow {
     let (model, _) = train_mfn(scale, scale.model_config(gamma), corpus);
     let (hr, lr) = test;
-    let sr = model.super_resolve(lr, &hr.meta, corpus.stats);
+    let sr = FrozenModel::from_model(model).super_resolve(lr, &hr.meta, corpus.stats);
     let nu = (hr.meta.pr / hr.meta.ra).sqrt();
     evaluate_pair(label, hr, &sr, nu, scale.eval_skip)
 }
@@ -278,6 +278,7 @@ pub fn table4(scale: &ExperimentScale, train_ras: &[f64], test_ras: &[f64]) -> V
         train_ras.iter().enumerate().map(|(i, &ra)| scale.build_pair(ra, 10 + i as u64)).collect(),
     );
     let (model, _) = train_mfn(scale, scale.model_config(MfnConfig::GAMMA_STAR), &corpus);
+    let model = FrozenModel::from_model(model);
     let mut rows = Vec::new();
     for &ra in test_ras {
         eprintln!("[table4] evaluating Ra = {ra:.1e} ...");
@@ -297,7 +298,7 @@ pub fn fig6(scale: &ExperimentScale, corpus: &Corpus, outdir: &Path) -> std::io:
     let (hr, lr) = &corpus.pairs[0];
     eprintln!("[fig6] training MFN gamma = gamma* ...");
     let (model, _) = train_mfn(scale, scale.model_config(MfnConfig::GAMMA_STAR), corpus);
-    let sr = model.super_resolve(lr, &hr.meta, corpus.stats);
+    let sr = FrozenModel::from_model(model).super_resolve(lr, &hr.meta, corpus.stats);
     let frame_hr = hr.meta.nt * 3 / 4;
     let frame_lr = (frame_hr / scale.ds_t).min(lr.meta.nt - 1);
     let names = ["T", "p", "u", "w"];

@@ -170,8 +170,8 @@ pub(crate) fn read_config(r: &mut &[u8]) -> Result<MfnConfig, CheckpointError> {
     if len > MAX_CONFIG_LEN {
         return Err(corrupt(format!("{len} bytes, of at most {MAX_CONFIG_LEN}")));
     }
-    let json = r.take(len)?;
-    let cfg = MfnConfig::from_json(&String::from_utf8_lossy(json))
+    let json = std::str::from_utf8(r.take(len)?).map_err(|e| corrupt(e.to_string()))?;
+    let cfg = MfnConfig::from_json(json)
         .map_err(|e| CheckpointError::Incompatible(format!("architecture section: {e}")))?;
     cfg.check_sizes(r.len() / 4).map_err(corrupt)?;
     Ok(cfg)

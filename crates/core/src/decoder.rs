@@ -23,10 +23,9 @@
 //!   residuals read, differentiable like any other node;
 //! - **no-grad**: `decode_packed` evaluates the same values, bit for bit,
 //!   with no tape, a block of queries at a time, on weights packed into GEMM
-//!   A panels once ([`PackedMlp`]). The frozen engine packs when it is
-//!   built, [`ContinuousDecoder::decode_nograd`] once per call (all
-//!   inference: `MeshfreeFlowNet::super_resolve`, the frozen engine,
-//!   serving). Blocks are independent, so a call of 1,024 queries or more
+//!   A panels once ([`PackedMlp`]), when the frozen engine (`FrozenModel`,
+//!   every inference path: serving, `super_resolve`, evaluation) is built.
+//!   Blocks are independent, so a call of 1,024 queries or more
 //!   splits its blocks over the host's cores (`decode_blocked`) — the only
 //!   threads below `mfn-dist` and `mfn-serve`; the kernels under a block
 //!   stay single-threaded.
@@ -334,15 +333,6 @@ impl ContinuousDecoder {
             Some(scale) => blend_lanes(g, out, plan, scale),
         }
     }
-
-    /// Eager no-grad path: the same math as [`ContinuousDecoder::decode`]
-    /// with no tape recorded (`decode_packed`), bit-identical to it. The
-    /// weights are packed out of `store` on every call and never kept — the
-    /// store of a live model moves under every optimizer step — so a caller
-    /// whose weights cannot change packs once itself (`FrozenModel`).
-    pub fn decode_nograd(&self, store: &ParamStore, latent: &Tensor, plan: &QueryPlan) -> Tensor {
-        decode_packed(&self.mlp.pack(store), latent, plan, None, None)
-    }
 }
 
 /// The trilinear blend of the MLP's six-lane output `out: [out, JET_LANES·8Q]`,
@@ -649,7 +639,7 @@ mod tests {
             let whole = decode_blocked(&packed, &latent, &plan, q, 1, None);
             assert_eq!(whole.dims(), &[q, 4]);
             assert_eq!(
-                bits(&dec.decode_nograd(&store, &latent, &plan)),
+                bits(&decode_packed(&packed, &latent, &plan, None, None)),
                 bits(&whole),
                 "no-grad, Q={q}"
             );
@@ -766,7 +756,7 @@ mod tests {
             (0, on_vertex(1, 2, 2)),      // on the infinite vertex itself
         ];
         let plan = plan_queries(grid, queries);
-        let got = dec.decode_nograd(&store, &latent, &plan);
+        let got = decode_packed(&dec.mlp.pack(&store), &latent, &plan, None, None);
         let row = |q: usize| &got.data()[q * 4..(q + 1) * 4];
         assert!(row(0).iter().all(|v| v.is_finite()), "zero-weight NaN neighbours: {:?}", row(0));
         assert!(row(1).iter().all(|v| v.is_nan()), "0 * inf must reach the output: {:?}", row(1));

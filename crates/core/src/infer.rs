@@ -1,38 +1,41 @@
 //! The frozen inference engine: an immutable, grad-free view of a trained
-//! MeshfreeFlowNet.
+//! MeshfreeFlowNet, and the one place mfn-core runs inference.
 //!
 //! [`FrozenModel`] wraps a model whose parameter store is private — the only
 //! access the outside world gets is the read-only [`FrozenParams`] view — and
-//! whose forward passes go through the eager `*_nograd` paths: no autodiff
-//! tape is built, batch norm runs on frozen running statistics, and every
-//! method takes `&self`. That `&self` is load-bearing: the serving layer
-//! shares one `FrozenModel` behind an `Arc` across all worker threads and
-//! decodes concurrent query batches without any locking around the weights.
+//! whose forward passes build no autodiff tape: batch norm runs on frozen
+//! running statistics, and every method takes `&self`. That `&self` is
+//! load-bearing: the serving layer shares one `FrozenModel` behind an `Arc`
+//! across all worker threads and decodes concurrent query batches without
+//! any locking around the weights.
 //!
-//! The no-grad forwards are the ones `MeshfreeFlowNet::{encode,
-//! decode_values}` run — the engine has no encode or decode of its own. What
-//! differs is when the weight-side work happens: because the engine's store
-//! is private and never written, it does once at construction what the live
-//! model does on every call — every weight, the decoder MLP's layers
-//! (`PackedMlp`) and the U-Net's convs alike, packed into the A panels of
-//! its GEMM, and every batch norm reduced to its eval-mode `(scale, shift)`
-//! (`PackedUNet`). Nothing can make those snapshots stale: no method hands
-//! out `&mut` to the store or the running statistics, and the `UNet3d` they
-//! were taken from is dropped at construction. Both forwards are
-//! bit-identical to the training graph in eval mode (pinned by the
-//! `inference_equivalence` property tests in `mfn-serve`): the kernels are
-//! shared — the decoder runs the tape's feature-major layout, conv driver and
-//! `mfn_tensor::rowops` epilogues — and a prepacked panel is the panel a
-//! per-call pack builds.
+//! Every no-grad encode, decode and super-resolution goes through here —
+//! serving, `repro`'s tables, the `train` binary's validation pass and
+//! `MeshfreeFlowNet::super_resolve`, which freezes a [`FrozenModel::snapshot`]
+//! of the live weights per call. The weight-side work happens once, at
+//! construction: every weight, the decoder MLP's layers (`PackedMlp`) and the
+//! U-Net's convs alike, packed into the A panels of its GEMM, and every batch
+//! norm reduced to its eval-mode `(scale, shift)` (`PackedUNet`). Nothing can
+//! make those snapshots stale: no method hands out `&mut` to the store or the
+//! running statistics, and the `UNet3d` they were taken from is not kept.
+//! Both forwards are bit-identical to the training graph in eval mode (pinned
+//! by the `inference_equivalence` property tests in `mfn-serve`): the kernels
+//! are shared — the decoder runs the tape's feature-major layout, conv driver
+//! and `mfn_tensor::rowops` epilogues — and a prepacked panel is the panel
+//! the tape's per-call pack builds.
 
 use crate::checkpoint::{
     decode_inference_state, load_train_state_with_fallback, read_config, CheckpointError,
 };
 use crate::config::MfnConfig;
-use crate::decoder::{decode_packed, plan_queries, ContinuousDecoder, DecodeStages};
-use crate::model::MeshfreeFlowNet;
+use crate::decoder::{
+    decode_packed, plan_queries, plan_queries_into, ContinuousDecoder, DecodeStages, QueryPlan,
+};
+use crate::losses::ChannelStats;
+use crate::model::{covering_origins, extract_patch, MeshfreeFlowNet};
 use crate::unet::PackedUNet;
 use mfn_autodiff::{FrozenParams, PackedMlp, ParamStore};
+use mfn_data::{Dataset, DatasetMeta, CHANNELS};
 use mfn_tensor::{timed, Tensor};
 use std::path::Path;
 
@@ -54,6 +57,16 @@ impl FrozenModel {
     /// Freezes an in-memory model (e.g. straight out of a trainer).
     pub fn from_model(model: MeshfreeFlowNet) -> Self {
         Self::with_steps(model, 0)
+    }
+
+    /// Freezes a copy of a live model's current weights and batch-norm
+    /// statistics, leaving the model as it is (it may go on training; the
+    /// engine does not follow).
+    pub fn snapshot(model: &MeshfreeFlowNet) -> Self {
+        let MeshfreeFlowNet { cfg, store, unet, decoder } = model;
+        let (cfg, store, unet, decoder) =
+            (cfg.clone(), store.clone(), unet.clone(), decoder.clone());
+        Self::from_model(MeshfreeFlowNet { cfg, store, unet, decoder })
     }
 
     fn with_steps(model: MeshfreeFlowNet, trained_steps: u64) -> Self {
@@ -130,36 +143,164 @@ impl FrozenModel {
         latent: &Tensor,
         queries: impl IntoIterator<Item = (usize, [f32; 3])>,
     ) -> Tensor {
-        self.decode_values_staged(latent, queries, None)
+        self.decode_values_with(latent, queries, None, None)
     }
 
-    /// [`FrozenModel::decode_values`], adding each stage's wall time to
-    /// `stages` when given (the bench's attribution hook; `None` reads no
-    /// clock).
-    pub fn decode_values_staged(
+    /// [`FrozenModel::decode_values`] on exactly `workers` threads (as many
+    /// as there are blocks, at most) where `None` lets the call pick, adding
+    /// each stage's wall time to `stages` when given (`None` reads no clock)
+    /// — for the thread-count invariance tests and the bench's stage and
+    /// one-core rows only; the result depends on neither.
+    #[doc(hidden)]
+    pub fn decode_values_with(
         &self,
         latent: &Tensor,
         queries: impl IntoIterator<Item = (usize, [f32; 3])>,
+        workers: Option<usize>,
         mut stages: Option<&mut DecodeStages>,
     ) -> Tensor {
         let grid = self.grid_dims();
         let plan = timed(&mut stages, |s| &mut s.plan_ns, || plan_queries(grid, queries));
-        decode_packed(&self.packed, latent, &plan, None, stages)
+        decode_packed(&self.packed, latent, &plan, workers, stages)
     }
 
-    /// [`FrozenModel::decode_values`] on exactly `workers` threads (as many
-    /// as there are blocks, at most) where `decode_values` picks the count
-    /// itself — for the thread-count invariance tests and the bench's
-    /// one-core row only; the result does not depend on it.
-    #[doc(hidden)]
-    pub fn decode_values_on(
+    /// Super-resolves a full LR dataset onto the grid described by
+    /// `hr_meta`, returning a dataset with denormalized physical values.
+    ///
+    /// The LR grid is tiled with covering patches (consecutive patches share
+    /// a boundary vertex); every HR grid point is decoded from *all* patches
+    /// containing it and the results blended with separable hat weights
+    /// peaking at the patch center. The blending removes patch-seam
+    /// artifacts that would otherwise corrupt the spectral metrics (integral
+    /// scale, Taylor microscale). `stats` must be the training corpus's
+    /// [`crate::Corpus::stats`].
+    pub fn super_resolve(
         &self,
-        workers: usize,
-        latent: &Tensor,
-        queries: impl IntoIterator<Item = (usize, [f32; 3])>,
-    ) -> Tensor {
-        let plan = plan_queries(self.grid_dims(), queries);
-        decode_packed(&self.packed, latent, &plan, Some(workers), None)
+        lr: &Dataset,
+        hr_meta: &DatasetMeta,
+        stats: ChannelStats,
+    ) -> Dataset {
+        self.super_resolve_with(None, lr, hr_meta, stats)
+    }
+
+    /// [`FrozenModel::super_resolve`] with every patch decoded on exactly
+    /// `workers` threads where `None` lets the decode pick — for the
+    /// thread-count invariance tests only; the result does not depend on it.
+    #[doc(hidden)]
+    pub fn super_resolve_with(
+        &self,
+        workers: Option<usize>,
+        lr: &Dataset,
+        hr_meta: &DatasetMeta,
+        stats: ChannelStats,
+    ) -> Dataset {
+        let spec = self.cfg.patch;
+        let origins = covering_origins(lr, spec);
+        let n_out = hr_meta.nt * CHANNELS * hr_meta.nz * hr_meta.nx;
+        let mut acc = vec![0.0f64; n_out];
+        let mut wsum = vec![0.0f64; hr_meta.nt * hr_meta.nz * hr_meta.nx];
+        let hr_dt = if hr_meta.nt < 2 { 0.0 } else { hr_meta.duration / (hr_meta.nt - 1) as f64 };
+        let hr_dz = hr_meta.lz / (hr_meta.nz - 1).max(1) as f64;
+        let hr_dx = hr_meta.lx / hr_meta.nx as f64;
+        let extent = [
+            (spec.nt - 1) as f64 * lr.dt(),
+            (spec.nz - 1) as f64 * lr.dz(),
+            (spec.nx - 1) as f64 * lr.dx(),
+        ];
+        // HR index interval covered by a patch starting at `origin` along one
+        // axis; the last patch also owns the trailing edge/wrap gap.
+        let covered = |n_hr: usize, h_hr: f64, origin_pos: f64, ext: f64, last: bool| {
+            let lo = (origin_pos / h_hr.max(1e-30) - 1e-9).ceil().max(0.0) as usize;
+            let hi = if last {
+                n_hr.saturating_sub(1)
+            } else {
+                (((origin_pos + ext) / h_hr.max(1e-30)) + 1e-9).floor() as usize
+            };
+            (lo, hi.min(n_hr.saturating_sub(1)))
+        };
+        // Separable hat weight: 1 at the patch center, small but positive at
+        // the faces so boundary points (covered by one patch only) still get
+        // written.
+        let hat =
+            |s: f32| -> f64 { 0.02 + (s.clamp(0.0, 1.0).min(1.0 - s.clamp(0.0, 1.0))) as f64 };
+        // One axis of a patch: the local coordinate and hat weight of each HR
+        // index it covers. Both are separable, so a patch needs three short
+        // tables, not three clamps and divisions per point.
+        let axis = |(lo, hi): (usize, usize), h_hr: f64, origin_pos: f64, ext: f64| {
+            let entry = |i: usize| {
+                let local = ((i as f64 * h_hr - origin_pos) / ext.max(1e-30)) as f32;
+                (local, hat(local))
+            };
+            (lo..=hi).map(entry).collect::<Vec<(f32, f64)>>()
+        };
+        let mut plan = QueryPlan::default();
+
+        for (ti, &t0) in origins.t.iter().enumerate() {
+            let o_t = t0 as f64 * lr.dt();
+            let frames = covered(hr_meta.nt, hr_dt, o_t, extent[0], ti + 1 == origins.t.len());
+            let along_t = axis(frames, hr_dt, o_t, extent[0]);
+            for (zi, &z0) in origins.z.iter().enumerate() {
+                let o_z = z0 as f64 * lr.dz();
+                let rows = covered(hr_meta.nz, hr_dz, o_z, extent[1], zi + 1 == origins.z.len());
+                let along_z = axis(rows, hr_dz, o_z, extent[1]);
+                for (xi, &x0) in origins.x.iter().enumerate() {
+                    let o_x = x0 as f64 * lr.dx();
+                    let cols =
+                        covered(hr_meta.nx, hr_dx, o_x, extent[2], xi + 1 == origins.x.len());
+                    let along_x = axis(cols, hr_dx, o_x, extent[2]);
+                    if along_t.is_empty() || along_z.is_empty() || along_x.is_empty() {
+                        continue;
+                    }
+                    let patch = extract_patch(lr, [t0, z0, x0], spec, stats);
+                    let latent = self.encode(&patch);
+                    // `decode_values`, with the plan's buffers kept across
+                    // patches.
+                    let points = along_t.iter().flat_map(|&(t, _)| {
+                        let along_x = &along_x;
+                        along_z.iter().flat_map(move |&(z, _)| {
+                            along_x.iter().map(move |&(x, _)| (0usize, [t, z, x]))
+                        })
+                    });
+                    plan_queries_into(&mut plan, self.grid_dims(), points);
+                    let pred = decode_packed(&self.packed, &latent, &plan, workers, None);
+                    // Blend in patch order on this thread: `w` is the f64
+                    // product `hat_t * hat_z * hat_x`, left to right.
+                    let mut values = pred.data().chunks_exact(CHANNELS);
+                    for (f, &(_, hat_t)) in (frames.0..).zip(&along_t) {
+                        for (j, &(_, hat_z)) in (rows.0..).zip(&along_z) {
+                            let hat_tz = hat_t * hat_z;
+                            for (i, &(_, hat_x)) in (cols.0..).zip(&along_x) {
+                                let w = hat_tz * hat_x;
+                                wsum[(f * hr_meta.nz + j) * hr_meta.nx + i] += w;
+                                let values = values.next().expect("one prediction per query");
+                                for (c, &raw) in values.iter().enumerate() {
+                                    acc[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i] +=
+                                        w * raw as f64;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let mut out = vec![0.0f32; n_out];
+        for f in 0..hr_meta.nt {
+            for c in 0..CHANNELS {
+                for j in 0..hr_meta.nz {
+                    for i in 0..hr_meta.nx {
+                        let w = wsum[(f * hr_meta.nz + j) * hr_meta.nx + i];
+                        debug_assert!(w > 0.0, "HR point ({f},{j},{i}) uncovered");
+                        let v = acc[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i]
+                            / w.max(1e-30);
+                        out[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i] =
+                            stats.restore(c, v as f32);
+                    }
+                }
+            }
+        }
+        let mut ds = Dataset::from_parts(hr_meta.clone(), out);
+        ds.refresh_stats();
+        ds
     }
 
     /// Test-time physics refinement (see [`crate::refine`]): budgeted gradient

@@ -13,8 +13,9 @@
 //!   and tape-free;
 //! - [`losses`]: prediction loss (Eqn. 8) and PDE equation loss (Eqn. 9) on
 //!   those derivative lanes;
-//! - [`model`]: the assembled network, combined loss (Eqn. 10), and
-//!   full-domain super-resolution;
+//! - [`model`]: the assembled network and the combined loss (Eqn. 10);
+//! - [`infer`]: the frozen inference engine — every tape-free encode,
+//!   decode and full-domain super-resolution;
 //! - [`baseline`]: Baseline (I) trilinear and Baseline (II) convolutional-
 //!   decoder U-Net of Table 2;
 //! - [`trainer`] / [`eval`]: Adam training loops and the NMAE/R² table rows;

@@ -1,9 +1,8 @@
 //! The assembled MeshfreeFlowNet model (paper Sec. 4, Fig. 3).
 
 use crate::config::MfnConfig;
-use crate::decoder::{
-    decode_packed, plan_queries, plan_queries_into, ContinuousDecoder, QueryPlan,
-};
+use crate::decoder::ContinuousDecoder;
+use crate::infer::FrozenModel;
 use crate::losses::{self, ChannelStats};
 use crate::unet::UNet3d;
 use mfn_autodiff::{Graph, Mlp, ParamStore, Var};
@@ -149,166 +148,16 @@ impl MeshfreeFlowNet {
         (total, comps)
     }
 
-    /// Encodes a stacked input `[N, 4, nt, nz, nx]` into a latent grid value
-    /// — the eager eval-mode forward (`UNet3d::forward_nograd`): no tape is
-    /// built and batch-norm statistics are read, never updated. Bit-identical
-    /// to `unet.forward(.., training = false)` on a `Graph`.
-    pub fn encode(&self, input: &Tensor) -> Tensor {
-        self.unet.forward_nograd(&self.store, input)
-    }
-
-    /// Decodes query points against an encoded latent grid value with the
-    /// blocked no-grad pipeline (`ContinuousDecoder::decode_nograd`, no
-    /// tape) — bit-identical to the `decoder.decode` the training graph
-    /// records. `queries` are `(batch, local)` pairs; returns normalized
-    /// predictions `[Q, 4]`.
-    pub fn decode_values(
-        &self,
-        latent: &Tensor,
-        queries: impl IntoIterator<Item = (usize, [f32; 3])>,
-    ) -> Tensor {
-        let plan = plan_queries(self.grid_dims(), queries);
-        self.decoder.decode_nograd(&self.store, latent, &plan)
-    }
-
     /// Super-resolves a full LR dataset onto the grid described by
-    /// `hr_meta`, returning a dataset with denormalized physical values.
-    ///
-    /// The LR grid is tiled with covering patches (consecutive patches share
-    /// a boundary vertex); every HR grid point is decoded from *all* patches
-    /// containing it and the results blended with separable hat weights
-    /// peaking at the patch center. The blending removes patch-seam
-    /// artifacts that would otherwise corrupt the spectral metrics (integral
-    /// scale, Taylor microscale). `stats` must be the training corpus's
-    /// [`crate::Corpus::stats`].
+    /// `hr_meta`: [`FrozenModel::super_resolve`] on a
+    /// [`FrozenModel::snapshot`] of the current weights, taken per call.
     pub fn super_resolve(
         &self,
         lr: &Dataset,
         hr_meta: &DatasetMeta,
         stats: ChannelStats,
     ) -> Dataset {
-        self.super_resolve_on(None, lr, hr_meta, stats)
-    }
-
-    /// [`MeshfreeFlowNet::super_resolve`] with every patch decoded on exactly
-    /// `workers` threads where `None` lets the decode pick — for the
-    /// thread-count invariance tests only; the result does not depend on it.
-    #[doc(hidden)]
-    pub fn super_resolve_on(
-        &self,
-        workers: Option<usize>,
-        lr: &Dataset,
-        hr_meta: &DatasetMeta,
-        stats: ChannelStats,
-    ) -> Dataset {
-        let spec = self.cfg.patch;
-        let origins = covering_origins(lr, spec);
-        let n_out = hr_meta.nt * CHANNELS * hr_meta.nz * hr_meta.nx;
-        let mut acc = vec![0.0f64; n_out];
-        let mut wsum = vec![0.0f64; hr_meta.nt * hr_meta.nz * hr_meta.nx];
-        let hr_dt = if hr_meta.nt < 2 { 0.0 } else { hr_meta.duration / (hr_meta.nt - 1) as f64 };
-        let hr_dz = hr_meta.lz / (hr_meta.nz - 1).max(1) as f64;
-        let hr_dx = hr_meta.lx / hr_meta.nx as f64;
-        let extent = [
-            (spec.nt - 1) as f64 * lr.dt(),
-            (spec.nz - 1) as f64 * lr.dz(),
-            (spec.nx - 1) as f64 * lr.dx(),
-        ];
-        // HR index interval covered by a patch starting at `origin` along one
-        // axis; the last patch also owns the trailing edge/wrap gap.
-        let covered = |n_hr: usize, h_hr: f64, origin_pos: f64, ext: f64, last: bool| {
-            let lo = (origin_pos / h_hr.max(1e-30) - 1e-9).ceil().max(0.0) as usize;
-            let hi = if last {
-                n_hr.saturating_sub(1)
-            } else {
-                (((origin_pos + ext) / h_hr.max(1e-30)) + 1e-9).floor() as usize
-            };
-            (lo, hi.min(n_hr.saturating_sub(1)))
-        };
-        // Separable hat weight: 1 at the patch center, small but positive at
-        // the faces so boundary points (covered by one patch only) still get
-        // written.
-        let hat =
-            |s: f32| -> f64 { 0.02 + (s.clamp(0.0, 1.0).min(1.0 - s.clamp(0.0, 1.0))) as f64 };
-        // One axis of a patch: the local coordinate and hat weight of each HR
-        // index it covers. Both are separable, so a patch needs three short
-        // tables, not three clamps and divisions per point.
-        let axis = |(lo, hi): (usize, usize), h_hr: f64, origin_pos: f64, ext: f64| {
-            let entry = |i: usize| {
-                let local = ((i as f64 * h_hr - origin_pos) / ext.max(1e-30)) as f32;
-                (local, hat(local))
-            };
-            (lo..=hi).map(entry).collect::<Vec<(f32, f64)>>()
-        };
-        let packed = self.decoder.mlp.pack(&self.store);
-        let mut plan = QueryPlan::default();
-
-        for (ti, &t0) in origins.t.iter().enumerate() {
-            let o_t = t0 as f64 * lr.dt();
-            let frames = covered(hr_meta.nt, hr_dt, o_t, extent[0], ti + 1 == origins.t.len());
-            let along_t = axis(frames, hr_dt, o_t, extent[0]);
-            for (zi, &z0) in origins.z.iter().enumerate() {
-                let o_z = z0 as f64 * lr.dz();
-                let rows = covered(hr_meta.nz, hr_dz, o_z, extent[1], zi + 1 == origins.z.len());
-                let along_z = axis(rows, hr_dz, o_z, extent[1]);
-                for (xi, &x0) in origins.x.iter().enumerate() {
-                    let o_x = x0 as f64 * lr.dx();
-                    let cols =
-                        covered(hr_meta.nx, hr_dx, o_x, extent[2], xi + 1 == origins.x.len());
-                    let along_x = axis(cols, hr_dx, o_x, extent[2]);
-                    if along_t.is_empty() || along_z.is_empty() || along_x.is_empty() {
-                        continue;
-                    }
-                    let patch = extract_patch(lr, [t0, z0, x0], spec, stats);
-                    let latent = self.encode(&patch);
-                    // `decode_values`, with the plan's buffers and the packed
-                    // weights kept across patches.
-                    let points = along_t.iter().flat_map(|&(t, _)| {
-                        let along_x = &along_x;
-                        along_z.iter().flat_map(move |&(z, _)| {
-                            along_x.iter().map(move |&(x, _)| (0usize, [t, z, x]))
-                        })
-                    });
-                    plan_queries_into(&mut plan, self.grid_dims(), points);
-                    let pred = decode_packed(&packed, &latent, &plan, workers, None);
-                    // Blend in patch order on this thread: `w` is the f64
-                    // product `hat_t * hat_z * hat_x`, left to right.
-                    let mut values = pred.data().chunks_exact(CHANNELS);
-                    for (f, &(_, hat_t)) in (frames.0..).zip(&along_t) {
-                        for (j, &(_, hat_z)) in (rows.0..).zip(&along_z) {
-                            let hat_tz = hat_t * hat_z;
-                            for (i, &(_, hat_x)) in (cols.0..).zip(&along_x) {
-                                let w = hat_tz * hat_x;
-                                wsum[(f * hr_meta.nz + j) * hr_meta.nx + i] += w;
-                                let values = values.next().expect("one prediction per query");
-                                for (c, &raw) in values.iter().enumerate() {
-                                    acc[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i] +=
-                                        w * raw as f64;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let mut out = vec![0.0f32; n_out];
-        for f in 0..hr_meta.nt {
-            for c in 0..CHANNELS {
-                for j in 0..hr_meta.nz {
-                    for i in 0..hr_meta.nx {
-                        let w = wsum[(f * hr_meta.nz + j) * hr_meta.nx + i];
-                        debug_assert!(w > 0.0, "HR point ({f},{j},{i}) uncovered");
-                        let v = acc[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i]
-                            / w.max(1e-30);
-                        out[((f * CHANNELS + c) * hr_meta.nz + j) * hr_meta.nx + i] =
-                            stats.restore(c, v as f32);
-                    }
-                }
-            }
-        }
-        let mut ds = Dataset::from_parts(hr_meta.clone(), out);
-        ds.refresh_stats();
-        ds
+        FrozenModel::snapshot(self).super_resolve(lr, hr_meta, stats)
     }
 }
 
@@ -439,6 +288,40 @@ mod tests {
         // And not identically zero (every point was written).
         let nonzero = sr.data.iter().filter(|v| **v != 0.0).count();
         assert!(nonzero as f64 > 0.99 * sr.data.len() as f64);
+    }
+
+    /// The live model's `super_resolve` is the frozen engine's: bit for bit
+    /// what an engine frozen from a copy of the weights and batch-norm
+    /// statistics returns, over twelve covering patches, before and after a
+    /// training step — a snapshot kept across calls would miss the step.
+    #[test]
+    fn super_resolve_is_the_frozen_engines_on_a_copy() {
+        use crate::config::TrainConfig;
+        use crate::trainer::Trainer;
+
+        let corpus = tiny_corpus();
+        let (hr, lr) = &corpus.pairs[0];
+        let origins = covering_origins(lr, tiny_model().cfg.patch);
+        assert_eq!([origins.t.len(), origins.z.len(), origins.x.len()], [2, 2, 3]);
+        let cfg = TrainConfig { batch_size: 2, ..TrainConfig::default() };
+        let mut trainer = Trainer::new(tiny_model(), cfg);
+        let bits = |ds: &Dataset| ds.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut before = None;
+        for _ in 0..2 {
+            let live = &trainer.model;
+            let mut copy = MeshfreeFlowNet::new(live.cfg.clone());
+            copy.store.unflatten_into(&live.store.flatten());
+            let mut bn = Vec::new();
+            live.write_bn_stats(&mut bn).expect("writing to a Vec cannot fail");
+            copy.read_bn_stats(&mut bn.as_slice()).expect("same architecture");
+            let want = FrozenModel::from_model(copy).super_resolve(lr, &hr.meta, corpus.stats);
+            let got = live.super_resolve(lr, &hr.meta, corpus.stats);
+            assert_eq!(bits(&got), bits(&want));
+            assert_ne!(before.replace(bits(&got)), Some(bits(&got)), "the step had no effect");
+            let sampler = PatchSampler::new(hr, lr, trainer.model.cfg.patch);
+            let batch = make_batch(&sampler, 2, &mut ChaCha8Rng::seed_from_u64(3));
+            trainer.step(&batch, corpus.params(0), corpus.stats);
+        }
     }
 
     #[test]

@@ -526,13 +526,19 @@ impl BaselineTrainer {
         self
     }
 
-    /// Trains over the corpus with random patch targets.
+    /// Trains over the corpus with random patch targets, annealing the
+    /// learning rate by `cfg.lr_decay` on entering every epoch but the first,
+    /// as [`Trainer::run_epoch`] does.
     pub fn train(&mut self, corpus: &Corpus) -> Vec<EpochRecord> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
         let spec = self.model.cfg.patch;
         let factors = self.model.factors;
         let mut records = Vec::with_capacity(self.cfg.epochs);
         for epoch in 0..self.cfg.epochs {
+            if self.cfg.lr_decay != 1.0 && epoch > 0 {
+                let lr = self.opt.config().lr * self.cfg.lr_decay;
+                self.opt.set_lr(lr);
+            }
             let start = Instant::now();
             let mut tl = 0.0f32;
             for _ in 0..self.cfg.batches_per_epoch {
@@ -708,6 +714,26 @@ mod tests {
         // The baseline has no equation term; metrics must agree.
         assert!(steps.iter().all(|m| m.loss_equation == 0.0));
         assert!(steps.iter().all(|m| m.grad_norm_pre.is_finite()));
+    }
+
+    #[test]
+    fn baseline_lr_decay_anneals_the_optimizer() {
+        let mut cfg = MfnConfig::small();
+        cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 8 };
+        cfg.base_channels = 4;
+        cfg.latent_channels = 8;
+        cfg.levels = 2;
+        let tc = TrainConfig {
+            epochs: 3,
+            batches_per_epoch: 1,
+            lr: 1e-2,
+            lr_decay: 0.5,
+            ..Default::default()
+        };
+        let mut trainer = BaselineTrainer::new(BaselineII::new(cfg, [2, 2, 2]), tc);
+        trainer.train(&tiny_corpus());
+        // Annealed on entering epochs 1 and 2: lr = 1e-2 * 0.5^2.
+        assert_eq!(trainer.opt.config().lr, 1e-2 * 0.5 * 0.5);
     }
 
     #[test]

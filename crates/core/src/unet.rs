@@ -13,9 +13,8 @@
 //! forward runs on a [`PackedUNet`] — every conv weight as implicit-GEMM
 //! panels, every batch norm as its eval-mode affine — with bias, affine,
 //! ReLU and the residual sum applied in place on each conv's own output.
-//! Who builds the snapshot follows from who may change the weights: a
-//! frozen engine packs once ([`UNet3d::pack`]), the live model once per
-//! call ([`UNet3d::forward_nograd`]) and keeps nothing.
+//! The frozen engine (`FrozenModel`) builds that snapshot ([`UNet3d::pack`])
+//! once, when it is built, and is the one no-grad caller.
 
 use crate::config::MfnConfig;
 use mfn_autodiff::{
@@ -258,17 +257,6 @@ impl UNet3d {
         let head = self.head.pack(store, vol(spatial));
         PackedUNet { stem, down, up, head, pool: self.pool.clone() }
     }
-
-    /// Eager no-grad inference forward (eval-mode BN, no tape, `&self`):
-    /// `x: [N, Cin, nt, nz, nx]` → latent grid `[N, n_c, nt, nz, nx]`.
-    /// Bit-identical to [`UNet3d::forward`] with `training = false`. The
-    /// weights are packed out of `store` on every call and never kept — the
-    /// store of a live model moves under every optimizer step — so a caller
-    /// whose weights cannot change packs once itself (`FrozenModel`).
-    pub fn forward_nograd(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape().rank(), 5, "U-Net input must be [N, C, nt, nz, nx]");
-        self.pack(store, [x.dims()[2], x.dims()[3], x.dims()[4]]).forward_nograd(x)
-    }
 }
 
 /// An inference-only snapshot of a [`UNet3d`]: every conv weight packed
@@ -396,9 +384,9 @@ mod tests {
 
     /// After real optimizer steps every batch norm has moved `γ`, `β` and
     /// both running statistics, so no precomputed `(scale, shift)` is the
-    /// identity: the tape in eval mode, the live model (packs per call), an
-    /// engine frozen from the model and one loaded from its checkpoint still
-    /// encode to the same bits — the last two having built identical panels.
+    /// identity: the tape in eval mode, an engine snapshotted from the live
+    /// model, one frozen from it and one loaded from its checkpoint still
+    /// encode to the same bits — the three having built identical panels.
     #[test]
     fn encode_after_training_is_one_value_on_every_path() {
         use crate::config::TrainConfig;
@@ -455,7 +443,8 @@ mod tests {
             g.value(latent).clone()
         };
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&tape), bits(&model.encode(&input)), "live encode");
+        let live = FrozenModel::snapshot(&model);
+        assert_eq!(bits(&tape), bits(&live.encode(&input)), "engine snapshotted from the model");
         assert_eq!(bits(&tape), bits(&loaded.encode(&input)), "engine loaded from the checkpoint");
         let frozen = FrozenModel::from_model(model);
         assert_eq!(bits(&tape), bits(&frozen.encode(&input)), "engine frozen from the model");

@@ -44,7 +44,8 @@ fn concurrent_threaded_decodes_agree_and_return_every_buffer() {
                 start.wait();
                 for call in 0..CALLS {
                     let got = model.decode_values(latent, queries(caller, call));
-                    let want = model.decode_values_on(1, latent, queries(caller, call));
+                    let want =
+                        model.decode_values_with(latent, queries(caller, call), Some(1), None);
                     assert_eq!(got.dims(), &[QUERIES, 4]);
                     assert!(
                         got.data().iter().zip(want.data()).all(|(a, b)| a.to_bits() == b.to_bits()),

@@ -7,7 +7,7 @@
 use crate::dataset::{Dataset, DatasetMeta};
 use mfn_tensor::le::{ReadLe, Short};
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes identifying the format (version 2: metadata inside).
@@ -31,17 +31,17 @@ pub fn save_dataset(ds: &Dataset, path: &Path) -> io::Result<()> {
 }
 
 /// Loads a dataset written by [`save_dataset`]. Nothing in the file is
-/// trusted: a metadata length over 64 KiB, dimensions that overflow
-/// `usize`, or a value count that disagrees with them is `InvalidData`, and
-/// a count the file is too short to hold is `UnexpectedEof` before the
-/// payload buffer is sized. That buffer is then allocated once, at its
-/// exact size, and filled in fixed chunks as they are read.
+/// trusted: a metadata length over 64 KiB, metadata that is not UTF-8 JSON,
+/// dimensions that overflow `usize`, or a value count that disagrees with
+/// them is `InvalidData`, and a metadata section or a count the file is too
+/// short to hold is `UnexpectedEof` before a buffer is sized for it. The
+/// payload buffer is then allocated once, at its exact size, and filled in
+/// fixed chunks as they are read: no buffer is larger than the file.
 pub fn load_dataset(path: &Path) -> io::Result<Dataset> {
     const CHUNK: usize = 4096;
     let bad = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len() as usize;
-    let mut r = BufReader::new(file);
+    let mut r = File::open(path)?;
+    let file_len = r.metadata()?.len() as usize;
     let mut head = [0u8; 12];
     r.read_exact(&mut head)?;
     if head[..8] != MAGIC[..] {
@@ -51,11 +51,15 @@ pub fn load_dataset(path: &Path) -> io::Result<Dataset> {
     if meta_len > MAX_META_LEN {
         return Err(bad(format!("metadata of {meta_len} bytes, at most {MAX_META_LEN} are read")));
     }
+    let have = file_len.saturating_sub(head.len());
+    if meta_len + 8 > have {
+        return Err(Short { need: meta_len + 8, have }.into());
+    }
     let mut section = vec![0u8; meta_len + 8];
     r.read_exact(&mut section)?;
     let (json, mut count) = section.split_at(meta_len);
-    let meta: DatasetMeta =
-        serde_json::from_str(&String::from_utf8_lossy(json)).map_err(|e| bad(e.to_string()))?;
+    let json = std::str::from_utf8(json).map_err(|e| bad(format!("metadata: {e}")))?;
+    let meta: DatasetMeta = serde_json::from_str(json).map_err(|e| bad(e.to_string()))?;
     let len = count.u64()?;
     let expected = [crate::dataset::CHANNELS, meta.nz, meta.nx]
         .into_iter()

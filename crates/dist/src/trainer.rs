@@ -137,7 +137,7 @@ pub fn train_data_parallel_recorded(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use mfn_core::{decode_train_state, MeshfreeFlowNet};
+    use mfn_core::{decode_train_state, FrozenModel, MeshfreeFlowNet};
     use mfn_data::{downsample, Dataset, PatchSpec};
     use mfn_solver::{simulate, RbcConfig};
 
@@ -249,9 +249,10 @@ pub(crate) mod tests {
         let mut fresh_bn = MeshfreeFlowNet::new(cfg.clone());
         fresh_bn.store.unflatten_into(&r.final_params);
         let input = mfn_core::extract_patch(&corpus.pairs[0].1, [0, 0, 0], cfg.patch, corpus.stats);
+        let encode = |m: &MeshfreeFlowNet| FrozenModel::snapshot(m).encode(&input);
         assert_ne!(
-            bits(fresh_bn.encode(&input).data()),
-            bits(decoded.encode(&input).data()),
+            bits(encode(&fresh_bn).data()),
+            bits(encode(&decoded).data()),
             "BN statistics had no effect"
         );
     }

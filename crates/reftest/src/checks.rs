@@ -13,7 +13,7 @@ use crate::reference as refk;
 use mfn_autodiff::{Activation, Graph, Mlp, ParamStore};
 use mfn_core::{
     equation_loss_at_points, plan_queries, ChannelStats, ConstraintSet, ContinuousDecoder, Corpus,
-    MeshfreeFlowNet, MfnConfig, RbcParams,
+    FrozenModel, MeshfreeFlowNet, MfnConfig, RbcParams,
 };
 use mfn_data::{Dataset, DatasetMeta, CHANNELS};
 use mfn_fft::{energy_spectrum_x, Complex, FftPlan, RealFftPlan};
@@ -871,19 +871,25 @@ fn widen_mlp(dec: &ContinuousDecoder, store: &ParamStore) -> Vec<refk::MlpLayerR
 }
 
 /// The blocked no-grad decode (gather, three GEMM + bias + softplus layers,
-/// trilinear blend; `ContinuousDecoder::decode_nograd`) end to end against
-/// the f64 point decoder, at a query count that spans several blocks with
-/// a ragged last one. The budget is a few f32 roundings per stage relative
-/// to the magnitude of the last layer's terms.
+/// trilinear blend; `FrozenModel::decode_values`) end to end against the f64
+/// point decoder, at a query count that spans several blocks with a ragged
+/// last one. The budget is a few f32 roundings per stage relative to the
+/// magnitude of the last layer's terms.
 pub fn check_decode_blocked() -> Report {
     use rand::SeedableRng;
     let mut chk = Checker::new("decode_blocked", Tolerance::new(16, 4.0e-6, 0.0));
-    let mut store = ParamStore::new();
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1800);
     let c = 5usize;
-    let mlp = Mlp::new(&mut store, "dec", &[3 + c, 24, 16, 4], Activation::Softplus, &mut rng);
-    let dec = ContinuousDecoder::new(mlp, c);
     let grid = [3usize, 4, 5];
+    let mut cfg = MfnConfig::small();
+    cfg.patch = mfn_data::PatchSpec { nt: grid[0], nz: grid[1], nx: grid[2], queries: 16 };
+    (cfg.base_channels, cfg.levels, cfg.latent_channels) = (4, 1, c);
+    cfg.mlp_hidden = vec![24, 16];
+    // The engine decodes with whatever decoder its model holds: this one.
+    let mut model = MeshfreeFlowNet::new(cfg);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1800);
+    let widths = [3 + c, 24, 16, 4];
+    let mlp = Mlp::new(&mut model.store, "dec", &widths, Activation::Softplus, &mut rng);
+    model.decoder = ContinuousDecoder::new(mlp, c);
     let latent = Tensor::randn(&[1, c, grid[0], grid[1], grid[2]], 0.5, &mut rng);
     let mut g = Lcg::new(1801);
     let points: Vec<[f32; 3]> = (0..203)
@@ -892,10 +898,10 @@ pub fn check_decode_blocked() -> Report {
             [coord(), coord(), coord()]
         })
         .collect();
-    let plan = plan_queries(grid, points.iter().map(|&q| (0usize, q)));
-    let got = dec.decode_nograd(&store, &latent, &plan);
+    let layers = widen_mlp(&model.decoder, &model.store);
+    let frozen = FrozenModel::from_model(model);
+    let got = frozen.decode_values(&latent, points.iter().map(|&q| (0usize, q)));
 
-    let layers = widen_mlp(&dec, &store);
     let lat64: Vec<f64> = latent.data().iter().map(|&v| f64::from(v)).collect();
     chk.case("203 queries, grid 3x4x5, MLP 8-24-16-4, seed 1800");
     for (q, point) in points.iter().enumerate() {
@@ -909,7 +915,7 @@ pub fn check_decode_blocked() -> Report {
 }
 
 /// Thread-count invariance of the no-grad decode, end to end: a whole
-/// `MeshfreeFlowNet::super_resolve` (eight covering patches of 343 or 392
+/// `FrozenModel::super_resolve` (eight covering patches of 343 or 392
 /// queries — six or seven blocks — blended across their seams) with every
 /// patch decoded on one, two and three threads, and on the count the call
 /// picks itself. The reference is the one-thread field and the budget is
@@ -928,11 +934,11 @@ pub fn check_decode_threads() -> Report {
     cfg.mlp_hidden = vec![24, 16];
     cfg.levels = 2;
     cfg.seed = 1901;
-    let model = MeshfreeFlowNet::new(cfg);
-    let want = model.super_resolve_on(Some(1), lr, &hr.meta, stats);
+    let model = FrozenModel::from_model(MeshfreeFlowNet::new(cfg));
+    let want = model.super_resolve_with(Some(1), lr, &hr.meta, stats);
     for workers in [Some(2), Some(3), None] {
         chk.case(format!("7x13x24 from 4x7x12, patch 4x4x4, seed 1900, workers {workers:?}"));
-        let got = model.super_resolve_on(workers, lr, &hr.meta, stats);
+        let got = model.super_resolve_with(workers, lr, &hr.meta, stats);
         for (i, (&g, &w)) in got.data.iter().zip(&want.data).enumerate() {
             chk.check_f32(i, g, f64::from(w), 0.0);
         }

@@ -1,8 +1,9 @@
 //! Pins the grad-free inference paths to the training graph, bit for bit.
 //!
 //! The no-grad forwards in `mfn-core`/`mfn-autodiff` exist so inference —
-//! `MeshfreeFlowNet::{encode, decode_values, super_resolve}` and the frozen
-//! serving engine alike — can skip the autodiff tape; they are only
+//! every encode, decode and super-resolution, all of them `FrozenModel`'s,
+//! whether serving or snapshotted from a live model — can skip the autodiff
+//! tape; they are only
 //! trustworthy if they produce the *same bits* as the tape in eval mode,
 //! and since inference no longer shares a call path with training nothing
 //! else would notice the two drifting apart. These tests are the contract:
@@ -102,7 +103,8 @@ fn nograd_encode_is_bit_identical_to_tape_eval() {
         for j in 0..3 {
             let input = rand_patch(&cfg, 2, seed * 7 + j);
             let tape = tape_encode(&mut reference, &input);
-            assert_bits_eq(&tape, &reference.encode(&input), "MeshfreeFlowNet::encode");
+            let live = FrozenModel::snapshot(&reference);
+            assert_bits_eq(&tape, &live.encode(&input), "FrozenModel::snapshot");
             assert_bits_eq(&tape, &frozen.encode(&input), "FrozenModel::encode");
         }
     }
@@ -122,29 +124,28 @@ fn nograd_decode_is_bit_identical_to_tape() {
         for n in [32, 250, 2_100] {
             let qs = rand_queries(&mut qstate, 2, n);
             let tape = tape_decode(&reference, &latent, &qs);
-            let model = reference.decode_values(&latent, qs.iter().copied());
-            assert_bits_eq(&tape, &model, "MeshfreeFlowNet::decode_values");
             let eager = frozen.decode_values(&latent, qs.iter().copied());
             assert_bits_eq(&tape, &eager, "FrozenModel::decode_values");
         }
     }
 }
 
-/// The live model packs its decoder weights for each call and keeps
-/// nothing: after an optimizer step `decode_values` moves with the weights
-/// and still equals the tape. Fails if panels are ever cached in
-/// `MeshfreeFlowNet`, whose store changes under every training step.
+/// A snapshot holds the weights of the moment it was taken: one taken
+/// after an optimizer step decodes with the new weights and still equals
+/// the tape, one taken before keeps the old ones.
 #[test]
-fn live_decode_follows_an_optimizer_step() {
+fn snapshot_follows_an_optimizer_step() {
     let (mut reference, _) = twin_models(3);
     let cfg = reference.cfg.clone();
     let latent = tape_encode(&mut reference, &rand_patch(&cfg, 2, 5));
     let qs = rand_queries(&mut 17, 2, 70);
-    let before = reference.decode_values(&latent, qs.iter().copied());
+    let old = FrozenModel::snapshot(&reference);
+    let before = old.decode_values(&latent, qs.iter().copied());
     let grads: Vec<Tensor> =
         reference.store.iter().map(|(_, _, p)| Tensor::ones(p.dims())).collect();
     Sgd::new(&reference.store, 0.05, 0.0).step(&mut reference.store, &grads);
-    let after = reference.decode_values(&latent, qs.iter().copied());
+    let after = FrozenModel::snapshot(&reference).decode_values(&latent, qs.iter().copied());
+    assert_bits_eq(&old.decode_values(&latent, qs.iter().copied()), &before, "old snapshot");
     assert_ne!(before.data(), after.data(), "decode ignored the weight update");
     assert_bits_eq(&tape_decode(&reference, &latent, &qs), &after, "decode after the step");
 }

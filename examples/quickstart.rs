@@ -10,8 +10,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use meshfreeflownet::core::{
-    baseline_trilinear, evaluate_pair, table_header, Corpus, MeshfreeFlowNet, MfnConfig,
-    TrainConfig, Trainer,
+    baseline_trilinear, evaluate_pair, table_header, Corpus, FrozenModel, MeshfreeFlowNet,
+    MfnConfig, TrainConfig, Trainer,
 };
 use meshfreeflownet::data::{downsample, Dataset};
 use meshfreeflownet::solver::{simulate, RbcConfig};
@@ -57,8 +57,8 @@ fn main() {
         );
     }
 
-    // 4. Super-resolve the full LR dataset.
-    let sr = trainer.model.super_resolve(&lr, &hr.meta, corpus.stats);
+    // 4. Freeze the trained model and super-resolve the full LR dataset.
+    let sr = FrozenModel::from_model(trainer.model).super_resolve(&lr, &hr.meta, corpus.stats);
     let b1 = baseline_trilinear(&lr, &hr);
 
     // 5. Physics-metric scoreboard (skip the quiescent start-up frames).

@@ -60,10 +60,11 @@ fn tiny_corpus() -> (Corpus, Dataset, Dataset) {
 /// What `train` writes is what `serve` loads: a trained `Trainer`'s
 /// checkpoint, loaded by `FrozenModel::load_state`, super-resolves bit for
 /// bit like the trained model — every covering patch's encode and its
-/// decode at a lattice of points, batch-norm running statistics included.
+/// decode at a lattice of points, batch-norm running statistics included,
+/// and the blended field.
 #[test]
 fn trained_model_roundtrips_through_checkpoint() {
-    let (corpus, _hr, lr) = tiny_corpus();
+    let (corpus, hr, lr) = tiny_corpus();
     let mut trainer = Trainer::new(
         MeshfreeFlowNet::new(tiny_cfg()),
         TrainConfig {
@@ -87,24 +88,31 @@ fn trained_model_roundtrips_through_checkpoint() {
         .map(|i| (0, [(i / 25) as f32 / 4.0, (i / 5 % 5) as f32 / 4.0, (i % 5) as f32 / 4.0]))
         .collect();
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let live = FrozenModel::snapshot(&trainer.model);
     let spec = trainer.model.cfg.patch;
     let origins = covering_origins(&lr, spec);
     for &t in &origins.t {
         for &z in &origins.z {
             for &x in &origins.x {
                 let patch = extract_patch(&lr, [t, z, x], spec, corpus.stats);
-                let (want, got) = (trainer.model.encode(&patch), frozen.encode(&patch));
+                let (want, got) = (live.encode(&patch), frozen.encode(&patch));
                 assert_eq!(bits(&got), bits(&want), "encode of patch {:?}", [t, z, x]);
                 assert_ne!(bits(&untrained.encode(&patch)), bits(&want), "load had no effect");
                 assert_eq!(
                     bits(&frozen.decode_values(&got, lattice.iter().copied())),
-                    bits(&trainer.model.decode_values(&want, lattice.iter().copied())),
+                    bits(&live.decode_values(&want, lattice.iter().copied())),
                     "decode of patch {:?}",
                     [t, z, x]
                 );
             }
         }
     }
+    let field = |ds: Dataset| ds.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        field(frozen.super_resolve(&lr, &hr.meta, corpus.stats)),
+        field(trainer.model.super_resolve(&lr, &hr.meta, corpus.stats)),
+        "super-resolved field"
+    );
 }
 
 /// A train state is served as the architecture it was written under —

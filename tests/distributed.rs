@@ -1,7 +1,7 @@
 //! Integration tests of the distributed layer against the serial trainer.
 
 use meshfreeflownet::core::{
-    decode_train_state, Corpus, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+    decode_train_state, Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
 };
 use meshfreeflownet::data::{downsample, Dataset, PatchSpec};
 use meshfreeflownet::dist::{ring, train_data_parallel};
@@ -113,7 +113,7 @@ fn distributed_model_is_usable_after_training() {
     let mut model = MeshfreeFlowNet::new(cfg);
     model.store.unflatten_into(&r.final_params);
     let (hr, lr) = &corpus.pairs[0];
-    let sr = model.super_resolve(lr, &hr.meta, corpus.stats);
+    let sr = FrozenModel::from_model(model).super_resolve(lr, &hr.meta, corpus.stats);
     assert!(sr.data.iter().all(|v| v.is_finite()));
 }
 

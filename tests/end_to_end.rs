@@ -2,7 +2,8 @@
 //! super-resolve → score pipeline, exercised end-to-end at a tiny scale.
 
 use meshfreeflownet::core::{
-    baseline_trilinear, evaluate_pair, Corpus, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+    baseline_trilinear, evaluate_pair, Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig,
+    TrainConfig, Trainer,
 };
 use meshfreeflownet::data::{downsample, Dataset, PatchSpec};
 use meshfreeflownet::solver::{simulate, RbcConfig};
@@ -54,7 +55,7 @@ fn full_pipeline_trains_and_scores() {
     let records = trainer.train(&corpus);
     assert!(records.last().expect("records").loss < records[0].loss);
     let (hr, lr) = &pair;
-    let sr = trainer.model.super_resolve(lr, &hr.meta, corpus.stats);
+    let sr = FrozenModel::from_model(trainer.model).super_resolve(lr, &hr.meta, corpus.stats);
     let nu = (hr.meta.pr / hr.meta.ra).sqrt();
     let row = evaluate_pair("mfn", hr, &sr, nu, 2);
     assert_eq!(row.scores.len(), 9);
@@ -146,8 +147,8 @@ fn dataset_roundtrip_preserves_training_inputs() {
 fn super_resolution_is_deterministic() {
     let (hr, lr) = tiny_data(7);
     let stats = Corpus::new(vec![(hr.clone(), lr.clone())]).stats;
-    let m1 = MeshfreeFlowNet::new(tiny_cfg());
-    let m2 = MeshfreeFlowNet::new(tiny_cfg());
+    let m1 = FrozenModel::from_model(MeshfreeFlowNet::new(tiny_cfg()));
+    let m2 = FrozenModel::from_model(MeshfreeFlowNet::new(tiny_cfg()));
     let a = m1.super_resolve(&lr, &hr.meta, stats);
     let b = m2.super_resolve(&lr, &hr.meta, stats);
     assert_eq!(a.data, b.data, "same seed + same input must give identical output");
@@ -159,7 +160,7 @@ fn mesh_free_decoding_at_arbitrary_resolution() {
     // than HR and with non-integer refinement of the LR spacing.
     let (hr, lr) = tiny_data(8);
     let stats = Corpus::new(vec![(hr.clone(), lr.clone())]).stats;
-    let model = MeshfreeFlowNet::new(tiny_cfg());
+    let model = FrozenModel::from_model(MeshfreeFlowNet::new(tiny_cfg()));
     let mut fine_meta = hr.meta.clone();
     fine_meta.nt = hr.meta.nt; // keep time frames
     fine_meta.nz = 3 * (hr.meta.nz - 1) + 1;
