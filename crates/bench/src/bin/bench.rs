@@ -184,7 +184,7 @@ fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
 }
 
 /// Schema tag of the report this binary writes.
-const SCHEMA: &str = "mfn-bench/kernels/v16";
+const SCHEMA: &str = "mfn-bench/kernels/v17";
 
 /// `BENCH_kernels.json`. The field names are the keys (the vendored derive
 /// renames nothing) and `--gate` parses a committed report back into this
@@ -608,7 +608,10 @@ struct DecodeValues {
 /// `queries` continuous point queries decoded against a cached latent: the
 /// timed call on `workers` threads (`mfn_core::decode_workers`), then each
 /// stage's minimum in µs over staged calls
-/// (`FrozenModel::decode_values_with`, always one thread).
+/// (`FrozenModel::decode_values_with`, always one thread). Since v17 `plan_us`
+/// is the sum of the call's per-block plans (each worker plans the blocks it
+/// takes) and `pack_b_us` only the short last B panels of its layers (a
+/// 512-row block reads its full panels in place).
 #[derive(Serialize, Deserialize)]
 struct DecodeRow {
     queries: usize,

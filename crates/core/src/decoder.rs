@@ -25,7 +25,8 @@
 //!   with no tape, a block of queries at a time, on weights packed into GEMM
 //!   A panels once ([`PackedMlp`]), when the frozen engine (`FrozenModel`,
 //!   every inference path: serving, `super_resolve`, evaluation) is built.
-//!   Blocks are independent, so a call of 1,024 queries or more
+//!   Blocks are independent — each is planned, decoded and blended by
+//!   whichever worker takes it — so a call of 1,024 queries or more
 //!   splits its blocks over the host's cores (`decode_blocked`) — the only
 //!   threads below `mfn-dist` and `mfn-serve`; the kernels under a block
 //!   stay single-threaded.
@@ -38,8 +39,9 @@ use std::sync::Mutex;
 pub const VERTICES: usize = 8;
 
 /// Queries the no-grad decode evaluates at a time: 512 rows, one `NC` column
-/// slab of the GEMM driver, and what bounds the decode's scratch (two
-/// ping-pong buffers of 512 rows × the widest layer, 256 KiB each for a
+/// slab of the GEMM driver — so each layer reads its activations in place
+/// (`PackedConv3d::forward_slices`) — and what bounds the decode's scratch
+/// (two ping-pong buffers of 512 rows × the widest layer, 256 KiB each for a
 /// 128-wide MLP, L2-resident) however many queries a call brings. With the
 /// weights prepacked a block has no fixed cost to amortize beyond that.
 const BLOCK_QUERIES: usize = 64;
@@ -48,7 +50,8 @@ const BLOCK_QUERIES: usize = 64;
 /// bench rows (nanoseconds, accumulated over the call).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DecodeStages {
-    /// Building the query plan: cell lookup, relative coordinates, weights.
+    /// Planning each block's queries: cell lookup, relative coordinates,
+    /// weights.
     pub plan_ns: f64,
     /// Gathering vertex latents and coordinates into each block's MLP input.
     pub gather_ns: f64,
@@ -59,9 +62,10 @@ pub struct DecodeStages {
 }
 
 /// Blocks a worker must have before a second one is worth spawning: a block
-/// is ≈ 190 µs of decode and a spawn + join ≈ 50 µs, so a call splits from 16
-/// blocks (1,024 queries, ≈ 3 ms) up and every serving decode (≤ 64 points,
-/// one block) stays on the thread that asked.
+/// is ≈ 420 µs of decode at the bench decoder's serving widths
+/// (`decode_values.rows[2]`, 64 queries) and a spawn + join ≈ 50 µs, so a
+/// call splits from 16 blocks (1,024 queries, ≈ 5.5 ms) up and every serving
+/// decode (≤ 64 points, one block) stays on the thread that asked.
 const BLOCKS_PER_WORKER: usize = 8;
 
 /// Threads an unstaged no-grad decode of `queries` points runs on: as many
@@ -78,30 +82,42 @@ pub fn decode_workers(queries: usize) -> usize {
     fed.min(std::thread::available_parallelism().map_or(1, usize::from))
 }
 
+/// The queries of one no-grad decode, by index: `len` points on a latent
+/// grid of vertex dims `grid`, point `i` being `at(i)` — a `(batch, [t, z,
+/// x])` pair with local coordinates in `[0, 1]`. Asking by index lets each
+/// worker plan the blocks it takes, so no plan of the whole call is built.
+pub(crate) struct Queries<F> {
+    pub grid: [usize; 3],
+    pub len: usize,
+    pub at: F,
+}
+
 /// The no-grad decode: `decode_blocked` at the production block size, on
 /// `workers` threads or — `None`, every production call — on
 /// [`decode_workers`] of them, one when `stages` is given (stage times are
 /// one thread's).
-pub(crate) fn decode_packed(
+pub(crate) fn decode_packed<F: Fn(usize) -> (usize, [f32; 3]) + Sync>(
     mlp: &PackedMlp,
     latent: &Tensor,
-    plan: &QueryPlan,
+    queries: &Queries<F>,
     workers: Option<usize>,
     stages: Option<&mut DecodeStages>,
 ) -> Tensor {
     let workers = match workers {
         Some(workers) => workers,
         None if stages.is_some() => 1,
-        None => decode_workers(plan.len()),
+        None => decode_workers(queries.len),
     };
-    decode_blocked(mlp, latent, plan, BLOCK_QUERIES, workers, stages)
+    decode_blocked(mlp, latent, queries, BLOCK_QUERIES, workers, stages)
 }
 
 /// The no-grad decode pipeline, one block of `block_queries` queries at a
-/// time: gather + coordinate de-interleave into `[3 + n_c, rows]` → every
-/// MLP layer (bias and activation included) → trilinear blend straight into
-/// the `[Q, out]` result. Intermediates live in two block-sized buffers per
-/// worker, so memory does not grow with the query count.
+/// time: plan the block's queries (cell, relative coordinates, weights) →
+/// gather + coordinate de-interleave into `[3 + n_c, rows]` → every MLP
+/// layer (bias and activation included) → trilinear blend straight into the
+/// `[Q, out]` result. The plan and the intermediates live in block-sized
+/// buffers per worker, so memory does not grow with the query count, and
+/// nothing of the call is planned before its threads start.
 ///
 /// Blocking is invisible in the output: every stage is point-wise, and a
 /// GEMM output column does not depend on how many columns the call has
@@ -110,54 +126,56 @@ pub(crate) fn decode_packed(
 /// B-pack zero-fills the columns of its last tile and the write-back stores
 /// none of them, so nothing past `rows` is read, stored or blended.
 ///
-/// So is the thread count: every block is decoded whole into its own slice
-/// of the result, and `workers` threads — the caller and `workers − 1` scoped
-/// ones, one worker being the same call with nothing spawned — each take the
-/// next undecoded block until none is left. Taking turns instead of halving
-/// the blocks up front is for the host, not the output: a helper that starts
-/// late or sits on a core someone else is using slows only the blocks it
-/// took. The threads live for this call only; a panic on one leaves the
-/// scope as a panic here once the rest have finished.
-fn decode_blocked(
+/// So is the thread count: every block is planned and decoded whole into its
+/// own slice of the result, and `workers` threads — the caller and `workers
+/// − 1` scoped ones, one worker being the same call with nothing spawned —
+/// each take the next undecoded block until none is left. Taking turns
+/// instead of halving the blocks up front is for the host, not the output: a
+/// helper that starts late or sits on a core someone else is using slows
+/// only the blocks it took. The threads live for this call only; a panic on
+/// one leaves the scope as a panic here once the rest have finished.
+fn decode_blocked<F: Fn(usize) -> (usize, [f32; 3]) + Sync>(
     mlp: &PackedMlp,
     latent: &Tensor,
-    plan: &QueryPlan,
+    queries: &Queries<F>,
     block_queries: usize,
     workers: usize,
     stages: Option<&mut DecodeStages>,
 ) -> Tensor {
-    assert!(!plan.is_empty(), "empty query plan");
+    assert!(queries.len > 0, "no queries to decode");
     assert!(workers == 1 || stages.is_none(), "stage times are one thread's");
     let (in_width, out_channels) = (mlp.in_features(), mlp.out_features());
-    let block_rows = block_queries.min(plan.len()) * VERTICES;
-    let mut out = workspace::take_vec_scratch(plan.len() * out_channels);
+    let block_rows = block_queries.min(queries.len) * VERTICES;
+    let mut out = workspace::take_vec_scratch(queries.len * out_channels);
     let blocks = Mutex::new(out.chunks_mut(block_queries * out_channels).enumerate());
     let work = |mut stages: Option<&mut DecodeStages>| {
+        let mut plan = QueryPlan::default();
         let mut cur = workspace::take_scratch(block_rows * mlp.max_width());
         let mut next = workspace::take_scratch(block_rows * mlp.max_width());
         loop {
             // Held for the `next()` only, so a panic below cannot poison it.
             let block = blocks.lock().expect("no holder panics").next();
             let Some((b, out_block)) = block else { break };
-            let rows = out_block.len() / out_channels * VERTICES;
-            let at = b * block_queries * VERTICES;
-            let (index, rel) = (&plan.index[at..at + rows], &plan.rel[at * 3..(at + rows) * 3]);
-            let input = &mut cur[..rows * in_width];
-            timed(&mut stages, |s| &mut s.gather_ns, || gather_features(latent, index, rel, input));
+            let first = b * block_queries;
+            let points = (first..first + out_block.len() / out_channels).map(&queries.at);
+            let plan_block = || plan_queries_into(&mut plan, queries.grid, points);
+            timed(&mut stages, |s| &mut s.plan_ns, plan_block);
+            let input = &mut cur[..plan.index.len() * in_width];
+            let gather = || gather_features(latent, &plan.index, &plan.rel, input);
+            timed(&mut stages, |s| &mut s.gather_ns, gather);
             let layers = stages.as_deref_mut().map(|s| &mut s.layers);
-            let values = mlp.forward(rows, &mut cur, &mut next, layers);
-            let weights = &plan.weights[at..at + rows];
-            let blend = || blend_features_into(values, weights, VERTICES, out_block);
+            let values = mlp.forward(plan.index.len(), &mut cur, &mut next, layers);
+            let blend = || blend_features_into(values, &plan.weights, VERTICES, out_block);
             timed(&mut stages, |s| &mut s.blend_ns, blend);
         }
     };
     std::thread::scope(|scope| {
-        for _ in 1..workers.min(plan.len().div_ceil(block_queries)) {
+        for _ in 1..workers.min(queries.len.div_ceil(block_queries)) {
             scope.spawn(|| work(None));
         }
         work(stages);
     });
-    Tensor::from_vec(out, &[plan.len(), out_channels])
+    Tensor::from_vec(out, &[queries.len, out_channels])
 }
 
 /// Precomputed lookup data for a set of queries against one latent grid.
@@ -227,10 +245,9 @@ pub fn plan_queries(
 }
 
 /// [`plan_queries`] into `plan`, replacing its contents but keeping its
-/// buffers — for a caller that plans patch after patch (`super_resolve`: ten
-/// plans of ~1.8 MB a pass, which as fresh vectors grown by doubling were
-/// 37 MB of allocator traffic per pass).
-pub(crate) fn plan_queries_into(
+/// buffers — for the no-grad decode, where each worker plans block after
+/// block of 64 queries into one plan of its own (≈ 10 KiB).
+fn plan_queries_into(
     plan: &mut QueryPlan,
     grid_dims: [usize; 3],
     queries: impl IntoIterator<Item = (usize, [f32; 3])>,
@@ -238,9 +255,14 @@ pub(crate) fn plan_queries_into(
     let [nt, nz, nx] = grid_dims;
     assert!(nt >= 2 && nz >= 2 && nx >= 2, "latent grid needs >= 2 vertices per axis");
     let vol = (nt * nz * nx) as u32;
+    let queries = queries.into_iter();
+    let rows = queries.size_hint().0 * VERTICES;
     plan.index.clear();
     plan.rel.clear();
     plan.weights.clear();
+    plan.index.reserve(rows);
+    plan.rel.reserve(rows * 3);
+    plan.weights.reserve(rows);
     for (b, local) in queries {
         let (it, ft) = locate(local[0], nt);
         let (iz, fz) = locate(local[1], nz);
@@ -381,15 +403,20 @@ mod tests {
         Tensor::randn(dims, 0.5, &mut rng)
     }
 
-    /// `q` queries scattered over both samples of a `[3, 4, 4]` grid.
+    /// Query `i` of `q` scattered over both samples of a `[3, 4, 4]` grid.
+    fn scattered_point(i: usize, q: usize) -> (usize, [f32; 3]) {
+        let f = i as f32 / q as f32;
+        (i % 2, [f, (f * 7.3).fract(), (f * 13.1).fract()])
+    }
+
+    /// Those `q` queries as the no-grad decode asks for them, by index.
+    fn scattered(q: usize) -> Queries<impl Fn(usize) -> (usize, [f32; 3]) + Sync> {
+        Queries { grid: [3, 4, 4], len: q, at: move |i| scattered_point(i, q) }
+    }
+
+    /// Those `q` queries planned whole, as the tape takes them.
     fn scattered_plan(q: usize) -> QueryPlan {
-        plan_queries(
-            [3, 4, 4],
-            (0..q).map(|i| {
-                let f = i as f32 / q as f32;
-                (i % 2, [f, (f * 7.3).fract(), (f * 13.1).fract()])
-            }),
-        )
+        plan_queries([3, 4, 4], (0..q).map(|i| scattered_point(i, q)))
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -627,7 +654,8 @@ mod tests {
     }
 
     /// Blocking is invisible: any query count gives the bits of one pass
-    /// over all rows, and those of the tape.
+    /// over all rows (planned as one block), and those of the tape over the
+    /// whole call's plan.
     #[test]
     fn blocked_decode_is_bit_identical_to_a_single_block() {
         const B: usize = BLOCK_QUERIES;
@@ -635,17 +663,17 @@ mod tests {
         let packed = dec.mlp.pack(&store);
         let latent = random_latent(7, &[2, 6, 3, 4, 4]);
         for q in [1, B - 1, B, B + 1, 3 * B + 7] {
-            let plan = scattered_plan(q);
-            let whole = decode_blocked(&packed, &latent, &plan, q, 1, None);
+            let queries = scattered(q);
+            let whole = decode_blocked(&packed, &latent, &queries, q, 1, None);
             assert_eq!(whole.dims(), &[q, 4]);
             assert_eq!(
-                bits(&decode_packed(&packed, &latent, &plan, None, None)),
+                bits(&decode_packed(&packed, &latent, &queries, None, None)),
                 bits(&whole),
                 "no-grad, Q={q}"
             );
             let mut g = Graph::new();
             let l = g.constant(latent.clone());
-            let tape = dec.decode(&mut g, &store, l, &plan);
+            let tape = dec.decode(&mut g, &store, l, &scattered_plan(q));
             assert_eq!(bits(g.value(tape)), bits(&whole), "tape, Q={q}");
         }
     }
@@ -654,7 +682,8 @@ mod tests {
     /// split (16 blocks and up) or stay whole under the production rule, more
     /// workers than that rule would spawn and more than there are blocks —
     /// all the bits of one worker, at the production block size and at one
-    /// query a block, whichever thread ends up taking which block.
+    /// query a block, whichever thread ends up planning and decoding which
+    /// block.
     #[test]
     fn worker_count_is_invisible_in_the_output() {
         const B: usize = BLOCK_QUERIES;
@@ -662,34 +691,37 @@ mod tests {
         let packed = dec.mlp.pack(&store);
         let latent = random_latent(10, &[2, 6, 3, 4, 4]);
         for q in [2, 15 * B, 16 * B + 1, 23 * B + 37] {
-            let plan = scattered_plan(q);
-            let whole = decode_blocked(&packed, &latent, &plan, q, 1, None);
+            let queries = scattered(q);
+            let whole = decode_blocked(&packed, &latent, &queries, q, 1, None);
             for block in [1, B] {
                 for workers in [1, 2, 3] {
-                    let got = decode_blocked(&packed, &latent, &plan, block, workers, None);
+                    let got = decode_blocked(&packed, &latent, &queries, block, workers, None);
                     assert_eq!(bits(&got), bits(&whole), "Q={q} block={block} workers={workers}");
                 }
             }
-            let picked = decode_packed(&packed, &latent, &plan, None, None);
+            let picked = decode_packed(&packed, &latent, &queries, None, None);
             assert_eq!(bits(&picked), bits(&whole), "Q={q}, the count the call picks");
             let mut stages = DecodeStages::default();
-            let staged = decode_packed(&packed, &latent, &plan, None, Some(&mut stages));
+            let staged = decode_packed(&packed, &latent, &queries, None, Some(&mut stages));
             assert_eq!(bits(&staged), bits(&whole), "Q={q}, staged");
+            assert!(stages.plan_ns > 0.0 && stages.blend_ns > 0.0, "Q={q}: {stages:?}");
         }
     }
 
-    /// A panic under the scope (here: a plan index beyond the latent, in the
-    /// last block, which either thread may be the one to take) comes out of
-    /// the decode as a panic once the other thread has run out of blocks — it
-    /// neither hangs nor returns a result with that block unwritten.
+    /// A panic under the scope (here: a query on a batch item beyond the
+    /// latent, in the last block, which either thread may be the one to plan
+    /// and gather) comes out of the decode as a panic once the other thread
+    /// has run out of blocks — it neither hangs nor returns a result with
+    /// that block unwritten.
     #[test]
     #[should_panic]
     fn a_panic_on_either_thread_leaves_the_decode_as_a_panic() {
         let (store, dec) = setup();
         let latent = random_latent(11, &[2, 6, 3, 4, 4]);
-        let mut plan = scattered_plan(32 * BLOCK_QUERIES);
-        *plan.index.last_mut().expect("non-empty") = u32::MAX;
-        decode_blocked(&dec.mlp.pack(&store), &latent, &plan, BLOCK_QUERIES, 2, None);
+        let q = 32 * BLOCK_QUERIES;
+        let at = |i: usize| if i + 1 == q { (1000, [0.5; 3]) } else { scattered_point(i, q) };
+        let queries = Queries { grid: [3, 4, 4], len: q, at };
+        decode_blocked(&dec.mlp.pack(&store), &latent, &queries, BLOCK_QUERIES, 2, None);
     }
 
     /// Tail-block hygiene: tiles compute whole `nr`-column panels, so a
@@ -702,15 +734,13 @@ mod tests {
         let packed = dec.mlp.pack(&store);
         let latent = random_latent(8, &[2, 6, 3, 4, 4]);
         let q = 2 * BLOCK_QUERIES + 3;
-        let plan = plan_queries(
-            [3, 4, 4],
-            (0..q).map(|i| {
-                let f = i as f32 / q as f32;
-                (i % 2, [(f * 3.7).fract(), f, (f * 11.3).fract()])
-            }),
-        );
+        let at = |i: usize| {
+            let f = i as f32 / q as f32;
+            (i % 2, [(f * 3.7).fract(), f, (f * 11.3).fract()])
+        };
+        let queries = Queries { grid: [3, 4, 4], len: q, at };
         workspace::clear();
-        let clean = decode_packed(&packed, &latent, &plan, None, None);
+        let clean = decode_packed(&packed, &latent, &queries, None, None);
         assert!(clean.data().iter().all(|v| v.is_finite()));
         let poison: Vec<Vec<f32>> = (6..=16)
             .flat_map(|shift| [1usize << shift; 4])
@@ -721,7 +751,7 @@ mod tests {
             })
             .collect();
         poison.into_iter().for_each(workspace::give_vec);
-        let dirty = decode_packed(&packed, &latent, &plan, None, None);
+        let dirty = decode_packed(&packed, &latent, &queries, None, None);
         assert_eq!(bits(&dirty), bits(&clean));
     }
 
@@ -755,8 +785,8 @@ mod tests {
             (0, [0.5, 0.5, 0.5]),         // on the t = 1 face: blends (1, 2, 2) in, not (2, 2, 2)
             (0, on_vertex(1, 2, 2)),      // on the infinite vertex itself
         ];
-        let plan = plan_queries(grid, queries);
-        let got = decode_packed(&dec.mlp.pack(&store), &latent, &plan, None, None);
+        let listed = Queries { grid, len: queries.len(), at: |i: usize| queries[i] };
+        let got = decode_packed(&dec.mlp.pack(&store), &latent, &listed, None, None);
         let row = |q: usize| &got.data()[q * 4..(q + 1) * 4];
         assert!(row(0).iter().all(|v| v.is_finite()), "zero-weight NaN neighbours: {:?}", row(0));
         assert!(row(1).iter().all(|v| v.is_nan()), "0 * inf must reach the output: {:?}", row(1));
@@ -764,7 +794,7 @@ mod tests {
         // And the tape agrees, bit for bit where finite.
         let mut g = Graph::new();
         let l = g.constant(latent);
-        let tape = dec.decode(&mut g, &store, l, &plan);
+        let tape = dec.decode(&mut g, &store, l, &plan_queries(grid, queries));
         assert_eq!(
             g.value(tape).data()[..4].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             row(0).iter().map(|v| v.to_bits()).collect::<Vec<_>>()

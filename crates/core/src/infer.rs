@@ -28,15 +28,13 @@ use crate::checkpoint::{
     decode_inference_state, load_train_state_with_fallback, read_config, CheckpointError,
 };
 use crate::config::MfnConfig;
-use crate::decoder::{
-    decode_packed, plan_queries, plan_queries_into, ContinuousDecoder, DecodeStages, QueryPlan,
-};
+use crate::decoder::{decode_packed, ContinuousDecoder, DecodeStages, Queries};
 use crate::losses::ChannelStats;
 use crate::model::{covering_origins, extract_patch, MeshfreeFlowNet};
 use crate::unet::PackedUNet;
 use mfn_autodiff::{FrozenParams, PackedMlp, ParamStore};
 use mfn_data::{Dataset, DatasetMeta, CHANNELS};
-use mfn_tensor::{timed, Tensor};
+use mfn_tensor::Tensor;
 use std::path::Path;
 
 /// An immutable inference engine over trained weights.
@@ -150,18 +148,20 @@ impl FrozenModel {
     /// as there are blocks, at most) where `None` lets the call pick, adding
     /// each stage's wall time to `stages` when given (`None` reads no clock)
     /// — for the thread-count invariance tests and the bench's stage and
-    /// one-core rows only; the result depends on neither.
+    /// one-core rows only; the result depends on neither. The queries are
+    /// only collected here: each block is planned by the worker that decodes
+    /// it.
     #[doc(hidden)]
     pub fn decode_values_with(
         &self,
         latent: &Tensor,
         queries: impl IntoIterator<Item = (usize, [f32; 3])>,
         workers: Option<usize>,
-        mut stages: Option<&mut DecodeStages>,
+        stages: Option<&mut DecodeStages>,
     ) -> Tensor {
-        let grid = self.grid_dims();
-        let plan = timed(&mut stages, |s| &mut s.plan_ns, || plan_queries(grid, queries));
-        decode_packed(&self.packed, latent, &plan, workers, stages)
+        let points: Vec<(usize, [f32; 3])> = queries.into_iter().collect();
+        let queries = Queries { grid: self.grid_dims(), len: points.len(), at: |i| points[i] };
+        decode_packed(&self.packed, latent, &queries, workers, stages)
     }
 
     /// Super-resolves a full LR dataset onto the grid described by
@@ -233,7 +233,6 @@ impl FrozenModel {
             };
             (lo..=hi).map(entry).collect::<Vec<(f32, f64)>>()
         };
-        let mut plan = QueryPlan::default();
 
         for (ti, &t0) in origins.t.iter().enumerate() {
             let o_t = t0 as f64 * lr.dt();
@@ -253,16 +252,17 @@ impl FrozenModel {
                     }
                     let patch = extract_patch(lr, [t0, z0, x0], spec, stats);
                     let latent = self.encode(&patch);
-                    // `decode_values`, with the plan's buffers kept across
-                    // patches.
-                    let points = along_t.iter().flat_map(|&(t, _)| {
-                        let along_x = &along_x;
-                        along_z.iter().flat_map(move |&(z, _)| {
-                            along_x.iter().map(move |&(x, _)| (0usize, [t, z, x]))
-                        })
-                    });
-                    plan_queries_into(&mut plan, self.grid_dims(), points);
-                    let pred = decode_packed(&self.packed, &latent, &plan, workers, None);
+                    // `decode_values` over the patch's HR points, t-major
+                    // then z then x, each found from its index by the worker
+                    // that plans its block.
+                    let (nz, nx) = (along_z.len(), along_x.len());
+                    let at = |i: usize| {
+                        let (t, zx) = (along_t[i / (nz * nx)].0, i % (nz * nx));
+                        (0usize, [t, along_z[zx / nx].0, along_x[zx % nx].0])
+                    };
+                    let queries =
+                        Queries { grid: self.grid_dims(), len: along_t.len() * nz * nx, at };
+                    let pred = decode_packed(&self.packed, &latent, &queries, workers, None);
                     // Blend in patch order on this thread: `w` is the f64
                     // product `hat_t * hat_z * hat_x`, left to right.
                     let mut values = pred.data().chunks_exact(CHANNELS);

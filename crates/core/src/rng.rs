@@ -1,11 +1,10 @@
 //! Checkpointable batch-sampling RNG.
 //!
-//! Bit-identical crash-resume needs the sampler's stream position on disk,
-//! but `ChaCha8Rng` exposes no portable state accessors. [`SampleRng`] wraps
-//! it and counts the 32-bit words drawn; its serialized form is just
-//! `(seed, words)` and restore replays `words` draws from a fresh stream.
-//! ChaCha8 emits ~1 GiB/s of stream on one core, so even a billion-word
-//! replay costs seconds — irrelevant next to the training run it resumes.
+//! Bit-identical crash-resume needs the sampler's stream position on disk.
+//! [`SampleRng`] wraps a `ChaCha8Rng` and counts the 32-bit words drawn; its
+//! serialized form is just `(seed, words)`, and restore seeks a fresh stream
+//! to `words` with `set_word_pos` — O(1) at any position, so a train state
+//! that claims a position near 2^63 resumes as fast as an honest one.
 //!
 //! The wrapper composes `next_u64` from two `next_u32` calls in the same
 //! low-word-first order as `rand_core`'s `BlockRng`, so a `SampleRng` yields
@@ -44,13 +43,11 @@ impl SampleRng {
         RngState { seed: self.seed, words: self.words }
     }
 
-    /// Rebuilds the stream at the recorded position by replaying the
-    /// consumed words.
+    /// Rebuilds the stream at the recorded position by seeking a fresh one
+    /// there.
     pub fn restore(state: RngState) -> Self {
         let mut rng = SampleRng::seed_from_u64(state.seed);
-        for _ in 0..state.words {
-            rng.inner.next_u32();
-        }
+        rng.inner.set_word_pos(u128::from(state.words));
         rng.words = state.words;
         rng
     }
@@ -111,6 +108,24 @@ mod tests {
         assert_eq!(b.state(), state);
         for i in 0..200 {
             assert_eq!(a.next_u32(), b.next_u32(), "post-restore draw {i}");
+        }
+    }
+
+    /// Restoring seeks to what replaying the words would reach, at
+    /// positions on and around the stream's 16-word block edges and far past
+    /// them.
+    #[test]
+    fn restore_seeks_where_replay_lands() {
+        for words in [0u64, 1, 15, 16, 17, 1_000_003] {
+            let mut replayed = SampleRng::seed_from_u64(11);
+            for _ in 0..words {
+                replayed.next_u32();
+            }
+            let mut seeked = SampleRng::restore(RngState { seed: 11, words });
+            assert_eq!(seeked.state(), replayed.state());
+            for i in 0..40 {
+                assert_eq!(seeked.next_u32(), replayed.next_u32(), "words {words}, draw {i}");
+            }
         }
     }
 

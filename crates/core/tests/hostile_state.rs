@@ -12,7 +12,9 @@
 //! files, each mutated by the moves of `mfn-serve`'s protocol fuzzer. Every
 //! one loads or is refused with a typed error — never a panic — and no
 //! single allocation is larger than the file it came from (or, for a file
-//! shorter than 1 KiB, than parsing its JSON section takes).
+//! shorter than 1 KiB, than parsing its JSON section takes). A CRC-valid
+//! state whose sampler claims a position near 2^63 resumes there within a
+//! second: the stream is sought, not replayed.
 
 use mfn_autodiff::{Adam, AdamConfig};
 use mfn_core::{
@@ -28,6 +30,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// The system allocator, recording the largest size it was asked for.
 struct Largest;
@@ -226,6 +229,17 @@ fn mutated_train_states_load_or_fail_typed_within_their_size() {
     };
     let loaded = sweep(0x5EED, 300, &payload, &lengths, &path, write, engine);
     let resumed = sweep(0x5EED, 300, &payload, &lengths, &path, write, resume);
+
+    // The sampler position is the one field no mutation above can make
+    // expensive by accident; claim the far end of it on purpose.
+    let far = RngState { seed: 3, words: (1 << 63) - 5 };
+    let meta = TrainStateMeta { global_step: 9, epoch: 1, batch_cursor: 2, rngs: vec![far] };
+    write(&path, &encode_train_state(&model, &opt, &meta));
+    let started = Instant::now();
+    let trainer = Trainer::resume(fresh(), tc, &path).expect("an honest far position resumes");
+    let took = started.elapsed();
+    assert_eq!(trainer.sampler_state(), far);
+    assert!(took < Duration::from_secs(1), "resuming at word 2^63 - 5 took {took:?}");
     std::fs::remove_dir_all(&dir).ok();
     // Most mutations land in the weights, which load whatever they hold.
     assert!(loaded > 0 && resumed > 0 && loaded < 300, "{loaded} loaded, {resumed} resumed");

@@ -20,7 +20,12 @@
 //! zero border (`hp`, `wp`, `volp` its plane extents) — so no inner loop
 //! tests a border, clamps or divides. A 1×1×1 kernel has no border and `xp`
 //! *is* the input. The B-panel packers read `xp` through the two offset
-//! maps; the weight-side A panels are a [`PackedConv3d`], packed per call by
+//! maps — except where the patch matrix is the input itself and all of it
+//! fits one `NC` slab (1×1×1 over at most `NC` voxels of every batch item
+//! together), whose full panels the micro-kernel reads where they lie,
+//! packing only a short last panel
+//! ([`PackedConv3d::forward_slices`]); the weight-side A panels are a
+//! [`PackedConv3d`], packed per call by
 //! [`conv3d_auto`] or once by a caller whose weights cannot change.
 //! [`conv3d_grad_input`] is the same driver on flipped weights and
 //! [`conv3d_grad_weight`] packs the transposed patch matrix from the same
@@ -40,7 +45,7 @@
 //! [`crate::workspace`] pool, so steady-state calls do not touch the system
 //! allocator.
 
-use crate::gemm::{macro_block, pack_a, take_scratch_aligned, KC, NC};
+use crate::gemm::{macro_block, pack_a, BSlab, KC, NC};
 use crate::simd::{self, transpose_pack, Kernel};
 use crate::tensor::Tensor;
 use crate::workspace;
@@ -309,15 +314,8 @@ pub struct PackedConv3d {
     kernel: [usize; 3],
     tile: &'static Kernel,
     /// Panel storage from the [`crate::workspace`] pool (per-call packing
-    /// must not allocate); the payload starts at `off`, cache-line aligned.
-    buf: Vec<f32>,
-    off: usize,
-}
-
-impl Drop for PackedConv3d {
-    fn drop(&mut self) {
-        workspace::give_vec(std::mem::take(&mut self.buf));
-    }
+    /// must not allocate), cache-line aligned.
+    panels: workspace::WorkspaceGuard,
 }
 
 // Hand-written: neither the panels nor the kernel's fn table are worth printing.
@@ -360,15 +358,11 @@ impl PackedConv3d {
         let ksize = cin * kernel.iter().product::<usize>();
         let tile = simd::active_kernel_for(cout, vol);
         let rows = cout.div_ceil(tile.mr) * tile.mr;
-        let mut buf = workspace::take_vec_scratch(rows * ksize + 15);
-        let off = buf.as_ptr().align_offset(64).min(15);
-        let mut at = off;
-        for pc in (0..ksize).step_by(KC) {
-            let kb = KC.min(ksize - pc);
-            pack_a(tile.mr, &mut buf[at..at + rows * kb], w, ksize, 1, 0, cout, pc, kb);
-            at += rows * kb;
+        let mut panels = workspace::take_scratch(rows * ksize);
+        for (pc, slab) in (0..ksize).step_by(KC).zip(panels.chunks_mut(rows * KC)) {
+            pack_a(tile.mr, slab, w, ksize, 1, 0, cout, pc, KC.min(ksize - pc));
         }
-        PackedConv3d { cin, cout, kernel, tile, buf, off }
+        PackedConv3d { cin, cout, kernel, tile, panels }
     }
 
     /// Forward 3D convolution with stride 1 and same zero padding:
@@ -399,6 +393,17 @@ impl PackedConv3d {
     /// vol]` → `out: [n, cout, vol]`, fully overwritten. `stages` as in
     /// [`PackedConv3d::forward_staged`].
     ///
+    /// A 1×1×1 kernel whose whole operand — every batch item's columns —
+    /// fits one `NC` slab reads its B operand in place: the patch matrix is
+    /// then `x` itself, row-major `[cin, vol]` per item, and all of it is the
+    /// one slab the driver would copy, so each full `nr`-column panel goes to
+    /// the micro-kernel where it lies (rows `vol` apart) and only a short
+    /// last panel is packed. Larger operands — the tape's layers over every
+    /// lane of a batch, a training batch of patches — keep packing slab by
+    /// slab, where a packed panel streams from L1 and a strided one would
+    /// not. Either way every output is the same FMA chain over the same
+    /// values: the bits do not depend on which panels were packed.
+    ///
     /// # Panics
     /// Panics if the slices are not the same number of `[cin, vol]` and
     /// `[cout, vol]` items.
@@ -422,37 +427,44 @@ impl PackedConv3d {
         let (mr, nr) = (self.tile.mr, self.tile.nr);
         let a_rows = self.cout.div_ceil(mr) * mr;
         let (mut koff, mut voff) = ([0u32; KC], [0u32; NC]);
+        // Full panels read in place (only ever in the first and only slab).
+        let in_place = if dims.kvol() == 1 && n * vol <= NC { vol / nr } else { 0 };
 
         for (oslab, x) in out.chunks_mut(self.cout * vol).zip(x.chunks(self.cin * vol)) {
             let xp = map.item(&mut xp_buf, x, &mut stages);
             for jc in (0..vol).step_by(NC) {
                 let nb = NC.min(vol - jc);
                 map.fill_voff(&mut voff[..nb], jc);
-                let mut a_at = self.off;
+                let packed = &voff[in_place * nr..nb];
+                let mut a_at = 0;
                 for pc in (0..ksize).step_by(KC) {
                     let kb = KC.min(ksize - pc);
                     map.fill_koff(&mut koff[..kb], pc);
-                    let b_len = nb.div_ceil(nr) * nr * kb;
-                    let (mut b_buf, b_off) = take_scratch_aligned(b_len);
-                    let b_pack = &mut b_buf[b_off..b_off + b_len];
-                    timed(
-                        &mut stages,
-                        |s| &mut s.pack_b_ns,
-                        || {
-                            let cols = voff[..nb].chunks(nr);
-                            for (panel, cols) in b_pack.chunks_exact_mut(nr * kb).zip(cols) {
-                                pack_patch_panel(panel, nr, xp, &koff[..kb], cols);
-                            }
-                        },
-                    );
-                    let a_pack = &self.buf[a_at..a_at + a_rows * kb];
+                    let mut b_pack = workspace::take_scratch(packed.len().div_ceil(nr) * nr * kb);
+                    if !packed.is_empty() {
+                        timed(
+                            &mut stages,
+                            |s| &mut s.pack_b_ns,
+                            || {
+                                let cols = packed.chunks(nr);
+                                for (panel, cols) in b_pack.chunks_exact_mut(nr * kb).zip(cols) {
+                                    pack_patch_panel(panel, nr, xp, &koff[..kb], cols);
+                                }
+                            },
+                        );
+                    }
+                    let b = if in_place > 0 {
+                        let edge = (!packed.is_empty()).then_some(&b_pack[..]);
+                        BSlab::in_place(&xp[pc * vol..], in_place, nr, vol, edge)
+                    } else {
+                        BSlab::packed(&b_pack, nr, kb)
+                    };
+                    let a_pack = &self.panels[a_at..a_at + a_rows * kb];
                     let (tile, cout, first) = (self.tile, self.cout, pc == 0);
                     timed(
                         &mut stages,
                         |s| &mut s.micro_ns,
-                        || {
-                            macro_block(tile, a_pack, b_pack, oslab, cout, kb, nb, vol, jc, first);
-                        },
+                        || macro_block(tile, a_pack, b, oslab, cout, kb, nb, vol, jc, first),
                     );
                     a_at += a_rows * kb;
                 }
@@ -552,29 +564,25 @@ pub fn conv3d_grad_weight(
             for pc in (0..vol).step_by(KC) {
                 let kb = KC.min(vol - pc);
                 map.fill_voff(&mut voff[..kb], pc);
-                let b_len = nb.div_ceil(nr) * nr * kb;
-                let (mut b_buf, b_off) = take_scratch_aligned(b_len);
-                let b_pack = &mut b_buf[b_off..b_off + b_len];
+                let mut b_pack = workspace::take_scratch(nb.div_ceil(nr) * nr * kb);
                 timed(
                     &mut stages,
                     |s| &mut s.pack_b_ns,
-                    || pack_patch_rows(b_pack, nr, xp, &koff[..nb], &voff[..kb]),
+                    || pack_patch_rows(&mut b_pack, nr, xp, &koff[..nb], &voff[..kb]),
                 );
-                let a_len = dims.cout.div_ceil(mr) * mr * kb;
-                let (mut a_buf, a_off) = take_scratch_aligned(a_len);
-                let a_pack = &mut a_buf[a_off..a_off + a_len];
+                let mut a_pack = workspace::take_scratch(dims.cout.div_ceil(mr) * mr * kb);
                 timed(
                     &mut stages,
                     |s| &mut s.pack_a_ns,
-                    || pack_a(mr, a_pack, gn, vol, 1, 0, dims.cout, pc, kb),
+                    || pack_a(mr, &mut a_pack, gn, vol, 1, 0, dims.cout, pc, kb),
                 );
-                let first = n == 0 && pc == 0;
+                let (b, first) = (BSlab::packed(&b_pack, nr, kb), n == 0 && pc == 0);
                 timed(
                     &mut stages,
                     |s| &mut s.micro_ns,
                     || {
                         macro_block(
-                            kernel, a_pack, b_pack, &mut out, dims.cout, kb, nb, ksize, jc, first,
+                            kernel, &a_pack, b, &mut out, dims.cout, kb, nb, ksize, jc, first,
                         )
                     },
                 );
@@ -1066,15 +1074,79 @@ mod tests {
         set_backend_override(None);
     }
 
+    /// A pointwise forward over at most `NC` voxels (of all its batch items)
+    /// reads its full B panels in place and packs only a short last one;
+    /// over `NC + 1` it packs every panel. Column `j` of a 1×1×1 conv reads
+    /// column `j` of its input alone, so the first `vol` columns of a packed
+    /// forward over `NC + 1` voxels are what the in-place forward over those
+    /// `vol` columns must give, bit for bit, and both are the scalar FMA
+    /// chain — on every tier, at a volume under one panel, a whole number of
+    /// panels on every tile (96), exactly `NC`, with `cin > KC` (the second
+    /// depth slab's B rows start `KC` rows into the input) and over two
+    /// batch items. The operand is a prefix of a NaN-filled buffer, so a read
+    /// past it would show; NaN and ±∞ inside it reach the outputs of their
+    /// own column (through a zero weight too, as `0·∞ = NaN`) and no other.
+    #[test]
+    fn pointwise_in_place_b_is_bit_identical_to_the_packed_path() {
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let mut rng = ChaCha8Rng::seed_from_u64(84);
+        let wide = NC + 1;
+        for (cin, cout, vol, n) in
+            [(5, 8, 7, 1), (19, 64, 96, 1), (19, 64, NC, 1), (300, 16, 200, 1), (24, 8, 250, 2)]
+        {
+            let mut x = Tensor::randn(&[n, cin, 1, 1, wide], 1.0, &mut rng);
+            // Non-finite values in three columns, one of them a short last
+            // panel's on every tile.
+            let poisoned = [3, vol / 2, vol - 1];
+            for (&j, v) in poisoned.iter().zip([f32::NAN, f32::INFINITY, f32::NEG_INFINITY]) {
+                x.data_mut()[((n - 1) * cin + cin / 2) * wide + j] = v;
+            }
+            let mut w = Tensor::randn(&[cout, cin, 1, 1, 1], 1.0, &mut rng);
+            for co in (0..cout).step_by(3) {
+                w.data_mut()[co * cin + cin / 2] = 0.0;
+            }
+            let mut narrow = vec![f32::NAN; n * cin * vol + 64];
+            for (dst, src) in narrow.chunks_mut(vol).zip(x.data().chunks(wide)) {
+                dst.copy_from_slice(&src[..vol]);
+            }
+            let chain = conv3d_fma_chain(&x, &w);
+            for backend in runnable_backends() {
+                set_backend_override(Some(backend));
+                let packed = PackedConv3d::pack(&w, vol);
+                let mut all = vec![f32::NAN; n * cout * wide];
+                packed.forward_slices(x.data(), [1, 1, wide], &mut all, None);
+                let mut got = vec![f32::NAN; n * cout * vol];
+                packed.forward_slices(&narrow[..n * cin * vol], [1, 1, vol], &mut got, None);
+                for (r, (row, want)) in got.chunks(vol).zip(all.chunks(wide)).enumerate() {
+                    let (item, co) = (r / cout, r % cout);
+                    for (j, (&g, &p)) in row.iter().zip(want).enumerate() {
+                        let what = format!("{cin}->{cout} vol {vol} item {item} row {co} col {j}");
+                        let c = chain.data()[r * wide + j];
+                        assert!(
+                            same(g, p) && same(p, c),
+                            "{what} on {}: {g} {p} {c}",
+                            backend.name()
+                        );
+                        let hit = item == n - 1 && poisoned.contains(&j);
+                        assert_eq!(!g.is_finite(), hit, "{what}: {g}");
+                    }
+                }
+            }
+        }
+        set_backend_override(None);
+    }
+
     /// The stage clock is an observer: a staged forward returns the same
-    /// bits and accounts a pad copy only where there is a border.
+    /// bits and accounts a pad copy only where there is a border. (250
+    /// voxels leave a short last panel on every tile, so the pointwise
+    /// forward, which reads its full panels in place, packs one too.)
     #[test]
     fn staged_forward_times_without_changing_the_result() {
         let mut rng = ChaCha8Rng::seed_from_u64(83);
         for k in [[1usize, 1, 1], [3, 3, 3]] {
-            let input = Tensor::randn(&[2, 4, 4, 8, 8], 1.0, &mut rng);
+            let input = Tensor::randn(&[2, 4, 5, 5, 10], 1.0, &mut rng);
             let weight = Tensor::randn(&[8, 4, k[0], k[1], k[2]], 1.0, &mut rng);
-            let packed = PackedConv3d::pack(&weight, 256);
+            let packed = PackedConv3d::pack(&weight, 250);
             let mut stages = ConvStages::default();
             let staged = packed.forward_staged(&input, Some(&mut stages));
             assert_bits_eq(&packed.forward(&input), &staged, "staged");

@@ -24,19 +24,23 @@
 //! `6×16`). This driver is tile-shape agnostic: packing, edge masking and
 //! write-back are all phrased in the active kernel's `mr`/`nr`.
 //!
-//! Packing copies each `KC`-deep panel into contiguous storage so the
-//! micro-kernel's inner loop reads both operands sequentially: `a_pack`
-//! stores mr-row panels column-major (`a_pack[p*mr + i]`), `b_pack` stores
-//! nr-column panels row-major (`b_pack[p*nr + j]`). Transposition is folded
-//! into the packing strides, so the micro-kernel never sees it. Edge panels
+//! The micro-kernel reads an `mr`-row A panel column-major (`a_pack[p*mr +
+//! i]`) and an `nr`-column B panel row-major with its rows `ldb` apart
+//! (`b[p*ldb + j]`). Packing copies a `KC`-deep panel into that form,
+//! contiguous (`ldb = nr`), with transposition folded into the packing
+//! strides so the micro-kernel never sees it. A B operand that is already
+//! row-major needs no copy for its full panels: the conv driver's 1×1×1
+//! case whose whole operand fits one `NC` slab hands the kernel `nr` columns
+//! of the operand where they lie (`ldb` its row length) and packs only a
+//! short last panel ([`crate::PackedConv3d::forward_slices`]). Edge panels
 //! are zero-padded: the micro-kernel always computes a full mr×nr tile
 //! (branch-free inner loop — no zero-skip shortcuts, so `0·∞ = NaN`
 //! propagates correctly) and the write-back masks the padding. Packing
-//! buffers come from the [`crate::workspace`] pool, so steady-state GEMM
-//! calls do not allocate. A *weight* that is multiplied against many times
-//! unchanged sits on the A side and is packed once instead
-//! ([`crate::PackedConv3d`]: a conv weight, or a `Linear` weight over
-//! feature-major activations): this loop nest minus `pack_a`.
+//! buffers come from the [`crate::workspace`] pool, cache-line aligned, so
+//! steady-state GEMM calls do not allocate. A *weight* that is multiplied
+//! against many times unchanged sits on the A side and is packed once
+//! instead ([`crate::PackedConv3d`]: a conv weight, or a `Linear` weight
+//! over feature-major activations): this loop nest minus `pack_a`.
 //!
 //! `C` is *overwritten* on the first `pc` iteration and accumulated into on
 //! subsequent ones, so callers never need to pre-zero the output. The `KC`
@@ -58,15 +62,51 @@ pub const KC: usize = 256;
 /// Column-slab size: a KC×NC packed B slab should sit in L2/L3.
 pub const NC: usize = 512;
 
-/// Takes a pooled scratch buffer whose payload starts on a 64-byte (cache
-/// line) boundary, returning the guard plus the element offset of the
-/// payload. Panel alignment matters: a zmm load that straddles a cache line
-/// costs two L1 accesses, and the pool hands back arbitrarily aligned `Vec`
-/// storage.
-pub(crate) fn take_scratch_aligned(len: usize) -> (workspace::WorkspaceGuard, usize) {
-    let buf = workspace::take_scratch(len + 15);
-    let off = buf.as_ptr().align_offset(64).min(15);
-    (buf, off)
+/// The B operand of one `kb`-deep slab as the micro-kernel reads it, panel
+/// by panel: the first `count` panels lie in `body`, panel `pj` from
+/// `pj·step` with its rows `ld` apart — packed (`step = nr·kb`, `ld = nr`) or
+/// `nr` full columns of a row-major operand read where they lie (`step =
+/// nr`, `ld` its row length) — and `edge`, when there is one, is one more
+/// packed panel after them (an in-place operand's short last panel).
+#[derive(Clone, Copy)]
+pub(crate) struct BSlab<'a> {
+    body: &'a [f32],
+    count: usize,
+    step: usize,
+    ld: usize,
+    edge: Option<&'a [f32]>,
+}
+
+impl<'a> BSlab<'a> {
+    /// `nr·kb`-element panels packed back to back.
+    pub(crate) fn packed(b_pack: &'a [f32], nr: usize, kb: usize) -> Self {
+        let count = b_pack.len() / (nr * kb);
+        BSlab { body: b_pack, count, step: nr * kb, ld: nr, edge: None }
+    }
+
+    /// `count` panels of `nr` columns each read in place from rows `ld`
+    /// apart that start at `b[0]`, then the packed `edge`, if any.
+    pub(crate) fn in_place(
+        b: &'a [f32],
+        count: usize,
+        nr: usize,
+        ld: usize,
+        edge: Option<&'a [f32]>,
+    ) -> Self {
+        BSlab { body: b, count, step: nr, ld, edge }
+    }
+
+    fn panels(&self) -> usize {
+        self.count + usize::from(self.edge.is_some())
+    }
+
+    /// Panel `pj` and its row stride.
+    fn panel(&self, pj: usize, nr: usize) -> (&'a [f32], usize) {
+        match self.edge {
+            Some(edge) if pj == self.count => (edge, nr),
+            _ => (&self.body[pj * self.step..], self.ld),
+        }
+    }
 }
 
 /// Storage layout of a GEMM operand, folded into the packing strides.
@@ -125,19 +165,15 @@ pub fn gemm(
         let n_panels = nb.div_ceil(kernel.nr);
         for pc in (0..k).step_by(KC) {
             let kb = KC.min(k - pc);
-            let b_len = n_panels * kernel.nr * kb;
-            let (mut b_buf, b_off) = take_scratch_aligned(b_len);
-            let b_pack = &mut b_buf[b_off..b_off + b_len];
-            pack_b(kernel.nr, b_pack, b, b_rs, b_cs, pc, kb, jc, nb);
-            let b_pack = &b_buf[b_off..b_off + b_len];
+            let mut b_pack = workspace::take_scratch(n_panels * kernel.nr * kb);
+            pack_b(kernel.nr, &mut b_pack, b, b_rs, b_cs, pc, kb, jc, nb);
+            let b_slab = BSlab::packed(&b_pack, kernel.nr, kb);
             for (bi, c_block) in c.chunks_mut(MC * n).enumerate() {
                 let i0 = bi * MC;
                 let mb = MC.min(m - i0);
-                let a_len = mb.div_ceil(kernel.mr) * kernel.mr * kb;
-                let (mut a_buf, a_off) = take_scratch_aligned(a_len);
-                let a_pack = &mut a_buf[a_off..a_off + a_len];
-                pack_a(kernel.mr, a_pack, a, a_rs, a_cs, i0, mb, pc, kb);
-                macro_block(kernel, a_pack, b_pack, c_block, mb, kb, nb, n, jc, pc == 0);
+                let mut a_pack = workspace::take_scratch(mb.div_ceil(kernel.mr) * kernel.mr * kb);
+                pack_a(kernel.mr, &mut a_pack, a, a_rs, a_cs, i0, mb, pc, kb);
+                macro_block(kernel, &a_pack, b_slab, c_block, mb, kb, nb, n, jc, pc == 0);
             }
         }
     }
@@ -230,14 +266,14 @@ fn strided_rows(count: usize, stride: usize) -> [u32; simd::MAX_NR] {
     std::array::from_fn(|r| if r < count { (r * stride) as u32 } else { 0 })
 }
 
-/// Runs every micro-tile of one packed `mb × kb` A block against the packed
+/// Runs every micro-tile of one packed `mb × kb` A block against the
 /// `kb × nb` B slab, writing the `mb × nb` result into `c_block` (whose rows
 /// are full C rows of width `row_stride`, starting at column `jc`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn macro_block(
     kernel: &Kernel,
     a_pack: &[f32],
-    b_pack: &[f32],
+    b: BSlab<'_>,
     c_block: &mut [f32],
     mb: usize,
     kb: usize,
@@ -262,10 +298,11 @@ pub(crate) fn macro_block(
     for (pi, a_panel) in a_pack.chunks_exact(mr * kb).enumerate() {
         let i = pi * mr;
         let rows = mr.min(mb - i);
-        for (pj, b_panel) in b_pack.chunks_exact(nr * kb).enumerate() {
+        for pj in 0..b.panels() {
             let j = pj * nr;
             let cols = nr.min(nb - j);
-            (kernel.micro)(kb, a_panel, b_panel, acc);
+            let (b_panel, ldb) = b.panel(pj, nr);
+            (kernel.micro)(kb, a_panel, b_panel, ldb, acc);
             // Write-back masks the zero-padded lanes of edge tiles.
             for ii in 0..rows {
                 let row = &acc[ii * nr..][..cols];
@@ -461,6 +498,7 @@ pub(crate) mod tests {
                         kb,
                         &ap[ao..ao + kern.mr * kb],
                         &bp[bo..bo + kern.nr * kb],
+                        kern.nr,
                         &mut acc,
                     );
                 }

@@ -152,11 +152,27 @@ pub const MAX_MR: usize = 12;
 pub const MAX_NR: usize = 48;
 
 /// Signature of a micro-kernel: accumulate `kb` rank-one updates of an
-/// `mr×nr` tile from packed panels into `acc` (row-major, stride `nr`,
-/// length `mr*nr`). `a_panel` is `mr`-row column-major (`a[p*mr + i]`),
-/// `b_panel` is `nr`-column row-major (`b[p*nr + j]`); both zero-padded to
-/// full tile width by the packers. `acc` is fully overwritten.
-pub type MicroFn = fn(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [f32]);
+/// `mr×nr` tile from two panels into `acc` (row-major, stride `nr`, length
+/// `mr*nr`). `a_panel` is packed `mr`-row column-major (`a[p*mr + i]`),
+/// zero-padded to full tile height. `b_panel` is `nr`-column row-major with
+/// its rows `ldb >= nr` apart (`b[p*ldb + j]`): a packed panel (`ldb = nr`,
+/// zero-padded edge columns) or `nr` full columns of a row-major operand read
+/// where they lie (`ldb` its row length). `acc` is fully overwritten.
+///
+/// # Panics
+/// Panics if `b_panel` is shorter than `(kb - 1)·ldb + nr`.
+pub type MicroFn = fn(kb: usize, a_panel: &[f32], b_panel: &[f32], ldb: usize, acc: &mut [f32]);
+
+/// The check every tier makes before its panel walk: `kb` rows of `nr`
+/// columns, `ldb` apart, lie inside `b_panel`.
+#[inline(always)]
+fn assert_b_rows(kb: usize, nr: usize, b_panel: &[f32], ldb: usize) {
+    assert!(
+        ldb >= nr && (kb == 0 || (kb - 1) * ldb + nr <= b_panel.len()),
+        "B panel of {} elements cannot hold {kb} rows of {nr}, {ldb} apart",
+        b_panel.len()
+    );
+}
 
 /// One dispatchable micro-kernel: register-tile shape plus tile function.
 /// The blocked drivers size their panels and write-back masks from `mr`/`nr`.
@@ -268,15 +284,16 @@ impl V8 {
 /// `mul_add` per lane (the same exactly-rounded FMA the intrinsic tiers
 /// use, on every codegen target — this is what keeps the generic-codegen
 /// reftest leg bit-identical).
-fn micro_portable_6x16(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [f32]) {
+fn micro_portable_6x16(kb: usize, a_panel: &[f32], b_panel: &[f32], ldb: usize, acc: &mut [f32]) {
     const MR: usize = 6;
     const NR: usize = 16;
     const NV: usize = NR / LANES;
     debug_assert_eq!(a_panel.len(), MR * kb);
-    debug_assert_eq!(b_panel.len(), NR * kb);
     debug_assert_eq!(acc.len(), MR * NR);
+    assert_b_rows(kb, NR, b_panel, ldb);
     let mut tile = [[V8::ZERO; NV]; MR];
-    for (av, bv) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
+    // Every row but the last is `ldb` long, and the last holds at least `NR`.
+    for (av, bv) in a_panel.chunks_exact(MR).zip(b_panel.chunks(ldb)) {
         let mut b = [V8::ZERO; NV];
         for (v, bvec) in b.iter_mut().enumerate() {
             *bvec = V8::load(&bv[v * LANES..]);
@@ -301,21 +318,30 @@ fn micro_portable_6x16(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [f
 /// installed by [`set_backend_override`]) after `is_x86_feature_detected!`
 /// confirmed `avx2` and `fma`, so calling the `target_feature` fn is sound.
 #[cfg(target_arch = "x86_64")]
-fn micro_avx2_6x16(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [f32]) {
-    debug_assert_eq!(a_panel.len(), 6 * kb);
-    debug_assert_eq!(b_panel.len(), 16 * kb);
-    debug_assert_eq!(acc.len(), 6 * 16);
+fn micro_avx2_6x16(kb: usize, a_panel: &[f32], b_panel: &[f32], ldb: usize, acc: &mut [f32]) {
+    assert!(a_panel.len() >= 6 * kb && acc.len() >= 6 * 16, "A panel or tile too short");
+    assert_b_rows(kb, 16, b_panel, ldb);
     // SAFETY: dispatch guarantees avx2+fma are present (see doc above);
-    // panel/acc lengths are asserted to match the tile's pointer walks.
-    unsafe { micro_avx2_6x16_impl(kb, a_panel.as_ptr(), b_panel.as_ptr(), acc.as_mut_ptr()) }
+    // panel/acc lengths are asserted to cover the tile's pointer walks.
+    unsafe { micro_avx2_6x16_impl(kb, a_panel.as_ptr(), b_panel.as_ptr(), ldb, acc.as_mut_ptr()) }
 }
 
 /// The 6×16 AVX2+FMA tile: 12 ymm accumulators + 2 packed-B vectors + 1
 /// A broadcast = 15 of the 16 ymm registers, no spills. Each depth step is
 /// 2 vector loads + 6 broadcasts feeding 12 `vfmadd231ps`.
+///
+/// # Safety
+/// The CPU has AVX2 and FMA; `ap` reaches `6·kb` readable floats, `bp` `kb`
+/// rows of 16 readable floats `ldb` apart, and `out` 96 writable floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_avx2_6x16_impl(kb: usize, mut ap: *const f32, mut bp: *const f32, out: *mut f32) {
+unsafe fn micro_avx2_6x16_impl(
+    kb: usize,
+    mut ap: *const f32,
+    mut bp: *const f32,
+    ldb: usize,
+    out: *mut f32,
+) {
     use std::arch::x86_64::*;
     let mut c00 = _mm256_setzero_ps();
     let mut c01 = _mm256_setzero_ps();
@@ -351,7 +377,7 @@ unsafe fn micro_avx2_6x16_impl(kb: usize, mut ap: *const f32, mut bp: *const f32
         c50 = _mm256_fmadd_ps(a, b0, c50);
         c51 = _mm256_fmadd_ps(a, b1, c51);
         ap = ap.add(6);
-        bp = bp.add(16);
+        bp = bp.add(ldb);
     }
     _mm256_storeu_ps(out, c00);
     _mm256_storeu_ps(out.add(8), c01);
@@ -372,21 +398,30 @@ unsafe fn micro_avx2_6x16_impl(kb: usize, mut ap: *const f32, mut bp: *const f32
 /// Safe shim; see [`micro_avx2_6x16`] for the dispatch-soundness argument
 /// (here the detected feature is `avx512f`).
 #[cfg(target_arch = "x86_64")]
-fn micro_avx512_8x48(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [f32]) {
-    debug_assert_eq!(a_panel.len(), 8 * kb);
-    debug_assert_eq!(b_panel.len(), 48 * kb);
-    debug_assert_eq!(acc.len(), 8 * 48);
+fn micro_avx512_8x48(kb: usize, a_panel: &[f32], b_panel: &[f32], ldb: usize, acc: &mut [f32]) {
+    assert!(a_panel.len() >= 8 * kb && acc.len() >= 8 * 48, "A panel or tile too short");
+    assert_b_rows(kb, 48, b_panel, ldb);
     // SAFETY: dispatch guarantees avx512f is present; lengths asserted.
-    unsafe { micro_avx512_8x48_impl(kb, a_panel.as_ptr(), b_panel.as_ptr(), acc.as_mut_ptr()) }
+    unsafe { micro_avx512_8x48_impl(kb, a_panel.as_ptr(), b_panel.as_ptr(), ldb, acc.as_mut_ptr()) }
 }
 
 /// The 8×48 AVX-512 tile: 24 zmm accumulators + 3 packed-B vectors + 1
 /// A broadcast = 28 of the 32 zmm registers. Each depth step is 3 vector
 /// loads + 8 broadcasts feeding 24 `vfmadd231ps` — 768 FLOPs per 11
 /// load-port µops, comfortably FMA-bound on two 512-bit FMA pipes.
+///
+/// # Safety
+/// The CPU has AVX-512F; `ap` reaches `8·kb` readable floats, `bp` `kb` rows
+/// of 48 readable floats `ldb` apart, and `out` 384 writable floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn micro_avx512_8x48_impl(kb: usize, mut ap: *const f32, mut bp: *const f32, out: *mut f32) {
+unsafe fn micro_avx512_8x48_impl(
+    kb: usize,
+    mut ap: *const f32,
+    mut bp: *const f32,
+    ldb: usize,
+    out: *mut f32,
+) {
     use std::arch::x86_64::*;
     let mut c00 = _mm512_setzero_ps();
     let mut c01 = _mm512_setzero_ps();
@@ -449,7 +484,7 @@ unsafe fn micro_avx512_8x48_impl(kb: usize, mut ap: *const f32, mut bp: *const f
         c71 = _mm512_fmadd_ps(a, b1, c71);
         c72 = _mm512_fmadd_ps(a, b2, c72);
         ap = ap.add(8);
-        bp = bp.add(48);
+        bp = bp.add(ldb);
     }
     _mm512_storeu_ps(out, c00);
     _mm512_storeu_ps(out.add(16), c01);
@@ -480,12 +515,13 @@ unsafe fn micro_avx512_8x48_impl(kb: usize, mut ap: *const f32, mut bp: *const f
 /// Safe shim; see [`micro_avx2_6x16`] for the dispatch-soundness argument
 /// (here the detected feature is `avx512f`).
 #[cfg(target_arch = "x86_64")]
-fn micro_avx512_12x32(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [f32]) {
-    debug_assert_eq!(a_panel.len(), 12 * kb);
-    debug_assert_eq!(b_panel.len(), 32 * kb);
-    debug_assert_eq!(acc.len(), 12 * 32);
+fn micro_avx512_12x32(kb: usize, a_panel: &[f32], b_panel: &[f32], ldb: usize, acc: &mut [f32]) {
+    assert!(a_panel.len() >= 12 * kb && acc.len() >= 12 * 32, "A panel or tile too short");
+    assert_b_rows(kb, 32, b_panel, ldb);
     // SAFETY: dispatch guarantees avx512f is present; lengths asserted.
-    unsafe { micro_avx512_12x32_impl(kb, a_panel.as_ptr(), b_panel.as_ptr(), acc.as_mut_ptr()) }
+    unsafe {
+        micro_avx512_12x32_impl(kb, a_panel.as_ptr(), b_panel.as_ptr(), ldb, acc.as_mut_ptr())
+    }
 }
 
 /// The 12×32 AVX-512 tile: 24 zmm accumulators + 2 packed-B vectors + 1
@@ -494,12 +530,17 @@ fn micro_avx512_12x32(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [f3
 /// the 8×48 tile with fewer B-panel bytes streamed per step. The row loop
 /// is fully unrolled by LLVM (constant trip count inside a
 /// `target_feature` fn), leaving no spills.
+///
+/// # Safety
+/// The CPU has AVX-512F; `ap` reaches `12·kb` readable floats, `bp` `kb`
+/// rows of 32 readable floats `ldb` apart, and `out` 384 writable floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn micro_avx512_12x32_impl(
     kb: usize,
     mut ap: *const f32,
     mut bp: *const f32,
+    ldb: usize,
     out: *mut f32,
 ) {
     use std::arch::x86_64::*;
@@ -513,7 +554,7 @@ unsafe fn micro_avx512_12x32_impl(
             row[1] = _mm512_fmadd_ps(a, b1, row[1]);
         }
         ap = ap.add(12);
-        bp = bp.add(32);
+        bp = bp.add(ldb);
     }
     for (i, row) in c.iter().enumerate() {
         _mm512_storeu_ps(out.add(i * 32), row[0]);
@@ -1658,52 +1699,70 @@ mod tests {
         }
     }
 
-    /// The three tiers must agree bit-for-bit on the same packed panels —
-    /// the dispatch seam is invisible in results. (Tiles differ in shape, so
-    /// compare each against a scalar fma chain, elementwise.)
+    /// The three tiers must agree bit-for-bit on the same panels — the
+    /// dispatch seam is invisible in results. (Tiles differ in shape, so
+    /// compare each against a scalar fma chain, elementwise.) Every tile runs
+    /// on a packed B panel (`ldb = nr`) and on B rows read in place from a
+    /// wider operand (`ldb > nr`), whose elements between the tile's columns
+    /// are NaN: a tile reads its `nr` columns of each row and nothing else.
     #[test]
     fn every_tier_matches_scalar_fma_chain_bitwise() {
-        let kernels: Vec<&Kernel> = vec![
-            &PORTABLE_KERNEL,
-            #[cfg(target_arch = "x86_64")]
-            &AVX2_KERNEL,
-            #[cfg(target_arch = "x86_64")]
-            &AVX512_KERNEL,
-            #[cfg(target_arch = "x86_64")]
-            &AVX512_KERNEL_12X32,
-        ];
-        for kernel in kernels {
-            if kernel.backend != KernelBackend::Portable && kernel_backend() != kernel.backend {
-                // Host can't execute this tier; detection-ordering makes
-                // this only skip tiers above the host's capability.
-                continue;
+        let tiles = |tier: KernelBackend| -> Vec<&'static Kernel> {
+            match tier {
+                #[cfg(target_arch = "x86_64")]
+                KernelBackend::Avx512 => vec![&AVX512_KERNEL, &AVX512_KERNEL_12X32],
+                #[cfg(target_arch = "x86_64")]
+                KernelBackend::Avx2Fma => vec![&AVX2_KERNEL],
+                _ => vec![&PORTABLE_KERNEL],
             }
-            for kb in [1usize, 2, 7, 64] {
-                let mut s = 0x9E3779B9u32;
-                let mut next = move || {
-                    s = s.wrapping_mul(1664525).wrapping_add(1013904223);
-                    ((s >> 16) as i32 % 31 - 15) as f32 * 0.125
-                };
-                let a: Vec<f32> = (0..kernel.mr * kb).map(|_| next()).collect();
-                let b: Vec<f32> = (0..kernel.nr * kb).map(|_| next()).collect();
-                let mut acc = vec![f32::NAN; kernel.mr * kernel.nr];
-                (kernel.micro)(kb, &a, &b, &mut acc);
-                for i in 0..kernel.mr {
-                    for j in 0..kernel.nr {
-                        let mut want = 0.0f32;
-                        for p in 0..kb {
-                            want = a[p * kernel.mr + i].mul_add(b[p * kernel.nr + j], want);
+        };
+        for tier in crate::gemm::tests::runnable_backends() {
+            for kernel in tiles(tier) {
+                for (kb, gap) in
+                    [(1usize, 0usize), (2, 0), (7, 0), (64, 0), (1, 5), (7, 3), (64, 464)]
+                {
+                    let ldb = kernel.nr + gap;
+                    let mut s = 0x9E3779B9u32;
+                    let mut next = move || {
+                        s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                        ((s >> 16) as i32 % 31 - 15) as f32 * 0.125
+                    };
+                    let a: Vec<f32> = (0..kernel.mr * kb).map(|_| next()).collect();
+                    let b: Vec<f32> = (0..(kb - 1) * ldb + kernel.nr)
+                        .map(|i| if i % ldb < kernel.nr { next() } else { f32::NAN })
+                        .collect();
+                    let mut acc = vec![f32::NAN; kernel.mr * kernel.nr];
+                    (kernel.micro)(kb, &a, &b, ldb, &mut acc);
+                    for i in 0..kernel.mr {
+                        for j in 0..kernel.nr {
+                            let mut want = 0.0f32;
+                            for p in 0..kb {
+                                want = a[p * kernel.mr + i].mul_add(b[p * ldb + j], want);
+                            }
+                            assert_eq!(
+                                acc[i * kernel.nr + j].to_bits(),
+                                want.to_bits(),
+                                "{} {}x{} tile ({i},{j}) kb={kb} ldb={ldb}",
+                                kernel.backend.name(),
+                                kernel.mr,
+                                kernel.nr
+                            );
                         }
-                        assert_eq!(
-                            acc[i * kernel.nr + j].to_bits(),
-                            want.to_bits(),
-                            "{} tile ({i},{j}) kb={kb}",
-                            kernel.backend.name()
-                        );
                     }
                 }
             }
         }
+    }
+
+    /// A B panel one element short of its last row is refused, not read past.
+    #[test]
+    #[should_panic(expected = "B panel")]
+    fn a_short_b_panel_is_refused() {
+        let kernel = &PORTABLE_KERNEL;
+        let (kb, ldb) = (3, kernel.nr + 8);
+        let a = vec![0.0f32; kernel.mr * kb];
+        let b = vec![0.0f32; (kb - 1) * ldb + kernel.nr - 1];
+        (kernel.micro)(kb, &a, &b, ldb, &mut vec![0.0; kernel.mr * kernel.nr]);
     }
 
     /// Inputs around every regime cut and special value of the softplus.

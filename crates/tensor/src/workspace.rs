@@ -7,7 +7,10 @@
 //! buffers are checked out of a global pool and returned when dropped:
 //!
 //! - [`take_scratch`]/[`take_zeroed`] hand out an RAII [`WorkspaceGuard`]
-//!   (auto-returns on drop) — use these for kernel-local scratch;
+//!   (auto-returns on drop) whose slice starts on a 64-byte cache line — use
+//!   these for kernel-local scratch (packed panels, and the activations a
+//!   GEMM reads in place, where a vector load straddling two lines costs two
+//!   L1 accesses);
 //! - [`take_vec_scratch`]/[`take_vec_zeroed`]/[`take_vec_capacity`] hand out a
 //!   plain `Vec<f32>` for buffers that outlive the call (tensor storage);
 //!   donate any buffer back with [`give_vec`] — `Tensor`'s `Drop` impl does
@@ -16,7 +19,12 @@
 //! ## Ownership and safety rules
 //!
 //! - Buffers are bucketed by capacity rounded to powers of two (min
-//!   [`MIN_BUCKET`] elements); smaller donations are simply freed.
+//!   [`MIN_BUCKET`] elements); smaller donations are simply freed. A buffer
+//!   the pool allocates carries `LINE - 1` elements past its bucket's
+//!   capacity, room to start a guard's slice on a cache line without moving
+//!   the buffer to the next bucket up. Every buffer gets the slack, tensor
+//!   storage too: a guard that had to grow a buffer without it would change
+//!   the pool's footprint long after warm-up.
 //! - A *scratch* checkout has its requested length but **stale contents**
 //!   (whatever the previous user left — always initialized memory, never
 //!   uninitialized; there is no `unsafe` in this module). Callers must fully
@@ -37,6 +45,9 @@ pub const MIN_BUCKET: usize = 64;
 
 /// Most buffers retained per size bucket; excess donations are freed.
 const MAX_PER_BUCKET: usize = 32;
+
+/// `f32` elements per 64-byte cache line.
+const LINE: usize = 16;
 
 /// Number of power-of-two buckets: `MIN_BUCKET << (BUCKETS-1)` caps the
 /// largest poolable buffer at 2^37 bytes — effectively unbounded.
@@ -107,7 +118,10 @@ fn bucket_for_cap(cap: usize) -> Option<usize> {
     Some(b)
 }
 
-fn take_impl(len: usize, zero: bool) -> Vec<f32> {
+/// Checks out a buffer of the bucket for `len` holding `off + len` elements,
+/// where `off` puts element `off` on a cache line when `aligned` (0
+/// otherwise): stale contents, or zeros from `off` on when `zero`.
+fn take_impl(len: usize, aligned: bool, zero: bool) -> (Vec<f32>, usize) {
     let b = bucket_for_len(len);
     let reused = if b < BUCKETS {
         with_pool(|p| {
@@ -121,54 +135,65 @@ fn take_impl(len: usize, zero: bool) -> Vec<f32> {
     } else {
         None
     };
-    match reused {
-        Some(mut v) => {
+    let mut v = match reused {
+        Some(v) => {
             HITS.fetch_add(1, Ordering::Relaxed);
-            v.truncate(len);
-            // Growing writes only the new region; stale prefix stays (scratch
-            // semantics) unless a zeroed buffer was requested.
-            v.resize(len, 0.0);
-            if zero {
-                v.fill(0.0);
-            }
             v
         }
         None => {
             MISSES.fetch_add(1, Ordering::Relaxed);
-            let mut v = Vec::with_capacity((MIN_BUCKET << b.min(BUCKETS - 1)).max(len));
-            v.resize(len, 0.0);
-            v
+            Vec::with_capacity((MIN_BUCKET << b.min(BUCKETS - 1)).max(len) + LINE - 1)
         }
+    };
+    let off = if aligned {
+        // A buffer donated from outside the pool may lack the slack; growing
+        // it to `len + LINE - 1` keeps it in its bucket.
+        v.reserve_exact((len + LINE - 1).saturating_sub(v.len()));
+        v.as_ptr().align_offset(LINE * 4).min(LINE - 1)
+    } else {
+        0
+    };
+    // Growing writes only the new region; the stale prefix stays (scratch
+    // semantics) unless a zeroed buffer was requested.
+    v.truncate(off + len);
+    v.resize(off + len, 0.0);
+    if zero {
+        v[off..].fill(0.0);
     }
+    (v, off)
 }
 
 /// Checks out a buffer of `len` elements with **stale contents** (fully
-/// overwrite before reading). RAII: returns to the pool on drop.
+/// overwrite before reading), starting on a cache line. RAII: returns to the
+/// pool on drop.
 pub fn take_scratch(len: usize) -> WorkspaceGuard {
-    WorkspaceGuard { buf: take_impl(len, false) }
+    let (buf, off) = take_impl(len, true, false);
+    WorkspaceGuard { buf, off }
 }
 
-/// Checks out a buffer of `len` zeros. RAII: returns to the pool on drop.
+/// Checks out a buffer of `len` zeros, starting on a cache line. RAII:
+/// returns to the pool on drop.
 pub fn take_zeroed(len: usize) -> WorkspaceGuard {
-    WorkspaceGuard { buf: take_impl(len, true) }
+    let (buf, off) = take_impl(len, true, true);
+    WorkspaceGuard { buf, off }
 }
 
 /// Checks out a plain `Vec<f32>` of `len` elements with stale contents, for
 /// storage that outlives the call (e.g. tensor data). Donate it back with
 /// [`give_vec`] when done (or let `Tensor`'s `Drop` do it).
 pub fn take_vec_scratch(len: usize) -> Vec<f32> {
-    take_impl(len, false)
+    take_impl(len, false, false).0
 }
 
 /// [`take_vec_scratch`] but zero-filled.
 pub fn take_vec_zeroed(len: usize) -> Vec<f32> {
-    take_impl(len, true)
+    take_impl(len, false, true).0
 }
 
 /// Checks out an **empty** `Vec<f32>` with capacity `>= cap`, for
 /// `push`/`extend` fill patterns that would otherwise reallocate.
 pub fn take_vec_capacity(cap: usize) -> Vec<f32> {
-    let mut v = take_impl(cap, false);
+    let mut v = take_vec_scratch(cap);
     v.clear();
     v
 }
@@ -192,30 +217,34 @@ pub fn give_vec(v: Vec<f32>) {
     });
 }
 
-/// RAII checkout of a pooled buffer; derefs to `[f32]` and returns the
+/// RAII checkout of a pooled buffer; derefs to its `[f32]` slice, which
+/// starts `off` elements into the buffer, on a cache line, and returns the
 /// buffer to the pool when dropped.
 pub struct WorkspaceGuard {
     buf: Vec<f32>,
+    off: usize,
 }
 
 impl WorkspaceGuard {
-    /// Moves the buffer out of the guard (it will *not* auto-return; the
-    /// caller owns it and may [`give_vec`] it later).
+    /// Moves the contents out of the guard as a plain `Vec` (it will *not*
+    /// auto-return; the caller owns it and may [`give_vec`] it later).
     pub fn detach(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.buf)
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.drain(..self.off);
+        buf
     }
 }
 
 impl std::ops::Deref for WorkspaceGuard {
     type Target = [f32];
     fn deref(&self) -> &[f32] {
-        &self.buf
+        &self.buf[self.off..]
     }
 }
 
 impl std::ops::DerefMut for WorkspaceGuard {
     fn deref_mut(&mut self) -> &mut [f32] {
-        &mut self.buf
+        &mut self.buf[self.off..]
     }
 }
 
@@ -369,13 +398,40 @@ mod tests {
         set_enabled(true);
     }
 
+    /// Every guard starts on a cache line, and a buffer whose length is a
+    /// whole bucket stays in that bucket: the alignment slack never pushes it
+    /// to the next one up.
+    #[test]
+    fn guards_start_on_a_cache_line_within_their_bucket() {
+        let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_enabled(true);
+        clear();
+        for len in [1, 60, MIN_BUCKET, 1000, 1 << 15, (1 << 15) + 1] {
+            for round in 0..3 {
+                // A donated buffer of exactly the bucket's capacity, no slack.
+                give_vec(vec![1.0; MIN_BUCKET << bucket_for_len(len)]);
+                let g = if round == 1 { take_zeroed(len) } else { take_scratch(len) };
+                assert_eq!(g.len(), len);
+                assert_eq!(g.as_ptr() as usize % 64, 0, "len {len} round {round}");
+                assert_eq!(bucket_for_cap(g.buf.capacity()), Some(bucket_for_len(len)));
+                if round == 1 {
+                    assert!(g.iter().all(|&x| x == 0.0));
+                }
+            }
+            clear();
+        }
+    }
+
     #[test]
     fn detach_transfers_ownership() {
         let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         clear();
-        let v = take_scratch(100).detach();
+        let mut g = take_scratch(100);
+        g.iter_mut().enumerate().for_each(|(i, x)| *x = i as f32);
+        let v = g.detach();
         assert_eq!(v.len(), 100);
+        assert!(v.iter().enumerate().all(|(i, &x)| x == i as f32), "contents move with the buffer");
         assert_eq!(stats().cached_buffers, 0, "detached buffer must not auto-return");
         give_vec(v);
         assert_eq!(stats().cached_buffers, 1);
