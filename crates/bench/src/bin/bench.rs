@@ -1,8 +1,8 @@
 //! `bench` — kernel + training-step micro-benchmarks with JSON output.
 //! Options: [`USAGE`].
 //!
-//! Measures the conv driver every layer runs on, as a row-major GEMM
-//! (`PackedConv3d::pack_linear` + `forward_slices`), against the
+//! Measures the conv driver every layer runs on, as a row-major GEMM (its
+//! `gemm()` front end: `PackedConv3d::pack_linear` + `forward_slices`), against the
 //! pre-optimization naive `ikj` kernel kept here as a frozen reference, the
 //! implicit-GEMM conv3d (forward and both gradients, a training-shaped 3×3×3
 //! layer and its pointwise twin, the weight gradient also stage by stage), one
@@ -43,8 +43,8 @@ use mfn_core::{
 use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec};
 use mfn_solver::{simulate, RbcConfig};
 use mfn_tensor::{
-    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, rowops, workspace, Conv3dDims, ConvStages,
-    PackedConv3d, Tensor,
+    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, rowops, workspace, Conv3dDims,
+    ConvStages, MatLayout, PackedConv3d, Tensor,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -342,13 +342,6 @@ impl KernelRow {
     }
 }
 
-/// Row-major `c = a · b` for `a: [m, k]`, `b: [k, n]` on the conv driver:
-/// the feature-major `Linear` `y = W · x` with `W = a` over `n` columns
-/// `x = b`, packed per call as the tape's layer node packs it.
-fn driver_gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    PackedConv3d::pack_linear(a, m, k).forward_slices(b, [1, 1, n], c, None);
-}
-
 /// Correctness gate: the driver's GEMM vs the naive reference on
 /// tile-unaligned shapes. Returns an error string on the first mismatch.
 fn check_gemm_vs_naive() -> Result<(), String> {
@@ -362,7 +355,7 @@ fn check_gemm_vs_naive() -> Result<(), String> {
         let mut want = vec![0.0f32; m * n];
         naive_ikj(m, k, n, &a, &b, &mut want);
         let mut got = vec![0.0f32; m * n];
-        driver_gemm(m, k, n, &a, &b, &mut got);
+        gemm(m, k, n, &a, MatLayout::Normal, &b, MatLayout::Normal, &mut got);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             if (g - w).abs() > 1e-4 * (1.0 + w.abs()) {
                 return Err(format!("gemm_nn ({m}x{k}x{n}) mismatch at {i}: {g} vs {w}"));
@@ -1290,7 +1283,7 @@ impl GatedKernels {
         let (mlp, widths, mlp_in) = (&self.mlp, &self.widths, &self.mlp_in);
         let [mlp_x, mlp_y] = &mut self.mlp_bufs;
         let mut fs: [&mut dyn FnMut(); 6] = [
-            &mut || driver_gemm(size, size, size, a, b, c_nn),
+            &mut || gemm(size, size, size, a, MatLayout::Normal, b, MatLayout::Normal, c_nn),
             &mut || naive_ikj(size, size, size, a, b, c_naive),
             &mut || {
                 std::hint::black_box(conv3d_auto(x, w));

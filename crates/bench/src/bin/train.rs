@@ -26,12 +26,14 @@
 //! writes the final state back there; a file written under another
 //! architecture (patch shape, γ, constraint set) is refused.
 //! A missing or malformed option value prints the usage and exits 2; an
-//! unreadable dataset or checkpoint prints the error and exits 1.
+//! unreadable dataset or checkpoint (on any `--workers`), or a telemetry file
+//! that cannot be created, prints the error and exits 1.
 
 use mfn_core::cli::Cli;
 use mfn_core::{
-    decode_inference_state, evaluate_pair, save_train_state, table_header, Corpus, FrozenModel,
-    MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+    decode_inference_state, evaluate_pair, load_train_state_with_fallback, save_train_state,
+    table_header, CheckpointError, Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig, TrainConfig,
+    Trainer,
 };
 use mfn_data::{load_dataset, try_downsample, Dataset, PatchSpec};
 use mfn_dist::{train_elastic, FaultPlan, SupervisorConfig};
@@ -175,7 +177,10 @@ fn main() {
     let corpus = Corpus::new(vec![(hr, lr)]);
     let recorder = match &args.telemetry {
         Some(path) => {
-            let r = Recorder::jsonl(path).expect("create telemetry file");
+            let r = Recorder::jsonl(path).unwrap_or_else(|e| {
+                eprintln!("error: cannot create telemetry file {}: {e}", path.display());
+                std::process::exit(1);
+            });
             eprintln!("telemetry -> {}", path.display());
             r
         }
@@ -192,6 +197,23 @@ fn main() {
     let fault_tolerant = args.tc.checkpoint_every > 0 || args.resume.is_some();
 
     let model = if args.workers > 1 {
+        // The supervisor resumes from an existing state on its own but
+        // panics on one it cannot use: refuse such a file here, as
+        // `Trainer::resume` does for one worker. No file is a fresh run.
+        if fault_tolerant {
+            let resumable = load_train_state_with_fallback(&state_path).and_then(|payload| {
+                let model = MeshfreeFlowNet::new(mcfg.clone());
+                Trainer::from_state(model, args.tc, &payload, 0, args.workers).map(drop)
+            });
+            match resumable {
+                Ok(()) => {}
+                Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => {
+                    eprintln!("error: cannot resume from {}: {e}", state_path.display());
+                    std::process::exit(1);
+                }
+            }
+        }
         eprintln!("data-parallel training on {} workers ...", args.workers);
         // With --checkpoint-every or --resume the supervisor persists the
         // state before every epoch and after the last, and resumes from an

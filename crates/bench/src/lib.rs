@@ -40,8 +40,6 @@ pub struct ExperimentScale {
     pub ds_t: usize,
     /// Spatial downsampling factor (paper: 8).
     pub ds_s: usize,
-    /// LR patch / latent grid shape.
-    pub patch: PatchSpec,
     /// Training epochs.
     pub epochs: usize,
     /// Mini-batches per epoch.
@@ -52,7 +50,7 @@ pub struct ExperimentScale {
     pub lr: f32,
     /// Per-epoch lr decay.
     pub lr_decay: f32,
-    /// Model width preset.
+    /// Model preset: widths, and the LR patch / latent grid shape (`patch`).
     pub model: MfnConfig,
     /// Evaluation frames skipped (quiescent spin-up).
     pub eval_skip: usize,
@@ -72,7 +70,6 @@ impl ExperimentScale {
             duration: 8.0,
             ds_t: 4,
             ds_s: 8,
-            patch: model.patch,
             epochs: 30,
             batches_per_epoch: 8,
             batch_size: 4,
@@ -99,7 +96,6 @@ impl ExperimentScale {
             duration: 12.0,
             ds_t: 4,
             ds_s: 8,
-            patch: model.patch,
             epochs: 120,
             batches_per_epoch: 8,
             batch_size: 4,
@@ -122,7 +118,6 @@ impl ExperimentScale {
             duration: 50.0,
             ds_t: 4,
             ds_s: 8,
-            patch: model.patch,
             epochs: 100,
             batches_per_epoch: 100,
             batch_size: 8,
@@ -149,7 +144,6 @@ impl ExperimentScale {
     /// Model config with a given equation-loss weight.
     pub fn model_config(&self, gamma: f32) -> MfnConfig {
         let mut m = self.model.clone();
-        m.patch = self.patch;
         m.gamma = gamma;
         m
     }
@@ -399,8 +393,7 @@ mod tests {
         s.duration = 0.5;
         s.ds_t = 2;
         s.ds_s = 2;
-        s.patch = PatchSpec { nt: 4, nz: 4, nx: 8, queries: 16 };
-        s.model.patch = s.patch;
+        s.model.patch = PatchSpec { nt: 4, nz: 4, nx: 8, queries: 16 };
         s.model.base_channels = 4;
         s.model.latent_channels = 8;
         s.model.mlp_hidden = vec![16, 16];

@@ -119,7 +119,7 @@ pub fn adversarial_bounded(n: usize, seed: u64, cap: f32) -> Vec<f32> {
 
 /// GEMM shapes `(m, k, n)` straddling every blocking boundary of the
 /// optimized kernel ladder (micro-tiles 6×16 portable/AVX2+FMA, 8×48 and
-/// 12×32 AVX-512; MC=64, KC=256): single element, sub-tile, exact tile,
+/// 12×32 AVX-512; KC=256): single element, sub-tile, exact tile,
 /// tile+1 on each tier's edges, and a k just past the KC panel depth.
 pub const GEMM_SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),

@@ -14,7 +14,8 @@
 //! Prints `listening on ADDR` once ready. With `--duration-s N` the server
 //! drains gracefully after N seconds (for CI smoke runs); otherwise it
 //! serves until killed. A missing or malformed option value prints the
-//! usage and exits 2.
+//! usage and exits 2; an unreadable checkpoint, or a telemetry file that
+//! cannot be created, prints the error and exits 1.
 
 use mfn_core::cli::Cli;
 use mfn_core::{FrozenModel, RefineSettings};
@@ -90,7 +91,10 @@ fn main() {
     }
     let recorder = match &args.telemetry {
         Some(path) => {
-            let r = Recorder::jsonl(path).expect("create telemetry file");
+            let r = Recorder::jsonl(path).unwrap_or_else(|e| {
+                eprintln!("error: cannot create telemetry file {}: {e}", path.display());
+                std::process::exit(1);
+            });
             eprintln!("telemetry -> {}", path.display());
             r
         }

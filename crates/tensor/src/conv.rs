@@ -360,7 +360,7 @@ impl PackedConv3d {
         let rows = cout.div_ceil(tile.mr) * tile.mr;
         let mut panels = workspace::take_scratch(rows * ksize);
         for (pc, slab) in (0..ksize).step_by(KC).zip(panels.chunks_mut(rows * KC)) {
-            pack_a(tile.mr, slab, w, ksize, 1, 0, cout, pc, KC.min(ksize - pc));
+            pack_a(tile.mr, slab, w, ksize, cout, pc, KC.min(ksize - pc));
         }
         PackedConv3d { cin, cout, kernel, tile, panels }
     }
@@ -574,7 +574,7 @@ pub fn conv3d_grad_weight(
                 timed(
                     &mut stages,
                     |s| &mut s.pack_a_ns,
-                    || pack_a(mr, &mut a_pack, gn, vol, 1, 0, dims.cout, pc, kb),
+                    || pack_a(mr, &mut a_pack, gn, vol, dims.cout, pc, kb),
                 );
                 let (b, first) = (BSlab::packed(&b_pack, nr, kb), n == 0 && pc == 0);
                 timed(
@@ -1243,7 +1243,7 @@ mod tests {
                     }
                     for mr in [6, 8, 12] {
                         let mut a = vec![f32::NAN; cout.div_ceil(mr) * mr * kb];
-                        pack_a(mr, &mut a, g.data(), vol, 1, 0, cout, pc, kb);
+                        pack_a(mr, &mut a, g.data(), vol, cout, pc, kb);
                         for (i, got) in a.iter().enumerate() {
                             let (co, p) = (i / (mr * kb) * mr + i % mr, i % (mr * kb) / mr);
                             let want = if co < cout { g.data()[co * vol + pc + p] } else { 0.0 };

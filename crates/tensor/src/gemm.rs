@@ -1,60 +1,56 @@
 //! Cache-blocked, register-tiled GEMM driver.
 //!
-//! Every layer of the network multiplies on [`crate::PackedConv3d`]'s
-//! driver, which is built from the blocking constants, `pack_a` and
-//! `macro_block` here. The row-major [`gemm`] entry (three operand
-//! layouts, `NN`, `TN`, `NT`) has no caller in the network: it stays as the
-//! kernel the end-to-end benchmark replays, and as the plainest statement
-//! of the classic BLIS/GotoBLAS loop nest both drivers share:
+//! The workspace has one matrix-multiply loop nest,
+//! [`crate::PackedConv3d::forward_slices`]: the implicit-GEMM conv driver,
+//! whose 1×1×1 case is a `Linear` layer over feature-major activations. It is
+//! built from the blocking constants, `pack_a` and `macro_block` here. The
+//! row-major [`gemm`] entry is a front end on that driver which no layer
+//! calls (the end-to-end benchmark replays it). The nest is the classic
+//! BLIS/GotoBLAS one, its A side packed once per weight:
 //!
 //! ```text
-//! for jc in 0..n step NC            // L3: column slab of B/C
-//!   for pc in 0..k step KC          // L2: pack B[pc..,jc..] into b_pack
-//!     pack_b  (KC × NC, nr-panel major, zero-padded edges)
-//!     for ic in 0..m step MC        // C row blocks
-//!       pack_a (MC × KC, mr-panel major, zero-padded edges)
-//!       for ir in 0..MC step mr     // micro-tiles
-//!         for jr in 0..NC step nr
-//!           micro-kernel: acc[mr×nr] += a_panel ⊗ b_panel   (registers)
+//! pack_a (cout × ksize: per KC-deep slab, mr-row panels, zero-padded edges)
+//! for jc in 0..vol step NC          // L3: column slab of B/C
+//!   for pc in 0..ksize step KC      // L2: the slab's KC-deep B panels
+//!     pack the B panels (or read full ones in place)
+//!     for ir in 0..cout step mr     // micro-tiles (macro_block)
+//!       for jr in 0..NC step nr
+//!         micro-kernel: acc[mr×nr] += a_panel ⊗ b_panel   (registers)
 //! ```
 //!
 //! The micro-kernel itself — tile shape `(mr, nr)` and the code that holds
 //! the accumulator tile in vector registers — lives in [`crate::simd`] and
-//! is selected at runtime (`AVX-512 8×48` → `AVX2+FMA 6×16` → portable
-//! `6×16`). This driver is tile-shape agnostic: packing, edge masking and
-//! write-back are all phrased in the active kernel's `mr`/`nr`.
+//! is selected at runtime (`AVX-512 8×48` or `12×32` → `AVX2+FMA 6×16` →
+//! portable `6×16`). The driver is tile-shape agnostic: packing, edge masking
+//! and write-back are all phrased in the active kernel's `mr`/`nr`.
 //!
 //! The micro-kernel reads an `mr`-row A panel column-major (`a_pack[p*mr +
 //! i]`) and an `nr`-column B panel row-major with its rows `ldb` apart
-//! (`b[p*ldb + j]`). Packing copies a `KC`-deep panel into that form,
-//! contiguous (`ldb = nr`), with transposition folded into the packing
-//! strides so the micro-kernel never sees it. A B operand that is already
-//! row-major needs no copy for its full panels: the conv driver's 1×1×1
-//! case whose whole operand fits one `NC` slab hands the kernel `nr` columns
-//! of the operand where they lie (`ldb` its row length) and packs only a
-//! short last panel ([`crate::PackedConv3d::forward_slices`]). Edge panels
-//! are zero-padded: the micro-kernel always computes a full mr×nr tile
-//! (branch-free inner loop — no zero-skip shortcuts, so `0·∞ = NaN`
-//! propagates correctly) and the write-back masks the padding. Packing
-//! buffers come from the [`crate::workspace`] pool, cache-line aligned, so
-//! steady-state GEMM calls do not allocate. A *weight* that is multiplied
-//! against many times unchanged sits on the A side and is packed once
-//! instead ([`crate::PackedConv3d`]: a conv weight, or a `Linear` weight
-//! over feature-major activations): this loop nest minus `pack_a`.
+//! (`b[p*ldb + j]`). `pack_a` transposes a row-major operand's `KC`-deep
+//! block into that form, and the B packers copy a `KC`-deep panel
+//! contiguous (`ldb = nr`), so the micro-kernel never sees a stride. A B
+//! operand that is already row-major needs no copy for its full panels: the
+//! conv driver's 1×1×1 case whose whole operand fits one `NC` slab hands the
+//! kernel `nr` columns of the operand where they lie (`ldb` its row length)
+//! and packs only a short last panel. Edge panels are zero-padded: the
+//! micro-kernel always computes a full mr×nr tile (branch-free inner loop —
+//! no zero-skip shortcuts, so `0·∞ = NaN` propagates correctly) and the
+//! write-back masks the padding. Packing buffers come from the
+//! [`crate::workspace`] pool, cache-line aligned, so steady-state calls do
+//! not allocate.
 //!
 //! `C` is *overwritten* on the first `pc` iteration and accumulated into on
 //! subsequent ones, so callers never need to pre-zero the output. The `KC`
 //! depth split is part of the numerical contract: every backend shares it,
 //! which (together with every tier being a pure FMA chain in `k` order) is
-//! why switching backends never changes a single output bit.
+//! why switching backends or tile shapes never changes a single output bit.
 
 use crate::simd::{self, transpose_pack, Kernel};
 use crate::workspace;
+use crate::PackedConv3d;
 
 pub use crate::simd::{kernel_backend, set_backend_override, KernelBackend};
 
-/// Row-block size: an MC×KC packed A block should sit in L2.
-pub const MC: usize = 64;
 /// Depth-block size: a KC-deep B panel should stream from L1/L2
 /// (KC·nr·4 B = 16 KiB at nr=16, 48 KiB at nr=48). Shared by every backend:
 /// it fixes where accumulator chains are split, i.e. the rounding.
@@ -109,13 +105,12 @@ impl<'a> BSlab<'a> {
     }
 }
 
-/// Storage layout of a GEMM operand, folded into the packing strides.
+/// Storage layout of a [`gemm`] operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatLayout {
     /// Operand is stored exactly as the operation reads it.
     Normal,
-    /// Operand is stored transposed; packing walks it with swapped strides
-    /// (the micro-kernel never sees the difference).
+    /// Operand is stored transposed; [`gemm`] copies it row-major first.
     Transposed,
 }
 
@@ -124,6 +119,10 @@ pub enum MatLayout {
 ///
 /// `a_layout == Transposed` means `A` is stored `[k, m]` (so `op(A)[i][p] =
 /// a[p*m + i]`); `b_layout == Transposed` means `B` is stored `[n, k]`.
+///
+/// A front end on the conv driver: a transposed operand is copied
+/// row-major, then `op(A)` is packed as a `Linear` weight and run over the
+/// `n` columns of `op(B)`, the bits any layer of that shape gets.
 ///
 /// # Panics
 /// Panics if any slice length disagrees with the given dimensions.
@@ -144,116 +143,44 @@ pub fn gemm(
     if m == 0 || n == 0 {
         return;
     }
-    if k == 0 {
-        c.fill(0.0);
-        return;
-    }
-    let kernel = simd::active_kernel_for(m, n);
-    // Element (i, p) of op(A) is a[i*a_rs + p*a_cs]; (p, j) of op(B) is
-    // b[p*b_rs + j*b_cs]. Transposition is entirely these four strides.
-    let (a_rs, a_cs) = match a_layout {
-        MatLayout::Normal => (k, 1),
-        MatLayout::Transposed => (1, m),
-    };
-    let (b_rs, b_cs) = match b_layout {
-        MatLayout::Normal => (n, 1),
-        MatLayout::Transposed => (1, k),
-    };
-
-    for jc in (0..n).step_by(NC) {
-        let nb = NC.min(n - jc);
-        let n_panels = nb.div_ceil(kernel.nr);
-        for pc in (0..k).step_by(KC) {
-            let kb = KC.min(k - pc);
-            let mut b_pack = workspace::take_scratch(n_panels * kernel.nr * kb);
-            pack_b(kernel.nr, &mut b_pack, b, b_rs, b_cs, pc, kb, jc, nb);
-            let b_slab = BSlab::packed(&b_pack, kernel.nr, kb);
-            for (bi, c_block) in c.chunks_mut(MC * n).enumerate() {
-                let i0 = bi * MC;
-                let mb = MC.min(m - i0);
-                let mut a_pack = workspace::take_scratch(mb.div_ceil(kernel.mr) * kernel.mr * kb);
-                pack_a(kernel.mr, &mut a_pack, a, a_rs, a_cs, i0, mb, pc, kb);
-                macro_block(kernel, &a_pack, b_slab, c_block, mb, kb, nb, n, jc, pc == 0);
-            }
-        }
-    }
+    let a_copy = (a_layout == MatLayout::Transposed).then(|| row_major(a, m, k));
+    let b_copy = (b_layout == MatLayout::Transposed).then(|| row_major(b, k, n));
+    let (a, b) = (a_copy.as_deref().unwrap_or(a), b_copy.as_deref().unwrap_or(b));
+    PackedConv3d::pack_linear(a, m, k).forward_slices(b, [1, 1, n], c, None);
 }
 
-/// Packs an `mb × kb` block of op(A) (rows `i0..`, depth `p0..`) into
-/// mr-row panels stored column-major within the panel: panel `pi` holds rows
-/// `i0 + pi*mr ..` at `dst[pi*mr*kb + p*mr + i]`. Rows past `mb` are zero.
-/// One of the strides is 1: op(A) is stored transposed (`rs == 1`) or
-/// row-major (`cs == 1`).
-#[allow(clippy::too_many_arguments)]
+/// The row-major `[rows, cols]` copy of `t`, which is stored `[cols, rows]`.
+fn row_major(t: &[f32], rows: usize, cols: usize) -> workspace::WorkspaceGuard {
+    let mut out = workspace::take_scratch(t.len());
+    for r in 0..rows {
+        for c in 0..cols {
+            out[r * cols + c] = t[c * rows + r];
+        }
+    }
+    out
+}
+
+/// Packs the first `mb` rows of the row-major `src` (rows `rs` apart),
+/// depth `p0..p0 + kb`, into mr-row panels stored column-major within the
+/// panel: panel `pi` holds rows `pi*mr ..` at `dst[pi*mr*kb + p*mr + i]`.
+/// Rows past `mb` are zero.
 pub(crate) fn pack_a(
     mr: usize,
     dst: &mut [f32],
     src: &[f32],
     rs: usize,
-    cs: usize,
-    i0: usize,
     mb: usize,
     p0: usize,
     kb: usize,
 ) {
     for (pi, panel) in dst.chunks_exact_mut(mr * kb).enumerate() {
-        let i = i0 + pi * mr;
-        let rows = mr.min(i0 + mb - i);
-        if rs == 1 {
-            // op(A) columns are contiguous in src: each packed column is a
-            // straight memcpy.
-            for (p, col) in panel.chunks_exact_mut(mr).enumerate() {
-                let base = (p0 + p) * cs + i;
-                col[..rows].copy_from_slice(&src[base..base + rows]);
-                col[rows..].fill(0.0);
-            }
-        } else {
-            assert_eq!(cs, 1, "pack_a: neither stride of op(A) is 1");
-            if rows < mr {
-                panel.fill(0.0);
-            }
-            let run = std::iter::once((0, i * rs + p0, kb));
-            transpose_pack(panel, mr, src, &strided_rows(rows, rs)[..rows], run);
+        let i = pi * mr;
+        let rows = mr.min(mb - i);
+        if rows < mr {
+            panel.fill(0.0);
         }
-    }
-}
-
-/// Packs a `kb × nb` block of op(B) (depth `p0..`, cols `j0..`) into
-/// nr-column panels stored row-major within the panel: panel `pj` holds
-/// columns `j0 + pj*nr ..` at `dst[pj*nr*kb + p*nr + j]`. Columns past `nb`
-/// are zero. One of the strides is 1, as in [`pack_a`].
-#[allow(clippy::too_many_arguments)]
-fn pack_b(
-    nr: usize,
-    dst: &mut [f32],
-    src: &[f32],
-    rs: usize,
-    cs: usize,
-    p0: usize,
-    kb: usize,
-    j0: usize,
-    nb: usize,
-) {
-    for (pj, panel) in dst.chunks_exact_mut(nr * kb).enumerate() {
-        let j = j0 + pj * nr;
-        let cols = nr.min(j0 + nb - j);
-        if cs == 1 {
-            // op(B) rows are contiguous in src: each packed row is a
-            // straight memcpy — this is the hot pack (nb ≥ mb in every
-            // GEMM this crate issues) and it must not run scalar.
-            for (p, row) in panel.chunks_exact_mut(nr).enumerate() {
-                let base = (p0 + p) * rs + j;
-                row[..cols].copy_from_slice(&src[base..base + cols]);
-                row[cols..].fill(0.0);
-            }
-        } else {
-            assert_eq!(rs, 1, "pack_b: neither stride of op(B) is 1");
-            if cols < nr {
-                panel.fill(0.0);
-            }
-            let run = std::iter::once((0, j * cs + p0, kb));
-            transpose_pack(panel, nr, src, &strided_rows(cols, cs)[..cols], run);
-        }
+        let run = std::iter::once((0, i * rs + p0, kb));
+        transpose_pack(panel, mr, src, &strided_rows(rows, rs)[..rows], run);
     }
 }
 
@@ -362,7 +289,7 @@ pub(crate) mod tests {
 
     #[test]
     fn all_layouts_match_reference_on_awkward_shapes() {
-        // Shapes straddle every mr/nr/MC/KC edge case of every backend
+        // Shapes straddle every mr/nr/KC edge case of every backend
         // (6/8-row panels, 16/48-column panels).
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -407,9 +334,18 @@ pub(crate) mod tests {
 
     #[test]
     fn k_zero_zeroes_output() {
-        let mut c = vec![5.0f32; 6];
-        gemm(2, 0, 3, &[], MatLayout::Normal, &[], MatLayout::Normal, &mut c);
-        assert!(c.iter().all(|&v| v == 0.0));
+        let layouts = [MatLayout::Normal, MatLayout::Transposed];
+        for (a_layout, b_layout) in layouts.into_iter().flat_map(|a| layouts.map(|b| (a, b))) {
+            let mut c = vec![f32::NAN; 6];
+            gemm(2, 0, 3, &[], a_layout, &[], b_layout, &mut c);
+            assert!(c.iter().all(|&v| v == 0.0), "{a_layout:?}/{b_layout:?}: {c:?}");
+            // No rows or no columns: an empty output, whatever the depth.
+            for (m, n) in [(0, 3), (2, 0)] {
+                let mut c = vec![f32::NAN; m * n];
+                gemm(m, 4, n, &fill(m * 4, 1), a_layout, &fill(4 * n, 2), b_layout, &mut c);
+                assert!(c.is_empty());
+            }
+        }
     }
 
     /// Adversarial-ish fill for the dispatch-seam bit-identity tests:

@@ -10,10 +10,10 @@
 //!   weight's panels — a conv's, or a `Linear`'s as the 1×1×1 case — so its
 //!   driver is the one matrix multiply every layer of the network runs on),
 //!   max pooling and nearest-neighbor upsampling for the 3D U-Net encoder;
-//! - [`gemm`](mod@gemm): the blocking constants, packers and macro-kernel
-//!   that driver is built from, and the row-major [`gemm`](fn@gemm) entry,
-//!   which no layer calls: it is kept as the end-to-end benchmark's kernel
-//!   replay;
+//! - [`gemm`](mod@gemm): the blocking constants, A-panel pack and
+//!   macro-kernel that driver is built from, and the row-major
+//!   [`gemm`](fn@gemm) entry, a front end on that driver which no layer
+//!   calls: it is kept as the end-to-end benchmark's kernel replay;
 //! - [`rowops`]: the gather/blend/bias/affine/softplus kernels the autodiff
 //!   tape and the no-grad inference engine share, on one feature-major
 //!   activation layout;

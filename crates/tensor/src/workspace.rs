@@ -29,9 +29,9 @@
 //!   (whatever the previous user left — always initialized memory, never
 //!   uninitialized; there is no `unsafe` in this module). Callers must fully
 //!   overwrite it. A *zeroed* checkout is `memset` to 0.0.
-//! - The pool caps retained memory ([`set_capacity_bytes`], default 256 MiB)
-//!   and buffers-per-bucket; excess donations are dropped on the floor, so the
-//!   pool never grows beyond the cap even across long trainings.
+//! - The pool caps retained memory (256 MiB) and buffers-per-bucket; excess
+//!   donations are dropped on the floor, so the pool never grows beyond the
+//!   cap even across long trainings.
 //! - Hit/miss counters are cheap atomics, exported by the trainers as
 //!   `mfn-telemetry` gauges and asserted on by the reuse tests.
 
@@ -45,6 +45,9 @@ pub const MIN_BUCKET: usize = 64;
 
 /// Most buffers retained per size bucket; excess donations are freed.
 const MAX_PER_BUCKET: usize = 32;
+
+/// Most bytes the pool retains; donations past it are freed.
+const CAPACITY_BYTES: usize = 256 << 20;
 
 /// `f32` elements per 64-byte cache line.
 const LINE: usize = 16;
@@ -73,8 +76,31 @@ struct Shelves {
     /// `shelves[b]` holds buffers with `capacity >= MIN_BUCKET << b`.
     shelves: Vec<Vec<Vec<f32>>>,
     cached_bytes: usize,
-    capacity_bytes: usize,
     enabled: bool,
+}
+
+impl Shelves {
+    fn empty() -> Self {
+        Shelves {
+            shelves: (0..BUCKETS).map(|_| Vec::new()).collect(),
+            cached_bytes: 0,
+            enabled: true,
+        }
+    }
+
+    /// Keeps `v` on shelf `b` unless the pool is off or the shelf or the
+    /// byte cap is full, in which case `v` is freed.
+    fn donate(&mut self, b: usize, v: Vec<f32>) {
+        let bytes = v.capacity() * 4;
+        if self.enabled
+            && self.shelves[b].len() < MAX_PER_BUCKET
+            && self.cached_bytes + bytes <= CAPACITY_BYTES
+        {
+            self.cached_bytes += bytes;
+            self.shelves[b].push(v);
+            RECYCLED.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 static HITS: AtomicU64 = AtomicU64::new(0);
@@ -85,13 +111,7 @@ static POOL: Mutex<Option<Shelves>> = Mutex::new(None);
 
 fn with_pool<R>(f: impl FnOnce(&mut Shelves) -> R) -> R {
     let mut guard = POOL.lock().unwrap_or_else(|e| e.into_inner());
-    let shelves = guard.get_or_insert_with(|| Shelves {
-        shelves: (0..BUCKETS).map(|_| Vec::new()).collect(),
-        cached_bytes: 0,
-        capacity_bytes: 256 << 20,
-        enabled: true,
-    });
-    f(shelves)
+    f(guard.get_or_insert_with(Shelves::empty))
 }
 
 /// Bucket index whose capacity (`MIN_BUCKET << b`) is `>= len`.
@@ -201,20 +221,9 @@ pub fn take_vec_capacity(cap: usize) -> Vec<f32> {
 /// Donates a buffer to the pool. Buffers below [`MIN_BUCKET`] capacity, or
 /// arriving when the pool is full/disabled, are simply freed.
 pub fn give_vec(v: Vec<f32>) {
-    let cap = v.capacity();
-    let Some(b) = bucket_for_cap(cap) else {
-        return;
-    };
-    with_pool(|p| {
-        if p.enabled
-            && p.shelves[b].len() < MAX_PER_BUCKET
-            && p.cached_bytes + cap * 4 <= p.capacity_bytes
-        {
-            p.cached_bytes += cap * 4;
-            p.shelves[b].push(v);
-            RECYCLED.fetch_add(1, Ordering::Relaxed);
-        }
-    });
+    if let Some(b) = bucket_for_cap(v.capacity()) {
+        with_pool(|p| p.donate(b, v));
+    }
 }
 
 /// RAII checkout of a pooled buffer; derefs to its `[f32]` slice, which
@@ -284,11 +293,6 @@ pub fn set_enabled(enabled: bool) {
     if !enabled {
         clear();
     }
-}
-
-/// Sets the retained-memory cap in bytes.
-pub fn set_capacity_bytes(bytes: usize) {
-    with_pool(|p| p.capacity_bytes = bytes);
 }
 
 /// Frees every cached buffer (counters are kept; see [`reset_stats`]).
@@ -373,15 +377,13 @@ mod tests {
     #[test]
     fn capacity_cap_bounds_retention() {
         let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_enabled(true);
-        clear();
-        set_capacity_bytes(MIN_BUCKET * 4 * 2); // room for two minimal buffers
-        give_vec(vec![0.0; MIN_BUCKET]);
-        give_vec(vec![0.0; MIN_BUCKET]);
-        give_vec(vec![0.0; MIN_BUCKET]); // over cap -> freed
-        assert_eq!(stats().cached_buffers, 2);
-        set_capacity_bytes(256 << 20);
-        clear();
+        let mut p = Shelves::empty();
+        p.cached_bytes = CAPACITY_BYTES - MIN_BUCKET * 4 * 2; // room for two minimal buffers
+        p.donate(0, vec![0.0; MIN_BUCKET]);
+        p.donate(0, vec![0.0; MIN_BUCKET]);
+        p.donate(0, vec![0.0; MIN_BUCKET]); // over cap -> freed
+        assert_eq!(p.shelves[0].len(), 2);
+        assert_eq!(p.cached_bytes, CAPACITY_BYTES);
     }
 
     #[test]
