@@ -8,7 +8,7 @@
 //!   blending) with exact reverse-mode gradients;
 //! - [`nn`]: `Linear`, `Conv3dLayer`, `BatchNorm3d`, `Mlp` layers over a
 //!   shared [`ParamStore`];
-//! - [`optim`]: Adam (the paper's optimizer) and SGD.
+//! - [`optim`]: Adam, the paper's optimizer.
 //!
 //! The tape also differentiates a network with respect to its inputs: a
 //! layer run on [`JET_LANES`] lanes carries a value with its first and second
@@ -30,5 +30,5 @@ pub use mfn_tensor::rowops::{sigmoid_scalar, softplus_scalar};
 pub use nn::{
     Activation, BatchNorm3d, Conv3dLayer, EvalAffine, Linear, Mlp, PackedConv3dLayer, PackedMlp,
 };
-pub use optim::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Sgd};
+pub use optim::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig};
 pub use params::{flatten_grads, unflatten_grads, FrozenParams, ParamId, ParamStore};

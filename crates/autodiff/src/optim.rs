@@ -1,8 +1,7 @@
 //! First-order optimizers operating on a [`ParamStore`].
 //!
-//! The paper trains with Adam (Sec. 5, lr 1e-2); plain SGD with momentum is
-//! provided for the ablation benches. Both consume a gradient list aligned
-//! with the store's registration order, which is exactly what
+//! The paper trains with Adam (Sec. 5, lr 1e-2). It consumes a gradient
+//! list aligned with the store's registration order, which is exactly what
 //! [`crate::Graph::param_grads`] and the distributed all-reduce produce.
 
 use crate::params::{ParamId, ParamStore};
@@ -105,37 +104,6 @@ impl Adam {
     }
 }
 
-/// Plain SGD with optional momentum (baseline optimizer for ablations).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer for `store`.
-    pub fn new(store: &ParamStore, lr: f32, momentum: f32) -> Self {
-        let velocity =
-            (0..store.len()).map(|i| Tensor::zeros(store.get(ParamId(i)).dims())).collect();
-        Sgd { lr, momentum, velocity }
-    }
-
-    /// Applies one update.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &[Tensor]) {
-        assert_eq!(grads.len(), store.len());
-        for (i, g) in grads.iter().enumerate() {
-            let p = store.get_mut(ParamId(i));
-            let v = self.velocity[i].data_mut();
-            let pd = p.data_mut();
-            for k in 0..pd.len() {
-                v[k] = self.momentum * v[k] + g.data()[k];
-                pd[k] -= self.lr * v[k];
-            }
-        }
-    }
-}
-
 /// Global L2 norm over a gradient list (accumulated in f64).
 pub fn grad_l2_norm(grads: &[Tensor]) -> f32 {
     let total: f64 = grads.iter().map(|g| g.norm_sqr() as f64).sum();
@@ -199,18 +167,6 @@ mod tests {
         opt.step(&mut store, &[Tensor::scalar(1.0)]);
         // step 2: m = .19, bc1 = .19 -> mhat = 1; v similar -> x = -0.2
         assert!((store.get(x).item() + 0.2).abs() < 1e-5);
-    }
-
-    #[test]
-    fn sgd_with_momentum_accumulates() {
-        let mut store = ParamStore::new();
-        let x = store.register("x", Tensor::scalar(0.0));
-        let mut opt = Sgd::new(&store, 0.1, 0.9);
-        opt.step(&mut store, &[Tensor::scalar(1.0)]);
-        assert!((store.get(x).item() + 0.1).abs() < 1e-6);
-        opt.step(&mut store, &[Tensor::scalar(1.0)]);
-        // velocity = 0.9*1 + 1 = 1.9 -> x = -0.1 - 0.19 = -0.29
-        assert!((store.get(x).item() + 0.29).abs() < 1e-6);
     }
 
     #[test]

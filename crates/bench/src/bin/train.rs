@@ -21,19 +21,23 @@
 //! With `--telemetry`, appends one JSON object per gradient step (losses,
 //! gradient norms, per-phase timings) to the given `.jsonl` file.
 //! `--checkpoint-every N` also writes the state every N gradient steps (one
-//! worker) or before every epoch (several); `--resume PATH` continues a run
-//! from such a file bit-identically to one that was never interrupted, and
-//! writes the final state back there; a file written under another
-//! architecture (patch shape, γ, constraint set) is refused.
+//! worker) or before every epoch (several); a periodic write that fails is
+//! reported and training goes on.
+//! The same rules hold on every `--workers`: a run continues only the state
+//! `--resume PATH` names — bit-identically to a run that was never
+//! interrupted — and writes its final state back there; without `--resume`
+//! it starts fresh, whatever files exist. A resume file that is missing,
+//! damaged in both copies, or written under another architecture (patch
+//! shape, γ, constraint set) or world size, and a final state that cannot
+//! be written, print the error naming the file and exit 1.
 //! A missing or malformed option value prints the usage and exits 2; an
-//! unreadable dataset or checkpoint (on any `--workers`), or a telemetry file
-//! that cannot be created, prints the error and exits 1.
+//! unreadable dataset, or a telemetry file that cannot be created, prints
+//! the error and exits 1.
 
 use mfn_core::cli::Cli;
 use mfn_core::{
-    decode_inference_state, evaluate_pair, load_train_state_with_fallback, save_train_state,
-    table_header, CheckpointError, Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig, TrainConfig,
-    Trainer,
+    evaluate_pair, load_train_state_with_fallback, table_header, write_train_state,
+    CheckpointError, Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
 };
 use mfn_data::{load_dataset, try_downsample, Dataset, PatchSpec};
 use mfn_dist::{train_elastic, FaultPlan, SupervisorConfig};
@@ -105,6 +109,13 @@ fn load(path: &Path) -> Dataset {
         eprintln!("error: cannot load dataset {}: {e}", path.display());
         std::process::exit(1);
     })
+}
+
+/// The train state at `path` could not be resumed or written: the error
+/// naming the file, and exit 1.
+fn state_error(path: &Path, e: CheckpointError) -> ! {
+    eprintln!("error: train state {}: {e}", path.display());
+    std::process::exit(1);
 }
 
 /// `(ft, fs)` such that `downsample(hr, ft, fs)` is `lr`: read off the two
@@ -188,42 +199,39 @@ fn main() {
     };
 
     // The train state goes next to the checkpoint name unless --resume
-    // names an existing file.
+    // names the file to continue, and is read from nowhere else.
     let state_path = args.resume.clone().unwrap_or_else(|| {
         let mut p = args.ckpt.as_os_str().to_owned();
         p.push(".state");
         PathBuf::from(p)
     });
-    let fault_tolerant = args.tc.checkpoint_every > 0 || args.resume.is_some();
+    let state = args
+        .resume
+        .as_ref()
+        .map(|path| load_train_state_with_fallback(path).unwrap_or_else(|e| state_error(path, e)));
 
-    let model = if args.workers > 1 {
-        // The supervisor resumes from an existing state on its own but
-        // panics on one it cannot use: refuse such a file here, as
-        // `Trainer::resume` does for one worker. No file is a fresh run.
-        if fault_tolerant {
-            let resumable = load_train_state_with_fallback(&state_path).and_then(|payload| {
-                let model = MeshfreeFlowNet::new(mcfg.clone());
-                Trainer::from_state(model, args.tc, &payload, 0, args.workers).map(drop)
-            });
-            match resumable {
-                Ok(()) => {}
-                Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    eprintln!("error: cannot resume from {}: {e}", state_path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
+    if args.workers > 1 {
         eprintln!("data-parallel training on {} workers ...", args.workers);
-        // With --checkpoint-every or --resume the supervisor persists the
-        // state before every epoch and after the last, and resumes from an
-        // existing file on its own.
+        // With --checkpoint-every the supervisor writes the state before
+        // every epoch and after the last; without, the final state is
+        // written here.
+        let periodic = args.tc.checkpoint_every > 0;
         let sup = SupervisorConfig {
             workers: args.workers,
-            checkpoint_path: fault_tolerant.then(|| state_path.clone()),
+            checkpoint_path: periodic.then(|| state_path.clone()),
             ..Default::default()
         };
-        let r = train_elastic(&corpus, &mcfg, &args.tc, &sup, &FaultPlan::none(), recorder.clone());
+        let plan = FaultPlan::none();
+        let r = train_elastic(
+            &corpus,
+            &mcfg,
+            &args.tc,
+            &sup,
+            state.as_deref(),
+            &plan,
+            recorder.clone(),
+        )
+        .unwrap_or_else(|e| state_error(&state_path, e));
         eprintln!(
             "throughput {:.1} samples/s, final loss {:.4}, world {}, failures {}, \
              ring re-forms {}{}",
@@ -236,26 +244,20 @@ fn main() {
         );
         let total_wait: f64 = r.allreduce_wait.iter().sum();
         eprintln!("all-reduce wait: {total_wait:.3}s total across {} ranks", r.workers);
-        if !fault_tolerant {
-            save_train_state(&state_path, &r.final_state).expect("write train state");
+        if !periodic {
+            write_train_state(&state_path, &r.final_state, &recorder)
+                .unwrap_or_else(|e| state_error(&state_path, e));
         }
-        let mut model = MeshfreeFlowNet::new(mcfg);
-        decode_inference_state(&mut model, &mut r.final_state.as_slice())
-            .expect("the run's own state decodes");
-        model
     } else {
-        let mut trainer = match &args.resume {
-            Some(path) => {
-                let t = Trainer::resume(MeshfreeFlowNet::new(mcfg), args.tc, path).unwrap_or_else(
-                    |e| {
-                        eprintln!("error: cannot resume from {}: {e}", path.display());
-                        std::process::exit(1);
-                    },
-                );
-                eprintln!("resumed from {} at step {}", path.display(), t.steps_taken());
+        let model = MeshfreeFlowNet::new(mcfg);
+        let mut trainer = match &state {
+            Some(payload) => {
+                let t = Trainer::from_state(model, args.tc, payload, 0, 1)
+                    .unwrap_or_else(|e| state_error(&state_path, e));
+                eprintln!("resumed from {} at step {}", state_path.display(), t.steps_taken());
                 t
             }
-            None => Trainer::new(MeshfreeFlowNet::new(mcfg), args.tc),
+            None => Trainer::new(model, args.tc),
         }
         .with_recorder(recorder.clone())
         .with_checkpointing(&state_path);
@@ -275,15 +277,17 @@ fn main() {
         }
         // The final state also lets a later --resume with more epochs
         // continue instead of restarting.
-        trainer.save_checkpoint(&state_path).expect("write train state");
-        trainer.model
-    };
+        trainer.save_checkpoint(&state_path).unwrap_or_else(|e| state_error(&state_path, e));
+    }
     recorder.flush();
     eprintln!("train state written to {}", state_path.display());
 
     if let Some((valid, valid_lr)) = valid {
         eprintln!("evaluating on held-out frames ...");
-        let sr = FrozenModel::from_model(model).super_resolve(&valid_lr, &valid.meta, corpus.stats);
+        // The model `serve` would load: the state just written.
+        let model =
+            FrozenModel::load_state(&state_path).unwrap_or_else(|e| state_error(&state_path, e));
+        let sr = model.super_resolve(&valid_lr, &valid.meta, corpus.stats);
         let nu = (valid.meta.pr / valid.meta.ra).sqrt();
         println!("{}", table_header());
         println!("{}", evaluate_pair("validation", &valid, &sr, nu, 0).format());

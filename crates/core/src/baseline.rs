@@ -151,9 +151,7 @@ impl BaselineII {
                 }
             }
         }
-        let mut ds = Dataset::from_parts(hr_meta.clone(), out);
-        ds.refresh_stats();
-        ds
+        Dataset::from_parts(hr_meta.clone(), out)
     }
 }
 

@@ -27,9 +27,11 @@ use crate::config::MfnConfig;
 use crate::model::MeshfreeFlowNet;
 use crate::rng::RngState;
 use mfn_autodiff::{read_adam, read_params, write_adam, write_params, Adam};
+use mfn_telemetry::Recorder;
 use mfn_tensor::le::{ReadLe, Short};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Frame magic for a full train-state checkpoint.
 const STATE_MAGIC: &[u8; 8] = b"MFNSTAT1";
@@ -251,6 +253,32 @@ pub fn save_train_state(path: &Path, payload: &[u8]) -> Result<u64, CheckpointEr
     Ok(total)
 }
 
+/// The one train-state writer of a training run: [`save_train_state`],
+/// recording `ckpt.bytes`, `ckpt.writes` and `ckpt.write_s` on `recorder`.
+/// A final write's failure is its caller's error; a periodic one goes
+/// through [`write_periodic`].
+pub fn write_train_state(
+    path: &Path,
+    payload: &[u8],
+    recorder: &Recorder,
+) -> Result<u64, CheckpointError> {
+    let start = Instant::now();
+    let bytes = save_train_state(path, payload)?;
+    recorder.incr("ckpt.bytes", bytes);
+    recorder.incr("ckpt.writes", 1);
+    recorder.gauge("ckpt.write_s", start.elapsed().as_secs_f64());
+    Ok(bytes)
+}
+
+/// A periodic [`write_train_state`]: a failure is counted (`ckpt.errors`)
+/// and reported on stderr, and training continues.
+pub fn write_periodic(path: &Path, payload: &[u8], recorder: &Recorder) {
+    if let Err(e) = write_train_state(path, payload, recorder) {
+        recorder.incr("ckpt.errors", 1);
+        eprintln!("checkpoint write to {} failed: {e}", path.display());
+    }
+}
+
 /// Reads and verifies the frame at `path`, returning the payload bytes:
 /// the file's own buffer, its 24-byte header stripped in place.
 pub fn load_train_state(path: &Path) -> Result<Vec<u8>, CheckpointError> {
@@ -287,9 +315,9 @@ pub fn load_train_state(path: &Path) -> Result<Vec<u8>, CheckpointError> {
 }
 
 /// Like [`load_train_state`], but when `path` is missing or damaged, falls
-/// back to the rotated `<path>.prev` — the supervisor's rollback source
-/// after a torn write. The original error is returned if the fallback is
-/// absent or also bad.
+/// back to the rotated `<path>.prev` — what a resume reads after a torn
+/// write. The original error is returned if the fallback is absent or also
+/// bad.
 pub fn load_train_state_with_fallback(path: &Path) -> Result<Vec<u8>, CheckpointError> {
     match load_train_state(path) {
         Ok(payload) => Ok(payload),

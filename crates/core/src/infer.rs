@@ -298,9 +298,7 @@ impl FrozenModel {
                 }
             }
         }
-        let mut ds = Dataset::from_parts(hr_meta.clone(), out);
-        ds.refresh_stats();
-        ds
+        Dataset::from_parts(hr_meta.clone(), out)
     }
 
     /// Test-time physics refinement (see [`crate::refine`]): budgeted gradient

@@ -38,7 +38,8 @@ pub mod unet;
 pub use baseline::{baseline_trilinear, hr_target_patch, BaselineII};
 pub use checkpoint::{
     crc32, decode_inference_state, decode_train_state, encode_train_state, load_train_state,
-    load_train_state_with_fallback, prev_path, save_train_state, CheckpointError, TrainStateMeta,
+    load_train_state_with_fallback, prev_path, save_train_state, write_periodic, write_train_state,
+    CheckpointError, TrainStateMeta,
 };
 pub use config::{MfnConfig, TrainConfig};
 pub use decoder::{
@@ -54,6 +55,7 @@ pub use model::{covering_origins, extract_patch, CoveringOrigins, MeshfreeFlowNe
 pub use refine::{refine_latent, RefineBudget, RefineReport, RefineSettings};
 pub use rng::{RngState, SampleRng};
 pub use trainer::{
-    log_pool_stats, BaselineTrainer, Corpus, EpochRecord, GradReduce, NoReduce, Trainer,
+    decode_run_state, log_pool_stats, BaselineTrainer, Corpus, EpochRecord, GradReduce, NoReduce,
+    Trainer,
 };
 pub use unet::{PackedResBlock, PackedUNet, ResBlock3d, UNet3d};

@@ -6,15 +6,15 @@
 
 use crate::baseline::{hr_target_patch, BaselineII};
 use crate::checkpoint::{
-    decode_train_state, encode_train_state, load_train_state_with_fallback, save_train_state,
-    CheckpointError, TrainStateMeta,
+    decode_train_state, encode_train_state, load_train_state_with_fallback, write_periodic,
+    write_train_state, CheckpointError, TrainStateMeta,
 };
 use crate::config::TrainConfig;
 use crate::losses::ChannelStats;
 use crate::model::{MeshfreeFlowNet, StepLosses};
 use crate::rng::{RngState, SampleRng};
 use mfn_autodiff::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Graph, ParamStore, Var};
-use mfn_data::{make_batch, Dataset, DatasetMeta, PatchSampler};
+use mfn_data::{make_batch, Dataset, PatchSampler};
 use mfn_physics::RbcParams;
 use mfn_telemetry::{Recorder, StepMetrics, Stopwatch};
 use mfn_tensor::{workspace, Tensor};
@@ -58,14 +58,14 @@ impl Corpus {
     /// thus has its HR set's statistics bit for bit.
     pub fn new(pairs: Vec<(Dataset, Dataset)>) -> Self {
         assert!(!pairs.is_empty(), "corpus needs at least one dataset pair");
-        let metas: Vec<&DatasetMeta> = pairs.iter().map(|(hr, _)| &hr.meta).collect();
-        let n = metas.len() as f64;
+        let sets: Vec<_> = pairs.iter().map(|(hr, _)| hr.channel_stats()).collect();
+        let n = sets.len() as f64;
         let mut stats = ChannelStats { mean: [0.0; 4], std: [0.0; 4] };
         for c in 0..4 {
-            let m = metas.iter().map(|h| h.channel_mean[c] as f64).sum::<f64>() / n;
-            let var = metas
+            let m = sets.iter().map(|(mean, _)| mean[c] as f64).sum::<f64>() / n;
+            let var = sets
                 .iter()
-                .map(|h| (h.channel_std[c] as f64).powi(2) + (h.channel_mean[c] as f64 - m).powi(2))
+                .map(|(mean, std)| (std[c] as f64).powi(2) + (mean[c] as f64 - m).powi(2))
                 .sum::<f64>()
                 / n;
             stats.mean[c] = m as f32;
@@ -296,9 +296,10 @@ impl Trainer {
 
     /// Rank `rank` of the `world`-rank run whose train state `payload`
     /// holds (the bytes [`encode_train_state`] produced): the shared model
-    /// and Adam state, and that rank's own sampler stream.
-    /// [`Trainer::resume`] is rank 0 of 1; the elastic supervisor in
-    /// `mfn-dist` builds every rank of a round from its snapshot this way.
+    /// and Adam state, and that rank's own sampler stream, through
+    /// [`decode_run_state`]. [`Trainer::resume`] is rank 0 of 1; the elastic
+    /// supervisor in `mfn-dist` builds every rank of a round from its
+    /// snapshot this way.
     pub fn from_state(
         mut model: MeshfreeFlowNet,
         cfg: TrainConfig,
@@ -306,21 +307,9 @@ impl Trainer {
         rank: usize,
         world: usize,
     ) -> Result<Trainer, CheckpointError> {
-        let (opt, meta) = decode_train_state(&mut model, &mut &payload[..])?;
-        if meta.rngs.len() != world || rank >= world {
-            return Err(CheckpointError::Incompatible(format!(
-                "checkpoint holds {} sampler streams, rank {rank} of {world} expected",
-                meta.rngs.len()
-            )));
-        }
-        // A cursor is only ever saved inside an epoch (`state_meta`): one at
-        // or past this run's epoch length was written under another
-        // `batches_per_epoch`, and `run_epoch` would run no batch of it.
-        if meta.batch_cursor > 0 && meta.batch_cursor >= cfg.batches_per_epoch {
-            return Err(CheckpointError::Incompatible(format!(
-                "checkpoint is at batch {} of its epoch, this run's epochs have {}",
-                meta.batch_cursor, cfg.batches_per_epoch
-            )));
+        let (opt, meta) = decode_run_state(&mut model, &cfg, payload, world)?;
+        if rank >= world {
+            return Err(CheckpointError::Incompatible(format!("rank {rank} of {world}")));
         }
         Ok(Trainer {
             rank,
@@ -353,32 +342,29 @@ impl Trainer {
         }
     }
 
-    /// Writes a full train-state checkpoint to `path` (atomic rename; the
-    /// previous file rotates to `<path>.prev`). Returns bytes written and
-    /// emits `ckpt.bytes` / `ckpt.write_s` telemetry.
+    /// The train state in checkpoint form.
+    fn state(&self) -> Vec<u8> {
+        encode_train_state(&self.model, &self.opt, &self.state_meta())
+    }
+
+    /// Writes a full train-state checkpoint to `path` through
+    /// [`write_train_state`] (atomic rename; the previous file rotates to
+    /// `<path>.prev`). Returns bytes written.
     pub fn save_checkpoint(&self, path: &Path) -> Result<u64, CheckpointError> {
-        let start = Instant::now();
-        let payload = encode_train_state(&self.model, &self.opt, &self.state_meta());
-        let bytes = save_train_state(path, &payload)?;
-        self.recorder.incr("ckpt.bytes", bytes);
-        self.recorder.incr("ckpt.writes", 1);
-        self.recorder.gauge("ckpt.write_s", start.elapsed().as_secs_f64());
-        Ok(bytes)
+        write_train_state(path, &self.state(), &self.recorder)
     }
 
     /// Periodic-checkpoint hook: fires every `cfg.checkpoint_every` steps
-    /// when a path is configured. A failed write is counted
-    /// (`ckpt.errors`) and reported but does not abort training.
+    /// when a path is configured, through [`write_periodic`] (a failed
+    /// write is counted and reported and training continues).
     fn checkpoint_if_due(&mut self) {
         if self.cfg.checkpoint_every == 0
             || !self.global_step.is_multiple_of(self.cfg.checkpoint_every as u64)
         {
             return;
         }
-        let Some(path) = self.checkpoint_path.clone() else { return };
-        if let Err(e) = self.save_checkpoint(&path) {
-            self.recorder.incr("ckpt.errors", 1);
-            eprintln!("checkpoint write to {} failed: {e}", path.display());
+        if let Some(path) = &self.checkpoint_path {
+            write_periodic(path, &self.state(), &self.recorder);
         }
     }
 
@@ -497,6 +483,37 @@ impl Trainer {
             })
             .collect()
     }
+}
+
+/// Decodes the train state `payload` of a `world`-rank run into `model` and
+/// returns its Adam state and loop position, refusing one that run cannot
+/// continue: another architecture, another number of sampler streams than
+/// `world`, or a batch cursor past `cfg`'s epoch length. Each is
+/// `Incompatible`. [`Trainer::from_state`] builds a rank from it, and the
+/// elastic supervisor in `mfn-dist` its master state.
+pub fn decode_run_state(
+    model: &mut MeshfreeFlowNet,
+    cfg: &TrainConfig,
+    payload: &[u8],
+    world: usize,
+) -> Result<(Adam, TrainStateMeta), CheckpointError> {
+    let (opt, meta) = decode_train_state(model, &mut &payload[..])?;
+    if meta.rngs.len() != world {
+        return Err(CheckpointError::Incompatible(format!(
+            "checkpoint holds {} sampler streams, this run has {world} ranks",
+            meta.rngs.len()
+        )));
+    }
+    // A cursor is only ever saved inside an epoch (`state_meta`): one at or
+    // past this run's epoch length was written under another
+    // `batches_per_epoch`, and `run_epoch` would run no batch of it.
+    if meta.batch_cursor > 0 && meta.batch_cursor >= cfg.batches_per_epoch {
+        return Err(CheckpointError::Incompatible(format!(
+            "checkpoint is at batch {} of its epoch, this run's epochs have {}",
+            meta.batch_cursor, cfg.batches_per_epoch
+        )));
+    }
+    Ok((opt, meta))
 }
 
 /// Adam-based trainer for Baseline (II) (patch → HR-patch regression).
@@ -856,7 +873,7 @@ mod tests {
     #[test]
     fn one_pair_corpus_keeps_its_pair_statistics_bit_for_bit() {
         let (hr, lr) = tiny_pair(1e5, 0.1);
-        let (mean, std) = (hr.meta.channel_mean, hr.meta.channel_std);
+        let (mean, std) = hr.channel_stats();
         let stats = Corpus::new(vec![(hr, lr)]).stats;
         assert_eq!(stats.mean.map(f32::to_bits), mean.map(f32::to_bits));
         assert_eq!(stats.std.map(f32::to_bits), std.map(f32::to_bits));

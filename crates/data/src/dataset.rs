@@ -3,8 +3,9 @@
 //! A [`Dataset`] holds a uniformly-sampled sequence of Rayleigh–Bénard frames
 //! as one `[nt, 4, nz, nx]` buffer (channel order `T, p, u, w` — the paper's
 //! four physical quantities), together with the physical geometry needed to
-//! map grid indices to `(t, z, x)` coordinates and per-channel statistics
-//! (what a training corpus pools into its one normalization).
+//! map grid indices to `(t, z, x)` coordinates; its per-channel statistics
+//! are computed from the data when a training corpus pools them into its one
+//! normalization ([`Dataset::channel_stats`]).
 
 use mfn_solver::Simulation;
 use serde::{Deserialize, Serialize};
@@ -42,25 +43,19 @@ pub struct DatasetMeta {
     pub pr: f64,
     /// RNG seed of the generating simulation (the "initial condition" id).
     pub seed: u64,
-    /// Per-channel means over all frames. Models never read them: the
-    /// corpus pools them into its normalization (`mfn_core::Corpus::new`).
-    pub channel_mean: [f32; CHANNELS],
-    /// Per-channel standard deviations over all frames.
-    pub channel_std: [f32; CHANNELS],
 }
 
 /// A uniformly-sampled space-time dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
-    /// Metadata (geometry, physics, channel statistics).
+    /// Metadata (geometry and physics).
     pub meta: DatasetMeta,
     /// Field data, `[nt, 4, nz, nx]` row-major `f32`.
     pub data: Vec<f32>,
 }
 
 impl Dataset {
-    /// Builds a dataset from a finished simulation, computing the channel
-    /// statistics over all frames.
+    /// Builds a dataset from a finished simulation.
     pub fn from_simulation(sim: &Simulation) -> Self {
         let nt = sim.frames.len();
         let (nz, nx) = (sim.domain.nz, sim.domain.nx);
@@ -75,7 +70,6 @@ impl Dataset {
                 data[base + CH_W * n + k] = frame.w[k] as f32;
             }
         }
-        let (channel_mean, channel_std) = channel_stats(&data, nt, n);
         let duration = sim.frames.last().map(|f| f.time).unwrap_or(0.0);
         Dataset {
             meta: DatasetMeta {
@@ -88,8 +82,6 @@ impl Dataset {
                 ra: sim.cfg.ra,
                 pr: sim.cfg.pr,
                 seed: sim.cfg.seed,
-                channel_mean,
-                channel_std,
             },
             data,
         }
@@ -148,18 +140,38 @@ impl Dataset {
         self.channel_frame(f, c).iter().map(|&v| v as f64).collect()
     }
 
-    /// Recomputes the channel statistics from the current data.
-    pub fn refresh_stats(&mut self) {
-        let n = self.meta.nz * self.meta.nx;
-        let (mean, std) = channel_stats(&self.data, self.meta.nt, n);
-        self.meta.channel_mean = mean;
-        self.meta.channel_std = std;
+    /// Per-channel mean and standard deviation over all frames, accumulated
+    /// in `f64` and rounded to `f32`. Models never read them: a corpus
+    /// pools them into its one normalization (`mfn_core::Corpus::new`).
+    pub fn channel_stats(&self) -> ([f32; CHANNELS], [f32; CHANNELS]) {
+        let nt = self.meta.nt;
+        let mut mean = [0.0f64; CHANNELS];
+        let mut var = [0.0f64; CHANNELS];
+        let count = (nt * self.meta.nz * self.meta.nx) as f64;
+        for f in 0..nt {
+            for (c, m) in mean.iter_mut().enumerate() {
+                for &v in self.channel_frame(f, c) {
+                    *m += v as f64;
+                }
+            }
+        }
+        for m in mean.iter_mut() {
+            *m /= count;
+        }
+        for f in 0..nt {
+            for (c, s) in var.iter_mut().enumerate() {
+                for &v in self.channel_frame(f, c) {
+                    let d = v as f64 - mean[c];
+                    *s += d * d;
+                }
+            }
+        }
+        (mean.map(|m| m as f32), var.map(|s| (s / count).sqrt() as f32))
     }
 
     /// Splits the dataset along time into `(train, validation)` at
     /// `frac` ∈ (0, 1): the first `ceil(frac·nt)` frames train, the rest
     /// validate (the paper evaluates on a held-out validation set).
-    /// Channel statistics are recomputed per split.
     ///
     /// # Panics
     /// Panics unless both splits end up with at least 2 frames.
@@ -175,45 +187,10 @@ impl Dataset {
             meta.nt = hi - lo;
             // Duration covers the frames of this split (uniform frame dt).
             meta.duration = self.dt() * (hi - lo - 1) as f64;
-            let mut ds = Dataset::from_parts(meta, data);
-            ds.refresh_stats();
-            ds
+            Dataset::from_parts(meta, data)
         };
         (take(0, n_train), take(n_train, self.meta.nt))
     }
-}
-
-fn channel_stats(data: &[f32], nt: usize, n: usize) -> ([f32; CHANNELS], [f32; CHANNELS]) {
-    let mut mean = [0.0f64; CHANNELS];
-    let mut var = [0.0f64; CHANNELS];
-    let count = (nt * n) as f64;
-    for f in 0..nt {
-        for (c, m) in mean.iter_mut().enumerate() {
-            let start = (f * CHANNELS + c) * n;
-            for &v in &data[start..start + n] {
-                *m += v as f64;
-            }
-        }
-    }
-    for m in mean.iter_mut() {
-        *m /= count;
-    }
-    for f in 0..nt {
-        for c in 0..CHANNELS {
-            let start = (f * CHANNELS + c) * n;
-            for &v in &data[start..start + n] {
-                let d = v as f64 - mean[c];
-                var[c] += d * d;
-            }
-        }
-    }
-    let mut mean32 = [0.0f32; CHANNELS];
-    let mut std32 = [0.0f32; CHANNELS];
-    for c in 0..CHANNELS {
-        mean32[c] = mean[c] as f32;
-        std32[c] = (var[c] / count).sqrt() as f32;
-    }
-    (mean32, std32)
 }
 
 #[cfg(test)]
@@ -253,13 +230,14 @@ mod tests {
     fn channel_stats_are_the_data_moments() {
         let sim = tiny_sim();
         let ds = Dataset::from_simulation(&sim);
+        let stats = ds.channel_stats();
         for c in 0..CHANNELS {
             let vals: Vec<f64> = (0..ds.meta.nt)
                 .flat_map(|f| ds.channel_frame(f, c).iter().map(|&v| v as f64))
                 .collect();
             let mean = vals.iter().sum::<f64>() / vals.len() as f64;
             let var = vals.iter().map(|&v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
-            let (m, s) = (ds.meta.channel_mean[c] as f64, ds.meta.channel_std[c] as f64);
+            let (m, s) = (stats.0[c] as f64, stats.1[c] as f64);
             assert!(
                 (m - mean).abs() <= 1e-5 * (1.0 + mean.abs()),
                 "channel {c} mean {m} vs {mean}"

@@ -95,9 +95,7 @@ pub fn upsample_trilinear(lr: &Dataset, hr_like: &Dataset) -> Dataset {
             }
         }
     }
-    let mut out = Dataset::from_parts(m.clone(), data);
-    out.refresh_stats();
-    out
+    Dataset::from_parts(m.clone(), data)
 }
 
 #[cfg(test)]
@@ -108,19 +106,8 @@ mod tests {
     /// A synthetic dataset whose channel 0 equals a given trilinear function,
     /// so interpolation must reproduce it exactly.
     fn synthetic(nt: usize, nz: usize, nx: usize, f: impl Fn(f64, f64, f64) -> f64) -> Dataset {
-        let meta = DatasetMeta {
-            nt,
-            nz,
-            nx,
-            lx: 4.0,
-            lz: 1.0,
-            duration: 2.0,
-            ra: 1e5,
-            pr: 1.0,
-            seed: 0,
-            channel_mean: [0.0; 4],
-            channel_std: [1.0; 4],
-        };
+        let meta =
+            DatasetMeta { nt, nz, nx, lx: 4.0, lz: 1.0, duration: 2.0, ra: 1e5, pr: 1.0, seed: 0 };
         let mut data = vec![0.0f32; nt * CHANNELS * nz * nx];
         let dt = meta.duration / (nt - 1) as f64;
         let dz = meta.lz / (nz - 1) as f64;

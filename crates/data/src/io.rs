@@ -163,6 +163,27 @@ mod tests {
         serde_json::to_string(&meta).expect("meta serializes").into_bytes()
     }
 
+    /// Files written while the metadata carried per-channel statistics
+    /// still load: the derive skips keys the struct no longer has.
+    #[test]
+    fn a_file_with_the_retired_statistics_keys_still_loads() {
+        let sim = simulate(&RbcConfig { nx: 16, nz: 9, ra: 1e4, ..Default::default() }, 0.02, 3);
+        let ds = Dataset::from_simulation(&sim);
+        let json = serde_json::to_string(&ds.meta).expect("meta serializes");
+        let legacy = format!(
+            "{},\"channel_mean\":[0.5,0.1,-0.2,0.3],\"channel_std\":[0.1,0.2,0.3,0.4]}}",
+            json.strip_suffix('}').expect("a JSON object")
+        );
+        let dir = std::env::temp_dir().join(format!("mfn_io_test_legacy_{}", std::process::id()));
+        let path = write_hostile(&dir, legacy.as_bytes(), ds.data.len() as u64, 0);
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes.extend(ds.data.iter().flat_map(|v| v.to_le_bytes()));
+        std::fs::write(&path, bytes).expect("write");
+        let back = load_dataset(&path).expect("a legacy file loads");
+        assert_eq!((&back.meta, &back.data), (&ds.meta, &ds.data));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn rejects_a_sidecar_whose_dims_overflow() {
         let dir = std::env::temp_dir().join("mfn_io_test_overflow");

@@ -7,7 +7,8 @@
 //!
 //! 1. Before a round, the supervisor encodes the master state (params, BN
 //!    stats, Adam, per-logical-rank sampler positions) and — when configured
-//!    — persists it through the atomic CRC-framed checkpoint writer.
+//!    — persists it through the training run's one checkpoint writer
+//!    (`mfn_core::write_periodic`).
 //! 2. Every active rank rebuilds its `Trainer` from that snapshot
 //!    (`Trainer::from_state`, the decode `Trainer::resume` uses) and runs
 //!    `Trainer::run_epoch` with *bounded* all-reduces. A scripted (or real)
@@ -28,14 +29,18 @@
 //! Logical ranks are stable identities: rank `r` keeps its sampler stream
 //! (`seed + r * 7919`) across re-forms, so shrinking the world never makes
 //! two workers draw the same batches.
+//!
+//! A run starts fresh or continues the train state its caller hands it;
+//! the supervisor reads no file. Every error — a state it cannot continue,
+//! a final write that fails — is a returned [`CheckpointError`].
 
 use crate::fault::FaultPlan;
 use crate::trainer::{on_ring, param_digest, rank_seed, RankFailure};
 use mfn_autodiff::{Adam, AdamConfig};
 use mfn_core::{
-    decode_train_state, encode_train_state, load_train_state_with_fallback, save_train_state,
-    CheckpointError, Corpus, EpochRecord, MeshfreeFlowNet, MfnConfig, RngState, TrainConfig,
-    TrainStateMeta, Trainer,
+    decode_run_state, encode_train_state, write_periodic, write_train_state, CheckpointError,
+    Corpus, EpochRecord, MeshfreeFlowNet, MfnConfig, RngState, TrainConfig, TrainStateMeta,
+    Trainer,
 };
 use mfn_telemetry::Recorder;
 use std::path::PathBuf;
@@ -58,8 +63,8 @@ pub struct SupervisorConfig {
     /// surviving world (elastic shrink).
     pub restart_failed: bool,
     /// When set, the master state is checkpointed here before every epoch
-    /// and after the last; an existing file is resumed from (falling back
-    /// to `<path>.prev` if the newest write is damaged).
+    /// (a failed write is counted and training continues) and after the
+    /// last (a failed write is the run's error). Nothing is read from it.
     pub checkpoint_path: Option<PathBuf>,
 }
 
@@ -116,7 +121,16 @@ pub struct DistRunResult {
 }
 
 /// Runs synchronous data-parallel training of MeshfreeFlowNet under `plan`
-/// (pass [`FaultPlan::none`] for production behavior).
+/// (pass [`FaultPlan::none`] for production behavior), from a fresh model
+/// or, given `state`, from that train state (the payload `<ckpt>.state`
+/// frames) where it stopped.
+///
+/// `state` is decoded once, through [`decode_run_state`], the checks
+/// [`Trainer::from_state`] makes: a state of another architecture or
+/// another world size than `sup.workers` is `Err(Incompatible)`, a damaged
+/// one `Err(Corrupt)`, and nothing is trained. With
+/// [`SupervisorConfig::checkpoint_path`] set, a failed final write is the
+/// returned error.
 ///
 /// `batches_per_epoch` mini-batches are processed by *each* worker per
 /// epoch (weak scaling, like the paper: the global batch grows with the
@@ -127,58 +141,35 @@ pub struct DistRunResult {
 /// round, the failure counters and `throughput_samples_per_sec`.
 ///
 /// # Panics
-/// Panics if `sup.workers == 0` or a configured
-/// checkpoint cannot be written; a *damaged* checkpoint on resume falls
-/// back to `<path>.prev` and only panics when both copies are bad.
+/// Panics if `sup.workers == 0`.
 pub fn train_elastic(
     corpus: &Corpus,
     model_cfg: &MfnConfig,
     train_cfg: &TrainConfig,
     sup: &SupervisorConfig,
+    state: Option<&[u8]>,
     plan: &FaultPlan,
     recorder: Recorder,
-) -> DistRunResult {
+) -> Result<DistRunResult, CheckpointError> {
     assert!(sup.workers >= 1, "supervisor needs at least one worker");
 
     // Master state, authoritative between rounds: the replica, its Adam
     // state, and the position plus every logical rank's sampler stream.
     let mut master = MeshfreeFlowNet::new(model_cfg.clone());
-    let mut opt = Adam::new(&master.store, AdamConfig { lr: train_cfg.lr, ..Default::default() });
-    let mut meta = TrainStateMeta {
-        global_step: 0,
-        epoch: 0,
-        batch_cursor: 0,
-        rngs: (0..sup.workers)
-            .map(|r| RngState { seed: rank_seed(train_cfg.seed, r), words: 0 })
-            .collect(),
+    let (mut opt, mut meta) = match state {
+        Some(payload) => decode_run_state(&mut master, train_cfg, payload, sup.workers)?,
+        None => (
+            Adam::new(&master.store, AdamConfig { lr: train_cfg.lr, ..Default::default() }),
+            TrainStateMeta {
+                global_step: 0,
+                epoch: 0,
+                batch_cursor: 0,
+                rngs: (0..sup.workers)
+                    .map(|r| RngState { seed: rank_seed(train_cfg.seed, r), words: 0 })
+                    .collect(),
+            },
+        ),
     };
-    let steps_per_epoch = train_cfg.batches_per_epoch as u64;
-
-    // Resume from an existing checkpoint (surviving a torn newest write via
-    // the rotated previous copy), at the start of the epoch it was in.
-    if let Some(path) = &sup.checkpoint_path {
-        match load_train_state_with_fallback(path) {
-            Ok(payload) => {
-                let (restored, found) = decode_train_state(&mut master, &mut payload.as_slice())
-                    .unwrap_or_else(|e| panic!("cannot resume from {}: {e}", path.display()));
-                assert_eq!(
-                    found.rngs.len(),
-                    sup.workers,
-                    "checkpoint world size {} != configured {}",
-                    found.rngs.len(),
-                    sup.workers
-                );
-                opt = restored;
-                meta.rngs = found.rngs;
-                meta.epoch = found.epoch;
-                meta.global_step = found.epoch as u64 * steps_per_epoch;
-            }
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                // Fresh run: nothing to resume.
-            }
-            Err(e) => panic!("cannot resume from {}: {e}", path.display()),
-        }
-    }
 
     let mut active: Vec<usize> = (0..sup.workers).collect();
     let mut epoch_losses = Vec::with_capacity(train_cfg.epochs);
@@ -197,22 +188,25 @@ pub fn train_elastic(
         // The snapshot carries *all* logical rank streams, so every rank of
         // the round — and a resumed supervisor — can be rebuilt from it.
         let snapshot = encode_train_state(&master, &opt, &meta);
-        persist(sup, &recorder, &snapshot);
+        if let Some(path) = &sup.checkpoint_path {
+            write_periodic(path, &snapshot, &recorder);
+        }
         recorder.gauge("dist.world", active.len() as f64);
 
         // One epoch round over the active world: every rank is rebuilt
         // from the snapshot and runs the epoch through a bounded ring.
-        let results: Vec<Result<(Trainer, EpochRecord, u64), RankFailure>> =
-            on_ring(&active, sup.allreduce_timeout, plan, |mut reduce| {
-                let model = MeshfreeFlowNet::new(model_cfg.clone());
-                let mut trainer =
-                    Trainer::from_state(model, *train_cfg, &snapshot, reduce.rank, sup.workers)
-                        .expect("supervisor snapshot must decode")
-                        .with_recorder(recorder.clone());
-                let record = trainer.run_epoch(corpus, &mut reduce)?;
+        let rounds = on_ring(&active, sup.allreduce_timeout, plan, |mut reduce| {
+            let model = MeshfreeFlowNet::new(model_cfg.clone());
+            let mut trainer =
+                Trainer::from_state(model, *train_cfg, &snapshot, reduce.rank, sup.workers)?
+                    .with_recorder(recorder.clone());
+            Ok(trainer.run_epoch(corpus, &mut reduce).map(|record| {
                 let digest = param_digest(&trainer.model.store.flatten());
-                Ok((trainer, record, digest))
-            });
+                (trainer, record, digest)
+            }))
+        });
+        let results: Vec<Result<(Trainer, EpochRecord, u64), RankFailure>> =
+            rounds.into_iter().collect::<Result<_, CheckpointError>>()?;
 
         let killed: Vec<usize> = results
             .iter()
@@ -226,6 +220,7 @@ pub fn train_elastic(
             // Commit: adopt ring-position-0's replica (replicas are
             // bit-identical) and every rank's sampler stream; the round
             // becomes the new master state.
+            let batches = train_cfg.batches_per_epoch - meta.batch_cursor;
             let mut loss = 0.0f32;
             for (&rank, r) in active.iter().zip(results) {
                 let (trainer, record, digest) = r.unwrap_or_else(|_| unreachable!("checked above"));
@@ -234,6 +229,7 @@ pub fn train_elastic(
                 allreduce_wait[rank] += trainer.reduce_wait_s();
                 epoch_param_digests[rank].push(digest);
                 if rank == active[0] {
+                    meta.global_step = trainer.steps_taken();
                     master = trainer.model;
                     opt = trainer.opt;
                 }
@@ -241,9 +237,9 @@ pub fn train_elastic(
             epoch_losses.push(loss / active.len() as f32);
             epoch_worlds.push(active.len());
             epoch_wall.push(start.elapsed().as_secs_f64());
-            samples += active.len() * train_cfg.batches_per_epoch * train_cfg.batch_size;
+            samples += active.len() * batches * train_cfg.batch_size;
             meta.epoch += 1;
-            meta.global_step += steps_per_epoch;
+            meta.batch_cursor = 0;
             continue;
         }
 
@@ -277,13 +273,15 @@ pub fn train_elastic(
         retries_left -= 1;
     }
 
-    // Persist the final committed state so a follow-on run resumes cleanly.
+    // Persist the final committed state so a follow-on run can resume it.
     let final_state = encode_train_state(&master, &opt, &meta);
-    persist(sup, &recorder, &final_state);
+    if let Some(path) = &sup.checkpoint_path {
+        write_train_state(path, &final_state, &recorder)?;
+    }
     let throughput = samples as f64 / start.elapsed().as_secs_f64();
     recorder.gauge("throughput_samples_per_sec", throughput);
 
-    DistRunResult {
+    Ok(DistRunResult {
         workers: sup.workers,
         epoch_losses,
         epoch_worlds,
@@ -298,18 +296,7 @@ pub fn train_elastic(
         ring_reforms,
         final_world: active.len(),
         completed,
-    }
-}
-
-/// Writes `payload` to the configured checkpoint path, if there is one.
-fn persist(sup: &SupervisorConfig, recorder: &Recorder, payload: &[u8]) {
-    let Some(path) = &sup.checkpoint_path else { return };
-    let start = Instant::now();
-    let bytes = save_train_state(path, payload)
-        .unwrap_or_else(|e| panic!("checkpoint write to {} failed: {e}", path.display()));
-    recorder.incr("ckpt.bytes", bytes);
-    recorder.incr("ckpt.writes", 1);
-    recorder.gauge("ckpt.write_s", start.elapsed().as_secs_f64());
+    })
 }
 
 #[cfg(test)]
@@ -326,7 +313,7 @@ mod tests {
         let sup = SupervisorConfig { workers: 2, restart_failed: true, ..Default::default() };
         let (recorder, sink) = Recorder::memory(4096);
         let plan = FaultPlan::none().kill(1, 6);
-        let r = train_elastic(&corpus, &cfg, &tc, &sup, &plan, recorder);
+        let r = train_elastic(&corpus, &cfg, &tc, &sup, None, &plan, recorder).expect("fresh run");
         assert!(r.completed);
         assert_eq!(r.failures, 1);
         let steps = sink.train_steps();
@@ -342,16 +329,97 @@ mod tests {
         );
     }
 
+    /// A state is continued only under the world size that wrote it: a
+    /// one-worker state handed to a two-worker run is refused before any
+    /// training, as a typed error.
+    #[test]
+    fn a_state_of_another_world_size_is_incompatible() {
+        let (corpus, cfg, tc) = tiny_setup();
+        let one = crate::train_data_parallel(&corpus, &cfg, &TrainConfig { epochs: 1, ..tc }, 1);
+        let sup = SupervisorConfig { workers: 2, ..Default::default() };
+        let (recorder, sink) = Recorder::memory(4096);
+        let r = train_elastic(
+            &corpus,
+            &cfg,
+            &tc,
+            &sup,
+            Some(&one.final_state),
+            &FaultPlan::none(),
+            recorder,
+        );
+        match r {
+            Err(CheckpointError::Incompatible(m)) => {
+                assert!(m.contains("1 sampler streams"), "{m}")
+            }
+            other => panic!("expected Incompatible, got {:?}", other.map(|r| r.epoch_losses)),
+        }
+        assert!(sink.train_steps().is_empty(), "nothing may train on a refused state");
+    }
+
+    /// A handed state continues where it stopped, mid-epoch included: a
+    /// one-worker `Trainer` state written at step 6 (epoch 1, batch 2)
+    /// finishes under the supervisor bit-identically to a run that never
+    /// stopped.
+    #[test]
+    fn a_mid_epoch_state_continues_at_its_batch() {
+        let (corpus, cfg, tc) = tiny_setup();
+        let straight = crate::train_data_parallel(&corpus, &cfg, &tc, 1);
+        let path = std::env::temp_dir().join(format!("mfn_sup_mid_{}.state", std::process::id()));
+        let first = TrainConfig { epochs: 2, checkpoint_every: 6, ..tc };
+        Trainer::new(MeshfreeFlowNet::new(cfg.clone()), first)
+            .with_checkpointing(&path)
+            .train(&corpus);
+        let state = mfn_core::load_train_state(&path).expect("the step-6 state");
+        std::fs::remove_file(&path).ok();
+        let sup = SupervisorConfig { workers: 1, ..Default::default() };
+        let resumed = train_elastic(
+            &corpus,
+            &cfg,
+            &tc,
+            &sup,
+            Some(&state),
+            &FaultPlan::none(),
+            Recorder::null(),
+        )
+        .expect("a one-worker state continues on one worker");
+        assert_eq!(resumed.epoch_losses.len(), 2, "the rest of epoch 1, then epoch 2");
+        assert!(resumed.final_state == straight.final_state, "resumed run diverged");
+    }
+
+    /// A checkpoint path that cannot be written: every periodic write (one
+    /// before each epoch) is counted in `ckpt.errors` and training goes on;
+    /// the final write's failure is the run's error.
+    #[test]
+    fn unwritable_checkpoint_path_counts_periodic_errors_and_fails_the_final_write() {
+        let (corpus, cfg, tc) = tiny_setup();
+        let dir = std::env::temp_dir().join(format!("mfn_sup_nodir_{}", std::process::id()));
+        let sup = SupervisorConfig {
+            workers: 2,
+            checkpoint_path: Some(dir.join("missing").join("m.state")),
+            ..Default::default()
+        };
+        let (recorder, sink) = Recorder::memory(4096);
+        let r = train_elastic(&corpus, &cfg, &tc, &sup, None, &FaultPlan::none(), recorder);
+        assert!(matches!(r, Err(CheckpointError::Io(_))), "{:?}", r.map(|r| r.epoch_losses));
+        assert_eq!(sink.counter_total("ckpt.errors"), tc.epochs as u64);
+        assert_eq!(sink.counter_total("ckpt.writes"), 0);
+        let steps = sink.train_steps();
+        assert_eq!(steps.len(), 2 * tc.epochs * tc.batches_per_epoch, "training went on");
+    }
+
     /// Killing a worker mid-epoch with restart: the run commits every epoch
     /// at full strength and lands on the same parameters as a faultless run.
     #[test]
     fn kill_with_restart_is_deterministic() {
         let (corpus, cfg, tc) = tiny_setup();
         let sup = SupervisorConfig { workers: 2, restart_failed: true, ..Default::default() };
-        let clean = train_elastic(&corpus, &cfg, &tc, &sup, &FaultPlan::none(), Recorder::null());
+        let run = |plan: &FaultPlan| {
+            train_elastic(&corpus, &cfg, &tc, &sup, None, plan, Recorder::null())
+                .expect("fresh run")
+        };
+        let clean = run(&FaultPlan::none());
         // Kill logical rank 1 at global step 6 (mid-epoch 1).
-        let plan = FaultPlan::none().kill(1, 6);
-        let faulted = train_elastic(&corpus, &cfg, &tc, &sup, &plan, Recorder::null());
+        let faulted = run(&FaultPlan::none().kill(1, 6));
         assert!(faulted.completed);
         assert_eq!(faulted.failures, 1);
         assert_eq!(faulted.ring_reforms, 1);

@@ -109,8 +109,8 @@ pub(crate) fn on_ring<T: Send>(
 }
 
 /// Runs synchronous data-parallel training of MeshfreeFlowNet on
-/// `workers` ranks: [`train_elastic`] with the default
-/// [`SupervisorConfig`] and no injected faults.
+/// `workers` ranks: [`train_elastic`] from a fresh model, with the default
+/// [`SupervisorConfig`] (no checkpoint path) and no injected faults.
 pub fn train_data_parallel(
     corpus: &Corpus,
     model_cfg: &MfnConfig,
@@ -131,7 +131,8 @@ pub fn train_data_parallel_recorded(
     recorder: Recorder,
 ) -> DistRunResult {
     let sup = SupervisorConfig { workers, ..Default::default() };
-    train_elastic(corpus, model_cfg, train_cfg, &sup, &FaultPlan::none(), recorder)
+    train_elastic(corpus, model_cfg, train_cfg, &sup, None, &FaultPlan::none(), recorder)
+        .expect("a fresh run without a checkpoint path reads and writes no state")
 }
 
 #[cfg(test)]

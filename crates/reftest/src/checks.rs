@@ -601,19 +601,8 @@ pub fn check_solver() -> Vec<Report> {
 }
 
 fn synthetic_dataset(nt: usize, nz: usize, nx: usize, seed: u64) -> Dataset {
-    let meta = DatasetMeta {
-        nt,
-        nz,
-        nx,
-        lx: 1.6,
-        lz: 1.0,
-        duration: 0.9,
-        ra: 1.0e5,
-        pr: 1.0,
-        seed: 0,
-        channel_mean: [0.0; CHANNELS],
-        channel_std: [1.0; CHANNELS],
-    };
+    let meta =
+        DatasetMeta { nt, nz, nx, lx: 1.6, lz: 1.0, duration: 0.9, ra: 1.0e5, pr: 1.0, seed: 0 };
     Dataset::from_parts(meta, adversarial_bounded(nt * CHANNELS * nz * nx, seed, 1.0e3))
 }
 

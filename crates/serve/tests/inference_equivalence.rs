@@ -12,7 +12,7 @@
 //! exactly — no tolerance, because the kernels are literally shared
 //! (`mfn_tensor::rowops`), not approximately reimplemented.
 
-use mfn_autodiff::{Graph, Sgd};
+use mfn_autodiff::Graph;
 use mfn_core::{plan_queries, FrozenModel, MeshfreeFlowNet, MfnConfig};
 use mfn_data::PatchSpec;
 use mfn_serve::{Engine, EngineConfig};
@@ -141,9 +141,9 @@ fn snapshot_follows_an_optimizer_step() {
     let qs = rand_queries(&mut 17, 2, 70);
     let old = FrozenModel::snapshot(&reference);
     let before = old.decode_values(&latent, qs.iter().copied());
-    let grads: Vec<Tensor> =
-        reference.store.iter().map(|(_, _, p)| Tensor::ones(p.dims())).collect();
-    Sgd::new(&reference.store, 0.05, 0.0).step(&mut reference.store, &grads);
+    // One plain gradient step, p -= 0.05·g, with every gradient g = 1.
+    let stepped: Vec<f32> = reference.store.flatten().iter().map(|p| p - 0.05).collect();
+    reference.store.unflatten_into(&stepped);
     let after = FrozenModel::snapshot(&reference).decode_values(&latent, qs.iter().copied());
     assert_bits_eq(&old.decode_values(&latent, qs.iter().copied()), &before, "old snapshot");
     assert_ne!(before.data(), after.data(), "decode ignored the weight update");

@@ -145,16 +145,17 @@ fn resume_under_another_config_is_incompatible() {
     let dir = TempDir::new("config_drift");
     let single = dir.path("single.state");
     let elastic = dir.path("elastic.state");
-    let sup = |path: &PathBuf| SupervisorConfig {
+    let sup = SupervisorConfig {
         workers: 1,
-        checkpoint_path: Some(path.clone()),
+        checkpoint_path: Some(elastic.clone()),
         ..Default::default()
     };
-    let run = |cfg: &MfnConfig, path: &PathBuf| {
-        train_elastic(&corpus, cfg, &tc, &sup(path), &FaultPlan::none(), Recorder::null())
+    let run = |cfg: &MfnConfig, state: Option<&[u8]>| {
+        train_elastic(&corpus, cfg, &tc, &sup, state, &FaultPlan::none(), Recorder::null())
     };
     Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc).save_checkpoint(&single).expect("save");
-    assert!(run(&tiny_cfg(), &elastic).completed);
+    assert!(run(&tiny_cfg(), None).expect("fresh run").completed);
+    let state = load_train_state(&elastic).expect("the supervisor's state");
 
     let mut gamma = tiny_cfg();
     gamma.gamma = 0.0;
@@ -170,10 +171,13 @@ fn resume_under_another_config_is_incompatible() {
             Err(other) => panic!("{what}: expected Incompatible, got {other:?}"),
             Ok(_) => panic!("{what}: resumed under another config"),
         }
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&cfg, &elastic)))
-            .expect_err(what);
-        let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
-        assert!(msg.contains("incompatible checkpoint"), "{what}: {msg}");
+        match run(&cfg, Some(&state)) {
+            Err(CheckpointError::Incompatible(m)) => {
+                assert!(m.contains(&tiny_cfg().to_json()) && m.contains(&cfg.to_json()), "{m}")
+            }
+            Err(other) => panic!("{what}: expected Incompatible, got {other:?}"),
+            Ok(_) => panic!("{what}: the supervisor resumed under another config"),
+        }
     }
 }
 

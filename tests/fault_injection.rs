@@ -5,7 +5,9 @@
 //! records what happened, and — when the world is held fixed — bit-identical
 //! results to a run that never faulted.
 
-use meshfreeflownet::core::{Corpus, MfnConfig, TrainConfig};
+use meshfreeflownet::core::{
+    load_train_state_with_fallback, prev_path, CheckpointError, Corpus, MfnConfig, TrainConfig,
+};
 use meshfreeflownet::data::{downsample, Dataset, PatchSpec};
 use meshfreeflownet::dist::{ring, train_elastic, FaultPlan, RingError, SupervisorConfig};
 use meshfreeflownet::solver::{simulate, RbcConfig};
@@ -80,7 +82,7 @@ fn killed_worker_shrinks_world_and_training_still_converges() {
     // Global step 9 = epoch 1, batch 3: squarely mid-epoch.
     let plan = FaultPlan::none().kill(1, 9);
     let (recorder, sink) = Recorder::memory(16384);
-    let result = train_elastic(&corpus, &cfg, &tc, &sup, &plan, recorder);
+    let result = train_elastic(&corpus, &cfg, &tc, &sup, None, &plan, recorder).expect("run");
     dump_telemetry(&sink, "shrink");
 
     assert!(result.completed, "run must finish on the surviving world");
@@ -118,7 +120,9 @@ fn kill_and_resume_matches_no_fault_plan_bit_for_bit() {
     let (corpus, cfg, tc) = tiny_setup(3, 4);
     let dir = TempDir::new("killresume");
     let clean_sup = SupervisorConfig { workers: 2, restart_failed: true, ..Default::default() };
-    let clean = train_elastic(&corpus, &cfg, &tc, &clean_sup, &FaultPlan::none(), Recorder::null());
+    let clean =
+        train_elastic(&corpus, &cfg, &tc, &clean_sup, None, &FaultPlan::none(), Recorder::null())
+            .expect("clean run");
 
     let faulted_sup = SupervisorConfig {
         workers: 2,
@@ -128,7 +132,8 @@ fn kill_and_resume_matches_no_fault_plan_bit_for_bit() {
     };
     let plan = FaultPlan::none().kill(1, 6); // mid-epoch 1
     let (recorder, sink) = Recorder::memory(16384);
-    let faulted = train_elastic(&corpus, &cfg, &tc, &faulted_sup, &plan, recorder);
+    let faulted = train_elastic(&corpus, &cfg, &tc, &faulted_sup, None, &plan, recorder)
+        .expect("faulted run");
     dump_telemetry(&sink, "killresume");
 
     assert!(faulted.completed);
@@ -155,24 +160,52 @@ fn elastic_resume_from_checkpoint_is_bit_identical() {
     let dir = TempDir::new("elasticresume");
     let path = dir.path("super.ckpt");
 
-    let straight_sup = SupervisorConfig { workers: 2, ..Default::default() };
-    let straight =
-        train_elastic(&corpus, &cfg, &tc4, &straight_sup, &FaultPlan::none(), Recorder::null());
+    let run = |tc: &TrainConfig, sup: &SupervisorConfig, state: Option<&[u8]>| {
+        train_elastic(&corpus, &cfg, tc, sup, state, &FaultPlan::none(), Recorder::null())
+            .expect("run")
+    };
+    let straight = run(&tc4, &SupervisorConfig { workers: 2, ..Default::default() }, None);
 
     let ckpt_sup =
         SupervisorConfig { workers: 2, checkpoint_path: Some(path.clone()), ..Default::default() };
     // First half: 2 epochs, final state persisted...
-    let first = train_elastic(&corpus, &cfg, &tc2, &ckpt_sup, &FaultPlan::none(), Recorder::null());
+    let first = run(&tc2, &ckpt_sup, None);
     assert!(first.completed);
-    // ...second supervisor picks the checkpoint up and runs epochs 2..4.
-    let resumed =
-        train_elastic(&corpus, &cfg, &tc4, &ckpt_sup, &FaultPlan::none(), Recorder::null());
+    // ...second supervisor is handed the checkpoint and runs epochs 2..4.
+    let state = load_train_state_with_fallback(&path).expect("the first half's state");
+    let resumed = run(&tc4, &ckpt_sup, Some(&state));
     assert!(resumed.completed);
     assert_eq!(resumed.epoch_losses.len(), 2, "resume must skip the committed epochs");
     assert!(
         resumed.final_state == straight.final_state,
         "checkpoint-resumed elastic run diverged from the uninterrupted one"
     );
+}
+
+/// A state whose newest file and rotated `.prev` are both torn cannot be
+/// continued: the loader returns `Corrupt` rather than either copy, and a
+/// torn payload handed to the supervisor is `Corrupt` before any training.
+#[test]
+fn a_state_torn_in_both_copies_is_corrupt() {
+    let (corpus, cfg, tc) = tiny_setup(2, 2);
+    let dir = TempDir::new("torn");
+    let path = dir.path("torn.state");
+    let sup =
+        SupervisorConfig { workers: 2, checkpoint_path: Some(path.clone()), ..Default::default() };
+    let r = train_elastic(&corpus, &cfg, &tc, &sup, None, &FaultPlan::none(), Recorder::null())
+        .expect("run");
+    for copy in [path.clone(), prev_path(&path)] {
+        let bytes = std::fs::read(&copy).expect("a written copy");
+        std::fs::write(&copy, &bytes[..bytes.len() / 2]).expect("tear");
+    }
+    assert!(matches!(load_train_state_with_fallback(&path), Err(CheckpointError::Corrupt(_))));
+    let torn = &r.final_state[..r.final_state.len() / 2];
+    let (recorder, sink) = Recorder::memory(16384);
+    match train_elastic(&corpus, &cfg, &tc, &sup, Some(torn), &FaultPlan::none(), recorder) {
+        Err(CheckpointError::Corrupt(_)) => {}
+        other => panic!("expected Corrupt, got {:?}", other.map(|r| r.epoch_losses)),
+    }
+    assert!(sink.train_steps().is_empty(), "nothing may train on a torn state");
 }
 
 /// A stalled (not dead) worker: the delay outlives the all-reduce budget, so
@@ -187,10 +220,11 @@ fn stalled_allreduce_times_out_rolls_back_and_retries() {
         allreduce_timeout: Duration::from_millis(300),
         ..Default::default()
     };
-    let clean = train_elastic(&corpus, &cfg, &tc, &sup, &FaultPlan::none(), Recorder::null());
+    let clean = train_elastic(&corpus, &cfg, &tc, &sup, None, &FaultPlan::none(), Recorder::null())
+        .expect("clean run");
     let plan = FaultPlan::none().delay(0, 6, Duration::from_secs(1));
     let (recorder, sink) = Recorder::memory(16384);
-    let result = train_elastic(&corpus, &cfg, &tc, &sup, &plan, recorder);
+    let result = train_elastic(&corpus, &cfg, &tc, &sup, None, &plan, recorder).expect("run");
     dump_telemetry(&sink, "stall");
 
     assert!(result.completed);

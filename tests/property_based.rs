@@ -10,19 +10,8 @@ use meshfreeflownet::tensor::Tensor;
 use proptest::prelude::*;
 
 fn synthetic_dataset(nt: usize, nz: usize, nx: usize, vals: &[f32]) -> Dataset {
-    let meta = DatasetMeta {
-        nt,
-        nz,
-        nx,
-        lx: 4.0,
-        lz: 1.0,
-        duration: 1.0,
-        ra: 1e5,
-        pr: 1.0,
-        seed: 0,
-        channel_mean: [0.0; 4],
-        channel_std: [1.0; 4],
-    };
+    let meta =
+        DatasetMeta { nt, nz, nx, lx: 4.0, lz: 1.0, duration: 1.0, ra: 1e5, pr: 1.0, seed: 0 };
     let n = nt * CHANNELS * nz * nx;
     let data: Vec<f32> = (0..n).map(|i| vals[i % vals.len()]).collect();
     Dataset::from_parts(meta, data)
