@@ -7,41 +7,42 @@
 //!              [--telemetry PATH] [--checkpoint-every N] [--resume PATH]
 //! ```
 //!
-//! Every run ends by writing the full train state (architecture, params, BN
-//! stats, Adam moments, every sampler position, epoch/batch cursor) as a
-//! CRC-framed `MFNSTAT1` file to `<ckpt>.state`: the one file
-//! `serve --ckpt <ckpt>.state` loads.
-//! With `--workers > 1`, trains data-parallel with the ring all-reduce under
-//! the elastic supervisor: every worker runs the same step and epoch loop as
-//! `--workers 1` (same LR decay) on its own batch stream.
+//! Every `--workers` count (default 1) trains through the one driver,
+//! `mfn_dist::train_elastic`: data-parallel with the ring all-reduce, every
+//! worker running the same step and epoch loop on its own batch stream. It
+//! writes the full train state (architecture, params, BN stats, Adam
+//! moments, every sampler position, epoch/batch cursor) as a CRC-framed
+//! `MFNSTAT1` file to `<ckpt>.state` before every round and after the last:
+//! the one file `serve --ckpt <ckpt>.state` loads. A round is an epoch, or
+//! with `--checkpoint-every N` at most N gradient steps; a write before a
+//! round that fails is reported and training goes on.
 //! With `--valid-frac`, holds out the trailing fraction of HR frames, trains
 //! on the rest (both LR halves are downsampled from the split HR at the
 //! factors of the `--lr` file) and reports the physics-metric scoreboard on
 //! the held-out range.
 //! With `--telemetry`, appends one JSON object per gradient step (losses,
 //! gradient norms, per-phase timings) to the given `.jsonl` file.
-//! `--checkpoint-every N` also writes the state every N gradient steps (one
-//! worker) or before every epoch (several); a periodic write that fails is
-//! reported and training goes on.
-//! The same rules hold on every `--workers`: a run continues only the state
-//! `--resume PATH` names — bit-identically to a run that was never
-//! interrupted — and writes its final state back there; without `--resume`
-//! it starts fresh, whatever files exist. A resume file that is missing,
-//! damaged in both copies, or written under another architecture (patch
-//! shape, γ, constraint set) or world size, and a final state that cannot
-//! be written, print the error naming the file and exit 1.
-//! A missing or malformed option value prints the usage and exits 2; an
-//! unreadable dataset, or a telemetry file that cannot be created, prints
-//! the error and exits 1.
+//! A run continues only the state `--resume PATH` names — bit-identically
+//! to a run that was never interrupted, mid-epoch included — and writes its
+//! state back there; without `--resume` it starts fresh, whatever files
+//! exist. A resumed state with no epoch left prints one line, writes nothing
+//! and exits 0. A resume file that is missing, damaged in both copies, or
+//! written under another architecture (patch shape, γ, constraint set) or
+//! world size, and a final state that cannot be written, print the error
+//! naming the file and exit 1.
+//! A missing or malformed option value, `--workers 0` included, prints the
+//! usage and exits 2; an unreadable dataset, or a telemetry file that cannot
+//! be created, prints the error and exits 1.
 
 use mfn_core::cli::Cli;
 use mfn_core::{
-    evaluate_pair, load_train_state_with_fallback, table_header, write_train_state,
-    CheckpointError, Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+    evaluate_pair, load_train_state_with_fallback, table_header, CheckpointError, Corpus,
+    FrozenModel, MfnConfig, TrainConfig,
 };
 use mfn_data::{load_dataset, try_downsample, Dataset, PatchSpec};
 use mfn_dist::{train_elastic, FaultPlan, SupervisorConfig};
 use mfn_telemetry::Recorder;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 struct Args {
@@ -90,7 +91,7 @@ fn parse() -> Args {
             "--gamma" => a.gamma = cli.value(&flag),
             "--rate" => a.tc.lr = cli.value(&flag),
             "--batch" => a.tc.batch_size = cli.value(&flag),
-            "--workers" => a.workers = cli.value(&flag),
+            "--workers" => a.workers = cli.value::<NonZeroUsize>(&flag).get(),
             "--valid-frac" => a.valid_frac = cli.value(&flag),
             "--telemetry" => a.telemetry = Some(cli.value(&flag)),
             "--checkpoint-every" => a.tc.checkpoint_every = cli.value(&flag),
@@ -171,10 +172,9 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    eprintln!(
-        "HR [{} x {} x {}], LR [{} x {} x {}], gamma = {}",
-        hr.meta.nt, hr.meta.nz, hr.meta.nx, lr.meta.nt, lr.meta.nz, lr.meta.nx, args.gamma
-    );
+    let grid = |d: &Dataset| format!("[{} x {} x {}]", d.meta.nt, d.meta.nz, d.meta.nx);
+    let (gamma, workers) = (args.gamma, args.workers);
+    eprintln!("HR {}, LR {}, gamma = {gamma}, {workers} worker(s)", grid(&hr), grid(&lr));
     // Patch shape adapted to the LR grid.
     let patch = PatchSpec {
         nt: lr.meta.nt.min(4),
@@ -210,83 +210,54 @@ fn main() {
         .as_ref()
         .map(|path| load_train_state_with_fallback(path).unwrap_or_else(|e| state_error(path, e)));
 
-    if args.workers > 1 {
-        eprintln!("data-parallel training on {} workers ...", args.workers);
-        // With --checkpoint-every the supervisor writes the state before
-        // every epoch and after the last; without, the final state is
-        // written here.
-        let periodic = args.tc.checkpoint_every > 0;
-        let sup = SupervisorConfig {
-            workers: args.workers,
-            checkpoint_path: periodic.then(|| state_path.clone()),
-            ..Default::default()
-        };
-        let plan = FaultPlan::none();
-        let r = train_elastic(
-            &corpus,
-            &mcfg,
-            &args.tc,
-            &sup,
-            state.as_deref(),
-            &plan,
-            recorder.clone(),
-        )
-        .unwrap_or_else(|e| state_error(&state_path, e));
+    let sup = SupervisorConfig {
+        workers: args.workers,
+        checkpoint_path: Some(state_path.clone()),
+        ..Default::default()
+    };
+    let r = train_elastic(
+        &corpus,
+        &mcfg,
+        &args.tc,
+        &sup,
+        state.as_deref(),
+        &FaultPlan::none(),
+        recorder.clone(),
+    )
+    .unwrap_or_else(|e| state_error(&state_path, e));
+    recorder.flush();
+    if r.completed && r.epochs.is_empty() {
+        eprintln!(
+            "train state {} is at epoch {} or later: nothing to train",
+            state_path.display(),
+            args.tc.epochs
+        );
+    } else {
+        for e in r.epochs.iter().step_by((r.epochs.len() / 8).max(1)) {
+            eprintln!(
+                "epoch {:>4}  loss {:.4}  (pred {:.4}, eq {:.4})",
+                e.epoch, e.loss, e.prediction, e.equation
+            );
+        }
         eprintln!(
             "throughput {:.1} samples/s, final loss {:.4}, world {}, failures {}, \
-             ring re-forms {}{}",
+             ring re-forms {}, all-reduce wait {:.3}s{}",
             r.throughput,
             r.epoch_losses.last().copied().unwrap_or(f32::NAN),
             r.final_world,
             r.failures,
             r.ring_reforms,
+            r.allreduce_wait.iter().sum::<f64>(),
             if r.completed { "" } else { " (run stopped early)" }
         );
-        let total_wait: f64 = r.allreduce_wait.iter().sum();
-        eprintln!("all-reduce wait: {total_wait:.3}s total across {} ranks", r.workers);
-        if !periodic {
-            write_train_state(&state_path, &r.final_state, &recorder)
-                .unwrap_or_else(|e| state_error(&state_path, e));
-        }
-    } else {
-        let model = MeshfreeFlowNet::new(mcfg);
-        let mut trainer = match &state {
-            Some(payload) => {
-                let t = Trainer::from_state(model, args.tc, payload, 0, 1)
-                    .unwrap_or_else(|e| state_error(&state_path, e));
-                eprintln!("resumed from {} at step {}", state_path.display(), t.steps_taken());
-                t
-            }
-            None => Trainer::new(model, args.tc),
-        }
-        .with_recorder(recorder.clone())
-        .with_checkpointing(&state_path);
-        if args.tc.checkpoint_every > 0 {
-            eprintln!(
-                "train-state checkpoints every {} steps -> {}",
-                args.tc.checkpoint_every,
-                state_path.display()
-            );
-        }
-        let recs = trainer.train(&corpus);
-        for r in recs.iter().step_by((recs.len() / 8).max(1)) {
-            eprintln!(
-                "epoch {:>4}  loss {:.4}  (pred {:.4}, eq {:.4})",
-                r.epoch, r.loss, r.prediction, r.equation
-            );
-        }
-        // The final state also lets a later --resume with more epochs
-        // continue instead of restarting.
-        trainer.save_checkpoint(&state_path).unwrap_or_else(|e| state_error(&state_path, e));
+        eprintln!("train state written to {}", state_path.display());
     }
-    recorder.flush();
-    eprintln!("train state written to {}", state_path.display());
 
     if let Some((valid, valid_lr)) = valid {
         eprintln!("evaluating on held-out frames ...");
-        // The model `serve` would load: the state just written.
+        // The model `serve` would load: the run's final state.
         let model =
-            FrozenModel::load_state(&state_path).unwrap_or_else(|e| state_error(&state_path, e));
+            FrozenModel::from_state(&r.final_state).unwrap_or_else(|e| state_error(&state_path, e));
         let sr = model.super_resolve(&valid_lr, &valid.meta, corpus.stats);
         let nu = (valid.meta.pr / valid.meta.ra).sqrt();
         println!("{}", table_header());

@@ -18,7 +18,7 @@
 use mfn_autodiff::Activation;
 use mfn_core::{
     baseline_trilinear, evaluate_pair, table_header, BaselineII, BaselineTrainer, ConstraintSet,
-    Corpus, EpochRecord, EvalRow, FrozenModel, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
+    Corpus, EpochRecord, EvalRow, FrozenModel, MfnConfig, TrainConfig,
 };
 use mfn_data::{downsample, Dataset, PatchSpec};
 use mfn_dist::{train_data_parallel, DistRunResult};
@@ -168,15 +168,16 @@ impl ExperimentScale {
 }
 
 /// Trains a MeshfreeFlowNet of `cfg` on `corpus` under this scale's training
-/// config; returns the model and its per-epoch records.
+/// config, through the training driver on one worker; returns the model,
+/// frozen from the run's final state, and its per-epoch records.
 fn train_mfn(
     scale: &ExperimentScale,
     cfg: MfnConfig,
     corpus: &Corpus,
-) -> (MeshfreeFlowNet, Vec<EpochRecord>) {
-    let mut trainer = Trainer::new(MeshfreeFlowNet::new(cfg), scale.train_config());
-    let records = trainer.train(corpus);
-    (trainer.model, records)
+) -> (FrozenModel, Vec<EpochRecord>) {
+    let run = train_data_parallel(corpus, &cfg, &scale.train_config(), 1);
+    let model = FrozenModel::from_state(&run.final_state).expect("the run's own final state");
+    (model, run.epochs)
 }
 
 /// Trains a MeshfreeFlowNet on `corpus` and scores it against `test`.
@@ -189,7 +190,7 @@ pub fn train_and_score(
 ) -> EvalRow {
     let (model, _) = train_mfn(scale, scale.model_config(gamma), corpus);
     let (hr, lr) = test;
-    let sr = FrozenModel::from_model(model).super_resolve(lr, &hr.meta, corpus.stats);
+    let sr = model.super_resolve(lr, &hr.meta, corpus.stats);
     let nu = (hr.meta.pr / hr.meta.ra).sqrt();
     evaluate_pair(label, hr, &sr, nu, scale.eval_skip)
 }
@@ -272,7 +273,6 @@ pub fn table4(scale: &ExperimentScale, train_ras: &[f64], test_ras: &[f64]) -> V
         train_ras.iter().enumerate().map(|(i, &ra)| scale.build_pair(ra, 10 + i as u64)).collect(),
     );
     let (model, _) = train_mfn(scale, scale.model_config(MfnConfig::GAMMA_STAR), &corpus);
-    let model = FrozenModel::from_model(model);
     let mut rows = Vec::new();
     for &ra in test_ras {
         eprintln!("[table4] evaluating Ra = {ra:.1e} ...");
@@ -292,7 +292,7 @@ pub fn fig6(scale: &ExperimentScale, corpus: &Corpus, outdir: &Path) -> std::io:
     let (hr, lr) = &corpus.pairs[0];
     eprintln!("[fig6] training MFN gamma = gamma* ...");
     let (model, _) = train_mfn(scale, scale.model_config(MfnConfig::GAMMA_STAR), corpus);
-    let sr = FrozenModel::from_model(model).super_resolve(lr, &hr.meta, corpus.stats);
+    let sr = model.super_resolve(lr, &hr.meta, corpus.stats);
     let frame_hr = hr.meta.nt * 3 / 4;
     let frame_lr = (frame_hr / scale.ds_t).min(lr.meta.nt - 1);
     let names = ["T", "p", "u", "w"];

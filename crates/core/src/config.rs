@@ -272,9 +272,11 @@ pub struct TrainConfig {
     pub lr_decay: f32,
     /// RNG seed for batch sampling.
     pub seed: u64,
-    /// Write a full train-state checkpoint every N gradient steps (0
-    /// disables). Takes effect only when the trainer has a checkpoint path
-    /// (see `Trainer::with_checkpointing`).
+    /// The training driver's round length in gradient steps: a round ends
+    /// at every epoch end and, for N > 0, at every global step that is a
+    /// multiple of N. The driver snapshots the train state before each
+    /// round (and writes it when it has a path), so a fault rolls back at
+    /// most one round. 0 makes every round an epoch.
     pub checkpoint_every: usize,
 }
 

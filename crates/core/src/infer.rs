@@ -74,18 +74,22 @@ impl FrozenModel {
         FrozenModel { cfg, store, unet, decoder, packed, trained_steps }
     }
 
-    /// Loads a `MFNSTAT1` train-state checkpoint (as written by the trainer's
-    /// periodic checkpointing or the `train` binary) into a frozen engine.
-    ///
-    /// The model is built from the architecture section that opens the
-    /// payload, once that section is checked against the payload's size.
-    /// Only parameters and BN running statistics are restored; the Adam
-    /// moments in the trailing section of the payload are never materialized.
-    /// Falls back to `<path>.prev` when the newest frame is corrupt.
+    /// Loads a `MFNSTAT1` train-state file (as the training driver writes
+    /// it) into a frozen engine through [`FrozenModel::from_state`]. Falls
+    /// back to `<path>.prev` when the newest frame is corrupt.
     pub fn load_state(path: &Path) -> Result<Self, CheckpointError> {
-        let payload = load_train_state_with_fallback(path)?;
-        let mut model = MeshfreeFlowNet::new(read_config(&mut payload.as_slice())?);
-        let meta = decode_inference_state(&mut model, &mut payload.as_slice())?;
+        Self::from_state(&load_train_state_with_fallback(path)?)
+    }
+
+    /// Freezes a train-state payload (the bytes `encode_train_state`
+    /// produced, e.g. a training run's final state). The model is built
+    /// from the architecture section that opens the payload, once that
+    /// section is checked against the payload's size. Only parameters and
+    /// BN running statistics are restored; the Adam moments in the trailing
+    /// section of the payload are never materialized.
+    pub fn from_state(payload: &[u8]) -> Result<Self, CheckpointError> {
+        let mut model = MeshfreeFlowNet::new(read_config(&mut &payload[..])?);
+        let meta = decode_inference_state(&mut model, &mut &payload[..])?;
         Ok(Self::with_steps(model, meta.global_step))
     }
 

@@ -1,14 +1,13 @@
-//! The training step and epoch loop, defined once: [`Trainer`] is a rank.
-//! A single process trains with [`NoReduce`]; the data-parallel driver in
-//! `mfn-dist` runs one `Trainer` per worker thread, passes a ring
-//! all-reduce as the [`GradReduce`], and rebuilds the ranks from a snapshot
-//! between epochs ([`Trainer::from_state`]).
+//! The training step and epoch loop, defined once: [`Trainer`] is a rank,
+//! and it reads and writes no file. The driver in `mfn-dist` runs one
+//! `Trainer` per worker thread, on one worker too, passes a ring
+//! all-reduce as the [`GradReduce`], rebuilds the ranks from a snapshot
+//! between rounds ([`Trainer::from_state`]) and is the one writer of a train
+//! state. [`Trainer::train`] with [`NoReduce`] is the serial reference it is
+//! checked against.
 
 use crate::baseline::{hr_target_patch, BaselineII};
-use crate::checkpoint::{
-    decode_train_state, encode_train_state, load_train_state_with_fallback, write_periodic,
-    write_train_state, CheckpointError, TrainStateMeta,
-};
+use crate::checkpoint::{decode_train_state, CheckpointError, TrainStateMeta};
 use crate::config::TrainConfig;
 use crate::losses::ChannelStats;
 use crate::model::{MeshfreeFlowNet, StepLosses};
@@ -20,10 +19,10 @@ use mfn_telemetry::{Recorder, StepMetrics, Stopwatch};
 use mfn_tensor::{workspace, Tensor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// One epoch's summary.
+/// One epoch's summary, or of the part of it one [`Trainer::run_epoch`]
+/// call ran.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochRecord {
     /// Epoch index (0-based).
@@ -34,7 +33,7 @@ pub struct EpochRecord {
     pub prediction: f32,
     /// Mean equation loss.
     pub equation: f32,
-    /// Wall-clock seconds for the epoch.
+    /// Wall-clock seconds it took.
     pub seconds: f64,
 }
 
@@ -99,7 +98,7 @@ pub trait GradReduce {
     type Error;
 
     /// Called by [`Trainer::run_epoch`] before global step `step` (1-based)
-    /// draws its batch; an error abandons the epoch there. Fault injection
+    /// draws its batch; an error abandons the call there. Fault injection
     /// kills a rank here.
     fn before_step(&mut self, _step: u64) -> Result<(), Self::Error> {
         Ok(())
@@ -207,14 +206,13 @@ pub struct Trainer {
     global_step: u64,
     /// Epoch [`Trainer::run_epoch`] executes next (or is inside of).
     epoch: usize,
-    /// Next batch index within `epoch` — nonzero only when resumed from a
-    /// mid-epoch checkpoint.
+    /// Next batch index within `epoch` — nonzero only inside an epoch: after
+    /// a `run_epoch` that stopped short of its end, or built from a
+    /// mid-epoch state.
     batch_cursor: usize,
     /// Checkpointable batch-sampling stream (persists across `train` calls
     /// so a resumed trainer continues the exact sample sequence).
     rng: SampleRng,
-    /// Destination for periodic train-state checkpoints (None disables).
-    checkpoint_path: Option<PathBuf>,
     /// Batch-assembly seconds to attribute to the next `step` call.
     pending_data_s: f64,
     /// Seconds spent in the gradient exchange over the trainer's lifetime.
@@ -241,7 +239,6 @@ impl Trainer {
             epoch: 0,
             batch_cursor: 0,
             rng,
-            checkpoint_path: None,
             pending_data_s: 0.0,
             reduce_wait_s: 0.0,
         }
@@ -258,13 +255,6 @@ impl Trainer {
         self.recorder = recorder;
     }
 
-    /// Writes periodic train-state checkpoints to `path` every
-    /// `cfg.checkpoint_every` gradient steps (builder form).
-    pub fn with_checkpointing(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint_path = Some(path.into());
-        self
-    }
-
     /// Gradient steps taken so far.
     pub fn steps_taken(&self) -> u64 {
         self.global_step
@@ -276,30 +266,17 @@ impl Trainer {
         self.reduce_wait_s
     }
 
-    /// Reconstructs a trainer from a train-state checkpoint written by
-    /// [`Trainer::save_checkpoint`] (or the periodic writer). `model` must
-    /// have the architecture the checkpoint was captured from, field for
-    /// field (γ and the constraint set included; any difference is
-    /// `Incompatible`) — a fresh `MeshfreeFlowNet::new(cfg)` is fine, its
-    /// initial weights are overwritten. The resumed trainer continues bit-identically to the run
-    /// that wrote the checkpoint: same parameters, Adam moments and step
-    /// count, learning rate, sampler stream position, and epoch/batch
-    /// cursor. Falls back to `<path>.prev` when the newest file is damaged.
-    pub fn resume(
-        model: MeshfreeFlowNet,
-        cfg: TrainConfig,
-        path: &Path,
-    ) -> Result<Trainer, CheckpointError> {
-        let payload = load_train_state_with_fallback(path)?;
-        Trainer::from_state(model, cfg, &payload, 0, 1)
-    }
-
     /// Rank `rank` of the `world`-rank run whose train state `payload`
-    /// holds (the bytes [`encode_train_state`] produced): the shared model
+    /// holds (the bytes `encode_train_state` produced): the shared model
     /// and Adam state, and that rank's own sampler stream, through
-    /// [`decode_run_state`]. [`Trainer::resume`] is rank 0 of 1; the elastic
-    /// supervisor in `mfn-dist` builds every rank of a round from its
-    /// snapshot this way.
+    /// [`decode_run_state`]. `model` must have the architecture the state
+    /// was captured from, field for field (γ and the constraint set
+    /// included; any difference is `Incompatible`) — a fresh
+    /// `MeshfreeFlowNet::new(cfg)` is fine, its initial weights are
+    /// overwritten. The rank continues bit-identically to the run that
+    /// wrote the state: same parameters, Adam moments and step count,
+    /// learning rate, sampler stream position, and epoch/batch cursor. The
+    /// supervisor in `mfn-dist` builds every rank of a round this way.
     pub fn from_state(
         mut model: MeshfreeFlowNet,
         cfg: TrainConfig,
@@ -324,48 +301,6 @@ impl Trainer {
     /// state.
     pub fn sampler_state(&self) -> RngState {
         self.rng.state()
-    }
-
-    /// Current loop position in checkpoint form, normalized so a cursor at
-    /// the end of an epoch points at the start of the next one.
-    fn state_meta(&self) -> TrainStateMeta {
-        let (mut epoch, mut cursor) = (self.epoch, self.batch_cursor);
-        if self.cfg.batches_per_epoch > 0 && cursor >= self.cfg.batches_per_epoch {
-            epoch += 1;
-            cursor = 0;
-        }
-        TrainStateMeta {
-            global_step: self.global_step,
-            epoch,
-            batch_cursor: cursor,
-            rngs: vec![self.sampler_state()],
-        }
-    }
-
-    /// The train state in checkpoint form.
-    fn state(&self) -> Vec<u8> {
-        encode_train_state(&self.model, &self.opt, &self.state_meta())
-    }
-
-    /// Writes a full train-state checkpoint to `path` through
-    /// [`write_train_state`] (atomic rename; the previous file rotates to
-    /// `<path>.prev`). Returns bytes written.
-    pub fn save_checkpoint(&self, path: &Path) -> Result<u64, CheckpointError> {
-        write_train_state(path, &self.state(), &self.recorder)
-    }
-
-    /// Periodic-checkpoint hook: fires every `cfg.checkpoint_every` steps
-    /// when a path is configured, through [`write_periodic`] (a failed
-    /// write is counted and reported and training continues).
-    fn checkpoint_if_due(&mut self) {
-        if self.cfg.checkpoint_every == 0
-            || !self.global_step.is_multiple_of(self.cfg.checkpoint_every as u64)
-        {
-            return;
-        }
-        if let Some(path) = &self.checkpoint_path {
-            write_periodic(path, &self.state(), &self.recorder);
-        }
     }
 
     /// One gradient step on one batch; returns the loss components.
@@ -418,16 +353,19 @@ impl Trainer {
         Ok(comps)
     }
 
-    /// Runs the epoch at the current loop position — for every remaining
-    /// batch: draw a dataset pair, assemble the batch, step, advance the
-    /// cursor, checkpoint if due — and moves the position to the start of
-    /// the next one. The learning rate is annealed by `cfg.lr_decay` on
-    /// entering any epoch but the first. An error from `reduce` abandons
-    /// the epoch mid-way; the trainer is then only good for discarding.
+    /// Runs the epoch at the current loop position until global step `stop`
+    /// or the epoch's end, whichever comes first — for each batch: draw a
+    /// dataset pair, assemble the batch, step, advance the cursor — and, at
+    /// the epoch's end, moves the position to the start of the next one.
+    /// The record averages the batches this call ran. The learning rate is
+    /// annealed by `cfg.lr_decay` on entering any epoch but the first. An
+    /// error from `reduce` abandons the call mid-way; the trainer is then
+    /// only good for discarding.
     pub fn run_epoch<R: GradReduce>(
         &mut self,
         corpus: &Corpus,
         reduce: &mut R,
+        stop: u64,
     ) -> Result<EpochRecord, R::Error> {
         let samplers: Vec<PatchSampler<'_>> = corpus
             .pairs
@@ -445,7 +383,10 @@ impl Trainer {
         let start = Instant::now();
         let (mut tl, mut pl, mut el) = (0.0f32, 0.0f32, 0.0f32);
         let first_batch = self.batch_cursor;
-        for b in first_batch..self.cfg.batches_per_epoch {
+        let room = stop.saturating_sub(self.global_step);
+        let last_batch = (first_batch as u64).saturating_add(room);
+        let last_batch = last_batch.min(self.cfg.batches_per_epoch as u64) as usize;
+        for b in first_batch..last_batch {
             reduce.before_step(self.global_step + 1)?;
             let mut sw = Stopwatch::start();
             let di = self.rng.gen_range(0..samplers.len());
@@ -456,29 +397,27 @@ impl Trainer {
             pl += comps.prediction;
             el += comps.equation;
             self.batch_cursor = b + 1;
-            self.checkpoint_if_due();
         }
-        let nb = (self.cfg.batches_per_epoch - first_batch).max(1) as f32;
+        let nb = (last_batch - first_batch).max(1) as f32;
         let seconds = start.elapsed().as_secs_f64();
         self.recorder.span_seconds("epoch", seconds);
         log_pool_stats(&self.recorder);
-        // The next epoch starts at batch 0; leaving the cursor normalized
-        // also makes a checkpoint taken now resume *after* the completed
-        // work instead of redoing this epoch.
-        self.epoch = epoch + 1;
-        self.batch_cursor = 0;
+        if last_batch == self.cfg.batches_per_epoch {
+            self.epoch = epoch + 1;
+            self.batch_cursor = 0;
+        }
         Ok(EpochRecord { epoch, loss: tl / nb, prediction: pl / nb, equation: el / nb, seconds })
     }
 
     /// Trains from the current loop position up to `cfg.epochs`, drawing
     /// each batch from a random dataset pair. A fresh trainer starts at
-    /// epoch 0; a [`Trainer::resume`]d one continues from its checkpointed
-    /// epoch/batch cursor (the first returned record then averages only the
-    /// remaining batches of the partial epoch).
+    /// epoch 0; one built by [`Trainer::from_state`] continues from the
+    /// state's epoch/batch cursor (the first returned record then averages
+    /// only the remaining batches of the partial epoch).
     pub fn train(&mut self, corpus: &Corpus) -> Vec<EpochRecord> {
         (self.epoch..self.cfg.epochs)
             .map(|_| {
-                let Ok(record) = self.run_epoch(corpus, &mut NoReduce);
+                let Ok(record) = self.run_epoch(corpus, &mut NoReduce, u64::MAX);
                 record
             })
             .collect()
@@ -504,9 +443,10 @@ pub fn decode_run_state(
             meta.rngs.len()
         )));
     }
-    // A cursor is only ever saved inside an epoch (`state_meta`): one at or
-    // past this run's epoch length was written under another
-    // `batches_per_epoch`, and `run_epoch` would run no batch of it.
+    // A cursor is only ever saved inside an epoch (the supervisor moves one
+    // at the epoch's end to the next epoch's start): one at or past this
+    // run's epoch length was written under another `batches_per_epoch`, and
+    // `run_epoch` would run no batch of it.
     if meta.batch_cursor > 0 && meta.batch_cursor >= cfg.batches_per_epoch {
         return Err(CheckpointError::Incompatible(format!(
             "checkpoint is at batch {} of its epoch, this run's epochs have {}",

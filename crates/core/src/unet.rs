@@ -389,6 +389,7 @@ mod tests {
     /// encode to the same bits — the three having built identical panels.
     #[test]
     fn encode_after_training_is_one_value_on_every_path() {
+        use crate::checkpoint::{encode_train_state, save_train_state, TrainStateMeta};
         use crate::config::TrainConfig;
         use crate::infer::FrozenModel;
         use crate::model::MeshfreeFlowNet;
@@ -429,7 +430,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mfn_infer_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("state.ckpt");
-        trainer.save_checkpoint(&path).expect("save checkpoint");
+        let meta = TrainStateMeta {
+            global_step: trainer.steps_taken(),
+            epoch: 1,
+            batch_cursor: 0,
+            rngs: vec![trainer.sampler_state()],
+        };
+        save_train_state(&path, &encode_train_state(&trainer.model, &trainer.opt, &meta))
+            .expect("save checkpoint");
         let loaded = FrozenModel::load_state(&path).expect("load checkpoint");
         std::fs::remove_dir_all(&dir).ok();
 

@@ -18,8 +18,9 @@
 
 use mfn_autodiff::{Adam, AdamConfig};
 use mfn_core::{
-    decode_train_state, encode_train_state, save_train_state, CheckpointError, FrozenModel,
-    MeshfreeFlowNet, MfnConfig, RngState, TrainConfig, TrainStateMeta, Trainer,
+    decode_train_state, encode_train_state, load_train_state_with_fallback, save_train_state,
+    CheckpointError, FrozenModel, MeshfreeFlowNet, MfnConfig, RngState, TrainConfig,
+    TrainStateMeta, Trainer,
 };
 use mfn_data::{load_dataset, save_dataset, Dataset, PatchSpec};
 use rand::{Rng, RngCore, SeedableRng};
@@ -222,10 +223,15 @@ fn mutated_train_states_load_or_fail_typed_within_their_size() {
     let tc = TrainConfig { batches_per_epoch: 4, ..TrainConfig::default() };
     let fresh = || MeshfreeFlowNet::new(cfg.clone());
     let engine = |path: &Path| FrozenModel::load_state(path).is_ok();
+    // A resume: the file (or its `.prev`), then rank 0 of a one-rank run.
+    let from_file = |model, path: &Path| {
+        let payload = load_train_state_with_fallback(path)?;
+        Trainer::from_state(model, tc, &payload, 0, 1)
+    };
     let resume = |path: &Path| {
         let model = fresh();
         LARGEST.store(0, Ordering::Relaxed);
-        Trainer::resume(model, tc, path).is_ok()
+        from_file(model, path).is_ok()
     };
     let loaded = sweep(0x5EED, 300, &payload, &lengths, &path, write, engine);
     let resumed = sweep(0x5EED, 300, &payload, &lengths, &path, write, resume);
@@ -236,7 +242,7 @@ fn mutated_train_states_load_or_fail_typed_within_their_size() {
     let meta = TrainStateMeta { global_step: 9, epoch: 1, batch_cursor: 2, rngs: vec![far] };
     write(&path, &encode_train_state(&model, &opt, &meta));
     let started = Instant::now();
-    let trainer = Trainer::resume(fresh(), tc, &path).expect("an honest far position resumes");
+    let trainer = from_file(fresh(), &path).expect("an honest far position resumes");
     let took = started.elapsed();
     assert_eq!(trainer.sampler_state(), far);
     assert!(took < Duration::from_secs(1), "resuming at word 2^63 - 5 took {took:?}");

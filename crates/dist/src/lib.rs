@@ -8,7 +8,7 @@
 //! The gradient step and the epoch loop are not here: every worker is an
 //! `mfn_core::Trainer`, handed the ring as its gradient exchange
 //! ([`trainer`]). This crate holds the one driver of such ranks —
-//! [`supervisor`], one epoch round at a time with snapshot, [`fault`]
+//! [`supervisor`], one round at a time with snapshot, [`fault`]
 //! injection and rollback.
 
 pub mod fault;

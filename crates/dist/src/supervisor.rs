@@ -1,38 +1,43 @@
-//! The data-parallel driver: synchronous training that survives worker
-//! failures.
+//! The training driver: synchronous data-parallel training, on one worker
+//! or several, that survives worker failures.
 //!
 //! Every rank is an [`mfn_core::Trainer`] with a `RingReduce` exchange
-//! ([`crate::trainer`]). [`train_elastic`] runs them as a sequence of *epoch
-//! rounds*, each a snapshot → epoch → commit cycle:
+//! ([`crate::trainer`]). [`train_elastic`] runs them as a sequence of
+//! *rounds*, each a snapshot → steps → commit cycle. A round ends at every
+//! epoch end and, when `TrainConfig::checkpoint_every` N > 0, at every
+//! global step that is a multiple of N:
 //!
 //! 1. Before a round, the supervisor encodes the master state (params, BN
 //!    stats, Adam, per-logical-rank sampler positions) and — when configured
 //!    — persists it through the training run's one checkpoint writer
 //!    (`mfn_core::write_periodic`).
 //! 2. Every active rank rebuilds its `Trainer` from that snapshot
-//!    (`Trainer::from_state`, the decode `Trainer::resume` uses) and runs
-//!    `Trainer::run_epoch` with *bounded* all-reduces. A scripted (or real)
+//!    (`Trainer::from_state`) and runs `Trainer::run_epoch` up to the
+//!    round's last step with *bounded* all-reduces. A scripted (or real)
 //!    failure surfaces as an error on every rank instead of a hang.
 //! 3. If every rank finished, ring position 0's model and Adam state and
 //!    every rank's sampler state become the new master state. On failure
-//!    nothing is adopted (no partial epoch is ever committed); the
+//!    nothing is adopted (no partial round is ever committed); the
 //!    supervisor re-forms the ring — either over the surviving world or,
 //!    with [`SupervisorConfig::restart_failed`], at full strength —
-//!    re-shards the corpus across the new world, and retries.
+//!    re-shards the corpus across the new world, and retries the round.
 //!
 //! Because a round either commits whole or not at all, a run that suffered
 //! a kill-and-restart is bit-identical to one that never faulted (the
 //! kill-and-resume determinism test pins this), and a run that shrank keeps
 //! converging on the reduced world. Without faults it is plain synchronous
-//! data-parallel SGD, which is all [`crate::train_data_parallel`] asks of it.
+//! data-parallel SGD, which is all [`crate::train_data_parallel`] asks of it;
+//! on one worker it is the serial `Trainer::train`, bit for bit.
 //!
 //! Logical ranks are stable identities: rank `r` keeps its sampler stream
 //! (`seed + r * 7919`) across re-forms, so shrinking the world never makes
 //! two workers draw the same batches.
 //!
 //! A run starts fresh or continues the train state its caller hands it;
-//! the supervisor reads no file. Every error — a state it cannot continue,
-//! a final write that fails — is a returned [`CheckpointError`].
+//! the supervisor reads no file, and it is the only code that writes a
+//! train state. A handed state with no epoch left runs no round and writes
+//! nothing. Every error — a state it cannot continue, a final write that
+//! fails — is a returned [`CheckpointError`].
 
 use crate::fault::FaultPlan;
 use crate::trainer::{on_ring, param_digest, rank_seed, RankFailure};
@@ -43,6 +48,7 @@ use mfn_core::{
     Trainer,
 };
 use mfn_telemetry::Recorder;
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -62,7 +68,7 @@ pub struct SupervisorConfig {
     /// world — preemption-with-replacement); false continues on the
     /// surviving world (elastic shrink).
     pub restart_failed: bool,
-    /// When set, the master state is checkpointed here before every epoch
+    /// When set, the master state is checkpointed here before every round
     /// (a failed write is counted and training continues) and after the
     /// last (a failed write is the run's error). Nothing is read from it.
     pub checkpoint_path: Option<PathBuf>,
@@ -84,8 +90,13 @@ impl Default for SupervisorConfig {
 pub struct DistRunResult {
     /// Initial world size (logical ranks `0..workers`).
     pub workers: usize,
-    /// Mean combined loss per committed epoch (over the ranks that ran it).
+    /// Mean combined loss per committed epoch (over the ranks that ran it):
+    /// the `loss` column of `epochs`.
     pub epoch_losses: Vec<f32>,
+    /// Each committed epoch's mean losses over the ranks that ran it and
+    /// the seconds its rounds took; an epoch split into rounds weighs each
+    /// round by its batches.
+    pub epochs: Vec<EpochRecord>,
     /// World size that committed each epoch.
     pub epoch_worlds: Vec<usize>,
     /// Wall-clock seconds since the run started, at each commit.
@@ -123,7 +134,9 @@ pub struct DistRunResult {
 /// Runs synchronous data-parallel training of MeshfreeFlowNet under `plan`
 /// (pass [`FaultPlan::none`] for production behavior), from a fresh model
 /// or, given `state`, from that train state (the payload `<ckpt>.state`
-/// frames) where it stopped.
+/// frames) where it stopped. A state already at `train_cfg.epochs` runs no
+/// round and writes nothing; the result then has no epochs and is
+/// `completed`.
 ///
 /// `state` is decoded once, through [`decode_run_state`], the checks
 /// [`Trainer::from_state`] makes: a state of another architecture or
@@ -137,7 +150,7 @@ pub struct DistRunResult {
 /// worker count). Every rank emits what a single-process [`Trainer`] emits
 /// through a clone of `recorder` — one `StepMetrics` per gradient step,
 /// tagged with its rank and the seconds it spent in the ring all-reduce,
-/// and the per-epoch gauges — and the run adds its own: `dist.world` per
+/// and the per-round gauges — and the run adds its own: `dist.world` per
 /// round, the failure counters and `throughput_samples_per_sec`.
 ///
 /// # Panics
@@ -172,7 +185,7 @@ pub fn train_elastic(
     };
 
     let mut active: Vec<usize> = (0..sup.workers).collect();
-    let mut epoch_losses = Vec::with_capacity(train_cfg.epochs);
+    let mut epochs = Vec::with_capacity(train_cfg.epochs);
     let mut epoch_worlds = Vec::with_capacity(train_cfg.epochs);
     let mut failures = 0u64;
     let mut ring_reforms = 0u64;
@@ -182,6 +195,11 @@ pub fn train_elastic(
     let mut allreduce_wait = vec![0.0; sup.workers];
     let mut epoch_param_digests = vec![Vec::new(); sup.workers];
     let mut samples = 0usize;
+    // The committed rounds of the epoch in progress: batches, seconds, and
+    // each round's rank-mean losses weighted by its batches — in f64, so an
+    // epoch of one round gives back that round's means bit for bit.
+    let mut sums = [0.0f64; 5];
+    let trains = meta.epoch < train_cfg.epochs;
     let start = Instant::now();
 
     while meta.epoch < train_cfg.epochs {
@@ -193,14 +211,21 @@ pub fn train_elastic(
         }
         recorder.gauge("dist.world", active.len() as f64);
 
-        // One epoch round over the active world: every rank is rebuilt
-        // from the snapshot and runs the epoch through a bounded ring.
+        // The round runs to the epoch's end or the next multiple of
+        // `checkpoint_every`, whichever comes first.
+        let mut stop = meta.global_step + (train_cfg.batches_per_epoch - meta.batch_cursor) as u64;
+        if let Some(every) = NonZeroU64::new(train_cfg.checkpoint_every as u64) {
+            stop = stop.min((meta.global_step / every + 1) * every.get());
+        }
+
+        // One round over the active world: every rank is rebuilt from the
+        // snapshot and runs to `stop` through a bounded ring.
         let rounds = on_ring(&active, sup.allreduce_timeout, plan, |mut reduce| {
             let model = MeshfreeFlowNet::new(model_cfg.clone());
             let mut trainer =
                 Trainer::from_state(model, *train_cfg, &snapshot, reduce.rank, sup.workers)?
                     .with_recorder(recorder.clone());
-            Ok(trainer.run_epoch(corpus, &mut reduce).map(|record| {
+            Ok(trainer.run_epoch(corpus, &mut reduce, stop).map(|record| {
                 let digest = param_digest(&trainer.model.store.flatten());
                 (trainer, record, digest)
             }))
@@ -220,41 +245,58 @@ pub fn train_elastic(
             // Commit: adopt ring-position-0's replica (replicas are
             // bit-identical) and every rank's sampler stream; the round
             // becomes the new master state.
-            let batches = train_cfg.batches_per_epoch - meta.batch_cursor;
-            let mut loss = 0.0f32;
+            let batches = (stop - meta.global_step) as usize;
+            let ends_epoch = meta.batch_cursor + batches == train_cfg.batches_per_epoch;
+            let mut losses = [0.0f32; 3];
             for (&rank, r) in active.iter().zip(results) {
                 let (trainer, record, digest) = r.unwrap_or_else(|_| unreachable!("checked above"));
                 meta.rngs[rank] = trainer.sampler_state();
-                loss += record.loss;
+                losses[0] += record.loss;
+                losses[1] += record.prediction;
+                losses[2] += record.equation;
                 allreduce_wait[rank] += trainer.reduce_wait_s();
-                epoch_param_digests[rank].push(digest);
+                if ends_epoch {
+                    epoch_param_digests[rank].push(digest);
+                }
                 if rank == active[0] {
-                    meta.global_step = trainer.steps_taken();
+                    sums[1] += record.seconds;
                     master = trainer.model;
                     opt = trainer.opt;
                 }
             }
-            epoch_losses.push(loss / active.len() as f32);
-            epoch_worlds.push(active.len());
-            epoch_wall.push(start.elapsed().as_secs_f64());
+            let n = batches as f64;
+            sums[0] += n;
+            for (sum, l) in sums[2..].iter_mut().zip(losses) {
+                *sum += (l / active.len() as f32) as f64 * n;
+            }
             samples += active.len() * batches * train_cfg.batch_size;
-            meta.epoch += 1;
-            meta.batch_cursor = 0;
+            meta.global_step = stop;
+            meta.batch_cursor += batches;
+            if ends_epoch {
+                let [n, seconds, loss, prediction, equation] = std::mem::take(&mut sums);
+                let mean = |sum: f64| (sum / n.max(1.0)) as f32;
+                let (loss, prediction, equation) = (mean(loss), mean(prediction), mean(equation));
+                epochs.push(EpochRecord { epoch: meta.epoch, loss, prediction, equation, seconds });
+                epoch_worlds.push(active.len());
+                epoch_wall.push(start.elapsed().as_secs_f64());
+                meta.epoch += 1;
+                meta.batch_cursor = 0;
+            }
             continue;
         }
 
         // Failure path: nothing from this round is committed (rollback to
         // the snapshot is implicit — master/opt/meta were never touched).
-        let epoch = meta.epoch;
+        let step = meta.global_step;
         for r in &results {
             match r {
-                Err(RankFailure::Killed { rank, step }) => {
+                Err(RankFailure::Killed { rank, step: at }) => {
                     eprintln!(
-                        "supervisor: rank {rank} died at step {step}; rolling back epoch {epoch}"
+                        "supervisor: rank {rank} died at step {at}; rolling back to step {step}"
                     );
                 }
                 Err(RankFailure::Ring { rank, err }) => {
-                    eprintln!("supervisor: rank {rank} collective failed ({err}); rolling back epoch {epoch}");
+                    eprintln!("supervisor: rank {rank} collective failed ({err}); rolling back to step {step}");
                 }
                 Ok(_) => {}
             }
@@ -275,7 +317,7 @@ pub fn train_elastic(
 
     // Persist the final committed state so a follow-on run can resume it.
     let final_state = encode_train_state(&master, &opt, &meta);
-    if let Some(path) = &sup.checkpoint_path {
+    if let (true, Some(path)) = (trains, &sup.checkpoint_path) {
         write_train_state(path, &final_state, &recorder)?;
     }
     let throughput = samples as f64 / start.elapsed().as_secs_f64();
@@ -283,7 +325,8 @@ pub fn train_elastic(
 
     Ok(DistRunResult {
         workers: sup.workers,
-        epoch_losses,
+        epoch_losses: epochs.iter().map(|e| e.loss).collect(),
+        epochs,
         epoch_worlds,
         epoch_wall,
         throughput,
@@ -356,21 +399,38 @@ mod tests {
         assert!(sink.train_steps().is_empty(), "nothing may train on a refused state");
     }
 
-    /// A handed state continues where it stopped, mid-epoch included: a
-    /// one-worker `Trainer` state written at step 6 (epoch 1, batch 2)
-    /// finishes under the supervisor bit-identically to a run that never
-    /// stopped.
+    /// A temp-dir path unique to this process and `tag`.
+    fn temp_state(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("mfn_sup_{tag}_{}.state", std::process::id()))
+    }
+
+    /// Removes `path` and its rotated `.prev`.
+    fn remove_state(path: &std::path::Path) {
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(mfn_core::prev_path(path)).ok();
+    }
+
+    /// A handed state continues where it stopped, mid-epoch included: the
+    /// one-worker snapshot before the round that starts at step 6 (epoch 1,
+    /// batch 2; rounds of `checkpoint_every` = 6 over 4-batch epochs),
+    /// rotated to `.prev` by the final write, finishes bit-identically to a
+    /// run that never stopped.
     #[test]
     fn a_mid_epoch_state_continues_at_its_batch() {
         let (corpus, cfg, tc) = tiny_setup();
         let straight = crate::train_data_parallel(&corpus, &cfg, &tc, 1);
-        let path = std::env::temp_dir().join(format!("mfn_sup_mid_{}.state", std::process::id()));
+        let path = temp_state("mid");
+        let sup = SupervisorConfig {
+            workers: 1,
+            checkpoint_path: Some(path.clone()),
+            ..Default::default()
+        };
         let first = TrainConfig { epochs: 2, checkpoint_every: 6, ..tc };
-        Trainer::new(MeshfreeFlowNet::new(cfg.clone()), first)
-            .with_checkpointing(&path)
-            .train(&corpus);
-        let state = mfn_core::load_train_state(&path).expect("the step-6 state");
-        std::fs::remove_file(&path).ok();
+        train_elastic(&corpus, &cfg, &first, &sup, None, &FaultPlan::none(), Recorder::null())
+            .expect("the first two epochs");
+        let state =
+            mfn_core::load_train_state(&mfn_core::prev_path(&path)).expect("the step-6 state");
+        remove_state(&path);
         let sup = SupervisorConfig { workers: 1, ..Default::default() };
         let resumed = train_elastic(
             &corpus,
@@ -384,6 +444,126 @@ mod tests {
         .expect("a one-worker state continues on one worker");
         assert_eq!(resumed.epoch_losses.len(), 2, "the rest of epoch 1, then epoch 2");
         assert!(resumed.final_state == straight.final_state, "resumed run diverged");
+    }
+
+    /// A handed state that has no epoch left runs no round and writes
+    /// nothing: no step, no snapshot, no final state, the file untouched.
+    #[test]
+    fn a_finished_state_trains_and_writes_nothing() {
+        let (corpus, cfg, tc) = tiny_setup();
+        let path = temp_state("finished");
+        for workers in [1, 2] {
+            let sup = SupervisorConfig {
+                workers,
+                checkpoint_path: Some(path.clone()),
+                ..Default::default()
+            };
+            let run = |state: Option<&[u8]>, recorder| {
+                train_elastic(&corpus, &cfg, &tc, &sup, state, &FaultPlan::none(), recorder)
+            };
+            run(None, Recorder::null()).expect("the whole run");
+            let bytes = std::fs::read(&path).expect("the final state");
+            let state = mfn_core::load_train_state(&path).expect("the final state");
+            let (recorder, sink) = Recorder::memory(4096);
+            let r = run(Some(&state), recorder).expect("a finished state is no error");
+            assert!(r.completed && r.epochs.is_empty(), "{workers} workers: {:?}", r.epochs);
+            assert!(r.final_state == state, "{workers} workers");
+            assert!(sink.train_steps().is_empty(), "{workers} workers");
+            assert_eq!(sink.counter_total("ckpt.writes"), 0, "{workers} workers");
+            assert_eq!(std::fs::read(&path).expect("still there"), bytes, "{workers} workers");
+            remove_state(&path);
+        }
+    }
+
+    /// Rounds of `checkpoint_every` = 3 steps over 4-batch epochs split
+    /// every epoch, and change no bit: the final state equals the
+    /// one-round-per-epoch run's on 1 and on 2 workers, and the epoch losses
+    /// agree to rounding.
+    #[test]
+    fn step_rounds_change_no_bit() {
+        let (corpus, cfg, tc) = tiny_setup();
+        let every3 = TrainConfig { checkpoint_every: 3, ..tc };
+        let path = temp_state("rounds");
+        for workers in [1, 2] {
+            let (recorder, sink) = Recorder::memory(4096);
+            let sup = SupervisorConfig {
+                workers,
+                checkpoint_path: Some(path.clone()),
+                ..Default::default()
+            };
+            let rounds =
+                train_elastic(&corpus, &cfg, &every3, &sup, None, &FaultPlan::none(), recorder)
+                    .expect("fresh run");
+            remove_state(&path);
+            let epochs = crate::train_data_parallel(&corpus, &cfg, &tc, workers);
+            assert!(rounds.final_state == epochs.final_state, "{workers} workers");
+            assert_eq!(rounds.epoch_worlds, epochs.epoch_worlds);
+            assert_eq!(rounds.epoch_param_digests, epochs.epoch_param_digests);
+            // Epoch 0 is rounds [0, 3) and [3, 4), epoch 1 [4, 6) and [6, 8),
+            // epoch 2 [8, 9) and [9, 12); each is averaged over its four
+            // batches.
+            for (a, b) in rounds.epoch_losses.iter().zip(&epochs.epoch_losses) {
+                assert!((a - b).abs() <= 1e-6 * b.abs(), "{workers} workers: {a} vs {b}");
+            }
+            // Every step ran once, and the state was written before each of
+            // the six rounds and after the last.
+            assert_eq!(sink.train_steps().len(), workers * 12);
+            assert_eq!(sink.counter_total("ckpt.writes"), 6 + 1, "{workers} workers");
+        }
+    }
+
+    /// A two-worker state written at a mid-epoch round boundary resumes
+    /// bit-identically: with rounds ending at steps 3, 4, 6, 8, 9 and 12,
+    /// the final write rotates the snapshot of step 9 (epoch 2, batch 1) to
+    /// `.prev`, and that state finishes where the unbroken run did.
+    #[test]
+    fn a_two_worker_mid_epoch_round_state_resumes_bit_identically() {
+        let (corpus, cfg, tc) = tiny_setup();
+        let tc = TrainConfig { checkpoint_every: 3, ..tc };
+        let path = temp_state("mid2");
+        let sup = SupervisorConfig {
+            workers: 2,
+            checkpoint_path: Some(path.clone()),
+            ..Default::default()
+        };
+        let run = |state: Option<&[u8]>| {
+            train_elastic(&corpus, &cfg, &tc, &sup, state, &FaultPlan::none(), Recorder::null())
+                .expect("run")
+        };
+        let straight = run(None);
+        let state =
+            mfn_core::load_train_state(&mfn_core::prev_path(&path)).expect("the step-9 state");
+        assert_eq!(
+            mfn_core::FrozenModel::from_state(&state).expect("own state").trained_steps(),
+            9
+        );
+        let resumed = run(Some(&state));
+        remove_state(&path);
+        assert_eq!(resumed.epoch_losses.len(), 1, "the rest of epoch 2");
+        assert_eq!(resumed.epoch_worlds, [2]);
+        assert!(resumed.final_state == straight.final_state, "resumed run diverged");
+    }
+
+    /// A kill inside a step round rolls back only that round: with
+    /// `checkpoint_every` = 3 and the failed rank restarted, the run lands
+    /// on the clean run's final state.
+    #[test]
+    fn a_kill_inside_a_step_round_reproduces_the_clean_run() {
+        let (corpus, cfg, tc) = tiny_setup();
+        let tc = TrainConfig { checkpoint_every: 3, ..tc };
+        let sup = SupervisorConfig { workers: 2, restart_failed: true, ..Default::default() };
+        let (recorder, sink) = Recorder::memory(4096);
+        // Step 8 is the second step of the round [6, 8).
+        let plan = FaultPlan::none().kill(1, 8);
+        let faulted =
+            train_elastic(&corpus, &cfg, &tc, &sup, None, &plan, recorder).expect("faulted run");
+        let clean = crate::train_data_parallel(&corpus, &cfg, &tc, 2);
+        assert!(faulted.completed);
+        assert_eq!((faulted.failures, faulted.ring_reforms, faulted.final_world), (1, 1, 2));
+        assert!(faulted.final_state == clean.final_state, "the retried round diverged");
+        // Only the round's first step (7) ran twice on rank 0.
+        let rank0 = sink.train_steps().iter().filter(|m| m.rank == 0).count();
+        assert_eq!(rank0, 12 + 1);
     }
 
     /// A checkpoint path that cannot be written: every periodic write (one

@@ -11,8 +11,8 @@
 //! loop a single process runs — given `RingReduce` as its gradient
 //! exchange. This module holds that exchange and the thread-per-rank ring
 //! it runs on; [`crate::supervisor`] is the one driver that runs the ranks,
-//! an epoch round at a time, and [`train_data_parallel`] is that driver with
-//! its default policy and no injected faults.
+//! a round at a time, and [`train_data_parallel`] is that driver with its
+//! default policy and no injected faults.
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::ring::{ring, RingError, RingHandle};

@@ -1,16 +1,19 @@
-//! Integration tests: the train-state checkpoint round-trips into the
-//! serving engine, crash-resume is bit-exact, and corruption is handled.
+//! Integration tests: the train state the training driver writes
+//! round-trips into the serving engine and into a `Trainer`, crash-resume is
+//! bit-exact, and corruption is handled.
 
 use meshfreeflownet::core::{
     covering_origins, extract_patch, load_train_state, load_train_state_with_fallback, prev_path,
     CheckpointError, Corpus, FrozenModel, MeshfreeFlowNet, MfnConfig, TrainConfig, Trainer,
 };
 use meshfreeflownet::data::{downsample, Dataset, PatchSpec};
-use meshfreeflownet::dist::{param_digest, train_elastic, FaultPlan, SupervisorConfig};
+use meshfreeflownet::dist::{
+    param_digest, train_elastic, DistRunResult, FaultPlan, SupervisorConfig,
+};
 use meshfreeflownet::solver::{simulate, RbcConfig};
 use meshfreeflownet::telemetry::Recorder;
 use meshfreeflownet::tensor::Tensor;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Per-test unique temp dir, removed on drop (panic included) so parallel
 /// `cargo test` processes can't collide on a shared path and a failed test
@@ -57,29 +60,43 @@ fn tiny_corpus() -> (Corpus, Dataset, Dataset) {
     (corpus, hr, lr)
 }
 
-/// What `train` writes is what `serve` loads: a trained `Trainer`'s
-/// checkpoint, loaded by `FrozenModel::load_state`, super-resolves bit for
-/// bit like the trained model — every covering patch's encode and its
-/// decode at a lattice of points, batch-norm running statistics included,
-/// and the blended field.
+/// Trains `tc` from scratch through the training driver on one worker,
+/// writing the state to `path` before every round and after the last.
+fn train_to(corpus: &Corpus, tc: TrainConfig, path: &Path, recorder: Recorder) -> DistRunResult {
+    let sup =
+        SupervisorConfig { workers: 1, checkpoint_path: Some(path.into()), ..Default::default() };
+    train_elastic(corpus, &tiny_cfg(), &tc, &sup, None, &FaultPlan::none(), recorder)
+        .expect("a fresh run")
+}
+
+/// What a resume reads: the state at `path` (or its `.prev`), continued as
+/// rank 0 of a one-rank run by a `cfg` model.
+fn resume(cfg: MfnConfig, tc: TrainConfig, path: &Path) -> Result<Trainer, CheckpointError> {
+    let payload = load_train_state_with_fallback(path)?;
+    Trainer::from_state(MeshfreeFlowNet::new(cfg), tc, &payload, 0, 1)
+}
+
+/// What `train` writes is what `serve` loads: the training driver's state,
+/// loaded by `FrozenModel::load_state`, super-resolves bit for bit like the
+/// serially trained model — every covering patch's encode and its decode at
+/// a lattice of points, batch-norm running statistics included, and the
+/// blended field.
 #[test]
 fn trained_model_roundtrips_through_checkpoint() {
     let (corpus, hr, lr) = tiny_corpus();
-    let mut trainer = Trainer::new(
-        MeshfreeFlowNet::new(tiny_cfg()),
-        TrainConfig {
-            epochs: 3,
-            batches_per_epoch: 4,
-            batch_size: 2,
-            lr: 5e-3,
-            ..Default::default()
-        },
-    );
+    let tc = TrainConfig {
+        epochs: 3,
+        batches_per_epoch: 4,
+        batch_size: 2,
+        lr: 5e-3,
+        ..Default::default()
+    };
+    let mut trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc);
     trainer.train(&corpus);
 
     let dir = TempDir::new("integration");
     let path = dir.path("trained.ckpt.state");
-    trainer.save_checkpoint(&path).expect("save");
+    train_to(&corpus, tc, &path, Recorder::null());
     let frozen = FrozenModel::load_state(&path).expect("load");
     let untrained = FrozenModel::from_model(MeshfreeFlowNet::new(tiny_cfg()));
     assert_eq!(frozen.trained_steps(), 3 * 4);
@@ -121,29 +138,28 @@ fn trained_model_roundtrips_through_checkpoint() {
 /// misloaded weights or a panic.
 #[test]
 fn load_rejects_different_architecture() {
-    let trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), TrainConfig::default());
+    let (corpus, _hr, _lr) = tiny_corpus();
     let dir = TempDir::new("arch");
     let path = dir.path("m.ckpt.state");
-    trainer.save_checkpoint(&path).expect("save");
+    train_to(&corpus, short_run_config(), &path, Recorder::null());
     assert_eq!(FrozenModel::load_state(&path).expect("load").cfg(), &tiny_cfg());
     let mut bigger_cfg = tiny_cfg();
     bigger_cfg.latent_channels = 16;
     assert!(matches!(
-        Trainer::resume(MeshfreeFlowNet::new(bigger_cfg), TrainConfig::default(), &path),
+        resume(bigger_cfg, short_run_config(), &path),
         Err(CheckpointError::Incompatible(_))
     ));
 }
 
 /// The architecture differences that leave every tensor shape alone — γ,
-/// the patch's extent, the constraint set — refuse a resume as well, in the
-/// single trainer and in the data-parallel supervisor: the checkpoint's
-/// Eqn. 10 loss and pooling schedule are not this run's.
+/// the patch's extent, the constraint set — refuse a resume as well, in a
+/// single `Trainer` and in the training driver: the checkpoint's Eqn. 10
+/// loss and pooling schedule are not this run's.
 #[test]
 fn resume_under_another_config_is_incompatible() {
     let (corpus, _hr, _lr) = tiny_corpus();
     let tc = TrainConfig { epochs: 1, batches_per_epoch: 2, batch_size: 2, ..Default::default() };
     let dir = TempDir::new("config_drift");
-    let single = dir.path("single.state");
     let elastic = dir.path("elastic.state");
     let sup = SupervisorConfig {
         workers: 1,
@@ -153,7 +169,6 @@ fn resume_under_another_config_is_incompatible() {
     let run = |cfg: &MfnConfig, state: Option<&[u8]>| {
         train_elastic(&corpus, cfg, &tc, &sup, state, &FaultPlan::none(), Recorder::null())
     };
-    Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc).save_checkpoint(&single).expect("save");
     assert!(run(&tiny_cfg(), None).expect("fresh run").completed);
     let state = load_train_state(&elastic).expect("the supervisor's state");
 
@@ -164,7 +179,7 @@ fn resume_under_another_config_is_incompatible() {
     let mut constraints = tiny_cfg();
     constraints.constraints.momentum_x = false;
     for (what, cfg) in [("gamma", gamma), ("patch", patch), ("constraints", constraints)] {
-        match Trainer::resume(MeshfreeFlowNet::new(cfg.clone()), tc, &single) {
+        match resume(cfg.clone(), tc, &elastic) {
             Err(CheckpointError::Incompatible(m)) => {
                 assert!(m.contains(&tiny_cfg().to_json()) && m.contains(&cfg.to_json()), "{m}")
             }
@@ -181,11 +196,12 @@ fn resume_under_another_config_is_incompatible() {
     }
 }
 
-/// The headline resume guarantee: 6 epochs straight vs. 3 epochs → full
-/// train-state save → a brand-new `Trainer::resume` → 3 more epochs must
-/// agree on every parameter bit and every per-step loss. This pins the
-/// entire serialized state — Adam moments and step count (bias correction),
-/// sampler RNG position, lr schedule, and the epoch cursor.
+/// The headline resume guarantee: 6 epochs straight vs. 3 epochs through
+/// the driver → its train state → a brand-new `Trainer` resumed from that
+/// file → 3 more epochs must agree on every parameter bit and every
+/// per-step loss. This pins the entire serialized state — Adam moments and
+/// step count (bias correction), sampler RNG position, lr schedule, and the
+/// epoch cursor.
 #[test]
 fn crash_resume_is_bit_identical_to_uninterrupted_run() {
     let (corpus, _hr, _lr) = tiny_corpus();
@@ -205,19 +221,15 @@ fn crash_resume_is_bit_identical_to_uninterrupted_run() {
     straight.train(&corpus);
     let digest_straight = param_digest(&straight.model.store.flatten());
 
-    // Interrupted: 3 epochs, save, then a fresh process-style resume.
+    // Interrupted: 3 epochs through the driver, which writes the state,
+    // then a fresh process-style resume.
     let dir = TempDir::new("resume");
     let path = dir.path("state.ckpt");
     let (rec_b, sink_b) = Recorder::memory(8192);
-    let mut first = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc(3)).with_recorder(rec_b);
-    first.train(&corpus);
-    first.save_checkpoint(&path).expect("save");
-    drop(first); // nothing from the first half survives in memory
+    drop(train_to(&corpus, tc(3), &path, rec_b)); // nothing of it survives in memory
 
     let (rec_c, sink_c) = Recorder::memory(8192);
-    let mut resumed = Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc(6), &path)
-        .expect("resume")
-        .with_recorder(rec_c);
+    let mut resumed = resume(tiny_cfg(), tc(6), &path).expect("resume").with_recorder(rec_c);
     assert_eq!(resumed.steps_taken(), 3 * 4);
     resumed.train(&corpus);
     let digest_resumed = param_digest(&resumed.model.store.flatten());
@@ -252,28 +264,33 @@ fn short_run_config() -> TrainConfig {
     }
 }
 
-/// A uniform run's checkpoint ends with the Adam block, and a resumed
-/// trainer writes back the very same bytes, so the payload round-trips
-/// through `Trainer::resume` without loss.
+/// A uniform run's checkpoint ends with the Adam block, a `Trainer`
+/// resumes it, and the driver handed it decodes and re-encodes the very
+/// same bytes, so the payload round-trips through a resume without loss.
 #[test]
 fn uniform_checkpoint_has_no_sampler_section_and_round_trips() {
     let (corpus, _hr, _lr) = tiny_corpus();
     let tc = short_run_config();
     let dir = TempDir::new("uniform_section");
     let path = dir.path("state.ckpt");
-    let mut trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc);
-    trainer.train(&corpus);
-    trainer.save_checkpoint(&path).expect("save");
+    train_to(&corpus, tc, &path, Recorder::null());
     let payload = load_train_state(&path).expect("load");
 
-    let resumed = Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc, &path)
-        .expect("uniform state resumes");
-    let again = dir.path("again.ckpt");
-    resumed.save_checkpoint(&again).expect("save resumed");
+    resume(tiny_cfg(), tc, &path).expect("uniform state resumes");
+    let sup = SupervisorConfig { workers: 1, ..Default::default() };
+    let again = train_elastic(
+        &corpus,
+        &tiny_cfg(),
+        &tc,
+        &sup,
+        Some(&payload),
+        &FaultPlan::none(),
+        Recorder::null(),
+    )
+    .expect("the finished state is handed back");
     assert_eq!(
-        load_train_state(&again).expect("load resumed"),
-        payload,
-        "resume → save must reproduce the checkpoint payload byte for byte"
+        again.final_state, payload,
+        "resume → final state must reproduce the checkpoint payload byte for byte"
     );
 }
 
@@ -283,17 +300,19 @@ fn uniform_checkpoint_has_no_sampler_section_and_round_trips() {
 /// naming its version, both when served and when resumed.
 #[test]
 fn version_one_frame_is_incompatible_and_named() {
+    let (corpus, _hr, _lr) = tiny_corpus();
     let dir = TempDir::new("v1");
     let path = dir.path("state.ckpt");
-    let trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), short_run_config());
-    trainer.save_checkpoint(&path).expect("save");
+    train_to(&corpus, short_run_config(), &path, Recorder::null());
+    // A lone version-1 file: no good `.prev` for the fallback to serve.
+    std::fs::remove_file(prev_path(&path)).expect("rm prev");
     let mut frame = std::fs::read(&path).expect("read");
     frame[8..12].copy_from_slice(&1u32.to_le_bytes());
     std::fs::write(&path, &frame).expect("write");
     for err in [
         load_train_state(&path).err(),
         FrozenModel::load_state(&path).err(),
-        Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), short_run_config(), &path).err(),
+        resume(tiny_cfg(), short_run_config(), &path).err(),
     ] {
         match err {
             Some(CheckpointError::Incompatible(m)) => assert!(m.contains("version 1"), "{m}"),
@@ -302,8 +321,9 @@ fn version_one_frame_is_incompatible_and_named() {
     }
 }
 
-/// A mid-epoch checkpoint (periodic writer) resumes just as exactly: the
-/// batch cursor and sampler position land inside the epoch.
+/// A mid-epoch checkpoint (the snapshot before a round that starts inside
+/// an epoch) resumes just as exactly: the batch cursor and sampler position
+/// land inside the epoch.
 #[test]
 fn mid_epoch_periodic_checkpoint_resumes_bit_identical() {
     let (corpus, _hr, _lr) = tiny_corpus();
@@ -322,13 +342,11 @@ fn mid_epoch_periodic_checkpoint_resumes_bit_identical() {
     let mut straight = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc(3, 0));
     straight.train(&corpus);
 
-    // Periodic writer fires every 5 steps: the last write of a 12-step run
-    // lands at step 10 = epoch 2, batch 2 (mid-epoch).
-    let mut interrupted =
-        Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc(3, 5)).with_checkpointing(&path);
-    interrupted.train(&corpus);
-    let mut resumed =
-        Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc(3, 0), &path).expect("resume");
+    // Rounds of at most 5 steps end at 4, 5, 8, 10 and 12: the last
+    // snapshot of the 12-step run is step 10 = epoch 2, batch 2
+    // (mid-epoch), which the final write rotates to `.prev`.
+    train_to(&corpus, tc(3, 5), &path, Recorder::null());
+    let mut resumed = resume(tiny_cfg(), tc(3, 0), &prev_path(&path)).expect("resume");
     assert_eq!(resumed.steps_taken(), 10, "expected the step-10 periodic checkpoint");
     resumed.train(&corpus);
     assert_eq!(
@@ -355,12 +373,12 @@ fn batch_cursor_past_the_epoch_is_incompatible() {
         checkpoint_every: every,
         ..Default::default()
     };
-    // The only periodic write of this 8-step epoch is at batch 6.
-    Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc(8, 6))
-        .with_checkpointing(&path)
-        .train(&corpus);
+    // This 8-step epoch runs in rounds ending at 6 and 8: the snapshot at
+    // batch 6 is rotated to `.prev` by the final write.
+    train_to(&corpus, tc(8, 6), &path, Recorder::null());
+    let path = prev_path(&path);
     for batches_per_epoch in [4, 6] {
-        match Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc(batches_per_epoch, 0), &path) {
+        match resume(tiny_cfg(), tc(batches_per_epoch, 0), &path) {
             Err(CheckpointError::Incompatible(msg)) => assert!(msg.contains("batch 6"), "{msg}"),
             Err(other) => {
                 panic!("{batches_per_epoch} batches: expected Incompatible, got {other:?}")
@@ -368,8 +386,7 @@ fn batch_cursor_past_the_epoch_is_incompatible() {
             Ok(_) => panic!("{batches_per_epoch} batches: a cursor of 6 must not resume"),
         }
     }
-    let resumed =
-        Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc(8, 0), &path).expect("same epochs");
+    let resumed = resume(tiny_cfg(), tc(8, 0), &path).expect("same epochs");
     assert_eq!(resumed.steps_taken(), 6);
 }
 
@@ -389,14 +406,24 @@ fn corrupt_train_state_is_rejected_and_prev_recovers() {
         seed: 5,
         ..Default::default()
     };
-    let mut trainer = Trainer::new(MeshfreeFlowNet::new(tiny_cfg()), tc);
-    trainer.train(&corpus);
-    trainer.save_checkpoint(&path).expect("save 1");
-    let digest_at_save1 = param_digest(&trainer.model.store.flatten());
-    // Train a little more and save again: the first state rotates to .prev.
-    trainer.cfg.epochs = 3;
-    trainer.train(&corpus);
-    trainer.save_checkpoint(&path).expect("save 2");
+    let first = train_to(&corpus, tc, &path, Recorder::null());
+    let digest_at_save1 = param_digest(&first.final_params);
+    // Train a little more: the state of the first run is the snapshot
+    // before the third epoch, which the final write rotates to .prev.
+    let state = load_train_state(&path).expect("the first run's state");
+    let sup =
+        SupervisorConfig { workers: 1, checkpoint_path: Some(path.clone()), ..Default::default() };
+    let more = TrainConfig { epochs: 3, ..tc };
+    train_elastic(
+        &corpus,
+        &tiny_cfg(),
+        &more,
+        &sup,
+        Some(&state),
+        &FaultPlan::none(),
+        Recorder::null(),
+    )
+    .expect("one more epoch");
     assert!(prev_path(&path).exists(), "second save must rotate the first to .prev");
 
     let good = std::fs::read(&path).expect("read");
@@ -415,8 +442,7 @@ fn corrupt_train_state_is_rejected_and_prev_recovers() {
     // The supervisor-style fallback serves the previous good checkpoint.
     let recovered = load_train_state_with_fallback(&path).expect("fallback");
     assert!(!recovered.is_empty());
-    let resumed = Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc, &path)
-        .expect("resume must fall back to .prev");
+    let resumed = resume(tiny_cfg(), tc, &path).expect("resume must fall back to .prev");
     assert_eq!(
         param_digest(&resumed.model.store.flatten()),
         digest_at_save1,
@@ -425,7 +451,7 @@ fn corrupt_train_state_is_rejected_and_prev_recovers() {
 
     // With the fallback also gone, resume reports the corruption.
     std::fs::remove_file(prev_path(&path)).expect("rm prev");
-    match Trainer::resume(MeshfreeFlowNet::new(tiny_cfg()), tc, &path) {
+    match resume(tiny_cfg(), tc, &path) {
         Err(CheckpointError::Corrupt(_)) => {}
         Err(other) => panic!("expected Corrupt error, got {other:?}"),
         Ok(_) => panic!("resume must not succeed with both copies corrupt/missing"),
