@@ -19,12 +19,20 @@
 //! A fully-connected layer is one node, [`Graph::linear`], on feature-major
 //! activations `[width, M]` — the layout of the no-grad `PackedMlp::forward`
 //! and of the U-Net's convs: the layer is the 1×1×1 convolution over `M`
-//! voxels, run by the conv driver (`PackedConv3d::forward_slices`, and
-//! `conv3d_grad_input` / `conv3d_grad_weight` backward), then
-//! [`Activation::bias_apply_features`] in place on its output, so the tape
-//! and the no-grad forward agree bit for bit. It saves what backward needs
-//! once: its own output (which the next layer reads anyway) and, for
-//! softplus only, a copy of the GEMM output.
+//! voxels, run by the conv driver (`PackedConv3d::forward_columns` by column
+//! ranges, and the weight gradient `conv3d_grad_weight` and the input
+//! gradient's flipped weight backward), then the bias and activation
+//! epilogue ([`Activation::bias_apply_features`]), so the tape and the
+//! no-grad forward agree bit for bit. It saves what backward needs once:
+//! its own output (which the next layer reads anyway) and, where the
+//! derivative needs it, the GEMM output.
+//!
+//! A layer node runs on the tape's threads ([`Graph::with_workers`]; one
+//! unless the caller asks — `Trainer` gives a rank's tape the cores the rank
+//! owns). Its forward and backward take turns at GEMM column slabs and at
+//! blocks of feature rows (`mfn_tensor::in_turns`), each written by one
+//! thread, and every output element is the FMA chain of a single pass, so
+//! the thread count never shows in a bit.
 //!
 //! The same node differentiates the network with respect to its *inputs* —
 //! how the PDE residuals get exact derivatives of the decoder: on
@@ -44,9 +52,18 @@ use mfn_tensor::{
     conv3d_auto, conv3d_grad_input, conv3d_grad_weight, maxpool3d, maxpool3d_backward,
     upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims, PackedConv3d, Tensor,
 };
-use mfn_tensor::{rowops, workspace};
+use mfn_tensor::{in_turns, rowops, workspace, ColumnSlabs, Turns};
 
 pub use mfn_tensor::rowops::JET_LANES;
+
+/// Feature rows of a layer node's epilogue turn, forward (bias and
+/// activation) and backward (`dz` and the row sums): one interleaved group
+/// of the row sums.
+const TURN_ROWS: usize = 8;
+
+/// Columns of a layer node's GEMM turn: one `NC` slab of the driver, the
+/// slabs a whole-matrix `PackedConv3d::forward_slices` walks.
+const TURN_COLUMNS: usize = mfn_tensor::gemm::NC;
 
 /// A handle to a node on the tape (an SSA value of the recorded program).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -230,6 +247,8 @@ pub struct Graph {
     /// Whether [`Graph::param`] records constants
     /// ([`Graph::with_frozen_params`]).
     frozen_params: bool,
+    /// Threads a layer node runs on ([`Graph::with_workers`]).
+    workers: usize,
     /// Set by [`Graph::backward`], which may run once.
     swept: bool,
 }
@@ -247,8 +266,21 @@ impl Graph {
             nodes: Vec::with_capacity(256),
             param_vars: Vec::new(),
             frozen_params: false,
+            workers: 1,
             swept: false,
         }
+    }
+
+    /// This tape with its layer nodes ([`Graph::linear`],
+    /// [`Graph::linear_seeded`]) forward and backward on `workers` threads,
+    /// taking turns at column slabs and feature rows (module docs) — the
+    /// same bits on any count. A new tape runs on one, spawning nothing.
+    ///
+    /// # Panics
+    /// Panics if `workers` is 0.
+    pub fn with_workers(self, workers: usize) -> Self {
+        assert!(workers >= 1, "a tape runs on at least one thread");
+        Graph { workers, ..self }
     }
 
     /// An empty tape on which [`Graph::param`] records constants: the layers
@@ -391,10 +423,9 @@ impl Graph {
     /// A fully-connected layer `act(w · x + b)` as one node on feature-major
     /// activations: `x: [in, M]`, `w: [out, in]` (gradients arrive in that
     /// layout), `b: [out]` → `[out, M]`. The value is the 1×1×1 convolution
-    /// over `M` voxels on the conv driver (`PackedConv3d::pack_linear` and
-    /// `forward_slices`, what a layer of the no-grad `PackedMlp::forward`
-    /// runs) followed by [`Activation::bias_apply_features`] in place on its
-    /// output — that layer, bit for bit.
+    /// over `M` voxels on the conv driver (`PackedConv3d::pack_linear`, by
+    /// column ranges) followed by [`Activation::bias_apply_features`] — a
+    /// layer of the no-grad `PackedMlp::forward`, bit for bit.
     ///
     /// With `lanes = JET_LANES`, `x: [in, 6·M]` holds a value and five
     /// derivatives as column blocks of each feature row (module docs): still
@@ -403,22 +434,7 @@ impl Graph {
     /// [`Activation::bias_jet_features`].
     pub fn linear(&mut self, x: Var, w: Var, b: Var, act: Activation, lanes: usize) -> Var {
         assert!(lanes == 1 || lanes == JET_LANES, "a layer runs on 1 or {JET_LANES} lanes");
-        let mut y = self.linear_gemm(x, w);
-        let cols = y.dims()[1];
-        assert!(cols.is_multiple_of(lanes), "{cols} columns are not {lanes} lanes");
-        let rg = self.rg(x) || self.rg(w) || self.rg(b);
-        // Softplus' is a function of the pre-activation, which the in-place
-        // activation overwrites; the other derivatives read the output. A
-        // curved activation of a jet reads every pre-activation lane.
-        let curved_jet = lanes > 1 && act != Activation::Linear;
-        let pre = (rg && (curved_jet || act == Activation::Softplus)).then(|| y.clone());
-        let bias = self.nodes[b.0].value.data();
-        if lanes == 1 {
-            act.bias_apply_features(y.data_mut(), bias);
-        } else {
-            act.bias_jet_features::<false>(y.data_mut(), &mut [], bias, &[]);
-        }
-        self.push(y, Op::Linear { x, w, b, act, pre, lanes, seed: None }, rg)
+        self.layer(x, w, b, act, lanes, None)
     }
 
     /// The first layer of a six-lane decode as one node: [`Graph::linear`]
@@ -443,34 +459,77 @@ impl Graph {
         seed: [f32; 3],
     ) -> Var {
         assert!(self.nodes[w.0].value.dims()[1] >= 3, "a seeded layer reads 3 coordinates");
-        let mut pre = self.linear_gemm(x, w);
-        let (n, m) = (pre.dims()[0], pre.dims()[1]);
-        let mut y =
-            Tensor::from_vec(workspace::take_vec_scratch(JET_LANES * n * m), &[n, JET_LANES * m]);
-        let seeds = seed_scalars(&self.nodes[w.0].value, Some(seed));
-        let bias = self.nodes[b.0].value.data();
-        act.bias_jet_features::<false>(y.data_mut(), pre.data_mut(), bias, &seeds);
-        let rg = self.rg(x) || self.rg(w) || self.rg(b);
-        let op =
-            Op::Linear { x, w, b, act, pre: rg.then_some(pre), lanes: JET_LANES, seed: Some(seed) };
-        self.push(y, op, rg)
+        self.layer(x, w, b, act, JET_LANES, Some(seed))
     }
 
-    /// `w · x` of a layer node on the conv driver: the 1×1×1 convolution
-    /// over the columns of `x: [in, cols]`, `[out, cols]`.
-    fn linear_gemm(&self, x: Var, w: Var) -> Tensor {
-        let (xv, wv) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
+    /// The layer node [`Graph::linear`] and [`Graph::linear_seeded`] record,
+    /// in two rounds of turns: the GEMM (`x`'s lanes, or under a seed the
+    /// value lane alone) in slabs of [`TURN_COLUMNS`] columns, into the
+    /// saved pre-activation where backward needs one, else straight into
+    /// the output; then the bias and activation epilogue in blocks of
+    /// [`TURN_ROWS`] feature rows. Every output is a GEMM column's FMA chain
+    /// and a point-wise epilogue, so the turns give the bits of one pass.
+    fn layer(
+        &mut self,
+        x: Var,
+        w: Var,
+        b: Var,
+        act: Activation,
+        lanes: usize,
+        seed: Option<[f32; 3]>,
+    ) -> Var {
+        let rg = self.rg(x) || self.rg(w) || self.rg(b);
+        let (xv, wv, bv) = (&self.nodes[x.0].value, &self.nodes[w.0].value, &self.nodes[b.0].value);
         assert_eq!(xv.shape().rank(), 2, "a layer reads feature rows");
         let ((k, cols), n) = ((xv.dims()[0], xv.dims()[1]), wv.dims()[0]);
         assert_eq!(wv.dims()[1], k, "the weight's inputs are the input's feature rows");
-        let mut y = workspace::take_vec_scratch(n * cols);
-        PackedConv3d::pack_linear(wv.data(), n, k).forward_slices(
-            xv.data(),
-            [1, 1, cols],
-            &mut y,
-            None,
-        );
-        Tensor::from_vec(y, &[n, cols])
+        // The GEMM's lanes: the input's, or under a seed its one.
+        let gemm_lanes = if seed.is_some() { 1 } else { lanes };
+        assert!(cols.is_multiple_of(gemm_lanes), "{cols} columns are not {lanes} lanes");
+        let points = cols / gemm_lanes;
+        // Softplus' is a function of the pre-activation, which the epilogue
+        // overwrites; the other derivatives read the output. A curved
+        // activation of a jet reads every pre-activation lane, and a seeded
+        // layer's backward leaves the value lane's adjoint in its own.
+        let curved_jet = lanes > 1 && act != Activation::Linear;
+        let keep_pre = rg && (seed.is_some() || curved_jet || act == Activation::Softplus);
+        let mut y = workspace::take_vec_scratch(n * lanes * points);
+        let mut pre = keep_pre.then(|| workspace::take_vec_scratch(n * cols));
+        let packed = PackedConv3d::pack_linear(wv.data(), n, k);
+        let gemm_out = pre.as_deref_mut().unwrap_or(&mut y);
+        gemm_in_turns(self.workers, &packed, xv.data(), gemm_out, n, || {});
+
+        let seeds = seed_scalars(wv, seed);
+        let bias = bv.data();
+        let row = lanes * points;
+        let mut pres = pre.as_deref_mut().map(|p| p.chunks_mut(TURN_ROWS * cols));
+        let rows = y.chunks_mut(TURN_ROWS * row).enumerate();
+        let rows =
+            rows.map(move |(i, y)| (i * TURN_ROWS, y, pres.as_mut().and_then(Iterator::next)));
+        let epilogue = |(j, y, pre): (usize, &mut [f32], Option<&mut [f32]>)| {
+            let bias = &bias[j..j + y.len() / row];
+            match (seed, pre) {
+                (Some(_), Some(pre)) => {
+                    let seeds = &seeds[3 * j..3 * j + 3 * bias.len()];
+                    act.bias_jet_features::<false>(y, pre, bias, seeds)
+                }
+                (_, pre) => {
+                    if let Some(pre) = pre {
+                        y.copy_from_slice(pre);
+                    }
+                    if lanes == 1 {
+                        act.bias_apply_features(y, bias);
+                    } else {
+                        act.bias_jet_features::<false>(y, &mut [], bias, &[]);
+                    }
+                }
+            }
+        };
+        let take = |_: &mut (), t: &Turns<_>| t.for_each(&epilogue);
+        in_turns(self.workers, rows, || (), take, take);
+        let y = Tensor::from_vec(y, &[n, lanes * points]);
+        let pre = pre.map(|p| Tensor::from_vec(p, &[n, cols]));
+        self.push(y, Op::Linear { x, w, b, act, pre, lanes, seed }, rg)
     }
 
     /// Adds bias `b: [C]` over channel dim 1 of `x: [N, C, ...]`.
@@ -789,60 +848,8 @@ impl Graph {
                 self.accumulate(a, grad);
             }
             Op::AddScalar(a) => self.accumulate(a, grad),
-            Op::Linear { x, w, b, act, mut pre, lanes, seed } => {
-                // dz, the adjoint of the pre-activation z = w · x + b, in
-                // place on the adjoint of the output y = act(z) — under a
-                // seed, its value lane over `pre`.
-                let bias = self.nodes[b.0].value.data();
-                match (act, pre.as_mut()) {
-                    (_, Some(pre)) if lanes > 1 => {
-                        let seeds = seed_scalars(&self.nodes[w.0].value, seed);
-                        act.bias_jet_features::<true>(grad.data_mut(), pre.data_mut(), bias, &seeds)
-                    }
-                    (Activation::Softplus, pre) => {
-                        let pre =
-                            pre.expect("a softplus layer that needs a gradient saved its GEMM");
-                        rowops::bias_softplus_grad_features(grad.data_mut(), pre.data(), bias);
-                    }
-                    // y = max(z, 0) is positive exactly where z is.
-                    (Activation::Relu, _) => relu_grad(&mut grad, &self.nodes[node_idx].value),
-                    (Activation::Tanh, _) => tanh_grad(&mut grad, &self.nodes[node_idx].value),
-                    (Activation::Linear, _) => {}
-                }
-                let (xv, wv) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
-                let ((k, cols), n) = ((xv.dims()[0], xv.dims()[1]), wv.dims()[0]);
-                let points = grad.numel() / (n * lanes);
-                // The columns of dz that met a column of x: all of them, or
-                // under a seed the value lane's, which the epilogue left in
-                // `pre` — otherwise spent, and back in the pool before `dx`.
-                let pre = pre.filter(|_| seed.is_some());
-                let dz = pre.as_ref().unwrap_or(&grad).data();
-                let dims =
-                    Conv3dDims { n: 1, cin: k, cout: n, spatial: [1, 1, cols], kernel: [1; 3] };
-                // The bias joins the value lane only.
-                let db = self.rg(b).then(|| {
-                    let db = lane_sums(dz, n, 0, points).detach();
-                    Tensor::from_vec(db, self.nodes[b.0].value.dims())
-                });
-                let dw = self.rg(w).then(|| {
-                    // y = w · x  =>  dw = dz · xᵀ, in w's [out, in] layout.
-                    let mut dw = conv3d_grad_weight(xv.data(), dz, dims, None).reshape(wv.dims());
-                    // Seed lane 1 + a is seed[a] in input feature a, zero elsewhere.
-                    for (a, &s) in seed.iter().flatten().enumerate() {
-                        let sums = lane_sums(grad.data(), n, 1 + a, points);
-                        for (o, &sum) in sums.iter().enumerate() {
-                            dw.data_mut()[o * k + a] += s * sum;
-                        }
-                    }
-                    dw
-                });
-                let dx =
-                    self.rg(x).then(|| conv3d_grad_input(dz, wv.data(), dims).reshape(xv.dims()));
-                for (v, g) in [(b, db), (w, dw), (x, dx)] {
-                    if let Some(g) = g {
-                        self.accumulate(v, g);
-                    }
-                }
+            Op::Linear { x, w, b, act, pre, lanes, seed } => {
+                self.backprop_layer(node_idx, grad, [x, w, b], act, pre, lanes, seed)
             }
             Op::BiasChannel(x, b) => {
                 if self.rg(b) {
@@ -860,7 +867,7 @@ impl Graph {
                 self.accumulate(x, grad);
             }
             Op::Relu(a) => {
-                relu_grad(&mut grad, &self.nodes[a.0].value);
+                relu_grad(grad.data_mut(), self.nodes[a.0].value.data());
                 self.accumulate(a, grad);
             }
             Op::Softplus(a) => {
@@ -869,7 +876,7 @@ impl Graph {
                 self.accumulate(a, grad);
             }
             Op::Tanh(a) => {
-                tanh_grad(&mut grad, &self.nodes[node_idx].value);
+                tanh_grad(grad.data_mut(), self.nodes[node_idx].value.data());
                 self.accumulate(a, grad);
             }
             Op::Abs(a) => {
@@ -1030,6 +1037,125 @@ impl Graph {
         }
     }
 
+    /// The backward of a layer node ([`Graph::layer`]) from its output's
+    /// adjoint `grad`, in two rounds of turns:
+    ///
+    /// 1. over blocks of [`TURN_ROWS`] feature rows: `dz`, the adjoint of
+    ///    the pre-activation `z = w · x + b`, in place on `grad` (under a
+    ///    seed, its value lane over `pre`), and each row's sums — the bias
+    ///    gradient's, and under a seed lanes 1–3's, which `dw` adds;
+    /// 2. `dw = dz · xᵀ` on the caller, as one call: its sum over columns
+    ///    runs in one order whatever the thread count. Meanwhile every other
+    ///    worker — the caller too, once `dw` is done — takes turns at
+    ///    slabs of [`TURN_COLUMNS`] columns of `dx = wᵀ · dz`.
+    ///
+    /// Every output element is the FMA chain of a single pass.
+    #[allow(clippy::too_many_arguments)]
+    fn backprop_layer(
+        &mut self,
+        node_idx: usize,
+        mut grad: Tensor,
+        [x, w, b]: [Var; 3],
+        act: Activation,
+        mut pre: Option<Tensor>,
+        lanes: usize,
+        seed: Option<[f32; 3]>,
+    ) {
+        let (xv, wv) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
+        let ((k, cols), n) = ((xv.dims()[0], xv.dims()[1]), wv.dims()[0]);
+        let points = grad.numel() / (n * lanes);
+        let (bias, value) = (self.nodes[b.0].value.data(), self.nodes[node_idx].value.data());
+        let seeds = seed_scalars(wv, seed);
+        let row = grad.numel() / n;
+        let pre_row = pre.as_ref().map_or(0, |p| p.numel() / n);
+        // Per feature row: the value lane's sum, then lanes 1–3's.
+        let mut sums = workspace::take_zeroed(4 * n);
+        let mut pres = pre.as_mut().map(|p| p.data_mut().chunks_mut(TURN_ROWS * pre_row));
+        let rows = grad.data_mut().chunks_mut(TURN_ROWS * row).zip(sums.chunks_mut(4 * TURN_ROWS));
+        let rows = rows
+            .enumerate()
+            .map(move |(i, (g, s))| (i * TURN_ROWS, g, pres.as_mut().and_then(Iterator::next), s));
+        let dz_rows =
+            |(j, g, mut pre, sums): (usize, &mut [f32], Option<&mut [f32]>, &mut [f32])| {
+                let count = g.len() / row;
+                let bias = &bias[j..j + count];
+                match (act, pre.as_deref_mut()) {
+                    (_, Some(pre)) if lanes > 1 => {
+                        let seeds =
+                            if seeds.is_empty() { &[][..] } else { &seeds[3 * j..3 * (j + count)] };
+                        act.bias_jet_features::<true>(g, pre, bias, seeds)
+                    }
+                    (Activation::Softplus, pre) => {
+                        let pre =
+                            pre.expect("a softplus layer that needs a gradient saved its GEMM");
+                        rowops::bias_softplus_grad_features(g, pre, bias);
+                    }
+                    // y = max(z, 0) is positive exactly where z is.
+                    (Activation::Relu, _) => relu_grad(g, &value[j * row..][..g.len()]),
+                    (Activation::Tanh, _) => tanh_grad(g, &value[j * row..][..g.len()]),
+                    (Activation::Linear, _) => {}
+                }
+                // The value lane's dz, under a seed the one the epilogue left in `pre`.
+                let dz = match (&pre, seed) {
+                    (Some(pre), Some(_)) => &pre[..],
+                    _ => &g[..],
+                };
+                lane_sums(dz, count, 0, points, sums, 0);
+                if seed.is_some() {
+                    for a in 0..3 {
+                        lane_sums(g, count, 1 + a, points, sums, 1 + a);
+                    }
+                }
+            };
+        let take = |_: &mut (), t: &Turns<_>| t.for_each(&dz_rows);
+        in_turns(self.workers, rows, || (), take, take);
+
+        // The columns of dz that met a column of x: all of them, or under a
+        // seed the value lane's, which the epilogue left in `pre`. The other
+        // buffer is spent, and back in the pool before `dx` is taken.
+        let dz = match (seed, pre) {
+            (Some(_), Some(pre)) => pre,
+            _ => grad,
+        };
+        let dz = dz.data();
+        let dims = Conv3dDims { n: 1, cin: k, cout: n, spatial: [1, 1, cols], kernel: [1; 3] };
+        // The bias joins the value lane only.
+        let db = self.rg(b).then(|| {
+            let mut db = workspace::take_vec_scratch(n);
+            db.iter_mut().zip(sums.chunks_exact(4)).for_each(|(d, s)| *d = s[0]);
+            Tensor::from_vec(db, self.nodes[b.0].value.dims())
+        });
+        let mut dw = None;
+        let weight_grad = || {
+            // y = w · x  =>  dw = dz · xᵀ, in w's [out, in] layout.
+            let mut dw = conv3d_grad_weight(xv.data(), dz, dims, None).reshape(wv.dims());
+            // Seed lane 1 + a is seed[a] in input feature a, zero elsewhere.
+            for (a, &s) in seed.iter().flatten().enumerate() {
+                for (o, sums) in sums.chunks_exact(4).enumerate() {
+                    dw.data_mut()[o * k + a] += s * sums[1 + a];
+                }
+            }
+            dw
+        };
+        let mut dx = self.rg(x).then(|| workspace::take_vec_scratch(k * cols));
+        match dx.as_deref_mut() {
+            None => dw = self.rg(w).then(weight_grad),
+            Some(dx) => {
+                // dx = wᵀ · dz, the input gradient's conv.
+                let flipped = PackedConv3d::pack_flipped(wv.data(), dims);
+                gemm_in_turns(self.workers, &flipped, dz, dx, k, || {
+                    dw = self.rg(w).then(weight_grad)
+                });
+            }
+        }
+        let dx = dx.map(|dx| Tensor::from_vec(dx, xv.dims()));
+        for (v, g) in [(b, db), (w, dw), (x, dx)] {
+            if let Some(g) = g {
+                self.accumulate(v, g);
+            }
+        }
+    }
+
     /// Gradients of every registered parameter, aligned with `store`'s order;
     /// parameters that received no gradient get zeros.
     pub fn param_grads(&self, store: &ParamStore) -> Vec<Tensor> {
@@ -1042,6 +1168,33 @@ impl Graph {
         }
         grads
     }
+}
+
+/// `out = w · x` for a layer's packed weight `w: [n, k]` over `x: [k, cols]`,
+/// `out: [n, cols]`, on `workers` threads taking turns at slabs of
+/// [`TURN_COLUMNS`] columns, each packing its B panels in scratch of its own.
+/// The caller runs `first` before it takes its first slab.
+fn gemm_in_turns(
+    workers: usize,
+    w: &PackedConv3d,
+    x: &[f32],
+    out: &mut [f32],
+    n: usize,
+    first: impl FnOnce(),
+) {
+    let cols = out.len() / n;
+    let b_len = w.columns_scratch(TURN_COLUMNS.min(cols));
+    let slabs = ColumnSlabs::new(out, n, cols, TURN_COLUMNS);
+    let take = |b_pack: &mut workspace::WorkspaceGuard, slabs: &Turns<ColumnSlabs<'_>>| {
+        for mut slab in slabs {
+            w.forward_columns(x, slab.range(), &mut slab, b_pack);
+        }
+    };
+    let caller = |b_pack: &mut _, slabs: &Turns<_>| {
+        first();
+        take(b_pack, slabs)
+    };
+    in_turns(workers, slabs, || workspace::take_scratch(b_len), caller, take);
 }
 
 /// The three pre-activation scalars a seed makes per output feature of a
@@ -1062,38 +1215,39 @@ fn seed_scalars(w: &Tensor, seed: Option<[f32; 3]>) -> workspace::WorkspaceGuard
 }
 
 /// Sums over lane `lane` of each of the `n` feature rows of `m` (lanes of
-/// `points` columns), points added in order. Each sum is one chain of adds;
-/// eight rows' chains are interleaved, so they run at the adder's throughput
-/// instead of its latency.
-fn lane_sums(m: &[f32], n: usize, lane: usize, points: usize) -> workspace::WorkspaceGuard {
+/// `points` columns), points added in order, into `out[4·r + at]` for row
+/// `r`. Each sum is one chain of adds; eight rows' chains are interleaved,
+/// so they run at the adder's throughput instead of its latency.
+fn lane_sums(m: &[f32], n: usize, lane: usize, points: usize, out: &mut [f32], at: usize) {
     const ROWS: usize = 8;
     let len = m.len() / n;
-    let mut sums = workspace::take_zeroed(n);
-    for (sums, rows) in sums.chunks_mut(ROWS).zip(m.chunks(ROWS * len)) {
+    for (out, rows) in out.chunks_mut(4 * ROWS).zip(m.chunks(ROWS * len)) {
+        let mut sums = [0.0f32; ROWS];
         for p in lane * points..(lane + 1) * points {
             for (sum, row) in sums.iter_mut().zip(rows.chunks_exact(len)) {
                 *sum += row[p];
             }
         }
+        for (out, sum) in out.chunks_mut(4).zip(sums) {
+            out[at] = sum;
+        }
     }
-    sums
 }
 
 /// relu′ in place: zeroes `g` wherever `v` is not positive. `v` may be the
 /// relu's input or its output, which are positive in the same places.
-fn relu_grad(g: &mut Tensor, v: &Tensor) {
-    for (g, &v) in g.data_mut().iter_mut().zip(v.data()) {
+fn relu_grad(g: &mut [f32], v: &[f32]) {
+    for (g, &v) in g.iter_mut().zip(v) {
         *g = if v > 0.0 { *g } else { 0.0 };
     }
 }
 
 /// tanh′ in place, from the tanh's output: `g *= 1 - t²`.
-fn tanh_grad(g: &mut Tensor, t: &Tensor) {
-    for (g, &t) in g.data_mut().iter_mut().zip(t.data()) {
+fn tanh_grad(g: &mut [f32], t: &[f32]) {
+    for (g, &t) in g.iter_mut().zip(t) {
         *g *= 1.0 - t * t;
     }
 }
-
 /// `t *= s`, elementwise.
 fn scale_in_place(t: &mut Tensor, s: f32) {
     for v in t.data_mut() {

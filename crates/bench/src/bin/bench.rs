@@ -11,8 +11,9 @@
 //! GEMM stage timed against the driver's GEMM, the softplus kernel (as a slice
 //! and as the decoder's feature-major epilogue) and its derivative, the
 //! decoder's forward and backward on the tape (the link between the kernel rows
-//! and the training step), and the heap traffic of one full training step with
-//! the workspace pool on vs off. The results are one [`KernelsReport`], written
+//! and the training step), the heap traffic of one full training step with
+//! the workspace pool on vs off, and one benchmark-shaped training step on one
+//! tape worker against the trainer's own count. The results are one [`KernelsReport`], written
 //! by `serde_json` to `BENCH_kernels.json` (default; `--out` overrides): median
 //! wall time, GFLOP/s, heap bytes allocated per call (counted by the global
 //! allocator below), and workspace-pool hit/miss counters.
@@ -184,7 +185,7 @@ fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
 }
 
 /// Schema tag of the report this binary writes.
-const SCHEMA: &str = "mfn-bench/kernels/v17";
+const SCHEMA: &str = "mfn-bench/kernels/v18";
 
 /// `BENCH_kernels.json`. The field names are the keys (the vendored derive
 /// renames nothing) and `--gate` parses a committed report back into this
@@ -631,7 +632,7 @@ struct TwoCoreSpeedup {
     q16384: TwoCoreRow,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize, Deserialize, Default)]
 struct TwoCoreRow {
     workers: usize,
     one_worker_best_ns: u64,
@@ -1095,6 +1096,20 @@ struct TrainStep {
     pool_on: TrainSide,
     pool_off: TrainSide,
     alloc_drop_ratio: f64,
+    /// Since v18; a v17 report reads zeros.
+    #[serde(default)]
+    two_core_speedup: TrainTwoCore,
+}
+
+/// One `train`-workload-shaped `Trainer::step` ([`train_step_fixture`]) with
+/// its tape forced onto one worker against the trainer's own count
+/// (`Trainer::tape_workers`, the cores a one-rank run owns), interleaved:
+/// what the layer nodes' turns buy a step, in the form of
+/// `decode_values.two_core_speedup`.
+#[derive(Serialize, Deserialize, Default)]
+struct TrainTwoCore {
+    available_parallelism: usize,
+    benchmark_step: TwoCoreRow,
 }
 
 /// One side of the pool on/off A/B: heap traffic of one step after a
@@ -1125,6 +1140,51 @@ fn bench_train_step(pool_on: bool) -> TrainSide {
     let s = workspace::stats();
     workspace::set_enabled(true); // leave the process in the default state
     TrainSide { alloc_bytes, alloc_calls, pool_hits: s.hits, pool_misses: s.misses }
+}
+
+/// The `train` workload's step at smoke-scale data: `MfnConfig::small`, a
+/// 4×8×8 patch of 128 queries, batch 4, γ\*, lr 1e-2 — every shape of the
+/// benchmark's step (the training-digest set-up), a cheap simulation.
+fn train_step_fixture() -> (Corpus, Trainer, mfn_data::Batch) {
+    let rbc = RbcConfig { nx: 32, nz: 33, ra: 1e6, dt_max: 2e-3, seed: 1, ..Default::default() };
+    let hr = Dataset::from_simulation(&simulate(&rbc, 0.02, 13));
+    let lr = downsample(&hr, 4, 4);
+    let corpus = Corpus::new(vec![(hr, lr)]);
+    let mut cfg = MfnConfig::small();
+    cfg.patch = PatchSpec { nt: 4, nz: 8, nx: 8, queries: 128 };
+    cfg.gamma = MfnConfig::GAMMA_STAR;
+    let (hr, lr) = &corpus.pairs[0];
+    let batch =
+        make_batch(&PatchSampler::new(hr, lr, cfg.patch), 4, &mut ChaCha8Rng::seed_from_u64(1));
+    let config = TrainConfig { lr: 1e-2, batch_size: 4, ..TrainConfig::default() };
+    let trainer = Trainer::new(MeshfreeFlowNet::new(cfg), config);
+    (corpus, trainer, batch)
+}
+
+/// Times [`train_step_fixture`]'s step on one tape worker and on the
+/// trainer's own count, interleaved ([`TrainTwoCore`]).
+fn bench_train_two_core(iters: usize) -> TrainTwoCore {
+    let (corpus, mut trainer, batch) = train_step_fixture();
+    let workers = trainer.tape_workers();
+    let mut one = Trainer::new(MeshfreeFlowNet::new(trainer.model.cfg.clone()), trainer.cfg);
+    one.set_tape_workers(Some(1));
+    let (params, stats) = (corpus.params(0), corpus.stats);
+    let mut one_worker = || {
+        std::hint::black_box(one.step(&batch, params, stats));
+    };
+    let mut own_count = || {
+        std::hint::black_box(trainer.step(&batch, params, stats));
+    };
+    let t = time_interleaved(iters, &mut [&mut one_worker, &mut own_count]);
+    TrainTwoCore {
+        available_parallelism: std::thread::available_parallelism().map_or(1, usize::from),
+        benchmark_step: TwoCoreRow {
+            workers,
+            one_worker_best_ns: whole(t[0].1),
+            best_ns: whole(t[1].1),
+            speedup: round(t[0].1 / t[1].1, 3),
+        },
+    }
 }
 
 /// `--gate` margin: each speedup must hold at least this fraction of the
@@ -1450,6 +1510,10 @@ fn main() {
     eprintln!("[bench] counting one training step's allocations, pool on then off ...");
     let (pool_on, pool_off) = (bench_train_step(true), bench_train_step(false));
     let alloc_drop = 1.0 - pool_on.alloc_bytes as f64 / pool_off.alloc_bytes.max(1) as f64;
+    eprintln!(
+        "[bench] timing a benchmark-shaped training step, one tape worker vs the trainer's ..."
+    );
+    let two_core_speedup = bench_train_two_core(decode_iters);
 
     let report = KernelsReport {
         schema: SCHEMA.to_string(),
@@ -1463,7 +1527,12 @@ fn main() {
         softplus,
         softplus_grad,
         tape_decoder,
-        train_step: TrainStep { pool_on, pool_off, alloc_drop_ratio: round(alloc_drop, 4) },
+        train_step: TrainStep {
+            pool_on,
+            pool_off,
+            alloc_drop_ratio: round(alloc_drop, 4),
+            two_core_speedup,
+        },
     };
     let json = serde_json::to_string_pretty(&report).expect("a report serializes");
     std::fs::write(&out_path, &json).expect("write bench report");

@@ -27,13 +27,15 @@
 //!   every inference path: serving, `super_resolve`, evaluation) is built.
 //!   Blocks are independent — each is planned, decoded and blended by
 //!   whichever worker takes it — so a call of 1,024 queries or more
-//!   splits its blocks over the host's cores (`decode_blocked`) — the only
-//!   threads below `mfn-dist` and `mfn-serve`; the kernels under a block
-//!   stay single-threaded.
+//!   splits its blocks over the host's cores (`decode_blocked`, taking
+//!   turns through `mfn_tensor::in_turns`); the kernels under a block stay
+//!   single-threaded.
 
 use mfn_autodiff::{Graph, Mlp, PackedMlp, ParamStore, Var, JET_LANES};
-use mfn_tensor::{blend_features_into, gather_features, timed, workspace, ConvStages, Tensor};
-use std::sync::Mutex;
+use mfn_tensor::workspace::{self, WorkspaceGuard};
+use mfn_tensor::{
+    blend_features_into, cores, gather_features, in_turns, timed, ConvStages, Tensor, Turns,
+};
 
 /// Number of bounding vertices of a 3D cell.
 pub const VERTICES: usize = 8;
@@ -78,8 +80,7 @@ pub fn decode_workers(queries: usize) -> usize {
     if fed < 2 {
         return 1;
     }
-    // Asked per call, not cached: it honours an affinity mask set later.
-    fed.min(std::thread::available_parallelism().map_or(1, usize::from))
+    fed.min(cores())
 }
 
 /// The queries of one no-grad decode, by index: `len` points on a latent
@@ -127,13 +128,9 @@ pub(crate) fn decode_packed<F: Fn(usize) -> (usize, [f32; 3]) + Sync>(
 /// none of them, so nothing past `rows` is read, stored or blended.
 ///
 /// So is the thread count: every block is planned and decoded whole into its
-/// own slice of the result, and `workers` threads — the caller and `workers
-/// − 1` scoped ones, one worker being the same call with nothing spawned —
-/// each take the next undecoded block until none is left. Taking turns
-/// instead of halving the blocks up front is for the host, not the output: a
-/// helper that starts late or sits on a core someone else is using slows
-/// only the blocks it took. The threads live for this call only; a panic on
-/// one leaves the scope as a panic here once the rest have finished.
+/// own slice of the result, and `workers` threads take turns at the blocks
+/// (`mfn_tensor::in_turns`, one worker being the same call with nothing
+/// spawned), each with its own plan and block buffers.
 fn decode_blocked<F: Fn(usize) -> (usize, [f32; 3]) + Sync>(
     mlp: &PackedMlp,
     latent: &Tensor,
@@ -147,34 +144,30 @@ fn decode_blocked<F: Fn(usize) -> (usize, [f32; 3]) + Sync>(
     let (in_width, out_channels) = (mlp.in_features(), mlp.out_features());
     let block_rows = block_queries.min(queries.len) * VERTICES;
     let mut out = workspace::take_vec_scratch(queries.len * out_channels);
-    let blocks = Mutex::new(out.chunks_mut(block_queries * out_channels).enumerate());
-    let work = |mut stages: Option<&mut DecodeStages>| {
-        let mut plan = QueryPlan::default();
-        let mut cur = workspace::take_scratch(block_rows * mlp.max_width());
-        let mut next = workspace::take_scratch(block_rows * mlp.max_width());
-        loop {
-            // Held for the `next()` only, so a panic below cannot poison it.
-            let block = blocks.lock().expect("no holder panics").next();
-            let Some((b, out_block)) = block else { break };
+    type Blocks<'a> = Turns<std::iter::Enumerate<std::slice::ChunksMut<'a, f32>>>;
+    let scratch = || {
+        let block = || workspace::take_scratch(block_rows * mlp.max_width());
+        (QueryPlan::default(), block(), block())
+    };
+    let work = |(plan, cur, next): &mut (QueryPlan, WorkspaceGuard, WorkspaceGuard),
+                blocks: &Blocks<'_>,
+                mut stages: Option<&mut DecodeStages>| {
+        for (b, out_block) in blocks {
             let first = b * block_queries;
             let points = (first..first + out_block.len() / out_channels).map(&queries.at);
-            let plan_block = || plan_queries_into(&mut plan, queries.grid, points);
+            let plan_block = || plan_queries_into(plan, queries.grid, points);
             timed(&mut stages, |s| &mut s.plan_ns, plan_block);
             let input = &mut cur[..plan.index.len() * in_width];
             let gather = || gather_features(latent, &plan.index, &plan.rel, input);
             timed(&mut stages, |s| &mut s.gather_ns, gather);
             let layers = stages.as_deref_mut().map(|s| &mut s.layers);
-            let values = mlp.forward(plan.index.len(), &mut cur, &mut next, layers);
+            let values = mlp.forward(plan.index.len(), cur, next, layers);
             let blend = || blend_features_into(values, &plan.weights, VERTICES, out_block);
             timed(&mut stages, |s| &mut s.blend_ns, blend);
         }
     };
-    std::thread::scope(|scope| {
-        for _ in 1..workers.min(queries.len.div_ceil(block_queries)) {
-            scope.spawn(|| work(None));
-        }
-        work(stages);
-    });
+    let blocks = out.chunks_mut(block_queries * out_channels).enumerate();
+    in_turns(workers, blocks, scratch, |s, b| work(s, b, stages), |s, b| work(s, b, None));
     Tensor::from_vec(out, &[queries.len, out_channels])
 }
 
@@ -706,22 +699,6 @@ mod tests {
             assert_eq!(bits(&staged), bits(&whole), "Q={q}, staged");
             assert!(stages.plan_ns > 0.0 && stages.blend_ns > 0.0, "Q={q}: {stages:?}");
         }
-    }
-
-    /// A panic under the scope (here: a query on a batch item beyond the
-    /// latent, in the last block, which either thread may be the one to plan
-    /// and gather) comes out of the decode as a panic once the other thread
-    /// has run out of blocks — it neither hangs nor returns a result with
-    /// that block unwritten.
-    #[test]
-    #[should_panic]
-    fn a_panic_on_either_thread_leaves_the_decode_as_a_panic() {
-        let (store, dec) = setup();
-        let latent = random_latent(11, &[2, 6, 3, 4, 4]);
-        let q = 32 * BLOCK_QUERIES;
-        let at = |i: usize| if i + 1 == q { (1000, [0.5; 3]) } else { scattered_point(i, q) };
-        let queries = Queries { grid: [3, 4, 4], len: q, at };
-        decode_blocked(&dec.mlp.pack(&store), &latent, &queries, BLOCK_QUERIES, 2, None);
     }
 
     /// Tail-block hygiene: tiles compute whole `nr`-column panels, so a

@@ -16,7 +16,7 @@ use mfn_autodiff::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Graph, ParamS
 use mfn_data::{make_batch, Dataset, PatchSampler};
 use mfn_physics::RbcParams;
 use mfn_telemetry::{Recorder, StepMetrics, Stopwatch};
-use mfn_tensor::{workspace, Tensor};
+use mfn_tensor::{cores, workspace, Tensor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
@@ -217,6 +217,12 @@ pub struct Trainer {
     pending_data_s: f64,
     /// Seconds spent in the gradient exchange over the trainer's lifetime.
     reduce_wait_s: f64,
+    /// Ranks of the run this trainer is one of, which share the host's
+    /// cores: one for [`Trainer::new`].
+    world: usize,
+    /// Threads of every step's tape when fixed ([`Trainer::set_tape_workers`]);
+    /// `None` derives them per step ([`Trainer::tape_workers`]).
+    tape_workers: Option<usize>,
 }
 
 impl Trainer {
@@ -241,6 +247,8 @@ impl Trainer {
             rng,
             pending_data_s: 0.0,
             reduce_wait_s: 0.0,
+            world: 1,
+            tape_workers: None,
         }
     }
 
@@ -253,6 +261,23 @@ impl Trainer {
     /// Routes per-step metrics to `recorder`.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
+    }
+
+    /// Threads the next step's tape runs its layer nodes on: the cores this
+    /// rank owns, `available_parallelism() / world` and at least one, asked
+    /// per step (an affinity mask set later counts) — all of the host for a
+    /// one-rank run, one core a rank when the ranks fill the host.
+    pub fn tape_workers(&self) -> usize {
+        self.tape_workers.unwrap_or_else(|| (cores() / self.world).max(1))
+    }
+
+    /// Fixes the tape's thread count (`None`: back to the per-rank rule).
+    /// For tests and the bench, which time one worker against the rule: the
+    /// count changes the speed of a step, never its bits.
+    #[doc(hidden)]
+    pub fn set_tape_workers(&mut self, workers: Option<usize>) {
+        assert!(workers != Some(0), "a tape runs on at least one thread");
+        self.tape_workers = workers;
     }
 
     /// Gradient steps taken so far.
@@ -290,6 +315,7 @@ impl Trainer {
         }
         Ok(Trainer {
             rank,
+            world,
             global_step: meta.global_step,
             epoch: meta.epoch,
             batch_cursor: meta.batch_cursor,
@@ -328,7 +354,7 @@ impl Trainer {
         reduce: &mut R,
     ) -> Result<StepLosses, R::Error> {
         let sw = Stopwatch::start();
-        let mut g = Graph::new();
+        let mut g = Graph::new().with_workers(self.tape_workers());
         let (loss, comps) = self.model.loss_on_batch(&mut g, batch, params, stats, true);
         let tag = StepTag {
             step: self.global_step + 1,

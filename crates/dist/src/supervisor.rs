@@ -9,8 +9,9 @@
 //!
 //! 1. Before a round, the supervisor encodes the master state (params, BN
 //!    stats, Adam, per-logical-rank sampler positions) and — when configured
-//!    — persists it through the training run's one checkpoint writer
-//!    (`mfn_core::write_periodic`).
+//!    — persists it through the training run's one checkpoint writer: the
+//!    first round's write must succeed (`mfn_core::write_train_state`), a
+//!    later one's failure is counted (`mfn_core::write_periodic`).
 //! 2. Every active rank rebuilds its `Trainer` from that snapshot
 //!    (`Trainer::from_state`) and runs `Trainer::run_epoch` up to the
 //!    round's last step with *bounded* all-reduces. A scripted (or real)
@@ -36,8 +37,8 @@
 //! A run starts fresh or continues the train state its caller hands it;
 //! the supervisor reads no file, and it is the only code that writes a
 //! train state. A handed state with no epoch left runs no round and writes
-//! nothing. Every error — a state it cannot continue, a final write that
-//! fails — is a returned [`CheckpointError`].
+//! nothing. Every error — a state it cannot continue, a first or final
+//! write that fails — is a returned [`CheckpointError`].
 
 use crate::fault::FaultPlan;
 use crate::trainer::{on_ring, param_digest, rank_seed, RankFailure};
@@ -142,8 +143,10 @@ pub struct DistRunResult {
 /// [`Trainer::from_state`] makes: a state of another architecture or
 /// another world size than `sup.workers` is `Err(Incompatible)`, a damaged
 /// one `Err(Corrupt)`, and nothing is trained. With
-/// [`SupervisorConfig::checkpoint_path`] set, a failed final write is the
-/// returned error.
+/// [`SupervisorConfig::checkpoint_path`] set, a failed first write (the
+/// snapshot before the first round, so before any step) or final write is
+/// the returned error; a periodic write in between that fails is counted
+/// (`ckpt.errors`) and training goes on.
 ///
 /// `batches_per_epoch` mini-batches are processed by *each* worker per
 /// epoch (weak scaling, like the paper: the global batch grows with the
@@ -202,12 +205,20 @@ pub fn train_elastic(
     let trains = meta.epoch < train_cfg.epochs;
     let start = Instant::now();
 
+    let mut first_round = true;
     while meta.epoch < train_cfg.epochs {
         // The snapshot carries *all* logical rank streams, so every rank of
-        // the round — and a resumed supervisor — can be rebuilt from it.
+        // the round — and a resumed supervisor — can be rebuilt from it. The
+        // first write is the run's check that its state path can be written
+        // at all: a failure is the returned error, before any step. A later
+        // one is counted and training goes on.
         let snapshot = encode_train_state(&master, &opt, &meta);
         if let Some(path) = &sup.checkpoint_path {
-            write_periodic(path, &snapshot, &recorder);
+            if std::mem::take(&mut first_round) {
+                write_train_state(path, &snapshot, &recorder)?;
+            } else {
+                write_periodic(path, &snapshot, &recorder);
+            }
         }
         recorder.gauge("dist.world", active.len() as f64);
 
@@ -566,25 +577,28 @@ mod tests {
         assert_eq!(rank0, 12 + 1);
     }
 
-    /// A checkpoint path that cannot be written: every periodic write (one
-    /// before each epoch) is counted in `ckpt.errors` and training goes on;
-    /// the final write's failure is the run's error.
+    /// A checkpoint path that cannot be written fails the run before its
+    /// first step, on one worker and on two: the snapshot written before the
+    /// first round is the returned error, no rank emits a `StepMetrics`, and
+    /// no file appears.
     #[test]
-    fn unwritable_checkpoint_path_counts_periodic_errors_and_fails_the_final_write() {
+    fn unwritable_checkpoint_path_fails_before_any_step() {
         let (corpus, cfg, tc) = tiny_setup();
         let dir = std::env::temp_dir().join(format!("mfn_sup_nodir_{}", std::process::id()));
-        let sup = SupervisorConfig {
-            workers: 2,
-            checkpoint_path: Some(dir.join("missing").join("m.state")),
-            ..Default::default()
-        };
-        let (recorder, sink) = Recorder::memory(4096);
-        let r = train_elastic(&corpus, &cfg, &tc, &sup, None, &FaultPlan::none(), recorder);
-        assert!(matches!(r, Err(CheckpointError::Io(_))), "{:?}", r.map(|r| r.epoch_losses));
-        assert_eq!(sink.counter_total("ckpt.errors"), tc.epochs as u64);
-        assert_eq!(sink.counter_total("ckpt.writes"), 0);
-        let steps = sink.train_steps();
-        assert_eq!(steps.len(), 2 * tc.epochs * tc.batches_per_epoch, "training went on");
+        let path = dir.join("missing").join("m.state");
+        for workers in [1, 2] {
+            let sup = SupervisorConfig {
+                workers,
+                checkpoint_path: Some(path.clone()),
+                ..Default::default()
+            };
+            let (recorder, sink) = Recorder::memory(4096);
+            let r = train_elastic(&corpus, &cfg, &tc, &sup, None, &FaultPlan::none(), recorder);
+            assert!(matches!(r, Err(CheckpointError::Io(_))), "{:?}", r.map(|r| r.epoch_losses));
+            assert!(sink.train_steps().is_empty(), "{workers} workers: a step ran");
+            assert_eq!(sink.counter_total("ckpt.writes"), 0);
+            assert!(!dir.exists() && !path.exists(), "{workers} workers: a file was created");
+        }
     }
 
     /// Killing a worker mid-epoch with restart: the run commits every epoch

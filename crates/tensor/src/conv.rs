@@ -45,10 +45,11 @@
 //! [`crate::workspace`] pool, so steady-state calls do not touch the system
 //! allocator.
 
-use crate::gemm::{macro_block, pack_a, BSlab, KC, NC};
+use crate::gemm::{macro_block, pack_a, BSlab, OutputRows, RowMajor, KC, NC};
 use crate::simd::{self, transpose_pack, Kernel};
 use crate::tensor::Tensor;
 use crate::workspace;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Shape metadata for one conv3d application.
@@ -352,6 +353,31 @@ impl PackedConv3d {
         Self::pack_rows(w, out_features, in_features, [1, 1, 1], NC)
     }
 
+    /// Packs the weight [`conv3d_grad_input`] runs the forward driver on:
+    /// `weight: [Cout, Cin, kd, kh, kw]` (per `dims`) with input and output
+    /// channels swapped and every kernel axis flipped — for a `Linear`
+    /// weight, its transpose, whose [`PackedConv3d::forward_columns`] are
+    /// column slabs of the layer's input gradient.
+    ///
+    /// # Panics
+    /// Panics on an even kernel extent or a weight that disagrees with `dims`.
+    pub fn pack_flipped(weight: &[f32], dims: Conv3dDims) -> Self {
+        assert_odd(dims.kernel);
+        let kvol = dims.kvol();
+        assert_eq!(weight.len(), dims.cout * dims.cin * kvol, "conv3d weight length mismatch");
+        let mut wf = workspace::take_scratch(dims.cin * dims.cout * kvol);
+        for co in 0..dims.cout {
+            for ci in 0..dims.cin {
+                let src = &weight[(co * dims.cin + ci) * kvol..][..kvol];
+                let dst = &mut wf[(ci * dims.cout + co) * kvol..][..kvol];
+                for (d, s) in dst.iter_mut().zip(src.iter().rev()) {
+                    *d = *s;
+                }
+            }
+        }
+        Self::pack_rows(&wf, dims.cin, dims.cout, dims.kernel, dims.vol())
+    }
+
     /// Packs the `[cout, cin·kvol]` row-major matrix `w`.
     fn pack_rows(w: &[f32], cout: usize, cin: usize, kernel: [usize; 3], vol: usize) -> Self {
         assert_odd(kernel);
@@ -419,55 +445,123 @@ impl PackedConv3d {
         assert_eq!(out.len(), n * self.cout * vol, "conv3d output length mismatch");
         assert_eq!(x.len(), n * self.cin * vol, "conv3d input length mismatch");
         let dims = Conv3dDims { n, cin: self.cin, cout: self.cout, spatial, kernel: self.kernel };
-        let ksize = self.cin * dims.kvol();
-        if ksize == 0 {
+        if self.cin * dims.kvol() == 0 {
             return out.fill(0.0); // an empty sum; the `pc` loop would store nothing
         }
         let (map, mut xp_buf) = PatchMap::new(&dims);
+        // Full panels read in place (only ever in the first and only slab).
+        let in_place = dims.kvol() == 1 && n * vol <= NC;
+        for (oslab, x) in out.chunks_mut(self.cout * vol).zip(x.chunks(self.cin * vol)) {
+            let xp = map.item(&mut xp_buf, x, &mut stages);
+            let mut out = RowMajor { rows: oslab, ld: vol };
+            self.columns(&map, xp, 0..vol, in_place, &mut out, None, &mut stages);
+        }
+    }
+
+    /// Columns `cols` of the pointwise (1×1×1) forward over `x: [cin, vol]`
+    /// into `out` ([`OutputRows`]: row `r` from column `cols.start` on),
+    /// packing B in `scratch` (at least [`PackedConv3d::columns_scratch`]
+    /// of the range's width) rather than in buffers of the workspace pool.
+    /// The driver's column-slab loop over that range alone, so calls on
+    /// disjoint ranges may run on different threads (the tape's layer node
+    /// takes them in turns) — every column the same FMA chain, the bits of
+    /// [`PackedConv3d::forward_slices`] over all of `x`.
+    ///
+    /// # Panics
+    /// Panics on a kernel that is not 1×1×1, a range past `vol`, an `out`
+    /// row that cannot hold the range, or a short `scratch`.
+    pub fn forward_columns(
+        &self,
+        x: &[f32],
+        cols: Range<usize>,
+        out: &mut impl OutputRows,
+        scratch: &mut [f32],
+    ) {
+        assert_eq!(self.kernel, [1; 3], "a column range of a pointwise layer");
+        let vol = x.len() / self.cin.max(1);
+        assert_eq!(x.len(), self.cin * vol, "conv3d input length mismatch");
+        assert!(cols.start <= cols.end && cols.end <= vol, "columns {cols:?} of {vol}");
+        let dims = Conv3dDims {
+            n: 1,
+            cin: self.cin,
+            cout: self.cout,
+            spatial: [1, 1, vol],
+            kernel: [1; 3],
+        };
+        let map = PatchMap::new(&dims).0;
+        self.columns(&map, x, cols, vol <= NC, out, Some(scratch), &mut None);
+    }
+
+    /// The scratch [`PackedConv3d::forward_columns`] packs B in, for ranges
+    /// of up to `width` columns.
+    pub fn columns_scratch(&self, width: usize) -> usize {
+        let ksize = self.cin * self.kernel.iter().product::<usize>();
+        NC.min(width).div_ceil(self.tile.nr) * self.tile.nr * KC.min(ksize)
+    }
+
+    /// The driver's column-slab loop over columns `cols` of one item's
+    /// implicit patch matrix `xp` (`vol` columns, `map`), writing `out`'s
+    /// rows from the range's first column on. With `in_place`, each
+    /// slab's full B panels are read where they lie in `xp` and only a
+    /// short last panel is packed. B is packed in `scratch` when given, else
+    /// in a buffer of the workspace pool per slab.
+    #[allow(clippy::too_many_arguments)]
+    fn columns(
+        &self,
+        map: &PatchMap,
+        xp: &[f32],
+        cols: Range<usize>,
+        in_place: bool,
+        out: &mut impl OutputRows,
+        mut scratch: Option<&mut [f32]>,
+        stages: &mut Option<&mut ConvStages>,
+    ) {
+        let vol: usize = map.spatial.iter().product();
+        let ksize = self.cin * self.kernel.iter().product::<usize>();
         let (mr, nr) = (self.tile.mr, self.tile.nr);
         let a_rows = self.cout.div_ceil(mr) * mr;
         let (mut koff, mut voff) = ([0u32; KC], [0u32; NC]);
-        // Full panels read in place (only ever in the first and only slab).
-        let in_place = if dims.kvol() == 1 && n * vol <= NC { vol / nr } else { 0 };
-
-        for (oslab, x) in out.chunks_mut(self.cout * vol).zip(x.chunks(self.cin * vol)) {
-            let xp = map.item(&mut xp_buf, x, &mut stages);
-            for jc in (0..vol).step_by(NC) {
-                let nb = NC.min(vol - jc);
-                map.fill_voff(&mut voff[..nb], jc);
-                let packed = &voff[in_place * nr..nb];
-                let mut a_at = 0;
-                for pc in (0..ksize).step_by(KC) {
-                    let kb = KC.min(ksize - pc);
-                    map.fill_koff(&mut koff[..kb], pc);
-                    let mut b_pack = workspace::take_scratch(packed.len().div_ceil(nr) * nr * kb);
-                    if !packed.is_empty() {
-                        timed(
-                            &mut stages,
-                            |s| &mut s.pack_b_ns,
-                            || {
-                                let cols = packed.chunks(nr);
-                                for (panel, cols) in b_pack.chunks_exact_mut(nr * kb).zip(cols) {
-                                    pack_patch_panel(panel, nr, xp, &koff[..kb], cols);
-                                }
-                            },
-                        );
-                    }
-                    let b = if in_place > 0 {
-                        let edge = (!packed.is_empty()).then_some(&b_pack[..]);
-                        BSlab::in_place(&xp[pc * vol..], in_place, nr, vol, edge)
-                    } else {
-                        BSlab::packed(&b_pack, nr, kb)
-                    };
-                    let a_pack = &self.panels[a_at..a_at + a_rows * kb];
-                    let (tile, cout, first) = (self.tile, self.cout, pc == 0);
+        for jc in cols.clone().step_by(NC) {
+            let nb = NC.min(cols.end - jc);
+            map.fill_voff(&mut voff[..nb], jc);
+            let full = if in_place { nb / nr } else { 0 };
+            let packed = &voff[full * nr..nb];
+            let mut a_at = 0;
+            for pc in (0..ksize).step_by(KC) {
+                let kb = KC.min(ksize - pc);
+                map.fill_koff(&mut koff[..kb], pc);
+                let len = packed.len().div_ceil(nr) * nr * kb;
+                let mut pooled = None;
+                let b_pack = match scratch.as_deref_mut() {
+                    Some(scratch) => &mut scratch[..len],
+                    None => &mut pooled.insert(workspace::take_scratch(len))[..],
+                };
+                if !packed.is_empty() {
                     timed(
-                        &mut stages,
-                        |s| &mut s.micro_ns,
-                        || macro_block(tile, a_pack, b, oslab, cout, kb, nb, vol, jc, first),
+                        stages,
+                        |s| &mut s.pack_b_ns,
+                        || {
+                            let cols = packed.chunks(nr);
+                            for (panel, cols) in b_pack.chunks_exact_mut(nr * kb).zip(cols) {
+                                pack_patch_panel(panel, nr, xp, &koff[..kb], cols);
+                            }
+                        },
                     );
-                    a_at += a_rows * kb;
                 }
+                let b = if full > 0 {
+                    let edge = (!packed.is_empty()).then_some(&b_pack[..]);
+                    BSlab::in_place(&xp[pc * vol + jc..], full, nr, vol, edge)
+                } else {
+                    BSlab::packed(b_pack, nr, kb)
+                };
+                let a_pack = &self.panels[a_at..a_at + a_rows * kb];
+                let (tile, cout, first, at) = (self.tile, self.cout, pc == 0, jc - cols.start);
+                timed(
+                    stages,
+                    |s| &mut s.micro_ns,
+                    || macro_block(tile, a_pack, b, out, cout, kb, nb, at, first),
+                );
+                a_at += a_rows * kb;
             }
         }
     }
@@ -490,29 +584,16 @@ pub fn conv3d_auto(input: &Tensor, weight: &Tensor) -> Tensor {
 /// itself a same-padding convolution of `grad_out` against the weight with
 /// input/output channels swapped and every kernel axis flipped:
 /// `W'[ci, co, z] = W[co, ci, flip(z)]`. The flipped weight (a few KiB) is
-/// materialized once per call and run through the forward driver.
+/// packed once per call ([`PackedConv3d::pack_flipped`]) and run through the
+/// forward driver.
 ///
 /// # Panics
 /// Panics on an even kernel extent or a slice that disagrees with `dims`.
 pub fn conv3d_grad_input(grad_out: &[f32], weight: &[f32], dims: Conv3dDims) -> Tensor {
-    assert_odd(dims.kernel);
     let [sd, sh, sw] = dims.spatial;
-    let kvol = dims.kvol();
     assert_eq!(grad_out.len(), dims.n * dims.cout * dims.vol(), "conv3d grad_out length mismatch");
-    assert_eq!(weight.len(), dims.cout * dims.cin * kvol, "conv3d weight length mismatch");
-    let mut wf = workspace::take_scratch(dims.cin * dims.cout * kvol);
-    for co in 0..dims.cout {
-        for ci in 0..dims.cin {
-            let src = &weight[(co * dims.cin + ci) * kvol..][..kvol];
-            let dst = &mut wf[(ci * dims.cout + co) * kvol..][..kvol];
-            for (d, s) in dst.iter_mut().zip(src.iter().rev()) {
-                *d = *s;
-            }
-        }
-    }
-    let flipped = PackedConv3d::pack_rows(&wf, dims.cin, dims.cout, dims.kernel, dims.vol());
     let mut out = workspace::take_vec_scratch(dims.n * dims.cin * dims.vol());
-    flipped.forward_slices(grad_out, dims.spatial, &mut out, None);
+    PackedConv3d::pack_flipped(weight, dims).forward_slices(grad_out, dims.spatial, &mut out, None);
     Tensor::from_vec(out, &[dims.n, dims.cin, sd, sh, sw])
 }
 
@@ -581,9 +662,8 @@ pub fn conv3d_grad_weight(
                     &mut stages,
                     |s| &mut s.micro_ns,
                     || {
-                        macro_block(
-                            kernel, &a_pack, b, &mut out, dims.cout, kb, nb, ksize, jc, first,
-                        )
+                        let mut out = RowMajor { rows: &mut out, ld: ksize };
+                        macro_block(kernel, &a_pack, b, &mut out, dims.cout, kb, nb, jc, first)
                     },
                 );
             }

@@ -193,20 +193,40 @@ fn strided_rows(count: usize, stride: usize) -> [u32; simd::MAX_NR] {
     std::array::from_fn(|r| if r < count { (r * stride) as u32 } else { 0 })
 }
 
+/// Where the write-back stores a GEMM's output: `row(r)` is output row `r`
+/// from the first column the call writes on — rows of one row-major slice,
+/// or a slab of columns of a matrix whose other slabs other threads may be
+/// writing ([`crate::ColumnSlab`]).
+pub trait OutputRows {
+    /// Output row `r`, from the call's first column on.
+    fn row(&mut self, r: usize) -> &mut [f32];
+}
+
+/// Output rows `ld` apart in one slice, the first column at `rows[0]`.
+pub(crate) struct RowMajor<'a> {
+    pub(crate) rows: &'a mut [f32],
+    pub(crate) ld: usize,
+}
+
+impl OutputRows for RowMajor<'_> {
+    fn row(&mut self, r: usize) -> &mut [f32] {
+        &mut self.rows[r * self.ld..]
+    }
+}
+
 /// Runs every micro-tile of one packed `mb × kb` A block against the
-/// `kb × nb` B slab, writing the `mb × nb` result into `c_block` (whose rows
-/// are full C rows of width `row_stride`, starting at column `jc`).
+/// `kb × nb` B slab, writing the `mb × nb` result into `out`'s rows from
+/// column `at` on.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn macro_block(
     kernel: &Kernel,
     a_pack: &[f32],
     b: BSlab<'_>,
-    c_block: &mut [f32],
+    out: &mut impl OutputRows,
     mb: usize,
     kb: usize,
     nb: usize,
-    row_stride: usize,
-    jc: usize,
+    at: usize,
     first: bool,
 ) {
     let (mr, nr) = (kernel.mr, kernel.nr);
@@ -233,7 +253,7 @@ pub(crate) fn macro_block(
             // Write-back masks the zero-padded lanes of edge tiles.
             for ii in 0..rows {
                 let row = &acc[ii * nr..][..cols];
-                let dst = &mut c_block[(i + ii) * row_stride + jc + j..][..cols];
+                let dst = &mut out.row(i + ii)[at + j..][..cols];
                 if first {
                     dst.copy_from_slice(row);
                 } else {

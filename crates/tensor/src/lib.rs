@@ -17,6 +17,9 @@
 //! - [`rowops`]: the gather/blend/bias/affine/softplus kernels the autodiff
 //!   tape and the no-grad inference engine share, on one feature-major
 //!   activation layout;
+//! - [`turns`]: the one way a call runs on more than one core — the caller
+//!   and scoped helpers taking turns at its chunks (the no-grad decode's
+//!   query blocks, the tape's layer node);
 //! - [`workspace`]: the buffer pool that lets kernels and tensor temporaries
 //!   reuse memory across training steps;
 //! - [`le`]: the bounds-checked little-endian reader every byte loader
@@ -32,6 +35,7 @@ pub mod rowops;
 pub mod shape;
 pub mod simd;
 pub mod tensor;
+pub mod turns;
 pub mod workspace;
 
 pub use conv::{
@@ -46,3 +50,4 @@ pub use rowops::{
 pub use shape::Shape;
 pub use simd::{kernel_backend, set_backend_override, KernelBackend};
 pub use tensor::Tensor;
+pub use turns::{cores, in_turns, ColumnSlab, ColumnSlabs, Turns};
