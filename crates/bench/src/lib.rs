@@ -17,13 +17,14 @@
 
 use mfn_autodiff::Activation;
 use mfn_core::{
-    baseline_trilinear, evaluate_pair, table_header, BaselineII, BaselineTrainer, ConstraintSet,
-    Corpus, EpochRecord, EvalRow, FrozenModel, MfnConfig, TrainConfig,
+    baseline_trilinear, evaluate_pair, table_header, BaselineII, ConstraintSet, Corpus,
+    EpochRecord, EvalRow, FrozenModel, MfnConfig, TrainConfig, Trainer,
 };
 use mfn_data::{downsample, Dataset, PatchSpec};
 use mfn_dist::{train_data_parallel, DistRunResult};
 use mfn_solver::{simulate, RbcConfig};
 use std::path::Path;
+use std::time::Instant;
 
 /// Knobs shared by every experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,7 +176,9 @@ fn train_mfn(
     cfg: MfnConfig,
     corpus: &Corpus,
 ) -> (FrozenModel, Vec<EpochRecord>) {
+    let start = Instant::now();
     let run = train_data_parallel(corpus, &cfg, &scale.train_config(), 1);
+    eprintln!("[train] {} epochs in {:.2} s", run.epochs.len(), start.elapsed().as_secs_f64());
     let model = FrozenModel::from_state(&run.final_state).expect("the run's own final state");
     (model, run.epochs)
 }
@@ -226,13 +229,17 @@ pub fn table2(scale: &ExperimentScale, corpus: &Corpus) -> Vec<EvalRow> {
     eprintln!("[table2] Baseline (II): conv-decoder U-Net");
     let b2cfg = scale.model_config(0.0);
     let b2 = BaselineII::new(b2cfg, [scale.ds_t, scale.ds_s, scale.ds_s]);
-    // Baseline (II) regresses every HR voxel of the patch per step (~30x the
-    // supervision of MFN's sparse queries) at ~30x the per-step cost; give
-    // it a proportionally smaller epoch budget so wall-clock budgets match.
+    // Baseline (II) trains in MFN's loop, at the same batch size, for about
+    // MFN gamma*'s training wall time: it decodes every HR voxel of its
+    // patches, and one of its epochs costs about nine of MFN gamma*'s
+    // (`repro table2 --quick`, 2-vCPU x86-64 VM: 10 epochs in 13.8-16.7 s,
+    // against 30 of MFN gamma*'s in 4.7-5.3 s).
     let mut b2_tc = scale.train_config();
-    b2_tc.epochs = (scale.epochs / 3).max(5);
-    let mut b2t = BaselineTrainer::new(b2, b2_tc);
-    b2t.train(corpus);
+    b2_tc.epochs = (scale.epochs / 9).max(1);
+    let start = Instant::now();
+    let mut b2t = Trainer::new(b2, b2_tc);
+    let epochs = b2t.train(corpus).len();
+    eprintln!("[train] {epochs} epochs in {:.2} s", start.elapsed().as_secs_f64());
     let b2sr = b2t.model.super_resolve(lr, &hr.meta, corpus.stats);
     rows.push(evaluate_pair("Baseline (II)", hr, &b2sr, nu, scale.eval_skip));
 

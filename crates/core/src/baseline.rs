@@ -7,13 +7,18 @@
 //!   with a *convolutional decoder*: nearest-neighbour upsampling +
 //!   convolution stages mapping the latent grid directly to the discrete HR
 //!   patch (Fig. 5, right arm). No continuous queries, no PDE constraints.
+//!   It is a [`Trainable`] model: [`crate::Trainer`] trains it in the loop
+//!   MeshfreeFlowNet trains in, on the patches MeshfreeFlowNet draws.
 
 use crate::config::MfnConfig;
 use crate::losses::ChannelStats;
-use crate::model::{covering_origins, extract_patch};
+use crate::model::{covering_origins, extract_patch, StepLosses};
+use crate::rng::SampleRng;
+use crate::trainer::{Corpus, Trainable};
 use crate::unet::UNet3d;
 use mfn_autodiff::{BatchNorm3d, Conv3dLayer, Graph, ParamStore, Var};
-use mfn_data::{upsample_trilinear, Dataset, DatasetMeta, CHANNELS};
+use mfn_data::{make_batch, upsample_trilinear, Dataset, DatasetMeta, PatchSampler, CHANNELS};
+use mfn_physics::RbcParams;
 use mfn_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -105,14 +110,6 @@ impl BaselineII {
         self.head.forward(g, &self.store, h)
     }
 
-    /// L1 loss against an HR patch target of matching shape.
-    pub fn loss(&mut self, g: &mut Graph, input: &Tensor, target: &Tensor, training: bool) -> Var {
-        let x = g.constant(input.clone());
-        let y = self.forward(g, x, training);
-        let t = g.constant(target.clone());
-        g.l1_loss(y, t)
-    }
-
     /// Super-resolves a full LR dataset onto `hr_meta`'s grid by tiling
     /// covering patches; overlapping regions take the last-written patch.
     pub fn super_resolve(
@@ -152,6 +149,54 @@ impl BaselineII {
             }
         }
         Dataset::from_parts(hr_meta.clone(), out)
+    }
+}
+
+/// A Baseline (II) batch is `(input, target)`: the standardized LR patches
+/// `[N, 4, nt, nz, nx]` of [`make_batch`] — the patches MeshfreeFlowNet
+/// draws from the same stream, their query points unused — and the
+/// [`hr_target_patch`] at each patch's origin, `[N, 4, nt·ft, nz·fz, nx·fx]`.
+/// The loss is the L1 distance of the forward pass to the target; there is
+/// no equation term.
+impl Trainable for BaselineII {
+    type Batch = (Tensor, Tensor);
+
+    fn store(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn draw(&self, corpus: &Corpus, pair: usize, n: usize, rng: &mut SampleRng) -> Self::Batch {
+        let ((hr, lr), stats) = (&corpus.pairs[pair], corpus.stats);
+        let batch = make_batch(&PatchSampler::new(hr, lr, self.cfg.patch), n, rng);
+        let mut input = batch.input;
+        stats.standardize_patches(&mut input);
+        let spacing = [lr.dt(), lr.dz(), lr.dx()];
+        let targets: Vec<Tensor> = (batch.samples.iter())
+            .map(|s| {
+                let origin = [0, 1, 2].map(|k| (s.origin_phys[k] / spacing[k]).round() as usize);
+                hr_target_patch(hr, origin, self.cfg.patch, self.factors, stats)
+            })
+            .collect();
+        (input, Tensor::concat(&targets.iter().collect::<Vec<_>>(), 0))
+    }
+
+    fn samples((input, _): &Self::Batch) -> usize {
+        input.dims()[0]
+    }
+
+    fn loss(
+        &mut self,
+        g: &mut Graph,
+        (input, target): &Self::Batch,
+        _: RbcParams,
+        _: ChannelStats,
+    ) -> (Var, StepLosses) {
+        let x = g.constant(input.clone());
+        let y = self.forward(g, x, true);
+        let t = g.constant(target.clone());
+        let loss = g.l1_loss(y, t);
+        let l1 = g.value(loss).item();
+        (loss, StepLosses { total: l1, prediction: l1, equation: 0.0 })
     }
 }
 
@@ -236,7 +281,9 @@ mod tests {
         let mut b2 = BaselineII::new(tiny_cfg(), [2, 2, 2]);
         // Batch of 2: with a single sample, batch norm at the U-Net's
         // [1,1,1] bottleneck normalizes over one element and (correctly)
-        // passes zero gradient — training always uses batch >= 2.
+        // passes zero gradient. Training steps take `TrainConfig::batch_size`
+        // patches, as MeshfreeFlowNet's do; a batch size of one would hit
+        // the same zero gradient at every step.
         let p0 = extract_patch(lr, [0, 0, 0], b2.cfg.patch, stats);
         let p1 = extract_patch(lr, [1, 1, 3], b2.cfg.patch, stats);
         let input = Tensor::concat(&[&p0, &p1], 0);
@@ -244,7 +291,8 @@ mod tests {
         let t1 = hr_target_patch(hr, [1, 1, 3], b2.cfg.patch, [2, 2, 2], stats);
         let target = Tensor::concat(&[&t0, &t1], 0);
         let mut g = Graph::new();
-        let loss = b2.loss(&mut g, &input, &target, true);
+        let (loss, comps) = b2.loss(&mut g, &(input, target), corpus.params(0), stats);
+        assert_eq!((comps.prediction, comps.equation), (comps.total, 0.0));
         assert!(g.value(loss).item() > 0.0);
         g.backward(loss);
         let grads = g.param_grads(&b2.store);

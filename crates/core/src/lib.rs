@@ -18,7 +18,8 @@
 //!   decode and full-domain super-resolution;
 //! - [`baseline`]: Baseline (I) trilinear and Baseline (II) convolutional-
 //!   decoder U-Net of Table 2;
-//! - [`trainer`] / [`eval`]: Adam training loops and the NMAE/R² table rows;
+//! - [`trainer`] / [`eval`]: the one Adam training loop, which trains both
+//!   MeshfreeFlowNet and Baseline (II), and the NMAE/R² table rows;
 //! - [`cli`]: the command-line parsing every binary shares.
 
 pub mod baseline;
@@ -55,7 +56,6 @@ pub use model::{covering_origins, extract_patch, CoveringOrigins, MeshfreeFlowNe
 pub use refine::{refine_latent, RefineBudget, RefineReport, RefineSettings};
 pub use rng::{RngState, SampleRng};
 pub use trainer::{
-    decode_run_state, log_pool_stats, BaselineTrainer, Corpus, EpochRecord, GradReduce, NoReduce,
-    Trainer,
+    decode_run_state, log_pool_stats, Corpus, EpochRecord, GradReduce, NoReduce, Trainable, Trainer,
 };
 pub use unet::{PackedResBlock, PackedUNet, ResBlock3d, UNet3d};

@@ -4,9 +4,14 @@ use crate::config::MfnConfig;
 use crate::decoder::ContinuousDecoder;
 use crate::infer::FrozenModel;
 use crate::losses::{self, ChannelStats};
+use crate::rng::SampleRng;
+use crate::trainer::{Corpus, Trainable};
 use crate::unet::UNet3d;
 use mfn_autodiff::{Graph, Mlp, ParamStore, Var};
-use mfn_data::{covering_axis, raw_patch, Batch, Dataset, DatasetMeta, PatchSpec, CHANNELS};
+use mfn_data::{
+    covering_axis, make_batch, raw_patch, Batch, Dataset, DatasetMeta, PatchSampler, PatchSpec,
+    CHANNELS,
+};
 use mfn_physics::RbcParams;
 use mfn_tensor::le::ReadLe;
 use mfn_tensor::Tensor;
@@ -161,6 +166,35 @@ impl MeshfreeFlowNet {
     }
 }
 
+/// MeshfreeFlowNet trains on [`make_batch`]'s patches and query points and
+/// on the combined loss of [`MeshfreeFlowNet::loss_on_batch`].
+impl Trainable for MeshfreeFlowNet {
+    type Batch = Batch;
+
+    fn store(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn draw(&self, corpus: &Corpus, pair: usize, n: usize, rng: &mut SampleRng) -> Batch {
+        let (hr, lr) = &corpus.pairs[pair];
+        make_batch(&PatchSampler::new(hr, lr, self.cfg.patch), n, rng)
+    }
+
+    fn samples(batch: &Batch) -> usize {
+        batch.samples.len()
+    }
+
+    fn loss(
+        &mut self,
+        g: &mut Graph,
+        batch: &Batch,
+        params: RbcParams,
+        stats: ChannelStats,
+    ) -> (Var, StepLosses) {
+        self.loss_on_batch(g, batch, params, stats, true)
+    }
+}
+
 /// Extracts the `[1, 4, nt, nz, nx]` patch of an LR dataset at a grid
 /// origin, standardized with `stats`: the model input for that patch.
 pub fn extract_patch(
@@ -198,8 +232,7 @@ pub fn covering_origins(lr: &Dataset, spec: PatchSpec) -> CoveringOrigins {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Corpus;
-    use mfn_data::{downsample, make_batch, PatchSampler};
+    use mfn_data::downsample;
     use mfn_solver::{simulate, RbcConfig};
 
     fn tiny_model() -> MeshfreeFlowNet {

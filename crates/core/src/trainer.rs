@@ -1,24 +1,24 @@
 //! The training step and epoch loop, defined once: [`Trainer`] is a rank,
-//! and it reads and writes no file. The driver in `mfn-dist` runs one
-//! `Trainer` per worker thread, on one worker too, passes a ring
-//! all-reduce as the [`GradReduce`], rebuilds the ranks from a snapshot
+//! and it reads and writes no file. It trains any [`Trainable`] model —
+//! MeshfreeFlowNet, and Table 2's Baseline (II) under the same draw, batch
+//! size, learning-rate decay and telemetry. The driver in `mfn-dist` runs one
+//! MeshfreeFlowNet `Trainer` per worker thread, on one worker too, passes a
+//! ring all-reduce as the [`GradReduce`], rebuilds the ranks from a snapshot
 //! between rounds ([`Trainer::from_state`]) and is the one writer of a train
 //! state. [`Trainer::train`] with [`NoReduce`] is the serial reference it is
 //! checked against.
 
-use crate::baseline::{hr_target_patch, BaselineII};
 use crate::checkpoint::{decode_train_state, CheckpointError, TrainStateMeta};
 use crate::config::TrainConfig;
 use crate::losses::ChannelStats;
 use crate::model::{MeshfreeFlowNet, StepLosses};
 use crate::rng::{RngState, SampleRng};
 use mfn_autodiff::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Graph, ParamStore, Var};
-use mfn_data::{make_batch, Dataset, PatchSampler};
+use mfn_data::Dataset;
 use mfn_physics::RbcParams;
 use mfn_telemetry::{Recorder, StepMetrics, Stopwatch};
 use mfn_tensor::{cores, workspace, Tensor};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::Rng;
 use std::time::Instant;
 
 /// One epoch's summary, or of the part of it one [`Trainer::run_epoch`]
@@ -121,78 +121,40 @@ impl GradReduce for NoReduce {
     }
 }
 
-/// Where a step sits in its run, for the [`StepMetrics`] it emits.
-struct StepTag {
-    step: u64,
-    epoch: usize,
-    rank: usize,
-    samples: usize,
-    data_s: f64,
+/// What [`Trainer`] needs of the model it trains: its parameters, one batch
+/// drawn from a corpus pair, and the training loss on that batch.
+pub trait Trainable {
+    /// The data of one step.
+    type Batch;
+
+    /// The trained parameters.
+    fn store(&mut self) -> &mut ParamStore;
+
+    /// Draws a batch of `n` patches from pair `pair` of `corpus`, taking
+    /// every random number from `rng`.
+    fn draw(&self, corpus: &Corpus, pair: usize, n: usize, rng: &mut SampleRng) -> Self::Batch;
+
+    /// The number of patches in `batch`.
+    fn samples(batch: &Self::Batch) -> usize;
+
+    /// Records the training loss of `batch` on `g`. `params` are the PDE
+    /// coefficients of the batch's pair and `stats` the corpus's
+    /// normalization.
+    fn loss(
+        &mut self,
+        g: &mut Graph,
+        batch: &Self::Batch,
+        params: RbcParams,
+        stats: ChannelStats,
+    ) -> (Var, StepLosses);
 }
 
-/// The loss-independent part of every gradient step, shared by [`Trainer`]
-/// and [`BaselineTrainer`]: backward → gradient exchange → clip → Adam →
-/// one [`StepMetrics`] event. `sw` was started before the forward pass.
-/// Returns the seconds spent in `reduce`.
-#[allow(clippy::too_many_arguments)]
-fn backward_and_update<R: GradReduce>(
-    g: &mut Graph,
-    loss: Var,
-    comps: StepLosses,
-    store: &mut ParamStore,
-    opt: &mut Adam,
-    grad_clip: f32,
-    reduce: &mut R,
-    recorder: &Recorder,
-    mut sw: Stopwatch,
-    tag: StepTag,
-) -> Result<f64, R::Error> {
-    let forward_s = sw.lap();
-    g.backward(loss);
-    let mut grads = g.param_grads(store);
-    let backward_s = sw.lap();
-    reduce.reduce(store, &mut grads)?;
-    let allreduce_wait_s = sw.lap();
-    let grad_norm_pre = if grad_clip > 0.0 {
-        clip_grad_norm(&mut grads, grad_clip)
-    } else if recorder.is_enabled() {
-        grad_l2_norm(&grads)
-    } else {
-        0.0
-    };
-    opt.step(store, &grads);
-    let optimizer_s = sw.lap();
-    if recorder.is_enabled() {
-        recorder.train_step(StepMetrics {
-            step: tag.step,
-            epoch: tag.epoch,
-            rank: tag.rank,
-            loss_total: comps.total,
-            loss_prediction: comps.prediction,
-            loss_equation: comps.equation,
-            grad_norm_pre,
-            grad_norm_post: if grad_clip > 0.0 {
-                grad_norm_pre.min(grad_clip)
-            } else {
-                grad_norm_pre
-            },
-            lr: opt.config().lr,
-            samples: tag.samples,
-            data_s: tag.data_s,
-            forward_s,
-            backward_s,
-            allreduce_wait_s,
-            optimizer_s,
-        });
-    }
-    Ok(allreduce_wait_s)
-}
-
-/// Adam-based trainer for MeshfreeFlowNet: one rank of a training run (the
-/// only rank, unless `mfn-dist` runs several with a ring [`GradReduce`]).
-pub struct Trainer {
+/// Adam-based trainer of a [`Trainable`] model: one rank of a training run
+/// (the only rank, unless `mfn-dist` runs several MeshfreeFlowNet ranks with
+/// a ring [`GradReduce`]).
+pub struct Trainer<M = MeshfreeFlowNet> {
     /// The model being trained.
-    pub model: MeshfreeFlowNet,
+    pub model: M,
     /// Optimizer state.
     pub opt: Adam,
     /// Loop hyperparameters.
@@ -225,16 +187,16 @@ pub struct Trainer {
     tape_workers: Option<usize>,
 }
 
-impl Trainer {
+impl<M: Trainable> Trainer<M> {
     /// Wraps a model with an Adam optimizer configured from `cfg`; batches
     /// are drawn from the stream seeded with `cfg.seed`.
-    pub fn new(model: MeshfreeFlowNet, cfg: TrainConfig) -> Self {
-        let opt = Adam::new(&model.store, AdamConfig { lr: cfg.lr, ..Default::default() });
+    pub fn new(mut model: M, cfg: TrainConfig) -> Self {
+        let opt = Adam::new(model.store(), AdamConfig { lr: cfg.lr, ..Default::default() });
         Trainer::assemble(model, opt, cfg, SampleRng::seed_from_u64(cfg.seed))
     }
 
     /// A trainer at the start of a run, with `opt` and `rng` as given.
-    fn assemble(model: MeshfreeFlowNet, opt: Adam, cfg: TrainConfig, rng: SampleRng) -> Self {
+    fn assemble(model: M, opt: Adam, cfg: TrainConfig, rng: SampleRng) -> Self {
         Trainer {
             model,
             opt,
@@ -291,38 +253,6 @@ impl Trainer {
         self.reduce_wait_s
     }
 
-    /// Rank `rank` of the `world`-rank run whose train state `payload`
-    /// holds (the bytes `encode_train_state` produced): the shared model
-    /// and Adam state, and that rank's own sampler stream, through
-    /// [`decode_run_state`]. `model` must have the architecture the state
-    /// was captured from, field for field (γ and the constraint set
-    /// included; any difference is `Incompatible`) — a fresh
-    /// `MeshfreeFlowNet::new(cfg)` is fine, its initial weights are
-    /// overwritten. The rank continues bit-identically to the run that
-    /// wrote the state: same parameters, Adam moments and step count,
-    /// learning rate, sampler stream position, and epoch/batch cursor. The
-    /// supervisor in `mfn-dist` builds every rank of a round this way.
-    pub fn from_state(
-        mut model: MeshfreeFlowNet,
-        cfg: TrainConfig,
-        payload: &[u8],
-        rank: usize,
-        world: usize,
-    ) -> Result<Trainer, CheckpointError> {
-        let (opt, meta) = decode_run_state(&mut model, &cfg, payload, world)?;
-        if rank >= world {
-            return Err(CheckpointError::Incompatible(format!("rank {rank} of {world}")));
-        }
-        Ok(Trainer {
-            rank,
-            world,
-            global_step: meta.global_step,
-            epoch: meta.epoch,
-            batch_cursor: meta.batch_cursor,
-            ..Trainer::assemble(model, opt, cfg, SampleRng::restore(meta.rngs[rank]))
-        })
-    }
-
     /// This rank's sampler stream position — the per-rank half of a train
     /// state.
     pub fn sampler_state(&self) -> RngState {
@@ -333,12 +263,7 @@ impl Trainer {
     ///
     /// Emits one [`StepMetrics`] event (losses, gradient norms, learning
     /// rate, per-phase timings) when a recorder is attached.
-    pub fn step(
-        &mut self,
-        batch: &mfn_data::Batch,
-        params: RbcParams,
-        stats: ChannelStats,
-    ) -> StepLosses {
+    pub fn step(&mut self, batch: &M::Batch, params: RbcParams, stats: ChannelStats) -> StepLosses {
         let Ok(comps) = self.step_reduced(batch, params, stats, &mut NoReduce);
         comps
     }
@@ -348,34 +273,57 @@ impl Trainer {
     /// tape, backward, exchange, clip, Adam, metrics.
     pub fn step_reduced<R: GradReduce>(
         &mut self,
-        batch: &mfn_data::Batch,
+        batch: &M::Batch,
         params: RbcParams,
         stats: ChannelStats,
         reduce: &mut R,
     ) -> Result<StepLosses, R::Error> {
-        let sw = Stopwatch::start();
+        let mut sw = Stopwatch::start();
+        let data_s = std::mem::take(&mut self.pending_data_s);
         let mut g = Graph::new().with_workers(self.tape_workers());
-        let (loss, comps) = self.model.loss_on_batch(&mut g, batch, params, stats, true);
-        let tag = StepTag {
-            step: self.global_step + 1,
-            epoch: self.epoch,
-            rank: self.rank,
-            samples: batch.samples.len(),
-            data_s: std::mem::take(&mut self.pending_data_s),
+        let (loss, comps) = self.model.loss(&mut g, batch, params, stats);
+        let forward_s = sw.lap();
+        g.backward(loss);
+        let store = self.model.store();
+        let mut grads = g.param_grads(store);
+        let backward_s = sw.lap();
+        reduce.reduce(store, &mut grads)?;
+        let allreduce_wait_s = sw.lap();
+        self.reduce_wait_s += allreduce_wait_s;
+        let grad_clip = self.cfg.grad_clip;
+        let grad_norm_pre = if grad_clip > 0.0 {
+            clip_grad_norm(&mut grads, grad_clip)
+        } else if self.recorder.is_enabled() {
+            grad_l2_norm(&grads)
+        } else {
+            0.0
         };
-        self.reduce_wait_s += backward_and_update(
-            &mut g,
-            loss,
-            comps,
-            &mut self.model.store,
-            &mut self.opt,
-            self.cfg.grad_clip,
-            reduce,
-            &self.recorder,
-            sw,
-            tag,
-        )?;
+        self.opt.step(store, &grads);
+        let optimizer_s = sw.lap();
         self.global_step += 1;
+        if self.recorder.is_enabled() {
+            self.recorder.train_step(StepMetrics {
+                step: self.global_step,
+                epoch: self.epoch,
+                rank: self.rank,
+                loss_total: comps.total,
+                loss_prediction: comps.prediction,
+                loss_equation: comps.equation,
+                grad_norm_pre,
+                grad_norm_post: if grad_clip > 0.0 {
+                    grad_norm_pre.min(grad_clip)
+                } else {
+                    grad_norm_pre
+                },
+                lr: self.opt.config().lr,
+                samples: M::samples(batch),
+                data_s,
+                forward_s,
+                backward_s,
+                allreduce_wait_s,
+                optimizer_s,
+            });
+        }
         Ok(comps)
     }
 
@@ -393,11 +341,6 @@ impl Trainer {
         reduce: &mut R,
         stop: u64,
     ) -> Result<EpochRecord, R::Error> {
-        let samplers: Vec<PatchSampler<'_>> = corpus
-            .pairs
-            .iter()
-            .map(|(hr, lr)| PatchSampler::new(hr, lr, self.model.cfg.patch))
-            .collect();
         let epoch = self.epoch;
         // Anneal only when *entering* an epoch — a mid-epoch resume already
         // carries the annealed lr inside the Adam state.
@@ -415,8 +358,8 @@ impl Trainer {
         for b in first_batch..last_batch {
             reduce.before_step(self.global_step + 1)?;
             let mut sw = Stopwatch::start();
-            let di = self.rng.gen_range(0..samplers.len());
-            let batch = make_batch(&samplers[di], self.cfg.batch_size, &mut self.rng);
+            let di = self.rng.gen_range(0..corpus.pairs.len());
+            let batch = self.model.draw(corpus, di, self.cfg.batch_size, &mut self.rng);
             self.pending_data_s = sw.lap();
             let comps = self.step_reduced(&batch, corpus.params(di), corpus.stats, reduce)?;
             tl += comps.total;
@@ -447,6 +390,40 @@ impl Trainer {
                 record
             })
             .collect()
+    }
+}
+
+impl Trainer<MeshfreeFlowNet> {
+    /// Rank `rank` of the `world`-rank run whose train state `payload`
+    /// holds (the bytes `encode_train_state` produced): the shared model
+    /// and Adam state, and that rank's own sampler stream, through
+    /// [`decode_run_state`]. `model` must have the architecture the state
+    /// was captured from, field for field (γ and the constraint set
+    /// included; any difference is `Incompatible`) — a fresh
+    /// `MeshfreeFlowNet::new(cfg)` is fine, its initial weights are
+    /// overwritten. The rank continues bit-identically to the run that
+    /// wrote the state: same parameters, Adam moments and step count,
+    /// learning rate, sampler stream position, and epoch/batch cursor. The
+    /// supervisor in `mfn-dist` builds every rank of a round this way.
+    pub fn from_state(
+        mut model: MeshfreeFlowNet,
+        cfg: TrainConfig,
+        payload: &[u8],
+        rank: usize,
+        world: usize,
+    ) -> Result<Self, CheckpointError> {
+        let (opt, meta) = decode_run_state(&mut model, &cfg, payload, world)?;
+        if rank >= world {
+            return Err(CheckpointError::Incompatible(format!("rank {rank} of {world}")));
+        }
+        Ok(Trainer {
+            rank,
+            world,
+            global_step: meta.global_step,
+            epoch: meta.epoch,
+            batch_cursor: meta.batch_cursor,
+            ..Trainer::assemble(model, opt, cfg, SampleRng::restore(meta.rngs[rank]))
+        })
     }
 }
 
@@ -482,101 +459,16 @@ pub fn decode_run_state(
     Ok((opt, meta))
 }
 
-/// Adam-based trainer for Baseline (II) (patch → HR-patch regression).
-pub struct BaselineTrainer {
-    /// The baseline model.
-    pub model: BaselineII,
-    /// Optimizer state.
-    pub opt: Adam,
-    /// Loop hyperparameters.
-    pub cfg: TrainConfig,
-    /// Telemetry destination (disabled by default).
-    recorder: Recorder,
-    /// Monotonic gradient-step counter.
-    global_step: u64,
-}
-
-impl BaselineTrainer {
-    /// Wraps a Baseline (II) model with Adam.
-    pub fn new(model: BaselineII, cfg: TrainConfig) -> Self {
-        let opt = Adam::new(&model.store, AdamConfig { lr: cfg.lr, ..Default::default() });
-        BaselineTrainer { model, opt, cfg, recorder: Recorder::null(), global_step: 0 }
-    }
-
-    /// Routes per-step metrics to `recorder` (builder form).
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Trains over the corpus with random patch targets, annealing the
-    /// learning rate by `cfg.lr_decay` on entering every epoch but the first,
-    /// as [`Trainer::run_epoch`] does.
-    pub fn train(&mut self, corpus: &Corpus) -> Vec<EpochRecord> {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
-        let spec = self.model.cfg.patch;
-        let factors = self.model.factors;
-        let mut records = Vec::with_capacity(self.cfg.epochs);
-        for epoch in 0..self.cfg.epochs {
-            if self.cfg.lr_decay != 1.0 && epoch > 0 {
-                let lr = self.opt.config().lr * self.cfg.lr_decay;
-                self.opt.set_lr(lr);
-            }
-            let start = Instant::now();
-            let mut tl = 0.0f32;
-            for _ in 0..self.cfg.batches_per_epoch {
-                let mut sw = Stopwatch::start();
-                let di = rng.gen_range(0..corpus.pairs.len());
-                let (hr, lr) = &corpus.pairs[di];
-                let origin = [
-                    rng.gen_range(0..=lr.meta.nt - spec.nt),
-                    rng.gen_range(0..=lr.meta.nz - spec.nz),
-                    rng.gen_range(0..=lr.meta.nx - spec.nx),
-                ];
-                let input = crate::model::extract_patch(lr, origin, spec, corpus.stats);
-                let target = hr_target_patch(hr, origin, spec, factors, corpus.stats);
-                let data_s = sw.lap();
-                let mut g = Graph::new();
-                let loss = self.model.loss(&mut g, &input, &target, true);
-                let step_loss = g.value(loss).item();
-                tl += step_loss;
-                self.global_step += 1;
-                // The baseline has no equation term.
-                let comps = StepLosses { total: step_loss, prediction: step_loss, equation: 0.0 };
-                let tag = StepTag { step: self.global_step, epoch, rank: 0, samples: 1, data_s };
-                let Ok(_) = backward_and_update(
-                    &mut g,
-                    loss,
-                    comps,
-                    &mut self.model.store,
-                    &mut self.opt,
-                    self.cfg.grad_clip,
-                    &mut NoReduce,
-                    &self.recorder,
-                    sw,
-                    tag,
-                );
-            }
-            let nb = self.cfg.batches_per_epoch as f32;
-            records.push(EpochRecord {
-                epoch,
-                loss: tl / nb,
-                prediction: tl / nb,
-                equation: 0.0,
-                seconds: start.elapsed().as_secs_f64(),
-            });
-        }
-        records
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::{hr_target_patch, BaselineII};
     use crate::config::MfnConfig;
     use crate::model::extract_patch;
-    use mfn_data::{downsample, PatchSpec, CH_U, CH_W};
+    use mfn_data::{downsample, make_batch, PatchSampler, PatchSpec, CH_U, CH_W};
     use mfn_solver::{simulate, RbcConfig};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     /// Median of a slice (NaN-free input assumed).
     fn median(xs: &[f32]) -> f32 {
@@ -667,27 +559,28 @@ mod tests {
         assert!(records.iter().all(|r| r.equation > 0.0));
     }
 
-    #[test]
-    fn baseline_training_reduces_loss() {
-        let corpus = tiny_corpus();
+    fn tiny_baseline() -> BaselineII {
         let mut cfg = MfnConfig::small();
         cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 8 };
         cfg.base_channels = 4;
         cfg.latent_channels = 8;
         cfg.levels = 2;
-        let b2 = BaselineII::new(cfg, [2, 2, 2]);
+        BaselineII::new(cfg, [2, 2, 2])
+    }
+
+    #[test]
+    fn baseline_training_reduces_loss() {
+        let corpus = tiny_corpus();
         let (recorder, sink) = Recorder::memory(4096);
-        let mut trainer = BaselineTrainer::new(
-            b2,
-            TrainConfig {
-                epochs: 8,
-                batches_per_epoch: 6,
-                lr: 3e-3,
-                seed: 0,
-                ..Default::default()
-            },
-        )
-        .with_recorder(recorder);
+        let tc = TrainConfig {
+            epochs: 8,
+            batches_per_epoch: 6,
+            batch_size: 2,
+            lr: 3e-3,
+            seed: 0,
+            ..Default::default()
+        };
+        let mut trainer = Trainer::new(tiny_baseline(), tc).with_recorder(recorder);
         let records = trainer.train(&corpus);
         assert_eq!(records.len(), 8);
         let steps = sink.train_steps();
@@ -697,26 +590,79 @@ mod tests {
         // The baseline has no equation term; metrics must agree.
         assert!(steps.iter().all(|m| m.loss_equation == 0.0));
         assert!(steps.iter().all(|m| m.grad_norm_pre.is_finite()));
+        assert!(steps.iter().all(|m| m.samples == tc.batch_size));
     }
 
+    /// A Baseline (II) step on a two-pair corpus draws its pair and patches
+    /// from the trainer's stream as MeshfreeFlowNet's would, and its loss is,
+    /// bit for bit, the one a tape built by hand records on `extract_patch`
+    /// inputs and `hr_target_patch` targets at the batch's origins, both
+    /// standardized with the corpus's pooled statistics.
     #[test]
-    fn baseline_lr_decay_anneals_the_optimizer() {
-        let mut cfg = MfnConfig::small();
-        cfg.patch = PatchSpec { nt: 4, nz: 4, nx: 4, queries: 8 };
-        cfg.base_channels = 4;
-        cfg.latent_channels = 8;
-        cfg.levels = 2;
+    fn baseline_step_takes_extract_patch_inputs_and_hr_targets_with_the_pooled_stats() {
+        let corpus = Corpus::new(vec![tiny_pair(2e5, 4.0), tiny_pair(3e6, 4.0)]);
+        let (spec, factors, stats) = (tiny_baseline().cfg.patch, [2, 2, 2], corpus.stats);
+        let mut pairs_seen = [false; 2];
+        for seed in 0..8 {
+            let (recorder, sink) = Recorder::memory(16);
+            let tc = TrainConfig {
+                epochs: 1,
+                batches_per_epoch: 1,
+                batch_size: 2,
+                seed,
+                ..Default::default()
+            };
+            Trainer::new(tiny_baseline(), tc).with_recorder(recorder).train(&corpus);
+            let got = sink.train_steps()[0];
+            assert_eq!((got.samples, got.loss_equation), (2, 0.0));
+
+            let mut rng = SampleRng::seed_from_u64(seed);
+            let i = rng.gen_range(0..corpus.pairs.len());
+            pairs_seen[i] = true;
+            let (hr, lr) = &corpus.pairs[i];
+            let batch = make_batch(&PatchSampler::new(hr, lr, spec), 2, &mut rng);
+            let spacing = [lr.dt(), lr.dz(), lr.dx()];
+            let origins: Vec<[usize; 3]> = (batch.samples.iter())
+                .map(|s| [0, 1, 2].map(|k| (s.origin_phys[k] / spacing[k]).round() as usize))
+                .collect();
+            let inputs: Vec<Tensor> =
+                origins.iter().map(|&o| extract_patch(lr, o, spec, stats)).collect();
+            let targets: Vec<Tensor> =
+                origins.iter().map(|&o| hr_target_patch(hr, o, spec, factors, stats)).collect();
+            let mut h = Graph::new();
+            let x = h.constant(Tensor::concat(&inputs.iter().collect::<Vec<_>>(), 0));
+            let y = tiny_baseline().forward(&mut h, x, true);
+            let t = h.constant(Tensor::concat(&targets.iter().collect::<Vec<_>>(), 0));
+            let want = h.l1_loss(y, t);
+            assert_eq!(got.loss_total.to_bits(), h.value(want).item().to_bits(), "seed {seed}");
+        }
+        assert_eq!(pairs_seen, [true; 2], "eight seeds must draw from both pairs");
+    }
+
+    /// Baseline (II) training is a function of its config: two runs give
+    /// bit-equal parameters.
+    #[test]
+    fn baseline_training_is_deterministic() {
+        let corpus = tiny_corpus();
         let tc = TrainConfig {
-            epochs: 3,
-            batches_per_epoch: 1,
-            lr: 1e-2,
+            epochs: 2,
+            batches_per_epoch: 3,
+            batch_size: 2,
+            lr: 3e-3,
             lr_decay: 0.5,
             ..Default::default()
         };
-        let mut trainer = BaselineTrainer::new(BaselineII::new(cfg, [2, 2, 2]), tc);
-        trainer.train(&tiny_corpus());
-        // Annealed on entering epochs 1 and 2: lr = 1e-2 * 0.5^2.
-        assert_eq!(trainer.opt.config().lr, 1e-2 * 0.5 * 0.5);
+        let run = || {
+            let mut trainer = Trainer::new(tiny_baseline(), tc);
+            trainer.train(&corpus);
+            trainer.model.store.flatten().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let first = run();
+        assert_ne!(
+            first,
+            tiny_baseline().store.flatten().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(first, run());
     }
 
     #[test]

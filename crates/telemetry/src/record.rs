@@ -1,7 +1,8 @@
 //! Structured event types and their JSONL encoding.
 
-/// Per-gradient-step metrics emitted by the trainers (`mfn-core::Trainer` —
-/// which every `mfn-dist` worker is — and `mfn-core::BaselineTrainer`).
+/// Per-gradient-step metrics emitted by the one training step,
+/// `mfn-core::Trainer` — which every `mfn-dist` worker is — whichever model it
+/// trains (MeshfreeFlowNet or Baseline (II)).
 ///
 /// All timings are wall-clock seconds for that step only. `rank` is 0 for
 /// single-process training.
