@@ -127,7 +127,7 @@ fn main() {
             "served {} requests ({} errors), {} queries, cache {}/{} hit/miss",
             stats.requests(),
             stats.errors(),
-            stats.queries(),
+            stats.batched_queries(),
             engine.cache().hits(),
             engine.cache().misses(),
         );

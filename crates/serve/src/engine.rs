@@ -60,33 +60,11 @@ pub struct RefineOutcome {
     pub report: RefineReport,
 }
 
-/// Decodes run and points decoded: the counters behind the wire fields
-/// [`ShardStat::decode_calls`] / [`ShardStat::batched_queries`].
-#[derive(Default)]
-pub struct DecodeCounters {
-    calls: AtomicU64,
-    points: AtomicU64,
-}
-
-impl DecodeCounters {
-    /// Total `decode_values` invocations so far.
-    pub fn decode_calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Total query points decoded so far; `batched_queries / decode_calls`
-    /// is the mean points per decode.
-    pub fn batched_queries(&self) -> u64 {
-        self.points.load(Ordering::Relaxed)
-    }
-}
-
 /// A thread-safe serving engine over a [`FrozenModel`]: the grad-free
 /// decode fast path, plus (when enabled) the grad-capable refinement tier.
 pub struct Engine {
     model: FrozenModel,
     cache: LatentCache,
-    decodes: DecodeCounters,
     stats: ServeStats,
     refine_settings: Option<RefineSettings>,
     /// Summed `(max_steps + 1) · points` of refinements in flight.
@@ -99,7 +77,6 @@ impl Engine {
         Engine {
             model,
             cache: LatentCache::new(cfg.cache_capacity),
-            decodes: DecodeCounters::default(),
             stats: ServeStats::default(),
             refine_settings: cfg.refine,
             refine_cost: AtomicU64::new(0),
@@ -116,10 +93,11 @@ impl Engine {
         &self.cache
     }
 
-    /// The decode counters. Named for the batcher that once held them:
-    /// `benchmark/` reads them as `batcher()` and cannot change with the engine.
-    pub fn batcher(&self) -> &DecodeCounters {
-        &self.decodes
+    /// [`Engine::stats`] under the name of the batcher that once held the
+    /// decode counters: `benchmark/` reads them as `batcher()` and cannot
+    /// change with the engine.
+    pub fn batcher(&self) -> &ServeStats {
+        &self.stats
     }
 
     /// Shared serving counters.
@@ -154,8 +132,8 @@ impl Engine {
             cache_misses: self.cache.misses(),
             cache_collisions: self.cache.collisions(),
             cache_len: self.cache.len() as u64,
-            decode_calls: self.decodes.decode_calls(),
-            batched_queries: self.decodes.batched_queries(),
+            decode_calls: self.stats.decode_calls(),
+            batched_queries: self.stats.batched_queries(),
         }
     }
 
@@ -223,15 +201,13 @@ impl Engine {
         queries: Vec<Query>,
     ) -> Result<(Vec<f32>, usize), ServeError> {
         self.validate_queries(&queries, latent.dims()[0])?;
-        self.stats.note_queries(queries.len() as u64);
         Ok((self.decode(latent, &queries), self.model.cfg().out_channels))
     }
 
     /// The one value path of `query` and `refine`: one `decode_values` call,
-    /// counted, whose own buffer is the reply.
+    /// counted with its points, whose own buffer is the reply.
     fn decode(&self, latent: &Tensor, queries: &[Query]) -> Vec<f32> {
-        self.decodes.calls.fetch_add(1, Ordering::Relaxed);
-        self.decodes.points.fetch_add(queries.len() as u64, Ordering::Relaxed);
+        self.stats.note_decode(queries.len() as u64);
         self.model.decode_values(latent, queries.iter().copied()).into_vec()
     }
 
@@ -306,7 +282,6 @@ impl Engine {
             return Err(ServeError::Busy);
         }
         let _guard = RefineCostGuard { cost: &self.refine_cost, amount: cost };
-        self.stats.note_queries(queries.len() as u64);
 
         // `refine_latent` works on a private copy; the Arc'd cache entry is
         // only ever read.
@@ -544,9 +519,12 @@ mod tests {
             assert_ne!(plain, out.values, "refined values should differ from plain decode");
         }
         // Zero-step refine is bit-identical to the plain decode path.
-        let zero = e.refine(d, q, RefineBudget::steps(0)).unwrap();
+        let zero = e.refine(d, q.clone(), RefineBudget::steps(0)).unwrap();
         assert_eq!(zero.values, plain);
         assert_eq!(e.stats().refines(), 2);
+        // Each of the three decodes counts its points once.
+        let stat = e.shard_stat("engine");
+        assert_eq!((stat.decode_calls, stat.batched_queries), (3, 3 * q.len() as u64));
     }
 
     #[test]

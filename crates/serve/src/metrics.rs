@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct ServeStats {
     errors: AtomicU64,
     inflight: AtomicU64,
+    decode_calls: AtomicU64,
     queries: AtomicU64,
     conns: AtomicU64,
     busy_rejects: AtomicU64,
@@ -41,9 +42,10 @@ impl ServeStats {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `n` query points answered.
-    pub fn note_queries(&self, n: u64) {
-        self.queries.fetch_add(n, Ordering::Relaxed);
+    /// Records one `decode_values` call answering `points` query points.
+    pub fn note_decode(&self, points: u64) {
+        self.decode_calls.fetch_add(1, Ordering::Relaxed);
+        self.queries.fetch_add(points, Ordering::Relaxed);
     }
 
     /// Completed requests so far.
@@ -61,8 +63,15 @@ impl ServeStats {
         self.inflight.load(Ordering::Relaxed)
     }
 
-    /// Query points answered so far.
-    pub fn queries(&self) -> u64 {
+    /// `decode_values` calls so far, one per answered `Query`,
+    /// `EncodeQuery` or `Refine`.
+    pub fn decode_calls(&self) -> u64 {
+        self.decode_calls.load(Ordering::Relaxed)
+    }
+
+    /// Query points decoded so far; `batched_queries / decode_calls` is the
+    /// mean points per decode (the name predates one-request decodes).
+    pub fn batched_queries(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
     }
 
@@ -86,7 +95,8 @@ impl ServeStats {
         self.busy_rejects.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Requests refused with `Busy` (full compute queue) so far.
+    /// Requests refused with `Busy` so far: the server's full compute job
+    /// queue, or a `Refine` beyond the in-flight refinement cost pool.
     pub fn busy_rejects(&self) -> u64 {
         self.busy_rejects.load(Ordering::Relaxed)
     }

@@ -354,12 +354,9 @@ fn publish_loop(engine: Arc<Engine>, recorder: Recorder, shutdown: Arc<AtomicBoo
         recorder.gauge("serve.refines", stats.refines() as f64);
         recorder.gauge("serve.refine_steps", stats.refine_steps() as f64);
         // Points per decode (the name predates one-request decodes).
-        let calls = engine.batcher().decode_calls();
+        let calls = stats.decode_calls();
         if calls > 0 {
-            recorder.gauge(
-                "serve.batch_size",
-                engine.batcher().batched_queries() as f64 / calls as f64,
-            );
+            recorder.gauge("serve.batch_size", stats.batched_queries() as f64 / calls as f64);
         }
         // Flush every interval, not just at shutdown: a tailed JSONL sink
         // should show live gauges, and a killed process shouldn't lose the

@@ -1,5 +1,7 @@
 //! Structured event types and their JSONL encoding.
 
+use serde::{Serialize, Value};
+
 /// Per-gradient-step metrics emitted by the one training step,
 /// `mfn-core::Trainer` — which every `mfn-dist` worker is — whichever model it
 /// trains (MeshfreeFlowNet or Baseline (II)).
@@ -59,7 +61,7 @@ impl StepMetrics {
     }
 }
 
-/// A telemetry event. Sinks receive these by reference.
+/// A telemetry event: what a [`Recorder`](crate::Recorder) records.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// One trainer gradient step.
@@ -87,87 +89,53 @@ pub enum Event {
     },
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+/// One `(key, value)` pair of a JSON line.
+fn field(key: &str, value: impl Serialize) -> (String, Value) {
+    (key.to_string(), value.to_value())
 }
 
-/// Formats a float as a JSON-legal number (JSON has no NaN/Inf; those are
-/// mapped to `null` so downstream parsers never choke on a bad step).
-fn json_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        // `{:?}` prints enough digits to round-trip and always includes a
-        // decimal point or exponent.
-        out.push_str(&format!("{v:?}"));
-    } else {
-        out.push_str("null");
+/// A line is one object with its `type` first, then the event's fields; a
+/// train step also carries its derived `samples_per_sec`. Non-finite floats
+/// are written as `null`.
+impl Serialize for Event {
+    fn to_value(&self) -> Value {
+        let fields = match *self {
+            Event::TrainStep(m) => vec![
+                field("type", "train_step"),
+                field("step", m.step),
+                field("epoch", m.epoch),
+                field("rank", m.rank),
+                field("samples", m.samples),
+                field("loss_total", m.loss_total),
+                field("loss_prediction", m.loss_prediction),
+                field("loss_equation", m.loss_equation),
+                field("grad_norm_pre", m.grad_norm_pre),
+                field("grad_norm_post", m.grad_norm_post),
+                field("lr", m.lr),
+                field("data_s", m.data_s),
+                field("forward_s", m.forward_s),
+                field("backward_s", m.backward_s),
+                field("allreduce_wait_s", m.allreduce_wait_s),
+                field("optimizer_s", m.optimizer_s),
+                field("samples_per_sec", m.samples_per_sec()),
+            ],
+            Event::Counter { name, delta } => {
+                vec![field("type", "counter"), field("name", name), field("delta", delta)]
+            }
+            Event::Gauge { name, value } => {
+                vec![field("type", "gauge"), field("name", name), field("value", value)]
+            }
+            Event::Span { name, seconds } => {
+                vec![field("type", "span"), field("name", name), field("seconds", seconds)]
+            }
+        };
+        Value::Object(fields)
     }
 }
 
 impl Event {
     /// Encodes the event as a single-line JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(160);
-        match self {
-            Event::TrainStep(m) => {
-                s.push_str("{\"type\":\"train_step\"");
-                s.push_str(&format!(
-                    ",\"step\":{},\"epoch\":{},\"rank\":{},\"samples\":{}",
-                    m.step, m.epoch, m.rank, m.samples
-                ));
-                for (k, v) in [
-                    ("loss_total", m.loss_total as f64),
-                    ("loss_prediction", m.loss_prediction as f64),
-                    ("loss_equation", m.loss_equation as f64),
-                    ("grad_norm_pre", m.grad_norm_pre as f64),
-                    ("grad_norm_post", m.grad_norm_post as f64),
-                    ("lr", m.lr as f64),
-                    ("data_s", m.data_s),
-                    ("forward_s", m.forward_s),
-                    ("backward_s", m.backward_s),
-                    ("allreduce_wait_s", m.allreduce_wait_s),
-                    ("optimizer_s", m.optimizer_s),
-                    ("samples_per_sec", m.samples_per_sec()),
-                ] {
-                    s.push_str(",\"");
-                    s.push_str(k);
-                    s.push_str("\":");
-                    json_f64(v, &mut s);
-                }
-                s.push('}');
-            }
-            Event::Counter { name, delta } => {
-                s.push_str("{\"type\":\"counter\",\"name\":\"");
-                json_escape(name, &mut s);
-                s.push_str(&format!("\",\"delta\":{delta}}}"));
-            }
-            Event::Gauge { name, value } => {
-                s.push_str("{\"type\":\"gauge\",\"name\":\"");
-                json_escape(name, &mut s);
-                s.push_str("\",\"value\":");
-                json_f64(*value, &mut s);
-                s.push('}');
-            }
-            Event::Span { name, seconds } => {
-                s.push_str("{\"type\":\"span\",\"name\":\"");
-                json_escape(name, &mut s);
-                s.push_str("\",\"seconds\":");
-                json_f64(*seconds, &mut s);
-                s.push('}');
-            }
-        }
-        s
+        serde_json::to_string(self).expect("an event always serializes")
     }
 }

@@ -1,90 +1,95 @@
 //! The [`Recorder`] handle and timing helpers.
 
 use crate::record::{Event, StepMetrics};
-use crate::sink::{JsonlSink, MemorySink, NullSink, Sink};
+use crate::sink::MemorySink;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Cheaply-clonable handle through which instrumented code emits events.
 ///
-/// A `Recorder` is an `Arc` around a [`Sink`] plus an `enabled` flag; the
-/// default ([`Recorder::null`]) is disabled and every record call returns
-/// after one branch. Clone it freely — clones share the sink, which is how
-/// the data-parallel trainer gives every worker thread the same destination.
-#[derive(Clone)]
+/// A `Recorder` holds its destination: nothing (the default,
+/// [`Recorder::null`], where every record call returns after one branch), a
+/// [`MemorySink`], or a buffered JSONL file. Clone it freely — clones share
+/// the destination, which is how the data-parallel trainer gives every
+/// worker thread the same one.
+#[derive(Clone, Default)]
 pub struct Recorder {
-    sink: Arc<dyn Sink>,
-    enabled: bool,
+    dest: Dest,
 }
 
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::null()
-    }
+#[derive(Clone, Default)]
+enum Dest {
+    #[default]
+    Off,
+    Memory(Arc<MemorySink>),
+    /// One JSON line per event; the writer flushes when the last clone drops.
+    Jsonl(Arc<Mutex<BufWriter<File>>>),
 }
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Recorder").field("enabled", &self.enabled).finish()
+        f.debug_struct("Recorder").field("enabled", &self.is_enabled()).finish()
     }
 }
 
 impl Recorder {
     /// A disabled recorder (the default): records nothing, costs nothing.
     pub fn null() -> Self {
-        Recorder { sink: Arc::new(NullSink), enabled: false }
+        Recorder::default()
     }
 
     /// A recorder buffering up to `capacity` events in memory. Returns the
     /// sink too so callers (tests) can inspect what was recorded.
     pub fn memory(capacity: usize) -> (Self, Arc<MemorySink>) {
         let sink = Arc::new(MemorySink::new(capacity));
-        (Recorder { sink: sink.clone(), enabled: true }, sink)
+        (Recorder { dest: Dest::Memory(sink.clone()) }, sink)
     }
 
-    /// A recorder appending JSONL to the file at `path` (truncates).
+    /// A recorder writing one JSON line per event to the file at `path`
+    /// (truncates). Lines are buffered until [`Recorder::flush`] or until
+    /// the last clone drops.
     pub fn jsonl(path: &Path) -> std::io::Result<Self> {
-        let sink = Arc::new(JsonlSink::create(path)?);
-        Ok(Recorder { sink, enabled: true })
+        let file = BufWriter::new(File::create(path)?);
+        Ok(Recorder { dest: Dest::Jsonl(Arc::new(Mutex::new(file))) })
     }
 
-    /// Wraps an arbitrary sink.
-    pub fn with_sink(sink: Arc<dyn Sink>) -> Self {
-        Recorder { sink, enabled: true }
-    }
-
-    /// Whether this recorder forwards events (false for [`Recorder::null`]).
+    /// Whether this recorder keeps events (false for [`Recorder::null`]).
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        !matches!(self.dest, Dest::Off)
+    }
+
+    fn record(&self, event: Event) {
+        match &self.dest {
+            Dest::Off => {}
+            Dest::Memory(sink) => sink.push(event),
+            // Write errors are swallowed: telemetry must never take down a run.
+            Dest::Jsonl(file) => {
+                let _ = writeln!(file.lock().expect("telemetry lock"), "{}", event.to_json());
+            }
+        }
     }
 
     /// Records one trainer gradient step.
     pub fn train_step(&self, metrics: StepMetrics) {
-        if self.enabled {
-            self.sink.record(&Event::TrainStep(metrics));
-        }
+        self.record(Event::TrainStep(metrics));
     }
 
     /// Increments the counter `name` by `delta`.
     pub fn incr(&self, name: &'static str, delta: u64) {
-        if self.enabled {
-            self.sink.record(&Event::Counter { name, delta });
-        }
+        self.record(Event::Counter { name, delta });
     }
 
     /// Records the current value of gauge `name`.
     pub fn gauge(&self, name: &'static str, value: f64) {
-        if self.enabled {
-            self.sink.record(&Event::Gauge { name, value });
-        }
+        self.record(Event::Gauge { name, value });
     }
 
     /// Records a completed span of `seconds` under `name`.
     pub fn span_seconds(&self, name: &'static str, seconds: f64) {
-        if self.enabled {
-            self.sink.record(&Event::Span { name, seconds });
-        }
+        self.record(Event::Span { name, seconds });
     }
 
     /// Starts a scoped timer that records a [`Event::Span`] when dropped.
@@ -92,17 +97,11 @@ impl Recorder {
         SpanGuard { recorder: self.clone(), name, start: Instant::now() }
     }
 
-    /// Times `f` and records the elapsed seconds as a span named `name`.
-    pub fn time<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let out = f();
-        self.span_seconds(name, start.elapsed().as_secs_f64());
-        out
-    }
-
-    /// Flushes the underlying sink.
+    /// Writes buffered JSONL lines to the file (a no-op for the others).
     pub fn flush(&self) {
-        self.sink.flush();
+        if let Dest::Jsonl(file) = &self.dest {
+            let _ = file.lock().expect("telemetry lock").flush();
+        }
     }
 }
 

@@ -1,5 +1,4 @@
-//! Pluggable event sinks: no-op, bounded in-memory ring buffer, and
-//! JSON-lines file writer.
+//! The bounded in-memory event ring behind [`Recorder::memory`](crate::Recorder::memory).
 
 use crate::record::{Event, StepMetrics};
 use std::collections::VecDeque;
@@ -7,25 +6,6 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
-
-/// Destination for telemetry events. Implementations must be cheap and
-/// thread-safe: trainers record from multiple worker threads concurrently.
-pub trait Sink: Send + Sync {
-    /// Consumes one event.
-    fn record(&self, event: &Event);
-
-    /// Flushes any buffered output (no-op for in-memory sinks).
-    fn flush(&self) {}
-}
-
-/// Discards every event. The default sink; recording through it is a single
-/// dynamic call that does no work.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record(&self, _event: &Event) {}
-}
 
 /// Bounded in-memory ring buffer of events, for tests and in-process
 /// inspection. When full, the oldest event is dropped (and counted).
@@ -52,6 +32,16 @@ impl MemorySink {
             }),
             capacity,
         }
+    }
+
+    /// Appends `event`, dropping (and counting) the oldest when full.
+    pub(crate) fn push(&self, event: Event) {
+        let mut inner = self.inner.lock().expect("telemetry lock");
+        if inner.events.len() == self.capacity {
+            inner.events.pop_front();
+            inner.dropped += 1;
+        }
+        inner.events.push_back(event);
     }
 
     /// Number of events currently buffered.
@@ -124,14 +114,10 @@ impl MemorySink {
             .sum()
     }
 
-    /// Discards all buffered events (the drop counter is kept).
-    pub fn clear(&self) {
-        self.inner.lock().expect("telemetry lock").events.clear();
-    }
-
     /// Dumps every buffered event to `path` in the JSONL format
-    /// [`JsonlSink`] writes, oldest first. The chaos-test CI job uses this
-    /// to attach a failed run's in-memory telemetry as an artifact.
+    /// [`Recorder::jsonl`](crate::Recorder::jsonl) writes, oldest first. The
+    /// chaos-test CI job uses this to attach a failed run's in-memory
+    /// telemetry as an artifact.
     pub fn write_jsonl(&self, path: &Path) -> std::io::Result<()> {
         let file = File::create(path)?;
         let mut w = BufWriter::new(file);
@@ -139,71 +125,5 @@ impl MemorySink {
             writeln!(w, "{}", e.to_json())?;
         }
         w.flush()
-    }
-}
-
-impl Sink for MemorySink {
-    fn record(&self, event: &Event) {
-        let mut inner = self.inner.lock().expect("telemetry lock");
-        if inner.events.len() == self.capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back(event.clone());
-    }
-}
-
-/// Appends one JSON object per event to a file (the JSONL format consumed by
-/// the bench harness). Lines are buffered; call [`Sink::flush`] (or drop the
-/// owning `Recorder`) to ensure everything hits disk.
-pub struct JsonlSink {
-    writer: Mutex<BufWriter<File>>,
-}
-
-impl JsonlSink {
-    /// Creates (truncating) the file at `path`.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(JsonlSink { writer: Mutex::new(BufWriter::new(file)) })
-    }
-}
-
-impl Sink for JsonlSink {
-    fn record(&self, event: &Event) {
-        let mut w = self.writer.lock().expect("telemetry lock");
-        // Write errors are swallowed: telemetry must never take down a run.
-        let _ = writeln!(w, "{}", event.to_json());
-    }
-
-    fn flush(&self) {
-        let _ = self.writer.lock().expect("telemetry lock").flush();
-    }
-}
-
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn memory_sink_dumps_buffered_events_as_jsonl() {
-        let sink = MemorySink::new(16);
-        sink.record(&Event::Counter { name: "dist.failures", delta: 2 });
-        sink.record(&Event::Gauge { name: "dist.world", value: 3.0 });
-        let dir = std::env::temp_dir().join(format!("mfn_sink_jsonl_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("events.jsonl");
-        sink.write_jsonl(&path).expect("write");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        std::fs::remove_dir_all(&dir).ok();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "one line per buffered event: {text}");
-        assert!(lines[0].contains("\"type\":\"counter\"") && lines[0].contains("dist.failures"));
-        assert!(lines[1].contains("\"type\":\"gauge\"") && lines[1].contains("dist.world"));
     }
 }

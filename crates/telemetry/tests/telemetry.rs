@@ -1,164 +1,135 @@
-//! Integration tests for mfn-telemetry: sink semantics, thread safety, and
-//! JSONL well-formedness (validated with a tiny standalone JSON parser so the
-//! crate stays dependency-free).
+//! Integration tests for mfn-telemetry: recorder semantics, thread safety,
+//! and JSONL lines, parsed back with `serde_json` into typed line structs.
 
-use mfn_telemetry::{Event, MemorySink, Recorder, Sink, StepMetrics};
-use std::sync::Arc;
+use mfn_telemetry::{Event, Recorder, StepMetrics};
+use serde::{DeError, Deserialize, Value};
 
-/// Minimal recursive-descent JSON validity checker (objects, arrays,
-/// strings, numbers, booleans, null). Returns Err with position on the
-/// first syntax error.
-mod json {
-    pub fn validate(s: &str) -> Result<(), usize> {
-        let b = s.as_bytes();
-        let mut i = 0;
-        value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i == b.len() {
-            Ok(())
-        } else {
-            Err(i)
-        }
+/// A parsed JSONL line: its keys in order, its `type`, and its fields as `T`.
+struct Line<T> {
+    keys: Vec<String>,
+    kind: String,
+    body: T,
+}
+
+impl<T: Deserialize> Deserialize for Line<T> {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let obj = value.as_object().ok_or_else(|| DeError::msg("a line is one object"))?;
+        Ok(Line {
+            keys: obj.iter().map(|(key, _)| key.clone()).collect(),
+            kind: serde::get_field(obj, "type")?,
+            body: T::from_value(value)?,
+        })
     }
+}
 
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-            *i += 1;
-        }
-    }
+#[derive(Deserialize)]
+struct TrainStepLine {
+    step: u64,
+    epoch: usize,
+    rank: usize,
+    samples: usize,
+    loss_total: f32,
+    loss_prediction: f32,
+    loss_equation: f32,
+    grad_norm_pre: f32,
+    grad_norm_post: f32,
+    lr: f32,
+    data_s: f64,
+    forward_s: f64,
+    backward_s: f64,
+    allreduce_wait_s: f64,
+    optimizer_s: f64,
+    samples_per_sec: f64,
+}
 
-    fn value(b: &[u8], i: &mut usize) -> Result<(), usize> {
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => object(b, i),
-            Some(b'[') => array(b, i),
-            Some(b'"') => string(b, i),
-            Some(b't') => literal(b, i, b"true"),
-            Some(b'f') => literal(b, i, b"false"),
-            Some(b'n') => literal(b, i, b"null"),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-            _ => Err(*i),
-        }
-    }
+/// The fields of a counter, gauge or span line.
+#[derive(Deserialize)]
+struct NamedLine {
+    name: String,
+    #[serde(default)]
+    delta: u64,
+    #[serde(default)]
+    value: f64,
+    #[serde(default)]
+    seconds: f64,
+}
 
-    fn literal(b: &[u8], i: &mut usize, lit: &[u8]) -> Result<(), usize> {
-        if b[*i..].starts_with(lit) {
-            *i += lit.len();
-            Ok(())
-        } else {
-            Err(*i)
-        }
-    }
+const TRAIN_STEP_KEYS: [&str; 17] = [
+    "type",
+    "step",
+    "epoch",
+    "rank",
+    "samples",
+    "loss_total",
+    "loss_prediction",
+    "loss_equation",
+    "grad_norm_pre",
+    "grad_norm_post",
+    "lr",
+    "data_s",
+    "forward_s",
+    "backward_s",
+    "allreduce_wait_s",
+    "optimizer_s",
+    "samples_per_sec",
+];
 
-    fn object(b: &[u8], i: &mut usize) -> Result<(), usize> {
-        *i += 1; // '{'
-        skip_ws(b, i);
-        if b.get(*i) == Some(&b'}') {
-            *i += 1;
-            return Ok(());
-        }
-        loop {
-            skip_ws(b, i);
-            string(b, i)?;
-            skip_ws(b, i);
-            if b.get(*i) != Some(&b':') {
-                return Err(*i);
-            }
-            *i += 1;
-            value(b, i)?;
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(b'}') => {
-                    *i += 1;
-                    return Ok(());
-                }
-                _ => return Err(*i),
-            }
-        }
-    }
+fn parse<T: Deserialize>(line: &str) -> Line<T> {
+    serde_json::from_str(line).unwrap_or_else(|e| panic!("{e}: {line}"))
+}
 
-    fn array(b: &[u8], i: &mut usize) -> Result<(), usize> {
-        *i += 1; // '['
-        skip_ws(b, i);
-        if b.get(*i) == Some(&b']') {
-            *i += 1;
-            return Ok(());
-        }
-        loop {
-            value(b, i)?;
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(b']') => {
-                    *i += 1;
-                    return Ok(());
-                }
-                _ => return Err(*i),
-            }
-        }
-    }
+/// Equal values; a non-finite value is written as `null`, read back as NaN.
+fn same(got: f64, want: f64) -> bool {
+    got == want || (got.is_nan() && !want.is_finite())
+}
 
-    fn string(b: &[u8], i: &mut usize) -> Result<(), usize> {
-        if b.get(*i) != Some(&b'"') {
-            return Err(*i);
-        }
-        *i += 1;
-        while let Some(&c) = b.get(*i) {
-            match c {
-                b'"' => {
-                    *i += 1;
-                    return Ok(());
-                }
-                b'\\' => {
-                    *i += 1;
-                    match b.get(*i) {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                        Some(b'u') => {
-                            if b.len() < *i + 5
-                                || !b[*i + 1..*i + 5].iter().all(u8::is_ascii_hexdigit)
-                            {
-                                return Err(*i);
-                            }
-                            *i += 5;
-                        }
-                        _ => return Err(*i),
-                    }
-                }
-                0x20.. => *i += 1,
-                _ => return Err(*i),
+/// Asserts that `line` is `event`'s JSON: the `type` first, exactly the
+/// expected keys in order, and every value as recorded.
+fn assert_line_is(line: &str, event: &Event) {
+    match *event {
+        Event::TrainStep(m) => {
+            let l: Line<TrainStepLine> = parse(line);
+            assert_eq!(l.keys, TRAIN_STEP_KEYS, "{line}");
+            assert_eq!(l.kind, "train_step");
+            let b = l.body;
+            assert_eq!((b.step, b.epoch, b.rank, b.samples), (m.step, m.epoch, m.rank, m.samples));
+            let pairs = [
+                (b.loss_total as f64, m.loss_total as f64),
+                (b.loss_prediction as f64, m.loss_prediction as f64),
+                (b.loss_equation as f64, m.loss_equation as f64),
+                (b.grad_norm_pre as f64, m.grad_norm_pre as f64),
+                (b.grad_norm_post as f64, m.grad_norm_post as f64),
+                (b.lr as f64, m.lr as f64),
+                (b.data_s, m.data_s),
+                (b.forward_s, m.forward_s),
+                (b.backward_s, m.backward_s),
+                (b.allreduce_wait_s, m.allreduce_wait_s),
+                (b.optimizer_s, m.optimizer_s),
+                (b.samples_per_sec, m.samples_per_sec()),
+            ];
+            for (i, (got, want)) in pairs.into_iter().enumerate() {
+                assert!(same(got, want), "{} = {got}, recorded {want}", TRAIN_STEP_KEYS[i + 5]);
             }
         }
-        Err(*i)
-    }
-
-    fn number(b: &[u8], i: &mut usize) -> Result<(), usize> {
-        let start = *i;
-        if b.get(*i) == Some(&b'-') {
-            *i += 1;
+        Event::Counter { name, delta } => {
+            let l: Line<NamedLine> = parse(line);
+            assert_eq!(l.keys, ["type", "name", "delta"], "{line}");
+            assert_eq!(l.kind, "counter");
+            assert_eq!((l.body.name.as_str(), l.body.delta), (name, delta));
         }
-        while *i < b.len() && b[*i].is_ascii_digit() {
-            *i += 1;
+        Event::Gauge { name, value } => {
+            let l: Line<NamedLine> = parse(line);
+            assert_eq!(l.keys, ["type", "name", "value"], "{line}");
+            assert_eq!(l.kind, "gauge");
+            assert_eq!(l.body.name, name);
+            assert!(same(l.body.value, value), "{line}");
         }
-        if b.get(*i) == Some(&b'.') {
-            *i += 1;
-            while *i < b.len() && b[*i].is_ascii_digit() {
-                *i += 1;
-            }
-        }
-        if matches!(b.get(*i), Some(b'e' | b'E')) {
-            *i += 1;
-            if matches!(b.get(*i), Some(b'+' | b'-')) {
-                *i += 1;
-            }
-            while *i < b.len() && b[*i].is_ascii_digit() {
-                *i += 1;
-            }
-        }
-        if *i == start {
-            Err(start)
-        } else {
-            Ok(())
+        Event::Span { name, seconds } => {
+            let l: Line<NamedLine> = parse(line);
+            assert_eq!(l.keys, ["type", "name", "seconds"], "{line}");
+            assert_eq!(l.kind, "span");
+            assert_eq!(l.body.name, name);
+            assert!(same(l.body.seconds, seconds), "{line}");
         }
     }
 }
@@ -185,9 +156,9 @@ fn sample_step(step: u64) -> StepMetrics {
 
 #[test]
 fn memory_sink_ring_buffer_bounds_and_drop_count() {
-    let sink = MemorySink::new(8);
+    let (rec, sink) = Recorder::memory(8);
     for s in 0..20u64 {
-        sink.record(&Event::TrainStep(sample_step(s)));
+        rec.train_step(sample_step(s));
     }
     assert_eq!(sink.len(), 8);
     assert_eq!(sink.dropped(), 12);
@@ -223,17 +194,14 @@ fn span_guard_records_on_drop() {
     }
     let total = sink.span_total("scoped");
     assert!(total >= 0.002, "span under-measured: {total}");
-    let timed: u32 = rec.time("timed", || 41 + 1);
-    assert_eq!(timed, 42);
-    assert!(sink.span_total("timed") >= 0.0);
-    assert_eq!(sink.events().len(), 2);
+    assert_eq!(sink.events().len(), 1);
 }
 
 #[test]
 fn null_recorder_is_disabled_and_silent() {
     let rec = Recorder::null();
     assert!(!rec.is_enabled());
-    // None of these should panic or allocate a sink.
+    // None of these should panic or write anywhere.
     rec.train_step(sample_step(0));
     rec.incr("n", 1);
     rec.gauge("g", 1.0);
@@ -263,55 +231,58 @@ fn recorder_is_shared_across_threads() {
     }
 }
 
+/// Every variant, written by both JSONL writers — the file recorder and a
+/// memory sink's dump — parses back to the recorded values; NaN and
+/// infinity are written as `null`.
 #[test]
 fn jsonl_sink_lines_are_valid_json_with_expected_fields() {
-    let path = std::env::temp_dir().join("mfn_telemetry_jsonl_test.jsonl");
-    let rec = Recorder::jsonl(&path).expect("create jsonl sink");
-    rec.train_step(sample_step(3));
-    rec.incr("frames", 2);
-    rec.gauge("nu", 1.7);
-    rec.span_seconds("simulate", 0.25);
-    // NaN must degrade to null, not poison the line.
-    rec.gauge("bad", f64::NAN);
-    rec.flush();
-    let text = std::fs::read_to_string(&path).expect("read jsonl");
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 5);
-    for (i, line) in lines.iter().enumerate() {
-        json::validate(line)
-            .unwrap_or_else(|pos| panic!("line {i} invalid JSON at byte {pos}: {line}"));
-        assert!(line.starts_with("{\"type\":\""), "line {i} missing type: {line}");
+    let mut odd = sample_step(3);
+    odd.grad_norm_pre = f32::NAN;
+    odd.loss_equation = f32::INFINITY;
+    let events = [
+        Event::TrainStep(sample_step(3)),
+        Event::TrainStep(odd),
+        Event::Counter { name: "frames", delta: 2 },
+        Event::Gauge { name: "nu", value: 1.7 },
+        Event::Span { name: "simulate", seconds: 0.25 },
+        Event::Gauge { name: "bad", value: f64::NAN },
+    ];
+    let dir = std::env::temp_dir().join(format!("mfn_telemetry_jsonl_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (file_path, dump_path) = (dir.join("recorder.jsonl"), dir.join("dump.jsonl"));
+    let rec = Recorder::jsonl(&file_path).expect("create jsonl recorder");
+    let (mem, sink) = Recorder::memory(16);
+    for r in [&rec, &mem] {
+        for e in &events {
+            match *e {
+                Event::TrainStep(m) => r.train_step(m),
+                Event::Counter { name, delta } => r.incr(name, delta),
+                Event::Gauge { name, value } => r.gauge(name, value),
+                Event::Span { name, seconds } => r.span_seconds(name, seconds),
+            }
+        }
     }
-    assert!(lines[0].contains("\"loss_total\":"));
-    assert!(lines[0].contains("\"grad_norm_pre\":"));
-    assert!(lines[0].contains("\"samples_per_sec\":"));
-    assert!(lines[4].contains("\"value\":null"));
-    let _ = std::fs::remove_file(&path);
+    drop(rec); // the last clone flushes
+    sink.write_jsonl(&dump_path).expect("dump");
+    for path in [&file_path, &dump_path] {
+        let text = std::fs::read_to_string(path).expect("read jsonl");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), events.len(), "one line per event: {text}");
+        for (line, e) in lines.iter().zip(&events) {
+            assert_line_is(line, e);
+        }
+        assert!(lines[5].ends_with("\"value\":null}"), "{}", lines[5]);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn event_json_escapes_special_characters() {
-    let e = Event::Counter { name: "weird\"name\\with\ncontrol\u{1}", delta: 1 };
+    let name = "weird\"name\\with\ncontrol\u{1}";
+    let e = Event::Counter { name, delta: 1 };
     let s = e.to_json();
-    json::validate(&s).unwrap_or_else(|pos| panic!("invalid at {pos}: {s}"));
-    assert!(s.contains("\\\"name\\\\with\\ncontrol\\u0001"));
-}
-
-#[test]
-fn sink_trait_objects_compose() {
-    // A Recorder can wrap any user-provided sink.
-    struct CountingSink(std::sync::atomic::AtomicUsize);
-    impl Sink for CountingSink {
-        fn record(&self, _event: &Event) {
-            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-    let sink = Arc::new(CountingSink(std::sync::atomic::AtomicUsize::new(0)));
-    let rec = Recorder::with_sink(sink.clone());
-    assert!(rec.is_enabled());
-    rec.incr("a", 1);
-    rec.gauge("b", 2.0);
-    assert_eq!(sink.0.load(std::sync::atomic::Ordering::Relaxed), 2);
+    assert_line_is(&s, &e);
+    assert!(s.contains("\\\"name\\\\with\\ncontrol\\u0001"), "{s}");
 }
 
 #[test]
@@ -333,9 +304,9 @@ mod properties {
 
         #[test]
         fn ring_buffer_never_exceeds_capacity(cap in 1usize..64, n in 0usize..256) {
-            let sink = MemorySink::new(cap);
+            let (rec, sink) = Recorder::memory(cap);
             for s in 0..n as u64 {
-                sink.record(&Event::TrainStep(sample_step(s)));
+                rec.train_step(sample_step(s));
             }
             prop_assert!(sink.len() <= cap);
             prop_assert_eq!(sink.len(), n.min(cap));
@@ -345,8 +316,7 @@ mod properties {
         #[test]
         fn gauge_json_is_always_valid(value in -1e12f64..1e12) {
             let e = Event::Gauge { name: "g", value };
-            let s = e.to_json();
-            prop_assert!(json::validate(&s).is_ok(), "invalid JSON: {}", s);
+            assert_line_is(&e.to_json(), &e);
         }
 
         #[test]
@@ -359,8 +329,8 @@ mod properties {
             m.loss_total = loss;
             m.grad_norm_pre = norm;
             m.forward_s = secs;
-            let s = Event::TrainStep(m).to_json();
-            prop_assert!(json::validate(&s).is_ok(), "invalid JSON: {}", s);
+            let e = Event::TrainStep(m);
+            assert_line_is(&e.to_json(), &e);
         }
     }
 }

@@ -234,16 +234,6 @@ pub struct WorkspaceGuard {
     off: usize,
 }
 
-impl WorkspaceGuard {
-    /// Moves the contents out of the guard as a plain `Vec` (it will *not*
-    /// auto-return; the caller owns it and may [`give_vec`] it later).
-    pub fn detach(mut self) -> Vec<f32> {
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.drain(..self.off);
-        buf
-    }
-}
-
 impl std::ops::Deref for WorkspaceGuard {
     type Target = [f32];
     fn deref(&self) -> &[f32] {
@@ -259,9 +249,7 @@ impl std::ops::DerefMut for WorkspaceGuard {
 
 impl Drop for WorkspaceGuard {
     fn drop(&mut self) {
-        if !self.buf.is_empty() || self.buf.capacity() > 0 {
-            give_vec(std::mem::take(&mut self.buf));
-        }
+        give_vec(std::mem::take(&mut self.buf));
     }
 }
 
@@ -422,20 +410,5 @@ mod tests {
             }
             clear();
         }
-    }
-
-    #[test]
-    fn detach_transfers_ownership() {
-        let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_enabled(true);
-        clear();
-        let mut g = take_scratch(100);
-        g.iter_mut().enumerate().for_each(|(i, x)| *x = i as f32);
-        let v = g.detach();
-        assert_eq!(v.len(), 100);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i as f32), "contents move with the buffer");
-        assert_eq!(stats().cached_buffers, 0, "detached buffer must not auto-return");
-        give_vec(v);
-        assert_eq!(stats().cached_buffers, 1);
     }
 }
