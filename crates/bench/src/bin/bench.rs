@@ -13,10 +13,12 @@
 //! decoder's forward and backward on the tape (the link between the kernel rows
 //! and the training step), the heap traffic of one full training step with
 //! the workspace pool on vs off, and one benchmark-shaped training step on one
-//! tape worker against the trainer's own count. The results are one [`KernelsReport`], written
-//! by `serde_json` to `BENCH_kernels.json` (default; `--out` overrides): median
-//! wall time, GFLOP/s, heap bytes allocated per call (counted by the global
-//! allocator below), and workspace-pool hit/miss counters.
+//! tape worker against the trainer's own count, and the solver's chain from one
+//! x-transform sweep through a step to a whole `simulate`. The results are one
+//! [`KernelsReport`], written by `serde_json` to `BENCH_kernels.json` (default;
+//! `--out` overrides): median wall time, GFLOP/s, heap bytes allocated per call
+//! (counted by the global allocator below), and workspace-pool hit/miss
+//! counters.
 //!
 //! The binary doubles as a regression gate: before timing anything it
 //! re-checks the driver's GEMM against the naive reference on
@@ -42,7 +44,7 @@ use mfn_core::{
     FrozenModel, MeshfreeFlowNet, MfnConfig, QueryPlan, RbcParams, TrainConfig, Trainer,
 };
 use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec};
-use mfn_solver::{simulate, RbcConfig};
+use mfn_solver::{simulate, RbcConfig, RbcSolver, XTransform};
 use mfn_tensor::{
     conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, rowops, workspace, Conv3dDims,
     ConvStages, MatLayout, PackedConv3d, Tensor,
@@ -185,7 +187,7 @@ fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
 }
 
 /// Schema tag of the report this binary writes.
-const SCHEMA: &str = "mfn-bench/kernels/v18";
+const SCHEMA: &str = "mfn-bench/kernels/v19";
 
 /// `BENCH_kernels.json`. The field names are the keys (the vendored derive
 /// renames nothing) and `--gate` parses a committed report back into this
@@ -207,6 +209,9 @@ struct KernelsReport {
     softplus_grad: SoftplusGrad,
     tape_decoder: TapeDecoder,
     train_step: TrainStep,
+    /// Since v19; a v18 report reads zeros.
+    #[serde(default)]
+    solver: SolverRow,
 }
 
 /// The correctness gates that ran before any timing; a report is only
@@ -1187,6 +1192,47 @@ fn bench_train_two_core(iters: usize) -> TrainTwoCore {
     }
 }
 
+/// The solver's chain at the benchmark's grid (128 × 33, Ra 10⁶, `dt_max`
+/// 2e-3, seed 1): one x-transform sweep → one step → the `simulate` every
+/// benchmark set-up runs (0.5 simulated seconds, 13 frames).
+#[derive(Serialize, Deserialize, Default)]
+struct SolverRow {
+    /// Median of one `XTransform::ddx`: a batched forward transform of all
+    /// 33 rows, the per-mode rule, a batched inverse.
+    sweep_us: f64,
+    /// Median of one `RbcSolver::step` at the CFL step.
+    step_us: f64,
+    /// Median of three whole `simulate` runs.
+    simulate_s: f64,
+}
+
+/// Times [`SolverRow`]'s three links.
+fn bench_solver(iters: usize) -> SolverRow {
+    let cfg = RbcConfig { nx: 128, nz: 33, ra: 1e6, dt_max: 2e-3, seed: 1, ..Default::default() };
+    let mut solver = RbcSolver::new(cfg);
+    let mut xf = XTransform::new(solver.domain());
+    let field = solver.temp.clone();
+    let (sweep_ns, _, _) = time_samples(iters, || {
+        std::hint::black_box(xf.ddx(&field));
+    });
+    let (step_ns, _, _) = time_samples(iters, || {
+        let dt = solver.cfl_dt();
+        solver.step(dt);
+    });
+    let runs = (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(simulate(&cfg, 0.5, 13));
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    SolverRow {
+        sweep_us: round(sweep_ns / 1e3, 2),
+        step_us: round(step_ns / 1e3, 2),
+        simulate_s: round(median_and_best(runs).0, 3),
+    }
+}
+
 /// `--gate` margin: each speedup must hold at least this fraction of the
 /// baseline's; each cost ratio may rise to the baseline's divided by it.
 const GATE_FRACTION: f64 = 0.85;
@@ -1515,6 +1561,9 @@ fn main() {
     );
     let two_core_speedup = bench_train_two_core(decode_iters);
 
+    eprintln!("[bench] timing the solver: one x-transform sweep, one step, one simulate ...");
+    let solver = bench_solver(iters);
+
     let report = KernelsReport {
         schema: SCHEMA.to_string(),
         mode: if quick { "quick" } else { "full" }.to_string(),
@@ -1533,6 +1582,7 @@ fn main() {
             alloc_drop_ratio: round(alloc_drop, 4),
             two_core_speedup,
         },
+        solver,
     };
     let json = serde_json::to_string_pretty(&report).expect("a report serializes");
     std::fs::write(&out_path, &json).expect("write bench report");

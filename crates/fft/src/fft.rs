@@ -4,6 +4,14 @@
 //! The solver and the turbulence statistics only ever transform power-of-two
 //! lengths (the paper's grids are 512×128), so a radix-2 kernel is sufficient;
 //! we reject non-power-of-two lengths explicitly rather than silently padding.
+//!
+//! There is one butterfly loop, and it runs over a *batch* of `b` transforms
+//! stored with the batch index innermost: element `k` of transform `j` sits at
+//! `[k·b + j]`. Each butterfly is then a contiguous loop over the batch, which
+//! the compiler vectorizes, while every transform still sees the same IEEE
+//! operations in the same order as a lone one (Rust never contracts a
+//! multiply and an add into an FMA), so a batched result is bit for bit the
+//! single-transform result. A single transform is the `b = 1` case.
 
 use crate::complex::Complex;
 
@@ -56,7 +64,8 @@ impl FftPlan {
     /// Panics if `data.len()` is not the plan's length.
     pub fn forward(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.n, "buffer length does not match plan");
-        self.transform(data, false);
+        self.bit_reverse(data, 1);
+        self.butterflies(data, 1, false);
     }
 
     /// In-place inverse DFT with 1/n normalization:
@@ -66,43 +75,63 @@ impl FftPlan {
     /// Panics if `data.len()` is not the plan's length.
     pub fn inverse(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.n, "buffer length does not match plan");
-        self.transform(data, true);
+        self.bit_reverse(data, 1);
+        self.butterflies(data, 1, true);
         let scale = 1.0 / self.n as f64;
         for z in data.iter_mut() {
             *z = z.scale(scale);
         }
     }
 
-    fn transform(&self, data: &mut [Complex], inverse: bool) {
-        let n = self.n;
-        // Bit-reversal reordering.
-        for i in 0..n {
-            let j = self.rev[i] as usize;
+    /// Reorders the `n` batch-rows of `b` elements each into bit-reversed
+    /// order.
+    fn bit_reverse(&self, data: &mut [Complex], b: usize) {
+        for (i, &r) in self.rev.iter().enumerate() {
+            let j = r as usize;
             if i < j {
-                data.swap(i, j);
+                let (lo, hi) = data.split_at_mut(j * b);
+                lo[i * b..(i + 1) * b].swap_with_slice(&mut hi[..b]);
             }
         }
-        // Butterflies, stage by stage.
+    }
+
+    /// The one butterfly loop: every radix-2 stage over `b` bit-reversed
+    /// transforms stored batch-innermost (`data[k * b + j]`), the inverse
+    /// with conjugated twiddles and no scaling.
+    fn butterflies(&self, data: &mut [Complex], b: usize, inverse: bool) {
+        let n = self.n;
         let mut m = 1;
         let mut toff = 0; // offset into the twiddle table for the current stage
         while m < n {
             let step = 2 * m;
-            for start in (0..n).step_by(step) {
-                for k in 0..m {
+            for group in data.chunks_exact_mut(step * b) {
+                let (tops, bottoms) = group.split_at_mut(m * b);
+                let rows = tops.chunks_exact_mut(b).zip(bottoms.chunks_exact_mut(b));
+                for (k, (top, bottom)) in rows.enumerate() {
                     let w = if inverse {
                         self.twiddles[toff + k].conj()
                     } else {
                         self.twiddles[toff + k]
                     };
-                    let a = data[start + k];
-                    let b = data[start + k + m] * w;
-                    data[start + k] = a + b;
-                    data[start + k + m] = a - b;
+                    butterfly(top, bottom, w);
                 }
             }
             toff += m;
             m = step;
         }
+    }
+}
+
+/// One butterfly across the batch: `(x, y) ← (x + y·w, x − y·w)` for every
+/// transform. Out of line so that the two rows are distinct arguments, which
+/// lets the loop vectorize without run-time overlap checks.
+#[inline(never)]
+fn butterfly(top: &mut [Complex], bottom: &mut [Complex], w: Complex) {
+    for (x, y) in top.iter_mut().zip(bottom) {
+        let a = *x;
+        let t = *y * w;
+        *x = a + t;
+        *y = a - t;
     }
 }
 
@@ -130,9 +159,8 @@ impl RealFftPlan {
     /// Forward transform of a real signal. Returns `n/2 + 1` coefficients
     /// `X[0..=n/2]` of the full complex DFT.
     pub fn forward(&self, signal: &[f64]) -> Vec<Complex> {
-        assert_eq!(signal.len(), self.plan.n);
-        let mut buf: Vec<Complex> = signal.iter().map(|&x| Complex::real(x)).collect();
-        self.plan.forward(&mut buf);
+        let mut buf = vec![Complex::ZERO; self.plan.n];
+        self.forward_rows(signal, &mut buf);
         buf.truncate(self.spectrum_len());
         buf
     }
@@ -141,17 +169,80 @@ impl RealFftPlan {
     /// signal of length `n`. The imaginary parts of `X[0]` and `X[n/2]` are
     /// ignored (they must be zero for a genuinely real signal).
     pub fn inverse(&self, spectrum: &[Complex]) -> Vec<f64> {
-        let n = self.plan.n;
         assert_eq!(spectrum.len(), self.spectrum_len());
-        let mut buf = vec![Complex::ZERO; n];
-        buf[0] = Complex::real(spectrum[0].re);
-        for k in 1..n / 2 {
-            buf[k] = spectrum[k];
-            buf[n - k] = spectrum[k].conj();
+        let mut buf = vec![Complex::ZERO; self.plan.n];
+        buf[..spectrum.len()].copy_from_slice(spectrum);
+        let mut out = vec![0.0; self.plan.n];
+        self.inverse_rows(&mut buf, &mut out);
+        out
+    }
+
+    /// Forward transform of every row of a row-major `[b][n]` block of real
+    /// signals at once, into `work` (length `n·b`), mode-major: coefficient
+    /// `k` of row `j` lands at `work[k * b + j]`, so the `n/2 + 1`
+    /// non-redundant modes are `work[..spectrum_len() * b]` and mode `k`'s
+    /// coefficients over the rows are `work[k * b..(k + 1) * b]`. The rest of
+    /// `work` is scratch. Each row's coefficients are bit for bit
+    /// [`RealFftPlan::forward`]'s. No rows (`b = 0`) is a no-op.
+    ///
+    /// # Panics
+    /// Panics if `rows.len()` is not a multiple of `n` or `work.len()` is not
+    /// `rows.len()`.
+    pub fn forward_rows(&self, rows: &[f64], work: &mut [Complex]) {
+        let (n, b) = (self.plan.n, rows.len() / self.plan.n);
+        assert_eq!(rows.len(), n * b, "rows are not whole signals of the plan's length");
+        assert_eq!(work.len(), n * b, "work buffer length does not match the rows");
+        if b == 0 {
+            return;
         }
-        buf[n / 2] = Complex::real(spectrum[n / 2].re);
-        self.plan.inverse(&mut buf);
-        buf.into_iter().map(|z| z.re).collect()
+        // The transpose writes each sample to its bit-reversed slot, the
+        // permutation the butterflies expect.
+        for (j, row) in rows.chunks_exact(n).enumerate() {
+            for (&r, &v) in self.plan.rev.iter().zip(row) {
+                work[r as usize * b + j] = Complex::real(v);
+            }
+        }
+        self.plan.butterflies(work, b, false);
+    }
+
+    /// The way back from [`RealFftPlan::forward_rows`]: reads the `n/2 + 1`
+    /// modes of `b = rows.len() / n` rows from `work[..spectrum_len() * b]`
+    /// (mode-major) and writes the real signals to `rows` (row-major
+    /// `[b][n]`), using all of `work` as scratch. Each row is bit for bit
+    /// [`RealFftPlan::inverse`]'s; as there, the imaginary parts of modes `0`
+    /// and `n/2` are ignored. No rows (`b = 0`) is a no-op.
+    ///
+    /// # Panics
+    /// Panics if `rows.len()` is not a multiple of `n` or `work.len()` is not
+    /// `rows.len()`.
+    pub fn inverse_rows(&self, work: &mut [Complex], rows: &mut [f64]) {
+        let (n, b) = (self.plan.n, rows.len() / self.plan.n);
+        assert_eq!(rows.len(), n * b, "rows are not whole signals of the plan's length");
+        assert_eq!(work.len(), n * b, "work buffer length does not match the rows");
+        if b == 0 {
+            return;
+        }
+        // Hermitian extension: modes above n/2 are the conjugates of those
+        // below, and modes 0 and n/2 are real.
+        let (low, high) = work.split_at_mut((n / 2 + 1) * b);
+        for (k, mirror) in high.chunks_exact_mut(b).enumerate() {
+            let source = &low[(n / 2 - 1 - k) * b..(n / 2 - k) * b];
+            for (m, s) in mirror.iter_mut().zip(source) {
+                *m = s.conj();
+            }
+        }
+        let (dc, rest) = low.split_at_mut(b);
+        for z in dc.iter_mut().chain(&mut rest[(n / 2 - 1) * b..]) {
+            *z = Complex::real(z.re);
+        }
+        self.plan.bit_reverse(work, b);
+        self.plan.butterflies(work, b, true);
+        let scale = 1.0 / n as f64;
+        for (j, row) in rows.chunks_exact_mut(n).enumerate() {
+            for (x, v) in row.iter_mut().enumerate() {
+                *v = work[x * b + j].re * scale;
+            }
+        }
     }
 }
 

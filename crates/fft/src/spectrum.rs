@@ -53,8 +53,10 @@ impl EnergySpectrum {
 /// periodic direction. Rows are transformed independently and the resulting
 /// per-mode energies averaged over `z`.
 ///
-/// Power-of-two widths use the FFT; other widths fall back to a naive
-/// O(nx²) real DFT, so arbitrary grids (e.g. cropped patches) are accepted.
+/// Power-of-two widths transform all rows of a component in one
+/// [`RealFftPlan::forward_rows`] call; other widths fall back to a naive
+/// O(nx²) real DFT per row, so arbitrary grids (e.g. cropped patches) are
+/// accepted.
 ///
 /// # Panics
 /// Panics if any field's length is not `nz * nx` or if `nx` is zero.
@@ -67,21 +69,21 @@ pub fn energy_spectrum_x(components: &[&[f64]], nz: usize, nx: usize, lx: f64) -
     let plan = if nx >= 2 && nx.is_power_of_two() { Some(RealFftPlan::new(nx)) } else { None };
     let nbins = nx / 2 + 1;
     let mut energy = vec![0.0; nbins];
-    let mut row = vec![0.0f64; nx];
+    // Mode-major: bin `k` of row `z` is `spec[k * nz + z]`.
+    let mut spec = vec![Complex::ZERO; nz * nx];
     for comp in components {
-        for z in 0..nz {
-            row.copy_from_slice(&comp[z * nx..(z + 1) * nx]);
-            let spec = match &plan {
-                Some(p) => p.forward(&row),
-                None => {
+        match &plan {
+            Some(p) => p.forward_rows(comp, &mut spec),
+            None => {
+                for (z, row) in comp.chunks_exact(nx).enumerate() {
                     let full: Vec<Complex> = row.iter().map(|&v| Complex::new(v, 0.0)).collect();
-                    let mut half = dft_naive(&full);
-                    half.truncate(nbins);
-                    half
+                    for (k, c) in dft_naive(&full).into_iter().take(nbins).enumerate() {
+                        spec[k * nz + z] = c;
+                    }
                 }
-            };
-            accumulate_row_energy(&spec, nx, &mut energy);
+            }
         }
+        accumulate_energy(&spec[..nbins * nz], nz, nx, &mut energy);
     }
     let norm = 1.0 / nz as f64;
     for e in energy.iter_mut() {
@@ -92,18 +94,22 @@ pub fn energy_spectrum_x(components: &[&[f64]], nz: usize, nx: usize, lx: f64) -
     EnergySpectrum { wavenumbers, energy }
 }
 
-/// Adds one row's spectral energy into `energy`, with the normalization that
-/// makes `sum_k E(k) = 0.5 * mean(u^2)` for that row. Interior bins are
-/// doubled to account for the conjugate-symmetric negative wavenumbers; only
-/// DC and — for even `nx` — the Nyquist bin are their own conjugates and
-/// counted once. (`k == nx / 2` would silently halve the last bin for odd
-/// `nx`, where mode `nx/2` still has a distinct conjugate partner and must
-/// be doubled; `2 * k == nx` holds only for a true Nyquist bin.)
-fn accumulate_row_energy(spec: &[Complex], nx: usize, energy: &mut [f64]) {
+/// Adds every row's spectral energy into `energy`, rows in order, with the
+/// normalization that makes `sum_k E(k) = 0.5 * mean(u^2)` for each row.
+/// `spec` holds the `nz` rows' bins mode-major (bin `k` of row `z` at
+/// `spec[k * nz + z]`). Interior bins are doubled to account for the
+/// conjugate-symmetric negative wavenumbers; only DC and — for even `nx` —
+/// the Nyquist bin are their own conjugates and counted once. (`k == nx / 2`
+/// would silently halve the last bin for odd `nx`, where mode `nx/2` still
+/// has a distinct conjugate partner and must be doubled; `2 * k == nx`
+/// holds only for a true Nyquist bin.)
+fn accumulate_energy(spec: &[Complex], nz: usize, nx: usize, energy: &mut [f64]) {
     let n2 = (nx * nx) as f64;
-    for (k, z) in spec.iter().enumerate() {
+    for (k, (e, column)) in energy.iter_mut().zip(spec.chunks_exact(nz.max(1))).enumerate() {
         let mult = if k == 0 || 2 * k == nx { 1.0 } else { 2.0 };
-        energy[k] += 0.5 * mult * z.norm_sqr() / n2;
+        for z in column {
+            *e += 0.5 * mult * z.norm_sqr() / n2;
+        }
     }
 }
 

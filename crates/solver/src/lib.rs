@@ -8,10 +8,15 @@
 //! per-wavenumber Poisson/Helmholtz systems are tridiagonal solves.
 //!
 //! Each mechanism exists once: every x-operator (`ddx`, `d2dx2`,
-//! `dealias_x`) and both implicit solves run through one row transform with
-//! a per-mode rule, the Helmholtz and Poisson systems share one per-mode
-//! solve, and [`solve_complex`] is the one Thomas sweep. The output is
-//! pinned bit for bit by `tests/frame_digest.rs`.
+//! `dealias_x`) and both implicit solves run through one x-transform,
+//! [`XTransform`]: one batched real FFT of all `nz` rows into a mode-major
+//! spectrum, a per-mode rule, one batched inverse. [`RbcSolver`] builds its
+//! transform (plan and buffer) and its Poisson matrices once; the free
+//! operators build a transform per call. The Helmholtz and Poisson systems
+//! share one per-mode solve, and one Thomas sweep ([`solve_complex`] on a
+//! copy of its right-hand side) runs in place on the solver's buffers
+//! without allocating. The output is pinned bit
+//! for bit by `tests/frame_digest.rs`.
 //!
 //! Entry point: [`simulate`] produces the `(T, p, u, w)` snapshot sequence
 //! that `mfn-data` turns into training datasets; [`try_simulate`] returns a
@@ -22,7 +27,7 @@ pub mod ops;
 pub mod rbc;
 pub mod tridiag;
 
-pub use ops::{d2dx2, d2dz2, ddx, ddz, dealias_x, laplacian, Domain};
+pub use ops::{d2dx2, d2dz2, ddx, ddz, dealias_x, laplacian, Domain, XTransform};
 pub use rbc::{
     simulate, try_simulate, ConfigError, RbcConfig, RbcSolver, Simulation, Snapshot, T_BOTTOM,
     T_TOP,

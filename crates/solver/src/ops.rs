@@ -88,51 +88,110 @@ pub fn idx(domain: &Domain, j: usize, i: usize) -> usize {
     j * domain.nx + i
 }
 
-/// The one x-transform: forward real FFT of every z-row, `rule(k, column)`
-/// on the `nz` coefficients of each mode `k = 0..=nx/2` (its z-profile, in
-/// row order), inverse FFT of every row.
-pub(crate) fn map_modes(
-    domain: &Domain,
-    f: &[f64],
-    rule: impl Fn(usize, &mut [Complex]),
-) -> Vec<f64> {
-    assert_eq!(f.len(), domain.n());
-    let (nx, nz) = (domain.nx, domain.nz);
-    let plan = RealFftPlan::new(nx);
-    // Mode-major: the z-profile of mode `k` is `spec[k * nz..(k + 1) * nz]`.
-    let mut spec = vec![Complex::ZERO; plan.spectrum_len() * nz];
-    for (j, row) in f.chunks(nx).enumerate() {
-        spec[j..].iter_mut().step_by(nz).zip(plan.forward(row)).for_each(|(s, c)| *s = c);
-    }
-    spec.chunks_mut(nz).enumerate().for_each(|(k, column)| rule(k, column));
-    let mut out = Vec::with_capacity(f.len());
-    let mut row = vec![Complex::ZERO; plan.spectrum_len()];
-    for j in 0..nz {
-        row.iter_mut().zip(spec[j..].iter().step_by(nz)).for_each(|(r, s)| *r = *s);
-        out.extend(plan.inverse(&row));
-    }
-    out
+/// The x-transform of one grid: a real-FFT plan for its rows and the
+/// mode-major buffer every sweep transforms into, built once. Each sweep is
+/// one batched forward transform of all `nz` rows, a per-mode rule on the
+/// `nz` coefficients of each mode `k = 0..=nx/2` (its z-profile, in row
+/// order), and one batched inverse transform. [`RbcSolver`](crate::RbcSolver)
+/// owns one; the free [`ddx`], [`d2dx2`], [`laplacian`] and [`dealias_x`]
+/// build one per call. Every output is bit for bit the row-at-a-time
+/// transform's (see [`RealFftPlan::forward_rows`]).
+#[derive(Debug, Clone)]
+pub struct XTransform {
+    domain: Domain,
+    plan: RealFftPlan,
+    /// `nx · nz` coefficients: mode `k`'s z-profile is
+    /// `work[k * nz..(k + 1) * nz]` for `k <= nx/2`; the rest is scratch.
+    work: Vec<Complex>,
 }
 
-/// Spectral ∂/∂x along each z-row. The Nyquist mode's derivative is set to
-/// zero (its `i·k` image is not representable for a real signal).
-pub fn ddx(domain: &Domain, f: &[f64]) -> Vec<f64> {
-    map_modes(domain, f, |k, column| {
-        if k == domain.nx / 2 {
-            column.fill(Complex::ZERO);
-        } else {
-            let kk = domain.wavenumber(k);
-            column.iter_mut().for_each(|c| *c = c.mul_i().scale(kk));
+impl XTransform {
+    /// The plan and buffer for `domain`'s grid.
+    pub fn new(domain: &Domain) -> Self {
+        XTransform {
+            domain: *domain,
+            plan: RealFftPlan::new(domain.nx),
+            work: vec![Complex::ZERO; domain.n()],
         }
-    })
+    }
+
+    /// The grid this transform is built for.
+    pub(crate) fn domain(&self) -> &Domain {
+        &self.domain
+    }
+
+    /// The one sweep: forward transform of every z-row of `f`, `rule(k,
+    /// column)` on each mode's z-profile, inverse transform of every row.
+    pub(crate) fn map_modes(
+        &mut self,
+        f: &[f64],
+        mut rule: impl FnMut(usize, &mut [Complex]),
+    ) -> Vec<f64> {
+        assert_eq!(f.len(), self.domain.n());
+        let nz = self.domain.nz;
+        self.plan.forward_rows(f, &mut self.work);
+        let modes = self.plan.spectrum_len() * nz;
+        self.work[..modes].chunks_exact_mut(nz).enumerate().for_each(|(k, c)| rule(k, c));
+        let mut out = vec![0.0; f.len()];
+        self.plan.inverse_rows(&mut self.work, &mut out);
+        out
+    }
+
+    /// Spectral ∂/∂x along each z-row. The Nyquist mode's derivative is set
+    /// to zero (its `i·k` image is not representable for a real signal).
+    pub fn ddx(&mut self, f: &[f64]) -> Vec<f64> {
+        let d = self.domain;
+        self.map_modes(f, |k, column| {
+            if k == d.nx / 2 {
+                column.fill(Complex::ZERO);
+            } else {
+                let kk = d.wavenumber(k);
+                column.iter_mut().for_each(|c| *c = c.mul_i().scale(kk));
+            }
+        })
+    }
+
+    /// [`d2dx2`] through this transform.
+    pub(crate) fn d2dx2(&mut self, f: &[f64]) -> Vec<f64> {
+        let d = self.domain;
+        self.map_modes(f, |k, column| {
+            let kk = d.wavenumber(k);
+            column.iter_mut().for_each(|c| *c = c.scale(-kk * kk));
+        })
+    }
+
+    /// [`laplacian`] through this transform.
+    pub(crate) fn laplacian(&mut self, f: &[f64]) -> Vec<f64> {
+        let mut lx = self.d2dx2(f);
+        let lz = d2dz2(&self.domain, f);
+        for (a, b) in lx.iter_mut().zip(&lz) {
+            *a += b;
+        }
+        lx
+    }
+
+    /// [`dealias_x`] through this transform.
+    pub(crate) fn dealias(&mut self, f: &mut [f64]) {
+        let cutoff = self.domain.nx / 3;
+        let kept = self.map_modes(f, |k, column| {
+            if k > cutoff {
+                column.fill(Complex::ZERO);
+            }
+        });
+        f.copy_from_slice(&kept);
+    }
 }
 
-/// Spectral ∂²/∂x² along each z-row.
+/// Spectral ∂/∂x along each z-row ([`XTransform::ddx`] on a transform
+/// built for this call).
+pub fn ddx(domain: &Domain, f: &[f64]) -> Vec<f64> {
+    XTransform::new(domain).ddx(f)
+}
+
+/// Spectral ∂²/∂x² along each z-row, through a transform built for this
+/// call.
 pub fn d2dx2(domain: &Domain, f: &[f64]) -> Vec<f64> {
-    map_modes(domain, f, |k, column| {
-        let kk = domain.wavenumber(k);
-        column.iter_mut().for_each(|c| *c = c.scale(-kk * kk));
-    })
+    XTransform::new(domain).d2dx2(f)
 }
 
 /// Second-order ∂/∂z: central in the interior, one-sided (second-order
@@ -179,26 +238,17 @@ pub fn d2dz2(domain: &Domain, f: &[f64]) -> Vec<f64> {
     out
 }
 
-/// The discrete Laplacian `∂²/∂x² + ∂²/∂z²` (spectral + FD).
+/// The discrete Laplacian `∂²/∂x² + ∂²/∂z²` (spectral + FD), through a
+/// transform built for this call.
 pub fn laplacian(domain: &Domain, f: &[f64]) -> Vec<f64> {
-    let mut lx = d2dx2(domain, f);
-    let lz = d2dz2(domain, f);
-    for (a, b) in lx.iter_mut().zip(&lz) {
-        *a += b;
-    }
-    lx
+    XTransform::new(domain).laplacian(f)
 }
 
 /// Zeroes the top third of x-modes of a physical field (the 2/3 dealiasing
-/// rule applied to nonlinear products).
+/// rule applied to nonlinear products), through a transform built for this
+/// call.
 pub fn dealias_x(domain: &Domain, f: &mut [f64]) {
-    let cutoff = domain.nx / 3;
-    let kept = map_modes(domain, f, |k, column| {
-        if k > cutoff {
-            column.fill(Complex::ZERO);
-        }
-    });
-    f.copy_from_slice(&kept);
+    XTransform::new(domain).dealias(f);
 }
 
 #[cfg(test)]
@@ -287,7 +337,7 @@ mod tests {
     fn spectral_roundtrip() {
         let d = make_domain();
         let f = fill(&d, |x, z| (x * 1.3).sin() * (z * 0.7).cos() + z);
-        let back = map_modes(&d, &f, |_, _| {});
+        let back = XTransform::new(&d).map_modes(&f, |_, _| {});
         for (a, b) in back.iter().zip(&f) {
             assert!((a - b).abs() < 1e-12);
         }

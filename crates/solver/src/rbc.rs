@@ -16,8 +16,8 @@
 //! per-mode tridiagonal Poisson solves. Time step is CFL-adaptive, mirroring
 //! the paper's "adaptive time stepping" remark.
 
-use crate::ops::{self, ddx, ddz, laplacian, Domain};
-use crate::tridiag::{solve_complex, Tridiag};
+use crate::ops::{self, ddz, Domain, XTransform};
+use crate::tridiag::{solve_in_place, Tridiag};
 use mfn_fft::Complex;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -173,6 +173,24 @@ pub struct RbcSolver {
     dt_prev: f64,
     /// Total steps taken.
     pub steps: u64,
+    /// The one x-transform every sweep of a step runs through.
+    xf: XTransform,
+    /// The Poisson matrix of every x-mode `k = 0..=nx/2` (they depend only
+    /// on the grid).
+    poisson: Vec<Tridiag>,
+    /// The Helmholtz matrix of the mode being solved, rebuilt in place.
+    helmholtz: Tridiag,
+    /// The Thomas sweep's eliminated super-diagonal.
+    thomas: Vec<f64>,
+}
+
+/// Which per-mode system [`RbcSolver::solve_modes`] solves.
+#[derive(Clone, Copy)]
+enum System {
+    /// Crank–Nicolson diffusion with coefficient `a`.
+    Helmholtz(f64),
+    /// The projection's pressure potential.
+    Poisson,
 }
 
 /// Wall temperatures: hot bottom `T=1`, cold top `T=0` (normalized ΔT = 1).
@@ -208,6 +226,15 @@ impl RbcSolver {
             n_prev: None,
             dt_prev: 0.0,
             steps: 0,
+            xf: XTransform::new(&domain),
+            poisson: (0..=domain.nx / 2)
+                .map(|k| {
+                    let kk = domain.wavenumber(k);
+                    poisson_matrix(&domain, kk * kk)
+                })
+                .collect(),
+            helmholtz: Tridiag::zeros(domain.nz),
+            thomas: vec![0.0; domain.nz],
         }
     }
 
@@ -226,13 +253,13 @@ impl RbcSolver {
     }
 
     /// Explicit (advection + buoyancy) right-hand sides `[Nu, Nw, NT]`.
-    fn nonlinear(&self) -> [Vec<f64>; 3] {
+    fn nonlinear(&mut self) -> [Vec<f64>; 3] {
         let d = &self.domain;
-        let ux = ddx(d, &self.u);
+        let ux = self.xf.ddx(&self.u);
         let uz = ddz(d, &self.u);
-        let wx = ddx(d, &self.w);
+        let wx = self.xf.ddx(&self.w);
         let wz = ddz(d, &self.w);
-        let tx = ddx(d, &self.temp);
+        let tx = self.xf.ddx(&self.temp);
         let tz = ddz(d, &self.temp);
         let n = d.n();
         // Buoyancy enters as the horizontal *fluctuation* of T: the mean part
@@ -251,75 +278,38 @@ impl RbcSolver {
         }
         let mut out = [nu, nw, nt];
         for f in out.iter_mut() {
-            ops::dealias_x(d, f);
+            self.xf.dealias(f);
         }
         out
     }
 
-    /// Builds the Crank–Nicolson Helmholtz matrix
-    /// `(1 + a k² ) I − a D_zz` with Dirichlet rows at both walls.
-    fn helmholtz_matrix(&self, a: f64, k2: f64) -> Tridiag {
-        let nz = self.domain.nz;
-        let dz2 = self.domain.dz() * self.domain.dz();
-        let mut m = Tridiag::zeros(nz);
-        m.diag[0] = 1.0;
-        m.diag[nz - 1] = 1.0;
-        for j in 1..nz - 1 {
-            m.lower[j] = -a / dz2;
-            m.diag[j] = 1.0 + a * k2 + 2.0 * a / dz2;
-            m.upper[j] = -a / dz2;
-        }
-        m
-    }
-
-    /// Builds the Poisson matrix `D_zz − k²` with Neumann walls
-    /// (pinned at the bottom for the singular `k = 0` mode).
-    fn poisson_matrix(&self, k2: f64) -> Tridiag {
-        let nz = self.domain.nz;
-        let dz = self.domain.dz();
-        let dz2 = dz * dz;
-        let mut m = Tridiag::zeros(nz);
-        if k2 == 0.0 {
-            // Pin phi(0) = 0; Neumann at the top.
-            m.diag[0] = 1.0;
-        } else {
-            m.diag[0] = -1.0 / dz;
-            m.upper[0] = 1.0 / dz;
-        }
-        m.lower[nz - 1] = -1.0 / dz;
-        m.diag[nz - 1] = 1.0 / dz;
-        for j in 1..nz - 1 {
-            m.lower[j] = 1.0 / dz2;
-            m.diag[j] = -2.0 / dz2 - k2;
-            m.upper[j] = 1.0 / dz2;
-        }
-        m
-    }
-
-    /// Solves `matrix(k²) f̂_k = r̂_k` for the z-profile of every x-mode `k`
+    /// Solves `matrix(k) f̂_k = r̂_k` for the z-profile of every x-mode `k`
     /// of `rhs`, whose wall rows are first set to the boundary values
     /// `walls = (bottom, top)`: the DFT of a constant is `value * nx` in
-    /// mode 0, zero elsewhere.
-    fn solve_modes(
-        &self,
-        rhs: &[f64],
-        matrix: impl Fn(f64) -> Tridiag,
-        (bottom, top): (f64, f64),
-    ) -> Vec<f64> {
-        let d = &self.domain;
-        ops::map_modes(d, rhs, |k, column| {
+    /// mode 0, zero elsewhere. Each mode's system is solved in place on the
+    /// solver's buffers.
+    fn solve_modes(&mut self, rhs: &[f64], system: System, (bottom, top): (f64, f64)) -> Vec<f64> {
+        let RbcSolver { domain: d, xf, poisson, helmholtz, thomas, .. } = self;
+        xf.map_modes(rhs, |k, column| {
             let wall = |v: f64| if k == 0 { Complex::real(v * d.nx as f64) } else { Complex::ZERO };
             column[0] = wall(bottom);
             column[d.nz - 1] = wall(top);
-            let kk = d.wavenumber(k);
-            column.copy_from_slice(&solve_complex(&matrix(kk * kk), column));
+            let matrix = match system {
+                System::Helmholtz(a) => {
+                    let kk = d.wavenumber(k);
+                    fill_helmholtz(helmholtz, d, a, kk * kk);
+                    &*helmholtz
+                }
+                System::Poisson => &poisson[k],
+            };
+            solve_in_place(matrix, column, thomas);
         })
     }
 
     /// Implicit Crank–Nicolson diffusion solve: returns the field satisfying
     /// `(I − a(D_zz − k²)) f = rhs` with Dirichlet values `(bottom, top)`.
-    fn diffuse(&self, rhs: &[f64], a: f64, bottom: f64, top: f64) -> Vec<f64> {
-        self.solve_modes(rhs, |k2| self.helmholtz_matrix(a, k2), (bottom, top))
+    fn diffuse(&mut self, rhs: &[f64], a: f64, bottom: f64, top: f64) -> Vec<f64> {
+        self.solve_modes(rhs, System::Helmholtz(a), (bottom, top))
     }
 
     /// Pressure projection: makes `(u, w)` divergence-free, storing the
@@ -355,13 +345,13 @@ impl RbcSolver {
     }
 
     fn project_once(&mut self, dt: f64) {
-        let d = &self.domain;
-        let rhs: Vec<f64> = self.divergence().iter().map(|v| v / dt).collect();
+        let div = divergence(&mut self.xf, &self.u, &self.w);
+        let rhs: Vec<f64> = div.iter().map(|v| v / dt).collect();
         // Neumann (or, for k = 0, pinned) wall rows: zero right-hand side.
-        let phi = self.solve_modes(&rhs, |k2| self.poisson_matrix(k2), (0.0, 0.0));
-        let phix = ddx(d, &phi);
-        let phiz = ddz(d, &phi);
-        for k in 0..d.n() {
+        let phi = self.solve_modes(&rhs, System::Poisson, (0.0, 0.0));
+        let phix = self.xf.ddx(&phi);
+        let phiz = ddz(&self.domain, &phi);
+        for k in 0..self.domain.n() {
             self.u[k] -= dt * phix[k];
             self.w[k] -= dt * phiz[k];
             self.p[k] += phi[k];
@@ -395,9 +385,9 @@ impl RbcSolver {
         };
         let kappa_u = self.cfg.r_star();
         let kappa_t = self.cfg.p_star();
-        let lap_u = laplacian(&d, &self.u);
-        let lap_w = laplacian(&d, &self.w);
-        let lap_t = laplacian(&d, &self.temp);
+        let lap_u = self.xf.laplacian(&self.u);
+        let lap_w = self.xf.laplacian(&self.w);
+        let lap_t = self.xf.laplacian(&self.temp);
         let prev = |f: usize, k: usize| self.n_prev.as_ref().map_or(0.0, |p| p[f][k]);
         let mut rhs_u = vec![0.0f64; n];
         let mut rhs_w = vec![0.0f64; n];
@@ -456,19 +446,10 @@ impl RbcSolver {
         1.0 + wt / conductive
     }
 
-    /// The discrete divergence `∂u/∂x + ∂w/∂z` at every node.
-    fn divergence(&self) -> Vec<f64> {
-        let mut div = ddx(&self.domain, &self.u);
-        for (a, b) in div.iter_mut().zip(ddz(&self.domain, &self.w)) {
-            *a += b;
-        }
-        div
-    }
-
     /// Maximum |∇·u| over the interior (projection quality diagnostic).
     pub fn max_divergence(&self) -> f64 {
         let nx = self.domain.nx;
-        let div = self.divergence();
+        let div = divergence(&mut XTransform::new(&self.domain), &self.u, &self.w);
         div[nx..div.len() - nx].iter().fold(0.0f64, |m, v| m.max(v.abs()))
     }
 
@@ -482,6 +463,54 @@ impl RbcSolver {
             w: self.w.clone(),
         }
     }
+}
+
+/// The discrete divergence `∂u/∂x + ∂w/∂z` at every node.
+fn divergence(xf: &mut XTransform, u: &[f64], w: &[f64]) -> Vec<f64> {
+    let mut div = xf.ddx(u);
+    for (a, b) in div.iter_mut().zip(ddz(xf.domain(), w)) {
+        *a += b;
+    }
+    div
+}
+
+/// Fills `m` with the Crank–Nicolson Helmholtz matrix
+/// `(1 + a k² ) I − a D_zz` with Dirichlet rows at both walls. Only those
+/// entries are written: the corner off-diagonals stay zero.
+fn fill_helmholtz(m: &mut Tridiag, d: &Domain, a: f64, k2: f64) {
+    let nz = d.nz;
+    let dz2 = d.dz() * d.dz();
+    m.diag[0] = 1.0;
+    m.diag[nz - 1] = 1.0;
+    for j in 1..nz - 1 {
+        m.lower[j] = -a / dz2;
+        m.diag[j] = 1.0 + a * k2 + 2.0 * a / dz2;
+        m.upper[j] = -a / dz2;
+    }
+}
+
+/// The Poisson matrix `D_zz − k²` with Neumann walls (pinned at the bottom
+/// for the singular `k = 0` mode).
+fn poisson_matrix(d: &Domain, k2: f64) -> Tridiag {
+    let nz = d.nz;
+    let dz = d.dz();
+    let dz2 = dz * dz;
+    let mut m = Tridiag::zeros(nz);
+    if k2 == 0.0 {
+        // Pin phi(0) = 0; Neumann at the top.
+        m.diag[0] = 1.0;
+    } else {
+        m.diag[0] = -1.0 / dz;
+        m.upper[0] = 1.0 / dz;
+    }
+    m.lower[nz - 1] = -1.0 / dz;
+    m.diag[nz - 1] = 1.0 / dz;
+    for j in 1..nz - 1 {
+        m.lower[j] = 1.0 / dz2;
+        m.diag[j] = -2.0 / dz2 - k2;
+        m.upper[j] = 1.0 / dz2;
+    }
+    m
 }
 
 /// The mean of every z-row of `f` (one value per row).

@@ -31,31 +31,42 @@ impl Tridiag {
 /// matrix is real and the right-hand side complex (the per-mode systems have
 /// real matrices but complex Fourier-coefficient RHS): the real and
 /// imaginary parts share one factorization sweep. A real right-hand side is
-/// given as [`Complex::real`] values.
+/// given as [`Complex::real`] values. The solver runs the same sweep in
+/// place on its own buffers.
 ///
 /// # Panics
 /// Panics if sizes mismatch or a pivot vanishes.
 pub fn solve_complex(a: &Tridiag, rhs: &[Complex]) -> Vec<Complex> {
+    let mut x = rhs.to_vec();
+    solve_in_place(a, &mut x, &mut vec![0.0; rhs.len()]);
+    x
+}
+
+/// The one Thomas sweep: overwrites the right-hand side `x` with the
+/// solution of `A x = rhs`, using `c` (at least `x.len()` long) for the
+/// eliminated super-diagonal. Allocates nothing, so the solver's per-mode
+/// loop runs it on reused buffers.
+///
+/// # Panics
+/// Panics if sizes mismatch or a pivot vanishes.
+pub(crate) fn solve_in_place(a: &Tridiag, x: &mut [Complex], c: &mut [f64]) {
     let n = a.diag.len();
-    assert_eq!(rhs.len(), n, "rhs length mismatch");
-    let mut c = vec![0.0f64; n];
-    let mut d = vec![Complex::ZERO; n];
+    assert_eq!(x.len(), n, "rhs length mismatch");
+    assert!(c.len() >= n, "scratch shorter than the system");
     let mut piv = a.diag[0];
     assert!(piv.abs() > 1e-300, "zero pivot at row 0");
     c[0] = a.upper[0] / piv;
-    d[0] = rhs[0] / piv;
+    x[0] = x[0] / piv;
     for i in 1..n {
         piv = a.diag[i] - a.lower[i] * c[i - 1];
         assert!(piv.abs() > 1e-300, "zero pivot at row {i}");
         c[i] = if i + 1 < n { a.upper[i] / piv } else { 0.0 };
-        d[i] = (rhs[i] - d[i - 1] * a.lower[i]) / piv;
+        x[i] = (x[i] - x[i - 1] * a.lower[i]) / piv;
     }
-    let mut x = d;
     for i in (0..n - 1).rev() {
         let next = x[i + 1];
         x[i] -= next * c[i];
     }
-    x
 }
 
 #[cfg(test)]

@@ -54,6 +54,36 @@ proptest! {
         }
     }
 
+    /// Transforming a block of rows at once is each row's own transform,
+    /// bit for bit, both ways.
+    #[test]
+    fn real_fft_rows_match_single_rows(
+        log_n in 1u32..9,
+        b in 1usize..40,
+        values in prop::collection::vec(-1e3f64..1e3, 256 * 40),
+    ) {
+        let n = 1usize << log_n;
+        let plan = RealFftPlan::new(n);
+        let rows = &values[..n * b];
+        let mut work = vec![Complex::ZERO; n * b];
+        plan.forward_rows(rows, &mut work);
+        for (j, row) in rows.chunks_exact(n).enumerate() {
+            for (k, c) in plan.forward(row).iter().enumerate() {
+                let got = work[k * b + j];
+                prop_assert_eq!((got.re.to_bits(), got.im.to_bits()), (c.re.to_bits(), c.im.to_bits()));
+            }
+        }
+        let spectra: Vec<Vec<Complex>> = (0..b)
+            .map(|j| (0..=n / 2).map(|k| work[k * b + j]).collect())
+            .collect();
+        let mut back = vec![0.0; n * b];
+        plan.inverse_rows(&mut work, &mut back);
+        for (spec, row) in spectra.iter().zip(back.chunks_exact(n)) {
+            let single = plan.inverse(spec);
+            prop_assert!(single.iter().zip(row).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
+
     /// Trilinear query-plan weights always form a partition of unity and
     /// stay non-negative, for any query location (even out of range).
     #[test]
