@@ -1238,18 +1238,18 @@ fn bench_solver(iters: usize) -> SolverRow {
 const GATE_FRACTION: f64 = 0.85;
 
 /// Where a report keeps a gated ratio.
-type GateRead = fn(&KernelsReport) -> f64;
+type GateRead = fn(&mut KernelsReport) -> &mut f64;
 
 /// The ratios `--gate` holds, in the order [`run_gate`] checks them: what
 /// each is, `true` for a speedup (a floor) or `false` for a cost (a
 /// ceiling), and where a report keeps it. Each is a quotient of two
 /// interleaved minima, so the machine's absolute speed divides out.
 const GATE_LEGS: [(&str, bool, GateRead); 5] = [
-    ("driver/naive", true, |r| r.gemm_speedup_vs_naive),
-    ("conv3d/gemm_nn", true, |r| r.conv3d.implicit_vs_gemm_nn),
-    ("conv3d grad_weight/gemm_nn", true, |r| r.conv3d.implicit_grad_weight_vs_gemm_nn),
-    ("softplus derivative/softplus cost", false, |r| r.softplus_grad.ratio_vs_softplus),
-    ("equation loss/one-lane decode cost", false, |r| r.tape_decoder.eq_loss_vs_one_lane),
+    ("driver/naive", true, |r| &mut r.gemm_speedup_vs_naive),
+    ("conv3d/gemm_nn", true, |r| &mut r.conv3d.implicit_vs_gemm_nn),
+    ("conv3d grad_weight/gemm_nn", true, |r| &mut r.conv3d.implicit_grad_weight_vs_gemm_nn),
+    ("softplus derivative/softplus cost", false, |r| &mut r.softplus_grad.ratio_vs_softplus),
+    ("equation loss/one-lane decode cost", false, |r| &mut r.tape_decoder.eq_loss_vs_one_lane),
 ];
 
 /// Holds this run's [`GATE_LEGS`] against a committed baseline report of
@@ -1259,10 +1259,12 @@ const GATE_LEGS: [(&str, bool, GateRead); 5] = [
 /// past its bound is re-measured in up to two fresh windows
 /// (`remeasure(leg)`, `leg` indexing [`GATE_LEGS`]) and the gate keeps its
 /// best window before declaring a regression. A real codegen regression is
-/// past the bound in every window; a noise burst is not.
+/// past the bound in every window; a noise burst is not. The value the gate
+/// ends on (the best window) is written back into `now`, so the report
+/// holds what the gate accepted.
 fn run_gate(
-    base: &KernelsReport,
-    now: &KernelsReport,
+    mut base: KernelsReport,
+    now: &mut KernelsReport,
     mut remeasure: impl FnMut(usize) -> f64,
 ) -> Result<(), String> {
     if base.mode != now.mode {
@@ -1273,11 +1275,12 @@ fn run_gate(
         ));
     }
     for (leg, (what, floor, read)) in GATE_LEGS.into_iter().enumerate() {
-        let was = read(base);
+        let was = *read(&mut base);
         let (bound, side) =
             if floor { (was * GATE_FRACTION, "floor") } else { (was / GATE_FRACTION, "ceiling") };
-        let mut value = read(now);
+        let mut value = *read(now);
         for window in 1..=3 {
+            *read(now) = value;
             eprintln!("[gate] {what}: now {value:.3}x vs baseline {was:.3}x ({side} {bound:.3}x)");
             if (floor && value >= bound) || (!floor && value <= bound) {
                 break;
@@ -1564,7 +1567,7 @@ fn main() {
     eprintln!("[bench] timing the solver: one x-transform sweep, one step, one simulate ...");
     let solver = bench_solver(iters);
 
-    let report = KernelsReport {
+    let mut report = KernelsReport {
         schema: SCHEMA.to_string(),
         mode: if quick { "quick" } else { "full" }.to_string(),
         checks: Checks { gemm_vs_naive: "ok".to_string(), conv3d_vs_definition: "ok".to_string() },
@@ -1584,29 +1587,31 @@ fn main() {
         },
         solver,
     };
-    let json = serde_json::to_string_pretty(&report).expect("a report serializes");
-    std::fs::write(&out_path, &json).expect("write bench report");
-    eprintln!("[bench] wrote {out_path}");
-    println!("{json}");
-
-    // ---- Regression gate (--gate): ratios vs the committed baseline,
-    // after the fresh report is on disk for forensics --------------------
-    if let Some((path, base)) = baseline {
+    // ---- Regression gate (--gate): ratios vs the committed baseline, run
+    // before the report is written so that it holds the windows the gate
+    // accepted; a failing report is still written, for forensics ---------
+    let gate = baseline.map(|(path, base)| {
         // Re-measure in the loop the report rows came from: each ratio's
         // numerator and denominator must share steal phases or the retry
         // windows inherit the very noise they exist to reject.
         let remeasure = |leg: usize| match leg {
             0..=2 => {
                 let t = gated.time(iters, false);
-                gated.ratios(&t)[leg]
+                round(gated.ratios(&t)[leg], 3)
             }
             3 => bench_softplus(iters).1.ratio_vs_softplus,
             _ => bench_tape_decoder(decode_iters, gemm_nn).eq_loss_vs_one_lane,
         };
-        if let Err(e) = run_gate(&base, &report, remeasure) {
-            fail(&e);
-        }
-        eprintln!("[bench] gate vs {path}: ok");
+        (path, run_gate(base, &mut report, remeasure))
+    });
+    let json = serde_json::to_string_pretty(&report).expect("a report serializes");
+    std::fs::write(&out_path, &json).expect("write bench report");
+    eprintln!("[bench] wrote {out_path}");
+    println!("{json}");
+    match gate {
+        Some((_, Err(e))) => fail(&e),
+        Some((path, Ok(()))) => eprintln!("[bench] gate vs {path}: ok"),
+        None => {}
     }
 }
 
@@ -1648,33 +1653,43 @@ mod tests {
 
     #[test]
     fn gate_holds_floors_and_ceilings() {
-        let base = synthesized("full", [5.0, 0.7, 0.4, 0.5, 4.6]);
-        let within = synthesized("full", [4.3, 0.6, 0.35, 0.55, 5.2]);
-        assert_eq!(run_gate(&base, &within, |_| unreachable!("nothing to re-measure")), Ok(()));
-        // A first window under the floor that a fresh one clears passes.
-        let noisy = synthesized("full", [3.0, 0.7, 0.4, 0.5, 4.6]);
-        assert_eq!(run_gate(&base, &noisy, |_| 4.5), Ok(()));
-        let slow = synthesized("full", [5.0, 0.5, 0.4, 0.5, 4.6]);
-        let err = run_gate(&base, &slow, |_| 0.55).expect_err("conv3d below its floor");
+        let base = || synthesized("full", [5.0, 0.7, 0.4, 0.5, 4.6]);
+        let gate = |now: &mut KernelsReport, again: f64| run_gate(base(), now, |_| again);
+        let within = || synthesized("full", [4.3, 0.6, 0.35, 0.55, 5.2]);
+        let mut report = within();
+        let gated = run_gate(base(), &mut report, |_| unreachable!("nothing to re-measure"));
+        assert_eq!(gated, Ok(()));
+        let json = |r: &KernelsReport| serde_json::to_string(r).expect("serializes");
+        assert_eq!(json(&report), json(&within()), "a report accepted at once stays as it is");
+        // A first window under the floor that a fresh one clears passes, and
+        // the report keeps the window the gate accepted.
+        let mut noisy = synthesized("full", [3.0, 0.7, 0.4, 0.5, 4.6]);
+        assert_eq!(gate(&mut noisy, 4.5), Ok(()));
+        assert_eq!(noisy.gemm_speedup_vs_naive, 4.5);
+        let mut noisy_cost = synthesized("full", [5.0, 0.7, 0.4, 0.9, 4.6]);
+        assert_eq!(gate(&mut noisy_cost, 0.52), Ok(()));
+        assert_eq!(noisy_cost.softplus_grad.ratio_vs_softplus, 0.52);
+        let err = gate(&mut synthesized("full", [5.0, 0.5, 0.4, 0.5, 4.6]), 0.55)
+            .expect_err("conv3d below its floor");
         assert!(err.starts_with("conv3d/gemm_nn 0.550x stayed past its floor"), "{err}");
         // A pack regression: the weight gradient alone falls behind.
-        let slow_dw = synthesized("full", [5.0, 0.7, 0.25, 0.5, 4.6]);
-        let err = run_gate(&base, &slow_dw, |_| 0.3).expect_err("grad_weight below its floor");
+        let err = gate(&mut synthesized("full", [5.0, 0.7, 0.25, 0.5, 4.6]), 0.3)
+            .expect_err("grad_weight below its floor");
         assert!(err.starts_with("conv3d grad_weight/gemm_nn 0.300x stayed past"), "{err}");
-        let costlier = synthesized("full", [5.0, 0.7, 0.4, 0.6, 4.6]);
-        let err = run_gate(&base, &costlier, |_| 0.7).expect_err("softplus above its ceiling");
+        let err = gate(&mut synthesized("full", [5.0, 0.7, 0.4, 0.6, 4.6]), 0.7)
+            .expect_err("softplus above its ceiling");
         assert!(err.starts_with("softplus derivative/softplus cost 0.600x stayed past"), "{err}");
         // Six lanes at the dense first layer's cost again.
-        let dense = synthesized("full", [5.0, 0.7, 0.4, 0.5, 5.9]);
-        let err = run_gate(&base, &dense, |_| 5.8).expect_err("equation loss above its ceiling");
+        let err = gate(&mut synthesized("full", [5.0, 0.7, 0.4, 0.5, 5.9]), 5.8)
+            .expect_err("equation loss above its ceiling");
         assert!(err.starts_with("equation loss/one-lane decode cost 5.800x stayed past"), "{err}");
     }
 
     #[test]
     fn gate_refuses_a_baseline_of_the_other_mode() {
         let ratios = [5.0, 0.7, 0.4, 0.5, 4.6];
-        let (full, quick) = (synthesized("full", ratios), synthesized("quick", ratios));
-        let err = run_gate(&full, &quick, |_| unreachable!()).expect_err("mode mismatch");
+        let (full, mut quick) = (synthesized("full", ratios), synthesized("quick", ratios));
+        let err = run_gate(full, &mut quick, |_| unreachable!()).expect_err("mode mismatch");
         assert!(err.contains(r#"a "full" report and this run is "quick""#), "{err}");
     }
 }

@@ -36,8 +36,8 @@
 
 use mfn_core::cli::Cli;
 use mfn_core::{
-    evaluate_pair, load_train_state_with_fallback, table_header, CheckpointError, Corpus,
-    FrozenModel, MfnConfig, TrainConfig,
+    evaluate_pair, load_train_state_with_fallback, render, Arm, CheckpointError, Corpus,
+    FrozenModel, MfnConfig, Results, Run, TrainConfig,
 };
 use mfn_data::{load_dataset, try_downsample, Dataset, PatchSpec};
 use mfn_dist::{train_elastic, FaultPlan, SupervisorConfig};
@@ -260,8 +260,20 @@ fn main() {
             FrozenModel::from_state(&r.final_state).unwrap_or_else(|e| state_error(&state_path, e));
         let sr = model.super_resolve(&valid_lr, &valid.meta, corpus.stats);
         let nu = (valid.meta.pr / valid.meta.ra).sqrt();
-        println!("{}", table_header());
-        println!("{}", evaluate_pair("validation", &valid, &sr, nu, 0).format());
+        // What this invocation trained: a resumed run counts its own epochs,
+        // each on the ranks that committed it.
+        let scores = evaluate_pair(&valid, &sr, nu, 0);
+        let wall_s = r.epoch_wall.last().copied().unwrap_or(0.0);
+        let run = Run::trained(args.tc.seed, scores, &r.epochs, &r.epoch_worlds, &args.tc, wall_s);
+        print!(
+            "{}",
+            render(&Results {
+                title: "held-out frames".into(),
+                seeds: vec![run.seed],
+                arms: vec![Arm { label: "validation".into(), runs: vec![run] }],
+                ..Default::default()
+            })
+        );
     }
 }
 

@@ -163,7 +163,21 @@ impl MfnConfig {
     /// opens every train-state payload, so a checkpoint names the model it
     /// holds and any other model refuses it.
     pub fn to_json(&self) -> String {
-        let file = ConfigFile {
+        serde_json::to_string(self).expect("config serializes")
+    }
+
+    /// Parses JSON produced by [`MfnConfig::to_json`]. Nothing is checked
+    /// beyond the schema; see [`MfnConfig::check_sizes`].
+    pub fn from_json(s: &str) -> Result<Self, String> {
+        serde_json::from_str(s).map_err(|e| e.to_string())
+    }
+}
+
+// An `MfnConfig` serializes as its `ConfigFile`: the train-state section and
+// the `model` of a results record are the same JSON.
+impl Serialize for MfnConfig {
+    fn to_value(&self) -> serde::Value {
+        ConfigFile {
             patch_nt: self.patch.nt,
             patch_nz: self.patch.nz,
             patch_nx: self.patch.nx,
@@ -183,18 +197,18 @@ impl MfnConfig {
             gamma: self.gamma,
             constraints: self.constraints.flags(),
             seed: self.seed,
-        };
-        serde_json::to_string(&file).expect("config serializes")
+        }
+        .to_value()
     }
+}
 
-    /// Parses JSON produced by [`MfnConfig::to_json`]. Nothing is checked
-    /// beyond the schema; see [`MfnConfig::check_sizes`].
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let f: ConfigFile = serde_json::from_str(s).map_err(|e| e.to_string())?;
+impl Deserialize for MfnConfig {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let f = ConfigFile::from_value(value)?;
         let (_, activation) = ACTIVATIONS
             .into_iter()
             .find(|a| a.0 == f.activation)
-            .ok_or_else(|| format!("unknown activation {:?}", f.activation))?;
+            .ok_or_else(|| serde::DeError::msg(format!("unknown activation {:?}", f.activation)))?;
         let [continuity, temperature, momentum_x, momentum_z] = f.constraints;
         Ok(MfnConfig {
             patch: PatchSpec {

@@ -19,7 +19,8 @@
 //! - [`baseline`]: Baseline (I) trilinear and Baseline (II) convolutional-
 //!   decoder U-Net of Table 2;
 //! - [`trainer`] / [`eval`]: the one Adam training loop, which trains both
-//!   MeshfreeFlowNet and Baseline (II), and the NMAE/R² table rows;
+//!   MeshfreeFlowNet and Baseline (II), and the NMAE/R² scores with the
+//!   one renderer of an experiment's results;
 //! - [`cli`]: the command-line parsing every binary shares.
 
 pub mod baseline;
@@ -46,7 +47,7 @@ pub use config::{MfnConfig, TrainConfig};
 pub use decoder::{
     decode_workers, plan_queries, ContinuousDecoder, DecodeStages, QueryPlan, VERTICES,
 };
-pub use eval::{evaluate_pair, metric_series, table_header, EvalRow};
+pub use eval::{evaluate_pair, metric_series, render, Arm, Order, Results, Run, Scores, WorldRun};
 pub use infer::FrozenModel;
 pub use losses::{
     equation_loss, equation_loss_at_points, prediction_loss, ChannelStats, ConstraintSet,

@@ -21,6 +21,12 @@ use mfn_tensor::{cores, workspace, Tensor};
 use rand::Rng;
 use std::time::Instant;
 
+/// The cores each rank of a `world`-rank run owns, and at least one: the
+/// threads its tape runs on unless fixed ([`Trainer::tape_workers`]).
+pub(crate) fn rank_cores(world: usize) -> usize {
+    (cores() / world).max(1)
+}
+
 /// One epoch's summary, or of the part of it one [`Trainer::run_epoch`]
 /// call ran.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -230,7 +236,7 @@ impl<M: Trainable> Trainer<M> {
     /// per step (an affinity mask set later counts) — all of the host for a
     /// one-rank run, one core a rank when the ranks fill the host.
     pub fn tape_workers(&self) -> usize {
-        self.tape_workers.unwrap_or_else(|| (cores() / self.world).max(1))
+        self.tape_workers.unwrap_or_else(|| rank_cores(self.world))
     }
 
     /// Fixes the tape's thread count (`None`: back to the per-rank rule).

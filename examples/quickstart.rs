@@ -10,8 +10,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use meshfreeflownet::core::{
-    baseline_trilinear, evaluate_pair, table_header, Corpus, FrozenModel, MeshfreeFlowNet,
-    MfnConfig, TrainConfig, Trainer,
+    baseline_trilinear, evaluate_pair, render, Arm, Corpus, FrozenModel, MeshfreeFlowNet,
+    MfnConfig, Results, Run, TrainConfig, Trainer,
 };
 use meshfreeflownet::data::{downsample, Dataset};
 use meshfreeflownet::solver::{simulate, RbcConfig};
@@ -39,16 +39,14 @@ fn main() {
     let model = MeshfreeFlowNet::new(mcfg);
     println!("model parameters: {}", model.param_count());
     let corpus = Corpus::new(vec![(hr.clone(), lr.clone())]);
-    let mut trainer = Trainer::new(
-        model,
-        TrainConfig {
-            epochs: 20,
-            batches_per_epoch: 8,
-            batch_size: 4,
-            lr: 1e-2,
-            ..Default::default()
-        },
-    );
+    let tc = TrainConfig {
+        epochs: 20,
+        batches_per_epoch: 8,
+        batch_size: 4,
+        lr: 1e-2,
+        ..Default::default()
+    };
+    let mut trainer = Trainer::new(model, tc);
     let records = trainer.train(&corpus);
     for r in records.iter().step_by(5) {
         println!(
@@ -63,13 +61,24 @@ fn main() {
 
     // 5. Physics-metric scoreboard (skip the quiescent start-up frames).
     let nu = (cfg.pr / cfg.ra).sqrt();
-    println!("\n{}", table_header());
-    println!("{}", evaluate_pair("trilinear (Baseline I)", &hr, &b1, nu, 8).format());
-    println!("{}", evaluate_pair("MeshfreeFlowNet", &hr, &sr, nu, 8).format());
+    let trilinear = Run::untrained(tc.seed, evaluate_pair(&hr, &b1, nu, 8));
+    let wall_s = records.iter().map(|r| r.seconds).sum();
+    let mfn_scores = evaluate_pair(&hr, &sr, nu, 8);
+    let mfn = Run::trained(tc.seed, mfn_scores, &records, &vec![1; records.len()], &tc, wall_s);
+    let arm = |label: &str, run: Run| Arm { label: label.into(), runs: vec![run] };
+    print!(
+        "\n{}",
+        render(&Results {
+            title: "quickstart: 2x/2x downsampling".into(),
+            seeds: vec![tc.seed],
+            arms: vec![arm("trilinear (Baseline I)", trilinear), arm("MeshfreeFlowNet", mfn)],
+            ..Default::default()
+        })
+    );
     println!(
         "\nNOTE: this quickstart uses mild 2x/2x downsampling and a ~1-minute training \
          budget; trilinear interpolation is strong in this easy regime. See \
-         `repro table2` / EXPERIMENTS.md for the paper's 4x/8x regime where \
-         MeshfreeFlowNet wins on every metric.\ndone."
+         `repro table2` / EXPERIMENTS.md for the paper's 4x/8x regime, scored \
+         over five paired seeds.\ndone."
     );
 }
