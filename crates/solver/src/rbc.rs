@@ -238,6 +238,26 @@ impl RbcSolver {
         }
     }
 
+    /// Restarts from a saved frame: its time, temperature and velocity. The
+    /// pressure is an output of each step's projection, so the frame's is not
+    /// read, and the first step has no advection history (forward Euler), as
+    /// the first step of [`RbcSolver::new`] has.
+    ///
+    /// # Panics
+    /// Panics if a field of `frame` is not `nz × nx` long.
+    pub fn from_snapshot(cfg: RbcConfig, frame: &Snapshot) -> Self {
+        let mut s = RbcSolver::new(RbcConfig { noise_amp: 0.0, ..cfg });
+        s.cfg = cfg;
+        for f in [&frame.temp, &frame.u, &frame.w] {
+            assert_eq!(f.len(), s.domain.n(), "frame is not {} x {}", s.domain.nz, s.domain.nx);
+        }
+        s.t = frame.time;
+        s.temp.clone_from(&frame.temp);
+        s.u.clone_from(&frame.u);
+        s.w.clone_from(&frame.w);
+        s
+    }
+
     /// The grid geometry.
     pub fn domain(&self) -> &Domain {
         &self.domain
