@@ -1211,7 +1211,7 @@ fn bench_solver(iters: usize) -> SolverRow {
     let cfg = RbcConfig { nx: 128, nz: 33, ra: 1e6, dt_max: 2e-3, seed: 1, ..Default::default() };
     let mut solver = RbcSolver::new(cfg);
     let mut xf = XTransform::new(solver.domain());
-    let field = solver.temp.clone();
+    let field = solver.snapshot().temp;
     let (sweep_ns, _, _) = time_samples(iters, || {
         std::hint::black_box(xf.ddx(&field));
     });

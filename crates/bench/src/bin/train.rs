@@ -19,7 +19,8 @@
 //! With `--valid-frac`, holds out the trailing fraction of HR frames, trains
 //! on the rest (both LR halves are downsampled from the split HR at the
 //! factors of the `--lr` file) and reports the physics-metric scoreboard on
-//! the held-out range.
+//! the held-out range. A held-out range whose LR frames are fewer than a
+//! patch's is refused (exit 2) before training.
 //! With `--telemetry`, appends one JSON object per gradient step (losses,
 //! gradient norms, per-phase timings) to the given `.jsonl` file.
 //! A run continues only the state `--resume PATH` names — bit-identically
@@ -161,7 +162,20 @@ fn datasets(
     };
     let (hr, valid) = hr_full.split_time(1.0 - valid_frac);
     let (lr, valid_lr) = (down(&hr, factors)?, down(&valid, factors)?);
+    let nt = patch(&lr).nt;
+    if valid_lr.meta.nt < nt {
+        return Err(format!(
+            "--valid-frac {valid_frac} holds out {} of {} HR frames, {} LR frames at the {}x \
+             time factor: fewer than the {nt} frames of a patch",
+            valid.meta.nt, hr_full.meta.nt, valid_lr.meta.nt, factors.0
+        ));
+    }
     Ok(((hr, lr), Some((valid, valid_lr))))
+}
+
+/// The patch shape adapted to the training LR grid.
+fn patch(lr: &Dataset) -> PatchSpec {
+    PatchSpec { nt: lr.meta.nt.min(4), nz: lr.meta.nz.min(4), nx: lr.meta.nx.min(8), queries: 256 }
 }
 
 fn main() {
@@ -175,15 +189,8 @@ fn main() {
     let grid = |d: &Dataset| format!("[{} x {} x {}]", d.meta.nt, d.meta.nz, d.meta.nx);
     let (gamma, workers) = (args.gamma, args.workers);
     eprintln!("HR {}, LR {}, gamma = {gamma}, {workers} worker(s)", grid(&hr), grid(&lr));
-    // Patch shape adapted to the LR grid.
-    let patch = PatchSpec {
-        nt: lr.meta.nt.min(4),
-        nz: lr.meta.nz.min(4),
-        nx: lr.meta.nx.min(8),
-        queries: 256,
-    };
     let mut mcfg = MfnConfig::small();
-    mcfg.patch = patch;
+    mcfg.patch = patch(&lr);
     mcfg.gamma = args.gamma;
     let corpus = Corpus::new(vec![(hr, lr)]);
     let recorder = match &args.telemetry {
@@ -286,15 +293,16 @@ mod tests {
     fn hr() -> Dataset {
         let sim = simulate(
             &RbcConfig { nx: 16, nz: 9, ra: 1e5, dt_max: 2e-3, ..Default::default() },
-            0.1,
-            13,
+            0.2,
+            25,
         );
         Dataset::from_simulation(&sim)
     }
 
     /// README's `--lr data/rb.bin.lr --valid-frac 0.2`, at CI's 2x/2x
     /// factors: the training LR covers the training HR frames only, and
-    /// validation runs at the LR file's factors.
+    /// validation runs at the LR file's factors (25 frames hold out 7, 4 LR
+    /// frames: one patch).
     #[test]
     fn held_out_frames_stay_out_of_training_at_the_lr_files_factors() {
         let hr_full = hr();
@@ -307,6 +315,23 @@ mod tests {
         assert_eq!(lr.data, downsample(&want_hr, 2, 2).data);
         assert!(lr.meta.duration <= hr.meta.duration, "LR frames past the training HR");
         assert_eq!(valid_lr.data, downsample(&want_valid, 2, 2).data);
+    }
+
+    /// A held-out range whose LR frames cannot hold one patch is refused
+    /// before training: 17 frames of 32 × 9 at 2x/2x hold out 5 HR frames,
+    /// 3 LR frames, against a patch of 4.
+    #[test]
+    fn a_held_out_range_shorter_than_a_patch_is_refused() {
+        let sim = simulate(
+            &RbcConfig { nx: 32, nz: 9, ra: 1e5, dt_max: 2e-3, ..Default::default() },
+            0.8,
+            17,
+        );
+        let hr_full = Dataset::from_simulation(&sim);
+        let lr_file = downsample(&hr_full, 2, 2);
+        let err = datasets(hr_full, Some(lr_file), 0.3).expect_err("3 LR frames fit no patch");
+        assert!(err.contains("5 of 17 HR frames, 3 LR frames"), "{err}");
+        assert!(err.contains("the 4 frames of a patch"), "{err}");
     }
 
     /// An LR file that is not the HR file downsampled cannot be split.

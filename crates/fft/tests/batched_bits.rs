@@ -25,7 +25,7 @@ mod scalar {
 
     /// In-place radix-2 DFT of one signal; the inverse conjugates the
     /// twiddles and does not scale.
-    pub fn fft(data: &mut [Complex], inverse: bool) {
+    pub(super) fn row_fft(data: &mut [Complex], inverse: bool) {
         let n = data.len();
         let bits = n.trailing_zeros();
         for i in 0..n {
@@ -52,7 +52,7 @@ mod scalar {
     /// `n/2 + 1` coefficients of one real signal.
     pub fn real_forward(signal: &[f64]) -> Vec<Complex> {
         let mut buf: Vec<Complex> = signal.iter().map(|&x| Complex::real(x)).collect();
-        fft(&mut buf, false);
+        row_fft(&mut buf, false);
         buf.truncate(signal.len() / 2 + 1);
         buf
     }
@@ -66,7 +66,7 @@ mod scalar {
             buf[n - k] = spectrum[k].conj();
         }
         buf[n / 2] = Complex::real(spectrum[n / 2].re);
-        fft(&mut buf, true);
+        row_fft(&mut buf, true);
         let scale = 1.0 / n as f64;
         buf.iter().map(|z| z.re * scale).collect()
     }
@@ -185,7 +185,7 @@ fn complex_plan_is_the_scalar_transform() {
                 re.iter().zip(&im).take(n).map(|(&r, &i)| Complex::new(r, i)).collect();
             let (mut got, mut want) = (signal.clone(), signal.clone());
             plan.forward(&mut got);
-            scalar::fft(&mut want, false);
+            scalar::row_fft(&mut want, false);
             for (k, (g, w)) in got.iter().zip(&want).enumerate() {
                 let what = format!("forward n {n} class {j} bin {k}");
                 assert_same(g.re, w.re, &what);
@@ -193,7 +193,7 @@ fn complex_plan_is_the_scalar_transform() {
             }
             let (mut got, mut want) = (signal.clone(), signal);
             plan.inverse(&mut got);
-            scalar::fft(&mut want, true);
+            scalar::row_fft(&mut want, true);
             let scale = 1.0 / n as f64;
             for (x, (g, w)) in got.iter().zip(&want).enumerate() {
                 let what = format!("inverse n {n} class {j} sample {x}");

@@ -7,16 +7,23 @@
 //! Crank–Nicolson diffusion, AB2 advection, and a projection method whose
 //! per-wavenumber Poisson/Helmholtz systems are tridiagonal solves.
 //!
-//! Each mechanism exists once: every x-operator (`ddx`, `d2dx2`,
-//! `dealias_x`) and both implicit solves run through one x-transform,
-//! [`XTransform`]: one batched real FFT of all `nz` rows into a mode-major
-//! spectrum, a per-mode rule, one batched inverse. [`RbcSolver`] builds its
-//! transform (plan and buffer) and its Poisson matrices once; the free
-//! operators build a transform per call. The Helmholtz and Poisson systems
-//! share one per-mode solve, and one Thomas sweep ([`solve_complex`] on a
-//! copy of its right-hand side) runs in place on the solver's buffers
-//! without allocating. The output is pinned bit
-//! for bit by `tests/frame_digest.rs`.
+//! The solver keeps its state as x-spectra: `u`, `w`, `T` and `p` as the
+//! mode-major spectra [`XTransform`] writes, `nz` coefficients for each mode
+//! `k = 0..=nx/2`. Only the advection products are formed on physical rows:
+//! a step runs six batched inverse transforms (`u`, `w`, `T` and their
+//! x-derivatives) and three batched forward ones (the three products), and
+//! everything else — the 2/3 dealiasing mask, buoyancy, Crank–Nicolson
+//! right-hand sides and Helmholtz solves, the projection's divergence,
+//! Poisson solve and gradient — is per-mode arithmetic on the `nz`
+//! coefficients of each mode. A frame inverts only the pressure.
+//! [`RbcSolver`] builds its transform (plan and buffer), its Poisson
+//! matrices and every per-step buffer once; the free operators (`ddx`,
+//! `d2dx2`, `laplacian`, `dealias_x`) build a transform per call and serve
+//! `mfn-physics` and the reference checks. The Helmholtz and Poisson systems
+//! share one Thomas sweep ([`solve_complex`] on a copy of its right-hand
+//! side), run in place on the solver's buffers without allocating. The
+//! output is pinned bit for bit by `tests/frame_digest.rs`, and how well it
+//! solves the equations is measured by `tests/solver_fidelity.rs`.
 //!
 //! Entry point: [`simulate`] produces the `(T, p, u, w)` snapshot sequence
 //! that `mfn-data` turns into training datasets; [`try_simulate`] returns a

@@ -89,13 +89,15 @@ pub fn idx(domain: &Domain, j: usize, i: usize) -> usize {
 }
 
 /// The x-transform of one grid: a real-FFT plan for its rows and the
-/// mode-major buffer every sweep transforms into, built once. Each sweep is
-/// one batched forward transform of all `nz` rows, a per-mode rule on the
-/// `nz` coefficients of each mode `k = 0..=nx/2` (its z-profile, in row
-/// order), and one batched inverse transform. [`RbcSolver`](crate::RbcSolver)
-/// owns one; the free [`ddx`], [`d2dx2`], [`laplacian`] and [`dealias_x`]
-/// build one per call. Every output is bit for bit the row-at-a-time
-/// transform's (see [`RealFftPlan::forward_rows`]).
+/// mode-major buffer every transform runs through, built once. A forward
+/// transform takes all `nz` rows of a physical field at once to the
+/// spectrum's `nx/2 + 1` modes, each held as its `nz` coefficients in row
+/// order (its z-profile); an inverse transform takes such a spectrum back to
+/// rows. [`RbcSolver`](crate::RbcSolver) keeps its state in this layout and
+/// owns one transform; the free [`ddx`], [`d2dx2`], [`laplacian`] and
+/// [`dealias_x`] build one per call and run one sweep (forward, a per-mode
+/// rule, inverse). Every transform is bit for bit the row-at-a-time one
+/// (see [`RealFftPlan::forward_rows`]).
 #[derive(Debug, Clone)]
 pub struct XTransform {
     domain: Domain,
@@ -103,6 +105,9 @@ pub struct XTransform {
     /// `nx · nz` coefficients: mode `k`'s z-profile is
     /// `work[k * nz..(k + 1) * nz]` for `k <= nx/2`; the rest is scratch.
     work: Vec<Complex>,
+    /// Batched `[forward, inverse]` transforms run so far.
+    #[cfg(test)]
+    pub(crate) transforms: [usize; 2],
 }
 
 impl XTransform {
@@ -112,74 +117,101 @@ impl XTransform {
             domain: *domain,
             plan: RealFftPlan::new(domain.nx),
             work: vec![Complex::ZERO; domain.n()],
+            #[cfg(test)]
+            transforms: [0; 2],
         }
     }
 
-    /// The grid this transform is built for.
-    pub(crate) fn domain(&self) -> &Domain {
-        &self.domain
+    /// The length of a spectrum: `nz` coefficients for each of the
+    /// `nx/2 + 1` modes.
+    pub(crate) fn spectrum_len(&self) -> usize {
+        self.plan.spectrum_len() * self.domain.nz
     }
 
-    /// The one sweep: forward transform of every z-row of `f`, `rule(k,
+    /// Runs `rule(k, column)` on each mode's z-profile in the work buffer.
+    fn each_mode(&mut self, mut rule: impl FnMut(usize, &mut [Complex])) {
+        let (modes, nz) = (self.spectrum_len(), self.domain.nz);
+        self.work[..modes].chunks_exact_mut(nz).enumerate().for_each(|(k, c)| rule(k, c));
+    }
+
+    /// One batched forward transform of every z-row of `f` into the work
+    /// buffer.
+    fn forward_rows(&mut self, f: &[f64]) {
+        assert_eq!(f.len(), self.domain.n());
+        #[cfg(test)]
+        {
+            self.transforms[0] += 1;
+        }
+        self.plan.forward_rows(f, &mut self.work);
+    }
+
+    /// One batched inverse transform of the work buffer's modes into `f`.
+    fn inverse_rows(&mut self, f: &mut [f64]) {
+        assert_eq!(f.len(), self.domain.n());
+        #[cfg(test)]
+        {
+            self.transforms[1] += 1;
+        }
+        self.plan.inverse_rows(&mut self.work, f);
+    }
+
+    /// The spectrum of the physical field `f`, written to `spectrum`.
+    pub(crate) fn forward(&mut self, f: &[f64], spectrum: &mut [Complex]) {
+        self.forward_rows(f);
+        spectrum.copy_from_slice(&self.work[..spectrum.len()]);
+    }
+
+    /// The physical field of `spectrum` after `rule(k, column)` has run on
+    /// a copy of each mode's z-profile, written to `f`.
+    pub(crate) fn inverse(
+        &mut self,
+        spectrum: &[Complex],
+        f: &mut [f64],
+        rule: impl FnMut(usize, &mut [Complex]),
+    ) {
+        self.work[..spectrum.len()].copy_from_slice(spectrum);
+        self.each_mode(rule);
+        self.inverse_rows(f);
+    }
+
+    /// One sweep: forward transform of every z-row of `f`, `rule(k,
     /// column)` on each mode's z-profile, inverse transform of every row.
     pub(crate) fn map_modes(
         &mut self,
         f: &[f64],
-        mut rule: impl FnMut(usize, &mut [Complex]),
+        rule: impl FnMut(usize, &mut [Complex]),
     ) -> Vec<f64> {
-        assert_eq!(f.len(), self.domain.n());
-        let nz = self.domain.nz;
-        self.plan.forward_rows(f, &mut self.work);
-        let modes = self.plan.spectrum_len() * nz;
-        self.work[..modes].chunks_exact_mut(nz).enumerate().for_each(|(k, c)| rule(k, c));
+        self.forward_rows(f);
+        self.each_mode(rule);
         let mut out = vec![0.0; f.len()];
-        self.plan.inverse_rows(&mut self.work, &mut out);
+        self.inverse_rows(&mut out);
         out
     }
 
-    /// Spectral ∂/∂x along each z-row. The Nyquist mode's derivative is set
-    /// to zero (its `i·k` image is not representable for a real signal).
+    /// Spectral ∂/∂x along each z-row: every mode times `i·k_x`, the
+    /// Nyquist mode zeroed.
     pub fn ddx(&mut self, f: &[f64]) -> Vec<f64> {
         let d = self.domain;
-        self.map_modes(f, |k, column| {
-            if k == d.nx / 2 {
-                column.fill(Complex::ZERO);
-            } else {
-                let kk = d.wavenumber(k);
-                column.iter_mut().for_each(|c| *c = c.mul_i().scale(kk));
-            }
-        })
+        self.map_modes(f, |k, column| ik(&d, k, column))
     }
+}
 
-    /// [`d2dx2`] through this transform.
-    pub(crate) fn d2dx2(&mut self, f: &[f64]) -> Vec<f64> {
-        let d = self.domain;
-        self.map_modes(f, |k, column| {
-            let kk = d.wavenumber(k);
-            column.iter_mut().for_each(|c| *c = c.scale(-kk * kk));
-        })
+/// Multiplies mode `k`'s coefficients by `i·k_x`: spectral ∂/∂x. The
+/// Nyquist mode's derivative is set to zero (its `i·k` image is not
+/// representable for a real signal).
+pub(crate) fn ik(d: &Domain, k: usize, column: &mut [Complex]) {
+    if k == d.nx / 2 {
+        column.fill(Complex::ZERO);
+    } else {
+        let kk = d.wavenumber(k);
+        column.iter_mut().for_each(|c| *c = c.mul_i().scale(kk));
     }
+}
 
-    /// [`laplacian`] through this transform.
-    pub(crate) fn laplacian(&mut self, f: &[f64]) -> Vec<f64> {
-        let mut lx = self.d2dx2(f);
-        let lz = d2dz2(&self.domain, f);
-        for (a, b) in lx.iter_mut().zip(&lz) {
-            *a += b;
-        }
-        lx
-    }
-
-    /// [`dealias_x`] through this transform.
-    pub(crate) fn dealias(&mut self, f: &mut [f64]) {
-        let cutoff = self.domain.nx / 3;
-        let kept = self.map_modes(f, |k, column| {
-            if k > cutoff {
-                column.fill(Complex::ZERO);
-            }
-        });
-        f.copy_from_slice(&kept);
-    }
+/// Whether the 2/3 rule drops mode `k` of a nonlinear product: every mode
+/// above `nx/3`.
+pub(crate) fn aliased(d: &Domain, k: usize) -> bool {
+    k > d.nx / 3
 }
 
 /// Spectral ∂/∂x along each z-row ([`XTransform::ddx`] on a transform
@@ -191,16 +223,26 @@ pub fn ddx(domain: &Domain, f: &[f64]) -> Vec<f64> {
 /// Spectral ∂²/∂x² along each z-row, through a transform built for this
 /// call.
 pub fn d2dx2(domain: &Domain, f: &[f64]) -> Vec<f64> {
-    XTransform::new(domain).d2dx2(f)
+    XTransform::new(domain).map_modes(f, |k, column| {
+        let kk = domain.wavenumber(k);
+        column.iter_mut().for_each(|c| *c = c.scale(-kk * kk));
+    })
 }
 
 /// Second-order ∂/∂z: central in the interior, one-sided (second-order
 /// three-point) at the walls.
 pub fn ddz(domain: &Domain, f: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0f64; f.len()];
+    ddz_into(domain, f, &mut out);
+    out
+}
+
+/// [`ddz`] into `out`.
+pub(crate) fn ddz_into(domain: &Domain, f: &[f64], out: &mut [f64]) {
     assert_eq!(f.len(), domain.n());
+    assert_eq!(out.len(), f.len());
     let (nx, nz) = (domain.nx, domain.nz);
     let dz = domain.dz();
-    let mut out = vec![0.0f64; f.len()];
     for i in 0..nx {
         out[i] = (-3.0 * f[i] + 4.0 * f[nx + i] - f[2 * nx + i]) / (2.0 * dz);
         let top = (nz - 1) * nx;
@@ -212,7 +254,6 @@ pub fn ddz(domain: &Domain, f: &[f64]) -> Vec<f64> {
             out[j * nx + i] = (f[(j + 1) * nx + i] - f[(j - 1) * nx + i]) / (2.0 * dz);
         }
     }
-    out
 }
 
 /// Second-order ∂²/∂z²: central in the interior; at the walls a one-sided
@@ -241,14 +282,23 @@ pub fn d2dz2(domain: &Domain, f: &[f64]) -> Vec<f64> {
 /// The discrete Laplacian `∂²/∂x² + ∂²/∂z²` (spectral + FD), through a
 /// transform built for this call.
 pub fn laplacian(domain: &Domain, f: &[f64]) -> Vec<f64> {
-    XTransform::new(domain).laplacian(f)
+    let mut lx = d2dx2(domain, f);
+    for (a, b) in lx.iter_mut().zip(d2dz2(domain, f)) {
+        *a += b;
+    }
+    lx
 }
 
 /// Zeroes the top third of x-modes of a physical field (the 2/3 dealiasing
 /// rule applied to nonlinear products), through a transform built for this
 /// call.
 pub fn dealias_x(domain: &Domain, f: &mut [f64]) {
-    XTransform::new(domain).dealias(f);
+    let kept = XTransform::new(domain).map_modes(f, |k, column| {
+        if aliased(domain, k) {
+            column.fill(Complex::ZERO);
+        }
+    });
+    f.copy_from_slice(&kept);
 }
 
 #[cfg(test)]

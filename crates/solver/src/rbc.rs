@@ -15,6 +15,13 @@
 //! tridiagonal Helmholtz systems, and a pressure-projection step with
 //! per-mode tridiagonal Poisson solves. Time step is CFL-adaptive, mirroring
 //! the paper's "adaptive time stepping" remark.
+//!
+//! The state is the x-spectra of `u`, `w`, `T` and `p`. Every x-derivative
+//! is a multiply by `i·k`, and every z-derivative the same finite difference
+//! on a mode's z-profile as on a physical row (it acts row by row, so it
+//! commutes with the x-transform). The scheme is therefore the one a
+//! solver on physical rows would step, transform for transform, in exact
+//! arithmetic; only the rounding differs.
 
 use crate::ops::{self, ddz, Domain, XTransform};
 use crate::tridiag::{solve_in_place, Tridiag};
@@ -153,27 +160,41 @@ impl Simulation {
 }
 
 /// The time-stepping state of the Rayleigh–Bénard solver.
+///
+/// The state is held as x-spectra: `u`, `w`, `T` and `p` as the mode-major
+/// spectra [`XTransform`] writes, `nz` coefficients (a z-profile) for each
+/// mode `k = 0..=nx/2`. Everything but the advection products is per-mode
+/// arithmetic on them. Physical `u`, `w` and `T` are kept beside the
+/// spectra, inverted once a step: the next step's products, the CFL limit
+/// and the frames read them.
 pub struct RbcSolver {
     cfg: RbcConfig,
     domain: Domain,
     /// Current simulation time.
     pub t: f64,
-    /// Horizontal velocity field (`nz × nx`).
-    pub u: Vec<f64>,
-    /// Vertical velocity field.
-    pub w: Vec<f64>,
-    /// Temperature field.
-    pub temp: Vec<f64>,
-    /// Pressure (projection potential) field.
-    pub p: Vec<f64>,
-    /// Previous step's explicit terms for AB2 (`[Nu, Nw, NT]`).
-    n_prev: Option<[Vec<f64>; 3]>,
-    /// The dt used on the previous step (AB2 assumes near-constant dt; the
-    /// CFL controller changes it slowly).
-    dt_prev: f64,
     /// Total steps taken.
     pub steps: u64,
-    /// The one x-transform every sweep of a step runs through.
+    /// The spectra of `[u, w, T]`.
+    state: [Vec<Complex>; 3],
+    /// The spectrum of the pressure: the projection potential plus the
+    /// hydrostatic column.
+    p: Vec<Complex>,
+    /// `[u, w, T]` in physical space (`nz × nx`): the inverse of `state`.
+    rows: [Vec<f64>; 3],
+    /// This step's dealiased explicit terms `[Nu, Nw, NT]` (advection and
+    /// buoyancy), as spectra.
+    explicit: [Vec<Complex>; 3],
+    /// The previous step's, for AB2.
+    explicit_prev: [Vec<Complex>; 3],
+    /// The dt of the previous step (AB2 assumes near-constant dt; the CFL
+    /// controller changes it slowly). Zero before the first step, which is
+    /// then forward Euler in the explicit terms.
+    dt_prev: f64,
+    /// Scratch rows: one field's x-derivative, then its advection product,
+    /// and its z-derivative.
+    dx_rows: Vec<f64>,
+    dz_rows: Vec<f64>,
+    /// The one x-transform every spectrum goes through.
     xf: XTransform,
     /// The Poisson matrix of every x-mode `k = 0..=nx/2` (they depend only
     /// on the grid).
@@ -182,16 +203,14 @@ pub struct RbcSolver {
     helmholtz: Tridiag,
     /// The Thomas sweep's eliminated super-diagonal.
     thomas: Vec<f64>,
+    /// One mode's right-hand side, solved in place.
+    column: Vec<Complex>,
 }
 
-/// Which per-mode system [`RbcSolver::solve_modes`] solves.
-#[derive(Clone, Copy)]
-enum System {
-    /// Crank–Nicolson diffusion with coefficient `a`.
-    Helmholtz(f64),
-    /// The projection's pressure potential.
-    Poisson,
-}
+/// Indices of `u`, `w` and `T` in the solver's field arrays.
+const U: usize = 0;
+const W: usize = 1;
+const T: usize = 2;
 
 /// Wall temperatures: hot bottom `T=1`, cold top `T=0` (normalized ΔT = 1).
 pub const T_BOTTOM: f64 = 1.0;
@@ -215,18 +234,21 @@ impl RbcSolver {
                 temp[ops::idx(&domain, j, i)] = base + noise;
             }
         }
-        RbcSolver {
+        let xf = XTransform::new(&domain);
+        let spectrum = || vec![Complex::ZERO; xf.spectrum_len()];
+        let mut s = RbcSolver {
             cfg,
             domain,
             t: 0.0,
-            u: vec![0.0; n],
-            w: vec![0.0; n],
-            temp,
-            p: vec![0.0; n],
-            n_prev: None,
-            dt_prev: 0.0,
             steps: 0,
-            xf: XTransform::new(&domain),
+            state: [spectrum(), spectrum(), spectrum()],
+            p: spectrum(),
+            rows: [vec![0.0; n], vec![0.0; n], temp],
+            explicit: [spectrum(), spectrum(), spectrum()],
+            explicit_prev: [spectrum(), spectrum(), spectrum()],
+            dt_prev: 0.0,
+            dx_rows: vec![0.0; n],
+            dz_rows: vec![0.0; n],
             poisson: (0..=domain.nx / 2)
                 .map(|k| {
                     let kk = domain.wavenumber(k);
@@ -235,7 +257,11 @@ impl RbcSolver {
                 .collect(),
             helmholtz: Tridiag::zeros(domain.nz),
             thomas: vec![0.0; domain.nz],
-        }
+            column: vec![Complex::ZERO; domain.nz],
+            xf,
+        };
+        s.forward_state();
+        s
     }
 
     /// Restarts from a saved frame: its time, temperature and velocity. The
@@ -252,10 +278,18 @@ impl RbcSolver {
             assert_eq!(f.len(), s.domain.n(), "frame is not {} x {}", s.domain.nz, s.domain.nx);
         }
         s.t = frame.time;
-        s.temp.clone_from(&frame.temp);
-        s.u.clone_from(&frame.u);
-        s.w.clone_from(&frame.w);
+        s.rows[U].clone_from(&frame.u);
+        s.rows[W].clone_from(&frame.w);
+        s.rows[T].clone_from(&frame.temp);
+        s.forward_state();
         s
+    }
+
+    /// The spectra of the physical `[u, w, T]`.
+    fn forward_state(&mut self) {
+        for (rows, spectrum) in self.rows.iter().zip(&mut self.state) {
+            self.xf.forward(rows, spectrum);
+        }
     }
 
     /// The grid geometry.
@@ -265,168 +299,136 @@ impl RbcSolver {
 
     /// The CFL-limited time step at the current state.
     pub fn cfl_dt(&self) -> f64 {
-        let umax = self.u.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-        let wmax = self.w.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        let umax = self.rows[U].iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        let wmax = self.rows[W].iter().fold(0.0f64, |m, &v| m.max(v.abs()));
         let dtx = self.cfg.cfl * self.domain.dx() / (umax + 1e-12);
         let dtz = self.cfg.cfl * self.domain.dz() / (wmax + 1e-12);
         dtx.min(dtz).min(self.cfg.dt_max)
     }
 
-    /// Explicit (advection + buoyancy) right-hand sides `[Nu, Nw, NT]`.
-    fn nonlinear(&mut self) -> [Vec<f64>; 3] {
-        let d = &self.domain;
-        let ux = self.xf.ddx(&self.u);
-        let uz = ddz(d, &self.u);
-        let wx = self.xf.ddx(&self.w);
-        let wz = ddz(d, &self.w);
-        let tx = self.xf.ddx(&self.temp);
-        let tz = ddz(d, &self.temp);
-        let n = d.n();
-        // Buoyancy enters as the horizontal *fluctuation* of T: the mean part
-        // T̄(z) ẑ is a gradient (hydrostatic balance) and is absorbed into the
-        // modified pressure exactly, which keeps the discrete projection from
-        // having to cancel a large irrotational forcing every step.
-        let tbar = row_means(d, &self.temp);
-        let mut nu = vec![0.0f64; n];
-        let mut nw = vec![0.0f64; n];
-        let mut nt = vec![0.0f64; n];
-        for k in 0..n {
-            let j = k / d.nx;
-            nu[k] = -(self.u[k] * ux[k] + self.w[k] * uz[k]);
-            nw[k] = -(self.u[k] * wx[k] + self.w[k] * wz[k]) + (self.temp[k] - tbar[j]);
-            nt[k] = -(self.u[k] * tx[k] + self.w[k] * tz[k]);
+    /// The explicit terms `[Nu, Nw, NT]` of the current state into
+    /// `explicit`: three inverse transforms (the x-derivatives), the
+    /// advection products on the rows, three forward transforms, then the
+    /// 2/3 rule as a mask and the buoyancy per mode.
+    fn explicit_terms(&mut self) {
+        let d = self.domain;
+        let RbcSolver { xf, state, rows, dx_rows: fx, dz_rows: fz, explicit, .. } = self;
+        for f in [U, W, T] {
+            xf.inverse(&state[f], fx, |k, column| ops::ik(&d, k, column));
+            ops::ddz_into(&d, &rows[f], fz);
+            for n in 0..d.n() {
+                fx[n] = -(rows[U][n] * fx[n] + rows[W][n] * fz[n]);
+            }
+            xf.forward(fx, &mut explicit[f]);
         }
-        let mut out = [nu, nw, nt];
-        for f in out.iter_mut() {
-            self.xf.dealias(f);
-        }
-        out
-    }
-
-    /// Solves `matrix(k) f̂_k = r̂_k` for the z-profile of every x-mode `k`
-    /// of `rhs`, whose wall rows are first set to the boundary values
-    /// `walls = (bottom, top)`: the DFT of a constant is `value * nx` in
-    /// mode 0, zero elsewhere. Each mode's system is solved in place on the
-    /// solver's buffers.
-    fn solve_modes(&mut self, rhs: &[f64], system: System, (bottom, top): (f64, f64)) -> Vec<f64> {
-        let RbcSolver { domain: d, xf, poisson, helmholtz, thomas, .. } = self;
-        xf.map_modes(rhs, |k, column| {
-            let wall = |v: f64| if k == 0 { Complex::real(v * d.nx as f64) } else { Complex::ZERO };
-            column[0] = wall(bottom);
-            column[d.nz - 1] = wall(top);
-            let matrix = match system {
-                System::Helmholtz(a) => {
-                    let kk = d.wavenumber(k);
-                    fill_helmholtz(helmholtz, d, a, kk * kk);
-                    &*helmholtz
+        // Buoyancy enters as the horizontal *fluctuation* of T, mode 0 of
+        // T̂ dropped: the mean part T̄(z) ẑ is a gradient (hydrostatic
+        // balance) and is absorbed into the modified pressure exactly, which
+        // keeps the discrete projection from having to cancel a large
+        // irrotational forcing every step.
+        let nz = d.nz;
+        for k in 0..=d.nx / 2 {
+            let modes = k * nz..(k + 1) * nz;
+            if ops::aliased(&d, k) {
+                explicit.iter_mut().for_each(|e| e[modes.clone()].fill(Complex::ZERO));
+            } else if k > 0 {
+                for (n, &t) in explicit[W][modes.clone()].iter_mut().zip(&state[T][modes]) {
+                    *n += t;
                 }
-                System::Poisson => &poisson[k],
-            };
-            solve_in_place(matrix, column, thomas);
-        })
-    }
-
-    /// Implicit Crank–Nicolson diffusion solve: returns the field satisfying
-    /// `(I − a(D_zz − k²)) f = rhs` with Dirichlet values `(bottom, top)`.
-    fn diffuse(&mut self, rhs: &[f64], a: f64, bottom: f64, top: f64) -> Vec<f64> {
-        self.solve_modes(rhs, System::Helmholtz(a), (bottom, top))
-    }
-
-    /// Pressure projection: makes `(u, w)` divergence-free, storing the
-    /// accumulated potential `φ` (scaled to pressure units) in `self.p`.
-    ///
-    /// The spectral-x/FD-z gradient and divergence operators do not compose
-    /// into the exact 3-point Laplacian the Poisson solve uses, so a single
-    /// pass leaves an O(Δz²) residual; two extra fixed passes drive the
-    /// interior divergence down by the same factor each time.
-    fn project(&mut self, dt: f64) {
-        self.p = vec![0.0; self.domain.n()];
-        for _ in 0..3 {
-            self.project_once(dt);
-        }
-        self.enforce_velocity_bc();
-        // The projection potential φ is the *modified* pressure (buoyancy was
-        // applied as the horizontal fluctuation of T). Add back the
-        // hydrostatic column integral H(z) = ∫₀ᶻ T̄ dz' so the stored p
-        // channel satisfies the paper's momentum equation with the full T:
-        // ∇(φ + H) − T ẑ = ∇φ − (T − T̄) ẑ.
-        let d = &self.domain;
-        let dz = d.dz();
-        let tbar = row_means(d, &self.temp);
-        let mut hydro = vec![0.0f64; d.nz];
-        for j in 1..d.nz {
-            hydro[j] = hydro[j - 1] + 0.5 * (tbar[j] + tbar[j - 1]) * dz;
-        }
-        for (j, &h) in hydro.iter().enumerate() {
-            for v in &mut self.p[j * d.nx..(j + 1) * d.nx] {
-                *v += h;
             }
         }
     }
 
-    fn project_once(&mut self, dt: f64) {
-        let div = divergence(&mut self.xf, &self.u, &self.w);
-        let rhs: Vec<f64> = div.iter().map(|v| v / dt).collect();
-        // Neumann (or, for k = 0, pinned) wall rows: zero right-hand side.
-        let phi = self.solve_modes(&rhs, System::Poisson, (0.0, 0.0));
-        let phix = self.xf.ddx(&phi);
-        let phiz = ddz(&self.domain, &phi);
-        for k in 0..self.domain.n() {
-            self.u[k] -= dt * phix[k];
-            self.w[k] -= dt * phiz[k];
-            self.p[k] += phi[k];
-        }
-    }
-
-    fn enforce_velocity_bc(&mut self) {
-        let nx = self.domain.nx;
-        let top = (self.domain.nz - 1) * nx;
-        for i in 0..nx {
-            self.u[i] = 0.0;
-            self.w[i] = 0.0;
-            self.u[top + i] = 0.0;
-            self.w[top + i] = 0.0;
-        }
-    }
-
-    /// Advances one step of size `dt`.
+    /// Advances one step of size `dt`: AB2 explicit terms, Crank–Nicolson
+    /// diffusion and a three-pass pressure projection, each mode on its own
+    /// z-profile, then the new state's rows.
     pub fn step(&mut self, dt: f64) {
         assert!(dt > 0.0, "dt must be positive");
-        let d = self.domain;
-        let n = d.n();
-        let nl = self.nonlinear();
+        self.explicit_terms();
         // AB2 extrapolation with variable step: coefficients for (dt, dt_prev).
-        let (c0, c1) = match &self.n_prev {
-            Some(_) if self.dt_prev > 0.0 => {
-                let r = dt / self.dt_prev;
-                (1.0 + r / 2.0, -r / 2.0)
-            }
-            _ => (1.0, 0.0),
+        let (c0, c1) = if self.dt_prev > 0.0 {
+            let r = dt / self.dt_prev;
+            (1.0 + r / 2.0, -r / 2.0)
+        } else {
+            (1.0, 0.0)
         };
-        let kappa_u = self.cfg.r_star();
-        let kappa_t = self.cfg.p_star();
-        let lap_u = self.xf.laplacian(&self.u);
-        let lap_w = self.xf.laplacian(&self.w);
-        let lap_t = self.xf.laplacian(&self.temp);
-        let prev = |f: usize, k: usize| self.n_prev.as_ref().map_or(0.0, |p| p[f][k]);
-        let mut rhs_u = vec![0.0f64; n];
-        let mut rhs_w = vec![0.0f64; n];
-        let mut rhs_t = vec![0.0f64; n];
-        for k in 0..n {
-            let nu = c0 * nl[0][k] + c1 * prev(0, k);
-            let nw = c0 * nl[1][k] + c1 * prev(1, k);
-            let nt = c0 * nl[2][k] + c1 * prev(2, k);
-            rhs_u[k] = self.u[k] + dt * (nu + 0.5 * kappa_u * lap_u[k]);
-            rhs_w[k] = self.w[k] + dt * (nw + 0.5 * kappa_u * lap_w[k]);
-            rhs_t[k] = self.temp[k] + dt * (nt + 0.5 * kappa_t * lap_t[k]);
+        let d = self.domain;
+        let (nz, dz) = (d.nz, d.dz());
+        let kappa = [self.cfg.r_star(), self.cfg.r_star(), self.cfg.p_star()];
+        let walls = [(0.0, 0.0), (0.0, 0.0), (T_BOTTOM, T_TOP)];
+        let RbcSolver {
+            state, p, explicit, explicit_prev, poisson, helmholtz, thomas, column, ..
+        } = self;
+        for (k, poisson) in poisson.iter().enumerate() {
+            let kk = d.wavenumber(k);
+            let modes = k * nz..(k + 1) * nz;
+            // The DFT of a constant wall value is `value * nx` in mode 0,
+            // zero elsewhere.
+            let wall = |v: f64| if k == 0 { Complex::real(v * d.nx as f64) } else { Complex::ZERO };
+            // Crank–Nicolson: (I − a(D_zz − k²)) f' = f + dt (AB2 terms +
+            // ½κ(D_zz − k²) f), a = ½κ dt, with Dirichlet walls.
+            for f in [U, W, T] {
+                let old = &state[f][modes.clone()];
+                let (n, n_prev) = (&explicit[f][modes.clone()], &explicit_prev[f][modes.clone()]);
+                for j in 1..nz - 1 {
+                    let lap = old[j].scale(-kk * kk)
+                        + (old[j + 1] - old[j].scale(2.0) + old[j - 1]) / (dz * dz);
+                    let terms = n[j].scale(c0) + n_prev[j].scale(c1);
+                    column[j] = old[j] + (terms + lap.scale(0.5 * kappa[f])).scale(dt);
+                }
+                column[0] = wall(walls[f].0);
+                column[nz - 1] = wall(walls[f].1);
+                fill_helmholtz(helmholtz, &d, 0.5 * dt * kappa[f], kk * kk);
+                solve_in_place(helmholtz, column, thomas);
+                state[f][modes.clone()].copy_from_slice(column);
+            }
+            // Pressure projection: makes (û, ŵ) divergence-free and stores
+            // the accumulated potential φ̂ (scaled to pressure units) in p̂.
+            // The spectral-x/FD-z gradient and divergence do not compose
+            // into the exact 3-point Laplacian the Poisson solve uses, so a
+            // single pass leaves an O(Δz²) residual; two extra fixed passes
+            // drive the interior divergence down by the same factor each
+            // time. ∂/∂x is i·k, zero at the Nyquist mode.
+            let kx = if k == d.nx / 2 { 0.0 } else { kk };
+            let [u, w, _] = &mut *state;
+            let (u, w, p) = (&mut u[modes.clone()], &mut w[modes.clone()], &mut p[modes]);
+            let phi = column.as_mut_slice();
+            p.fill(Complex::ZERO);
+            for _ in 0..3 {
+                // ∇·u / dt; Neumann (or, for k = 0, pinned) wall rows: zero.
+                phi[0] = Complex::ZERO;
+                phi[nz - 1] = Complex::ZERO;
+                for j in 1..nz - 1 {
+                    phi[j] = (u[j].mul_i().scale(kx) + (w[j + 1] - w[j - 1]) / (2.0 * dz)) / dt;
+                }
+                solve_in_place(poisson, phi, thomas);
+                for j in 0..nz {
+                    u[j] -= phi[j].mul_i().scale(kx).scale(dt);
+                    w[j] -= ddz_at(phi, j, dz).scale(dt);
+                    p[j] += phi[j];
+                }
+            }
+            // No-slip walls.
+            for f in [u, w] {
+                f[0] = Complex::ZERO;
+                f[nz - 1] = Complex::ZERO;
+            }
         }
-        let a_u = 0.5 * dt * kappa_u;
-        let a_t = 0.5 * dt * kappa_t;
-        self.u = self.diffuse(&rhs_u, a_u, 0.0, 0.0);
-        self.w = self.diffuse(&rhs_w, a_u, 0.0, 0.0);
-        self.temp = self.diffuse(&rhs_t, a_t, T_BOTTOM, T_TOP);
-        self.project(dt);
-        self.n_prev = Some(nl);
+        // The projection potential φ is the *modified* pressure (buoyancy
+        // was applied as the horizontal fluctuation of T). Add back the
+        // hydrostatic column integral H(z) = ∫₀ᶻ T̄ dz', mode 0 only, so the
+        // stored p satisfies the paper's momentum equation with the full T:
+        // ∇(φ + H) − T ẑ = ∇φ − (T − T̄) ẑ.
+        let nx = d.nx as f64;
+        let mut hydro = 0.0;
+        for j in 1..nz {
+            hydro += 0.5 * (state[T][j].re + state[T][j - 1].re) / nx * dz;
+            p[j] += Complex::real(hydro * nx);
+        }
+        std::mem::swap(explicit, explicit_prev);
+        for f in [U, W, T] {
+            self.xf.inverse(&self.state[f], &mut self.rows[f], |_, _| {});
+        }
         self.dt_prev = dt;
         self.t += dt;
         self.steps += 1;
@@ -453,7 +455,8 @@ impl RbcSolver {
     /// Volume-averaged kinetic energy `½⟨u² + w²⟩`.
     pub fn kinetic_energy(&self) -> f64 {
         let n = self.domain.n() as f64;
-        0.5 * self.u.iter().zip(&self.w).map(|(&u, &w)| u * u + w * w).sum::<f64>() / n
+        let (u, w) = (&self.rows[U], &self.rows[W]);
+        0.5 * u.iter().zip(w).map(|(&u, &w)| u * u + w * w).sum::<f64>() / n
     }
 
     /// Volume-averaged Nusselt number `Nu = 1 + <w·T> / (κ ΔT/L)` — the
@@ -461,37 +464,49 @@ impl RbcSolver {
     /// conduction, grows with Ra once convection sets in).
     pub fn nusselt(&self) -> f64 {
         let n = self.domain.n() as f64;
-        let wt: f64 = self.w.iter().zip(&self.temp).map(|(&w, &t)| w * t).sum::<f64>() / n;
+        let (w, temp) = (&self.rows[W], &self.rows[T]);
+        let wt: f64 = w.iter().zip(temp).map(|(&w, &t)| w * t).sum::<f64>() / n;
         let conductive = self.cfg.p_star() * (T_BOTTOM - T_TOP) / self.cfg.lz;
         1.0 + wt / conductive
     }
 
     /// Maximum |∇·u| over the interior (projection quality diagnostic).
     pub fn max_divergence(&self) -> f64 {
-        let nx = self.domain.nx;
-        let div = divergence(&mut XTransform::new(&self.domain), &self.u, &self.w);
-        div[nx..div.len() - nx].iter().fold(0.0f64, |m, v| m.max(v.abs()))
+        let d = &self.domain;
+        let div = ops::ddx(d, &self.rows[U]);
+        let wz = ddz(d, &self.rows[W]);
+        let interior = d.nx..d.n() - d.nx;
+        div[interior.clone()]
+            .iter()
+            .zip(&wz[interior])
+            .fold(0.0f64, |m, (a, b)| m.max((a + b).abs()))
     }
 
-    /// Captures the current state as an output frame.
-    pub fn snapshot(&self) -> Snapshot {
+    /// Captures the current state as an output frame. `u`, `w` and `T` are
+    /// already physical; the pressure is the one inverse transform.
+    pub fn snapshot(&mut self) -> Snapshot {
+        let mut p = vec![0.0; self.domain.n()];
+        self.xf.inverse(&self.p, &mut p, |_, _| {});
         Snapshot {
             time: self.t,
-            temp: self.temp.clone(),
-            p: self.p.clone(),
-            u: self.u.clone(),
-            w: self.w.clone(),
+            temp: self.rows[T].clone(),
+            p,
+            u: self.rows[U].clone(),
+            w: self.rows[W].clone(),
         }
     }
 }
 
-/// The discrete divergence `∂u/∂x + ∂w/∂z` at every node.
-fn divergence(xf: &mut XTransform, u: &[f64], w: &[f64]) -> Vec<f64> {
-    let mut div = xf.ddx(u);
-    for (a, b) in div.iter_mut().zip(ddz(xf.domain(), w)) {
-        *a += b;
+/// Row `j` of [`ddz`] on one mode's z-profile `f`.
+fn ddz_at(f: &[Complex], j: usize, dz: f64) -> Complex {
+    let n = f.len();
+    if j == 0 {
+        (f[0].scale(-3.0) + f[1].scale(4.0) - f[2]) / (2.0 * dz)
+    } else if j == n - 1 {
+        (f[n - 1].scale(3.0) - f[n - 2].scale(4.0) + f[n - 3]) / (2.0 * dz)
+    } else {
+        (f[j + 1] - f[j - 1]) / (2.0 * dz)
     }
-    div
 }
 
 /// Fills `m` with the Crank–Nicolson Helmholtz matrix
@@ -531,11 +546,6 @@ fn poisson_matrix(d: &Domain, k2: f64) -> Tridiag {
         m.upper[j] = 1.0 / dz2;
     }
     m
-}
-
-/// The mean of every z-row of `f` (one value per row).
-fn row_means(d: &Domain, f: &[f64]) -> Vec<f64> {
-    f.chunks(d.nx).map(|row| row.iter().sum::<f64>() / d.nx as f64).collect()
 }
 
 /// Runs a full simulation, saving `n_frames` uniformly-spaced snapshots
@@ -597,7 +607,7 @@ mod tests {
         for j in 0..s.domain().nz {
             let z = s.domain().z(j);
             let expect = T_BOTTOM + (T_TOP - T_BOTTOM) * z;
-            assert!((s.temp[j * cfg.nx] - expect).abs() < 1e-8, "row {j}");
+            assert!((s.rows[T][j * cfg.nx] - expect).abs() < 1e-8, "row {j}");
         }
     }
 
@@ -608,7 +618,7 @@ mod tests {
         let cfg = RbcConfig { ra: 1e6, ..quick_cfg() };
         let mut s = RbcSolver::new(cfg);
         s.advance_to(8.0);
-        let umax = s.u.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-9);
+        let umax = s.rows[U].iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-9);
         let scale = umax / s.domain().dx();
         assert!(
             s.max_divergence() < 0.05 * scale,
@@ -634,13 +644,13 @@ mod tests {
         let mut s = RbcSolver::new(cfg);
         s.advance_to(2.0);
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &t in &s.temp {
+        for &t in &s.rows[T] {
             lo = lo.min(t);
             hi = hi.max(t);
         }
         // Small over/undershoots from the FD scheme are tolerated.
         assert!(lo > -0.15 && hi < 1.15, "T range [{lo}, {hi}]");
-        assert!(!s.temp.iter().any(|t| t.is_nan()));
+        assert!(!s.rows[T].iter().any(|t| t.is_nan()));
     }
 
     #[test]
@@ -657,6 +667,21 @@ mod tests {
         let mut s = RbcSolver::new(cfg);
         s.advance_to(10.0 * cfg.dt_max);
         assert_eq!(s.steps, 10);
+    }
+
+    #[test]
+    fn a_step_runs_six_inverse_and_three_forward_transforms() {
+        // The inverses are u, w and T and their x-derivatives; the forwards
+        // are the three advection products. A frame inverts only p.
+        let mut s = RbcSolver::new(quick_cfg());
+        for _ in 0..3 {
+            let before = s.xf.transforms;
+            s.step(1e-3);
+            assert_eq!([s.xf.transforms[0] - before[0], s.xf.transforms[1] - before[1]], [3, 6]);
+        }
+        let before = s.xf.transforms;
+        s.snapshot();
+        assert_eq!([s.xf.transforms[0] - before[0], s.xf.transforms[1] - before[1]], [0, 1]);
     }
 
     #[test]
@@ -736,12 +761,12 @@ mod tests {
         let nx = cfg.nx;
         let top = (cfg.nz - 1) * nx;
         for i in 0..nx {
-            assert_eq!(s.u[i], 0.0);
-            assert_eq!(s.w[i], 0.0);
-            assert_eq!(s.u[top + i], 0.0);
-            assert_eq!(s.w[top + i], 0.0);
-            assert!((s.temp[i] - T_BOTTOM).abs() < 1e-6, "bottom T {}", s.temp[i]);
-            assert!((s.temp[top + i] - T_TOP).abs() < 1e-6, "top T {}", s.temp[top + i]);
+            assert_eq!(s.rows[U][i], 0.0);
+            assert_eq!(s.rows[W][i], 0.0);
+            assert_eq!(s.rows[U][top + i], 0.0);
+            assert_eq!(s.rows[W][top + i], 0.0);
+            assert!((s.rows[T][i] - T_BOTTOM).abs() < 1e-6, "bottom T {}", s.rows[T][i]);
+            assert!((s.rows[T][top + i] - T_TOP).abs() < 1e-6, "top T {}", s.rows[T][top + i]);
         }
     }
 }
