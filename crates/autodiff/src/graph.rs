@@ -493,8 +493,8 @@ impl Graph {
         // layer's backward leaves the value lane's adjoint in its own.
         let curved_jet = lanes > 1 && act != Activation::Linear;
         let keep_pre = rg && (seed.is_some() || curved_jet || act == Activation::Softplus);
-        let mut y = workspace::take_vec_scratch(n * lanes * points);
-        let mut pre = keep_pre.then(|| workspace::take_vec_scratch(n * cols));
+        let mut y = workspace::take_scratch(n * lanes * points);
+        let mut pre = keep_pre.then(|| workspace::take_scratch(n * cols));
         let packed = PackedConv3d::pack_linear(wv.data(), n, k);
         let gemm_out = pre.as_deref_mut().unwrap_or(&mut y);
         gemm_in_turns(self.workers, &packed, xv.data(), gemm_out, n, || {});
@@ -527,8 +527,8 @@ impl Graph {
         };
         let take = |_: &mut (), t: &Turns<_>| t.for_each(&epilogue);
         in_turns(self.workers, rows, || (), take, take);
-        let y = Tensor::from_vec(y, &[n, lanes * points]);
-        let pre = pre.map(|p| Tensor::from_vec(p, &[n, cols]));
+        let y = Tensor::from_guard(y, &[n, lanes * points]);
+        let pre = pre.map(|p| Tensor::from_guard(p, &[n, cols]));
         self.push(y, Op::Linear { x, w, b, act, pre, lanes, seed }, rg)
     }
 
@@ -685,7 +685,7 @@ impl Graph {
         }
         let g = self.nodes[gamma.0].value.data().to_vec();
         let b = self.nodes[beta.0].value.data().to_vec();
-        let mut out = workspace::take_vec_scratch(x.len());
+        let mut out = workspace::take_scratch(x.len());
         for ni in 0..n {
             for ci in 0..c {
                 let off = (ni * c + ci) * inner;
@@ -695,7 +695,7 @@ impl Graph {
                 }
             }
         }
-        let value = Tensor::from_vec(out, xv.dims());
+        let value = Tensor::from_guard(out, xv.dims());
         let rg = self.rg(input) || self.rg(gamma) || self.rg(beta);
         self.push(value, Op::BatchNorm { input, gamma, beta, mean: mean32, invstd }, rg)
     }
@@ -719,10 +719,10 @@ impl Graph {
         assert!(!index.is_empty(), "a gather of no vertices");
         let gv = &self.nodes[grid.0].value;
         let (m, rows) = (index.len(), prefix.len() / index.len() + gv.dims()[1]);
-        let mut out = workspace::take_vec_scratch(rows * m);
+        let mut out = workspace::take_scratch(rows * m);
         rowops::gather_features(gv, &index, prefix, &mut out);
         let rg = self.rg(grid);
-        self.push(Tensor::from_vec(out, &[rows, m]), Op::GatherVertices { grid, index }, rg)
+        self.push(Tensor::from_guard(out, &[rows, m]), Op::GatherVertices { grid, index }, rg)
     }
 
     /// Blends groups of `group` consecutive points of the feature-major `x:
@@ -732,10 +732,10 @@ impl Graph {
     pub fn vertex_blend(&mut self, input: Var, weights: Vec<f32>, group: usize) -> Var {
         let c = self.nodes[input.0].value.dims()[0];
         let q = weights.len() / group;
-        let mut out = workspace::take_vec_scratch(q * c);
+        let mut out = workspace::take_scratch(q * c);
         rowops::blend_features_into(self.nodes[input.0].value.data(), &weights, group, &mut out);
         let rg = self.rg(input);
-        self.push(Tensor::from_vec(out, &[q, c]), Op::VertexBlend { input, weights, group }, rg)
+        self.push(Tensor::from_guard(out, &[q, c]), Op::VertexBlend { input, weights, group }, rg)
     }
 
     // ---- composite losses ----
@@ -855,14 +855,14 @@ impl Graph {
                 if self.rg(b) {
                     let c = self.nodes[b.0].value.numel();
                     let inner: usize = grad.dims()[2..].iter().product();
-                    let mut gb = workspace::take_vec_zeroed(c);
+                    let mut gb = workspace::take_zeroed(c);
                     for slab in grad.data().chunks(c * inner) {
                         for (ch, sub) in slab.chunks(inner).enumerate() {
                             gb[ch] += sub.iter().sum::<f32>();
                         }
                     }
                     let dims = self.nodes[b.0].value.dims().to_vec();
-                    self.accumulate(b, Tensor::from_vec(gb, &dims));
+                    self.accumulate(b, Tensor::from_guard(gb, &dims));
                 }
                 self.accumulate(x, grad);
             }
@@ -914,13 +914,13 @@ impl Graph {
             Op::Narrow { input, axis, start, len } => {
                 let dims = self.nodes[input.0].value.dims().to_vec();
                 let inner: usize = dims[axis + 1..].iter().product();
-                let mut gi = workspace::take_vec_zeroed(dims.iter().product());
+                let mut gi = workspace::take_zeroed(dims.iter().product());
                 for (slab, g) in
                     gi.chunks_mut(dims[axis] * inner).zip(grad.data().chunks(len * inner))
                 {
                     slab[start * inner..(start + len) * inner].copy_from_slice(g);
                 }
-                self.accumulate(input, Tensor::from_vec(gi, &dims));
+                self.accumulate(input, Tensor::from_guard(gi, &dims));
             }
             Op::Conv3d { input, weight, dims } => {
                 if self.rg(input) {
@@ -967,7 +967,7 @@ impl Graph {
                         }
                     }
                 }
-                let mut dx = workspace::take_vec_scratch(x.len());
+                let mut dx = workspace::take_scratch(x.len());
                 for ni in 0..n {
                     for ci in 0..c {
                         let off = (ni * c + ci) * inner;
@@ -979,14 +979,17 @@ impl Graph {
                         }
                     }
                 }
-                let dx = Tensor::from_vec(dx, xv.dims());
+                let dx = Tensor::from_guard(dx, xv.dims());
                 self.accumulate(input, dx);
-                let dgamma: Vec<f32> = sum_dyx.iter().map(|&v| v as f32).collect();
-                let dbeta: Vec<f32> = sum_dy.iter().map(|&v| v as f32).collect();
-                let gdims = self.nodes[gamma.0].value.dims().to_vec();
-                let bdims = self.nodes[beta.0].value.dims().to_vec();
-                self.accumulate(gamma, Tensor::from_vec(dgamma, &gdims));
-                self.accumulate(beta, Tensor::from_vec(dbeta, &bdims));
+                let channel_sums = |sums: &[f64], like: &Tensor| {
+                    let mut t = workspace::take_scratch(sums.len());
+                    t.iter_mut().zip(sums).for_each(|(t, &s)| *t = s as f32);
+                    Tensor::from_guard(t, like.dims())
+                };
+                let dgamma = channel_sums(&sum_dyx, &self.nodes[gamma.0].value);
+                let dbeta = channel_sums(&sum_dy, &self.nodes[beta.0].value);
+                self.accumulate(gamma, dgamma);
+                self.accumulate(beta, dbeta);
             }
             Op::ChannelAffine { input, scale } => {
                 let c = scale.len();
@@ -1005,7 +1008,7 @@ impl Graph {
                 let c = gv.dims()[1];
                 let vol: usize = gv.dims()[2..].iter().product();
                 let m = index.len();
-                let mut gg = workspace::take_vec_zeroed(gv.numel());
+                let mut gg = workspace::take_zeroed(gv.numel());
                 // The channel rows under the prefix; each grid element takes
                 // its points' adjoints in increasing point order.
                 let channels = &grad.data()[grad.numel() - c * m..];
@@ -1015,13 +1018,13 @@ impl Graph {
                         gg[(ni * c + ci) * vol + sp] += g;
                     }
                 }
-                let gg = Tensor::from_vec(gg, gv.dims());
+                let gg = Tensor::from_guard(gg, gv.dims());
                 self.accumulate(grid, gg);
             }
             Op::VertexBlend { input, weights, group } => {
                 let dims = self.nodes[input.0].value.dims().to_vec();
                 let c = dims[0];
-                let mut gi = workspace::take_vec_scratch(c * weights.len());
+                let mut gi = workspace::take_scratch(c * weights.len());
                 for (ci, row) in gi.chunks_exact_mut(weights.len()).enumerate() {
                     for ((dst, ws), qi) in
                         row.chunks_exact_mut(group).zip(weights.chunks_exact(group)).zip(0..)
@@ -1032,7 +1035,7 @@ impl Graph {
                         }
                     }
                 }
-                self.accumulate(input, Tensor::from_vec(gi, &dims));
+                self.accumulate(input, Tensor::from_guard(gi, &dims));
             }
         }
     }
@@ -1121,9 +1124,9 @@ impl Graph {
         let dims = Conv3dDims { n: 1, cin: k, cout: n, spatial: [1, 1, cols], kernel: [1; 3] };
         // The bias joins the value lane only.
         let db = self.rg(b).then(|| {
-            let mut db = workspace::take_vec_scratch(n);
+            let mut db = workspace::take_scratch(n);
             db.iter_mut().zip(sums.chunks_exact(4)).for_each(|(d, s)| *d = s[0]);
-            Tensor::from_vec(db, self.nodes[b.0].value.dims())
+            Tensor::from_guard(db, self.nodes[b.0].value.dims())
         });
         let mut dw = None;
         let weight_grad = || {
@@ -1137,7 +1140,7 @@ impl Graph {
             }
             dw
         };
-        let mut dx = self.rg(x).then(|| workspace::take_vec_scratch(k * cols));
+        let mut dx = self.rg(x).then(|| workspace::take_scratch(k * cols));
         match dx.as_deref_mut() {
             None => dw = self.rg(w).then(weight_grad),
             Some(dx) => {
@@ -1148,7 +1151,7 @@ impl Graph {
                 });
             }
         }
-        let dx = dx.map(|dx| Tensor::from_vec(dx, xv.dims()));
+        let dx = dx.map(|dx| Tensor::from_guard(dx, xv.dims()));
         for (v, g) in [(b, db), (w, dw), (x, dx)] {
             if let Some(g) = g {
                 self.accumulate(v, g);

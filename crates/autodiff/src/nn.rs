@@ -497,6 +497,21 @@ mod tests {
     }
 
     #[test]
+    fn linear_output_starts_on_a_cache_line() {
+        let mut store = ParamStore::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let lin = Linear::new(&mut store, "l", 5, 7, &mut rng);
+        for (m, lanes) in [(1, 1), (3, 1), (17, 1), (100, 1), (3, JET_LANES), (65, JET_LANES)] {
+            let _burst: Vec<Vec<f32>> = (1..20).map(|i| vec![0.0; i * 5 + m]).collect();
+            let mut g = Graph::new();
+            let x = g.constant(Tensor::randn(&[5, lanes * m], 1.0, &mut rng));
+            let (w, b) = (g.param(&store, lin.weight), g.param(&store, lin.bias));
+            let y = g.linear(x, w, b, Activation::Softplus, lanes);
+            assert_eq!(g.value(y).data().as_ptr() as usize % 64, 0, "{m} points, {lanes} lanes");
+        }
+    }
+
+    #[test]
     fn conv_layer_shapes() {
         let mut store = ParamStore::new();
         let mut rng = ChaCha8Rng::seed_from_u64(1);

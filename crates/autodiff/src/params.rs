@@ -6,7 +6,7 @@
 //! with the store's registration order, which is also the order used by the
 //! flat buffers of the distributed all-reduce.
 
-use mfn_tensor::Tensor;
+use mfn_tensor::{workspace, Tensor};
 
 /// A stable handle to a parameter in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,7 +170,9 @@ pub fn unflatten_grads(store: &ParamStore, flat: &[f32]) -> Vec<Tensor> {
     let mut off = 0;
     for (_, _, p) in store.iter() {
         let n = p.numel();
-        out.push(Tensor::from_vec(flat[off..off + n].to_vec(), p.dims()));
+        let mut buf = workspace::take_scratch(n);
+        buf.copy_from_slice(&flat[off..off + n]);
+        out.push(Tensor::from_guard(buf, p.dims()));
         off += n;
     }
     out

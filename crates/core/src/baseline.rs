@@ -212,7 +212,8 @@ pub fn hr_target_patch(
 ) -> Tensor {
     let [ft, fz, fx] = factors;
     let (pt, pz, px) = (spec.nt * ft, spec.nz * fz, spec.nx * fx);
-    let mut buf = vec![0.0f32; CHANNELS * pt * pz * px];
+    let mut out = Tensor::zeros(&[1, CHANNELS, pt, pz, px]);
+    let buf = out.data_mut();
     for c in 0..CHANNELS {
         for dt in 0..pt {
             let f = (lr_origin[0] * ft + dt).min(hr.meta.nt - 1);
@@ -226,7 +227,7 @@ pub fn hr_target_patch(
             }
         }
     }
-    Tensor::from_vec(buf, &[1, CHANNELS, pt, pz, px])
+    out
 }
 
 #[cfg(test)]

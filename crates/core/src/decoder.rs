@@ -143,7 +143,7 @@ fn decode_blocked<F: Fn(usize) -> (usize, [f32; 3]) + Sync>(
     assert!(workers == 1 || stages.is_none(), "stage times are one thread's");
     let (in_width, out_channels) = (mlp.in_features(), mlp.out_features());
     let block_rows = block_queries.min(queries.len) * VERTICES;
-    let mut out = workspace::take_vec_scratch(queries.len * out_channels);
+    let mut out = workspace::take_scratch(queries.len * out_channels);
     type Blocks<'a> = Turns<std::iter::Enumerate<std::slice::ChunksMut<'a, f32>>>;
     let scratch = || {
         let block = || workspace::take_scratch(block_rows * mlp.max_width());
@@ -168,7 +168,7 @@ fn decode_blocked<F: Fn(usize) -> (usize, [f32; 3]) + Sync>(
     };
     let blocks = out.chunks_mut(block_queries * out_channels).enumerate();
     in_turns(workers, blocks, scratch, |s, b| work(s, b, stages), |s, b| work(s, b, None));
-    Tensor::from_vec(out, &[queries.len, out_channels])
+    Tensor::from_guard(out, &[queries.len, out_channels])
 }
 
 /// Precomputed lookup data for a set of queries against one latent grid.
@@ -505,11 +505,11 @@ mod tests {
         // Lanes 1-5 of each input feature: lane 1 + a of coordinate a is its
         // scale, everything else zero.
         let width = 3 + dec.latent_channels;
-        let mut seed = vec![0.0f32; width * (JET_LANES - 1) * n];
-        for (axis, row) in seed.chunks_mut((JET_LANES - 1) * n).take(3).enumerate() {
+        let mut seed = Tensor::zeros(&[width, (JET_LANES - 1) * n]);
+        for (axis, row) in seed.data_mut().chunks_mut((JET_LANES - 1) * n).take(3).enumerate() {
             row[axis * n..(axis + 1) * n].fill(scale[axis]);
         }
-        let seed = g.constant(Tensor::from_vec(seed, &[width, (JET_LANES - 1) * n]));
+        let seed = g.constant(seed);
         let mut h = g.concat(&[inp, seed], 1);
         let last = dec.mlp.layers.len() - 1;
         for (i, layer) in dec.mlp.layers.iter().enumerate() {
@@ -719,15 +719,15 @@ mod tests {
         workspace::clear();
         let clean = decode_packed(&packed, &latent, &queries, None, None);
         assert!(clean.data().iter().all(|v| v.is_finite()));
-        let poison: Vec<Vec<f32>> = (6..=16)
+        let poison: Vec<WorkspaceGuard> = (6..=16)
             .flat_map(|shift| [1usize << shift; 4])
             .map(|len| {
-                let mut v = workspace::take_vec_scratch(len);
-                v.fill(f32::NAN);
-                v
+                let mut g = workspace::take_scratch(len);
+                g.fill(f32::NAN);
+                g
             })
             .collect();
-        poison.into_iter().for_each(workspace::give_vec);
+        drop(poison);
         let dirty = decode_packed(&packed, &latent, &queries, None, None);
         assert_eq!(bits(&dirty), bits(&clean));
     }

@@ -355,6 +355,18 @@ mod tests {
     }
 
     #[test]
+    fn decoded_values_start_on_a_cache_line() {
+        let frozen = FrozenModel::from_model(MeshfreeFlowNet::new(tiny_cfg()));
+        let latent = frozen.encode(&Tensor::ones(&[1, 4, 4, 4, 4]));
+        for q in [1, 2, 3, 7, 63, 64, 65, 1000] {
+            let _burst: Vec<Vec<f32>> = (1..20).map(|i| vec![0.0; i * 5 + q]).collect();
+            let queries = (0..q).map(|i| (0, [(i as f32 * 0.37).fract(), 0.5, 0.25]));
+            let out = frozen.decode_values(&latent, queries);
+            assert_eq!(out.data().as_ptr() as usize % 64, 0, "{q} queries");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "patch spec")]
     fn frozen_encode_rejects_wrong_shape() {
         let frozen = FrozenModel::from_model(MeshfreeFlowNet::new(tiny_cfg()));

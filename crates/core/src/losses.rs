@@ -127,13 +127,12 @@ pub fn prediction_plan(grid_dims: [usize; 3], samples: &[Sample]) -> QueryPlan {
 /// standardized with `stats`.
 pub fn stack_targets(samples: &[Sample], stats: ChannelStats) -> Tensor {
     let q: usize = samples.iter().map(|s| s.query_values.len()).sum();
-    let mut buf = Vec::with_capacity(q * 4);
-    for s in samples {
-        for v in &s.query_values {
-            buf.extend(v.iter().enumerate().map(|(c, &x)| stats.standardize(c, x)));
-        }
+    let mut out = Tensor::zeros(&[q, 4]);
+    let values = samples.iter().flat_map(|s| &s.query_values);
+    for (row, v) in out.data_mut().chunks_exact_mut(4).zip(values) {
+        row.iter_mut().zip(v).enumerate().for_each(|(c, (o, &x))| *o = stats.standardize(c, x));
     }
-    Tensor::from_vec(buf, &[q, 4])
+    out
 }
 
 /// Records the prediction loss (Eqn. 8): the L1 distance of the decoded

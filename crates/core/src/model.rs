@@ -204,7 +204,7 @@ pub fn extract_patch(
     stats: ChannelStats,
 ) -> Tensor {
     let dims = [1, CHANNELS, spec.nt, spec.nz, spec.nx];
-    let mut patch = Tensor::from_vec(raw_patch(lr, origin, spec), &dims);
+    let mut patch = raw_patch(lr, origin, spec).reshape(&dims);
     stats.standardize_patches(&mut patch);
     patch
 }

@@ -190,7 +190,7 @@ pub fn refine_latent(
             grad = accepted.into_gradient();
         }
         report.steps_run += 1;
-        let cand = axpy(&cur, -lr, &grad);
+        let cand = cur.zip(&grad, |x, g| x - lr * g);
         let cand_tape = evaluate(&cand);
         let cand_res = cand_tape.residual();
         if cand_res.is_finite() && cand_res < cur_res {
@@ -234,13 +234,6 @@ impl Candidate {
         self.tape.backward(self.loss);
         self.tape.grad(self.latent).clone()
     }
-}
-
-/// `a + s·b`, elementwise, as a fresh tensor.
-fn axpy(a: &Tensor, s: f32, b: &Tensor) -> Tensor {
-    assert_eq!(a.dims(), b.dims(), "axpy dims");
-    let v: Vec<f32> = a.data().iter().zip(b.data()).map(|(x, y)| x + s * y).collect();
-    Tensor::from_vec(v, a.dims())
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use crate::dataset::{Dataset, CHANNELS};
 use crate::interp::sample_trilinear;
-use mfn_tensor::Tensor;
+use mfn_tensor::{workspace, Tensor};
 use rand::Rng;
 
 /// The shape of one training sample.
@@ -92,8 +92,7 @@ impl<'a> PatchSampler<'a> {
     pub fn patch_at(&self, origin: [usize; 3]) -> Sample {
         let [t0, z0, x0] = origin;
         let s = self.spec;
-        let lr_patch =
-            Tensor::from_vec(raw_patch(self.lr, origin, s), &[CHANNELS, s.nt, s.nz, s.nx]);
+        let lr_patch = raw_patch(self.lr, origin, s);
         Sample {
             lr_patch,
             query_local: Vec::new(),
@@ -131,27 +130,28 @@ impl<'a> PatchSampler<'a> {
     }
 }
 
-/// The `[4, nt, nz, nx]` channel-major values, in physical units, of the
+/// The `[4, nt, nz, nx]` channel-major tensor, in physical units, of the
 /// `spec`-sized patch of `lr` at the grid `origin` — the one patch
 /// extraction that training samples and inference patches share.
 ///
 /// # Panics
 /// Panics if the patch does not fit inside the grid.
-pub fn raw_patch(lr: &Dataset, origin: [usize; 3], spec: PatchSpec) -> Vec<f32> {
+pub fn raw_patch(lr: &Dataset, origin: [usize; 3], spec: PatchSpec) -> Tensor {
     let [t0, z0, x0] = origin;
     assert!(t0 + spec.nt <= lr.meta.nt, "patch t out of range");
     assert!(z0 + spec.nz <= lr.meta.nz, "patch z out of range");
     assert!(x0 + spec.nx <= lr.meta.nx, "patch x out of range");
-    let mut buf = Vec::with_capacity(CHANNELS * spec.nt * spec.nz * spec.nx);
+    let mut buf = workspace::take_scratch(CHANNELS * spec.nt * spec.nz * spec.nx);
+    let mut rows = buf.chunks_exact_mut(spec.nx);
     for c in 0..CHANNELS {
         for f in t0..t0 + spec.nt {
-            for j in z0..z0 + spec.nz {
+            for (j, dst) in (z0..z0 + spec.nz).zip(rows.by_ref()) {
                 let row = lr.index(f, c, j, x0);
-                buf.extend_from_slice(&lr.data[row..row + spec.nx]);
+                dst.copy_from_slice(&lr.data[row..row + spec.nx]);
             }
         }
     }
-    buf
+    Tensor::from_guard(buf, &[CHANNELS, spec.nt, spec.nz, spec.nx])
 }
 
 /// Per-axis patch origins covering `[0, len)` with patches of `p` vertices:
@@ -197,14 +197,14 @@ pub fn stack_patches(samples: &[Sample]) -> Tensor {
     assert!(!samples.is_empty());
     let dims = samples[0].lr_patch.dims().to_vec();
     let per = samples[0].lr_patch.numel();
-    let mut buf = Vec::with_capacity(samples.len() * per);
-    for s in samples {
+    let mut buf = workspace::take_scratch(samples.len() * per);
+    for (dst, s) in buf.chunks_exact_mut(per).zip(samples) {
         assert_eq!(s.lr_patch.dims(), &dims[..], "inconsistent patch shapes");
-        buf.extend_from_slice(s.lr_patch.data());
+        dst.copy_from_slice(s.lr_patch.data());
     }
     let mut full = vec![samples.len()];
     full.extend_from_slice(&dims);
-    Tensor::from_vec(buf, &full)
+    Tensor::from_guard(buf, &full)
 }
 
 #[cfg(test)]

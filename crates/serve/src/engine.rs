@@ -11,7 +11,7 @@ use crate::error::ServeError;
 use crate::metrics::ServeStats;
 use crate::protocol::{ModelInfo, ShardStat};
 use mfn_core::{FrozenModel, RefineBudget, RefineReport, RefineSettings};
-use mfn_tensor::Tensor;
+use mfn_tensor::{workspace::WorkspaceGuard, Tensor};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -146,12 +146,22 @@ impl Engine {
     /// Encodes a stacked patch (`batch × C × nt × nz × nx`, flattened) into
     /// the cache, returning `(digest, cache_hit)`. A hit skips the U-Net
     /// entirely — that asymmetry is the entire point of this subsystem.
-    pub fn encode_patch(&self, batch: usize, data: Vec<f32>) -> Result<(u64, bool), ServeError> {
-        self.encode(batch, data).map(|(digest, hit, _)| (digest, hit))
+    /// The server hands over the workspace checkout it decoded the wire
+    /// into; a `Vec` is copied into one.
+    pub fn encode_patch(
+        &self,
+        batch: usize,
+        data: impl Into<WorkspaceGuard>,
+    ) -> Result<(u64, bool), ServeError> {
+        self.encode(batch, data.into()).map(|(digest, hit, _)| (digest, hit))
     }
 
     /// [`Engine::encode_patch`], also returning the latent it found or made.
-    fn encode(&self, batch: usize, data: Vec<f32>) -> Result<(u64, bool, Arc<Tensor>), ServeError> {
+    fn encode(
+        &self,
+        batch: usize,
+        data: WorkspaceGuard,
+    ) -> Result<(u64, bool, Arc<Tensor>), ServeError> {
         if batch == 0 {
             return Err(ServeError::ShapeMismatch("encode batch must be >= 1".into()));
         }
@@ -182,7 +192,7 @@ impl Engine {
         // insert; the result is identical either way (the encode is a pure
         // function of the bytes), so we take the duplicated work over
         // holding a lock across the U-Net.
-        let latent = Arc::new(self.model.encode(&Tensor::from_vec(data, &dims)));
+        let latent = Arc::new(self.model.encode(&Tensor::from_guard(data, &dims)));
         self.cache.insert(digest, verify, latent.clone());
         Ok((digest, false, latent))
     }
@@ -205,10 +215,10 @@ impl Engine {
     }
 
     /// The one value path of `query` and `refine`: one `decode_values` call,
-    /// counted with its points, whose own buffer is the reply.
+    /// counted with its points.
     fn decode(&self, latent: &Tensor, queries: &[Query]) -> Vec<f32> {
         self.stats.note_decode(queries.len() as u64);
-        self.model.decode_values(latent, queries.iter().copied()).into_vec()
+        self.model.decode_values(latent, queries.iter().copied()).data().to_vec()
     }
 
     /// Encode + query in one call (one network round trip for cold
@@ -217,10 +227,10 @@ impl Engine {
     pub fn encode_query(
         &self,
         batch: usize,
-        data: Vec<f32>,
+        data: impl Into<WorkspaceGuard>,
         queries: Vec<Query>,
     ) -> Result<(u64, bool, Vec<f32>, usize), ServeError> {
-        let (digest, hit, latent) = self.encode(batch, data)?;
+        let (digest, hit, latent) = self.encode(batch, data.into())?;
         let (values, channels) = self.answer(&latent, queries)?;
         Ok((digest, hit, values, channels))
     }

@@ -22,6 +22,7 @@ use crate::protocol::{self, Kind};
 use mfn_core::RefineBudget;
 use mfn_telemetry::Recorder;
 use mfn_tensor::le::ReadLe;
+use mfn_tensor::workspace::{self, WorkspaceGuard};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -248,14 +249,18 @@ fn handle_request(engine: &Engine, kind: u8, mut r: &[u8]) -> Result<(Kind, Vec<
     }
 }
 
-/// Reads `batch: u32` then the patch f32s. A batch of more patches than
-/// the payload holds fails at the reader before it sizes anything.
-fn decode_patch(engine: &Engine, r: &mut &[u8]) -> Result<(usize, Vec<f32>), ServeError> {
+/// Reads `batch: u32` then the patch f32s into a workspace checkout. A
+/// batch of more patches than the payload holds fails at the reader before
+/// it sizes anything.
+fn decode_patch(engine: &Engine, r: &mut &[u8]) -> Result<(usize, WorkspaceGuard), ServeError> {
     let batch = r.u32()? as usize;
     if batch == 0 {
         return Err(ServeError::ShapeMismatch("encode batch must be >= 1".into()));
     }
-    Ok((batch, r.f32s(batch.saturating_mul(engine.patch_numel(1)))?))
+    let mut bytes = r.take(batch.saturating_mul(engine.patch_numel(1)).saturating_mul(4))?;
+    let mut data = workspace::take_scratch(bytes.len() / 4);
+    bytes.f32s_into(&mut data)?;
+    Ok((batch, data))
 }
 
 /// Bytes of a `QueryResp` payload before its values.

@@ -408,9 +408,9 @@ impl PackedConv3d {
         let d = input.dims();
         assert_eq!(d[1], self.cin, "conv3d channel mismatch: input {}, weight {}", d[1], self.cin);
         let out_dims = [d[0], self.cout, d[2], d[3], d[4]];
-        let mut out = workspace::take_vec_scratch(out_dims.iter().product());
+        let mut out = workspace::take_scratch(out_dims.iter().product());
         self.forward_slices(input.data(), [d[2], d[3], d[4]], &mut out, stages);
-        Tensor::from_vec(out, &out_dims)
+        Tensor::from_guard(out, &out_dims)
     }
 
     /// The implicit-GEMM driver on slices, for callers that keep their own
@@ -592,9 +592,9 @@ pub fn conv3d_auto(input: &Tensor, weight: &Tensor) -> Tensor {
 pub fn conv3d_grad_input(grad_out: &[f32], weight: &[f32], dims: Conv3dDims) -> Tensor {
     let [sd, sh, sw] = dims.spatial;
     assert_eq!(grad_out.len(), dims.n * dims.cout * dims.vol(), "conv3d grad_out length mismatch");
-    let mut out = workspace::take_vec_scratch(dims.n * dims.cin * dims.vol());
+    let mut out = workspace::take_scratch(dims.n * dims.cin * dims.vol());
     PackedConv3d::pack_flipped(weight, dims).forward_slices(grad_out, dims.spatial, &mut out, None);
-    Tensor::from_vec(out, &[dims.n, dims.cin, sd, sh, sw])
+    Tensor::from_guard(out, &[dims.n, dims.cin, sd, sh, sw])
 }
 
 /// Gradient of [`conv3d_auto`] with respect to its weights, from `input:
@@ -633,7 +633,7 @@ pub fn conv3d_grad_weight(
     let kernel = simd::active_kernel_for(dims.cout, ksize);
     let (mr, nr) = (kernel.mr, kernel.nr);
     let (map, mut xp_buf) = PatchMap::new(&dims);
-    let mut out = workspace::take_vec_scratch(dims.cout * ksize);
+    let mut out = workspace::take_scratch(dims.cout * ksize);
     let (mut koff, mut voff) = ([0u32; NC], [0u32; KC]);
 
     for (n, x) in input.chunks(dims.cin * vol).enumerate() {
@@ -669,7 +669,7 @@ pub fn conv3d_grad_weight(
             }
         }
     }
-    Tensor::from_vec(out, &[dims.cout, dims.cin, kd, kh, kw])
+    Tensor::from_guard(out, &[dims.cout, dims.cin, kd, kh, kw])
 }
 
 /// Packs the weight gradient's B panels, the transposed patch matrix: panel
@@ -761,22 +761,22 @@ fn pooled_dims(input: &Tensor, [fd, fh, fw]: [usize; 3]) -> [usize; 5] {
 pub fn maxpool3d(input: &Tensor, factors: [usize; 3]) -> (Tensor, Vec<u32>) {
     let dims = pooled_dims(input, factors);
     let numel = dims.iter().product();
-    let mut out = workspace::take_vec_scratch(numel);
+    let mut out = workspace::take_scratch(numel);
     let mut idx = vec![0u32; numel];
     pool_windows(input, factors, |oi, best, best_i| {
         out[oi] = best;
         idx[oi] = best_i as u32;
     });
-    (Tensor::from_vec(out, &dims), idx)
+    (Tensor::from_guard(out, &dims), idx)
 }
 
 /// [`maxpool3d`] without the argmax vector, for callers that never run the
 /// backward pass (the no-grad encode): same windows, same NaN-sticky max.
 pub fn maxpool3d_values(input: &Tensor, factors: [usize; 3]) -> Tensor {
     let dims = pooled_dims(input, factors);
-    let mut out = workspace::take_vec_scratch(dims.iter().product());
+    let mut out = workspace::take_scratch(dims.iter().product());
     pool_windows(input, factors, |oi, best, _| out[oi] = best);
-    Tensor::from_vec(out, &dims)
+    Tensor::from_guard(out, &dims)
 }
 
 /// Backward of [`maxpool3d`]: scatters output gradients to the recorded
@@ -784,11 +784,11 @@ pub fn maxpool3d_values(input: &Tensor, factors: [usize; 3]) -> Tensor {
 pub fn maxpool3d_backward(grad_out: &Tensor, indices: &[u32], input_dims: &[usize]) -> Tensor {
     let numel: usize = input_dims.iter().product();
     assert_eq!(grad_out.numel(), indices.len());
-    let mut grad_in = workspace::take_vec_zeroed(numel);
+    let mut grad_in = workspace::take_zeroed(numel);
     for (&g, &i) in grad_out.data().iter().zip(indices) {
         grad_in[i as usize] += g;
     }
-    Tensor::from_vec(grad_in, input_dims)
+    Tensor::from_guard(grad_in, input_dims)
 }
 
 /// Nearest-neighbor 3D upsampling by integer factors `[fd, fh, fw]`.
@@ -798,7 +798,7 @@ pub fn upsample_nearest3d(input: &Tensor, factors: [usize; 3]) -> Tensor {
     let (n, c) = (input.dims()[0], input.dims()[1]);
     let (d, h, w) = (input.dims()[2], input.dims()[3], input.dims()[4]);
     let (od, oh, ow) = (d * fd, h * fh, w * fw);
-    let mut out = workspace::take_vec_scratch(n * c * od * oh * ow);
+    let mut out = workspace::take_scratch(n * c * od * oh * ow);
     // Walk the input; the output rows it replicates into come in memory
     // order, so nothing divides: plane `fd` times, row `fh` times, element
     // `fw` times.
@@ -814,7 +814,7 @@ pub fn upsample_nearest3d(input: &Tensor, factors: [usize; 3]) -> Tensor {
             }
         }
     }
-    Tensor::from_vec(out, &[n, c, od, oh, ow])
+    Tensor::from_guard(out, &[n, c, od, oh, ow])
 }
 
 /// Backward of [`upsample_nearest3d`]: sums gradients over each upsampled
@@ -825,7 +825,7 @@ pub fn upsample_nearest3d_backward(grad_out: &Tensor, factors: [usize; 3]) -> Te
     let (od, oh, ow) = (grad_out.dims()[2], grad_out.dims()[3], grad_out.dims()[4]);
     assert!(od % fd == 0 && oh % fh == 0 && ow % fw == 0);
     let (d, h, w) = (od / fd, oh / fh, ow / fw);
-    let mut out = workspace::take_vec_zeroed(n * c * d * h * w);
+    let mut out = workspace::take_zeroed(n * c * d * h * w);
     // The mirror walk of the forward: each input element sums its block in
     // the order (zd, zh, zw).
     let mut grows = grad_out.data().chunks_exact(ow);
@@ -842,7 +842,7 @@ pub fn upsample_nearest3d_backward(grad_out: &Tensor, factors: [usize; 3]) -> Te
             }
         }
     }
-    Tensor::from_vec(out, &[n, c, d, h, w])
+    Tensor::from_guard(out, &[n, c, d, h, w])
 }
 
 #[cfg(test)]

@@ -436,27 +436,15 @@ pub(crate) mod tests {
             // raw micro-kernel: one panel pair resident in cache, panels
             // cache-line aligned exactly as the gemm driver guarantees
             let kb = KC;
-            let aligned = |len: usize, seed: u32| {
-                let mut v = vec![0.0f32; len + 15];
-                let off = v.as_ptr().align_offset(64).min(15);
-                v[off..off + len].copy_from_slice(&fill(len, seed));
-                (v, off)
-            };
-            let (ap, ao) = aligned(kern.mr * kb, 3);
-            let (bp, bo) = aligned(kern.nr * kb, 4);
+            let aligned = |len, seed| crate::workspace::WorkspaceGuard::from(fill(len, seed));
+            let (ap, bp) = (aligned(kern.mr * kb, 3), aligned(kern.nr * kb, 4));
             let mut acc = vec![0.0f32; kern.mr * kern.nr];
             let reps = 40_000;
             let mut best = f64::MAX;
             for _ in 0..3 {
                 let t = Instant::now();
                 for _ in 0..reps {
-                    (kern.micro)(
-                        kb,
-                        &ap[ao..ao + kern.mr * kb],
-                        &bp[bo..bo + kern.nr * kb],
-                        kern.nr,
-                        &mut acc,
-                    );
+                    (kern.micro)(kb, &ap, &bp, kern.nr, &mut acc);
                 }
                 best = best.min(t.elapsed().as_secs_f64());
             }

@@ -2,57 +2,67 @@
 
 use crate::le::ReadLe;
 use crate::shape::Shape;
-use crate::workspace;
+use crate::workspace::{self, WorkspaceGuard};
 use rand::Rng;
 use std::fmt;
 
 /// A dense, contiguous, row-major `f32` tensor.
 ///
 /// This is the storage type shared by the whole neural-network stack. It is
-/// deliberately plain — owned `Vec<f32>` plus a [`Shape`] — so that the
+/// deliberately plain — one owned buffer plus a [`Shape`] — so that the
 /// autodiff tape can clone, move, and mutate buffers without aliasing
 /// headaches, and so the kernels in [`crate::conv`] and [`crate::rowops`]
 /// can split the flat buffer freely.
 ///
-/// Storage is pool-backed: constructors check buffers out of the
-/// [`crate::workspace`] pool and `Drop` donates them back, so the thousands
-/// of short-lived tensors a training step creates (tape activations,
-/// gradients, kernel outputs) recycle the same allocations step after step.
-#[derive(PartialEq)]
+/// The buffer is a [`crate::workspace`] checkout: [`Tensor::data`] always
+/// starts on a 64-byte cache line, and dropping the tensor returns the
+/// buffer to the pool, so the thousands of short-lived tensors a training
+/// step creates (tape activations, gradients, kernel outputs) recycle the
+/// same allocations step after step.
 pub struct Tensor {
-    data: Vec<f32>,
+    data: WorkspaceGuard,
     shape: Shape,
 }
 
 impl Clone for Tensor {
     fn clone(&self) -> Self {
-        let mut data = workspace::take_vec_scratch(self.data.len());
+        let mut data = workspace::take_scratch(self.numel());
         data.copy_from_slice(&self.data);
         Tensor { data, shape: self.shape.clone() }
     }
 }
 
-impl Drop for Tensor {
-    fn drop(&mut self) {
-        workspace::give_vec(std::mem::take(&mut self.data));
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Tensor) -> bool {
+        self.shape == other.shape && self.data() == other.data()
     }
 }
 
 impl Tensor {
-    /// Creates a tensor from a flat buffer and a shape.
+    /// Creates a tensor over a filled workspace checkout.
     ///
     /// # Panics
     /// Panics if `data.len() != shape.numel()`.
-    pub fn from_vec(data: Vec<f32>, dims: &[usize]) -> Self {
+    pub fn from_guard(data: WorkspaceGuard, dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
         assert_eq!(data.len(), shape.numel(), "data length does not match shape {dims:?}");
         Tensor { data, shape }
     }
 
+    /// Creates a tensor from a flat buffer and a shape, copying the buffer
+    /// once into a workspace checkout (for tests and cold initialization;
+    /// hot paths fill a checkout and use [`Tensor::from_guard`]).
+    ///
+    /// # Panics
+    /// Panics if `data.len() != shape.numel()`.
+    pub fn from_vec(data: Vec<f32>, dims: &[usize]) -> Self {
+        Tensor::from_guard(data.into(), dims)
+    }
+
     /// A tensor of zeros.
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
-        Tensor { data: workspace::take_vec_zeroed(shape.numel()), shape }
+        Tensor { data: workspace::take_zeroed(shape.numel()), shape }
     }
 
     /// A tensor of ones.
@@ -63,30 +73,29 @@ impl Tensor {
     /// A tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
-        let mut data = workspace::take_vec_scratch(shape.numel());
+        let mut data = workspace::take_scratch(shape.numel());
         data.fill(value);
         Tensor { data, shape }
     }
 
     /// A scalar (rank-0) tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor { data: vec![value], shape: Shape::new(&[]) }
+        Tensor::full(&[], value)
     }
 
     /// Standard-normal samples scaled by `std`, drawn from `rng`
     /// (Box–Muller; avoids depending on `rand_distr`).
     pub fn randn<R: Rng>(dims: &[usize], std: f32, rng: &mut R) -> Self {
         let shape = Shape::new(dims);
-        let n = shape.numel();
-        let mut data = Vec::with_capacity(n);
-        while data.len() < n {
+        let mut data = workspace::take_scratch(shape.numel());
+        for pair in data.chunks_mut(2) {
             let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
             let u2: f32 = rng.gen_range(0.0..1.0);
             let r = (-2.0 * u1.ln()).sqrt();
             let theta = 2.0 * std::f32::consts::PI * u2;
-            data.push(r * theta.cos() * std);
-            if data.len() < n {
-                data.push(r * theta.sin() * std);
+            pair[0] = r * theta.cos() * std;
+            if let Some(second) = pair.get_mut(1) {
+                *second = r * theta.sin() * std;
             }
         }
         Tensor { data, shape }
@@ -95,7 +104,8 @@ impl Tensor {
     /// Uniform samples in `[lo, hi)`.
     pub fn rand_uniform<R: Rng>(dims: &[usize], lo: f32, hi: f32, rng: &mut R) -> Self {
         let shape = Shape::new(dims);
-        let data = (0..shape.numel()).map(|_| rng.gen_range(lo..hi)).collect();
+        let mut data = workspace::take_scratch(shape.numel());
+        data.iter_mut().for_each(|v| *v = rng.gen_range(lo..hi));
         Tensor { data, shape }
     }
 
@@ -122,12 +132,6 @@ impl Tensor {
     /// Mutable view of the flat buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning its flat buffer (the buffer is *not*
-    /// donated to the pool — the caller owns it).
-    pub fn into_vec(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
     }
 
     /// The single value of a rank-0 or single-element tensor.
@@ -161,7 +165,7 @@ impl Tensor {
         for &d in self.dims() {
             w.write_all(&(d as u64).to_le_bytes())?;
         }
-        for &v in &self.data {
+        for &v in self.data() {
             w.write_all(&v.to_le_bytes())?;
         }
         Ok(())
@@ -208,8 +212,8 @@ impl Tensor {
 
     /// Element-wise map into a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let mut data = workspace::take_vec_capacity(self.data.len());
-        data.extend(self.data.iter().map(|&x| f(x)));
+        let mut data = workspace::take_scratch(self.numel());
+        data.iter_mut().zip(self.data()).for_each(|(o, &x)| *o = f(x));
         Tensor { data, shape: self.shape.clone() }
     }
 
@@ -219,8 +223,10 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.shape, other.shape, "zip shape mismatch");
-        let mut data = workspace::take_vec_capacity(self.data.len());
-        data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
+        let mut data = workspace::take_scratch(self.numel());
+        for ((o, &a), &b) in data.iter_mut().zip(self.data()).zip(other.data()) {
+            *o = f(a, b);
+        }
         Tensor { data, shape: self.shape.clone() }
     }
 
@@ -247,7 +253,7 @@ impl Tensor {
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "add_assign shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data.iter_mut().zip(other.data()) {
             *a += b;
         }
     }
@@ -255,7 +261,7 @@ impl Tensor {
     /// In-place `self += s * other` (AXPY).
     pub fn axpy(&mut self, s: f32, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data.iter_mut().zip(other.data()) {
             *a += s * b;
         }
     }
@@ -307,15 +313,16 @@ impl Tensor {
         // outer = product of dims before axis, inner = product after.
         let outer: usize = out_dims[..axis].iter().product();
         let inner: usize = out_dims[axis + 1..].iter().product();
-        let mut data = workspace::take_vec_capacity(out_dims.iter().product());
+        let mut data = workspace::take_scratch(out_dims.iter().product());
+        let mut at = 0;
         for o in 0..outer {
             for t in tensors {
                 let len = t.dims()[axis] * inner;
-                let start = o * len;
-                data.extend_from_slice(&t.data[start..start + len]);
+                data[at..at + len].copy_from_slice(&t.data[o * len..(o + 1) * len]);
+                at += len;
             }
         }
-        Tensor::from_vec(data, &out_dims)
+        Tensor::from_guard(data, &out_dims)
     }
 
     /// The `len` entries from `start` along `axis`, copied into a tensor of
@@ -328,12 +335,12 @@ impl Tensor {
         let inner: usize = self.dims()[axis + 1..].iter().product();
         let mut dims = self.dims().to_vec();
         dims[axis] = len;
-        let mut data = workspace::take_vec_capacity(outer * len * inner);
-        for o in 0..outer {
+        let mut data = workspace::take_scratch(outer * len * inner);
+        for (o, dst) in data.chunks_exact_mut(len * inner).enumerate() {
             let off = (o * axis_len + start) * inner;
-            data.extend_from_slice(&self.data[off..off + len * inner]);
+            dst.copy_from_slice(&self.data[off..off + len * inner]);
         }
-        Tensor::from_vec(data, &dims)
+        Tensor::from_guard(data, &dims)
     }
 
     /// Splits a tensor along `axis` into chunks of the given sizes
@@ -355,13 +362,13 @@ impl Tensor {
     pub fn transpose2(&self) -> Tensor {
         assert_eq!(self.shape.rank(), 2, "transpose2 requires rank 2");
         let (m, n) = (self.dims()[0], self.dims()[1]);
-        let mut out = workspace::take_vec_scratch(m * n);
+        let mut out = workspace::take_scratch(m * n);
         for i in 0..m {
             for j in 0..n {
                 out[j * m + i] = self.data[i * n + j];
             }
         }
-        Tensor::from_vec(out, &[n, m])
+        Tensor::from_guard(out, &[n, m])
     }
 }
 
@@ -369,7 +376,7 @@ impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor{:?}", self.shape.dims())?;
         if self.numel() <= 16 {
-            write!(f, " {:?}", self.data)
+            write!(f, " {:?}", self.data())
         } else {
             write!(f, " [{} elements]", self.numel())
         }
@@ -476,6 +483,41 @@ mod tests {
         assert!(!t.has_non_finite());
         let bad = Tensor::from_vec(vec![f32::NAN], &[1]);
         assert!(bad.has_non_finite());
+    }
+
+    /// Every constructor and op hands back storage that starts on a 64-byte
+    /// line, at any size and whatever the allocator served just before.
+    #[test]
+    fn every_tensor_starts_on_a_cache_line() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for n in [1, 2, 3, 5, 15, 16, 17, 63, 64, 65, 100, 255, 1000, 4097, 70_000] {
+            // A burst of odd-sized allocations, foreign and pooled.
+            let burst: Vec<Vec<f32>> = (1..40).map(|i| vec![0.0; i * 7 + n % 13]).collect();
+            let pooled: Vec<Tensor> = (1..8).map(|i| Tensor::full(&[i * 3 + n], 1.0)).collect();
+            let x = Tensor::randn(&[n], 1.0, &mut rng);
+            let m = Tensor::full(&[2, n], 2.0);
+            let input = Tensor::randn(&[1, 2, 1, 1, n], 1.0, &mut rng);
+            let weight = Tensor::randn(&[3, 2, 1, 1, 1], 1.0, &mut rng);
+            let outs = [
+                ("zeros", Tensor::zeros(&[n])),
+                ("full", Tensor::full(&[n], 3.0)),
+                ("scalar", Tensor::scalar(n as f32)),
+                ("from_vec", Tensor::from_vec(vec![0.5; n], &[n])),
+                ("clone", x.clone()),
+                ("map", x.map(|v| v * 2.0)),
+                ("zip", x.add(&x)),
+                ("concat", Tensor::concat(&[&m, &m], 1)),
+                ("narrow", m.narrow(1, n / 2, n - n / 2)),
+                ("transpose2", m.transpose2()),
+                ("reshape", m.clone().reshape(&[n, 2])),
+                ("conv", crate::PackedConv3d::pack(&weight, n).forward(&input)),
+                ("randn", x),
+            ];
+            for (what, t) in &outs {
+                assert_eq!(t.data().as_ptr() as usize % 64, 0, "{what} of {n} elements");
+            }
+            drop((burst, pooled));
+        }
     }
 
     #[test]

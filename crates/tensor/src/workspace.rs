@@ -1,30 +1,26 @@
-//! Workspace buffer pool: a thread-safe freelist of size-bucketed `Vec<f32>`
-//! buffers shared by every compute kernel in the training hot path.
+//! Workspace buffer pool: a thread-safe freelist of size-bucketed `f32`
+//! buffers shared by every compute kernel and every tensor.
 //!
 //! A training step allocates the same family of buffers over and over —
 //! GEMM packing panels, conv outputs, tape activations and gradients.
 //! Instead of hitting the system allocator thousands of times per step,
-//! buffers are checked out of a global pool and returned when dropped:
-//!
-//! - [`take_scratch`]/[`take_zeroed`] hand out an RAII [`WorkspaceGuard`]
-//!   (auto-returns on drop) whose slice starts on a 64-byte cache line — use
-//!   these for kernel-local scratch (packed panels, and the activations a
-//!   GEMM reads in place, where a vector load straddling two lines costs two
-//!   L1 accesses);
-//! - [`take_vec_scratch`]/[`take_vec_zeroed`]/[`take_vec_capacity`] hand out a
-//!   plain `Vec<f32>` for buffers that outlive the call (tensor storage);
-//!   donate any buffer back with [`give_vec`] — `Tensor`'s `Drop` impl does
-//!   this automatically, so the tape's per-step tensors recycle themselves.
+//! buffers are checked out of a global pool and returned when dropped.
+//! There is one checkout kind: [`take_scratch`]/[`take_zeroed`] hand out an
+//! RAII [`WorkspaceGuard`] whose slice starts on a 64-byte cache line and
+//! whose `Drop` returns the buffer. Kernel scratch (packed panels) and
+//! tensor storage ([`crate::Tensor`] holds a guard) are the same thing, so a
+//! kernel that reads an activation in place never sees a vector load
+//! straddling two lines, whatever the allocator did before.
 //!
 //! ## Ownership and safety rules
 //!
+//! - The pool holds only buffers it made: the guard's `Drop` is the one
+//!   donation, so nothing allocated elsewhere enters it (foreign data is
+//!   copied into a checkout, see `From<Vec<f32>>`).
 //! - Buffers are bucketed by capacity rounded to powers of two (min
-//!   [`MIN_BUCKET`] elements); smaller donations are simply freed. A buffer
-//!   the pool allocates carries `LINE - 1` elements past its bucket's
-//!   capacity, room to start a guard's slice on a cache line without moving
-//!   the buffer to the next bucket up. Every buffer gets the slack, tensor
-//!   storage too: a guard that had to grow a buffer without it would change
-//!   the pool's footprint long after warm-up.
+//!   [`MIN_BUCKET`] elements). Every buffer carries `LINE - 1` elements past
+//!   its bucket's capacity, room to start the slice on a cache line without
+//!   moving the buffer to the next bucket up.
 //! - A *scratch* checkout has its requested length but **stale contents**
 //!   (whatever the previous user left — always initialized memory, never
 //!   uninitialized; there is no `unsafe` in this module). Callers must fully
@@ -38,10 +34,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Smallest pooled buffer, in `f32` elements. Donations below this are freed
-/// immediately: tiny vectors (scalars, per-channel stats) are cheaper to
-/// reallocate than to track.
-pub const MIN_BUCKET: usize = 64;
+/// Smallest pooled buffer, in `f32` elements: one cache line. Every tensor
+/// is a checkout, scalars and per-channel stats too, and a checkout of fewer
+/// elements still takes a buffer of this bucket.
+pub const MIN_BUCKET: usize = LINE;
 
 /// Most buffers retained per size bucket; excess donations are freed.
 const MAX_PER_BUCKET: usize = 32;
@@ -125,131 +121,107 @@ fn bucket_for_len(len: usize) -> usize {
     b
 }
 
-/// Largest bucket index whose capacity is `<= cap` (donation side), or
-/// `None` if the buffer is too small to pool.
-fn bucket_for_cap(cap: usize) -> Option<usize> {
-    if cap < MIN_BUCKET {
-        return None;
-    }
+/// Bucket index whose capacity (`MIN_BUCKET << b`) is the largest `<= cap`:
+/// the bucket of a buffer this pool made, from its capacity.
+fn bucket_for_cap(cap: usize) -> usize {
     let mut b = 0;
     while (MIN_BUCKET << (b + 1)) <= cap && b + 1 < BUCKETS {
         b += 1;
     }
-    Some(b)
+    b
+}
+
+/// Elements from the start of `buf` to its first cache line.
+fn line_offset(buf: &[f32]) -> usize {
+    buf.as_ptr().align_offset(LINE * 4).min(LINE - 1)
 }
 
 /// Checks out a buffer of the bucket for `len` holding `off + len` elements,
-/// where `off` puts element `off` on a cache line when `aligned` (0
-/// otherwise): stale contents, or zeros from `off` on when `zero`.
-fn take_impl(len: usize, aligned: bool, zero: bool) -> (Vec<f32>, usize) {
-    let b = bucket_for_len(len);
-    let reused = if b < BUCKETS {
-        with_pool(|p| {
-            if !p.enabled {
-                return None;
-            }
-            let v = p.shelves[b].pop()?;
-            p.cached_bytes -= v.capacity() * 4;
-            Some(v)
-        })
-    } else {
-        None
-    };
-    let mut v = match reused {
+/// where `off` puts element `off` on a cache line: stale contents, or zeros
+/// from `off` on when `zero`.
+fn take_impl(len: usize, zero: bool) -> WorkspaceGuard {
+    let b = bucket_for_len(len).min(BUCKETS - 1);
+    let reused = with_pool(|p| {
+        if !p.enabled {
+            return None;
+        }
+        let v = p.shelves[b].pop()?;
+        p.cached_bytes -= v.capacity() * 4;
+        Some(v)
+    });
+    let mut buf = match reused {
         Some(v) => {
             HITS.fetch_add(1, Ordering::Relaxed);
             v
         }
         None => {
             MISSES.fetch_add(1, Ordering::Relaxed);
-            Vec::with_capacity((MIN_BUCKET << b.min(BUCKETS - 1)).max(len) + LINE - 1)
+            Vec::with_capacity((MIN_BUCKET << b).max(len) + LINE - 1)
         }
     };
-    let off = if aligned {
-        // A buffer donated from outside the pool may lack the slack; growing
-        // it to `len + LINE - 1` keeps it in its bucket.
-        v.reserve_exact((len + LINE - 1).saturating_sub(v.len()));
-        v.as_ptr().align_offset(LINE * 4).min(LINE - 1)
-    } else {
-        0
-    };
+    let off = line_offset(&buf);
     // Growing writes only the new region; the stale prefix stays (scratch
     // semantics) unless a zeroed buffer was requested.
-    v.truncate(off + len);
-    v.resize(off + len, 0.0);
+    buf.truncate(off + len);
+    buf.resize(off + len, 0.0);
     if zero {
-        v[off..].fill(0.0);
+        buf[off..].fill(0.0);
     }
-    (v, off)
+    WorkspaceGuard { buf }
 }
 
 /// Checks out a buffer of `len` elements with **stale contents** (fully
 /// overwrite before reading), starting on a cache line. RAII: returns to the
 /// pool on drop.
 pub fn take_scratch(len: usize) -> WorkspaceGuard {
-    let (buf, off) = take_impl(len, true, false);
-    WorkspaceGuard { buf, off }
+    take_impl(len, false)
 }
 
 /// Checks out a buffer of `len` zeros, starting on a cache line. RAII:
 /// returns to the pool on drop.
 pub fn take_zeroed(len: usize) -> WorkspaceGuard {
-    let (buf, off) = take_impl(len, true, true);
-    WorkspaceGuard { buf, off }
-}
-
-/// Checks out a plain `Vec<f32>` of `len` elements with stale contents, for
-/// storage that outlives the call (e.g. tensor data). Donate it back with
-/// [`give_vec`] when done (or let `Tensor`'s `Drop` do it).
-pub fn take_vec_scratch(len: usize) -> Vec<f32> {
-    take_impl(len, false, false).0
-}
-
-/// [`take_vec_scratch`] but zero-filled.
-pub fn take_vec_zeroed(len: usize) -> Vec<f32> {
-    take_impl(len, false, true).0
-}
-
-/// Checks out an **empty** `Vec<f32>` with capacity `>= cap`, for
-/// `push`/`extend` fill patterns that would otherwise reallocate.
-pub fn take_vec_capacity(cap: usize) -> Vec<f32> {
-    let mut v = take_vec_scratch(cap);
-    v.clear();
-    v
-}
-
-/// Donates a buffer to the pool. Buffers below [`MIN_BUCKET`] capacity, or
-/// arriving when the pool is full/disabled, are simply freed.
-pub fn give_vec(v: Vec<f32>) {
-    if let Some(b) = bucket_for_cap(v.capacity()) {
-        with_pool(|p| p.donate(b, v));
-    }
+    take_impl(len, true)
 }
 
 /// RAII checkout of a pooled buffer; derefs to its `[f32]` slice, which
-/// starts `off` elements into the buffer, on a cache line, and returns the
-/// buffer to the pool when dropped.
+/// starts at the buffer's first cache line, and returns the buffer to the
+/// pool when dropped. The buffer never reallocates while checked out, so
+/// that offset is recomputed rather than stored: a guard is the size of a
+/// `Vec`, and a tensor no larger than when its storage was one.
 pub struct WorkspaceGuard {
     buf: Vec<f32>,
-    off: usize,
 }
 
 impl std::ops::Deref for WorkspaceGuard {
     type Target = [f32];
     fn deref(&self) -> &[f32] {
-        &self.buf[self.off..]
+        &self.buf[line_offset(&self.buf)..]
     }
 }
 
 impl std::ops::DerefMut for WorkspaceGuard {
     fn deref_mut(&mut self) -> &mut [f32] {
-        &mut self.buf[self.off..]
+        let off = line_offset(&self.buf);
+        &mut self.buf[off..]
     }
 }
 
 impl Drop for WorkspaceGuard {
+    /// The pool's one donation: the buffer goes back to its shelf unless the
+    /// pool is off or full, in which case it is freed.
     fn drop(&mut self) {
-        give_vec(std::mem::take(&mut self.buf));
+        let buf = std::mem::take(&mut self.buf);
+        with_pool(|p| p.donate(bucket_for_cap(buf.capacity()), buf));
+    }
+}
+
+impl From<Vec<f32>> for WorkspaceGuard {
+    /// Copies a buffer the pool did not make into a checkout of its length,
+    /// and frees it.
+    fn from(v: Vec<f32>) -> Self {
+        let mut buf = take_scratch(v.len());
+        buf.copy_from_slice(&v);
+        buf
     }
 }
 
@@ -353,13 +325,31 @@ mod tests {
     }
 
     #[test]
-    fn tiny_buffers_are_not_pooled() {
+    fn tiny_checkouts_share_the_smallest_bucket() {
         let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         clear();
-        reset_stats();
-        give_vec(vec![1.0; 8]);
-        assert_eq!(stats().cached_buffers, 0);
+        let ptr = take_scratch(8).as_ptr() as usize;
+        assert_eq!(take_scratch(1).as_ptr() as usize, ptr);
+        assert_eq!(stats().cached_buffers, 1);
+    }
+
+    /// A foreign `Vec` is copied into a checkout and freed; only the
+    /// checkout ever reaches a shelf.
+    #[test]
+    fn foreign_buffers_are_copied_not_adopted() {
+        let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_enabled(true);
+        clear();
+        let v: Vec<f32> = (0..1000).map(|i| i as f32).collect();
+        let (foreign, want) = (v.as_ptr() as usize, v.clone());
+        let g = WorkspaceGuard::from(v);
+        assert_ne!(g.as_ptr() as usize, foreign);
+        assert_eq!(&g[..], &want[..]);
+        let ptr = g.as_ptr() as usize;
+        drop(g);
+        assert_eq!(stats().cached_buffers, 1);
+        assert_eq!(take_scratch(1000).as_ptr() as usize, ptr);
     }
 
     #[test]
@@ -390,20 +380,21 @@ mod tests {
 
     /// Every guard starts on a cache line, and a buffer whose length is a
     /// whole bucket stays in that bucket: the alignment slack never pushes it
-    /// to the next one up.
+    /// to the next one up, and reusing it never grows it.
     #[test]
     fn guards_start_on_a_cache_line_within_their_bucket() {
         let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         clear();
         for len in [1, 60, MIN_BUCKET, 1000, 1 << 15, (1 << 15) + 1] {
+            let mut first_cap = None;
             for round in 0..3 {
-                // A donated buffer of exactly the bucket's capacity, no slack.
-                give_vec(vec![1.0; MIN_BUCKET << bucket_for_len(len)]);
                 let g = if round == 1 { take_zeroed(len) } else { take_scratch(len) };
+                let cap = g.buf.capacity();
                 assert_eq!(g.len(), len);
                 assert_eq!(g.as_ptr() as usize % 64, 0, "len {len} round {round}");
-                assert_eq!(bucket_for_cap(g.buf.capacity()), Some(bucket_for_len(len)));
+                assert_eq!(bucket_for_cap(cap), bucket_for_len(len));
+                assert_eq!(*first_cap.get_or_insert(cap), cap, "len {len} round {round}");
                 if round == 1 {
                     assert!(g.iter().all(|&x| x == 0.0));
                 }
