@@ -52,7 +52,7 @@ use mfn_tensor::{
     conv3d_auto, conv3d_grad_input, conv3d_grad_weight, maxpool3d, maxpool3d_backward,
     upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims, PackedConv3d, Tensor,
 };
-use mfn_tensor::{in_turns, rowops, workspace, ColumnSlabs, Turns};
+use mfn_tensor::{in_turns, rowops, thin, workspace, ColumnSlabs, Turns};
 
 pub use mfn_tensor::rowops::JET_LANES;
 
@@ -166,6 +166,15 @@ enum Op {
         weights: Vec<f32>,
         group: usize,
     },
+    /// [`Op::VertexBlend`] of a six-lane `x: [C, JET_LANES·Q·group]` by the
+    /// product rule against the weights' slopes along `t`, `z`, `x`
+    /// ([`rowops::blend_jet_into`]), into `[JET_LANES·Q, C]`.
+    BlendJet {
+        input: Var,
+        weights: Vec<f32>,
+        slopes: [Vec<f32>; 3],
+        group: usize,
+    },
 }
 
 impl Op {
@@ -196,6 +205,7 @@ impl Op {
             Op::ChannelAffine { .. } => "channel_affine",
             Op::GatherVertices { .. } => "gather_vertices",
             Op::VertexBlend { .. } => "vertex_blend",
+            Op::BlendJet { .. } => "blend_jet",
         }
     }
 
@@ -219,7 +229,8 @@ impl Op {
             | Op::MaxPool3d { input, .. }
             | Op::Upsample3d { input, .. }
             | Op::ChannelAffine { input, .. }
-            | Op::VertexBlend { input, .. } => vec![*input],
+            | Op::VertexBlend { input, .. }
+            | Op::BlendJet { input, .. } => vec![*input],
             Op::Conv3d { input, weight, .. } => vec![*input, *weight],
             Op::BatchNorm { input, gamma, beta, .. } => vec![*input, *gamma, *beta],
             Op::GatherVertices { grid, .. } => vec![*grid],
@@ -495,9 +506,9 @@ impl Graph {
         let keep_pre = rg && (seed.is_some() || curved_jet || act == Activation::Softplus);
         let mut y = workspace::take_scratch(n * lanes * points);
         let mut pre = keep_pre.then(|| workspace::take_scratch(n * cols));
-        let packed = PackedConv3d::pack_linear(wv.data(), n, k);
+        let weight = LayerGemm::new(wv);
         let gemm_out = pre.as_deref_mut().unwrap_or(&mut y);
-        gemm_in_turns(self.workers, &packed, xv.data(), gemm_out, n, || {});
+        gemm_in_turns(self.workers, &weight, xv.data(), gemm_out, n, || {});
 
         let seeds = seed_scalars(wv, seed);
         let bias = bv.data();
@@ -513,15 +524,15 @@ impl Graph {
                     let seeds = &seeds[3 * j..3 * j + 3 * bias.len()];
                     act.bias_jet_features::<false>(y, pre, bias, seeds)
                 }
+                // A jet reads the saved GEMM output and writes `y` in one pass.
+                (_, pre) if lanes > 1 => {
+                    act.bias_jet_features::<false>(y, pre.unwrap_or(&mut []), bias, &[])
+                }
                 (_, pre) => {
                     if let Some(pre) = pre {
                         y.copy_from_slice(pre);
                     }
-                    if lanes == 1 {
-                        act.bias_apply_features(y, bias);
-                    } else {
-                        act.bias_jet_features::<false>(y, &mut [], bias, &[]);
-                    }
+                    act.bias_apply_features(y, bias);
                 }
             }
         };
@@ -651,51 +662,35 @@ impl Graph {
         let inner: usize = xv.dims()[2..].iter().product();
         let count = (n * inner) as f64;
         assert!(count >= 1.0, "batch_norm on empty batch");
-        let mut mean = vec![0.0f64; c];
-        let mut var = vec![0.0f64; c];
         let x = xv.data();
-        for ni in 0..n {
-            for ci in 0..c {
-                let slab = &x[(ni * c + ci) * inner..(ni * c + ci + 1) * inner];
-                for &v in slab {
-                    mean[ci] += v as f64;
-                }
-            }
-        }
-        for m in mean.iter_mut() {
-            *m /= count;
-        }
-        for ni in 0..n {
-            for ci in 0..c {
-                let slab = &x[(ni * c + ci) * inner..(ni * c + ci + 1) * inner];
-                for &v in slab {
-                    let d = v as f64 - mean[ci];
-                    var[ci] += d * d;
-                }
-            }
-        }
-        for v in var.iter_mut() {
-            *v /= count;
-        }
+        let dims = [n, c, inner];
+        let mean: Vec<f64> =
+            channel_sums(x, x, dims, |_, v, _| [v as f64]).iter().map(|s| s[0] / count).collect();
+        let var: Vec<f64> = channel_sums(x, x, dims, |ci, v, _| {
+            let d = v as f64 - mean[ci];
+            [d * d]
+        })
+        .iter()
+        .map(|s| s[0] / count)
+        .collect();
         let mean32: Vec<f32> = mean.iter().map(|&m| m as f32).collect();
         let invstd: Vec<f32> = var.iter().map(|&v| 1.0 / ((v as f32 + eps).sqrt())).collect();
         if let Some(stats) = stats_out {
             stats.0 = mean32.clone();
             stats.1 = var.iter().map(|&v| v as f32).collect();
         }
-        let g = self.nodes[gamma.0].value.data().to_vec();
-        let b = self.nodes[beta.0].value.data().to_vec();
-        let mut out = workspace::take_scratch(x.len());
-        for ni in 0..n {
-            for ci in 0..c {
-                let off = (ni * c + ci) * inner;
-                let (m, is, gg, bb) = (mean32[ci], invstd[ci], g[ci], b[ci]);
-                for k in 0..inner {
-                    out[off + k] = (x[off + k] - m) * is * gg + bb;
-                }
+        let g = self.nodes[gamma.0].value.data();
+        let b = self.nodes[beta.0].value.data();
+        let mut buf = workspace::take_scratch(x.len());
+        let out: &mut [f32] = &mut buf;
+        for (ci, (out, x)) in out.chunks_exact_mut(inner).zip(x.chunks_exact(inner)).enumerate() {
+            let ci = ci % c;
+            let (m, is, gg, bb) = (mean32[ci], invstd[ci], g[ci], b[ci]);
+            for (o, &x) in out.iter_mut().zip(x) {
+                *o = (x - m) * is * gg + bb;
             }
         }
-        let value = Tensor::from_guard(out, xv.dims());
+        let value = Tensor::from_guard(buf, xv.dims());
         let rg = self.rg(input) || self.rg(gamma) || self.rg(beta);
         self.push(value, Op::BatchNorm { input, gamma, beta, mean: mean32, invstd }, rg)
     }
@@ -736,6 +731,32 @@ impl Graph {
         rowops::blend_features_into(self.nodes[input.0].value.data(), &weights, group, &mut out);
         let rg = self.rg(input);
         self.push(Tensor::from_guard(out, &[q, c]), Op::VertexBlend { input, weights, group }, rg)
+    }
+
+    /// The trilinear blend of a six-lane `x: [C, JET_LANES·Q·group]` (value,
+    /// `∂t`, `∂z`, `∂x`, `∂zz`, `∂xx` as column blocks of each feature row)
+    /// as one node, by the product rule: lane `k` blends under `weights` and
+    /// adds its partner lane's blend under `slopes[a]`, the weights' slopes
+    /// along axis `a`, doubled for a second derivative
+    /// ([`rowops::blend_jet_into`]). The lanes come out as row blocks,
+    /// `[JET_LANES·Q, C]`, the value lane [`Graph::vertex_blend`]'s bit for
+    /// bit; each lane's value and its adjoint are those of the composition
+    /// of per-lane `narrow`, `vertex_blend`, `add` and one `concat` node.
+    pub fn blend_jet(
+        &mut self,
+        input: Var,
+        weights: Vec<f32>,
+        slopes: [Vec<f32>; 3],
+        group: usize,
+    ) -> Var {
+        let c = self.nodes[input.0].value.dims()[0];
+        let q = weights.len() / group;
+        let mut out = workspace::take_scratch(JET_LANES * q * c);
+        let x = self.nodes[input.0].value.data();
+        rowops::blend_jet_into(x, &weights, slopes.each_ref().map(|s| &s[..]), group, &mut out);
+        let value = Tensor::from_guard(out, &[JET_LANES * q, c]);
+        let rg = self.rg(input);
+        self.push(value, Op::BlendJet { input, weights, slopes, group }, rg)
     }
 
     // ---- composite losses ----
@@ -951,43 +972,39 @@ impl Graph {
                 let (n, c) = (xv.dims()[0], xv.dims()[1]);
                 let inner: usize = xv.dims()[2..].iter().product();
                 let count = (n * inner) as f32;
-                let g = self.nodes[gamma.0].value.data().to_vec();
-                let x = xv.data();
-                let dy = grad.data();
+                let g = self.nodes[gamma.0].value.data();
+                let (x, dy) = (xv.data(), grad.data());
                 // Per-channel sums of dy and dy*xhat.
-                let mut sum_dy = vec![0.0f64; c];
-                let mut sum_dyx = vec![0.0f64; c];
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let off = (ni * c + ci) * inner;
-                        for k in 0..inner {
-                            let xhat = (x[off + k] - mean[ci]) * invstd[ci];
-                            sum_dy[ci] += dy[off + k] as f64;
-                            sum_dyx[ci] += (dy[off + k] * xhat) as f64;
-                        }
+                let sums = channel_sums(x, dy, [n, c, inner], |ci, x, dy| {
+                    let xhat = (x - mean[ci]) * invstd[ci];
+                    [dy as f64, (dy * xhat) as f64]
+                });
+                let mut buf = workspace::take_scratch(x.len());
+                let dx: &mut [f32] = &mut buf;
+                for (ci, ((dx, x), dy)) in dx
+                    .chunks_exact_mut(inner)
+                    .zip(x.chunks_exact(inner))
+                    .zip(dy.chunks_exact(inner))
+                    .enumerate()
+                {
+                    let ci = ci % c;
+                    let m_dy = (sums[ci][0] / count as f64) as f32;
+                    let m_dyx = (sums[ci][1] / count as f64) as f32;
+                    let (m, is, gg) = (mean[ci], invstd[ci], g[ci]);
+                    for ((dx, &x), &dy) in dx.iter_mut().zip(x).zip(dy) {
+                        let xhat = (x - m) * is;
+                        *dx = gg * is * (dy - m_dy - xhat * m_dyx);
                     }
                 }
-                let mut dx = workspace::take_scratch(x.len());
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let off = (ni * c + ci) * inner;
-                        let m_dy = (sum_dy[ci] / count as f64) as f32;
-                        let m_dyx = (sum_dyx[ci] / count as f64) as f32;
-                        for k in 0..inner {
-                            let xhat = (x[off + k] - mean[ci]) * invstd[ci];
-                            dx[off + k] = g[ci] * invstd[ci] * (dy[off + k] - m_dy - xhat * m_dyx);
-                        }
-                    }
-                }
-                let dx = Tensor::from_guard(dx, xv.dims());
+                let dx = Tensor::from_guard(buf, xv.dims());
                 self.accumulate(input, dx);
-                let channel_sums = |sums: &[f64], like: &Tensor| {
+                let channel_totals = |at: usize, like: &Tensor| {
                     let mut t = workspace::take_scratch(sums.len());
-                    t.iter_mut().zip(sums).for_each(|(t, &s)| *t = s as f32);
+                    t.iter_mut().zip(&sums).for_each(|(t, s)| *t = s[at] as f32);
                     Tensor::from_guard(t, like.dims())
                 };
-                let dgamma = channel_sums(&sum_dyx, &self.nodes[gamma.0].value);
-                let dbeta = channel_sums(&sum_dy, &self.nodes[beta.0].value);
+                let dgamma = channel_totals(1, &self.nodes[gamma.0].value);
+                let dbeta = channel_totals(0, &self.nodes[beta.0].value);
                 self.accumulate(gamma, dgamma);
                 self.accumulate(beta, dbeta);
             }
@@ -1008,17 +1025,28 @@ impl Graph {
                 let c = gv.dims()[1];
                 let vol: usize = gv.dims()[2..].iter().product();
                 let m = index.len();
-                let mut gg = workspace::take_zeroed(gv.numel());
+                let mut buf = workspace::take_zeroed(gv.numel());
+                let gg: &mut [f32] = &mut buf;
                 // The channel rows under the prefix; each grid element takes
-                // its points' adjoints in increasing point order.
+                // its points' adjoints in increasing point order. Where
+                // channel 0 of each point's vertex sits is found a chunk of
+                // points at a time: one division per point, not per element.
+                const CHUNK: usize = 64;
+                let mut base = [0usize; CHUNK];
                 let channels = &grad.data()[grad.numel() - c * m..];
-                for (ci, row) in channels.chunks_exact(m).enumerate() {
-                    for (&flat, &g) in index.iter().zip(row) {
+                for (i, idx) in index.chunks(CHUNK).enumerate() {
+                    for (b, &flat) in base.iter_mut().zip(idx) {
                         let (ni, sp) = (flat as usize / vol, flat as usize % vol);
-                        gg[(ni * c + ci) * vol + sp] += g;
+                        *b = ni * c * vol + sp;
+                    }
+                    for (ci, row) in channels.chunks_exact(m).enumerate() {
+                        let gg = &mut gg[ci * vol..];
+                        for (&b, &g) in base.iter().zip(&row[i * CHUNK..][..idx.len()]) {
+                            gg[b] += g;
+                        }
                     }
                 }
-                let gg = Tensor::from_guard(gg, gv.dims());
+                let gg = Tensor::from_guard(buf, gv.dims());
                 self.accumulate(grid, gg);
             }
             Op::VertexBlend { input, weights, group } => {
@@ -1035,6 +1063,13 @@ impl Graph {
                         }
                     }
                 }
+                self.accumulate(input, Tensor::from_guard(gi, &dims));
+            }
+            Op::BlendJet { input, weights, slopes, group } => {
+                let dims = self.nodes[input.0].value.dims().to_vec();
+                let mut gi = workspace::take_scratch(dims.iter().product());
+                let slopes = slopes.each_ref().map(|s| &s[..]);
+                rowops::blend_jet_grad_into(grad.data(), &weights, slopes, group, &mut gi);
                 self.accumulate(input, Tensor::from_guard(gi, &dims));
             }
         }
@@ -1131,7 +1166,13 @@ impl Graph {
         let mut dw = None;
         let weight_grad = || {
             // y = w · x  =>  dw = dz · xᵀ, in w's [out, in] layout.
-            let mut dw = conv3d_grad_weight(xv.data(), dz, dims, None).reshape(wv.dims());
+            let mut dw = if thin::is_thin(n) {
+                let mut dw = workspace::take_scratch(n * k);
+                thin::thin_grad_weight(xv.data(), dz, n, &mut dw);
+                Tensor::from_guard(dw, wv.dims())
+            } else {
+                conv3d_grad_weight(xv.data(), dz, dims, None).reshape(wv.dims())
+            };
             // Seed lane 1 + a is seed[a] in input feature a, zero elsewhere.
             for (a, &s) in seed.iter().flatten().enumerate() {
                 for (o, sums) in sums.chunks_exact(4).enumerate() {
@@ -1145,8 +1186,8 @@ impl Graph {
             None => dw = self.rg(w).then(weight_grad),
             Some(dx) => {
                 // dx = wᵀ · dz, the input gradient's conv.
-                let flipped = PackedConv3d::pack_flipped(wv.data(), dims);
-                gemm_in_turns(self.workers, &flipped, dz, dx, k, || {
+                let weight = LayerGemm::transposed(wv, dims);
+                gemm_in_turns(self.workers, &weight, dz, dx, k, || {
                     dw = self.rg(w).then(weight_grad)
                 });
             }
@@ -1173,24 +1214,62 @@ impl Graph {
     }
 }
 
-/// `out = w · x` for a layer's packed weight `w: [n, k]` over `x: [k, cols]`,
-/// `out: [n, cols]`, on `workers` threads taking turns at slabs of
-/// [`TURN_COLUMNS`] columns, each packing its B panels in scratch of its own.
-/// The caller runs `first` before it takes its first slab.
+/// A layer's weight as its GEMMs read it: packed into the driver's A panels,
+/// or — a layer narrower than the tile (`mfn_tensor::thin`), forward or
+/// backward — row-major, for [`thin::thin_columns`] to read in place. Either
+/// way every output column is the same FMA chain.
+enum LayerGemm {
+    Packed(PackedConv3d),
+    Thin(Tensor),
+}
+
+impl LayerGemm {
+    /// The forward's `w: [n, k]`.
+    fn new(w: &Tensor) -> Self {
+        let (n, k) = (w.dims()[0], w.dims()[1]);
+        if thin::is_thin(n) {
+            LayerGemm::Thin(w.clone())
+        } else {
+            LayerGemm::Packed(PackedConv3d::pack_linear(w.data(), n, k))
+        }
+    }
+
+    /// The input gradient's `wᵀ: [k, n]` for the layer of `dims`.
+    fn transposed(w: &Tensor, dims: Conv3dDims) -> Self {
+        if thin::is_thin(dims.cout) {
+            LayerGemm::Thin(w.transpose2())
+        } else {
+            LayerGemm::Packed(PackedConv3d::pack_flipped(w.data(), dims))
+        }
+    }
+}
+
+/// `out = w · x` for a layer's weight `w: [n, k]` over `x: [k, cols]`, `out:
+/// [n, cols]`, on `workers` threads taking turns at slabs of
+/// [`TURN_COLUMNS`] columns; a packed weight's workers each pack B panels in
+/// scratch of their own. The caller runs `first` before it takes its first
+/// slab.
 fn gemm_in_turns(
     workers: usize,
-    w: &PackedConv3d,
+    w: &LayerGemm,
     x: &[f32],
     out: &mut [f32],
     n: usize,
     first: impl FnOnce(),
 ) {
     let cols = out.len() / n;
-    let b_len = w.columns_scratch(TURN_COLUMNS.min(cols));
+    let b_len = match w {
+        LayerGemm::Packed(w) => w.columns_scratch(TURN_COLUMNS.min(cols)),
+        LayerGemm::Thin(_) => 0,
+    };
     let slabs = ColumnSlabs::new(out, n, cols, TURN_COLUMNS);
     let take = |b_pack: &mut workspace::WorkspaceGuard, slabs: &Turns<ColumnSlabs<'_>>| {
         for mut slab in slabs {
-            w.forward_columns(x, slab.range(), &mut slab, b_pack);
+            let range = slab.range();
+            match w {
+                LayerGemm::Packed(w) => w.forward_columns(x, range, &mut slab, b_pack),
+                LayerGemm::Thin(w) => thin::thin_columns(w.data(), n, x, range, &mut slab),
+            }
         }
     };
     let caller = |b_pack: &mut _, slabs: &Turns<_>| {
@@ -1235,6 +1314,65 @@ fn lane_sums(m: &[f32], n: usize, lane: usize, points: usize, out: &mut [f32], a
             out[at] = sum;
         }
     }
+}
+
+/// Channels whose chains [`channel_sums`] carries side by side.
+const SUM_CHANNELS: usize = 8;
+
+/// Per-channel sums over two `[n, c, inner]` tensors `x` and `y`: for channel
+/// `ci`, the `S` sums of `term(ci, x, y)` over its slab of every item in
+/// item order, element by element. Each channel's sums are one chain each
+/// in that order; the chains of [`SUM_CHANNELS`] channels are interleaved,
+/// so they run at the adder's throughput instead of its latency.
+fn channel_sums<const S: usize>(
+    x: &[f32],
+    y: &[f32],
+    [n, c, inner]: [usize; 3],
+    term: impl Fn(usize, f32, f32) -> [f64; S],
+) -> Vec<[f64; S]> {
+    assert!(
+        x.len() == n * c * inner && y.len() == x.len(),
+        "channel_sums over [{n}, {c}, {inner}]"
+    );
+    let mut sums = vec![[0.0f64; S]; c];
+    for ni in 0..n {
+        let mut c0 = 0;
+        while c0 < c {
+            let at = (ni * c + c0) * inner;
+            c0 += if c - c0 >= SUM_CHANNELS {
+                channel_group::<SUM_CHANNELS, S>(&x[at..], &y[at..], inner, c0, &mut sums, &term)
+            } else {
+                channel_group::<1, S>(&x[at..], &y[at..], inner, c0, &mut sums, &term)
+            };
+        }
+    }
+    sums
+}
+
+/// [`channel_sums`] over the `G` channel slabs from `c0` of one item, whose
+/// first elements are `x[0]` and `y[0]`; returns `G`.
+#[inline(always)]
+fn channel_group<const G: usize, const S: usize>(
+    x: &[f32],
+    y: &[f32],
+    inner: usize,
+    c0: usize,
+    sums: &mut [[f64; S]],
+    term: &impl Fn(usize, f32, f32) -> [f64; S],
+) -> usize {
+    let xs: [&[f32]; G] = std::array::from_fn(|j| &x[j * inner..][..inner]);
+    let ys: [&[f32]; G] = std::array::from_fn(|j| &y[j * inner..][..inner]);
+    let mut acc: [[f64; S]; G] = std::array::from_fn(|j| sums[c0 + j]);
+    for k in 0..inner {
+        for (j, acc) in acc.iter_mut().enumerate() {
+            let t = term(c0 + j, xs[j][k], ys[j][k]);
+            for (a, t) in acc.iter_mut().zip(t) {
+                *a += t;
+            }
+        }
+    }
+    sums[c0..c0 + G].copy_from_slice(&acc);
+    G
 }
 
 /// relu′ in place: zeroes `g` wherever `v` is not positive. `v` may be the

@@ -49,9 +49,11 @@ impl Activation {
     /// pre-activation as column blocks of each feature row): the bias joins
     /// the value lane alone, which comes out as `bias_apply_features` leaves
     /// it, and the activation acts by the second-order chain rule
-    /// ([`rowops::bias_jet_features`]). With `GRAD`, the reverse pass
-    /// instead: `y` holds the output adjoint and `pre` the GEMM output the
-    /// forward overwrote (unused without `GRAD`). With `seeds` (three per
+    /// ([`rowops::bias_jet_features`]). Given a `pre` as long as `y` (the
+    /// GEMM output a curved layer keeps), the forward reads it and writes
+    /// `y` in one pass; without, it works in place on `y`. With `GRAD`, the
+    /// reverse pass instead: `y` holds the output adjoint and `pre` the GEMM
+    /// output the forward read. With `seeds` (three per
     /// feature), pre-activation lanes 1–5 are the seeds and zeros, `pre:
     /// [bias.len(), M]` holds the value lane alone, and the forward reads it
     /// where the backward leaves the value lane's adjoint

@@ -46,7 +46,7 @@ use mfn_core::{
 use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec};
 use mfn_solver::{simulate, RbcConfig, RbcSolver, XTransform};
 use mfn_tensor::{
-    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, rowops, workspace, Conv3dDims,
+    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, rowops, thin, workspace, Conv3dDims,
     ConvStages, MatLayout, PackedConv3d, Tensor,
 };
 use rand::SeedableRng;
@@ -187,7 +187,7 @@ fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
 }
 
 /// Schema tag of the report this binary writes.
-const SCHEMA: &str = "mfn-bench/kernels/v19";
+const SCHEMA: &str = "mfn-bench/kernels/v20";
 
 /// `BENCH_kernels.json`. The field names are the keys (the vendored derive
 /// renames nothing) and `--gate` parses a committed report back into this
@@ -769,16 +769,23 @@ fn bench_decode(iters: usize, gemm_stage: GemmStage) -> DecodeValues {
     }
 }
 
-/// Queries of the `tape_decoder` row: with eight vertices and six lanes
-/// apiece, 49 152 GEMM rows — the size of a benchmark training step's decode.
-const TAPE_QUERIES: usize = 1024;
+/// Batch items and queries per item of the `tape_decoder` row: a benchmark
+/// training step's decode (`train`'s batch of 4 patches at
+/// `MfnConfig::small`'s 128 queries each), 4,096 vertex points and 24,576
+/// six-lane GEMM columns.
+const TAPE_ITEMS: usize = 4;
+const TAPE_QUERIES: usize = 128;
 
-/// The decoder on the tape as a training step with `γ > 0` runs it: times in
-/// ms (minima unless the key says median), executed GEMM-GFLOP/s of forward
-/// and backward, the equation loss against the one-lane decode `γ = 0` pays,
-/// and every MLP layer on its own.
+/// The decoder on the tape as a training step with `γ > 0` runs it, at
+/// training's shapes (`MfnConfig::small`: widths [64, 64, 32] to the 4-wide
+/// head, [`TAPE_ITEMS`] × [`TAPE_QUERIES`] queries): times in ms (minima
+/// unless the key says median), executed GEMM-GFLOP/s of forward and
+/// backward, the equation loss against the one-lane decode `γ = 0` pays,
+/// and every MLP layer and the six-lane blend node on their own. One tape
+/// worker, so the GFLOP/s compare with the one-thread `gemm_nn` row.
 #[derive(Serialize, Deserialize)]
 struct TapeDecoder {
+    /// Queries over all batch items.
     queries: usize,
     lanes: usize,
     rows: usize,
@@ -794,6 +801,9 @@ struct TapeDecoder {
     one_lane_ms: f64,
     eq_loss_vs_one_lane: f64,
     layers: Vec<TapeLayer>,
+    /// Since v20; older reports read zeros.
+    #[serde(default)]
+    blend: TapeBlend,
 }
 
 /// One MLP layer's node on a tape of its own (minima, ms), its input and
@@ -801,8 +811,9 @@ struct TapeDecoder {
 /// `backward_ms` with both leaves, `grad_input_ms` with only the input a
 /// gradient leaf (`dx`), `grad_weight_ms` with only the weight (`dW`; v13
 /// reports, which lack the two, read zero) and `dW`'s `conv3d_grad_weight`
-/// by stage (v15 reports read zero). GFLOP/s count the GEMMs it
-/// executes: `gemm_rows` is the column count of the one-lane input of the
+/// by stage (v15 reports read zero; a layer narrower than the tile runs
+/// `thin_grad_weight`, no driver, and reads zero). GFLOP/s count the GEMMs
+/// it executes: `gemm_rows` is the column count of the one-lane input of the
 /// seeded first layer (`Graph::linear_seeded`) and of all six lanes after
 /// it, and backward runs two (`dx`, `dW`) for each forward one.
 #[derive(Serialize, Deserialize)]
@@ -822,25 +833,36 @@ struct TapeLayer {
     backward_gflops: f64,
 }
 
+/// The six-lane blend node (`Graph::blend_jet`) on the head's output, on a
+/// tape of its own (minima, ms).
+#[derive(Serialize, Deserialize, Default)]
+struct TapeBlend {
+    forward_ms: f64,
+    backward_ms: f64,
+}
+
 /// Times the decoder pass of a training step on the tape:
-/// `ContinuousDecoder::decode_derivs` of [`TAPE_QUERIES`] points (gather,
-/// the seeded first layer and a six-lane Linear node per layer after it,
-/// blend) with the latent and the weights as gradient leaves, then
+/// `ContinuousDecoder::decode_derivs` of the row's queries (gather, the
+/// seeded first layer and a six-lane Linear node per layer after it, the
+/// blend node) with the latent and the weights as gradient leaves, then
 /// `Graph::backward` from the mean of the output — and, interleaved with it,
 /// the same tape reduced through the equation loss instead, and the one-lane
-/// `decode` of the same points; then each layer alone
-/// ([`bench_tape_layers`]). The model of the `decode_values` rows.
+/// `decode` of the same points; then each layer and the blend alone
+/// ([`bench_tape_layers`]).
 fn bench_tape_decoder(iters: usize, gemm_nn_gflops: f64) -> TapeDecoder {
-    let cfg = bench_decoder_config();
-    let in_channels = cfg.in_channels;
+    let cfg = MfnConfig::small();
+    let (in_channels, patch) = (cfg.in_channels, cfg.patch);
     let model = MeshfreeFlowNet::new(cfg);
     let mut rng = ChaCha8Rng::seed_from_u64(21);
-    let input = Tensor::randn(&[1, in_channels, 4, 4, 4], 1.0, &mut rng);
+    let input =
+        Tensor::randn(&[TAPE_ITEMS, in_channels, patch.nt, patch.nz, patch.nx], 1.0, &mut rng);
     let latent = FrozenModel::snapshot(&model).encode(&input);
     let grid = model.grid_dims();
-    let plan = plan_queries(grid, bench_queries(TAPE_QUERIES));
+    let queries = TAPE_ITEMS * TAPE_QUERIES;
+    let points = bench_queries(queries).into_iter().enumerate();
+    let plan = plan_queries(grid, points.map(|(i, (_, p))| (i / TAPE_QUERIES, p)));
     let (dec, store) = (&model.decoder, &model.store);
-    let layers = bench_tape_layers(iters, &model, &latent, &plan);
+    let (layers, blend) = bench_tape_layers(iters, &model, &latent, &plan);
     // Executed GEMM FLOPs of one forward pass (backward runs two GEMMs, `dx`
     // and `dW`, for each forward one).
     let forward_flops: f64 =
@@ -887,9 +909,9 @@ fn bench_tape_decoder(iters: usize, gemm_nn_gflops: f64) -> TapeDecoder {
     let ms = |ns: f64| round(ns / 1e6, 3);
     let (fwd_gflops, bwd_gflops) = (forward_flops / fwd.1, 2.0 * forward_flops / bwd.1);
     TapeDecoder {
-        queries: TAPE_QUERIES,
+        queries,
         lanes: JET_LANES,
-        rows: TAPE_QUERIES * 8 * JET_LANES,
+        rows: queries * 8 * JET_LANES,
         forward_ms: ms(fwd.1),
         forward_median_ms: ms(fwd.0),
         forward_gflops: round(fwd_gflops, 2),
@@ -902,6 +924,7 @@ fn bench_tape_decoder(iters: usize, gemm_nn_gflops: f64) -> TapeDecoder {
         one_lane_ms: ms(one.1),
         eq_loss_vs_one_lane: round(eq.1 / one.1, 3),
         layers,
+        blend,
     }
 }
 
@@ -910,13 +933,14 @@ fn bench_tape_decoder(iters: usize, gemm_nn_gflops: f64) -> TapeDecoder {
 /// vectors, feature-major), then layer by layer the node the pass records on
 /// the previous layer's output, forward and backward timed apart, `iters`
 /// times after one untimed pass — and the backward twice more, with the
-/// input alone and the weight alone a gradient leaf.
+/// input alone and the weight alone a gradient leaf; then the blend node on
+/// the head's output.
 fn bench_tape_layers(
     iters: usize,
     model: &MeshfreeFlowNet,
     latent: &Tensor,
     plan: &QueryPlan,
-) -> Vec<TapeLayer> {
+) -> (Vec<TapeLayer>, TapeBlend) {
     let (mlp, store, grid) = (&model.decoder.mlp, &model.store, model.grid_dims());
     let n = plan.index.len();
     let mut g = Graph::new();
@@ -927,7 +951,8 @@ fn bench_tape_layers(
     let seed = grid.map(|v| (v - 1) as f32);
     let last = mlp.layers.len() - 1;
     let ms = |ns: f64| round(ns / 1e6, 3);
-    mlp.layers
+    let layers = mlp
+        .layers
         .iter()
         .enumerate()
         .map(|(i, layer)| {
@@ -979,7 +1004,11 @@ fn bench_tape_layers(
             let (cin, cout) = (layer.in_features, layer.out_features);
             let dims = Conv3dDims { n: 1, cin, cout, spatial: [1, 1, gemm_rows], kernel: [1; 3] };
             let dz = vec![1.0f32; cout * gemm_rows];
-            let grad_weight_stages = grad_weight_stages(iters, x.data(), &dz, dims);
+            let grad_weight_stages = if thin::is_thin(cout) {
+                GradWeightStages::default()
+            } else {
+                grad_weight_stages(iters, x.data(), &dz, dims)
+            };
             x = out.expect("at least one pass");
             let flops = 2.0 * (gemm_rows * layer.in_features * layer.out_features) as f64;
             TapeLayer {
@@ -995,7 +1024,25 @@ fn bench_tape_layers(
                 backward_gflops: round(2.0 * flops / bwd, 2),
             }
         })
-        .collect()
+        .collect();
+    let slopes = plan.weight_derivs(seed);
+    let (mut fwd, mut bwd) = (f64::MAX, f64::MAX);
+    for i in 0..=iters {
+        let mut g = Graph::new();
+        let y = g.leaf_with_grad(x.clone());
+        let t = Instant::now();
+        let out = g.blend_jet(y, plan.weights.clone(), slopes.clone(), 8);
+        let forward_ns = t.elapsed().as_nanos() as f64;
+        let adjoint = Tensor::ones(g.value(out).dims());
+        let t = Instant::now();
+        g.backward_with(out, adjoint);
+        let backward_ns = t.elapsed().as_nanos() as f64;
+        std::hint::black_box(g.grad(y));
+        if i > 0 {
+            (fwd, bwd) = (fwd.min(forward_ns), bwd.min(backward_ns));
+        }
+    }
+    (layers, TapeBlend { forward_ms: ms(fwd), backward_ms: ms(bwd) })
 }
 
 /// The activation kernel as a slice and as the decoder's feature-major

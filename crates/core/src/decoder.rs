@@ -31,7 +31,7 @@
 //!   turns through `mfn_tensor::in_turns`); the kernels under a block stay
 //!   single-threaded.
 
-use mfn_autodiff::{Graph, Mlp, PackedMlp, ParamStore, Var, JET_LANES};
+use mfn_autodiff::{Graph, Mlp, PackedMlp, ParamStore, Var};
 use mfn_tensor::workspace::{self, WorkspaceGuard};
 use mfn_tensor::{
     blend_features_into, cores, gather_features, in_turns, timed, ConvStages, Tensor, Turns,
@@ -198,7 +198,7 @@ impl QueryPlan {
     /// `scale[a]` per unit of the coordinate differentiated by. A weight is a
     /// product of one factor per axis, `f` or `1 − f`, so its derivative
     /// along an axis is `± scale` times the other two factors.
-    fn weight_derivs(&self, scale: [f32; 3]) -> [Vec<f32>; 3] {
+    pub fn weight_derivs(&self, scale: [f32; 3]) -> [Vec<f32>; 3] {
         let mut out = [0, 1, 2].map(|_| Vec::with_capacity(self.weights.len()));
         for rel in self.rel.chunks_exact(VERTICES * 3) {
             // Vertex 0 sits at the cell's origin: its `rel` is the fraction.
@@ -345,41 +345,18 @@ impl ContinuousDecoder {
         let out = self.mlp.forward(g, store, inp, scale);
         match scale {
             None => g.vertex_blend(out, plan.weights.clone(), VERTICES),
-            Some(scale) => blend_lanes(g, out, plan, scale),
+            Some(scale) => {
+                let slopes = plan.weight_derivs(scale);
+                g.blend_jet(out, plan.weights.clone(), slopes, VERTICES)
+            }
         }
     }
-}
-
-/// The trilinear blend of the MLP's six-lane output `out: [out, JET_LANES·8Q]`,
-/// lane by lane (column blocks), by the product rule against the weights' own
-/// slopes: (wy)′ = wy′ + w′y and (wy)″ = wy″ + 2w′y′ (a trilinear weight has
-/// no second derivative along an axis). The lanes come out as row blocks,
-/// `[JET_LANES·Q, out]`.
-fn blend_lanes(g: &mut Graph, out: Var, plan: &QueryPlan, scale: [f32; 3]) -> Var {
-    let n = plan.index.len();
-    let dw = plan.weight_derivs(scale);
-    let y: [Var; JET_LANES] = std::array::from_fn(|k| g.narrow(out, 1, k * n, n));
-    let blended: Vec<Var> = (0..JET_LANES)
-        .map(|k| {
-            let own = g.vertex_blend(y[k], plan.weights.clone(), VERTICES);
-            // (lane the weight's slope multiplies, its axis, its factor)
-            let (from, axis, factor) = match k {
-                0 => return own,
-                1..=3 => (0, k - 1, 1.0),
-                _ => (k - 2, k - 3, 2.0),
-            };
-            let slopes = dw[axis].iter().map(|w| factor * w).collect();
-            let cross = g.vertex_blend(y[from], slopes, VERTICES);
-            g.add(own, cross)
-        })
-        .collect();
-    g.concat(&blended, 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfn_autodiff::Activation;
+    use mfn_autodiff::{Activation, JET_LANES};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -516,7 +493,7 @@ mod tests {
             let act = if i == last { Activation::Linear } else { dec.mlp.activation };
             h = layer.forward(g, store, h, act, JET_LANES);
         }
-        blend_lanes(g, h, plan, scale)
+        g.blend_jet(h, plan.weights.clone(), plan.weight_derivs(scale), VERTICES)
     }
 
     /// The seeded first layer is the dense one: for every activation, at

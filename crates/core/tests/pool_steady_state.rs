@@ -3,7 +3,9 @@
 //! an earlier step gave back, and every buffer it gives back lands where the
 //! next step takes from. A buffer from outside the pool donated each step
 //! (a `to_vec` turned into a tensor) would pile up in a bucket nothing draws
-//! from, until the bucket's cap — resident memory that no step uses. A test
+//! from, until the bucket's cap — resident memory that no step uses. And
+//! once warm, a step allocates nothing: every shelf keeps all the buffers of
+//! its size that a step holds live at once. A test
 //! binary of its own (one test, one process) because it reads the pool's
 //! global state.
 
@@ -43,6 +45,9 @@ fn training_steps_leave_the_workspace_pool_flat() {
     step();
     let warm = step();
     for i in 3..=8 {
+        workspace::reset_stats();
         assert_eq!(step(), warm, "step {i}: (cached bytes, cached buffers) moved");
+        let s = workspace::stats();
+        assert_eq!(s.misses, 0, "step {i}: a warm step allocated {} buffers", s.misses);
     }
 }

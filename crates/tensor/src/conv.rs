@@ -761,22 +761,24 @@ fn pooled_dims(input: &Tensor, [fd, fh, fw]: [usize; 3]) -> [usize; 5] {
 pub fn maxpool3d(input: &Tensor, factors: [usize; 3]) -> (Tensor, Vec<u32>) {
     let dims = pooled_dims(input, factors);
     let numel = dims.iter().product();
-    let mut out = workspace::take_scratch(numel);
+    let mut buf = workspace::take_scratch(numel);
+    let out: &mut [f32] = &mut buf;
     let mut idx = vec![0u32; numel];
     pool_windows(input, factors, |oi, best, best_i| {
         out[oi] = best;
         idx[oi] = best_i as u32;
     });
-    (Tensor::from_guard(out, &dims), idx)
+    (Tensor::from_guard(buf, &dims), idx)
 }
 
 /// [`maxpool3d`] without the argmax vector, for callers that never run the
 /// backward pass (the no-grad encode): same windows, same NaN-sticky max.
 pub fn maxpool3d_values(input: &Tensor, factors: [usize; 3]) -> Tensor {
     let dims = pooled_dims(input, factors);
-    let mut out = workspace::take_scratch(dims.iter().product());
+    let mut buf = workspace::take_scratch(dims.iter().product());
+    let out: &mut [f32] = &mut buf;
     pool_windows(input, factors, |oi, best, _| out[oi] = best);
-    Tensor::from_guard(out, &dims)
+    Tensor::from_guard(buf, &dims)
 }
 
 /// Backward of [`maxpool3d`]: scatters output gradients to the recorded
@@ -784,11 +786,12 @@ pub fn maxpool3d_values(input: &Tensor, factors: [usize; 3]) -> Tensor {
 pub fn maxpool3d_backward(grad_out: &Tensor, indices: &[u32], input_dims: &[usize]) -> Tensor {
     let numel: usize = input_dims.iter().product();
     assert_eq!(grad_out.numel(), indices.len());
-    let mut grad_in = workspace::take_zeroed(numel);
+    let mut buf = workspace::take_zeroed(numel);
+    let grad_in: &mut [f32] = &mut buf;
     for (&g, &i) in grad_out.data().iter().zip(indices) {
         grad_in[i as usize] += g;
     }
-    Tensor::from_guard(grad_in, input_dims)
+    Tensor::from_guard(buf, input_dims)
 }
 
 /// Nearest-neighbor 3D upsampling by integer factors `[fd, fh, fw]`.

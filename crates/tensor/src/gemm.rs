@@ -186,7 +186,7 @@ pub(crate) fn pack_a(
 
 /// The offsets `0, stride, 2·stride, …` of `count <= MAX_NR` source rows,
 /// for [`transpose_pack`] (on the stack: a pack must not allocate).
-fn strided_rows(count: usize, stride: usize) -> [u32; simd::MAX_NR] {
+pub(crate) fn strided_rows(count: usize, stride: usize) -> [u32; simd::MAX_NR] {
     assert!(count <= simd::MAX_NR, "a panel is at most MAX_NR wide");
     let far = count.saturating_sub(1) * stride;
     assert!(u32::try_from(far).is_ok(), "a panel's rows span more than u32 offsets");

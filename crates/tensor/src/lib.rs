@@ -14,6 +14,9 @@
 //!   macro-kernel that driver is built from, and the row-major
 //!   [`gemm`](fn@gemm) entry, a front end on that driver which no layer
 //!   calls: it is kept as the end-to-end benchmark's kernel replay;
+//! - [`thin`]: the two GEMMs of a layer narrower than the tile (the
+//!   decoder's 4-wide head), reading the wide operand in place and giving
+//!   the driver's bits;
 //! - [`rowops`]: the gather/blend/bias/affine/softplus kernels the autodiff
 //!   tape and the no-grad inference engine share, on one feature-major
 //!   activation layout;
@@ -35,6 +38,7 @@ pub mod rowops;
 pub mod shape;
 pub mod simd;
 pub mod tensor;
+pub mod thin;
 pub mod turns;
 pub mod workspace;
 

@@ -103,6 +103,159 @@ pub fn blend_features_into(x: &[f32], weights: &[f32], group: usize, out: &mut [
     }
 }
 
+/// The product rule of the blend on six lanes: for each derivative lane, the
+/// lane its weight's slope multiplies, the slope's axis (`t`, `z`, `x`) and
+/// its factor — `(wy)′ = wy′ + w′y` and `(wy)″ = wy″ + 2w′y′` (a trilinear
+/// weight has no second derivative along an axis). The value lane has none.
+const JET_CROSS: [Option<(usize, usize, f32)>; JET_LANES] = [
+    None,
+    Some((0, 0, 1.0)),
+    Some((0, 1, 1.0)),
+    Some((0, 2, 1.0)),
+    Some((2, 1, 2.0)),
+    Some((3, 2, 2.0)),
+];
+
+/// Channels whose blends one pass of [`blend_jet_into`] carries.
+const BLEND_CHANNELS: usize = 4;
+
+/// The blends of one group of points into `N` channels: for each channel
+/// the sum over the group of `factor · w · s` in point order, skipping an
+/// exactly-zero weight ([`blend_features_into`]'s sum), channel `c`'s points
+/// at `x[c·stride..]`. The channels' sums are independent chains, carried
+/// side by side in registers.
+#[inline(always)]
+fn blend_group<const N: usize>(ws: &[f32], factor: f32, x: &[f32], stride: usize) -> [f32; N] {
+    let xs: [&[f32]; N] = std::array::from_fn(|c| &x[c * stride..][..ws.len()]);
+    let mut acc = [0.0f32; N];
+    for (v, &w) in ws.iter().enumerate() {
+        let w = factor * w;
+        if w == 0.0 {
+            continue;
+        }
+        for (acc, xs) in acc.iter_mut().zip(&xs) {
+            *acc += w * xs[v];
+        }
+    }
+    acc
+}
+
+/// One query's lane `k` into `dst` (`N` channels from the first at `x`):
+/// its own blend, plus its partner lane's under the scaled slopes.
+#[inline(always)]
+fn blend_jet_query<const N: usize>(
+    dst: &mut [f32],
+    k: usize,
+    x: &[f32],
+    [rows, stride, at]: [usize; 3],
+    ws: &[f32],
+    slopes: [&[f32]; 3],
+) {
+    let own = blend_group::<N>(ws, 1.0, &x[k * rows + at..], stride);
+    let lane = match JET_CROSS[k] {
+        None => own,
+        Some((from, axis, factor)) => {
+            let s = &slopes[axis][at..at + ws.len()];
+            let cross = blend_group::<N>(s, factor, &x[from * rows + at..], stride);
+            std::array::from_fn(|c| own[c] + cross[c])
+        }
+    };
+    dst.copy_from_slice(&lane);
+}
+
+/// [`blend_features_into`] on a six-lane matrix `x: [C, JET_LANES·Q·group]`
+/// (lane `k` of channel `c` at `x[c·JET_LANES·Q·group + k·Q·group ..]`) by
+/// the product rule (`JET_CROSS`) against the weights' slopes `slopes[a]`
+/// along each axis (`Q·group` each): lane `k` of query `q` is its own blend
+/// plus the blend of its partner lane under the scaled slopes, `own +
+/// cross`. `out: [JET_LANES·Q, C]` holds the lanes as row blocks, lane 0
+/// being `blend_features_into` of the value lane bit for bit.
+///
+/// # Panics
+/// Panics if the lengths disagree.
+pub fn blend_jet_into(
+    x: &[f32],
+    weights: &[f32],
+    slopes: [&[f32]; 3],
+    group: usize,
+    out: &mut [f32],
+) {
+    let rows = weights.len();
+    let q = rows / group;
+    assert!(q > 0 && rows == q * group, "blend_jet weight count mismatch");
+    assert!(slopes.iter().all(|s| s.len() == rows), "one slope per weight and axis");
+    assert_eq!(out.len() % (JET_LANES * q), 0, "blend_jet output is not lanes of one row a query");
+    let c = out.len() / (JET_LANES * q);
+    assert_eq!(x.len(), JET_LANES * rows * c, "blend_jet input length mismatch");
+    let stride = JET_LANES * rows;
+    for (k, lane) in out.chunks_exact_mut(q * c).enumerate() {
+        for ((dst, ws), at) in
+            lane.chunks_exact_mut(c).zip(weights.chunks_exact(group)).zip((0..).step_by(group))
+        {
+            let mut c0 = 0;
+            for dst in dst.chunks_mut(BLEND_CHANNELS) {
+                let (x, at) = (&x[c0 * stride..], [rows, stride, at]);
+                if dst.len() == BLEND_CHANNELS {
+                    blend_jet_query::<BLEND_CHANNELS>(dst, k, x, at, ws, slopes);
+                } else {
+                    for (c, dst) in dst.chunks_mut(1).enumerate() {
+                        blend_jet_query::<1>(dst, k, &x[c * stride..], at, ws, slopes);
+                    }
+                }
+                c0 += dst.len();
+            }
+        }
+    }
+}
+
+/// The reverse pass of [`blend_jet_into`]: from the output adjoint `g:
+/// [JET_LANES·Q, C]`, the input adjoint `gi: [C, JET_LANES·Q·group]` (fully
+/// overwritten) — the transposed linear map. A lane's adjoint collects its
+/// own `w·g` and the `factor·w′·g` of every lane that read it as a partner,
+/// those last first and the later lanes first, then `+ 0`: the sums, in
+/// their order, and the signed zeros of the per-lane composition (its
+/// partners' adjoints accumulated in reverse recording order over zero-filled
+/// lane slabs). No weight is skipped: a zero weight still multiplies.
+///
+/// # Panics
+/// Panics if the lengths disagree.
+pub fn blend_jet_grad_into(
+    g: &[f32],
+    weights: &[f32],
+    slopes: [&[f32]; 3],
+    group: usize,
+    gi: &mut [f32],
+) {
+    let rows = weights.len();
+    let q = rows / group;
+    assert!(q > 0 && rows == q * group, "blend_jet weight count mismatch");
+    assert!(slopes.iter().all(|s| s.len() == rows), "one slope per weight and axis");
+    assert_eq!(g.len() % (JET_LANES * q), 0, "blend_jet adjoint is not lanes of one row a query");
+    let c = g.len() / (JET_LANES * q);
+    assert_eq!(gi.len(), JET_LANES * rows * c, "blend_jet input adjoint length mismatch");
+    let [st, sz, sx] = slopes;
+    for (ci, feature) in gi.chunks_exact_mut(JET_LANES * rows).enumerate() {
+        let (l0, rest) = feature.split_at_mut(rows);
+        let (l1, rest) = rest.split_at_mut(rows);
+        let (l2, rest) = rest.split_at_mut(rows);
+        let (l3, rest) = rest.split_at_mut(rows);
+        let (l4, l5) = rest.split_at_mut(rows);
+        for qi in 0..q {
+            let gk = |k: usize| g[(k * q + qi) * c + ci];
+            let [g0, g1, g2, g3, g4, g5] = [0, 1, 2, 3, 4, 5].map(gk);
+            for r in qi * group..(qi + 1) * group {
+                let w = weights[r];
+                l0[r] = (((sx[r] * g3 + sz[r] * g2) + st[r] * g1) + w * g0) + 0.0;
+                l1[r] = w * g1 + 0.0;
+                l2[r] = ((2.0 * sz[r]) * g4 + w * g2) + 0.0;
+                l3[r] = ((2.0 * sx[r]) * g5 + w * g3) + 0.0;
+                l4[r] = w * g4 + 0.0;
+                l5[r] = w * g5 + 0.0;
+            }
+        }
+    }
+}
+
 /// Adds `bias[j]` to every element of feature row `j` of `x: [bias.len(),
 /// M]`, in place.
 pub fn add_bias_features(x: &mut [f32], bias: &[f32]) {

@@ -562,6 +562,147 @@ unsafe fn micro_avx512_12x32_impl(
     }
 }
 
+// ---- thin GEMM tile -------------------------------------------------------
+
+/// One tile of the thin GEMMs (`crate::thin`): `R` output rows over `NV`
+/// vectors of columns. For `i < R` and column `c`, `acc = Σ_{d < depth}
+/// a[i][d] · b[d·ldb + c]`, one FMA chain per element in `d` order from +0
+/// (the micro-kernel's chain), then `out[i][c] = acc` when `first`, else
+/// `out[i][c] + acc` (its write-back). Columns from `width` on are computed
+/// and dropped: `b` must hold all `NV` vectors of every row it is read at,
+/// `out` only `width` columns.
+pub(crate) struct ThinTile<const R: usize> {
+    /// Row `i` of the left operand, contiguous along the depth.
+    pub a: [*const f32; R],
+    /// The right operand's first column of the tile.
+    pub b: *const f32,
+    /// Elements between the right operand's rows.
+    pub ldb: usize,
+    /// Terms of every chain.
+    pub depth: usize,
+    /// Output row `i` from the tile's first column on.
+    pub out: [*mut f32; R],
+    /// Columns the tile stores (at most `NV` vectors).
+    pub width: usize,
+    /// Store rather than add to what `out` holds.
+    pub first: bool,
+}
+
+/// The thin tile of one tier, captured once per call so that its vector
+/// width and its code cannot disagree under a concurrent
+/// [`set_backend_override`].
+#[derive(Clone, Copy)]
+pub(crate) struct ThinKernel {
+    backend: u8,
+    /// Columns one vector of the tile spans.
+    pub lanes: usize,
+}
+
+/// The active tier's [`ThinKernel`].
+pub(crate) fn thin_kernel() -> ThinKernel {
+    let backend = resolve();
+    ThinKernel { backend, lanes: if backend == B_AVX512 { 16 } else { LANES } }
+}
+
+impl ThinKernel {
+    /// Runs a thin tile of `nv` (1–4) vectors.
+    ///
+    /// # Safety
+    /// Every `a[i]` is readable for `depth` floats, `b` for `nv` vectors of
+    /// [`ThinKernel::lanes`] floats at each of `depth` rows `ldb` apart, and
+    /// every `out[i]` writable for `width` floats.
+    pub(crate) unsafe fn tile<const R: usize>(self, t: &ThinTile<R>, nv: usize) {
+        macro_rules! on {
+            ($($tile:ident)::+) => {
+                match nv {
+                    1 => $($tile)::+::<R, 1>(t),
+                    2 => $($tile)::+::<R, 2>(t),
+                    3 => $($tile)::+::<R, 3>(t),
+                    _ => $($tile)::+::<R, 4>(t),
+                }
+            };
+        }
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            B_AVX512 => on!(softplus_avx512::thin_tile),
+            #[cfg(target_arch = "x86_64")]
+            B_AVX2 => on!(softplus_avx2::thin_tile),
+            _ => on!(thin_tile_portable),
+        }
+    }
+}
+
+/// [`ThinKernel::tile`] on 8-lane arrays with `mul_add`, the portable tier.
+///
+/// # Safety
+/// As [`ThinKernel::tile`].
+unsafe fn thin_tile_portable<const R: usize, const NV: usize>(t: &ThinTile<R>) {
+    let mut acc = [[[0.0f32; LANES]; NV]; R];
+    for d in 0..t.depth {
+        let b = t.b.add(d * t.ldb);
+        for (i, row) in acc.iter_mut().enumerate() {
+            let a = *t.a[i].add(d);
+            for (v, cell) in row.iter_mut().enumerate() {
+                for (l, c) in cell.iter_mut().enumerate() {
+                    *c = a.mul_add(*b.add(v * LANES + l), *c);
+                }
+            }
+        }
+    }
+    for (i, row) in acc.iter().enumerate() {
+        for (c, &v) in row.as_flattened().iter().enumerate().take(t.width) {
+            let o = t.out[i].add(c);
+            *o = if t.first { v } else { *o + v };
+        }
+    }
+}
+
+/// The thin GEMM tile ([`ThinKernel::tile`]) on this module's vectors. Expands
+/// inside a module that defines `V`, `LANES` and the `vector_ops!`
+/// vocabulary.
+#[cfg(target_arch = "x86_64")]
+macro_rules! thin_kernel {
+    ($feat:literal) => {
+        /// [`ThinKernel::tile`] on this tier: `R × NV` accumulators held
+        /// across the depth loop, each depth step `NV` loads of `b`, `R`
+        /// broadcasts of `a` and `R·NV` FMAs.
+        ///
+        /// # Safety
+        /// As [`ThinKernel::tile`], on a CPU with this module's features.
+        #[target_feature(enable = $feat)]
+        pub(super) unsafe fn thin_tile<const R: usize, const NV: usize>(t: &ThinTile<R>) {
+            let mut acc = [[zero(); NV]; R];
+            for d in 0..t.depth {
+                let b = t.b.add(d * t.ldb);
+                let mut bv = [zero(); NV];
+                for (v, bv) in bv.iter_mut().enumerate() {
+                    *bv = load(b.add(v * LANES));
+                }
+                for (i, row) in acc.iter_mut().enumerate() {
+                    let a = splat(*t.a[i].add(d));
+                    for (cell, &bv) in row.iter_mut().zip(&bv) {
+                        *cell = fma(a, bv, *cell);
+                    }
+                }
+            }
+            for (i, row) in acc.iter().enumerate() {
+                for (v, &cell) in row.iter().enumerate() {
+                    let (o, at) = (t.out[i].add(v * LANES), v * LANES);
+                    if at + LANES <= t.width {
+                        store(o, if t.first { cell } else { add(load(o), cell) });
+                    } else if at < t.width {
+                        let mut lanes = [0.0f32; LANES];
+                        store(lanes.as_mut_ptr(), cell);
+                        for (l, &x) in lanes.iter().enumerate().take(t.width - at) {
+                            *o.add(l) = if t.first { x } else { *o.add(l) + x };
+                        }
+                    }
+                }
+            }
+        }
+    };
+}
+
 // ---- transposing pack ----------------------------------------------------
 
 /// The one transposing pack of the GEMM drivers. Each run `(r0, at, n)`
@@ -1081,11 +1222,12 @@ pub fn softplus_derivs(x: f32) -> [f32; 4] {
 }
 
 /// [`jet_chain`] over the feature rows of a six-lane matrix `x: [N,
-/// JET_LANES·M]` (`N = bias.len()`, [`JET_LANES`]), in place, for an
-/// activation given by its [`softplus_derivs`]-shaped `derivs`; `bias[j]`
-/// joins row `j`'s value lane only. With `GRAD`, [`jet_chain_grad`] instead —
-/// the backward pass, in place on the adjoints `x`, reading the matrix `z`
-/// (as long as `x`; unused without `GRAD`) the forward overwrote.
+/// JET_LANES·M]` (`N = bias.len()`, [`JET_LANES`]), in place — or, given a
+/// `z` as long as `x`, of `z` into `x`, one pass with the same arithmetic —
+/// for an activation given by its [`softplus_derivs`]-shaped `derivs`;
+/// `bias[j]` joins row `j`'s value lane only. With `GRAD`, [`jet_chain_grad`]
+/// instead — the backward pass, in place on the adjoints `x`, reading the
+/// pre-activations `z` (as long as `x`) the forward read.
 ///
 /// With `seeds` (three per row, `3·N` values, rather than none) the
 /// argument's lanes 1–5 are not in `x` or `z` but constant along each row:
@@ -1135,7 +1277,7 @@ fn jet_points_per_lane<const GRAD: bool>(
         n > 0
             && len.is_multiple_of(JET_LANES * n)
             && (seeds == 0 || seeds == 3 * n)
-            && ((!GRAD && seeds == 0) || z_len * z_lanes == len),
+            && ((!GRAD && seeds == 0 && z_len == 0) || z_len * z_lanes == len),
         "{len} values ({z_len} pre-activations, {seeds} seeds) are not {n} feature rows of \
          {JET_LANES} lanes"
     );
@@ -1186,7 +1328,7 @@ fn jet_points<const GRAD: bool>(
     for r in points {
         let lanes = |v: &[f32]| -> [f32; JET_LANES] { std::array::from_fn(|l| v[l * m + r]) };
         let mut u = match seeds {
-            None => lanes(if GRAD { z } else { x }),
+            None => lanes(if GRAD || !z.is_empty() { z } else { x }),
             Some([s0, s1, s2]) => [z[r], s0, s1, s2, 0.0, 0.0],
         };
         u[0] += bias;
@@ -1428,27 +1570,27 @@ macro_rules! softplus_kernel {
         /// [`jet_chain`] (with `GRAD`, [`jet_chain_grad`]) of softplus on `N`
         /// vectors of each lane of one feature row, at point `r` of every
         /// lane block (`m` points apart): one exponential serves `σ` … `σ‴`,
-        /// and the row's one bias and three seeds are splatted. With
-        /// `SEEDED`, lanes 1–5 of the argument are `seeds` and zeros, `z`
-        /// holds the value lane alone and, with `GRAD`, takes its adjoint
-        /// ([`bias_jet_features`]).
+        /// and the row's one bias and three seeds are splatted. The argument
+        /// is read from `src` (`x` itself, or `z`). With `SEEDED`, lanes 1–5
+        /// of the argument are `seeds` and zeros, `z` holds the value lane
+        /// alone and, with `GRAD`, takes its adjoint ([`bias_jet_features`]).
         ///
         /// # Safety
-        /// `x` must be valid for `N * LANES` floats from `l * m + r` for every
-        /// lane `l`, and so must `z` where it is read or written (with
-        /// `GRAD`, or from `r` alone with `SEEDED`); an unused pointer is
-        /// never offset or read.
+        /// `x` and `src` must be valid for `N * LANES` floats from `l * m + r`
+        /// for every lane `l` (`src` from `r` alone with `SEEDED`), and so
+        /// must `z` where it is written (with `GRAD` and `SEEDED`); an unused
+        /// pointer is never offset or read.
         #[inline]
         #[target_feature(enable = $feat)]
         unsafe fn jet_step<const GRAD: bool, const SEEDED: bool, const N: usize>(
             x: *mut f32,
             z: *mut f32,
+            src: *const f32,
             m: usize,
             r: usize,
             bias: f32,
             seeds: [f32; 3],
         ) {
-            let src: *const f32 = if GRAD || SEEDED { z } else { x };
             let mut u = [[zero(); N]; JET_LANES];
             for (l, lane) in u.iter_mut().enumerate() {
                 for i in 0..N {
@@ -1525,8 +1667,9 @@ macro_rules! softplus_kernel {
             z: &mut [f32],
             seeds: &[f32],
         ) {
-            // Per row: the value lane under a seed, all six to differentiate.
-            let zl = if SEEDED { m } else if GRAD { JET_LANES * m } else { 0 };
+            // Per row: the value lane under a seed, all six to differentiate
+            // or to read the forward from.
+            let zl = if SEEDED { m } else if GRAD || !z.is_empty() { JET_LANES * m } else { 0 };
             let n = bias.len();
             assert!(x.len() == JET_LANES * m * n && (zl == 0 || z.len() == zl * n));
             assert!(!SEEDED || seeds.len() == 3 * n, "three seeds a row");
@@ -1534,16 +1677,17 @@ macro_rules! softplus_kernel {
                 let (xr, zr) = (&mut x[j * JET_LANES * m..][..JET_LANES * m], &mut z[j * zl..][..zl]);
                 let s = if SEEDED { [seeds[3 * j], seeds[3 * j + 1], seeds[3 * j + 2]] } else { [0.0; 3] };
                 let (xp, zp) = (xr.as_mut_ptr(), zr.as_mut_ptr());
+                let src: *const f32 = if zl > 0 { zp } else { xp };
                 let mut r = 0;
                 // SAFETY: every step is entered with `r + N * LANES <= m`, so
                 // each lane's vectors end inside its block of the row, and
                 // `zr` holds the lanes `z` carries for this row.
                 while r + 2 * LANES <= m {
-                    jet_step::<GRAD, SEEDED, 2>(xp, zp, m, r, b, s);
+                    jet_step::<GRAD, SEEDED, 2>(xp, zp, src, m, r, b, s);
                     r += 2 * LANES;
                 }
                 if r + LANES <= m {
-                    jet_step::<GRAD, SEEDED, 1>(xp, zp, m, r, b, s);
+                    jet_step::<GRAD, SEEDED, 1>(xp, zp, src, m, r, b, s);
                     r += LANES;
                 }
                 jet_points::<GRAD>(xr, zr, b, SEEDED.then_some(s), r..m, &softplus_derivs);
@@ -1600,6 +1744,7 @@ mod softplus_avx2 {
     }
 
     softplus_kernel!("avx2,fma");
+    thin_kernel!("avx2,fma");
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1650,6 +1795,7 @@ mod softplus_avx512 {
     }
 
     softplus_kernel!("avx512f");
+    thin_kernel!("avx512f");
 }
 
 #[cfg(test)]
@@ -2026,6 +2172,15 @@ mod tests {
                 // SAFETY: `runnable_tiers` lists only tiers at or below detection.
                 unsafe { jet_features_on::<false>(tier, &mut got, m, &bias, &mut [], &[]) };
                 assert_eq!(bits(&got), bits(&want), "{label}: forward");
+                // Read from `z` into a stale `x`: the in-place bits, on the
+                // vector tier and the scalar form alike.
+                let mut from = vec![f32::NAN; z.len()];
+                // SAFETY: as above.
+                unsafe { jet_features_on::<false>(tier, &mut from, m, &bias, &mut z.clone(), &[]) };
+                assert_eq!(bits(&from), bits(&want), "{label}: forward from z");
+                let mut from = vec![f32::NAN; z.len()];
+                bias_jet_features::<false>(&mut from, &mut z.clone(), &bias, &[], softplus_derivs);
+                assert_eq!(bits(&from), bits(&want), "{label}: scalar forward from z");
                 // The value lane is the one-lane kernel's output.
                 let mut one_lane = value(&z);
                 bias_softplus_features(&mut one_lane, &bias);

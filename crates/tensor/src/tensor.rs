@@ -362,13 +362,15 @@ impl Tensor {
     pub fn transpose2(&self) -> Tensor {
         assert_eq!(self.shape.rank(), 2, "transpose2 requires rank 2");
         let (m, n) = (self.dims()[0], self.dims()[1]);
-        let mut out = workspace::take_scratch(m * n);
+        let mut buf = workspace::take_scratch(m * n);
+        // Slice the checkouts once: indexing a guard finds its cache line.
+        let (out, src): (&mut [f32], &[f32]) = (&mut buf, &self.data);
         for i in 0..m {
             for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
+                out[j * m + i] = src[i * n + j];
             }
         }
-        Tensor::from_guard(out, &[n, m])
+        Tensor::from_guard(buf, &[n, m])
     }
 }
 

@@ -25,9 +25,11 @@
 //!   (whatever the previous user left — always initialized memory, never
 //!   uninitialized; there is no `unsafe` in this module). Callers must fully
 //!   overwrite it. A *zeroed* checkout is `memset` to 0.0.
-//! - The pool caps retained memory (256 MiB) and buffers-per-bucket; excess
-//!   donations are dropped on the floor, so the pool never grows beyond the
-//!   cap even across long trainings.
+//! - The pool caps retained memory (256 MiB) and buffers per bucket (32, or
+//!   for small buffers up to 1 MiB of them — a training step holds hundreds
+//!   of one-line scalars live at once); excess donations are dropped on the
+//!   floor, so the pool never grows beyond the cap even across long
+//!   trainings.
 //! - Hit/miss counters are cheap atomics, exported by the trainers as
 //!   `mfn-telemetry` gauges and asserted on by the reuse tests.
 
@@ -39,8 +41,16 @@ use std::sync::Mutex;
 /// elements still takes a buffer of this bucket.
 pub const MIN_BUCKET: usize = LINE;
 
-/// Most buffers retained per size bucket; excess donations are freed.
+/// Buffers a shelf keeps at least; excess donations are freed.
 const MAX_PER_BUCKET: usize = 32;
+
+/// Bytes a shelf of small buffers may keep past [`MAX_PER_BUCKET`] of them:
+/// a training step holds hundreds of one-line scalars and per-channel
+/// vectors live at once, and a shelf that freed them would allocate them
+/// again every step. A shelf of `b`-byte buffers keeps
+/// `max(MAX_PER_BUCKET, SHELF_BYTES / b)`, so only the small buckets keep
+/// more, and at most this much each.
+const SHELF_BYTES: usize = 1 << 20;
 
 /// Most bytes the pool retains; donations past it are freed.
 const CAPACITY_BYTES: usize = 256 << 20;
@@ -88,8 +98,9 @@ impl Shelves {
     /// byte cap is full, in which case `v` is freed.
     fn donate(&mut self, b: usize, v: Vec<f32>) {
         let bytes = v.capacity() * 4;
+        let keep = MAX_PER_BUCKET.max(SHELF_BYTES / ((MIN_BUCKET << b) * 4));
         if self.enabled
-            && self.shelves[b].len() < MAX_PER_BUCKET
+            && self.shelves[b].len() < keep
             && self.cached_bytes + bytes <= CAPACITY_BYTES
         {
             self.cached_bytes += bytes;
