@@ -20,12 +20,12 @@
 //! activations `[width, M]` — the layout of the no-grad `PackedMlp::forward`
 //! and of the U-Net's convs: the layer is the 1×1×1 convolution over `M`
 //! voxels, run by the conv driver (`PackedConv3d::forward_columns` by column
-//! ranges, and the weight gradient `conv3d_grad_weight` and the input
-//! gradient's flipped weight backward), then the bias and activation
-//! epilogue ([`Activation::bias_apply_features`]), so the tape and the
-//! no-grad forward agree bit for bit. It saves what backward needs once:
-//! its own output (which the next layer reads anyway) and, where the
-//! derivative needs it, the GEMM output.
+//! ranges, and the input gradient's flipped weight backward) and the weight
+//! gradient `conv3d_grad_weight` (its pointwise arm, any width), then the
+//! bias and activation epilogue ([`Activation::bias_apply_features`]), so
+//! the tape and the no-grad forward agree bit for bit. It saves what
+//! backward needs once: its own output (which the next layer reads anyway)
+//! and, where the derivative needs it, the GEMM output.
 //!
 //! A layer node runs on the tape's threads ([`Graph::with_workers`]; one
 //! unless the caller asks — `Trainer` gives a rank's tape the cores the rank
@@ -528,12 +528,8 @@ impl Graph {
                 (_, pre) if lanes > 1 => {
                     act.bias_jet_features::<false>(y, pre.unwrap_or(&mut []), bias, &[])
                 }
-                (_, pre) => {
-                    if let Some(pre) = pre {
-                        y.copy_from_slice(pre);
-                    }
-                    act.bias_apply_features(y, bias);
-                }
+                // So does a one-lane layer that keeps its GEMM output.
+                (_, pre) => act.bias_apply_features(y, pre.map_or(&[][..], |p| &p[..]), bias),
             }
         };
         let take = |_: &mut (), t: &Turns<_>| t.for_each(&epilogue);
@@ -1082,7 +1078,9 @@ impl Graph {
     ///    the pre-activation `z = w · x + b`, in place on `grad` (under a
     ///    seed, its value lane over `pre`), and each row's sums — the bias
     ///    gradient's, and under a seed lanes 1–3's, which `dw` adds;
-    /// 2. `dw = dz · xᵀ` on the caller, as one call: its sum over columns
+    /// 2. `dw = dz · xᵀ` on the caller, as one `conv3d_grad_weight` call
+    ///    whatever the layer's width (its pointwise arm: `x` transposed a
+    ///    block at a time, `dz` read where it lies): its sum over columns
     ///    runs in one order whatever the thread count. Meanwhile every other
     ///    worker — the caller too, once `dw` is done — takes turns at
     ///    slabs of [`TURN_COLUMNS`] columns of `dx = wᵀ · dz`.
@@ -1166,13 +1164,7 @@ impl Graph {
         let mut dw = None;
         let weight_grad = || {
             // y = w · x  =>  dw = dz · xᵀ, in w's [out, in] layout.
-            let mut dw = if thin::is_thin(n) {
-                let mut dw = workspace::take_scratch(n * k);
-                thin::thin_grad_weight(xv.data(), dz, n, &mut dw);
-                Tensor::from_guard(dw, wv.dims())
-            } else {
-                conv3d_grad_weight(xv.data(), dz, dims, None).reshape(wv.dims())
-            };
+            let mut dw = conv3d_grad_weight(xv.data(), dz, dims, None).reshape(wv.dims());
             // Seed lane 1 + a is seed[a] in input feature a, zero elsewhere.
             for (a, &s) in seed.iter().flatten().enumerate() {
                 for (o, sums) in sums.chunks_exact(4).enumerate() {
@@ -1214,10 +1206,11 @@ impl Graph {
     }
 }
 
-/// A layer's weight as its GEMMs read it: packed into the driver's A panels,
-/// or — a layer narrower than the tile (`mfn_tensor::thin`), forward or
-/// backward — row-major, for [`thin::thin_columns`] to read in place. Either
-/// way every output column is the same FMA chain.
+/// A layer's weight as its forward and input-gradient GEMMs read it: packed
+/// into the driver's A panels, or — a layer narrower than the tile
+/// (`mfn_tensor::thin`) — row-major, for [`thin::thin_columns`] to read in
+/// place. Either way every output column is the same FMA chain. (The weight
+/// gradient reads no weight: `conv3d_grad_weight` for every width.)
 enum LayerGemm {
     Packed(PackedConv3d),
     Thin(Tensor),

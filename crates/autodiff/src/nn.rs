@@ -27,14 +27,22 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// The bias add of a Linear layer and this activation in one in-place
-    /// pass over its feature-major GEMM output `y: [bias.len(), M]` (an
-    /// output feature is a contiguous row with one bias) — how a one-lane
+    /// The bias add of a Linear layer and this activation in one pass over
+    /// its feature-major GEMM output `y: [bias.len(), M]` (an output feature
+    /// is a contiguous row with one bias) — how a one-lane
     /// [`Graph::linear`] node and a layer of the no-grad
-    /// [`PackedMlp::forward`] end.
-    pub fn bias_apply_features(self, y: &mut [f32], bias: &[f32]) {
-        if self == Activation::Softplus {
-            return rowops::bias_softplus_features(y, bias);
+    /// [`PackedMlp::forward`] end. Given a `pre` as long as `y` (the GEMM
+    /// output a softplus layer keeps for backward), it reads `pre` and
+    /// writes `y`; without, it works in place on `y`. Either way, the same
+    /// bits.
+    pub fn bias_apply_features(self, y: &mut [f32], pre: &[f32], bias: &[f32]) {
+        match (self, pre.is_empty()) {
+            (Activation::Softplus, true) => return rowops::bias_softplus_features(y, bias),
+            (Activation::Softplus, false) => {
+                return rowops::bias_softplus_features_from(y, pre, bias)
+            }
+            (_, false) => y.copy_from_slice(pre),
+            (_, true) => {}
         }
         rowops::add_bias_features(y, bias);
         if self != Activation::Linear {
@@ -468,7 +476,7 @@ impl PackedMlp {
             width = bias.len();
             // Hidden activation on every layer but the linear head.
             let act = if i == last { Activation::Linear } else { self.activation };
-            timed(&mut stages, |s| &mut s.epilogue_ns, || act.bias_apply_features(out, bias));
+            timed(&mut stages, |s| &mut s.epilogue_ns, || act.bias_apply_features(out, &[], bias));
             std::mem::swap(&mut cur, &mut next);
         }
         &cur[..m * self.out_features()]

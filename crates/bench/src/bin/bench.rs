@@ -11,7 +11,9 @@
 //! GEMM stage timed against the driver's GEMM, the softplus kernel (as a slice
 //! and as the decoder's feature-major epilogue) and its derivative, the
 //! decoder's forward and backward on the tape (the link between the kernel rows
-//! and the training step), the heap traffic of one full training step with
+//! and the training step), the tape's pointwise weight gradient and the thin
+//! tile on every kernel tier the host can run (each forced in turn, beside
+//! that tier's `gemm_nn`), the heap traffic of one full training step with
 //! the workspace pool on vs off, and one benchmark-shaped training step on one
 //! tape worker against the trainer's own count, and the solver's chain from one
 //! x-transform sweep through a step to a whole `simulate`. The results are one
@@ -45,9 +47,10 @@ use mfn_core::{
 };
 use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec};
 use mfn_solver::{simulate, RbcConfig, RbcSolver, XTransform};
+use mfn_tensor::gemm::OutputRows;
 use mfn_tensor::{
-    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, rowops, thin, workspace, Conv3dDims,
-    ConvStages, MatLayout, PackedConv3d, Tensor,
+    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, rowops, set_backend_override, thin,
+    workspace, Conv3dDims, ConvStages, KernelBackend, MatLayout, PackedConv3d, Tensor,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -187,7 +190,7 @@ fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
 }
 
 /// Schema tag of the report this binary writes.
-const SCHEMA: &str = "mfn-bench/kernels/v20";
+const SCHEMA: &str = "mfn-bench/kernels/v21";
 
 /// `BENCH_kernels.json`. The field names are the keys (the vendored derive
 /// renames nothing) and `--gate` parses a committed report back into this
@@ -208,6 +211,9 @@ struct KernelsReport {
     softplus: Softplus,
     softplus_grad: SoftplusGrad,
     tape_decoder: TapeDecoder,
+    /// Since v21; older reports read none.
+    #[serde(default)]
+    kernel_tiers: KernelTiers,
     train_step: TrainStep,
     /// Since v19; a v18 report reads zeros.
     #[serde(default)]
@@ -811,8 +817,9 @@ struct TapeDecoder {
 /// `backward_ms` with both leaves, `grad_input_ms` with only the input a
 /// gradient leaf (`dx`), `grad_weight_ms` with only the weight (`dW`; v13
 /// reports, which lack the two, read zero) and `dW`'s `conv3d_grad_weight`
-/// by stage (v15 reports read zero; a layer narrower than the tile runs
-/// `thin_grad_weight`, no driver, and reads zero). GFLOP/s count the GEMMs
+/// by stage (v15 reports read zero; before v21 a layer narrower than the
+/// tile read zero too; since, every layer's is the pointwise arm's on a
+/// vector tier, `pack_a_us` zero). GFLOP/s count the GEMMs
 /// it executes: `gemm_rows` is the column count of the one-lane input of the
 /// seeded first layer (`Graph::linear_seeded`) and of all six lanes after
 /// it, and backward runs two (`dx`, `dW`) for each forward one.
@@ -1004,11 +1011,7 @@ fn bench_tape_layers(
             let (cin, cout) = (layer.in_features, layer.out_features);
             let dims = Conv3dDims { n: 1, cin, cout, spatial: [1, 1, gemm_rows], kernel: [1; 3] };
             let dz = vec![1.0f32; cout * gemm_rows];
-            let grad_weight_stages = if thin::is_thin(cout) {
-                GradWeightStages::default()
-            } else {
-                grad_weight_stages(iters, x.data(), &dz, dims)
-            };
+            let grad_weight_stages = grad_weight_stages(iters, x.data(), &dz, dims);
             x = out.expect("at least one pass");
             let flops = 2.0 * (gemm_rows * layer.in_features * layer.out_features) as f64;
             TapeLayer {
@@ -1043,6 +1046,113 @@ fn bench_tape_layers(
         }
     }
     (layers, TapeBlend { forward_ms: ms(fwd), backward_ms: ms(bwd) })
+}
+
+/// The pointwise weight gradient of the tape's hidden layers
+/// ([`TIER_GRAD_WEIGHT`]: 64→64 over the six lanes of [`TAPE_ITEMS`] ×
+/// [`TAPE_QUERIES`] queries) on every kernel tier the host can run, each
+/// forced in turn, in GFLOP/s next to that tier's `gemm_nn` (the run's
+/// size) and the thin tile's head forward ([`TIER_THIN_COLUMNS`]: 32→4
+/// over the same columns, `thin::thin_columns`), timed interleaved — the
+/// one place an AVX-512 host reports its AVX2 and portable code.
+#[derive(Serialize, Deserialize, Default)]
+struct KernelTiers {
+    /// `[in, out, columns]` of the weight gradient.
+    grad_weight_shape: [usize; 3],
+    /// `[rows, depth, columns]` of the thin forward.
+    thin_columns_shape: [usize; 3],
+    tiers: Vec<TierRow>,
+}
+
+/// One tier of [`KernelTiers`]; `grad_weight_arm` names the arm
+/// `conv3d_grad_weight` took (`pointwise` on a vector tier, `packed` on the
+/// portable one).
+#[derive(Serialize, Deserialize)]
+struct TierRow {
+    backend: String,
+    grad_weight_arm: String,
+    grad_weight_ms: f64,
+    grad_weight_gflops: f64,
+    gemm_nn_gflops: f64,
+    grad_weight_vs_gemm_nn: f64,
+    thin_columns_gflops: f64,
+}
+
+/// `[in, out, columns]` of [`KernelTiers`]' weight gradient.
+const TIER_GRAD_WEIGHT: [usize; 3] = [64, 64, TAPE_ITEMS * TAPE_QUERIES * 8 * JET_LANES];
+
+/// `[rows, depth, columns]` of [`KernelTiers`]' thin forward.
+const TIER_THIN_COLUMNS: [usize; 3] = [4, 32, TIER_GRAD_WEIGHT[2]];
+
+/// Output rows `ld` apart in one slice, for `thin::thin_columns`.
+struct Rows<'a> {
+    out: &'a mut [f32],
+    ld: usize,
+}
+
+impl OutputRows for Rows<'_> {
+    fn row(&mut self, r: usize) -> &mut [f32] {
+        &mut self.out[r * self.ld..]
+    }
+}
+
+/// [`KernelTiers`] over `iters` interleaved calls a tier, `gemm_nn` at
+/// `size`³; the tier override is cleared afterwards.
+fn bench_kernel_tiers(iters: usize, size: usize) -> KernelTiers {
+    let ([cin, cout, cols], [rows, depth, _]) = (TIER_GRAD_WEIGHT, TIER_THIN_COLUMNS);
+    let buf = |len: usize, seed: u64| {
+        let mut v = vec![0.0f32; len];
+        lcg_fill(&mut v, seed);
+        v
+    };
+    let (a, b, mut c) = (buf(size * size, 41), buf(size * size, 42), vec![0.0f32; size * size]);
+    let (x, dz) = (buf(cin * cols, 43), buf(cout * cols, 44));
+    let (w, xt, mut out) = (buf(rows * depth, 45), buf(depth * cols, 46), vec![0.0; rows * cols]);
+    let dims = Conv3dDims { n: 1, cin, cout, spatial: [1, 1, cols], kernel: [1; 3] };
+    let detected = mfn_tensor::kernel_backend();
+    let backends = [KernelBackend::Avx512, KernelBackend::Avx2Fma, KernelBackend::Portable];
+    let tiers = backends
+        .into_iter()
+        .filter(|&tier| tier >= detected)
+        .map(|tier| {
+            set_backend_override(Some(tier));
+            let mut stages = ConvStages::default();
+            std::hint::black_box(conv3d_grad_weight(&x, &dz, dims, Some(&mut stages)));
+            let arm = if stages.pack_a_ns > 0.0 { "packed" } else { "pointwise" };
+            let t = time_interleaved(
+                iters,
+                &mut [
+                    &mut || {
+                        gemm(size, size, size, &a, MatLayout::Normal, &b, MatLayout::Normal, &mut c)
+                    },
+                    &mut || {
+                        std::hint::black_box(conv3d_grad_weight(&x, &dz, dims, None));
+                    },
+                    &mut || {
+                        let mut out = Rows { out: &mut out, ld: cols };
+                        thin::thin_columns(&w, rows, &xt, 0..cols, &mut out);
+                    },
+                ],
+            );
+            let gemm_nn = gemm_gflops(size, size, size, t[0].1);
+            let grad_weight = 2.0 * (cin * cout * cols) as f64 / t[1].1;
+            TierRow {
+                backend: tier.name().to_string(),
+                grad_weight_arm: arm.to_string(),
+                grad_weight_ms: round(t[1].1 / 1e6, 3),
+                grad_weight_gflops: round(grad_weight, 2),
+                gemm_nn_gflops: round(gemm_nn, 2),
+                grad_weight_vs_gemm_nn: round(grad_weight / gemm_nn, 3),
+                thin_columns_gflops: round(2.0 * (rows * depth * cols) as f64 / t[2].1, 2),
+            }
+        })
+        .collect();
+    set_backend_override(None);
+    KernelTiers {
+        grad_weight_shape: TIER_GRAD_WEIGHT,
+        thin_columns_shape: TIER_THIN_COLUMNS,
+        tiers,
+    }
 }
 
 /// The activation kernel as a slice and as the decoder's feature-major
@@ -1603,6 +1713,9 @@ fn main() {
     eprintln!("[bench] timing the decoder on the tape ({decode_iters} iters) ...");
     let tape_decoder = bench_tape_decoder(decode_iters, gemm_nn);
 
+    eprintln!("[bench] timing the pointwise weight gradient on every kernel tier ...");
+    let kernel_tiers = bench_kernel_tiers(decode_iters, size);
+
     eprintln!("[bench] counting one training step's allocations, pool on then off ...");
     let (pool_on, pool_off) = (bench_train_step(true), bench_train_step(false));
     let alloc_drop = 1.0 - pool_on.alloc_bytes as f64 / pool_off.alloc_bytes.max(1) as f64;
@@ -1626,6 +1739,7 @@ fn main() {
         softplus,
         softplus_grad,
         tape_decoder,
+        kernel_tiers,
         train_step: TrainStep {
             pool_on,
             pool_off,

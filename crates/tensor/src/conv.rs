@@ -29,12 +29,15 @@
 //! [`conv3d_auto`] or once by a caller whose weights cannot change.
 //! [`conv3d_grad_input`] is the same driver on flipped weights and
 //! [`conv3d_grad_weight`] packs the transposed patch matrix from the same
-//! maps. A fully-connected layer over `M` points is the 1×1×1 case over a
-//! volume of `M` voxels — activations feature-major `[width, M]`, the
-//! weight on the tile's rows — so the decoder's MLP runs on this driver too,
-//! on the tape (forward, and both gradients through the two functions
-//! above) and off it ([`PackedConv3d::pack_linear`],
-//! [`PackedConv3d::forward_slices`]): one weight-panel store.
+//! maps — except for a pointwise kernel on a vector tier, whose input blocks
+//! it transposes once each while `grad_out` is read where it lies
+//! ([`crate::thin`]), with the driver's bits. A fully-connected layer over
+//! `M` points is the 1×1×1 case over a volume of `M` voxels — activations
+//! feature-major `[width, M]`, the weight on the tile's rows — so the
+//! decoder's MLP runs on this driver too, on the tape (forward, and both
+//! gradients through the two functions above) and off it
+//! ([`PackedConv3d::pack_linear`], [`PackedConv3d::forward_slices`]): one
+//! weight-panel store.
 //!
 //! Numerics: every conv output, pointwise included, is one `k`-ordered FMA
 //! chain over `(ci, zd, zh, zw)` — border zeros included as `0.0` terms —
@@ -48,7 +51,7 @@
 use crate::gemm::{macro_block, pack_a, BSlab, OutputRows, RowMajor, KC, NC};
 use crate::simd::{self, transpose_pack, Kernel};
 use crate::tensor::Tensor;
-use crate::workspace;
+use crate::{thin, workspace};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -84,11 +87,11 @@ impl Conv3dDims {
         Conv3dDims { n, cin, cout, spatial, kernel }
     }
 
-    fn vol(&self) -> usize {
+    pub(crate) fn vol(&self) -> usize {
         self.spatial.iter().product()
     }
 
-    fn kvol(&self) -> usize {
+    pub(crate) fn kvol(&self) -> usize {
         self.kernel.iter().product()
     }
 }
@@ -603,19 +606,20 @@ pub fn conv3d_grad_input(grad_out: &[f32], weight: &[f32], dims: Conv3dDims) -> 
 ///
 /// Per batch item `n`, `∂L/∂W[co, kidx] += grad_out_n[co, :] ·
 /// patchᵀ_n[:, kidx]` — a `[Cout, vol] × [vol, Cin·kvol]` GEMM whose
-/// right-hand side is the *transposed* implicit patch matrix: B-panel
-/// element `(p, kidx)` is `xp[koff(kidx) + voff(p)]`, read through the same
-/// two offset maps as the forward pack. The depth dimension is the voxel
-/// count, so accumulation runs over both the `KC` voxel blocks and the batch
-/// (`first` only on the very first block).
+/// right-hand side is the *transposed* implicit patch matrix. The depth
+/// dimension is the voxel count, so every element is one FMA chain in voxel
+/// order from +0 per `KC` voxel block, the blocks and then the batch items
+/// added in order — on two arms with those bits:
 ///
-/// Both operands are transposed while packed, by the one transposing pack
-/// (`simd::transpose_pack`): the row-major `grad_out` rows into A panels
-/// (`pack_a`), and each B panel from its `nr` patch columns — source rows
-/// `xp[koff(kidx) + ..]` — along the runs of consecutive `voff` (one run of
-/// `kb` voxels for a 1×1×1 kernel, runs of the output row length `sw`
-/// otherwise). `stages` as in [`PackedConv3d::forward_staged`], with the A
-/// pack timed apart.
+/// - a pointwise kernel (1×1×1: every tape `Linear` layer and the U-Net's
+///   1×1×1 convs), on a tier whose thin tile takes it, transposes each block
+///   of the input once and broadcasts `grad_out` from where it lies
+///   (`thin::pointwise_grad_weight`; stages `pack_b` and `micro`);
+/// - any other (and every kernel on the portable tier) runs the packed
+///   driver (`packed_grad_weight`).
+///
+/// `stages` as in [`PackedConv3d::forward_staged`], with the A pack timed
+/// apart.
 ///
 /// # Panics
 /// Panics on an even kernel extent or a slice that disagrees with `dims`.
@@ -627,17 +631,43 @@ pub fn conv3d_grad_weight(
 ) -> Tensor {
     assert_odd(dims.kernel);
     let [kd, kh, kw] = dims.kernel;
-    let (vol, ksize) = (dims.vol(), dims.cin * dims.kvol());
+    let vol = dims.vol();
     assert_eq!(input.len(), dims.n * dims.cin * vol, "conv3d input length mismatch");
     assert_eq!(grad_out.len(), dims.n * dims.cout * vol, "conv3d grad_out length mismatch");
+    let mut out = workspace::take_scratch(dims.cout * dims.cin * dims.kvol());
+    let tile = simd::thin_kernel();
+    if dims.kvol() == 1 && tile.grad_weight {
+        thin::pointwise_grad_weight(tile, input, grad_out, dims, &mut out, &mut stages);
+    } else {
+        packed_grad_weight(input, grad_out, dims, &mut out, &mut stages);
+    }
+    Tensor::from_guard(out, &[dims.cout, dims.cin, kd, kh, kw])
+}
+
+/// [`conv3d_grad_weight`] on the packed driver into `out: [Cout,
+/// Cin·kvol]`. B-panel element `(p, kidx)` is `xp[koff(kidx) + voff(p)]`,
+/// read through the same two offset maps as the forward pack. Both operands
+/// are transposed while packed, by the one transposing pack
+/// (`simd::transpose_pack`): the row-major `grad_out` rows into A panels
+/// (`pack_a`), and each B panel from its `nr` patch columns — source rows
+/// `xp[koff(kidx) + ..]` — along the runs of consecutive `voff` (one run of
+/// `kb` voxels for a 1×1×1 kernel, runs of the output row length `sw`
+/// otherwise).
+fn packed_grad_weight(
+    input: &[f32],
+    grad_out: &[f32],
+    dims: Conv3dDims,
+    out: &mut [f32],
+    stages: &mut Option<&mut ConvStages>,
+) {
+    let (vol, ksize) = (dims.vol(), dims.cin * dims.kvol());
     let kernel = simd::active_kernel_for(dims.cout, ksize);
     let (mr, nr) = (kernel.mr, kernel.nr);
     let (map, mut xp_buf) = PatchMap::new(&dims);
-    let mut out = workspace::take_scratch(dims.cout * ksize);
     let (mut koff, mut voff) = ([0u32; NC], [0u32; KC]);
 
     for (n, x) in input.chunks(dims.cin * vol).enumerate() {
-        let xp = map.item(&mut xp_buf, x, &mut stages);
+        let xp = map.item(&mut xp_buf, x, stages);
         let gn = &grad_out[n * dims.cout * vol..][..dims.cout * vol];
         for jc in (0..ksize).step_by(NC) {
             let nb = NC.min(ksize - jc);
@@ -647,29 +677,28 @@ pub fn conv3d_grad_weight(
                 map.fill_voff(&mut voff[..kb], pc);
                 let mut b_pack = workspace::take_scratch(nb.div_ceil(nr) * nr * kb);
                 timed(
-                    &mut stages,
+                    stages,
                     |s| &mut s.pack_b_ns,
                     || pack_patch_rows(&mut b_pack, nr, xp, &koff[..nb], &voff[..kb]),
                 );
                 let mut a_pack = workspace::take_scratch(dims.cout.div_ceil(mr) * mr * kb);
                 timed(
-                    &mut stages,
+                    stages,
                     |s| &mut s.pack_a_ns,
                     || pack_a(mr, &mut a_pack, gn, vol, dims.cout, pc, kb),
                 );
                 let (b, first) = (BSlab::packed(&b_pack, nr, kb), n == 0 && pc == 0);
                 timed(
-                    &mut stages,
+                    stages,
                     |s| &mut s.micro_ns,
                     || {
-                        let mut out = RowMajor { rows: &mut out, ld: ksize };
+                        let mut out = RowMajor { rows: &mut *out, ld: ksize };
                         macro_block(kernel, &a_pack, b, &mut out, dims.cout, kb, nb, jc, first)
                     },
                 );
             }
         }
     }
-    Tensor::from_guard(out, &[dims.cout, dims.cin, kd, kh, kw])
 }
 
 /// Packs the weight gradient's B panels, the transposed patch matrix: panel
@@ -1339,10 +1368,11 @@ mod tests {
         set_backend_override(None);
     }
 
-    /// Scalar transcription of the weight gradient's numerical contract: per
-    /// weight and `KC` block of voxels, one FMA chain over the block in order,
-    /// `grad_out` times the patch value `xp[koff + voff]` (border zeros
-    /// included); blocks, then batch items, summed in order.
+    /// The weight gradient's one bit oracle, a scalar transcription of its
+    /// numerical contract: per weight and `KC` block of voxels, one FMA
+    /// chain over the block in voxel order from +0, `grad_out` times the
+    /// patch value `xp[koff + voff]` (border zeros included); the blocks,
+    /// then the batch items, added in order.
     fn grad_weight_fma_chain(x: &[f32], g: &[f32], dims: Conv3dDims) -> Vec<f32> {
         let (vol, ksize) = (dims.vol(), dims.cin * dims.kvol());
         let mut out = vec![0.0f32; dims.cout * ksize];
@@ -1364,34 +1394,85 @@ mod tests {
         out
     }
 
-    /// The weight gradient is bit-identical to its scalar contract on every
-    /// tier, batch 2 (the accumulate after the first item) included.
+    /// Input and output gradient of `dims` with signed zeros in them: in
+    /// every item the first input channel +0 and the first `grad_out` row
+    /// -0, so that weight `[0, 0]` (a 3×3×3 kernel's whole first channel)
+    /// sums products that are all -0 and only the chains' +0 start makes it
+    /// +0, and scattered ±0 elsewhere.
+    fn signed_zero_operands(dims: Conv3dDims, rng: &mut ChaCha8Rng) -> (Vec<f32>, Vec<f32>) {
+        let vol = dims.vol();
+        let mut operand = |rows: usize, zero: f32| {
+            let mut v = Tensor::randn(&[dims.n * rows * vol], 1.0, rng).data().to_vec();
+            for item in v.chunks_exact_mut(rows * vol) {
+                item[..vol].fill(zero);
+                for (j, x) in item.iter_mut().enumerate().skip(vol).step_by(7) {
+                    *x = if j % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            v
+        };
+        (operand(dims.cin, 0.0), operand(dims.cout, -0.0))
+    }
+
+    /// Both arms of the weight gradient — the packed driver, and for a
+    /// 1×1×1 kernel the pointwise arm — and `conv3d_grad_weight` itself
+    /// give the oracle's bits on every tier the host can run: batch 1 and
+    /// 3, voxel counts that end in a part block (300 and 600, two and three
+    /// `KC` blocks) or are shorter than a vector, widths that are no
+    /// multiple of a vector or of a tile's rows (the tape's 19 and 35, the
+    /// 4-wide head, 129), 3×3×3 kernels with their zero border, and signed
+    /// zeros.
     #[test]
-    fn grad_weight_is_bit_identical_to_scalar_fma_chain() {
+    fn grad_weight_arms_are_bit_identical_to_the_oracle() {
         let mut rng = ChaCha8Rng::seed_from_u64(85);
-        for (k, cin, cout, sp) in grad_weight_shapes() {
-            let dims = Conv3dDims { n: 2, cin, cout, spatial: sp, kernel: k };
-            let x = Tensor::randn(&[2 * cin * dims.vol()], 1.0, &mut rng);
-            let g = Tensor::randn(&[2 * cout * dims.vol()], 1.0, &mut rng);
-            let want = grad_weight_fma_chain(x.data(), g.data(), dims);
-            for backend in runnable_backends() {
-                set_backend_override(Some(backend));
-                let got = conv3d_grad_weight(x.data(), g.data(), dims, None);
-                for (i, (got, want)) in got.data().iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "k={k:?} {cin}->{cout} {sp:?} on {} elem {i}: {got:e} vs {want:e}",
-                        backend.name()
-                    );
+        // Three `KC` blocks; inputs past three transposed blocks (`MAX_NR`)
+        // and voxels fewer than a vector.
+        let long = [
+            ([1, 1, 1], 64, 64, [1, 1, 600]),
+            ([1, 1, 1], 19, 64, [1, 1, 600]),
+            ([1, 1, 1], 129, 5, [1, 1, 17]),
+            ([1, 1, 1], 3, 1, [1, 1, 17]),
+        ];
+        for (k, cin, cout, sp) in grad_weight_shapes().into_iter().chain(long) {
+            for n in [1, 3] {
+                let dims = Conv3dDims { n, cin, cout, spatial: sp, kernel: k };
+                let (x, g) = signed_zero_operands(dims, &mut rng);
+                let want = grad_weight_fma_chain(&x, &g, dims);
+                for backend in runnable_backends() {
+                    set_backend_override(Some(backend));
+                    let mut arms = vec![(
+                        "conv3d_grad_weight",
+                        conv3d_grad_weight(&x, &g, dims, None).data().to_vec(),
+                    )];
+                    let mut packed = vec![f32::NAN; want.len()];
+                    packed_grad_weight(&x, &g, dims, &mut packed, &mut None);
+                    arms.push(("packed", packed));
+                    if k == [1, 1, 1] {
+                        let mut pointwise = vec![f32::NAN; want.len()];
+                        let tile = simd::thin_kernel();
+                        thin::pointwise_grad_weight(tile, &x, &g, dims, &mut pointwise, &mut None);
+                        arms.push(("pointwise", pointwise));
+                    }
+                    for (arm, got) in arms {
+                        for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{arm}: k={k:?} {cin}->{cout} {sp:?} batch {n} on {} elem {i}: \
+                                 {got:e} vs {want:e}",
+                                backend.name()
+                            );
+                        }
+                    }
                 }
             }
         }
         set_backend_override(None);
     }
 
-    /// The stage clock is an observer for the weight gradient too, and a
-    /// padded kernel accounts its pad copy.
+    /// The stage clock is an observer for the weight gradient too, on every
+    /// tier: a padded kernel accounts its pad copy, and the pointwise arm
+    /// packs no A panel.
     #[test]
     fn staged_grad_weight_times_without_changing_the_result() {
         let mut rng = ChaCha8Rng::seed_from_u64(86);
@@ -1399,13 +1480,20 @@ mod tests {
             let dims = Conv3dDims { n: 2, cin: 4, cout: 8, spatial: [4, 8, 8], kernel: k };
             let x = Tensor::randn(&[2 * 4 * 256], 1.0, &mut rng);
             let g = Tensor::randn(&[2 * 8 * 256], 1.0, &mut rng);
-            let mut stages = ConvStages::default();
-            let staged = conv3d_grad_weight(x.data(), g.data(), dims, Some(&mut stages));
-            assert_bits_eq(&conv3d_grad_weight(x.data(), g.data(), dims, None), &staged, "staged");
-            let ConvStages { pad_copy_ns, pack_a_ns, pack_b_ns, micro_ns, .. } = stages;
-            assert!(pack_a_ns > 0.0 && pack_b_ns > 0.0 && micro_ns > 0.0, "{stages:?}");
-            assert_eq!(pad_copy_ns > 0.0, k != [1, 1, 1], "{stages:?}");
+            for backend in runnable_backends() {
+                set_backend_override(Some(backend));
+                let mut stages = ConvStages::default();
+                let staged = conv3d_grad_weight(x.data(), g.data(), dims, Some(&mut stages));
+                let plain = conv3d_grad_weight(x.data(), g.data(), dims, None);
+                assert_bits_eq(&plain, &staged, "staged");
+                let ConvStages { pad_copy_ns, pack_a_ns, pack_b_ns, micro_ns, .. } = stages;
+                let pointwise = k == [1, 1, 1] && simd::thin_kernel().grad_weight;
+                assert!(pack_b_ns > 0.0 && micro_ns > 0.0, "{stages:?}");
+                assert_eq!(pack_a_ns > 0.0, !pointwise, "{stages:?} on {}", backend.name());
+                assert_eq!(pad_copy_ns > 0.0, k != [1, 1, 1], "{stages:?}");
+            }
         }
+        set_backend_override(None);
     }
 
     fn even_dims() -> (Tensor, Tensor, Conv3dDims) {

@@ -19,9 +19,9 @@
 //! slice kernels re-exported beside them are those definitions on vectors.
 
 pub use crate::simd::{
-    bias_jet_features, bias_softplus_features, bias_softplus_grad_features,
-    bias_softplus_jet_features, sigmoid_scalar, softplus_derivs, softplus_grad_slice,
-    softplus_scalar, softplus_slice, JET_LANES,
+    bias_jet_features, bias_softplus_features, bias_softplus_features_from,
+    bias_softplus_grad_features, bias_softplus_jet_features, sigmoid_scalar, softplus_derivs,
+    softplus_grad_slice, softplus_scalar, softplus_slice, JET_LANES,
 };
 use crate::tensor::Tensor;
 

@@ -589,45 +589,63 @@ pub(crate) struct ThinTile<const R: usize> {
 }
 
 /// The thin tile of one tier, captured once per call so that its vector
-/// width and its code cannot disagree under a concurrent
+/// width, its shape and its code cannot disagree under a concurrent
 /// [`set_backend_override`].
 #[derive(Clone, Copy)]
 pub(crate) struct ThinKernel {
     backend: u8,
     /// Columns one vector of the tile spans.
     pub lanes: usize,
+    /// Rows and vectors of columns one tile holds at most: what fits the
+    /// tier's registers — AVX-512's 32 take 6 × 4 accumulators, 4 loads and
+    /// a broadcast; AVX2's 16 take 4 × 3, 3 loads and a broadcast (4 × 4
+    /// spills there).
+    pub rows: usize,
+    pub vectors: usize,
+    /// Whether a pointwise weight gradient runs on this tile
+    /// (`crate::thin::pointwise_grad_weight`) rather than the packed driver:
+    /// on the vector tiers. The portable tile is scalar `mul_add` loops,
+    /// 5–7× the driver's time there.
+    pub grad_weight: bool,
 }
 
 /// The active tier's [`ThinKernel`].
 pub(crate) fn thin_kernel() -> ThinKernel {
     let backend = resolve();
-    ThinKernel { backend, lanes: if backend == B_AVX512 { 16 } else { LANES } }
+    let (lanes, rows, vectors, grad_weight) = match backend {
+        B_AVX512 => (16, 6, 4, true),
+        B_AVX2 => (LANES, 4, 3, true),
+        _ => (LANES, 4, 4, false),
+    };
+    ThinKernel { backend, lanes, rows, vectors, grad_weight }
 }
 
 impl ThinKernel {
-    /// Runs a thin tile of `nv` (1–4) vectors.
+    /// Runs a thin tile of `R` (at most [`ThinKernel::rows`]) rows and `nv`
+    /// (1 to [`ThinKernel::vectors`]) vectors.
     ///
     /// # Safety
     /// Every `a[i]` is readable for `depth` floats, `b` for `nv` vectors of
     /// [`ThinKernel::lanes`] floats at each of `depth` rows `ldb` apart, and
     /// every `out[i]` writable for `width` floats.
     pub(crate) unsafe fn tile<const R: usize>(self, t: &ThinTile<R>, nv: usize) {
+        debug_assert!(R <= self.rows && (1..=self.vectors).contains(&nv), "{R} x {nv} thin tile");
         macro_rules! on {
-            ($($tile:ident)::+) => {
+            ($tile:ident; $($nv:literal),+) => {
                 match nv {
-                    1 => $($tile)::+::<R, 1>(t),
-                    2 => $($tile)::+::<R, 2>(t),
-                    3 => $($tile)::+::<R, 3>(t),
-                    _ => $($tile)::+::<R, 4>(t),
+                    $($nv => $tile::<R, $nv>(t),)+
+                    _ => unreachable!("{nv} vectors in a thin tile"),
                 }
             };
         }
+        #[cfg(target_arch = "x86_64")]
+        use {softplus_avx2::thin_tile as avx2, softplus_avx512::thin_tile as avx512};
         match self.backend {
             #[cfg(target_arch = "x86_64")]
-            B_AVX512 => on!(softplus_avx512::thin_tile),
+            B_AVX512 => on!(avx512; 1, 2, 3, 4),
             #[cfg(target_arch = "x86_64")]
-            B_AVX2 => on!(softplus_avx2::thin_tile),
-            _ => on!(thin_tile_portable),
+            B_AVX2 => on!(avx2; 1, 2, 3),
+            _ => on!(thin_tile_portable; 1, 2, 3, 4),
         }
     }
 }
@@ -1090,6 +1108,26 @@ pub fn bias_softplus_features(x: &mut [f32], bias: &[f32]) {
     unsafe { features_on::<false>(resolve(), x, bias, &[]) }
 }
 
+/// [`bias_softplus_features`] from a GEMM output that backward keeps:
+/// `y[j][r] = softplus(pre[j][r] + bias[j])`, `pre` read and `y` written in
+/// one pass — how a one-lane softplus layer on the tape ends. The bits of
+/// the in-place form on a copy of `pre`, on every tier.
+///
+/// # Panics
+/// Panics if `y` and `pre` differ in length or are not feature rows of
+/// `bias.len()`.
+pub fn bias_softplus_features_from(y: &mut [f32], pre: &[f32], bias: &[f32]) {
+    assert!(
+        !bias.is_empty() && y.len().is_multiple_of(bias.len()) && y.len() == pre.len(),
+        "bias_softplus_features_from: {} outputs, {} pre-activations, {} feature rows",
+        y.len(),
+        pre.len(),
+        bias.len()
+    );
+    // SAFETY: as in `softplus_slice`.
+    unsafe { features_on::<false>(resolve(), y, bias, pre) }
+}
+
 /// `g[j][r] *= softplus′(z[j][r] + bias[j])` over the feature rows of `g, z:
 /// [bias.len(), M]`, in place on `g` — the backward pass of
 /// [`bias_softplus_features`], reading the GEMM output `z` it overwrote.
@@ -1124,41 +1162,64 @@ unsafe fn slice_on<const GRAD: bool>(backend: u8, x: &mut [f32], z: &[f32]) {
     }
 }
 
-/// [`bias_softplus_features`] (with `GRAD`, [`bias_softplus_grad_features`])
-/// on a given tier. The vector tiers take rows that are whole 8-lane groups
-/// (every decode block: 8 vertices a query); any other length runs the
-/// scalar form.
+/// [`bias_softplus_features`] (from `z` when it is not empty:
+/// [`bias_softplus_features_from`]; with `GRAD`,
+/// [`bias_softplus_grad_features`]) on a given tier. The vector tiers take
+/// rows that are whole 8-lane groups (every decode block: 8 vertices a
+/// query); any other length runs the scalar form.
 ///
 /// # Safety
 /// As [`slice_on`].
 unsafe fn features_on<const GRAD: bool>(backend: u8, x: &mut [f32], bias: &[f32], z: &[f32]) {
     let m = x.len() / bias.len();
+    // Where the vector forms read the argument is a type parameter: the
+    // in-place form loads and stores through one pointer.
+    macro_rules! on {
+        ($module:ident) => {
+            if z.is_empty() {
+                $module::features::<GRAD, false>(x, m, bias, z)
+            } else {
+                $module::features::<GRAD, true>(x, m, bias, z)
+            }
+        };
+    }
     match backend {
         #[cfg(target_arch = "x86_64")]
-        B_AVX512 if m.is_multiple_of(8) => softplus_avx512::features::<GRAD>(x, m, bias, z),
+        B_AVX512 if m.is_multiple_of(8) => on!(softplus_avx512),
         #[cfg(target_arch = "x86_64")]
-        B_AVX2 if m.is_multiple_of(8) => softplus_avx2::features::<GRAD>(x, m, bias, z),
+        B_AVX2 if m.is_multiple_of(8) => on!(softplus_avx2),
         _ => {
             for (j, (row, &b)) in x.chunks_mut(m.max(1)).zip(bias).enumerate() {
-                softplus_tail::<true, GRAD>(row, b, if GRAD { &z[j * m..][..m] } else { z });
+                softplus_tail::<true, GRAD>(
+                    row,
+                    b,
+                    if z.is_empty() { z } else { &z[j * m..][..m] },
+                );
             }
         }
     }
 }
 
 /// The scalar forms over (the end of) one row, the argument plus `bias`
-/// first with `BIAS`. Without `GRAD`, `row` is the input and `z` is unused;
-/// with it, `z` (aligned with `row`) is the input and `row` the adjoint it
-/// scales.
+/// first with `BIAS`. The argument is `z` (aligned with `row`) when it is
+/// not empty, else `row` itself; without `GRAD` the result overwrites
+/// `row`, with it (`z` given) it scales the adjoint `row` holds.
 #[inline]
 fn softplus_tail<const BIAS: bool, const GRAD: bool>(row: &mut [f32], bias: f32, z: &[f32]) {
-    // Slice the unused operand to nothing and the used one to the row, so
-    // the loop below carries no bounds checks and vectorizes.
-    let z = &z[..if GRAD { row.len() } else { 0 }];
-    for (i, v) in row.iter_mut().enumerate() {
-        let x = if GRAD { z[i] } else { *v };
+    let f = |x: f32, v: f32| {
         let x = if BIAS { x + bias } else { x };
-        *v = if GRAD { *v * sigmoid_scalar(x) } else { softplus_scalar(x) };
+        if GRAD {
+            v * sigmoid_scalar(x)
+        } else {
+            softplus_scalar(x)
+        }
+    };
+    if z.is_empty() {
+        row.iter_mut().for_each(|v| *v = f(*v, *v));
+    } else {
+        // Zipped with the row, so the loop carries no bounds checks.
+        let z = &z[..row.len()];
+        row.iter_mut().zip(z).for_each(|(v, &x)| *v = f(x, *v));
     }
 }
 
@@ -1448,24 +1509,23 @@ macro_rules! softplus_kernel {
             each!(|i| nan_or(x[i], s[i]))
         }
 
-        /// `N` vectors at element `c` of `x`: `x = softplus(x)`, or with
-        /// `GRAD` `x *= sigmoid(z)`, the argument plus the `N` bias vectors
-        /// first with `BIAS`.
+        /// `N` vectors at element `c` of `x`: `x = softplus(src)`, or with
+        /// `GRAD` `x *= sigmoid(src)`, the argument `src` (`x` itself, `z` or
+        /// a kept GEMM output) plus the `N` bias vectors first with `BIAS`.
         ///
         /// # Safety
-        /// `x` and (with `GRAD`) `z` must be valid for `N * LANES` floats
-        /// from offset `c`; an unused pointer is never offset or read.
+        /// `x` and `src` must be valid for `N * LANES` floats from offset `c`.
         #[inline]
         #[target_feature(enable = $feat)]
         unsafe fn step<const BIAS: bool, const GRAD: bool, const N: usize>(
             x: *mut f32,
             bias: [V; N],
-            z: *const f32,
+            src: *const f32,
             c: usize,
         ) {
             let mut u = [zero(); N];
             for i in 0..N {
-                u[i] = if GRAD { load(z.add(c + i * LANES)) } else { load(x.add(c + i * LANES)) };
+                u[i] = load(src.add(c + i * LANES));
                 if BIAS {
                     u[i] = add(u[i], bias[i]);
                 }
@@ -1490,28 +1550,30 @@ macro_rules! softplus_kernel {
         #[target_feature(enable = $feat)]
         pub(super) unsafe fn slice<const GRAD: bool>(x: &mut [f32], z: &[f32]) {
             assert!(!GRAD || z.len() == x.len(), "one pre-activation per adjoint");
-            let (ptr, zp, len) = (x.as_mut_ptr(), z.as_ptr(), x.len());
+            let (ptr, len) = (x.as_mut_ptr(), x.len());
+            let src: *const f32 = if GRAD { z.as_ptr() } else { ptr };
             let mut c = 0;
             // SAFETY: every step is entered with `c + N * LANES <= len`, and
             // `z` is as long as `x` when it is read.
             while c + 4 * LANES <= len {
-                step::<false, GRAD, 4>(ptr, [zero(); 4], zp, c);
+                step::<false, GRAD, 4>(ptr, [zero(); 4], src, c);
                 c += 4 * LANES;
             }
             if c + 2 * LANES <= len {
-                step::<false, GRAD, 2>(ptr, [zero(); 2], zp, c);
+                step::<false, GRAD, 2>(ptr, [zero(); 2], src, c);
                 c += 2 * LANES;
             }
             if c + LANES <= len {
-                step::<false, GRAD, 1>(ptr, [zero()], zp, c);
+                step::<false, GRAD, 1>(ptr, [zero()], src, c);
                 c += LANES;
             }
             softplus_tail::<false, GRAD>(&mut x[c..], 0.0, if GRAD { &z[c..] } else { z });
         }
 
         /// Feature rows of `m` floats (`m` a multiple of 8), row `j` plus its
-        /// one bias `bias[j]`; with `GRAD`, the adjoints `x` scaled at the
-        /// pre-activations `z`. The matrix is walked as one slice, four
+        /// one bias `bias[j]`, read from `z` with `FROM` (else from `x`);
+        /// with `GRAD`, the adjoints `x` scaled at the pre-activations `z`.
+        /// The matrix is walked as one slice, four
         /// vectors at a time whatever `m` is — a one-query block has rows of
         /// 8, and a lone vector per row would run its Horner chains at FMA
         /// latency — each vector's bias splatted per 8-lane group, since a
@@ -1520,17 +1582,19 @@ macro_rules! softplus_kernel {
         /// # Safety
         /// The CPU must have the features this module is compiled for.
         #[target_feature(enable = $feat)]
-        pub(super) unsafe fn features<const GRAD: bool>(
+        pub(super) unsafe fn features<const GRAD: bool, const FROM: bool>(
             x: &mut [f32],
             m: usize,
             bias: &[f32],
             z: &[f32],
         ) {
             assert!(m % 8 == 0 && x.len() == m * bias.len(), "rows of whole 8-lane groups");
-            assert!(!GRAD || z.len() == x.len(), "one pre-activation per adjoint");
+            assert!(z.len() == if FROM { x.len() } else { 0 }, "one argument per output");
+            assert!(FROM || !GRAD || x.is_empty(), "a gradient reads its pre-activations");
             // The 8-lane groups of `x` in order: (row, groups left in it).
             let mut at = (0, m / 8);
-            let (ptr, zp, len) = (x.as_mut_ptr(), z.as_ptr(), x.len());
+            let (ptr, len) = (x.as_mut_ptr(), x.len());
+            let src: *const f32 = if FROM { z.as_ptr() } else { ptr };
             let mut c = 0;
             macro_rules! vectors {
                 ($n:literal) => {{
@@ -1545,9 +1609,9 @@ macro_rules! softplus_kernel {
                         }
                         b
                     };
-                    // SAFETY: entered with `c + $n * LANES <= len`; `z` is as
-                    // long as `x` when it is read.
-                    step::<true, GRAD, $n>(ptr, b, zp, c);
+                    // SAFETY: entered with `c + $n * LANES <= len`; `src` is
+                    // `x` or as long as it.
+                    step::<true, GRAD, $n>(ptr, b, src, c);
                     c += $n * LANES;
                 }};
             }
@@ -1563,7 +1627,7 @@ macro_rules! softplus_kernel {
             // At most one group is left (16-lane vectors, an odd group count).
             if c < len {
                 let b = group_bias(bias, m, &mut at);
-                softplus_tail::<true, GRAD>(&mut x[c..], b, if GRAD { &z[c..] } else { z });
+                softplus_tail::<true, GRAD>(&mut x[c..], b, if FROM { &z[c..] } else { z });
             }
         }
 
@@ -2028,6 +2092,8 @@ mod tests {
         [8, 24, 504, 512, 520, 5].into_iter().flat_map(|m| [1, 3, 4, 33].map(|n| (m, n)))
     }
 
+    /// The in-place form against its definition, and the from-`pre` form
+    /// (into a buffer of NaNs) against the in-place one, on every tier.
     #[test]
     fn bias_softplus_features_matches_add_then_scalar_bitwise() {
         let xs = softplus_probes();
@@ -2041,16 +2107,25 @@ mod tests {
                     .enumerate()
                     .map(|(i, &x)| softplus_scalar(x + bias[i / m]).to_bits())
                     .collect();
+                let mut from = vec![f32::NAN; n * m];
                 // SAFETY: `runnable_tiers` lists only tiers at or below detection.
-                unsafe { features_on::<false>(tier, &mut got, &bias, &[]) };
+                unsafe {
+                    features_on::<false>(tier, &mut from, &bias, &got);
+                    features_on::<false>(tier, &mut got, &bias, &[]);
+                }
                 let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, want, "{name}: {n} feature rows of {m}");
+                let from: Vec<u32> = from.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(from, want, "{name} from pre: {n} feature rows of {m}");
             }
         }
         let mut x = vec![0.25f32; 16];
+        let mut y = vec![f32::NAN; 16];
+        bias_softplus_features_from(&mut y, &x, &[1.0, -1.0]);
         bias_softplus_features(&mut x, &[1.0, -1.0]);
         assert_eq!(x[7].to_bits(), softplus_scalar(1.25).to_bits());
         assert_eq!(x[8].to_bits(), softplus_scalar(-0.75).to_bits());
+        assert!(x.iter().zip(&y).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     /// The bits of adjoints `got` scaled by the derivative kernels, for

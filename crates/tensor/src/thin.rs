@@ -1,35 +1,31 @@
-//! GEMMs with one side thinner than the micro-kernel tile: the decoder's
-//! 4-wide output layer, whose `out_features` is below every tier's `mr` (6,
-//! 8 or 12).
-//!
-//! Run through the packed driver such a layer wastes most of each tile — the
-//! forward's A panels are half zero rows, and the weight gradient packs the
-//! whole transposed input into `nr`-wide B panels for a tile whose rows are
-//! mostly padding. The two kernels here read the wide operand where it lies
-//! and keep the thin one in registers ([`crate::simd`]'s thin tile):
+//! GEMMs that read their wide operand where it lies and keep the thin one
+//! in registers ([`crate::simd`]'s thin tile, as many rows and vectors of
+//! columns as the tier's registers hold: 6 × 4 on AVX-512, 4 × 3 on AVX2).
 //!
 //! - [`thin_columns`]: `out = a · b` for a thin `a` (the forward, `w · x`)
 //!   or a shallow one (the input gradient, `wᵀ · dz`), `b` read in place,
-//!   vectorized along its columns;
-//! - [`thin_grad_weight`]: `dw = dz · xᵀ`, each `KC`-voxel block of `x`
-//!   transposed once into a panel as wide as `x` has rows (`transpose_pack`,
-//!   padded to a whole vector), the thin `dz` broadcast from its rows.
+//!   vectorized along its columns — a layer whose `out_features` is below
+//!   every tier's `mr` (6, 8 or 12): the decoder's 4-wide head. Through the
+//!   packed driver its A panels would be half zero rows.
+//! - `pointwise_grad_weight`: `dw = dz · xᵀ` of every pointwise (1×1×1)
+//!   operator, any width — every tape `Linear` layer and the U-Net's 1×1×1
+//!   convs — as [`crate::conv3d_grad_weight`]'s arm for `kvol == 1`. Each
+//!   `KC`-voxel block of `x` is transposed once into a panel as wide as `x`
+//!   has rows (`transpose_pack`, padded to a whole vector), and `dz` is
+//!   broadcast from its rows: no A panel, no `nr`-padded B panels. A 3³
+//!   conv keeps the packed driver, and so does the portable tier, whose
+//!   scalar tile takes 5–7× the driver's time there.
 //!
 //! Both keep the driver's arithmetic: each output element is one FMA chain
-//! in depth order from +0 per `KC`-deep block, the blocks added in order —
-//! so they give [`crate::PackedConv3d::forward_columns`]'s and
-//! [`crate::conv3d_grad_weight`]'s bits, on every tier.
+//! in depth order from +0 per `KC`-deep block, the blocks (and batch items)
+//! added in order — so they give [`crate::PackedConv3d::forward_columns`]'s
+//! and the packed weight gradient's bits, on every tier.
 
+use crate::conv::{timed, Conv3dDims, ConvStages};
 use crate::gemm::{strided_rows, OutputRows, KC};
-use crate::simd::{self, thin_kernel, ThinTile, MAX_NR};
+use crate::simd::{self, thin_kernel, ThinKernel, ThinTile, MAX_NR};
 use crate::workspace;
 use std::ops::Range;
-
-/// Rows of one thin tile.
-const TILE_ROWS: usize = 4;
-
-/// Vectors of columns of one thin tile.
-const TILE_VECTORS: usize = 4;
 
 /// Whether a layer of `out_features` outputs takes the thin path: fewer
 /// than the active tier's tile has rows.
@@ -37,7 +33,7 @@ pub fn is_thin(out_features: usize) -> bool {
     out_features < simd::active_kernel().mr
 }
 
-/// `$body` with the const `$r` bound to `$rows` (1–4): a [`ThinTile`]'s
+/// `$body` with the const `$r` bound to `$rows` (1–6): a [`ThinTile`]'s
 /// row count is a type parameter.
 macro_rules! with_rows {
     ($rows:expr, |$r:ident| $body:expr) => {
@@ -54,8 +50,16 @@ macro_rules! with_rows {
                 const $r: usize = 3;
                 $body
             }
-            _ => {
+            4 => {
                 const $r: usize = 4;
+                $body
+            }
+            5 => {
+                const $r: usize = 5;
+                $body
+            }
+            _ => {
+                const $r: usize = 6;
                 $body
             }
         }
@@ -88,8 +92,8 @@ pub fn thin_columns(
     assert!(cols.start <= cols.end && cols.end <= ldb, "columns {cols:?} of {ldb}");
     let (width, kernel) = (cols.len(), thin_kernel());
     let lanes = kernel.lanes;
-    for r0 in (0..rows).step_by(TILE_ROWS) {
-        with_rows!((rows - r0).min(TILE_ROWS), |R| {
+    for r0 in (0..rows).step_by(kernel.rows) {
+        with_rows!((rows - r0).min(kernel.rows), |R| {
             let to: [*mut f32; R] = std::array::from_fn(|i| {
                 let row = out.row(r0 + i);
                 assert!(row.len() >= width, "an output row shorter than its columns");
@@ -104,7 +108,7 @@ pub fn thin_columns(
                 let (b, first) = (&b[d0 * ldb + cols.start..], d0 == 0);
                 let mut j = 0;
                 while j + lanes <= width {
-                    let nv = ((width - j) / lanes).min(TILE_VECTORS);
+                    let nv = ((width - j) / lanes).min(kernel.vectors);
                     let tile = ThinTile {
                         a: a.map(<[f32]>::as_ptr),
                         b: b[j..].as_ptr(),
@@ -137,23 +141,27 @@ pub fn thin_columns(
     }
 }
 
-/// The weight gradient of a thin layer, `out = dz · xᵀ` for `dz: [n, vol]`
-/// and `x: [k, vol]` into `out: [n, k]` (fully overwritten): the bits of
-/// [`crate::conv3d_grad_weight`] on the 1×1×1 conv of `k` to `n` channels
-/// over `vol` voxels — per `KC`-voxel block one FMA chain per element from
-/// +0, in voxel order, the blocks added in order. Each block of `x` is
-/// transposed once into a panel of rows as wide as `x` has rows, padded to
-/// a whole vector, and `dz` is broadcast from where it lies.
-///
-/// # Panics
-/// Panics if the lengths are not `[n, vol]`, `[k, vol]` and `[n, k]`.
-pub fn thin_grad_weight(x: &[f32], dz: &[f32], n: usize, out: &mut [f32]) {
-    assert!(n > 0 && dz.len().is_multiple_of(n), "dz is not {n} rows");
-    let vol = dz.len() / n;
-    assert!(vol > 0 && x.len().is_multiple_of(vol), "x is not rows of {vol} voxels");
-    let k = x.len() / vol;
-    assert_eq!(out.len(), n * k, "the weight gradient is [{n}, {k}]");
-    let kernel = thin_kernel();
+/// The weight gradient of a pointwise (1×1×1) conv,
+/// [`crate::conv3d_grad_weight`]'s arm for `kvol == 1` on a tier whose tile
+/// takes it ([`ThinKernel`]'s `grad_weight`): `out = Σ_items dz · xᵀ` for
+/// `x: [items, k, vol]` and
+/// `dz: [items, n, vol]` into `out: [n, k]` (fully overwritten). Each
+/// `KC`-voxel block of an item's `x` is transposed once into a panel of
+/// rows as wide as `x` has rows, padded to a whole vector (the `pack_b`
+/// stage), and `dz` is broadcast from where it lies (the `micro` stage) —
+/// no A panel, no `nr`-padded B panels. The driver's bits: per block one
+/// FMA chain per element from +0 in voxel order, the blocks added in order,
+/// item after item.
+pub(crate) fn pointwise_grad_weight(
+    kernel: ThinKernel,
+    x: &[f32],
+    dz: &[f32],
+    dims: Conv3dDims,
+    out: &mut [f32],
+    stages: &mut Option<&mut ConvStages>,
+) {
+    let (k, n, vol) = (dims.cin, dims.cout, dims.vol());
+    assert!(dims.kvol() == 1 && out.len() == n * k, "a pointwise [{n}, {k}] weight gradient");
     let lanes = kernel.lanes;
     let ld = k.div_ceil(lanes) * lanes;
     let mut panel = workspace::take_scratch(KC.min(vol) * ld);
@@ -161,36 +169,68 @@ pub fn thin_grad_weight(x: &[f32], dz: &[f32], n: usize, out: &mut [f32]) {
     for row in panel.chunks_exact_mut(ld) {
         row[k..].fill(0.0);
     }
-    for p0 in (0..vol).step_by(KC) {
-        let kb = KC.min(vol - p0);
-        for k0 in (0..k).step_by(MAX_NR) {
-            let w = MAX_NR.min(k - k0);
-            let rows = strided_rows(w, vol);
-            let run = std::iter::once((0, p0, kb));
-            simd::transpose_pack(&mut panel[k0..], ld, &x[k0 * vol..], &rows[..w], run);
+    let rows = strided_rows(MAX_NR.min(k), vol);
+    for (item, (x, dz)) in x.chunks_exact(k * vol).zip(dz.chunks_exact(n * vol)).enumerate() {
+        for p0 in (0..vol).step_by(KC) {
+            let kb = KC.min(vol - p0);
+            timed(
+                stages,
+                |s| &mut s.pack_b_ns,
+                || {
+                    for k0 in (0..k).step_by(MAX_NR) {
+                        let w = MAX_NR.min(k - k0);
+                        let run = std::iter::once((0, p0, kb));
+                        simd::transpose_pack(&mut panel[k0..], ld, &x[k0 * vol..], &rows[..w], run);
+                    }
+                },
+            );
+            let first = item == 0 && p0 == 0;
+            let panel = &panel[..kb * ld];
+            timed(
+                stages,
+                |s| &mut s.micro_ns,
+                || grad_weight_block(kernel, &dz[p0..], vol, panel, ld, k, out, first),
+            );
         }
-        for o0 in (0..n).step_by(TILE_ROWS) {
-            with_rows!((n - o0).min(TILE_ROWS), |R| {
-                let a: [*const f32; R] =
-                    std::array::from_fn(|i| dz[(o0 + i) * vol + p0..].as_ptr());
-                for c0 in (0..k).step_by(TILE_VECTORS * lanes) {
-                    let nv = (ld - c0).div_ceil(lanes).min(TILE_VECTORS);
-                    let tile = ThinTile {
-                        a,
-                        b: panel[c0..].as_ptr(),
-                        ldb: ld,
-                        depth: kb,
-                        out: std::array::from_fn(|i| out[(o0 + i) * k + c0..].as_mut_ptr()),
-                        width: (k - c0).min(nv * lanes),
-                        first: p0 == 0,
-                    };
-                    // SAFETY: each `dz` row holds `kb` voxels from `p0`, the
-                    // panel `kb` rows of `ld >= c0 + nv·lanes` floats, and
-                    // each output row `width` columns from `c0`.
-                    unsafe { kernel.tile(&tile, nv) };
-                }
-            })
-        }
+    }
+}
+
+/// One block of [`pointwise_grad_weight`], its `kb` voxels the rows of
+/// `panel`: `out[o][c] (+)= Σ_p dz[o·vol + p] · panel[p·ld + c]`, one
+/// [`ThinKernel`]'s tile of output rows and vectors of columns at a time.
+#[allow(clippy::too_many_arguments)]
+fn grad_weight_block(
+    kernel: ThinKernel,
+    dz: &[f32],
+    vol: usize,
+    panel: &[f32],
+    ld: usize,
+    k: usize,
+    out: &mut [f32],
+    first: bool,
+) {
+    let (n, kb, lanes) = (out.len() / k, panel.len() / ld, kernel.lanes);
+    let step = kernel.vectors * lanes;
+    for o0 in (0..n).step_by(kernel.rows) {
+        with_rows!((n - o0).min(kernel.rows), |R| {
+            let a: [*const f32; R] = std::array::from_fn(|i| dz[(o0 + i) * vol..].as_ptr());
+            for c0 in (0..k).step_by(step) {
+                let nv = (ld - c0).div_ceil(lanes).min(kernel.vectors);
+                let tile = ThinTile {
+                    a,
+                    b: panel[c0..].as_ptr(),
+                    ldb: ld,
+                    depth: kb,
+                    out: std::array::from_fn(|i| out[(o0 + i) * k + c0..].as_mut_ptr()),
+                    width: (k - c0).min(nv * lanes),
+                    first,
+                };
+                // SAFETY: each `dz` row holds the block's `kb` voxels, the
+                // panel `kb` rows of `ld >= c0 + nv·lanes` floats, and each
+                // output row `width` columns from `c0`.
+                unsafe { kernel.tile(&tile, nv) };
+            }
+        })
     }
 }
 
@@ -199,7 +239,7 @@ mod tests {
     use super::*;
     use crate::gemm::tests::runnable_backends;
     use crate::gemm::RowMajor;
-    use crate::{conv3d_grad_weight, set_backend_override, Conv3dDims, PackedConv3d, Tensor};
+    use crate::{set_backend_override, PackedConv3d, Tensor};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -247,26 +287,6 @@ mod tests {
                         format!("{rows}x{depth} over {range:?} of {cols} on {}", backend.name());
                     assert_eq!(bits(&got), bits(&want), "{what}");
                 }
-            }
-        }
-        set_backend_override(None);
-    }
-
-    /// The thin weight gradient gives `conv3d_grad_weight`'s bits, over
-    /// several `KC` voxel blocks and input widths past one transposed
-    /// block (`MAX_NR`) and one vector.
-    #[test]
-    fn thin_grad_weight_matches_the_packed_driver() {
-        for (n, k, vol) in [(4, 32, 600), (1, 3, 17), (5, 50, 256), (3, 129, 300), (4, 16, 1000)] {
-            let (x, dz) = (randn(k * vol, 3), randn(n * vol, 4));
-            let dims = Conv3dDims { n: 1, cin: k, cout: n, spatial: [1, 1, vol], kernel: [1; 3] };
-            for backend in runnable_backends() {
-                set_backend_override(Some(backend));
-                let want = conv3d_grad_weight(&x, &dz, dims, None);
-                let mut got = vec![f32::NAN; n * k];
-                thin_grad_weight(&x, &dz, n, &mut got);
-                let what = format!("{n}x{k} over {vol} on {}", backend.name());
-                assert_eq!(bits(&got), bits(want.data()), "{what}");
             }
         }
         set_backend_override(None);
