@@ -32,7 +32,14 @@
 //! owns). Its forward and backward take turns at GEMM column slabs and at
 //! blocks of feature rows (`mfn_tensor::in_turns`), each written by one
 //! thread, and every output element is the FMA chain of a single pass, so
-//! the thread count never shows in a bit.
+//! the thread count never shows in a bit. So does a conv node
+//! ([`Graph::conv3d`]): its forward and input gradient at batch items, each
+//! one pass of the driver, and its weight gradient at (item, `KC`-block)
+//! terms that the caller adds in the one-thread order.
+//!
+//! A tape [`Graph::with_node_times`] times every node by [`NodeKind`], one
+//! clock pair forward and one backward ([`NodeTimes`]): where a training
+//! step's time goes, by the kind of work.
 //!
 //! The same node differentiates the network with respect to its *inputs* —
 //! how the PDE residuals get exact derivatives of the decoder: on
@@ -49,10 +56,11 @@
 use crate::nn::Activation;
 use crate::params::{ParamId, ParamStore};
 use mfn_tensor::{
-    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, maxpool3d, maxpool3d_backward,
+    conv3d_grad_weight, conv3d_grad_weight_in_turns, maxpool3d, maxpool3d_backward,
     upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims, PackedConv3d, Tensor,
 };
 use mfn_tensor::{in_turns, rowops, thin, workspace, ColumnSlabs, Turns};
+use std::time::Instant;
 
 pub use mfn_tensor::rowops::JET_LANES;
 
@@ -68,6 +76,68 @@ const TURN_COLUMNS: usize = mfn_tensor::gemm::NC;
 /// A handle to a node on the tape (an SSA value of the recorded program).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
+
+/// What a node's time counts towards on a timed tape
+/// ([`Graph::with_node_times`]): the kinds of work a training step is made
+/// of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeKind {
+    /// Parameters, data and constants copied onto the tape.
+    Input,
+    /// The U-Net's 3D convolutions and their bias.
+    Conv,
+    /// Batch norm, training-mode or frozen, and the ReLU after it.
+    BatchNorm,
+    /// Max pooling and nearest-neighbour upsampling.
+    PoolUpsample,
+    /// The decoder's vertex gather.
+    Gather,
+    /// The decoder's layer nodes, on one lane or six.
+    Layer,
+    /// The trilinear vertex blend, on one lane or six.
+    Blend,
+    /// Every other node: the losses' element-wise arithmetic, reductions,
+    /// slices and concatenations — and the U-Net's residual add and skip
+    /// concatenation, the same ops.
+    Loss,
+}
+
+impl NodeKind {
+    /// Every kind, in the order [`NodeTimes`] holds them.
+    pub const ALL: [NodeKind; 8] = [
+        NodeKind::Input,
+        NodeKind::Conv,
+        NodeKind::BatchNorm,
+        NodeKind::PoolUpsample,
+        NodeKind::Gather,
+        NodeKind::Layer,
+        NodeKind::Blend,
+        NodeKind::Loss,
+    ];
+}
+
+/// Wall time a timed tape spent in its nodes by [`NodeKind`], forward and
+/// backward (nanoseconds): one clock pair per node, around the op that
+/// made its value and around the backward that propagated its adjoint.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct NodeTimes {
+    /// Forward time, indexed by `NodeKind as usize`.
+    pub forward_ns: [f64; NodeKind::ALL.len()],
+    /// Backward time, indexed by `NodeKind as usize`.
+    pub backward_ns: [f64; NodeKind::ALL.len()],
+}
+
+impl NodeTimes {
+    /// Forward plus backward time of `kind`'s nodes.
+    pub fn ns(&self, kind: NodeKind) -> f64 {
+        self.forward_ns[kind as usize] + self.backward_ns[kind as usize]
+    }
+
+    /// Forward plus backward time of every node.
+    pub fn total_ns(&self) -> f64 {
+        NodeKind::ALL.iter().map(|&k| self.ns(k)).sum()
+    }
+}
 
 /// The operation that produced a node's value. Not `Clone`: backward moves
 /// an op (index and weight vectors, saved tensors) out of its node.
@@ -178,6 +248,31 @@ enum Op {
 }
 
 impl Op {
+    /// What this node's time counts towards.
+    fn kind(&self) -> NodeKind {
+        match self {
+            Op::Leaf => NodeKind::Input,
+            Op::Conv3d { .. } | Op::BiasChannel(..) => NodeKind::Conv,
+            Op::BatchNorm { .. } | Op::ChannelAffine { .. } | Op::Relu(..) => NodeKind::BatchNorm,
+            Op::MaxPool3d { .. } | Op::Upsample3d { .. } => NodeKind::PoolUpsample,
+            Op::GatherVertices { .. } => NodeKind::Gather,
+            Op::Linear { .. } => NodeKind::Layer,
+            Op::VertexBlend { .. } | Op::BlendJet { .. } => NodeKind::Blend,
+            Op::Add(..)
+            | Op::Sub(..)
+            | Op::Mul(..)
+            | Op::Scale(..)
+            | Op::AddScalar(..)
+            | Op::Softplus(..)
+            | Op::Tanh(..)
+            | Op::Abs(..)
+            | Op::Sum(..)
+            | Op::Mean(..)
+            | Op::Concat { .. }
+            | Op::Narrow { .. } => NodeKind::Loss,
+        }
+    }
+
     /// Short name for taint diagnostics.
     #[cfg(debug_assertions)]
     fn name(&self) -> &'static str {
@@ -258,10 +353,14 @@ pub struct Graph {
     /// Whether [`Graph::param`] records constants
     /// ([`Graph::with_frozen_params`]).
     frozen_params: bool,
-    /// Threads a layer node runs on ([`Graph::with_workers`]).
+    /// Threads a layer or conv node runs on ([`Graph::with_workers`]).
     workers: usize,
     /// Set by [`Graph::backward`], which may run once.
     swept: bool,
+    /// Node times by kind, on a tape [`Graph::with_node_times`].
+    times: Option<NodeTimes>,
+    /// When the op now being recorded began, on a timed tape.
+    began: Option<Instant>,
 }
 
 impl Default for Graph {
@@ -279,19 +378,43 @@ impl Graph {
             frozen_params: false,
             workers: 1,
             swept: false,
+            times: None,
+            began: None,
         }
     }
 
     /// This tape with its layer nodes ([`Graph::linear`],
-    /// [`Graph::linear_seeded`]) forward and backward on `workers` threads,
-    /// taking turns at column slabs and feature rows (module docs) — the
-    /// same bits on any count. A new tape runs on one, spawning nothing.
+    /// [`Graph::linear_seeded`]) and conv nodes ([`Graph::conv3d`]) forward
+    /// and backward on `workers` threads, taking turns at column slabs and
+    /// feature rows, and at batch items and weight-gradient blocks (module
+    /// docs) — the same bits on any count. A new tape runs on one, handing
+    /// nothing to a helper.
     ///
     /// # Panics
     /// Panics if `workers` is 0.
     pub fn with_workers(self, workers: usize) -> Self {
         assert!(workers >= 1, "a tape runs on at least one thread");
         Graph { workers, ..self }
+    }
+
+    /// This tape timing its nodes by kind ([`Graph::node_times`]): one clock
+    /// pair per node forward and one per node backward. An untimed tape
+    /// reads no clock.
+    pub fn with_node_times(self) -> Self {
+        Graph { times: Some(NodeTimes::default()), ..self }
+    }
+
+    /// The node times of a tape [`Graph::with_node_times`], so far.
+    pub fn node_times(&self) -> Option<&NodeTimes> {
+        self.times.as_ref()
+    }
+
+    /// Starts the clock of the node about to be recorded, on a timed tape;
+    /// [`Graph::push`] stops it. Every op records through these two.
+    fn begin(&mut self) {
+        if self.times.is_some() {
+            self.began = Some(Instant::now());
+        }
     }
 
     /// An empty tape on which [`Graph::param`] records constants: the layers
@@ -304,6 +427,9 @@ impl Graph {
     }
 
     fn push(&mut self, value: Tensor, op: Op, requires_grad: bool) -> Var {
+        if let (Some(times), Some(began)) = (self.times.as_mut(), self.began.take()) {
+            times.forward_ns[op.kind() as usize] += began.elapsed().as_nanos() as f64;
+        }
         // Taint check (debug builds only): if this op's output contains a
         // NaN/inf but none of its inputs did, the non-finite value was
         // *produced here* — fail at the op that made it, not at the loss.
@@ -342,6 +468,7 @@ impl Graph {
     /// or, on a tape [`Graph::with_frozen_params`], the same value as a
     /// constant.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        self.begin();
         if self.frozen_params {
             return self.constant(store.get(id).clone());
         }
@@ -352,12 +479,14 @@ impl Graph {
 
     /// Records a non-trainable input (data, coordinates, targets).
     pub fn constant(&mut self, t: Tensor) -> Var {
+        self.begin();
         self.push(t, Op::Leaf, false)
     }
 
     /// Records a leaf that requires gradient but is not a parameter
     /// (used in tests and for input-sensitivity probes).
     pub fn leaf_with_grad(&mut self, t: Tensor) -> Var {
+        self.begin();
         self.push(t, Op::Leaf, true)
     }
 
@@ -398,6 +527,7 @@ impl Graph {
 
     /// Element-wise sum of two same-shaped nodes.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
+        self.begin();
         let v = self.nodes[a.0].value.add(&self.nodes[b.0].value);
         let rg = self.rg(a) || self.rg(b);
         self.push(v, Op::Add(a, b), rg)
@@ -405,6 +535,7 @@ impl Graph {
 
     /// Element-wise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
+        self.begin();
         let v = self.nodes[a.0].value.sub(&self.nodes[b.0].value);
         let rg = self.rg(a) || self.rg(b);
         self.push(v, Op::Sub(a, b), rg)
@@ -412,6 +543,7 @@ impl Graph {
 
     /// Element-wise product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
+        self.begin();
         let v = self.nodes[a.0].value.mul(&self.nodes[b.0].value);
         let rg = self.rg(a) || self.rg(b);
         self.push(v, Op::Mul(a, b), rg)
@@ -419,6 +551,7 @@ impl Graph {
 
     /// Multiplication by a compile-time-known scalar.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
+        self.begin();
         let v = self.nodes[a.0].value.scale(s);
         let rg = self.rg(a);
         self.push(v, Op::Scale(a, s), rg)
@@ -426,6 +559,7 @@ impl Graph {
 
     /// Addition of a scalar constant.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
+        self.begin();
         let v = self.nodes[a.0].value.map(|x| x + s);
         let rg = self.rg(a);
         self.push(v, Op::AddScalar(a), rg)
@@ -489,6 +623,7 @@ impl Graph {
         lanes: usize,
         seed: Option<[f32; 3]>,
     ) -> Var {
+        self.begin();
         let rg = self.rg(x) || self.rg(w) || self.rg(b);
         let (xv, wv, bv) = (&self.nodes[x.0].value, &self.nodes[w.0].value, &self.nodes[b.0].value);
         assert_eq!(xv.shape().rank(), 2, "a layer reads feature rows");
@@ -541,6 +676,7 @@ impl Graph {
 
     /// Adds bias `b: [C]` over channel dim 1 of `x: [N, C, ...]`.
     pub fn bias_channel(&mut self, x: Var, b: Var) -> Var {
+        self.begin();
         let xv = &self.nodes[x.0].value;
         let bv = &self.nodes[b.0].value;
         let mut out = xv.clone();
@@ -553,6 +689,7 @@ impl Graph {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
+        self.begin();
         let v = self.nodes[a.0].value.map(|x| x.max(0.0));
         let rg = self.rg(a);
         self.push(v, Op::Relu(a), rg)
@@ -562,6 +699,7 @@ impl Graph {
     /// continuous decoder so second spatial derivatives exist for the PDE
     /// constraints.
     pub fn softplus(&mut self, a: Var) -> Var {
+        self.begin();
         let mut v = self.nodes[a.0].value.clone();
         rowops::softplus_slice(v.data_mut());
         let rg = self.rg(a);
@@ -570,6 +708,7 @@ impl Graph {
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
+        self.begin();
         let v = self.nodes[a.0].value.map(f32::tanh);
         let rg = self.rg(a);
         self.push(v, Op::Tanh(a), rg)
@@ -577,6 +716,7 @@ impl Graph {
 
     /// Element-wise absolute value (the L1-loss kernel).
     pub fn abs(&mut self, a: Var) -> Var {
+        self.begin();
         let v = self.nodes[a.0].value.map(f32::abs);
         let rg = self.rg(a);
         self.push(v, Op::Abs(a), rg)
@@ -586,6 +726,7 @@ impl Graph {
 
     /// Sum of all elements, yielding a scalar node.
     pub fn sum(&mut self, a: Var) -> Var {
+        self.begin();
         let v = Tensor::scalar(self.nodes[a.0].value.sum());
         let rg = self.rg(a);
         self.push(v, Op::Sum(a), rg)
@@ -593,6 +734,7 @@ impl Graph {
 
     /// Mean of all elements, yielding a scalar node.
     pub fn mean(&mut self, a: Var) -> Var {
+        self.begin();
         let v = Tensor::scalar(self.nodes[a.0].value.mean());
         let rg = self.rg(a);
         self.push(v, Op::Mean(a), rg)
@@ -600,6 +742,7 @@ impl Graph {
 
     /// Concatenates nodes along `axis`.
     pub fn concat(&mut self, inputs: &[Var], axis: usize) -> Var {
+        self.begin();
         let tensors: Vec<&Tensor> = inputs.iter().map(|v| &self.nodes[v.0].value).collect();
         let sizes: Vec<usize> = tensors.iter().map(|t| t.dims()[axis]).collect();
         let v = Tensor::concat(&tensors, axis);
@@ -609,6 +752,7 @@ impl Graph {
 
     /// The slab `start..start + len` of a node along `axis`.
     pub fn narrow(&mut self, x: Var, axis: usize, start: usize, len: usize) -> Var {
+        self.begin();
         let v = self.nodes[x.0].value.narrow(axis, start, len);
         let rg = self.rg(x);
         self.push(v, Op::Narrow { input: x, axis, start, len }, rg)
@@ -616,16 +760,25 @@ impl Graph {
 
     // ---- structured NN ops ----
 
-    /// 3D convolution (stride 1, same padding).
+    /// 3D convolution (stride 1, same padding): `mfn_tensor::conv3d_auto`,
+    /// its batch items taken in turns on the tape's workers, each item one
+    /// pass of the driver whichever worker takes it.
     pub fn conv3d(&mut self, input: Var, weight: Var) -> Var {
-        let dims = Conv3dDims::infer(&self.nodes[input.0].value, &self.nodes[weight.0].value);
-        let v = conv3d_auto(&self.nodes[input.0].value, &self.nodes[weight.0].value);
+        self.begin();
+        let (x, w) = (&self.nodes[input.0].value, &self.nodes[weight.0].value);
+        let dims = Conv3dDims::infer(x, w);
+        let packed = PackedConv3d::pack(w, dims.vol());
+        let mut out = workspace::take_scratch(dims.n * dims.cout * dims.vol());
+        packed.forward_in_turns(self.workers, x.data(), dims.spatial, &mut out);
+        let [d, h, wd] = dims.spatial;
+        let v = Tensor::from_guard(out, &[dims.n, dims.cout, d, h, wd]);
         let rg = self.rg(input) || self.rg(weight);
         self.push(v, Op::Conv3d { input, weight, dims }, rg)
     }
 
     /// Max pooling by integer factors.
     pub fn maxpool3d(&mut self, input: Var, factors: [usize; 3]) -> Var {
+        self.begin();
         let in_dims = self.nodes[input.0].value.dims().to_vec();
         let (v, indices) = maxpool3d(&self.nodes[input.0].value, factors);
         let rg = self.rg(input);
@@ -634,6 +787,7 @@ impl Graph {
 
     /// Nearest-neighbor upsampling by integer factors.
     pub fn upsample3d(&mut self, input: Var, factors: [usize; 3]) -> Var {
+        self.begin();
         let v = upsample_nearest3d(&self.nodes[input.0].value, factors);
         let rg = self.rg(input);
         self.push(v, Op::Upsample3d { input, factors }, rg)
@@ -652,6 +806,7 @@ impl Graph {
         eps: f32,
         stats_out: Option<&mut (Vec<f32>, Vec<f32>)>,
     ) -> Var {
+        self.begin();
         let xv = &self.nodes[input.0].value;
         assert!(xv.shape().rank() >= 2);
         let (n, c) = (xv.dims()[0], xv.dims()[1]);
@@ -693,6 +848,7 @@ impl Graph {
 
     /// Inference-mode per-channel affine `y[c] = x[c] * scale[c] + shift[c]`.
     pub fn channel_affine(&mut self, input: Var, scale: Vec<f32>, shift: Vec<f32>) -> Var {
+        self.begin();
         let xv = &self.nodes[input.0].value;
         let mut out = xv.clone();
         rowops::channel_affine(&mut out, &scale, &shift);
@@ -707,6 +863,7 @@ impl Graph {
     /// `index[m] = n*D*H*W + (d*H + h)*W + w` selects the vertex of point
     /// `m`.
     pub fn gather_vertices(&mut self, grid: Var, index: Vec<u32>, prefix: &[f32]) -> Var {
+        self.begin();
         assert!(!index.is_empty(), "a gather of no vertices");
         let gv = &self.nodes[grid.0].value;
         let (m, rows) = (index.len(), prefix.len() / index.len() + gv.dims()[1]);
@@ -721,6 +878,7 @@ impl Graph {
     /// `[Q, C]` — the trilinear vertex interpolation of paper Eqn. 6
     /// ([`rowops::blend_features_into`]).
     pub fn vertex_blend(&mut self, input: Var, weights: Vec<f32>, group: usize) -> Var {
+        self.begin();
         let c = self.nodes[input.0].value.dims()[0];
         let q = weights.len() / group;
         let mut out = workspace::take_scratch(q * c);
@@ -745,6 +903,7 @@ impl Graph {
         slopes: [Vec<f32>; 3],
         group: usize,
     ) -> Var {
+        self.begin();
         let c = self.nodes[input.0].value.dims()[0];
         let q = weights.len() / group;
         let mut out = workspace::take_scratch(JET_LANES * q * c);
@@ -804,7 +963,11 @@ impl Graph {
             }
             let Some(grad) = node.grad.take() else { continue };
             let op = std::mem::replace(&mut node.op, Op::Leaf);
+            let (kind, began) = (op.kind(), self.times.is_some().then(Instant::now));
             self.backprop_node(i, grad, op);
+            if let (Some(times), Some(began)) = (self.times.as_mut(), began) {
+                times.backward_ns[kind as usize] += began.elapsed().as_nanos() as f64;
+            }
         }
     }
 
@@ -939,19 +1102,20 @@ impl Graph {
                 }
                 self.accumulate(input, Tensor::from_guard(gi, &dims));
             }
+            // Both gradients take turns too: `dx` (the forward driver on the
+            // flipped weight) at batch items, `dw` at its (item, block) terms.
             Op::Conv3d { input, weight, dims } => {
                 if self.rg(input) {
-                    let gi =
-                        conv3d_grad_input(grad.data(), self.nodes[weight.0].value.data(), dims);
+                    let flipped =
+                        PackedConv3d::pack_flipped(self.nodes[weight.0].value.data(), dims);
+                    let mut gi = workspace::take_scratch(dims.n * dims.cin * dims.vol());
+                    flipped.forward_in_turns(self.workers, grad.data(), dims.spatial, &mut gi);
+                    let gi = Tensor::from_guard(gi, self.nodes[input.0].value.dims());
                     self.accumulate(input, gi);
                 }
                 if self.rg(weight) {
-                    let gw = conv3d_grad_weight(
-                        self.nodes[input.0].value.data(),
-                        grad.data(),
-                        dims,
-                        None,
-                    );
+                    let x = self.nodes[input.0].value.data();
+                    let gw = conv3d_grad_weight_in_turns(self.workers, x, grad.data(), dims);
                     self.accumulate(weight, gw);
                 }
             }
@@ -1386,5 +1550,39 @@ fn tanh_grad(g: &mut [f32], t: &[f32]) {
 fn scale_in_place(t: &mut Tensor, s: f32) {
     for v in t.data_mut() {
         *v *= s;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A tape times its nodes only when asked, and then by kind, forward
+    /// and backward; timing moves no bit.
+    #[test]
+    fn node_times_are_kept_by_kind_only_when_asked() {
+        let run = |timed: bool| {
+            let mut g = if timed { Graph::new().with_node_times() } else { Graph::new() };
+            let x = g.constant(Tensor::full(&[2, 3, 2, 4, 4], 0.5));
+            let w = g.leaf_with_grad(Tensor::full(&[4, 3, 3, 3, 3], 0.25));
+            let y = g.conv3d(x, w);
+            let loss = g.mean(y);
+            g.backward(loss);
+            let grad: Vec<u32> = g.grad(w).data().iter().map(|v| v.to_bits()).collect();
+            (g.node_times().copied(), grad)
+        };
+        let (untimed, want) = run(false);
+        assert_eq!(untimed, None, "an untimed tape keeps no times");
+        let (times, got) = run(true);
+        assert_eq!(got, want, "timing moved a bit");
+        let times = times.expect("a timed tape keeps its times");
+        for kind in [NodeKind::Input, NodeKind::Conv, NodeKind::Loss] {
+            assert!(times.forward_ns[kind as usize] > 0.0, "{kind:?} forward untimed");
+        }
+        for kind in [NodeKind::Conv, NodeKind::Loss] {
+            assert!(times.backward_ns[kind as usize] > 0.0, "{kind:?} backward untimed");
+        }
+        assert_eq!(times.backward_ns[NodeKind::Input as usize], 0.0, "a leaf has no backward");
+        assert_eq!(times.ns(NodeKind::Layer), 0.0, "no layer node ran");
     }
 }

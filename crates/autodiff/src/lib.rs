@@ -25,7 +25,7 @@ pub mod optim;
 pub mod params;
 
 pub use checkpoint::{read_adam, read_params, write_adam, write_params};
-pub use graph::{Graph, Var, JET_LANES};
+pub use graph::{Graph, NodeKind, NodeTimes, Var, JET_LANES};
 pub use mfn_tensor::rowops::{sigmoid_scalar, softplus_scalar};
 pub use nn::{
     Activation, BatchNorm3d, Conv3dLayer, EvalAffine, Linear, Mlp, PackedConv3dLayer, PackedMlp,

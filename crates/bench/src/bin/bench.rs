@@ -15,8 +15,10 @@
 //! tile on every kernel tier the host can run (each forced in turn, beside
 //! that tier's `gemm_nn`), the heap traffic of one full training step with
 //! the workspace pool on vs off, and one benchmark-shaped training step on one
-//! tape worker against the trainer's own count, and the solver's chain from one
-//! x-transform sweep through a step to a whole `simulate`. The results are one
+//! tape worker against the trainer's own count, whole and stage by stage (the
+//! tape's nodes by kind, and the optimizer), and the solver's chain from one
+//! x-transform sweep through a step to a whole `simulate`, and what handing a
+//! round of turns to a helper costs. The results are one
 //! [`KernelsReport`], written by `serde_json` to `BENCH_kernels.json` (default;
 //! `--out` overrides): median wall time, GFLOP/s, heap bytes allocated per call
 //! (counted by the global allocator below), and workspace-pool hit/miss
@@ -36,21 +38,25 @@
 //! cost ratios (softplus derivative/softplus; the tape's six-lane equation
 //! loss/one-lane decode) may not rise above the baseline's by the same
 //! margin — ratios, not absolute GFLOP/s, so the gate is insensitive to how
-//! fast the CI machine is that day. A baseline of the other mode (`--quick`
-//! against full) fails the gate: its ratios were measured at other sizes.
+//! fast the CI machine is that day. It also holds, within this run, that the
+//! training step's stages add up to the step's median within 5 %. A baseline
+//! of the other mode (`--quick` against full) fails the gate: its ratios were
+//! measured at other sizes.
 
-use mfn_autodiff::{Activation, Graph, Var, JET_LANES};
+use mfn_autodiff::{Activation, Graph, NodeKind, Var, JET_LANES};
 use mfn_core::cli::Cli;
 use mfn_core::{
     decode_workers, equation_loss, plan_queries, ChannelStats, ConstraintSet, Corpus, DecodeStages,
-    FrozenModel, MeshfreeFlowNet, MfnConfig, QueryPlan, RbcParams, TrainConfig, Trainer,
+    FrozenModel, MeshfreeFlowNet, MfnConfig, QueryPlan, RbcParams, StepStages, TrainConfig,
+    Trainer,
 };
 use mfn_data::{downsample, make_batch, Dataset, PatchSampler, PatchSpec};
 use mfn_solver::{simulate, RbcConfig, RbcSolver, XTransform};
 use mfn_tensor::gemm::OutputRows;
 use mfn_tensor::{
-    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, rowops, set_backend_override, thin,
-    workspace, Conv3dDims, ConvStages, KernelBackend, MatLayout, PackedConv3d, Tensor,
+    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, gemm, in_turns, rowops,
+    set_backend_override, thin, workspace, Conv3dDims, ConvStages, KernelBackend, MatLayout,
+    PackedConv3d, Tensor, Turns,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -190,7 +196,7 @@ fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
 }
 
 /// Schema tag of the report this binary writes.
-const SCHEMA: &str = "mfn-bench/kernels/v21";
+const SCHEMA: &str = "mfn-bench/kernels/v22";
 
 /// `BENCH_kernels.json`. The field names are the keys (the vendored derive
 /// renames nothing) and `--gate` parses a committed report back into this
@@ -218,6 +224,67 @@ struct KernelsReport {
     /// Since v19; a v18 report reads zeros.
     #[serde(default)]
     solver: SolverRow,
+    /// Since v22; older reports read zeros.
+    #[serde(default)]
+    handoff: Handoff,
+}
+
+/// What a round of turns pays to reach a helper (`mfn_tensor::in_turns`,
+/// µs, medians over rounds of two 200 µs chunks on two workers): from the
+/// call to the helper's first chunk when the round follows the last one
+/// within `mfn_tensor::turns::SPIN` (the helper still checking for work)
+/// and after an idle millisecond (the helper blocked, and woken) — and, for
+/// scale, one scoped thread's spawn and join, what every round paid when
+/// helpers lived for one call.
+#[derive(Serialize, Deserialize, Default)]
+struct Handoff {
+    spinning_us: f64,
+    woken_us: f64,
+    spawn_join_us: f64,
+}
+
+/// Times [`Handoff`] over `rounds` rounds each.
+fn bench_handoff(rounds: usize) -> Handoff {
+    let busy = |us: u64| {
+        let t = Instant::now();
+        while t.elapsed() < std::time::Duration::from_micros(us) {
+            std::hint::spin_loop();
+        }
+    };
+    let me = std::thread::current().id();
+    let start_latency = |idle_us: u64| {
+        let samples = (0..rounds).filter_map(|_| {
+            busy(idle_us);
+            let (t, started) = (Instant::now(), std::sync::Mutex::new(None));
+            let caller =
+                |_: &mut (), turns: &Turns<std::ops::Range<usize>>| turns.for_each(|_| busy(200));
+            let helper = |_: &mut (), turns: &Turns<std::ops::Range<usize>>| {
+                if std::thread::current().id() != me {
+                    *started.lock().expect("no holder panics") = Some(t.elapsed());
+                }
+                turns.for_each(|_| busy(200))
+            };
+            in_turns(2, 0..2, || (), caller, helper);
+            started.into_inner().expect("no holder panics")
+        });
+        let us: Vec<f64> = samples.map(|d| d.as_secs_f64() * 1e6).collect();
+        if us.is_empty() {
+            0.0
+        } else {
+            round(median_and_best(us).0, 2)
+        }
+    };
+    let (spinning_us, woken_us) = (start_latency(20), start_latency(1000));
+    let spawn_join: Vec<f64> = (0..rounds)
+        .map(|_| {
+            let t = Instant::now();
+            std::thread::scope(|s| {
+                s.spawn(|| std::hint::black_box(()));
+            });
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    Handoff { spinning_us, woken_us, spawn_join_us: round(median_and_best(spawn_join).0, 2) }
 }
 
 /// The correctness gates that ran before any timing; a report is only
@@ -1261,6 +1328,93 @@ struct TrainStep {
     /// Since v18; a v17 report reads zeros.
     #[serde(default)]
     two_core_speedup: TrainTwoCore,
+    /// Since v22; older reports read zeros.
+    #[serde(default)]
+    stages: TrainStages,
+}
+
+/// [`train_step_fixture`]'s step by stage, on one tape worker and on the
+/// trainer's own count, timed interleaved (`Trainer::time_stages`): where a
+/// step's time goes, and which of it the second core takes. `--gate` holds
+/// that each row's stages explain its step within [`STAGES_EXPLAIN`].
+#[derive(Serialize, Deserialize, Default)]
+struct TrainStages {
+    one_worker: StageRow,
+    own_count: StageRow,
+}
+
+/// One step's wall time by stage, µs, each the median over the timed steps:
+/// the tape's nodes by kind (`mfn_autodiff::NodeKind`), forward and
+/// backward — the U-Net's convs with their bias, batch norm with its ReLU,
+/// pooling and upsampling, the decoder's gather, layers and blend, the loss
+/// nodes (and the U-Net's residual adds and skip concatenations), the
+/// inputs copied onto the tape — and the optimizer (clipping and Adam).
+/// `explained` is the median over steps of the share of a step's wall time
+/// its stages account for.
+#[derive(Serialize, Deserialize, Default)]
+struct StageRow {
+    workers: usize,
+    step_us: f64,
+    explained: f64,
+    conv_us: f64,
+    batch_norm_us: f64,
+    pool_upsample_us: f64,
+    gather_us: f64,
+    layer_us: f64,
+    blend_us: f64,
+    loss_us: f64,
+    input_us: f64,
+    adam_us: f64,
+}
+
+/// How far from the whole step a [`StageRow`]'s stages may add up to
+/// before `--gate` fails: what they leave out (the gradients' export, the
+/// tape's set-up and drop) must stay small.
+const STAGES_EXPLAIN: f64 = 0.05;
+
+/// Times [`train_step_fixture`]'s step by stage over `iters` steps each on
+/// one tape worker and on the trainer's own count, interleaved, after a
+/// warm-up step each ([`TrainStages`]).
+fn bench_train_stages(iters: usize) -> TrainStages {
+    let (corpus, mut own, batch) = train_step_fixture();
+    let mut one = Trainer::new(MeshfreeFlowNet::new(own.model.cfg.clone()), own.cfg);
+    one.set_tape_workers(Some(1));
+    let (params, stats) = (corpus.params(0), corpus.stats);
+    let mut rows = [&mut one, &mut own].map(|trainer| {
+        trainer.time_stages(true);
+        trainer.step(&batch, params, stats);
+        (trainer.tape_workers(), Vec::with_capacity(iters))
+    });
+    for _ in 0..iters {
+        for (trainer, (_, steps)) in [&mut one, &mut own].into_iter().zip(rows.iter_mut()) {
+            let t = Instant::now();
+            trainer.step(&batch, params, stats);
+            let wall = t.elapsed().as_nanos() as f64;
+            steps.push((wall, *trainer.stages().expect("the trainer times its stages")));
+        }
+    }
+    let [one_worker, own_count] = rows.map(|(workers, steps)| {
+        let median = |f: &dyn Fn(&(f64, StepStages)) -> f64| {
+            round(median_and_best(steps.iter().map(f).collect()).0 / 1e3, 2)
+        };
+        let kind = |k: NodeKind| median(&|(_, s)| s.nodes.ns(k));
+        let shares = steps.iter().map(|(wall, s)| (s.nodes.total_ns() + s.optimizer_ns) / wall);
+        StageRow {
+            workers,
+            step_us: median(&|(wall, _)| *wall),
+            explained: round(median_and_best(shares.collect()).0, 4),
+            conv_us: kind(NodeKind::Conv),
+            batch_norm_us: kind(NodeKind::BatchNorm),
+            pool_upsample_us: kind(NodeKind::PoolUpsample),
+            gather_us: kind(NodeKind::Gather),
+            layer_us: kind(NodeKind::Layer),
+            blend_us: kind(NodeKind::Blend),
+            loss_us: kind(NodeKind::Loss),
+            input_us: kind(NodeKind::Input),
+            adam_us: median(&|(_, s)| s.optimizer_ns),
+        }
+    });
+    TrainStages { one_worker, own_count }
 }
 
 /// One `train`-workload-shaped `Trainer::step` ([`train_step_fixture`]) with
@@ -1418,7 +1572,8 @@ const GATE_LEGS: [(&str, bool, GateRead); 5] = [
 /// best window before declaring a regression. A real codegen regression is
 /// past the bound in every window; a noise burst is not. The value the gate
 /// ends on (the best window) is written back into `now`, so the report
-/// holds what the gate accepted.
+/// holds what the gate accepted. First, and within this run alone, each
+/// `train_step.stages` row must explain its step within [`STAGES_EXPLAIN`].
 fn run_gate(
     mut base: KernelsReport,
     now: &mut KernelsReport,
@@ -1430,6 +1585,18 @@ fn run_gate(
              other sizes, so they gate nothing",
             base.mode, now.mode
         ));
+    }
+    let stages = &now.train_step.stages;
+    for (what, row) in [("one tape worker", &stages.one_worker), ("own count", &stages.own_count)] {
+        let explained = row.explained;
+        eprintln!("[gate] train_step stages on {what}: explain {explained:.4} of the step");
+        if (explained - 1.0).abs() > STAGES_EXPLAIN {
+            return Err(format!(
+                "train_step stages on {what} explain {explained:.4} of the step median \
+                 ({} µs), outside 1 ± {STAGES_EXPLAIN}",
+                row.step_us
+            ));
+        }
     }
     for (leg, (what, floor, read)) in GATE_LEGS.into_iter().enumerate() {
         let was = *read(&mut base);
@@ -1723,9 +1890,14 @@ fn main() {
         "[bench] timing a benchmark-shaped training step, one tape worker vs the trainer's ..."
     );
     let two_core_speedup = bench_train_two_core(decode_iters);
+    eprintln!("[bench] timing the same step by stage, one tape worker vs the trainer's ...");
+    let stages = bench_train_stages(decode_iters);
 
     eprintln!("[bench] timing the solver: one x-transform sweep, one step, one simulate ...");
     let solver = bench_solver(iters);
+
+    eprintln!("[bench] timing the hand-off of a round of turns to a helper ...");
+    let handoff = bench_handoff(if quick { 50 } else { 200 });
 
     let mut report = KernelsReport {
         schema: SCHEMA.to_string(),
@@ -1745,8 +1917,10 @@ fn main() {
             pool_off,
             alloc_drop_ratio: round(alloc_drop, 4),
             two_core_speedup,
+            stages,
         },
         solver,
+        handoff,
     };
     // ---- Regression gate (--gate): ratios vs the committed baseline, run
     // before the report is written so that it holds the windows the gate

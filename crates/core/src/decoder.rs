@@ -63,11 +63,13 @@ pub struct DecodeStages {
     pub blend_ns: f64,
 }
 
-/// Blocks a worker must have before a second one is worth spawning: a block
-/// is ≈ 420 µs of decode at the bench decoder's serving widths
-/// (`decode_values.rows[2]`, 64 queries) and a spawn + join ≈ 50 µs, so a
-/// call splits from 16 blocks (1,024 queries, ≈ 5.5 ms) up and every serving
-/// decode (≤ 64 points, one block) stays on the thread that asked.
+/// Blocks a worker must have before a second one is worth a hand-off: a
+/// block is ≈ 420 µs of decode at the bench decoder's serving widths
+/// (`decode_values.rows[2]`, 64 queries) and a hand-off at most
+/// `handoff.woken_us` (28.16 µs, `BENCH_kernels.json` v22, to a helper that
+/// has blocked), so a call splits from 16 blocks (1,024 queries, ≈ 5.5 ms)
+/// up, and every serving decode (≤ 64 points, one block) stays on the
+/// thread that asked and hires no helper.
 const BLOCKS_PER_WORKER: usize = 8;
 
 /// Threads an unstaged no-grad decode of `queries` points runs on: as many
@@ -130,7 +132,7 @@ pub(crate) fn decode_packed<F: Fn(usize) -> (usize, [f32; 3]) + Sync>(
 /// So is the thread count: every block is planned and decoded whole into its
 /// own slice of the result, and `workers` threads take turns at the blocks
 /// (`mfn_tensor::in_turns`, one worker being the same call with nothing
-/// spawned), each with its own plan and block buffers.
+/// handed off), each with its own plan and block buffers.
 fn decode_blocked<F: Fn(usize) -> (usize, [f32; 3]) + Sync>(
     mlp: &PackedMlp,
     latent: &Tensor,
@@ -650,7 +652,7 @@ mod tests {
 
     /// So is the thread count: query counts with a short last block, that
     /// split (16 blocks and up) or stay whole under the production rule, more
-    /// workers than that rule would spawn and more than there are blocks —
+    /// workers than that rule would use and more than there are blocks —
     /// all the bits of one worker, at the production block size and at one
     /// query a block, whichever thread ends up planning and decoding which
     /// block.

@@ -57,6 +57,7 @@ pub use model::{covering_origins, extract_patch, CoveringOrigins, MeshfreeFlowNe
 pub use refine::{refine_latent, RefineBudget, RefineReport, RefineSettings};
 pub use rng::{RngState, SampleRng};
 pub use trainer::{
-    decode_run_state, log_pool_stats, Corpus, EpochRecord, GradReduce, NoReduce, Trainable, Trainer,
+    decode_run_state, log_pool_stats, Corpus, EpochRecord, GradReduce, NoReduce, StepStages,
+    Trainable, Trainer,
 };
 pub use unet::{PackedResBlock, PackedUNet, ResBlock3d, UNet3d};

@@ -13,7 +13,9 @@ use crate::config::TrainConfig;
 use crate::losses::ChannelStats;
 use crate::model::{MeshfreeFlowNet, StepLosses};
 use crate::rng::{RngState, SampleRng};
-use mfn_autodiff::{clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Graph, ParamStore, Var};
+use mfn_autodiff::{
+    clip_grad_norm, grad_l2_norm, Adam, AdamConfig, Graph, NodeTimes, ParamStore, Var,
+};
 use mfn_data::Dataset;
 use mfn_physics::RbcParams;
 use mfn_telemetry::{Recorder, StepMetrics, Stopwatch};
@@ -191,6 +193,21 @@ pub struct Trainer<M = MeshfreeFlowNet> {
     /// Threads of every step's tape when fixed ([`Trainer::set_tape_workers`]);
     /// `None` derives them per step ([`Trainer::tape_workers`]).
     tape_workers: Option<usize>,
+    /// The last step's stage times, when asked for
+    /// ([`Trainer::time_stages`]).
+    stages: Option<StepStages>,
+}
+
+/// Where one training step's wall time went ([`Trainer::time_stages`]): its
+/// tape's nodes by kind, forward and backward, and the optimizer (gradient
+/// clipping and Adam).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StepStages {
+    /// The tape's node times.
+    pub nodes: NodeTimes,
+    /// The optimizer's nanoseconds.
+    pub optimizer_ns: f64,
 }
 
 impl<M: Trainable> Trainer<M> {
@@ -217,6 +234,7 @@ impl<M: Trainable> Trainer<M> {
             reduce_wait_s: 0.0,
             world: 1,
             tape_workers: None,
+            stages: None,
         }
     }
 
@@ -246,6 +264,22 @@ impl<M: Trainable> Trainer<M> {
     pub fn set_tape_workers(&mut self, workers: Option<usize>) {
         assert!(workers != Some(0), "a tape runs on at least one thread");
         self.tape_workers = workers;
+    }
+
+    /// Times every following step by stage (`true`) or stops (`false`):
+    /// the tape's nodes by kind (`Graph::with_node_times`) and the
+    /// optimizer, read back through [`Trainer::stages`]. For the bench's
+    /// `train_step.stages` rows; an untimed step reads no node clock.
+    #[doc(hidden)]
+    pub fn time_stages(&mut self, on: bool) {
+        self.stages = on.then(StepStages::default);
+    }
+
+    /// The stage times of the last step taken since [`Trainer::time_stages`]
+    /// turned timing on.
+    #[doc(hidden)]
+    pub fn stages(&self) -> Option<&StepStages> {
+        self.stages.as_ref()
     }
 
     /// Gradient steps taken so far.
@@ -287,6 +321,9 @@ impl<M: Trainable> Trainer<M> {
         let mut sw = Stopwatch::start();
         let data_s = std::mem::take(&mut self.pending_data_s);
         let mut g = Graph::new().with_workers(self.tape_workers());
+        if self.stages.is_some() {
+            g = g.with_node_times();
+        }
         let (loss, comps) = self.model.loss(&mut g, batch, params, stats);
         let forward_s = sw.lap();
         g.backward(loss);
@@ -306,6 +343,9 @@ impl<M: Trainable> Trainer<M> {
         };
         self.opt.step(store, &grads);
         let optimizer_s = sw.lap();
+        if let (Some(stages), Some(&nodes)) = (self.stages.as_mut(), g.node_times()) {
+            *stages = StepStages { nodes, optimizer_ns: optimizer_s * 1e9 };
+        }
         self.global_step += 1;
         if self.recorder.is_enabled() {
             self.recorder.train_step(StepMetrics {

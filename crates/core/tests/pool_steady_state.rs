@@ -5,7 +5,9 @@
 //! (a `to_vec` turned into a tensor) would pile up in a bucket nothing draws
 //! from, until the bucket's cap — resident memory that no step uses. And
 //! once warm, a step allocates nothing: every shelf keeps all the buffers of
-//! its size that a step holds live at once. A test
+//! its size that a step holds live at once — on one tape worker and on two,
+//! whose turns draw nothing from the pool: each worker's buffers are taken
+//! before its turns start and given back after they end. A test
 //! binary of its own (one test, one process) because it reads the pool's
 //! global state.
 
@@ -32,22 +34,29 @@ fn training_steps_leave_the_workspace_pool_flat() {
     cfg.gamma = MfnConfig::GAMMA_STAR;
     let patch = cfg.patch;
     let config = TrainConfig { batch_size: 4, ..Default::default() };
-    let mut trainer = Trainer::new(MeshfreeFlowNet::new(cfg), config);
     let (hr, lr) = &corpus.pairs[0];
     let sampler = PatchSampler::new(hr, lr, patch);
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let mut step = || {
-        let batch = make_batch(&sampler, 4, &mut rng);
-        trainer.step(&batch, corpus.params(0), corpus.stats);
-        let s = workspace::stats();
-        (s.cached_bytes, s.cached_buffers)
-    };
-    step();
-    let warm = step();
-    for i in 3..=8 {
-        workspace::reset_stats();
-        assert_eq!(step(), warm, "step {i}: (cached bytes, cached buffers) moved");
-        let s = workspace::stats();
-        assert_eq!(s.misses, 0, "step {i}: a warm step allocated {} buffers", s.misses);
+    for workers in [1, 2] {
+        let mut trainer = Trainer::new(MeshfreeFlowNet::new(cfg.clone()), config);
+        trainer.set_tape_workers(Some(workers));
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut step = || {
+            let batch = make_batch(&sampler, 4, &mut rng);
+            trainer.step(&batch, corpus.params(0), corpus.stats);
+            let s = workspace::stats();
+            (s.cached_bytes, s.cached_buffers)
+        };
+        step();
+        let warm = step();
+        for i in 3..=8 {
+            workspace::reset_stats();
+            assert_eq!(step(), warm, "{workers} workers, step {i}: (cached bytes, buffers) moved");
+            let s = workspace::stats();
+            assert_eq!(
+                s.misses, 0,
+                "{workers} workers, step {i}: a warm step allocated {} buffers",
+                s.misses
+            );
+        }
     }
 }

@@ -51,8 +51,11 @@
 use crate::gemm::{macro_block, pack_a, BSlab, OutputRows, RowMajor, KC, NC};
 use crate::simd::{self, transpose_pack, Kernel};
 use crate::tensor::Tensor;
+use crate::turns::{in_turns, Turns};
 use crate::{thin, workspace};
+use std::iter::Zip;
 use std::ops::Range;
+use std::slice::{Chunks, ChunksMut};
 use std::time::Instant;
 
 /// Shape metadata for one conv3d application.
@@ -87,7 +90,8 @@ impl Conv3dDims {
         Conv3dDims { n, cin, cout, spatial, kernel }
     }
 
-    pub(crate) fn vol(&self) -> usize {
+    /// Voxels per channel of one batch item, `D·H·W`.
+    pub fn vol(&self) -> usize {
         self.spatial.iter().product()
     }
 
@@ -148,16 +152,21 @@ struct PatchMap {
 }
 
 impl PatchMap {
-    /// The map, and the pooled `xp` buffer a padded kernel needs — zeroed
-    /// once: the interior is overwritten per batch item, the border never.
-    fn new(dims: &Conv3dDims) -> (Self, Option<workspace::WorkspaceGuard>) {
+    /// The map of `dims`.
+    fn new(dims: &Conv3dDims) -> Self {
         let [sd, sh, sw] = dims.spatial;
         let [kd, kh, kw] = dims.kernel;
         let (hp, wp) = (sh + kh - 1, sw + kw - 1);
         let volp = (sd + kd - 1) * hp * wp;
         assert!(dims.cin * volp <= u32::MAX as usize, "conv3d input too large for u32 offsets");
-        let xp = (dims.kvol() > 1).then(|| workspace::take_zeroed(dims.cin * volp));
-        (PatchMap { spatial: dims.spatial, kernel: dims.kernel, hp, wp, volp }, xp)
+        PatchMap { spatial: dims.spatial, kernel: dims.kernel, hp, wp, volp }
+    }
+
+    /// The pooled `xp` buffer of `cin` channels a padded kernel needs —
+    /// zeroed once: [`PatchMap::item`] overwrites the interior, never the
+    /// border. `None` for a 1×1×1 kernel.
+    fn padded(&self, cin: usize) -> Option<workspace::WorkspaceGuard> {
+        (self.kernel != [1; 3]).then(|| workspace::take_zeroed(cin * self.volp))
     }
 
     /// `tab[i] = koff(k0 + i)`.
@@ -441,7 +450,37 @@ impl PackedConv3d {
         x: &[f32],
         spatial: [usize; 3],
         out: &mut [f32],
-        mut stages: Option<&mut ConvStages>,
+        stages: Option<&mut ConvStages>,
+    ) {
+        self.forward_items(1, x, spatial, out, stages);
+    }
+
+    /// [`PackedConv3d::forward_slices`] on `workers` threads taking turns at
+    /// the batch items (`crate::in_turns`), each worker packing in buffers
+    /// of its own, made before any turn starts: every item is its own pass
+    /// whichever thread takes it, so the bits are those of one worker.
+    ///
+    /// # Panics
+    /// As [`PackedConv3d::forward_slices`].
+    pub fn forward_in_turns(
+        &self,
+        workers: usize,
+        x: &[f32],
+        spatial: [usize; 3],
+        out: &mut [f32],
+    ) {
+        self.forward_items(workers, x, spatial, out, None);
+    }
+
+    /// The item loop of [`PackedConv3d::forward_in_turns`], the caller's
+    /// turns timed into `stages`.
+    fn forward_items(
+        &self,
+        workers: usize,
+        x: &[f32],
+        spatial: [usize; 3],
+        out: &mut [f32],
+        stages: Option<&mut ConvStages>,
     ) {
         let vol: usize = spatial.iter().product();
         let n = out.len() / (self.cout * vol);
@@ -451,14 +490,28 @@ impl PackedConv3d {
         if self.cin * dims.kvol() == 0 {
             return out.fill(0.0); // an empty sum; the `pc` loop would store nothing
         }
-        let (map, mut xp_buf) = PatchMap::new(&dims);
-        // Full panels read in place (only ever in the first and only slab).
+        let map = PatchMap::new(&dims);
+        // Full panels read in place (only ever in the first and only slab),
+        // only a short last one packed.
         let in_place = dims.kvol() == 1 && n * vol <= NC;
-        for (oslab, x) in out.chunks_mut(self.cout * vol).zip(x.chunks(self.cin * vol)) {
-            let xp = map.item(&mut xp_buf, x, &mut stages);
-            let mut out = RowMajor { rows: oslab, ld: vol };
-            self.columns(&map, xp, 0..vol, in_place, &mut out, None, &mut stages);
-        }
+        let ksize = self.cin * dims.kvol();
+        let nr = self.tile.nr;
+        let b_len = if in_place { vol % nr } else { NC.min(vol) }.div_ceil(nr) * nr * KC.min(ksize);
+        // A worker's padded input copy and B panels.
+        type Scratch = (Option<workspace::WorkspaceGuard>, workspace::WorkspaceGuard);
+        type Items<'a> = Turns<Zip<ChunksMut<'a, f32>, Chunks<'a, f32>>>;
+        let scratch = || (map.padded(self.cin), workspace::take_scratch(b_len));
+        let work = |(xp_buf, b_pack): &mut Scratch,
+                    items: &Items<'_>,
+                    mut stages: Option<&mut ConvStages>| {
+            for (oslab, x) in items {
+                let xp = map.item(xp_buf, x, &mut stages);
+                let mut out = RowMajor { rows: oslab, ld: vol };
+                self.columns(&map, xp, 0..vol, in_place, &mut out, b_pack, &mut stages);
+            }
+        };
+        let items = out.chunks_mut(self.cout * vol).zip(x.chunks(self.cin * vol));
+        in_turns(workers, items, scratch, |s, t| work(s, t, stages), |s, t| work(s, t, None));
     }
 
     /// Columns `cols` of the pointwise (1×1×1) forward over `x: [cin, vol]`
@@ -491,8 +544,8 @@ impl PackedConv3d {
             spatial: [1, 1, vol],
             kernel: [1; 3],
         };
-        let map = PatchMap::new(&dims).0;
-        self.columns(&map, x, cols, vol <= NC, out, Some(scratch), &mut None);
+        let map = PatchMap::new(&dims);
+        self.columns(&map, x, cols, vol <= NC, out, scratch, &mut None);
     }
 
     /// The scratch [`PackedConv3d::forward_columns`] packs B in, for ranges
@@ -506,8 +559,7 @@ impl PackedConv3d {
     /// implicit patch matrix `xp` (`vol` columns, `map`), writing `out`'s
     /// rows from the range's first column on. With `in_place`, each
     /// slab's full B panels are read where they lie in `xp` and only a
-    /// short last panel is packed. B is packed in `scratch` when given, else
-    /// in a buffer of the workspace pool per slab.
+    /// short last panel is packed. B is packed in `scratch`.
     #[allow(clippy::too_many_arguments)]
     fn columns(
         &self,
@@ -516,7 +568,7 @@ impl PackedConv3d {
         cols: Range<usize>,
         in_place: bool,
         out: &mut impl OutputRows,
-        mut scratch: Option<&mut [f32]>,
+        scratch: &mut [f32],
         stages: &mut Option<&mut ConvStages>,
     ) {
         let vol: usize = map.spatial.iter().product();
@@ -533,12 +585,7 @@ impl PackedConv3d {
             for pc in (0..ksize).step_by(KC) {
                 let kb = KC.min(ksize - pc);
                 map.fill_koff(&mut koff[..kb], pc);
-                let len = packed.len().div_ceil(nr) * nr * kb;
-                let mut pooled = None;
-                let b_pack = match scratch.as_deref_mut() {
-                    Some(scratch) => &mut scratch[..len],
-                    None => &mut pooled.insert(workspace::take_scratch(len))[..],
-                };
+                let b_pack = &mut scratch[..packed.len().div_ceil(nr) * nr * kb];
                 if !packed.is_empty() {
                     timed(
                         stages,
@@ -614,9 +661,9 @@ pub fn conv3d_grad_input(grad_out: &[f32], weight: &[f32], dims: Conv3dDims) -> 
 /// - a pointwise kernel (1×1×1: every tape `Linear` layer and the U-Net's
 ///   1×1×1 convs), on a tier whose thin tile takes it, transposes each block
 ///   of the input once and broadcasts `grad_out` from where it lies
-///   (`thin::pointwise_grad_weight`; stages `pack_b` and `micro`);
+///   (`thin::pointwise_grad_weight_block`; stages `pack_b` and `micro`);
 /// - any other (and every kernel on the portable tier) runs the packed
-///   driver (`packed_grad_weight`).
+///   driver (`packed_grad_weight_block`).
 ///
 /// `stages` as in [`PackedConv3d::forward_staged`], with the A pack timed
 /// apart.
@@ -627,77 +674,230 @@ pub fn conv3d_grad_weight(
     input: &[f32],
     grad_out: &[f32],
     dims: Conv3dDims,
-    mut stages: Option<&mut ConvStages>,
+    stages: Option<&mut ConvStages>,
 ) -> Tensor {
-    assert_odd(dims.kernel);
-    let [kd, kh, kw] = dims.kernel;
-    let vol = dims.vol();
-    assert_eq!(input.len(), dims.n * dims.cin * vol, "conv3d input length mismatch");
-    assert_eq!(grad_out.len(), dims.n * dims.cout * vol, "conv3d grad_out length mismatch");
-    let mut out = workspace::take_scratch(dims.cout * dims.cin * dims.kvol());
-    let tile = simd::thin_kernel();
-    if dims.kvol() == 1 && tile.grad_weight {
-        thin::pointwise_grad_weight(tile, input, grad_out, dims, &mut out, &mut stages);
-    } else {
-        packed_grad_weight(input, grad_out, dims, &mut out, &mut stages);
-    }
-    Tensor::from_guard(out, &[dims.cout, dims.cin, kd, kh, kw])
+    let dw = GradWeight::new(input, grad_out, dims);
+    let mut out = workspace::take_scratch(dw.len());
+    dw.in_order(&mut out, stages);
+    dw.into_tensor(out)
 }
 
-/// [`conv3d_grad_weight`] on the packed driver into `out: [Cout,
-/// Cin·kvol]`. B-panel element `(p, kidx)` is `xp[koff(kidx) + voff(p)]`,
-/// read through the same two offset maps as the forward pack. Both operands
-/// are transposed while packed, by the one transposing pack
-/// (`simd::transpose_pack`): the row-major `grad_out` rows into A panels
-/// (`pack_a`), and each B panel from its `nr` patch columns — source rows
-/// `xp[koff(kidx) + ..]` — along the runs of consecutive `voff` (one run of
-/// `kb` voxels for a 1×1×1 kernel, runs of the output row length `sw`
-/// otherwise).
-fn packed_grad_weight(
+/// [`conv3d_grad_weight`] on `workers` threads: each `(item, KC-block)`
+/// term of the sum is a turn (`crate::in_turns`) that computes it from +0
+/// into a buffer of its own (the first term into the output), packing in
+/// its worker's buffers, which are made before any turn starts; then the
+/// caller adds the terms in order, item after item, block after block. The
+/// one-thread gradient adds each term's chain to the output in that order
+/// too (`*o + v`), so the bits are the same on any count. On one worker, or
+/// for one block, it is [`conv3d_grad_weight`].
+///
+/// # Panics
+/// As [`conv3d_grad_weight`].
+pub fn conv3d_grad_weight_in_turns(
+    workers: usize,
     input: &[f32],
     grad_out: &[f32],
     dims: Conv3dDims,
-    out: &mut [f32],
-    stages: &mut Option<&mut ConvStages>,
-) {
-    let (vol, ksize) = (dims.vol(), dims.cin * dims.kvol());
-    let kernel = simd::active_kernel_for(dims.cout, ksize);
-    let (mr, nr) = (kernel.mr, kernel.nr);
-    let (map, mut xp_buf) = PatchMap::new(&dims);
-    let (mut koff, mut voff) = ([0u32; NC], [0u32; KC]);
+) -> Tensor {
+    let dw = GradWeight::new(input, grad_out, dims);
+    let (len, blocks) = (dw.len(), dw.blocks());
+    let mut out = workspace::take_scratch(len);
+    if workers == 1 || blocks < 2 {
+        dw.in_order(&mut out, None);
+        return dw.into_tensor(out);
+    }
+    let mut terms = workspace::take_scratch((blocks - 1) * len);
+    let dests = std::iter::once(&mut out[..]).chain(terms.chunks_exact_mut(len));
+    let take = |s: &mut GradWeightScratch, turns: &Turns<_>| {
+        for (block, dest) in turns {
+            dw.block(s, block, dest, true, &mut None);
+        }
+    };
+    in_turns(workers, (0..blocks).zip(dests), || dw.scratch(), take, take);
+    for term in terms.chunks_exact(len) {
+        for (o, &v) in out.iter_mut().zip(term) {
+            *o += v;
+        }
+    }
+    dw.into_tensor(out)
+}
 
-    for (n, x) in input.chunks(dims.cin * vol).enumerate() {
-        let xp = map.item(&mut xp_buf, x, stages);
-        let gn = &grad_out[n * dims.cout * vol..][..dims.cout * vol];
-        for jc in (0..ksize).step_by(NC) {
-            let nb = NC.min(ksize - jc);
-            map.fill_koff(&mut koff[..nb], jc);
-            for pc in (0..vol).step_by(KC) {
-                let kb = KC.min(vol - pc);
-                map.fill_voff(&mut voff[..kb], pc);
-                let mut b_pack = workspace::take_scratch(nb.div_ceil(nr) * nr * kb);
-                timed(
-                    stages,
-                    |s| &mut s.pack_b_ns,
-                    || pack_patch_rows(&mut b_pack, nr, xp, &koff[..nb], &voff[..kb]),
-                );
-                let mut a_pack = workspace::take_scratch(dims.cout.div_ceil(mr) * mr * kb);
-                timed(
-                    stages,
-                    |s| &mut s.pack_a_ns,
-                    || pack_a(mr, &mut a_pack, gn, vol, dims.cout, pc, kb),
-                );
-                let (b, first) = (BSlab::packed(&b_pack, nr, kb), n == 0 && pc == 0);
-                timed(
-                    stages,
-                    |s| &mut s.micro_ns,
-                    || {
-                        let mut out = RowMajor { rows: &mut *out, ld: ksize };
-                        macro_block(kernel, &a_pack, b, &mut out, dims.cout, kb, nb, jc, first)
-                    },
+/// One weight gradient's operands and arm, as blocks: block `b` is the
+/// `KC`-voxel block `b % per_item` of batch item `b / per_item`, whose
+/// `[Cout, Cin·kvol]` term is one FMA chain per element from +0.
+struct GradWeight<'a> {
+    input: &'a [f32],
+    grad_out: &'a [f32],
+    dims: Conv3dDims,
+    arm: GradWeightArm,
+}
+
+/// How a [`GradWeight`] block runs: the thin tile of a pointwise kernel,
+/// or the packed driver's tile over the patch map.
+#[derive(Clone, Copy)]
+enum GradWeightArm {
+    Pointwise(simd::ThinKernel),
+    Packed(&'static Kernel, PatchMap),
+}
+
+/// One worker's buffers for [`GradWeight`] blocks: the zero-bordered input
+/// copy of a padded kernel and the item it holds, the A panels (the packed
+/// arm's) and the B panels (the pointwise arm's transposed block).
+struct GradWeightScratch {
+    xp: Option<workspace::WorkspaceGuard>,
+    xp_item: Option<usize>,
+    a: Option<workspace::WorkspaceGuard>,
+    b: workspace::WorkspaceGuard,
+}
+
+impl<'a> GradWeight<'a> {
+    /// The gradient of `dims`, on the arm its kernel and the tier take.
+    fn new(input: &'a [f32], grad_out: &'a [f32], dims: Conv3dDims) -> Self {
+        assert_odd(dims.kernel);
+        let vol = dims.vol();
+        assert_eq!(input.len(), dims.n * dims.cin * vol, "conv3d input length mismatch");
+        assert_eq!(grad_out.len(), dims.n * dims.cout * vol, "conv3d grad_out length mismatch");
+        let tile = simd::thin_kernel();
+        let arm = if dims.kvol() == 1 && tile.grad_weight {
+            GradWeightArm::Pointwise(tile)
+        } else {
+            let kernel = simd::active_kernel_for(dims.cout, dims.cin * dims.kvol());
+            GradWeightArm::Packed(kernel, PatchMap::new(&dims))
+        };
+        GradWeight { input, grad_out, dims, arm }
+    }
+
+    /// Elements of the gradient, `Cout·Cin·kvol`.
+    fn len(&self) -> usize {
+        self.dims.cout * self.dims.cin * self.dims.kvol()
+    }
+
+    /// `KC`-voxel blocks of all batch items.
+    fn blocks(&self) -> usize {
+        self.dims.n * self.dims.vol().div_ceil(KC)
+    }
+
+    /// Buffers for one worker's blocks, from the workspace pool.
+    fn scratch(&self) -> GradWeightScratch {
+        let (dims, kb) = (&self.dims, KC.min(self.dims.vol()));
+        match self.arm {
+            GradWeightArm::Pointwise(tile) => GradWeightScratch {
+                xp: None,
+                xp_item: None,
+                a: None,
+                b: thin::pointwise_panel(tile, *dims),
+            },
+            GradWeightArm::Packed(kernel, map) => {
+                let (mr, nr) = (kernel.mr, kernel.nr);
+                let nb = NC.min(dims.cin * dims.kvol());
+                GradWeightScratch {
+                    xp: map.padded(dims.cin),
+                    xp_item: None,
+                    a: Some(workspace::take_scratch(dims.cout.div_ceil(mr) * mr * kb)),
+                    b: workspace::take_scratch(nb.div_ceil(nr) * nr * kb),
+                }
+            }
+        }
+    }
+
+    /// Every block in order into `out`, the first written, the rest added.
+    fn in_order(&self, out: &mut [f32], mut stages: Option<&mut ConvStages>) {
+        let mut s = self.scratch();
+        for block in 0..self.blocks() {
+            self.block(&mut s, block, out, block == 0, &mut stages);
+        }
+    }
+
+    /// Block `block`'s term into `out: [Cout, Cin·kvol]`, written when
+    /// `first`, else added, in `s`'s buffers.
+    fn block(
+        &self,
+        s: &mut GradWeightScratch,
+        block: usize,
+        out: &mut [f32],
+        first: bool,
+        stages: &mut Option<&mut ConvStages>,
+    ) {
+        let dims = &self.dims;
+        let (vol, per_item) = (dims.vol(), dims.vol().div_ceil(KC));
+        let (item, p0) = (block / per_item, block % per_item * KC);
+        let x = &self.input[item * dims.cin * vol..][..dims.cin * vol];
+        let gn = &self.grad_out[item * dims.cout * vol..][..dims.cout * vol];
+        match self.arm {
+            GradWeightArm::Pointwise(tile) => thin::pointwise_grad_weight_block(
+                tile, x, gn, *dims, p0, &mut s.b, out, first, stages,
+            ),
+            GradWeightArm::Packed(kernel, map) => {
+                if s.xp_item != Some(item) {
+                    s.xp_item = Some(item);
+                    map.item(&mut s.xp, x, stages);
+                }
+                let xp = s.xp.as_deref().unwrap_or(x);
+                let a_pack = s.a.as_deref_mut().expect("the packed arm packs A");
+                packed_grad_weight_block(
+                    kernel, &map, xp, gn, *dims, p0, a_pack, &mut s.b, out, first, stages,
                 );
             }
         }
+    }
+
+    /// `out` as the gradient tensor, `[Cout, Cin, kd, kh, kw]`.
+    fn into_tensor(self, out: workspace::WorkspaceGuard) -> Tensor {
+        let [kd, kh, kw] = self.dims.kernel;
+        Tensor::from_guard(out, &[self.dims.cout, self.dims.cin, kd, kh, kw])
+    }
+}
+
+/// One block of [`conv3d_grad_weight`] on the packed driver: voxels `pc..`
+/// (up to `KC`) of one item's patch matrix over `xp` and of its `grad_out`
+/// rows `gn: [Cout, vol]`, into `out: [Cout, Cin·kvol]`, written when
+/// `first`, else added. B-panel element `(p, kidx)` is `xp[koff(kidx) +
+/// voff(p)]`, read through the same two offset maps as the forward pack.
+/// Both operands are transposed while packed, by the one transposing pack
+/// (`simd::transpose_pack`): the block's `grad_out` columns into the A
+/// panels `a_pack` (`pack_a`), and each B panel in `b_pack` from its `nr`
+/// patch columns — source rows `xp[koff(kidx) + ..]` — along the runs of
+/// consecutive `voff` (one run of `kb` voxels for a 1×1×1 kernel, runs of
+/// the output row length `sw` otherwise).
+#[allow(clippy::too_many_arguments)]
+fn packed_grad_weight_block(
+    kernel: &Kernel,
+    map: &PatchMap,
+    xp: &[f32],
+    gn: &[f32],
+    dims: Conv3dDims,
+    pc: usize,
+    a_pack: &mut [f32],
+    b_pack: &mut [f32],
+    out: &mut [f32],
+    first: bool,
+    stages: &mut Option<&mut ConvStages>,
+) {
+    let (vol, ksize) = (dims.vol(), dims.cin * dims.kvol());
+    let (mr, nr) = (kernel.mr, kernel.nr);
+    let kb = KC.min(vol - pc);
+    let (mut koff, mut voff) = ([0u32; NC], [0u32; KC]);
+    map.fill_voff(&mut voff[..kb], pc);
+    let a_pack = &mut a_pack[..dims.cout.div_ceil(mr) * mr * kb];
+    timed(stages, |s| &mut s.pack_a_ns, || pack_a(mr, a_pack, gn, vol, dims.cout, pc, kb));
+    for jc in (0..ksize).step_by(NC) {
+        let nb = NC.min(ksize - jc);
+        map.fill_koff(&mut koff[..nb], jc);
+        let b_pack = &mut b_pack[..nb.div_ceil(nr) * nr * kb];
+        timed(
+            stages,
+            |s| &mut s.pack_b_ns,
+            || pack_patch_rows(b_pack, nr, xp, &koff[..nb], &voff[..kb]),
+        );
+        let b = BSlab::packed(b_pack, nr, kb);
+        timed(
+            stages,
+            |s| &mut s.micro_ns,
+            || {
+                let mut out = RowMajor { rows: &mut *out, ld: ksize };
+                macro_block(kernel, a_pack, b, &mut out, dims.cout, kb, nb, jc, first)
+            },
+        );
     }
 }
 
@@ -1315,7 +1515,8 @@ mod tests {
 
     /// The full patch tables and the `xp` of one batch item.
     fn patch_tables(dims: &Conv3dDims, x: &[f32]) -> (Vec<u32>, Vec<u32>, Vec<f32>) {
-        let (map, mut xp_buf) = PatchMap::new(dims);
+        let map = PatchMap::new(dims);
+        let mut xp_buf = map.padded(dims.cin);
         let (mut koff, mut voff) = (vec![0u32; dims.cin * dims.kvol()], vec![0u32; dims.vol()]);
         map.fill_koff(&mut koff, 0);
         map.fill_voff(&mut voff, 0);
@@ -1415,8 +1616,9 @@ mod tests {
     }
 
     /// Both arms of the weight gradient — the packed driver, and for a
-    /// 1×1×1 kernel the pointwise arm — and `conv3d_grad_weight` itself
-    /// give the oracle's bits on every tier the host can run: batch 1 and
+    /// 1×1×1 kernel the pointwise arm — and `conv3d_grad_weight` itself,
+    /// on one worker and in turns on two and three, give the oracle's bits
+    /// on every tier the host can run: batch 1 and
     /// 3, voxel counts that end in a part block (300 and 600, two and three
     /// `KC` blocks) or are shorter than a vector, widths that are no
     /// multiple of a vector or of a tile's rows (the tape's 19 and 35, the
@@ -1444,14 +1646,21 @@ mod tests {
                         "conv3d_grad_weight",
                         conv3d_grad_weight(&x, &g, dims, None).data().to_vec(),
                     )];
-                    let mut packed = vec![f32::NAN; want.len()];
-                    packed_grad_weight(&x, &g, dims, &mut packed, &mut None);
-                    arms.push(("packed", packed));
+                    for workers in [2, 3] {
+                        let got = conv3d_grad_weight_in_turns(workers, &x, &g, dims);
+                        arms.push(("in turns", got.data().to_vec()));
+                    }
+                    let kernel = simd::active_kernel_for(cout, cin * dims.kvol());
+                    let mut forced =
+                        vec![("packed", GradWeightArm::Packed(kernel, PatchMap::new(&dims)))];
                     if k == [1, 1, 1] {
-                        let mut pointwise = vec![f32::NAN; want.len()];
-                        let tile = simd::thin_kernel();
-                        thin::pointwise_grad_weight(tile, &x, &g, dims, &mut pointwise, &mut None);
-                        arms.push(("pointwise", pointwise));
+                        forced.push(("pointwise", GradWeightArm::Pointwise(simd::thin_kernel())));
+                    }
+                    for (arm_name, arm) in forced {
+                        let mut got = vec![f32::NAN; want.len()];
+                        GradWeight { arm, ..GradWeight::new(&x, &g, dims) }
+                            .in_order(&mut got, None);
+                        arms.push((arm_name, got));
                     }
                     for (arm, got) in arms {
                         for (i, (got, want)) in got.iter().zip(&want).enumerate() {

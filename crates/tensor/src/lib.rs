@@ -21,8 +21,8 @@
 //!   tape and the no-grad inference engine share, on one feature-major
 //!   activation layout;
 //! - [`turns`]: the one way a call runs on more than one core — the caller
-//!   and scoped helpers taking turns at its chunks (the no-grad decode's
-//!   query blocks, the tape's layer node);
+//!   and its thread's helpers taking turns at its chunks (the no-grad
+//!   decode's query blocks, the tape's layer and conv nodes);
 //! - [`workspace`]: the buffer pool that lets kernels and tensor temporaries
 //!   reuse memory across training steps;
 //! - [`le`]: the bounds-checked little-endian reader every byte loader
@@ -43,9 +43,9 @@ pub mod turns;
 pub mod workspace;
 
 pub use conv::{
-    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, maxpool3d, maxpool3d_backward,
-    maxpool3d_values, timed, upsample_nearest3d, upsample_nearest3d_backward, Conv3dDims,
-    ConvStages, PackedConv3d,
+    conv3d_auto, conv3d_grad_input, conv3d_grad_weight, conv3d_grad_weight_in_turns, maxpool3d,
+    maxpool3d_backward, maxpool3d_values, timed, upsample_nearest3d, upsample_nearest3d_backward,
+    Conv3dDims, ConvStages, PackedConv3d,
 };
 pub use gemm::{gemm, MatLayout};
 pub use rowops::{

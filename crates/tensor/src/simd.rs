@@ -603,7 +603,7 @@ pub(crate) struct ThinKernel {
     pub rows: usize,
     pub vectors: usize,
     /// Whether a pointwise weight gradient runs on this tile
-    /// (`crate::thin::pointwise_grad_weight`) rather than the packed driver:
+    /// (`crate::thin::pointwise_grad_weight_block`) rather than the packed driver:
     /// on the vector tiers. The portable tile is scalar `mul_add` loops,
     /// 5–7× the driver's time there.
     pub grad_weight: bool,

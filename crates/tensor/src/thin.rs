@@ -7,7 +7,7 @@
 //!   vectorized along its columns — a layer whose `out_features` is below
 //!   every tier's `mr` (6, 8 or 12): the decoder's 4-wide head. Through the
 //!   packed driver its A panels would be half zero rows.
-//! - `pointwise_grad_weight`: `dw = dz · xᵀ` of every pointwise (1×1×1)
+//! - `pointwise_grad_weight_block`: `dw = dz · xᵀ` of every pointwise (1×1×1)
 //!   operator, any width — every tape `Linear` layer and the U-Net's 1×1×1
 //!   convs — as [`crate::conv3d_grad_weight`]'s arm for `kvol == 1`. Each
 //!   `KC`-voxel block of `x` is transposed once into a panel as wide as `x`
@@ -141,61 +141,67 @@ pub fn thin_columns(
     }
 }
 
-/// The weight gradient of a pointwise (1×1×1) conv,
-/// [`crate::conv3d_grad_weight`]'s arm for `kvol == 1` on a tier whose tile
-/// takes it ([`ThinKernel`]'s `grad_weight`): `out = Σ_items dz · xᵀ` for
-/// `x: [items, k, vol]` and
-/// `dz: [items, n, vol]` into `out: [n, k]` (fully overwritten). Each
-/// `KC`-voxel block of an item's `x` is transposed once into a panel of
-/// rows as wide as `x` has rows, padded to a whole vector (the `pack_b`
-/// stage), and `dz` is broadcast from where it lies (the `micro` stage) —
-/// no A panel, no `nr`-padded B panels. The driver's bits: per block one
-/// FMA chain per element from +0 in voxel order, the blocks added in order,
-/// item after item.
-pub(crate) fn pointwise_grad_weight(
+/// The panel a pointwise weight gradient transposes `x`'s blocks into:
+/// `KC.min(vol)` rows as wide as `x` has rows (`dims.cin`), padded to a
+/// whole vector, the padding columns zero — they are read, never stored:
+/// zeros, not stale floats.
+pub(crate) fn pointwise_panel(kernel: ThinKernel, dims: Conv3dDims) -> workspace::WorkspaceGuard {
+    let (k, lanes) = (dims.cin, kernel.lanes);
+    let ld = k.div_ceil(lanes) * lanes;
+    let mut panel = workspace::take_scratch(KC.min(dims.vol()) * ld);
+    for row in panel.chunks_exact_mut(ld) {
+        row[k..].fill(0.0);
+    }
+    panel
+}
+
+/// One `KC`-voxel block of the weight gradient of a pointwise (1×1×1)
+/// conv, [`crate::conv3d_grad_weight`]'s arm for `kvol == 1` on a tier whose
+/// tile takes it ([`ThinKernel`]'s `grad_weight`): voxels `p0..` of one
+/// batch item, `x: [k, vol]` and `dz: [n, vol]`, into `out: [n, k]` —
+/// written when `first`, else added. The block of `x` is transposed once
+/// into `panel` ([`pointwise_panel`]; the `pack_b` stage) and `dz` is
+/// broadcast from where it lies (the `micro` stage) — no A panel, no
+/// `nr`-padded B panels. The driver's bits: one FMA chain per element from
+/// +0 in voxel order, added to what `out` holds.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pointwise_grad_weight_block(
     kernel: ThinKernel,
     x: &[f32],
     dz: &[f32],
     dims: Conv3dDims,
+    p0: usize,
+    panel: &mut [f32],
     out: &mut [f32],
+    first: bool,
     stages: &mut Option<&mut ConvStages>,
 ) {
     let (k, n, vol) = (dims.cin, dims.cout, dims.vol());
     assert!(dims.kvol() == 1 && out.len() == n * k, "a pointwise [{n}, {k}] weight gradient");
-    let lanes = kernel.lanes;
-    let ld = k.div_ceil(lanes) * lanes;
-    let mut panel = workspace::take_scratch(KC.min(vol) * ld);
-    // The padding columns are read, never stored: zeros, not stale floats.
-    for row in panel.chunks_exact_mut(ld) {
-        row[k..].fill(0.0);
-    }
+    assert!(x.len() == k * vol && dz.len() == n * vol && p0 < vol, "a block of one item");
+    let ld = k.div_ceil(kernel.lanes) * kernel.lanes;
+    let kb = KC.min(vol - p0);
     let rows = strided_rows(MAX_NR.min(k), vol);
-    for (item, (x, dz)) in x.chunks_exact(k * vol).zip(dz.chunks_exact(n * vol)).enumerate() {
-        for p0 in (0..vol).step_by(KC) {
-            let kb = KC.min(vol - p0);
-            timed(
-                stages,
-                |s| &mut s.pack_b_ns,
-                || {
-                    for k0 in (0..k).step_by(MAX_NR) {
-                        let w = MAX_NR.min(k - k0);
-                        let run = std::iter::once((0, p0, kb));
-                        simd::transpose_pack(&mut panel[k0..], ld, &x[k0 * vol..], &rows[..w], run);
-                    }
-                },
-            );
-            let first = item == 0 && p0 == 0;
-            let panel = &panel[..kb * ld];
-            timed(
-                stages,
-                |s| &mut s.micro_ns,
-                || grad_weight_block(kernel, &dz[p0..], vol, panel, ld, k, out, first),
-            );
-        }
-    }
+    timed(
+        stages,
+        |s| &mut s.pack_b_ns,
+        || {
+            for k0 in (0..k).step_by(MAX_NR) {
+                let w = MAX_NR.min(k - k0);
+                let run = std::iter::once((0, p0, kb));
+                simd::transpose_pack(&mut panel[k0..], ld, &x[k0 * vol..], &rows[..w], run);
+            }
+        },
+    );
+    let panel = &panel[..kb * ld];
+    timed(
+        stages,
+        |s| &mut s.micro_ns,
+        || grad_weight_block(kernel, &dz[p0..], vol, panel, ld, k, out, first),
+    );
 }
 
-/// One block of [`pointwise_grad_weight`], its `kb` voxels the rows of
+/// The tiles of [`pointwise_grad_weight_block`], its `kb` voxels the rows of
 /// `panel`: `out[o][c] (+)= Σ_p dz[o·vol + p] · panel[p·ld + c]`, one
 /// [`ThinKernel`]'s tile of output rows and vectors of columns at a time.
 #[allow(clippy::too_many_arguments)]
