@@ -11,9 +11,10 @@
 //! GEMM stage timed against the driver's GEMM, the softplus kernel (as a slice
 //! and as the decoder's feature-major epilogue) and its derivative, the
 //! decoder's forward and backward on the tape (the link between the kernel rows
-//! and the training step), the tape's pointwise weight gradient and the thin
-//! tile on every kernel tier the host can run (each forced in turn, beside
-//! that tier's `gemm_nn`), the heap traffic of one full training step with
+//! and the training step), the tape's pointwise weight gradient, the same
+//! layer's forward, the thin tile and the decoder's softplus epilogues on
+//! every kernel tier the host can run (each forced in turn, beside that
+//! tier's `gemm_nn`), the heap traffic of one full training step with
 //! the workspace pool on vs off, and one benchmark-shaped training step on one
 //! tape worker against the trainer's own count, whole and stage by stage (the
 //! tape's nodes by kind, and the optimizer), and the solver's chain from one
@@ -196,7 +197,7 @@ fn bytes_per_call<F: FnMut()>(mut f: F) -> u64 {
 }
 
 /// Schema tag of the report this binary writes.
-const SCHEMA: &str = "mfn-bench/kernels/v22";
+const SCHEMA: &str = "mfn-bench/kernels/v23";
 
 /// `BENCH_kernels.json`. The field names are the keys (the vendored derive
 /// renames nothing) and `--gate` parses a committed report back into this
@@ -1119,21 +1120,33 @@ fn bench_tape_layers(
 /// ([`TIER_GRAD_WEIGHT`]: 64→64 over the six lanes of [`TAPE_ITEMS`] ×
 /// [`TAPE_QUERIES`] queries) on every kernel tier the host can run, each
 /// forced in turn, in GFLOP/s next to that tier's `gemm_nn` (the run's
-/// size) and the thin tile's head forward ([`TIER_THIN_COLUMNS`]: 32→4
-/// over the same columns, `thin::thin_columns`), timed interleaved — the
-/// one place an AVX-512 host reports its AVX2 and portable code.
+/// size), the same layer's forward (`PackedConv3d::pack_linear` +
+/// `forward_slices`), the thin tile's head forward ([`TIER_THIN_COLUMNS`]:
+/// 32→4 over the same columns, `thin::thin_columns`) and the decoder's
+/// softplus epilogues in ns an element, forward and backward — one lane
+/// (`bias_softplus_features` on [`TIER_SOFTPLUS`]) and six
+/// (`bias_softplus_jet_features` on [`TIER_JET`]) — timed interleaved: the
+/// one place an AVX-512 host reports its AVX2 and portable code. Records,
+/// not gates.
 #[derive(Serialize, Deserialize, Default)]
 struct KernelTiers {
-    /// `[in, out, columns]` of the weight gradient.
+    /// `[in, out, columns]` of the weight gradient and the layer forward.
     grad_weight_shape: [usize; 3],
     /// `[rows, depth, columns]` of the thin forward.
     thin_columns_shape: [usize; 3],
+    /// `[features, points]` of the one-lane epilogue. Since v23.
+    #[serde(default)]
+    softplus_features_shape: [usize; 2],
+    /// `[features, lanes × points]` of the six-lane epilogue. Since v23.
+    #[serde(default)]
+    jet_features_shape: [usize; 2],
     tiers: Vec<TierRow>,
 }
 
 /// One tier of [`KernelTiers`]; `grad_weight_arm` names the arm
 /// `conv3d_grad_weight` took (`pointwise` on a vector tier, `packed` on the
-/// portable one).
+/// portable one). The fields from `layer_forward_gflops` on are since v23;
+/// older reports read zeros.
 #[derive(Serialize, Deserialize)]
 struct TierRow {
     backend: String,
@@ -1143,6 +1156,16 @@ struct TierRow {
     gemm_nn_gflops: f64,
     grad_weight_vs_gemm_nn: f64,
     thin_columns_gflops: f64,
+    #[serde(default)]
+    layer_forward_gflops: f64,
+    #[serde(default)]
+    softplus_features_ns_per_element: f64,
+    #[serde(default)]
+    softplus_grad_features_ns_per_element: f64,
+    #[serde(default)]
+    jet_features_ns_per_element: f64,
+    #[serde(default)]
+    jet_grad_features_ns_per_element: f64,
 }
 
 /// `[in, out, columns]` of [`KernelTiers`]' weight gradient.
@@ -1150,6 +1173,13 @@ const TIER_GRAD_WEIGHT: [usize; 3] = [64, 64, TAPE_ITEMS * TAPE_QUERIES * 8 * JE
 
 /// `[rows, depth, columns]` of [`KernelTiers`]' thin forward.
 const TIER_THIN_COLUMNS: [usize; 3] = [4, 32, TIER_GRAD_WEIGHT[2]];
+
+/// `[features, points]` of [`KernelTiers`]' one-lane epilogue: a full decode
+/// block's rows.
+const TIER_SOFTPLUS: [usize; 2] = [128, 512];
+
+/// `[features, lanes × points]` of [`KernelTiers`]' six-lane epilogue.
+const TIER_JET: [usize; 2] = [64, JET_LANES * 512];
 
 /// Output rows `ld` apart in one slice, for `thin::thin_columns`.
 struct Rows<'a> {
@@ -1175,7 +1205,20 @@ fn bench_kernel_tiers(iters: usize, size: usize) -> KernelTiers {
     let (a, b, mut c) = (buf(size * size, 41), buf(size * size, 42), vec![0.0f32; size * size]);
     let (x, dz) = (buf(cin * cols, 43), buf(cout * cols, 44));
     let (w, xt, mut out) = (buf(rows * depth, 45), buf(depth * cols, 46), vec![0.0; rows * cols]);
+    let (layer_w, mut layer_out) = (buf(cout * cin, 47), vec![0.0f32; cout * cols]);
     let dims = Conv3dDims { n: 1, cin, cout, spatial: [1, 1, cols], kernel: [1; 3] };
+    // The forwards read pre-activations in the live range. The backwards
+    // read them past the clamp (σ′ = 1, σ″ = σ‴ = 0), so that scaling the
+    // adjoints in place call after call leaves them as they are rather than
+    // decaying into subnormals; every form is branch-free, so the regime
+    // does not change the time.
+    let saturated = |v: Vec<f32>| v.into_iter().map(|x| x + 24.0).collect::<Vec<f32>>();
+    let ([sn, sm], [jn, jm]) = (TIER_SOFTPLUS, TIER_JET);
+    let (mut sp, sp_bias) = (buf(sn * sm, 48), buf(sn, 49));
+    let (sp_pre, mut sp_grad) = (saturated(buf(sn * sm, 50)), vec![1.0f32; sn * sm]);
+    let (mut jet, jet_bias) = (vec![0.0f32; jn * jm], buf(jn, 51));
+    let (mut jet_live, mut jet_pre) = (buf(jn * jm, 52), saturated(buf(jn * jm, 53)));
+    let mut jet_grad = buf(jn * jm, 54);
     let detected = mfn_tensor::kernel_backend();
     let backends = [KernelBackend::Avx512, KernelBackend::Avx2Fma, KernelBackend::Portable];
     let tiers = backends
@@ -1186,6 +1229,8 @@ fn bench_kernel_tiers(iters: usize, size: usize) -> KernelTiers {
             let mut stages = ConvStages::default();
             std::hint::black_box(conv3d_grad_weight(&x, &dz, dims, Some(&mut stages)));
             let arm = if stages.pack_a_ns > 0.0 { "packed" } else { "pointwise" };
+            // Packed under the tier: the panels take its tile.
+            let layer = PackedConv3d::pack_linear(&layer_w, cout, cin);
             let t = time_interleaved(
                 iters,
                 &mut [
@@ -1201,8 +1246,36 @@ fn bench_kernel_tiers(iters: usize, size: usize) -> KernelTiers {
                     },
                 ],
             );
+            // The decoder's legs in a round of their own, so that their
+            // buffers do not evict the legs above between calls.
+            let e = time_interleaved(
+                iters,
+                &mut [
+                    &mut || layer.forward_slices(&x, [1, 1, cols], &mut layer_out, None),
+                    &mut || rowops::bias_softplus_features(std::hint::black_box(&mut sp), &sp_bias),
+                    &mut || {
+                        let g = std::hint::black_box(&mut sp_grad);
+                        rowops::bias_softplus_grad_features(g, &sp_pre, &sp_bias);
+                    },
+                    &mut || {
+                        let x = std::hint::black_box(&mut jet);
+                        rowops::bias_softplus_jet_features::<false>(
+                            x,
+                            &mut jet_live,
+                            &jet_bias,
+                            &[],
+                        );
+                    },
+                    &mut || {
+                        let g = std::hint::black_box(&mut jet_grad);
+                        rowops::bias_softplus_jet_features::<true>(g, &mut jet_pre, &jet_bias, &[]);
+                    },
+                ],
+            );
             let gemm_nn = gemm_gflops(size, size, size, t[0].1);
-            let grad_weight = 2.0 * (cin * cout * cols) as f64 / t[1].1;
+            let layer_flops = 2.0 * (cin * cout * cols) as f64;
+            let grad_weight = layer_flops / t[1].1;
+            let per = |ns: f64, elements: usize| round(ns / elements as f64, 3);
             TierRow {
                 backend: tier.name().to_string(),
                 grad_weight_arm: arm.to_string(),
@@ -1211,6 +1284,11 @@ fn bench_kernel_tiers(iters: usize, size: usize) -> KernelTiers {
                 gemm_nn_gflops: round(gemm_nn, 2),
                 grad_weight_vs_gemm_nn: round(grad_weight / gemm_nn, 3),
                 thin_columns_gflops: round(2.0 * (rows * depth * cols) as f64 / t[2].1, 2),
+                layer_forward_gflops: round(layer_flops / e[0].1, 2),
+                softplus_features_ns_per_element: per(e[1].1, sn * sm),
+                softplus_grad_features_ns_per_element: per(e[2].1, sn * sm),
+                jet_features_ns_per_element: per(e[3].1, jn * jm),
+                jet_grad_features_ns_per_element: per(e[4].1, jn * jm),
             }
         })
         .collect();
@@ -1218,6 +1296,8 @@ fn bench_kernel_tiers(iters: usize, size: usize) -> KernelTiers {
     KernelTiers {
         grad_weight_shape: TIER_GRAD_WEIGHT,
         thin_columns_shape: TIER_THIN_COLUMNS,
+        softplus_features_shape: TIER_SOFTPLUS,
+        jet_features_shape: TIER_JET,
         tiers,
     }
 }

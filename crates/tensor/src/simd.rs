@@ -1,5 +1,6 @@
-//! Runtime-dispatched GEMM micro-kernels: explicit AVX-512 and AVX2+FMA
-//! `std::arch` tiles with the portable SLP-vectorized kernel as fallback.
+//! Runtime-dispatched GEMM micro-kernels: one register-tile loop written
+//! once over each vector tier's `std::arch` vocabulary (AVX-512, AVX2+FMA),
+//! with the portable SLP-vectorized kernel as fallback.
 //!
 //! The blocked GEMM driver (`crate::gemm`) and the implicit-GEMM conv3d
 //! lowering (`crate::conv`) are tile-shape agnostic: they ask
@@ -7,11 +8,17 @@
 //! plus the function that computes one `mr×nr` tile — and build their
 //! packing and write-back loops around it. Three tiers:
 //!
-//! | backend   | tile  | registers                                        |
-//! |-----------|-------|--------------------------------------------------|
-//! | AVX-512   | 8×48  | 24 zmm accumulators + 3 B vectors + 1 broadcast  |
-//! | AVX2+FMA  | 6×16  | 12 ymm accumulators + 2 B vectors + 1 broadcast  |
-//! | portable  | 6×16  | `[f32; 8]` arrays the SLP vectorizer folds       |
+//! | backend   | tile         | code                                          |
+//! |-----------|--------------|-----------------------------------------------|
+//! | AVX-512   | 8×48, 12×32  | `gemm_kernel!`'s `tile::<8, 3>`, `::<12, 2>` |
+//! | AVX2+FMA  | 6×16         | `gemm_kernel!`'s `tile::<6, 2>`               |
+//! | portable  | 6×16         | `[f32; 8]` arrays the SLP vectorizer folds    |
+//!
+//! A vector tile holds its `MR × NV` accumulators, `NV` B vectors and one A
+//! broadcast in registers across the depth loop: the budget each shape meets
+//! is noted on its static, and a shape over it spills every depth step.
+//! The portable tile's `mul_add` is one instruction only under the build's
+//! FMA pin (`.cargo/config.toml`); without it, it is a libm call per lane.
 //!
 //! The backend is detected once per process with
 //! `is_x86_feature_detected!` and cached; `MFN_PORTABLE_KERNELS=1` (or
@@ -22,8 +29,8 @@
 //!
 //! All three kernels produce **bit-identical** results: each output element
 //! is a pure fused-multiply-add chain over the panel depth in `k` order
-//! (`acc = fma(a_ik, b_kj, acc)`), and `mul_add` on the portable path is the
-//! same exactly-rounded operation as `_mm256_fmadd_ps`/`_mm512_fmadd_ps`.
+//! (`acc = fma(a_ik, b_kj, acc)`) from `+0`, and `mul_add` on the portable
+//! path is the same exactly-rounded operation as the vector tiers' `fma`.
 //! The tile shape only changes *which* elements share a register, never the
 //! accumulation order of any single element, and the depth blocking (`KC`)
 //! is shared by every tier. `gemm::tests` pins this property on
@@ -50,7 +57,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// detected one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum KernelBackend {
-    /// 8×48 f32 tile in zmm registers (`avx512f` detected at runtime).
+    /// 8×48 and 12×32 f32 tiles in zmm registers (`avx512f` detected at
+    /// runtime).
     Avx512,
     /// 6×16 f32 tile in ymm registers (`avx2` + `fma` detected at runtime).
     Avx2Fma,
@@ -160,17 +168,21 @@ pub const MAX_NR: usize = 48;
 /// where they lie (`ldb` its row length). `acc` is fully overwritten.
 ///
 /// # Panics
-/// Panics if `b_panel` is shorter than `(kb - 1)·ldb + nr`.
+/// Panics if `a_panel` is shorter than `mr·kb`, `acc` than `mr·nr`, or
+/// `b_panel` than `(kb - 1)·ldb + nr`.
 pub type MicroFn = fn(kb: usize, a_panel: &[f32], b_panel: &[f32], ldb: usize, acc: &mut [f32]);
 
-/// The check every tier makes before its panel walk: `kb` rows of `nr`
-/// columns, `ldb` apart, lie inside `b_panel`.
+/// The checks every tier makes before its panel walk: `a_panel` holds `kb`
+/// columns of `mr`, `acc` the `mr×nr` tile, and `kb` rows of `nr` columns,
+/// `ldb` apart, lie inside `b_panel`.
 #[inline(always)]
-fn assert_b_rows(kb: usize, nr: usize, b_panel: &[f32], ldb: usize) {
+fn assert_panels([mr, nr]: [usize; 2], kb: usize, a: &[f32], b: &[f32], ldb: usize, acc: &[f32]) {
+    assert!(a.len() >= mr * kb, "A panel of {} cannot hold {kb} columns of {mr}", a.len());
+    assert!(acc.len() >= mr * nr, "tile of {} cannot hold {mr}x{nr}", acc.len());
     assert!(
-        ldb >= nr && (kb == 0 || (kb - 1) * ldb + nr <= b_panel.len()),
+        ldb >= nr && (kb == 0 || (kb - 1) * ldb + nr <= b.len()),
         "B panel of {} elements cannot hold {kb} rows of {nr}, {ldb} apart",
-        b_panel.len()
+        b.len()
     );
 }
 
@@ -191,17 +203,20 @@ pub struct Kernel {
 static PORTABLE_KERNEL: Kernel =
     Kernel { backend: KernelBackend::Portable, mr: 6, nr: 16, micro: micro_portable_6x16 };
 
+/// 12 ymm accumulators + 2 B vectors + 1 broadcast = 15 of the 16 ymm.
 #[cfg(target_arch = "x86_64")]
 static AVX2_KERNEL: Kernel =
-    Kernel { backend: KernelBackend::Avx2Fma, mr: 6, nr: 16, micro: micro_avx2_6x16 };
+    Kernel { backend: KernelBackend::Avx2Fma, mr: 6, nr: 16, micro: avx2::micro::<6, 2> };
 
+/// 24 zmm accumulators + 3 B vectors + 1 broadcast = 28 of the 32 zmm.
 #[cfg(target_arch = "x86_64")]
 static AVX512_KERNEL: Kernel =
-    Kernel { backend: KernelBackend::Avx512, mr: 8, nr: 48, micro: micro_avx512_8x48 };
+    Kernel { backend: KernelBackend::Avx512, mr: 8, nr: 48, micro: avx512::micro::<8, 3> };
 
+/// 24 zmm accumulators + 2 B vectors + 1 broadcast = 27 of the 32 zmm.
 #[cfg(target_arch = "x86_64")]
 static AVX512_KERNEL_12X32: Kernel =
-    Kernel { backend: KernelBackend::Avx512, mr: 12, nr: 32, micro: micro_avx512_12x32 };
+    Kernel { backend: KernelBackend::Avx512, mr: 12, nr: 32, micro: avx512::micro::<12, 2> };
 
 /// The micro-kernel for the active backend (the AVX-512 tier's default
 /// 8×48 tile; see [`active_kernel_for`] for the shape-aware choice).
@@ -288,9 +303,7 @@ fn micro_portable_6x16(kb: usize, a_panel: &[f32], b_panel: &[f32], ldb: usize, 
     const MR: usize = 6;
     const NR: usize = 16;
     const NV: usize = NR / LANES;
-    debug_assert_eq!(a_panel.len(), MR * kb);
-    debug_assert_eq!(acc.len(), MR * NR);
-    assert_b_rows(kb, NR, b_panel, ldb);
+    assert_panels([MR, NR], kb, a_panel, b_panel, ldb, acc);
     let mut tile = [[V8::ZERO; NV]; MR];
     // Every row but the last is `ldb` long, and the last holds at least `NR`.
     for (av, bv) in a_panel.chunks_exact(MR).zip(b_panel.chunks(ldb)) {
@@ -309,256 +322,6 @@ fn micro_portable_6x16(kb: usize, a_panel: &[f32], b_panel: &[f32], ldb: usize, 
         for (v, cell) in row.iter().enumerate() {
             acc[i * NR + v * LANES..i * NR + (v + 1) * LANES].copy_from_slice(&cell.0);
         }
-    }
-}
-
-// ---- AVX2+FMA tier -------------------------------------------------------
-
-/// Safe shim: `AVX2_KERNEL` is only ever returned by [`active_kernel`] (or
-/// installed by [`set_backend_override`]) after `is_x86_feature_detected!`
-/// confirmed `avx2` and `fma`, so calling the `target_feature` fn is sound.
-#[cfg(target_arch = "x86_64")]
-fn micro_avx2_6x16(kb: usize, a_panel: &[f32], b_panel: &[f32], ldb: usize, acc: &mut [f32]) {
-    assert!(a_panel.len() >= 6 * kb && acc.len() >= 6 * 16, "A panel or tile too short");
-    assert_b_rows(kb, 16, b_panel, ldb);
-    // SAFETY: dispatch guarantees avx2+fma are present (see doc above);
-    // panel/acc lengths are asserted to cover the tile's pointer walks.
-    unsafe { micro_avx2_6x16_impl(kb, a_panel.as_ptr(), b_panel.as_ptr(), ldb, acc.as_mut_ptr()) }
-}
-
-/// The 6×16 AVX2+FMA tile: 12 ymm accumulators + 2 packed-B vectors + 1
-/// A broadcast = 15 of the 16 ymm registers, no spills. Each depth step is
-/// 2 vector loads + 6 broadcasts feeding 12 `vfmadd231ps`.
-///
-/// # Safety
-/// The CPU has AVX2 and FMA; `ap` reaches `6·kb` readable floats, `bp` `kb`
-/// rows of 16 readable floats `ldb` apart, and `out` 96 writable floats.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_avx2_6x16_impl(
-    kb: usize,
-    mut ap: *const f32,
-    mut bp: *const f32,
-    ldb: usize,
-    out: *mut f32,
-) {
-    use std::arch::x86_64::*;
-    let mut c00 = _mm256_setzero_ps();
-    let mut c01 = _mm256_setzero_ps();
-    let mut c10 = _mm256_setzero_ps();
-    let mut c11 = _mm256_setzero_ps();
-    let mut c20 = _mm256_setzero_ps();
-    let mut c21 = _mm256_setzero_ps();
-    let mut c30 = _mm256_setzero_ps();
-    let mut c31 = _mm256_setzero_ps();
-    let mut c40 = _mm256_setzero_ps();
-    let mut c41 = _mm256_setzero_ps();
-    let mut c50 = _mm256_setzero_ps();
-    let mut c51 = _mm256_setzero_ps();
-    for _ in 0..kb {
-        let b0 = _mm256_loadu_ps(bp);
-        let b1 = _mm256_loadu_ps(bp.add(8));
-        let a = _mm256_broadcast_ss(&*ap);
-        c00 = _mm256_fmadd_ps(a, b0, c00);
-        c01 = _mm256_fmadd_ps(a, b1, c01);
-        let a = _mm256_broadcast_ss(&*ap.add(1));
-        c10 = _mm256_fmadd_ps(a, b0, c10);
-        c11 = _mm256_fmadd_ps(a, b1, c11);
-        let a = _mm256_broadcast_ss(&*ap.add(2));
-        c20 = _mm256_fmadd_ps(a, b0, c20);
-        c21 = _mm256_fmadd_ps(a, b1, c21);
-        let a = _mm256_broadcast_ss(&*ap.add(3));
-        c30 = _mm256_fmadd_ps(a, b0, c30);
-        c31 = _mm256_fmadd_ps(a, b1, c31);
-        let a = _mm256_broadcast_ss(&*ap.add(4));
-        c40 = _mm256_fmadd_ps(a, b0, c40);
-        c41 = _mm256_fmadd_ps(a, b1, c41);
-        let a = _mm256_broadcast_ss(&*ap.add(5));
-        c50 = _mm256_fmadd_ps(a, b0, c50);
-        c51 = _mm256_fmadd_ps(a, b1, c51);
-        ap = ap.add(6);
-        bp = bp.add(ldb);
-    }
-    _mm256_storeu_ps(out, c00);
-    _mm256_storeu_ps(out.add(8), c01);
-    _mm256_storeu_ps(out.add(16), c10);
-    _mm256_storeu_ps(out.add(24), c11);
-    _mm256_storeu_ps(out.add(32), c20);
-    _mm256_storeu_ps(out.add(40), c21);
-    _mm256_storeu_ps(out.add(48), c30);
-    _mm256_storeu_ps(out.add(56), c31);
-    _mm256_storeu_ps(out.add(64), c40);
-    _mm256_storeu_ps(out.add(72), c41);
-    _mm256_storeu_ps(out.add(80), c50);
-    _mm256_storeu_ps(out.add(88), c51);
-}
-
-// ---- AVX-512 tier --------------------------------------------------------
-
-/// Safe shim; see [`micro_avx2_6x16`] for the dispatch-soundness argument
-/// (here the detected feature is `avx512f`).
-#[cfg(target_arch = "x86_64")]
-fn micro_avx512_8x48(kb: usize, a_panel: &[f32], b_panel: &[f32], ldb: usize, acc: &mut [f32]) {
-    assert!(a_panel.len() >= 8 * kb && acc.len() >= 8 * 48, "A panel or tile too short");
-    assert_b_rows(kb, 48, b_panel, ldb);
-    // SAFETY: dispatch guarantees avx512f is present; lengths asserted.
-    unsafe { micro_avx512_8x48_impl(kb, a_panel.as_ptr(), b_panel.as_ptr(), ldb, acc.as_mut_ptr()) }
-}
-
-/// The 8×48 AVX-512 tile: 24 zmm accumulators + 3 packed-B vectors + 1
-/// A broadcast = 28 of the 32 zmm registers. Each depth step is 3 vector
-/// loads + 8 broadcasts feeding 24 `vfmadd231ps` — 768 FLOPs per 11
-/// load-port µops, comfortably FMA-bound on two 512-bit FMA pipes.
-///
-/// # Safety
-/// The CPU has AVX-512F; `ap` reaches `8·kb` readable floats, `bp` `kb` rows
-/// of 48 readable floats `ldb` apart, and `out` 384 writable floats.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn micro_avx512_8x48_impl(
-    kb: usize,
-    mut ap: *const f32,
-    mut bp: *const f32,
-    ldb: usize,
-    out: *mut f32,
-) {
-    use std::arch::x86_64::*;
-    let mut c00 = _mm512_setzero_ps();
-    let mut c01 = _mm512_setzero_ps();
-    let mut c02 = _mm512_setzero_ps();
-    let mut c10 = _mm512_setzero_ps();
-    let mut c11 = _mm512_setzero_ps();
-    let mut c12 = _mm512_setzero_ps();
-    let mut c20 = _mm512_setzero_ps();
-    let mut c21 = _mm512_setzero_ps();
-    let mut c22 = _mm512_setzero_ps();
-    let mut c30 = _mm512_setzero_ps();
-    let mut c31 = _mm512_setzero_ps();
-    let mut c32 = _mm512_setzero_ps();
-    let mut c40 = _mm512_setzero_ps();
-    let mut c41 = _mm512_setzero_ps();
-    let mut c42 = _mm512_setzero_ps();
-    let mut c50 = _mm512_setzero_ps();
-    let mut c51 = _mm512_setzero_ps();
-    let mut c52 = _mm512_setzero_ps();
-    let mut c60 = _mm512_setzero_ps();
-    let mut c61 = _mm512_setzero_ps();
-    let mut c62 = _mm512_setzero_ps();
-    let mut c70 = _mm512_setzero_ps();
-    let mut c71 = _mm512_setzero_ps();
-    let mut c72 = _mm512_setzero_ps();
-    for _ in 0..kb {
-        let b0 = _mm512_loadu_ps(bp);
-        let b1 = _mm512_loadu_ps(bp.add(16));
-        let b2 = _mm512_loadu_ps(bp.add(32));
-        let a = _mm512_set1_ps(*ap);
-        c00 = _mm512_fmadd_ps(a, b0, c00);
-        c01 = _mm512_fmadd_ps(a, b1, c01);
-        c02 = _mm512_fmadd_ps(a, b2, c02);
-        let a = _mm512_set1_ps(*ap.add(1));
-        c10 = _mm512_fmadd_ps(a, b0, c10);
-        c11 = _mm512_fmadd_ps(a, b1, c11);
-        c12 = _mm512_fmadd_ps(a, b2, c12);
-        let a = _mm512_set1_ps(*ap.add(2));
-        c20 = _mm512_fmadd_ps(a, b0, c20);
-        c21 = _mm512_fmadd_ps(a, b1, c21);
-        c22 = _mm512_fmadd_ps(a, b2, c22);
-        let a = _mm512_set1_ps(*ap.add(3));
-        c30 = _mm512_fmadd_ps(a, b0, c30);
-        c31 = _mm512_fmadd_ps(a, b1, c31);
-        c32 = _mm512_fmadd_ps(a, b2, c32);
-        let a = _mm512_set1_ps(*ap.add(4));
-        c40 = _mm512_fmadd_ps(a, b0, c40);
-        c41 = _mm512_fmadd_ps(a, b1, c41);
-        c42 = _mm512_fmadd_ps(a, b2, c42);
-        let a = _mm512_set1_ps(*ap.add(5));
-        c50 = _mm512_fmadd_ps(a, b0, c50);
-        c51 = _mm512_fmadd_ps(a, b1, c51);
-        c52 = _mm512_fmadd_ps(a, b2, c52);
-        let a = _mm512_set1_ps(*ap.add(6));
-        c60 = _mm512_fmadd_ps(a, b0, c60);
-        c61 = _mm512_fmadd_ps(a, b1, c61);
-        c62 = _mm512_fmadd_ps(a, b2, c62);
-        let a = _mm512_set1_ps(*ap.add(7));
-        c70 = _mm512_fmadd_ps(a, b0, c70);
-        c71 = _mm512_fmadd_ps(a, b1, c71);
-        c72 = _mm512_fmadd_ps(a, b2, c72);
-        ap = ap.add(8);
-        bp = bp.add(ldb);
-    }
-    _mm512_storeu_ps(out, c00);
-    _mm512_storeu_ps(out.add(16), c01);
-    _mm512_storeu_ps(out.add(32), c02);
-    _mm512_storeu_ps(out.add(48), c10);
-    _mm512_storeu_ps(out.add(64), c11);
-    _mm512_storeu_ps(out.add(80), c12);
-    _mm512_storeu_ps(out.add(96), c20);
-    _mm512_storeu_ps(out.add(112), c21);
-    _mm512_storeu_ps(out.add(128), c22);
-    _mm512_storeu_ps(out.add(144), c30);
-    _mm512_storeu_ps(out.add(160), c31);
-    _mm512_storeu_ps(out.add(176), c32);
-    _mm512_storeu_ps(out.add(192), c40);
-    _mm512_storeu_ps(out.add(208), c41);
-    _mm512_storeu_ps(out.add(224), c42);
-    _mm512_storeu_ps(out.add(240), c50);
-    _mm512_storeu_ps(out.add(256), c51);
-    _mm512_storeu_ps(out.add(272), c52);
-    _mm512_storeu_ps(out.add(288), c60);
-    _mm512_storeu_ps(out.add(304), c61);
-    _mm512_storeu_ps(out.add(320), c62);
-    _mm512_storeu_ps(out.add(336), c70);
-    _mm512_storeu_ps(out.add(352), c71);
-    _mm512_storeu_ps(out.add(368), c72);
-}
-
-/// Safe shim; see [`micro_avx2_6x16`] for the dispatch-soundness argument
-/// (here the detected feature is `avx512f`).
-#[cfg(target_arch = "x86_64")]
-fn micro_avx512_12x32(kb: usize, a_panel: &[f32], b_panel: &[f32], ldb: usize, acc: &mut [f32]) {
-    assert!(a_panel.len() >= 12 * kb && acc.len() >= 12 * 32, "A panel or tile too short");
-    assert_b_rows(kb, 32, b_panel, ldb);
-    // SAFETY: dispatch guarantees avx512f is present; lengths asserted.
-    unsafe {
-        micro_avx512_12x32_impl(kb, a_panel.as_ptr(), b_panel.as_ptr(), ldb, acc.as_mut_ptr())
-    }
-}
-
-/// The 12×32 AVX-512 tile: 24 zmm accumulators + 2 packed-B vectors + 1
-/// A broadcast = 27 of the 32 zmm registers. Each depth step is 2 vector
-/// loads + 12 broadcasts feeding 24 `vfmadd231ps` — the same FMA count as
-/// the 8×48 tile with fewer B-panel bytes streamed per step. The row loop
-/// is fully unrolled by LLVM (constant trip count inside a
-/// `target_feature` fn), leaving no spills.
-///
-/// # Safety
-/// The CPU has AVX-512F; `ap` reaches `12·kb` readable floats, `bp` `kb`
-/// rows of 32 readable floats `ldb` apart, and `out` 384 writable floats.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn micro_avx512_12x32_impl(
-    kb: usize,
-    mut ap: *const f32,
-    mut bp: *const f32,
-    ldb: usize,
-    out: *mut f32,
-) {
-    use std::arch::x86_64::*;
-    let mut c = [[_mm512_setzero_ps(); 2]; 12];
-    for _ in 0..kb {
-        let b0 = _mm512_loadu_ps(bp);
-        let b1 = _mm512_loadu_ps(bp.add(16));
-        for (i, row) in c.iter_mut().enumerate() {
-            let a = _mm512_set1_ps(*ap.add(i));
-            row[0] = _mm512_fmadd_ps(a, b0, row[0]);
-            row[1] = _mm512_fmadd_ps(a, b1, row[1]);
-        }
-        ap = ap.add(12);
-        bp = bp.add(ldb);
-    }
-    for (i, row) in c.iter().enumerate() {
-        _mm512_storeu_ps(out.add(i * 32), row[0]);
-        _mm512_storeu_ps(out.add(i * 32 + 16), row[1]);
     }
 }
 
@@ -639,12 +402,12 @@ impl ThinKernel {
             };
         }
         #[cfg(target_arch = "x86_64")]
-        use {softplus_avx2::thin_tile as avx2, softplus_avx512::thin_tile as avx512};
+        use {avx2::thin_tile as thin_tile_avx2, avx512::thin_tile as thin_tile_avx512};
         match self.backend {
             #[cfg(target_arch = "x86_64")]
-            B_AVX512 => on!(avx512; 1, 2, 3, 4),
+            B_AVX512 => on!(thin_tile_avx512; 1, 2, 3, 4),
             #[cfg(target_arch = "x86_64")]
-            B_AVX2 => on!(avx2; 1, 2, 3),
+            B_AVX2 => on!(thin_tile_avx2; 1, 2, 3),
             _ => on!(thin_tile_portable; 1, 2, 3, 4),
         }
     }
@@ -673,6 +436,68 @@ unsafe fn thin_tile_portable<const R: usize, const NV: usize>(t: &ThinTile<R>) {
             *o = if t.first { v } else { *o + v };
         }
     }
+}
+
+/// The GEMM tile ([`MicroFn`]) on this module's vectors: `micro::<MR, NV>`
+/// is the `MR × NV·LANES` tile the dispatch statics hold. Expands inside a
+/// module that defines `V`, `LANES` and the `vector_ops!` vocabulary.
+#[cfg(target_arch = "x86_64")]
+macro_rules! gemm_kernel {
+    ($feat:literal) => {
+        /// The [`MicroFn`] of an `MR × NV·LANES` tile. A [`Kernel`] holding
+        /// it is only returned by [`active_kernel`] (or installed by
+        /// [`set_backend_override`]) after `is_x86_feature_detected!`
+        /// confirmed this module's features.
+        pub(super) fn micro<const MR: usize, const NV: usize>(
+            kb: usize,
+            a_panel: &[f32],
+            b_panel: &[f32],
+            ldb: usize,
+            acc: &mut [f32],
+        ) {
+            assert_panels([MR, NV * LANES], kb, a_panel, b_panel, ldb, acc);
+            // SAFETY: dispatch guarantees this module's features (above), and
+            // the lengths asserted cover the tile's pointer walks.
+            unsafe { tile::<MR, NV>(kb, a_panel.as_ptr(), b_panel.as_ptr(), ldb, acc.as_mut_ptr()) }
+        }
+
+        /// `MR × NV` accumulators held across the depth loop, each depth
+        /// step `NV` loads of B, `MR` broadcasts of A and `MR·NV` FMAs; each
+        /// chain starts from `+0`. LLVM unrolls the constant-trip row and
+        /// vector loops, so the accumulators stay in registers.
+        ///
+        /// # Safety
+        /// The CPU has this module's features; `ap` reaches `MR·kb` readable
+        /// floats, `bp` `kb` rows of `NV·LANES` readable floats `ldb` apart,
+        /// and `out` `MR·NV·LANES` writable floats.
+        #[target_feature(enable = $feat)]
+        unsafe fn tile<const MR: usize, const NV: usize>(
+            kb: usize,
+            ap: *const f32,
+            bp: *const f32,
+            ldb: usize,
+            out: *mut f32,
+        ) {
+            let mut c = [[zero(); NV]; MR];
+            for p in 0..kb {
+                let mut b = [zero(); NV];
+                for (v, b) in b.iter_mut().enumerate() {
+                    *b = load(bp.add(p * ldb + v * LANES));
+                }
+                for (i, row) in c.iter_mut().enumerate() {
+                    let a = splat(*ap.add(p * MR + i));
+                    for (cell, &b) in row.iter_mut().zip(&b) {
+                        *cell = fma(a, b, *cell);
+                    }
+                }
+            }
+            for (i, row) in c.iter().enumerate() {
+                for (v, &cell) in row.iter().enumerate() {
+                    store(out.add((i * NV + v) * LANES), cell);
+                }
+            }
+        }
+    };
 }
 
 /// The thin GEMM tile ([`ThinKernel::tile`]) on this module's vectors. Expands
@@ -1155,9 +980,9 @@ pub fn bias_softplus_grad_features(g: &mut [f32], z: &[f32], bias: &[f32]) {
 unsafe fn slice_on<const GRAD: bool>(backend: u8, x: &mut [f32], z: &[f32]) {
     match backend {
         #[cfg(target_arch = "x86_64")]
-        B_AVX512 => softplus_avx512::slice::<GRAD>(x, z),
+        B_AVX512 => avx512::slice::<GRAD>(x, z),
         #[cfg(target_arch = "x86_64")]
-        B_AVX2 => softplus_avx2::slice::<GRAD>(x, z),
+        B_AVX2 => avx2::slice::<GRAD>(x, z),
         _ => softplus_tail::<false, GRAD>(x, 0.0, z),
     }
 }
@@ -1185,9 +1010,9 @@ unsafe fn features_on<const GRAD: bool>(backend: u8, x: &mut [f32], bias: &[f32]
     }
     match backend {
         #[cfg(target_arch = "x86_64")]
-        B_AVX512 if m.is_multiple_of(8) => on!(softplus_avx512),
+        B_AVX512 if m.is_multiple_of(8) => on!(avx512),
         #[cfg(target_arch = "x86_64")]
-        B_AVX2 if m.is_multiple_of(8) => on!(softplus_avx2),
+        B_AVX2 if m.is_multiple_of(8) => on!(avx2),
         _ => {
             for (j, (row, &b)) in x.chunks_mut(m.max(1)).zip(bias).enumerate() {
                 softplus_tail::<true, GRAD>(
@@ -1359,13 +1184,13 @@ unsafe fn jet_features_on<const GRAD: bool>(
 ) {
     match (backend, seeds.is_empty()) {
         #[cfg(target_arch = "x86_64")]
-        (B_AVX512, true) => softplus_avx512::jet_features::<GRAD, false>(x, m, bias, z, seeds),
+        (B_AVX512, true) => avx512::jet_features::<GRAD, false>(x, m, bias, z, seeds),
         #[cfg(target_arch = "x86_64")]
-        (B_AVX512, false) => softplus_avx512::jet_features::<GRAD, true>(x, m, bias, z, seeds),
+        (B_AVX512, false) => avx512::jet_features::<GRAD, true>(x, m, bias, z, seeds),
         #[cfg(target_arch = "x86_64")]
-        (B_AVX2, true) => softplus_avx2::jet_features::<GRAD, false>(x, m, bias, z, seeds),
+        (B_AVX2, true) => avx2::jet_features::<GRAD, false>(x, m, bias, z, seeds),
         #[cfg(target_arch = "x86_64")]
-        (B_AVX2, false) => softplus_avx2::jet_features::<GRAD, true>(x, m, bias, z, seeds),
+        (B_AVX2, false) => avx2::jet_features::<GRAD, true>(x, m, bias, z, seeds),
         _ => bias_jet_features::<GRAD>(x, z, bias, seeds, softplus_derivs),
     }
 }
@@ -1761,7 +1586,7 @@ macro_rules! softplus_kernel {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod softplus_avx2 {
+mod avx2 {
     use super::*;
     use std::arch::x86_64::*;
 
@@ -1807,12 +1632,13 @@ mod softplus_avx2 {
         _mm256_storeu_ps(p, v)
     }
 
-    softplus_kernel!("avx2,fma");
+    gemm_kernel!("avx2,fma");
     thin_kernel!("avx2,fma");
+    softplus_kernel!("avx2,fma");
 }
 
 #[cfg(target_arch = "x86_64")]
-mod softplus_avx512 {
+mod avx512 {
     use super::*;
     use std::arch::x86_64::*;
 
@@ -1858,8 +1684,9 @@ mod softplus_avx512 {
         _mm512_storeu_ps(p, v)
     }
 
-    softplus_kernel!("avx512f");
+    gemm_kernel!("avx512f");
     thin_kernel!("avx512f");
+    softplus_kernel!("avx512f");
 }
 
 #[cfg(test)]
@@ -1895,18 +1722,27 @@ mod tests {
 
     #[test]
     fn kernel_shapes_fit_declared_maxima() {
-        for k in [
-            &PORTABLE_KERNEL,
-            #[cfg(target_arch = "x86_64")]
-            &AVX2_KERNEL,
-            #[cfg(target_arch = "x86_64")]
-            &AVX512_KERNEL,
-            #[cfg(target_arch = "x86_64")]
-            &AVX512_KERNEL_12X32,
-        ] {
+        for k in TILES {
             assert!(k.mr <= MAX_MR && k.nr <= MAX_NR);
             assert_eq!(k.nr % 8, 0, "write-back assumes whole vectors");
         }
+    }
+
+    /// Every GEMM tile of every tier.
+    const TILES: &[&Kernel] = &[
+        &PORTABLE_KERNEL,
+        #[cfg(target_arch = "x86_64")]
+        &AVX2_KERNEL,
+        #[cfg(target_arch = "x86_64")]
+        &AVX512_KERNEL,
+        #[cfg(target_arch = "x86_64")]
+        &AVX512_KERNEL_12X32,
+    ];
+
+    /// Every tile of every tier this host can run.
+    fn runnable_tiles() -> Vec<&'static Kernel> {
+        let tiers = crate::gemm::tests::runnable_backends();
+        TILES.iter().copied().filter(|k| tiers.contains(&k.backend)).collect()
     }
 
     /// The three tiers must agree bit-for-bit on the same panels — the
@@ -1915,64 +1751,77 @@ mod tests {
     /// on a packed B panel (`ldb = nr`) and on B rows read in place from a
     /// wider operand (`ldb > nr`), whose elements between the tile's columns
     /// are NaN: a tile reads its `nr` columns of each row and nothing else.
+    /// In the signed-zero cases row 0 of A is `+0` and every B entry is
+    /// negative, so every product in that row's chains is `−0`: a chain that
+    /// starts from `+0` ends there, one that starts from `−0` does not.
     #[test]
     fn every_tier_matches_scalar_fma_chain_bitwise() {
-        let tiles = |tier: KernelBackend| -> Vec<&'static Kernel> {
-            match tier {
-                #[cfg(target_arch = "x86_64")]
-                KernelBackend::Avx512 => vec![&AVX512_KERNEL, &AVX512_KERNEL_12X32],
-                #[cfg(target_arch = "x86_64")]
-                KernelBackend::Avx2Fma => vec![&AVX2_KERNEL],
-                _ => vec![&PORTABLE_KERNEL],
-            }
-        };
-        for tier in crate::gemm::tests::runnable_backends() {
-            for kernel in tiles(tier) {
-                for (kb, gap) in
-                    [(1usize, 0usize), (2, 0), (7, 0), (64, 0), (1, 5), (7, 3), (64, 464)]
-                {
-                    let ldb = kernel.nr + gap;
-                    let mut s = 0x9E3779B9u32;
-                    let mut next = move || {
-                        s = s.wrapping_mul(1664525).wrapping_add(1013904223);
-                        ((s >> 16) as i32 % 31 - 15) as f32 * 0.125
-                    };
-                    let a: Vec<f32> = (0..kernel.mr * kb).map(|_| next()).collect();
-                    let b: Vec<f32> = (0..(kb - 1) * ldb + kernel.nr)
-                        .map(|i| if i % ldb < kernel.nr { next() } else { f32::NAN })
-                        .collect();
-                    let mut acc = vec![f32::NAN; kernel.mr * kernel.nr];
-                    (kernel.micro)(kb, &a, &b, ldb, &mut acc);
-                    for i in 0..kernel.mr {
-                        for j in 0..kernel.nr {
-                            let mut want = 0.0f32;
-                            for p in 0..kb {
-                                want = a[p * kernel.mr + i].mul_add(b[p * ldb + j], want);
-                            }
-                            assert_eq!(
-                                acc[i * kernel.nr + j].to_bits(),
-                                want.to_bits(),
-                                "{} {}x{} tile ({i},{j}) kb={kb} ldb={ldb}",
-                                kernel.backend.name(),
-                                kernel.mr,
-                                kernel.nr
-                            );
+        for (kernel, signed_zeros) in
+            runnable_tiles().into_iter().flat_map(|k| [(k, false), (k, true)])
+        {
+            for (kb, gap) in [(1usize, 0usize), (2, 0), (7, 0), (64, 0), (1, 5), (7, 3), (64, 464)]
+            {
+                let ldb = kernel.nr + gap;
+                let mut s = 0x9E3779B9u32;
+                let mut next = move || {
+                    s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                    ((s >> 16) as i32 % 31 - 15) as f32 * 0.125
+                };
+                let negative = |x: f32| if signed_zeros { -0.125 - x.abs() } else { x };
+                let a: Vec<f32> = (0..kernel.mr * kb)
+                    .map(|i| if signed_zeros && i % kernel.mr == 0 { 0.0 } else { next() })
+                    .collect();
+                let b: Vec<f32> = (0..(kb - 1) * ldb + kernel.nr)
+                    .map(|i| if i % ldb < kernel.nr { negative(next()) } else { f32::NAN })
+                    .collect();
+                let mut acc = vec![f32::NAN; kernel.mr * kernel.nr];
+                (kernel.micro)(kb, &a, &b, ldb, &mut acc);
+                for i in 0..kernel.mr {
+                    for j in 0..kernel.nr {
+                        let mut want = 0.0f32;
+                        for p in 0..kb {
+                            want = a[p * kernel.mr + i].mul_add(b[p * ldb + j], want);
                         }
+                        assert_eq!(
+                            acc[i * kernel.nr + j].to_bits(),
+                            want.to_bits(),
+                            "{} {}x{} tile ({i},{j}) kb={kb} ldb={ldb} signed zeros {signed_zeros}",
+                            kernel.backend.name(),
+                            kernel.mr,
+                            kernel.nr
+                        );
                     }
                 }
             }
         }
     }
 
-    /// A B panel one element short of its last row is refused, not read past.
+    /// A short A panel, a B panel one element short of its last row and a
+    /// short tile are refused by every tile, not read or written past.
     #[test]
-    #[should_panic(expected = "B panel")]
-    fn a_short_b_panel_is_refused() {
-        let kernel = &PORTABLE_KERNEL;
-        let (kb, ldb) = (3, kernel.nr + 8);
-        let a = vec![0.0f32; kernel.mr * kb];
-        let b = vec![0.0f32; (kb - 1) * ldb + kernel.nr - 1];
-        (kernel.micro)(kb, &a, &b, ldb, &mut vec![0.0; kernel.mr * kernel.nr]);
+    fn short_panels_are_refused_by_every_tile() {
+        for kernel in runnable_tiles() {
+            let (mr, nr, kb) = (kernel.mr, kernel.nr, 3);
+            let ldb = nr + 8;
+            let (a, b) = (vec![0.0f32; mr * kb], vec![0.0f32; (kb - 1) * ldb + nr]);
+            let tile = vec![0.0f32; mr * nr];
+            for (what, a, b, mut acc) in [
+                ("A panel", &a[1..], &b[..], tile.clone()),
+                ("B panel", &a[..], &b[1..], tile.clone()),
+                ("tile", &a[..], &b[..], tile[1..].to_vec()),
+            ] {
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    (kernel.micro)(kb, a, b, ldb, &mut acc)
+                }))
+                .expect_err("a short operand is refused");
+                let message = refused.downcast_ref::<String>().map_or("", |m| m.as_str());
+                assert!(
+                    message.starts_with(what),
+                    "{} {mr}x{nr}: a short {what} gave {message:?}",
+                    kernel.backend.name()
+                );
+            }
+        }
     }
 
     /// Inputs around every regime cut and special value of the softplus.
